@@ -19,8 +19,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Rows in the benchmark `runs` table — large enough that scans dominate
-/// and the parallel-segment threshold is crossed.
+/// Rows in the benchmark `runs` table — large enough that scans dominate.
 const ROWS: usize = 20_000;
 /// Rows in the columnar benchmark table (ISSUE 6 bar: the vectorized path
 /// must beat the reference executor >=10x at 100k rows).

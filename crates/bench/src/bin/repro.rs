@@ -16,7 +16,7 @@ use bench::{
 use perfbase_core::import::Importer;
 use perfbase_core::input::input_description_from_str;
 use perfbase_core::query::spec::query_from_str;
-use perfbase_core::query::{ParallelQueryRunner, Placement, QueryRunner};
+use perfbase_core::query::QueryRunner;
 use sqldb::cluster::{Cluster, LatencyModel};
 use sqldb::Engine;
 use std::path::PathBuf;
@@ -293,7 +293,8 @@ fn fig3() {
             .unwrap()
     });
     let par = time("thread-parallel (1 node)", &|| {
-        ParallelQueryRunner::new(&db)
+        QueryRunner::new(&db)
+            .parallel(true)
             .run(query_from_str(&spec).unwrap())
             .unwrap()
     });
@@ -305,8 +306,9 @@ fn fig3() {
     for nodes in [2usize, 4, 8] {
         let cluster = Cluster::new(nodes, LatencyModel::fast_interconnect());
         let t = time(&format!("cluster, {nodes} nodes"), &|| {
-            ParallelQueryRunner::new(&db)
-                .on_cluster(&cluster, Placement::RoundRobin)
+            QueryRunner::new(&db)
+                .parallel(true)
+                .on_cluster(&cluster)
                 .run(query_from_str(&spec).unwrap())
                 .unwrap()
         });

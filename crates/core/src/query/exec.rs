@@ -37,9 +37,9 @@ use crate::error::{Error, Result};
 use crate::experiment::{ExperimentDb, ExperimentDef, Occurrence};
 use crate::output;
 use sqldb::aggregate::{Accumulator, AggKind};
-use sqldb::cluster::TransferStats;
+use sqldb::cluster::{Cluster, TransferStats};
 use sqldb::{Engine, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 /// Wall-clock cost of one executed element — the measurement behind the
@@ -91,21 +91,50 @@ impl QueryOutcome {
     }
 }
 
-/// Sequential query runner over the experiment's own database engine.
+/// The DAG executor (paper §4.3, Fig. 3): one runner, three orthogonal
+/// settings.
 ///
-/// When the experiment is sharded across a cluster, the runner pushes
-/// eligible aggregations down to the data-owning nodes (see the module
-/// docs); [`QueryRunner::pushdown`] can force the fallback path instead,
-/// which is useful for measuring what the pushdown saves.
+/// * **threads** ([`QueryRunner::parallel`]) — the elements of a wave run
+///   on scoped threads instead of one after the other on the caller's;
+/// * **element placement** ([`QueryRunner::on_cluster`]) — elements are
+///   spread round-robin over the nodes of a simulated cluster, each output
+///   vector landing on the node that consumes it;
+/// * **data sharding + pushdown** — when the experiment is sharded across a
+///   cluster ([`ExperimentDb::attach_cluster`]) eligible aggregations run
+///   on the data-owning nodes (see the module docs);
+///   [`QueryRunner::pushdown`] can force the fallback path instead, which
+///   is useful for measuring what the pushdown saves.
+///
+/// Every combination produces the same artifacts and the same `timings`
+/// order; only wall-clock and [`QueryOutcome::transfer`] differ.
 pub struct QueryRunner<'a> {
     db: &'a ExperimentDb,
     pushdown: bool,
+    parallel: bool,
+    cluster: Option<&'a Cluster>,
+}
+
+/// Error text for a worker thread that died instead of returning.
+const PANICKED: &str = "query worker thread panicked";
+
+/// What one executed element hands back to the wave loop.
+struct ElementResult {
+    vector: Option<DataVector>,
+    artifact: Option<String>,
+    timing: ElementTiming,
 }
 
 impl<'a> QueryRunner<'a> {
-    /// New runner (aggregation pushdown enabled).
+    /// New runner: elements execute one after the other on the calling
+    /// thread against the experiment's own engine, aggregation pushdown
+    /// enabled.
     pub fn new(db: &'a ExperimentDb) -> Self {
-        QueryRunner { db, pushdown: true }
+        QueryRunner {
+            db,
+            pushdown: true,
+            parallel: false,
+            cluster: None,
+        }
     }
 
     /// Enable or disable aggregation pushdown on sharded databases. With
@@ -115,6 +144,65 @@ impl<'a> QueryRunner<'a> {
     pub fn pushdown(mut self, enabled: bool) -> Self {
         self.pushdown = enabled;
         self
+    }
+
+    /// Run the elements of each wave (see [`QueryDag::waves`]) concurrently
+    /// on scoped threads.
+    pub fn parallel(mut self, enabled: bool) -> Self {
+        self.parallel = enabled;
+        self
+    }
+
+    /// Distribute the elements round-robin over the nodes of a simulated
+    /// cluster under the Fig. 3 placement rule:
+    ///
+    /// * the **frontend node** holds the persistent experiment data, so
+    ///   source elements always execute their database reads there;
+    /// * every element's output vector is materialised **on the node of the
+    ///   element that consumes it** ("the output vector of each query
+    ///   element is stored on the node on which the query element(s) run
+    ///   which use this data for their input"); cross-node placement
+    ///   charges the simulated socket cost;
+    /// * when several consumers sit on different nodes, the table is
+    ///   replicated to each of them (also charged).
+    pub fn on_cluster(mut self, cluster: &'a Cluster) -> Self {
+        self.cluster = Some(cluster);
+        self
+    }
+
+    /// Node element `i` executes on: round-robin over the placement cluster.
+    fn exec_node(&self, i: usize) -> usize {
+        self.cluster.map_or(0, |c| i % c.len())
+    }
+
+    /// Node element `i`'s output vector must live on: the node of its first
+    /// consumer (its own node when it has none).
+    fn out_node(&self, dag: &QueryDag, i: usize) -> usize {
+        self.exec_node(dag.consumers[i].first().copied().unwrap_or(i))
+    }
+
+    /// Engine of placement node `n` (the experiment's own engine without a
+    /// placement cluster).
+    fn engine_of(&self, n: usize) -> &Engine {
+        match self.cluster {
+            Some(c) => &c.node(n).engine,
+            None => self.db.engine(),
+        }
+    }
+
+    /// Interconnect counters of every cluster this run can charge: the
+    /// placement cluster and the one the experiment is sharded across.
+    fn transfer_stats(&self) -> Option<TransferStats> {
+        let sharding = self.db.sharding();
+        self.cluster
+            .into_iter()
+            .chain(sharding.iter().map(|sh| &**sh.cluster()))
+            .map(Cluster::stats)
+            .reduce(|a, b| TransferStats {
+                messages: a.messages + b.messages,
+                rows: a.rows + b.rows,
+                simulated: a.simulated + b.simulated,
+            })
     }
 
     /// Which operator elements can fuse with their source input into a
@@ -128,11 +216,8 @@ impl<'a> QueryRunner<'a> {
     fn plan_pushdown(&self, dag: &QueryDag, def: &ExperimentDef) -> Vec<Option<usize>> {
         let n = dag.spec.elements.len();
         let mut fused: Vec<Option<usize>> = vec![None; n];
-        let sharded_over_multiple_nodes = self
-            .db
-            .sharding()
-            .map(|sh| sh.cluster().len() > 1)
-            .unwrap_or(false);
+        let sharded_over_multiple_nodes =
+            self.db.sharding().is_some_and(|sh| sh.cluster().len() > 1);
         if !self.pushdown || !sharded_over_multiple_nodes {
             return fused;
         }
@@ -169,7 +254,8 @@ impl<'a> QueryRunner<'a> {
         fused
     }
 
-    /// Execute `spec` and drop all temporary tables afterwards.
+    /// Execute `spec` and drop all temporary tables afterwards — on every
+    /// node, and whether or not an element failed.
     pub fn run(&self, spec: QuerySpec) -> Result<QueryOutcome> {
         let dag = QueryDag::build(spec)?;
         let mut dag_span = obs::span("dag");
@@ -180,111 +266,178 @@ impl<'a> QueryRunner<'a> {
                 dag.spec.elements.len()
             )
         });
-        let engine = self.db.engine().clone();
-        let def = self.db.definition();
-        let sharding = self.db.sharding();
-        let stats_before = sharding.as_ref().map(|sh| sh.cluster().stats());
-        let fused = self.plan_pushdown(&dag, &def);
-        let source_fused: Vec<bool> = (0..dag.spec.elements.len())
-            .map(|i| fused.contains(&Some(i)))
-            .collect();
-        let mut outcome = QueryOutcome::default();
-        let mut vectors: Vec<Option<DataVector>> = vec![None; dag.spec.elements.len()];
-        let mut from_source: Vec<bool> = vec![false; dag.spec.elements.len()];
+        let stats_before = self.transfer_stats();
+        let fused = self.plan_pushdown(&dag, &self.db.definition());
 
-        for &i in &dag.topo_order {
-            let element = &dag.spec.elements[i];
-            obs::incr(obs::Counter::DagElements);
-            let mut el_span = obs::span("element");
-            let started = Instant::now();
-            let table = temp_table_name(&dag.spec.name, &element.id);
-            match &element.kind {
-                ElementKind::Source(s) => {
-                    from_source[i] = true;
-                    if !source_fused[i] {
-                        let v = run_source(self.db, &engine, s, &table)?;
-                        vectors[i] = Some(v);
-                    }
-                    // Fused sources execute inside their consuming
-                    // aggregation operator, on the data-owning nodes.
-                }
-                ElementKind::Operator(o) => {
-                    if let Some(si) = fused[i] {
-                        obs::incr(obs::Counter::DagPushdownFused);
-                        let ElementKind::Source(s) = &dag.spec.elements[si].kind else {
-                            unreachable!("fusion plan only names sources")
-                        };
-                        let agg = o.op.aggregate().expect("fused operators aggregate");
-                        let v = run_pushdown_aggregate(self.db, agg, s, &engine, &table)?;
-                        vectors[i] = Some(v);
-                    } else {
-                        let inputs: Vec<(&DataVector, bool)> = dag.input_idx[i]
-                            .iter()
-                            .map(|&j| (vectors[j].as_ref().expect("topo order"), from_source[j]))
-                            .collect();
-                        let v = run_operator(&engine, &engine, &o.op, &inputs, &table)?;
-                        vectors[i] = Some(v);
-                    }
-                }
-                ElementKind::Combiner(c) => {
-                    let l = vectors[dag.input_idx[i][0]].as_ref().expect("topo order");
-                    let r = vectors[dag.input_idx[i][1]].as_ref().expect("topo order");
-                    let v = run_combiner(&engine, &engine, c, l, r, &table)?;
-                    vectors[i] = Some(v);
-                }
-                ElementKind::Output(o) => {
-                    let inputs: Vec<&DataVector> = dag.input_idx[i]
-                        .iter()
-                        .map(|&j| vectors[j].as_ref().expect("topo order"))
-                        .collect();
-                    let artifact = run_output(&engine, o, &inputs)?;
-                    if let Some(path) = &o.filename {
-                        std::fs::write(path, &artifact)?;
-                    }
-                    outcome.artifacts.insert(element.id.clone(), artifact);
-                }
-            }
-            let rows = vectors[i]
-                .as_ref()
-                .map(|v| engine.row_count(&v.table).unwrap_or(0))
-                .unwrap_or(0);
-            el_span.annotate(|| {
-                let decision = match &element.kind {
-                    ElementKind::Source(_) if source_fused[i] => " fused-into-consumer",
-                    ElementKind::Operator(_) if fused[i].is_some() => " pushdown=fused",
-                    _ => "",
-                };
-                format!(
-                    "id={} kind={}{} rows={rows}",
-                    element.id,
-                    element.kind.name(),
-                    decision
-                )
-            });
-            obs::record_duration(obs::Hist::ElementNs, started.elapsed());
-            outcome.timings.push(ElementTiming {
-                id: element.id.clone(),
-                kind: element.kind.name(),
-                wall: started.elapsed(),
-                rows,
-            });
-        }
-
-        for (i, v) in vectors.into_iter().enumerate() {
-            if let Some(v) = v {
-                outcome.vectors.insert(dag.spec.elements[i].id.clone(), v);
+        let result = self.run_waves(&dag, &fused);
+        self.db.engine().drop_temp_tables();
+        if let Some(c) = self.cluster {
+            for i in 0..c.len() {
+                c.node(i).engine.drop_temp_tables();
             }
         }
-        engine.drop_temp_tables();
-        if let (Some(sh), Some(before)) = (&sharding, &stats_before) {
-            outcome.transfer = Some(sh.cluster().stats().delta_since(before));
+        let mut outcome = result?;
+        if let (Some(now), Some(before)) = (self.transfer_stats(), &stats_before) {
+            outcome.transfer = Some(now.delta_since(before));
         }
         Ok(outcome)
+    }
+
+    /// The one loop over DAG elements: wave by wave, each wave inline on the
+    /// calling thread or on scoped threads, results stored in wave order
+    /// after the join so the outcome is the same in every mode.
+    fn run_waves(&self, dag: &QueryDag, fused: &[Option<usize>]) -> Result<QueryOutcome> {
+        let mut outcome = QueryOutcome::default();
+        for wave in dag.waves() {
+            let results: Result<Vec<ElementResult>> = if self.parallel && wave.len() > 1 {
+                let vectors = &outcome.vectors;
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = wave
+                        .iter()
+                        .map(|&i| scope.spawn(move || self.run_element(dag, fused, i, vectors)))
+                        .collect();
+                    // Join every worker before looking at any result.
+                    let joined: Vec<Result<ElementResult>> = handles
+                        .into_iter()
+                        .map(|h| {
+                            h.join()
+                                .unwrap_or_else(|_| Err(Error::Query(PANICKED.into())))
+                        })
+                        .collect();
+                    joined.into_iter().collect()
+                })
+            } else {
+                wave.iter()
+                    .map(|&i| self.run_element(dag, fused, i, &outcome.vectors))
+                    .collect()
+            };
+            for (&i, done) in wave.iter().zip(results?) {
+                // Replicate multi-consumer outputs to every consuming node.
+                if let (Some(cluster), Some(v)) = (self.cluster, &done.vector) {
+                    let home = self.out_node(dag, i);
+                    let elsewhere: BTreeSet<usize> = dag.consumers[i]
+                        .iter()
+                        .map(|&c| self.exec_node(c))
+                        .filter(|&node| node != home)
+                        .collect();
+                    for node in elsewhere {
+                        cluster.copy_table(home, &v.table, node, &v.table)?;
+                    }
+                }
+                if let Some(artifact) = done.artifact {
+                    outcome.artifacts.insert(done.timing.id.clone(), artifact);
+                }
+                if let Some(v) = done.vector {
+                    outcome.vectors.insert(done.timing.id.clone(), v);
+                }
+                outcome.timings.push(done.timing);
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// Execute element `i`. Inputs are the `vectors` earlier waves produced;
+    /// the element's own vector or artifact is returned, not stored, so
+    /// concurrent elements of a wave share nothing mutable.
+    fn run_element(
+        &self,
+        dag: &QueryDag,
+        fused: &[Option<usize>],
+        i: usize,
+        vectors: &HashMap<String, DataVector>,
+    ) -> Result<ElementResult> {
+        let element = &dag.spec.elements[i];
+        obs::incr(obs::Counter::DagElements);
+        let mut el_span = obs::span("element");
+        let started = Instant::now();
+        let table = temp_table_name(&dag.spec.name, &element.id);
+        let (exec_node, out_node) = (self.exec_node(i), self.out_node(dag, i));
+        let in_engine = self.engine_of(exec_node);
+        let out_engine = self.engine_of(out_node);
+        // Inputs come from earlier waves, so their vectors are present.
+        let input = |j: usize| &vectors[&dag.spec.elements[j].id];
+
+        let mut artifact = None;
+        let mut decision = "";
+        let vector = match &element.kind {
+            // Fused sources execute inside their consuming aggregation
+            // operator, on the data-owning nodes.
+            ElementKind::Source(_) if fused.contains(&Some(i)) => {
+                decision = " fused-into-consumer";
+                None
+            }
+            // Reads happen on the frontend; the vector lands on the
+            // consumer's node.
+            ElementKind::Source(s) => Some(run_source(self.db, out_engine, s, &table)?),
+            ElementKind::Operator(o) => Some(match fused[i] {
+                Some(si) => {
+                    obs::incr(obs::Counter::DagPushdownFused);
+                    decision = " pushdown=fused";
+                    let ElementKind::Source(s) = &dag.spec.elements[si].kind else {
+                        unreachable!("fusion plan only names sources")
+                    };
+                    let agg = o.op.aggregate().expect("fused operators aggregate");
+                    run_pushdown_aggregate(self.db, agg, s, out_engine, &table)?
+                }
+                None => {
+                    let inputs: Vec<(&DataVector, bool)> = dag.input_idx[i]
+                        .iter()
+                        .map(|&j| {
+                            let from_source =
+                                matches!(dag.spec.elements[j].kind, ElementKind::Source(_));
+                            (input(j), from_source)
+                        })
+                        .collect();
+                    run_operator(in_engine, out_engine, &o.op, &inputs, &table)?
+                }
+            }),
+            ElementKind::Combiner(c) => {
+                let (l, r) = (input(dag.input_idx[i][0]), input(dag.input_idx[i][1]));
+                Some(run_combiner(in_engine, out_engine, c, l, r, &table)?)
+            }
+            ElementKind::Output(o) => {
+                let inputs: Vec<&DataVector> = dag.input_idx[i].iter().map(|&j| input(j)).collect();
+                let rendered = run_output(in_engine, o, &inputs)?;
+                if let Some(path) = &o.filename {
+                    std::fs::write(path, &rendered)?;
+                }
+                artifact = Some(rendered);
+                None
+            }
+        };
+        let rows = vector
+            .as_ref()
+            .map(|v| out_engine.row_count(&v.table).unwrap_or(0))
+            .unwrap_or(0);
+        // Charge the simulated socket cost for shipping the output vector
+        // off-node, mirroring Fig. 3's placement rule.
+        if let (Some(cluster), Some(_), true) = (self.cluster, &vector, exec_node != out_node) {
+            cluster.charge_transfer(rows);
+        }
+        el_span.annotate(|| {
+            format!(
+                "id={} kind={}{decision} rows={rows}",
+                element.id,
+                element.kind.name()
+            )
+        });
+        let wall = started.elapsed();
+        obs::record_duration(obs::Hist::ElementNs, wall);
+        Ok(ElementResult {
+            vector,
+            artifact,
+            timing: ElementTiming {
+                id: element.id.clone(),
+                kind: element.kind.name(),
+                wall,
+                rows,
+            },
+        })
     }
 }
 
 /// Temp-table name for one element of one query.
-pub(crate) fn temp_table_name(query: &str, element: &str) -> String {
+fn temp_table_name(query: &str, element: &str) -> String {
     format!("pb_tmp_{query}_{element}")
 }
 
@@ -310,7 +463,7 @@ pub(crate) fn sql_literal(v: &Value) -> String {
 /// references: WHERE clauses split by occurrence, plus the carry and value
 /// columns split the same way. Shared by the plain source path
 /// ([`run_source`]) and the sharded aggregation pushdown.
-pub(crate) struct SourcePlan {
+struct SourcePlan {
     /// Restrictions on run-level (once-occurrence) columns, incl. run filters.
     pub once_where: Vec<String>,
     /// Restrictions on data-set (multiple-occurrence) columns.
@@ -343,7 +496,7 @@ impl SourcePlan {
 
 /// Classify a source spec against the experiment definition (see
 /// [`SourcePlan`]).
-pub(crate) fn plan_source(def: &ExperimentDef, spec: &SourceSpec) -> Result<SourcePlan> {
+fn plan_source(def: &ExperimentDef, spec: &SourceSpec) -> Result<SourcePlan> {
     // Sort every referenced variable into once/multiple occurrence.
     let occurrence_of = |name: &str| -> Result<Occurrence> {
         def.variable(name)
@@ -587,9 +740,9 @@ fn run_pushdown_aggregate(
     debug_assert!(plan.once_values.is_empty() && !plan.multi_values.is_empty());
 
     // 1. Matching runs from the frontend's run index.
-    let (run_cols, sql) = plan.runs_query();
+    // Selects run_id + once_carry (no once values by eligibility).
+    let (_, sql) = plan.runs_query();
     let runs = db.engine().query(&sql)?;
-    let _ = run_cols; // run_id + once_carry (no once values by eligibility)
 
     let params: Vec<String> = plan
         .once_carry
@@ -720,7 +873,7 @@ fn run_pushdown_aggregate(
 }
 
 /// Create `table` on `engine` holding `rows` under `columns`.
-pub(crate) fn materialize(
+fn materialize(
     engine: &Engine,
     table: &str,
     columns: &[String],
@@ -742,17 +895,14 @@ pub(crate) fn materialize(
 }
 
 /// Read a vector's rows from wherever its temp table lives.
-pub(crate) fn read_vector(
-    engine: &Engine,
-    v: &DataVector,
-) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
+fn read_vector(engine: &Engine, v: &DataVector) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
     let (schema, rows) = engine.read_snapshot(&v.table)?;
     Ok((schema.names(), rows))
 }
 
 /// Execute an operator element. `in_engine` holds the input tables,
 /// `out_engine` receives the output table (they differ in cluster mode).
-pub(crate) fn run_operator(
+fn run_operator(
     in_engine: &Engine,
     out_engine: &Engine,
     op: &OpKind,
@@ -1166,7 +1316,7 @@ fn canon_key(v: &Value) -> String {
 /// Execute a combiner element (paper §3.3.3): align two vectors on their
 /// shared parameters; all result values of both pass through, duplicate
 /// parameters are removed, colliding value names are suffixed.
-pub(crate) fn run_combiner(
+fn run_combiner(
     in_engine: &Engine,
     out_engine: &Engine,
     spec: &CombinerSpec,
@@ -1312,11 +1462,7 @@ pub(crate) fn run_combiner(
 
 /// Execute an output element: render every input vector in the requested
 /// format (paper §3.3.4).
-pub(crate) fn run_output(
-    in_engine: &Engine,
-    spec: &OutputSpec,
-    inputs: &[&DataVector],
-) -> Result<String> {
+fn run_output(in_engine: &Engine, spec: &OutputSpec, inputs: &[&DataVector]) -> Result<String> {
     let mut parts = Vec::with_capacity(inputs.len());
     for v in inputs {
         let (cols, mut rows) = read_vector(in_engine, v)?;
@@ -1345,6 +1491,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::experiment::{ExperimentDef, Meta, VarKind, Variable};
     use crate::query::spec::query_from_str;
+    use sqldb::cluster::LatencyModel;
     use sqldb::DataType;
     use std::sync::Arc;
 
@@ -1793,6 +1940,135 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert!(QueryRunner::new(&db).run(q).is_err());
+    }
+
+    pub(crate) const FIG7ISH: &str = r#"<query name="p">
+      <source id="s_old">
+        <parameter name="technique" value="old"/>
+        <parameter name="chunk" carry="true"/>
+        <value name="bw"/>
+      </source>
+      <source id="s_new">
+        <parameter name="technique" value="new"/>
+        <parameter name="chunk" carry="true"/>
+        <value name="bw"/>
+      </source>
+      <operator id="max_old" type="max" input="s_old"/>
+      <operator id="max_new" type="max" input="s_new"/>
+      <operator id="rel" type="above" input="max_new,max_old"/>
+      <output id="o" input="rel" format="csv"/>
+    </query>"#;
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let db = seeded_db();
+        let seq = QueryRunner::new(&db)
+            .run(query_from_str(FIG7ISH).unwrap())
+            .unwrap();
+        let par = QueryRunner::new(&db)
+            .parallel(true)
+            .run(query_from_str(FIG7ISH).unwrap())
+            .unwrap();
+        assert_eq!(seq.artifacts["o"], par.artifacts["o"]);
+    }
+
+    #[test]
+    fn cluster_distribution_matches_sequential() {
+        let db = seeded_db();
+        let cluster = Cluster::new(4, LatencyModel::none());
+        let seq = QueryRunner::new(&db)
+            .run(query_from_str(FIG7ISH).unwrap())
+            .unwrap();
+        let par = QueryRunner::new(&db)
+            .parallel(true)
+            .on_cluster(&cluster)
+            .run(query_from_str(FIG7ISH).unwrap())
+            .unwrap();
+        assert_eq!(seq.artifacts["o"], par.artifacts["o"]);
+        // Temp tables cleaned on all nodes.
+        for i in 0..cluster.len() {
+            assert!(cluster.node(i).engine.temp_table_names().is_empty());
+        }
+    }
+
+    #[test]
+    fn cluster_mode_charges_transfers() {
+        let db = seeded_db();
+        let cluster = Cluster::new(2, LatencyModel::none());
+        QueryRunner::new(&db)
+            .parallel(true)
+            .on_cluster(&cluster)
+            .run(query_from_str(FIG7ISH).unwrap())
+            .unwrap();
+        // With 6 elements round-robined over 2 nodes, something must have
+        // crossed node boundaries.
+        assert!(cluster.stats().messages > 0);
+    }
+
+    #[test]
+    fn timings_recorded_per_element() {
+        let db = seeded_db();
+        let out = QueryRunner::new(&db)
+            .parallel(true)
+            .run(query_from_str(FIG7ISH).unwrap())
+            .unwrap();
+        assert_eq!(out.timings.len(), 6);
+    }
+
+    #[test]
+    fn errors_propagate_from_workers() {
+        let db = seeded_db();
+        let bad = r#"<query name="p"><source id="s"><value name="zzz"/></source>
+          <output id="o" input="s"/></query>"#;
+        assert!(QueryRunner::new(&db)
+            .parallel(true)
+            .run(query_from_str(bad).unwrap())
+            .is_err());
+    }
+
+    /// A spec whose first wave succeeds and whose second wave fails (`diff`
+    /// over two multi-row vectors that share no parameter) must leave no
+    /// `pb_tmp_*` table behind, on the frontend or on any cluster node.
+    #[test]
+    fn failed_element_leaves_no_temp_tables() {
+        let bad = r#"<query name="leak">
+          <source id="a"><parameter name="technique" value="old"/><value name="bw"/></source>
+          <source id="b"><parameter name="technique" value="new"/><value name="bw"/></source>
+          <operator id="d" type="diff" input="a,b"/>
+          <output id="o" input="d" format="csv"/></query>"#;
+        let db = seeded_db();
+        assert!(QueryRunner::new(&db)
+            .run(query_from_str(bad).unwrap())
+            .is_err());
+        assert!(db.engine().temp_table_names().is_empty());
+
+        let cluster = Cluster::new(3, LatencyModel::none());
+        for parallel in [false, true] {
+            assert!(QueryRunner::new(&db)
+                .parallel(parallel)
+                .on_cluster(&cluster)
+                .run(query_from_str(bad).unwrap())
+                .is_err());
+            assert!(db.engine().temp_table_names().is_empty());
+            for i in 0..cluster.len() {
+                assert!(cluster.node(i).engine.temp_table_names().is_empty());
+            }
+        }
+
+        let db = sharded_db(2);
+        assert!(QueryRunner::new(&db)
+            .pushdown(false)
+            .run(query_from_str(bad).unwrap())
+            .is_err());
+        let sharding = db.sharding().unwrap();
+        for i in 0..sharding.cluster().len() {
+            assert!(sharding
+                .cluster()
+                .node(i)
+                .engine
+                .temp_table_names()
+                .is_empty());
+        }
     }
 
     /// The seeded experiment, attached to an `n`-node latency-free cluster

@@ -12,9 +12,11 @@
 //!
 //! Elements communicate **through temporary database tables** (paper §4.2):
 //! each element materialises its output vector into its own temp table and
-//! passes only the table name downstream. [`exec`] runs the graph
-//! sequentially; [`parallel`] distributes ready elements across threads and
-//! (optionally) across the nodes of a simulated database cluster (Fig. 3).
+//! passes only the table name downstream. [`exec`] holds the one runner:
+//! sequential by default, optionally with the ready elements of each wave
+//! on threads and/or placed across the nodes of a simulated database
+//! cluster (Fig. 3); [`parallel`] predicts the scaling curve from its
+//! timings.
 #![warn(missing_docs)]
 
 pub mod dag;
@@ -24,7 +26,6 @@ pub mod spec;
 
 pub use dag::QueryDag;
 pub use exec::{ElementTiming, QueryOutcome, QueryRunner};
-pub use parallel::{ParallelQueryRunner, Placement};
 pub use spec::{
     CombinerSpec, ElementKind, ElementSpec, Filter, FilterOp, OpKind, OperatorSpec, OutputFormat,
     OutputSpec, PlotStyle, QuerySpec, RunFilter, SourceSpec,

@@ -1,43 +1,11 @@
-//! Parallel query execution (paper §4.3, Fig. 3).
+//! Scaling prediction for parallel query execution (paper §4.3, Fig. 3).
 //!
-//! The DAG is executed in *waves* (see [`QueryDag::waves`]): all elements of
-//! a wave have their inputs satisfied and run concurrently on a scoped
-//! thread pool. Optionally the elements are distributed across the nodes of a
-//! simulated [`sqldb::cluster::Cluster`]:
-//!
-//! * the **frontend node** (node 0) holds the persistent experiment data,
-//!   so source elements always execute their database reads there;
-//! * every element's output vector is materialised **on the node of the
-//!   element that consumes it** ("the output vector of each query element
-//!   is stored on the node on which the query element(s) run which use this
-//!   data for their input"); cross-node placement charges the simulated
-//!   socket cost;
-//! * when several consumers sit on different nodes, the table is replicated
-//!   to each of them (also charged).
+//! The runner itself — threads, element placement, sharding — is
+//! [`super::exec::QueryRunner`]; this module only turns its measured
+//! timings into the paper's scaling curve.
 
-use super::exec::{
-    run_combiner, run_operator, run_output, run_source, temp_table_name, ElementTiming,
-    QueryOutcome,
-};
-use super::spec::{ElementKind, QuerySpec};
-use super::{DataVector, QueryDag};
-use crate::error::{Error, Result};
-use crate::experiment::ExperimentDb;
-use sqldb::cluster::Cluster;
-use sqldb::sync::Mutex;
-use std::time::Instant;
-
-/// How elements are assigned to cluster nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Everything on the frontend node (threads-only parallelism).
-    #[default]
-    Frontend,
-    /// Elements spread round-robin over all nodes; sources stay pinned to
-    /// the frontend for their reads, but their output lands on their
-    /// consumer's node.
-    RoundRobin,
-}
+use super::exec::ElementTiming;
+use super::QueryDag;
 
 /// Predicted wall-clock of executing measured per-element timings on an
 /// `nodes`-node cluster under the Fig. 3 placement (wave-synchronous,
@@ -59,21 +27,9 @@ pub fn simulated_makespan(
 ) -> std::time::Duration {
     use std::time::Duration;
     let nodes = nodes.max(1);
-    let duration_of = |i: usize| -> Duration {
+    let timing_of = |i: usize| {
         let id = &dag.spec.elements[i].id;
-        timings
-            .iter()
-            .find(|t| &t.id == id)
-            .map(|t| t.wall)
-            .unwrap_or(Duration::ZERO)
-    };
-    let rows_of = |i: usize| -> usize {
-        let id = &dag.spec.elements[i].id;
-        timings
-            .iter()
-            .find(|t| &t.id == id)
-            .map(|t| t.rows)
-            .unwrap_or(0)
+        timings.iter().find(|t| &t.id == id)
     };
     let node_of = |i: usize| i % nodes;
 
@@ -82,10 +38,10 @@ pub fn simulated_makespan(
         let mut busy = vec![Duration::ZERO; nodes];
         for &i in &wave {
             let n = node_of(i);
-            let mut cost = duration_of(i);
+            let mut cost = timing_of(i).map_or(Duration::ZERO, |t| t.wall);
             for &j in &dag.input_idx[i] {
                 if node_of(j) != n {
-                    cost += latency.cost(rows_of(j));
+                    cost += latency.cost(timing_of(j).map_or(0, |t| t.rows));
                 }
             }
             busy[n] += cost;
@@ -95,327 +51,13 @@ pub fn simulated_makespan(
     makespan
 }
 
-/// Parallel query runner.
-pub struct ParallelQueryRunner<'a> {
-    db: &'a ExperimentDb,
-    cluster: Option<&'a Cluster>,
-    placement: Placement,
-}
-
-impl<'a> ParallelQueryRunner<'a> {
-    /// Thread-parallel execution on the experiment's own engine.
-    pub fn new(db: &'a ExperimentDb) -> Self {
-        ParallelQueryRunner {
-            db,
-            cluster: None,
-            placement: Placement::Frontend,
-        }
-    }
-
-    /// Distribute execution across a simulated cluster.
-    pub fn on_cluster(mut self, cluster: &'a Cluster, placement: Placement) -> Self {
-        self.cluster = Some(cluster);
-        self.placement = placement;
-        self
-    }
-
-    /// Node index an element executes on.
-    fn node_of(&self, element_idx: usize) -> usize {
-        match (self.cluster, self.placement) {
-            (Some(c), Placement::RoundRobin) => element_idx % c.len(),
-            _ => 0,
-        }
-    }
-
-    /// Engine of node `n` (falls back to the experiment engine without a
-    /// cluster).
-    fn engine_of(&self, n: usize) -> &sqldb::Engine {
-        match self.cluster {
-            Some(c) => &c.node(n).engine,
-            None => self.db.engine(),
-        }
-    }
-
-    /// Execute `spec` with wave-level parallelism.
-    pub fn run(&self, spec: QuerySpec) -> Result<QueryOutcome> {
-        let dag = QueryDag::build(spec)?;
-        let n = dag.spec.elements.len();
-        let stats_before = self.cluster.map(|c| c.stats());
-
-        // Where each element runs, and where its output must live: the node
-        // of its first consumer (its own node when it has none).
-        let exec_node: Vec<usize> = (0..n).map(|i| self.node_of(i)).collect();
-        let out_node: Vec<usize> = (0..n)
-            .map(|i| {
-                dag.consumers[i]
-                    .first()
-                    .map(|&c| exec_node[c])
-                    .unwrap_or(exec_node[i])
-            })
-            .collect();
-
-        let vectors: Mutex<Vec<Option<DataVector>>> = Mutex::new(vec![None; n]);
-        let from_source: Vec<bool> = dag
-            .spec
-            .elements
-            .iter()
-            .map(|e| matches!(e.kind, ElementKind::Source(_)))
-            .collect();
-        let outcome = Mutex::new(QueryOutcome::default());
-
-        for wave in dag.waves() {
-            let errors: Mutex<Vec<Error>> = Mutex::new(Vec::new());
-            let panicked = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(wave.len());
-                for &i in &wave {
-                    let dag = &dag;
-                    let vectors = &vectors;
-                    let outcome = &outcome;
-                    let errors = &errors;
-                    let from_source = &from_source;
-                    let exec_node = &exec_node;
-                    let out_node = &out_node;
-                    handles.push(scope.spawn(move || {
-                        let started = Instant::now();
-                        let result = self.run_element(
-                            dag,
-                            i,
-                            exec_node[i],
-                            out_node[i],
-                            vectors,
-                            from_source,
-                            outcome,
-                        );
-                        match result {
-                            Ok(()) => {
-                                let rows = vectors.lock()[i]
-                                    .as_ref()
-                                    .map(|v| {
-                                        self.engine_of(out_node[i]).row_count(&v.table).unwrap_or(0)
-                                    })
-                                    .unwrap_or(0);
-                                outcome.lock().timings.push(ElementTiming {
-                                    id: dag.spec.elements[i].id.clone(),
-                                    kind: dag.spec.elements[i].kind.name(),
-                                    wall: started.elapsed(),
-                                    rows,
-                                });
-                            }
-                            Err(e) => errors.lock().push(e),
-                        }
-                    }));
-                }
-                handles.into_iter().any(|h| h.join().is_err())
-            });
-            if panicked {
-                return Err(Error::Query("query worker thread panicked".into()));
-            }
-            if let Some(e) = errors.into_inner().into_iter().next() {
-                return Err(e);
-            }
-
-            // Replicate multi-consumer outputs to every consuming node.
-            if let Some(cluster) = self.cluster {
-                for &i in &wave {
-                    let produced = vectors.lock()[i].clone();
-                    let Some(v) = produced else { continue };
-                    let home = out_node[i];
-                    let mut extra_nodes: Vec<usize> = dag.consumers[i]
-                        .iter()
-                        .map(|&c| exec_node[c])
-                        .filter(|&nd| nd != home)
-                        .collect();
-                    extra_nodes.sort_unstable();
-                    extra_nodes.dedup();
-                    for nd in extra_nodes {
-                        cluster.copy_table(home, &v.table, nd, &v.table)?;
-                    }
-                }
-            }
-        }
-
-        // Clean up temp tables everywhere.
-        match self.cluster {
-            Some(c) => {
-                for i in 0..c.len() {
-                    c.node(i).engine.drop_temp_tables();
-                }
-            }
-            None => self.db.engine().drop_temp_tables(),
-        }
-
-        let mut outcome = outcome.into_inner();
-        for (i, v) in vectors.into_inner().into_iter().enumerate() {
-            if let Some(v) = v {
-                outcome.vectors.insert(dag.spec.elements[i].id.clone(), v);
-            }
-        }
-        if let (Some(c), Some(before)) = (self.cluster, &stats_before) {
-            outcome.transfer = Some(c.stats().delta_since(before));
-        }
-        Ok(outcome)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_element(
-        &self,
-        dag: &QueryDag,
-        i: usize,
-        exec_node: usize,
-        out_node: usize,
-        vectors: &Mutex<Vec<Option<DataVector>>>,
-        from_source: &[bool],
-        outcome: &Mutex<QueryOutcome>,
-    ) -> Result<()> {
-        let element = &dag.spec.elements[i];
-        let table = temp_table_name(&dag.spec.name, &element.id);
-        let in_engine = self.engine_of(exec_node);
-        let out_engine = self.engine_of(out_node);
-
-        // Charge the simulated socket cost for shipping the output vector
-        // off-node, mirroring Fig. 3's placement rule.
-        let charge = |rows_table: &str| {
-            if exec_node != out_node {
-                if let Some(c) = self.cluster {
-                    let rows = self.engine_of(out_node).row_count(rows_table).unwrap_or(0);
-                    c.charge_transfer(rows);
-                }
-            }
-        };
-
-        match &element.kind {
-            ElementKind::Source(s) => {
-                // Reads happen on the frontend; the vector lands on the
-                // consumer's node.
-                let v = run_source(self.db, out_engine, s, &table)?;
-                charge(&v.table);
-                vectors.lock()[i] = Some(v);
-            }
-            ElementKind::Operator(o) => {
-                let inputs: Vec<(DataVector, bool)> = {
-                    let guard = vectors.lock();
-                    dag.input_idx[i]
-                        .iter()
-                        .map(|&j| (guard[j].clone().expect("wave order"), from_source[j]))
-                        .collect()
-                };
-                let input_refs: Vec<(&DataVector, bool)> =
-                    inputs.iter().map(|(v, s)| (v, *s)).collect();
-                let v = run_operator(in_engine, out_engine, &o.op, &input_refs, &table)?;
-                charge(&v.table);
-                vectors.lock()[i] = Some(v);
-            }
-            ElementKind::Combiner(c) => {
-                let (l, r) = {
-                    let guard = vectors.lock();
-                    (
-                        guard[dag.input_idx[i][0]].clone().expect("wave order"),
-                        guard[dag.input_idx[i][1]].clone().expect("wave order"),
-                    )
-                };
-                let v = run_combiner(in_engine, out_engine, c, &l, &r, &table)?;
-                charge(&v.table);
-                vectors.lock()[i] = Some(v);
-            }
-            ElementKind::Output(o) => {
-                let inputs: Vec<DataVector> = {
-                    let guard = vectors.lock();
-                    dag.input_idx[i]
-                        .iter()
-                        .map(|&j| guard[j].clone().expect("wave order"))
-                        .collect()
-                };
-                let input_refs: Vec<&DataVector> = inputs.iter().collect();
-                let artifact = run_output(in_engine, o, &input_refs)?;
-                if let Some(path) = &o.filename {
-                    std::fs::write(path, &artifact)?;
-                }
-                outcome
-                    .lock()
-                    .artifacts
-                    .insert(element.id.clone(), artifact);
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::exec::tests::seeded_db;
+    use crate::query::exec::tests::{seeded_db, FIG7ISH};
     use crate::query::spec::query_from_str;
     use crate::query::QueryRunner;
     use sqldb::cluster::LatencyModel;
-
-    const FIG7ISH: &str = r#"<query name="p">
-      <source id="s_old">
-        <parameter name="technique" value="old"/>
-        <parameter name="chunk" carry="true"/>
-        <value name="bw"/>
-      </source>
-      <source id="s_new">
-        <parameter name="technique" value="new"/>
-        <parameter name="chunk" carry="true"/>
-        <value name="bw"/>
-      </source>
-      <operator id="max_old" type="max" input="s_old"/>
-      <operator id="max_new" type="max" input="s_new"/>
-      <operator id="rel" type="above" input="max_new,max_old"/>
-      <output id="o" input="rel" format="csv"/>
-    </query>"#;
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let db = seeded_db();
-        let seq = QueryRunner::new(&db)
-            .run(query_from_str(FIG7ISH).unwrap())
-            .unwrap();
-        let par = ParallelQueryRunner::new(&db)
-            .run(query_from_str(FIG7ISH).unwrap())
-            .unwrap();
-        assert_eq!(seq.artifacts["o"], par.artifacts["o"]);
-    }
-
-    #[test]
-    fn cluster_distribution_matches_sequential() {
-        let db = seeded_db();
-        let cluster = Cluster::new(4, LatencyModel::none());
-        let seq = QueryRunner::new(&db)
-            .run(query_from_str(FIG7ISH).unwrap())
-            .unwrap();
-        let par = ParallelQueryRunner::new(&db)
-            .on_cluster(&cluster, Placement::RoundRobin)
-            .run(query_from_str(FIG7ISH).unwrap())
-            .unwrap();
-        assert_eq!(seq.artifacts["o"], par.artifacts["o"]);
-        // Temp tables cleaned on all nodes.
-        for i in 0..cluster.len() {
-            assert!(cluster.node(i).engine.temp_table_names().is_empty());
-        }
-    }
-
-    #[test]
-    fn cluster_mode_charges_transfers() {
-        let db = seeded_db();
-        let cluster = Cluster::new(2, LatencyModel::none());
-        ParallelQueryRunner::new(&db)
-            .on_cluster(&cluster, Placement::RoundRobin)
-            .run(query_from_str(FIG7ISH).unwrap())
-            .unwrap();
-        // With 6 elements round-robined over 2 nodes, something must have
-        // crossed node boundaries.
-        assert!(cluster.stats().messages > 0);
-    }
-
-    #[test]
-    fn timings_recorded_per_element() {
-        let db = seeded_db();
-        let out = ParallelQueryRunner::new(&db)
-            .run(query_from_str(FIG7ISH).unwrap())
-            .unwrap();
-        assert_eq!(out.timings.len(), 6);
-    }
 
     #[test]
     fn makespan_shrinks_with_nodes_and_respects_latency() {
@@ -434,15 +76,5 @@ mod tests {
         // Latency makes distribution more expensive, never cheaper.
         let m2_lan = simulated_makespan(&dag, &out.timings, 2, LatencyModel::lan());
         assert!(m2_lan >= m2);
-    }
-
-    #[test]
-    fn errors_propagate_from_workers() {
-        let db = seeded_db();
-        let bad = r#"<query name="p"><source id="s"><value name="zzz"/></source>
-          <output id="o" input="s"/></query>"#;
-        assert!(ParallelQueryRunner::new(&db)
-            .run(query_from_str(bad).unwrap())
-            .is_err());
     }
 }

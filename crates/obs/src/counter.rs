@@ -55,20 +55,12 @@ counters! {
     ResidualDrops => "plan.residual_drops",
     /// Rows visited by full table scans.
     ScanRowsVisited => "scan.rows_visited",
-    /// Full scans executed on multiple threads.
-    ParallelScans => "scan.parallel",
-    /// Full scans executed on one thread.
+    /// Full scans of row-layout tables.
     SerialScans => "scan.serial",
     /// Single-table SELECTs answered by the vectorized columnar path.
     VectorizedScans => "scan.vectorized",
     /// Columnar SELECTs whose WHERE clause didn't vectorize (row fallback).
     VectorizedFallbacks => "scan.vectorized_fallback",
-    /// Calibrated minimum row count for going parallel (gauge).
-    ParallelThresholdRows => "scan.parallel_threshold_rows",
-    /// Calibrated scan-thread cap (gauge).
-    ScanThreadCap => "scan.thread_cap",
-    /// Calibrated per-row scan cost in nanoseconds (gauge).
-    ScanPerRowNanos => "scan.per_row_ns",
     /// Frames appended to the write-ahead log.
     WalAppends => "wal.appends",
     /// Payload bytes appended to the write-ahead log.
@@ -212,8 +204,8 @@ mod tests {
 
     #[test]
     fn gauge_set_bypasses_enable_switch() {
-        set(Counter::ParallelThresholdRows, 4096);
-        assert_eq!(get(Counter::ParallelThresholdRows), 4096);
+        set(Counter::MvccEpoch, 4096);
+        assert_eq!(get(Counter::MvccEpoch), 4096);
     }
 
     #[test]

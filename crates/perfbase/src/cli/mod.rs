@@ -63,7 +63,7 @@ use perfbase_core::experiment::{AccessLevel, ExperimentDb};
 use perfbase_core::import::{Importer, MissingPolicy};
 use perfbase_core::input::input_description_from_str;
 use perfbase_core::query::spec::query_from_str;
-use perfbase_core::query::{ParallelQueryRunner, Placement, QueryRunner};
+use perfbase_core::query::QueryRunner;
 use perfbase_core::status::{self, RunCriteria};
 use perfbase_core::xmldef;
 use sqldb::cluster::{Cluster, LatencyModel};
@@ -569,32 +569,32 @@ fn cmd_query(argv: Vec<String>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Execute a parsed query spec with the execution strategy selected by the
-/// `query` command's flags.
+/// Execute a parsed query spec with the runner settings the `query`
+/// command's flags select: `--parallel` puts each wave's elements on
+/// threads and, with `--nodes`, places them round-robin over worker nodes
+/// (the experiment data stays on the frontend); `--nodes` alone shards the
+/// run data across the cluster and pushes decomposable aggregations to the
+/// owning nodes.
 fn run_query_outcome(
     a: &Args,
     db: &ExperimentDb,
     spec: perfbase_core::query::spec::QuerySpec,
     nodes: Option<usize>,
 ) -> Result<(perfbase_core::query::QueryOutcome, Option<String>), String> {
-    if a.flag("parallel") {
-        // Element-level parallelism: DAG elements round-robin over worker
-        // nodes, the experiment data stays on the frontend.
-        let outcome = match nodes {
-            Some(n) => {
-                let latency = latency_model(a, LatencyModel::fast_interconnect())?;
-                let cluster = Cluster::new(n, latency);
-                ParallelQueryRunner::new(db)
-                    .on_cluster(&cluster, Placement::RoundRobin)
-                    .run(spec)
-                    .map_err(err)?
-            }
-            None => ParallelQueryRunner::new(db).run(spec).map_err(err)?,
-        };
-        Ok((outcome, None))
-    } else if let Some(n) = nodes {
-        // Data-level distribution: shard the run data across the cluster
-        // and push decomposable aggregations to the owning nodes.
+    let parallel = a.flag("parallel");
+    let (placement_nodes, shard_nodes) = if parallel {
+        (nodes, None)
+    } else {
+        (None, nodes)
+    };
+    let placement = match placement_nodes {
+        Some(n) => Some(Cluster::new(
+            n,
+            latency_model(a, LatencyModel::fast_interconnect())?,
+        )),
+        None => None,
+    };
+    if let Some(n) = shard_nodes {
         let replicas = a
             .get("replicas")
             .map(|r| r.parse::<usize>().map_err(|_| "bad --replicas".to_string()))
@@ -610,33 +610,38 @@ fn run_query_outcome(
             },
         )
         .map_err(err)?;
-        let outcome = QueryRunner::new(db)
-            .pushdown(!a.flag("no-pushdown"))
-            .run(spec)
-            .map_err(err)?;
-        // The replication report must be read before detach drops the
-        // replicator with the sharding context.
-        let replication = db
-            .sharding()
-            .and_then(|sh| sh.replicator().map(|r| r.report()))
-            .map(|rep| {
-                format!(
-                    "== replication ==\n\
-                     {} frame(s) shipped, {} applied, {} replica read(s), \
-                     {} primary read(s), {} stale fallback(s), {} failover(s)\n",
-                    rep.frames_shipped,
-                    rep.frames_applied,
-                    rep.replica_reads,
-                    rep.primary_reads,
-                    rep.stale_fallbacks,
-                    rep.failovers
-                )
-            });
-        db.detach_cluster().map_err(err)?;
-        Ok((outcome, replication))
-    } else {
-        Ok((QueryRunner::new(db).run(spec).map_err(err)?, None))
     }
+
+    let mut runner = QueryRunner::new(db)
+        .pushdown(!a.flag("no-pushdown"))
+        .parallel(parallel);
+    if let Some(cluster) = &placement {
+        runner = runner.on_cluster(cluster);
+    }
+    let outcome = runner.run(spec).map_err(err)?;
+
+    // The replication report must be read before detach drops the
+    // replicator with the sharding context.
+    let replication = db
+        .sharding()
+        .and_then(|sh| sh.replicator().map(|r| r.report()))
+        .map(|rep| {
+            format!(
+                "== replication ==\n\
+                 {} frame(s) shipped, {} applied, {} replica read(s), \
+                 {} primary read(s), {} stale fallback(s), {} failover(s)\n",
+                rep.frames_shipped,
+                rep.frames_applied,
+                rep.replica_reads,
+                rep.primary_reads,
+                rep.stale_fallbacks,
+                rep.failovers
+            )
+        });
+    if shard_nodes.is_some() {
+        db.detach_cluster().map_err(err)?;
+    }
+    Ok((outcome, replication))
 }
 
 fn cmd_info(argv: Vec<String>) -> Result<String, String> {

@@ -149,53 +149,6 @@ impl Accumulator {
         }
     }
 
-    /// Fold another accumulator (over a *later* segment of the same input)
-    /// into this one. Used by the parallel segmented scan: each worker
-    /// accumulates its chunk, then partials merge in chunk order. Min/max/
-    /// first/count/median merge exactly; sum/avg/stddev/variance/prod are
-    /// mathematically exact but may differ from the sequential result in the
-    /// last float ulp because the summation order changes (mean/m2 use the
-    /// standard Chan et al. pairwise Welford combination).
-    pub fn merge(&mut self, other: &Accumulator) {
-        debug_assert_eq!(self.kind, other.kind);
-        if other.count == 0 {
-            self.non_numeric |= other.non_numeric;
-            return;
-        }
-        if self.first.is_none() {
-            self.first = other.first.clone();
-        }
-        match self.kind {
-            AggKind::Min => {
-                if let Some(ob) = &other.best {
-                    if self.best.as_ref().is_none_or(|b| ob.total_cmp(b).is_lt()) {
-                        self.best = Some(ob.clone());
-                    }
-                }
-            }
-            AggKind::Max => {
-                if let Some(ob) = &other.best {
-                    if self.best.as_ref().is_none_or(|b| ob.total_cmp(b).is_gt()) {
-                        self.best = Some(ob.clone());
-                    }
-                }
-            }
-            AggKind::Count | AggKind::First => {}
-            AggKind::Median => self.buffered.extend_from_slice(&other.buffered),
-            _ => {
-                let n1 = self.count as f64;
-                let n2 = other.count as f64;
-                let delta = other.mean - self.mean;
-                self.mean += delta * n2 / (n1 + n2);
-                self.m2 += other.m2 + delta * delta * n1 * n2 / (n1 + n2);
-                self.sum += other.sum;
-                self.prod *= other.prod;
-            }
-        }
-        self.count += other.count;
-        self.non_numeric |= other.non_numeric;
-    }
-
     /// Produce the aggregate result. Empty input yields NULL (except `count`,
     /// which yields 0); non-numeric input to a numeric aggregate yields an
     /// error message.
@@ -353,56 +306,6 @@ mod tests {
         // Robust against the outlier that would drag avg.
         let skew = floats(&[1.0, 1.0, 1.0, 1.0, 1000.0]);
         assert_eq!(agg(AggKind::Median, &skew), Value::Float(1.0));
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let data = floats(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, -3.5, 0.25]);
-        for kind in [
-            AggKind::Count,
-            AggKind::Sum,
-            AggKind::Avg,
-            AggKind::Min,
-            AggKind::Max,
-            AggKind::StdDev,
-            AggKind::Variance,
-            AggKind::Prod,
-            AggKind::First,
-            AggKind::Median,
-        ] {
-            let sequential = agg(kind, &data);
-            for split in [0, 1, 3, 5, data.len()] {
-                let mut left = Accumulator::new(kind);
-                for v in &data[..split] {
-                    left.update(v);
-                }
-                let mut right = Accumulator::new(kind);
-                for v in &data[split..] {
-                    right.update(v);
-                }
-                left.merge(&right);
-                let merged = left.finish().unwrap();
-                match (&sequential, &merged) {
-                    (Value::Float(a), Value::Float(b)) => {
-                        assert!(
-                            (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                            "{kind:?}: {a} vs {b}"
-                        )
-                    }
-                    (a, b) => assert_eq!(a, b, "{kind:?} split {split}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_propagates_non_numeric() {
-        let mut a = Accumulator::new(AggKind::Sum);
-        a.update(&Value::Float(1.0));
-        let mut b = Accumulator::new(AggKind::Sum);
-        b.update(&Value::Text("x".into()));
-        a.merge(&b);
-        assert!(a.finish().is_err());
     }
 
     #[test]

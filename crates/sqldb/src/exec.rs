@@ -18,11 +18,6 @@
 //! * **Hash equi-joins** — `JOIN ... ON a.x = b.y` builds the hash table on
 //!   the smaller input, keyed by [`ValueKey`]; output order is identical to
 //!   the naive accumulated-major nested loop.
-//! * **Parallel segmented scans** — above a calibrated row threshold (see
-//!   [`scan_tuning`]), a scan splits into per-thread segments
-//!   (`std::thread::scope`) whose partial results concatenate (plain
-//!   scans) or merge (aggregations, via [`Accumulator::merge`]) in segment
-//!   order, preserving sequential output order.
 //!
 //! [`run_select_reference`] keeps the unoptimized pipeline — snapshot +
 //! interpreted evaluation + nested-loop joins — as the oracle for the
@@ -41,99 +36,7 @@ use crate::table::{Row, Table};
 use crate::value::{DataType, Value, ValueKey};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Tuning values for the parallel segmented scan, fixed once per process.
-///
-/// Float aggregates (sum/avg/stddev) may differ from the sequential
-/// result in the last ulp above the threshold because the summation order
-/// changes.
-struct ScanTuning {
-    /// Row count above which single-table scans run as parallel segments.
-    threshold: usize,
-    /// Upper bound on scan worker threads.
-    max_threads: usize,
-}
-
-/// The process-wide scan tuning: environment overrides
-/// (`PERFBASE_PARALLEL_THRESHOLD`, `PERFBASE_SCAN_THREADS`) when set,
-/// otherwise a one-shot calibration replacing the historical fixed
-/// threshold of 8192 rows and 8-thread cap. The measured per-row cost and
-/// the derived values are published as `scan.*` gauges.
-fn scan_tuning() -> &'static ScanTuning {
-    static TUNING: OnceLock<ScanTuning> = OnceLock::new();
-    TUNING.get_or_init(|| {
-        let env_usize = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
-        let threshold = env_usize("PERFBASE_PARALLEL_THRESHOLD").unwrap_or_else(|| {
-            let per_row_ns = measure_per_row_cost_ns();
-            let spawn_ns = measure_spawn_cost_ns();
-            obs::set(obs::Counter::ScanPerRowNanos, per_row_ns);
-            derive_threshold(spawn_ns, per_row_ns)
-        });
-        let max_threads = env_usize("PERFBASE_SCAN_THREADS").unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        obs::set(obs::Counter::ParallelThresholdRows, threshold as u64);
-        obs::set(obs::Counter::ScanThreadCap, max_threads as u64);
-        ScanTuning {
-            threshold,
-            max_threads,
-        }
-    })
-}
-
-/// Threshold from measured costs: parallelism pays off once the scan work
-/// dwarfs the price of standing up the workers; the 4x factor buys
-/// headroom for partial-result merging, and the clamp keeps a noisy
-/// measurement from producing a degenerate threshold.
-fn derive_threshold(spawn_ns: u64, per_row_ns: u64) -> usize {
-    ((4 * spawn_ns) / per_row_ns.max(1)).clamp(1024, 65_536) as usize
-}
-
-/// Median per-row cost of a filter-shaped pass (compare + branch +
-/// accumulate) over an in-cache segment, in nanoseconds. Deliberately a
-/// lower bound: real predicates cost more per row, which only lowers the
-/// true break-even point below the derived threshold.
-fn measure_per_row_cost_ns() -> u64 {
-    const ROWS: u64 = 64 * 1024;
-    let data: Vec<u64> = (0..ROWS).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-    let mut samples = [0u64; 5];
-    for s in &mut samples {
-        let t0 = Instant::now();
-        let mut acc = 0u64;
-        for &v in &data {
-            if v % 7 != 0 {
-                acc = acc.wrapping_add(v);
-            }
-        }
-        std::hint::black_box(acc);
-        *s = (t0.elapsed().as_nanos() as u64 / ROWS).max(1);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Median cost of spawning and joining one worker thread, in nanoseconds.
-fn measure_spawn_cost_ns() -> u64 {
-    let mut samples = [0u64; 5];
-    for s in &mut samples {
-        let t0 = Instant::now();
-        std::thread::spawn(|| std::hint::black_box(0u64))
-            .join()
-            .expect("calibration thread");
-        *s = t0.elapsed().as_nanos() as u64;
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 /// Where a SELECT resolves table names: the live engine, each table
 /// pinned at first touch (read-committed, statement-level per-table
@@ -388,21 +291,6 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
     Ok(projected)
 }
 
-fn project_segment(
-    rows: &[Row],
-    filter: Option<&CompiledExpr>,
-    items: &[CompiledItem],
-) -> Result<Vec<Row>, DbError> {
-    let mut out = Vec::new();
-    for r in rows {
-        if !passes(filter, r)? {
-            continue;
-        }
-        out.push(project_row(r, items)?);
-    }
-    Ok(out)
-}
-
 /// Filter + project index candidates (already in row order).
 fn project_ids(
     table: &Table,
@@ -423,55 +311,24 @@ fn project_ids(
     Ok(out)
 }
 
-/// How many scan segments to use for `n` rows.
-fn scan_threads(n: usize) -> usize {
-    let tuning = scan_tuning();
-    if n < tuning.threshold {
-        return 1;
-    }
-    // Cap segments so each stays at least half a threshold's worth of rows:
-    // right at the threshold two workers split the scan, and the full
-    // thread budget only engages once the input is large enough to feed it.
-    let useful = n.div_ceil((tuning.threshold / 2).max(1));
-    tuning.max_threads.min(useful).max(1)
-}
-
-/// Filter + project a full table scan, in parallel segments above the
-/// threshold. Segment outputs concatenate in segment order, so the result
-/// is identical to the sequential scan.
+/// Filter + project a full table scan.
 fn project_scan(
     rows: &[Row],
     filter: Option<&CompiledExpr>,
     items: &[CompiledItem],
 ) -> Result<Vec<Row>, DbError> {
     obs::add(obs::Counter::ScanRowsVisited, rows.len() as u64);
-    let threads = scan_threads(rows.len());
-    if threads <= 1 {
-        obs::incr(obs::Counter::SerialScans);
-        return project_segment(rows, filter, items);
-    }
-    obs::incr(obs::Counter::ParallelScans);
-    let chunk = rows.len().div_ceil(threads);
-    let partials: Vec<Result<Vec<Row>, DbError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|seg| scope.spawn(move || project_segment(seg, filter, items)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
+    obs::incr(obs::Counter::SerialScans);
     let mut out = Vec::new();
-    for p in partials {
-        out.extend(p?); // first failing segment = first error in row order
+    for r in rows {
+        if passes(filter, r)? {
+            out.push(project_row(r, items)?);
+        }
     }
     Ok(out)
 }
 
-/// Streaming aggregation over a full scan, in parallel segments above the
-/// threshold; partials merge in segment order so group order matches the
-/// sequential first-seen order.
+/// Streaming aggregation over a full scan.
 fn fast_agg_scan(
     rows: &[Row],
     filter: Option<&CompiledExpr>,
@@ -479,45 +336,12 @@ fn fast_agg_scan(
     key_idx: Vec<usize>,
 ) -> Result<Vec<Row>, DbError> {
     obs::add(obs::Counter::ScanRowsVisited, rows.len() as u64);
-    let threads = scan_threads(rows.len());
-    if threads <= 1 {
-        obs::incr(obs::Counter::SerialScans);
-        let mut agg = FastAgg::new(plan, key_idx);
-        for row in rows {
-            if passes(filter, row)? {
-                agg.update(row);
-            }
+    obs::incr(obs::Counter::SerialScans);
+    let mut agg = FastAgg::new(plan, key_idx);
+    for row in rows {
+        if passes(filter, row)? {
+            agg.update(row);
         }
-        return agg.finish();
-    }
-    obs::incr(obs::Counter::ParallelScans);
-    let chunk = rows.len().div_ceil(threads);
-    let partials: Vec<Result<FastAgg, DbError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|seg| {
-                let plan = plan.clone();
-                let key_idx = key_idx.clone();
-                scope.spawn(move || {
-                    let mut agg = FastAgg::new(plan, key_idx);
-                    for row in seg {
-                        if passes(filter, row)? {
-                            agg.update(row);
-                        }
-                    }
-                    Ok(agg)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
-    let mut iter = partials.into_iter();
-    let mut agg = iter.next().expect("at least one segment")?;
-    for p in iter {
-        agg.merge(p?);
     }
     agg.finish()
 }
@@ -2046,14 +1870,12 @@ fn plan_fast(sel: &SelectStmt, schema: &Schema, key_idx: &[usize]) -> Option<Vec
 /// Streaming state for the single-pass aggregation: one scan, one
 /// accumulator set per group, byte-encoded keys. This is what makes
 /// in-database aggregation beat row-at-a-time processing in the frontend
-/// (paper §4.2). Partial states from parallel segments combine with
-/// [`FastAgg::merge`].
+/// (paper §4.2).
 struct FastAgg {
     plan: Vec<FastItem>,
     key_idx: Vec<usize>,
     group_of: HashMap<Vec<u8>, usize>,
     keys: Vec<Vec<Value>>,
-    key_bytes: Vec<Vec<u8>>,
     accs: Vec<Vec<Accumulator>>,
 }
 
@@ -2064,13 +1886,11 @@ impl FastAgg {
             key_idx,
             group_of: HashMap::new(),
             keys: Vec::new(),
-            key_bytes: Vec::new(),
             accs: Vec::new(),
         };
         if agg.key_idx.is_empty() {
             // One global group, present even for zero input rows.
             agg.keys.push(Vec::new());
-            agg.key_bytes.push(Vec::new());
             let fresh = agg.fresh_accs();
             agg.accs.push(fresh);
         }
@@ -2101,7 +1921,6 @@ impl FastAgg {
                     let gi = self.keys.len();
                     self.keys
                         .push(self.key_idx.iter().map(|&i| row[i].clone()).collect());
-                    self.key_bytes.push(key.clone());
                     self.group_of.insert(key, gi);
                     let fresh = self.fresh_accs();
                     self.accs.push(fresh);
@@ -2141,7 +1960,6 @@ impl FastAgg {
                     let gi = self.keys.len();
                     self.keys
                         .push(self.key_idx.iter().map(|&i| store.value(pos, i)).collect());
-                    self.key_bytes.push(key.clone());
                     self.group_of.insert(key, gi);
                     let fresh = self.fresh_accs();
                     self.accs.push(fresh);
@@ -2159,35 +1977,6 @@ impl FastAgg {
                 };
                 group_accs[a].update(&v);
                 a += 1;
-            }
-        }
-    }
-
-    /// Fold a later segment's partial state into this one. New groups
-    /// append in the other segment's first-seen order, so merging partials
-    /// in segment order reproduces the sequential group order.
-    fn merge(&mut self, other: FastAgg) {
-        if self.key_idx.is_empty() {
-            for (a, o) in self.accs[0].iter_mut().zip(&other.accs[0]) {
-                a.merge(o);
-            }
-            return;
-        }
-        for gi2 in 0..other.keys.len() {
-            let kb = &other.key_bytes[gi2];
-            match self.group_of.get(kb) {
-                Some(&gi) => {
-                    for (a, o) in self.accs[gi].iter_mut().zip(&other.accs[gi2]) {
-                        a.merge(o);
-                    }
-                }
-                None => {
-                    let gi = self.keys.len();
-                    self.group_of.insert(kb.clone(), gi);
-                    self.keys.push(other.keys[gi2].clone());
-                    self.key_bytes.push(kb.clone());
-                    self.accs.push(other.accs[gi2].clone());
-                }
             }
         }
     }
@@ -2645,18 +2434,6 @@ mod tests {
         let s = infer_schema(&cols, &rows).unwrap();
         assert_eq!(s.columns[0].dtype, DataType::Int);
         assert_eq!(s.columns[1].dtype, DataType::Text);
-    }
-
-    #[test]
-    fn derive_threshold_clamps_and_scales() {
-        // Cheap rows / expensive spawn → high threshold, clamped at 64k.
-        assert_eq!(derive_threshold(1_000_000, 1), 65_536);
-        // Expensive rows → low threshold, clamped at 1024.
-        assert_eq!(derive_threshold(100, 1_000), 1024);
-        // In between: 4 * 20_000 / 5 = 16_000.
-        assert_eq!(derive_threshold(20_000, 5), 16_000);
-        // A zero per-row measurement must not divide by zero.
-        assert_eq!(derive_threshold(10_000, 0), 40_000);
     }
 
     #[test]

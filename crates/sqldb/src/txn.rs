@@ -590,6 +590,88 @@ mod tests {
         assert_eq!(db2.dump_sql(), expected);
     }
 
+    /// Open a fresh durable engine on `name`.{sql,wal} with table `t`.
+    fn durable_with_t(
+        name: &str,
+        opts: crate::wal::WalOptions,
+    ) -> (Arc<Engine>, std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join("perfbase_txn_wal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let dump = dir.join(format!("{name}.sql"));
+        let wal = dir.join(format!("{name}.wal"));
+        std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&wal).ok();
+        let (db, _) = Engine::open_durable(&dump, &wal, opts).unwrap();
+        db.execute("CREATE TABLE t (a INTEGER, s TEXT)").unwrap();
+        (Arc::new(db), dump, wal)
+    }
+
+    #[test]
+    fn rejected_commit_leaves_no_trace_and_later_acked_writes_recover() {
+        use crate::wal::{SyncPolicy, WalOptions};
+        let opts = WalOptions::with_sync(SyncPolicy::Off);
+        let (db, dump, wal) = durable_with_t("oversized", opts.clone());
+        // The second statement exceeds the WAL frame limit (1 MiB under
+        // cfg(test)): the commit is refused before its begin marker is
+        // written.
+        let mut txn = db.begin_txn();
+        txn.execute("INSERT INTO t VALUES (1, 'small')").unwrap();
+        let big = "y".repeat(1024 * 1024);
+        txn.execute(&format!("INSERT INTO t VALUES (2, '{big}')"))
+            .unwrap();
+        assert!(
+            txn.commit().is_err(),
+            "oversized frame must fail the commit"
+        );
+        assert_eq!(db.wal_frames(), 1, "rejected ⇒ absent from the log");
+        // The engine keeps running; an autocommit write is acked ...
+        db.execute("INSERT INTO t VALUES (3, 'acked')").unwrap();
+        db.wal_sync().unwrap();
+        drop(db);
+        // ... and acked ⇒ recovered.
+        let (db2, report) = Engine::open_durable(&dump, &wal, opts).unwrap();
+        assert_eq!(report.txn_frames_discarded, 0);
+        assert_eq!(
+            db2.query("SELECT a FROM t").unwrap().rows(),
+            [[Value::Int(3)]]
+        );
+    }
+
+    #[test]
+    fn commit_failing_mid_group_acks_nothing_afterwards() {
+        use crate::wal::{IoFailpoint, SyncPolicy, WalOptions};
+        // CREATE, begin marker and the first INSERT reach the log; the
+        // second INSERT's frame fails half-written, the process lives.
+        let opts = WalOptions {
+            sync: SyncPolicy::Off,
+            failpoint: Arc::new(IoFailpoint::append_error_after(3)),
+        };
+        let (db, dump, wal) = durable_with_t("midgroup", opts);
+        let mut txn = db.begin_txn();
+        txn.execute("INSERT INTO t VALUES (1, 'a')").unwrap();
+        txn.execute("INSERT INTO t VALUES (2, 'b')").unwrap();
+        assert!(txn.commit().is_err());
+        assert_eq!(
+            db.row_count("t").unwrap(),
+            0,
+            "failed commit applies nothing"
+        );
+        // The log is poisoned: a write that recovery would discard with the
+        // unterminated group is refused, not acked.
+        assert!(db.execute("INSERT INTO t VALUES (3, 'c')").is_err());
+        assert_eq!(db.row_count("t").unwrap(), 0);
+        drop(db);
+        let (db2, report) =
+            Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
+        assert_eq!(
+            report.txn_frames_discarded, 2,
+            "begin marker + first INSERT"
+        );
+        assert_eq!(db2.row_count("t").unwrap(), 0);
+        // A reopened log takes writes again.
+        db2.execute("INSERT INTO t VALUES (4, 'd')").unwrap();
+    }
+
     #[test]
     fn single_statement_txn_skips_markers() {
         use crate::wal::{SyncPolicy, WalOptions};

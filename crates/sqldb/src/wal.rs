@@ -49,8 +49,9 @@ const HEADER_LEN: u64 = 16;
 /// Frame header: len (4) + seq (8) + crc (4).
 const FRAME_HEADER_LEN: usize = 16;
 /// Upper bound on a single frame payload — recovery treats anything larger
-/// as a corrupt length field rather than attempting the allocation.
-const MAX_PAYLOAD: u32 = 256 * 1024 * 1024;
+/// as a corrupt length field rather than attempting the allocation. (1 MiB
+/// under `cfg(test)` so the crate's unit tests can trip it cheaply.)
+const MAX_PAYLOAD: u32 = if cfg!(test) { 1 << 20 } else { 256 << 20 };
 
 /// Frame payload opening a multi-statement transaction's frame group.
 ///
@@ -166,6 +167,9 @@ pub struct IoFailpoint {
     read_budget: AtomicU64,
     /// Frames still allowed to ship to replicas; `u64::MAX` = unlimited.
     ship_budget: AtomicU64,
+    /// Complete frames until one append *errors without killing the
+    /// process* (a failing device, not a crash); `u64::MAX` = never.
+    append_error_in: AtomicU64,
     /// Die inside checkpoint, after the dump rename but before the log is
     /// compacted — the window where dump and log both hold every frame.
     compact_crash: AtomicBool,
@@ -190,6 +194,7 @@ impl IoFailpoint {
             frame_budget: AtomicU64::new(u64::MAX),
             read_budget: AtomicU64::new(u64::MAX),
             ship_budget: AtomicU64::new(u64::MAX),
+            append_error_in: AtomicU64::new(u64::MAX),
             compact_crash: AtomicBool::new(false),
             promote_crash: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
@@ -212,6 +217,15 @@ impl IoFailpoint {
         if frames == 0 {
             fp.crashed.store(true, Ordering::SeqCst);
         }
+        fp
+    }
+
+    /// A write error the process survives: after `frames` more complete
+    /// frames, the next frame's write delivers half its bytes and fails —
+    /// once; the failpoint does not trip and later writes reach the file.
+    pub fn append_error_after(frames: u64) -> Self {
+        let fp = IoFailpoint::none();
+        fp.append_error_in.store(frames, Ordering::SeqCst);
         fp
     }
 
@@ -297,6 +311,7 @@ impl IoFailpoint {
         self.frame_budget.store(u64::MAX, Ordering::SeqCst);
         self.read_budget.store(u64::MAX, Ordering::SeqCst);
         self.ship_budget.store(u64::MAX, Ordering::SeqCst);
+        self.append_error_in.store(u64::MAX, Ordering::SeqCst);
         self.compact_crash.store(false, Ordering::SeqCst);
         self.promote_crash.store(false, Ordering::SeqCst);
         self.crashed.store(false, Ordering::SeqCst);
@@ -355,6 +370,22 @@ impl IoFailpoint {
             self.crashed.store(true, Ordering::SeqCst);
         }
         allowed
+    }
+
+    /// Is this frame write the one [`IoFailpoint::append_error_after`]
+    /// fails? Counts down otherwise.
+    fn admit_append_error(&self) -> bool {
+        match self.append_error_in.load(Ordering::SeqCst) {
+            u64::MAX => false,
+            0 => {
+                self.append_error_in.store(u64::MAX, Ordering::SeqCst);
+                true
+            }
+            n => {
+                self.append_error_in.store(n - 1, Ordering::SeqCst);
+                false
+            }
+        }
     }
 
     /// Account one complete frame; trips the crash flag when the frame
@@ -447,6 +478,10 @@ pub struct Wal {
     frames: u64,
     /// Observer the log streams frames through; see [`FrameTap`].
     tap: Option<Arc<dyn FrameTap>>,
+    /// A failed append left bytes in the file that recovery will cut at
+    /// (a torn frame, or an unterminated frame group): every later append
+    /// is refused, so nothing is acked into a tail recovery discards.
+    poisoned: bool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -515,6 +550,7 @@ impl Wal {
             window_open: None,
             frames: 0,
             tap: None,
+            poisoned: false,
         })
     }
 
@@ -615,6 +651,7 @@ impl Wal {
             window_open: None,
             frames,
             tap: None,
+            poisoned: false,
         };
         Ok((wal, statements, report))
     }
@@ -625,6 +662,7 @@ impl Wal {
     /// the engine only afterwards.
     pub fn append(&mut self, stmt: &str) -> Result<u64, DbError> {
         let t_append = Instant::now();
+        check_payload(stmt)?;
         let (seq, frame_len) = self.append_frame(stmt)?;
         self.maybe_sync()?;
         self.opts.failpoint.clone().admit_frame();
@@ -638,14 +676,24 @@ impl Wal {
     /// sync policy once for the whole group — the group-commit
     /// amortization a transaction commit relies on (one fsync for the
     /// group instead of one per statement under [`SyncPolicy::Always`]).
-    /// Returns the sequence number of the first frame. On error the group
-    /// may be partially in the log; callers frame groups with the
-    /// transaction markers so recovery discards such a partial tail.
+    /// Returns the sequence number of the first frame.
+    ///
+    /// Every payload is checked against the frame limit before the first
+    /// frame is written, so a rejected group leaves no trace. If an append
+    /// fails after part of the group reached the file, the log is poisoned
+    /// (every later append errors): callers frame groups with the
+    /// transaction markers, recovery discards the unterminated group *and
+    /// everything after it*, so nothing may be acked behind it.
     pub fn append_batch(&mut self, stmts: &[String]) -> Result<u64, DbError> {
+        stmts.iter().try_for_each(|s| check_payload(s))?;
         let first = self.next_seq;
         for stmt in stmts {
             let t_append = Instant::now();
-            let (_, frame_len) = self.append_frame(stmt)?;
+            let appended = self.append_frame(stmt);
+            if appended.is_err() && self.next_seq != first {
+                self.poisoned = true;
+            }
+            let (_, frame_len) = appended?;
             self.opts.failpoint.clone().admit_frame();
             obs::wal_append(frame_len, t_append.elapsed().as_nanos() as u64);
         }
@@ -654,17 +702,18 @@ impl Wal {
     }
 
     /// Write one frame to the file (no sync-policy application): the
-    /// shared body of [`Wal::append`] and [`Wal::append_batch`].
+    /// shared body of [`Wal::append`] and [`Wal::append_batch`], which
+    /// have already checked the payload against the frame limit.
     fn append_frame(&mut self, stmt: &str) -> Result<(u64, u64), DbError> {
         let fp = self.opts.failpoint.clone();
         fp.check_alive()?;
-        let payload = stmt.as_bytes();
-        if payload.len() as u64 > MAX_PAYLOAD as u64 {
+        if self.poisoned {
             return Err(DbError::Io(format!(
-                "statement of {} bytes exceeds WAL frame limit",
-                payload.len()
+                "{}: an earlier append failed part-way; reopen the log to recover",
+                self.path.display()
             )));
         }
+        let payload = stmt.as_bytes();
         let seq = self.next_seq;
         let crc = frame_crc(seq, payload);
         // Encode the frame into the reused scratch buffer — no per-append
@@ -681,9 +730,18 @@ impl Wal {
         self.buf.extend_from_slice(payload);
 
         let allowed = fp.admit_write(frame_len as u64) as usize;
-        self.file
-            .write_all(&self.buf[..allowed])
-            .map_err(|e| io_err(&self.path, "append", &e))?;
+        let written = if fp.admit_append_error() {
+            self.file
+                .write_all(&self.buf[..frame_len / 2])
+                .and_then(|()| Err(std::io::Error::other("injected append error")))
+        } else {
+            self.file.write_all(&self.buf[..allowed])
+        };
+        if let Err(e) = written {
+            // An unknown part of the frame is in the file.
+            self.poisoned = true;
+            return Err(io_err(&self.path, "append", &e));
+        }
         if allowed < frame_len {
             // Torn write: the partial frame made it to the file, then the
             // simulated process dies.
@@ -849,6 +907,17 @@ fn read_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> Option<(String, usiz
     Some((text, end))
 }
 
+/// Refuse a statement no frame can hold.
+fn check_payload(stmt: &str) -> Result<(), DbError> {
+    if stmt.len() as u64 > MAX_PAYLOAD as u64 {
+        return Err(DbError::Io(format!(
+            "statement of {} bytes exceeds WAL frame limit",
+            stmt.len()
+        )));
+    }
+    Ok(())
+}
+
 fn write_header(file: &mut File, path: &Path, start_seq: u64) -> Result<(), DbError> {
     let mut header = Vec::with_capacity(HEADER_LEN as usize);
     header.extend_from_slice(MAGIC);
@@ -986,6 +1055,103 @@ mod tests {
         assert_eq!(recovered.len(), 6);
         assert_eq!(recovered[1], "B0");
         assert_eq!(report.frames_replayed, 6);
+    }
+
+    fn framed(stmts: &[&str]) -> Vec<String> {
+        let mut group = vec![TXN_BEGIN_MARKER.to_string()];
+        group.extend(stmts.iter().map(|s| s.to_string()));
+        group.push(TXN_COMMIT_MARKER.to_string());
+        group
+    }
+
+    #[test]
+    fn oversized_statement_rejects_the_whole_batch_before_any_write() {
+        let path = tmp("oversized.wal");
+        let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
+        wal.append("A").unwrap();
+        let len_before = std::fs::metadata(&path).unwrap().len();
+        let big = "y".repeat(MAX_PAYLOAD as usize + 1);
+        let e = wal.append_batch(&framed(&["small", &big])).unwrap_err();
+        assert!(e.to_string().contains("exceeds WAL frame limit"), "{e}");
+        // Rejected ⇒ absent: not one byte of the group reached the file.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
+        assert_eq!((wal.frames(), wal.next_seq()), (1, 2));
+        // The log stays usable, and what it acks afterwards is recovered.
+        wal.append("acked").unwrap();
+        drop(wal);
+        let (_, stmts, _) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        assert_eq!(
+            filter_txn_frames(&stmts),
+            (vec!["A".into(), "acked".into()], 0)
+        );
+    }
+
+    #[test]
+    fn append_error_mid_batch_poisons_the_log() {
+        let path = tmp("poison_batch.wal");
+        // Frames A, begin marker, "one" succeed; "two" fails half-written.
+        let fp = Arc::new(IoFailpoint::append_error_after(3));
+        let opts = WalOptions {
+            sync: SyncPolicy::Off,
+            failpoint: fp.clone(),
+        };
+        let mut wal = Wal::create(&path, opts, 1).unwrap();
+        wal.append("A").unwrap();
+        assert!(wal.append_batch(&framed(&["one", "two"])).is_err());
+        assert!(!fp.is_crashed(), "the process survives this error");
+        // Nothing may be acked behind the unterminated group.
+        assert!(wal.append("later").is_err());
+        assert!(wal.append_batch(&framed(&["x", "y"])).is_err());
+        drop(wal);
+        let (mut wal, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        assert!(report.torn_bytes > 0, "half of frame 'two' was on disk");
+        assert_eq!(filter_txn_frames(&stmts), (vec!["A".into()], 2));
+        // Reopening clears the poison.
+        wal.append("after reopen").unwrap();
+    }
+
+    #[test]
+    fn tap_error_mid_batch_poisons_the_log() {
+        /// Refuses the frame with sequence number 3.
+        struct FailsAtThree;
+        impl FrameTap for FailsAtThree {
+            fn on_frame(&self, seq: u64, _crc: u32, _stmt: &str) -> Result<(), DbError> {
+                if seq == 3 {
+                    return Err(DbError::Io("tap refused the frame".into()));
+                }
+                Ok(())
+            }
+        }
+        let path = tmp("poison_tap.wal");
+        let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
+        wal.set_tap(Some(Arc::new(FailsAtThree)));
+        wal.append("A").unwrap();
+        // Begin marker (seq 2) and "one" (seq 3) are whole frames in the
+        // file when the tap fails the group.
+        assert!(wal.append_batch(&framed(&["one", "two"])).is_err());
+        assert!(wal.append("later").is_err());
+        drop(wal);
+        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        assert_eq!(report.torn_bytes, 0);
+        assert_eq!(filter_txn_frames(&stmts), (vec!["A".into()], 2));
+    }
+
+    #[test]
+    fn append_error_on_a_single_frame_poisons_the_log() {
+        let path = tmp("poison_single.wal");
+        let opts = WalOptions {
+            sync: SyncPolicy::Off,
+            failpoint: Arc::new(IoFailpoint::append_error_after(1)),
+        };
+        let mut wal = Wal::create(&path, opts, 1).unwrap();
+        wal.append("A").unwrap();
+        assert!(wal.append("B").is_err());
+        // A frame written behind B's torn half would be cut off with it.
+        assert!(wal.append("C").is_err());
+        drop(wal);
+        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        assert_eq!(stmts, vec!["A".to_string()]);
+        assert!(report.torn_bytes > 0);
     }
 
     #[test]

@@ -216,9 +216,9 @@ fn index_maintenance_keeps_equivalence_through_mutations() {
 }
 
 #[test]
-fn large_table_parallel_scan_is_exact_for_plain_queries() {
-    // Above the parallel threshold; plain filter/project and min/max/count
-    // aggregation are order- and bit-exact regardless of segmentation.
+fn large_table_scan_is_exact_for_plain_queries() {
+    // 10k rows: plain filter/project and min/max/count aggregation are
+    // order- and bit-exact against the reference executor.
     let mut rng = Rng::new(0x0B16);
     let e = random_engine(&mut rng, 10_000, Ix::Ordered);
     assert_equivalent(&e, "SELECT run_index, fs, bw FROM runs WHERE bw > 500.0");

@@ -1,7 +1,8 @@
-//! Query parallelisation (paper §4.3, Fig. 3): run the same query
-//! sequentially, thread-parallel, and distributed over a simulated
-//! database cluster, and report timings, the source-element time fraction,
-//! and the simulated socket traffic.
+//! Query parallelisation (paper §4.3, Fig. 3): run the same query with the
+//! one `QueryRunner` — sequentially, thread-parallel (`.parallel(true)`) and
+//! distributed over a simulated database cluster (`.on_cluster(&cluster)`)
+//! — and report timings, the source-element time fraction, and the
+//! simulated socket traffic.
 //!
 //! Run with: `cargo run --release --example parallel_query`
 
@@ -9,7 +10,7 @@ use perfbase::core::experiment::ExperimentDb;
 use perfbase::core::import::Importer;
 use perfbase::core::input::input_description_from_str;
 use perfbase::core::query::spec::query_from_str;
-use perfbase::core::query::{ParallelQueryRunner, Placement, QueryRunner};
+use perfbase::core::query::QueryRunner;
 use perfbase::core::xmldef;
 use perfbase::sqldb::cluster::{Cluster, LatencyModel};
 use perfbase::sqldb::Engine;
@@ -115,7 +116,8 @@ fn main() {
 
     // --- thread-parallel ------------------------------------------------------
     let t = Instant::now();
-    let par = ParallelQueryRunner::new(&db)
+    let par = QueryRunner::new(&db)
+        .parallel(true)
         .run(query_from_str(&spec).unwrap())
         .unwrap();
     let t_par = t.elapsed();
@@ -126,8 +128,9 @@ fn main() {
     for nodes in [2usize, 4, 8] {
         let cluster = Cluster::new(nodes, LatencyModel::fast_interconnect());
         let t = Instant::now();
-        let dist = ParallelQueryRunner::new(&db)
-            .on_cluster(&cluster, Placement::RoundRobin)
+        let dist = QueryRunner::new(&db)
+            .parallel(true)
+            .on_cluster(&cluster)
             .run(query_from_str(&spec).unwrap())
             .unwrap();
         let elapsed = t.elapsed();

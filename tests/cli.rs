@@ -184,6 +184,57 @@ fn full_cli_workflow() {
     assert!(out.contains("runs:       3"));
 }
 
+/// `--parallel --trace`: the one runner opens one `element` span per DAG
+/// element on whichever thread executes it. Element ids are unique to this
+/// test because the span sink is process-global and other tests run
+/// queries concurrently.
+#[test]
+fn parallel_trace_has_one_element_span_per_element() {
+    let dir = TempDir::new("partrace");
+    let dbfile = setup_campaign(&dir);
+    let ids = [
+        "trc_old",
+        "trc_new",
+        "trc_max_old",
+        "trc_max_new",
+        "trc_rel",
+        "trc_out",
+    ];
+    let spec = dir.write(
+        "traced.xml",
+        r#"<query name="traced">
+          <source id="trc_old">
+            <parameter name="technique" value="listbased"/>
+            <parameter name="s_chunk" carry="true"/>
+            <value name="b_separate"/>
+          </source>
+          <source id="trc_new">
+            <parameter name="technique" value="listless"/>
+            <parameter name="s_chunk" carry="true"/>
+            <value name="b_separate"/>
+          </source>
+          <operator id="trc_max_old" type="max" input="trc_old"/>
+          <operator id="trc_max_new" type="max" input="trc_new"/>
+          <operator id="trc_rel" type="above" input="trc_max_new,trc_max_old"/>
+          <output id="trc_out" input="trc_rel" format="csv"/>
+        </query>"#,
+    );
+    let trace = dir.path("trace.txt");
+    let base = ["query", "--db", &dbfile, "--spec", &spec, "--user", "demo"];
+    let seq = cli(&base).unwrap();
+    let par = cli(&[&base[..], &["--parallel", "--trace", &trace]].concat()).unwrap();
+    assert_eq!(seq, par, "--parallel output is byte-identical");
+    let tree = std::fs::read_to_string(&trace).unwrap();
+    assert!(tree.contains("dag query=traced elements=6"), "{tree}");
+    for id in ids {
+        let spans = tree
+            .lines()
+            .filter(|l| l.trim_start().starts_with(&format!("element id={id} ")))
+            .count();
+        assert_eq!(spans, 1, "element span of {id} in:\n{tree}");
+    }
+}
+
 #[test]
 fn duplicate_import_blocked_until_forced() {
     let dir = TempDir::new("dup");

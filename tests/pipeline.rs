@@ -6,7 +6,7 @@ use perfbase::core::experiment::{AccessLevel, ExperimentDb};
 use perfbase::core::import::{Importer, MissingPolicy};
 use perfbase::core::input::input_description_from_str;
 use perfbase::core::query::spec::query_from_str;
-use perfbase::core::query::{ParallelQueryRunner, QueryRunner};
+use perfbase::core::query::QueryRunner;
 use perfbase::core::status;
 use perfbase::core::xmldef;
 use perfbase::sqldb::{Engine, Value};
@@ -195,7 +195,8 @@ fn parallel_and_sequential_agree_end_to_end() {
     let seq = QueryRunner::new(&db)
         .run(query_from_str(q).unwrap())
         .unwrap();
-    let par = ParallelQueryRunner::new(&db)
+    let par = QueryRunner::new(&db)
+        .parallel(true)
         .run(query_from_str(q).unwrap())
         .unwrap();
     assert_eq!(seq.artifacts["o"], par.artifacts["o"]);

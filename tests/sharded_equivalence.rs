@@ -1,6 +1,7 @@
-//! Sharded vs frontend-only execution equivalence: every query spec must
-//! return byte-identical artifacts whether the experiment's run data lives
-//! on the frontend alone or is sharded across a simulated cluster — with
+//! Execution-mode equivalence: every query spec must return byte-identical
+//! artifacts whether its elements run inline, on threads or placed across
+//! worker nodes, and whether the experiment's run data lives on the
+//! frontend alone or is sharded across a simulated cluster — with
 //! aggregation pushdown on or off.
 //!
 //! The campaign is the paper's b_eff_io experiment (Fig. 5) imported from
@@ -180,38 +181,98 @@ fn equivalence_specs() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Run `spec` on `db` and return the artifacts of every output element,
-/// sorted by element id and concatenated.
-fn artifacts(db: &ExperimentDb, spec: &str, pushdown: bool) -> String {
-    let out = QueryRunner::new(db)
-        .pushdown(pushdown)
-        .run(query_from_str(spec).unwrap())
-        .unwrap();
-    let mut ids: Vec<&String> = out.artifacts.keys().collect();
-    ids.sort();
-    ids.iter()
-        .map(|id| format!("[{id}]\n{}\n", out.artifacts[id.as_str()]))
-        .collect()
-}
+/// The Fig. 7 shape in miniature: two independent source → max chains
+/// joined by a binary operator — two elements per wave, so threads and
+/// placement both have something to spread.
+const FIG7ISH: &str = r#"<query name="fig7ish">
+  <source id="s_old">
+    <parameter name="technique" value="listbased"/>
+    <parameter name="s_chunk" carry="true"/>
+    <parameter name="mode" carry="true"/>
+    <value name="b_separate"/>
+  </source>
+  <source id="s_new">
+    <parameter name="technique" value="listless"/>
+    <parameter name="s_chunk" carry="true"/>
+    <parameter name="mode" carry="true"/>
+    <value name="b_separate"/>
+  </source>
+  <operator id="max_old" type="max" input="s_old"/>
+  <operator id="max_new" type="max" input="s_new"/>
+  <operator id="rel" type="above" input="max_new,max_old"/>
+  <output id="o" input="rel" format="csv"/>
+</query>"#;
 
+/// Every execution mode must produce byte-identical artifacts, the same
+/// `timings` ids in the same order, and the interconnect traffic the two
+/// separate runners produced before they were merged.
 #[test]
-fn every_spec_is_equivalent_sharded_and_not() {
-    let specs = equivalence_specs();
-    let plain = campaign_db(2);
-    let want: Vec<String> = specs
-        .iter()
-        .map(|(_, spec)| artifacts(&plain, spec, true))
-        .collect();
+fn every_mode_of_the_one_runner_agrees() {
+    let mut specs = equivalence_specs();
+    specs.push(("fig7ish", FIG7ISH.to_string()));
+    // (name, threads, elements placed over N worker nodes, run data sharded
+    // over N nodes (0 = no cluster), pushdown, interconnect traffic summed
+    // over the corpus as (messages, rows) — measured at the commit before
+    // the two runners were merged).
+    let modes = [
+        ("inline", false, 0, 0, true, (0, 0)),
+        ("threads", true, 0, 0, true, (0, 0)),
+        ("placed/1", true, 1, 0, true, (0, 0)),
+        ("placed/2", true, 2, 0, true, (37, 1805)),
+        ("placed/4", true, 4, 0, true, (48, 2173)),
+        ("sharded/1", false, 0, 1, true, (0, 0)),
+        ("sharded/2", false, 0, 2, true, (31, 568)),
+        ("sharded/4", false, 0, 4, true, (48, 867)),
+        ("sharded/1 fetch", false, 0, 1, false, (0, 0)),
+        ("sharded/2 fetch", false, 0, 2, false, (31, 724)),
+        ("sharded/4 fetch", false, 0, 4, false, (48, 1122)),
+        // Combinations the merge makes reachable. The knobs are orthogonal:
+        // traffic equals the single-knob counterpart's, and the sum of both
+        // when a placement and a sharding cluster are charged.
+        ("placed/2 inline", false, 2, 0, true, (37, 1805)),
+        ("sharded/4 threads", true, 0, 4, true, (48, 867)),
+        // = placed/2 + sharded/2 fetch
+        ("placed/2 on sharded/2", true, 2, 2, false, (68, 2529)),
+    ];
 
-    for nodes in [1usize, 2, 4] {
+    let mut want: Vec<(String, Vec<String>)> = Vec::new();
+    for (mode, threads, placement, shards, pushdown, traffic) in modes {
         let db = campaign_db(2);
-        shard(&db, nodes);
-        for ((name, spec), want) in specs.iter().zip(&want) {
-            let pushed = artifacts(&db, spec, true);
-            assert_eq!(&pushed, want, "{name} with pushdown at {nodes} node(s)");
-            let fetched = artifacts(&db, spec, false);
-            assert_eq!(&fetched, want, "{name} without pushdown at {nodes} node(s)");
+        if shards > 0 {
+            shard(&db, shards);
         }
+        let workers = (placement > 0).then(|| Cluster::new(placement, LatencyModel::none()));
+        let (mut messages, mut rows) = (0, 0);
+        for (k, (name, spec)) in specs.iter().enumerate() {
+            let mut runner = QueryRunner::new(&db).parallel(threads).pushdown(pushdown);
+            if let Some(c) = &workers {
+                runner = runner.on_cluster(c);
+            }
+            let out = runner.run(query_from_str(spec).unwrap()).unwrap();
+            let mut ids: Vec<&String> = out.artifacts.keys().collect();
+            ids.sort();
+            let artifacts: String = ids
+                .iter()
+                .map(|id| format!("[{id}]\n{}\n", out.artifacts[id.as_str()]))
+                .collect();
+            let order: Vec<String> = out.timings.iter().map(|t| t.id.clone()).collect();
+            if want.len() == k {
+                want.push((artifacts, order));
+            } else {
+                assert_eq!(artifacts, want[k].0, "{name} artifacts in mode {mode}");
+                assert_eq!(order, want[k].1, "{name} timings order in mode {mode}");
+            }
+            assert_eq!(
+                out.transfer.is_some(),
+                placement + shards > 0,
+                "{name} {mode}"
+            );
+            if let Some(t) = out.transfer {
+                messages += t.messages;
+                rows += t.rows;
+            }
+        }
+        assert_eq!((messages, rows), traffic, "corpus traffic in mode {mode}");
     }
 }
 

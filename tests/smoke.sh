@@ -1,8 +1,10 @@
 #!/bin/sh
 # Offline smoke test: full release build, a warning-free clippy pass, the
-# complete test suite (including the sharded-vs-frontend equivalence suite,
+# complete test suite (including the execution-mode equivalence suite,
 # the WAL crash-consistency suites, and the replication chaos/failover
-# suites), a replicated CLI query diffed against the unsharded run, a
+# suites), the stand-alone benchmark package's build and tests (so a
+# refactor that breaks the API it is pinned to fails here, not in the
+# benchmark driver), a replicated CLI query diffed against the unsharded run, a
 # warning-free documentation build, an HTTP server round trip
 # (`perfbase serve` answering ingest and query over a real socket, diffed
 # against the CLI), and the sqldb microbenchmarks plus the 256-connection
@@ -22,7 +24,11 @@ cargo clippy -q -- -D warnings
 echo "== tests =="
 cargo test -q
 
-echo "== sharded equivalence =="
+echo "== benchmark package (pinned to the public API; builds and tests offline) =="
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test --manifest-path benchmark/Cargo.toml
+
+echo "== execution-mode equivalence (inline / threads / placed / sharded) =="
 cargo test -q -p perfbase --test sharded_equivalence
 
 echo "== crash consistency (WAL kill points + kill-during-import) =="

@@ -21,8 +21,8 @@ use std::time::Instant;
 
 /// Rows in the benchmark `runs` table — large enough that scans dominate.
 const ROWS: usize = 20_000;
-/// Rows in the columnar benchmark table (ISSUE 6 bar: the vectorized path
-/// must beat the reference executor >=10x at 100k rows).
+/// Rows in the vectorized-scan benchmark table (ISSUE 6 bar: the vectorized
+/// path must beat the reference executor >=10x at 100k rows).
 const COL_ROWS: usize = 100_000;
 /// Timed trials per benchmark; the median is reported.
 const TRIALS: usize = 21;
@@ -47,16 +47,9 @@ impl Rng {
 }
 
 fn build_engine_sized(rows: usize) -> Engine {
-    build_engine_layout(rows, false)
-}
-
-fn build_engine_layout(rows: usize, columnar: bool) -> Engine {
     let e = Engine::new();
-    let using = if columnar { " USING COLUMNAR" } else { "" };
-    e.execute(&format!(
-        "CREATE TABLE runs (run_index INTEGER NOT NULL, fs TEXT, nodes INTEGER, bw FLOAT){using}"
-    ))
-    .expect("create");
+    e.execute("CREATE TABLE runs (run_index INTEGER NOT NULL, fs TEXT, nodes INTEGER, bw FLOAT)")
+        .expect("create");
     let mut rng = Rng(42);
     let fs_names = ["ufs", "nfs", "pvfs", "unknown"];
     let mut data = Vec::with_capacity(rows);
@@ -83,7 +76,7 @@ fn median_ns(f: impl FnMut()) -> u64 {
     median_ns_reps(REPS, f)
 }
 
-/// Like [`median_ns`] with an explicit rep count — the columnar benches run
+/// Like [`median_ns`] with an explicit rep count — the 100k-row benches run
 /// a reference baseline that takes tens of ms per query at 100k rows, where
 /// timer overhead is negligible and 8 reps/trial would just burn time.
 fn median_ns_reps(reps: usize, mut f: impl FnMut()) -> u64 {
@@ -136,16 +129,15 @@ fn bench_pair_reps(e: &Engine, name: &'static str, sql: &str, reps: usize) -> Be
     }
 }
 
-/// Vectorized execution over the columnar layout vs the reference executor
+/// Vectorized execution over the column store vs the reference executor
 /// on the same 100k-row table (ISSUE 6 acceptance bar: >= 10x). The filter
 /// and aggregation queries mirror the row-table `filtered_agg` /
 /// `filter_project` benches; `columnar_scan` adds a pure-column projection
 /// that stays entirely on the vectorized path (`vectorized=full`).
 fn bench_columnar() -> Vec<BenchResult> {
-    let e = build_engine_layout(COL_ROWS, true);
+    let e = build_engine_sized(COL_ROWS);
 
-    // The planner must pick the columnar path on its own: the bench would
-    // otherwise time two interpretations of the same row store.
+    // The planner must pick the vectorized path on its own.
     let plan = e
         .query("EXPLAIN SELECT fs, avg(bw), count(*) FROM runs WHERE nodes >= 8 GROUP BY fs")
         .expect("explain");
@@ -156,8 +148,8 @@ fn bench_columnar() -> Vec<BenchResult> {
         .collect::<Vec<_>>()
         .join("\n");
     assert!(
-        plan_text.contains("layout=columnar vectorized=full"),
-        "columnar bench table must take the vectorized path, got plan: {plan_text}"
+        plan_text.contains("vectorized=full"),
+        "bench table must take the vectorized path, got plan: {plan_text}"
     );
 
     vec![
@@ -216,27 +208,15 @@ fn bench_range_select() -> BenchResult {
 }
 
 /// Incremental index maintenance vs rebuild-everything: the same batch of
-/// point DELETEs and UPDATEs against a table carrying an ordered and a hash
-/// index, once relying on the incremental `delete_where` / `update_where`
-/// maintenance and once forcing a full `rebuild_indexes` after every
-/// statement (the pre-ISSUE-4 behavior). Reported ns are per statement.
-/// Acceptance bar (ISSUE 4): >= 5x.
+/// point DELETE and UPDATE statements against a table carrying an ordered
+/// and a hash index, once relying on the incremental maintenance of
+/// `delete_positions` / `update_positions` and once forcing a full
+/// `rebuild_indexes` after every statement (the pre-ISSUE-4 behavior).
+/// Reported ns are per statement. Acceptance bar (ISSUE 4): >= 5x.
 fn bench_mutation_batch() -> BenchResult {
-    use sqldb::{Column, Schema, Table, ValueKey};
     const MROWS: usize = 20_000;
     const OPS: usize = 40;
 
-    let mut base = Table::new(
-        Schema::new(vec![
-            Column::new("run_index", DataType::Int),
-            Column::new("fs", DataType::Text),
-            Column::new("bw", DataType::Float),
-        ])
-        .expect("schema"),
-    );
-    base.create_index("ix_run", "run_index", true)
-        .expect("ordered index");
-    base.create_index("ix_fs", "fs", false).expect("hash index");
     let mut rng = Rng(9);
     let rows: Vec<Vec<Value>> = (0..MROWS)
         .map(|i| {
@@ -247,54 +227,60 @@ fn bench_mutation_batch() -> BenchResult {
             ]
         })
         .collect();
-    base.insert_all(rows).expect("insert");
+    let build = || {
+        let e = Engine::new();
+        e.execute("CREATE TABLE runs (run_index INTEGER, fs TEXT, bw FLOAT)")
+            .expect("create");
+        e.execute("CREATE ORDERED INDEX ix_run ON runs (run_index)")
+            .expect("ordered index");
+        e.execute("CREATE INDEX ix_fs ON runs (fs)")
+            .expect("hash index");
+        e.insert_rows("runs", rows.clone()).expect("insert");
+        e
+    };
 
     // Each op touches one key: half point deletes, half point updates that
-    // move the row to a new key in both indexes.
-    let apply_ops = |t: &mut Table, rebuild_each: bool| {
+    // move the row to a new key in the hash index.
+    let apply_ops = |e: &Engine, rebuild_each: bool| {
         for i in 0..OPS {
-            let target = Value::Int(((i * 379 + 17) % MROWS) as i64);
-            if i % 2 == 0 {
-                t.delete_where(|r| r[0] == target);
+            let target = (i * 379 + 17) % MROWS;
+            let stmt = if i % 2 == 0 {
+                format!("DELETE FROM runs WHERE run_index = {target}")
             } else {
-                t.update_where(|r| {
-                    if r[0] == target {
-                        r[1] = Value::Text("fs9".into());
-                        r[2] = Value::Float(0.0);
-                        true
-                    } else {
-                        false
-                    }
-                });
-            }
+                format!("UPDATE runs SET fs = 'fs9', bw = 0.0 WHERE run_index = {target}")
+            };
+            assert_eq!(e.execute(&stmt).expect("mutation"), 1, "{stmt}");
             if rebuild_each {
-                t.rebuild_indexes();
+                let slot = e.table("runs").expect("table");
+                Arc::make_mut(&mut slot.write()).rebuild_indexes();
             }
         }
     };
 
     // Equivalence check once, untimed: both strategies end in the same
     // state, indexes included.
-    let (mut inc, mut reb) = (base.clone(), base.clone());
-    apply_ops(&mut inc, false);
-    apply_ops(&mut reb, true);
-    assert_eq!(inc.rows(), reb.rows(), "mutation strategies diverge");
-    for probe in [0i64, 17, 396, 1000] {
-        let key = ValueKey::of(&Value::Int(probe));
+    let (inc, reb) = (build(), build());
+    apply_ops(&inc, false);
+    apply_ops(&reb, true);
+    for probe in [
+        "SELECT * FROM runs",
+        "SELECT * FROM runs WHERE run_index IN (0, 17, 396, 1000)",
+        "SELECT count(*) FROM runs WHERE fs = 'fs9'",
+    ] {
         assert_eq!(
-            inc.index_lookup(0, &key),
-            reb.index_lookup(0, &key),
-            "index diverges"
+            inc.query(probe).expect("incremental"),
+            reb.query(probe).expect("rebuilt"),
+            "mutation strategies diverge on {probe}"
         );
     }
 
-    // Clone outside the clock; time only the mutation batch.
+    // Build outside the clock; time only the mutation batch.
     let timed = |rebuild_each: bool| -> u64 {
         let mut samples = Vec::with_capacity(TRIALS);
         for trial in 0..=TRIALS {
-            let mut t = base.clone();
+            let e = build();
             let t0 = Instant::now();
-            apply_ops(&mut t, rebuild_each);
+            apply_ops(&e, rebuild_each);
             if trial > 0 {
                 samples.push(t0.elapsed().as_nanos() as u64 / OPS as u64);
             }
@@ -901,9 +887,9 @@ fn main() {
         &format!("SELECT * FROM runs WHERE run_index = {}", ROWS / 2),
     );
 
-    // filtered_agg / filter_project / columnar_scan run at 100k rows on a
-    // columnar table (ISSUE 6): the vectorized path vs the reference
-    // executor, each asserted >= 10x.
+    // filtered_agg / filter_project / columnar_scan run at 100k rows
+    // (ISSUE 6): the vectorized path vs the reference executor, each
+    // asserted >= 10x.
     let columnar = bench_columnar();
     for r in &columnar {
         assert!(

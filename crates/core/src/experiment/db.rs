@@ -216,11 +216,9 @@ impl ExperimentDb {
             let table = rundata_table(run_id);
             if owner != 0 && self.engine.has_table(&table) {
                 let (schema, rows) = self.engine.read_snapshot(&table)?;
-                // Preserve the source table's storage layout on the shard.
-                let columnar = self.engine.table(&table)?.read().is_columnar();
                 let dst = &cluster.node(owner).engine;
                 dst.drop_table(&table, true)?;
-                dst.create_table_layout(&table, schema.clone(), false, false, columnar)?;
+                dst.create_table(&table, schema.clone())?;
                 dst.insert_rows(&table, rows.clone())?;
                 self.engine.drop_table(&table, false)?;
                 // Base-copy to the replica nodes (uncharged: models data
@@ -230,7 +228,7 @@ impl ExperimentDb {
                 for rep in map.replica_nodes(owner) {
                     let engine = &cluster.node(rep).engine;
                     engine.drop_table(&table, true)?;
-                    engine.create_table_layout(&table, schema.clone(), false, false, columnar)?;
+                    engine.create_table(&table, schema.clone())?;
                     engine.insert_rows(&table, rows.clone())?;
                 }
             }
@@ -284,11 +282,8 @@ impl ExperimentDb {
             let src = &sh.cluster().node(node).engine;
             if node != 0 && src.has_table(&table) {
                 let (schema, rows) = src.read_snapshot(&table)?;
-                // Preserve the shard's storage layout on the frontend.
-                let columnar = src.table(&table)?.read().is_columnar();
                 self.engine.drop_table(&table, true)?;
-                self.engine
-                    .create_table_layout(&table, schema, false, false, columnar)?;
+                self.engine.create_table(&table, schema)?;
                 self.engine.insert_rows(&table, rows)?;
                 src.drop_table(&table, false)?;
             }
@@ -517,9 +512,7 @@ impl ExperimentDb {
                 let owner = sh.owner_of(run_id);
                 let target = &sh.cluster().node(owner).engine;
                 target.drop_table(&data_table, true)?;
-                // Run-data tables are append-mostly and query-heavy: store
-                // them columnar so the vectorized path serves analysis.
-                target.create_table_columnar(&data_table, rundata_schema(&def))?;
+                target.create_table(&data_table, rundata_schema(&def))?;
                 let n = rows.len();
                 target.insert_rows(&data_table, rows.clone())?;
                 if owner != 0 {
@@ -539,7 +532,7 @@ impl ExperimentDb {
                         for rep in sh.map().replica_nodes(owner) {
                             let engine = &sh.cluster().node(rep).engine;
                             engine.drop_table(&data_table, true)?;
-                            engine.create_table_columnar(&data_table, rundata_schema(&def))?;
+                            engine.create_table(&data_table, rundata_schema(&def))?;
                             engine.insert_rows(&data_table, rows.clone())?;
                             sh.cluster().charge_shipment(n);
                         }
@@ -559,7 +552,7 @@ impl ExperimentDb {
                 // Atomic import: data table + visibility in one commit.
                 let mut txn = self.engine.begin_txn();
                 txn.drop_table(&data_table, true)?;
-                txn.create_table_columnar(&data_table, rundata_schema(&def))?;
+                txn.create_table(&data_table, rundata_schema(&def))?;
                 txn.insert_rows(&data_table, rows)?;
                 txn.insert_rows("pb_runs", vec![row])?;
                 txn.commit()?;

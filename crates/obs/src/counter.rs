@@ -55,11 +55,11 @@ counters! {
     ResidualDrops => "plan.residual_drops",
     /// Rows visited by full table scans.
     ScanRowsVisited => "scan.rows_visited",
-    /// Full scans of row-layout tables.
-    SerialScans => "scan.serial",
-    /// Single-table SELECTs answered by the vectorized columnar path.
+    /// Single-table selections (SELECT, UPDATE, DELETE) whose WHERE clause
+    /// ran column-at-a-time.
     VectorizedScans => "scan.vectorized",
-    /// Columnar SELECTs whose WHERE clause didn't vectorize (row fallback).
+    /// Single-table selections whose WHERE clause didn't vectorize (the
+    /// compiled scalar filter ran per candidate row).
     VectorizedFallbacks => "scan.vectorized_fallback",
     /// Frames appended to the write-ahead log.
     WalAppends => "wal.appends",
@@ -79,17 +79,13 @@ counters! {
     DagPushdownFused => "dag.pushdown_fused",
     /// Remote shards materialised on the frontend (pushdown fallback).
     DagShardsMaterialized => "dag.shards_materialized",
-    /// Estimated heap bytes of all tables under the row layout (gauge,
-    /// refreshed by `Engine::refresh_memory_gauges`).
-    MemRowBytes => "mem.row_bytes",
-    /// Estimated heap bytes of all tables under the columnar layout (gauge).
+    /// Heap bytes of all tables: column vectors, null bitmaps and
+    /// dictionaries (gauge, refreshed by `Engine::refresh_memory_gauges`).
     MemColumnarBytes => "mem.columnar_bytes",
-    /// Dictionary bytes across all columnar TEXT columns (gauge).
+    /// Dictionary bytes across all TEXT columns (gauge).
     MemDictBytes => "mem.dict_bytes",
-    /// Dictionary entries across all columnar TEXT columns (gauge).
+    /// Dictionary entries across all TEXT columns (gauge).
     MemDictEntries => "mem.dict_entries",
-    /// Tables currently stored in the columnar layout (gauge).
-    MemColumnarTables => "mem.columnar_tables",
     /// Catalog snapshots pinned by readers (`Engine::snapshot`).
     MvccSnapshotsPinned => "mvcc.snapshots_pinned",
     /// Copy-on-write table clones forced because a pinned snapshot still

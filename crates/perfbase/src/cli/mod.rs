@@ -27,8 +27,10 @@
 //! * `check --kind experiment|input|query file` — validate a control file
 //! * `dump --db file` — print the SQL dump
 //! * `suspect --db file --value V --group p1,p2` — anomaly screening (§6)
-//! * `stats [--reset] [--export-experiment --out dir]` — print the
-//!   process-wide engine telemetry; with `--export-experiment`, write the
+//! * `stats [--db file] [--reset] [--export-experiment --out dir]` — print
+//!   the process-wide engine telemetry; with `--db`, also one line per
+//!   table (`table rows bytes dict_ents dict_bytes`); with
+//!   `--export-experiment`, write the
 //!   metrics as a perfbase experiment (definition + input description +
 //!   run file) so they can be imported and queried through perfbase itself
 //! * `serve --db file [--addr A] [--threads N] [--max-sessions N]

@@ -47,8 +47,8 @@ pub(super) fn cmd_stats(argv: Vec<String>) -> Result<String, String> {
         return export_experiment(dir, &user_of(&a));
     }
 
-    // With --db, load the database and report per-table memory (row vs
-    // columnar layout bytes, dictionary size); this also refreshes the
+    // With --db, load the database and report per-table memory (table
+    // bytes, dictionary size); this also refreshes the
     // `mem.*` gauges, so they appear in the counter listing below.
     let mem = match a.get("db") {
         Some(path) => {
@@ -69,25 +69,17 @@ pub(super) fn cmd_stats(argv: Vec<String>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Render the per-table memory report. Row tables show the estimated cost
-/// of a columnar copy and vice versa, so the layout trade-off is visible
-/// either way.
+/// Render the per-table memory report.
 fn memory_section(report: &[(String, sqldb::TableMemory)]) -> String {
     let mut out = String::from("\nTable memory:\n");
     out.push_str(&format!(
-        "  {:<24} {:>8}  {:<8} {:>12} {:>15} {:>10} {:>10}\n",
-        "table", "rows", "layout", "row_bytes", "columnar_bytes", "dict_ents", "dict_bytes"
+        "  {:<24} {:>8} {:>12} {:>10} {:>10}\n",
+        "table", "rows", "bytes", "dict_ents", "dict_bytes"
     ));
     for (name, m) in report {
         out.push_str(&format!(
-            "  {:<24} {:>8}  {:<8} {:>12} {:>15} {:>10} {:>10}\n",
-            name,
-            m.rows,
-            if m.columnar { "columnar" } else { "row" },
-            m.row_layout_bytes,
-            m.columnar_layout_bytes,
-            m.dict_entries,
-            m.dict_bytes,
+            "  {:<24} {:>8} {:>12} {:>10} {:>10}\n",
+            name, m.rows, m.bytes, m.dict_entries, m.dict_bytes,
         ));
     }
     out

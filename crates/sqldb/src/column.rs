@@ -1,8 +1,8 @@
-//! Columnar table storage: per-column typed vectors, dictionary-encoded
-//! strings and null bitmaps.
+//! Table storage: per-column typed vectors, dictionary-encoded strings and
+//! null bitmaps.
 //!
-//! A [`ColumnStore`] holds the same logical rows as the row layout in
-//! [`crate::table`], decomposed into one typed vector per schema column:
+//! A [`ColumnStore`] is the one storage of a [`crate::Table`]: its rows,
+//! decomposed into one typed vector per schema column:
 //!
 //! * `INTEGER`/`TIMESTAMP` → `Vec<i64>`, `FLOAT` → `Vec<f64>`,
 //!   `BOOLEAN` → `Vec<bool>`;
@@ -12,17 +12,17 @@
 //! * NULLs → a bitmap per column (bit set = NULL); the data slot of a NULL
 //!   cell holds the type's default and must never be interpreted.
 //!
-//! Invariants relied on by the vectorized execution path in `exec`:
+//! Invariants relied on by the execution paths in `exec`:
 //!
 //! * **Variant purity** — every non-NULL cell of a column is exactly the
 //!   declared type's [`Value`] variant. [`Value::coerce`] enforces this on
 //!   every insert/update path, so typed vectors need no per-cell tags.
 //! * **Dictionary codes are dense and stable** — `codes[i] < dict.len()`
-//!   always; entries are append-only, so deletes may leave unreferenced
-//!   (dead) entries behind but never invalidate a stored code.
+//!   always; entries are append-only, so deletes and updates may leave
+//!   unreferenced (dead) entries behind but never invalidate a stored code.
 //! * **Positions are row numbers** — position `p` in every column vector and
-//!   bitmap refers to the same logical row, identical to the row index in
-//!   the row layout.
+//!   bitmap refers to the same logical row, and stays valid until the next
+//!   mutation of the table.
 
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
@@ -131,7 +131,7 @@ impl DictColumn {
                 self.codes.push(c);
                 self.nulls.push(false);
             }
-            other => panic!("columnar TEXT column got non-text value {other:?}"),
+            other => panic!("TEXT column got non-text value {other:?}"),
         }
     }
 }
@@ -203,7 +203,7 @@ impl ColumnVec {
                     data.push(*i);
                     nulls.push(false);
                 }
-                other => panic!("columnar INTEGER column got {other:?}"),
+                other => panic!("INTEGER column got {other:?}"),
             },
             ColumnVec::Float { data, nulls } => match v {
                 Value::Null => {
@@ -214,7 +214,7 @@ impl ColumnVec {
                     data.push(*f);
                     nulls.push(false);
                 }
-                other => panic!("columnar FLOAT column got {other:?}"),
+                other => panic!("FLOAT column got {other:?}"),
             },
             ColumnVec::Bool { data, nulls } => match v {
                 Value::Null => {
@@ -225,7 +225,7 @@ impl ColumnVec {
                     data.push(*b);
                     nulls.push(false);
                 }
-                other => panic!("columnar BOOLEAN column got {other:?}"),
+                other => panic!("BOOLEAN column got {other:?}"),
             },
             ColumnVec::Timestamp { data, nulls } => match v {
                 Value::Null => {
@@ -236,15 +236,14 @@ impl ColumnVec {
                     data.push(*t);
                     nulls.push(false);
                 }
-                other => panic!("columnar TIMESTAMP column got {other:?}"),
+                other => panic!("TIMESTAMP column got {other:?}"),
             },
             ColumnVec::Text(d) => d.push(v),
         }
     }
 
     /// Reconstruct the [`Value`] of row `i` — exactly the variant that was
-    /// stored (coercion already ran on the way in), so materialized rows are
-    /// byte-identical to what the row layout would hold.
+    /// stored (coercion already ran on the way in).
     pub(crate) fn value(&self, i: usize) -> Value {
         match self {
             ColumnVec::Int { data, nulls } => {
@@ -285,46 +284,36 @@ impl ColumnVec {
         }
     }
 
-    /// Overwrite row `i` with `v`, coercing to the column type (the engine
-    /// coerces on every update path; direct callers get the same treatment).
-    fn set(&mut self, i: usize, v: &Value, dtype: DataType) {
-        let cv = v
-            .clone()
-            .coerce(dtype)
-            .unwrap_or_else(|e| panic!("columnar update: {e}"));
-        match self {
-            ColumnVec::Int { data, nulls } | ColumnVec::Timestamp { data, nulls } => match cv {
-                Value::Null => nulls.set(i, true),
-                Value::Int(x) | Value::Timestamp(x) => {
-                    data[i] = x;
-                    nulls.set(i, false);
-                }
-                _ => unreachable!(),
-            },
-            ColumnVec::Float { data, nulls } => match cv {
-                Value::Null => nulls.set(i, true),
-                Value::Float(x) => {
-                    data[i] = x;
-                    nulls.set(i, false);
-                }
-                _ => unreachable!(),
-            },
-            ColumnVec::Bool { data, nulls } => match cv {
-                Value::Null => nulls.set(i, true),
-                Value::Bool(x) => {
-                    data[i] = x;
-                    nulls.set(i, false);
-                }
-                _ => unreachable!(),
-            },
-            ColumnVec::Text(d) => match cv {
-                Value::Null => d.nulls.set(i, true),
-                Value::Text(s) => {
-                    d.codes[i] = d.intern(&s);
-                    d.nulls.set(i, false);
-                }
-                _ => unreachable!(),
-            },
+    /// Overwrite row `i` with the already-coerced `v` (same contract as
+    /// [`ColumnVec::push`]).
+    fn set(&mut self, i: usize, v: Value) {
+        match (self, v) {
+            (ColumnVec::Text(d), Value::Null) => d.nulls.set(i, true),
+            (ColumnVec::Text(d), Value::Text(s)) => {
+                d.codes[i] = d.intern(&s);
+                d.nulls.set(i, false);
+            }
+            (
+                ColumnVec::Int { nulls, .. }
+                | ColumnVec::Float { nulls, .. }
+                | ColumnVec::Bool { nulls, .. }
+                | ColumnVec::Timestamp { nulls, .. },
+                Value::Null,
+            ) => nulls.set(i, true),
+            (ColumnVec::Int { data, nulls }, Value::Int(x))
+            | (ColumnVec::Timestamp { data, nulls }, Value::Timestamp(x)) => {
+                data[i] = x;
+                nulls.set(i, false);
+            }
+            (ColumnVec::Float { data, nulls }, Value::Float(x)) => {
+                data[i] = x;
+                nulls.set(i, false);
+            }
+            (ColumnVec::Bool { data, nulls }, Value::Bool(x)) => {
+                data[i] = x;
+                nulls.set(i, false);
+            }
+            (_, other) => panic!("column got a value of another type: {other:?}"),
         }
     }
 
@@ -367,25 +356,24 @@ impl ColumnVec {
     }
 }
 
-/// Memory accounting for one columnar table (see [`ColumnStore::memory`]).
+/// Memory accounting for one table (see [`crate::Table::memory_footprint`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ColumnarMemory {
-    /// Bytes in typed vectors, code vectors and null bitmaps.
-    pub data_bytes: usize,
-    /// Bytes in dictionary strings and their lookup maps.
+pub struct TableMemory {
+    /// Row count.
+    pub rows: usize,
+    /// Heap bytes of the table: typed vectors, code vectors, null bitmaps
+    /// and dictionaries.
+    pub bytes: usize,
+    /// The part of `bytes` held by dictionary strings and their lookup maps.
     pub dict_bytes: usize,
     /// Total dictionary entries across all TEXT columns.
     pub dict_entries: usize,
-    /// Heap bytes of the text payload as a row layout would store it (one
-    /// `String` allocation per non-NULL cell) — the input to the
-    /// row-vs-columnar gauge.
-    pub row_text_bytes: usize,
 }
 
-/// Columnar backing store of one table. See the module docs for layout and
+/// Backing store of one table. See the module docs for layout and
 /// invariants.
 #[derive(Debug, Clone)]
-pub struct ColumnStore {
+pub(crate) struct ColumnStore {
     cols: Vec<ColumnVec>,
     len: usize,
 }
@@ -403,13 +391,8 @@ impl ColumnStore {
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The typed vector of column `i`.
@@ -441,11 +424,9 @@ impl ColumnStore {
         (0..self.len).map(|p| self.materialize_row(p)).collect()
     }
 
-    /// Write a full row back at `pos` (update path).
-    pub(crate) fn set_row(&mut self, pos: usize, row: &[Value], schema: &Schema) {
-        for ((c, v), def) in self.cols.iter_mut().zip(row).zip(&schema.columns) {
-            c.set(pos, v, def.dtype);
-        }
+    /// Overwrite cell (`pos`, `col`) with an already-coerced value.
+    pub(crate) fn set(&mut self, pos: usize, col: usize, v: Value) {
+        self.cols[col].set(pos, v);
     }
 
     /// Drop rows whose `keep` flag is false, preserving order. Dictionary
@@ -459,10 +440,13 @@ impl ColumnStore {
     }
 
     /// Memory accounting over every column.
-    pub fn memory(&self) -> ColumnarMemory {
-        let mut m = ColumnarMemory::default();
+    pub(crate) fn memory(&self) -> TableMemory {
+        let mut m = TableMemory {
+            rows: self.len,
+            ..TableMemory::default()
+        };
         for c in &self.cols {
-            m.data_bytes += c.data_bytes();
+            m.bytes += c.data_bytes();
             if let ColumnVec::Text(d) = c {
                 m.dict_entries += d.dict.len();
                 for s in &d.dict {
@@ -471,13 +455,9 @@ impl ColumnStore {
                     m.dict_bytes += 2 * (24 + s.capacity());
                 }
                 m.dict_bytes += d.lookup.capacity() * (24 + 4);
-                for (i, code) in d.codes.iter().enumerate() {
-                    if !d.nulls.is_null(i) {
-                        m.row_text_bytes += d.dict[*code as usize].len();
-                    }
-                }
             }
         }
+        m.bytes += m.dict_bytes;
         m
     }
 }
@@ -582,10 +562,8 @@ mod tests {
         let mut st = ColumnStore::new(&s);
         st.push_row(&row(1, Some("ufs"), Some(1.0)));
         st.push_row(&row(2, Some("nfs"), Some(2.0)));
-        let mut r = st.materialize_row(0);
-        r[1] = Value::Text("pvfs".into());
-        r[2] = Value::Null;
-        st.set_row(0, &r, &s);
+        st.set(0, 1, Value::Text("pvfs".into()));
+        st.set(0, 2, Value::Null);
         assert_eq!(st.value(0, 1), Value::Text("pvfs".into()));
         assert_eq!(st.value(0, 2), Value::Null);
         assert_eq!(st.value(1, 1), Value::Text("nfs".into()));
@@ -603,9 +581,8 @@ mod tests {
             st.push_row(&row(i, Some("ufs"), Some(0.0)));
         }
         let m = st.memory();
-        assert!(m.data_bytes > 0);
+        assert_eq!(m.rows, 50);
         assert_eq!(m.dict_entries, 1);
-        assert!(m.dict_bytes > 0);
-        assert_eq!(m.row_text_bytes, 50 * 3);
+        assert!(m.dict_bytes > 0 && m.bytes > m.dict_bytes);
     }
 }

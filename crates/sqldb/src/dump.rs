@@ -24,22 +24,14 @@ impl Engine {
             if temps.contains(&name) {
                 continue;
             }
-            let (schema, rows) = self.read_snapshot(&name).expect("table listed");
-            let handle = self.table(&name).expect("table listed");
-            let guard = handle.read();
-            let (indexes, columnar) = (guard.index_columns(), guard.is_columnar());
-            drop(guard);
-            let _ = writeln!(
-                out,
-                "{};",
-                render_create_table(&name, &schema, false, columnar)
-            );
-            for chunk in rows.chunks(64) {
+            let table = self.pin_table(&name).expect("table listed");
+            let _ = writeln!(out, "{};", render_create_table(&name, &table.schema, false));
+            for chunk in table.to_rows().chunks(64) {
                 if !chunk.is_empty() {
                     let _ = writeln!(out, "{};", render_insert(&name, chunk));
                 }
             }
-            for (ix_name, column, ordered) in indexes {
+            for (ix_name, column, ordered) in table.index_columns() {
                 let kind = if ordered { "ORDERED " } else { "" };
                 let _ = writeln!(out, "CREATE {kind}INDEX {ix_name} ON {name} ({column});");
             }
@@ -122,15 +114,8 @@ pub(crate) fn read_checkpoint_seq(script: &str) -> Option<u64> {
 }
 
 /// Render a `CREATE TABLE` statement for a schema (no trailing `;`).
-/// Shared by the dump and the WAL, which logs programmatic DDL as SQL text;
-/// `columnar` appends `USING COLUMNAR` so the storage layout round-trips
-/// through dumps, checkpoints, WAL replay and cluster replication alike.
-pub(crate) fn render_create_table(
-    name: &str,
-    schema: &Schema,
-    if_not_exists: bool,
-    columnar: bool,
-) -> String {
+/// Shared by the dump and the WAL, which logs programmatic DDL as SQL text.
+pub(crate) fn render_create_table(name: &str, schema: &Schema, if_not_exists: bool) -> String {
     let cols: Vec<String> = schema
         .columns
         .iter()
@@ -144,10 +129,9 @@ pub(crate) fn render_create_table(
         })
         .collect();
     format!(
-        "CREATE TABLE {}{name} ({}){}",
+        "CREATE TABLE {}{name} ({})",
         if if_not_exists { "IF NOT EXISTS " } else { "" },
-        cols.join(", "),
-        if columnar { " USING COLUMNAR" } else { "" }
+        cols.join(", ")
     )
 }
 
@@ -164,20 +148,17 @@ pub(crate) fn render_insert(name: &str, rows: &[Row]) -> String {
 }
 
 /// Literal form that parses back to the identical value (timestamps stay
-/// integers and are re-coerced by the column type on insert). Text holding
+/// integers and non-finite floats quoted text, both re-coerced by the
+/// column type on insert). Text holding
 /// control characters is emitted as an `E'...'` escaped literal so every
 /// statement — dump line or WAL frame — stays on a single line.
 pub(crate) fn dump_literal(v: &Value) -> String {
     match v {
         Value::Null => "NULL".into(),
         Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.is_finite() {
-                format!("{f:?}")
-            } else {
-                "NULL".into()
-            }
-        }
+        Value::Float(f) if f.is_finite() => format!("{f:?}"),
+        // `inf`, `-inf`, `NaN`: no numeric literal, but the text coerces back.
+        Value::Float(f) => format!("'{f}'"),
         Value::Text(s) => {
             if s.contains(['\n', '\r', '\t', '\0']) {
                 let mut out = String::with_capacity(s.len() + 4);
@@ -341,24 +322,66 @@ mod tests {
 
     #[test]
     fn columnar_layout_roundtrips_through_dump() {
-        let e = Engine::new();
-        e.execute("CREATE TABLE cdata (id INTEGER NOT NULL, fs TEXT, bw FLOAT) USING COLUMNAR")
-            .unwrap();
-        e.execute("INSERT INTO cdata VALUES (1, 'ufs', 1.5), (2, NULL, NULL), (3, 'nfs', -0.25)")
-            .unwrap();
-        e.execute("CREATE INDEX ix_c ON cdata (id)").unwrap();
+        // The clause older dumps carry loads, and is never written again.
+        let e = Engine::from_sql_dump(
+            "CREATE TABLE cdata (id INTEGER NOT NULL, fs TEXT, bw FLOAT) USING COLUMNAR;\n\
+             INSERT INTO cdata VALUES (1, 'ufs', 1.5), (2, NULL, NULL), (3, 'nfs', -0.25);\n\
+             CREATE INDEX ix_c ON cdata (id);\n",
+        )
+        .unwrap();
         let dump = e.dump_sql();
-        assert!(
-            dump.contains("USING COLUMNAR;"),
-            "layout missing from dump: {dump}"
-        );
+        assert!(!dump.contains("USING"), "layout clause in dump: {dump}");
         let e2 = Engine::from_sql_dump(&dump).unwrap();
-        assert!(e2.table("cdata").unwrap().read().is_columnar());
         let a = e.query("SELECT * FROM cdata ORDER BY id").unwrap();
         let b = e2.query("SELECT * FROM cdata ORDER BY id").unwrap();
         assert_eq!(a, b);
+        assert_eq!(a.len(), 3);
         // Fixpoint: the restored engine dumps byte-identically.
         assert_eq!(dump, e2.dump_sql());
+    }
+
+    /// Bit pattern of every float in column `v` of `t`, in `id` order.
+    fn float_bits(e: &Engine) -> Vec<Option<u64>> {
+        e.query("SELECT id, v FROM t ORDER BY id")
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r[1].as_f64().map(f64::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn non_finite_floats_survive_dump_and_wal_replay() {
+        use crate::wal::{SyncPolicy, WalOptions};
+        let dir = std::env::temp_dir().join("perfbase_dump_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (dump, wal) = (dir.join("nonfinite.sql"), dir.join("nonfinite.wal"));
+        std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&wal).ok();
+        let opts = WalOptions::with_sync(SyncPolicy::Off);
+        let (e, _) = Engine::open_durable(&dump, &wal, opts.clone()).unwrap();
+        e.execute("CREATE TABLE t (id INTEGER, v FLOAT)").unwrap();
+        let vals = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 1.5];
+        let rows = (0..)
+            .zip(vals)
+            .map(|(i, v)| vec![Value::Int(i), Value::Float(v)]);
+        e.insert_rows("t", rows.collect()).unwrap();
+        e.execute("INSERT INTO t VALUES (9, NULL)").unwrap();
+        let live = float_bits(&e);
+        let want: Vec<Option<u64>> = vals.iter().map(|v| Some(v.to_bits())).collect();
+        assert_eq!(live[..5], want[..]);
+        assert_eq!(live[5], None);
+        // Dump round trip and fixpoint.
+        let script = e.dump_sql();
+        let e2 = Engine::from_sql_dump(&script).unwrap();
+        assert_eq!(float_bits(&e2), live);
+        assert_eq!(e2.dump_sql(), script);
+        // WAL replay (no checkpoint: the whole state comes from the log).
+        e.wal_sync().unwrap();
+        drop(e);
+        let (e3, report) = Engine::open_durable(&dump, &wal, opts).unwrap();
+        assert_eq!(report.replay_errors, 0);
+        assert_eq!(float_bits(&e3), live);
     }
 
     #[test]

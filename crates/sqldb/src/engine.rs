@@ -1,6 +1,7 @@
 //! The engine: catalog of tables plus the SQL entry points.
 #![warn(missing_docs)]
 
+use crate::compile::compile;
 use crate::dump;
 use crate::error::DbError;
 use crate::exec;
@@ -9,10 +10,11 @@ use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
 use crate::sql::{self, Stmt};
 use crate::sync::{Mutex, RwLock};
-use crate::table::{Row, Table, TableMemory};
+use crate::table::{Row, Table};
 use crate::txn::Transaction;
 use crate::value::Value;
 use crate::wal::{RecoveryReport, Wal, WalOptions};
+use crate::TableMemory;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,9 +233,8 @@ pub(crate) fn natural_cmp(a: &str, b: &str) -> std::cmp::Ordering {
 
 /// Copy-on-write access to a table version. Mutates in place while no
 /// snapshot pins the current `Arc<Table>`; otherwise clones the table once
-/// — rows, columnar store, dictionaries, indexes and the lazily
-/// materialised row cache all travel with the clone — and mutates the new
-/// version, leaving every pinned reader's view frozen.
+/// — column store, dictionaries and indexes all travel with the clone —
+/// and mutates the new version, leaving every pinned reader's view frozen.
 fn cow(slot: &mut Arc<Table>) -> &mut Table {
     if Arc::strong_count(slot) > 1 {
         obs::incr(obs::Counter::MvccCowClones);
@@ -252,14 +253,6 @@ impl Engine {
         self.create_table_opts(name, schema, false, false)
     }
 
-    /// Create a *columnar* table programmatically — the layout flag used by
-    /// the `core` import path for append-mostly run-data tables. Equivalent
-    /// to `CREATE TABLE name (...) USING COLUMNAR` (and logged to the WAL
-    /// as exactly that, so recovery and replication preserve the layout).
-    pub fn create_table_columnar(&self, name: &str, schema: Schema) -> Result<(), DbError> {
-        self.create_table_layout(name, schema, false, false, true)
-    }
-
     /// Create a table with TEMP / IF NOT EXISTS options.
     pub fn create_table_opts(
         &self,
@@ -268,34 +261,17 @@ impl Engine {
         temp: bool,
         if_not_exists: bool,
     ) -> Result<(), DbError> {
-        self.create_table_layout(name, schema, temp, if_not_exists, false)
-    }
-
-    /// Full-option create: TEMP / IF NOT EXISTS / columnar layout.
-    pub fn create_table_layout(
-        &self,
-        name: &str,
-        schema: Schema,
-        temp: bool,
-        if_not_exists: bool,
-        columnar: bool,
-    ) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
         let mut wal = self.wal.lock();
         match wal.as_mut() {
             Some(w) if !temp => {
-                w.append(&dump::render_create_table(
-                    name,
-                    &schema,
-                    if_not_exists,
-                    columnar,
-                ))?;
-                self.create_table_unlogged(name, schema, temp, if_not_exists, columnar)
+                w.append(&dump::render_create_table(name, &schema, if_not_exists))?;
+                self.create_table_unlogged(name, schema, temp, if_not_exists)
             }
-            Some(_) => self.create_table_unlogged(name, schema, temp, if_not_exists, columnar),
+            Some(_) => self.create_table_unlogged(name, schema, temp, if_not_exists),
             None => {
                 drop(wal);
-                self.create_table_unlogged(name, schema, temp, if_not_exists, columnar)
+                self.create_table_unlogged(name, schema, temp, if_not_exists)
             }
         }
     }
@@ -306,7 +282,6 @@ impl Engine {
         schema: Schema,
         temp: bool,
         if_not_exists: bool,
-        columnar: bool,
     ) -> Result<(), DbError> {
         let _commit = self.begin_commit();
         let mut tables = self.tables.write();
@@ -316,11 +291,7 @@ impl Engine {
             }
             return Err(DbError::TableExists(name.to_string()));
         }
-        let table = if columnar {
-            Table::new_columnar(schema)
-        } else {
-            Table::new(schema)
-        };
+        let table = Table::new(schema);
         tables.insert(name.to_string(), Arc::new(RwLock::new(Arc::new(table))));
         if temp {
             self.temps.lock().insert(name.to_string());
@@ -548,7 +519,7 @@ impl Engine {
     /// current version; no lock is held during the copy).
     pub fn read_snapshot(&self, name: &str) -> Result<(Schema, Vec<Row>), DbError> {
         let t = self.pin_table(name)?;
-        Ok((t.schema.clone(), t.rows().to_vec()))
+        Ok((t.schema.clone(), t.to_rows()))
     }
 
     /// Row count of a table.
@@ -574,9 +545,7 @@ impl Engine {
     /// digit runs compare numerically, so `pb_rundata_2` lists before
     /// `pb_rundata_10` no matter how many runs exist. The ordering is
     /// fully deterministic — `perfbase stats --db` output is stable for
-    /// goldens and docs capture. Each entry carries both the actual layout
-    /// cost and the estimated cost of the other layout (see
-    /// [`TableMemory`]).
+    /// goldens and docs capture.
     pub fn memory_report(&self) -> Vec<(String, TableMemory)> {
         let handles: Vec<(String, Arc<RwLock<Arc<Table>>>)> = {
             let tables = self.tables.read();
@@ -596,28 +565,14 @@ impl Engine {
             .collect()
     }
 
-    /// Recompute the `mem.*` gauges from the current catalog: total row
-    /// and columnar layout bytes, dictionary size and the number of
-    /// columnar tables. Returns the report used.
+    /// Recompute the `mem.*` gauges from the current catalog: total table
+    /// bytes and dictionary size. Returns the report used.
     pub fn refresh_memory_gauges(&self) -> Vec<(String, TableMemory)> {
         let report = self.memory_report();
-        let mut row_bytes = 0u64;
-        let mut col_bytes = 0u64;
-        let mut dict_bytes = 0u64;
-        let mut dict_entries = 0u64;
-        let mut columnar_tables = 0u64;
-        for (_, m) in &report {
-            row_bytes += m.row_layout_bytes as u64;
-            col_bytes += m.columnar_layout_bytes as u64;
-            dict_bytes += m.dict_bytes as u64;
-            dict_entries += m.dict_entries as u64;
-            columnar_tables += u64::from(m.columnar);
-        }
-        obs::set(obs::Counter::MemRowBytes, row_bytes);
-        obs::set(obs::Counter::MemColumnarBytes, col_bytes);
-        obs::set(obs::Counter::MemDictBytes, dict_bytes);
-        obs::set(obs::Counter::MemDictEntries, dict_entries);
-        obs::set(obs::Counter::MemColumnarTables, columnar_tables);
+        let sum = |f: fn(&TableMemory) -> usize| report.iter().map(|(_, m)| f(m) as u64).sum();
+        obs::set(obs::Counter::MemColumnarBytes, sum(|m| m.bytes));
+        obs::set(obs::Counter::MemDictBytes, sum(|m| m.dict_bytes));
+        obs::set(obs::Counter::MemDictEntries, sum(|m| m.dict_entries));
         report
     }
 
@@ -697,7 +652,6 @@ impl Engine {
                 temp,
                 if_not_exists,
                 columns,
-                columnar,
             } => {
                 let schema = Schema::new(
                     columns
@@ -709,7 +663,7 @@ impl Engine {
                         })
                         .collect(),
                 )?;
-                self.create_table_unlogged(&name, schema, temp, if_not_exists, columnar)?;
+                self.create_table_unlogged(&name, schema, temp, if_not_exists)?;
                 Ok(0)
             }
             Stmt::DropTable { name, if_exists } => {
@@ -1161,109 +1115,42 @@ pub(crate) fn apply_insert(
     guard.insert_all(full_rows)
 }
 
-/// Apply an UPDATE to one table version; see [`apply_insert`].
+/// Apply an UPDATE to one table version; see [`apply_insert`]. The rows
+/// come from the same selection step as a SELECT's; every SET value is
+/// evaluated against the pre-update row and validated before the first
+/// cell changes, so a failed statement leaves no trace.
 pub(crate) fn apply_update(
-    guard: &mut Table,
+    table: &mut Table,
     sets: Vec<(String, sql::SqlExpr)>,
     where_clause: Option<sql::SqlExpr>,
 ) -> Result<usize, DbError> {
-    let schema = guard.schema.clone();
-    // Resolve target columns up front.
-    let mut targets = Vec::with_capacity(sets.len());
+    let mut cols = Vec::with_capacity(sets.len());
+    let mut exprs = Vec::with_capacity(sets.len());
     for (name, e) in &sets {
-        let i = schema
+        let i = table
+            .schema
             .index_of(name)
             .ok_or_else(|| DbError::NoSuchColumn(name.clone()))?;
-        targets.push((i, e));
+        cols.push(i);
+        exprs.push(compile(e, &table.schema));
     }
-    let mut err: Option<DbError> = None;
-    let n = guard.update_where(|row| {
-        if err.is_some() {
-            return false;
-        }
-        let ctx = RowCtx {
-            schema: &schema,
-            row,
-        };
-        let hit = match &where_clause {
-            None => true,
-            Some(w) => match expr::eval(w, &ctx) {
-                Ok(v) => expr::truthy(&v),
-                Err(e) => {
-                    err = Some(e);
-                    return false;
-                }
-            },
-        };
-        if !hit {
-            return false;
-        }
-        // Evaluate all RHS against the pre-update row, then assign.
-        let mut new_vals = Vec::with_capacity(targets.len());
-        for (i, e) in &targets {
-            match expr::eval(
-                e,
-                &RowCtx {
-                    schema: &schema,
-                    row,
-                },
-            ) {
-                Ok(v) => match v.coerce(schema.columns[*i].dtype) {
-                    Ok(cv) => new_vals.push((*i, cv)),
-                    Err(m) => {
-                        err = Some(DbError::Type(m));
-                        return false;
-                    }
-                },
-                Err(e) => {
-                    err = Some(e);
-                    return false;
-                }
-            }
-        }
-        for (i, v) in new_vals {
-            row[i] = v;
-        }
-        true
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(n),
+    let positions = exec::select_positions(table, where_clause.as_ref())?;
+    let mut values = Vec::with_capacity(positions.len());
+    for &p in &positions {
+        let row = table.row(p);
+        let new: Result<Row, DbError> = exprs.iter().map(|e| e.eval(&row)).collect();
+        values.push(new?);
     }
+    table.update_positions(&positions, &cols, values)
 }
 
-/// Apply a DELETE to one table version; see [`apply_insert`].
+/// Apply a DELETE to one table version; see [`apply_update`].
 pub(crate) fn apply_delete(
-    guard: &mut Table,
+    table: &mut Table,
     where_clause: Option<sql::SqlExpr>,
 ) -> Result<usize, DbError> {
-    let schema = guard.schema.clone();
-    let mut err: Option<DbError> = None;
-    let n = guard.delete_where(|row| {
-        if err.is_some() {
-            return false;
-        }
-        match &where_clause {
-            None => true,
-            Some(w) => match expr::eval(
-                w,
-                &RowCtx {
-                    schema: &schema,
-                    row,
-                },
-            ) {
-                Ok(v) => expr::truthy(&v),
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            },
-        }
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(n),
-    }
+    let positions = exec::select_positions(table, where_clause.as_ref())?;
+    Ok(table.delete_positions(&positions))
 }
 
 #[cfg(test)]
@@ -1479,6 +1366,76 @@ mod tests {
             "the failed INSERT fails again on replay"
         );
         assert_eq!(db2.query("SELECT a FROM t ORDER BY a").unwrap(), expected);
+    }
+
+    /// Statements that select (or would change) several rows of
+    /// [`rejected_fixture`] and fail on one of them.
+    const REJECTED: [&str; 3] = [
+        // Row 2: 'abc' does not coerce to INTEGER.
+        "UPDATE t SET a = b",
+        // Row 1 matches `id = 1`; row 2 fails in `a + b`.
+        "DELETE FROM t WHERE id = 1 OR a + b > 0",
+        "UPDATE t SET id = NULL WHERE id = 3",
+    ];
+
+    fn rejected_fixture(db: &Engine) {
+        db.execute("CREATE TABLE t (id INTEGER NOT NULL, a INTEGER, b TEXT)")
+            .unwrap();
+        db.execute("CREATE INDEX ix_t_a ON t (a)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10, '1'), (2, 20, 'abc'), (3, 30, '3')")
+            .unwrap();
+    }
+
+    #[test]
+    fn rejected_update_and_delete_leave_no_trace() {
+        let db = Engine::new();
+        rejected_fixture(&db);
+        let before = db.dump_sql();
+        for stmt in REJECTED {
+            assert!(db.execute(stmt).is_err(), "{stmt}");
+            assert_eq!(db.dump_sql(), before, "{stmt}");
+            // The index still finds every row under its old key.
+            let rs = db.query("SELECT id FROM t WHERE a = 10").unwrap();
+            assert_eq!(rs.rows(), [[Value::Int(1)]], "{stmt}");
+        }
+    }
+
+    #[test]
+    fn rejected_statements_in_a_transaction_commit_nothing() {
+        let db = Arc::new(Engine::new());
+        rejected_fixture(&db);
+        let before = db.dump_sql();
+        let mut txn = db.begin_txn();
+        for stmt in REJECTED {
+            assert!(txn.execute(stmt).is_err(), "{stmt}");
+        }
+        txn.commit().unwrap();
+        assert_eq!(db.dump_sql(), before);
+    }
+
+    #[test]
+    fn rejected_statements_in_the_log_replay_to_nothing() {
+        use crate::wal::SyncPolicy;
+        let dir = std::env::temp_dir().join("perfbase_engine_wal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let dump = dir.join("rejected.sql");
+        let wal = dir.join("rejected.wal");
+        std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&wal).ok();
+
+        let opts = WalOptions::with_sync(SyncPolicy::Off);
+        let (db, _) = Engine::open_durable(&dump, &wal, opts.clone()).unwrap();
+        rejected_fixture(&db);
+        let before = db.dump_sql();
+        for stmt in REJECTED {
+            // Log-before-apply: the statement is in the log, then fails.
+            assert!(db.execute(stmt).is_err(), "{stmt}");
+        }
+        db.wal_sync().unwrap();
+        drop(db);
+        let (db2, report) = Engine::open_durable(&dump, &wal, opts).unwrap();
+        assert_eq!(report.replay_errors, REJECTED.len() as u64);
+        assert_eq!(db2.dump_sql(), before);
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! * **Expression compilation** — WHERE filters and projections are lowered
 //!   once per statement into [`CompiledExpr`] evaluators with pre-resolved
 //!   column indices (see [`crate::compile`]).
-//! * **Zero-copy scans** — single-table queries stream under the table's
-//!   `RwLock` read guard; only matching, projected rows are materialised.
-//!   This extends the paper's §4.2 in-database operator advantage from
-//!   aggregation to plain filter/project/order queries.
+//! * **One single-table pipeline** — access path → selection vector of row
+//!   positions ([`select_positions`], shared with UPDATE and DELETE) →
+//!   aggregation or projection straight off the column store; only
+//!   matching, projected rows are materialised. This extends the paper's
+//!   §4.2 in-database operator advantage from aggregation to plain
+//!   filter/project/order queries.
 //! * **Secondary-index lookups** — a `col = <const>` or `col IN (...)`
 //!   conjunct in the WHERE clause probes the table's secondary index (when
 //!   one exists); range conjuncts (`<`, `<=`, `>`, `>=`, BETWEEN-shaped
@@ -65,7 +67,7 @@ impl Catalog<'_> {
 /// Materialise a table's schema and rows from the catalog view.
 fn materialize(cat: Catalog<'_>, name: &str) -> Result<(Schema, Vec<Row>), DbError> {
     let t = cat.pin(name)?;
-    Ok((t.schema.clone(), t.rows().to_vec()))
+    Ok((t.schema.clone(), t.to_rows()))
 }
 
 /// Execute a SELECT against a catalog view (optimized pipeline).
@@ -151,9 +153,9 @@ fn is_aggregation(sel: &SelectStmt) -> bool {
         })
 }
 
-/// Single-table SELECT: stream over the pinned table version (no lock is
-/// held during the scan), optionally through a secondary-index point
-/// lookup, with compiled expressions throughout.
+/// Single-table SELECT over the pinned table version (no lock is held
+/// during the scan): select positions, then aggregate or project straight
+/// off the column store.
 fn single_table_select(
     cat: Catalog<'_>,
     base: &str,
@@ -161,63 +163,47 @@ fn single_table_select(
 ) -> Result<ResultSet, DbError> {
     let pinned = cat.pin(base)?;
     let table: &Table = &pinned;
-    let schema = &table.schema;
-
-    let filter = sel.where_clause.as_ref().map(|w| compile(w, schema));
-    let filter = filter.as_ref();
-    let t_plan = Instant::now();
-    let candidates = plan_access(sel.where_clause.as_ref(), table).candidates;
-    obs::record_duration(obs::Hist::PlanNs, t_plan.elapsed());
-
-    // Columnar tables first try the vectorized operator path; an
-    // unvectorizable WHERE clause falls through to the row path below
-    // (served by the table's materialized-row cache).
-    if let Some(store) = table.column_store() {
-        if let Some((columns, out_rows)) =
-            columnar_select(store, schema, sel, candidates.as_deref())?
-        {
-            return finalize(sel, columns, out_rows);
-        }
-    }
+    let (schema, store) = (&table.schema, table.store());
+    let sv = select_positions(table, sel.where_clause.as_ref())?;
 
     if is_aggregation(sel) {
         if let Some(key_idx) = resolve_group_keys(sel, schema) {
             if let Some(plan) = plan_fast(sel, schema, &key_idx) {
-                let out_rows = match &candidates {
-                    Some(ids) => {
-                        let mut agg = FastAgg::new(plan, key_idx);
-                        for &i in ids {
-                            let row = &table.rows()[i];
-                            if passes(filter, row)? {
-                                agg.update(row);
-                            }
-                        }
-                        agg.finish()?
-                    }
-                    None => fast_agg_scan(table.rows(), filter, plan, key_idx)?,
-                };
-                let columns = output_names(sel, schema);
-                return finalize(sel, columns, out_rows);
+                let out_rows = vectorized_fast_agg(store, &sv, plan, key_idx)?;
+                return finalize(sel, output_names(sel, schema), out_rows);
             }
         }
         // General aggregation (expressions over aggregates, unresolved
-        // keys, …): materialise only the matching rows, then group.
-        let star = [CompiledItem::Star];
-        let rows = match &candidates {
-            Some(ids) => project_ids(table, ids, filter, &star)?,
-            None => project_scan(table.rows(), filter, &star)?,
-        };
+        // keys, …): materialise only the selected rows, then group.
+        let rows: Vec<Row> = sv.iter().map(|&p| store.materialize_row(p)).collect();
         let (columns, out_rows) = aggregate_project(sel, schema, &rows)?;
         return finalize(sel, columns, out_rows);
     }
 
-    // Plain filter/project: stream, never snapshot.
-    let items = compile_items(sel, schema);
     let columns = output_names(sel, schema);
-    let out_rows = match &candidates {
-        Some(ids) => project_ids(table, ids, filter, &items)?,
-        None => project_scan(table.rows(), filter, &items)?,
-    };
+    let mut out_rows = Vec::with_capacity(sv.len());
+    match pure_column_projection(sel, schema) {
+        Some(proj) => {
+            for &p in &sv {
+                let mut row = Vec::with_capacity(columns.len());
+                for pc in &proj {
+                    match pc {
+                        ProjCol::All => row.extend((0..schema.arity()).map(|c| store.value(p, c))),
+                        ProjCol::One(c) => row.push(store.value(p, *c)),
+                    }
+                }
+                out_rows.push(row);
+            }
+        }
+        None => {
+            // Expression projection: evaluate compiled items per selected
+            // materialized row (errors surface for selected rows only).
+            let items = compile_items(sel, schema);
+            for &p in &sv {
+                out_rows.push(project_row(&store.materialize_row(p), &items)?);
+            }
+        }
+    }
     finalize(sel, columns, out_rows)
 }
 
@@ -273,13 +259,6 @@ fn compile_items(sel: &SelectStmt, schema: &Schema) -> Vec<CompiledItem> {
         .collect()
 }
 
-fn passes(filter: Option<&CompiledExpr>, row: &[Value]) -> Result<bool, DbError> {
-    match filter {
-        Some(f) => f.matches(row),
-        None => Ok(true),
-    }
-}
-
 fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
     let mut projected = Vec::with_capacity(items.len());
     for item in items {
@@ -291,67 +270,11 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
     Ok(projected)
 }
 
-/// Filter + project index candidates (already in row order).
-fn project_ids(
-    table: &Table,
-    ids: &[usize],
-    filter: Option<&CompiledExpr>,
-    items: &[CompiledItem],
-) -> Result<Vec<Row>, DbError> {
-    let mut out = Vec::new();
-    for &i in ids {
-        let r = &table.rows()[i];
-        if !passes(filter, r)? {
-            continue;
-        }
-        out.push(project_row(r, items)?);
-    }
-    obs::add(obs::Counter::ResidualChecks, ids.len() as u64);
-    obs::add(obs::Counter::ResidualDrops, (ids.len() - out.len()) as u64);
-    Ok(out)
-}
-
-/// Filter + project a full table scan.
-fn project_scan(
-    rows: &[Row],
-    filter: Option<&CompiledExpr>,
-    items: &[CompiledItem],
-) -> Result<Vec<Row>, DbError> {
-    obs::add(obs::Counter::ScanRowsVisited, rows.len() as u64);
-    obs::incr(obs::Counter::SerialScans);
-    let mut out = Vec::new();
-    for r in rows {
-        if passes(filter, r)? {
-            out.push(project_row(r, items)?);
-        }
-    }
-    Ok(out)
-}
-
-/// Streaming aggregation over a full scan.
-fn fast_agg_scan(
-    rows: &[Row],
-    filter: Option<&CompiledExpr>,
-    plan: Vec<FastItem>,
-    key_idx: Vec<usize>,
-) -> Result<Vec<Row>, DbError> {
-    obs::add(obs::Counter::ScanRowsVisited, rows.len() as u64);
-    obs::incr(obs::Counter::SerialScans);
-    let mut agg = FastAgg::new(plan, key_idx);
-    for row in rows {
-        if passes(filter, row)? {
-            agg.update(row);
-        }
-    }
-    agg.finish()
-}
-
 // ---------------------------------------------------------------------------
-// Vectorized execution over columnar tables
+// Vectorized execution over the column store
 // ---------------------------------------------------------------------------
 //
-// Columnar tables (`crate::column`) get a column-at-a-time operator path:
-// the WHERE clause is lowered into [`VecAtom`]s that evaluate one column
+// The WHERE clause is lowered into [`VecAtom`]s that evaluate one column
 // vector at a time into a selection vector of row positions; dictionary
 // predicates compare u32 codes against a precomputed per-entry truth table
 // instead of strings. Aggregation then runs batched over the selected
@@ -359,9 +282,9 @@ fn fast_agg_scan(
 // by dictionary code.
 //
 // The path is deliberately sequential: it reuses [`Accumulator`] in row
-// order, so results are byte-identical to the row path (same Welford
-// update order, same first-seen group order, same tie-breaking) — the
-// property the equivalence corpus asserts.
+// order, so results are byte-identical to the reference executor (same
+// Welford update order, same first-seen group order, same tie-breaking) —
+// the property the equivalence corpus asserts.
 
 /// Engine-exact comparison of two f64 images — the numeric arm of
 /// `Value::total_cmp` (NaN sorts last, two NaNs are equal).
@@ -419,7 +342,7 @@ impl CmpOp {
     }
 }
 
-/// One vectorized WHERE conjunct. Every variant replicates the row
+/// One vectorized WHERE conjunct. Every variant replicates the scalar
 /// evaluator's semantics exactly; in particular, comparisons with a NULL
 /// cell are false for every operator.
 #[derive(Debug)]
@@ -562,8 +485,9 @@ fn representative(dtype: DataType) -> Value {
 }
 
 /// Lower a WHERE clause into vectorized conjuncts. `None` means some
-/// conjunct doesn't vectorize and the caller must take the row path; when
-/// `Some`, the atoms cover the entire clause (no residual filter).
+/// conjunct doesn't vectorize and the caller must evaluate the compiled
+/// scalar filter instead; when `Some`, the atoms cover the entire clause
+/// (no residual filter).
 fn compile_vec_filter(
     where_clause: Option<&SqlExpr>,
     schema: &Schema,
@@ -738,42 +662,66 @@ fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option
     }
 }
 
-/// Evaluate the atom conjunction into a selection vector of row positions
-/// (ascending). The first atom fills column-at-a-time; each later atom
-/// narrows the survivors. Index candidates, when present, are narrowed
-/// directly — the atoms cover the full WHERE clause, so this matches the
-/// row path's residual filtering.
-fn vectorized_selection(
-    store: &ColumnStore,
-    atoms: &[VecAtom],
-    candidates: Option<&[usize]>,
-) -> Vec<usize> {
-    match candidates {
-        Some(ids) => {
-            let out: Vec<usize> = ids
-                .iter()
-                .copied()
-                .filter(|&p| atoms.iter().all(|a| a.test(store, p)))
-                .collect();
-            obs::add(obs::Counter::ResidualChecks, ids.len() as u64);
-            obs::add(obs::Counter::ResidualDrops, (ids.len() - out.len()) as u64);
-            out
+/// The selection step shared by SELECT, UPDATE and DELETE: the positions
+/// (ascending) of the rows of `table` that satisfy `where_clause`.
+///
+/// [`plan_access`] narrows the table to index candidates when it can. A
+/// clause that lowers to [`VecAtom`]s then runs column-at-a-time — the
+/// first atom fills the selection vector, each later atom narrows the
+/// survivors (index candidates are narrowed directly). Any other clause is
+/// evaluated by the compiled scalar filter per candidate position, so an
+/// evaluation error surfaces only for rows the access path leaves.
+pub(crate) fn select_positions(
+    table: &Table,
+    where_clause: Option<&SqlExpr>,
+) -> Result<Vec<usize>, DbError> {
+    let t_plan = Instant::now();
+    let candidates = plan_access(where_clause, table).candidates;
+    obs::record_duration(obs::Hist::PlanNs, t_plan.elapsed());
+    let store = table.store();
+    let checked = candidates.as_ref().map(Vec::len);
+    if checked.is_none() {
+        obs::add(obs::Counter::ScanRowsVisited, store.len() as u64);
+    }
+    let atoms = compile_vec_filter(where_clause, &table.schema, store);
+    obs::incr(match atoms {
+        Some(_) => obs::Counter::VectorizedScans,
+        None => obs::Counter::VectorizedFallbacks,
+    });
+
+    let sv = match (atoms, candidates) {
+        (Some(atoms), Some(mut ids)) => {
+            ids.retain(|&p| atoms.iter().all(|a| a.test(store, p)));
+            ids
         }
-        None => {
-            obs::add(obs::Counter::ScanRowsVisited, store.len() as u64);
-            match atoms.split_first() {
-                None => (0..store.len()).collect(),
-                Some((first, rest)) => {
-                    let mut sv = Vec::new();
-                    first.fill(store, &mut sv);
-                    for a in rest {
-                        sv.retain(|&p| a.test(store, p));
-                    }
-                    sv
+        (Some(atoms), None) => match atoms.split_first() {
+            None => (0..store.len()).collect(),
+            Some((first, rest)) => {
+                let mut sv = Vec::new();
+                first.fill(store, &mut sv);
+                for a in rest {
+                    sv.retain(|&p| a.test(store, p));
+                }
+                sv
+            }
+        },
+        (None, candidates) => {
+            let w = where_clause.expect("an absent WHERE clause always vectorizes");
+            let filter = compile(w, &table.schema);
+            let mut sv = Vec::new();
+            for p in candidates.unwrap_or_else(|| (0..store.len()).collect()) {
+                if filter.matches(&store.materialize_row(p))? {
+                    sv.push(p);
                 }
             }
+            sv
         }
+    };
+    if let Some(n) = checked {
+        obs::add(obs::Counter::ResidualChecks, n as u64);
+        obs::add(obs::Counter::ResidualDrops, (n - sv.len()) as u64);
     }
+    Ok(sv)
 }
 
 /// Batched fast-path aggregation over selected positions. Single TEXT
@@ -925,8 +873,8 @@ fn pure_column_projection(sel: &SelectStmt, schema: &Schema) -> Option<Vec<ProjC
         .collect()
 }
 
-/// How much of a single-table SELECT runs vectorized on a columnar table.
-/// Shared by the executor and `EXPLAIN`, so the report is truthful.
+/// How much of a single-table SELECT runs vectorized. Decided from the
+/// same facts the executor uses, so `EXPLAIN` is truthful.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VecStrategy {
     /// Selection and aggregation/projection all run column-at-a-time.
@@ -934,8 +882,8 @@ enum VecStrategy {
     /// Selection is vectorized; aggregation or projection falls back to
     /// row-at-a-time evaluation over the selected positions.
     Partial,
-    /// The WHERE clause doesn't vectorize — the whole query takes the
-    /// row path (over the materialized-row cache).
+    /// The WHERE clause doesn't vectorize — the compiled scalar filter runs
+    /// per candidate position.
     None,
 }
 
@@ -970,64 +918,6 @@ fn vectorize_strategy(schema: &Schema, store: &ColumnStore, sel: &SelectStmt) ->
 
 /// Output column names paired with the produced rows.
 type NamedRows = (Vec<String>, Vec<Row>);
-
-/// Execute a single-table SELECT through the vectorized path. `None`
-/// means the WHERE clause doesn't vectorize and the caller should use the
-/// row path; `Some` carries `(columns, rows)` ready for [`finalize`].
-fn columnar_select(
-    store: &ColumnStore,
-    schema: &Schema,
-    sel: &SelectStmt,
-    candidates: Option<&[usize]>,
-) -> Result<Option<NamedRows>, DbError> {
-    let Some(atoms) = compile_vec_filter(sel.where_clause.as_ref(), schema, store) else {
-        obs::incr(obs::Counter::VectorizedFallbacks);
-        return Ok(None);
-    };
-    obs::incr(obs::Counter::VectorizedScans);
-    let sv = vectorized_selection(store, &atoms, candidates);
-
-    if is_aggregation(sel) {
-        if let Some(key_idx) = resolve_group_keys(sel, schema) {
-            if let Some(plan) = plan_fast(sel, schema, &key_idx) {
-                let out = vectorized_fast_agg(store, &sv, plan, key_idx)?;
-                return Ok(Some((output_names(sel, schema), out)));
-            }
-        }
-        // General aggregation: materialize only the selected rows, then
-        // run the expression path over them (same as the row engine).
-        let rows: Vec<Row> = sv.iter().map(|&p| store.materialize_row(p)).collect();
-        return Ok(Some(aggregate_project(sel, schema, &rows)?));
-    }
-
-    let columns = output_names(sel, schema);
-    let mut out = Vec::with_capacity(sv.len());
-    match pure_column_projection(sel, schema) {
-        Some(proj) => {
-            for &p in &sv {
-                let mut row = Vec::with_capacity(columns.len());
-                for pc in &proj {
-                    match pc {
-                        ProjCol::All => row.extend((0..schema.arity()).map(|c| store.value(p, c))),
-                        ProjCol::One(c) => row.push(store.value(p, *c)),
-                    }
-                }
-                out.push(row);
-            }
-        }
-        None => {
-            // Expression projection: evaluate compiled items per selected
-            // materialized row (errors surface for selected rows only,
-            // exactly like the row path).
-            let items = compile_items(sel, schema);
-            for &p in &sv {
-                let row = store.materialize_row(p);
-                out.push(project_row(&row, &items)?);
-            }
-        }
-    }
-    Ok(Some((columns, out)))
-}
 
 /// Index probe outcome for a `col <op> <const>` conjunct.
 enum Probe {
@@ -1201,7 +1091,8 @@ fn tighter_upper(a: Bound<ValueKey>, b: Bound<ValueKey>) -> Bound<ValueKey> {
 /// whole column, which the residual filter handles.
 ///
 /// Candidates come back in row order and are always a superset of the
-/// matching rows; the caller still applies the full WHERE over them.
+/// matching rows; [`select_positions`] still applies the full WHERE over
+/// them.
 fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
     let nrows = table.len() as f64;
     let Some(w) = where_clause else {
@@ -1388,7 +1279,7 @@ fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
     })
 }
 
-/// Which access path the planner chose for a single-table SELECT.
+/// Which access path the planner chose for a single-table statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AccessPathKind {
     /// `col = lit` index probe.
@@ -1416,7 +1307,7 @@ impl AccessPathKind {
     }
 }
 
-/// The planner's access decision for one single-table SELECT: the chosen
+/// The planner's access decision for one single-table statement: the chosen
 /// path, the index column driving it (when any), the optimizer's candidate
 /// row estimate, and the candidate positions themselves (`None` = visit
 /// every row).
@@ -1555,26 +1446,15 @@ pub(crate) fn run_explain(
                 // planner only serves single-table SELECTs.
                 AccessPlan::full_scan(nrows as f64)
             };
-            // Columnar tables report their layout and how much of the
-            // query the vectorized path covers — decided by the same
-            // strategy function the executor uses.
-            let layout_note = table.column_store().map(|store| {
-                if sel.joins.is_empty() {
-                    format!(
-                        " layout=columnar vectorized={}",
-                        vectorize_strategy(&table.schema, store, sel).name()
-                    )
-                } else {
-                    // Joined queries always materialise rows.
-                    " layout=columnar".to_string()
-                }
-            });
             let mut scan = format!("Scan {base} access={}", plan.kind.name());
             if let Some(col) = &plan.column {
                 scan.push_str(&format!(" column={col}"));
             }
-            if let Some(note) = layout_note {
-                scan.push_str(&note);
+            // Joined queries materialise whole rows; single-table scans
+            // report how much of the query runs column-at-a-time.
+            if sel.joins.is_empty() {
+                let strategy = vectorize_strategy(&table.schema, table.store(), sel);
+                scan.push_str(&format!(" vectorized={}", strategy.name()));
             }
             scan.push_str(&format!(" est_rows={:.1}", plan.est_rows));
             if analyze {
@@ -1601,7 +1481,7 @@ fn resolve_group_keys(sel: &SelectStmt, schema: &Schema) -> Option<Vec<usize>> {
     sel.group_by.iter().map(|g| schema.index_of(g)).collect()
 }
 
-/// DISTINCT → ORDER BY → LIMIT, shared by both execution paths.
+/// DISTINCT → ORDER BY → LIMIT, shared by every execution path.
 fn finalize(
     sel: &SelectStmt,
     columns: Vec<String>,
@@ -1952,7 +1832,7 @@ impl FastAgg {
         } else {
             let mut key = Vec::with_capacity(self.key_idx.len() * 9);
             for &i in &self.key_idx {
-                encode_value_bytes(&store.value(pos, i), &mut key);
+                encode_cell_bytes(store.col(i), pos, &mut key);
             }
             match self.group_of.get(&key) {
                 Some(&gi) => gi,
@@ -2195,11 +2075,29 @@ fn encode_value_bytes(v: &Value, out: &mut Vec<u8>) {
             out.push(u8::from(*b));
         }
         other => {
-            let f = other.as_f64().unwrap_or(f64::NAN);
-            let f = if f == 0.0 { 0.0 } else { f }; // normalize -0.0
-            let f = if f.is_nan() { f64::NAN } else { f }; // canonical NaN
             out.push(1);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
+            let bits = norm_bits(other.as_f64().unwrap_or(f64::NAN));
+            out.extend_from_slice(&bits.to_le_bytes());
+        }
+    }
+}
+
+/// [`encode_value_bytes`] of one stored cell without materialising it. A
+/// TEXT cell encodes as its dictionary code: within one column, equal codes
+/// are equal strings.
+fn encode_cell_bytes(col: &ColumnVec, pos: usize, out: &mut Vec<u8>) {
+    if col.nulls().is_null(pos) {
+        return out.push(0);
+    }
+    match col {
+        ColumnVec::Text(d) => {
+            out.push(2);
+            out.extend_from_slice(&d.codes[pos].to_le_bytes());
+        }
+        ColumnVec::Bool { data, .. } => out.extend_from_slice(&[3, u8::from(data[pos])]),
+        _ => {
+            out.push(1);
+            out.extend_from_slice(&norm_bits(col.f64_at(pos)).to_le_bytes());
         }
     }
 }
@@ -2452,7 +2350,7 @@ mod tests {
             vec![
                 "Project: *".to_string(),
                 "Filter: (id = 3)".to_string(),
-                "Scan t access=point-lookup column=id est_rows=1.0".to_string(),
+                "Scan t access=point-lookup column=id vectorized=full est_rows=1.0".to_string(),
             ]
         );
 
@@ -2733,14 +2631,11 @@ mod tests {
         ));
     }
 
-    /// Row-layout and columnar twins over the same data, for byte-identical
-    /// result checks across the vectorized path.
-    fn twin_dbs() -> (Engine, Engine) {
-        let row = Engine::new();
-        let col = Engine::new();
-        let cols = "(id INTEGER, fs TEXT, bw FLOAT, ok BOOLEAN, at TIMESTAMP)";
-        row.execute(&format!("CREATE TABLE runs {cols}")).unwrap();
-        col.execute(&format!("CREATE TABLE runs {cols} USING COLUMNAR"))
+    /// 200 rows over every column type, with NULLs in `fs` and `bw`; the
+    /// vectorized path is checked against the reference executor on it.
+    fn runs_db() -> Engine {
+        let e = Engine::new();
+        e.execute("CREATE TABLE runs (id INTEGER, fs TEXT, bw FLOAT, ok BOOLEAN, at TIMESTAMP)")
             .unwrap();
         let mut vals = Vec::new();
         for i in 0..200i64 {
@@ -2761,10 +2656,9 @@ mod tests {
                 i % 60
             ));
         }
-        let stmt = format!("INSERT INTO runs VALUES {}", vals.join(", "));
-        row.execute(&stmt).unwrap();
-        col.execute(&stmt).unwrap();
-        (row, col)
+        e.execute(&format!("INSERT INTO runs VALUES {}", vals.join(", ")))
+            .unwrap();
+        e
     }
 
     const VEC_CORPUS: &[&str] = &[
@@ -2798,10 +2692,10 @@ mod tests {
 
     #[test]
     fn vectorized_path_matches_row_results() {
-        let (row, col) = twin_dbs();
+        let e = runs_db();
         for q in VEC_CORPUS {
-            let a = row.query(q).unwrap();
-            let b = col.query(q).unwrap();
+            let a = e.query(q).unwrap();
+            let b = e.query_reference(q).unwrap();
             assert_eq!(a.column_names(), b.column_names(), "columns differ: {q}");
             assert_eq!(a.rows(), b.rows(), "rows differ: {q}");
         }
@@ -2809,28 +2703,28 @@ mod tests {
 
     #[test]
     fn vectorized_path_respects_indexes() {
-        let (row, col) = twin_dbs();
-        for e in [&row, &col] {
-            e.execute("CREATE INDEX ix_fs ON runs (fs)").unwrap();
-            e.execute("CREATE ORDERED INDEX ox_id ON runs (id)")
-                .unwrap();
-        }
+        let e = runs_db();
+        e.execute("CREATE INDEX ix_fs ON runs (fs)").unwrap();
+        e.execute("CREATE ORDERED INDEX ox_id ON runs (id)")
+            .unwrap();
         for q in [
             "SELECT id, bw FROM runs WHERE fs = 'ufs' AND bw > 60.0",
             "SELECT fs, count(*) FROM runs WHERE id >= 20 AND id < 40 GROUP BY fs",
             "SELECT id FROM runs WHERE id IN (1, 2, 3) AND ok = FALSE",
+            // Index candidates narrowed by the scalar filter (fallback).
+            "SELECT id FROM runs WHERE id < 30 AND (fs = 'ufs' OR bw > 50.0)",
         ] {
-            let a = row.query(q).unwrap();
-            let b = col.query(q).unwrap();
+            let a = e.query(q).unwrap();
+            let b = e.query_reference(q).unwrap();
             assert_eq!(a.rows(), b.rows(), "rows differ: {q}");
         }
     }
 
     #[test]
     fn explain_reports_columnar_layout_and_strategy() {
-        let (_, col) = twin_dbs();
+        let e = runs_db();
         let text = |q: &str| {
-            col.query(q)
+            e.query(q)
                 .unwrap()
                 .rows()
                 .iter()
@@ -2840,13 +2734,15 @@ mod tests {
         };
         // Fast aggregation over a dictionary group key: fully vectorized.
         let t = text("EXPLAIN SELECT fs, avg(bw) FROM runs WHERE bw > 10.0 GROUP BY fs");
-        assert!(t.contains("layout=columnar vectorized=full"), "{t}");
-        // OR doesn't vectorize: the row path serves the query.
+        assert!(t.contains(" vectorized=full "), "{t}");
+        // OR doesn't vectorize: the scalar filter serves the query.
         let t = text("EXPLAIN SELECT id FROM runs WHERE fs = 'ufs' OR fs = 'nfs'");
-        assert!(t.contains("layout=columnar vectorized=none"), "{t}");
+        assert!(t.contains(" vectorized=none "), "{t}");
         // Expression projection: selection vectorizes, projection doesn't.
         let t = text("EXPLAIN SELECT id + 1 FROM runs WHERE fs = 'ufs'");
-        assert!(t.contains("layout=columnar vectorized=partial"), "{t}");
+        assert!(t.contains(" vectorized=partial "), "{t}");
+        // There is one layout, so no scan line names it.
+        assert!(!t.contains("layout="), "{t}");
         // ANALYZE still ends the scan line with the actual row count.
         let t = text("EXPLAIN ANALYZE SELECT id FROM runs WHERE fs = 'ufs'");
         let scan = t
@@ -2854,26 +2750,21 @@ mod tests {
             .find(|l| l.starts_with("Scan"))
             .expect("scan line");
         assert!(scan.contains(" vectorized=full "), "{scan}");
-        assert!(scan.contains(" actual_rows=200"), "{scan}");
-        // Row tables are unannotated.
-        let (row, _) = twin_dbs();
-        let t = row
-            .query("EXPLAIN SELECT id FROM runs WHERE fs = 'ufs'")
-            .unwrap()
-            .rows()
-            .iter()
-            .map(|r| r[0].to_string())
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(!t.contains("layout="), "{t}");
+        assert!(scan.ends_with(" actual_rows=200"), "{scan}");
+        // A joined query materialises rows: no vectorization note.
+        let t = text("EXPLAIN SELECT runs.id FROM runs JOIN runs ON runs.id = runs.id");
+        assert!(!t.contains("vectorized="), "{t}");
     }
 
     #[test]
     fn dictionary_group_order_is_first_seen() {
-        let (row, col) = twin_dbs();
-        // No ORDER BY: group order must be first-seen row order on both
-        // layouts (dictionary-code grouping included).
+        let e = runs_db();
+        // No ORDER BY: group order must be first-seen row order, through
+        // dictionary-code grouping too.
         let q = "SELECT fs, count(*) FROM runs GROUP BY fs";
-        assert_eq!(row.query(q).unwrap().rows(), col.query(q).unwrap().rows());
+        assert_eq!(
+            e.query(q).unwrap().rows(),
+            e.query_reference(q).unwrap().rows()
+        );
     }
 }

@@ -71,13 +71,13 @@ mod txn;
 mod value;
 pub mod wal;
 
-pub use column::{ColumnStore, ColumnarMemory};
+pub use column::TableMemory;
 pub use engine::{Engine, ResultSet};
 pub use error::DbError;
 pub use repl::{Promotion, ReplOptions, ReplReport, Replicator};
 pub use schema::{Column, Schema};
 pub use snapshot::Snapshot;
-pub use table::{Table, TableMemory};
+pub use table::Table;
 pub use txn::Transaction;
 pub use value::{format_timestamp, parse_timestamp, DataType, Value, ValueKey};
 pub use wal::{FrameTap, IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};

@@ -723,6 +723,25 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_floats_reach_the_replica() {
+        let dir = std::env::temp_dir().join("perfbase_repl_unit_nonfinite");
+        let cluster = wal_cluster(&dir, 4);
+        let _repl = Replicator::attach(&cluster, ReplOptions::default());
+        let primary = &cluster.node(1).engine;
+        primary.execute("CREATE TABLE t (v FLOAT)").unwrap();
+        let vals = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 2.5];
+        let rows = vals.iter().map(|v| vec![Value::Float(*v)]).collect();
+        primary.insert_rows("t", rows).unwrap();
+        primary.wal_sync().unwrap();
+        let (_, shipped) = cluster.node(2).engine.read_snapshot("t").unwrap();
+        let bits = |v: &Value| v.as_f64().map(f64::to_bits);
+        let got: Vec<_> = shipped.iter().map(|r| bits(&r[0])).collect();
+        let want: Vec<_> = vals.iter().map(|v| Some(v.to_bits())).collect();
+        assert_eq!(got, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lag_budget_ships_without_commit() {
         let dir = std::env::temp_dir().join("perfbase_repl_unit_lag");
         let cluster = wal_cluster(&dir, 3 + 1);

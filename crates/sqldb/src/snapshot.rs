@@ -6,9 +6,8 @@
 //! reflects every statement up to its epoch and nothing after. Readers
 //! holding a snapshot never block writers and are never blocked by them;
 //! writers that mutate a pinned table copy it first (copy-on-write), so
-//! the pinned version — rows, columnar store, dictionaries, indexes and
-//! the lazily materialised row cache — stays frozen for the snapshot's
-//! lifetime.
+//! the pinned version — column store, dictionaries and indexes — stays
+//! frozen for the snapshot's lifetime.
 #![warn(missing_docs)]
 
 use crate::error::DbError;

@@ -6,7 +6,9 @@ use std::fmt;
 /// A complete statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
-    /// `CREATE [TEMP] TABLE [IF NOT EXISTS] name (cols) [USING COLUMNAR]`
+    /// `CREATE [TEMP] TABLE [IF NOT EXISTS] name (cols)` — a trailing
+    /// `USING COLUMNAR` (written by older dumps and logs, when the layout
+    /// was a per-table choice) parses and means nothing.
     CreateTable {
         /// Table name.
         name: String,
@@ -16,9 +18,6 @@ pub enum Stmt {
         if_not_exists: bool,
         /// Column definitions.
         columns: Vec<ColumnDef>,
-        /// `USING COLUMNAR`: store the table in the columnar layout
-        /// (typed vectors + dictionary-encoded text, see `crate::column`).
-        columnar: bool,
     },
     /// `DROP TABLE [IF EXISTS] name`
     DropTable {

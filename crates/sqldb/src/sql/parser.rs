@@ -232,18 +232,15 @@ impl P {
             }
         }
         self.expect_sym(")")?;
-        let columnar = if self.eat_kw("USING") {
+        // Accepted and ignored: every table has the one (columnar) layout.
+        if self.eat_kw("USING") {
             self.expect_kw("COLUMNAR")?;
-            true
-        } else {
-            false
-        };
+        }
         Ok(Stmt::CreateTable {
             name,
             temp,
             if_not_exists,
             columns,
-            columnar,
         })
     }
 
@@ -794,7 +791,6 @@ mod tests {
                 temp,
                 if_not_exists,
                 columns,
-                columnar,
             } => {
                 assert_eq!(name, "t");
                 assert!(temp);
@@ -802,7 +798,6 @@ mod tests {
                 assert_eq!(columns.len(), 3);
                 assert!(!columns[0].nullable);
                 assert!(columns[1].nullable);
-                assert!(!columnar);
             }
             other => panic!("{other:?}"),
         }
@@ -810,18 +805,15 @@ mod tests {
 
     #[test]
     fn create_table_using_columnar() {
-        let s = parse_statement("CREATE TABLE t (a INTEGER, fs TEXT) USING COLUMNAR").unwrap();
-        match s {
-            Stmt::CreateTable { name, columnar, .. } => {
-                assert_eq!(name, "t");
-                assert!(columnar);
-            }
-            other => panic!("{other:?}"),
-        }
+        // The clause of older dumps and logs parses to the plain statement.
+        assert_eq!(
+            parse_statement("CREATE TABLE t (a INTEGER, fs TEXT) USING COLUMNAR").unwrap(),
+            parse_statement("CREATE TABLE t (a INTEGER, fs TEXT)").unwrap()
+        );
         // Case-insensitive, and an incomplete USING clause is an error.
         assert!(matches!(
             parse_statement("create table t (a integer) using columnar"),
-            Ok(Stmt::CreateTable { columnar: true, .. })
+            Ok(Stmt::CreateTable { .. })
         ));
         assert!(parse_statement("CREATE TABLE t (a INTEGER) USING").is_err());
         assert!(parse_statement("CREATE TABLE t (a INTEGER) USING ROWSTORE").is_err());

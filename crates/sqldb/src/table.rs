@@ -1,21 +1,18 @@
-//! In-memory table storage — row layout or columnar layout — with optional
-//! secondary indexes (hash or ordered).
+//! In-memory table storage with optional secondary indexes (hash or
+//! ordered).
 //!
-//! Both layouts sit behind one [`Table`] interface. The row layout stores
-//! `Vec<Row>`; the columnar layout stores a [`ColumnStore`] (typed vectors,
-//! dictionary-encoded strings, null bitmaps — see [`crate::column`]) plus a
-//! lazily materialized row cache so that [`Table::rows`] keeps working
-//! unchanged for every existing caller. Mutations invalidate the cache; the
-//! vectorized execution path in `exec` bypasses it entirely via
-//! [`Table::column_store`].
+//! Every [`Table`] stores its rows one way: a [`ColumnStore`] (typed vectors,
+//! dictionary-encoded strings, null bitmaps — see [`crate::column`]). Rows
+//! are addressed by position; the executor reads cells and whole rows
+//! through `Table::store`, and mutations take the positions a selection
+//! step produced ([`Table::update_positions`], [`Table::delete_positions`]).
 
-use crate::column::{ColumnStore, ColumnarMemory};
+use crate::column::{ColumnStore, TableMemory};
 use crate::error::DbError;
-use crate::schema::Schema;
-use crate::value::{DataType, Value, ValueKey};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::schema::{Column, Schema};
+use crate::value::{Value, ValueKey};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use std::sync::OnceLock;
 
 /// A row is a vector of values, one per schema column.
 pub type Row = Vec<Value>;
@@ -34,9 +31,7 @@ enum IndexStore {
 }
 
 impl IndexStore {
-    /// Build from per-row keys in position order — layout-agnostic (the row
-    /// layout feeds row slices, the columnar layout feeds reconstructed
-    /// cell values).
+    /// Build from per-row keys in position order.
     fn build(ordered: bool, keys: impl Iterator<Item = ValueKey>) -> Self {
         if ordered {
             let mut map: BTreeMap<ValueKey, Vec<usize>> = BTreeMap::new();
@@ -151,27 +146,20 @@ impl Index {
     }
 }
 
-/// Per-table memory accounting (see [`Table::memory_footprint`]). For a row
-/// table the columnar numbers are what a columnar copy *would* cost (and
-/// vice versa), so `perfbase stats` can show the layout trade-off either way.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TableMemory {
-    /// Row count.
-    pub rows: usize,
-    /// True when the table is stored columnar.
-    pub columnar: bool,
-    /// Estimated bytes in the row layout (actual for row tables).
-    pub row_layout_bytes: usize,
-    /// Estimated bytes in the columnar layout (actual for columnar tables).
-    pub columnar_layout_bytes: usize,
-    /// Bytes held by string dictionaries.
-    pub dict_bytes: usize,
-    /// Total dictionary entries across TEXT columns.
-    pub dict_entries: usize,
+/// The one gate every stored value passes (INSERT and UPDATE alike): reject
+/// NULL in a NOT NULL column and coerce `v`, in place, to exactly the
+/// column type's variant — the purity the typed vectors rely on.
+fn check_cell(col: &Column, v: &mut Value) -> Result<(), DbError> {
+    if v.is_null() && !col.nullable {
+        return Err(DbError::Type(format!("column '{}' is NOT NULL", col.name)));
+    }
+    let coerced = std::mem::replace(v, Value::Null).coerce(col.dtype);
+    *v = coerced.map_err(DbError::Type)?;
+    Ok(())
 }
 
-/// An in-memory table: a schema plus row or columnar storage plus secondary
-/// indexes.
+/// An in-memory table: a schema, the column store holding its rows, and
+/// secondary indexes.
 ///
 /// Tables are stored behind `RwLock`s in the [`crate::Engine`] catalog; the
 /// table itself is a plain data structure.
@@ -179,55 +167,29 @@ pub struct TableMemory {
 pub struct Table {
     /// Column definitions.
     pub schema: Schema,
-    rows: Vec<Row>,
-    /// Columnar backing store; `Some` makes `rows` unused.
-    columnar: Option<ColumnStore>,
-    /// Lazily materialized rows of a columnar table, so [`Table::rows`]
-    /// stays source-compatible. Invalidated by every mutation.
-    row_cache: OnceLock<Vec<Row>>,
+    store: ColumnStore,
     indexes: Vec<Index>,
 }
 
 impl Table {
-    /// Empty row-layout table with the given schema.
+    /// Empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
-        Table {
-            schema,
-            rows: Vec::new(),
-            columnar: None,
-            row_cache: OnceLock::new(),
-            indexes: Vec::new(),
-        }
-    }
-
-    /// Empty columnar table with the given schema.
-    pub fn new_columnar(schema: Schema) -> Self {
         let store = ColumnStore::new(&schema);
         Table {
             schema,
-            rows: Vec::new(),
-            columnar: Some(store),
-            row_cache: OnceLock::new(),
+            store,
             indexes: Vec::new(),
         }
     }
 
-    /// True when this table uses the columnar layout.
-    pub fn is_columnar(&self) -> bool {
-        self.columnar.is_some()
-    }
-
-    /// Columnar backing store, when this table is columnar.
-    pub(crate) fn column_store(&self) -> Option<&ColumnStore> {
-        self.columnar.as_ref()
+    /// The column store holding this table's rows.
+    pub(crate) fn store(&self) -> &ColumnStore {
+        &self.store
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.columnar {
-            Some(st) => st.len(),
-            None => self.rows.len(),
-        }
+        self.store.len()
     }
 
     /// True when the table holds no rows.
@@ -235,19 +197,14 @@ impl Table {
         self.len() == 0
     }
 
-    /// Read-only view of all rows. For a columnar table this materializes
-    /// (and caches) the rows on first use; fast paths avoid it by reading
-    /// the column store directly.
-    pub fn rows(&self) -> &[Row] {
-        match &self.columnar {
-            None => &self.rows,
-            Some(st) => self.row_cache.get_or_init(|| st.to_rows()),
-        }
+    /// Materialize every row in position order.
+    pub fn to_rows(&self) -> Vec<Row> {
+        self.store.to_rows()
     }
 
-    /// Drop the materialized row cache after a mutation.
-    fn invalidate_cache(&mut self) {
-        self.row_cache.take();
+    /// Materialize the row at `pos`.
+    pub fn row(&self, pos: usize) -> Row {
+        self.store.materialize_row(pos)
     }
 
     /// Create an index named `name` over `column` (`ordered` selects the
@@ -264,8 +221,7 @@ impl Table {
             .ok_or_else(|| DbError::NoSuchColumn(column.to_string()))?;
         if let Some(pos) = self.indexes.iter().position(|ix| ix.column == ci) {
             if ordered && !self.indexes[pos].is_ordered() {
-                self.indexes[pos].store =
-                    Self::build_index_store(&self.rows, self.columnar.as_ref(), true, ci);
+                self.indexes[pos].store = Self::build_index_store(&self.store, true, ci);
             }
             return Ok(());
         }
@@ -275,25 +231,17 @@ impl Table {
         self.indexes.push(Index {
             name: name.to_string(),
             column: ci,
-            store: Self::build_index_store(&self.rows, self.columnar.as_ref(), ordered, ci),
+            store: Self::build_index_store(&self.store, ordered, ci),
         });
         Ok(())
     }
 
-    /// Build one index store from whichever layout backs the table.
-    fn build_index_store(
-        rows: &[Row],
-        columnar: Option<&ColumnStore>,
-        ordered: bool,
-        ci: usize,
-    ) -> IndexStore {
-        match columnar {
-            None => IndexStore::build(ordered, rows.iter().map(|r| ValueKey::of(&r[ci]))),
-            Some(st) => IndexStore::build(
-                ordered,
-                (0..st.len()).map(|p| ValueKey::of(&st.value(p, ci))),
-            ),
-        }
+    /// Build one index store over column `ci`.
+    fn build_index_store(store: &ColumnStore, ordered: bool, ci: usize) -> IndexStore {
+        IndexStore::build(
+            ordered,
+            (0..store.len()).map(|p| ValueKey::of(&store.value(p, ci))),
+        )
     }
 
     /// Is there an index over `column` (by position)?
@@ -385,7 +333,7 @@ impl Table {
     /// anything — the first half of [`Table::insert`], split out so a
     /// multi-row insert can validate the whole batch before applying any
     /// of it.
-    fn check_row(&self, row: Row) -> Result<Row, DbError> {
+    fn check_row(&self, mut row: Row) -> Result<Row, DbError> {
         if row.len() != self.schema.arity() {
             return Err(DbError::Type(format!(
                 "insert arity mismatch: expected {} values, got {}",
@@ -393,15 +341,10 @@ impl Table {
                 row.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (v, col) in row.into_iter().zip(&self.schema.columns) {
-            if v.is_null() && !col.nullable {
-                return Err(DbError::Type(format!("column '{}' is NOT NULL", col.name)));
-            }
-            let cv = v.coerce(col.dtype).map_err(DbError::Type)?;
-            out.push(cv);
+        for (v, col) in row.iter_mut().zip(&self.schema.columns) {
+            check_cell(col, v)?;
         }
-        Ok(out)
+        Ok(row)
     }
 
     /// Append an already-validated row and index it.
@@ -413,13 +356,7 @@ impl Table {
                 ix.store.push(key, pos);
             }
         }
-        match &mut self.columnar {
-            None => self.rows.push(row),
-            Some(st) => {
-                st.push_row(&row);
-                self.invalidate_cache();
-            }
-        }
+        self.store.push_row(&row);
     }
 
     /// Validate, coerce and append one row.
@@ -449,26 +386,26 @@ impl Table {
     pub fn insert_all(&mut self, rows: Vec<Row>) -> Result<usize, DbError> {
         let checked = self.validate_rows(rows)?;
         let n = checked.len();
-        if self.columnar.is_none() {
-            self.rows.reserve(n);
-        }
         for r in checked {
             self.append_row(r);
         }
         Ok(n)
     }
 
-    /// Remove rows matching `pred`; returns the number removed. `pred` is
-    /// called exactly once per row (engine closures count errors through
-    /// it). Deletion shifts row positions, so surviving positions are
-    /// remapped through every index — O(survivors) per index instead of a
-    /// full rebuild.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        // `rows()` serves both layouts (materializing columnar tables once).
-        let keep: Vec<bool> = self.rows().iter().map(|r| !pred(r)).collect();
-        let removed = keep.iter().filter(|k| !**k).count();
-        if removed == 0 {
+    /// Remove the rows at `positions` (any order, duplicates tolerated);
+    /// returns the number removed. Deletion shifts row positions, so
+    /// surviving positions are remapped through every index —
+    /// O(survivors) per index instead of a full rebuild.
+    ///
+    /// # Panics
+    /// When a position is out of range.
+    pub fn delete_positions(&mut self, positions: &[usize]) -> usize {
+        if positions.is_empty() {
             return 0;
+        }
+        let mut keep = vec![true; self.len()];
+        for &p in positions {
+            keep[p] = false;
         }
         // Old position → new position, usize::MAX for deleted rows.
         let mut new_of = vec![usize::MAX; keep.len()];
@@ -479,100 +416,56 @@ impl Table {
                 next += 1;
             }
         }
-        match &mut self.columnar {
-            None => {
-                let mut i = 0;
-                self.rows.retain(|_| {
-                    let k = keep[i];
-                    i += 1;
-                    k
-                });
-            }
-            Some(st) => st.retain(&keep),
-        }
-        self.invalidate_cache();
+        self.store.retain(&keep);
         for ix in &mut self.indexes {
             ix.store.remap_positions(&new_of);
         }
-        removed
+        keep.len() - next
     }
 
-    /// Update rows in place via `f`, which returns true when it modified the
-    /// row; returns the number of rows modified. Indexes follow
-    /// incrementally: for each changed row, the old key of every indexed
-    /// column is captured before the callback and the position moved to the
-    /// new key afterwards (no-op when the key is unchanged).
-    pub fn update_where(&mut self, mut f: impl FnMut(&mut Row) -> bool) -> usize {
-        if self.columnar.is_some() {
-            return self.update_where_columnar(&mut f);
+    /// Overwrite columns `cols` of the rows at `positions`: `values[k]`
+    /// holds, for row `positions[k]`, one new value per entry of `cols`
+    /// (a column listed twice takes its last value). Returns the number of
+    /// rows written. The statement is atomic: every value is coerced to its
+    /// column type and checked against NOT NULL *before* the first cell
+    /// changes, so an error leaves the table and its indexes untouched.
+    /// Indexes follow incrementally — a position moves only when its key
+    /// actually changed.
+    ///
+    /// # Panics
+    /// When a position or column is out of range, or the shapes of
+    /// `positions`, `cols` and `values` disagree.
+    pub fn update_positions(
+        &mut self,
+        positions: &[usize],
+        cols: &[usize],
+        mut values: Vec<Row>,
+    ) -> Result<usize, DbError> {
+        assert_eq!(positions.len(), values.len(), "one value row per position");
+        assert!(
+            positions.iter().all(|&p| p < self.len()),
+            "position out of range"
+        );
+        for row in &mut values {
+            assert_eq!(row.len(), cols.len(), "one value per target column");
+            for (v, &ci) in row.iter_mut().zip(cols) {
+                check_cell(&self.schema.columns[ci], v)?;
+            }
         }
-        let mut n = 0;
-        if self.indexes.is_empty() {
-            for r in &mut self.rows {
-                if f(r) {
-                    n += 1;
+        for (&pos, row) in positions.iter().zip(values) {
+            for (v, &ci) in row.into_iter().zip(cols) {
+                // At most one index exists per column.
+                if let Some(ix) = self.indexes.iter_mut().find(|ix| ix.column == ci) {
+                    let old = ValueKey::of(&self.store.value(pos, ci));
+                    let new = ValueKey::of(&v);
+                    if new != old {
+                        ix.store.move_position(&old, new, pos);
+                    }
                 }
-            }
-            return n;
-        }
-        let rows = &mut self.rows;
-        let indexes = &mut self.indexes;
-        let mut old_keys = Vec::with_capacity(indexes.len());
-        for (pos, r) in rows.iter_mut().enumerate() {
-            old_keys.clear();
-            old_keys.extend(indexes.iter().map(|ix| ValueKey::of(&r[ix.column])));
-            if !f(r) {
-                continue;
-            }
-            n += 1;
-            for (ix, old) in indexes.iter_mut().zip(&old_keys) {
-                let new = ValueKey::of(&r[ix.column]);
-                if new != *old {
-                    ix.store.move_position(old, new, pos);
-                }
+                self.store.set(pos, ci, v);
             }
         }
-        n
-    }
-
-    /// Columnar flavour of [`Table::update_where`]: materialize each row for
-    /// the callback, write changed rows back cell-by-cell (values coerce to
-    /// the column type, exactly like the engine's SET path), and move index
-    /// positions for rewritten keys.
-    fn update_where_columnar(&mut self, f: &mut impl FnMut(&mut Row) -> bool) -> usize {
-        let Table {
-            schema,
-            columnar,
-            indexes,
-            ..
-        } = self;
-        let st = columnar.as_mut().expect("columnar layout");
-        let mut n = 0;
-        let mut changed = false;
-        let mut old_keys = Vec::with_capacity(indexes.len());
-        for pos in 0..st.len() {
-            let mut row = st.materialize_row(pos);
-            old_keys.clear();
-            old_keys.extend(indexes.iter().map(|ix| ValueKey::of(&row[ix.column])));
-            if !f(&mut row) {
-                continue;
-            }
-            n += 1;
-            changed = true;
-            st.set_row(pos, &row, schema);
-            for (ix, old) in indexes.iter_mut().zip(&old_keys) {
-                // Key of the *stored* (coerced) value, so index and storage
-                // can never disagree.
-                let new = ValueKey::of(&st.value(pos, ix.column));
-                if new != *old {
-                    ix.store.move_position(old, new, pos);
-                }
-            }
-        }
-        if changed {
-            self.invalidate_cache();
-        }
-        n
+        Ok(positions.len())
     }
 
     /// Rebuild every index from scratch. Normal mutation paths maintain
@@ -580,81 +473,14 @@ impl Table {
     /// baseline (the `mutation_batch` microbench measures incremental
     /// maintenance against it) and as a recovery hammer.
     pub fn rebuild_indexes(&mut self) {
-        let Table {
-            rows,
-            columnar,
-            indexes,
-            ..
-        } = self;
-        for ix in indexes {
-            ix.store = Self::build_index_store(rows, columnar.as_ref(), ix.is_ordered(), ix.column);
+        for ix in &mut self.indexes {
+            ix.store = Self::build_index_store(&self.store, ix.is_ordered(), ix.column);
         }
     }
 
-    /// Memory accounting for this table: actual bytes of the current layout
-    /// plus an estimate of what the *other* layout would cost, so the obs
-    /// gauges can report the row-vs-columnar trade-off.
+    /// Memory accounting for this table.
     pub fn memory_footprint(&self) -> TableMemory {
-        let n = self.len();
-        let arity = self.schema.arity();
-        let value_sz = std::mem::size_of::<Value>();
-        // Row layout: one Vec header + arity inline Values per row, plus the
-        // heap payload of every text cell.
-        let row_fixed = n * (std::mem::size_of::<Row>() + arity * value_sz);
-        match &self.columnar {
-            Some(st) => {
-                let m: ColumnarMemory = st.memory();
-                TableMemory {
-                    rows: n,
-                    columnar: true,
-                    row_layout_bytes: row_fixed + m.row_text_bytes,
-                    columnar_layout_bytes: m.data_bytes + m.dict_bytes,
-                    dict_bytes: m.dict_bytes,
-                    dict_entries: m.dict_entries,
-                }
-            }
-            None => {
-                // Estimate the columnar cost of this row table: 8 bytes per
-                // numeric cell, 4-byte codes plus a distinct-string
-                // dictionary per text column, one null bit per cell.
-                let mut text_heap = 0;
-                let mut columnar_est = 0;
-                let mut dict_bytes = 0;
-                let mut dict_entries = 0;
-                for (ci, col) in self.schema.columns.iter().enumerate() {
-                    columnar_est += n.div_ceil(8); // null bitmap
-                    match col.dtype {
-                        DataType::Int | DataType::Float | DataType::Timestamp => {
-                            columnar_est += 8 * n;
-                        }
-                        DataType::Bool => columnar_est += n,
-                        DataType::Text => {
-                            columnar_est += 4 * n;
-                            let mut distinct: HashSet<&str> = HashSet::new();
-                            for r in &self.rows {
-                                if let Value::Text(s) = &r[ci] {
-                                    text_heap += s.len();
-                                    distinct.insert(s.as_str());
-                                }
-                            }
-                            dict_entries += distinct.len();
-                            for s in distinct {
-                                dict_bytes += 2 * (24 + s.len());
-                            }
-                        }
-                    }
-                }
-                columnar_est += dict_bytes;
-                TableMemory {
-                    rows: n,
-                    columnar: false,
-                    row_layout_bytes: row_fixed + text_heap,
-                    columnar_layout_bytes: columnar_est,
-                    dict_bytes,
-                    dict_entries,
-                }
-            }
-        }
+        self.store.memory()
     }
 }
 
@@ -663,6 +489,25 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use crate::value::DataType;
+
+    /// Positions of the rows matching `pred` — the tests' selection step.
+    fn positions(tb: &Table, pred: impl Fn(&Row) -> bool) -> Vec<usize> {
+        let rows = tb.to_rows();
+        (0..rows.len()).filter(|&p| pred(&rows[p])).collect()
+    }
+
+    /// `DELETE … WHERE pred`.
+    fn delete_where(tb: &mut Table, pred: impl Fn(&Row) -> bool) -> usize {
+        let at = positions(tb, pred);
+        tb.delete_positions(&at)
+    }
+
+    /// `UPDATE … SET col = v WHERE pred`.
+    fn set_where(tb: &mut Table, col: usize, v: Value, pred: impl Fn(&Row) -> bool) -> usize {
+        let at = positions(tb, pred);
+        let values = vec![vec![v]; at.len()];
+        tb.update_positions(&at, &[col], values).unwrap()
+    }
 
     fn t() -> Table {
         Table::new(
@@ -678,7 +523,7 @@ mod tests {
     fn insert_coerces_types() {
         let mut tb = t();
         tb.insert(vec![Value::Int(1), Value::Int(5)]).unwrap();
-        assert_eq!(tb.rows()[0][1], Value::Float(5.0));
+        assert_eq!(tb.row(0)[1], Value::Float(5.0));
     }
 
     #[test]
@@ -732,25 +577,44 @@ mod tests {
             tb.insert(vec![Value::Int(i), Value::Float(i as f64)])
                 .unwrap();
         }
-        let n = tb.update_where(|r| {
-            if r[0].as_i64().unwrap() % 2 == 0 {
-                r[1] = Value::Float(0.0);
-                true
-            } else {
-                false
-            }
+        let n = set_where(&mut tb, 1, Value::Float(0.0), |r| {
+            r[0].as_i64().unwrap() % 2 == 0
         });
         assert_eq!(n, 3);
-        let n = tb.delete_where(|r| r[1] == Value::Float(0.0));
+        let n = delete_where(&mut tb, |r| r[1] == Value::Float(0.0));
         assert_eq!(n, 3);
         assert_eq!(tb.len(), 2);
+    }
+
+    #[test]
+    fn rejected_update_leaves_table_and_indexes_untouched() {
+        let mut tb = t();
+        tb.create_index("by_id", "id", true).unwrap();
+        for i in 0..4 {
+            tb.insert(vec![Value::Int(i), Value::Float(i as f64)])
+                .unwrap();
+        }
+        let before = tb.to_rows();
+        // The last selected row violates NOT NULL: no earlier row may change.
+        let bad = vec![
+            vec![Value::Int(10)],
+            vec![Value::Int(11)],
+            vec![Value::Null],
+        ];
+        assert!(tb.update_positions(&[0, 1, 2], &[0], bad).is_err());
+        // A value that does not coerce to the column type behaves the same.
+        let bad = vec![vec![Value::Int(10)], vec![Value::Text("abc".into())]];
+        assert!(tb.update_positions(&[0, 1], &[0], bad).is_err());
+        assert_eq!(tb.to_rows(), before);
+        assert_eq!(lookup_ids(&tb, 0), vec![0]);
+        assert!(lookup_ids(&tb, 10).is_empty());
     }
 
     fn lookup_ids(tb: &Table, key: i64) -> Vec<i64> {
         tb.index_lookup(0, &ValueKey::of(&Value::Int(key)))
             .unwrap()
             .iter()
-            .map(|&i| tb.rows()[i][0].as_i64().unwrap())
+            .map(|&i| tb.row(i)[0].as_i64().unwrap())
             .collect()
     }
 
@@ -769,17 +633,10 @@ mod tests {
                 .unwrap()
                 .is_empty());
             // Delete shifts positions; the index must follow.
-            tb.delete_where(|r| r[0] == Value::Int(0));
+            delete_where(&mut tb, |r| r[0] == Value::Int(0));
             assert_eq!(lookup_ids(&tb, 2), vec![2, 2]);
             // Update rewrites the key column; the index must follow.
-            tb.update_where(|r| {
-                if r[0] == Value::Int(1) {
-                    r[0] = Value::Int(7);
-                    true
-                } else {
-                    false
-                }
-            });
+            set_where(&mut tb, 0, Value::Int(7), |r| r[0] == Value::Int(1));
             assert!(tb
                 .index_lookup(0, &ValueKey::of(&Value::Int(1)))
                 .unwrap()
@@ -796,15 +653,8 @@ mod tests {
             tb.insert(vec![Value::Int(i % 7), Value::Float(i as f64)])
                 .unwrap();
         }
-        tb.delete_where(|r| r[1].as_f64().unwrap() % 3.0 == 0.0);
-        tb.update_where(|r| {
-            if r[0] == Value::Int(2) {
-                r[0] = Value::Int(11);
-                true
-            } else {
-                false
-            }
-        });
+        delete_where(&mut tb, |r| r[1].as_f64().unwrap() % 3.0 == 0.0);
+        set_where(&mut tb, 0, Value::Int(11), |r| r[0] == Value::Int(2));
         let incremental: Vec<Vec<i64>> = (0..12).map(|k| lookup_ids(&tb, k)).collect();
         let mut rebuilt = tb.clone();
         rebuilt.rebuild_indexes();
@@ -824,7 +674,7 @@ mod tests {
             tb.range_lookup(0, lo, hi)
                 .unwrap()
                 .iter()
-                .map(|&p| tb.rows()[p][0].as_i64().unwrap())
+                .map(|&p| tb.row(p)[0].as_i64().unwrap())
                 .collect()
         };
         assert_eq!(
@@ -932,78 +782,66 @@ mod tests {
         assert!(tb.has_ordered_index_on(0));
     }
 
-    fn tc() -> Table {
-        Table::new_columnar(
-            Schema::new(vec![
-                Column::not_null("id", DataType::Int),
-                Column::new("bw", DataType::Float),
-            ])
-            .unwrap(),
-        )
-    }
-
-    /// A columnar table behaves identically to a row table through the whole
+    /// The table behaves like a plain `Vec<Row>` model through the whole
     /// mutation + index surface: same inserts, deletes, updates and lookups.
     #[test]
     fn columnar_matches_row_layout_through_mutations() {
-        let mut rt = t();
-        let mut ct = tc();
-        assert!(ct.is_columnar() && !rt.is_columnar());
-        for tb in [&mut rt, &mut ct] {
-            tb.create_index("by_id", "id", true).unwrap();
-            for i in 0..30 {
-                tb.insert(vec![Value::Int(i % 7), Value::Float(i as f64)])
-                    .unwrap();
-            }
-            tb.delete_where(|r| r[1].as_f64().unwrap() % 3.0 == 0.0);
-            tb.update_where(|r| {
-                if r[0] == Value::Int(2) {
-                    r[0] = Value::Int(11);
-                    true
-                } else {
-                    false
-                }
-            });
+        let mut tb = t();
+        let mut model: Vec<Row> = Vec::new();
+        tb.create_index("by_id", "id", true).unwrap();
+        for i in 0..30 {
+            let row = vec![Value::Int(i % 7), Value::Float(i as f64)];
+            tb.insert(row.clone()).unwrap();
+            model.push(row);
         }
-        assert_eq!(rt.rows(), ct.rows());
-        assert_eq!(rt.len(), ct.len());
+        delete_where(&mut tb, |r| r[1].as_f64().unwrap() % 3.0 == 0.0);
+        model.retain(|r| r[1].as_f64().unwrap() % 3.0 != 0.0);
+        set_where(&mut tb, 0, Value::Int(11), |r| r[0] == Value::Int(2));
+        for r in model.iter_mut().filter(|r| r[0] == Value::Int(2)) {
+            r[0] = Value::Int(11);
+        }
+        assert_eq!(tb.to_rows(), model);
+        assert_eq!(tb.len(), model.len());
+        let scan = |pred: &dyn Fn(i64) -> bool| -> Vec<usize> {
+            (0..model.len())
+                .filter(|&p| pred(model[p][0].as_i64().unwrap()))
+                .collect()
+        };
         for k in 0..12 {
-            assert_eq!(lookup_ids(&rt, k), lookup_ids(&ct, k), "key {k}");
+            let key = ValueKey::of(&Value::Int(k));
+            assert_eq!(
+                tb.index_lookup(0, &key).unwrap(),
+                scan(&|id| id == k),
+                "key {k}"
+            );
         }
         assert_eq!(
-            rt.range_lookup(
-                0,
-                Bound::Included(&ValueKey::of(&Value::Int(1))),
-                Bound::Excluded(&ValueKey::of(&Value::Int(5)))
-            ),
-            ct.range_lookup(
+            tb.range_lookup(
                 0,
                 Bound::Included(&ValueKey::of(&Value::Int(1))),
                 Bound::Excluded(&ValueKey::of(&Value::Int(5)))
             )
+            .unwrap(),
+            scan(&|id| (1..5).contains(&id))
         );
     }
 
     #[test]
-    fn columnar_row_cache_invalidates_on_mutation() {
-        let mut tb = tc();
+    fn to_rows_reflects_every_mutation() {
+        let mut tb = t();
         tb.insert(vec![Value::Int(1), Value::Float(1.0)]).unwrap();
-        assert_eq!(tb.rows().len(), 1); // cache materializes
+        assert_eq!(tb.to_rows().len(), 1);
         tb.insert(vec![Value::Int(2), Value::Float(2.0)]).unwrap();
-        assert_eq!(tb.rows().len(), 2); // cache was invalidated
-        tb.update_where(|r| {
-            r[1] = Value::Float(9.0);
-            true
-        });
-        assert_eq!(tb.rows()[0][1], Value::Float(9.0));
-        tb.delete_where(|r| r[0] == Value::Int(1));
-        assert_eq!(tb.rows().len(), 1);
-        assert_eq!(tb.rows()[0][0], Value::Int(2));
+        assert_eq!(tb.to_rows().len(), 2);
+        set_where(&mut tb, 1, Value::Float(9.0), |_| true);
+        assert_eq!(tb.row(0)[1], Value::Float(9.0));
+        delete_where(&mut tb, |r| r[0] == Value::Int(1));
+        assert_eq!(tb.to_rows(), vec![vec![Value::Int(2), Value::Float(9.0)]]);
     }
 
     #[test]
     fn columnar_insert_all_stays_atomic() {
-        let mut tb = tc();
+        let mut tb = t();
         tb.create_index("by_id", "id", false).unwrap();
         tb.insert(vec![Value::Int(1), Value::Float(1.0)]).unwrap();
         let err = tb.insert_all(vec![
@@ -1019,23 +857,23 @@ mod tests {
     }
 
     #[test]
-    fn memory_footprint_reports_both_layouts() {
-        let mut rt = t();
-        let mut ct = tc();
-        for tb in [&mut rt, &mut ct] {
-            for i in 0..100 {
-                tb.insert(vec![Value::Int(i), Value::Float(i as f64)])
-                    .unwrap();
-            }
+    fn memory_footprint_reports_store_and_dictionary_bytes() {
+        let mut tb = Table::new(
+            Schema::new(vec![
+                Column::not_null("id", DataType::Int),
+                Column::new("fs", DataType::Text),
+            ])
+            .unwrap(),
+        );
+        for i in 0..100 {
+            tb.insert(vec![Value::Int(i), Value::Text(format!("fs{}", i % 4))])
+                .unwrap();
         }
-        let rm = rt.memory_footprint();
-        let cm = ct.memory_footprint();
-        assert!(!rm.columnar && cm.columnar);
-        assert_eq!(rm.rows, 100);
-        assert_eq!(cm.rows, 100);
-        assert!(rm.row_layout_bytes > 0 && rm.columnar_layout_bytes > 0);
-        assert!(cm.columnar_layout_bytes > 0 && cm.row_layout_bytes > 0);
-        // Two numeric columns: columnar is far denser than 32-byte Values.
-        assert!(cm.columnar_layout_bytes < cm.row_layout_bytes);
+        let m = tb.memory_footprint();
+        assert_eq!(m.rows, 100);
+        assert_eq!(m.dict_entries, 4);
+        // 8-byte ids + 4-byte codes per row, plus the dictionary.
+        assert!(m.dict_bytes > 0);
+        assert!(m.bytes >= 100 * 12 + m.dict_bytes, "{m:?}");
     }
 }

@@ -147,8 +147,8 @@ impl Transaction {
 
     /// Execute one mutating statement against the workspace. Effects stay
     /// private until [`Transaction::commit`]. A failed statement does not
-    /// poison the transaction — its (possibly partial, per the engine-wide
-    /// statement contract) workspace effect and its log entry are kept, so
+    /// poison the transaction — it has no workspace effect (INSERT, UPDATE
+    /// and DELETE are statement-atomic) and its log entry is kept, so
     /// commit-applied state always equals a WAL replay of the buffer.
     pub fn execute(&mut self, sql_text: &str) -> Result<usize, DbError> {
         self.check_open()?;
@@ -216,7 +216,6 @@ impl Transaction {
                 name,
                 if_not_exists,
                 columns,
-                columnar,
                 ..
             } => {
                 if self.view_has(&name) {
@@ -235,12 +234,7 @@ impl Transaction {
                         })
                         .collect(),
                 )?;
-                let table = if columnar {
-                    Table::new_columnar(schema)
-                } else {
-                    Table::new(schema)
-                };
-                self.work.insert(name, Some(Arc::new(table)));
+                self.work.insert(name, Some(Arc::new(Table::new(schema))));
                 Ok(0)
             }
             Stmt::DropTable { name, if_exists } => {
@@ -330,19 +324,17 @@ impl Transaction {
         Arc::make_mut(self.touch(name)?).insert_all(rows)
     }
 
-    /// Create a columnar table (programmatic mirror of
-    /// `CREATE TABLE … USING COLUMNAR`).
-    pub fn create_table_columnar(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
+    /// Create a table (programmatic mirror of `CREATE TABLE`; logged as
+    /// rendered SQL, like [`Engine::create_table`]).
+    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
         self.check_open()?;
         if self.view_has(name) {
             return Err(DbError::TableExists(name.to_string()));
         }
         self.log
-            .push(dump::render_create_table(name, &schema, false, true));
-        self.work.insert(
-            name.to_string(),
-            Some(Arc::new(Table::new_columnar(schema))),
-        );
+            .push(dump::render_create_table(name, &schema, false));
+        self.work
+            .insert(name.to_string(), Some(Arc::new(Table::new(schema))));
         Ok(())
     }
 
@@ -761,7 +753,7 @@ mod tests {
             Column::new("v", DataType::Float),
         ])
         .unwrap();
-        txn.create_table_columnar("cd", schema).unwrap();
+        txn.create_table("cd", schema).unwrap();
         txn.insert_rows("cd", vec![vec![Value::Int(1), Value::Float(0.5)]])
             .unwrap();
         txn.drop_table("t", false).unwrap();
@@ -771,6 +763,5 @@ mod tests {
         assert!(db.has_table("cd"));
         assert!(!db.has_table("t"));
         assert_eq!(count(&db, "SELECT count(*) FROM cd"), 1);
-        assert!(db.dump_sql().contains("USING COLUMNAR"));
     }
 }

@@ -174,10 +174,10 @@ fn in_window(key: &ValueKey, lo: &Bound<ValueKey>, hi: &Bound<ValueKey>) -> bool
 }
 
 /// Row positions whose `column` key equals / falls inside the probe, by
-/// brute-force scan over all rows. NULL keys never match (not indexed).
-fn scan_eq(t: &Table, column: usize, key: &ValueKey) -> Vec<usize> {
-    t.rows()
-        .iter()
+/// brute-force scan over the `Vec<Row>` model. NULL keys never match (not
+/// indexed).
+fn scan_eq(rows: &[Vec<Value>], column: usize, key: &ValueKey) -> Vec<usize> {
+    rows.iter()
         .enumerate()
         .filter(|(_, r)| {
             let k = ValueKey::of(&r[column]);
@@ -187,9 +187,13 @@ fn scan_eq(t: &Table, column: usize, key: &ValueKey) -> Vec<usize> {
         .collect()
 }
 
-fn scan_range(t: &Table, column: usize, lo: &Bound<ValueKey>, hi: &Bound<ValueKey>) -> Vec<usize> {
-    t.rows()
-        .iter()
+fn scan_range(
+    rows: &[Vec<Value>],
+    column: usize,
+    lo: &Bound<ValueKey>,
+    hi: &Bound<ValueKey>,
+) -> Vec<usize> {
+    rows.iter()
         .enumerate()
         .filter(|(_, r)| {
             let k = ValueKey::of(&r[column]);
@@ -200,8 +204,10 @@ fn scan_range(t: &Table, column: usize, lo: &Bound<ValueKey>, hi: &Bound<ValueKe
 }
 
 /// Incremental index maintenance under interleaved random insert / delete /
-/// update batches: after every mutation, each point probe and range probe
-/// must return positions identical to a full scan of the row store.
+/// update batches: after every mutation, the table holds the rows of an
+/// in-test `Vec<Row>` model put through the same mutations, and each point
+/// probe and range probe returns the positions a full scan of the model
+/// finds.
 ///
 /// Columns: `k` ordered int index (duplicate-heavy), `v` ordered float index
 /// (occasional NaN / NULL), `s` hash index (small alphabet).
@@ -221,6 +227,11 @@ fn index_maintenance_matches_full_scan() {
         // Start `v` as a hash index and upgrade mid-run below.
         t.create_index("ix_v", "v", false).unwrap();
         t.create_index("ix_s", "s", false).unwrap();
+        let mut model: Vec<Vec<Value>> = Vec::new();
+        // Positions of the model rows matching `pred` — the selection step.
+        let select = |model: &[Vec<Value>], pred: &dyn Fn(&[Value]) -> bool| -> Vec<usize> {
+            (0..model.len()).filter(|&p| pred(&model[p])).collect()
+        };
 
         fn mk_row(rng: &mut Rng) -> Vec<Value> {
             let k = Value::Int(rng.int(0, 12));
@@ -251,6 +262,7 @@ fn index_maintenance_matches_full_scan() {
                     let batch: Vec<Vec<Value>> =
                         (0..1 + rng.below(8)).map(|_| mk_row(&mut rng)).collect();
                     let n = batch.len();
+                    model.extend(batch.iter().cloned());
                     assert_eq!(t.insert_all(batch).unwrap(), n);
                 }
                 // Delete rows matching a random predicate.
@@ -258,13 +270,16 @@ fn index_maintenance_matches_full_scan() {
                     let cut = rng.int(0, 12);
                     let by_k = rng.bool();
                     let thr = rng.float(-50.0, 50.0);
-                    t.delete_where(|r| {
+                    let doomed = |r: &[Value]| {
                         if by_k {
                             r[0] == Value::Int(cut)
                         } else {
                             matches!(r[1], Value::Float(f) if f < thr)
                         }
-                    });
+                    };
+                    let at = select(&model, &doomed);
+                    assert_eq!(t.delete_positions(&at), at.len());
+                    model.retain(|r| !doomed(r));
                 }
                 // Update: rewrite indexed columns of matching rows.
                 _ => {
@@ -275,23 +290,24 @@ fn index_maintenance_matches_full_scan() {
                     } else {
                         rng.float(-50.0, 50.0)
                     };
-                    t.update_where(|r| {
-                        if r[0] == Value::Int(target) {
-                            r[0] = Value::Int(newk);
-                            r[1] = Value::Float(newv);
-                            r[2] = Value::Text("z".into());
-                            true
-                        } else {
-                            false
-                        }
-                    });
+                    let at = select(&model, &|r| r[0] == Value::Int(target));
+                    let new = vec![
+                        Value::Int(newk),
+                        Value::Float(newv),
+                        Value::Text("z".into()),
+                    ];
+                    for &p in &at {
+                        model[p] = new.clone();
+                    }
+                    let n = t.update_positions(&at, &[0, 1, 2], vec![new; at.len()]);
+                    assert_eq!(n.unwrap(), at.len());
                 }
             }
 
+            assert_eq!(t.to_rows(), model, "rows after step {step}");
             // Point probes: every live key, plus probes that should miss.
             for col in [0usize, 1, 2] {
-                let mut keys: Vec<ValueKey> = t
-                    .rows()
+                let mut keys: Vec<ValueKey> = model
                     .iter()
                     .map(|r| ValueKey::of(&r[col]))
                     .filter(|k| !k.is_null())
@@ -301,7 +317,7 @@ fn index_maintenance_matches_full_scan() {
                 for key in &keys {
                     assert_eq!(
                         t.index_lookup(col, key).unwrap(),
-                        scan_eq(&t, col, key).as_slice(),
+                        scan_eq(&model, col, key).as_slice(),
                         "col {col} key {key:?} after step {step}",
                     );
                 }
@@ -343,7 +359,7 @@ fn index_maintenance_matches_full_scan() {
                     .expect("ordered index present");
                 assert_eq!(
                     got,
-                    scan_range(&t, col, &lo, &hi),
+                    scan_range(&model, col, &lo, &hi),
                     "range {lo:?}..{hi:?} step {step}"
                 );
             }
@@ -425,25 +441,155 @@ fn planned_queries_match_unindexed_copy() {
     }
 }
 
-/// Every query in the corpus returns byte-identical results on a columnar
-/// copy of the data vs the row-store original — including NULLs, NaN and
-/// -0.0 payloads, dictionary-encoded text, aggregate outputs, and queries
-/// that fall off the vectorized path (OR predicates, expression
+/// SQL `UPDATE` and `DELETE` find their rows through the selection step
+/// SELECT uses. Statements whose WHERE clause is index-served, vectorizable
+/// over a full scan, or left to the scalar filter (`OR`, expressions) each
+/// leave the table — rows, affected-row count and both indexes — equal to
+/// a `Vec<Row>` model put through the same change.
+#[test]
+fn sql_update_delete_match_row_model() {
+    let mut rng = Rng::new(0x5E1);
+    for _case in 0..10 {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (k INTEGER, v FLOAT, s TEXT)")
+            .unwrap();
+        db.execute("CREATE ORDERED INDEX ix_k ON t (k)").unwrap();
+        db.execute("CREATE INDEX ix_s ON t (s)").unwrap();
+        let mut model: Vec<Vec<Value>> = (0..60 + rng.below(120))
+            .map(|_| {
+                let k = if rng.below(12) == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(rng.int(0, 12))
+                };
+                let v = match rng.below(12) {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    _ => Value::Float(rng.float(-50.0, 50.0)),
+                };
+                vec![k, v, Value::Text(rng.string_from(b"abc", 1))]
+            })
+            .collect();
+        db.insert_rows("t", model.clone()).unwrap();
+
+        for step in 0..12 {
+            let a = rng.int(0, 12);
+            let b = rng.int(0, 12);
+            let thr = rng.float(-50.0, 50.0);
+            let int = |v: &Value| v.as_i64().filter(|_| !v.is_null());
+            let float = |v: &Value| v.as_f64().filter(|_| !v.is_null());
+            // (statement, matching rows of the model, the change or None
+            // for DELETE).
+            type Pred<'a> = Box<dyn Fn(&[Value]) -> bool + 'a>;
+            type Change<'a> = Box<dyn Fn(&mut Vec<Value>) + 'a>;
+            let (sql, hit, change): (String, Pred, Option<Change>) = match step % 6 {
+                // Index-served.
+                0 => (
+                    format!("DELETE FROM t WHERE k = {a}"),
+                    Box::new(|r| int(&r[0]) == Some(a)),
+                    None,
+                ),
+                3 => (
+                    format!("UPDATE t SET k = {b}, s = 'z' WHERE k IN ({a}, {})", a + 1),
+                    Box::new(|r| int(&r[0]).is_some_and(|k| k == a || k == a + 1)),
+                    Some(Box::new(|r| {
+                        r[0] = Value::Int(b);
+                        r[2] = Value::Text("z".into());
+                    })),
+                ),
+                // Vectorizable full scan.
+                1 => (
+                    format!("DELETE FROM t WHERE v < {thr:?} AND s <> 'b'"),
+                    Box::new(|r| {
+                        float(&r[1]).is_some_and(|v| v < thr) && r[2] != Value::Text("b".into())
+                    }),
+                    None,
+                ),
+                4 => (
+                    format!("UPDATE t SET s = 'big', k = NULL WHERE v >= {thr:?}"),
+                    // NaN sorts above every number.
+                    Box::new(|r| float(&r[1]).is_some_and(|v| v >= thr || v.is_nan())),
+                    Some(Box::new(|r| {
+                        r[2] = Value::Text("big".into());
+                        r[0] = Value::Null;
+                    })),
+                ),
+                // Scalar-filter fallback: OR, expressions over columns.
+                2 => (
+                    format!("DELETE FROM t WHERE k = {a} OR v > {thr:?}"),
+                    Box::new(|r| {
+                        int(&r[0]) == Some(a) || float(&r[1]).is_some_and(|v| v > thr || v.is_nan())
+                    }),
+                    None,
+                ),
+                _ => (
+                    format!("UPDATE t SET k = k + 1, v = v * 2.0 WHERE k + 1 > {a}"),
+                    Box::new(|r| int(&r[0]).is_some_and(|k| k + 1 > a)),
+                    Some(Box::new(|r| {
+                        r[0] = Value::Int(int(&r[0]).unwrap() + 1);
+                        r[1] = float(&r[1]).map_or(Value::Null, |v| Value::Float(v * 2.0));
+                    })),
+                ),
+            };
+            let affected = model.iter().filter(|r| hit(r)).count();
+            match &change {
+                None => model.retain(|r| !hit(r)),
+                Some(f) => model.iter_mut().filter(|r| hit(r)).for_each(f),
+            }
+            assert_eq!(db.execute(&sql).unwrap(), affected, "{sql}");
+
+            let t = db.pin_table("t").unwrap();
+            assert_eq!(
+                format!("{:?}", t.to_rows()),
+                format!("{model:?}"),
+                "rows after {sql}"
+            );
+            for col in [0usize, 2] {
+                let mut keys: Vec<ValueKey> = model
+                    .iter()
+                    .map(|r| ValueKey::of(&r[col]))
+                    .filter(|k| !k.is_null())
+                    .collect();
+                keys.push(ValueKey::of(&Value::Int(a)));
+                keys.push(ValueKey::of(&Value::Text("z".into())));
+                keys.sort();
+                keys.dedup();
+                for key in &keys {
+                    assert_eq!(
+                        t.index_lookup(col, key).unwrap(),
+                        scan_eq(&model, col, key).as_slice(),
+                        "col {col} key {key:?} after {sql}",
+                    );
+                }
+            }
+            let (lo, hi) = (
+                Bound::Included(ValueKey::of(&Value::Int(a.min(b)))),
+                Bound::Excluded(ValueKey::of(&Value::Int(a.max(b)))),
+            );
+            assert_eq!(
+                t.range_lookup(0, as_bound_ref(&lo), as_bound_ref(&hi))
+                    .unwrap(),
+                scan_range(&model, 0, &lo, &hi),
+                "range after {sql}"
+            );
+        }
+    }
+}
+
+/// Every query in the corpus returns byte-identical results from the
+/// optimized pipeline and the reference executor — including NULLs, NaN
+/// and -0.0 payloads, dictionary-encoded text, aggregate outputs, and
+/// queries that fall off the vectorized path (OR predicates, expression
 /// projections). Results are compared through their debug rendering, which
 /// distinguishes Int from Float and -0.0 from 0.0 and treats two NaNs as
-/// equal text — stricter than `Value`'s `==` for this purpose.
-///
-/// Row counts stay below the parallel-scan threshold so the row engine's
-/// aggregation is sequential too; both sides then produce bit-equal floats.
+/// equal text — stricter than `Value`'s `==` for this purpose. The same
+/// rendering must survive a dump round trip.
 #[test]
 fn columnar_copy_matches_row_store() {
     let mut rng = Rng::new(0xC01);
     for _case in 0..12 {
-        let row = Engine::new();
-        let col = Engine::new();
-        row.execute("CREATE TABLE t (k INTEGER, v FLOAT, s TEXT, ok BOOLEAN)")
-            .unwrap();
-        col.execute("CREATE TABLE t (k INTEGER, v FLOAT, s TEXT, ok BOOLEAN) USING COLUMNAR")
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (k INTEGER, v FLOAT, s TEXT, ok BOOLEAN)")
             .unwrap();
 
         let n = 40 + rng.below(260);
@@ -474,8 +620,7 @@ fn columnar_copy_matches_row_store() {
                 vec![k, v, s, ok]
             })
             .collect();
-        row.insert_rows("t", data.clone()).unwrap();
-        col.insert_rows("t", data).unwrap();
+        db.insert_rows("t", data).unwrap();
 
         let a = rng.int(-5, 20);
         let thr = rng.float(-100.0, 100.0);
@@ -498,29 +643,25 @@ fn columnar_copy_matches_row_store() {
             format!("SELECT ok, count(*), sum(k) FROM t WHERE v <> {thr:?} GROUP BY ok"),
         ];
         let check = |tag: &str| {
+            let restored = Engine::from_sql_dump(&db.dump_sql()).unwrap();
             for q in &corpus {
-                let run = |db: &Engine| {
-                    format!(
-                        "{:?}",
-                        db.query(q)
-                            .unwrap_or_else(|e| panic!("{tag}: {q}: {e:?}"))
-                            .rows()
-                    )
+                let render = |rs: Result<sqldb::ResultSet, sqldb::DbError>| {
+                    let rs = rs.unwrap_or_else(|e| panic!("{tag}: {q}: {e:?}"));
+                    format!("{:?}", rs.rows())
                 };
-                assert_eq!(run(&col), run(&row), "{tag}: {q}");
+                let want = render(db.query_reference(q));
+                assert_eq!(render(db.query(q)), want, "{tag}: {q}");
+                assert_eq!(render(restored.query(q)), want, "{tag} restored: {q}");
             }
         };
         check("fresh");
 
-        // The same mutations applied to both stores keep them equivalent.
-        for db in [&row, &col] {
-            db.execute(&format!("DELETE FROM t WHERE k = {a}")).unwrap();
-            db.execute(&format!(
-                "UPDATE t SET s = 'mut', v = 1.5 WHERE v > {thr:?}"
-            ))
-            .unwrap();
-        }
-        assert_eq!(row.row_count("t").unwrap(), col.row_count("t").unwrap());
+        // Mutations keep the two pipelines (and the dump) equivalent.
+        db.execute(&format!("DELETE FROM t WHERE k = {a}")).unwrap();
+        db.execute(&format!(
+            "UPDATE t SET s = 'mut', v = 1.5 WHERE v > {thr:?}"
+        ))
+        .unwrap();
         check("mutated");
     }
 }

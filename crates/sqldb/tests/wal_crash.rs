@@ -349,8 +349,8 @@ fn short_reads_during_recovery_are_torn_tails_not_errors() {
     }
 }
 
-/// An import-like workload against a columnar table: the `USING COLUMNAR`
-/// DDL, inserts with NULL cells (null bitmaps), repeated tags (dictionary
+/// An import-like workload as an older build logged it: `USING COLUMNAR`
+/// DDL (accepted and ignored now), inserts with NULL cells (null bitmaps), repeated tags (dictionary
 /// codes), and updates/deletes that rewrite the typed vectors in place.
 fn columnar_workload() -> Vec<String> {
     let mut stmts = vec![
@@ -379,10 +379,10 @@ fn columnar_workload() -> Vec<String> {
     stmts
 }
 
-/// Columnar tables ride the same WAL frames as row tables (the `USING
-/// COLUMNAR` DDL is logged verbatim), so every crash family must recover a
-/// consistent prefix here too — and the recovered table must still be
-/// columnar, with the vectorized path live.
+/// A log holding the old `USING COLUMNAR` DDL rides the same WAL frames as
+/// any other, so every crash family must recover a consistent prefix here
+/// too — with the vectorized path live on the recovered table and the
+/// clause gone from its dump.
 #[test]
 fn columnar_tables_survive_kill_points_and_checkpoint_kill() {
     let dir = TempDir::new("columnar");
@@ -416,15 +416,15 @@ fn columnar_tables_survive_kill_points_and_checkpoint_kill() {
         recover_and_check(&wal_path, &full_log);
     }
 
-    // The recovered table keeps its layout: the dump re-emits the clause
-    // and EXPLAIN still reports the vectorized columnar path.
+    // The clause is read, never written: the dump drops it, and EXPLAIN
+    // reports the vectorized path like for any table.
     let (wal, stmts, _) = Wal::open_recover(&master, WalOptions::default()).unwrap();
     drop(wal);
     let eng = Engine::new();
     for s in &stmts {
         eng.execute(s).unwrap();
     }
-    assert!(eng.dump_sql().contains("USING COLUMNAR"));
+    assert!(!eng.dump_sql().contains("USING"));
     let plan = eng
         .query("EXPLAIN SELECT tag, count(*) FROM runs GROUP BY tag")
         .unwrap();
@@ -434,7 +434,7 @@ fn columnar_tables_survive_kill_points_and_checkpoint_kill() {
         .map(|r| r[0].to_string())
         .collect::<Vec<_>>()
         .join("\n");
-    assert!(text.contains("layout=columnar"), "{text}");
+    assert!(text.contains(" vectorized=full "), "{text}");
 
     // Checkpoint kill between the dump rename and the log compaction:
     // every frame is both in the dump and in the log, and must be applied

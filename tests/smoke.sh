@@ -171,4 +171,7 @@ cargo run --release -p bench --bin server_stress -- --quick
 echo "== bench regression guard =="
 cargo run --release -p bench --bin bench_guard
 
+echo "== net Rust LOC (informational; the figure CHANGES.md reports) =="
+sh tests/loc.sh || true
+
 echo "smoke: OK"

@@ -44,7 +44,11 @@
 //!   byte-identical to the server's `/query` response body; or run a
 //!   `;`-separated script atomically inside one write transaction
 //!   (`BEGIN`/`COMMIT`/`ROLLBACK` honored, SELECTs see the
-//!   transaction's own writes)
+//!   transaction's own writes); the script is parsed whole before any of
+//!   it runs, and a statement that does not parse is reported with what
+//!   was expected, the token found instead and its line and column in the
+//!   script as passed: `SQL parse error: expected ')', found 'FROM'
+//!   (line 2, column 7)`
 //!
 //! `query` additionally accepts `--trace file`, writing the span tree of
 //! the query's execution (DAG elements, SQL statements, cluster traffic)

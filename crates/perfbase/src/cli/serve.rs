@@ -117,7 +117,7 @@ pub fn cmd_serve(argv: Vec<String>) -> Result<String, String> {
 /// transaction commits implicitly — end with `ROLLBACK` to discard). The
 /// database file is rewritten only if something committed.
 pub fn cmd_sql(argv: Vec<String>) -> Result<String, String> {
-    use sqldb::sql::{parse_statement, split_script, Stmt};
+    use sqldb::sql::{parse_script, parse_statement, split_script, Stmt};
     let a = Args::parse(argv, &with(&[])).map_err(err)?;
     let db_path = a.require("db").map_err(err)?;
     let db = open_db(db_path)?;
@@ -128,6 +128,9 @@ pub fn cmd_sql(argv: Vec<String>) -> Result<String, String> {
                 .to_string(),
         );
     }
+    // Parsed whole before anything runs, so that a syntax error is located
+    // in the text the user passed, not in one statement cut out of it.
+    parse_script(&stmts[0]).map_err(err)?;
     let script = split_script(&stmts[0]);
     // Single SELECT: the historical fast path, byte-identical to /query.
     if script.len() == 1 {

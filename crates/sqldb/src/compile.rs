@@ -16,7 +16,7 @@
 //! interpreter.
 
 use crate::error::DbError;
-use crate::expr::{binary_values, scalar_fn, truthy, LikePattern};
+use crate::expr::{binary_values, negate, scalar_fn, truthy, LikePattern};
 use crate::schema::Schema;
 use crate::sql::{SqlExpr, UnOp};
 use crate::value::Value;
@@ -138,12 +138,7 @@ impl CompiledExpr {
             CompiledExpr::Lit(v) => Ok(v.clone()),
             CompiledExpr::Col(i) => Ok(row[*i].clone()),
             CompiledExpr::BadCol(name) => Err(DbError::NoSuchColumn(name.clone())),
-            CompiledExpr::Neg(x) => match x.eval(row)? {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::Float(-f)),
-                other => Err(DbError::Type(format!("cannot negate {other}"))),
-            },
+            CompiledExpr::Neg(x) => negate(x.eval(row)?),
             CompiledExpr::Not(x) => Ok(Value::Bool(!truthy(&x.eval(row)?))),
             CompiledExpr::And(l, r) => {
                 if !truthy(&l.eval(row)?) {
@@ -272,6 +267,8 @@ mod tests {
             "a / 8 = 0.5",
             "a % 3 = 1",
             "-a = -4",
+            "- -9223372036854775808 = 1",
+            "-(-9223372036854775808) = 1",
             "a * b = 10.0",
             "n + 1 IS NULL",
             "s IN ('nfs', 'ufs')",

@@ -6,6 +6,7 @@
 //! trivially diffable, and it exercises the same SQL front-end as every
 //! other access path. TEMP tables are never dumped.
 
+use crate::column::ColumnVec;
 use crate::engine::Engine;
 use crate::error::DbError;
 use crate::schema::Schema;
@@ -15,21 +16,47 @@ use crate::value::Value;
 use std::fmt::Write as _;
 use std::io::Write as _;
 
+/// Rows per dumped `INSERT` statement.
+const DUMP_BATCH: usize = 64;
+
 impl Engine {
     /// Serialize every non-TEMP table as an SQL script.
     pub fn dump_sql(&self) -> String {
+        self.dump_with_seq(None)
+    }
+
+    /// [`Engine::dump_sql`] into one buffer, straight from each table's
+    /// column store, with the checkpoint stamp (if any) as the second
+    /// header line.
+    fn dump_with_seq(&self, ckpt_seq: Option<u64>) -> String {
         let temps = self.temp_table_names();
         let mut out = String::from("-- perfbase embedded database dump\n");
+        if let Some(seq) = ckpt_seq {
+            let _ = writeln!(out, "{CKPT_SEQ_MARKER}{seq}");
+        }
         for name in self.table_names() {
             if temps.contains(&name) {
                 continue;
             }
             let table = self.pin_table(&name).expect("table listed");
-            let _ = writeln!(out, "{};", render_create_table(&name, &table.schema, false));
-            for chunk in table.to_rows().chunks(64) {
-                if !chunk.is_empty() {
-                    let _ = writeln!(out, "{};", render_insert(&name, chunk));
-                }
+            write_create_table(&mut out, &name, &table.schema, false);
+            out.push_str(";\n");
+            let store = table.store();
+            for from in (0..store.len()).step_by(DUMP_BATCH) {
+                let rows = from..store.len().min(from + DUMP_BATCH);
+                write_tuples(
+                    &mut out,
+                    &name,
+                    rows,
+                    table.schema.arity(),
+                    |out, r, c| match store.col(c) {
+                        ColumnVec::Text(d) if !d.nulls.is_null(r) => {
+                            write_text(out, &d.dict()[d.codes[r] as usize])
+                        }
+                        col => write_literal(out, &col.value(r)),
+                    },
+                );
+                out.push_str(";\n");
             }
             for (ix_name, column, ordered) in table.index_columns() {
                 let kind = if ordered { "ORDERED " } else { "" };
@@ -39,7 +66,8 @@ impl Engine {
         out
     }
 
-    /// Execute a whole `;`-separated SQL script.
+    /// Execute a whole `;`-separated SQL script. The script is parsed to
+    /// its end first: a syntax error anywhere executes nothing.
     pub fn execute_script(&self, script: &str) -> Result<usize, DbError> {
         let stmts = sql::parse_script(script)?;
         let mut affected = 0;
@@ -49,10 +77,15 @@ impl Engine {
         Ok(affected)
     }
 
-    /// Rebuild an engine from a dump produced by [`Engine::dump_sql`].
+    /// Rebuild an engine from a dump produced by [`Engine::dump_sql`]. Each
+    /// statement executes as soon as it is parsed — neither the tokens nor
+    /// the statements of the whole script are ever held — and the engine is
+    /// dropped on the first error, so nothing partial is observable.
     pub fn from_sql_dump(script: &str) -> Result<Engine, DbError> {
         let e = Engine::new();
-        e.execute_script(script)?;
+        for stmt in sql::statements(script) {
+            e.run_parsed(stmt?)?;
+        }
         Ok(e)
     }
 
@@ -78,12 +111,7 @@ impl Engine {
         tmp_name.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp_name);
         let mut f = std::fs::File::create(&tmp)?;
-        let mut script = self.dump_sql();
-        if let Some(seq) = ckpt_seq {
-            let header_end = script.find('\n').map_or(script.len(), |i| i + 1);
-            script.insert_str(header_end, &format!("{CKPT_SEQ_MARKER}{seq}\n"));
-        }
-        f.write_all(script.as_bytes())?;
+        f.write_all(self.dump_with_seq(ckpt_seq).as_bytes())?;
         f.sync_all()?;
         drop(f);
         std::fs::rename(&tmp, path)
@@ -113,81 +141,109 @@ pub(crate) fn read_checkpoint_seq(script: &str) -> Option<u64> {
         .and_then(|s| s.trim().parse().ok())
 }
 
-/// Render a `CREATE TABLE` statement for a schema (no trailing `;`).
+/// Append a `CREATE TABLE` statement for a schema (no trailing `;`).
 /// Shared by the dump and the WAL, which logs programmatic DDL as SQL text.
-pub(crate) fn render_create_table(name: &str, schema: &Schema, if_not_exists: bool) -> String {
-    let cols: Vec<String> = schema
-        .columns
-        .iter()
-        .map(|c| {
-            format!(
-                "{} {}{}",
-                c.name,
-                c.dtype.sql_name(),
-                if c.nullable { "" } else { " NOT NULL" }
-            )
-        })
-        .collect();
-    format!(
-        "CREATE TABLE {}{name} ({})",
-        if if_not_exists { "IF NOT EXISTS " } else { "" },
-        cols.join(", ")
-    )
-}
-
-/// Render a multi-row `INSERT` statement (no trailing `;`).
-pub(crate) fn render_insert(name: &str, rows: &[Row]) -> String {
-    let tuples: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let vals: Vec<String> = row.iter().map(dump_literal).collect();
-            format!("({})", vals.join(", "))
-        })
-        .collect();
-    format!("INSERT INTO {name} VALUES {}", tuples.join(", "))
-}
-
-/// Literal form that parses back to the identical value (timestamps stay
-/// integers and non-finite floats quoted text, both re-coerced by the
-/// column type on insert). Text holding
-/// control characters is emitted as an `E'...'` escaped literal so every
-/// statement — dump line or WAL frame — stays on a single line.
-pub(crate) fn dump_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".into(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) if f.is_finite() => format!("{f:?}"),
-        // `inf`, `-inf`, `NaN`: no numeric literal, but the text coerces back.
-        Value::Float(f) => format!("'{f}'"),
-        Value::Text(s) => {
-            if s.contains(['\n', '\r', '\t', '\0']) {
-                let mut out = String::with_capacity(s.len() + 4);
-                out.push_str("E'");
-                for ch in s.chars() {
-                    match ch {
-                        '\\' => out.push_str("\\\\"),
-                        '\'' => out.push_str("''"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        '\0' => out.push_str("\\0"),
-                        other => out.push(other),
-                    }
-                }
-                out.push('\'');
-                out
-            } else {
-                format!("'{}'", s.replace('\'', "''"))
-            }
-        }
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.into(),
-        Value::Timestamp(t) => t.to_string(),
+pub(crate) fn write_create_table(
+    out: &mut String,
+    name: &str,
+    schema: &Schema,
+    if_not_exists: bool,
+) {
+    out.push_str("CREATE TABLE ");
+    if if_not_exists {
+        out.push_str("IF NOT EXISTS ");
     }
+    out.push_str(name);
+    for (i, c) in schema.columns.iter().enumerate() {
+        out.push_str(if i == 0 { " (" } else { ", " });
+        out.push_str(&c.name);
+        out.push(' ');
+        out.push_str(c.dtype.sql_name());
+        if !c.nullable {
+            out.push_str(" NOT NULL");
+        }
+    }
+    out.push(')');
+}
+
+/// Append a multi-row `INSERT` statement (no trailing `;`).
+pub(crate) fn write_insert(out: &mut String, name: &str, rows: &[Row]) {
+    let arity = rows.first().map_or(0, Vec::len);
+    write_tuples(out, name, 0..rows.len(), arity, |out, r, c| {
+        write_literal(out, &rows[r][c])
+    });
+}
+
+/// `INSERT INTO name VALUES (…), (…)` over `rows`, `cell(out, row, column)`
+/// appending each literal.
+fn write_tuples(
+    out: &mut String,
+    name: &str,
+    rows: std::ops::Range<usize>,
+    arity: usize,
+    cell: impl Fn(&mut String, usize, usize),
+) {
+    out.push_str("INSERT INTO ");
+    out.push_str(name);
+    out.push_str(" VALUES ");
+    for r in rows.clone() {
+        out.push_str(if r == rows.start { "(" } else { ", (" });
+        for c in 0..arity {
+            if c > 0 {
+                out.push_str(", ");
+            }
+            cell(out, r, c);
+        }
+        out.push(')');
+    }
+}
+
+/// Append the literal form that parses back to the identical value
+/// (timestamps stay integers and non-finite floats quoted text, both
+/// re-coerced by the column type on insert).
+pub(crate) fn write_literal(out: &mut String, v: &Value) {
+    // Writing to a `String` cannot fail.
+    let _ = match v {
+        Value::Null => out.write_str("NULL"),
+        Value::Bool(b) => out.write_str(if *b { "TRUE" } else { "FALSE" }),
+        Value::Text(s) => return write_text(out, s),
+        Value::Int(i) | Value::Timestamp(i) => write!(out, "{i}"),
+        Value::Float(f) if f.is_finite() => write!(out, "{f:?}"),
+        // `inf`, `-inf`, `NaN`: no numeric literal, but the text coerces back.
+        Value::Float(f) => write!(out, "'{f}'"),
+    };
+}
+
+/// Append `s` as a string literal. Text holding control characters becomes
+/// an `E'...'` escaped literal so every statement — dump line or WAL frame —
+/// stays on a single line.
+fn write_text(out: &mut String, s: &str) {
+    let escaped = s.contains(['\n', '\r', '\t', '\0']);
+    out.push_str(if escaped { "E'" } else { "'" });
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let replacement = match b {
+            b'\'' => "''",
+            b'\\' if escaped => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            b'\0' => "\\0",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(replacement);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('\'');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_common::Rng;
+    use crate::{Column, DataType};
 
     fn sample() -> Engine {
         let e = Engine::new();
@@ -382,6 +438,152 @@ mod tests {
         let (e3, report) = Engine::open_durable(&dump, &wal, opts).unwrap();
         assert_eq!(report.replay_errors, 0);
         assert_eq!(float_bits(&e3), live);
+    }
+
+    #[test]
+    fn i64_min_survives_dump_and_wal_replay() {
+        use crate::wal::{SyncPolicy, WalOptions};
+        let dir = std::env::temp_dir().join("perfbase_dump_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (dump, wal) = (dir.join("i64min.sql"), dir.join("i64min.wal"));
+        std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&wal).ok();
+        let opts = WalOptions::with_sync(SyncPolicy::Off);
+        let (e, _) = Engine::open_durable(&dump, &wal, opts.clone()).unwrap();
+        e.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        // Acked ...
+        let batch = vec![vec![Value::Int(i64::MIN)], vec![Value::Int(7)]];
+        assert_eq!(e.insert_rows("t", batch).unwrap(), 2);
+        e.execute("INSERT INTO t VALUES (-9223372036854775808), (9223372036854775807)")
+            .unwrap();
+        let want = [i64::MIN, 7, i64::MIN, i64::MAX].map(|v| vec![Value::Int(v)]);
+        assert_eq!(e.read_snapshot("t").unwrap().1, want);
+        // ... so the dump loads, and is a fixpoint,
+        let script = e.dump_sql();
+        let e2 = Engine::from_sql_dump(&script).unwrap();
+        assert_eq!(e2.read_snapshot("t").unwrap().1, want);
+        assert_eq!(e2.dump_sql(), script);
+        // and the log replays it.
+        e.wal_sync().unwrap();
+        drop(e);
+        let (e3, report) = Engine::open_durable(&dump, &wal, opts).unwrap();
+        assert_eq!((report.frames_replayed, report.replay_errors), (3, 0));
+        assert_eq!(e3.read_snapshot("t").unwrap().1, want);
+    }
+
+    /// Values at the edges of every kind, and text built from everything
+    /// the literal syntax gives a meaning to.
+    fn edge_value(rng: &mut Rng, kind: usize) -> Value {
+        const INTS: [i64; 6] = [i64::MIN, i64::MAX, 0, -1, 1, 1_101_234_630];
+        const FLOATS: [f64; 12] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e21,
+            0.1,
+            -214.516,
+        ];
+        const TEXT: [&str; 20] = [
+            "", "'", "''", "\\", "\\'", ";", "--", "\n", "\r", "\t", "\0", "\u{1}", "\u{7f}",
+            "größe", "日本", "E", "e'", " ", "NULL", "x",
+        ];
+        if rng.below(6) == 0 {
+            return Value::Null;
+        }
+        match kind {
+            0 => Value::Int(INTS[rng.below(6) as usize]),
+            1 => Value::Float(FLOATS[rng.below(12) as usize]),
+            2 => Value::Text(
+                (0..rng.below(5))
+                    .map(|_| TEXT[rng.below(20) as usize])
+                    .collect(),
+            ),
+            3 => Value::Bool(rng.bool()),
+            _ => Value::Timestamp(INTS[rng.below(6) as usize]),
+        }
+    }
+
+    #[test]
+    fn writer_then_reader_is_the_identity_on_every_value() {
+        let schema = || {
+            let kinds = [
+                DataType::Int,
+                DataType::Float,
+                DataType::Text,
+                DataType::Bool,
+                DataType::Timestamp,
+            ];
+            let cols = kinds.iter().enumerate();
+            Schema::new(
+                cols.map(|(i, t)| Column::new(&format!("c{i}"), *t))
+                    .collect(),
+            )
+            .unwrap()
+        };
+        let mut rng = Rng::new(0xd0);
+        let e = Engine::new();
+        e.create_table("edges", schema()).unwrap();
+        for _ in 0..60 {
+            let rows: Vec<Row> = (0..rng.below(5) + 1)
+                .map(|_| (0..5).map(|kind| edge_value(&mut rng, kind)).collect())
+                .collect();
+            // One frame's text, read back, is the rows it was written from
+            // (compared through `Debug`, which tells -0.0 from 0.0 and
+            // equates NaN with itself).
+            let mut text = String::new();
+            write_insert(&mut text, "edges", &rows);
+            assert!(!text.contains('\n'), "{text:?}");
+            let Ok(sql::Stmt::Insert {
+                columns,
+                rows: cells,
+                ..
+            }) = sql::parse_statement(&text)
+            else {
+                panic!("{text}");
+            };
+            let mut table = crate::Table::new(schema());
+            crate::engine::apply_insert(&mut table, columns, cells).unwrap();
+            assert_eq!(format!("{:?}", table.to_rows()), format!("{rows:?}"));
+            e.insert_rows("edges", rows).unwrap();
+        }
+        // And the dump of all of them is a fixpoint.
+        let script = e.dump_sql();
+        let e2 = Engine::from_sql_dump(&script).unwrap();
+        assert_eq!(
+            format!("{:?}", e2.read_snapshot("edges").unwrap().1),
+            format!("{:?}", e.read_snapshot("edges").unwrap().1)
+        );
+        assert_eq!(e2.dump_sql(), script);
+    }
+
+    #[test]
+    fn a_late_syntax_error_executes_nothing_and_fails_the_load() {
+        let e = sample();
+        let before = e.dump_sql();
+        for last in [
+            "INSERT INTO runs VALUES (",
+            "SELECT 'open",
+            "DROP TABLE runs extra",
+        ] {
+            let script = format!(
+                "CREATE TABLE u (a INTEGER); INSERT INTO runs VALUES (4, 'x', 1.0, TRUE, 1); \
+                 DELETE FROM runs; {last}"
+            );
+            assert!(matches!(e.execute_script(&script), Err(DbError::Parse(_))));
+            assert_eq!(e.dump_sql(), before, "{last}");
+            // A fresh engine loading the same text is dropped with the error.
+            let script = format!("{before}{last}");
+            assert!(matches!(
+                Engine::from_sql_dump(&script),
+                Err(DbError::Parse(_))
+            ));
+        }
     }
 
     #[test]

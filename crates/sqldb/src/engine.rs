@@ -265,7 +265,9 @@ impl Engine {
         let mut wal = self.wal.lock();
         match wal.as_mut() {
             Some(w) if !temp => {
-                w.append(&dump::render_create_table(name, &schema, if_not_exists))?;
+                let mut text = String::new();
+                dump::write_create_table(&mut text, name, &schema, if_not_exists);
+                w.append(&text)?;
                 self.create_table_unlogged(name, schema, temp, if_not_exists)
             }
             Some(_) => self.create_table_unlogged(name, schema, temp, if_not_exists),
@@ -497,7 +499,9 @@ impl Engine {
             return self.insert_rows_unlogged(name, rows);
         };
         if !rows.is_empty() && !self.is_temp(name) {
-            w.append(&dump::render_insert(name, &rows))?;
+            let mut text = String::new();
+            dump::write_insert(&mut text, name, &rows);
+            w.append(&text)?;
         }
         self.insert_rows_unlogged(name, rows)
     }
@@ -1086,8 +1090,11 @@ pub(crate) fn apply_insert(
     let mut full_rows = Vec::with_capacity(rows.len());
     for row_exprs in rows {
         let values: Result<Vec<Value>, DbError> = row_exprs
-            .iter()
-            .map(|e| expr::eval(e, &const_ctx))
+            .into_iter()
+            .map(|e| match e {
+                sql::SqlExpr::Lit(v) => Ok(v),
+                e => expr::eval(&e, &const_ctx),
+            })
             .collect();
         let values = values?;
         let full_row = match &columns {

@@ -37,15 +37,7 @@ pub fn eval(expr: &SqlExpr, ctx: &RowCtx<'_>) -> Result<Value, DbError> {
                 .ok_or_else(|| DbError::NoSuchColumn(name.clone()))?;
             Ok(ctx.row[i].clone())
         }
-        SqlExpr::Unary(UnOp::Neg, x) => {
-            let v = eval(x, ctx)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::Float(-f)),
-                other => Err(DbError::Type(format!("cannot negate {other}"))),
-            }
-        }
+        SqlExpr::Unary(UnOp::Neg, x) => negate(eval(x, ctx)?),
         SqlExpr::Unary(UnOp::Not, x) => {
             let v = eval(x, ctx)?;
             Ok(Value::Bool(!truthy(&v)))
@@ -121,6 +113,21 @@ fn binary(op: &str, l: &SqlExpr, r: &SqlExpr, ctx: &RowCtx<'_>) -> Result<Value,
     let lv = eval(l, ctx)?;
     let rv = eval(r, ctx)?;
     binary_values(op, lv, rv)
+}
+
+/// Unary minus, shared with the compiled evaluator. `i64::MIN` is a literal
+/// (`- -9223372036854775808`) and has no negation: that is an error, not a
+/// wrap-around.
+pub(crate) fn negate(v: Value) -> Result<Value, DbError> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Int(i) => i
+            .checked_neg()
+            .map(Value::Int)
+            .ok_or_else(|| DbError::Execution(format!("integer overflow negating {i}"))),
+        Value::Float(f) => Ok(Value::Float(-f)),
+        other => Err(DbError::Type(format!("cannot negate {other}"))),
+    }
 }
 
 /// Apply a non-logical binary operator to two already-evaluated operands.
@@ -438,6 +445,33 @@ mod tests {
         assert_eq!(eval_where("a % 3 = 1", &row()), Value::Bool(true));
         assert_eq!(eval_where("-a = -4", &row()), Value::Bool(true));
         assert_eq!(eval_where("a * b = 10.0", &row()), Value::Bool(true));
+    }
+
+    #[test]
+    fn negating_i64_min_is_an_error() {
+        assert_eq!(
+            eval_where("-(-9223372036854775807) = 9223372036854775807", &row()),
+            Value::Bool(true)
+        );
+        // `i64::MIN` is a literal, so SQL text can ask for its negation.
+        for src in ["- -9223372036854775808", "-(-9223372036854775808)"] {
+            let stmt = parse_statement(&format!("SELECT a FROM t WHERE {src} = 1")).unwrap();
+            let Stmt::Select(sel) = stmt else {
+                panic!("{stmt:?}")
+            };
+            let schema = ctx_schema();
+            let ctx = RowCtx {
+                schema: &schema,
+                row: &row(),
+            };
+            assert_eq!(
+                eval(&sel.where_clause.unwrap(), &ctx),
+                Err(DbError::Execution(
+                    "integer overflow negating -9223372036854775808".into()
+                )),
+                "{src}"
+            );
+        }
     }
 
     #[test]

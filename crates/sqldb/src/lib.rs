@@ -82,6 +82,12 @@ pub use txn::Transaction;
 pub use value::{format_timestamp, parse_timestamp, DataType, Value, ValueKey};
 pub use wal::{FrameTap, IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
 
+/// The seeded generator of the randomized suites under `tests/`, for the
+/// unit tests that draw random cases too.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
 #[cfg(test)]
 mod tests {
     use super::*;

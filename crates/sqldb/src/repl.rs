@@ -742,6 +742,21 @@ mod tests {
     }
 
     #[test]
+    fn i64_min_reaches_the_replica() {
+        let dir = std::env::temp_dir().join("perfbase_repl_unit_i64min");
+        let cluster = wal_cluster(&dir, 4);
+        let _repl = Replicator::attach(&cluster, ReplOptions::default());
+        let primary = &cluster.node(1).engine;
+        primary.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        let rows = vec![vec![Value::Int(i64::MIN)], vec![Value::Int(7)]];
+        primary.insert_rows("t", rows.clone()).unwrap();
+        primary.wal_sync().unwrap();
+        let (_, shipped) = cluster.node(2).engine.read_snapshot("t").unwrap();
+        assert_eq!(shipped, rows);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lag_budget_ships_without_commit() {
         let dir = std::env::temp_dir().join("perfbase_repl_unit_lag");
         let cluster = wal_cluster(&dir, 3 + 1);

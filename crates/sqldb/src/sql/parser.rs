@@ -1,17 +1,22 @@
 //! Recursive-descent SQL parser.
+//!
+//! Text is read one `;`-terminated statement at a time: [`P`] pulls a
+//! statement's tokens from the lexer into one reused buffer, parses them,
+//! and moves on. Every entry point — [`parse_statement`], [`parse_script`],
+//! [`split_script`] and the engine's streaming dump load — is a caller of
+//! that one iterator, so there is one definition of where a statement ends.
 
 use super::ast::*;
-use super::lexer::{tokenize, Token};
+use super::lexer::{error_at, Lexer, Token};
 use crate::error::DbError;
 use crate::value::{DataType, Value};
+use std::ops::Range;
 
 /// Parse one SQL statement (a trailing `;` is allowed).
 pub fn parse_statement(src: &str) -> Result<Stmt, DbError> {
-    let toks = tokenize(src)?;
-    let mut p = P { toks, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat_sym(";");
-    if p.pos < p.toks.len() {
+    let mut p = P::new(src);
+    let stmt = p.next().unwrap_or_else(|| Err(p.err(EXPECTED_STATEMENT)))?;
+    if p.next_span()?.is_some() {
         return Err(p.err("trailing tokens after statement"));
     }
     Ok(stmt)
@@ -20,88 +25,124 @@ pub fn parse_statement(src: &str) -> Result<Stmt, DbError> {
 /// Parse a `;`-separated script into statements. String literals may
 /// contain semicolons — splitting happens at the token level.
 pub fn parse_script(src: &str) -> Result<Vec<Stmt>, DbError> {
-    let toks = tokenize(src)?;
-    let mut p = P { toks, pos: 0 };
-    let mut stmts = Vec::new();
-    loop {
-        while p.eat_sym(";") {}
-        if p.pos >= p.toks.len() {
-            break;
-        }
-        stmts.push(p.statement()?);
-    }
-    Ok(stmts)
+    statements(src).collect()
+}
+
+/// The statements of a script, each parsed when the iterator reaches it.
+pub(crate) fn statements(src: &str) -> impl Iterator<Item = Result<Stmt, DbError>> + '_ {
+    P::new(src)
 }
 
 /// Split a `;`-separated script into the *source text* of each statement,
-/// preserving spans verbatim (unlike [`parse_script`], which returns ASTs).
-/// Semicolons inside `'...'` / `E'...'` string literals and `--` line
-/// comments do not split. Empty statements are dropped.
+/// preserving spans verbatim (unlike [`parse_script`], which returns ASTs):
+/// a span runs from the previous statement's `;` to its own, trimmed, so it
+/// keeps the comments around its tokens. Statements without a token are
+/// dropped. Text the lexer rejects is returned as the last span, for
+/// [`parse_statement`] to report.
 pub fn split_script(src: &str) -> Vec<String> {
-    let chars: Vec<char> = src.chars().collect();
+    let mut p = P::new(src);
     let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut i = 0usize;
-    let push = |range: &[char], out: &mut Vec<String>| {
-        let text: String = range.iter().collect();
-        let text = text.trim();
-        if !text.is_empty() {
-            out.push(text.to_string());
-        }
-    };
-    while i < chars.len() {
-        match chars[i] {
-            ';' => {
-                push(&chars[start..i], &mut out);
-                i += 1;
-                start = i;
-            }
-            '-' if chars.get(i + 1) == Some(&'-') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '\'' => {
-                // Plain literal: '' is an escaped quote. An E'...' literal
-                // lands here too once its opening quote is reached; its
-                // backslash escapes never produce a bare closing quote
-                // because \' keeps the literal open below.
-                let escaped = i > 0 && (chars[i - 1] == 'E' || chars[i - 1] == 'e');
-                i += 1;
-                while i < chars.len() {
-                    if escaped && chars[i] == '\\' {
-                        i += 2;
-                    } else if chars[i] == '\'' {
-                        if chars.get(i + 1) == Some(&'\'') {
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            _ => i += 1,
-        }
+    loop {
+        let span = match p.next_span() {
+            Ok(Some(span)) => span,
+            Ok(None) => return out,
+            Err(_) => p.start..src.len(),
+        };
+        out.push(src[span].trim().to_string());
     }
-    push(&chars[start..], &mut out);
-    out
 }
 
-struct P {
-    toks: Vec<Token>,
+const EXPECTED_STATEMENT: &str = "expected CREATE, DROP, INSERT, SELECT, UPDATE, DELETE or EXPLAIN";
+
+/// The parser: the statements of `src`, as an iterator.
+struct P<'a> {
+    src: &'a str,
+    lexer: Lexer<'a>,
+    /// Tokens of the current statement with their byte offsets.
+    toks: Vec<(usize, Token<'a>)>,
     pos: usize,
+    /// Where the current statement's span starts: after the previous `;`.
+    start: usize,
+    /// Where its tokens end: at its `;`, or after its last token.
+    end: usize,
+    /// The lexer rejected the text: there is no next statement.
+    failed: bool,
 }
 
-impl P {
-    fn err(&self, msg: &str) -> DbError {
-        DbError::Parse(format!("{msg} (near token {})", self.pos))
+impl Iterator for P<'_> {
+    type Item = Result<Stmt, DbError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.next_span() {
+            Ok(None) => None,
+            Ok(Some(_)) => Some(self.statement().and_then(|stmt| {
+                if self.pos < self.toks.len() {
+                    return Err(self.err("trailing tokens after statement"));
+                }
+                Ok(stmt)
+            })),
+            Err(e) => Some(Err(e)),
+        }
+    }
+}
+
+impl<'a> P<'a> {
+    fn new(src: &'a str) -> Self {
+        P {
+            src,
+            lexer: Lexer::new(src),
+            toks: Vec::new(),
+            pos: 0,
+            start: 0,
+            end: 0,
+            failed: false,
+        }
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.toks.get(self.pos)
+    /// Read the tokens of the next statement that has any into the buffer;
+    /// returns its source span, or `None` at the end of the text.
+    fn next_span(&mut self) -> Result<Option<Range<usize>>, DbError> {
+        self.toks.clear();
+        self.pos = 0;
+        self.start = self.lexer.offset();
+        while !self.failed {
+            match self.lexer.next_token() {
+                Ok(Some((at, Token::Sym(";")))) if self.toks.is_empty() => self.start = at + 1,
+                Ok(Some((at, Token::Sym(";")))) => {
+                    self.end = at;
+                    return Ok(Some(self.start..at));
+                }
+                Ok(Some(tok)) => {
+                    self.toks.push(tok);
+                    self.end = self.lexer.offset();
+                }
+                Ok(None) if self.toks.is_empty() => break,
+                Ok(None) => return Ok(Some(self.start..self.src.len())),
+                Err(e) => {
+                    self.failed = true;
+                    return Err(e);
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// `msg`, with the token the parser stopped at and where it is.
+    fn err(&self, msg: &str) -> DbError {
+        let at = self.toks.get(self.pos).map_or(self.end, |t| t.0);
+        // Its text is what the lexer reads there again.
+        let mut rest = Lexer::new(&self.src[at..]);
+        match rest.next_token() {
+            Ok(Some((skipped, _))) => {
+                let token = &self.src[at + skipped..at + rest.offset()];
+                error_at(self.src, at + skipped, &format!("{msg}, found '{token}'"))
+            }
+            _ => error_at(self.src, at, &format!("{msg}, found end of input")),
+        }
+    }
+
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.toks.get(self.pos).map(|t| &t.1)
     }
 
     fn peek_kw(&self, kw: &str) -> bool {
@@ -145,7 +186,7 @@ impl P {
     fn ident(&mut self) -> Result<String, DbError> {
         match self.peek() {
             Some(Token::Word(w)) if !is_reserved(w) => {
-                let w = w.clone();
+                let w = w.to_string();
                 self.pos += 1;
                 Ok(w)
             }
@@ -189,7 +230,7 @@ impl P {
             self.eat_kw("TRANSACTION");
             Ok(Stmt::Rollback)
         } else {
-            Err(self.err("expected CREATE, DROP, INSERT, SELECT, UPDATE, DELETE or EXPLAIN"))
+            Err(self.err(EXPECTED_STATEMENT))
         }
     }
 
@@ -209,10 +250,10 @@ impl P {
         loop {
             let col = self.ident()?;
             let ty_word = match self.peek() {
-                Some(Token::Word(w)) => w.clone(),
+                Some(&Token::Word(w)) => w,
                 _ => return Err(self.err("expected a column type")),
             };
-            let dtype = DataType::from_sql_name(&ty_word)
+            let dtype = DataType::from_sql_name(ty_word)
                 .ok_or_else(|| self.err(&format!("unknown type '{ty_word}'")))?;
             self.pos += 1;
             let mut nullable = true;
@@ -297,16 +338,22 @@ impl P {
         };
         self.expect_kw("VALUES")?;
         let mut rows = Vec::new();
+        // Rows of one statement are equally long: size each like the last.
+        let mut arity = 0;
         loop {
             self.expect_sym("(")?;
-            let mut row = Vec::new();
+            let mut row = Vec::with_capacity(arity);
             loop {
-                row.push(self.expr()?);
+                row.push(match self.literal_cell() {
+                    Some(lit) => lit,
+                    None => self.expr()?,
+                });
                 if !self.eat_sym(",") {
                     break;
                 }
             }
             self.expect_sym(")")?;
+            arity = row.len();
             rows.push(row);
             if !self.eat_sym(",") {
                 break;
@@ -373,7 +420,7 @@ impl P {
                     match self.peek() {
                         // Implicit alias: bare identifier directly after expr.
                         Some(Token::Word(w)) if !is_reserved(w) && !w.contains('.') => {
-                            let w = w.clone();
+                            let w = w.to_string();
                             self.pos += 1;
                             Some(w)
                         }
@@ -427,12 +474,11 @@ impl P {
             self.expect_kw("BY")?;
             loop {
                 let (column, position) = match self.peek() {
-                    Some(Token::Int(n)) => {
-                        let n = *n;
-                        self.pos += 1;
+                    Some(&Token::Int(n)) => {
                         if n < 1 {
                             return Err(self.err("ORDER BY position must be >= 1"));
                         }
+                        self.pos += 1;
                         (String::new(), Some(n as usize))
                     }
                     _ => {
@@ -461,10 +507,9 @@ impl P {
 
         let limit = if self.eat_kw("LIMIT") {
             match self.peek() {
-                Some(Token::Int(n)) if *n >= 0 => {
-                    let n = *n as usize;
+                Some(&Token::Int(n)) => {
                     self.pos += 1;
-                    Some(n)
+                    Some(n as usize)
                 }
                 _ => return Err(self.err("LIMIT expects a non-negative integer")),
             }
@@ -547,7 +592,7 @@ impl P {
         }
         if self.eat_kw("LIKE") {
             let pattern = match self.peek() {
-                Some(Token::Str(s)) => s.clone(),
+                Some(Token::Str(s)) => s.to_string(),
                 _ => return Err(self.err("LIKE expects a string literal")),
             };
             self.pos += 1;
@@ -613,6 +658,13 @@ impl P {
 
     fn unary_expr(&mut self) -> Result<SqlExpr, DbError> {
         if self.eat_sym("-") {
+            // A numeric literal takes its sign here: the lexer reads
+            // magnitudes, and `i64::MIN` has no positive counterpart to
+            // negate afterwards.
+            if let Some(v) = self.peek().and_then(|t| literal(t, true)) {
+                self.pos += 1;
+                return Ok(SqlExpr::Lit(v));
+            }
             let inner = self.unary_expr()?;
             return Ok(SqlExpr::Unary(UnOp::Neg, Box::new(inner)));
         }
@@ -620,39 +672,20 @@ impl P {
     }
 
     fn primary(&mut self) -> Result<SqlExpr, DbError> {
-        match self.peek().cloned() {
-            Some(Token::Int(v)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Value::Int(v)))
-            }
-            Some(Token::Float(v)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Value::Float(v)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Value::Text(s)))
-            }
+        if let Some(v) = self.peek().and_then(|t| literal(t, false)) {
+            self.pos += 1;
+            return Ok(SqlExpr::Lit(v));
+        }
+        match self.peek() {
+            Some(Token::Int(m)) => Err(self.err(&format!("bad numeric literal '{m}'"))),
             Some(Token::Sym("(")) => {
                 self.pos += 1;
                 let inner = self.expr()?;
                 self.expect_sym(")")?;
                 Ok(inner)
             }
-            Some(Token::Word(w)) => {
-                if w.eq_ignore_ascii_case("NULL") {
-                    self.pos += 1;
-                    return Ok(SqlExpr::Lit(Value::Null));
-                }
-                if w.eq_ignore_ascii_case("TRUE") {
-                    self.pos += 1;
-                    return Ok(SqlExpr::Lit(Value::Bool(true)));
-                }
-                if w.eq_ignore_ascii_case("FALSE") {
-                    self.pos += 1;
-                    return Ok(SqlExpr::Lit(Value::Bool(false)));
-                }
-                if is_reserved(&w) {
+            Some(&Token::Word(w)) => {
+                if is_reserved(w) {
                     return Err(self.err(&format!("unexpected keyword '{w}'")));
                 }
                 self.pos += 1;
@@ -683,12 +716,43 @@ impl P {
                         star: false,
                     })
                 } else {
-                    Ok(SqlExpr::Col(w))
+                    Ok(SqlExpr::Col(w.to_string()))
                 }
             }
             _ => Err(self.err("expected an expression")),
         }
     }
+
+    /// A cell that is one literal token, optionally signed, directly
+    /// followed by `,` or `)` — every cell of a dumped or logged INSERT —
+    /// read without the expression descent; [`P::expr`] builds the same
+    /// `Lit`.
+    fn literal_cell(&mut self) -> Option<SqlExpr> {
+        let neg = matches!(self.peek(), Some(Token::Sym("-")));
+        let at = self.pos + usize::from(neg);
+        if !matches!(self.toks.get(at + 1)?.1, Token::Sym("," | ")")) {
+            return None;
+        }
+        let v = literal(&self.toks[at].1, neg)?;
+        self.pos = at + 1;
+        Some(SqlExpr::Lit(v))
+    }
+}
+
+/// The value of a literal token — negated if `neg`, which only a number can
+/// be. `None` for any other token, and for an integer that does not fit.
+fn literal(tok: &Token<'_>, neg: bool) -> Option<Value> {
+    Some(match tok {
+        Token::Int(m) if neg => Value::Int(0i64.checked_sub_unsigned(*m)?),
+        Token::Int(m) => Value::Int(i64::try_from(*m).ok()?),
+        Token::Float(v) => Value::Float(if neg { -v } else { *v }),
+        _ if neg => return None,
+        Token::Str(s) => Value::Text(s.to_string()),
+        Token::Word(w) if w.eq_ignore_ascii_case("NULL") => Value::Null,
+        Token::Word(w) if w.eq_ignore_ascii_case("TRUE") => Value::Bool(true),
+        Token::Word(w) if w.eq_ignore_ascii_case("FALSE") => Value::Bool(false),
+        _ => return None,
+    })
 }
 
 impl SqlExpr {
@@ -749,6 +813,8 @@ pub fn is_reserved(w: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::corpus;
+    use crate::test_common::Rng;
 
     #[test]
     fn txn_control_statements() {
@@ -777,6 +843,172 @@ mod tests {
             ]
         );
         assert!(split_script("  ;; \n").is_empty());
+    }
+
+    #[test]
+    fn one_scanner_defines_statement_boundaries() {
+        // `split_script` used to scan quotes itself, took any quote after an
+        // `e` for the start of an `E'…'` literal, and found one statement.
+        let src = "SELECT a FROM t WHERE s LIKE'x\\';SELECT 2";
+        assert_eq!(parse_script(src).unwrap().len(), 2);
+        assert_eq!(
+            split_script(src),
+            ["SELECT a FROM t WHERE s LIKE'x\\'", "SELECT 2"]
+        );
+        // A statement is tokens: a comment alone is none, and text the lexer
+        // rejects stays one last span for `parse_statement` to report.
+        assert_eq!(split_script("SELECT 1; -- done\n"), ["SELECT 1"]);
+        assert_eq!(
+            split_script("SELECT 1;\nSELECT ?; x"),
+            ["SELECT 1", "SELECT ?; x"]
+        );
+        // Over the whole corpus and random text, both count the same.
+        let mut texts = corpus::scripts();
+        let mut rng = Rng::new(2);
+        for _ in 0..500 {
+            let parts = (0..rng.below(6)).map(|_| {
+                let i = rng.below(corpus::STATEMENTS.len() as u64) as usize;
+                [
+                    corpus::STATEMENTS[i],
+                    [";", " ; ", "\n", "'"][rng.below(4) as usize],
+                ]
+            });
+            texts.push(parts.flatten().collect());
+        }
+        let mut parsed = 0;
+        for src in &texts {
+            let spans = split_script(src);
+            assert_eq!(statements(src).count(), spans.len(), "{src:?}");
+            if let Ok(stmts) = parse_script(src) {
+                assert_eq!(stmts.len(), spans.len(), "{src:?}");
+                // And each span is that statement.
+                for (span, stmt) in spans.iter().zip(&stmts) {
+                    assert_eq!(&parse_statement(span).unwrap(), stmt, "{span:?}");
+                }
+                parsed += stmts.len();
+            }
+        }
+        assert!(parsed > 200, "{parsed}");
+    }
+
+    #[test]
+    fn statements_end_at_a_semicolon_only() {
+        // Two statements need a `;` between them, in every entry point.
+        assert!(parse_script("BEGIN COMMIT").is_err());
+        assert!(parse_script("SELECT 1 SELECT 2").is_err());
+        assert_eq!(
+            parse_script("BEGIN; COMMIT").unwrap(),
+            [Stmt::Begin, Stmt::Commit]
+        );
+        assert!(parse_statement("BEGIN; COMMIT").is_err());
+        assert!(parse_statement("").is_err());
+        assert_eq!(
+            parse_statement(" ; ").unwrap_err().to_string(),
+            format!("SQL parse error: {EXPECTED_STATEMENT}, found ';' (line 1, column 2)")
+        );
+        assert_eq!(parse_statement(";BEGIN;;").unwrap(), Stmt::Begin);
+    }
+
+    #[test]
+    fn errors_say_where() {
+        let msg = |src: &str| match parse_statement(src) {
+            Err(DbError::Parse(m)) => m,
+            other => panic!("{src:?}: {other:?}"),
+        };
+        let three_lines = "SELECT fs, avg(bw)\n  FROM runs\n  WHERE (größe > 1 ORDER BY fs";
+        assert_eq!(
+            msg(three_lines),
+            "expected ')', found 'ORDER' (line 3, column 20)"
+        );
+        assert_eq!(
+            msg("SELECT a FROM t WHERE"),
+            "expected an expression, found end of input (line 1, column 22)"
+        );
+        assert_eq!(
+            msg("INSERT INTO t VALUES (1;"),
+            "expected ')', found ';' (line 1, column 24)"
+        );
+        assert_eq!(
+            msg("SELECT 1;\nSELECT 'open"),
+            "unterminated string literal (line 2, column 8)"
+        );
+        assert_eq!(
+            msg("SELEKT 1"),
+            format!("{EXPECTED_STATEMENT}, found 'SELEKT' (line 1, column 1)")
+        );
+        assert_eq!(
+            msg("SELECT 1; DROP TABLE t"),
+            "trailing tokens after statement, found 'DROP' (line 1, column 11)"
+        );
+        assert!(msg("SELECT 'it''s' 'x'").contains("found ''x'' (line 1, column 16)"));
+    }
+
+    #[test]
+    fn integer_literals_span_the_whole_i64_range() {
+        let lits = |src: &str| match parse_statement(src).unwrap() {
+            Stmt::Insert { mut rows, .. } => rows.remove(0),
+            other => panic!("{other:?}"),
+        };
+        let int = |v| SqlExpr::Lit(Value::Int(v));
+        assert_eq!(
+            lits("INSERT INTO t VALUES (-9223372036854775808, 9223372036854775807, -5, - 0)"),
+            [int(i64::MIN), int(i64::MAX), int(-5), int(0)]
+        );
+        // The literal cells of an INSERT and the expression grammar build
+        // the same tree.
+        assert_eq!(
+            lits("INSERT INTO t VALUES ((-9223372036854775808), -1.5 + 0, (-2))"),
+            [
+                int(i64::MIN),
+                SqlExpr::Binary(
+                    "+",
+                    Box::new(SqlExpr::Lit(Value::Float(-1.5))),
+                    Box::new(int(0))
+                ),
+                int(-2)
+            ]
+        );
+        assert_eq!(
+            lits("INSERT INTO t VALUES (- -3, -x)"),
+            [
+                SqlExpr::Unary(UnOp::Neg, Box::new(int(-3))),
+                SqlExpr::Unary(UnOp::Neg, Box::new(SqlExpr::Col("x".into())))
+            ]
+        );
+        // A second minus is an operator on the folded literal — evaluating
+        // it is an overflow error, see `expr::negate`.
+        assert_eq!(
+            lits("INSERT INTO t VALUES (- -9223372036854775808, -(-9223372036854775808))"),
+            [
+                SqlExpr::Unary(UnOp::Neg, Box::new(int(i64::MIN))),
+                SqlExpr::Unary(UnOp::Neg, Box::new(int(i64::MIN)))
+            ]
+        );
+        // One past either end is no literal, bare or signed.
+        for src in [
+            "INSERT INTO t VALUES (9223372036854775808)",
+            "INSERT INTO t VALUES (-9223372036854775809)",
+            "SELECT 9223372036854775808",
+            "SELECT 1 - -9223372036854775809",
+        ] {
+            let err = parse_statement(src).unwrap_err().to_string();
+            assert!(
+                err.contains("bad numeric literal '92233720368547758"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_prefix_of_a_statement_parses_or_errs() {
+        for stmt in corpus::statements_to_truncate() {
+            parse_statement(&stmt).unwrap();
+            for (cut, _) in stmt.char_indices() {
+                let prefix = &stmt[..cut];
+                let _ = parse_statement(prefix);
+                assert_eq!(statements(prefix).count(), split_script(prefix).len());
+            }
+        }
     }
 
     #[test]

@@ -319,7 +319,9 @@ impl Transaction {
         }
         let rows = self.touch(name)?.validate_rows(rows)?;
         if !rows.is_empty() {
-            self.log.push(dump::render_insert(name, &rows));
+            let mut text = String::new();
+            dump::write_insert(&mut text, name, &rows);
+            self.log.push(text);
         }
         Arc::make_mut(self.touch(name)?).insert_all(rows)
     }
@@ -331,8 +333,9 @@ impl Transaction {
         if self.view_has(name) {
             return Err(DbError::TableExists(name.to_string()));
         }
-        self.log
-            .push(dump::render_create_table(name, &schema, false));
+        let mut text = String::new();
+        dump::write_create_table(&mut text, name, &schema, false);
+        self.log.push(text);
         self.work
             .insert(name.to_string(), Some(Arc::new(Table::new(schema))));
         Ok(())

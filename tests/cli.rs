@@ -350,6 +350,26 @@ fn dump_is_replayable_sql() {
 }
 
 #[test]
+fn sql_script_errors_are_located_in_the_script() {
+    let dir = TempDir::new("sqlpos");
+    let dbfile = setup_campaign(&dir);
+    // Two statements over three lines; the second does not parse.
+    let script = "CREATE TABLE note (id INTEGER);\nINSERT INTO note\n  VALUES (1, );";
+    let e = cli(&["sql", "--db", &dbfile, script]).unwrap_err();
+    assert!(
+        e.contains("expected an expression, found ')' (line 3, column 14)"),
+        "{e}"
+    );
+    // And the first did not run.
+    let e = cli(&["sql", "--db", &dbfile, "SELECT count(*) FROM note"]).unwrap_err();
+    assert!(e.contains("note"), "{e}");
+    let script = script.replace(", )", ")");
+    cli(&["sql", "--db", &dbfile, &script]).unwrap();
+    let out = cli(&["sql", "--db", &dbfile, "SELECT count(*) FROM note"]).unwrap();
+    assert!(out.ends_with("1\n"), "{out}");
+}
+
+#[test]
 fn update_command_evolves_definition() {
     let dir = TempDir::new("update");
     let dbfile = setup_campaign(&dir);

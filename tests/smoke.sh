@@ -11,6 +11,9 @@
 # server stress harness (both write into BENCH_sqldb.json at the repo
 # root, gated by bench_guard).
 # Must pass with no network access beyond loopback and no external crates.
+# Not run from here: `tests/bench_history.sh [seed]`, which appends one run of
+# the five BENCHMARK.json workloads to the committed BENCH_history.jsonl —
+# the trajectory across commits; informational, never gating.
 set -eu
 
 cd "$(dirname "$0")/.."

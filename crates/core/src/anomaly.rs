@@ -163,7 +163,7 @@ pub fn screen_experiment(
         ));
     }
     let engine = db.engine().clone();
-    let vector = exec::run_source(db, &engine, source, "pb_tmp_anomaly_screen")?;
+    let (vector, _) = exec::run_source(db, &engine, source, "pb_tmp_anomaly_screen")?;
     let report = screen_vector(&engine, &vector, config);
     engine.drop_table("pb_tmp_anomaly_screen", true)?;
     report

@@ -21,10 +21,11 @@ use super::{AccessLevel, ExperimentDef, Occurrence, Variable};
 use crate::error::{Error, Result};
 use crate::xmldef;
 use sqldb::cluster::{Cluster, ShardMap};
+use sqldb::sql::SqlExpr;
 use sqldb::sync::RwLock;
 use sqldb::{
-    Column, DataType, Engine, Promotion, RecoveryReport, ReplOptions, Replicator, ResultSet,
-    Schema, Value, WalOptions,
+    Column, DataType, DbError, Engine, Promotion, RecoveryReport, ReplOptions, Replicator,
+    ResultSet, Schema, Table, Value, WalOptions,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -217,9 +218,7 @@ impl ExperimentDb {
             if owner != 0 && self.engine.has_table(&table) {
                 let (schema, rows) = self.engine.read_snapshot(&table)?;
                 let dst = &cluster.node(owner).engine;
-                dst.drop_table(&table, true)?;
-                dst.create_table(&table, schema.clone())?;
-                dst.insert_rows(&table, rows.clone())?;
+                replace_table(dst, &table, schema.clone(), rows.clone())?;
                 self.engine.drop_table(&table, false)?;
                 // Base-copy to the replica nodes (uncharged: models data
                 // already living there, like the primary placement). Must
@@ -227,9 +226,7 @@ impl ExperimentDb {
                 // the migration frames just logged are never also shipped.
                 for rep in map.replica_nodes(owner) {
                     let engine = &cluster.node(rep).engine;
-                    engine.drop_table(&table, true)?;
-                    engine.create_table(&table, schema.clone())?;
-                    engine.insert_rows(&table, rows.clone())?;
+                    replace_table(engine, &table, schema.clone(), rows.clone())?;
                 }
             }
         }
@@ -282,9 +279,7 @@ impl ExperimentDb {
             let src = &sh.cluster().node(node).engine;
             if node != 0 && src.has_table(&table) {
                 let (schema, rows) = src.read_snapshot(&table)?;
-                self.engine.drop_table(&table, true)?;
-                self.engine.create_table(&table, schema)?;
-                self.engine.insert_rows(&table, rows)?;
+                replace_table(&self.engine, &table, schema, rows)?;
                 src.drop_table(&table, false)?;
             }
             // Clear replica copies (and any stale copy on a failed-over
@@ -315,19 +310,36 @@ impl ExperimentDb {
     /// link for every returned row — the accounting behind both the
     /// aggregation-pushdown win and the fallback materialization cost.
     pub fn query_run_data(&self, run_id: i64, sql: &str) -> Result<ResultSet> {
-        match self.sharding() {
-            Some(sh) => {
-                // With replication this round-robins across the owner and
-                // its fresh replicas (the freshness gate falls back to the
-                // owner for replicas behind the last appended frame).
-                let node = sh.read_node_of(run_id);
-                if node == 0 {
-                    Ok(self.engine.query(sql)?)
-                } else {
-                    Ok(sh.cluster().fetch(node, 0, sql)?)
-                }
-            }
-            None => Ok(self.engine.query(sql)?),
+        Ok(match self.remote_reader(run_id) {
+            Some((sh, node)) => sh.cluster().fetch(node, 0, sql)?,
+            None => self.engine.query(sql)?,
+        })
+    }
+
+    /// The remote node a read of `run_id`'s data goes to, or `None` when the
+    /// frontend serves it. With replication this round-robins across the
+    /// owner and its fresh replicas (the freshness gate falls back to the
+    /// owner for replicas behind the last appended frame).
+    fn remote_reader(&self, run_id: i64) -> Option<(Arc<Sharding>, usize)> {
+        let sh = self.sharding()?;
+        let node = sh.read_node_of(run_id);
+        (node != 0).then_some((sh, node))
+    }
+
+    /// The typed counterpart of [`ExperimentDb::query_run_data`]: select the
+    /// data sets of `run_id` that satisfy `filter` *where the run's table
+    /// lives* and return the pinned table with the selected positions, for
+    /// the caller to copy cells from. Routing (owner or fresh replica), the
+    /// dead-node check and the link charge are those of `query_run_data`.
+    pub fn scan_run_data(
+        &self,
+        run_id: i64,
+        filter: Option<&SqlExpr>,
+    ) -> std::result::Result<(Arc<Table>, Vec<usize>), DbError> {
+        let table = rundata_table(run_id);
+        match self.remote_reader(run_id) {
+            Some((sh, node)) => sh.cluster().scan(node, 0, &table, filter),
+            None => self.engine.scan(&table, filter),
         }
     }
 
@@ -350,9 +362,15 @@ impl ExperimentDb {
     }
 
     /// Apply an evolution step to the definition (add/modify/remove
-    /// variables, meta changes, grants) and persist it. The `pb_runs`
-    /// schema is rebuilt to match: new once-variables appear as NULL in
-    /// existing runs, removed ones lose their content.
+    /// variables, meta changes, grants) and persist it. Every table whose
+    /// schema follows the definition is rebuilt to match — `pb_runs` and each
+    /// run's `pb_rundata_<id>`, where it lives — so "every run table has
+    /// exactly the definition's multiple-occurrence columns, with its types"
+    /// holds after every evolution step and source elements can rely on it.
+    /// In existing runs a new variable appears as its default (NULL without
+    /// one), a removed one loses its content, a retyped one is coerced. All
+    /// new rows are computed before the first table changes: content that
+    /// does not fit a new type fails the update with nothing changed.
     pub fn update_definition(
         &self,
         mutate: impl FnOnce(&mut ExperimentDef) -> Result<()>,
@@ -363,24 +381,34 @@ impl ExperimentDb {
         for v in &candidate.variables {
             validate_variable_name(v)?;
         }
-        // Rebuild pb_runs under the new schema.
-        let (old_schema, old_rows) = self.engine.read_snapshot("pb_runs")?;
-        let new_schema = runs_schema(&candidate);
-        let mut new_rows = Vec::with_capacity(old_rows.len());
-        for row in &old_rows {
-            let mut out = Vec::with_capacity(new_schema.arity());
-            for col in &new_schema.columns {
-                match old_schema.index_of(&col.name) {
-                    Some(i) => out.push(row[i].clone()),
-                    None => out.push(Value::Null),
-                }
-            }
-            new_rows.push(out);
+        let runs_schema = runs_schema(&candidate);
+        let runs = evolved_rows(&self.engine, "pb_runs", &runs_schema, &candidate)?;
+        let data_schema = rundata_schema(&candidate);
+        let mut data = Vec::new();
+        for run_id in self.run_ids()? {
+            let engine = self.rundata_engine(run_id);
+            let rows = evolved_rows(&engine, &rundata_table(run_id), &data_schema, &candidate)?;
+            data.extend(rows.map(|rows| (run_id, rows)));
         }
-        self.engine.drop_table("pb_runs", false)?;
-        self.engine.create_table("pb_runs", new_schema)?;
-        self.engine.insert_rows("pb_runs", new_rows)?;
-        create_hot_path_indexes(&self.engine)?;
+
+        let sharding = self.sharding();
+        for (run_id, rows) in data {
+            match &sharding {
+                Some(sh) => {
+                    place_rundata(sh, run_id, &data_schema, rows)?;
+                }
+                None => replace_table(
+                    &self.engine,
+                    &rundata_table(run_id),
+                    data_schema.clone(),
+                    rows,
+                )?,
+            }
+        }
+        if let Some(rows) = runs {
+            replace_table(&self.engine, "pb_runs", runs_schema, rows)?;
+            create_hot_path_indexes(&self.engine)?;
+        }
 
         *def = candidate;
         drop(def);
@@ -509,35 +537,7 @@ impl ExperimentDb {
         // id, which is cleared here before the id is reused.
         match self.sharding() {
             Some(sh) => {
-                let owner = sh.owner_of(run_id);
-                let target = &sh.cluster().node(owner).engine;
-                target.drop_table(&data_table, true)?;
-                target.create_table(&data_table, rundata_schema(&def))?;
-                let n = rows.len();
-                target.insert_rows(&data_table, rows.clone())?;
-                if owner != 0 {
-                    sh.cluster().charge_shipment(n);
-                }
-                if sh.map().replicas() > 0 && owner != 0 {
-                    if target.has_wal() {
-                        // WAL-attached owner: the drop/create/insert above
-                        // were logged, so the commit barrier ships and
-                        // applies them on every replica — flushed here,
-                        // *before* the pb_shards/pb_runs publish, so a run
-                        // is never visible while its replicas lack the
-                        // data (zero committed rows lost on owner death).
-                        target.wal_sync()?;
-                    } else {
-                        // No log to ship from: mirror the write by hand.
-                        for rep in sh.map().replica_nodes(owner) {
-                            let engine = &sh.cluster().node(rep).engine;
-                            engine.drop_table(&data_table, true)?;
-                            engine.create_table(&data_table, rundata_schema(&def))?;
-                            engine.insert_rows(&data_table, rows.clone())?;
-                            sh.cluster().charge_shipment(n);
-                        }
-                    }
-                }
+                let owner = place_rundata(&sh, run_id, &rundata_schema(&def), rows)?;
                 // Atomic publish: routing + visibility in one commit.
                 let mut txn = self.engine.begin_txn();
                 txn.execute(&format!("DELETE FROM pb_shards WHERE run_id = {run_id}"))?;
@@ -664,6 +664,89 @@ impl ExperimentDb {
 /// Name of the per-run data table.
 pub(crate) fn rundata_table(run_id: i64) -> String {
     format!("pb_rundata_{run_id}")
+}
+
+/// Replace table `name` on `engine` by `rows` under `schema`.
+fn replace_table(engine: &Engine, name: &str, schema: Schema, rows: Vec<Vec<Value>>) -> Result<()> {
+    engine.drop_table(name, true)?;
+    engine.create_table(name, schema)?;
+    engine.insert_rows(name, rows)?;
+    Ok(())
+}
+
+/// (Re)write `run_id`'s data table on the node that owns it and, when
+/// shards are replicated, on that node's replicas; returns the owner. The
+/// rows start out on the frontend, so shipping them to a remote node is
+/// charged as a real transfer (header + payload).
+fn place_rundata(
+    sh: &Sharding,
+    run_id: i64,
+    schema: &Schema,
+    rows: Vec<Vec<Value>>,
+) -> Result<usize> {
+    let data_table = rundata_table(run_id);
+    let owner = sh.owner_of(run_id);
+    let target = &sh.cluster().node(owner).engine;
+    let n = rows.len();
+    replace_table(target, &data_table, schema.clone(), rows.clone())?;
+    if owner != 0 {
+        sh.cluster().charge_shipment(n);
+    }
+    if sh.map().replicas() > 0 && owner != 0 {
+        if target.has_wal() {
+            // WAL-attached owner: the drop/create/insert above were logged,
+            // so the commit barrier ships and applies them on every replica
+            // — flushed here, *before* the caller publishes the run, so a
+            // run is never visible while its replicas lack the data (zero
+            // committed rows lost on owner death).
+            target.wal_sync()?;
+        } else {
+            // No log to ship from: mirror the write by hand.
+            for rep in sh.map().replica_nodes(owner) {
+                let engine = &sh.cluster().node(rep).engine;
+                replace_table(engine, &data_table, schema.clone(), rows.clone())?;
+                sh.cluster().charge_shipment(n);
+            }
+        }
+    }
+    Ok(owner)
+}
+
+/// The rows of `engine`'s table `name` under the evolved `schema`, or `None`
+/// when the table has that schema already: a column the table has keeps its
+/// cells, coerced to the column's new type; a column it lacks holds the
+/// variable's default (NULL without one).
+fn evolved_rows(
+    engine: &Engine,
+    name: &str,
+    schema: &Schema,
+    def: &ExperimentDef,
+) -> Result<Option<Vec<Vec<Value>>>> {
+    let table = engine.pin_table(name)?;
+    if table.schema == *schema {
+        return Ok(None);
+    }
+    let from: Vec<Option<usize>> = schema
+        .columns
+        .iter()
+        .map(|c| table.schema.index_of(&c.name))
+        .collect();
+    let rows = table.to_rows();
+    let evolved = rows.iter().map(|row| {
+        let cell = |(col, from): (&Column, &Option<usize>)| {
+            let v = match from {
+                Some(i) => row[*i].clone(),
+                None => def
+                    .variable(&col.name)
+                    .and_then(|v| v.default.clone())
+                    .unwrap_or(Value::Null),
+            };
+            v.coerce(col.dtype)
+                .map_err(|e| Error::Definition(format!("{name}.{}: {e}", col.name)))
+        };
+        schema.columns.iter().zip(&from).map(cell).collect()
+    });
+    evolved.collect::<Result<_>>().map(Some)
 }
 
 /// Secondary indexes for the query patterns every import and run lookup
@@ -868,6 +951,156 @@ mod tests {
         // And the definition was persisted for reopen.
         let db2 = ExperimentDb::open(db.engine().clone()).unwrap();
         assert!(db2.definition().variable("nodes").is_some());
+    }
+
+    /// Every table that follows the definition, with its schema.
+    fn definition_tables(db: &ExperimentDb) -> Vec<(Schema, Vec<Vec<Value>>)> {
+        let mut tables = vec![db.engine().read_snapshot("pb_runs").unwrap()];
+        for id in db.run_ids().unwrap() {
+            let engine = db.rundata_engine(id);
+            tables.push(engine.read_snapshot(&rundata_table(id)).unwrap());
+        }
+        tables
+    }
+
+    /// After every evolution step each run table has exactly
+    /// `rundata_schema(def)` — wherever it lives, replicas included.
+    #[test]
+    fn evolution_rebuilds_every_run_table() {
+        for nodes in [0, 4] {
+            let db = make_db();
+            one_run(&db);
+            one_run(&db);
+            one_run(&db);
+            if nodes > 0 {
+                let cluster = Cluster::with_frontend(
+                    db.engine().clone(),
+                    nodes,
+                    sqldb::cluster::LatencyModel::none(),
+                );
+                let opts = ReplOptions {
+                    replicas: 1,
+                    ..ReplOptions::default()
+                };
+                db.attach_cluster_replicated(Arc::new(cluster), opts)
+                    .unwrap();
+            }
+            // New variables: the default where there is one, NULL otherwise.
+            db.update_definition(|def| {
+                def.add_variable(Variable::new("lat", VarKind::ResultValue, DataType::Float))?;
+                def.add_variable(
+                    Variable::new("tries", VarKind::Parameter, DataType::Int)
+                        .with_default(Value::Int(1)),
+                )
+            })
+            .unwrap();
+            let (cols, rows) = db.run_datasets(2).unwrap();
+            assert_eq!(cols, ["s_chunk", "bw", "lat", "tries"]);
+            assert_eq!(
+                rows[1],
+                [
+                    Value::Int(2048),
+                    Value::Float(61.5),
+                    Value::Null,
+                    Value::Int(1)
+                ]
+            );
+            // A retyped variable is coerced, a removed one goes.
+            db.update_definition(|def| {
+                def.modify_variable(Variable::new(
+                    "s_chunk",
+                    VarKind::Parameter,
+                    DataType::Float,
+                ))?;
+                def.remove_variable("tries").map(|_| ())
+            })
+            .unwrap();
+            let want = rundata_schema(&db.definition());
+            assert_eq!(want.names(), ["s_chunk", "bw", "lat"]);
+            let copies = db.sharding().map_or(0, |sh| sh.map().replicas());
+            for id in db.run_ids().unwrap() {
+                let table = rundata_table(id);
+                let (schema, rows) = db.rundata_engine(id).read_snapshot(&table).unwrap();
+                assert_eq!(schema, want, "run {id}");
+                assert_eq!(rows[0][0], Value::Float(1024.0));
+                if let Some(sh) = db.sharding() {
+                    let owner = sh.owner_of(id);
+                    let replicas = if owner == 0 {
+                        Vec::new()
+                    } else {
+                        sh.map().replica_nodes(owner)
+                    };
+                    assert_eq!(replicas.len(), if owner == 0 { 0 } else { copies });
+                    for node in replicas {
+                        let copy = sh.cluster().node(node).engine.read_snapshot(&table);
+                        assert_eq!(copy.unwrap(), (schema.clone(), rows.clone()));
+                    }
+                }
+            }
+            // The next import fits beside the rebuilt tables.
+            let ds: HashMap<String, Value> = [("s_chunk".to_string(), Value::Float(2.5))].into();
+            let id = db.add_run(&HashMap::new(), &[ds], 0).unwrap();
+            assert_eq!(db.run_datasets(id).unwrap().1[0][0], Value::Float(2.5));
+        }
+    }
+
+    /// Content that does not fit a new type fails the update before the
+    /// first table changes — also when other tables would have evolved.
+    #[test]
+    fn failed_evolution_changes_nothing() {
+        let db = make_db();
+        one_run(&db);
+        one_run(&db);
+        let before = (db.definition(), definition_tables(&db));
+        let epoch = db.engine().epoch();
+        // bw holds 61.5: no INTEGER. (Adding "extra" alone would work.)
+        let err = db
+            .update_definition(|def| {
+                def.add_variable(Variable::new("extra", VarKind::Parameter, DataType::Int))?;
+                def.modify_variable(Variable::new("bw", VarKind::ResultValue, DataType::Int))
+            })
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("pb_rundata_1.bw: cannot coerce 61.5"),
+            "{err}"
+        );
+        // fs holds 'ufs' in pb_runs: no INTEGER either.
+        let err = db
+            .update_definition(|def| {
+                def.modify_variable(Variable::new("fs", VarKind::Parameter, DataType::Int).once())
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("pb_runs.fs"), "{err}");
+        assert_eq!(db.engine().epoch(), epoch, "nothing was written");
+        assert!(before == (db.definition(), definition_tables(&db)));
+    }
+
+    /// An evolution step that leaves a table's schema alone leaves the table
+    /// alone: a grant rewrites no run data.
+    #[test]
+    fn evolution_rewrites_only_tables_whose_schema_changes() {
+        let db = make_db();
+        one_run(&db);
+        let pinned = db.engine().pin_table("pb_rundata_1").unwrap();
+        let runs = db.engine().pin_table("pb_runs").unwrap();
+        db.update_definition(|def| {
+            def.grant("reader", AccessLevel::Query);
+            Ok(())
+        })
+        .unwrap();
+        db.update_definition(|def| {
+            def.add_variable(Variable::new("nodes", VarKind::Parameter, DataType::Int).once())
+        })
+        .unwrap();
+        assert!(Arc::ptr_eq(
+            &pinned,
+            &db.engine().pin_table("pb_rundata_1").unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            &runs,
+            &db.engine().pin_table("pb_runs").unwrap()
+        ));
     }
 
     #[test]

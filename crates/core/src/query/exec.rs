@@ -4,7 +4,8 @@
 //! (`pb_tmp_<query>_<element>`); only the table name (wrapped in a
 //! [`DataVector`] with column metadata) flows between elements. Operators
 //! lean on the database's aggregation (GROUP BY) wherever possible — the
-//! paper's §4.2 performance argument.
+//! paper's §4.2 performance argument. Source elements read the run tables
+//! as one typed column scan, not one statement per run (`run_source`).
 //!
 //! Operator mode selection is automatic (paper §3.3.2):
 //!
@@ -25,8 +26,9 @@
 //! `sum` + `count`) over its local shard, and only the reduced partials
 //! cross the simulated link before being merged on the frontend. Sources
 //! that cannot be pushed down (non-decomposable operators like `median`,
-//! multiple consumers, run-level values) **fall back** to materialising
-//! the remote shards on the frontend row by row. Both paths charge the
+//! multiple consumers, run-level values) **fall back** to the ordinary
+//! source element, which scans each run where it lives and brings the
+//! selected rows to the frontend. Both paths charge the
 //! cluster's [`TransferStats`], reported per query in
 //! [`QueryOutcome::transfer`], and both return exactly the rows an
 //! unsharded run returns.
@@ -38,13 +40,18 @@ use crate::experiment::{ExperimentDb, ExperimentDef, Occurrence};
 use crate::output;
 use sqldb::aggregate::{Accumulator, AggKind};
 use sqldb::cluster::{Cluster, TransferStats};
-use sqldb::{Engine, Value};
+use sqldb::sql::{parse_expr, SqlExpr};
+use sqldb::{Cell, Column, DbError, Engine, Schema, Table, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
-/// Wall-clock cost of one executed element — the measurement behind the
-/// §4.3 observation that source elements account for only ~10 % of query
-/// time.
+/// Wall-clock cost of one executed element — the measurement the paper's
+/// §4.3 rests on when it finds source elements at only ~10 % of query time.
+/// That is the paper's figure (Python operators on a PostgreSQL server);
+/// here, with one table per run and operators in SQL, source elements are
+/// 0.49 of the element time of the benchmark's query set over 1200 runs
+/// (`core.query.source_share`; 0.89 while they sent a statement per run) and
+/// 0.2 over 12 runs (EXPERIMENTS.md C13).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElementTiming {
     /// Element id.
@@ -359,6 +366,7 @@ impl<'a> QueryRunner<'a> {
 
         let mut artifact = None;
         let mut decision = "";
+        let mut runs = None;
         let vector = match &element.kind {
             // Fused sources execute inside their consuming aggregation
             // operator, on the data-owning nodes.
@@ -368,7 +376,11 @@ impl<'a> QueryRunner<'a> {
             }
             // Reads happen on the frontend; the vector lands on the
             // consumer's node.
-            ElementKind::Source(s) => Some(run_source(self.db, out_engine, s, &table)?),
+            ElementKind::Source(s) => {
+                let (vector, matched) = run_source(self.db, out_engine, s, &table)?;
+                runs = Some(matched);
+                Some(vector)
+            }
             ElementKind::Operator(o) => Some(match fused[i] {
                 Some(si) => {
                     obs::incr(obs::Counter::DagPushdownFused);
@@ -415,8 +427,9 @@ impl<'a> QueryRunner<'a> {
             cluster.charge_transfer(rows);
         }
         el_span.annotate(|| {
+            let runs = runs.map(|n| format!(" runs={n}")).unwrap_or_default();
             format!(
-                "id={} kind={}{decision} rows={rows}",
+                "id={} kind={}{decision}{runs} rows={rows}",
                 element.id,
                 element.kind.name()
             )
@@ -479,6 +492,15 @@ struct SourcePlan {
 }
 
 impl SourcePlan {
+    /// The data-set restriction as the one expression every run's selection
+    /// takes: parsed here, once per source element.
+    fn multi_filter(&self) -> Result<Option<SqlExpr>> {
+        if self.multi_where.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(parse_expr(&self.multi_where.join(" AND "))?))
+    }
+
     /// `SELECT run_id, <once cols> FROM pb_runs [WHERE …] ORDER BY run_id`,
     /// returning the selected column list alongside the SQL.
     fn runs_query(&self) -> (Vec<String>, String) {
@@ -586,20 +608,46 @@ fn source_labels(def: &ExperimentDef, cols: &[String]) -> HashMap<String, String
     labels
 }
 
-/// Execute a source element (paper §3.3.1): retrieve data tuples matching
-/// the parameter and run restrictions from the experiment database
-/// `db`, materialising the output vector into `table` on `out_engine`.
+/// The run-table scans of one source element in the statement accounting:
+/// one statement of the `select` class per scanned table, as when each was a
+/// SELECT, with the wall time of the scan loop as a whole — a pair of clock
+/// reads around every run would be a sixth of what scanning the run costs.
+struct ScanAccount {
+    started: Instant,
+    tables: u64,
+}
+
+impl Drop for ScanAccount {
+    fn drop(&mut self) {
+        let ns = self.started.elapsed().as_nanos() as u64;
+        obs::record_statements(obs::StmtClass::Select, self.tables, ns);
+    }
+}
+
+/// Execute a source element (paper §3.3.1): retrieve the data tuples
+/// matching the parameter and run restrictions from the experiment database
+/// `db` into `table` on `out_engine`. Returns the vector and the number of
+/// runs that matched.
 ///
-/// On a sharded experiment each run's data query executes on the run's
-/// owning node and the matching rows travel to the frontend (charged) —
-/// this is the fallback materialization path for everything the
-/// aggregation pushdown cannot handle.
+/// One typed scan, no statement per run: each matching run's table is pinned
+/// where it lives, the data-set restriction selects positions in it
+/// ([`ExperimentDb::scan_run_data`]), and the selected cells are appended
+/// column-wise to the vector's table — data columns vector to vector,
+/// run-level (`pb_runs`) values as repeated constants. The table's column
+/// types come from the experiment definition, which every run table follows
+/// ([`ExperimentDb::update_definition`] rebuilds them); it is installed as
+/// the element's TEMP table in one step.
+///
+/// On a sharded experiment each run is scanned on its owning node (or a
+/// fresh replica) and the selected rows travel to the frontend (charged) —
+/// the fallback materialization path for everything the aggregation pushdown
+/// cannot handle.
 pub(crate) fn run_source(
     db: &ExperimentDb,
     out_engine: &Engine,
     spec: &SourceSpec,
     table: &str,
-) -> Result<DataVector> {
+) -> Result<(DataVector, usize)> {
     let def = db.definition();
     let plan = plan_source(&def, spec)?;
 
@@ -607,8 +655,6 @@ pub(crate) fn run_source(
     let (run_cols, sql) = plan.runs_query();
     let runs = db.engine().query(&sql)?;
 
-    // 2. Per run, select the matching data sets and attach the run-level
-    //    columns.
     let params: Vec<String> = plan
         .once_carry
         .iter()
@@ -622,69 +668,78 @@ pub(crate) fn run_source(
         .cloned()
         .collect();
     let out_cols: Vec<String> = params.iter().chain(&values).cloned().collect();
+    let typed = |name: &String| {
+        let var = def.variable(name).expect("plan_source resolved the name");
+        Column::new(name, var.datatype)
+    };
+    let mut out = Table::new(Schema::new(out_cols.iter().map(typed).collect())?);
 
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    // 2. Per run, select the matching data sets and append them with the
+    //    run-level columns attached.
+    let filter = plan.multi_filter()?;
+    // Per output column, the pb_runs column it repeats (if it is run-level).
+    let once_idx: Vec<Option<usize>> = out_cols
+        .iter()
+        .map(|c| run_cols.iter().position(|r| r == c))
+        .collect();
+    // Only run-level columns: a tuple is the pb_runs row behind its run_id.
+    let run_level_only = once_idx.iter().all(Option::is_some);
+    let sharded = db.sharding().is_some();
+    let mut scans = ScanAccount {
+        started: Instant::now(),
+        tables: 0,
+    };
     for run_row in runs.rows() {
         let run_id = run_row[0].as_i64().expect("run_id is INTEGER");
-        let once_vals: HashMap<&str, &Value> = run_cols
-            .iter()
-            .skip(1)
-            .zip(run_row.iter().skip(1))
-            .map(|(n, v)| (n.as_str(), v))
-            .collect();
-
-        if plan.multi_carry.is_empty() && plan.multi_values.is_empty() {
-            // Purely run-level data: one tuple per run.
-            let row: Vec<Value> = out_cols
-                .iter()
-                .map(|c| (*once_vals[c.as_str()]).clone())
-                .collect();
-            rows.push(row);
+        if run_level_only && filter.is_none() {
+            // Nothing to ask of the data sets: one tuple per run.
+            out.insert(run_row[1..].to_vec())?;
             continue;
-        }
-
-        let data_table = crate::experiment::rundata_table_name(run_id);
-        let mut dcols: Vec<String> = plan.multi_carry.clone();
-        dcols.extend(plan.multi_values.iter().cloned());
-        let mut dsql = format!("SELECT {} FROM {}", dcols.join(", "), data_table);
-        if !plan.multi_where.is_empty() {
-            dsql.push_str(&format!(" WHERE {}", plan.multi_where.join(" AND ")));
         }
         // One shard fragment materialised on the frontend per run — the
         // fallback path the aggregation pushdown avoids.
-        if db.sharding().is_some() {
+        if sharded {
             obs::incr(obs::Counter::DagShardsMaterialized);
         }
-        let data = db.query_run_data(run_id, &dsql)?;
-        for drow in data.rows() {
-            let dmap: HashMap<&str, &Value> = dcols
-                .iter()
-                .zip(drow.iter())
-                .map(|(n, v)| (n.as_str(), v))
-                .collect();
-            let row: Vec<Value> = out_cols
-                .iter()
-                .map(|c| {
-                    once_vals
-                        .get(c.as_str())
-                        .map(|v| (*v).clone())
-                        .or_else(|| dmap.get(c.as_str()).map(|v| (*v).clone()))
-                        .expect("column is carry or value")
-                })
-                .collect();
-            rows.push(row);
+        scans.tables += 1;
+        let in_run = |e: DbError| Error::Query(format!("run {run_id}: {e}"));
+        let (data, positions) = db.scan_run_data(run_id, filter.as_ref()).map_err(in_run)?;
+        if run_level_only {
+            // The run's tuple, once, iff a data set passes the restriction.
+            if !positions.is_empty() {
+                out.insert(run_row[1..].to_vec())?;
+            }
+            continue;
         }
+        let cells: Vec<Cell<'_>> = out_cols
+            .iter()
+            .zip(&once_idx)
+            .map(|(name, once)| match once {
+                Some(i) => Ok(Cell::Constant(&run_row[*i])),
+                None => data
+                    .schema
+                    .index_of(name)
+                    .map(Cell::Column)
+                    .ok_or_else(|| in_run(DbError::NoSuchColumn(name.clone()))),
+            })
+            .collect::<Result<_>>()?;
+        out.append_selected(&data, &positions, &cells)
+            .map_err(in_run)?;
     }
+    drop(scans);
 
-    // 3. Materialise the vector, with labels from the definition.
+    // 3. Install the vector, with labels from the definition.
     let labels = source_labels(&def, &out_cols);
-    materialize(out_engine, table, &out_cols, rows)?;
-    Ok(DataVector {
-        table: table.to_string(),
-        params,
-        values,
-        labels,
-    })
+    out_engine.install_temp_table(table, out)?;
+    Ok((
+        DataVector {
+            table: table.to_string(),
+            params,
+            values,
+            labels,
+        },
+        runs.len(),
+    ))
 }
 
 /// Per-value partial-aggregate state while merging pushed-down results on
@@ -879,7 +934,7 @@ fn materialize(
     columns: &[String],
     rows: Vec<Vec<Value>>,
 ) -> Result<()> {
-    use sqldb::{Column, DataType, Schema};
+    use sqldb::DataType;
     let mut cols = Vec::with_capacity(columns.len());
     for (i, name) in columns.iter().enumerate() {
         let dtype = rows
@@ -1490,7 +1545,7 @@ fn run_output(in_engine: &Engine, spec: &OutputSpec, inputs: &[&DataVector]) -> 
 pub(crate) mod tests {
     use super::*;
     use crate::experiment::{ExperimentDef, Meta, VarKind, Variable};
-    use crate::query::spec::query_from_str;
+    use crate::query::spec::{query_from_str, Filter, FilterOp, RunFilter};
     use sqldb::cluster::LatencyModel;
     use sqldb::DataType;
     use std::sync::Arc;
@@ -1958,6 +2013,417 @@ pub(crate) mod tests {
       <operator id="rel" type="above" input="max_new,max_old"/>
       <output id="o" input="rel" format="csv"/>
     </query>"#;
+
+    /// Rows of the vector of source `s` of `spec`, before the temp tables go.
+    fn source_rows(db: &ExperimentDb, source: &str) -> Vec<Vec<Value>> {
+        let spec = query_from_str(&format!(
+            r#"<query name="q"><source id="s">{source}</source>
+               <output id="o" input="s" format="csv"/></query>"#
+        ))
+        .unwrap();
+        let ElementKind::Source(s) = &spec.elements[0].kind else {
+            panic!("first element is the source");
+        };
+        let (v, _) = run_source(db, db.engine(), s, "pb_tmp_q_s").unwrap();
+        let (_, rows) = db.engine().read_snapshot(&v.table).unwrap();
+        db.engine().drop_temp_tables();
+        rows
+    }
+
+    /// A restriction on a data-set parameter holds for run-level values too:
+    /// a run contributes its tuple once iff one of its data sets passes.
+    #[test]
+    fn dataset_restriction_applies_to_run_level_sources() {
+        for db in [seeded_db(), sharded_db(3)] {
+            // One more run, whose only data set has a chunk no other run has.
+            let once: HashMap<String, Value> =
+                [("technique".to_string(), Value::Text("odd".into()))].into();
+            let ds: HashMap<String, Value> = [
+                ("chunk".to_string(), Value::Int(999)),
+                ("bw".to_string(), Value::Float(1.0)),
+            ]
+            .into();
+            db.add_run(&once, &[ds], 2000).unwrap();
+            let techniques = |restriction: &str| -> Vec<Value> {
+                let source = format!(r#"{restriction}<value name="technique"/>"#);
+                source_rows(&db, &source).into_iter().flatten().collect()
+            };
+            let t = |s: &str| Value::Text(s.into());
+            assert_eq!(
+                techniques(""),
+                [t("old"), t("old"), t("new"), t("new"), t("odd")]
+            );
+            assert_eq!(
+                techniques(r#"<parameter name="chunk" value="999"/>"#),
+                [t("odd")]
+            );
+            // Three data sets of a run pass: still one tuple per run.
+            assert_eq!(
+                techniques(r#"<parameter name="chunk" op="lt" value="999"/>"#),
+                [t("old"), t("old"), t("new"), t("new")]
+            );
+            assert!(techniques(r#"<parameter name="chunk" value="5"/>"#).is_empty());
+        }
+    }
+
+    /// The vector's column types are the definition's — also when no row, or
+    /// no non-NULL cell, is there to guess them from.
+    #[test]
+    fn source_vector_is_typed_by_the_definition() {
+        let db = seeded_db();
+        let spec = query_from_str(
+            r#"<query name="typed"><source id="s">
+                 <parameter name="technique" value="none such" carry="true"/>
+                 <parameter name="chunk" carry="true"/>
+                 <value name="bw"/>
+               </source><output id="o" input="s" format="csv"/></query>"#,
+        )
+        .unwrap();
+        let ElementKind::Source(s) = &spec.elements[0].kind else {
+            panic!("first element is the source");
+        };
+        let (v, runs) = run_source(&db, db.engine(), s, "pb_tmp_typed_s").unwrap();
+        assert_eq!(runs, 0);
+        let (schema, rows) = db.engine().read_snapshot(&v.table).unwrap();
+        assert!(rows.is_empty());
+        let types: Vec<DataType> = schema.columns.iter().map(|c| c.dtype).collect();
+        assert_eq!(types, [DataType::Text, DataType::Int, DataType::Float]);
+        db.engine().drop_temp_tables();
+    }
+
+    /// Runs imported before an evolution step answer sources written after
+    /// it: `update_definition` keeps every run table on the definition.
+    #[test]
+    fn sources_follow_the_evolved_definition() {
+        let db = seeded_db();
+        // A multiple-occurrence variable added later is NULL in older runs.
+        db.update_definition(|def| {
+            def.add_variable(Variable::new("lat", VarKind::ResultValue, DataType::Float))
+        })
+        .unwrap();
+        let rows = source_rows(
+            &db,
+            r#"<parameter name="chunk" carry="true"/><value name="lat"/>"#,
+        );
+        assert_eq!(rows.len(), 12);
+        assert!(rows.iter().all(|r| r[1] == Value::Null), "{rows:?}");
+        // Retyped INTEGER → FLOAT, then a run whose content needs the new
+        // type: one vector holds both.
+        db.update_definition(|def| {
+            def.modify_variable(Variable::new("chunk", VarKind::Parameter, DataType::Float))
+        })
+        .unwrap();
+        let ds: HashMap<String, Value> = [
+            ("chunk".to_string(), Value::Float(2.5)),
+            ("bw".to_string(), Value::Float(9.0)),
+        ]
+        .into();
+        db.add_run(&HashMap::new(), &[ds], 3000).unwrap();
+        let rows = source_rows(
+            &db,
+            r#"<parameter name="chunk" carry="true"/><value name="bw"/>"#,
+        );
+        assert_eq!(rows.len(), 13);
+        assert_eq!(rows[0][0], Value::Float(100.0));
+        assert_eq!(rows[12], [Value::Float(2.5), Value::Float(9.0)]);
+    }
+
+    /// A run table that does not follow the definition (left behind by a
+    /// build that evolved only `pb_runs`) is a query error that names the run
+    /// and the column — in every position a column can be used.
+    #[test]
+    fn run_table_off_the_definition_is_a_named_error() {
+        let carry = r#"<parameter name="chunk" carry="true"/><value name="bw"/>"#;
+        let filtered = r#"<parameter name="chunk" value="100"/><value name="technique"/>"#;
+        for (columns, source, column) in [
+            ("bw FLOAT", carry, "chunk"),
+            ("chunk INTEGER", carry, "bw"),
+            (
+                "chunk INTEGER, bw INTEGER",
+                carry,
+                "'bw' is FLOAT, not INTEGER",
+            ),
+            ("bw FLOAT", filtered, "chunk"),
+        ] {
+            let db = seeded_db();
+            let e = db.engine();
+            e.execute("DROP TABLE pb_rundata_2").unwrap();
+            e.execute(&format!("CREATE TABLE pb_rundata_2 ({columns})"))
+                .unwrap();
+            let values = if columns.contains(',') {
+                "(100, 7)"
+            } else {
+                "(7)"
+            };
+            e.execute(&format!("INSERT INTO pb_rundata_2 VALUES {values}"))
+                .unwrap();
+            let q = query_from_str(&format!(
+                r#"<query name="q"><source id="s">{source}</source>
+                   <output id="o" input="s" format="csv"/></query>"#
+            ))
+            .unwrap();
+            let err = QueryRunner::new(&db).run(q).unwrap_err().to_string();
+            assert!(
+                err.starts_with("query error: run 2: ") && err.contains(column),
+                "{columns}: {err}"
+            );
+            assert!(e.temp_table_names().is_empty());
+        }
+    }
+
+    /// Seeded splitmix64, as in the randomized suites under `tests/`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (((z ^ (z >> 31)) as u128 * n as u128) >> 64) as usize
+        }
+
+        /// Each element with probability 1/2, in order.
+        fn subset<T: Clone>(&mut self, of: &[T]) -> Vec<T> {
+            of.iter().filter(|_| self.below(2) == 0).cloned().collect()
+        }
+    }
+
+    /// The ten variables of the random experiments: every data type, once
+    /// per run (`o_*`) and per data set (`m_*`).
+    const KINDS: [(&str, DataType); 5] = [
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Text),
+        ("b", DataType::Bool),
+        ("t", DataType::Timestamp),
+    ];
+
+    /// A small pool per type, so that filters hit: NULL, the ends of ranges,
+    /// text with quotes and beyond ASCII.
+    fn random_value(rng: &mut Rng, dtype: DataType) -> Value {
+        if rng.below(5) == 0 {
+            return Value::Null;
+        }
+        let k = rng.below(4);
+        match dtype {
+            DataType::Int => Value::Int([-3, 0, 7, 1 << 40][k]),
+            DataType::Float => Value::Float([-1.5, 0.0, 2.25, 1e300][k]),
+            DataType::Text => Value::Text(["it's", "größe 日本", "a\"b''", "x y"][k].into()),
+            DataType::Bool => Value::Bool(k < 2),
+            DataType::Timestamp => Value::Timestamp([0, 1_100_000_000, 1_100_000_001, 1 << 33][k]),
+        }
+    }
+
+    /// `v` as the content of a filter's `value` attribute.
+    fn raw_content(v: &Value) -> String {
+        match v {
+            Value::Null => String::new(),
+            Value::Float(f) => format!("{f:?}"),
+            Value::Timestamp(t) => sqldb::format_timestamp(*t),
+            other => other.to_string(),
+        }
+    }
+
+    /// SQL comparison semantics, from scratch: NULL compares to nothing.
+    fn holds(op: &FilterOp, cell: &Value, content: &[Value]) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let cmp = |a: &Value, b: &Value| match (a, b) {
+            (Value::Int(a), Value::Int(b)) | (Value::Timestamp(a), Value::Timestamp(b)) => {
+                Some(a.cmp(b))
+            }
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+            (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
+            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            (Value::Null, _) | (_, Value::Null) => None,
+            other => panic!("filters compare one type: {other:?}"),
+        };
+        let first = cmp(cell, &content[0]);
+        match op {
+            FilterOp::Eq => first == Some(Equal),
+            FilterOp::Ne => matches!(first, Some(Less | Greater)),
+            FilterOp::Lt => first == Some(Less),
+            FilterOp::Le => matches!(first, Some(Less | Equal)),
+            FilterOp::Gt => first == Some(Greater),
+            FilterOp::Ge => matches!(first, Some(Greater | Equal)),
+            FilterOp::In => content.iter().any(|c| cmp(cell, c) == Some(Equal)),
+        }
+    }
+
+    /// Random small experiments × random source specs: the vector read back
+    /// is the one computed here from the inserted values — never through
+    /// sqldb — and its column types are the definition's.
+    #[test]
+    fn random_sources_match_an_oracle() {
+        let mut rng = Rng(15);
+        let vars: Vec<(String, DataType, bool)> = ["o", "m"]
+            .iter()
+            .flat_map(|occ| KINDS.map(|(k, t)| (format!("{occ}_{k}"), t, *occ == "o")))
+            .collect();
+        let (mut specs, mut kept) = (0, 0);
+        for case in 0..150 {
+            let mut def = ExperimentDef::new(Meta::default(), "u");
+            for (name, dtype, once) in &vars {
+                let var = Variable::new(name, VarKind::Parameter, *dtype);
+                def.add_variable(if *once { var.once() } else { var })
+                    .unwrap();
+            }
+            let db = ExperimentDb::create(Arc::new(Engine::new()), def).unwrap();
+            // What was inserted: per run its id, import time, once values
+            // and data sets, each a map by variable name.
+            type Content = HashMap<String, Value>;
+            let mut runs: Vec<(i64, i64, Content, Vec<Content>)> = Vec::new();
+            for r in 0..1 + rng.below(8) {
+                let content = |rng: &mut Rng, once: bool| -> Content {
+                    let of = vars.iter().filter(|v| v.2 == once);
+                    of.map(|(n, t, _)| (n.clone(), random_value(rng, *t)))
+                        .collect()
+                };
+                let once = content(&mut rng, true);
+                let sets: Vec<Content> = (0..rng.below(4))
+                    .map(|_| content(&mut rng, false))
+                    .collect();
+                let created = 1000 + 10 * r as i64;
+                let id = db.add_run(&once, &sets, created).unwrap();
+                runs.push((id, created, once, sets));
+            }
+            if case % 3 == 2 {
+                let cluster = sqldb::cluster::Cluster::with_frontend(
+                    db.engine().clone(),
+                    3,
+                    LatencyModel::none(),
+                );
+                db.attach_cluster(Arc::new(cluster)).unwrap();
+            }
+
+            for _ in 0..4 {
+                let filters: Vec<(usize, FilterOp, Vec<Value>)> = (0..rng.below(4))
+                    .map(|_| {
+                        let v = rng.below(vars.len());
+                        let op = [
+                            FilterOp::Eq,
+                            FilterOp::Ne,
+                            FilterOp::Lt,
+                            FilterOp::Le,
+                            FilterOp::Gt,
+                            FilterOp::Ge,
+                            FilterOp::In,
+                        ][rng.below(7)]
+                        .clone();
+                        let mut content: Vec<Value> = (0..1 + rng.below(3))
+                            .map(|_| random_value(&mut rng, vars[v].1))
+                            .collect();
+                        if op == FilterOp::In {
+                            // An empty list element is no content at all.
+                            content.retain(|c| !c.is_null());
+                        }
+                        content.truncate(if op == FilterOp::In { 3 } else { 1 });
+                        (v, op, content)
+                    })
+                    .filter(|(_, _, content)| !content.is_empty())
+                    .collect();
+                // One spec in four asks for run-level columns only.
+                let run_level = rng.below(4) == 0;
+                let names: Vec<String> = vars
+                    .iter()
+                    .filter(|v| v.2 || !run_level)
+                    .map(|v| v.0.clone())
+                    .collect();
+                let carry = rng.subset(&names);
+                let rest: Vec<String> = names.into_iter().filter(|n| !carry.contains(n)).collect();
+                let mut values = rng.subset(&rest);
+                if carry.is_empty() && values.is_empty() {
+                    values.push(rest[rng.below(rest.len())].clone());
+                }
+                let ids: Vec<i64> = runs.iter().map(|r| r.0).collect();
+                let run_filter = RunFilter {
+                    from: (rng.below(3) == 0).then(|| 1000 + 10 * rng.below(4) as i64),
+                    to: (rng.below(3) == 0).then(|| 1000 + 10 * rng.below(8) as i64),
+                    ids: if rng.below(3) == 0 {
+                        rng.subset(&ids)
+                    } else {
+                        Vec::new()
+                    },
+                };
+                let spec = SourceSpec {
+                    filters: filters
+                        .iter()
+                        .map(|(v, op, content)| Filter {
+                            parameter: vars[*v].0.clone(),
+                            op: op.clone(),
+                            value: content
+                                .iter()
+                                .map(raw_content)
+                                .collect::<Vec<_>>()
+                                .join(","),
+                        })
+                        .collect(),
+                    run_filter: run_filter.clone(),
+                    carry: carry.clone(),
+                    values: values.clone(),
+                };
+
+                // The oracle: columns are the once carries, the data-set
+                // carries, the once values, the data-set values.
+                let is_once = |n: &String| n.starts_with("o_");
+                let columns: Vec<&String> = carry
+                    .iter()
+                    .filter(|n| is_once(n))
+                    .chain(carry.iter().filter(|n| !is_once(n)))
+                    .chain(values.iter().filter(|n| is_once(n)))
+                    .chain(values.iter().filter(|n| !is_once(n)))
+                    .collect();
+                let passes = |content: &Content, once: bool| {
+                    filters
+                        .iter()
+                        .filter(|(v, _, _)| vars[*v].2 == once)
+                        .all(|(v, op, lits)| holds(op, &content[&vars[*v].0], lits))
+                };
+                let mut want: Vec<Vec<Value>> = Vec::new();
+                for (id, created, once, sets) in &runs {
+                    let selected = run_filter.from.is_none_or(|t| *created >= t)
+                        && run_filter.to.is_none_or(|t| *created <= t)
+                        && (run_filter.ids.is_empty() || run_filter.ids.contains(id))
+                        && passes(once, true);
+                    if !selected {
+                        continue;
+                    }
+                    let row = |set: Option<&Content>| -> Vec<Value> {
+                        let cell = |n: &&String| match set {
+                            Some(set) if !is_once(n) => set[*n].clone(),
+                            _ => once[*n].clone(),
+                        };
+                        columns.iter().map(cell).collect()
+                    };
+                    let mut passing = sets.iter().filter(|set| passes(set, false));
+                    if columns.iter().all(|n| is_once(n)) {
+                        let unrestricted = filters.iter().all(|(v, _, _)| vars[*v].2);
+                        if unrestricted || passing.next().is_some() {
+                            want.push(row(None));
+                        }
+                    } else {
+                        want.extend(passing.map(|set| row(Some(set))));
+                    }
+                }
+
+                let (v, matched) = run_source(&db, db.engine(), &spec, "pb_tmp_oracle").unwrap();
+                let (schema, got) = db.engine().read_snapshot(&v.table).unwrap();
+                db.engine().drop_temp_tables();
+                assert_eq!(got, want, "case {case}: {spec:?}");
+                assert!(matched <= runs.len());
+                let names: Vec<&String> = schema.columns.iter().map(|c| &c.name).collect();
+                assert_eq!(names, columns);
+                for c in &schema.columns {
+                    let dtype = vars.iter().find(|v| v.0 == c.name).unwrap().1;
+                    assert_eq!(c.dtype, dtype, "case {case}: column {}", c.name);
+                }
+                specs += 1;
+                kept += want.len();
+            }
+        }
+        // The generator is worth its name: the filters let rows through.
+        assert!(specs == 600 && kept > 800, "{specs} specs kept {kept} rows");
+    }
 
     #[test]
     fn parallel_matches_sequential() {

@@ -41,7 +41,8 @@ hists! {
     ParseNs => "sql.parse_ns",
     /// Statement execution latency (post-parse).
     ExecNs => "sql.exec_ns",
-    /// Access-path planning latency per single-table SELECT.
+    /// Access-path planning latency per single-table selection that had a
+    /// WHERE clause and an index to weigh.
     PlanNs => "plan.plan_ns",
     /// WAL append latency (encode + write + any inline sync).
     WalAppendNs => "wal.append_ns",

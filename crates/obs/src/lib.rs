@@ -32,7 +32,8 @@ mod report;
 mod span;
 
 pub use class::{
-    class_scope, class_snapshot, current_class, record_statement, ClassScope, ClassStats, StmtClass,
+    class_scope, class_snapshot, current_class, record_statement, record_statements, ClassScope,
+    ClassStats, StmtClass,
 };
 pub use counter::{add, counters_snapshot, get, incr, set, Counter};
 pub use hist::{hist_snapshot, record, record_duration, Hist, HistSnapshot, BUCKETS};

@@ -26,7 +26,9 @@
 use crate::engine::{Engine, ResultSet};
 use crate::error::DbError;
 use crate::exec::infer_schema;
+use crate::sql::SqlExpr;
 use crate::sync::Mutex;
+use crate::table::Table;
 use crate::wal::{IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -507,19 +509,49 @@ impl Cluster {
         dir.join(format!("node{id}.sql"))
     }
 
-    /// Run a query on node `src` and return the result *here* (i.e. to the
-    /// caller's node `dst`), charging socket cost when `src != dst`.
-    pub fn fetch(&self, src: usize, dst: usize, sql: &str) -> Result<ResultSet, DbError> {
+    /// Ask node `src` for something on behalf of node `dst`: a dead node
+    /// answers nothing, and an answer that crosses nodes is charged as one
+    /// message of the `rows` it carries.
+    fn ask<T>(
+        &self,
+        src: usize,
+        dst: usize,
+        ask: impl FnOnce(&Engine) -> Result<T, DbError>,
+        rows: impl Fn(&T) -> usize,
+    ) -> Result<T, DbError> {
         if !self.node_alive(src) {
             return Err(DbError::Io(format!("node {src} is down")));
         }
         let mut span = obs::span("cluster.fetch");
-        let rs = self.nodes[src].engine.query(sql)?;
-        span.annotate(|| format!("src={src} dst={dst} rows={}", rs.len()));
+        let answer = ask(&self.nodes[src].engine)?;
+        let n = rows(&answer);
+        span.annotate(|| format!("src={src} dst={dst} rows={n}"));
         if src != dst {
-            self.charge(rs.len());
+            self.charge(n);
         }
-        Ok(rs)
+        Ok(answer)
+    }
+
+    /// Run a query on node `src` and return the result *here* (i.e. to the
+    /// caller's node `dst`), charging socket cost when `src != dst`.
+    pub fn fetch(&self, src: usize, dst: usize, sql: &str) -> Result<ResultSet, DbError> {
+        self.ask(src, dst, |engine| engine.query(sql), ResultSet::len)
+    }
+
+    /// The typed counterpart of [`Cluster::fetch`]: select the rows of
+    /// `table` on node `src` that satisfy `filter` ([`Engine::scan`]) and
+    /// hand the pinned table and the positions to the caller's node `dst`.
+    /// The selected rows are charged exactly as `fetch` charges the rows of
+    /// its result.
+    pub fn scan(
+        &self,
+        src: usize,
+        dst: usize,
+        table: &str,
+        filter: Option<&SqlExpr>,
+    ) -> Result<(Arc<Table>, Vec<usize>), DbError> {
+        let selected = |(_, positions): &(Arc<Table>, Vec<usize>)| positions.len();
+        self.ask(src, dst, |engine| engine.scan(table, filter), selected)
     }
 
     /// Copy a whole table from node `src` to node `dst` under `dst_name`
@@ -668,6 +700,31 @@ mod tests {
         // Local fetch: no message.
         c.fetch(0, 0, "SELECT x FROM t").unwrap();
         assert_eq!(c.stats().messages, 1);
+    }
+
+    /// `scan` is `fetch` without the statement: same liveness check, same
+    /// charge (one message, the selected rows), nothing for a local read.
+    #[test]
+    fn scan_charges_what_fetch_charges() {
+        let c = Cluster::new(2, LatencyModel::none());
+        let engine = &c.node(1).engine;
+        engine.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        engine.execute("INSERT INTO t VALUES (1),(2),(3)").unwrap();
+        let filter = crate::sql::parse_expr("x >= 2").unwrap();
+        let fetched = c.fetch(1, 0, "SELECT x FROM t WHERE x >= 2").unwrap();
+        let by_fetch = c.stats();
+        c.reset_stats();
+        let (pinned, positions) = c.scan(1, 0, "t", Some(&filter)).unwrap();
+        assert_eq!(c.stats(), by_fetch);
+        assert_eq!((by_fetch.messages, by_fetch.rows), (1, 2));
+        let rows: Vec<_> = positions.iter().map(|&p| pinned.row(p)).collect();
+        assert_eq!(rows, fetched.rows());
+        c.scan(1, 1, "t", None).unwrap();
+        assert_eq!(c.stats(), by_fetch, "a local scan is free");
+        c.kill_node(1);
+        let down = c.scan(1, 0, "t", None).unwrap_err();
+        assert_eq!(down, c.fetch(1, 0, "SELECT x FROM t").unwrap_err());
+        assert_eq!(c.stats(), by_fetch, "a dead node answers nothing");
     }
 
     #[test]

@@ -49,10 +49,26 @@ impl NullBitmap {
         self.len += 1;
     }
 
-    /// Is row `i` NULL?
+    /// Append `n` non-NULL rows.
+    fn extend_valid(&mut self, n: usize) {
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
+    }
+
+    /// Append the bits of `src` at `positions`.
+    fn extend_selected(&mut self, src: &NullBitmap, positions: &[usize]) {
+        if src.nulls == 0 {
+            self.extend_valid(positions.len());
+        } else {
+            positions.iter().for_each(|&p| self.push(src.is_null(p)));
+        }
+    }
+
+    /// Is row `i` NULL? A column without NULLs answers from the count, so
+    /// scanning it never loads the bitmap words.
     #[inline]
     pub(crate) fn is_null(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
+        self.nulls != 0 && (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Number of NULL rows.
@@ -133,6 +149,29 @@ impl DictColumn {
             }
             other => panic!("TEXT column got non-text value {other:?}"),
         }
+    }
+
+    /// Append the cells of `src` at `positions`. The two dictionaries differ,
+    /// so codes travel through a remap table filled as `src` codes are first
+    /// met: a string is interned once per call, in row order, and entries of
+    /// `src` that no selected row references never enter this dictionary.
+    fn extend_selected(&mut self, src: &DictColumn, positions: &[usize]) {
+        const UNMAPPED: u32 = u32::MAX;
+        let mut remap = vec![UNMAPPED; src.dict.len()];
+        self.codes.reserve(positions.len());
+        for &p in positions {
+            let code = if src.nulls.is_null(p) {
+                0
+            } else {
+                let from = src.codes[p] as usize;
+                if remap[from] == UNMAPPED {
+                    remap[from] = self.intern(&src.dict[from]);
+                }
+                remap[from]
+            };
+            self.codes.push(code);
+        }
+        self.nulls.extend_selected(&src.nulls, positions);
     }
 }
 
@@ -239,6 +278,60 @@ impl ColumnVec {
                 other => panic!("TIMESTAMP column got {other:?}"),
             },
             ColumnVec::Text(d) => d.push(v),
+        }
+    }
+
+    /// Append the cells of `src` — a column of the same type — at
+    /// `positions`, vector to vector.
+    fn extend_selected(&mut self, src: &ColumnVec, positions: &[usize]) {
+        fn gather<T: Copy>(
+            (data, nulls): (&mut Vec<T>, &mut NullBitmap),
+            (src, src_nulls): (&[T], &NullBitmap),
+            positions: &[usize],
+        ) {
+            data.extend(positions.iter().map(|&p| src[p]));
+            nulls.extend_selected(src_nulls, positions);
+        }
+        match (self, src) {
+            (ColumnVec::Int { data, nulls }, ColumnVec::Int { data: s, nulls: sn })
+            | (ColumnVec::Timestamp { data, nulls }, ColumnVec::Timestamp { data: s, nulls: sn }) => {
+                gather((data, nulls), (s, sn), positions)
+            }
+            (ColumnVec::Float { data, nulls }, ColumnVec::Float { data: s, nulls: sn }) => {
+                gather((data, nulls), (s, sn), positions)
+            }
+            (ColumnVec::Bool { data, nulls }, ColumnVec::Bool { data: s, nulls: sn }) => {
+                gather((data, nulls), (s, sn), positions)
+            }
+            (ColumnVec::Text(d), ColumnVec::Text(s)) => d.extend_selected(s, positions),
+            (dst, src) => panic!("column of another type appended: {src:?} to {dst:?}"),
+        }
+    }
+
+    /// Append `n` copies of the already-coerced `v` (same contract as
+    /// [`ColumnVec::push`]): TEXT is interned once, not once per row.
+    fn extend_repeated(&mut self, v: &Value, n: usize) {
+        match (self, v) {
+            (col, Value::Null) => (0..n).for_each(|_| col.push(&Value::Null)),
+            (ColumnVec::Int { data, nulls }, Value::Int(x))
+            | (ColumnVec::Timestamp { data, nulls }, Value::Timestamp(x)) => {
+                data.resize(data.len() + n, *x);
+                nulls.extend_valid(n);
+            }
+            (ColumnVec::Float { data, nulls }, Value::Float(x)) => {
+                data.resize(data.len() + n, *x);
+                nulls.extend_valid(n);
+            }
+            (ColumnVec::Bool { data, nulls }, Value::Bool(x)) => {
+                data.resize(data.len() + n, *x);
+                nulls.extend_valid(n);
+            }
+            (ColumnVec::Text(d), Value::Text(s)) => {
+                let code = d.intern(s);
+                d.codes.resize(d.codes.len() + n, code);
+                d.nulls.extend_valid(n);
+            }
+            (_, other) => panic!("column got a value of another type: {other:?}"),
         }
     }
 
@@ -370,6 +463,16 @@ pub struct TableMemory {
     pub dict_entries: usize,
 }
 
+/// Where one column of the rows [`crate::Table::append_selected`] appends
+/// comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell<'a> {
+    /// Column `i` of the source table, at the selected positions.
+    Column(usize),
+    /// One value, repeated for every selected position.
+    Constant(&'a Value),
+}
+
 /// Backing store of one table. See the module docs for layout and
 /// invariants.
 #[derive(Debug, Clone)]
@@ -407,6 +510,25 @@ impl ColumnStore {
             c.push(v);
         }
         self.len += 1;
+    }
+
+    /// Append `positions.len()` rows: column `i` takes what `cells[i]` names
+    /// — the cells of a column of `src` at `positions`, or one already-coerced
+    /// value repeated. The caller has checked that the types agree.
+    pub(crate) fn append_selected(
+        &mut self,
+        src: &ColumnStore,
+        positions: &[usize],
+        cells: &[Cell<'_>],
+    ) {
+        debug_assert_eq!(cells.len(), self.cols.len());
+        for (col, cell) in self.cols.iter_mut().zip(cells) {
+            match cell {
+                Cell::Column(i) => col.extend_selected(&src.cols[*i], positions),
+                Cell::Constant(v) => col.extend_repeated(v, positions.len()),
+            }
+        }
+        self.len += positions.len();
     }
 
     /// Value of cell (`pos`, `col`).

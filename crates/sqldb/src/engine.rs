@@ -8,7 +8,7 @@ use crate::exec;
 use crate::expr::{self, RowCtx};
 use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
-use crate::sql::{self, Stmt};
+use crate::sql::{self, SqlExpr, Stmt};
 use crate::sync::{Mutex, RwLock};
 use crate::table::{Row, Table};
 use crate::txn::Transaction;
@@ -298,6 +298,26 @@ impl Engine {
         if temp {
             self.temps.lock().insert(name.to_string());
         }
+        Ok(())
+    }
+
+    /// Install an already-built table as TEMP table `name`, replacing a TEMP
+    /// table of that name — what [`Engine::create_table_opts`] with `temp`
+    /// and [`Engine::insert_rows`] arrive at, in one step through the commit
+    /// gate. Never logged, like every TEMP write; the log mutex is still
+    /// held, because concurrent statements decide under it whether a table
+    /// of this name exists. A persistent table of that name is an error.
+    pub fn install_temp_table(&self, name: &str, table: Table) -> Result<(), DbError> {
+        let _stmt = classified(obs::StmtClass::Ddl);
+        let _wal = self.wal.lock();
+        let _commit = self.begin_commit();
+        let mut tables = self.tables.write();
+        let mut temps = self.temps.lock();
+        if tables.contains_key(name) && !temps.contains(name) {
+            return Err(DbError::TableExists(name.to_string()));
+        }
+        tables.insert(name.to_string(), Arc::new(RwLock::new(Arc::new(table))));
+        temps.insert(name.to_string());
         Ok(())
     }
 
@@ -816,6 +836,25 @@ impl Engine {
         result
     }
 
+    /// The selection step of `SELECT … FROM name [WHERE filter]` without the
+    /// statement around it: pin the current version of `name` and return it
+    /// with the positions (ascending) of its rows that satisfy `filter`. It is
+    /// the same step — access planner, vectorised filter, errors and `scan.*` /
+    /// `plan.*` counters; nothing is parsed and no row is built, so the caller
+    /// reads the cells it wants straight off the pinned table
+    /// ([`Table::append_selected`]). Like the other programmatic reads it is no
+    /// statement of its own: a caller that scans in place of statements
+    /// accounts for them ([`obs::record_statements`]).
+    pub fn scan(
+        &self,
+        name: &str,
+        filter: Option<&SqlExpr>,
+    ) -> Result<(Arc<Table>, Vec<usize>), DbError> {
+        let table = self.pin_table(name)?;
+        let positions = exec::select_positions(&table, filter)?;
+        Ok((table, positions))
+    }
+
     /// Run a SELECT (or `EXPLAIN [ANALYZE] SELECT`) against a pinned
     /// [`Snapshot`] instead of the live catalog: every table resolves to
     /// the version the snapshot pinned, so repeated queries against the
@@ -1256,6 +1295,135 @@ mod tests {
         assert_eq!(rs.column("a").unwrap(), vec![Value::Int(1), Value::Int(2)]);
         assert!(rs.get(5, "b").is_none());
         assert!(rs.column("zzz").is_none());
+    }
+
+    fn vector_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("fs", DataType::Text),
+            Column::new("bw", DataType::Float),
+        ])
+        .unwrap()
+    }
+
+    fn vector_rows() -> Vec<Row> {
+        vec![
+            vec![Value::Text("ufs".into()), Value::Float(1.5)],
+            vec![Value::Null, Value::Float(2.5)],
+            vec![Value::Text("nfs".into()), Value::Null],
+        ]
+    }
+
+    /// A table installed in one step is the table `create_table_opts` +
+    /// `insert_rows` build: same rows to SQL, TEMP, gone with the other
+    /// TEMP tables, absent from the log and the dump.
+    #[test]
+    fn installed_temp_table_is_an_ordinary_temp_table() {
+        use crate::wal::SyncPolicy;
+        let dir = std::env::temp_dir().join("perfbase_engine_wal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (dump, wal) = (dir.join("install.sql"), dir.join("install.wal"));
+        std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&wal).ok();
+        let (db, _) =
+            Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
+        db.execute("CREATE TABLE kept (a INTEGER)").unwrap();
+        let frames = db.wal_frames();
+
+        db.create_table_opts("by_rows", vector_schema(), true, false)
+            .unwrap();
+        db.insert_rows("by_rows", vector_rows()).unwrap();
+        let mut built = Table::new(vector_schema());
+        built.insert_all(vector_rows()).unwrap();
+        let epoch = db.epoch();
+        db.install_temp_table("installed", built).unwrap();
+        assert_eq!(db.epoch(), epoch + 1, "one commit");
+
+        let q = |t: &str| {
+            db.query(&format!(
+                "SELECT fs, count(*), max(bw) FROM {t} GROUP BY fs ORDER BY fs"
+            ))
+            .unwrap()
+        };
+        assert_eq!(q("installed"), q("by_rows"));
+        assert_eq!(
+            db.read_snapshot("installed").unwrap(),
+            db.read_snapshot("by_rows").unwrap()
+        );
+        assert_eq!(db.temp_table_names(), ["by_rows", "installed"]);
+        // It takes writes like any table, and none of it reaches the log.
+        db.execute("INSERT INTO installed VALUES ('pvfs', 9.0)")
+            .unwrap();
+        assert_eq!(db.row_count("installed").unwrap(), 4);
+        assert_eq!(db.wal_frames(), frames);
+        assert!(!db.dump_sql().contains("installed"));
+
+        // Installing again replaces the TEMP table; a persistent table of
+        // that name is never shadowed or replaced.
+        db.install_temp_table("installed", Table::new(vector_schema()))
+            .unwrap();
+        assert_eq!(db.row_count("installed").unwrap(), 0);
+        assert!(matches!(
+            db.install_temp_table("kept", Table::new(vector_schema())),
+            Err(DbError::TableExists(_))
+        ));
+        assert_eq!(db.read_snapshot("kept").unwrap().0.names(), ["a"]);
+
+        db.drop_temp_tables();
+        assert_eq!(db.table_names(), ["kept"]);
+        assert_eq!(db.wal_frames(), frames);
+        drop(db);
+        let (db2, report) =
+            Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
+        assert_eq!(report.replay_errors, 0);
+        assert_eq!(db2.table_names(), ["kept"]);
+    }
+
+    /// `scan` is the selection step of the SELECT with the same WHERE
+    /// clause: same rows whatever the access path, same error.
+    #[test]
+    fn scan_selects_what_the_select_selects() {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (id INTEGER, fs TEXT, bw FLOAT)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO t VALUES (1, 'ufs', 1.0), (2, 'nfs', NULL), (3, 'ufs', 3.0), \
+             (4, NULL, 4.0), (5, 'it''s', 5.0)",
+        )
+        .unwrap();
+        db.execute("CREATE ORDERED INDEX ix ON t (id)").unwrap();
+        for cond in [
+            "fs = 'ufs'",
+            "fs <> 'ufs' AND bw >= 4.0",
+            "fs IN ('it''s', 'nfs')",
+            "id >= 2 AND id < 5",
+            "bw IS NULL",
+            "id + 1 = 4",
+            "fs = 3",
+        ] {
+            let filter = sql::parse_expr(cond).unwrap();
+            let (pinned, positions) = db.scan("t", Some(&filter)).unwrap();
+            let ids: Vec<Value> = positions
+                .iter()
+                .map(|&p| pinned.row(p)[0].clone())
+                .collect();
+            let rs = db.query(&format!("SELECT id FROM t WHERE {cond}")).unwrap();
+            assert_eq!(Some(ids), rs.column("id"), "{cond}");
+        }
+        let (pinned, all) = db.scan("t", None).unwrap();
+        assert_eq!(all, [0, 1, 2, 3, 4]);
+        // The pin is a version: later writes do not reach it.
+        db.execute("DELETE FROM t WHERE id = 1").unwrap();
+        assert_eq!(pinned.len(), 5);
+
+        let unknown = sql::parse_expr("lat > 1").unwrap();
+        assert_eq!(
+            db.scan("t", Some(&unknown)).unwrap_err(),
+            db.query("SELECT id FROM t WHERE lat > 1").unwrap_err()
+        );
+        assert!(matches!(
+            db.scan("nope", None),
+            Err(DbError::NoSuchTable(_))
+        ));
     }
 
     #[test]

@@ -675,9 +675,7 @@ pub(crate) fn select_positions(
     table: &Table,
     where_clause: Option<&SqlExpr>,
 ) -> Result<Vec<usize>, DbError> {
-    let t_plan = Instant::now();
     let candidates = plan_access(where_clause, table).candidates;
-    obs::record_duration(obs::Hist::PlanNs, t_plan.elapsed());
     let store = table.store();
     let checked = candidates.as_ref().map(Vec::len);
     if checked.is_none() {
@@ -1094,10 +1092,20 @@ fn tighter_upper(a: Bound<ValueKey>, b: Bound<ValueKey>) -> Bound<ValueKey> {
 /// matching rows; [`select_positions`] still applies the full WHERE over
 /// them.
 fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
-    let nrows = table.len() as f64;
-    let Some(w) = where_clause else {
-        return counted(AccessPlan::full_scan(nrows));
+    // Without a WHERE clause or an index there is nothing to choose from,
+    // and no planning time worth two clock reads.
+    let Some(w) = where_clause.filter(|_| table.has_indexes()) else {
+        return counted(AccessPlan::full_scan(table.len() as f64));
     };
+    let started = Instant::now();
+    let plan = plan_indexed(w, table);
+    obs::record_duration(obs::Hist::PlanNs, started.elapsed());
+    plan
+}
+
+/// [`plan_access`] for a WHERE clause `w` over a table that has an index.
+fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
+    let nrows = table.len() as f64;
     if !names_resolve(w, &table.schema) {
         return counted(AccessPlan::full_scan(nrows));
     }

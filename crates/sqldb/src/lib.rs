@@ -71,7 +71,7 @@ mod txn;
 mod value;
 pub mod wal;
 
-pub use column::TableMemory;
+pub use column::{Cell, TableMemory};
 pub use engine::{Engine, ResultSet};
 pub use error::DbError;
 pub use repl::{Promotion, ReplOptions, ReplReport, Replicator};

@@ -10,7 +10,7 @@ mod parser;
 
 pub use ast::{ColumnDef, JoinClause, OrderKey, SelectItem, SelectStmt, SqlExpr, Stmt, UnOp};
 pub(crate) use parser::statements;
-pub use parser::{is_reserved, parse_script, parse_statement, split_script};
+pub use parser::{is_reserved, parse_expr, parse_script, parse_statement, split_script};
 
 /// SQL text shared by the lexer's and the parser's tests: what the
 /// replacement front end is compared on against the lexer it replaced.

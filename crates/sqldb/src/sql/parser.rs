@@ -22,6 +22,20 @@ pub fn parse_statement(src: &str) -> Result<Stmt, DbError> {
     Ok(stmt)
 }
 
+/// Parse one SQL expression — a condition handed over as text, to be used
+/// as the filter of many selections ([`crate::Engine::scan`]).
+pub fn parse_expr(src: &str) -> Result<SqlExpr, DbError> {
+    let mut p = P::new(src);
+    if p.next_span()?.is_none() {
+        return Err(p.err("expected an expression"));
+    }
+    let expr = p.expr()?;
+    if p.pos < p.toks.len() || p.next_span()?.is_some() {
+        return Err(p.err("trailing tokens after expression"));
+    }
+    Ok(expr)
+}
+
 /// Parse a `;`-separated script into statements. String literals may
 /// contain semicolons — splitting happens at the token level.
 pub fn parse_script(src: &str) -> Result<Vec<Stmt>, DbError> {
@@ -1176,6 +1190,22 @@ mod tests {
             },
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn expression_alone() {
+        let e = parse_expr("mode IN ('write', 'it''s') AND s_chunk >= -5").unwrap();
+        let Stmt::Select(sel) =
+            parse_statement("SELECT 1 FROM t WHERE mode IN ('write', 'it''s') AND s_chunk >= -5")
+                .unwrap()
+        else {
+            panic!("not a select");
+        };
+        assert_eq!(Some(e), sel.where_clause);
+        for bad in ["", "a = 1 b", "a = 1; b = 2", "a =", "SELECT 1", "'open"] {
+            assert!(parse_expr(bad).is_err(), "{bad}");
+        }
+        assert_eq!(parse_expr(" a ; ").unwrap(), SqlExpr::Col("a".into()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! through `Table::store`, and mutations take the positions a selection
 //! step produced ([`Table::update_positions`], [`Table::delete_positions`]).
 
-use crate::column::{ColumnStore, TableMemory};
+use crate::column::{Cell, ColumnStore, TableMemory};
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
 use crate::value::{Value, ValueKey};
@@ -244,6 +244,12 @@ impl Table {
         )
     }
 
+    /// Does the table have any index? Without one there is no access path
+    /// to plan.
+    pub(crate) fn has_indexes(&self) -> bool {
+        !self.indexes.is_empty()
+    }
+
     /// Is there an index over `column` (by position)?
     pub fn has_index_on(&self, column: usize) -> bool {
         self.indexes.iter().any(|ix| ix.column == column)
@@ -390,6 +396,64 @@ impl Table {
             self.append_row(r);
         }
         Ok(n)
+    }
+
+    /// Append one row per entry of `positions` (positions of `src`, any
+    /// order, repeats allowed) without building a row: column `i` of this
+    /// table takes `cells[i]` — a column of `src` copied vector to vector
+    /// (TEXT through a code remap, the two dictionaries being independent),
+    /// or one value repeated. Nothing is coerced: a source column must have
+    /// exactly the target column's type and a constant must be that type's
+    /// variant or NULL ([`DbError::Type`] otherwise), and NOT NULL holds —
+    /// so the typed vectors stay as pure as [`Table::insert`] keeps them.
+    /// Everything is checked before the first cell is appended: an error
+    /// leaves the table untouched.
+    ///
+    /// # Panics
+    /// When a position or source column is out of range, or `cells` has not
+    /// one entry per column.
+    pub fn append_selected(
+        &mut self,
+        src: &Table,
+        positions: &[usize],
+        cells: &[Cell<'_>],
+    ) -> Result<(), DbError> {
+        assert_eq!(cells.len(), self.schema.arity(), "one cell per column");
+        assert!(
+            positions.iter().all(|&p| p < src.len()),
+            "position out of range"
+        );
+        for (col, cell) in self.schema.columns.iter().zip(cells) {
+            let (found, has_null) = match *cell {
+                Cell::Column(i) => {
+                    let nulls = src.store.col(i).nulls();
+                    let has_null =
+                        nulls.null_count() > 0 && positions.iter().any(|&p| nulls.is_null(p));
+                    (Some(src.schema.columns[i].dtype), has_null)
+                }
+                Cell::Constant(v) => (v.data_type(), v.is_null()),
+            };
+            if let Some(other) = found.filter(|&dtype| dtype != col.dtype) {
+                return Err(DbError::Type(format!(
+                    "column '{}' is {}, not {other}",
+                    col.name, col.dtype
+                )));
+            }
+            if has_null && !col.nullable {
+                return Err(DbError::Type(format!("column '{}' is NOT NULL", col.name)));
+            }
+        }
+        let first = self.len();
+        self.store.append_selected(&src.store, positions, cells);
+        for ix in &mut self.indexes {
+            for pos in first..self.store.len() {
+                let key = ValueKey::of(&self.store.value(pos, ix.column));
+                if !key.is_null() {
+                    ix.store.push(key, pos);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Remove the rows at `positions` (any order, duplicates tolerated);
@@ -854,6 +918,158 @@ mod tests {
             .index_lookup(0, &ValueKey::of(&Value::Int(2)))
             .unwrap()
             .is_empty());
+    }
+
+    fn every_type() -> Schema {
+        Schema::new(vec![
+            Column::new("i", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("s", DataType::Text),
+            Column::new("b", DataType::Bool),
+            Column::new("t", DataType::Timestamp),
+        ])
+        .unwrap()
+    }
+
+    /// A source table of every type: row `k` is NULL in column `k % 5`.
+    fn every_type_rows(n: i64, words: &[&str]) -> Vec<Row> {
+        (0..n)
+            .map(|k| {
+                let mut row = vec![
+                    Value::Int(k - 3),
+                    Value::Float(k as f64 * 0.5),
+                    Value::Text(words[k as usize % words.len()].to_string()),
+                    Value::Bool(k % 2 == 0),
+                    Value::Timestamp(1_100_000_000 + k),
+                ];
+                row[k as usize % 5] = Value::Null;
+                row
+            })
+            .collect()
+    }
+
+    /// `append_selected` is `insert` of the same cells: every type, NULLs,
+    /// repeated and reordered positions, constants — and TEXT from source
+    /// tables whose dictionaries assign other codes to the same strings.
+    #[test]
+    fn append_selected_equals_row_inserts() {
+        let mut a = Table::new(every_type());
+        a.insert_all(every_type_rows(9, &["it's", "größe 日本", "", "x"]))
+            .unwrap();
+        let mut b = Table::new(every_type());
+        b.insert_all(every_type_rows(7, &["x", "only in b", "it's"]))
+            .unwrap();
+
+        // dst columns: s, a constant, i, f, t, b — a permutation plus a
+        // run-level value.
+        let dst_schema = || {
+            Schema::new(vec![
+                Column::new("s", DataType::Text),
+                Column::new("tag", DataType::Text),
+                Column::new("i", DataType::Int),
+                Column::new("f", DataType::Float),
+                Column::new("t", DataType::Timestamp),
+                Column::new("b", DataType::Bool),
+            ])
+            .unwrap()
+        };
+        let (mut appended, mut inserted) = (Table::new(dst_schema()), Table::new(dst_schema()));
+        appended.create_index("by_i", "i", true).unwrap();
+        inserted.create_index("by_i", "i", true).unwrap();
+        let tags = [Value::Text("from a".into()), Value::Null];
+        for (src, positions, tag) in [
+            (&a, vec![8, 0, 3, 3, 5], &tags[0]),
+            (&b, vec![], &tags[0]),
+            (&b, vec![0, 1, 2, 3, 4, 5, 6], &tags[1]),
+            (&a, vec![1], &tags[1]),
+        ] {
+            let cells = [
+                Cell::Column(2),
+                Cell::Constant(tag),
+                Cell::Column(0),
+                Cell::Column(1),
+                Cell::Column(4),
+                Cell::Column(3),
+            ];
+            appended.append_selected(src, &positions, &cells).unwrap();
+            for &p in &positions {
+                let r = src.row(p);
+                inserted
+                    .insert(vec![
+                        r[2].clone(),
+                        tag.clone(),
+                        r[0].clone(),
+                        r[1].clone(),
+                        r[4].clone(),
+                        r[3].clone(),
+                    ])
+                    .unwrap();
+            }
+        }
+        assert_eq!(appended.len(), 13);
+        assert_eq!(appended.to_rows(), inserted.to_rows());
+        // Same dictionaries too: strings enter in row order, and only those
+        // a selected row holds ("only in b" does, b's dead entries would not).
+        let (m, n) = (appended.memory_footprint(), inserted.memory_footprint());
+        assert_eq!(
+            (m.dict_entries, m.dict_bytes),
+            (n.dict_entries, n.dict_bytes)
+        );
+        for k in -3..6 {
+            let key = ValueKey::of(&Value::Int(k));
+            assert_eq!(
+                appended.index_lookup(2, &key),
+                inserted.index_lookup(2, &key)
+            );
+        }
+    }
+
+    #[test]
+    fn append_selected_checks_before_it_appends() {
+        let mut src = Table::new(every_type());
+        src.insert_all(every_type_rows(6, &["a", "b"])).unwrap();
+        let mut dst = Table::new(
+            Schema::new(vec![
+                Column::new("x", DataType::Float),
+                Column::not_null("y", DataType::Int),
+            ])
+            .unwrap(),
+        );
+        let one = Value::Int(1);
+        dst.append_selected(&src, &[1], &[Cell::Column(1), Cell::Constant(&one)])
+            .unwrap();
+        let before = dst.to_rows();
+        let type_error = |r: Result<(), DbError>| match r {
+            Err(DbError::Type(m)) => m,
+            other => panic!("expected a type error, got {other:?}"),
+        };
+        // A column of another type is refused, not coerced (INTEGER → FLOAT
+        // would fit, cell by cell).
+        let m = type_error(dst.append_selected(
+            &src,
+            &[1, 2],
+            &[Cell::Column(0), Cell::Constant(&one)],
+        ));
+        assert!(
+            m.contains("'x'") && m.contains("FLOAT") && m.contains("INTEGER"),
+            "{m}"
+        );
+        // So is a constant of another type, and NULL for NOT NULL — from a
+        // constant or from a selected cell (row 0 is NULL in column 0).
+        let half = Value::Float(0.5);
+        type_error(dst.append_selected(&src, &[1], &[Cell::Column(1), Cell::Constant(&half)]));
+        type_error(dst.append_selected(
+            &src,
+            &[1],
+            &[Cell::Column(1), Cell::Constant(&Value::Null)],
+        ));
+        let m = type_error(dst.append_selected(&src, &[1, 0], &[Cell::Column(1), Cell::Column(0)]));
+        assert!(m.contains("NOT NULL"), "{m}");
+        // Row 0 not selected: its NULL does not matter.
+        dst.append_selected(&src, &[1, 2], &[Cell::Column(1), Cell::Column(0)])
+            .unwrap();
+        assert_eq!(dst.to_rows()[..1], before[..]);
+        assert_eq!(dst.len(), 3);
     }
 
     #[test]

@@ -70,6 +70,99 @@ fn writers_on_distinct_temp_tables_do_not_interfere() {
     assert!(db.temp_table_names().is_empty());
 }
 
+/// The source elements of a parallel wave: every thread scans the same run
+/// tables — pinning the same versions — and appends what it selects to a
+/// table of its own, installed under its own name, while a writer keeps
+/// committing to one of the scanned tables. Each vector must be the one a
+/// lone thread builds.
+#[test]
+fn concurrent_typed_scans_share_pinned_tables() {
+    use sqldb::sql::parse_expr;
+    use sqldb::{Cell, Column, DataType, Schema, Table};
+    const RUNS: i64 = 12;
+    const THREADS: usize = 6;
+    let db = Arc::new(Engine::new());
+    for run in 0..RUNS {
+        db.execute(&format!(
+            "CREATE TABLE run_{run} (mode TEXT, chunk INTEGER, bw FLOAT)"
+        ))
+        .unwrap();
+        // Every table interns the modes in another order.
+        let modes = ["write", "rewrite", "read"];
+        let rows = (0..24)
+            .map(|i| {
+                vec![
+                    Value::Text(modes[((i + run) % 3) as usize].to_string()),
+                    Value::Int(1 << (i % 8)),
+                    Value::Float((run * 100 + i) as f64),
+                ]
+            })
+            .collect();
+        db.insert_rows(&format!("run_{run}"), rows).unwrap();
+    }
+    let vector = |db: &Engine, mode: &str| {
+        let schema = Schema::new(vec![
+            Column::new("run", DataType::Int),
+            Column::new("mode", DataType::Text),
+            Column::new("bw", DataType::Float),
+        ])
+        .unwrap();
+        let filter = parse_expr(&format!("mode = '{mode}' AND chunk >= 4 AND bw < 5000")).unwrap();
+        let mut out = Table::new(schema);
+        for run in 0..RUNS {
+            let (pinned, positions) = db.scan(&format!("run_{run}"), Some(&filter)).unwrap();
+            let run = Value::Int(run);
+            let cells = [Cell::Constant(&run), Cell::Column(0), Cell::Column(2)];
+            out.append_selected(&pinned, &positions, &cells).unwrap();
+        }
+        out
+    };
+    let want: Vec<Vec<Vec<Value>>> = ["write", "rewrite", "read"]
+        .iter()
+        .map(|m| vector(&db, m).to_rows())
+        .collect();
+    assert!(want.iter().all(|rows| rows.len() == 72));
+
+    let start = Arc::new(std::sync::Barrier::new(THREADS + 1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (db, start, stop) = (db.clone(), start.clone(), stop.clone());
+        thread::spawn(move || {
+            start.wait();
+            // Rows the filter never selects: the vectors do not depend on
+            // how far the writer got.
+            while !stop.load(Ordering::Relaxed) {
+                db.execute("INSERT INTO run_3 VALUES ('write', 8, 9999.0)")
+                    .unwrap();
+            }
+        })
+    };
+    let want = Arc::new(want);
+    let handles: Vec<_> = (0..THREADS)
+        .map(|k| {
+            let (db, start, want) = (db.clone(), start.clone(), want.clone());
+            thread::spawn(move || {
+                let name = format!("pb_tmp_wave_{k}");
+                start.wait();
+                for round in 0..20 {
+                    let mode = ["write", "rewrite", "read"][k % 3];
+                    db.install_temp_table(&name, vector(&db, mode)).unwrap();
+                    let (_, rows) = db.read_snapshot(&name).unwrap();
+                    assert!(rows == want[k % 3], "thread {k} round {round}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    writer.join().unwrap();
+    assert_eq!(db.temp_table_names().len(), THREADS);
+    db.drop_temp_tables();
+    assert!(db.temp_table_names().is_empty());
+}
+
 #[test]
 fn readers_concurrent_with_a_writer_never_see_torn_rows() {
     let db = Arc::new(Engine::new());

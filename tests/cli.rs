@@ -233,6 +233,11 @@ fn parallel_trace_has_one_element_span_per_element() {
             .count();
         assert_eq!(spans, 1, "element span of {id} in:\n{tree}");
     }
+    // A source element says how many runs matched and how many rows it kept.
+    for id in ["trc_old", "trc_new"] {
+        let line = format!("element id={id} kind=source runs=2 rows=48");
+        assert!(tree.contains(&line), "{line} in:\n{tree}");
+    }
 }
 
 #[test]

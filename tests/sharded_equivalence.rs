@@ -16,7 +16,7 @@ use perfbase::core::query::QueryRunner;
 use perfbase::core::xmldef;
 use perfbase::sqldb::cluster::{Cluster, LatencyModel};
 use perfbase::sqldb::Engine;
-use perfbase::workloads::beffio::{simulate, BeffIoConfig, Technique};
+use perfbase::workloads::beffio::{simulate, BeffIoConfig, FsType, Technique};
 use std::sync::Arc;
 
 const EXPERIMENT: &str = include_str!("../crates/bench/data/b_eff_io_experiment.xml");
@@ -273,6 +273,83 @@ fn every_mode_of_the_one_runner_agrees() {
             }
         }
         assert_eq!((messages, rows), traffic, "corpus traffic in mode {mode}");
+    }
+}
+
+/// Every artifact of the equivalence corpus and of the benchmark's query set
+/// (`fig7`, `solidity`, `sweep`, `formats`) over a seeded 12-run campaign —
+/// 3 file systems × 2 techniques × 2 repetitions, so every filter of the
+/// query set selects something.
+fn corpus_artifacts(threads: bool, shards: usize) -> String {
+    let def = xmldef::definition_from_str(EXPERIMENT).unwrap();
+    let db = ExperimentDb::create(Arc::new(Engine::new()), def).unwrap();
+    let desc = input_description_from_str(INPUT).unwrap();
+    let importer = Importer::new(&db).at_time(1_101_229_830);
+    let mut seed = 15;
+    for rep in 1..=2 {
+        for fs in [FsType::Ufs, FsType::Nfs, FsType::Pvfs] {
+            for technique in [Technique::ListBased, Technique::ListLess] {
+                seed += 1;
+                let run = simulate(BeffIoConfig {
+                    fs,
+                    technique,
+                    run_index: rep,
+                    seed,
+                    ..BeffIoConfig::default()
+                });
+                importer
+                    .import_file(&desc, &run.filename(), &run.render())
+                    .unwrap();
+            }
+        }
+    }
+    if shards > 0 {
+        shard(&db, shards);
+    }
+    let mut specs = equivalence_specs();
+    specs.push(("fig7ish", FIG7ISH.to_string()));
+    for (name, xml) in [
+        ("solidity", include_str!("../benchmark/data/solidity.xml")),
+        ("sweep", include_str!("../benchmark/data/sweep.xml")),
+        ("formats", include_str!("../benchmark/data/formats.xml")),
+    ] {
+        specs.push((name, xml.to_string()));
+    }
+    let mut all = String::new();
+    for (name, spec) in &specs {
+        let out = QueryRunner::new(&db)
+            .parallel(threads)
+            .pushdown(false)
+            .run(query_from_str(spec).unwrap())
+            .unwrap();
+        let mut ids: Vec<&String> = out.artifacts.keys().collect();
+        ids.sort();
+        for id in ids {
+            all.push_str(&format!("== {name} [{id}] ==\n{}\n", out.artifacts[id]));
+        }
+    }
+    all
+}
+
+/// Same answers as the statement-per-run source element. The fixture was
+/// written by the build at commit `3dfd9e8` — the last whose source element
+/// sent one SELECT per run and assembled the vector row by row — by running
+/// `corpus_artifacts(false, 0)` there and saving what it returns. The typed
+/// scan must reproduce it byte for byte, unsharded and over remote shards.
+#[test]
+fn source_scan_matches_the_statement_per_run_build() {
+    let want = include_str!("fixtures/source_scan/artifacts.txt");
+    let headers = want.lines().filter(|l| l.starts_with("== ")).count();
+    assert_eq!(
+        headers, 28,
+        "the fixture holds every artifact of the corpus"
+    );
+    for (threads, shards) in [(false, 0), (true, 0), (false, 4)] {
+        let got = corpus_artifacts(threads, shards);
+        assert!(
+            got == want,
+            "artifacts differ from the parent build's (threads={threads} shards={shards})"
+        );
     }
 }
 

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Offline smoke test: full release build, a warning-free clippy pass, the
-# complete test suite (including the execution-mode equivalence suite,
-# the WAL crash-consistency suites, and the replication chaos/failover
-# suites), the stand-alone benchmark package's build and tests (so a
-# refactor that breaks the API it is pinned to fails here, not in the
-# benchmark driver), a replicated CLI query diffed against the unsharded run, a
+# complete test suite (including the execution-mode equivalence suite, the
+# source-scan guards — statement and row counts of a source element, the
+# parent-build artifact fixture, concurrent typed appends — the WAL
+# crash-consistency suites, and the replication chaos/failover suites), the
+# stand-alone benchmark package's build and tests (so a refactor that breaks
+# the API it is pinned to fails here, not in the benchmark driver), a
+# replicated CLI query diffed against the unsharded run, a
 # warning-free documentation build, an HTTP server round trip
 # (`perfbase serve` answering ingest and query over a real socket, diffed
 # against the CLI), and the sqldb microbenchmarks plus the 256-connection
@@ -33,6 +35,11 @@ cargo test --manifest-path benchmark/Cargo.toml
 
 echo "== execution-mode equivalence (inline / threads / placed / sharded) =="
 cargo test -q -p perfbase --test sharded_equivalence
+
+echo "== source scan (O(1) statements + same rows visited, parent-build fixture, concurrent appends) =="
+cargo test -q -p perfbase --test source_scan
+cargo test -q -p perfbase --test sharded_equivalence source_scan_matches
+cargo test -q -p sqldb --test concurrency concurrent_typed_scans
 
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash

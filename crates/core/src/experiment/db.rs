@@ -22,7 +22,7 @@ use crate::error::{Error, Result};
 use crate::xmldef;
 use sqldb::cluster::{Cluster, ShardMap};
 use sqldb::sql::SqlExpr;
-use sqldb::sync::RwLock;
+use sqldb::sync::{Mutex, RwLock};
 use sqldb::{
     Column, DataType, DbError, Engine, Promotion, RecoveryReport, ReplOptions, Replicator,
     ResultSet, Schema, Table, Value, WalOptions,
@@ -42,6 +42,33 @@ pub struct ExperimentDb {
     engine: Arc<Engine>,
     def: RwLock<ExperimentDef>,
     shards: RwLock<Option<Arc<Sharding>>>,
+    /// Held by [`ExperimentDb::add_run`] and [`ExperimentDb::delete_run`]
+    /// from the allocation of the run id to the commit: writers of one
+    /// `ExperimentDb` take turns (they would on the engine's log mutex and
+    /// commit gate anyway), so none of them works from a run id another is
+    /// about to publish.
+    writer: Mutex<()>,
+}
+
+/// How often a write transaction of [`ExperimentDb::add_run`] or
+/// [`ExperimentDb::delete_run`] is run before its
+/// [`DbError::TxnConflict`] is the caller's: a conflict there means a second
+/// handle on the same engine committed in between, and the next attempt
+/// starts from what it left. One of two handles writing flat out loses a
+/// round about every other time, so the bound is far above any run of
+/// losses that happens (2⁻⁶⁴), and an attempt is well under a millisecond.
+const WRITE_ATTEMPTS: usize = 64;
+
+/// Run `attempt` until it ends in something other than a transaction
+/// conflict, [`WRITE_ATTEMPTS`] times at most.
+fn retrying<T>(mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
+    for _ in 1..WRITE_ATTEMPTS {
+        match attempt() {
+            Err(Error::Db(DbError::TxnConflict(_))) => {}
+            done => return done,
+        }
+    }
+    attempt()
 }
 
 /// One row of `pb_runs`, decoded.
@@ -74,6 +101,7 @@ impl ExperimentDb {
             engine,
             def: RwLock::new(def),
             shards: RwLock::new(None),
+            writer: Mutex::new(()),
         };
         db.persist_definition()?;
         Ok(db)
@@ -95,6 +123,7 @@ impl ExperimentDb {
             engine,
             def: RwLock::new(def),
             shards: RwLock::new(None),
+            writer: Mutex::new(()),
         })
     }
 
@@ -353,6 +382,10 @@ impl ExperimentDb {
             .map(|(r, n)| vec![Value::Int(r), Value::Int(n as i64)])
             .collect();
         self.engine.insert_rows("pb_shards", rows)?;
+        // `add_run` clears the id it is about to place; with the index that
+        // is a probe, not a scan of every placement.
+        self.engine
+            .execute("CREATE INDEX IF NOT EXISTS pb_ix_shards_run_id ON pb_shards (run_id)")?;
         Ok(())
     }
 
@@ -447,13 +480,13 @@ impl ExperimentDb {
         Ok(())
     }
 
-    /// Next free run id.
+    /// Next free run id (answered from the ends of the ordered `run_id`
+    /// index, whatever the number of runs). Advisory: [`ExperimentDb::add_run`]
+    /// takes its id inside its own transaction.
     pub fn next_run_id(&self) -> Result<i64> {
-        let rs = self.engine.query("SELECT max(run_id) FROM pb_runs")?;
-        Ok(match rs.rows().first().map(|r| &r[0]) {
-            Some(Value::Int(m)) => m + 1,
-            _ => 1,
-        })
+        Ok(next_after(
+            &self.engine.query("SELECT max(run_id) FROM pb_runs")?,
+        ))
     }
 
     /// Store one run: its once-occurrence values plus its data sets
@@ -464,6 +497,20 @@ impl ExperimentDb {
         once: &HashMap<String, Value>,
         datasets: &[HashMap<String, Value>],
         created: i64,
+    ) -> Result<i64> {
+        self.add_run_recorded(once, datasets, created, &[])
+    }
+
+    /// [`ExperimentDb::add_run`] for a run that came from input files: one
+    /// `pb_imports` row per `(content hash, file name)` of `sources` commits
+    /// with the run, so that after a crash a stored run is a recorded one
+    /// and the file is refused as a duplicate (§3.2).
+    pub fn add_run_recorded(
+        &self,
+        once: &HashMap<String, Value>,
+        datasets: &[HashMap<String, Value>],
+        created: i64,
+        sources: &[(&str, &str)],
     ) -> Result<i64> {
         let def = self.def.read();
         // Reject unknown names and occurrence mismatches up front.
@@ -495,69 +542,79 @@ impl ExperimentDb {
                 }
             }
         }
+        let _writer = self.writer.lock();
+        retrying(|| self.store_run(&def, once, datasets, created, sources))
+    }
 
-        let run_id = self.next_run_id()?;
+    /// One attempt of [`ExperimentDb::add_run_recorded`], the caller holding
+    /// the writer lock: one transaction on the frontend, begun *before* the
+    /// run id is chosen.
+    ///
+    /// The id is one more than the largest the transaction sees in `pb_runs`,
+    /// so it is free in the transaction's view, and a table `pb_rundata_<id>`
+    /// in that view is an orphan (a crash, or a delete, between a remote
+    /// owner's write and the frontend commit) that may go. Had another handle
+    /// on this engine published the id since BEGIN, the table's first touch
+    /// or the commit answers [`DbError::TxnConflict`] with nothing changed,
+    /// and the next attempt takes the next id — a run is never written over.
+    ///
+    /// The data table (unsharded, or owned by the frontend), the shard
+    /// routing, the `pb_runs` row — the statement that makes the run visible
+    /// — and the provenance rows publish under a single epoch tick, so no
+    /// snapshot ever observes a run whose data or routing is missing, and a
+    /// crash replays the whole group or none of it. A remote owner's write
+    /// happens *before* that commit for the same reason: a crash between the
+    /// two leaves at most an invisible orphan under this id. Imported data
+    /// arrives at the frontend, so shipping it to a remote owner is charged
+    /// as a real transfer (header + payload).
+    fn store_run(
+        &self,
+        def: &ExperimentDef,
+        once: &HashMap<String, Value>,
+        datasets: &[HashMap<String, Value>],
+        created: i64,
+        sources: &[(&str, &str)],
+    ) -> Result<i64> {
+        let mut txn = self.engine.begin_txn();
+        let run_id = next_after(&txn.query("SELECT max(run_id) FROM pb_runs")?);
+        let value_of = |given: &HashMap<String, Value>, v: &Variable| {
+            let given = given.get(&v.name).cloned();
+            given.or_else(|| v.default.clone()).unwrap_or(Value::Null)
+        };
         let mut row = vec![Value::Int(run_id), Value::Timestamp(created)];
-        for v in def.variables_with(Occurrence::Once) {
-            let val = once
-                .get(&v.name)
-                .cloned()
-                .or_else(|| v.default.clone())
-                .unwrap_or(Value::Null);
-            row.push(val);
-        }
-
-        let data_table = rundata_table(run_id);
+        row.extend(
+            def.variables_with(Occurrence::Once)
+                .map(|v| value_of(once, v)),
+        );
         let multi: Vec<&Variable> = def.variables_with(Occurrence::Multiple).collect();
-        let mut rows = Vec::with_capacity(datasets.len());
-        for ds in datasets {
-            let mut r = Vec::with_capacity(multi.len());
-            for v in &multi {
-                let val = ds
-                    .get(&v.name)
-                    .cloned()
-                    .or_else(|| v.default.clone())
-                    .unwrap_or(Value::Null);
-                r.push(val);
-            }
-            rows.push(r);
+        let rows: Vec<Vec<Value>> = datasets
+            .iter()
+            .map(|ds| multi.iter().map(|v| value_of(ds, v)).collect())
+            .collect();
+
+        let sharding = self.sharding();
+        let owner = sharding.as_ref().map_or(0, |sh| sh.owner_of(run_id));
+        if owner == 0 {
+            let data_table = rundata_table(run_id);
+            txn.drop_table(&data_table, true)?;
+            txn.create_table(&data_table, rundata_schema(def))?;
+            txn.insert_rows(&data_table, rows)?;
+        } else if let Some(sh) = &sharding {
+            place_rundata(sh, run_id, &rundata_schema(def), rows)?;
         }
-        // Route the data table to the run's owning node; imported data
-        // arrives at the frontend, so shipping it to a remote owner is
-        // charged as a real transfer (header + payload).
-        //
-        // Frontend writes commit as one engine transaction: the data
-        // table (or shard routing) and the `pb_runs` row — the statement
-        // that makes the run visible to every reader — publish under a
-        // single epoch tick, so no snapshot ever observes a run whose
-        // data or routing is missing, and a crash replays the whole
-        // group or none of it. Backend (remote-owner) writes happen
-        // *before* the frontend publish for the same reason: a crash
-        // between the two leaves at most an invisible orphan under this
-        // id, which is cleared here before the id is reused.
-        match self.sharding() {
-            Some(sh) => {
-                let owner = place_rundata(&sh, run_id, &rundata_schema(&def), rows)?;
-                // Atomic publish: routing + visibility in one commit.
-                let mut txn = self.engine.begin_txn();
-                txn.execute(&format!("DELETE FROM pb_shards WHERE run_id = {run_id}"))?;
-                txn.insert_rows(
-                    "pb_shards",
-                    vec![vec![Value::Int(run_id), Value::Int(owner as i64)]],
-                )?;
-                txn.insert_rows("pb_runs", vec![row])?;
-                txn.commit()?;
-            }
-            None => {
-                // Atomic import: data table + visibility in one commit.
-                let mut txn = self.engine.begin_txn();
-                txn.drop_table(&data_table, true)?;
-                txn.create_table(&data_table, rundata_schema(&def))?;
-                txn.insert_rows(&data_table, rows)?;
-                txn.insert_rows("pb_runs", vec![row])?;
-                txn.commit()?;
-            }
+        if sharding.is_some() {
+            txn.execute(&format!("DELETE FROM pb_shards WHERE run_id = {run_id}"))?;
+            txn.insert_rows(
+                "pb_shards",
+                vec![vec![Value::Int(run_id), Value::Int(owner as i64)]],
+            )?;
         }
+        txn.insert_rows("pb_runs", vec![row])?;
+        if !sources.is_empty() {
+            let recorded = sources.iter().map(|(h, f)| import_row(h, f, run_id));
+            txn.insert_rows("pb_imports", recorded.collect())?;
+        }
+        txn.commit()?;
         Ok(run_id)
     }
 
@@ -602,40 +659,51 @@ impl ExperimentDb {
         Ok((schema.names(), rows))
     }
 
-    /// Delete a run and its data table.
+    /// Delete a run, its data table and its import provenance: one
+    /// transaction on the frontend (`pb_runs`, `pb_shards`, `pb_imports` and
+    /// the data table when the frontend holds it), so a crash leaves all of
+    /// the run or none of it. A remote owner's table goes after that commit;
+    /// killed in between it stays as an invisible orphan, which the next
+    /// [`ExperimentDb::add_run`] under that id replaces.
     pub fn delete_run(&self, run_id: i64) -> Result<()> {
-        let n = self
-            .engine
-            .execute(&format!("DELETE FROM pb_runs WHERE run_id = {run_id}"))?;
-        if n == 0 {
-            return Err(Error::Query(format!("no run with id {run_id}")));
-        }
-        self.rundata_engine(run_id)
-            .drop_table(&rundata_table(run_id), true)?;
-        if let Some(sh) = self.sharding() {
+        let _writer = self.writer.lock();
+        let sharding = self.sharding();
+        let owner = sharding.as_ref().map_or(0, |sh| sh.owner_of(run_id));
+        let table = rundata_table(run_id);
+        retrying(|| {
+            let mut txn = self.engine.begin_txn();
+            let n = txn.execute(&format!("DELETE FROM pb_runs WHERE run_id = {run_id}"))?;
+            if n == 0 {
+                return Err(Error::Query(format!("no run with id {run_id}")));
+            }
+            if sharding.is_some() {
+                txn.execute(&format!("DELETE FROM pb_shards WHERE run_id = {run_id}"))?;
+            }
+            txn.execute(&format!("DELETE FROM pb_imports WHERE run_id = {run_id}"))?;
+            if owner == 0 {
+                txn.drop_table(&table, true)?;
+            }
+            Ok(txn.commit()?)
+        })?;
+        let Some(sh) = sharding else {
+            return Ok(());
+        };
+        if owner != 0 {
+            let owner_engine = &sh.cluster().node(owner).engine;
+            owner_engine.drop_table(&table, true)?;
             if sh.map().replicas() > 0 {
-                if let Some(owner) = sh.map().node_of(run_id) {
-                    let owner_engine = &sh.cluster().node(owner).engine;
-                    if owner_engine.has_wal() {
-                        // The logged drop ships to the replicas at the
-                        // commit barrier.
-                        owner_engine.wal_sync()?;
-                    } else {
-                        for rep in sh.map().replica_nodes(owner) {
-                            sh.cluster()
-                                .node(rep)
-                                .engine
-                                .drop_table(&rundata_table(run_id), true)?;
-                        }
+                if owner_engine.has_wal() {
+                    // The logged drop ships to the replicas at the
+                    // commit barrier.
+                    owner_engine.wal_sync()?;
+                } else {
+                    for rep in sh.map().replica_nodes(owner) {
+                        sh.cluster().node(rep).engine.drop_table(&table, true)?;
                     }
                 }
             }
-            sh.map().remove(run_id);
-            self.engine
-                .execute(&format!("DELETE FROM pb_shards WHERE run_id = {run_id}"))?;
         }
-        self.engine
-            .execute(&format!("DELETE FROM pb_imports WHERE run_id = {run_id}"))?;
+        sh.map().remove(run_id);
         Ok(())
     }
 
@@ -649,16 +717,28 @@ impl ExperimentDb {
 
     /// Record import provenance for duplicate detection.
     pub fn record_import(&self, hash: &str, filename: &str, run_id: i64) -> Result<()> {
-        self.engine.insert_rows(
-            "pb_imports",
-            vec![vec![
-                Value::Text(hash.to_string()),
-                Value::Text(filename.to_string()),
-                Value::Int(run_id),
-            ]],
-        )?;
+        self.engine
+            .insert_rows("pb_imports", vec![import_row(hash, filename, run_id)])?;
         Ok(())
     }
+}
+
+/// One more than the single value of a `SELECT max(run_id)` result; 1 when
+/// there is no run.
+fn next_after(max_run_id: &ResultSet) -> i64 {
+    match max_run_id.rows().first().map(|r| &r[0]) {
+        Some(Value::Int(m)) => m + 1,
+        _ => 1,
+    }
+}
+
+/// A `pb_imports` row.
+fn import_row(hash: &str, filename: &str, run_id: i64) -> Vec<Value> {
+    vec![
+        Value::Text(hash.to_string()),
+        Value::Text(filename.to_string()),
+        Value::Int(run_id),
+    ]
 }
 
 /// Name of the per-run data table.
@@ -751,10 +831,13 @@ fn evolved_rows(
 
 /// Secondary indexes for the query patterns every import and run lookup
 /// hits: `pb_imports.hash` (duplicate-import detection, §3.2) and
-/// `pb_runs.run_id` (run summaries, deletes, per-run joins).
+/// `pb_runs.run_id` (run summaries, deletes, per-run joins) — ordered, so
+/// that `max(run_id)`, the next run id, is read off the end of the index
+/// instead of every row. A database written before that has a hash index of
+/// this name; the statement upgrades it in place, logged once.
 fn create_hot_path_indexes(engine: &Engine) -> Result<()> {
     engine.execute("CREATE INDEX IF NOT EXISTS pb_ix_imports_hash ON pb_imports (hash)")?;
-    engine.execute("CREATE INDEX IF NOT EXISTS pb_ix_runs_run_id ON pb_runs (run_id)")?;
+    engine.execute("CREATE ORDERED INDEX IF NOT EXISTS pb_ix_runs_run_id ON pb_runs (run_id)")?;
     Ok(())
 }
 

@@ -6,8 +6,6 @@
 use crate::error::{Error, Result};
 use crate::experiment::ExperimentDb;
 use crate::input::{extract_runs, ExtractedRun, InputDescription};
-use sqldb::Value;
-use std::collections::HashMap;
 
 /// What to do when an input file does not provide content for every
 /// variable (paper §3.2).
@@ -105,11 +103,8 @@ impl<'a> Importer<'a> {
         let runs = extract_runs(desc, &def, filename, content)?;
         let mut report = ImportReport::default();
         for run in runs {
-            match self.store(&run)? {
-                Some(id) => {
-                    self.db.record_import(&hash, filename, id)?;
-                    report.runs_created.push(id);
-                }
+            match self.store(&run, &[(&hash, filename)])? {
+                Some(id) => report.runs_created.push(id),
                 None => report.runs_discarded += 1,
             }
         }
@@ -154,7 +149,7 @@ impl<'a> Importer<'a> {
                     ..ImportReport::default()
                 });
             }
-            hashes.push((hash, filename.to_string()));
+            hashes.push((hash, *filename));
 
             let mut runs = extract_runs(desc, &def, filename, content)?;
             if runs.len() != 1 {
@@ -177,14 +172,10 @@ impl<'a> Importer<'a> {
             merged.datasets.extend(run.datasets);
         }
 
+        let sources: Vec<(&str, &str)> = hashes.iter().map(|(h, f)| (h.as_str(), *f)).collect();
         let mut report = ImportReport::default();
-        match self.store(&merged)? {
-            Some(id) => {
-                for (hash, filename) in hashes {
-                    self.db.record_import(&hash, &filename, id)?;
-                }
-                report.runs_created.push(id);
-            }
+        match self.store(&merged, &sources)? {
+            Some(id) => report.runs_created.push(id),
             None => report.runs_discarded = 1,
         }
         self.db.durability_sync()?;
@@ -207,20 +198,18 @@ impl<'a> Importer<'a> {
         let trace = crate::input::trace::parse_trace(bytes)?;
         let run = crate::input::trace::trace_to_run(&def, &trace)?;
         let mut report = ImportReport::default();
-        match self.store(&run)? {
-            Some(id) => {
-                self.db.record_import(&hash, filename, id)?;
-                report.runs_created.push(id);
-            }
+        match self.store(&run, &[(&hash, filename)])? {
+            Some(id) => report.runs_created.push(id),
             None => report.runs_discarded = 1,
         }
         self.db.durability_sync()?;
         Ok(report)
     }
 
-    /// Apply the missing-content policy and store the run.
-    /// Returns `None` when the run was discarded by policy.
-    fn store(&self, run: &ExtractedRun) -> Result<Option<i64>> {
+    /// Apply the missing-content policy and store the run, with one
+    /// provenance row per `(content hash, file name)` of `sources` in the
+    /// same transaction. Returns `None` when the run was discarded by policy.
+    fn store(&self, run: &ExtractedRun, sources: &[(&str, &str)]) -> Result<Option<i64>> {
         let def = self.db.definition();
         let missing = run.missing_variables(&def);
         if !missing.is_empty() {
@@ -235,8 +224,9 @@ impl<'a> Importer<'a> {
                 }
             }
         }
-        let datasets: Vec<HashMap<String, Value>> = run.datasets.clone();
-        let id = self.db.add_run(&run.once, &datasets, self.now)?;
+        let id = self
+            .db
+            .add_run_recorded(&run.once, &run.datasets, self.now, sources)?;
         Ok(Some(id))
     }
 }
@@ -264,7 +254,7 @@ mod tests {
     use super::*;
     use crate::experiment::{ExperimentDef, Meta, VarKind, Variable};
     use crate::input::{Location, Pattern, TabularColumn, TabularSpec};
-    use sqldb::{DataType, Engine};
+    use sqldb::{DataType, Engine, Value};
     use std::sync::Arc;
 
     fn def() -> ExperimentDef {

@@ -39,6 +39,9 @@ counters! {
     PlanInList => "plan.in_list",
     /// Planner chose an ordered-index range window.
     PlanRangeWindow => "plan.range_window",
+    /// Planner answered a `min`/`max`-only SELECT from the ends of an
+    /// ordered index.
+    PlanIndexEnd => "plan.index_end",
     /// Planner fell back to a full table scan.
     PlanFullScan => "plan.full_scan",
     /// Planner proved the predicate can never match (no scan at all).

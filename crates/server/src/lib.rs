@@ -367,8 +367,8 @@ fn run_query(inner: &Inner, req: &Request) -> Response {
     };
     let (result, epoch) = match &session {
         Some(sess) => {
-            let txn = sess.txn();
-            match txn.as_ref() {
+            let mut txn = sess.txn();
+            match txn.as_mut() {
                 Some(t) => (t.query(sql), t.base_epoch()),
                 None => {
                     drop(txn);
@@ -383,8 +383,22 @@ fn run_query(inner: &Inner, req: &Request) -> Response {
         Ok(rs) => Response::ok(rs.render_tsv())
             .with_header("X-Epoch", epoch.to_string())
             .with_header("X-Rows", rs.len().to_string()),
-        Err(e) => Response::text(400, format!("query error: {e}\n")),
+        Err(e) => statement_error("query", &e),
     }
+}
+
+/// The answer to a statement the engine refused: 400, except that a
+/// [`DbError::TxnConflict`] is 409 on whichever endpoint detects it — a
+/// transaction meets a table published after its BEGIN at the statement
+/// that first names it, not only at `/commit`. The transaction stays open:
+/// the client rolls back and retries the whole of it, as after a failed
+/// `/commit`.
+fn statement_error(what: &str, e: &DbError) -> Response {
+    let status = match e {
+        DbError::TxnConflict(_) => 409,
+        _ => 400,
+    };
+    Response::text(status, format!("{what} error: {e}\n"))
 }
 
 /// The session named by `X-Session`, `None` without the header.
@@ -494,7 +508,7 @@ fn run_ingest(inner: &Inner, req: &Request) -> Response {
             // in the transaction is a valid ingest target.
             let schema = match t.table_schema(table) {
                 Ok(s) => s,
-                Err(e) => return Response::text(400, format!("ingest error: {e}\n")),
+                Err(e) => return statement_error("ingest", &e),
             };
             let rows = match parse_tsv_rows(&schema, table, body) {
                 Ok(rows) => rows,
@@ -506,13 +520,13 @@ fn run_ingest(inner: &Inner, req: &Request) -> Response {
                     "buffered {n} row(s) into {table} (transaction open)\n"
                 ))
                 .with_header("X-Epoch", t.base_epoch().to_string()),
-                Err(e) => Response::text(400, format!("ingest error: {e}\n")),
+                Err(e) => statement_error("ingest", &e),
             };
         }
     }
     let schema = match inner.engine.pin_table(table) {
         Ok(t) => t.schema.clone(),
-        Err(e) => return Response::text(400, format!("ingest error: {e}\n")),
+        Err(e) => return statement_error("ingest", &e),
     };
     let rows = match parse_tsv_rows(&schema, table, body) {
         Ok(rows) => rows,
@@ -525,7 +539,7 @@ fn run_ingest(inner: &Inner, req: &Request) -> Response {
             Response::ok(format!("inserted {n} row(s) into {table}\n"))
                 .with_header("X-Epoch", epoch.to_string())
         }
-        Err(e) => Response::text(400, format!("ingest error: {e}\n")),
+        Err(e) => statement_error("ingest", &e),
     }
 }
 

@@ -303,6 +303,64 @@ fn txn_conflict_answers_409_with_zero_effects() {
     handle.join();
 }
 
+/// A transaction meets a table published after its BEGIN at the statement
+/// that first names it: `/query` and `/ingest` answer 409 there, as `/commit`
+/// would have, and leave the transaction open for `/rollback`.
+#[test]
+fn txn_conflict_is_409_on_the_endpoint_that_detects_it() {
+    let (engine, handle) = serve_sample();
+    engine.execute("CREATE TABLE notes (body TEXT)").unwrap();
+    let (_, _, body) = call(&handle, "POST", "/session", &[], "");
+    let id = body.trim().to_string();
+    let sess: &[(&str, &str)] = &[("X-Session", &id)];
+    let batch = "run_index\tfs\tbw\n3\tpvfs\t55.5\n";
+
+    call(&handle, "POST", "/begin", sess, "");
+    // Buffered before the race: the transaction has something to lose.
+    let (status, _, _) = call(
+        &handle,
+        "POST",
+        "/ingest?table=notes",
+        sess,
+        "body\nkept?\n",
+    );
+    assert_eq!(status, 200);
+    engine
+        .execute("INSERT INTO runs VALUES (7, 'zfs', 9.9)")
+        .unwrap();
+    let (status, _, body) = call(&handle, "POST", "/query", sess, "SELECT count(*) FROM runs");
+    assert_eq!(status, 409, "body: {body}");
+    assert!(body.contains("transaction conflict"), "{body}");
+    let (status, _, body) = call(&handle, "POST", "/ingest?table=runs", sess, batch);
+    assert_eq!(status, 409, "body: {body}");
+    // Other errors are still 400, and a session without a transaction
+    // reads its snapshot as before.
+    let (status, _, _) = call(&handle, "POST", "/query", sess, "SELECT nope FROM notes");
+    assert_eq!(status, 400);
+    // The transaction is still open — what it buffered is still there —
+    // and the client's way out is /rollback, then the whole of it again.
+    let (status, _, body) = call(
+        &handle,
+        "POST",
+        "/query",
+        sess,
+        "SELECT count(*) FROM notes",
+    );
+    assert_eq!((status, body.as_str()), (200, "count(*)\n1\n"));
+    let (status, _, _) = call(&handle, "POST", "/rollback", sess, "");
+    assert_eq!(status, 200);
+    call(&handle, "POST", "/begin", sess, "");
+    let (status, _, _) = call(&handle, "POST", "/ingest?table=runs", sess, batch);
+    assert_eq!(status, 200);
+    let (status, _, _) = call(&handle, "POST", "/commit", sess, "");
+    assert_eq!(status, 200);
+    assert_eq!(engine.row_count("runs").unwrap(), 4);
+    assert_eq!(engine.row_count("notes").unwrap(), 0);
+
+    handle.stop();
+    handle.join();
+}
+
 #[test]
 fn bad_ingest_batch_has_zero_effects() {
     // Satellite regression: a batch with one bad row must leave the table,

@@ -462,8 +462,11 @@ impl Cluster {
                 ckpt_seq = crate::dump::read_checkpoint_seq(&script).unwrap_or(0);
                 node.engine.execute_script(&script)?;
             }
-            let (wal, statements, mut report) =
-                Wal::open_recover(&self.node_wal_path(dir, node.id), opts_for(node.id))?;
+            let (wal, statements, mut report) = Wal::open_recover_from(
+                &self.node_wal_path(dir, node.id),
+                opts_for(node.id),
+                ckpt_seq.max(1),
+            )?;
             node.engine
                 .recover_replay(&statements, ckpt_seq, &mut report);
             node.engine.attach_wal(wal);

@@ -548,7 +548,8 @@ mod tests {
                 panic!("{text}");
             };
             let mut table = crate::Table::new(schema());
-            crate::engine::apply_insert(&mut table, columns, cells).unwrap();
+            let read = crate::engine::insert_rows_of(&table.schema, columns, cells).unwrap();
+            table.insert_all(read).unwrap();
             assert_eq!(format!("{:?}", table.to_rows()), format!("{rows:?}"));
             e.insert_rows("edges", rows).unwrap();
         }

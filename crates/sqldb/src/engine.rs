@@ -11,7 +11,7 @@ use crate::snapshot::Snapshot;
 use crate::sql::{self, SqlExpr, Stmt};
 use crate::sync::{Mutex, RwLock};
 use crate::table::{Row, Table};
-use crate::txn::Transaction;
+use crate::txn::{Transaction, Work};
 use crate::value::Value;
 use crate::wal::{RecoveryReport, Wal, WalOptions};
 use crate::TableMemory;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Telemetry class of a parsed statement.
-fn stmt_class(stmt: &Stmt) -> obs::StmtClass {
+pub(crate) fn stmt_class(stmt: &Stmt) -> obs::StmtClass {
     match stmt {
         Stmt::Select(_) => obs::StmtClass::Select,
         Stmt::Explain { .. } => obs::StmtClass::Explain,
@@ -166,6 +166,11 @@ pub struct Engine {
     commit: RwLock<()>,
     /// Monotonic commit epoch; bumped once per applied mutation.
     epoch: AtomicU64,
+    /// The commit epoch that last removed a table from the catalog. With
+    /// the stamp on every published [`Table`] version this is what lets a
+    /// transaction pin lazily: a name that is absent, with no removal since
+    /// the transaction's BEGIN, was absent at BEGIN too.
+    last_removal: AtomicU64,
 }
 
 /// RAII half of [`Engine::begin_commit`]: holds the commit gate
@@ -174,6 +179,14 @@ pub struct Engine {
 struct CommitGuard<'a> {
     engine: &'a Engine,
     _gate: std::sync::RwLockWriteGuard<'a, ()>,
+}
+
+impl CommitGuard<'_> {
+    /// The epoch this commit publishes — the stamp of every table version
+    /// (and removal) it makes current. Stable while the gate is held.
+    fn epoch(&self) -> u64 {
+        self.engine.epoch.load(Ordering::Acquire) + 1
+    }
 }
 
 impl Drop for CommitGuard<'_> {
@@ -235,11 +248,15 @@ pub(crate) fn natural_cmp(a: &str, b: &str) -> std::cmp::Ordering {
 /// snapshot pins the current `Arc<Table>`; otherwise clones the table once
 /// — column store, dictionaries and indexes all travel with the clone —
 /// and mutates the new version, leaving every pinned reader's view frozen.
-fn cow(slot: &mut Arc<Table>) -> &mut Table {
+/// Either way the version the slot holds afterwards is stamped with
+/// `epoch`, the epoch of the commit mutating it.
+fn cow(slot: &mut Arc<Table>, epoch: u64) -> &mut Table {
     if Arc::strong_count(slot) > 1 {
         obs::incr(obs::Counter::MvccCowClones);
     }
-    Arc::make_mut(slot)
+    let table = Arc::make_mut(slot);
+    table.published = epoch;
+    table
 }
 
 impl Engine {
@@ -285,7 +302,7 @@ impl Engine {
         temp: bool,
         if_not_exists: bool,
     ) -> Result<(), DbError> {
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let mut tables = self.tables.write();
         if tables.contains_key(name) {
             if if_not_exists {
@@ -293,7 +310,8 @@ impl Engine {
             }
             return Err(DbError::TableExists(name.to_string()));
         }
-        let table = Table::new(schema);
+        let mut table = Table::new(schema);
+        table.published = commit.epoch();
         tables.insert(name.to_string(), Arc::new(RwLock::new(Arc::new(table))));
         if temp {
             self.temps.lock().insert(name.to_string());
@@ -307,15 +325,16 @@ impl Engine {
     /// gate. Never logged, like every TEMP write; the log mutex is still
     /// held, because concurrent statements decide under it whether a table
     /// of this name exists. A persistent table of that name is an error.
-    pub fn install_temp_table(&self, name: &str, table: Table) -> Result<(), DbError> {
+    pub fn install_temp_table(&self, name: &str, mut table: Table) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
         let _wal = self.wal.lock();
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let mut tables = self.tables.write();
         let mut temps = self.temps.lock();
         if tables.contains_key(name) && !temps.contains(name) {
             return Err(DbError::TableExists(name.to_string()));
         }
+        table.published = commit.epoch();
         tables.insert(name.to_string(), Arc::new(RwLock::new(Arc::new(table))));
         temps.insert(name.to_string());
         Ok(())
@@ -342,8 +361,13 @@ impl Engine {
     }
 
     fn drop_table_unlogged(&self, name: &str, if_exists: bool) -> Result<(), DbError> {
-        let _commit = self.begin_commit();
-        let removed = self.tables.write().remove(name).is_some();
+        let commit = self.begin_commit();
+        let mut tables = self.tables.write();
+        let removed = tables.remove(name).is_some();
+        if removed {
+            self.last_removal.store(commit.epoch(), Ordering::Release);
+        }
+        drop(tables);
         self.temps.lock().remove(name);
         if !removed && !if_exists {
             return Err(DbError::NoSuchTable(name.to_string()));
@@ -409,27 +433,66 @@ impl Engine {
 
     /// Open an explicit multi-statement write transaction. Statements
     /// executed through the returned [`Transaction`] buffer their effects
-    /// against the versions pinned at this call (read-your-own-writes via
+    /// against the catalog as of this call (read-your-own-writes via
     /// [`Transaction::query`]); nothing is visible to other readers, the
-    /// WAL, or replicas until [`Transaction::commit`] — which swaps every
-    /// touched table under one commit-gate hold with a single epoch tick.
-    /// Dropping the transaction without committing rolls it back.
+    /// WAL, or replicas until [`Transaction::commit`] — which publishes
+    /// every touched table under one commit-gate hold with a single epoch
+    /// tick. BEGIN pins nothing: its cost does not depend on how many tables
+    /// the catalog holds. Dropping the transaction without committing rolls
+    /// it back.
     pub fn begin_txn(self: &Arc<Self>) -> Transaction {
         Transaction::begin(Arc::clone(self))
+    }
+
+    /// The epoch a transaction beginning now reads at, taken under the
+    /// shared commit gate: every commit up to it is complete, none after it
+    /// has started.
+    pub(crate) fn begin_epoch(&self) -> u64 {
+        let _gate = self.commit.read();
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Pin `name` for a transaction that began at `epoch`: the live version,
+    /// *iff it is the version that was current then* (`None`: no such table,
+    /// then or now). A version published since — the table was changed,
+    /// created, or dropped and recreated — and an absent name after any
+    /// removal since (the catalog keeps one removal epoch, not one per name)
+    /// answer [`DbError::TxnConflict`]: the verdict first-writer-wins would
+    /// give a writer at COMMIT, only earlier, and the reason a transaction
+    /// that pins lazily still never reads two commit epochs.
+    pub(crate) fn pin_as_of(&self, name: &str, epoch: u64) -> Result<Option<Arc<Table>>, DbError> {
+        let tables = self.tables.read();
+        let current = match tables.get(name) {
+            Some(slot) => {
+                let version = slot.read();
+                (version.published <= epoch).then(|| Some(Arc::clone(&version)))
+            }
+            None => (self.last_removal.load(Ordering::Acquire) <= epoch).then_some(None),
+        };
+        current.ok_or_else(|| {
+            obs::incr(obs::Counter::TxnConflicts);
+            DbError::TxnConflict(format!(
+                "table {name} was modified after this transaction began"
+            ))
+        })
     }
 
     /// The commit half of the transaction protocol (the public surface is
     /// [`Transaction::commit`]). Under the WAL mutex and an exclusive
     /// commit-gate hold: run the first-writer-wins conflict check against
-    /// the base snapshot's pinned versions, append the buffered statements
-    /// to the log as one marker-framed group (one sync-policy application
-    /// — the group-commit amortization), swap every touched catalog slot,
-    /// and tick the epoch once. A conflict abort leaves the epoch — and
-    /// the catalog — untouched.
+    /// the versions the transaction pinned (`pins`), append the buffered
+    /// statements to the log as one marker-framed group (one sync-policy
+    /// application — the group-commit amortization), publish every touched
+    /// table — a private version is swapped in, buffered rows are appended
+    /// to the live version through [`cow`] once the transaction's own pin is
+    /// dropped — and tick the epoch once. A conflict abort leaves the epoch
+    /// — and the catalog — untouched. Nothing after the log append can
+    /// fail: the buffered rows were validated against the very version the
+    /// conflict check just found current.
     pub(crate) fn commit_txn(
         &self,
-        base: &Snapshot,
-        work: &HashMap<String, Option<Arc<Table>>>,
+        mut pins: HashMap<String, Arc<Table>>,
+        work: HashMap<String, Work>,
         log: &[String],
     ) -> Result<(), DbError> {
         if work.is_empty() && log.is_empty() {
@@ -445,7 +508,7 @@ impl Engine {
             let tables = self.tables.read();
             for name in work.keys() {
                 let live = tables.get(name);
-                let pinned = base.table_version(name);
+                let pinned = pins.get(name);
                 let clean = match (live, pinned) {
                     // First-writer-wins: the live slot must still hold the
                     // exact version this transaction built on.
@@ -482,23 +545,41 @@ impl Engine {
                 }
             }
         }
+        let epoch = self.epoch.load(Ordering::Acquire) + 1;
+        let mut appends = Vec::new();
         {
             let mut tables = self.tables.write();
-            for (name, version) in work {
-                match version {
-                    Some(v) => match tables.get(name) {
-                        Some(slot) => *slot.write() = Arc::clone(v),
-                        None => {
-                            tables.insert(name.clone(), Arc::new(RwLock::new(Arc::clone(v))));
+            for (name, change) in work {
+                match change {
+                    Work::Version(mut version) => {
+                        // The private version is the transaction's alone:
+                        // the stamp copies nothing.
+                        Arc::make_mut(&mut version).published = epoch;
+                        match tables.get(&name) {
+                            Some(slot) => *slot.write() = version,
+                            None => {
+                                tables.insert(name, Arc::new(RwLock::new(version)));
+                            }
                         }
-                    },
-                    None => {
-                        tables.remove(name);
+                    }
+                    Work::Dropped => {
+                        tables.remove(&name);
+                        self.last_removal.store(epoch, Ordering::Release);
+                    }
+                    Work::Append(rows) if rows.is_empty() => {}
+                    Work::Append(rows) => {
+                        // The transaction's own pin goes first, so that the
+                        // append is in place unless a reader pins the table.
+                        pins.remove(&name);
+                        appends.extend(tables.get(&name).map(|slot| (Arc::clone(slot), rows)));
                     }
                 }
             }
         }
-        let epoch = self.epoch.fetch_add(1, Ordering::Release) + 1;
+        for (slot, rows) in appends {
+            cow(&mut slot.write(), epoch).append_validated(rows);
+        }
+        self.epoch.store(epoch, Ordering::Release);
         obs::set(obs::Counter::MvccEpoch, epoch);
         obs::incr(obs::Counter::TxnCommits);
         drop(gate);
@@ -527,11 +608,10 @@ impl Engine {
     }
 
     fn insert_rows_unlogged(&self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let t = self.table(name)?;
         let mut slot = t.write();
-        let n = cow(&mut slot).insert_all(rows)?;
-        Ok(n)
+        cow(&mut slot, commit.epoch()).insert_all(rows)
     }
 
     /// Is `name` a TEMP table?
@@ -603,10 +683,12 @@ impl Engine {
     /// Drop every TEMP table — perfbase does this at the end of a query.
     pub fn drop_temp_tables(&self) {
         let names = self.temp_table_names();
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let mut tables = self.tables.write();
         for n in &names {
-            tables.remove(n);
+            if tables.remove(n).is_some() {
+                self.last_removal.store(commit.epoch(), Ordering::Release);
+            }
         }
         self.temps.lock().clear();
     }
@@ -770,10 +852,10 @@ impl Engine {
         column: &str,
         ordered: bool,
     ) -> Result<(), DbError> {
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let t = self.table(table)?;
         let mut slot = t.write();
-        cow(&mut slot).create_index(name, column, ordered)
+        cow(&mut slot, commit.epoch()).create_index(name, column, ordered)
     }
 
     /// Would `CREATE [ORDERED] INDEX … ON table (column)` change nothing?
@@ -861,31 +943,7 @@ impl Engine {
     /// same snapshot return identical results no matter how many writers
     /// commit in between — and hold no engine lock while they run.
     pub fn query_at(&self, snapshot: &Snapshot, sql_text: &str) -> Result<ResultSet, DbError> {
-        let parse_started = Instant::now();
-        let stmt = sql::parse_statement(sql_text)?;
-        obs::incr(obs::Counter::StmtParsed);
-        obs::record_duration(obs::Hist::ParseNs, parse_started.elapsed());
-        let class = stmt_class(&stmt);
-        let (sel, analyze) = match stmt {
-            Stmt::Select(sel) => (sel, None),
-            Stmt::Explain { analyze, select } => (select, Some(analyze)),
-            _ => {
-                return Err(DbError::Execution(
-                    "query_at() only accepts SELECT statements".into(),
-                ))
-            }
-        };
-        let _class_scope = obs::class_scope(class);
-        obs::incr(obs::Counter::QueriesRun);
-        let exec_started = Instant::now();
-        let cat = exec::Catalog::At(snapshot);
-        let result = match analyze {
-            None => exec::run_select(cat, &sel),
-            Some(analyze) => exec::run_explain(cat, &sel, analyze),
-        };
-        obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
-        obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
-        result
+        run_query_at(snapshot, parse_query(sql_text)?)
     }
 
     /// [`Engine::query_reference`] at a pinned [`Snapshot`]: the oracle for
@@ -1045,8 +1103,11 @@ impl Engine {
 
     /// Open a database durably: load the last checkpoint dump from
     /// `dump_path` (if present), replay every valid WAL frame from
-    /// `wal_path` (creating the log when missing, truncating any torn
-    /// tail), and attach the log for further writes. Frames the dump's
+    /// `wal_path` (creating the log when missing — at the dump's checkpoint
+    /// sequence, so that the first write after a dump restored without its
+    /// log is recovered like any other — truncating any torn tail, refusing
+    /// a log that ends below that sequence), and attach the log for further
+    /// writes. Frames the dump's
     /// recorded checkpoint sequence already covers are skipped, not
     /// replayed — see [`Engine::checkpoint`]. Statements that fail on
     /// replay are counted, not fatal — they failed identically in the
@@ -1065,7 +1126,8 @@ impl Engine {
         } else {
             (Engine::new(), 0)
         };
-        let (wal, statements, mut report) = Wal::open_recover(wal_path, opts)?;
+        let (wal, statements, mut report) =
+            Wal::open_recover_from(wal_path, opts, ckpt_seq.max(1))?;
         engine.recover_replay(&statements, ckpt_seq, &mut report);
         engine.attach_wal(wal);
         Ok((engine, report))
@@ -1077,10 +1139,12 @@ impl Engine {
         columns: Option<Vec<String>>,
         rows: Vec<Vec<sql::SqlExpr>>,
     ) -> Result<usize, DbError> {
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let t = self.table(table)?;
         let mut slot = t.write();
-        apply_insert(cow(&mut slot), columns, rows)
+        let table = cow(&mut slot, commit.epoch());
+        let rows = insert_rows_of(&table.schema, columns, rows)?;
+        table.insert_all(rows)
     }
 
     fn run_update(
@@ -1089,10 +1153,11 @@ impl Engine {
         sets: Vec<(String, sql::SqlExpr)>,
         where_clause: Option<sql::SqlExpr>,
     ) -> Result<usize, DbError> {
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let t = self.table(table)?;
         let mut slot = t.write();
-        apply_update(cow(&mut slot), sets, where_clause)
+        let table = cow(&mut slot, commit.epoch());
+        plan_update(table, sets, where_clause)?.apply(table)
     }
 
     fn run_delete(
@@ -1100,22 +1165,62 @@ impl Engine {
         table: &str,
         where_clause: Option<sql::SqlExpr>,
     ) -> Result<usize, DbError> {
-        let _commit = self.begin_commit();
+        let commit = self.begin_commit();
         let t = self.table(table)?;
         let mut slot = t.write();
-        apply_delete(cow(&mut slot), where_clause)
+        let table = cow(&mut slot, commit.epoch());
+        let positions = exec::select_positions(table, where_clause.as_ref())?;
+        Ok(table.delete_positions(&positions))
     }
 }
 
-/// Apply an INSERT to one table version — shared by the live statement
-/// path (through [`cow`]) and the transaction workspace, so both produce
-/// byte-identical effects.
-pub(crate) fn apply_insert(
-    guard: &mut Table,
+/// Parse the text of one query, with the parse telemetry of the statement
+/// entry points.
+pub(crate) fn parse_query(sql_text: &str) -> Result<Stmt, DbError> {
+    let parse_started = Instant::now();
+    let stmt = sql::parse_statement(sql_text)?;
+    obs::incr(obs::Counter::StmtParsed);
+    obs::record_duration(obs::Hist::ParseNs, parse_started.elapsed());
+    Ok(stmt)
+}
+
+/// Run a parsed SELECT (or EXPLAIN) with every table resolved from
+/// `snapshot` — the body of [`Engine::query_at`], and of
+/// [`Transaction::query`] over the tables the statement names.
+pub(crate) fn run_query_at(snapshot: &Snapshot, stmt: Stmt) -> Result<ResultSet, DbError> {
+    let class = stmt_class(&stmt);
+    let (sel, analyze) = match stmt {
+        Stmt::Select(sel) => (sel, None),
+        Stmt::Explain { analyze, select } => (select, Some(analyze)),
+        _ => {
+            return Err(DbError::Execution(
+                "query_at() only accepts SELECT statements".into(),
+            ))
+        }
+    };
+    let _class_scope = obs::class_scope(class);
+    obs::incr(obs::Counter::QueriesRun);
+    let exec_started = Instant::now();
+    let cat = exec::Catalog::At(snapshot);
+    let result = match analyze {
+        None => exec::run_select(cat, &sel),
+        Some(analyze) => exec::run_explain(cat, &sel, analyze),
+    };
+    obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
+    obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
+    result
+}
+
+/// The full rows (one value per column of `schema`, not yet coerced) an
+/// `INSERT … [(columns)] VALUES rows` statement stores — shared by the live
+/// statement path and the transaction, so both produce byte-identical
+/// effects. Every row is materialized before any is applied: a multi-row
+/// INSERT is atomic.
+pub(crate) fn insert_rows_of(
+    schema: &Schema,
     columns: Option<Vec<String>>,
     rows: Vec<Vec<sql::SqlExpr>>,
-) -> Result<usize, DbError> {
-    let schema = guard.schema.clone();
+) -> Result<Vec<Row>, DbError> {
     let empty_schema = Schema::default();
     let empty_row: Vec<Value> = Vec::new();
     let const_ctx = RowCtx {
@@ -1123,9 +1228,6 @@ pub(crate) fn apply_insert(
         row: &empty_row,
     };
 
-    // Materialize every row before applying any: a multi-row INSERT is
-    // atomic, so a bad row mid-batch leaves no partial state (and the
-    // statement diverges from nothing on WAL replay).
     let mut full_rows = Vec::with_capacity(rows.len());
     for row_exprs in rows {
         let values: Result<Vec<Value>, DbError> = row_exprs
@@ -1158,18 +1260,37 @@ pub(crate) fn apply_insert(
         };
         full_rows.push(full_row);
     }
-    guard.insert_all(full_rows)
+    Ok(full_rows)
 }
 
-/// Apply an UPDATE to one table version; see [`apply_insert`]. The rows
-/// come from the same selection step as a SELECT's; every SET value is
-/// evaluated against the pre-update row and validated before the first
-/// cell changes, so a failed statement leaves no trace.
-pub(crate) fn apply_update(
-    table: &mut Table,
+/// What an `UPDATE … SET … [WHERE …]` changes in the table version it was
+/// planned against: the arguments of [`Table::update_positions`], which
+/// validates them all before the first cell changes.
+pub(crate) struct UpdatePlan {
+    /// Positions of the selected rows.
+    pub(crate) positions: Vec<usize>,
+    /// The target columns.
+    cols: Vec<usize>,
+    /// Per selected row, one new value per target column.
+    values: Vec<Row>,
+}
+
+impl UpdatePlan {
+    /// Apply to `table` — the version planned against, or a copy of it.
+    pub(crate) fn apply(self, table: &mut Table) -> Result<usize, DbError> {
+        table.update_positions(&self.positions, &self.cols, self.values)
+    }
+}
+
+/// Plan an UPDATE: the rows come from the same selection step as a SELECT's,
+/// every SET value is evaluated against the pre-update row. Shared by the
+/// live statement path and the transaction, which copies a table only when
+/// the selection is not empty.
+pub(crate) fn plan_update(
+    table: &Table,
     sets: Vec<(String, sql::SqlExpr)>,
     where_clause: Option<sql::SqlExpr>,
-) -> Result<usize, DbError> {
+) -> Result<UpdatePlan, DbError> {
     let mut cols = Vec::with_capacity(sets.len());
     let mut exprs = Vec::with_capacity(sets.len());
     for (name, e) in &sets {
@@ -1187,16 +1308,11 @@ pub(crate) fn apply_update(
         let new: Result<Row, DbError> = exprs.iter().map(|e| e.eval(&row)).collect();
         values.push(new?);
     }
-    table.update_positions(&positions, &cols, values)
-}
-
-/// Apply a DELETE to one table version; see [`apply_update`].
-pub(crate) fn apply_delete(
-    table: &mut Table,
-    where_clause: Option<sql::SqlExpr>,
-) -> Result<usize, DbError> {
-    let positions = exec::select_positions(table, where_clause.as_ref())?;
-    Ok(table.delete_positions(&positions))
+    Ok(UpdatePlan {
+        positions,
+        cols,
+        values,
+    })
 }
 
 #[cfg(test)]

@@ -164,7 +164,7 @@ fn single_table_select(
     let pinned = cat.pin(base)?;
     let table: &Table = &pinned;
     let (schema, store) = (&table.schema, table.store());
-    let sv = select_positions(table, sel.where_clause.as_ref())?;
+    let sv = plan_positions(table, sel.where_clause.as_ref(), plan_select(sel, table))?;
 
     if is_aggregation(sel) {
         if let Some(key_idx) = resolve_group_keys(sel, schema) {
@@ -675,7 +675,16 @@ pub(crate) fn select_positions(
     table: &Table,
     where_clause: Option<&SqlExpr>,
 ) -> Result<Vec<usize>, DbError> {
-    let candidates = plan_access(where_clause, table).candidates;
+    plan_positions(table, where_clause, plan_access(where_clause, table))
+}
+
+/// [`select_positions`] over the candidates of an access plan already made.
+fn plan_positions(
+    table: &Table,
+    where_clause: Option<&SqlExpr>,
+    plan: AccessPlan,
+) -> Result<Vec<usize>, DbError> {
+    let candidates = plan.candidates;
     let store = table.store();
     let checked = candidates.as_ref().map(Vec::len);
     if checked.is_none() {
@@ -1103,6 +1112,64 @@ fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
     plan
 }
 
+/// The access plan of a single-table SELECT: [`plan_access`] for its WHERE
+/// clause, unless the whole statement is answered from the ends of ordered
+/// indexes ([`plan_index_ends`]).
+fn plan_select(sel: &SelectStmt, table: &Table) -> AccessPlan {
+    match plan_index_ends(sel, table) {
+        Some(plan) => counted(plan),
+        None => plan_access(sel.where_clause.as_ref(), table),
+    }
+}
+
+/// `SELECT min(c) | max(c), … FROM t` — nothing but `min`/`max` calls over
+/// columns with an ordered index, no WHERE, no GROUP BY — needs only the
+/// rows under the first or last key of each index: the extreme value of a
+/// column is among them (NULLs, which `min`/`max` skip, are not indexed),
+/// and aggregating over a subset of the table that contains it gives the
+/// same answer as aggregating over all of it. The candidates go through the
+/// ordinary aggregation, so the result is the one a full scan computes.
+fn plan_index_ends(sel: &SelectStmt, table: &Table) -> Option<AccessPlan> {
+    if sel.where_clause.is_some() || !sel.group_by.is_empty() || !table.has_indexes() {
+        return None;
+    }
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut column = None;
+    for item in &sel.items {
+        let SelectItem::Expr {
+            expr:
+                SqlExpr::Func {
+                    name,
+                    args,
+                    star: false,
+                },
+            ..
+        } = item
+        else {
+            return None;
+        };
+        let largest = match AggKind::from_name(name)? {
+            AggKind::Max => true,
+            AggKind::Min => false,
+            _ => return None,
+        };
+        let [SqlExpr::Col(col)] = args.as_slice() else {
+            return None;
+        };
+        let ci = table.schema.index_of(col)?;
+        candidates.extend(table.index_end_positions(ci, largest)?);
+        column.get_or_insert_with(|| table.schema.columns[ci].name.clone());
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    Some(AccessPlan {
+        kind: AccessPathKind::IndexEnd,
+        column,
+        est_rows: candidates.len() as f64,
+        candidates: Some(candidates),
+    })
+}
+
 /// [`plan_access`] for a WHERE clause `w` over a table that has an index.
 fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
     let nrows = table.len() as f64;
@@ -1296,6 +1363,9 @@ pub(crate) enum AccessPathKind {
     InList,
     /// Merged range window over an ordered index.
     RangeWindow,
+    /// `min`/`max` alone: the rows under the first or last key of an
+    /// ordered index.
+    IndexEnd,
     /// No usable index condition — visit every row.
     FullScan,
     /// The WHERE clause is provably constant-false; no row can match.
@@ -1309,6 +1379,7 @@ impl AccessPathKind {
             AccessPathKind::PointLookup => "point-lookup",
             AccessPathKind::InList => "in-list",
             AccessPathKind::RangeWindow => "range-window",
+            AccessPathKind::IndexEnd => "index-end",
             AccessPathKind::FullScan => "full-scan",
             AccessPathKind::Never => "never",
         }
@@ -1357,6 +1428,7 @@ fn counted(plan: AccessPlan) -> AccessPlan {
         AccessPathKind::PointLookup => obs::Counter::PlanPointLookup,
         AccessPathKind::InList => obs::Counter::PlanInList,
         AccessPathKind::RangeWindow => obs::Counter::PlanRangeWindow,
+        AccessPathKind::IndexEnd => obs::Counter::PlanIndexEnd,
         AccessPathKind::FullScan => obs::Counter::PlanFullScan,
         AccessPathKind::Never => obs::Counter::PlanFalsified,
     });
@@ -1448,7 +1520,7 @@ pub(crate) fn run_explain(
             let table: &Table = &pinned;
             let nrows = table.len();
             let plan = if sel.joins.is_empty() {
-                plan_access(sel.where_clause.as_ref(), table)
+                plan_select(sel, table)
             } else {
                 // Joined queries materialise the base table; the index
                 // planner only serves single-table SELECTs.
@@ -2237,6 +2309,89 @@ mod tests {
     fn nulls_sort_first() {
         let rs = db().query("SELECT v FROM t ORDER BY v").unwrap();
         assert_eq!(rs.rows()[0][0], Value::Null);
+    }
+
+    /// `min`/`max` answered from the ends of an ordered index are what the
+    /// reference executor computes from every row — where index keys are
+    /// coarser than values (`-0.0`/`0.0`, integers past 2^53), with NaN,
+    /// NULLs, duplicates, an empty table, and after updates and deletes.
+    #[test]
+    fn index_end_min_max_match_the_reference_executor() {
+        let e = Engine::new();
+        e.execute("CREATE TABLE t (i INTEGER, f FLOAT, s TEXT, b BOOLEAN)")
+            .unwrap();
+        for col in ["i", "f", "s", "b"] {
+            e.execute(&format!("CREATE ORDERED INDEX ox_{col} ON t ({col})"))
+                .unwrap();
+        }
+        let queries = [
+            "SELECT max(i) FROM t",
+            "SELECT min(i), max(i) FROM t",
+            "SELECT max(f), min(f) AS least FROM t",
+            "SELECT min(s), max(s), max(b), min(b) FROM t",
+            "SELECT max(i), min(f), max(s) FROM t ORDER BY 1 LIMIT 1",
+        ];
+        let check = |e: &Engine| {
+            for q in queries {
+                let plan = e.query(&format!("EXPLAIN {q}")).unwrap();
+                let plan = format!("{:?}", plan.rows());
+                assert!(plan.contains("access=index-end"), "{q}: {plan}");
+                let (fast, reference) = (e.query(q).unwrap(), e.query_reference(q).unwrap());
+                // Debug tells -0.0 from 0.0 and equates NaN with itself.
+                assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{q}");
+            }
+        };
+        check(&e); // empty: every answer is NULL
+        e.execute("INSERT INTO t VALUES (NULL, NULL, NULL, NULL)")
+            .unwrap();
+        check(&e);
+        let big = 1i64 << 53;
+        e.execute(&format!(
+            "INSERT INTO t VALUES ({big}, -0.0, 'b', true), ({}, 0.0, 'a', false), \
+             ({}, 0.0, 'b', NULL), (-{}, -0.0, '', true), (-{big}, 1.5, 'a', false)",
+            big + 1,
+            big - 1,
+            big + 1,
+        ))
+        .unwrap();
+        check(&e);
+        e.insert_rows(
+            "t",
+            vec![
+                vec![
+                    Value::Int(i64::MAX),
+                    Value::Float(f64::NAN),
+                    Value::Text("zz".into()),
+                    Value::Null,
+                ],
+                vec![
+                    Value::Int(i64::MIN),
+                    Value::Float(f64::NEG_INFINITY),
+                    Value::Null,
+                    Value::Null,
+                ],
+            ],
+        )
+        .unwrap();
+        check(&e);
+        e.execute("DELETE FROM t WHERE s = 'zz'").unwrap();
+        e.execute("UPDATE t SET i = 7, f = 2.5 WHERE s = 'a'")
+            .unwrap();
+        check(&e);
+        // Not the whole statement, or no ordered index: the ordinary paths.
+        e.execute("CREATE TABLE h (i INTEGER)").unwrap();
+        e.execute("CREATE INDEX hx ON h (i)").unwrap();
+        for q in [
+            "SELECT max(i) FROM t WHERE f > 0",
+            "SELECT max(i), count(*) FROM t",
+            "SELECT max(i) + 1 FROM t",
+            "SELECT max(i) FROM h",
+        ] {
+            let plan = format!("{:?}", e.query(&format!("EXPLAIN {q}")).unwrap().rows());
+            assert!(!plan.contains("access=index-end"), "{q}: {plan}");
+            let (fast, reference) = (e.query(q).unwrap(), e.query_reference(q).unwrap());
+            assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{q}");
+        }
     }
 
     #[test]

@@ -31,11 +31,15 @@
 //! copy-on-write any table a snapshot still pins. Readers never block
 //! writers and vice versa; see [`Snapshot`] and [`Engine::query_at`].
 //!
-//! Multi-statement write transactions ([`Engine::begin_txn`]) buffer
-//! statement effects against the pinned snapshot (read-your-own-writes via
-//! [`Transaction::query`]) and commit them atomically: one WAL frame group
-//! framed by begin/commit markers (replayed all-or-nothing on recovery),
-//! one catalog swap, one epoch tick. Conflicts are first-writer-wins.
+//! Multi-statement write transactions ([`Engine::begin_txn`]) pin no
+//! snapshot: a table is pinned the first time the transaction names it, if
+//! it is still the version that was current at BEGIN (a conflict otherwise),
+//! so a transaction costs what it touches. They buffer statement effects
+//! against those versions (read-your-own-writes via [`Transaction::query`];
+//! rows merely appended are buffered, not applied to a copy) and commit
+//! them atomically: one WAL frame group framed by begin/commit markers
+//! (replayed all-or-nothing on recovery), one catalog swap, one epoch tick.
+//! Conflicts are first-writer-wins.
 //!
 //! Not implemented (not needed by perfbase): NULL-aware three-valued logic
 //! (NULL comparisons are false), and subqueries.

@@ -8,6 +8,10 @@
 //! writers that mutate a pinned table copy it first (copy-on-write), so
 //! the pinned version — column store, dictionaries and indexes — stays
 //! frozen for the snapshot's lifetime.
+//!
+//! Sessions pin the whole catalog this way; a write transaction does not
+//! ([`crate::txn`] pins table by table, at first touch), and what its
+//! queries run against is a `Snapshot` of just the tables a statement names.
 #![warn(missing_docs)]
 
 use crate::error::DbError;
@@ -29,21 +33,6 @@ pub struct Snapshot {
 impl Snapshot {
     pub(crate) fn new(epoch: u64, tables: HashMap<String, Arc<Table>>) -> Snapshot {
         Snapshot { epoch, tables }
-    }
-
-    /// The pinned version of one table, if present — no error, no clone.
-    /// The transaction layer uses this both to seed its copy-on-write
-    /// workspace and as the base pointer for the first-writer-wins
-    /// conflict check at commit.
-    pub(crate) fn table_version(&self, name: &str) -> Option<&Arc<Table>> {
-        self.tables.get(name)
-    }
-
-    /// A clone of the pinned table map (`Arc` clones, not data copies) —
-    /// the base a transaction overlays its workspace onto for
-    /// read-your-own-writes queries.
-    pub(crate) fn tables_cloned(&self) -> HashMap<String, Arc<Table>> {
-        self.tables.clone()
     }
 
     /// The commit epoch this snapshot was pinned at. Two snapshots with

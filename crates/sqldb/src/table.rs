@@ -169,6 +169,12 @@ pub struct Table {
     pub schema: Schema,
     store: ColumnStore,
     indexes: Vec<Index>,
+    /// The commit epoch that published this version in an engine catalog
+    /// (0 outside one). The engine stamps it wherever a version becomes
+    /// current — create, install, every copy-on-write mutation, the commit
+    /// swap — so a transaction can tell "current at my BEGIN" from "published
+    /// since" without having pinned anything at BEGIN.
+    pub(crate) published: u64,
 }
 
 impl Table {
@@ -179,6 +185,7 @@ impl Table {
             schema,
             store,
             indexes: Vec::new(),
+            published: 0,
         }
     }
 
@@ -310,6 +317,26 @@ impl Table {
         Some(out)
     }
 
+    /// Positions (ascending) of the rows holding the smallest (`largest`
+    /// false) or largest key of the *ordered* index over `column`; empty when
+    /// the index holds no key (NULLs are not indexed), `None` without an
+    /// ordered index. Keys are coarser than values (`-0.0` and `0.0`, integers
+    /// beyond 2^53), so the caller still compares the rows it gets — but
+    /// key order never contradicts value order, so the extreme value is
+    /// among them.
+    pub fn index_end_positions(&self, column: usize, largest: bool) -> Option<&[usize]> {
+        let ix = self.indexes.iter().find(|ix| ix.column == column)?;
+        let IndexStore::Ordered(map) = &ix.store else {
+            return None;
+        };
+        let end = if largest {
+            map.last_key_value()
+        } else {
+            map.first_key_value()
+        };
+        Some(end.map_or(&[], |(_, v)| v.as_slice()))
+    }
+
     /// Number of distinct keys in the index over `column`, or `None` when
     /// the column carries no index. The planner uses this as a selectivity
     /// proxy: more distinct keys → fewer rows per key → cheaper probe.
@@ -391,11 +418,19 @@ impl Table {
     /// table and its indexes exactly as they were.
     pub fn insert_all(&mut self, rows: Vec<Row>) -> Result<usize, DbError> {
         let checked = self.validate_rows(rows)?;
-        let n = checked.len();
-        for r in checked {
+        Ok(self.append_validated(checked))
+    }
+
+    /// Append rows [`Table::validate_rows`] returned for this schema; returns
+    /// how many. It cannot fail — which is what lets a transaction validate a
+    /// batch when the statement runs and append it only at commit, after the
+    /// log has the group.
+    pub(crate) fn append_validated(&mut self, rows: Vec<Row>) -> usize {
+        let n = rows.len();
+        for r in rows {
             self.append_row(r);
         }
-        Ok(n)
+        n
     }
 
     /// Append one row per entry of `positions` (positions of `src`, any

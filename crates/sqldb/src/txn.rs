@@ -1,19 +1,32 @@
 //! Explicit multi-statement write transactions over the MVCC catalog.
 //!
-//! [`Engine::begin_txn`] pins a base [`Snapshot`] and returns a
-//! [`Transaction`]. Statements executed through it apply to a private
-//! *workspace* of copy-on-write table versions — invisible to every other
-//! reader, the WAL, and replicas — while [`Transaction::query`] sees the
-//! base snapshot overlaid with the workspace (read-your-own-writes).
+//! [`Engine::begin_txn`] records the commit epoch and returns a
+//! [`Transaction`]; it pins nothing, so BEGIN costs the same whatever the
+//! catalog holds. The first time a statement names a table, the live version
+//! is pinned *if it is the version that was current at BEGIN* — every
+//! published version carries the epoch that published it — and the statement
+//! answers [`DbError::TxnConflict`] otherwise: a transaction sees every
+//! table as of its BEGIN or not at all, never two commit epochs. Statements
+//! apply to a private *workspace* — invisible to every other reader, the
+//! WAL, and replicas — while [`Transaction::query`] sees the pinned versions
+//! overlaid with the workspace (read-your-own-writes).
+//!
+//! The workspace copies a table only for a statement that changes rows in
+//! place. Rows a transaction merely *appends* (`INSERT`,
+//! [`Transaction::insert_rows`]) are validated against the pinned version
+//! and buffered; a later `UPDATE`, `DELETE`, `CREATE INDEX` or `SELECT` on
+//! that table folds them into a private copy first, and an `UPDATE` or
+//! `DELETE` that selects no row copies nothing.
 //!
 //! [`Transaction::commit`] is the only point where anything becomes
 //! shared: under one WAL hold and one exclusive commit-gate hold it
 //! re-checks that every touched table's live slot still holds the version
-//! the transaction built on (first-writer-wins; a concurrent swap aborts
+//! the transaction pinned (first-writer-wins; a concurrent swap aborts
 //! with [`DbError::TxnConflict`] and zero effects), appends the buffered
 //! statements to the log framed by begin/commit markers so recovery
-//! replays them all-or-nothing, swaps every touched `Arc<Table>` slot, and
-//! ticks the commit epoch once — readers at any epoch see all of the
+//! replays them all-or-nothing, swaps in every private version, appends the
+//! buffered rows to the live versions (in place unless a reader pins one),
+//! and ticks the commit epoch once — readers at any epoch see all of the
 //! transaction or none of it. Dropping a [`Transaction`] without
 //! committing discards the workspace (rollback).
 //!
@@ -24,8 +37,11 @@
 #![warn(missing_docs)]
 
 use crate::dump;
-use crate::engine::{apply_delete, apply_insert, apply_update, Engine, ResultSet};
+use crate::engine::{
+    insert_rows_of, parse_query, plan_update, run_query_at, stmt_class, Engine, ResultSet,
+};
 use crate::error::DbError;
+use crate::exec::select_positions;
 use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
 use crate::sql::{self, Stmt};
@@ -33,23 +49,44 @@ use crate::table::{Row, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// What a transaction has done to one table; applied to the live catalog
+/// only at commit. Every entry joins the first-writer-wins check.
+pub(crate) enum Work {
+    /// A private version: created in the transaction, or copied from the
+    /// pinned one for a statement that changes rows in place.
+    Version(Arc<Table>),
+    /// Dropped.
+    Dropped,
+    /// Changed by appending at most: validated rows to append to the pinned
+    /// version at commit. Empty for a table that was only touched — by a
+    /// statement that failed or selected no row, whose log entry must still
+    /// replay against the version it ran against.
+    Append(Vec<Row>),
+}
+
 /// An open multi-statement write transaction; see the module docs.
 ///
 /// Not `Sync` by design-intent: a transaction belongs to one writer. It
 /// is `Send`, so a server can park it in a session between requests.
 pub struct Transaction {
     engine: Arc<Engine>,
-    /// Catalog versions pinned at BEGIN — the read base and the conflict
-    /// reference.
-    base: Snapshot,
-    /// Touched tables: `Some(version)` for created/modified, `None` for
-    /// dropped. Applied to the live catalog only at commit.
-    work: HashMap<String, Option<Arc<Table>>>,
+    /// The commit epoch at BEGIN: every table is seen as of it.
+    epoch: u64,
+    /// Versions pinned at first touch — the read base and the conflict
+    /// reference. A name the transaction touched that is not here did not
+    /// exist at BEGIN.
+    pins: HashMap<String, Arc<Table>>,
+    /// Touched tables.
+    work: HashMap<String, Work>,
     /// Durable statement texts in execution order — the transaction's WAL
     /// frame group. Failed statements are buffered too: they fail
     /// identically on replay, keeping committed state equal to a replay of
     /// this log over the base (the engine-wide replay contract).
     log: Vec<String>,
+    /// Telemetry class of the last statement in `log`. The commit's log
+    /// traffic is accounted to it, as an autocommit writer's is to the
+    /// statement whose append pays the fsync.
+    class: obs::StmtClass,
     /// Committed or rolled back; guards double-use and the Drop counter.
     done: bool,
 }
@@ -57,7 +94,8 @@ pub struct Transaction {
 impl std::fmt::Debug for Transaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Transaction")
-            .field("base_epoch", &self.base.epoch())
+            .field("base_epoch", &self.epoch)
+            .field("tables_pinned", &self.pins.len())
             .field("tables_touched", &self.work.len())
             .field("statements_buffered", &self.log.len())
             .field("done", &self.done)
@@ -65,21 +103,33 @@ impl std::fmt::Debug for Transaction {
     }
 }
 
+fn no_such_table(name: &str) -> DbError {
+    DbError::NoSuchTable(name.to_string())
+}
+
 impl Transaction {
     pub(crate) fn begin(engine: Arc<Engine>) -> Transaction {
-        let base = engine.snapshot();
+        let epoch = engine.begin_epoch();
         Transaction {
             engine,
-            base,
+            epoch,
+            pins: HashMap::new(),
             work: HashMap::new(),
             log: Vec::new(),
+            class: obs::StmtClass::Other,
             done: false,
         }
     }
 
-    /// The commit epoch of the base snapshot this transaction reads from.
+    /// Buffer the text of a durable statement of `class`.
+    fn buffer(&mut self, class: obs::StmtClass, text: String) {
+        self.class = class;
+        self.log.push(text);
+    }
+
+    /// The commit epoch this transaction reads at.
     pub fn base_epoch(&self) -> u64 {
-        self.base.epoch()
+        self.epoch
     }
 
     /// Durable statements buffered so far.
@@ -88,68 +138,113 @@ impl Transaction {
     }
 
     /// Schema of `name` as this transaction sees it — the workspace
-    /// overlay over the pinned base snapshot, so tables created (or
+    /// overlay over the version current at BEGIN, so tables created (or
     /// dropped) earlier in the transaction resolve correctly.
-    pub fn table_schema(&self, name: &str) -> Result<crate::Schema, DbError> {
-        self.view_version(name)
+    pub fn table_schema(&mut self, name: &str) -> Result<crate::Schema, DbError> {
+        self.shape(name)?
             .map(|t| t.schema.clone())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+            .ok_or_else(|| no_such_table(name))
     }
 
-    /// The table version this transaction currently sees for `name`.
-    fn view_version(&self, name: &str) -> Option<&Arc<Table>> {
-        match self.work.get(name) {
-            Some(Some(v)) => Some(v),
-            Some(None) => None,
-            None => self.base.table_version(name),
+    /// The version holding the schema and indexes this transaction sees for
+    /// `name` (`None`: no such table) — its rows without the ones the
+    /// transaction has buffered. Pins the table at first touch.
+    fn shape(&mut self, name: &str) -> Result<Option<&Arc<Table>>, DbError> {
+        // A workspace entry means the base is resolved already.
+        if !self.work.contains_key(name) && !self.pins.contains_key(name) {
+            if let Some(version) = self.engine.pin_as_of(name, self.epoch)? {
+                self.pins.insert(name.to_string(), version);
+            }
         }
+        Ok(match self.work.get(name) {
+            Some(Work::Version(v)) => Some(v),
+            Some(Work::Dropped) => None,
+            Some(Work::Append(_)) | None => self.pins.get(name),
+        })
     }
 
-    fn view_has(&self, name: &str) -> bool {
-        self.view_version(name).is_some()
+    /// The version of `name` a SELECT in this transaction reads, own writes
+    /// included: buffered rows are folded into a private copy first.
+    fn view(&mut self, name: &str) -> Result<Option<Arc<Table>>, DbError> {
+        if matches!(self.work.get(name), Some(Work::Append(rows)) if !rows.is_empty()) {
+            self.private(name)?;
+        }
+        Ok(self.shape(name)?.cloned())
     }
 
-    /// Pull `name` into the workspace (cloning the pinned base version on
-    /// first touch) and return its workspace slot for mutation.
-    fn touch(&mut self, name: &str) -> Result<&mut Arc<Table>, DbError> {
-        if !self.work.contains_key(name) {
-            let base = self
-                .base
-                .table_version(name)
-                .cloned()
-                .ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
-            self.work.insert(name.to_string(), Some(base));
+    /// The private, mutable version of `name`, copied from the pinned one
+    /// (with the buffered rows) unless the workspace has it already.
+    fn private(&mut self, name: &str) -> Result<&mut Table, DbError> {
+        if !matches!(self.work.get(name), Some(Work::Version(_))) {
+            let base = self.shape(name)?.cloned();
+            let mut copy = base.ok_or_else(|| no_such_table(name))?;
+            let buffered = match self.work.remove(name) {
+                Some(Work::Append(rows)) => rows,
+                _ => Vec::new(),
+            };
+            obs::incr(obs::Counter::MvccCowClones);
+            Arc::make_mut(&mut copy).append_validated(buffered);
+            self.work.insert(name.to_string(), Work::Version(copy));
         }
         match self.work.get_mut(name) {
-            Some(Some(v)) => Ok(v),
-            _ => Err(DbError::NoSuchTable(name.to_string())),
+            Some(Work::Version(v)) => Ok(Arc::make_mut(v)),
+            _ => unreachable!("a private version was just made"),
+        }
+    }
+
+    /// Note that a statement ran against `name` — whose base
+    /// [`Transaction::shape`] has resolved — so that the table joins the
+    /// conflict check at commit whatever the statement changed: the log entry
+    /// of a statement that failed, selected no row or found no such table
+    /// replays to the same end only over the version it ran against.
+    fn touched(&mut self, name: &str) {
+        if !self.work.contains_key(name) {
+            self.work.insert(name.to_string(), Work::Append(Vec::new()));
+        }
+    }
+
+    /// Add validated rows to `name`: into the private version when there is
+    /// one, otherwise to the rows buffered for commit.
+    fn append(&mut self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
+        self.touched(name);
+        match self.work.get_mut(name) {
+            Some(Work::Version(v)) => Ok(Arc::make_mut(v).append_validated(rows)),
+            Some(Work::Append(buffered)) => {
+                let n = rows.len();
+                buffered.extend(rows);
+                Ok(n)
+            }
+            _ => Err(no_such_table(name)),
         }
     }
 
     /// Would `CREATE [ORDERED] INDEX` change nothing in the txn's view?
     /// Mirrors the engine's no-op predicate so the buffered log matches
     /// what the live path would have logged.
-    fn index_creation_is_noop(&self, table: &str, column: &str, ordered: bool) -> bool {
-        let Some(t) = self.view_version(table) else {
-            return false;
+    fn index_creation_is_noop(
+        &mut self,
+        table: &str,
+        column: &str,
+        ordered: bool,
+    ) -> Result<bool, DbError> {
+        let Some(t) = self.shape(table)? else {
+            return Ok(false);
         };
-        match t.schema.index_of(column) {
-            Some(ci) => {
-                if ordered {
-                    t.has_ordered_index_on(ci)
-                } else {
-                    t.has_index_on(ci)
-                }
-            }
+        Ok(match t.schema.index_of(column) {
+            Some(ci) if ordered => t.has_ordered_index_on(ci),
+            Some(ci) => t.has_index_on(ci),
             None => false,
-        }
+        })
     }
 
     /// Execute one mutating statement against the workspace. Effects stay
     /// private until [`Transaction::commit`]. A failed statement does not
     /// poison the transaction — it has no workspace effect (INSERT, UPDATE
     /// and DELETE are statement-atomic) and its log entry is kept, so
-    /// commit-applied state always equals a WAL replay of the buffer.
+    /// commit-applied state always equals a WAL replay of the buffer. The
+    /// exception is [`DbError::TxnConflict`]: the table the statement names
+    /// was published after BEGIN, and nothing is buffered — a caller that
+    /// needs that table rolls back and retries the transaction.
     pub fn execute(&mut self, sql_text: &str) -> Result<usize, DbError> {
         self.check_open()?;
         let stmt = sql::parse_statement(sql_text)?;
@@ -182,11 +277,9 @@ impl Transaction {
             _ => None,
         };
         if let Some(t) = target {
-            if self.engine.is_temp(t) {
-                return Err(DbError::Execution(format!(
-                    "TEMP table {t} cannot be touched inside a transaction"
-                )));
-            }
+            self.refuse_temp(t)?;
+            self.shape(t)?;
+            self.touched(t);
         }
         // Same durability predicate as the live autocommit path, evaluated
         // against the transaction's view.
@@ -195,17 +288,19 @@ impl Transaction {
             | Stmt::Insert { .. }
             | Stmt::Update { .. }
             | Stmt::Delete { .. } => true,
-            Stmt::DropTable { name, .. } => self.view_has(name),
+            Stmt::DropTable { name, .. } => self.shape(name)?.is_some(),
             Stmt::CreateIndex {
                 table,
                 column,
                 ordered,
                 ..
-            } => !self.index_creation_is_noop(table, column, *ordered),
+            } => !self.index_creation_is_noop(table, column, *ordered)?,
             _ => unreachable!("rejected above"),
         };
+        // The target is pinned (or known absent) by now: nothing below can
+        // conflict, so the entry is buffered whatever the statement answers.
         if durable {
-            self.log.push(sql_text.to_string());
+            self.buffer(stmt_class(&stmt), sql_text.to_string());
         }
         self.apply(stmt)
     }
@@ -218,7 +313,7 @@ impl Transaction {
                 columns,
                 ..
             } => {
-                if self.view_has(&name) {
+                if self.shape(&name)?.is_some() {
                     if if_not_exists {
                         return Ok(0);
                     }
@@ -234,12 +329,13 @@ impl Transaction {
                         })
                         .collect(),
                 )?;
-                self.work.insert(name, Some(Arc::new(Table::new(schema))));
+                self.work
+                    .insert(name, Work::Version(Arc::new(Table::new(schema))));
                 Ok(0)
             }
             Stmt::DropTable { name, if_exists } => {
-                if self.view_has(&name) {
-                    self.work.insert(name, None);
+                if self.shape(&name)?.is_some() {
+                    self.work.insert(name, Work::Dropped);
                     Ok(0)
                 } else if if_exists {
                     Ok(0)
@@ -251,23 +347,49 @@ impl Transaction {
                 table,
                 columns,
                 rows,
-            } => apply_insert(Arc::make_mut(self.touch(&table)?), columns, rows),
+            } => {
+                let shape = self.shape(&table)?.cloned();
+                let shape = shape.ok_or_else(|| no_such_table(&table))?;
+                let rows = insert_rows_of(&shape.schema, columns, rows)?;
+                let rows = shape.validate_rows(rows)?;
+                self.append(&table, rows)
+            }
             Stmt::Update {
                 table,
                 sets,
                 where_clause,
-            } => apply_update(Arc::make_mut(self.touch(&table)?), sets, where_clause),
+            } => {
+                let view = self.view(&table)?;
+                let view = view.ok_or_else(|| no_such_table(&table))?;
+                // Planned against the version in view; a copy is made only
+                // for rows to change.
+                let plan = plan_update(&view, sets, where_clause)?;
+                drop(view);
+                if plan.positions.is_empty() {
+                    return Ok(0);
+                }
+                plan.apply(self.private(&table)?)
+            }
             Stmt::Delete {
                 table,
                 where_clause,
-            } => apply_delete(Arc::make_mut(self.touch(&table)?), where_clause),
+            } => {
+                let view = self.view(&table)?;
+                let view = view.ok_or_else(|| no_such_table(&table))?;
+                let positions = select_positions(&view, where_clause.as_ref())?;
+                drop(view);
+                if positions.is_empty() {
+                    return Ok(0);
+                }
+                Ok(self.private(&table)?.delete_positions(&positions))
+            }
             Stmt::CreateIndex {
                 name,
                 table,
                 column,
                 if_not_exists,
                 ordered,
-            } => match Arc::make_mut(self.touch(&table)?).create_index(&name, &column, ordered) {
+            } => match self.private(&table)?.create_index(&name, &column, ordered) {
                 Ok(()) => Ok(0),
                 Err(DbError::Execution(_)) if if_not_exists => Ok(0),
                 Err(e) => Err(e),
@@ -280,29 +402,23 @@ impl Transaction {
         }
     }
 
-    /// Run a SELECT (or EXPLAIN) against the transaction's view: the base
-    /// snapshot overlaid with this transaction's own writes
-    /// (read-your-own-writes), isolated from concurrent committers.
-    pub fn query(&self, sql_text: &str) -> Result<ResultSet, DbError> {
-        let snap = self.view_snapshot();
-        self.engine.query_at(&snap, sql_text)
-    }
-
-    /// The transaction's current view as a [`Snapshot`]: base tables with
-    /// the workspace overlay applied.
-    pub fn view_snapshot(&self) -> Snapshot {
-        let mut tables = self.base.tables_cloned();
-        for (name, v) in &self.work {
-            match v {
-                Some(t) => {
-                    tables.insert(name.clone(), Arc::clone(t));
-                }
-                None => {
-                    tables.remove(name);
+    /// Run a SELECT (or EXPLAIN) against the transaction's view: the tables
+    /// the statement names, as of BEGIN, overlaid with this transaction's
+    /// own writes (read-your-own-writes), isolated from concurrent
+    /// committers. [`DbError::TxnConflict`] when one of them was published
+    /// after BEGIN.
+    pub fn query(&mut self, sql_text: &str) -> Result<ResultSet, DbError> {
+        let stmt = parse_query(sql_text)?;
+        let mut tables = HashMap::new();
+        if let Stmt::Select(sel) | Stmt::Explain { select: sel, .. } = &stmt {
+            let joined = sel.joins.iter().map(|j| &j.table);
+            for name in sel.from.iter().chain(joined) {
+                if let Some(version) = self.view(name)? {
+                    tables.insert(name.clone(), version);
                 }
             }
         }
-        Snapshot::new(self.base.epoch(), tables)
+        run_query_at(&Snapshot::new(self.epoch, tables), stmt)
     }
 
     /// Insert pre-built rows (the programmatic mirror of an INSERT
@@ -312,54 +428,47 @@ impl Transaction {
     /// effects nor a doomed statement in the commit log.
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
         self.check_open()?;
-        if self.engine.is_temp(name) {
-            return Err(DbError::Execution(format!(
-                "TEMP table {name} cannot be touched inside a transaction"
-            )));
-        }
-        let rows = self.touch(name)?.validate_rows(rows)?;
+        self.refuse_temp(name)?;
+        let shape = self.shape(name)?.ok_or_else(|| no_such_table(name))?;
+        let rows = shape.validate_rows(rows)?;
         if !rows.is_empty() {
             let mut text = String::new();
             dump::write_insert(&mut text, name, &rows);
-            self.log.push(text);
+            self.buffer(obs::StmtClass::Insert, text);
         }
-        Arc::make_mut(self.touch(name)?).insert_all(rows)
+        self.append(name, rows)
     }
 
     /// Create a table (programmatic mirror of `CREATE TABLE`; logged as
     /// rendered SQL, like [`Engine::create_table`]).
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
         self.check_open()?;
-        if self.view_has(name) {
+        if self.shape(name)?.is_some() {
             return Err(DbError::TableExists(name.to_string()));
         }
         let mut text = String::new();
         dump::write_create_table(&mut text, name, &schema, false);
-        self.log.push(text);
-        self.work
-            .insert(name.to_string(), Some(Arc::new(Table::new(schema))));
+        self.buffer(obs::StmtClass::Ddl, text);
+        self.work.insert(
+            name.to_string(),
+            Work::Version(Arc::new(Table::new(schema))),
+        );
         Ok(())
     }
 
     /// Drop a table (programmatic mirror of `DROP TABLE [IF EXISTS]`).
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<(), DbError> {
         self.check_open()?;
-        if self.engine.is_temp(name) {
-            return Err(DbError::Execution(format!(
-                "TEMP table {name} cannot be touched inside a transaction"
-            )));
-        }
-        if self.view_has(name) {
-            self.log.push(format!(
-                "DROP TABLE {}{name}",
-                if if_exists { "IF EXISTS " } else { "" }
-            ));
-            self.work.insert(name.to_string(), None);
+        self.refuse_temp(name)?;
+        if self.shape(name)?.is_some() {
+            let if_exists = if if_exists { "IF EXISTS " } else { "" };
+            self.buffer(obs::StmtClass::Ddl, format!("DROP TABLE {if_exists}{name}"));
+            self.work.insert(name.to_string(), Work::Dropped);
             Ok(())
         } else if if_exists {
             Ok(())
         } else {
-            Err(DbError::NoSuchTable(name.to_string()))
+            Err(no_such_table(name))
         }
     }
 
@@ -371,7 +480,10 @@ impl Transaction {
     pub fn commit(mut self) -> Result<(), DbError> {
         self.check_open()?;
         self.done = true;
-        self.engine.commit_txn(&self.base, &self.work, &self.log)
+        let pins = std::mem::take(&mut self.pins);
+        let work = std::mem::take(&mut self.work);
+        let _class = obs::class_scope(self.class);
+        self.engine.commit_txn(pins, work, &self.log)
     }
 
     /// Discard every buffered effect. Equivalent to dropping the
@@ -386,6 +498,15 @@ impl Transaction {
             return Err(DbError::Execution(
                 "transaction already committed or rolled back".into(),
             ));
+        }
+        Ok(())
+    }
+
+    fn refuse_temp(&self, name: &str) -> Result<(), DbError> {
+        if self.engine.is_temp(name) {
+            return Err(DbError::Execution(format!(
+                "TEMP table {name} cannot be touched inside a transaction"
+            )));
         }
         Ok(())
     }
@@ -760,8 +881,11 @@ mod tests {
         txn.insert_rows("cd", vec![vec![Value::Int(1), Value::Float(0.5)]])
             .unwrap();
         txn.drop_table("t", false).unwrap();
-        assert!(txn.view_snapshot().has_table("cd"));
-        assert!(!txn.view_snapshot().has_table("t"));
+        assert!(txn.table_schema("cd").is_ok());
+        assert!(matches!(
+            txn.table_schema("t"),
+            Err(DbError::NoSuchTable(_))
+        ));
         txn.commit().unwrap();
         assert!(db.has_table("cd"));
         assert!(!db.has_table("t"));

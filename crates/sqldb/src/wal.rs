@@ -563,11 +563,29 @@ impl Wal {
         path: &Path,
         opts: WalOptions,
     ) -> Result<(Wal, Vec<String>, RecoveryReport), DbError> {
+        Wal::open_recover_from(path, opts, 1)
+    }
+
+    /// [`Wal::open_recover`] for the log that continues a checkpoint dump
+    /// whose recorded checkpoint sequence is `floor` (1 without a dump):
+    /// every frame below `floor` is in the dump already, so the next frame
+    /// this log takes must not be numbered below it — recovery would skip it
+    /// as checkpointed, and an acknowledged write would be gone after the
+    /// next open. A log *created* here (no file, or a header torn by a crash
+    /// in `create`) therefore starts at `floor` — the dump was restored
+    /// without its log — and an existing log that ends below `floor` belongs
+    /// to some other dump and is refused, with both numbers, before anything
+    /// in it is touched.
+    pub fn open_recover_from(
+        path: &Path,
+        opts: WalOptions,
+        floor: u64,
+    ) -> Result<(Wal, Vec<String>, RecoveryReport), DbError> {
         if !path.exists() {
-            let wal = Wal::create(path, opts, 1)?;
+            let wal = Wal::create(path, opts, floor)?;
             let report = RecoveryReport {
-                start_seq: 1,
-                next_seq: 1,
+                start_seq: floor,
+                next_seq: floor,
                 ..RecoveryReport::default()
             };
             return Ok((wal, Vec::new(), report));
@@ -589,11 +607,11 @@ impl Wal {
         if bytes.len() < HEADER_LEN as usize {
             // A torn header can only come from a crash during create();
             // rebuild an empty segment.
-            let wal = Wal::create(path, opts, 1)?;
+            let wal = Wal::create(path, opts, floor)?;
             let report = RecoveryReport {
                 torn_bytes: readable,
-                start_seq: 1,
-                next_seq: 1,
+                start_seq: floor,
+                next_seq: floor,
                 ..RecoveryReport::default()
             };
             return Ok((wal, Vec::new(), report));
@@ -621,6 +639,14 @@ impl Wal {
             statements.push(payload);
             pos = next;
             seq += 1;
+        }
+        if seq < floor {
+            return Err(DbError::Io(format!(
+                "{}: the log ends at sequence {seq}, below checkpoint sequence {floor} of the \
+                 dump it was opened with — it is not that dump's log (writes numbered below \
+                 {floor} would be skipped as checkpointed); move it away to start a new one",
+                path.display()
+            )));
         }
         let valid_len = pos as u64;
         let torn = file_len.saturating_sub(valid_len);

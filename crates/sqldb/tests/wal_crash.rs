@@ -660,3 +660,89 @@ fn cluster_recovery_at_1_2_4_nodes() {
         }
     }
 }
+
+// ---- a dump and the log that continues it ---------------------------------
+
+/// A checkpointed database (its dump records checkpoint sequence 4) holding
+/// rows 1..=3 of `t`; returns the dump and log paths.
+fn checkpointed(dir: &TempDir) -> (PathBuf, PathBuf) {
+    let (dump, wal) = (dir.path("db.sql"), dir.path("db.wal"));
+    let (db, _) = Engine::open_durable(&dump, &wal, WalOptions::default()).unwrap();
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    db.execute("INSERT INTO t VALUES (3)").unwrap();
+    db.checkpoint(&dump).unwrap();
+    let text = std::fs::read_to_string(&dump).unwrap();
+    assert!(text.contains("-- wal-checkpoint-seq: 4"), "{text}");
+    (dump, wal)
+}
+
+/// Acked ⇒ recovered includes the first write after a restore: a dump opened
+/// without its log (or with a log whose header a crash in `create` tore)
+/// starts a log at the dump's checkpoint sequence. It used to start at 1, and
+/// the next open skipped the acked frames as "already checkpointed".
+#[test]
+fn a_dump_restored_without_its_log_keeps_acknowledged_writes() {
+    for torn_header in [false, true] {
+        let dir = TempDir::new(if torn_header { "torn_header" } else { "no_log" });
+        let (dump, wal) = checkpointed(&dir);
+        if torn_header {
+            let header = std::fs::read(&wal).unwrap();
+            std::fs::write(&wal, &header[..7]).unwrap();
+        } else {
+            std::fs::remove_file(&wal).unwrap();
+        }
+        let (db, report) = Engine::open_durable(&dump, &wal, WalOptions::default()).unwrap();
+        assert_eq!((report.start_seq, report.next_seq), (4, 4), "{report:?}");
+        assert_eq!(report.frames_replayed, 0);
+        db.execute("DELETE FROM t WHERE a = 1").unwrap();
+        db.execute("INSERT INTO t VALUES (4)").unwrap();
+        db.wal_sync().unwrap();
+        drop(db);
+        let (db, report) = Engine::open_durable(&dump, &wal, WalOptions::default()).unwrap();
+        assert_eq!(report.frames_skipped, 0, "{report:?}");
+        assert_eq!(report.frames_replayed, 2, "{report:?}");
+        let rows = db.query("SELECT a FROM t ORDER BY a").unwrap();
+        assert_eq!(rows.render_tsv(), "a\n2\n3\n4\n");
+    }
+}
+
+/// A log that ends below the dump's checkpoint sequence is some other
+/// dump's: it is refused, naming both numbers, and left as it was — its
+/// next frames would be numbered into the range recovery skips.
+#[test]
+fn a_log_that_ends_below_the_dumps_checkpoint_is_refused() {
+    let dir = TempDir::new("stale_log");
+    let (dump, wal) = checkpointed(&dir);
+    // The log of a younger database: two frames, sequences 1 and 2.
+    let mut stale = Wal::create(&wal, WalOptions::default(), 1).unwrap();
+    stale.append("CREATE TABLE other (b INTEGER)").unwrap();
+    stale.append("INSERT INTO other VALUES (1)").unwrap();
+    stale.sync().unwrap();
+    drop(stale);
+    let before = std::fs::read(&wal).unwrap();
+    let err = Engine::open_durable(&dump, &wal, WalOptions::default()).unwrap_err();
+    let text = err.to_string();
+    assert!(
+        text.contains("ends at sequence 3") && text.contains("checkpoint sequence 4"),
+        "{text}"
+    );
+    assert_eq!(std::fs::read(&wal).unwrap(), before, "refused ⇒ untouched");
+    // The dump's own log — compacted, or not yet (a crash between the dump
+    // rename and the compaction) — ends at the checkpoint sequence or above.
+    std::fs::remove_file(&wal).unwrap();
+    let mut own = Wal::create(&wal, WalOptions::default(), 1).unwrap();
+    for stmt in [
+        "CREATE TABLE t (a INTEGER)",
+        "INSERT INTO t VALUES (1), (2)",
+        "INSERT INTO t VALUES (3)",
+        "INSERT INTO t VALUES (4)",
+    ] {
+        own.append(stmt).unwrap();
+    }
+    own.sync().unwrap();
+    drop(own);
+    let (db, report) = Engine::open_durable(&dump, &wal, WalOptions::default()).unwrap();
+    assert_eq!((report.frames_skipped, report.frames_replayed), (3, 1));
+    assert_eq!(db.row_count("t").unwrap(), 4);
+}

@@ -209,9 +209,192 @@ fn kill_during_import_then_checkpoint_recovers_a_consistent_db() {
     assert!(!out.contains("recovered"), "{out}");
     assert!(out.contains("0 log frame(s) compacted"), "{out}");
 
-    // The interrupted batch can be imported afterwards (forced past the
-    // duplicate check, since the prefix may contain the file's hash).
-    let out = import(&db, &input, &batch2, &["--wal", "--force"]).unwrap();
-    assert!(out.contains("imported 2 run(s)"), "{out}");
-    assert!(run_count(&db) >= 4);
+    // The interrupted batch can be imported afterwards, without `--force`:
+    // a run and its `pb_imports` row are one commit, so the files whose runs
+    // the prefix holds are skipped as duplicates and the others imported.
+    let out = import(&db, &input, &batch2, &["--wal"]).unwrap();
+    let missing = 4 - runs_after;
+    assert!(out.contains(&format!("imported {missing} run(s)")), "{out}");
+    assert_eq!(out.contains("duplicate"), missing < 2, "{out}");
+    assert_eq!(run_count(&db), 4);
+}
+
+// ---- all or nothing, at every frame ---------------------------------------
+
+use perfbase::core::experiment::ExperimentDb;
+use perfbase::core::import::{content_hash, Importer};
+use perfbase::core::input::input_description_from_str;
+use perfbase::sqldb::{IoFailpoint, SyncPolicy, WalOptions};
+use std::path::Path;
+use std::sync::Arc;
+
+/// Options whose log dies, cleanly, after `frames` more frames.
+fn dying_after(frames: u64) -> WalOptions {
+    WalOptions {
+        sync: SyncPolicy::Always,
+        failpoint: Arc::new(IoFailpoint::crash_after_frames(frames)),
+    }
+}
+
+/// `(name, content)` of `n` measurement files.
+fn measurements(n: u32) -> Vec<(String, String)> {
+    (1..=n)
+        .map(|rep| {
+            let run = simulate(BeffIoConfig {
+                run_index: rep,
+                seed: u64::from(rep),
+                ..BeffIoConfig::default()
+            });
+            (run.filename(), run.render())
+        })
+        .collect()
+}
+
+/// The experiment at `path`, reopened after the crash, holds every run
+/// entirely or not at all: a `pb_runs` row, its data table and its
+/// `pb_imports` row stand or fall together. Returns the run ids.
+fn whole_runs(db: &ExperimentDb) -> Vec<i64> {
+    let ids = db.run_ids().unwrap();
+    let recorded = db
+        .engine()
+        .query("SELECT run_id FROM pb_imports ORDER BY run_id")
+        .unwrap();
+    let recorded: Vec<i64> = recorded
+        .rows()
+        .iter()
+        .map(|r| r[0].as_i64().unwrap())
+        .collect();
+    assert_eq!(recorded, ids, "pb_imports rows and pb_runs rows differ");
+    let tables = db.engine().table_names();
+    let data: Vec<&String> = tables
+        .iter()
+        .filter(|t| t.starts_with("pb_rundata_"))
+        .collect();
+    let want: Vec<String> = ids.iter().map(|id| format!("pb_rundata_{id}")).collect();
+    assert_eq!(data, want.iter().collect::<Vec<_>>(), "data tables");
+    for id in &ids {
+        assert_eq!(db.run_summary(*id).unwrap().datasets, 24, "run {id}");
+    }
+    ids
+}
+
+/// §3.2 after a crash: "importing the same input file more than once is not
+/// possible without explicit confirmation". The run used to be recovered
+/// without its `pb_imports` row (a commit of its own, after the run's), and
+/// the file was imported a second time.
+#[test]
+fn an_import_killed_at_any_frame_is_all_or_nothing() {
+    let dir = TempDir::new("import_frames");
+    let (template, input) = setup_campaign(&dir, "frames");
+    let desc = input_description_from_str(&std::fs::read_to_string(input).unwrap()).unwrap();
+    let files = measurements(2);
+    // An import is one group of 6 frames: the markers, the data table's
+    // CREATE and INSERT, the pb_runs row, the pb_imports row.
+    for kill_after in 1..=13 {
+        let path = dir.path(&format!("frames_{kill_after}.pbdb"));
+        std::fs::copy(&template, &path).unwrap();
+        let (db, _) =
+            ExperimentDb::open_durable(Path::new(&path), dying_after(kill_after)).unwrap();
+        let importer = Importer::new(&db);
+        let acked: Vec<bool> = files
+            .iter()
+            .map(|(name, content)| importer.import_file(&desc, name, content).is_ok())
+            .collect();
+        assert_eq!(
+            acked,
+            [kill_after >= 6, kill_after >= 12],
+            "kill after {kill_after}"
+        );
+        drop(db);
+
+        let (db, _) = ExperimentDb::open_durable(Path::new(&path), WalOptions::default()).unwrap();
+        let ids = whole_runs(&db);
+        let stored = acked.iter().filter(|a| **a).count();
+        assert_eq!(ids.len(), stored, "acked ⇒ recovered, unacked ⇒ absent");
+        // What is there is known by its hash; what is not can be imported.
+        let importer = Importer::new(&db);
+        for ((name, content), was_stored) in files.iter().zip(acked) {
+            assert_eq!(db.is_imported(&content_hash(content)).unwrap(), was_stored);
+            let report = importer.import_file(&desc, name, content).unwrap();
+            assert_eq!(report.duplicates_skipped, usize::from(was_stored));
+            assert_eq!(report.runs_created.len(), usize::from(!was_stored));
+        }
+        assert_eq!(whole_runs(&db).len(), 2, "kill after {kill_after}");
+    }
+}
+
+/// `delete_run` used to be four commits: killed after the first, the run was
+/// gone, its data table orphaned and its hash still recorded — the file was
+/// refused as a duplicate of a run that no longer existed.
+#[test]
+fn a_delete_killed_at_any_frame_is_all_or_nothing() {
+    let dir = TempDir::new("delete_frames");
+    let (template, input) = setup_campaign(&dir, "delete");
+    let desc = input_description_from_str(&std::fs::read_to_string(input).unwrap()).unwrap();
+    let files = measurements(2);
+    {
+        let path = Path::new(&template);
+        let (db, _) = ExperimentDb::open_durable(path, WalOptions::default()).unwrap();
+        let importer = Importer::new(&db);
+        for (name, content) in &files {
+            importer.import_file(&desc, name, content).unwrap();
+        }
+        db.checkpoint(path).unwrap();
+    }
+    // One group of 5 frames: the markers, the DELETEs on pb_runs and
+    // pb_imports, the DROP of the data table.
+    for kill_after in 1..=6 {
+        let path = dir.path(&format!("delete_{kill_after}.pbdb"));
+        std::fs::copy(&template, &path).unwrap();
+        let (db, _) =
+            ExperimentDb::open_durable(Path::new(&path), dying_after(kill_after)).unwrap();
+        let acked = db.delete_run(1).is_ok();
+        assert_eq!(acked, kill_after >= 5, "kill after {kill_after}");
+        drop(db);
+
+        let (db, _) = ExperimentDb::open_durable(Path::new(&path), WalOptions::default()).unwrap();
+        let ids = whole_runs(&db);
+        assert_eq!(ids, if acked { vec![2] } else { vec![1, 2] });
+        // A deleted run's file can be imported again, unforced.
+        let (name, content) = &files[0];
+        let report = Importer::new(&db)
+            .import_file(&desc, name, content)
+            .unwrap();
+        assert_eq!(report.runs_created.len(), usize::from(acked));
+        assert_eq!(whole_runs(&db).len(), 2);
+    }
+}
+
+/// A checkpointed experiment file copied without its `.wal`: `delete_run`
+/// was acknowledged and, after the next open, undone — the new log started at
+/// sequence 1 and recovery skipped its frames as "already checkpointed".
+#[test]
+fn an_experiment_restored_without_its_log_keeps_acknowledged_writes() {
+    let dir = TempDir::new("restored");
+    let (original, input) = setup_campaign(&dir, "restored");
+    let desc = input_description_from_str(&std::fs::read_to_string(input).unwrap()).unwrap();
+    {
+        let path = Path::new(&original);
+        let (db, _) = ExperimentDb::open_durable(path, WalOptions::default()).unwrap();
+        let importer = Importer::new(&db);
+        for (name, content) in &measurements(2) {
+            importer.import_file(&desc, name, content).unwrap();
+        }
+        db.checkpoint(path).unwrap();
+    }
+    let restored = dir.path("restored_copy.pbdb");
+    std::fs::copy(&original, &restored).unwrap();
+    let dump = std::fs::read_to_string(&restored).unwrap();
+    assert!(dump.contains("-- wal-checkpoint-seq: "), "checkpointed");
+    assert!(!ExperimentDb::wal_path(Path::new(&restored)).exists());
+
+    let (db, _) = ExperimentDb::open_durable(Path::new(&restored), WalOptions::default()).unwrap();
+    db.delete_run(1).unwrap();
+    db.durability_sync().unwrap();
+    drop(db);
+    let (db, report) =
+        ExperimentDb::open_durable(Path::new(&restored), WalOptions::default()).unwrap();
+    assert_eq!(report.frames_skipped, 0, "{report:?}");
+    assert!(report.frames_replayed > 0, "{report:?}");
+    assert_eq!(whole_runs(&db), [2]);
 }

@@ -1,6 +1,6 @@
-//! Golden-file tests for `EXPLAIN` across the four access paths
-//! (point-lookup, in-list, range-window, full-scan) plus the falsified
-//! path and the three vectorization strategies (full, partial, none), and
+//! Golden-file tests for `EXPLAIN` across the five access paths
+//! (point-lookup, in-list, range-window, index-end, full-scan) plus the
+//! falsified path and the three vectorization strategies (full, partial, none), and
 //! an `EXPLAIN ANALYZE` check that actual candidate-row counts match what
 //! the query really touched.
 //!
@@ -94,6 +94,34 @@ fn explain_range_window() {
              ORDER BY bw DESC LIMIT 3",
         ),
     );
+}
+
+/// `min`/`max` alone over an ordered-indexed column read the rows under the
+/// first and last key (here 5 rows each of 20) — what `add_run` asks
+/// `pb_runs` for its next id. A WHERE clause, a GROUP BY or a hash index
+/// leave the statement on the ordinary paths.
+#[test]
+fn explain_index_end() {
+    let e = fixture();
+    check_golden(
+        "explain_index_end.txt",
+        &explain(
+            &e,
+            "EXPLAIN ANALYZE SELECT max(nodes), min(nodes) AS least FROM runs",
+        ),
+    );
+    for other in [
+        "EXPLAIN SELECT max(nodes) FROM runs WHERE fs = 'ufs'",
+        "EXPLAIN SELECT max(nodes) FROM runs GROUP BY fs",
+        "EXPLAIN SELECT max(nodes), count(*) FROM runs",
+        "EXPLAIN SELECT max(run_index) FROM runs",
+    ] {
+        assert!(explain(&e, other).contains("access=full-scan"), "{other}");
+    }
+    let rs = e
+        .query("SELECT max(nodes), min(nodes) AS least FROM runs")
+        .unwrap();
+    assert_eq!(rs.render_tsv(), "max(nodes)\tleast\n8\t1\n");
 }
 
 #[test]

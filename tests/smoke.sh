@@ -2,8 +2,11 @@
 # Offline smoke test: full release build, a warning-free clippy pass, the
 # complete test suite (including the execution-mode equivalence suite, the
 # source-scan guards — statement and row counts of a source element, the
-# parent-build artifact fixture, concurrent typed appends — the WAL
-# crash-consistency suites, and the replication chaos/failover suites), the
+# parent-build artifact fixture, concurrent typed appends — the transaction
+# suites: the as-of-BEGIN isolation model, the import count guard, concurrent
+# `add_run` — the WAL crash-consistency suites (an import and a delete killed
+# at every frame, a dump restored without its log), and the replication
+# chaos/failover suites), the
 # stand-alone benchmark package's build and tests (so a refactor that breaks
 # the API it is pinned to fails here, not in the benchmark driver), a
 # replicated CLI query diffed against the unsharded run, a
@@ -40,6 +43,11 @@ echo "== source scan (O(1) statements + same rows visited, parent-build fixture,
 cargo test -q -p perfbase --test source_scan
 cargo test -q -p perfbase --test sharded_equivalence source_scan_matches
 cargo test -q -p sqldb --test concurrency concurrent_typed_scans
+
+echo "== transactions (as-of-BEGIN isolation model, cost in counts, concurrent add_run) =="
+cargo test -q -p sqldb --test txn_isolation
+cargo test -q -p perfbase --test import_cost_guard
+cargo test -q -p perfbase --test concurrent_import
 
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash

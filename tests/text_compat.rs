@@ -8,13 +8,14 @@
 //! `dump_sql()` of a 12-run b_eff_io campaign plus a table of edge values of
 //! every kind, `frames.wal` the log the same work left (the `CREATE TABLE`
 //! and `INSERT` text of every programmatic write, framed). The writer of
-//! this build must produce both byte for byte.
+//! this build must produce both byte for byte — but for the two differences
+//! [`as_written_now`] spells out — and read both as the parent did.
 
 use perfbase::core::experiment::ExperimentDb;
 use perfbase::core::import::Importer;
 use perfbase::core::input::input_description_from_str;
 use perfbase::core::xmldef::definition_from_str;
-use perfbase::sqldb::{Column, DataType, Engine, Schema, SyncPolicy, Value, WalOptions};
+use perfbase::sqldb::{Column, DataType, Engine, Schema, SyncPolicy, Value, Wal, WalOptions};
 use perfbase::workloads::beffio::{simulate, BeffIoConfig, FsType, Technique};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -134,6 +135,34 @@ fn build(dir: &Path) -> (String, Vec<u8>) {
     (engine.dump_sql(), std::fs::read(&wal).unwrap())
 }
 
+/// The statements framed in `log`, in order.
+fn statements(log: &[u8], scratch: &Path) -> Vec<String> {
+    std::fs::write(scratch, log).unwrap();
+    let opts = WalOptions::with_sync(SyncPolicy::Off);
+    let (_, statements, report) = Wal::open_recover(scratch, opts).unwrap();
+    assert_eq!(report.torn_bytes, 0);
+    statements
+}
+
+/// What this build writes differs from what `0a09b29` wrote in two places,
+/// and nowhere else: `pb_ix_runs_run_id` is an ordered index (the next run id
+/// is read off its end), and the `pb_imports` row of an import commits with
+/// its run — the `INSERT` stands before the group's commit marker instead of
+/// after it, as a frame of its own.
+fn as_written_now(mut statements: Vec<String>) -> Vec<String> {
+    let index = "CREATE INDEX IF NOT EXISTS pb_ix_runs_run_id ";
+    for i in 0..statements.len() {
+        if let Some(rest) = statements[i].strip_prefix(index) {
+            statements[i] = format!("CREATE ORDERED INDEX IF NOT EXISTS pb_ix_runs_run_id {rest}");
+        }
+        if statements[i].starts_with("INSERT INTO pb_imports ") {
+            assert_eq!(statements[i - 1], "--TXN COMMIT");
+            statements.swap(i - 1, i);
+        }
+    }
+    statements
+}
+
 #[test]
 fn dump_and_frames_are_the_bytes_the_parent_build_wrote() {
     let dir = std::env::temp_dir().join(format!("perfbase_text_compat_{}", std::process::id()));
@@ -141,8 +170,20 @@ fn dump_and_frames_are_the_bytes_the_parent_build_wrote() {
     let want_dump = std::fs::read_to_string(fixture("dump.sql")).unwrap();
     let want_frames = std::fs::read(fixture("frames.wal")).unwrap();
     assert!(want_dump.len() > 20_000 && want_frames.len() > 20_000);
-    assert!(dump == want_dump, "dump differs from the parent's");
-    assert!(frames == want_frames, "log differs from the parent's");
+    let ordered = want_dump.replace(
+        "CREATE INDEX pb_ix_runs_run_id ",
+        "CREATE ORDERED INDEX pb_ix_runs_run_id ",
+    );
+    assert!(dump == ordered, "dump differs from the parent's");
+    let scratch = dir.join("frames.wal");
+    let written = statements(&frames, &scratch);
+    let want = as_written_now(statements(&want_frames, &scratch));
+    assert!(written == want, "log differs from the parent's");
+    assert_eq!(
+        frames.len(),
+        want_frames.len() + "ORDERED ".len(),
+        "framing"
+    );
 
     // Read back — the dump alone, and the log alone replayed into an empty
     // engine — the parent's bytes give the state they were written from.

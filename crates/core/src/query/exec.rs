@@ -927,7 +927,7 @@ fn run_pushdown_aggregate(
     })
 }
 
-/// Create `table` on `engine` holding `rows` under `columns`.
+/// Install TEMP table `table` on `engine` holding `rows` under `columns`.
 fn materialize(
     engine: &Engine,
     table: &str,
@@ -943,10 +943,9 @@ fn materialize(
             .unwrap_or(DataType::Float);
         cols.push(Column::new(name, dtype));
     }
-    engine.drop_table(table, true)?;
-    engine.create_table_opts(table, Schema::new(cols)?, true, false)?;
-    engine.insert_rows(table, rows)?;
-    Ok(())
+    let mut out = Table::new(Schema::new(cols)?);
+    out.insert_all(rows)?;
+    Ok(engine.install_temp_table(table, out)?)
 }
 
 /// Read a vector's rows from wherever its temp table lives.

@@ -8,7 +8,7 @@
 //! We do not have a cluster, so this module simulates one: every [`Node`]
 //! owns an independent [`Engine`], and all cross-node data movement goes
 //! through [`Cluster::copy_table`] / [`Cluster::fetch`] /
-//! [`Cluster::materialize`], which charge a configurable socket-latency
+//! [`Cluster::scan`], which charge a configurable socket-latency
 //! cost (a real `thread::sleep`, so wall-clock benchmarks see it) and
 //! record transfer statistics. Same-node access is free, exactly like the
 //! paper's placement argument.
@@ -25,7 +25,6 @@
 
 use crate::engine::{Engine, ResultSet};
 use crate::error::DbError;
-use crate::exec::infer_schema;
 use crate::sql::SqlExpr;
 use crate::sync::Mutex;
 use crate::table::Table;
@@ -394,8 +393,7 @@ impl Cluster {
 
     /// Charge a full table shipment: one header/schema round-trip message
     /// plus one payload message of `rows` rows. This is what
-    /// [`Cluster::copy_table`] and [`Cluster::materialize`] charge, and
-    /// what import-time routing of a new run's data to its owning node
+    /// [`Cluster::copy_table`] charges, and what import-time routing of a new run's data to its owning node
     /// costs.
     pub fn charge_shipment(&self, rows: usize) {
         obs::incr(obs::Counter::ClusterShipments);
@@ -557,10 +555,12 @@ impl Cluster {
         self.ask(src, dst, |engine| engine.scan(table, filter), selected)
     }
 
-    /// Copy a whole table from node `src` to node `dst` under `dst_name`
-    /// (replacing it if present). Crossing nodes charges a header/schema
-    /// round trip plus the row payload (two messages — so even an empty
-    /// table is not free). Returns the number of rows moved.
+    /// Copy a whole table from node `src` to node `dst` as TEMP table
+    /// `dst_name` (replacing a TEMP table of that name): the source version
+    /// is pinned and a copy of it installed, in one publish on `dst`
+    /// ([`Engine::install_temp_table`]). Crossing nodes charges a
+    /// header/schema round trip plus the row payload (two messages — so even
+    /// an empty table is not free). Returns the number of rows moved.
     pub fn copy_table(
         &self,
         src: usize,
@@ -568,43 +568,17 @@ impl Cluster {
         dst: usize,
         dst_name: &str,
     ) -> Result<usize, DbError> {
-        let (schema, rows) = self.nodes[src].engine.read_snapshot(src_name)?;
-        let n = rows.len();
+        let source = self.nodes[src].engine.pin_table(src_name)?;
+        let n = source.len();
         let mut span = obs::span("cluster.copy_table");
         span.annotate(|| format!("src={src} dst={dst} rows={n}"));
         if src != dst {
             self.charge_shipment(n);
         }
-        let dst_engine = &self.nodes[dst].engine;
-        dst_engine.drop_table(dst_name, true)?;
-        dst_engine.create_table_opts(dst_name, schema, true, false)?;
-        dst_engine.insert_rows(dst_name, rows)?;
+        self.nodes[dst]
+            .engine
+            .install_temp_table(dst_name, Table::clone(&source))?;
         Ok(n)
-    }
-
-    /// Materialise a result set (produced on node `src`) as a TEMP table on
-    /// node `dst`. This is how a query element stores its output vector "on
-    /// the node on which the query element(s) run which use this data for
-    /// their input". Crossing nodes charges a header/schema round trip plus
-    /// the row payload, like [`Cluster::copy_table`].
-    pub fn materialize(
-        &self,
-        src: usize,
-        dst: usize,
-        table: &str,
-        rs: &ResultSet,
-    ) -> Result<(), DbError> {
-        let mut span = obs::span("cluster.materialize");
-        span.annotate(|| format!("src={src} dst={dst} rows={}", rs.len()));
-        if src != dst {
-            self.charge_shipment(rs.len());
-        }
-        let schema = infer_schema(rs.column_names(), rs.rows())?;
-        let engine = &self.nodes[dst].engine;
-        engine.drop_table(table, true)?;
-        engine.create_table_opts(table, schema, true, false)?;
-        engine.insert_rows(table, rs.rows().to_vec())?;
-        Ok(())
     }
 }
 
@@ -728,33 +702,6 @@ mod tests {
         let down = c.scan(1, 0, "t", None).unwrap_err();
         assert_eq!(down, c.fetch(1, 0, "SELECT x FROM t").unwrap_err());
         assert_eq!(c.stats(), by_fetch, "a dead node answers nothing");
-    }
-
-    #[test]
-    fn materialize_result_set() {
-        let c = Cluster::new(2, LatencyModel::none());
-        c.node(0)
-            .engine
-            .execute("CREATE TABLE t (x INTEGER, s TEXT)")
-            .unwrap();
-        c.node(0)
-            .engine
-            .execute("INSERT INTO t VALUES (1, 'a')")
-            .unwrap();
-        let rs = c.node(0).engine.query("SELECT x, s FROM t").unwrap();
-        c.materialize(0, 1, "out", &rs).unwrap();
-        let got = c.node(1).engine.query("SELECT x, s FROM out").unwrap();
-        assert_eq!(got.rows()[0], vec![Value::Int(1), Value::Text("a".into())]);
-        // Off-node materialisation: header + payload messages, 1 row.
-        let s = c.stats();
-        assert_eq!(s.messages, 2);
-        assert_eq!(s.rows, 1);
-        // Same-node materialisation is free.
-        c.materialize(1, 1, "out2", &rs).unwrap();
-        assert_eq!(c.stats().messages, 2);
-        // materialize is temp: cleanup drops it
-        c.node(1).engine.drop_temp_tables();
-        assert!(!c.node(1).engine.has_table("out"));
     }
 
     #[test]

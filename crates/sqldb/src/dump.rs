@@ -7,7 +7,7 @@
 //! other access path. TEMP tables are never dumped.
 
 use crate::column::ColumnVec;
-use crate::engine::Engine;
+use crate::engine::{Engine, Text};
 use crate::error::DbError;
 use crate::schema::Schema;
 use crate::sql;
@@ -66,13 +66,15 @@ impl Engine {
         out
     }
 
-    /// Execute a whole `;`-separated SQL script. The script is parsed to
-    /// its end first: a syntax error anywhere executes nothing.
+    /// Execute a whole `;`-separated SQL script, each statement as
+    /// [`Engine::execute`] would (an accepted one is logged when a log is
+    /// attached). The script is parsed to its end first: a syntax error
+    /// anywhere executes nothing.
     pub fn execute_script(&self, script: &str) -> Result<usize, DbError> {
-        let stmts = sql::parse_script(script)?;
+        let stmts: Vec<_> = sql::statements(script).collect::<Result<_, _>>()?;
         let mut affected = 0;
-        for s in stmts {
-            affected += self.run_parsed(s)?;
+        for (stmt, text) in stmts {
+            affected += self.run_parsed(stmt, Text::Source(text))?;
         }
         Ok(affected)
     }
@@ -84,7 +86,7 @@ impl Engine {
     pub fn from_sql_dump(script: &str) -> Result<Engine, DbError> {
         let e = Engine::new();
         for stmt in sql::statements(script) {
-            e.run_parsed(stmt?)?;
+            e.run_parsed(stmt?.0, Text::Unwanted)?;
         }
         Ok(e)
     }

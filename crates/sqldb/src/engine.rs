@@ -11,7 +11,7 @@ use crate::snapshot::Snapshot;
 use crate::sql::{self, SqlExpr, Stmt};
 use crate::sync::{Mutex, RwLock};
 use crate::table::{Row, Table};
-use crate::txn::{Transaction, Work};
+use crate::txn::Transaction;
 use crate::value::Value;
 use crate::wal::{RecoveryReport, Wal, WalOptions};
 use crate::TableMemory;
@@ -154,46 +154,24 @@ impl ResultSet {
 pub struct Engine {
     tables: RwLock<HashMap<String, Arc<RwLock<Arc<Table>>>>>,
     temps: Mutex<HashSet<String>>,
-    /// Optional write-ahead log. When attached, every mutating statement on
-    /// a non-TEMP table is appended here *before* it is applied; the log
-    /// mutex is held across the no-op checks, the append AND the apply, so
-    /// the log/skip decision cannot race a concurrent writer and log order
-    /// equals apply order (lock order is always wal → commit →
-    /// tables/temps → slot, so this cannot deadlock).
+    /// The writer lock, and inside it the optional write-ahead log. Every
+    /// mutation holds it from planning to the epoch tick, whether or not a
+    /// log is attached: a change is planned against the very version it is
+    /// applied to, and log order is apply order (lock order is always
+    /// wal → commit → tables/temps → slot, so this cannot deadlock).
     wal: Mutex<Option<Wal>>,
-    /// MVCC commit gate: exclusive while a mutation is applied and the
-    /// epoch bumped, shared while a snapshot pins the catalog.
+    /// MVCC commit gate: exclusive while a publish applies its changes and
+    /// ticks the epoch, shared while a snapshot pins the catalog.
     commit: RwLock<()>,
-    /// Monotonic commit epoch; bumped once per applied mutation.
+    /// Monotonic commit epoch; ticked once per publish.
     epoch: AtomicU64,
-    /// The commit epoch that last removed a table from the catalog. With
-    /// the stamp on every published [`Table`] version this is what lets a
-    /// transaction pin lazily: a name that is absent, with no removal since
-    /// the transaction's BEGIN, was absent at BEGIN too.
+    /// The commit epoch that last removed a persistent table from the
+    /// catalog. With the stamp on every published [`Table`] version this is
+    /// what lets a transaction pin lazily: a name that is absent, with no
+    /// removal since the transaction's BEGIN, was absent at BEGIN too. TEMP
+    /// tables do not count — a transaction refuses them, so the removal of
+    /// one is never what an absent name conflicts with.
     last_removal: AtomicU64,
-}
-
-/// RAII half of [`Engine::begin_commit`]: holds the commit gate
-/// exclusively and bumps the epoch (mirrored to the `mvcc.epoch` gauge)
-/// when dropped.
-struct CommitGuard<'a> {
-    engine: &'a Engine,
-    _gate: std::sync::RwLockWriteGuard<'a, ()>,
-}
-
-impl CommitGuard<'_> {
-    /// The epoch this commit publishes — the stamp of every table version
-    /// (and removal) it makes current. Stable while the gate is held.
-    fn epoch(&self) -> u64 {
-        self.engine.epoch.load(Ordering::Acquire) + 1
-    }
-}
-
-impl Drop for CommitGuard<'_> {
-    fn drop(&mut self) {
-        let epoch = self.engine.epoch.fetch_add(1, Ordering::Release) + 1;
-        obs::set(obs::Counter::MvccEpoch, epoch);
-    }
 }
 
 /// Natural string ordering: digit runs compare numerically (after
@@ -279,99 +257,143 @@ impl Engine {
         if_not_exists: bool,
     ) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
-        let mut wal = self.wal.lock();
-        match wal.as_mut() {
-            Some(w) if !temp => {
-                let mut text = String::new();
-                dump::write_create_table(&mut text, name, &schema, if_not_exists);
-                w.append(&text)?;
-                self.create_table_unlogged(name, schema, temp, if_not_exists)
-            }
-            Some(_) => self.create_table_unlogged(name, schema, temp, if_not_exists),
-            None => {
-                drop(wal);
-                self.create_table_unlogged(name, schema, temp, if_not_exists)
-            }
-        }
-    }
-
-    fn create_table_unlogged(
-        &self,
-        name: &str,
-        schema: Schema,
-        temp: bool,
-        if_not_exists: bool,
-    ) -> Result<(), DbError> {
-        let commit = self.begin_commit();
-        let mut tables = self.tables.write();
-        if tables.contains_key(name) {
-            if if_not_exists {
-                return Ok(());
-            }
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        let mut table = Table::new(schema);
-        table.published = commit.epoch();
-        tables.insert(name.to_string(), Arc::new(RwLock::new(Arc::new(table))));
-        if temp {
-            self.temps.lock().insert(name.to_string());
-        }
-        Ok(())
+        let ask = Ask::CreateTable {
+            schema,
+            temp,
+            if_not_exists,
+        };
+        self.write(name, ask, Text::Render).map(drop)
     }
 
     /// Install an already-built table as TEMP table `name`, replacing a TEMP
     /// table of that name — what [`Engine::create_table_opts`] with `temp`
-    /// and [`Engine::insert_rows`] arrive at, in one step through the commit
-    /// gate. Never logged, like every TEMP write; the log mutex is still
-    /// held, because concurrent statements decide under it whether a table
-    /// of this name exists. A persistent table of that name is an error.
-    pub fn install_temp_table(&self, name: &str, mut table: Table) -> Result<(), DbError> {
+    /// and [`Engine::insert_rows`] arrive at, in one publish. Never logged,
+    /// like every TEMP write. A persistent table of that name is an error.
+    pub fn install_temp_table(&self, name: &str, table: Table) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
-        let _wal = self.wal.lock();
-        let commit = self.begin_commit();
-        let mut tables = self.tables.write();
-        let mut temps = self.temps.lock();
-        if tables.contains_key(name) && !temps.contains(name) {
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        table.published = commit.epoch();
-        tables.insert(name.to_string(), Arc::new(RwLock::new(Arc::new(table))));
-        temps.insert(name.to_string());
-        Ok(())
+        self.write(name, Ask::Install(table), Text::Unwanted)
+            .map(drop)
     }
 
     /// Drop a table. Dropping a TEMP or nonexistent table is never logged:
-    /// neither has any durable effect. The no-op check runs under the log
-    /// mutex, so a table created concurrently cannot slip in between the
-    /// skip decision and the apply.
+    /// neither has any durable effect.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
-        let mut wal = self.wal.lock();
-        let Some(w) = wal.as_mut() else {
-            drop(wal);
-            return self.drop_table_unlogged(name, if_exists);
-        };
-        if !self.is_temp(name) && self.has_table(name) {
-            w.append(&format!(
-                "DROP TABLE {}{name}",
-                if if_exists { "IF EXISTS " } else { "" }
-            ))?;
-        }
-        self.drop_table_unlogged(name, if_exists)
+        self.write(name, Ask::DropTable { if_exists }, Text::Render)
+            .map(drop)
     }
 
-    fn drop_table_unlogged(&self, name: &str, if_exists: bool) -> Result<(), DbError> {
-        let commit = self.begin_commit();
-        let mut tables = self.tables.write();
-        let removed = tables.remove(name).is_some();
-        if removed {
-            self.last_removal.store(commit.epoch(), Ordering::Release);
+    /// An autocommit write: one change, planned against the live version of
+    /// the table it names and published, under one hold of the writer lock.
+    fn write(&self, name: &str, ask: Ask, text: Text<'_>) -> Result<usize, DbError> {
+        let mut wal = self.wal.lock();
+        let text = if wal.is_some() { text } else { Text::Unwanted };
+        // Whether the table is TEMP decides what is logged and what may be
+        // installed over it, nothing else.
+        let asks_temp = !matches!(text, Text::Unwanted) || matches!(ask, Ask::Install(_));
+        let view_is_temp = asks_temp && self.is_temp(name);
+        let slot = self.tables.read().get(name).cloned();
+        let (change, text) = {
+            let view = slot.as_ref().map(|slot| slot.read());
+            let view = view.as_deref().map(|version| &**version);
+            plan(name, ask, view, view_is_temp, text)?
+        };
+        let rows = change.rows();
+        let log = text.into_iter().collect();
+        self.publish(&mut wal, None, &mut [(name, change)], log)?;
+        Ok(rows)
+    }
+
+    /// The one way anything in the catalog changes. `wal` is the writer
+    /// lock, held by the caller since before `work` was planned (a
+    /// transaction plans earlier, against versions it pinned: `pins`, and
+    /// first-writer-wins decides here whether they are still current). In
+    /// this order: the conflict check; `log` — the text of the changes the
+    /// log carries, empty on replay — appended, as one marker-framed group
+    /// when it is more than one frame (one sync-policy application — the
+    /// group-commit amortization); the commit gate; every change taken out of
+    /// `work` and applied — a version swapped in or removed, rows changed in
+    /// place through [`cow`]; one epoch tick. An error leaves the log, the
+    /// catalog and the epoch untouched, and nothing after the log append can
+    /// fail: every change was validated by [`plan`] against the version it
+    /// lands on.
+    fn publish(
+        &self,
+        wal: &mut Option<Wal>,
+        mut pins: Option<HashMap<String, Arc<Table>>>,
+        work: &mut [(&str, Change)],
+        mut log: Vec<String>,
+    ) -> Result<(), DbError> {
+        if let Some(pins) = &pins {
+            let tables = self.tables.read();
+            for (name, _) in work.iter() {
+                // First-writer-wins: the live slot must still hold the exact
+                // version this transaction built on; a table it created,
+                // nobody else may have created.
+                let clean = match (tables.get(*name), pins.get(*name)) {
+                    (Some(slot), Some(pinned)) => Arc::ptr_eq(&slot.read(), pinned),
+                    (None, None) => true,
+                    _ => false,
+                };
+                if !clean {
+                    obs::incr(obs::Counter::TxnConflicts);
+                    return Err(DbError::TxnConflict(format!(
+                        "table {name} was modified concurrently"
+                    )));
+                }
+            }
         }
-        drop(tables);
-        self.temps.lock().remove(name);
-        if !removed && !if_exists {
-            return Err(DbError::NoSuchTable(name.to_string()));
+        if let Some(w) = wal.as_mut() {
+            match log.len() {
+                0 => {}
+                // A single frame needs no framing: it is atomic on its own.
+                1 => {
+                    w.append(&log[0])?;
+                }
+                _ => {
+                    log.insert(0, crate::wal::TXN_BEGIN_MARKER.to_string());
+                    log.push(crate::wal::TXN_COMMIT_MARKER.to_string());
+                    w.append_batch(&log)?;
+                }
+            }
         }
+        let _gate = self.commit.write();
+        let epoch = self.epoch.load(Ordering::Acquire) + 1;
+        for (name, change) in work {
+            match std::mem::replace(change, Change::Nothing { logged: false }) {
+                Change::Nothing { .. } => {}
+                Change::Version { mut table, temp } => {
+                    // The version is the publisher's alone: the stamp copies
+                    // nothing.
+                    Arc::make_mut(&mut table).published = epoch;
+                    let mut tables = self.tables.write();
+                    if temp {
+                        self.temps.lock().insert(name.to_string());
+                    }
+                    match tables.get(*name) {
+                        Some(slot) => *slot.write() = table,
+                        None => {
+                            tables.insert(name.to_string(), Arc::new(RwLock::new(table)));
+                        }
+                    }
+                }
+                Change::Drop => {
+                    let removed = self.tables.write().remove(*name).is_some();
+                    if removed && !self.temps.lock().remove(*name) {
+                        self.last_removal.store(epoch, Ordering::Release);
+                    }
+                }
+                rows_or_index => {
+                    // A transaction's own pin goes first, so that the change
+                    // is in place unless a reader pins the table.
+                    pins.as_mut().and_then(|pins| pins.remove(*name));
+                    let slot = self.table(name).expect("planned against this table");
+                    rows_or_index.apply_to(cow(&mut slot.write(), epoch));
+                }
+            }
+        }
+        self.epoch.store(epoch, Ordering::Release);
+        obs::set(obs::Counter::MvccEpoch, epoch);
         Ok(())
     }
 
@@ -423,14 +445,6 @@ impl Engine {
         Snapshot::new(self.epoch.load(Ordering::Acquire), pinned)
     }
 
-    /// Exclusive commit-gate guard; the epoch bumps when it drops.
-    fn begin_commit(&self) -> CommitGuard<'_> {
-        CommitGuard {
-            engine: self,
-            _gate: self.commit.write(),
-        }
-    }
-
     /// Open an explicit multi-statement write transaction. Statements
     /// executed through the returned [`Transaction`] buffer their effects
     /// against the catalog as of this call (read-your-own-writes via
@@ -478,140 +492,32 @@ impl Engine {
     }
 
     /// The commit half of the transaction protocol (the public surface is
-    /// [`Transaction::commit`]). Under the WAL mutex and an exclusive
-    /// commit-gate hold: run the first-writer-wins conflict check against
-    /// the versions the transaction pinned (`pins`), append the buffered
-    /// statements to the log as one marker-framed group (one sync-policy
-    /// application — the group-commit amortization), publish every touched
-    /// table — a private version is swapped in, buffered rows are appended
-    /// to the live version through [`cow`] once the transaction's own pin is
-    /// dropped — and tick the epoch once. A conflict abort leaves the epoch
-    /// — and the catalog — untouched. Nothing after the log append can
-    /// fail: the buffered rows were validated against the very version the
-    /// conflict check just found current.
+    /// [`Transaction::commit`]): the publish of the transaction's workspace
+    /// `work`, planned against the versions in `pins`, with the buffered
+    /// statement texts `log`. A conflict abort leaves the epoch — and the
+    /// catalog — untouched.
     pub(crate) fn commit_txn(
         &self,
-        mut pins: HashMap<String, Arc<Table>>,
-        work: HashMap<String, Work>,
-        log: &[String],
+        pins: HashMap<String, Arc<Table>>,
+        work: HashMap<String, Change>,
+        log: Vec<String>,
     ) -> Result<(), DbError> {
-        if work.is_empty() && log.is_empty() {
-            obs::incr(obs::Counter::TxnCommits);
-            return Ok(());
+        if !work.is_empty() || !log.is_empty() {
+            let (names, changes): (Vec<String>, Vec<Change>) = work.into_iter().unzip();
+            let mut work: Vec<_> = names.iter().map(String::as_str).zip(changes).collect();
+            let mut wal = self.wal.lock();
+            self.publish(&mut wal, Some(pins), &mut work, log)?;
         }
-        // Lock order: wal → commit → tables (the engine-wide order).
-        let mut wal = self.wal.lock();
-        // The gate is held manually, not via CommitGuard: a conflict abort
-        // must not bump the epoch (nothing changed).
-        let gate = self.commit.write();
-        {
-            let tables = self.tables.read();
-            for name in work.keys() {
-                let live = tables.get(name);
-                let pinned = pins.get(name);
-                let clean = match (live, pinned) {
-                    // First-writer-wins: the live slot must still hold the
-                    // exact version this transaction built on.
-                    (Some(slot), Some(b)) => Arc::ptr_eq(&slot.read(), b),
-                    // Created inside the transaction: nobody else may have
-                    // created it concurrently.
-                    (None, None) => true,
-                    (Some(_), None) => false,
-                    // Base table dropped concurrently.
-                    (None, Some(_)) => false,
-                };
-                if !clean {
-                    obs::incr(obs::Counter::TxnConflicts);
-                    return Err(DbError::TxnConflict(format!(
-                        "table {name} was modified concurrently"
-                    )));
-                }
-            }
-        }
-        if let Some(w) = wal.as_mut() {
-            match log.len() {
-                0 => {}
-                // A single durable statement needs no framing: it is
-                // atomic on its own, exactly like an autocommit append.
-                1 => {
-                    w.append(&log[0])?;
-                }
-                _ => {
-                    let mut framed = Vec::with_capacity(log.len() + 2);
-                    framed.push(crate::wal::TXN_BEGIN_MARKER.to_string());
-                    framed.extend_from_slice(log);
-                    framed.push(crate::wal::TXN_COMMIT_MARKER.to_string());
-                    w.append_batch(&framed)?;
-                }
-            }
-        }
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let mut appends = Vec::new();
-        {
-            let mut tables = self.tables.write();
-            for (name, change) in work {
-                match change {
-                    Work::Version(mut version) => {
-                        // The private version is the transaction's alone:
-                        // the stamp copies nothing.
-                        Arc::make_mut(&mut version).published = epoch;
-                        match tables.get(&name) {
-                            Some(slot) => *slot.write() = version,
-                            None => {
-                                tables.insert(name, Arc::new(RwLock::new(version)));
-                            }
-                        }
-                    }
-                    Work::Dropped => {
-                        tables.remove(&name);
-                        self.last_removal.store(epoch, Ordering::Release);
-                    }
-                    Work::Append(rows) if rows.is_empty() => {}
-                    Work::Append(rows) => {
-                        // The transaction's own pin goes first, so that the
-                        // append is in place unless a reader pins the table.
-                        pins.remove(&name);
-                        appends.extend(tables.get(&name).map(|slot| (Arc::clone(slot), rows)));
-                    }
-                }
-            }
-        }
-        for (slot, rows) in appends {
-            cow(&mut slot.write(), epoch).append_validated(rows);
-        }
-        self.epoch.store(epoch, Ordering::Release);
-        obs::set(obs::Counter::MvccEpoch, epoch);
         obs::incr(obs::Counter::TxnCommits);
-        drop(gate);
         Ok(())
     }
 
     /// Insert rows programmatically. The whole batch is validated against
-    /// the table's schema *before* it is logged: a bad row anywhere means
-    /// zero effects ([`Table::insert_all`] is all-or-nothing), so the WAL
-    /// must not carry a frame for it — the frame would be durable noise
-    /// that every recovery replays and fails.
+    /// the table's schema before anything is logged or applied: a bad row
+    /// anywhere means zero effects and no frame.
     pub fn insert_rows(&self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
         let _stmt = classified(obs::StmtClass::Insert);
-        let rows = self.pin_table(name)?.validate_rows(rows)?;
-        let mut wal = self.wal.lock();
-        let Some(w) = wal.as_mut() else {
-            drop(wal);
-            return self.insert_rows_unlogged(name, rows);
-        };
-        if !rows.is_empty() && !self.is_temp(name) {
-            let mut text = String::new();
-            dump::write_insert(&mut text, name, &rows);
-            w.append(&text)?;
-        }
-        self.insert_rows_unlogged(name, rows)
-    }
-
-    fn insert_rows_unlogged(&self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
-        let commit = self.begin_commit();
-        let t = self.table(name)?;
-        let mut slot = t.write();
-        cow(&mut slot, commit.epoch()).insert_all(rows)
+        self.write(name, Ask::InsertRows(rows), Text::Render)
     }
 
     /// Is `name` a TEMP table?
@@ -682,26 +588,17 @@ impl Engine {
 
     /// Drop every TEMP table — perfbase does this at the end of a query.
     pub fn drop_temp_tables(&self) {
+        let mut wal = self.wal.lock();
         let names = self.temp_table_names();
-        let commit = self.begin_commit();
-        let mut tables = self.tables.write();
-        for n in &names {
-            if tables.remove(n).is_some() {
-                self.last_removal.store(commit.epoch(), Ordering::Release);
-            }
-        }
-        self.temps.lock().clear();
+        let drops = names.iter().map(|name| (name.as_str(), Change::Drop));
+        self.publish(&mut wal, None, &mut drops.collect::<Vec<_>>(), Vec::new())
+            .expect("nothing to log, nothing to fail");
     }
 
     /// Execute a non-SELECT statement; returns the number of affected rows
-    /// (0 for DDL). With a WAL attached, mutating statements on non-TEMP
-    /// tables are logged (raw SQL text) before they are applied. The
-    /// log-or-skip predicates are evaluated — and the statement applied —
-    /// while holding the log mutex, so the decision cannot be invalidated
-    /// by a concurrent writer (a DROP observed as a no-op could otherwise
-    /// go unlogged yet succeed against a table created in between, and
-    /// recovery would diverge). A failed apply is harmless: the logged
-    /// statement fails identically on recovery.
+    /// (0 for DDL). With a WAL attached, an accepted statement on a non-TEMP
+    /// table is logged (raw SQL text) before it is applied; a rejected one
+    /// leaves no frame, no effect and no epoch tick.
     pub fn execute(&self, sql_text: &str) -> Result<usize, DbError> {
         let parse_started = Instant::now();
         let stmt = sql::parse_statement(sql_text)?;
@@ -712,104 +609,19 @@ impl Engine {
         let mut span = obs::span("statement");
         span.annotate(|| format!("class={}", class.name()));
         let exec_started = Instant::now();
-        let result = self.execute_parsed_logged(sql_text, stmt);
+        let result = self.run_parsed(stmt, Text::Source(sql_text));
         obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
         obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
         obs::incr(obs::Counter::StmtExecuted);
         result
     }
 
-    /// The WAL-gated half of [`Engine::execute`]: log the statement if it
-    /// must be durable, then apply it.
-    fn execute_parsed_logged(&self, sql_text: &str, stmt: Stmt) -> Result<usize, DbError> {
-        let mut wal = self.wal.lock();
-        let Some(w) = wal.as_mut() else {
-            drop(wal);
-            return self.run_parsed(stmt);
-        };
-        let durable = match &stmt {
-            Stmt::Select(_) | Stmt::Explain { .. } => false,
-            Stmt::Begin | Stmt::Commit | Stmt::Rollback => false,
-            Stmt::CreateTable { temp, .. } => !*temp,
-            Stmt::DropTable { name, .. } => !self.is_temp(name) && self.has_table(name),
-            Stmt::Insert { table, .. }
-            | Stmt::Update { table, .. }
-            | Stmt::Delete { table, .. } => !self.is_temp(table),
-            Stmt::CreateIndex {
-                table,
-                column,
-                ordered,
-                ..
-            } => !self.is_temp(table) && !self.index_creation_is_noop(table, column, *ordered),
-        };
-        if durable {
-            w.append(sql_text)?;
-        }
-        self.run_parsed(stmt)
-    }
-
-    /// Execute an already-parsed non-SELECT statement. Never logs to the
-    /// WAL — this is the replay/restore entry point (dump scripts and
-    /// recovered frames must not be re-logged).
-    pub(crate) fn run_parsed(&self, stmt: Stmt) -> Result<usize, DbError> {
-        match stmt {
-            Stmt::CreateTable {
-                name,
-                temp,
-                if_not_exists,
-                columns,
-            } => {
-                let schema = Schema::new(
-                    columns
-                        .into_iter()
-                        .map(|c| Column {
-                            name: c.name,
-                            dtype: c.dtype,
-                            nullable: c.nullable,
-                        })
-                        .collect(),
-                )?;
-                self.create_table_unlogged(&name, schema, temp, if_not_exists)?;
-                Ok(0)
-            }
-            Stmt::DropTable { name, if_exists } => {
-                self.drop_table_unlogged(&name, if_exists)?;
-                Ok(0)
-            }
-            Stmt::Insert {
-                table,
-                columns,
-                rows,
-            } => self.run_insert(&table, columns, rows),
-            Stmt::Update {
-                table,
-                sets,
-                where_clause,
-            } => self.run_update(&table, sets, where_clause),
-            Stmt::Delete {
-                table,
-                where_clause,
-            } => self.run_delete(&table, where_clause),
-            Stmt::CreateIndex {
-                name,
-                table,
-                column,
-                if_not_exists,
-                ordered,
-            } => match self.create_index_unlogged(&name, &table, &column, ordered) {
-                Ok(()) => Ok(0),
-                Err(DbError::Execution(_)) if if_not_exists => Ok(0),
-                Err(e) => Err(e),
-            },
-            Stmt::Select(_) | Stmt::Explain { .. } => Err(DbError::Execution(
-                "use query() for SELECT statements".into(),
-            )),
-            Stmt::Begin | Stmt::Commit | Stmt::Rollback => Err(DbError::Execution(
-                "transaction control statements need a transaction context; \
-                 use Engine::begin_txn (or a BEGIN/COMMIT-aware front end)"
-                    .into(),
-            )),
-        }
+    /// Execute an already-parsed non-SELECT statement whose source is `text`
+    /// — [`Text::Unwanted`] for a dump script or a recovered frame, which
+    /// must not be logged again.
+    pub(crate) fn run_parsed(&self, stmt: Stmt, text: Text<'_>) -> Result<usize, DbError> {
+        let (name, ask) = Ask::of(stmt)?;
+        self.write(&name, ask, text)
     }
 
     /// Create a secondary hash index over `table.column`. A second index on
@@ -820,7 +632,10 @@ impl Engine {
 
     /// Create a secondary index over `table.column`; `ordered` selects the
     /// sorted variant that additionally serves `IN` and range probes. An
-    /// ordered request over an existing hash index upgrades it in place.
+    /// ordered request over an existing hash index upgrades it in place. A
+    /// request the column's index already covers is skipped by the log, so
+    /// re-ensuring indexes on every open (as the experiment layer does)
+    /// never dirties a compacted log.
     pub fn create_index_opts(
         &self,
         name: &str,
@@ -829,56 +644,13 @@ impl Engine {
         ordered: bool,
     ) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
-        let mut wal = self.wal.lock();
-        let Some(w) = wal.as_mut() else {
-            drop(wal);
-            return self.create_index_unlogged(name, table, column, ordered);
+        let ask = Ask::CreateIndex {
+            name: name.to_string(),
+            column: column.to_string(),
+            ordered,
+            if_not_exists: false,
         };
-        if !self.is_temp(table) && !self.index_creation_is_noop(table, column, ordered) {
-            // Logged with IF NOT EXISTS so a recovery replay over a
-            // checkpoint that already materialized the index stays a no-op.
-            w.append(&format!(
-                "CREATE {}INDEX IF NOT EXISTS {name} ON {table} ({column})",
-                if ordered { "ORDERED " } else { "" }
-            ))?;
-        }
-        self.create_index_unlogged(name, table, column, ordered)
-    }
-
-    fn create_index_unlogged(
-        &self,
-        name: &str,
-        table: &str,
-        column: &str,
-        ordered: bool,
-    ) -> Result<(), DbError> {
-        let commit = self.begin_commit();
-        let t = self.table(table)?;
-        let mut slot = t.write();
-        cow(&mut slot, commit.epoch()).create_index(name, column, ordered)
-    }
-
-    /// Would `CREATE [ORDERED] INDEX … ON table (column)` change nothing?
-    /// True when the column is already covered by an index of sufficient
-    /// capability (an ordered request over a hash index is *not* a no-op —
-    /// it upgrades the index). Such statements are skipped by the
-    /// write-ahead log, so re-ensuring indexes on every open (as the
-    /// experiment layer does) never dirties a compacted log.
-    fn index_creation_is_noop(&self, table: &str, column: &str, ordered: bool) -> bool {
-        let Ok(t) = self.table(table) else {
-            return false;
-        };
-        let guard = t.read();
-        match guard.schema.index_of(column) {
-            Some(ci) => {
-                if ordered {
-                    guard.has_ordered_index_on(ci)
-                } else {
-                    guard.has_index_on(ci)
-                }
-            }
-            None => false,
-        }
+        self.write(table, ask, Text::Render).map(drop)
     }
 
     /// Run a SELECT (or `EXPLAIN [ANALYZE] SELECT`) and return its rows.
@@ -1063,18 +835,12 @@ impl Engine {
     }
 
     /// Replay recovered WAL statements without re-logging them; returns
-    /// how many failed (they failed identically in the original run).
+    /// how many failed (a log written before rejected statements stopped
+    /// being logged holds frames that fail on every replay, as they failed
+    /// in the original run).
     pub(crate) fn replay_unlogged(&self, statements: &[String]) -> u64 {
-        let mut errors = 0;
-        for text in statements {
-            if sql::parse_statement(text)
-                .and_then(|s| self.run_parsed(s))
-                .is_err()
-            {
-                errors += 1;
-            }
-        }
-        errors
+        let replay = |text: &String| self.run_parsed(sql::parse_statement(text)?, Text::Unwanted);
+        statements.iter().filter(|s| replay(s).is_err()).count() as u64
     }
 
     /// Replay recovered WAL statements on top of a checkpoint dump that
@@ -1110,7 +876,8 @@ impl Engine {
     /// writes. Frames the dump's
     /// recorded checkpoint sequence already covers are skipped, not
     /// replayed — see [`Engine::checkpoint`]. Statements that fail on
-    /// replay are counted, not fatal — they failed identically in the
+    /// replay (an older build logged a statement before it knew whether it
+    /// would apply) are counted, not fatal — they failed identically in the
     /// original run, so the recovered state still matches.
     pub fn open_durable(
         dump_path: &Path,
@@ -1131,46 +898,6 @@ impl Engine {
         engine.recover_replay(&statements, ckpt_seq, &mut report);
         engine.attach_wal(wal);
         Ok((engine, report))
-    }
-
-    fn run_insert(
-        &self,
-        table: &str,
-        columns: Option<Vec<String>>,
-        rows: Vec<Vec<sql::SqlExpr>>,
-    ) -> Result<usize, DbError> {
-        let commit = self.begin_commit();
-        let t = self.table(table)?;
-        let mut slot = t.write();
-        let table = cow(&mut slot, commit.epoch());
-        let rows = insert_rows_of(&table.schema, columns, rows)?;
-        table.insert_all(rows)
-    }
-
-    fn run_update(
-        &self,
-        table: &str,
-        sets: Vec<(String, sql::SqlExpr)>,
-        where_clause: Option<sql::SqlExpr>,
-    ) -> Result<usize, DbError> {
-        let commit = self.begin_commit();
-        let t = self.table(table)?;
-        let mut slot = t.write();
-        let table = cow(&mut slot, commit.epoch());
-        plan_update(table, sets, where_clause)?.apply(table)
-    }
-
-    fn run_delete(
-        &self,
-        table: &str,
-        where_clause: Option<sql::SqlExpr>,
-    ) -> Result<usize, DbError> {
-        let commit = self.begin_commit();
-        let t = self.table(table)?;
-        let mut slot = t.write();
-        let table = cow(&mut slot, commit.epoch());
-        let positions = exec::select_positions(table, where_clause.as_ref())?;
-        Ok(table.delete_positions(&positions))
     }
 }
 
@@ -1211,11 +938,315 @@ pub(crate) fn run_query_at(snapshot: &Snapshot, stmt: Stmt) -> Result<ResultSet,
     result
 }
 
+/// What a write asks of the table it names: the body of a parsed statement,
+/// or the arguments of a programmatic call.
+pub(crate) enum Ask {
+    /// `CREATE [TEMP] TABLE [IF NOT EXISTS]`.
+    CreateTable {
+        schema: Schema,
+        temp: bool,
+        if_not_exists: bool,
+    },
+    /// [`Engine::install_temp_table`].
+    Install(Table),
+    /// `DROP TABLE [IF EXISTS]`.
+    DropTable { if_exists: bool },
+    /// `INSERT … [(columns)] VALUES rows`.
+    Insert {
+        columns: Option<Vec<String>>,
+        rows: Vec<Vec<SqlExpr>>,
+    },
+    /// [`Engine::insert_rows`]: full rows, not yet coerced.
+    InsertRows(Vec<Row>),
+    /// `UPDATE … SET sets [WHERE …]`.
+    Update {
+        sets: Vec<(String, SqlExpr)>,
+        where_clause: Option<SqlExpr>,
+    },
+    /// `DELETE … [WHERE …]`.
+    Delete { where_clause: Option<SqlExpr> },
+    /// `CREATE [ORDERED] INDEX [IF NOT EXISTS] name ON … (column)`.
+    CreateIndex {
+        name: String,
+        column: String,
+        ordered: bool,
+        if_not_exists: bool,
+    },
+}
+
+impl Ask {
+    /// The table a parsed statement writes, and what it asks of it.
+    pub(crate) fn of(stmt: Stmt) -> Result<(String, Ask), DbError> {
+        Ok(match stmt {
+            Stmt::CreateTable {
+                name,
+                temp,
+                if_not_exists,
+                columns,
+            } => {
+                let columns = columns.into_iter().map(|c| Column {
+                    name: c.name,
+                    dtype: c.dtype,
+                    nullable: c.nullable,
+                });
+                let schema = Schema::new(columns.collect())?;
+                let ask = Ask::CreateTable {
+                    schema,
+                    temp,
+                    if_not_exists,
+                };
+                (name, ask)
+            }
+            Stmt::DropTable { name, if_exists } => (name, Ask::DropTable { if_exists }),
+            Stmt::Insert {
+                table,
+                columns,
+                rows,
+            } => (table, Ask::Insert { columns, rows }),
+            Stmt::Update {
+                table,
+                sets,
+                where_clause,
+            } => (table, Ask::Update { sets, where_clause }),
+            Stmt::Delete {
+                table,
+                where_clause,
+            } => (table, Ask::Delete { where_clause }),
+            Stmt::CreateIndex {
+                name,
+                table,
+                column,
+                if_not_exists,
+                ordered,
+            } => {
+                let ask = Ask::CreateIndex {
+                    name,
+                    column,
+                    ordered,
+                    if_not_exists,
+                };
+                (table, ask)
+            }
+            Stmt::Select(_) | Stmt::Explain { .. } => {
+                return Err(DbError::Execution(
+                    "use query() for SELECT statements".into(),
+                ))
+            }
+            Stmt::Begin | Stmt::Commit | Stmt::Rollback => {
+                return Err(DbError::Execution(
+                    "BEGIN, COMMIT and ROLLBACK are not statements to execute: use \
+                     Engine::begin_txn and Transaction::commit (or a BEGIN/COMMIT-aware front end)"
+                        .into(),
+                ))
+            }
+        })
+    }
+}
+
+/// Where the log text of a write comes from.
+#[derive(Clone, Copy)]
+pub(crate) enum Text<'a> {
+    /// The statement as its author wrote it.
+    Source(&'a str),
+    /// Rendered from the arguments of a programmatic call.
+    Render,
+    /// Nobody will read it: no log is attached, or the write is a replayed
+    /// frame or a line of a dump.
+    Unwanted,
+}
+
+/// What an accepted write changes, validated against the version in view:
+/// applying it cannot fail.
+pub(crate) enum Change {
+    /// Make this version current: a created or installed table, a
+    /// transaction's private copy.
+    Version { table: Arc<Table>, temp: bool },
+    /// Remove the table.
+    Drop,
+    /// Append these rows ([`Table::validate_rows`] returned them).
+    Append(Vec<Row>),
+    /// Overwrite cells.
+    Update(UpdatePlan),
+    /// Remove the rows at these positions.
+    Delete(Vec<usize>),
+    /// Build an index over the column at this position, or upgrade the one
+    /// it has.
+    Index {
+        name: String,
+        column: usize,
+        ordered: bool,
+    },
+    /// Nothing. The log has always carried some of these statements and
+    /// never others, and its text is a file format. `logged`: `CREATE TABLE
+    /// IF NOT EXISTS` over a table, an UPDATE or DELETE that selects no row,
+    /// `CREATE INDEX IF NOT EXISTS` under a taken name — each still ran
+    /// against one version of its table, which a transaction must find
+    /// unchanged at COMMIT. Not `logged`: `DROP TABLE IF EXISTS` of no
+    /// table, an INSERT of no rows, an index over a column that has one.
+    Nothing { logged: bool },
+}
+
+impl Change {
+    /// The statement's count of affected rows.
+    pub(crate) fn rows(&self) -> usize {
+        match self {
+            Change::Append(rows) => rows.len(),
+            Change::Update(plan) => plan.positions.len(),
+            Change::Delete(positions) => positions.len(),
+            _ => 0,
+        }
+    }
+
+    /// Apply a change to rows or indexes to `table` — the version it was
+    /// planned against, or a copy of it.
+    pub(crate) fn apply_to(self, table: &mut Table) {
+        match self {
+            Change::Append(rows) => {
+                table.append_validated(rows);
+            }
+            Change::Update(plan) => {
+                table.write_positions(&plan.positions, &plan.cols, plan.values);
+            }
+            Change::Delete(positions) => {
+                table.delete_positions(&positions);
+            }
+            Change::Index {
+                name,
+                column,
+                ordered,
+            } => table.apply_index(&name, column, ordered),
+            Change::Version { .. } | Change::Drop | Change::Nothing { .. } => {
+                unreachable!("a change to the catalog, not to a table")
+            }
+        }
+    }
+}
+
+/// Plan one write — the only place statement semantics live. `view` is the
+/// version of table `name` the write sees (`None`: no such table) and
+/// `view_is_temp` whether that is a TEMP table. Answers the [`Change`] and the text the log
+/// carries for it, or the error: everything that can reject the write does
+/// so here, before anything is logged or changed. The text is `None` for a
+/// TEMP table, for the no-ops the log skips and when none is wanted.
+pub(crate) fn plan(
+    name: &str,
+    ask: Ask,
+    view: Option<&Table>,
+    view_is_temp: bool,
+    text: Text<'_>,
+) -> Result<(Change, Option<String>), DbError> {
+    let creates_temp = matches!(ask, Ask::CreateTable { temp: true, .. } | Ask::Install(_));
+    let temp = view_is_temp || creates_temp;
+    let render = matches!(text, Text::Render) && !temp;
+    let mut rendered = None;
+    let table = || view.ok_or_else(|| DbError::NoSuchTable(name.to_string()));
+    let change = match ask {
+        Ask::CreateTable {
+            schema,
+            temp,
+            if_not_exists,
+        } => {
+            if render {
+                let out = rendered.insert(String::new());
+                dump::write_create_table(out, name, &schema, if_not_exists);
+            }
+            match view {
+                None => Change::Version {
+                    table: Arc::new(Table::new(schema)),
+                    temp,
+                },
+                Some(_) if if_not_exists => Change::Nothing { logged: true },
+                Some(_) => return Err(DbError::TableExists(name.to_string())),
+            }
+        }
+        Ask::Install(_) if view.is_some() && !view_is_temp => {
+            return Err(DbError::TableExists(name.to_string()))
+        }
+        Ask::Install(table) => Change::Version {
+            table: Arc::new(table),
+            temp: true,
+        },
+        Ask::DropTable { if_exists } => match view {
+            Some(_) => {
+                if render {
+                    let if_exists = if if_exists { "IF EXISTS " } else { "" };
+                    rendered = Some(format!("DROP TABLE {if_exists}{name}"));
+                }
+                Change::Drop
+            }
+            None if if_exists => Change::Nothing { logged: false },
+            None => return Err(DbError::NoSuchTable(name.to_string())),
+        },
+        Ask::Insert { columns, rows } => {
+            let rows = insert_rows_of(&table()?.schema, columns, rows)?;
+            return plan(name, Ask::InsertRows(rows), view, view_is_temp, text);
+        }
+        Ask::InsertRows(rows) => {
+            let rows = table()?.validate_rows(rows)?;
+            if rows.is_empty() {
+                Change::Nothing { logged: false }
+            } else {
+                if render {
+                    dump::write_insert(rendered.insert(String::new()), name, &rows);
+                }
+                Change::Append(rows)
+            }
+        }
+        Ask::Update { sets, where_clause } => {
+            let plan = plan_update(table()?, sets, where_clause)?;
+            if plan.positions.is_empty() {
+                Change::Nothing { logged: true }
+            } else {
+                Change::Update(plan)
+            }
+        }
+        Ask::Delete { where_clause } => {
+            let positions = exec::select_positions(table()?, where_clause.as_ref())?;
+            if positions.is_empty() {
+                Change::Nothing { logged: true }
+            } else {
+                Change::Delete(positions)
+            }
+        }
+        Ask::CreateIndex {
+            name: index,
+            column,
+            ordered,
+            if_not_exists,
+        } => match table()?.plan_index(&index, &column, ordered) {
+            Ok(None) => Change::Nothing { logged: false },
+            Ok(Some(at)) => {
+                if render {
+                    // With IF NOT EXISTS, so that a replay over a checkpoint
+                    // that already holds the index stays a no-op.
+                    let kind = if ordered { "ORDERED " } else { "" };
+                    rendered = Some(format!(
+                        "CREATE {kind}INDEX IF NOT EXISTS {index} ON {name} ({column})"
+                    ));
+                }
+                Change::Index {
+                    name: index,
+                    column: at,
+                    ordered,
+                }
+            }
+            Err(DbError::Execution(_)) if if_not_exists => Change::Nothing { logged: true },
+            Err(e) => return Err(e),
+        },
+    };
+    // The one decision of what the log carries.
+    let logged = !temp && !matches!(change, Change::Nothing { logged: false });
+    let text = match text {
+        Text::Source(sql) if logged => Some(sql.to_string()),
+        Text::Render if logged => rendered,
+        _ => None,
+    };
+    Ok((change, text))
+}
+
 /// The full rows (one value per column of `schema`, not yet coerced) an
-/// `INSERT … [(columns)] VALUES rows` statement stores — shared by the live
-/// statement path and the transaction, so both produce byte-identical
-/// effects. Every row is materialized before any is applied: a multi-row
-/// INSERT is atomic.
+/// `INSERT … [(columns)] VALUES rows` statement stores. Every row is
+/// materialized before any is applied: a multi-row INSERT is atomic.
 pub(crate) fn insert_rows_of(
     schema: &Schema,
     columns: Option<Vec<String>>,
@@ -1264,29 +1295,21 @@ pub(crate) fn insert_rows_of(
 }
 
 /// What an `UPDATE … SET … [WHERE …]` changes in the table version it was
-/// planned against: the arguments of [`Table::update_positions`], which
-/// validates them all before the first cell changes.
+/// planned against: the arguments of [`Table::write_positions`].
 pub(crate) struct UpdatePlan {
     /// Positions of the selected rows.
-    pub(crate) positions: Vec<usize>,
+    positions: Vec<usize>,
     /// The target columns.
     cols: Vec<usize>,
-    /// Per selected row, one new value per target column.
+    /// Per selected row, one new value per target column, coerced and
+    /// checked against NOT NULL.
     values: Vec<Row>,
 }
 
-impl UpdatePlan {
-    /// Apply to `table` — the version planned against, or a copy of it.
-    pub(crate) fn apply(self, table: &mut Table) -> Result<usize, DbError> {
-        table.update_positions(&self.positions, &self.cols, self.values)
-    }
-}
-
 /// Plan an UPDATE: the rows come from the same selection step as a SELECT's,
-/// every SET value is evaluated against the pre-update row. Shared by the
-/// live statement path and the transaction, which copies a table only when
-/// the selection is not empty.
-pub(crate) fn plan_update(
+/// every SET value is evaluated against the pre-update row and validated
+/// against its column.
+fn plan_update(
     table: &Table,
     sets: Vec<(String, sql::SqlExpr)>,
     where_clause: Option<sql::SqlExpr>,
@@ -1310,8 +1333,8 @@ pub(crate) fn plan_update(
     }
     Ok(UpdatePlan {
         positions,
+        values: table.validate_update(&cols, values)?,
         cols,
-        values,
     })
 }
 
@@ -1643,8 +1666,20 @@ mod tests {
             Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
         db.execute("CREATE TABLE t (a INTEGER NOT NULL)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
-        // Log-before-apply: this statement is logged, then fails to apply.
-        assert!(db.execute("INSERT INTO t VALUES (NULL)").is_err());
+        // Rejected ⇒ absent: each is refused before the log sees it.
+        let (frames, epoch) = (db.wal_frames(), db.epoch());
+        for doomed in [
+            "INSERT INTO t VALUES (NULL)",
+            "INSERT INTO missing VALUES (1)",
+            "UPDATE t SET nope = 1",
+            "CREATE TABLE t (a INTEGER)",
+            "DROP TABLE missing",
+            "CREATE INDEX ix ON t (nope)",
+        ] {
+            assert!(db.execute(doomed).is_err(), "{doomed}");
+            assert_eq!(db.wal_frames(), frames, "{doomed}");
+            assert_eq!(db.epoch(), epoch, "{doomed}");
+        }
         db.execute("INSERT INTO t VALUES (2)").unwrap();
         db.wal_sync().unwrap();
         let expected = db.query("SELECT a FROM t ORDER BY a").unwrap();
@@ -1652,10 +1687,7 @@ mod tests {
 
         let (db2, report) =
             Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
-        assert_eq!(
-            report.replay_errors, 1,
-            "the failed INSERT fails again on replay"
-        );
+        assert_eq!((report.frames_replayed, report.replay_errors), (3, 0));
         assert_eq!(db2.query("SELECT a FROM t ORDER BY a").unwrap(), expected);
     }
 
@@ -1717,15 +1749,16 @@ mod tests {
         let opts = WalOptions::with_sync(SyncPolicy::Off);
         let (db, _) = Engine::open_durable(&dump, &wal, opts.clone()).unwrap();
         rejected_fixture(&db);
-        let before = db.dump_sql();
+        let (before, frames) = (db.dump_sql(), db.wal_frames());
         for stmt in REJECTED {
-            // Log-before-apply: the statement is in the log, then fails.
+            // A row the statement selects rejects it: no frame either.
             assert!(db.execute(stmt).is_err(), "{stmt}");
+            assert_eq!(db.wal_frames(), frames, "{stmt}");
         }
         db.wal_sync().unwrap();
         drop(db);
         let (db2, report) = Engine::open_durable(&dump, &wal, opts).unwrap();
-        assert_eq!(report.replay_errors, REJECTED.len() as u64);
+        assert_eq!(report.replay_errors, 0);
         assert_eq!(db2.dump_sql(), before);
     }
 
@@ -1743,9 +1776,8 @@ mod tests {
             Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
         db.execute("CREATE TABLE t (a INTEGER NOT NULL)").unwrap();
         let before = db.wal_frames();
-        // Bad row mid-batch: the programmatic path validates the whole
-        // batch before logging, so nothing lands in the table *or* the log
-        // (unlike the SQL text path, which logs-before-apply).
+        // Bad row mid-batch: the whole batch is validated before the log
+        // sees it, so nothing lands in the table *or* the log.
         let err = db.insert_rows(
             "t",
             vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(3)]],

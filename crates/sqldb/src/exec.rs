@@ -2182,21 +2182,6 @@ fn encode_cell_bytes(col: &ColumnVec, pos: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// Schema of a result set inferred from its first row — used when a result
-/// is materialised into a (temp) table. Columns with no observed value
-/// default to FLOAT.
-pub fn infer_schema(columns: &[String], rows: &[Row]) -> Result<Schema, DbError> {
-    let mut cols = Vec::with_capacity(columns.len());
-    for (i, name) in columns.iter().enumerate() {
-        let dtype = rows
-            .iter()
-            .find_map(|r| r.get(i).and_then(Value::data_type))
-            .unwrap_or(DataType::Float);
-        cols.push(Column::new(name, dtype));
-    }
-    Schema::new(cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2483,18 +2468,6 @@ mod tests {
             .unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.rows()[0][1], Value::Int(2));
-    }
-
-    #[test]
-    fn infer_schema_from_rows() {
-        let cols = vec!["a".to_string(), "b".to_string()];
-        let rows = vec![
-            vec![Value::Null, Value::Text("x".into())],
-            vec![Value::Int(1), Value::Text("y".into())],
-        ];
-        let s = infer_schema(&cols, &rows).unwrap();
-        assert_eq!(s.columns[0].dtype, DataType::Int);
-        assert_eq!(s.columns[1].dtype, DataType::Text);
     }
 
     #[test]

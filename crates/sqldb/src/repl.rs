@@ -335,8 +335,9 @@ impl ShipStream {
 
     /// Apply every shipped-but-unapplied frame on the live replicas
     /// through the unlogged replay path. Statement errors are tolerated
-    /// exactly like WAL recovery tolerates them (counted, not fatal) —
-    /// a statement that failed on the primary fails identically here.
+    /// exactly like WAL recovery tolerates them (counted, not fatal); a
+    /// primary ships none of its own making — it logs no statement it
+    /// rejects.
     fn apply_inboxes(&self) {
         let Some(cluster) = self.cluster.upgrade() else {
             return;

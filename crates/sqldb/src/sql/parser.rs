@@ -39,12 +39,18 @@ pub fn parse_expr(src: &str) -> Result<SqlExpr, DbError> {
 /// Parse a `;`-separated script into statements. String literals may
 /// contain semicolons — splitting happens at the token level.
 pub fn parse_script(src: &str) -> Result<Vec<Stmt>, DbError> {
-    statements(src).collect()
+    P::new(src).collect()
 }
 
-/// The statements of a script, each parsed when the iterator reaches it.
-pub(crate) fn statements(src: &str) -> impl Iterator<Item = Result<Stmt, DbError>> + '_ {
-    P::new(src)
+/// The statements of a script, each parsed when the iterator reaches it,
+/// beside its source text: from the previous statement's `;` to its own (or
+/// to its last token), trimmed.
+pub(crate) fn statements(src: &str) -> impl Iterator<Item = Result<(Stmt, &str), DbError>> + '_ {
+    let mut p = P::new(src);
+    std::iter::from_fn(move || {
+        let stmt = p.next()?;
+        Some(stmt.map(|stmt| (stmt, src[p.start..p.end].trim())))
+    })
 }
 
 /// Split a `;`-separated script into the *source text* of each statement,

@@ -222,25 +222,47 @@ impl Table {
     /// strict subset of the lookups). A duplicate index *name* on a
     /// different column is an error.
     pub fn create_index(&mut self, name: &str, column: &str, ordered: bool) -> Result<(), DbError> {
+        if let Some(ci) = self.plan_index(name, column, ordered)? {
+            self.apply_index(name, ci, ordered);
+        }
+        Ok(())
+    }
+
+    /// The check half of [`Table::create_index`]: the position of `column`
+    /// when the request would build or upgrade an index, `None` when the
+    /// column is covered already, the error when it is refused.
+    pub(crate) fn plan_index(
+        &self,
+        name: &str,
+        column: &str,
+        ordered: bool,
+    ) -> Result<Option<usize>, DbError> {
         let ci = self
             .schema
             .index_of(column)
             .ok_or_else(|| DbError::NoSuchColumn(column.to_string()))?;
-        if let Some(pos) = self.indexes.iter().position(|ix| ix.column == ci) {
-            if ordered && !self.indexes[pos].is_ordered() {
-                self.indexes[pos].store = Self::build_index_store(&self.store, true, ci);
-            }
-            return Ok(());
+        if let Some(ix) = self.indexes.iter().find(|ix| ix.column == ci) {
+            return Ok((ordered && !ix.is_ordered()).then_some(ci));
         }
         if self.indexes.iter().any(|ix| ix.name == name) {
             return Err(DbError::Execution(format!("index '{name}' already exists")));
         }
-        self.indexes.push(Index {
-            name: name.to_string(),
-            column: ci,
-            store: Self::build_index_store(&self.store, ordered, ci),
-        });
-        Ok(())
+        Ok(Some(ci))
+    }
+
+    /// Build the index [`Table::plan_index`] answered `Some(ci)` for: a new
+    /// one, or the ordered store in place of the column's hash index. It
+    /// cannot fail.
+    pub(crate) fn apply_index(&mut self, name: &str, ci: usize, ordered: bool) {
+        let store = Self::build_index_store(&self.store, ordered, ci);
+        match self.indexes.iter_mut().find(|ix| ix.column == ci) {
+            Some(ix) => ix.store = store,
+            None => self.indexes.push(Index {
+                name: name.to_string(),
+                column: ci,
+                store,
+            }),
+        }
     }
 
     /// Build one index store over column `ci`.
@@ -402,9 +424,8 @@ impl Table {
     /// Validate and coerce a whole batch against the schema without
     /// appending anything. This is the check half of [`Table::insert_all`],
     /// exposed for callers that must establish "the batch will succeed"
-    /// *before* a side effect — the engine's programmatic insert validates
-    /// here before logging the batch to the WAL, so a rejected batch never
-    /// leaves a frame behind.
+    /// *before* a side effect — the engine plans every INSERT here before the
+    /// log sees it, so a rejected batch never leaves a frame behind.
     pub fn validate_rows(&self, rows: Vec<Row>) -> Result<Vec<Row>, DbError> {
         let mut checked = Vec::with_capacity(rows.len());
         for r in rows {
@@ -538,19 +559,41 @@ impl Table {
         &mut self,
         positions: &[usize],
         cols: &[usize],
-        mut values: Vec<Row>,
+        values: Vec<Row>,
     ) -> Result<usize, DbError> {
         assert_eq!(positions.len(), values.len(), "one value row per position");
         assert!(
             positions.iter().all(|&p| p < self.len()),
             "position out of range"
         );
+        let values = self.validate_update(cols, values)?;
+        Ok(self.write_positions(positions, cols, values))
+    }
+
+    /// The check half of [`Table::update_positions`]: every value coerced to
+    /// the type of its column and checked against NOT NULL, nothing written.
+    pub(crate) fn validate_update(
+        &self,
+        cols: &[usize],
+        mut values: Vec<Row>,
+    ) -> Result<Vec<Row>, DbError> {
         for row in &mut values {
             assert_eq!(row.len(), cols.len(), "one value per target column");
             for (v, &ci) in row.iter_mut().zip(cols) {
                 check_cell(&self.schema.columns[ci], v)?;
             }
         }
+        Ok(values)
+    }
+
+    /// Write values [`Table::validate_update`] returned for these columns;
+    /// returns the number of rows written. It cannot fail.
+    pub(crate) fn write_positions(
+        &mut self,
+        positions: &[usize],
+        cols: &[usize],
+        values: Vec<Row>,
+    ) -> usize {
         for (&pos, row) in positions.iter().zip(values) {
             for (v, &ci) in row.into_iter().zip(cols) {
                 // At most one index exists per column.
@@ -564,7 +607,7 @@ impl Table {
                 self.store.set(pos, ci, v);
             }
         }
-        Ok(positions.len())
+        positions.len()
     }
 
     /// Rebuild every index from scratch. Normal mutation paths maintain

@@ -18,17 +18,20 @@
 //! that table folds them into a private copy first, and an `UPDATE` or
 //! `DELETE` that selects no row copies nothing.
 //!
-//! [`Transaction::commit`] is the only point where anything becomes
-//! shared: under one WAL hold and one exclusive commit-gate hold it
-//! re-checks that every touched table's live slot still holds the version
+//! Each statement is planned by the engine's one planning function against
+//! the transaction's view, and the change folded into the workspace; a
+//! rejected statement leaves nothing behind, in the workspace or the log.
+//! [`Transaction::commit`] is the only point where anything becomes shared:
+//! it is the engine's one publish, of the workspace — under the writer lock
+//! it re-checks that every touched table's live slot still holds the version
 //! the transaction pinned (first-writer-wins; a concurrent swap aborts
 //! with [`DbError::TxnConflict`] and zero effects), appends the buffered
 //! statements to the log framed by begin/commit markers so recovery
-//! replays them all-or-nothing, swaps in every private version, appends the
-//! buffered rows to the live versions (in place unless a reader pins one),
-//! and ticks the commit epoch once — readers at any epoch see all of the
-//! transaction or none of it. Dropping a [`Transaction`] without
-//! committing discards the workspace (rollback).
+//! replays them all-or-nothing, and under the commit gate swaps in every
+//! private version, appends the buffered rows to the live versions (in place
+//! unless a reader pins one), and ticks the commit epoch once — readers at
+//! any epoch see all of the transaction or none of it. Dropping a
+//! [`Transaction`] without committing discards the workspace (rollback).
 //!
 //! Restrictions: TEMP tables cannot be created or touched inside a
 //! transaction (their lifecycle is per-connection, not transactional), and
@@ -36,33 +39,16 @@
 //! [`Transaction::execute`].
 #![warn(missing_docs)]
 
-use crate::dump;
 use crate::engine::{
-    insert_rows_of, parse_query, plan_update, run_query_at, stmt_class, Engine, ResultSet,
+    parse_query, plan, run_query_at, stmt_class, Ask, Change, Engine, ResultSet, Text,
 };
 use crate::error::DbError;
-use crate::exec::select_positions;
-use crate::schema::{Column, Schema};
+use crate::schema::Schema;
 use crate::snapshot::Snapshot;
 use crate::sql::{self, Stmt};
 use crate::table::{Row, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// What a transaction has done to one table; applied to the live catalog
-/// only at commit. Every entry joins the first-writer-wins check.
-pub(crate) enum Work {
-    /// A private version: created in the transaction, or copied from the
-    /// pinned one for a statement that changes rows in place.
-    Version(Arc<Table>),
-    /// Dropped.
-    Dropped,
-    /// Changed by appending at most: validated rows to append to the pinned
-    /// version at commit. Empty for a table that was only touched — by a
-    /// statement that failed or selected no row, whose log entry must still
-    /// replay against the version it ran against.
-    Append(Vec<Row>),
-}
 
 /// An open multi-statement write transaction; see the module docs.
 ///
@@ -76,12 +62,15 @@ pub struct Transaction {
     /// reference. A name the transaction touched that is not here did not
     /// exist at BEGIN.
     pins: HashMap<String, Arc<Table>>,
-    /// Touched tables.
-    work: HashMap<String, Work>,
-    /// Durable statement texts in execution order — the transaction's WAL
-    /// frame group. Failed statements are buffered too: they fail
-    /// identically on replay, keeping committed state equal to a replay of
-    /// this log over the base (the engine-wide replay contract).
+    /// The workspace: per touched table the net change COMMIT publishes — a
+    /// private [`Change::Version`] (created here, or copied from the pinned
+    /// one for a statement that changes rows in place), [`Change::Drop`],
+    /// the rows of [`Change::Append`], or [`Change::Nothing`] for a table
+    /// only statements without effect ran against. Every entry joins the
+    /// first-writer-wins check.
+    work: HashMap<String, Change>,
+    /// The texts of the accepted statements the log carries, in execution
+    /// order — the transaction's WAL frame group.
     log: Vec<String>,
     /// Telemetry class of the last statement in `log`. The commit's log
     /// traffic is accounted to it, as an autocommit writer's is to the
@@ -121,12 +110,6 @@ impl Transaction {
         }
     }
 
-    /// Buffer the text of a durable statement of `class`.
-    fn buffer(&mut self, class: obs::StmtClass, text: String) {
-        self.class = class;
-        self.log.push(text);
-    }
-
     /// The commit epoch this transaction reads at.
     pub fn base_epoch(&self) -> u64 {
         self.epoch
@@ -157,16 +140,17 @@ impl Transaction {
             }
         }
         Ok(match self.work.get(name) {
-            Some(Work::Version(v)) => Some(v),
-            Some(Work::Dropped) => None,
-            Some(Work::Append(_)) | None => self.pins.get(name),
+            Some(Change::Version { table, .. }) => Some(table),
+            Some(Change::Drop) => None,
+            _ => self.pins.get(name),
         })
     }
 
-    /// The version of `name` a SELECT in this transaction reads, own writes
-    /// included: buffered rows are folded into a private copy first.
+    /// The version of `name` a SELECT, UPDATE or DELETE in this transaction
+    /// reads, own writes included: buffered rows are folded into a private
+    /// copy first.
     fn view(&mut self, name: &str) -> Result<Option<Arc<Table>>, DbError> {
-        if matches!(self.work.get(name), Some(Work::Append(rows)) if !rows.is_empty()) {
+        if matches!(self.work.get(name), Some(Change::Append(_))) {
             self.private(name)?;
         }
         Ok(self.shape(name)?.cloned())
@@ -175,231 +159,83 @@ impl Transaction {
     /// The private, mutable version of `name`, copied from the pinned one
     /// (with the buffered rows) unless the workspace has it already.
     fn private(&mut self, name: &str) -> Result<&mut Table, DbError> {
-        if !matches!(self.work.get(name), Some(Work::Version(_))) {
+        if !matches!(self.work.get(name), Some(Change::Version { .. })) {
             let base = self.shape(name)?.cloned();
-            let mut copy = base.ok_or_else(|| no_such_table(name))?;
-            let buffered = match self.work.remove(name) {
-                Some(Work::Append(rows)) => rows,
-                _ => Vec::new(),
-            };
+            let mut table = base.ok_or_else(|| no_such_table(name))?;
             obs::incr(obs::Counter::MvccCowClones);
-            Arc::make_mut(&mut copy).append_validated(buffered);
-            self.work.insert(name.to_string(), Work::Version(copy));
+            if let Some(buffered @ Change::Append(_)) = self.work.remove(name) {
+                buffered.apply_to(Arc::make_mut(&mut table));
+            }
+            let copy = Change::Version { table, temp: false };
+            self.work.insert(name.to_string(), copy);
         }
         match self.work.get_mut(name) {
-            Some(Work::Version(v)) => Ok(Arc::make_mut(v)),
+            Some(Change::Version { table, .. }) => Ok(Arc::make_mut(table)),
             _ => unreachable!("a private version was just made"),
         }
     }
 
-    /// Note that a statement ran against `name` — whose base
-    /// [`Transaction::shape`] has resolved — so that the table joins the
-    /// conflict check at commit whatever the statement changed: the log entry
-    /// of a statement that failed, selected no row or found no such table
-    /// replays to the same end only over the version it ran against.
-    fn touched(&mut self, name: &str) {
-        if !self.work.contains_key(name) {
-            self.work.insert(name.to_string(), Work::Append(Vec::new()));
-        }
-    }
-
-    /// Add validated rows to `name`: into the private version when there is
-    /// one, otherwise to the rows buffered for commit.
-    fn append(&mut self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
-        self.touched(name);
-        match self.work.get_mut(name) {
-            Some(Work::Version(v)) => Ok(Arc::make_mut(v).append_validated(rows)),
-            Some(Work::Append(buffered)) => {
-                let n = rows.len();
-                buffered.extend(rows);
-                Ok(n)
-            }
-            _ => Err(no_such_table(name)),
-        }
-    }
-
-    /// Would `CREATE [ORDERED] INDEX` change nothing in the txn's view?
-    /// Mirrors the engine's no-op predicate so the buffered log matches
-    /// what the live path would have logged.
-    fn index_creation_is_noop(
+    /// One write against the workspace: planned by the engine's [`plan`]
+    /// against this transaction's view of `name`, then folded into the net
+    /// change COMMIT publishes, its text (if the log carries it) buffered.
+    /// A rejected write leaves no trace.
+    fn write(
         &mut self,
-        table: &str,
-        column: &str,
-        ordered: bool,
-    ) -> Result<bool, DbError> {
-        let Some(t) = self.shape(table)? else {
-            return Ok(false);
+        name: &str,
+        ask: Ask,
+        text: Text<'_>,
+        class: obs::StmtClass,
+    ) -> Result<usize, DbError> {
+        self.check_open()?;
+        if self.engine.is_temp(name) || matches!(ask, Ask::CreateTable { temp: true, .. }) {
+            return Err(DbError::Execution(format!(
+                "TEMP table {name} cannot be created or touched inside a transaction"
+            )));
+        }
+        let view = match ask {
+            Ask::Update { .. } | Ask::Delete { .. } => self.view(name)?,
+            _ => self.shape(name)?.cloned(),
         };
-        Ok(match t.schema.index_of(column) {
-            Some(ci) if ordered => t.has_ordered_index_on(ci),
-            Some(ci) => t.has_index_on(ci),
-            None => false,
-        })
+        let (change, text) = plan(name, ask, view.as_deref(), false, text)?;
+        // The private copy is made from a sole owner.
+        drop(view);
+        let rows = change.rows();
+        if let Some(text) = text {
+            self.class = class;
+            self.log.push(text);
+        }
+        match (change, self.work.get_mut(name)) {
+            // What the log carries ran against one version of the table:
+            // the table joins the conflict check.
+            (nothing @ Change::Nothing { logged }, entry) => {
+                if logged && entry.is_none() {
+                    self.work.insert(name.to_string(), nothing);
+                }
+            }
+            (Change::Append(rows), Some(Change::Append(buffered))) => buffered.extend(rows),
+            (rows @ Change::Append(_), Some(Change::Version { table, .. })) => {
+                rows.apply_to(Arc::make_mut(table))
+            }
+            (change @ (Change::Version { .. } | Change::Drop | Change::Append(_)), _) => {
+                self.work.insert(name.to_string(), change);
+            }
+            (rows_or_index, _) => rows_or_index.apply_to(self.private(name)?),
+        }
+        Ok(rows)
     }
 
     /// Execute one mutating statement against the workspace. Effects stay
-    /// private until [`Transaction::commit`]. A failed statement does not
-    /// poison the transaction — it has no workspace effect (INSERT, UPDATE
-    /// and DELETE are statement-atomic) and its log entry is kept, so
-    /// commit-applied state always equals a WAL replay of the buffer. The
-    /// exception is [`DbError::TxnConflict`]: the table the statement names
-    /// was published after BEGIN, and nothing is buffered — a caller that
-    /// needs that table rolls back and retries the transaction.
+    /// private until [`Transaction::commit`]. A rejected statement does not
+    /// poison the transaction: it has no workspace effect and no log entry
+    /// (INSERT, UPDATE and DELETE are statement-atomic). That includes
+    /// [`DbError::TxnConflict`]: the table the statement names was
+    /// published after BEGIN — a caller that needs that table rolls back
+    /// and retries the transaction.
     pub fn execute(&mut self, sql_text: &str) -> Result<usize, DbError> {
-        self.check_open()?;
         let stmt = sql::parse_statement(sql_text)?;
-        match &stmt {
-            Stmt::Select(_) | Stmt::Explain { .. } => {
-                return Err(DbError::Execution(
-                    "use Transaction::query for SELECT statements".into(),
-                ))
-            }
-            Stmt::Begin | Stmt::Commit | Stmt::Rollback => {
-                return Err(DbError::Execution(
-                    "transaction control inside an open transaction \
-                     (nested transactions are not supported)"
-                        .into(),
-                ))
-            }
-            Stmt::CreateTable { temp: true, .. } => {
-                return Err(DbError::Execution(
-                    "TEMP tables cannot be created inside a transaction".into(),
-                ))
-            }
-            _ => {}
-        }
-        let target = match &stmt {
-            Stmt::CreateTable { name, .. } | Stmt::DropTable { name, .. } => Some(name),
-            Stmt::Insert { table, .. }
-            | Stmt::Update { table, .. }
-            | Stmt::Delete { table, .. }
-            | Stmt::CreateIndex { table, .. } => Some(table),
-            _ => None,
-        };
-        if let Some(t) = target {
-            self.refuse_temp(t)?;
-            self.shape(t)?;
-            self.touched(t);
-        }
-        // Same durability predicate as the live autocommit path, evaluated
-        // against the transaction's view.
-        let durable = match &stmt {
-            Stmt::CreateTable { .. }
-            | Stmt::Insert { .. }
-            | Stmt::Update { .. }
-            | Stmt::Delete { .. } => true,
-            Stmt::DropTable { name, .. } => self.shape(name)?.is_some(),
-            Stmt::CreateIndex {
-                table,
-                column,
-                ordered,
-                ..
-            } => !self.index_creation_is_noop(table, column, *ordered)?,
-            _ => unreachable!("rejected above"),
-        };
-        // The target is pinned (or known absent) by now: nothing below can
-        // conflict, so the entry is buffered whatever the statement answers.
-        if durable {
-            self.buffer(stmt_class(&stmt), sql_text.to_string());
-        }
-        self.apply(stmt)
-    }
-
-    fn apply(&mut self, stmt: Stmt) -> Result<usize, DbError> {
-        match stmt {
-            Stmt::CreateTable {
-                name,
-                if_not_exists,
-                columns,
-                ..
-            } => {
-                if self.shape(&name)?.is_some() {
-                    if if_not_exists {
-                        return Ok(0);
-                    }
-                    return Err(DbError::TableExists(name));
-                }
-                let schema = Schema::new(
-                    columns
-                        .into_iter()
-                        .map(|c| Column {
-                            name: c.name,
-                            dtype: c.dtype,
-                            nullable: c.nullable,
-                        })
-                        .collect(),
-                )?;
-                self.work
-                    .insert(name, Work::Version(Arc::new(Table::new(schema))));
-                Ok(0)
-            }
-            Stmt::DropTable { name, if_exists } => {
-                if self.shape(&name)?.is_some() {
-                    self.work.insert(name, Work::Dropped);
-                    Ok(0)
-                } else if if_exists {
-                    Ok(0)
-                } else {
-                    Err(DbError::NoSuchTable(name))
-                }
-            }
-            Stmt::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                let shape = self.shape(&table)?.cloned();
-                let shape = shape.ok_or_else(|| no_such_table(&table))?;
-                let rows = insert_rows_of(&shape.schema, columns, rows)?;
-                let rows = shape.validate_rows(rows)?;
-                self.append(&table, rows)
-            }
-            Stmt::Update {
-                table,
-                sets,
-                where_clause,
-            } => {
-                let view = self.view(&table)?;
-                let view = view.ok_or_else(|| no_such_table(&table))?;
-                // Planned against the version in view; a copy is made only
-                // for rows to change.
-                let plan = plan_update(&view, sets, where_clause)?;
-                drop(view);
-                if plan.positions.is_empty() {
-                    return Ok(0);
-                }
-                plan.apply(self.private(&table)?)
-            }
-            Stmt::Delete {
-                table,
-                where_clause,
-            } => {
-                let view = self.view(&table)?;
-                let view = view.ok_or_else(|| no_such_table(&table))?;
-                let positions = select_positions(&view, where_clause.as_ref())?;
-                drop(view);
-                if positions.is_empty() {
-                    return Ok(0);
-                }
-                Ok(self.private(&table)?.delete_positions(&positions))
-            }
-            Stmt::CreateIndex {
-                name,
-                table,
-                column,
-                if_not_exists,
-                ordered,
-            } => match self.private(&table)?.create_index(&name, &column, ordered) {
-                Ok(()) => Ok(0),
-                Err(DbError::Execution(_)) if if_not_exists => Ok(0),
-                Err(e) => Err(e),
-            },
-            Stmt::Select(_)
-            | Stmt::Explain { .. }
-            | Stmt::Begin
-            | Stmt::Commit
-            | Stmt::Rollback => unreachable!("rejected before apply"),
-        }
+        let class = stmt_class(&stmt);
+        let (name, ask) = Ask::of(stmt)?;
+        self.write(&name, ask, Text::Source(sql_text), class)
     }
 
     /// Run a SELECT (or EXPLAIN) against the transaction's view: the tables
@@ -423,53 +259,28 @@ impl Transaction {
 
     /// Insert pre-built rows (the programmatic mirror of an INSERT
     /// statement; logged as rendered SQL, like [`Engine::insert_rows`]).
-    /// The batch validates before it is buffered, matching the engine's
-    /// programmatic path: a rejected batch leaves neither workspace
-    /// effects nor a doomed statement in the commit log.
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
-        self.check_open()?;
-        self.refuse_temp(name)?;
-        let shape = self.shape(name)?.ok_or_else(|| no_such_table(name))?;
-        let rows = shape.validate_rows(rows)?;
-        if !rows.is_empty() {
-            let mut text = String::new();
-            dump::write_insert(&mut text, name, &rows);
-            self.buffer(obs::StmtClass::Insert, text);
-        }
-        self.append(name, rows)
+        let ask = Ask::InsertRows(rows);
+        self.write(name, ask, Text::Render, obs::StmtClass::Insert)
     }
 
     /// Create a table (programmatic mirror of `CREATE TABLE`; logged as
     /// rendered SQL, like [`Engine::create_table`]).
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
-        self.check_open()?;
-        if self.shape(name)?.is_some() {
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        let mut text = String::new();
-        dump::write_create_table(&mut text, name, &schema, false);
-        self.buffer(obs::StmtClass::Ddl, text);
-        self.work.insert(
-            name.to_string(),
-            Work::Version(Arc::new(Table::new(schema))),
-        );
-        Ok(())
+        let ask = Ask::CreateTable {
+            schema,
+            temp: false,
+            if_not_exists: false,
+        };
+        self.write(name, ask, Text::Render, obs::StmtClass::Ddl)
+            .map(drop)
     }
 
     /// Drop a table (programmatic mirror of `DROP TABLE [IF EXISTS]`).
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<(), DbError> {
-        self.check_open()?;
-        self.refuse_temp(name)?;
-        if self.shape(name)?.is_some() {
-            let if_exists = if if_exists { "IF EXISTS " } else { "" };
-            self.buffer(obs::StmtClass::Ddl, format!("DROP TABLE {if_exists}{name}"));
-            self.work.insert(name.to_string(), Work::Dropped);
-            Ok(())
-        } else if if_exists {
-            Ok(())
-        } else {
-            Err(no_such_table(name))
-        }
+        let ask = Ask::DropTable { if_exists };
+        self.write(name, ask, Text::Render, obs::StmtClass::Ddl)
+            .map(drop)
     }
 
     /// Commit: publish every buffered effect atomically (one WAL frame
@@ -482,8 +293,9 @@ impl Transaction {
         self.done = true;
         let pins = std::mem::take(&mut self.pins);
         let work = std::mem::take(&mut self.work);
+        let log = std::mem::take(&mut self.log);
         let _class = obs::class_scope(self.class);
-        self.engine.commit_txn(pins, work, &self.log)
+        self.engine.commit_txn(pins, work, log)
     }
 
     /// Discard every buffered effect. Equivalent to dropping the
@@ -498,15 +310,6 @@ impl Transaction {
             return Err(DbError::Execution(
                 "transaction already committed or rolled back".into(),
             ));
-        }
-        Ok(())
-    }
-
-    fn refuse_temp(&self, name: &str) -> Result<(), DbError> {
-        if self.engine.is_temp(name) {
-            return Err(DbError::Execution(format!(
-                "TEMP table {name} cannot be touched inside a transaction"
-            )));
         }
         Ok(())
     }
@@ -641,12 +444,13 @@ mod tests {
     }
 
     #[test]
-    fn failed_statement_is_buffered_and_replay_equivalent() {
+    fn a_rejected_statement_is_not_buffered() {
         let db = engine_with_t();
         let mut txn = db.begin_txn();
         txn.execute("INSERT INTO t VALUES (3, 'z')").unwrap();
         assert!(txn.execute("INSERT INTO nope VALUES (1)").is_err());
-        assert_eq!(txn.statements_buffered(), 2);
+        assert!(txn.execute("INSERT INTO t VALUES ('x', 'z')").is_err());
+        assert_eq!(txn.statements_buffered(), 1);
         txn.commit().unwrap();
         assert_eq!(count(&db, "SELECT count(*) FROM t"), 3);
     }

@@ -437,8 +437,10 @@ pub struct RecoveryReport {
     pub frames_skipped: u64,
     /// Bytes of torn/corrupt tail physically truncated.
     pub torn_bytes: u64,
-    /// Replayed statements that failed to execute (they failed identically
-    /// in the original run — replay reproduces the engine state exactly).
+    /// Replayed statements that failed to execute: frames of a log written
+    /// before rejected statements stopped being logged. They failed
+    /// identically in the original run — replay reproduces the engine state
+    /// exactly.
     pub replay_errors: u64,
     /// Frames discarded by the transaction filter: statements (and their
     /// begin marker) belonging to a transaction whose commit marker never

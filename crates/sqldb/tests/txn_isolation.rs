@@ -187,31 +187,71 @@ fn untouched_tables_changing_concurrently_do_not_conflict() {
     assert_eq!(db.row_count("read").unwrap(), 3);
 }
 
-/// A statement that changes nothing still ran against one version of its
-/// table: the table joins the conflict check, or the log would replay to a
-/// different end than the live catalog reached.
+/// An accepted statement that changes nothing still ran against one version
+/// of its table, and the log carries it: the table joins the conflict check,
+/// or the log would replay to a different end than the live catalog reached.
+/// A rejected statement leaves no trace — no log entry, so nothing to check.
 #[test]
 fn a_statement_without_effect_still_joins_the_conflict_check() {
     let statements = [
         "DELETE FROM t WHERE a = 3",
         "UPDATE t SET a = 0 WHERE a = 3",
-        "INSERT INTO t VALUES ('not a number')",
         "CREATE TABLE IF NOT EXISTS t (a INTEGER)",
     ];
     for statement in statements {
         let db = engine_with(&["t"]);
         let mut txn = db.begin_txn();
-        let _ = txn.execute(statement);
+        txn.execute(statement).unwrap();
         assert_eq!(txn.statements_buffered(), 1, "{statement}");
         db.execute("INSERT INTO t VALUES (3)").unwrap();
         assert!(is_conflict(txn.commit()), "{statement}");
     }
-    // ... and so does one that found no such table.
-    let db = engine_with(&["t"]);
-    let mut txn = db.begin_txn();
-    assert!(txn.execute("INSERT INTO u VALUES (1)").is_err());
-    db.execute("CREATE TABLE u (a INTEGER)").unwrap();
-    assert!(is_conflict(txn.commit()));
+    let rejected = [
+        (
+            "INSERT INTO t VALUES ('not a number')",
+            "INSERT INTO t VALUES (3)",
+        ),
+        ("INSERT INTO u VALUES (1)", "CREATE TABLE u (a INTEGER)"),
+    ];
+    for (statement, meanwhile) in rejected {
+        let db = engine_with(&["t", "other"]);
+        let mut txn = db.begin_txn();
+        txn.execute("INSERT INTO other VALUES (3)").unwrap();
+        assert!(txn.execute(statement).is_err());
+        assert_eq!(txn.statements_buffered(), 1, "{statement}");
+        db.execute(meanwhile).unwrap();
+        txn.commit().unwrap();
+    }
+}
+
+/// A transaction refuses TEMP tables, so the removal of one — dropped by
+/// name, with all the others at the end of a query, or replaced by an
+/// installed one — is never the removal an absent name has to fear.
+#[test]
+fn a_temp_table_removed_after_begin_conflicts_with_nothing() {
+    let removals: [fn(&Engine); 3] = [
+        |db| db.drop_table("scratch", false).unwrap(),
+        |db| db.drop_temp_tables(),
+        |db| {
+            let schema = db.pin_table("scratch").unwrap().schema.clone();
+            db.install_temp_table("scratch", sqldb::Table::new(schema))
+                .unwrap()
+        },
+    ];
+    for remove in removals {
+        let db = engine_with(&["t"]);
+        let mut txn = db.begin_txn();
+        // Another handle's query comes and goes.
+        db.execute("CREATE TEMP TABLE scratch (a INTEGER)").unwrap();
+        remove(&db);
+        assert!(matches!(
+            count(&mut txn, "fresh"),
+            Err(DbError::NoSuchTable(_))
+        ));
+        txn.execute("CREATE TABLE fresh (a INTEGER)").unwrap();
+        txn.commit().unwrap();
+        assert!(db.has_table("fresh"));
+    }
 }
 
 // ---- random interleavings against a model ---------------------------------

@@ -2,7 +2,10 @@
 # Offline smoke test: full release build, a warning-free clippy pass, the
 # complete test suite (including the execution-mode equivalence suite, the
 # source-scan guards — statement and row counts of a source element, the
-# parent-build artifact fixture, concurrent typed appends — the transaction
+# parent-build artifact fixture, concurrent typed appends — the write-path
+# suite: the every-door model (execute, programmatic call, transaction, script
+# and replay leave the same catalog and the same log) and the parent-build
+# log/dump fixtures — the transaction
 # suites: the as-of-BEGIN isolation model, the import count guard, concurrent
 # `add_run` — the WAL crash-consistency suites (an import and a delete killed
 # at every frame, a dump restored without its log), and the replication
@@ -43,6 +46,9 @@ echo "== source scan (O(1) statements + same rows visited, parent-build fixture,
 cargo test -q -p perfbase --test source_scan
 cargo test -q -p perfbase --test sharded_equivalence source_scan_matches
 cargo test -q -p sqldb --test concurrency concurrent_typed_scans
+
+echo "== write path (every door one outcome, parent-build log and dump fixtures) =="
+cargo test -q -p sqldb --test write_path
 
 echo "== transactions (as-of-BEGIN isolation model, cost in counts, concurrent add_run) =="
 cargo test -q -p sqldb --test txn_isolation
@@ -190,6 +196,6 @@ echo "== bench regression guard =="
 cargo run --release -p bench --bin bench_guard
 
 echo "== net Rust LOC (informational; the figure CHANGES.md reports) =="
-sh tests/loc.sh || true
+sh tests/loc.sh crates/sqldb/src/engine.rs crates/sqldb/src/txn.rs || true
 
 echo "smoke: OK"

@@ -65,20 +65,17 @@ fn materialize_and_fetch_accounting() {
     let c = seeded_cluster(2, 8);
     c.reset_stats();
 
-    let rs = c
-        .node(0)
-        .engine
-        .query("SELECT * FROM src WHERE id < 4")
-        .unwrap();
-    assert_eq!(rs.len(), 4);
-    c.materialize(0, 1, "pb_tmp_m", &rs).unwrap();
+    // A table materialised on the node that consumes it.
+    assert_eq!(c.copy_table(0, "src", 1, "pb_tmp_m").unwrap(), 8);
     let s = c.stats();
     assert_eq!(s.messages, 2, "materialize = header + payload");
-    assert_eq!(s.rows, 4);
+    assert_eq!(s.rows, 8);
 
     // Remote fetch charges one payload message; local fetch charges none.
     c.reset_stats();
-    let fetched = c.fetch(1, 0, "SELECT * FROM pb_tmp_m").unwrap();
+    let fetched = c
+        .fetch(1, 0, "SELECT * FROM pb_tmp_m WHERE id < 4")
+        .unwrap();
     assert_eq!(fetched.len(), 4);
     assert_eq!(c.stats().messages, 1);
     assert_eq!(c.stats().rows, 4);

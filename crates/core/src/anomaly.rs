@@ -14,8 +14,8 @@
 //!   configurations required additional runs to reduce the standard
 //!   deviation").
 //!
-//! The input is any [`DataVector`]-shaped table, so the detector composes
-//! with the query engine: run a query, then screen its source vector.
+//! The input is any [`DataVector`], so the detector composes with the query
+//! engine: run a query, then screen its source vector.
 
 use crate::error::{Error, Result};
 use crate::experiment::ExperimentDb;
@@ -162,23 +162,13 @@ pub fn screen_experiment(
             "anomaly screening expects exactly one result value".into(),
         ));
     }
-    let engine = db.engine().clone();
-    let (vector, _) = exec::run_source(db, &engine, source, "pb_tmp_anomaly_screen")?;
-    let report = screen_vector(&engine, &vector, config);
-    engine.drop_table("pb_tmp_anomaly_screen", true)?;
-    report
+    let (vector, _) = exec::run_source(db, source)?;
+    screen_vector(&vector, config)
 }
 
-/// Screen an already-materialised vector.
-pub fn screen_vector(
-    engine: &sqldb::Engine,
-    vector: &DataVector,
-    config: &AnomalyConfig,
-) -> Result<AnomalyReport> {
-    let (cols, rows) = engine
-        .read_snapshot(&vector.table)
-        .map_err(Error::from)
-        .map(|(schema, rows)| (schema.names(), rows))?;
+/// Screen a vector.
+pub fn screen_vector(vector: &DataVector, config: &AnomalyConfig) -> Result<AnomalyReport> {
+    let (cols, rows) = (vector.table.schema.names(), vector.table.to_rows());
     let pidx: Vec<usize> = vector
         .params
         .iter()
@@ -337,11 +327,13 @@ mod tests {
             ("ufs", 1024, 99.5),
             ("ufs", 1024, 100.5),
         ]);
+        let written = || crate::query::exec::tests::written(db.engine());
+        let before = written();
         let report = screen_experiment(&db, &source(), &AnomalyConfig::default()).unwrap();
         assert!(report.is_clean(), "{report:?}");
         assert!(report.render().contains("no anomalies"));
-        // The screening temp table is cleaned up.
-        assert!(!db.engine().has_table("pb_tmp_anomaly_screen"));
+        // Screening writes nothing.
+        assert_eq!(written(), before);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Sequential query execution (paper §3.3, §4.2).
 //!
-//! Each element materialises its output vector into its own temporary table
-//! (`pb_tmp_<query>_<element>`); only the table name (wrapped in a
-//! [`DataVector`] with column metadata) flows between elements. Operators
-//! lean on the database's aggregation (GROUP BY) wherever possible — the
-//! paper's §4.2 performance argument. Source elements read the run tables
-//! as one typed column scan, not one statement per run (`run_source`).
+//! Each element builds its output vector as a table of typed columns and
+//! hands it on as a value (a [`DataVector`]: the `Arc<Table>` with column
+//! metadata); no element touches an engine's catalog, so a query writes
+//! nothing. Operators lean on the database's aggregation (GROUP BY)
+//! wherever possible — the paper's §4.2 performance argument: the statement
+//! is built as a value and runs in the engine's single-table pipeline over
+//! the vector ([`Table::select`]). Source elements read the run tables as
+//! one typed column scan, not one statement per run (`run_source`).
 //!
 //! Operator mode selection is automatic (paper §3.3.2):
 //!
@@ -40,9 +42,10 @@ use crate::experiment::{ExperimentDb, ExperimentDef, Occurrence};
 use crate::output;
 use sqldb::aggregate::{Accumulator, AggKind};
 use sqldb::cluster::{Cluster, TransferStats};
-use sqldb::sql::{parse_expr, SqlExpr};
-use sqldb::{Cell, Column, DbError, Engine, Schema, Table, Value};
+use sqldb::sql::{parse_expr, SelectItem, SelectStmt, SqlExpr};
+use sqldb::{Cell, Column, DbError, Schema, Table, Value};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wall-clock cost of one executed element — the measurement the paper's
@@ -165,13 +168,16 @@ impl<'a> QueryRunner<'a> {
     ///
     /// * the **frontend node** holds the persistent experiment data, so
     ///   source elements always execute their database reads there;
-    /// * every element's output vector is materialised **on the node of the
-    ///   element that consumes it** ("the output vector of each query
-    ///   element is stored on the node on which the query element(s) run
-    ///   which use this data for their input"); cross-node placement
-    ///   charges the simulated socket cost;
-    /// * when several consumers sit on different nodes, the table is
+    /// * every element's output vector belongs **on the node of the element
+    ///   that consumes it** ("the output vector of each query element is
+    ///   stored on the node on which the query element(s) run which use this
+    ///   data for their input"); cross-node placement charges the simulated
+    ///   socket cost;
+    /// * when several consumers sit on different nodes, the vector is
     ///   replicated to each of them (also charged).
+    ///
+    /// The nodes' engines share this process, so a vector is handed over as
+    /// a value and only the charge is real.
     pub fn on_cluster(mut self, cluster: &'a Cluster) -> Self {
         self.cluster = Some(cluster);
         self
@@ -186,15 +192,6 @@ impl<'a> QueryRunner<'a> {
     /// consumer (its own node when it has none).
     fn out_node(&self, dag: &QueryDag, i: usize) -> usize {
         self.exec_node(dag.consumers[i].first().copied().unwrap_or(i))
-    }
-
-    /// Engine of placement node `n` (the experiment's own engine without a
-    /// placement cluster).
-    fn engine_of(&self, n: usize) -> &Engine {
-        match self.cluster {
-            Some(c) => &c.node(n).engine,
-            None => self.db.engine(),
-        }
     }
 
     /// Interconnect counters of every cluster this run can charge: the
@@ -261,8 +258,8 @@ impl<'a> QueryRunner<'a> {
         fused
     }
 
-    /// Execute `spec` and drop all temporary tables afterwards — on every
-    /// node, and whether or not an element failed.
+    /// Execute `spec`. Nothing is written to any engine: the vectors live in
+    /// the outcome.
     pub fn run(&self, spec: QuerySpec) -> Result<QueryOutcome> {
         let dag = QueryDag::build(spec)?;
         let mut dag_span = obs::span("dag");
@@ -276,14 +273,7 @@ impl<'a> QueryRunner<'a> {
         let stats_before = self.transfer_stats();
         let fused = self.plan_pushdown(&dag, &self.db.definition());
 
-        let result = self.run_waves(&dag, &fused);
-        self.db.engine().drop_temp_tables();
-        if let Some(c) = self.cluster {
-            for i in 0..c.len() {
-                c.node(i).engine.drop_temp_tables();
-            }
-        }
-        let mut outcome = result?;
+        let mut outcome = self.run_waves(&dag, &fused)?;
         if let (Some(now), Some(before)) = (self.transfer_stats(), &stats_before) {
             outcome.transfer = Some(now.delta_since(before));
         }
@@ -327,8 +317,8 @@ impl<'a> QueryRunner<'a> {
                         .map(|&c| self.exec_node(c))
                         .filter(|&node| node != home)
                         .collect();
-                    for node in elsewhere {
-                        cluster.copy_table(home, &v.table, node, &v.table)?;
+                    for _node in elsewhere {
+                        cluster.charge_shipment(v.table.len());
                     }
                 }
                 if let Some(artifact) = done.artifact {
@@ -357,10 +347,6 @@ impl<'a> QueryRunner<'a> {
         obs::incr(obs::Counter::DagElements);
         let mut el_span = obs::span("element");
         let started = Instant::now();
-        let table = temp_table_name(&dag.spec.name, &element.id);
-        let (exec_node, out_node) = (self.exec_node(i), self.out_node(dag, i));
-        let in_engine = self.engine_of(exec_node);
-        let out_engine = self.engine_of(out_node);
         // Inputs come from earlier waves, so their vectors are present.
         let input = |j: usize| &vectors[&dag.spec.elements[j].id];
 
@@ -374,10 +360,8 @@ impl<'a> QueryRunner<'a> {
                 decision = " fused-into-consumer";
                 None
             }
-            // Reads happen on the frontend; the vector lands on the
-            // consumer's node.
             ElementKind::Source(s) => {
-                let (vector, matched) = run_source(self.db, out_engine, s, &table)?;
+                let (vector, matched) = run_source(self.db, s)?;
                 runs = Some(matched);
                 Some(vector)
             }
@@ -389,27 +373,27 @@ impl<'a> QueryRunner<'a> {
                         unreachable!("fusion plan only names sources")
                     };
                     let agg = o.op.aggregate().expect("fused operators aggregate");
-                    run_pushdown_aggregate(self.db, agg, s, out_engine, &table)?
+                    run_pushdown_aggregate(self.db, agg, s)?
                 }
                 None => {
-                    let inputs: Vec<(&DataVector, bool)> = dag.input_idx[i]
+                    let inputs: Vec<OperatorInput<'_>> = dag.input_idx[i]
                         .iter()
                         .map(|&j| {
-                            let from_source =
-                                matches!(dag.spec.elements[j].kind, ElementKind::Source(_));
-                            (input(j), from_source)
+                            let producer = &dag.spec.elements[j];
+                            let from_source = matches!(producer.kind, ElementKind::Source(_));
+                            (producer.id.as_str(), input(j), from_source)
                         })
                         .collect();
-                    run_operator(in_engine, out_engine, &o.op, &inputs, &table)?
+                    run_operator(&o.op, &inputs)?
                 }
             }),
             ElementKind::Combiner(c) => {
                 let (l, r) = (input(dag.input_idx[i][0]), input(dag.input_idx[i][1]));
-                Some(run_combiner(in_engine, out_engine, c, l, r, &table)?)
+                Some(run_combiner(c, l, r)?)
             }
             ElementKind::Output(o) => {
                 let inputs: Vec<&DataVector> = dag.input_idx[i].iter().map(|&j| input(j)).collect();
-                let rendered = run_output(in_engine, o, &inputs)?;
+                let rendered = run_output(o, &inputs)?;
                 if let Some(path) = &o.filename {
                     std::fs::write(path, &rendered)?;
                 }
@@ -417,14 +401,13 @@ impl<'a> QueryRunner<'a> {
                 None
             }
         };
-        let rows = vector
-            .as_ref()
-            .map(|v| out_engine.row_count(&v.table).unwrap_or(0))
-            .unwrap_or(0);
+        let rows = vector.as_ref().map_or(0, |v| v.table.len());
         // Charge the simulated socket cost for shipping the output vector
         // off-node, mirroring Fig. 3's placement rule.
-        if let (Some(cluster), Some(_), true) = (self.cluster, &vector, exec_node != out_node) {
-            cluster.charge_transfer(rows);
+        if let (Some(cluster), Some(_)) = (self.cluster, &vector) {
+            if self.exec_node(i) != self.out_node(dag, i) {
+                cluster.charge_transfer(rows);
+            }
         }
         el_span.annotate(|| {
             let runs = runs.map(|n| format!(" runs={n}")).unwrap_or_default();
@@ -449,10 +432,9 @@ impl<'a> QueryRunner<'a> {
     }
 }
 
-/// Temp-table name for one element of one query.
-fn temp_table_name(query: &str, element: &str) -> String {
-    format!("pb_tmp_{query}_{element}")
-}
+/// One input of an operator element: the producing element's id, its vector,
+/// and whether that element is a source.
+type OperatorInput<'a> = (&'a str, &'a DataVector, bool);
 
 /// Render a [`Value`] as an SQL literal.
 pub(crate) fn sql_literal(v: &Value) -> String {
@@ -626,8 +608,7 @@ impl Drop for ScanAccount {
 
 /// Execute a source element (paper §3.3.1): retrieve the data tuples
 /// matching the parameter and run restrictions from the experiment database
-/// `db` into `table` on `out_engine`. Returns the vector and the number of
-/// runs that matched.
+/// `db`. Returns the vector and the number of runs that matched.
 ///
 /// One typed scan, no statement per run: each matching run's table is pinned
 /// where it lives, the data-set restriction selects positions in it
@@ -635,19 +616,14 @@ impl Drop for ScanAccount {
 /// column-wise to the vector's table — data columns vector to vector,
 /// run-level (`pb_runs`) values as repeated constants. The table's column
 /// types come from the experiment definition, which every run table follows
-/// ([`ExperimentDb::update_definition`] rebuilds them); it is installed as
-/// the element's TEMP table in one step.
+/// ([`ExperimentDb::update_definition`] rebuilds them), so an empty vector
+/// is typed too.
 ///
 /// On a sharded experiment each run is scanned on its owning node (or a
 /// fresh replica) and the selected rows travel to the frontend (charged) —
 /// the fallback materialization path for everything the aggregation pushdown
 /// cannot handle.
-pub(crate) fn run_source(
-    db: &ExperimentDb,
-    out_engine: &Engine,
-    spec: &SourceSpec,
-    table: &str,
-) -> Result<(DataVector, usize)> {
+pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVector, usize)> {
     let def = db.definition();
     let plan = plan_source(&def, spec)?;
 
@@ -728,12 +704,11 @@ pub(crate) fn run_source(
     }
     drop(scans);
 
-    // 3. Install the vector, with labels from the definition.
+    // 3. The vector, with labels from the definition.
     let labels = source_labels(&def, &out_cols);
-    out_engine.install_temp_table(table, out)?;
     Ok((
         DataVector {
-            table: table.to_string(),
+            table: Arc::new(out),
             params,
             values,
             labels,
@@ -787,8 +762,6 @@ fn run_pushdown_aggregate(
     db: &ExperimentDb,
     agg: AggKind,
     spec: &SourceSpec,
-    out_engine: &Engine,
-    table: &str,
 ) -> Result<DataVector> {
     let def = db.definition();
     let plan = plan_source(&def, spec)?;
@@ -840,6 +813,7 @@ fn run_pushdown_aggregate(
     }
     let mut order: Vec<String> = Vec::new();
     let mut groups: HashMap<String, Group> = HashMap::new();
+    let every_param: Vec<usize> = (0..params.len()).collect();
     for run_row in runs.rows() {
         let run_id = run_row[0].as_i64().expect("run_id is INTEGER");
         let data_table = crate::experiment::rundata_table_name(run_id);
@@ -861,11 +835,7 @@ fn run_pushdown_aggregate(
             // group columns of the partial row — the params order.
             let mut key_vals: Vec<Value> = run_row[1..].to_vec();
             key_vals.extend(prow[..plan.multi_carry.len()].iter().cloned());
-            let key = key_vals
-                .iter()
-                .map(canon_key)
-                .collect::<Vec<_>>()
-                .join("\u{1}");
+            let key = key_of(&key_vals, &every_param);
             let g = groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key);
                 Group {
@@ -906,8 +876,8 @@ fn run_pushdown_aggregate(
         out_rows.push(empty?);
     }
 
-    // 4. Materialise on the frontend with the labels the unsharded
-    //    source → aggregate pair would carry.
+    // 4. The vector, with the labels the unsharded source → aggregate pair
+    //    would carry.
     let out_cols: Vec<String> = if grouped {
         params.iter().chain(&values).cloned().collect()
     } else {
@@ -918,22 +888,17 @@ fn run_pushdown_aggregate(
         let base = labels.get(c).cloned().unwrap_or_else(|| c.clone());
         labels.insert(c.clone(), format!("{}({base})", agg.name()));
     }
-    materialize(out_engine, table, &out_cols, out_rows)?;
     Ok(DataVector {
-        table: table.to_string(),
+        table: vector_table(&out_cols, out_rows)?,
         params: if grouped { params } else { Vec::new() },
         values,
         labels,
     })
 }
 
-/// Install TEMP table `table` on `engine` holding `rows` under `columns`.
-fn materialize(
-    engine: &Engine,
-    table: &str,
-    columns: &[String],
-    rows: Vec<Vec<Value>>,
-) -> Result<()> {
+/// The table of a vector holding `rows` under `columns`; a column's type is
+/// that of its first non-NULL cell (FLOAT when it has none).
+fn vector_table(columns: &[String], rows: Vec<Vec<Value>>) -> Result<Arc<Table>> {
     use sqldb::DataType;
     let mut cols = Vec::with_capacity(columns.len());
     for (i, name) in columns.iter().enumerate() {
@@ -945,52 +910,31 @@ fn materialize(
     }
     let mut out = Table::new(Schema::new(cols)?);
     out.insert_all(rows)?;
-    Ok(engine.install_temp_table(table, out)?)
+    Ok(Arc::new(out))
 }
 
-/// Read a vector's rows from wherever its temp table lives.
-fn read_vector(engine: &Engine, v: &DataVector) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
-    let (schema, rows) = engine.read_snapshot(&v.table)?;
-    Ok((schema.names(), rows))
+/// A vector's column names and rows.
+fn read_vector(v: &DataVector) -> (Vec<String>, Vec<Vec<Value>>) {
+    (v.table.schema.names(), v.table.to_rows())
 }
 
-/// Execute an operator element. `in_engine` holds the input tables,
-/// `out_engine` receives the output table (they differ in cluster mode).
-fn run_operator(
-    in_engine: &Engine,
-    out_engine: &Engine,
-    op: &OpKind,
-    inputs: &[(&DataVector, bool)],
-    table: &str,
-) -> Result<DataVector> {
+/// Execute an operator element.
+fn run_operator(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result<DataVector> {
     match inputs {
         [] => Err(Error::Query("operator without inputs".into())),
-        [(v, from_source)] => {
-            run_operator_single(in_engine, out_engine, op, v, *from_source, table)
-        }
-        multiple => run_operator_elementwise(in_engine, out_engine, op, multiple, table),
+        [(_, v, from_source)] => run_operator_single(op, v, *from_source),
+        multiple => run_operator_elementwise(op, multiple),
     }
 }
 
 /// Single-input operator: data-set aggregation (source input), full
 /// reduction (non-source input), or row-wise transform (eval/scale/offset).
-fn run_operator_single(
-    in_engine: &Engine,
-    out_engine: &Engine,
-    op: &OpKind,
-    v: &DataVector,
-    from_source: bool,
-    table: &str,
-) -> Result<DataVector> {
+fn run_operator_single(op: &OpKind, v: &DataVector, from_source: bool) -> Result<DataVector> {
     if let Some(agg) = op.aggregate() {
-        return if from_source && !v.params.is_empty() {
-            aggregate_datasets(in_engine, out_engine, agg, v, table)
-        } else {
-            reduce_all(in_engine, out_engine, agg, v, table)
-        };
+        return aggregate(agg, v, from_source && !v.params.is_empty());
     }
     // Row-wise transforms keep the vector shape.
-    let (cols, rows) = read_vector(in_engine, v)?;
+    let (cols, rows) = read_vector(v);
     let value_idx: Vec<usize> = v
         .values
         .iter()
@@ -1046,80 +990,64 @@ fn run_operator_single(
     if out_values.len() > v.values.len() {
         out_cols.push("eval".to_string());
     }
-    materialize(out_engine, table, &out_cols, out_rows)?;
     let mut labels = v.labels.clone();
     if let OpKind::Eval(expr) = op {
         labels.insert("eval".into(), expr.source().to_string());
     }
     Ok(DataVector {
-        table: table.to_string(),
+        table: vector_table(&out_cols, out_rows)?,
         params: v.params.clone(),
         values: out_values,
         labels,
     })
 }
 
-/// Data-set aggregation via the database (GROUP BY all parameters) — the
-/// in-database operator path the paper's §4.2 advocates.
-fn aggregate_datasets(
-    in_engine: &Engine,
-    out_engine: &Engine,
-    agg: AggKind,
-    v: &DataVector,
-    table: &str,
-) -> Result<DataVector> {
-    let aggs: Vec<String> = v
-        .values
-        .iter()
-        .map(|c| format!("{}({c}) AS {c}", agg.name()))
-        .collect();
-    let sql = format!(
-        "SELECT {}, {} FROM {} GROUP BY {}",
-        v.params.join(", "),
-        aggs.join(", "),
-        v.table,
-        v.params.join(", "),
-    );
-    let rs = in_engine.query(&sql)?;
+/// Aggregate every value of `v` in the database's executor — the
+/// in-database operator path the paper's §4.2 advocates: `grouped`, over the
+/// tuples that share all parameters (data-set aggregation, `GROUP BY` every
+/// parameter); otherwise over the whole vector, down to one element (mode 2
+/// of §3.3.2). The statement is built as a value, not as text: column names
+/// are never parsed.
+fn aggregate(agg: AggKind, v: &DataVector, grouped: bool) -> Result<DataVector> {
+    let keys: &[String] = if grouped { &v.params } else { &[] };
+    let key = |c: &String| SelectItem::Expr {
+        expr: SqlExpr::Col(c.clone()),
+        alias: None,
+    };
+    let call = |c: &String| SelectItem::Expr {
+        expr: SqlExpr::Func {
+            name: agg.name().to_string(),
+            args: vec![SqlExpr::Col(c.clone())],
+            star: false,
+        },
+        alias: Some(c.clone()),
+    };
+    let rs = v.table.select(&SelectStmt {
+        distinct: false,
+        items: keys
+            .iter()
+            .map(key)
+            .chain(v.values.iter().map(call))
+            .collect(),
+        from: None,
+        joins: Vec::new(),
+        where_clause: None,
+        group_by: keys.to_vec(),
+        order_by: Vec::new(),
+        limit: None,
+    })?;
     let cols: Vec<String> = rs.column_names().to_vec();
-    materialize(out_engine, table, &cols, rs.into_rows())?;
-    let mut labels = v.labels.clone();
-    for c in &v.values {
-        let base = v.label(c);
-        labels.insert(c.clone(), format!("{}({base})", agg.name()));
-    }
-    Ok(DataVector {
-        table: table.to_string(),
-        params: v.params.clone(),
-        values: v.values.clone(),
-        labels,
-    })
-}
-
-/// Reduce the whole vector to one element (mode 2 of §3.3.2).
-fn reduce_all(
-    in_engine: &Engine,
-    out_engine: &Engine,
-    agg: AggKind,
-    v: &DataVector,
-    table: &str,
-) -> Result<DataVector> {
-    let aggs: Vec<String> = v
-        .values
-        .iter()
-        .map(|c| format!("{}({c}) AS {c}", agg.name()))
-        .collect();
-    let sql = format!("SELECT {} FROM {}", aggs.join(", "), v.table);
-    let rs = in_engine.query(&sql)?;
-    let cols: Vec<String> = rs.column_names().to_vec();
-    materialize(out_engine, table, &cols, rs.into_rows())?;
-    let mut labels = HashMap::new();
+    let mut labels = if grouped {
+        v.labels.clone()
+    } else {
+        HashMap::new()
+    };
     for c in &v.values {
         labels.insert(c.clone(), format!("{}({})", agg.name(), v.label(c)));
     }
     Ok(DataVector {
-        table: table.to_string(),
-        params: Vec::new(),
+        table: vector_table(&cols, rs.into_rows())?,
+        params: keys.to_vec(),
         values: v.values.clone(),
         labels,
     })
@@ -1127,19 +1055,11 @@ fn reduce_all(
 
 /// Element-wise operation across ≥2 vectors aligned on common parameters
 /// (mode 3 of §3.3.2).
-fn run_operator_elementwise(
-    in_engine: &Engine,
-    out_engine: &Engine,
-    op: &OpKind,
-    inputs: &[(&DataVector, bool)],
-    table: &str,
-) -> Result<DataVector> {
+fn run_operator_elementwise(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result<DataVector> {
     // Load every input up front so broadcast eligibility is known before
     // the alignment key is chosen.
-    let loaded: Vec<(Vec<String>, Vec<Vec<Value>>)> = inputs
-        .iter()
-        .map(|(v, _)| read_vector(in_engine, v))
-        .collect::<Result<_>>()?;
+    let loaded: Vec<(Vec<String>, Vec<Vec<Value>>)> =
+        inputs.iter().map(|(_, v, _)| read_vector(v)).collect();
 
     // Broadcast rule: a vector with no parameters and a single tuple is
     // applied against every key (e.g. comparing a sweep to one global
@@ -1147,7 +1067,7 @@ fn run_operator_elementwise(
     let broadcast: Vec<Option<Vec<Value>>> = inputs
         .iter()
         .zip(&loaded)
-        .map(|((v, _), (cols, rows))| {
+        .map(|((_, v, _), (cols, rows))| {
             if v.params.is_empty() && rows.len() == 1 {
                 let vidx: Vec<usize> = v
                     .values
@@ -1169,10 +1089,10 @@ fn run_operator_elementwise(
     let common: Vec<String> = match aligned.first() {
         None => Vec::new(), // all inputs broadcast: one global tuple
         Some(&k0) => inputs[k0]
-            .0
+            .1
             .params
             .iter()
-            .filter(|p| aligned.iter().all(|&k| inputs[k].0.params.contains(p)))
+            .filter(|p| aligned.iter().all(|&k| inputs[k].1.params.contains(p)))
             .cloned()
             .collect(),
     };
@@ -1183,9 +1103,10 @@ fn run_operator_elementwise(
         for &k in &aligned {
             if loaded[k].1.len() > 1 {
                 return Err(Error::Query(format!(
-                    "cannot align vectors element-wise: input '{}' has {} rows but the \
-                     inputs share no parameters (aggregate it first)",
-                    inputs[k].0.table,
+                    "cannot align vectors element-wise: input {} ('{}') has {} rows but \
+                     the inputs share no parameters (aggregate it first)",
+                    k + 1,
+                    inputs[k].0,
                     loaded[k].1.len()
                 )));
             }
@@ -1196,7 +1117,7 @@ fn run_operator_elementwise(
     // key → (parameter tuple, value tuple)
     type KeyedVector = HashMap<String, (Vec<Value>, Vec<Value>)>;
     let mut keyed: Vec<KeyedVector> = Vec::new();
-    for ((v, _), (cols, rows)) in inputs.iter().zip(&loaded) {
+    for ((_, v, _), (cols, rows)) in inputs.iter().zip(&loaded) {
         let pidx: Vec<usize> = common
             .iter()
             .filter_map(|p| cols.iter().position(|c| c == p))
@@ -1208,11 +1129,7 @@ fn run_operator_elementwise(
             .collect();
         let mut map = HashMap::new();
         for row in rows {
-            let key = pidx
-                .iter()
-                .map(|&i| canon_key(&row[i]))
-                .collect::<Vec<_>>()
-                .join("\u{1}");
+            let key = key_of(row, &pidx);
             let pvals: Vec<Value> = pidx.iter().map(|&i| row[i].clone()).collect();
             let vvals: Vec<Value> = vidx.iter().map(|&i| row[i].clone()).collect();
             // Duplicate keys: last one wins (operators normally follow an
@@ -1225,7 +1142,7 @@ fn run_operator_elementwise(
     // The driver supplies the keys (and parameter tuples): the first
     // non-broadcast input, or input 0 when everything broadcasts.
     let driver = aligned.first().copied().unwrap_or(0);
-    let first = inputs[0].0;
+    let first = inputs[0].1;
 
     let out_value_name = match op {
         OpKind::Eval(_) => "eval".to_string(),
@@ -1236,7 +1153,7 @@ fn run_operator_elementwise(
         // Gather the aligned first value of every input.
         let mut operands: Vec<f64> = Vec::with_capacity(inputs.len());
         let mut named: exprcalc::Context = exprcalc::Context::new();
-        for (slot, ((v, _), map)) in inputs.iter().zip(&keyed).enumerate() {
+        for (slot, ((_, v, _), map)) in inputs.iter().zip(&keyed).enumerate() {
             let vals = if slot == driver {
                 driver_vals.clone()
             } else if let Some(b) = &broadcast[slot] {
@@ -1259,7 +1176,7 @@ fn run_operator_elementwise(
                     let unique = inputs
                         .iter()
                         .enumerate()
-                        .filter(|(k, (w, _))| *k != slot && w.values.contains(name))
+                        .filter(|(k, (_, w, _))| *k != slot && w.values.contains(name))
                         .count()
                         == 0;
                     if unique {
@@ -1284,7 +1201,7 @@ fn run_operator_elementwise(
 
     let mut out_cols = common.clone();
     out_cols.push(out_value_name.clone());
-    materialize(out_engine, table, &out_cols, out_rows)?;
+    let table = vector_table(&out_cols, out_rows)?;
 
     let mut labels: HashMap<String, String> = HashMap::new();
     for p in &common {
@@ -1297,7 +1214,7 @@ fn run_operator_elementwise(
         .unwrap_or_default();
     let rname = inputs
         .get(1)
-        .and_then(|(v, _)| v.values.first().map(|c| v.label(c)))
+        .and_then(|(_, v, _)| v.values.first().map(|c| v.label(c)))
         .unwrap_or_default();
     let label = match op {
         OpKind::Diff => format!("{lname} - {rname}"),
@@ -1311,7 +1228,7 @@ fn run_operator_elementwise(
     labels.insert(out_value_name.clone(), label);
 
     Ok(DataVector {
-        table: table.to_string(),
+        table,
         params: common,
         values: vec![out_value_name],
         labels,
@@ -1359,6 +1276,12 @@ fn apply_elementwise(op: &OpKind, xs: &[f64], named: &exprcalc::Context) -> Resu
     }
 }
 
+/// Alignment key of `row` over its columns `idx`.
+fn key_of(row: &[Value], idx: &[usize]) -> String {
+    let cells: Vec<String> = idx.iter().map(|&i| canon_key(&row[i])).collect();
+    cells.join("\u{1}")
+}
+
 fn canon_key(v: &Value) -> String {
     match v {
         Value::Text(s) => format!("t:{s}"),
@@ -1370,14 +1293,7 @@ fn canon_key(v: &Value) -> String {
 /// Execute a combiner element (paper §3.3.3): align two vectors on their
 /// shared parameters; all result values of both pass through, duplicate
 /// parameters are removed, colliding value names are suffixed.
-fn run_combiner(
-    in_engine: &Engine,
-    out_engine: &Engine,
-    spec: &CombinerSpec,
-    left: &DataVector,
-    right: &DataVector,
-    table: &str,
-) -> Result<DataVector> {
+fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> Result<DataVector> {
     let common: Vec<String> = left
         .params
         .iter()
@@ -1385,8 +1301,8 @@ fn run_combiner(
         .cloned()
         .collect();
 
-    let (lcols, lrows) = read_vector(in_engine, left)?;
-    let (rcols, rrows) = read_vector(in_engine, right)?;
+    let (lcols, lrows) = read_vector(left);
+    let (rcols, rrows) = read_vector(right);
 
     let idx = |cols: &[String], name: &str| cols.iter().position(|c| c == name);
     let lkey: Vec<usize> = common
@@ -1442,22 +1358,12 @@ fn run_combiner(
     // Hash-join right side by common key.
     let mut rmap: HashMap<String, Vec<&Vec<Value>>> = HashMap::new();
     for row in &rrows {
-        let key = rkey
-            .iter()
-            .map(|&i| canon_key(&row[i]))
-            .collect::<Vec<_>>()
-            .join("\u{1}");
-        rmap.entry(key).or_default().push(row);
+        rmap.entry(key_of(row, &rkey)).or_default().push(row);
     }
 
     let mut out_rows = Vec::new();
     for lrow in &lrows {
-        let key = lkey
-            .iter()
-            .map(|&i| canon_key(&lrow[i]))
-            .collect::<Vec<_>>()
-            .join("\u{1}");
-        let Some(matches) = rmap.get(&key) else {
+        let Some(matches) = rmap.get(&key_of(lrow, &lkey)) else {
             continue;
         };
         for rrow in matches {
@@ -1481,7 +1387,7 @@ fn run_combiner(
         }
     }
 
-    materialize(out_engine, table, &out_cols, out_rows)?;
+    let table = vector_table(&out_cols, out_rows)?;
 
     let mut labels = HashMap::new();
     for p in &out_params {
@@ -1507,7 +1413,7 @@ fn run_combiner(
     let mut out_values = lvals_out;
     out_values.extend(rvals_out);
     Ok(DataVector {
-        table: table.to_string(),
+        table,
         params: out_params,
         values: out_values,
         labels,
@@ -1516,10 +1422,10 @@ fn run_combiner(
 
 /// Execute an output element: render every input vector in the requested
 /// format (paper §3.3.4).
-fn run_output(in_engine: &Engine, spec: &OutputSpec, inputs: &[&DataVector]) -> Result<String> {
+fn run_output(spec: &OutputSpec, inputs: &[&DataVector]) -> Result<String> {
     let mut parts = Vec::with_capacity(inputs.len());
     for v in inputs {
-        let (cols, mut rows) = read_vector(in_engine, v)?;
+        let (cols, mut rows) = read_vector(v);
         // Deterministic presentation: sort by parameter columns.
         let pidx: Vec<usize> = v
             .params
@@ -1546,8 +1452,7 @@ pub(crate) mod tests {
     use crate::experiment::{ExperimentDef, Meta, VarKind, Variable};
     use crate::query::spec::{query_from_str, Filter, FilterOp, RunFilter};
     use sqldb::cluster::LatencyModel;
-    use sqldb::DataType;
-    use std::sync::Arc;
+    use sqldb::{DataType, Engine};
 
     /// Small experiment: technique × chunk, bandwidth values, 2 runs per
     /// configuration with controlled numbers.
@@ -1800,22 +1705,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn temp_tables_cleaned_up() {
-        let db = seeded_db();
-        let q = query_from_str(
-            r#"<query name="clean"><source id="s">
-                 <parameter name="chunk" carry="true"/>
-                 <value name="bw"/>
-               </source>
-               <output id="o" input="s" format="ascii"/></query>"#,
-        )
-        .unwrap();
-        QueryRunner::new(&db).run(q).unwrap();
-        assert!(db.engine().temp_table_names().is_empty());
-        assert!(!db.engine().has_table("pb_tmp_clean_s"));
-    }
-
-    #[test]
     fn run_id_filter() {
         let db = seeded_db();
         let q = query_from_str(
@@ -2013,7 +1902,7 @@ pub(crate) mod tests {
       <output id="o" input="rel" format="csv"/>
     </query>"#;
 
-    /// Rows of the vector of source `s` of `spec`, before the temp tables go.
+    /// Rows of the vector of source `s` of `spec`.
     fn source_rows(db: &ExperimentDb, source: &str) -> Vec<Vec<Value>> {
         let spec = query_from_str(&format!(
             r#"<query name="q"><source id="s">{source}</source>
@@ -2023,10 +1912,7 @@ pub(crate) mod tests {
         let ElementKind::Source(s) = &spec.elements[0].kind else {
             panic!("first element is the source");
         };
-        let (v, _) = run_source(db, db.engine(), s, "pb_tmp_q_s").unwrap();
-        let (_, rows) = db.engine().read_snapshot(&v.table).unwrap();
-        db.engine().drop_temp_tables();
-        rows
+        run_source(db, s).unwrap().0.table.to_rows()
     }
 
     /// A restriction on a data-set parameter holds for run-level values too:
@@ -2081,13 +1967,11 @@ pub(crate) mod tests {
         let ElementKind::Source(s) = &spec.elements[0].kind else {
             panic!("first element is the source");
         };
-        let (v, runs) = run_source(&db, db.engine(), s, "pb_tmp_typed_s").unwrap();
+        let (v, runs) = run_source(&db, s).unwrap();
         assert_eq!(runs, 0);
-        let (schema, rows) = db.engine().read_snapshot(&v.table).unwrap();
-        assert!(rows.is_empty());
-        let types: Vec<DataType> = schema.columns.iter().map(|c| c.dtype).collect();
+        assert!(v.table.is_empty());
+        let types: Vec<DataType> = v.table.schema.columns.iter().map(|c| c.dtype).collect();
         assert_eq!(types, [DataType::Text, DataType::Int, DataType::Float]);
-        db.engine().drop_temp_tables();
     }
 
     /// Runs imported before an evolution step answer sources written after
@@ -2166,7 +2050,6 @@ pub(crate) mod tests {
                 err.starts_with("query error: run 2: ") && err.contains(column),
                 "{columns}: {err}"
             );
-            assert!(e.temp_table_names().is_empty());
         }
     }
 
@@ -2405,9 +2288,8 @@ pub(crate) mod tests {
                     }
                 }
 
-                let (v, matched) = run_source(&db, db.engine(), &spec, "pb_tmp_oracle").unwrap();
-                let (schema, got) = db.engine().read_snapshot(&v.table).unwrap();
-                db.engine().drop_temp_tables();
+                let (v, matched) = run_source(&db, &spec).unwrap();
+                let (schema, got) = (&v.table.schema, v.table.to_rows());
                 assert_eq!(got, want, "case {case}: {spec:?}");
                 assert!(matched <= runs.len());
                 let names: Vec<&String> = schema.columns.iter().map(|c| &c.name).collect();
@@ -2450,10 +2332,6 @@ pub(crate) mod tests {
             .run(query_from_str(FIG7ISH).unwrap())
             .unwrap();
         assert_eq!(seq.artifacts["o"], par.artifacts["o"]);
-        // Temp tables cleaned on all nodes.
-        for i in 0..cluster.len() {
-            assert!(cluster.node(i).engine.temp_table_names().is_empty());
-        }
     }
 
     #[test]
@@ -2491,48 +2369,151 @@ pub(crate) mod tests {
             .is_err());
     }
 
-    /// A spec whose first wave succeeds and whose second wave fails (`diff`
-    /// over two multi-row vectors that share no parameter) must leave no
-    /// `pb_tmp_*` table behind, on the frontend or on any cluster node.
+    /// Everything a write to `engine` would move: commit epoch, log length,
+    /// catalog, TEMP set.
+    pub(crate) fn written(engine: &Engine) -> (u64, u64, Vec<String>, Vec<String>) {
+        (
+            engine.epoch(),
+            engine.wal_frames(),
+            engine.table_names(),
+            engine.temp_table_names(),
+        )
+    }
+
+    /// A query writes nothing — succeeding or failing in its second wave
+    /// (`diff` over two multi-row vectors that share no parameter), inline,
+    /// threaded, placed or sharded: epoch, log, catalog and TEMP set of the
+    /// experiment's engine and of every node are what they were, and a TEMP
+    /// table somebody else made is still there.
     #[test]
-    fn failed_element_leaves_no_temp_tables() {
+    fn a_query_writes_nothing() {
         let bad = r#"<query name="leak">
           <source id="a"><parameter name="technique" value="old"/><value name="bw"/></source>
           <source id="b"><parameter name="technique" value="new"/><value name="bw"/></source>
           <operator id="d" type="diff" input="a,b"/>
           <output id="o" input="d" format="csv"/></query>"#;
-        let db = seeded_db();
-        assert!(QueryRunner::new(&db)
-            .run(query_from_str(bad).unwrap())
-            .is_err());
-        assert!(db.engine().temp_table_names().is_empty());
-
-        let cluster = Cluster::new(3, LatencyModel::none());
-        for parallel in [false, true] {
-            assert!(QueryRunner::new(&db)
-                .parallel(parallel)
-                .on_cluster(&cluster)
-                .run(query_from_str(bad).unwrap())
-                .is_err());
-            assert!(db.engine().temp_table_names().is_empty());
-            for i in 0..cluster.len() {
-                assert!(cluster.node(i).engine.temp_table_names().is_empty());
+        let dir = std::env::temp_dir().join("perfbase_query_writes_nothing");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (n, sharded) in [false, true].into_iter().enumerate() {
+            let db = if sharded { sharded_db(2) } else { seeded_db() };
+            let opts = sqldb::WalOptions::with_sync(sqldb::SyncPolicy::Off);
+            let log = dir.join(format!("{n}.wal"));
+            std::fs::remove_file(&log).ok();
+            db.engine()
+                .attach_wal(sqldb::Wal::create(&log, opts, 1).unwrap());
+            db.engine()
+                .execute("CREATE TABLE logged (x INTEGER)")
+                .unwrap();
+            db.engine()
+                .execute("CREATE TEMP TABLE mine (x INTEGER)")
+                .unwrap();
+            let placement = Cluster::new(3, LatencyModel::none());
+            let sharding = db.sharding();
+            let engines: Vec<&Engine> = std::iter::once(&**db.engine())
+                .chain((0..3).map(|i| &*placement.node(i).engine))
+                .chain(sharding.iter().flat_map(|sh| {
+                    (0..sh.cluster().len()).map(move |i| &*sh.cluster().node(i).engine)
+                }))
+                .collect();
+            let before: Vec<_> = engines.iter().map(|e| written(e)).collect();
+            assert_eq!(before[0].1, 1, "the log counts frames");
+            for (spec, succeeds) in [(FIG7ISH, true), (bad, false)] {
+                for mode in 0..6 {
+                    let mut runner = QueryRunner::new(&db)
+                        .parallel(mode % 2 == 1)
+                        .pushdown(mode < 4);
+                    if mode >= 2 {
+                        runner = runner.on_cluster(&placement);
+                    }
+                    let ran = runner.run(query_from_str(spec).unwrap());
+                    assert_eq!(ran.is_ok(), succeeds, "mode {mode}");
+                    let after: Vec<_> = engines.iter().map(|e| written(e)).collect();
+                    assert_eq!(after, before, "sharded={sharded} mode {mode}");
+                }
             }
+            assert!(db.engine().has_table("mine"));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        let db = sharded_db(2);
-        assert!(QueryRunner::new(&db)
-            .pushdown(false)
-            .run(query_from_str(bad).unwrap())
-            .is_err());
-        let sharding = db.sharding().unwrap();
-        for i in 0..sharding.cluster().len() {
-            assert!(sharding
-                .cluster()
-                .node(i)
-                .engine
-                .temp_table_names()
-                .is_empty());
+    /// Two callers running two specs that share the query name and every
+    /// element id on one database do not interact: every run is `Ok` and
+    /// byte-equal to its own sequential artifact.
+    #[test]
+    fn concurrent_queries_on_one_database_do_not_interact() {
+        let db = seeded_db();
+        let spec = |technique: &str| {
+            format!(
+                r#"<query name="q"><source id="s">
+                     <parameter name="technique" value="{technique}"/>
+                     <parameter name="chunk" carry="true"/>
+                     <value name="bw"/>
+                   </source>
+                   <operator id="m" type="max" input="s"/>
+                   <output id="o" input="m" format="csv"/></query>"#
+            )
+        };
+        let run = |technique: &str| {
+            let out = QueryRunner::new(&db).run(query_from_str(&spec(technique)).unwrap());
+            out.map(|out| out.artifacts["o"].clone())
+        };
+        let (old, new) = (run("old").unwrap(), run("new").unwrap());
+        assert_ne!(old, new);
+        std::thread::scope(|scope| {
+            for (technique, want) in [("old", &old), ("new", &new)] {
+                let run = &run;
+                scope.spawn(move || {
+                    for i in 0..200 {
+                        assert_eq!(run(technique).as_ref(), Ok(want), "{technique} run {i}");
+                    }
+                });
+            }
+        });
+    }
+
+    /// Query names and element ids are labels, not SQL: any string gives the
+    /// artifacts the names `q` / `s` give, through any number of aggregations.
+    #[test]
+    fn query_and_element_names_are_labels() {
+        let db = seeded_db();
+        let spec = |query: &str, source: &str, shape: usize| {
+            let operators = [
+                format!(r#"<output id="o" input="{source}" format="csv"/>"#),
+                format!(
+                    r#"<operator id="m" type="max" input="{source}"/>
+                       <output id="o" input="m" format="csv"/>"#
+                ),
+                format!(
+                    r#"<operator id="m" type="max" input="{source}"/>
+                       <operator id="mm" type="max" input="m"/>
+                       <output id="o" input="mm" format="csv"/>"#
+                ),
+            ];
+            let xml = format!(
+                r#"<query name="{query}"><source id="{source}">
+                     <parameter name="chunk" carry="true"/><value name="bw"/>
+                   </source>{}</query>"#,
+                operators[shape]
+            );
+            QueryRunner::new(&db)
+                .run(query_from_str(&xml).unwrap())
+                .map(|out| out.artifacts)
+        };
+        for shape in 0..3 {
+            let want = spec("q", "s", shape).unwrap();
+            for (query, source) in [
+                ("fig-7", "s"),
+                ("fig 7", "s"),
+                ("q", "s-old"),
+                ("größe", "s"),
+            ] {
+                let got = spec(query, source, shape);
+                assert_eq!(
+                    got.as_ref(),
+                    Ok(&want),
+                    "{query:?} {source:?} shape {shape}"
+                );
+            }
         }
     }
 

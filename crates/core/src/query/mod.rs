@@ -10,13 +10,16 @@
 //! * **output** — renders vectors as Gnuplot input, ASCII tables, CSV,
 //!   LaTeX or XML tables.
 //!
-//! Elements communicate **through temporary database tables** (paper §4.2):
-//! each element materialises its output vector into its own temp table and
-//! passes only the table name downstream. [`exec`] holds the one runner:
-//! sequential by default, optionally with the ready elements of each wave
-//! on threads and/or placed across the nodes of a simulated database
-//! cluster (Fig. 3); [`parallel`] predicts the scaling curve from its
-//! timings.
+//! Elements hand each other **data vectors**: a table of typed columns
+//! ([`DataVector::table`], shared by `Arc`) plus column metadata. The paper's
+//! elements pass temp-table *names* (§4.2) because they are processes
+//! talking to a database server; here elements and engine share an address
+//! space, so the edge is the table itself and a query writes nothing to any
+//! catalog — aggregation still runs in the database's executor
+//! (`sqldb::Table::select`). [`exec`] holds the one runner: sequential by
+//! default, optionally with the ready elements of each wave on threads
+//! and/or placed across the nodes of a simulated database cluster (Fig. 3);
+//! [`parallel`] predicts the scaling curve from its timings.
 #![warn(missing_docs)]
 
 pub mod dag;
@@ -32,13 +35,14 @@ pub use spec::{
 };
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// A data vector flowing between query elements: the name of the temp table
-/// holding it plus column metadata.
-#[derive(Debug, Clone, PartialEq)]
+/// A data vector flowing between query elements: its rows as a table of
+/// typed columns plus column metadata.
+#[derive(Debug, Clone)]
 pub struct DataVector {
-    /// Temp table holding the rows.
-    pub table: String,
+    /// The rows; shared between the producer's outcome and every consumer.
+    pub table: Arc<sqldb::Table>,
     /// Parameter columns (the dimensions the data varies over).
     pub params: Vec<String>,
     /// Value columns (the measured results).

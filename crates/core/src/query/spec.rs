@@ -7,7 +7,7 @@ use xmlite::{Document, Element};
 /// A complete query specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
-    /// Query name (used to namespace its temp tables).
+    /// Query name: a label (traces, reports), free of any syntax.
     pub name: String,
     /// All elements keyed by id, in document order.
     pub elements: Vec<ElementSpec>,

@@ -15,7 +15,8 @@
 //! 2. **Import** runs: XML input descriptions locate variable content in
 //!    arbitrary ASCII output files — [`core::input`], [`core::import`].
 //! 3. **Query**: `source → operator → combiner → output` dataflow graphs
-//!    computed through database temp tables — [`core::query`].
+//!    whose elements hand each other typed data vectors and aggregate in
+//!    the database's executor — [`core::query`].
 //!
 //! ```
 //! use perfbase::core::experiment::{ExperimentDb, ExperimentDef, Meta, Variable, VarKind};

@@ -7,11 +7,12 @@
 //!
 //! We do not have a cluster, so this module simulates one: every [`Node`]
 //! owns an independent [`Engine`], and all cross-node data movement goes
-//! through [`Cluster::copy_table`] / [`Cluster::fetch`] /
-//! [`Cluster::scan`], which charge a configurable socket-latency
-//! cost (a real `thread::sleep`, so wall-clock benchmarks see it) and
-//! record transfer statistics. Same-node access is free, exactly like the
-//! paper's placement argument.
+//! through [`Cluster::fetch`] / [`Cluster::scan`] — or, for data an upper
+//! layer holds itself (a query element's output vector), is charged through
+//! [`Cluster::charge_transfer`] / [`Cluster::charge_shipment`] — at a
+//! configurable socket-latency cost (a real `thread::sleep`, so wall-clock
+//! benchmarks see it), recorded in the transfer statistics. Same-node access
+//! is free, exactly like the paper's placement argument.
 //!
 //! Beyond element-level placement, the cluster supports **data-level
 //! sharding**: a [`ShardMap`] deterministically assigns each run id to an
@@ -385,16 +386,17 @@ impl Cluster {
 
     /// Publicly charge one cross-node message of `rows` rows — used by
     /// upper layers that move data between nodes through their own code
-    /// path (e.g. perfbase materialising an element's output vector on the
+    /// path (e.g. perfbase handing an element's output vector to the
     /// consuming node).
     pub fn charge_transfer(&self, rows: usize) {
         self.charge(rows);
     }
 
     /// Charge a full table shipment: one header/schema round-trip message
-    /// plus one payload message of `rows` rows. This is what
-    /// [`Cluster::copy_table`] charges, and what import-time routing of a new run's data to its owning node
-    /// costs.
+    /// plus one payload message of `rows` rows (two messages — so even an
+    /// empty table is not free). This is what a copy of an element's output
+    /// vector for one more consuming node costs, and import-time routing of a
+    /// new run's data to its owning node.
     pub fn charge_shipment(&self, rows: usize) {
         obs::incr(obs::Counter::ClusterShipments);
         obs::record(obs::Hist::ShipmentRows, rows as u64);
@@ -554,32 +556,6 @@ impl Cluster {
         let selected = |(_, positions): &(Arc<Table>, Vec<usize>)| positions.len();
         self.ask(src, dst, |engine| engine.scan(table, filter), selected)
     }
-
-    /// Copy a whole table from node `src` to node `dst` as TEMP table
-    /// `dst_name` (replacing a TEMP table of that name): the source version
-    /// is pinned and a copy of it installed, in one publish on `dst`
-    /// ([`Engine::install_temp_table`]). Crossing nodes charges a
-    /// header/schema round trip plus the row payload (two messages — so even
-    /// an empty table is not free). Returns the number of rows moved.
-    pub fn copy_table(
-        &self,
-        src: usize,
-        src_name: &str,
-        dst: usize,
-        dst_name: &str,
-    ) -> Result<usize, DbError> {
-        let source = self.nodes[src].engine.pin_table(src_name)?;
-        let n = source.len();
-        let mut span = obs::span("cluster.copy_table");
-        span.annotate(|| format!("src={src} dst={dst} rows={n}"));
-        if src != dst {
-            self.charge_shipment(n);
-        }
-        self.nodes[dst]
-            .engine
-            .install_temp_table(dst_name, Table::clone(&source))?;
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -611,19 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn copy_table_moves_rows_and_counts_stats() {
+    fn shipment_charges_header_plus_payload() {
         let c = Cluster::new(2, LatencyModel::none());
-        c.node(0)
-            .engine
-            .execute("CREATE TABLE t (x INTEGER)")
-            .unwrap();
-        c.node(0)
-            .engine
-            .execute("INSERT INTO t VALUES (1),(2),(3)")
-            .unwrap();
-        let n = c.copy_table(0, "t", 1, "t_copy").unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(c.node(1).engine.row_count("t_copy").unwrap(), 3);
+        c.charge_shipment(3);
         let s = c.stats();
         // Header/schema round trip + row payload.
         assert_eq!(s.messages, 2);
@@ -633,31 +599,12 @@ mod tests {
     #[test]
     fn empty_table_copy_still_charges_header() {
         let c = Cluster::new(2, LatencyModel::lan());
-        c.node(0)
-            .engine
-            .execute("CREATE TABLE t (x INTEGER)")
-            .unwrap();
-        c.copy_table(0, "t", 1, "t_copy").unwrap();
+        c.charge_shipment(0);
         let s = c.stats();
         assert_eq!(s.messages, 2);
         assert_eq!(s.rows, 0);
         // Two messages cost two per-message latencies even with no rows.
         assert_eq!(s.simulated, LatencyModel::lan().per_message * 2);
-    }
-
-    #[test]
-    fn same_node_copy_is_free() {
-        let c = Cluster::new(1, LatencyModel::lan());
-        c.node(0)
-            .engine
-            .execute("CREATE TABLE t (x INTEGER)")
-            .unwrap();
-        c.node(0)
-            .engine
-            .execute("INSERT INTO t VALUES (1)")
-            .unwrap();
-        c.copy_table(0, "t", 0, "t2").unwrap();
-        assert_eq!(c.stats().messages, 0);
     }
 
     #[test]
@@ -715,17 +662,9 @@ mod tests {
     #[test]
     fn stats_delta_and_reset() {
         let c = Cluster::new(2, LatencyModel::none());
-        c.node(0)
-            .engine
-            .execute("CREATE TABLE t (x INTEGER)")
-            .unwrap();
-        c.node(0)
-            .engine
-            .execute("INSERT INTO t VALUES (1),(2)")
-            .unwrap();
-        c.copy_table(0, "t", 1, "a").unwrap();
+        c.charge_shipment(2);
         let before = c.stats();
-        c.copy_table(0, "t", 1, "b").unwrap();
+        c.charge_shipment(2);
         let d = c.stats().delta_since(&before);
         assert_eq!(d.messages, 2);
         assert_eq!(d.rows, 2);
@@ -753,8 +692,11 @@ mod tests {
                 .execute(&format!("INSERT INTO t VALUES ({i}), ({})", i * 10))
                 .unwrap();
         }
-        // TEMP traffic (copy_table) must not pollute any node's log.
-        c.copy_table(0, "t", 1, "t_copy").unwrap();
+        // TEMP traffic must not pollute any node's log.
+        let temp = &c.node(1).engine;
+        temp.execute("CREATE TEMP TABLE t_copy (x INTEGER)")
+            .unwrap();
+        temp.execute("INSERT INTO t_copy VALUES (0), (0)").unwrap();
         c.sync_wals().unwrap();
         drop(c);
 

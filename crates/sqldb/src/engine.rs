@@ -40,7 +40,7 @@ pub(crate) fn stmt_class(stmt: &Stmt) -> obs::StmtClass {
 /// WAL attribution to `class` for its lifetime and records one statement
 /// with its wall time on drop. The SQL-text entry points (`execute`,
 /// `query`) do this inline instead, after parsing tells them the class.
-struct ClassifiedStmt {
+pub(crate) struct ClassifiedStmt {
     class: obs::StmtClass,
     started: Instant,
     _scope: obs::ClassScope,
@@ -52,7 +52,7 @@ impl Drop for ClassifiedStmt {
     }
 }
 
-fn classified(class: obs::StmtClass) -> ClassifiedStmt {
+pub(crate) fn classified(class: obs::StmtClass) -> ClassifiedStmt {
     ClassifiedStmt {
         class,
         started: Instant::now(),
@@ -265,16 +265,6 @@ impl Engine {
         self.write(name, ask, Text::Render).map(drop)
     }
 
-    /// Install an already-built table as TEMP table `name`, replacing a TEMP
-    /// table of that name — what [`Engine::create_table_opts`] with `temp`
-    /// and [`Engine::insert_rows`] arrive at, in one publish. Never logged,
-    /// like every TEMP write. A persistent table of that name is an error.
-    pub fn install_temp_table(&self, name: &str, table: Table) -> Result<(), DbError> {
-        let _stmt = classified(obs::StmtClass::Ddl);
-        self.write(name, Ask::Install(table), Text::Unwanted)
-            .map(drop)
-    }
-
     /// Drop a table. Dropping a TEMP or nonexistent table is never logged:
     /// neither has any durable effect.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<(), DbError> {
@@ -288,10 +278,8 @@ impl Engine {
     fn write(&self, name: &str, ask: Ask, text: Text<'_>) -> Result<usize, DbError> {
         let mut wal = self.wal.lock();
         let text = if wal.is_some() { text } else { Text::Unwanted };
-        // Whether the table is TEMP decides what is logged and what may be
-        // installed over it, nothing else.
-        let asks_temp = !matches!(text, Text::Unwanted) || matches!(ask, Ask::Install(_));
-        let view_is_temp = asks_temp && self.is_temp(name);
+        // Whether the table is TEMP decides what is logged, nothing else.
+        let view_is_temp = !matches!(text, Text::Unwanted) && self.is_temp(name);
         let slot = self.tables.read().get(name).cloned();
         let (change, text) = {
             let view = slot.as_ref().map(|slot| slot.read());
@@ -584,15 +572,6 @@ impl Engine {
         obs::set(obs::Counter::MemDictBytes, sum(|m| m.dict_bytes));
         obs::set(obs::Counter::MemDictEntries, sum(|m| m.dict_entries));
         report
-    }
-
-    /// Drop every TEMP table — perfbase does this at the end of a query.
-    pub fn drop_temp_tables(&self) {
-        let mut wal = self.wal.lock();
-        let names = self.temp_table_names();
-        let drops = names.iter().map(|name| (name.as_str(), Change::Drop));
-        self.publish(&mut wal, None, &mut drops.collect::<Vec<_>>(), Vec::new())
-            .expect("nothing to log, nothing to fail");
     }
 
     /// Execute a non-SELECT statement; returns the number of affected rows
@@ -947,8 +926,6 @@ pub(crate) enum Ask {
         temp: bool,
         if_not_exists: bool,
     },
-    /// [`Engine::install_temp_table`].
-    Install(Table),
     /// `DROP TABLE [IF EXISTS]`.
     DropTable { if_exists: bool },
     /// `INSERT … [(columns)] VALUES rows`.
@@ -1135,7 +1112,7 @@ pub(crate) fn plan(
     view_is_temp: bool,
     text: Text<'_>,
 ) -> Result<(Change, Option<String>), DbError> {
-    let creates_temp = matches!(ask, Ask::CreateTable { temp: true, .. } | Ask::Install(_));
+    let creates_temp = matches!(ask, Ask::CreateTable { temp: true, .. });
     let temp = view_is_temp || creates_temp;
     let render = matches!(text, Text::Render) && !temp;
     let mut rendered = None;
@@ -1159,13 +1136,6 @@ pub(crate) fn plan(
                 Some(_) => return Err(DbError::TableExists(name.to_string())),
             }
         }
-        Ask::Install(_) if view.is_some() && !view_is_temp => {
-            return Err(DbError::TableExists(name.to_string()))
-        }
-        Ask::Install(table) => Change::Version {
-            table: Arc::new(table),
-            temp: true,
-        },
         Ask::DropTable { if_exists } => match view {
             Some(_) => {
                 if render {
@@ -1452,9 +1422,9 @@ mod tests {
         ]
     }
 
-    /// A table installed in one step is the table `create_table_opts` +
-    /// `insert_rows` build: same rows to SQL, TEMP, gone with the other
-    /// TEMP tables, absent from the log and the dump.
+    /// A TEMP table made through the SQL door is the table
+    /// `create_table_opts` + `insert_rows` build: same rows to SQL, TEMP,
+    /// absent from the log and the dump, gone with its DROP.
     #[test]
     fn installed_temp_table_is_an_ordinary_temp_table() {
         use crate::wal::SyncPolicy;
@@ -1471,11 +1441,12 @@ mod tests {
         db.create_table_opts("by_rows", vector_schema(), true, false)
             .unwrap();
         db.insert_rows("by_rows", vector_rows()).unwrap();
-        let mut built = Table::new(vector_schema());
-        built.insert_all(vector_rows()).unwrap();
         let epoch = db.epoch();
-        db.install_temp_table("installed", built).unwrap();
+        db.execute("CREATE TEMP TABLE installed (fs TEXT, bw FLOAT)")
+            .unwrap();
         assert_eq!(db.epoch(), epoch + 1, "one commit");
+        db.execute("INSERT INTO installed VALUES ('ufs', 1.5), (NULL, 2.5), ('nfs', NULL)")
+            .unwrap();
 
         let q = |t: &str| {
             db.query(&format!(
@@ -1496,18 +1467,19 @@ mod tests {
         assert_eq!(db.wal_frames(), frames);
         assert!(!db.dump_sql().contains("installed"));
 
-        // Installing again replaces the TEMP table; a persistent table of
-        // that name is never shadowed or replaced.
-        db.install_temp_table("installed", Table::new(vector_schema()))
-            .unwrap();
-        assert_eq!(db.row_count("installed").unwrap(), 0);
-        assert!(matches!(
-            db.install_temp_table("kept", Table::new(vector_schema())),
-            Err(DbError::TableExists(_))
-        ));
+        // A TEMP table never shadows or replaces a table of its name.
+        for taken in ["installed", "kept"] {
+            assert!(matches!(
+                db.execute(&format!("CREATE TEMP TABLE {taken} (fs TEXT, bw FLOAT)")),
+                Err(DbError::TableExists(_))
+            ));
+        }
         assert_eq!(db.read_snapshot("kept").unwrap().0.names(), ["a"]);
 
-        db.drop_temp_tables();
+        for temp in db.temp_table_names() {
+            db.drop_table(&temp, false).unwrap();
+        }
+        assert!(db.temp_table_names().is_empty());
         assert_eq!(db.table_names(), ["kept"]);
         assert_eq!(db.wal_frames(), frames);
         drop(db);

@@ -74,7 +74,7 @@ fn materialize(cat: Catalog<'_>, name: &str) -> Result<(Schema, Vec<Row>), DbErr
 pub(crate) fn run_select(cat: Catalog<'_>, sel: &SelectStmt) -> Result<ResultSet, DbError> {
     match &sel.from {
         None => general_select(sel, Schema::default(), vec![Vec::new()]),
-        Some(base) if sel.joins.is_empty() => single_table_select(cat, base, sel),
+        Some(base) if sel.joins.is_empty() => single_table_select(&*cat.pin(base)?, sel),
         Some(base) => {
             let (schema, rows) = join_input(cat, base, &sel.joins)?;
             general_select(sel, schema, rows)
@@ -153,16 +153,32 @@ fn is_aggregation(sel: &SelectStmt) -> bool {
         })
 }
 
-/// Single-table SELECT over the pinned table version (no lock is held
-/// during the scan): select positions, then aggregate or project straight
-/// off the column store.
-fn single_table_select(
-    cat: Catalog<'_>,
-    base: &str,
-    sel: &SelectStmt,
-) -> Result<ResultSet, DbError> {
-    let pinned = cat.pin(base)?;
-    let table: &Table = &pinned;
+impl Table {
+    /// Run the single-table SELECT `sel` over this table — a version somebody
+    /// pinned, or a table no catalog ever held (a query's data vector). It is
+    /// the pipeline a statement naming the table goes through after its pin:
+    /// the same access planner, vectorised filter, fast-aggregate path and
+    /// `scan.*` / `plan.*` counters, and it counts as one statement of the
+    /// `select` class. Nothing is parsed, `sel.from` is not looked at, and a
+    /// statement with joins is refused.
+    pub fn select(&self, sel: &SelectStmt) -> Result<ResultSet, DbError> {
+        if !sel.joins.is_empty() {
+            return Err(DbError::Execution(
+                "Table::select() only accepts single-table statements".into(),
+            ));
+        }
+        let _stmt = crate::engine::classified(obs::StmtClass::Select);
+        let mut span = obs::span("query");
+        span.annotate(|| format!("class=select rows={}", self.len()));
+        obs::incr(obs::Counter::QueriesRun);
+        single_table_select(self, sel)
+    }
+}
+
+/// Single-table SELECT over a pinned table version (no lock is held during
+/// the scan): select positions, then aggregate or project straight off the
+/// column store.
+fn single_table_select(table: &Table, sel: &SelectStmt) -> Result<ResultSet, DbError> {
     let (schema, store) = (&table.schema, table.store());
     let sv = plan_positions(table, sel.where_clause.as_ref(), plan_select(sel, table))?;
 
@@ -2902,5 +2918,52 @@ mod tests {
             e.query(q).unwrap().rows(),
             e.query_reference(q).unwrap().rows()
         );
+    }
+
+    /// `Table::select` is the statement without the catalog: over a pinned
+    /// table it answers what `Engine::query` answers for the same statement
+    /// text, whatever the statement names after FROM.
+    #[test]
+    fn table_select_answers_what_the_statement_answers() {
+        use crate::sql::{parse_statement, Stmt};
+        let e = runs_db();
+        let pinned = e.pin_table("runs").unwrap();
+        let select = |text: &str| match parse_statement(text).unwrap() {
+            Stmt::Select(sel) => sel,
+            other => panic!("not a SELECT: {other:?}"),
+        };
+        let aggs = [
+            "count", "sum", "avg", "min", "max", "stddev", "variance", "prod", "first", "median",
+        ];
+        let filters = [
+            "",
+            " WHERE bw > 100.0",
+            " WHERE fs = 'ufs' AND id < 150",
+            " WHERE fs IN ('nfs', 'pvfs') OR ok = TRUE",
+            " WHERE id >= 500",
+        ];
+        let mut rng = crate::test_common::Rng::new(0x5e1ec7);
+        let mut pick = |of: &[&'static str]| of[rng.below(of.len() as u64) as usize];
+        for case in 0..200 {
+            let calls: Vec<String> = (0..1 + case % 3)
+                .map(|i| format!("{}({}) AS a{i}", pick(&aggs), pick(&["bw", "id", "at"])))
+                .collect();
+            let keys = pick(&["", "fs", "ok", "fs, ok"]);
+            let mut text = match keys {
+                "" => format!("SELECT {} FROM runs", calls.join(", ")),
+                keys => format!("SELECT {keys}, {} FROM runs", calls.join(", ")),
+            };
+            text.push_str(pick(&filters));
+            if !keys.is_empty() {
+                text.push_str(&format!(" GROUP BY {keys}"));
+                text.push_str(pick(&["", " ORDER BY 1", " ORDER BY a0 DESC LIMIT 2"]));
+            }
+            let mut sel = select(&text);
+            assert_eq!(pinned.select(&sel), e.query(&text), "{text}");
+            sel.from = None;
+            assert_eq!(pinned.select(&sel), e.query(&text), "no FROM: {text}");
+        }
+        let joined = select("SELECT count(*) FROM runs JOIN runs ON runs.id = runs.id");
+        assert!(matches!(pinned.select(&joined), Err(DbError::Execution(_))));
     }
 }

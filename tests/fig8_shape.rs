@@ -26,8 +26,8 @@ const INPUT: &str = include_str!("../crates/bench/data/b_eff_io_input.xml");
 const QUERY: &str = include_str!("../crates/bench/data/b_eff_io_query.xml");
 
 /// Run the whole §5 campaign and collect (s_chunk, mode, relative %) rows
-/// from the gnuplot artifact's inline data block (temp tables are dropped
-/// once the query finishes, so the artifact is the durable record).
+/// from the gnuplot artifact's inline data block (the artifact is what a
+/// user keeps of a query).
 fn fig8_rows_from_artifact() -> Vec<(i64, String, f64)> {
     let def = xmldef::definition_from_str(EXPERIMENT).unwrap();
     let db = ExperimentDb::create(Arc::new(Engine::new()), def).unwrap();

@@ -205,7 +205,9 @@ const FIG7ISH: &str = r#"<query name="fig7ish">
 
 /// Every execution mode must produce byte-identical artifacts, the same
 /// `timings` ids in the same order, and the interconnect traffic the two
-/// separate runners produced before they were merged.
+/// separate runners produced before they were merged — and write nothing:
+/// the commit epoch and the catalog of the frontend and of every node of the
+/// placement and the sharding cluster are what they were before the run.
 #[test]
 fn every_mode_of_the_one_runner_agrees() {
     let mut specs = equivalence_specs();
@@ -242,13 +244,30 @@ fn every_mode_of_the_one_runner_agrees() {
             shard(&db, shards);
         }
         let workers = (placement > 0).then(|| Cluster::new(placement, LatencyModel::none()));
+        let sharding = db.sharding();
+        let clusters = [
+            workers.as_ref(),
+            sharding.as_ref().map(|sh| &**sh.cluster()),
+        ];
+        let written = || -> Vec<(u64, Vec<String>)> {
+            let nodes = clusters
+                .iter()
+                .flatten()
+                .flat_map(|c| (0..c.len()).map(|i| &*c.node(i).engine));
+            std::iter::once(&**db.engine())
+                .chain(nodes)
+                .map(|e| (e.epoch(), e.table_names()))
+                .collect()
+        };
         let (mut messages, mut rows) = (0, 0);
         for (k, (name, spec)) in specs.iter().enumerate() {
             let mut runner = QueryRunner::new(&db).parallel(threads).pushdown(pushdown);
             if let Some(c) = &workers {
                 runner = runner.on_cluster(c);
             }
+            let before = written();
             let out = runner.run(query_from_str(spec).unwrap()).unwrap();
+            assert_eq!(written(), before, "{name} wrote in mode {mode}");
             let mut ids: Vec<&String> = out.artifacts.keys().collect();
             ids.sort();
             let artifacts: String = ids

@@ -2,7 +2,10 @@
 # Offline smoke test: full release build, a warning-free clippy pass, the
 # complete test suite (including the execution-mode equivalence suite, the
 # source-scan guards — statement and row counts of a source element, the
-# parent-build artifact fixture, concurrent typed appends — the write-path
+# parent-build artifact fixture, concurrent typed appends — the query-edge
+# regressions: a query writes nothing (epoch, log and catalog of every engine
+# unchanged) and two callers sharing query and element names on one database
+# do not interact — the write-path
 # suite: the every-door model (execute, programmatic call, transaction, script
 # and replay leave the same catalog and the same log) and the parent-build
 # log/dump fixtures — the transaction
@@ -46,6 +49,10 @@ echo "== source scan (O(1) statements + same rows visited, parent-build fixture,
 cargo test -q -p perfbase --test source_scan
 cargo test -q -p perfbase --test sharded_equivalence source_scan_matches
 cargo test -q -p sqldb --test concurrency concurrent_typed_scans
+
+echo "== query edges (a query writes nothing; two callers on one database do not interact) =="
+cargo test -q -p perfbase-core --lib a_query_writes_nothing
+cargo test -q -p perfbase-core --lib concurrent_queries_on_one_database_do_not_interact
 
 echo "== write path (every door one outcome, parent-build log and dump fixtures) =="
 cargo test -q -p sqldb --test write_path
@@ -196,6 +203,6 @@ echo "== bench regression guard =="
 cargo run --release -p bench --bin bench_guard
 
 echo "== net Rust LOC (informational; the figure CHANGES.md reports) =="
-sh tests/loc.sh crates/sqldb/src/engine.rs crates/sqldb/src/txn.rs || true
+sh tests/loc.sh crates/sqldb/src/engine.rs crates/sqldb/src/txn.rs crates/core/src/query/exec.rs || true
 
 echo "smoke: OK"

@@ -5,10 +5,12 @@
 
 use perfbase::sqldb::cluster::{Cluster, LatencyModel};
 use perfbase::sqldb::Engine;
+use std::sync::Arc;
 
-fn seeded_cluster(nodes: usize, rows: usize) -> Cluster {
+/// A cluster whose node `node` holds `src (id, v)` with `rows` rows.
+fn seeded_cluster(nodes: usize, node: usize, rows: usize) -> Cluster {
     let c = Cluster::new(nodes, LatencyModel::none());
-    let e = &c.node(0).engine;
+    let e = &c.node(node).engine;
     e.execute("CREATE TABLE src (id INTEGER, v FLOAT)").unwrap();
     let values: Vec<String> = (0..rows).map(|i| format!("({i}, {i}.5)")).collect();
     e.execute(&format!("INSERT INTO src VALUES {}", values.join(",")))
@@ -17,13 +19,11 @@ fn seeded_cluster(nodes: usize, rows: usize) -> Cluster {
 }
 
 #[test]
-fn copy_table_charges_header_plus_payload_per_node() {
+fn shipment_charges_header_plus_payload_per_node() {
     for nodes in [1usize, 2, 4] {
-        let c = seeded_cluster(nodes, 10);
-        c.reset_stats();
-        for dst in 1..nodes {
-            let moved = c.copy_table(0, "src", dst, "src").unwrap();
-            assert_eq!(moved, 10);
+        let c = Cluster::new(nodes, LatencyModel::none());
+        for _dst in 1..nodes {
+            c.charge_shipment(10);
         }
         let s = c.stats();
         let shipments = (nodes - 1) as u64;
@@ -34,26 +34,39 @@ fn copy_table_charges_header_plus_payload_per_node() {
     }
 }
 
+/// A vector whose consumers sit on the node that produced it is handed
+/// over, not shipped: a query placed on a one-node cluster charges nothing,
+/// and neither does a read on the node that holds the table.
 #[test]
 fn same_node_copy_is_free() {
-    let c = seeded_cluster(2, 5);
-    c.reset_stats();
-    c.copy_table(0, "src", 0, "src_copy").unwrap();
-    let s = c.stats();
-    assert_eq!(s.messages, 0);
-    assert_eq!(s.rows, 0);
-    assert!(c.node(0).engine.has_table("src_copy"));
+    use perfbase::core::query::spec::query_from_str;
+    use perfbase::core::query::QueryRunner;
+    let db = campaign_db();
+    let spec = r#"<query name="on_node"><source id="s">
+           <parameter name="s_chunk" carry="true"/><value name="b_separate"/>
+         </source>
+         <operator id="lo" type="min" input="s"/>
+         <operator id="hi" type="max" input="s"/>
+         <operator id="d" type="diff" input="hi,lo"/>
+         <output id="o" input="d" format="csv"/></query>"#;
+    let placed = |nodes: usize| {
+        let c = Cluster::new(nodes, LatencyModel::none());
+        let out = QueryRunner::new(&db).on_cluster(&c);
+        out.run(query_from_str(spec).unwrap()).unwrap().transfer
+    };
+    assert_eq!(placed(1), Some(Default::default()));
+    assert!(placed(3).expect("placed runs report transfer").messages > 0);
+
+    let c = seeded_cluster(2, 1, 5);
+    c.fetch(1, 1, "SELECT * FROM src").unwrap();
+    c.scan(1, 1, "src", None).unwrap();
+    assert_eq!(c.stats(), Default::default());
 }
 
 #[test]
 fn empty_table_shipment_is_not_free() {
     let c = Cluster::new(2, LatencyModel::none());
-    c.node(0)
-        .engine
-        .execute("CREATE TABLE empty (x INTEGER)")
-        .unwrap();
-    c.reset_stats();
-    c.copy_table(0, "empty", 1, "empty").unwrap();
+    c.charge_shipment(0);
     let s = c.stats();
     // Header/schema round trip + zero-row payload: two messages, no rows.
     assert_eq!(s.messages, 2);
@@ -62,52 +75,43 @@ fn empty_table_shipment_is_not_free() {
 
 #[test]
 fn materialize_and_fetch_accounting() {
-    let c = seeded_cluster(2, 8);
-    c.reset_stats();
-
-    // A table materialised on the node that consumes it.
-    assert_eq!(c.copy_table(0, "src", 1, "pb_tmp_m").unwrap(), 8);
+    // A table on the node that consumes it, shipped there as a whole.
+    let c = seeded_cluster(2, 1, 8);
+    c.charge_shipment(8);
     let s = c.stats();
-    assert_eq!(s.messages, 2, "materialize = header + payload");
+    assert_eq!(s.messages, 2, "shipment = header + payload");
     assert_eq!(s.rows, 8);
 
     // Remote fetch charges one payload message; local fetch charges none.
     c.reset_stats();
-    let fetched = c
-        .fetch(1, 0, "SELECT * FROM pb_tmp_m WHERE id < 4")
-        .unwrap();
+    let fetched = c.fetch(1, 0, "SELECT * FROM src WHERE id < 4").unwrap();
     assert_eq!(fetched.len(), 4);
     assert_eq!(c.stats().messages, 1);
     assert_eq!(c.stats().rows, 4);
 
     c.reset_stats();
-    c.fetch(0, 0, "SELECT * FROM src").unwrap();
+    c.fetch(1, 1, "SELECT * FROM src").unwrap();
     assert_eq!(c.stats().messages, 0);
 }
 
 #[test]
 fn delta_since_subtracts_earlier_snapshot() {
-    let c = seeded_cluster(2, 6);
-    c.reset_stats();
-    c.copy_table(0, "src", 1, "src").unwrap();
+    let c = Cluster::new(2, LatencyModel::none());
+    c.charge_shipment(6);
     let earlier = c.stats();
-    c.copy_table(0, "src", 1, "src2").unwrap();
+    c.charge_shipment(6);
     let delta = c.stats().delta_since(&earlier);
     assert_eq!(delta.messages, 2);
     assert_eq!(delta.rows, 6);
 }
 
-/// Build an engine holding a small campaign, shard it over `nodes`, run one
-/// decomposable aggregation, and return the transfer rows moved.
-fn sharded_query_rows(nodes: usize, pushdown: bool) -> u64 {
+/// An engine holding a small b_eff_io campaign (four list-based runs).
+fn campaign_db() -> perfbase::core::experiment::ExperimentDb {
     use perfbase::core::experiment::ExperimentDb;
     use perfbase::core::import::Importer;
     use perfbase::core::input::input_description_from_str;
-    use perfbase::core::query::spec::query_from_str;
-    use perfbase::core::query::QueryRunner;
     use perfbase::core::xmldef::definition_from_str;
     use perfbase::workloads::beffio::{simulate, BeffIoConfig, Technique};
-    use std::sync::Arc;
 
     let def =
         definition_from_str(include_str!("../crates/bench/data/b_eff_io_experiment.xml")).unwrap();
@@ -126,7 +130,16 @@ fn sharded_query_rows(nodes: usize, pushdown: bool) -> u64 {
             .import_file(&desc, &run.filename(), &run.render())
             .unwrap();
     }
+    db
+}
 
+/// Shard the small campaign over `nodes`, run one decomposable aggregation,
+/// and return the transfer rows moved.
+fn sharded_query_rows(nodes: usize, pushdown: bool) -> u64 {
+    use perfbase::core::query::spec::query_from_str;
+    use perfbase::core::query::QueryRunner;
+
+    let db = campaign_db();
     let cluster = Arc::new(Cluster::with_frontend(
         db.engine().clone(),
         nodes,

@@ -21,7 +21,7 @@ use super::{AccessLevel, ExperimentDef, Occurrence, Variable};
 use crate::error::{Error, Result};
 use crate::xmldef;
 use sqldb::cluster::{Cluster, ShardMap};
-use sqldb::sql::SqlExpr;
+use sqldb::sql::{SelectStmt, SqlExpr};
 use sqldb::sync::{Mutex, RwLock};
 use sqldb::{
     Column, DataType, DbError, Engine, Promotion, RecoveryReport, ReplOptions, Replicator,
@@ -333,16 +333,22 @@ impl ExperimentDb {
         }
     }
 
-    /// Run `sql` against `run_id`'s data table *where it lives* and return
-    /// the rows to the frontend. When the owner is a remote node this goes
-    /// through [`sqldb::cluster::Cluster::fetch`], charging the simulated
-    /// link for every returned row — the accounting behind both the
-    /// aggregation-pushdown win and the fallback materialization cost.
-    pub fn query_run_data(&self, run_id: i64, sql: &str) -> Result<ResultSet> {
-        Ok(match self.remote_reader(run_id) {
-            Some((sh, node)) => sh.cluster().fetch(node, 0, sql)?,
-            None => self.engine.query(sql)?,
-        })
+    /// Run the statement `sel` over `run_id`'s data table *where it lives*
+    /// ([`Table::select`]: a statement value, nothing parsed, its FROM not
+    /// looked at) and return the rows to the frontend. When the owner is a
+    /// remote node this goes through [`sqldb::cluster::Cluster::select`],
+    /// charging the simulated link for every returned row — the accounting
+    /// behind the aggregation-pushdown win.
+    pub fn select_run_data(
+        &self,
+        run_id: i64,
+        sel: &SelectStmt,
+    ) -> std::result::Result<ResultSet, DbError> {
+        let table = rundata_table(run_id);
+        match self.remote_reader(run_id) {
+            Some((sh, node)) => sh.cluster().select(node, 0, &table, sel),
+            None => self.engine.pin_table(&table)?.select(sel),
+        }
     }
 
     /// The remote node a read of `run_id`'s data goes to, or `None` when the
@@ -355,11 +361,11 @@ impl ExperimentDb {
         (node != 0).then_some((sh, node))
     }
 
-    /// The typed counterpart of [`ExperimentDb::query_run_data`]: select the
-    /// data sets of `run_id` that satisfy `filter` *where the run's table
+    /// The selection step of [`ExperimentDb::select_run_data`] alone: select
+    /// the data sets of `run_id` that satisfy `filter` *where the run's table
     /// lives* and return the pinned table with the selected positions, for
     /// the caller to copy cells from. Routing (owner or fresh replica), the
-    /// dead-node check and the link charge are those of `query_run_data`.
+    /// dead-node check and the link charge are those of `select_run_data`.
     pub fn scan_run_data(
         &self,
         run_id: i64,

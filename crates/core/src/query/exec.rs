@@ -43,7 +43,7 @@ use crate::output;
 use sqldb::aggregate::{Accumulator, AggKind};
 use sqldb::cluster::{Cluster, TransferStats};
 use sqldb::sql::{parse_expr, SelectItem, SelectStmt, SqlExpr};
-use sqldb::{Cell, Column, DbError, Schema, Table, Value};
+use sqldb::{Cell, Column, DbError, Schema, Table, Value, ValueKey};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -784,47 +784,71 @@ fn run_pushdown_aggregate(
     // whole vector into a single element.
     let grouped = !params.is_empty();
 
-    // 2. Partial-aggregate SELECT list: group columns, a row counter (so
-    //    runs contributing nothing are skipped), then per value either the
-    //    aggregate itself or — for avg — its SUM/COUNT decomposition.
-    let mut sel: Vec<String> = plan.multi_carry.clone();
-    sel.push("count(*) AS pb_rows".to_string());
+    // 2. The partial-aggregate SELECT, built once as a value (nothing is
+    //    rendered or parsed per run): group columns, a row counter (so runs
+    //    contributing nothing are skipped), then per value either the
+    //    aggregate itself or — for avg — its SUM/COUNT decomposition; the
+    //    data-set restriction is the expression `run_source` parses once.
+    let col = |c: &String| SqlExpr::Col(c.clone());
+    let item = |expr: SqlExpr, alias: Option<String>| SelectItem::Expr { expr, alias };
+    let call = |kind: AggKind, v: &String, alias: &str| {
+        let expr = SqlExpr::Func {
+            name: kind.name().to_string(),
+            args: vec![col(v)],
+            star: false,
+        };
+        item(expr, Some(format!("pb_{alias}_{v}")))
+    };
+    let mut items: Vec<SelectItem> = plan
+        .multi_carry
+        .iter()
+        .map(|c| item(col(c), None))
+        .collect();
+    let count_rows = SqlExpr::Func {
+        name: AggKind::Count.name().to_string(),
+        args: vec![SqlExpr::Lit(Value::Int(1))],
+        star: true,
+    };
+    items.push(item(count_rows, Some("pb_rows".to_string())));
     let pb_rows_idx = plan.multi_carry.len();
     let mut value_cols: Vec<(usize, Option<usize>)> = Vec::with_capacity(values.len());
     for v in &values {
         match agg {
             AggKind::Avg => {
-                value_cols.push((sel.len(), Some(sel.len() + 1)));
-                sel.push(format!("sum({v}) AS pb_sum_{v}"));
-                sel.push(format!("count({v}) AS pb_cnt_{v}"));
+                value_cols.push((items.len(), Some(items.len() + 1)));
+                items.push(call(AggKind::Sum, v, "sum"));
+                items.push(call(AggKind::Count, v, "cnt"));
             }
             other => {
-                value_cols.push((sel.len(), None));
-                sel.push(format!("{}({v}) AS pb_agg_{v}", other.name()));
+                value_cols.push((items.len(), None));
+                items.push(call(other, v, "agg"));
             }
         }
     }
+    let partial = SelectStmt {
+        distinct: false,
+        items,
+        from: None,
+        joins: Vec::new(),
+        where_clause: plan.multi_filter()?,
+        group_by: plan.multi_carry.clone(),
+        order_by: Vec::new(),
+        limit: None,
+    };
 
-    // 3. One partial query per run, executed where the shard lives; merge
-    //    partials on the frontend keyed by the full parameter tuple.
+    // 3. The partial query on each run's shard, executed where it lives;
+    //    merge partials on the frontend keyed by the full parameter tuple,
+    //    groups in first-seen order.
     struct Group {
         key_vals: Vec<Value>,
         parts: Vec<Partial>,
     }
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, Group> = HashMap::new();
+    let mut group_of: HashMap<Vec<ValueKey>, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
     let every_param: Vec<usize> = (0..params.len()).collect();
     for run_row in runs.rows() {
         let run_id = run_row[0].as_i64().expect("run_id is INTEGER");
-        let data_table = crate::experiment::rundata_table_name(run_id);
-        let mut psql = format!("SELECT {} FROM {}", sel.join(", "), data_table);
-        if !plan.multi_where.is_empty() {
-            psql.push_str(&format!(" WHERE {}", plan.multi_where.join(" AND ")));
-        }
-        if !plan.multi_carry.is_empty() {
-            psql.push_str(&format!(" GROUP BY {}", plan.multi_carry.join(", ")));
-        }
-        let partials = db.query_run_data(run_id, &psql)?;
+        let partials = db.select_run_data(run_id, &partial)?;
         for prow in partials.rows() {
             if prow[pb_rows_idx].as_i64() == Some(0) {
                 // No data sets matched in this run (only possible without a
@@ -835,15 +859,16 @@ fn run_pushdown_aggregate(
             // group columns of the partial row — the params order.
             let mut key_vals: Vec<Value> = run_row[1..].to_vec();
             key_vals.extend(prow[..plan.multi_carry.len()].iter().cloned());
-            let key = key_of(&key_vals, &every_param);
-            let g = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                Group {
-                    key_vals,
-                    parts: values.iter().map(|_| Partial::new(agg)).collect(),
-                }
-            });
-            for (part, &(c0, c1)) in g.parts.iter_mut().zip(&value_cols) {
+            let gi = *group_of
+                .entry(key_of(&key_vals, &every_param))
+                .or_insert_with(|| {
+                    groups.push(Group {
+                        key_vals,
+                        parts: values.iter().map(|_| Partial::new(agg)).collect(),
+                    });
+                    groups.len() - 1
+                });
+            for (part, &(c0, c1)) in groups[gi].parts.iter_mut().zip(&value_cols) {
                 match part {
                     Partial::Count(n) => *n += prow[c0].as_i64().unwrap_or(0),
                     Partial::Avg { sum, cnt } => {
@@ -860,9 +885,8 @@ fn run_pushdown_aggregate(
         }
     }
 
-    let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(order.len());
-    for key in order {
-        let g = groups.remove(&key).expect("group recorded in order");
+    let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(groups.len());
+    for g in groups {
         let mut row = g.key_vals;
         for part in g.parts {
             row.push(part.finish()?);
@@ -1115,7 +1139,7 @@ fn run_operator_elementwise(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result
 
     // Key every non-broadcast input by its common-parameter tuple.
     // key → (parameter tuple, value tuple)
-    type KeyedVector = HashMap<String, (Vec<Value>, Vec<Value>)>;
+    type KeyedVector = HashMap<Vec<ValueKey>, (Vec<Value>, Vec<Value>)>;
     let mut keyed: Vec<KeyedVector> = Vec::new();
     for ((_, v, _), (cols, rows)) in inputs.iter().zip(&loaded) {
         let pidx: Vec<usize> = common
@@ -1276,18 +1300,10 @@ fn apply_elementwise(op: &OpKind, xs: &[f64], named: &exprcalc::Context) -> Resu
     }
 }
 
-/// Alignment key of `row` over its columns `idx`.
-fn key_of(row: &[Value], idx: &[usize]) -> String {
-    let cells: Vec<String> = idx.iter().map(|&i| canon_key(&row[i])).collect();
-    cells.join("\u{1}")
-}
-
-fn canon_key(v: &Value) -> String {
-    match v {
-        Value::Text(s) => format!("t:{s}"),
-        Value::Null => "null".to_string(),
-        other => format!("n:{}", other.as_f64().unwrap_or(f64::NAN)),
-    }
+/// Alignment key of `row` over its columns `idx`: the engine's own grouping
+/// identity (`1` is `1.0`, `-0.0` is `0.0`), with NULL aligning with NULL.
+fn key_of(row: &[Value], idx: &[usize]) -> Vec<ValueKey> {
+    idx.iter().map(|&i| ValueKey::of(&row[i])).collect()
 }
 
 /// Execute a combiner element (paper §3.3.3): align two vectors on their
@@ -1356,7 +1372,7 @@ fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> R
     out_cols.extend(rvals_out.iter().cloned());
 
     // Hash-join right side by common key.
-    let mut rmap: HashMap<String, Vec<&Vec<Value>>> = HashMap::new();
+    let mut rmap: HashMap<Vec<ValueKey>, Vec<&Vec<Value>>> = HashMap::new();
     for row in &rrows {
         rmap.entry(key_of(row, &rkey)).or_default().push(row);
     }
@@ -1849,6 +1865,58 @@ pub(crate) mod tests {
         let csv = &out.artifacts["o"];
         assert_eq!(csv.lines().next().unwrap(), "bw_old,bw_new");
         assert_eq!(csv.lines().count(), 2);
+    }
+
+    /// Alignment goes by the engine's key identity, not by a rendering of
+    /// the cells a TEXT parameter can imitate: tuples whose keys once
+    /// rendered to one `U+0001`-joined string stay apart, and `-0.0` meets
+    /// `0.0` as it does in GROUP BY.
+    #[test]
+    fn alignment_keys_are_values_not_renderings() {
+        let vector = |params: &[&str], value: &str, rows: Vec<Vec<Value>>| {
+            let cols: Vec<String> = params
+                .iter()
+                .chain([&value])
+                .map(|c| c.to_string())
+                .collect();
+            DataVector {
+                table: vector_table(&cols, rows).unwrap(),
+                params: params.iter().map(|p| p.to_string()).collect(),
+                values: vec![value.to_string()],
+                labels: HashMap::new(),
+            }
+        };
+        let text = |s: &str| Value::Text(s.into());
+        let left = vector(
+            &["a", "b"],
+            "l",
+            vec![
+                vec![text("x\u{1}t:y"), text("z"), Value::Float(1.0)],
+                vec![text("x"), text("y\u{1}t:z"), Value::Float(2.0)],
+            ],
+        );
+        let right = vector(
+            &["a", "b"],
+            "r",
+            vec![vec![text("x"), text("y\u{1}t:z"), Value::Float(20.0)]],
+        );
+        let joined = run_combiner(&CombinerSpec::default(), &left, &right).unwrap();
+        let (_, rows) = read_vector(&joined);
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert_eq!(rows[0][2..], [Value::Float(2.0), Value::Float(20.0)]);
+
+        let zero = vector(
+            &["k"],
+            "l",
+            vec![vec![Value::Float(-0.0), Value::Float(1.0)]],
+        );
+        let plus = vector(
+            &["k"],
+            "r",
+            vec![vec![Value::Float(0.0), Value::Float(2.0)]],
+        );
+        let joined = run_combiner(&CombinerSpec::default(), &zero, &plus).unwrap();
+        assert_eq!(read_vector(&joined).1.len(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! We do not have a cluster, so this module simulates one: every [`Node`]
 //! owns an independent [`Engine`], and all cross-node data movement goes
-//! through [`Cluster::fetch`] / [`Cluster::scan`] — or, for data an upper
+//! through [`Cluster::select`] / [`Cluster::scan`] — or, for data an upper
 //! layer holds itself (a query element's output vector), is charged through
 //! [`Cluster::charge_transfer`] / [`Cluster::charge_shipment`] — at a
 //! configurable socket-latency cost (a real `thread::sleep`, so wall-clock
@@ -26,7 +26,7 @@
 
 use crate::engine::{Engine, ResultSet};
 use crate::error::DbError;
-use crate::sql::SqlExpr;
+use crate::sql::{SelectStmt, SqlExpr};
 use crate::sync::Mutex;
 use crate::table::Table;
 use crate::wal::{IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
@@ -535,16 +535,25 @@ impl Cluster {
         Ok(answer)
     }
 
-    /// Run a query on node `src` and return the result *here* (i.e. to the
+    /// Run the statement `sel` over `table` on node `src`
+    /// ([`Table::select`] of the version the node pins: nothing is parsed,
+    /// `sel.from` is not looked at) and return the result *here* (i.e. to the
     /// caller's node `dst`), charging socket cost when `src != dst`.
-    pub fn fetch(&self, src: usize, dst: usize, sql: &str) -> Result<ResultSet, DbError> {
-        self.ask(src, dst, |engine| engine.query(sql), ResultSet::len)
+    pub fn select(
+        &self,
+        src: usize,
+        dst: usize,
+        table: &str,
+        sel: &SelectStmt,
+    ) -> Result<ResultSet, DbError> {
+        let run = |engine: &Engine| engine.pin_table(table)?.select(sel);
+        self.ask(src, dst, run, ResultSet::len)
     }
 
-    /// The typed counterpart of [`Cluster::fetch`]: select the rows of
+    /// The selection step of [`Cluster::select`] alone: select the rows of
     /// `table` on node `src` that satisfy `filter` ([`Engine::scan`]) and
     /// hand the pinned table and the positions to the caller's node `dst`.
-    /// The selected rows are charged exactly as `fetch` charges the rows of
+    /// The selected rows are charged exactly as `select` charges the rows of
     /// its result.
     pub fn scan(
         &self,
@@ -561,6 +570,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_common::select;
     use crate::value::Value;
 
     #[test]
@@ -618,15 +628,15 @@ mod tests {
             .engine
             .execute("INSERT INTO t VALUES (1),(2)")
             .unwrap();
-        let rs = c.fetch(0, 1, "SELECT x FROM t").unwrap();
+        let rs = c.select(0, 1, "t", &select("SELECT x FROM t")).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(c.stats().messages, 1);
         // Local fetch: no message.
-        c.fetch(0, 0, "SELECT x FROM t").unwrap();
+        c.select(0, 0, "t", &select("SELECT x FROM t")).unwrap();
         assert_eq!(c.stats().messages, 1);
     }
 
-    /// `scan` is `fetch` without the statement: same liveness check, same
+    /// `scan` is `select` without the statement: same liveness check, same
     /// charge (one message, the selected rows), nothing for a local read.
     #[test]
     fn scan_charges_what_fetch_charges() {
@@ -635,7 +645,9 @@ mod tests {
         engine.execute("CREATE TABLE t (x INTEGER)").unwrap();
         engine.execute("INSERT INTO t VALUES (1),(2),(3)").unwrap();
         let filter = crate::sql::parse_expr("x >= 2").unwrap();
-        let fetched = c.fetch(1, 0, "SELECT x FROM t WHERE x >= 2").unwrap();
+        let fetched = c
+            .select(1, 0, "t", &select("SELECT x FROM t WHERE x >= 2"))
+            .unwrap();
         let by_fetch = c.stats();
         c.reset_stats();
         let (pinned, positions) = c.scan(1, 0, "t", Some(&filter)).unwrap();
@@ -647,7 +659,8 @@ mod tests {
         assert_eq!(c.stats(), by_fetch, "a local scan is free");
         c.kill_node(1);
         let down = c.scan(1, 0, "t", None).unwrap_err();
-        assert_eq!(down, c.fetch(1, 0, "SELECT x FROM t").unwrap_err());
+        let refused = c.select(1, 0, "t", &select("SELECT x FROM t"));
+        assert_eq!(down, refused.unwrap_err());
         assert_eq!(c.stats(), by_fetch, "a dead node answers nothing");
     }
 

@@ -531,6 +531,23 @@ impl ColumnStore {
         self.len += positions.len();
     }
 
+    /// A store under `schema` holding, side by side, the columns of each
+    /// part's store at that part's positions — every part as many positions,
+    /// the parts' column types in `schema`'s order. Typed vectors are copied
+    /// by position (TEXT through a code remap); no row is built.
+    pub(crate) fn gathered(schema: &Schema, parts: &[(&ColumnStore, &[usize])]) -> ColumnStore {
+        let mut store = ColumnStore::new(schema);
+        let sources = parts
+            .iter()
+            .flat_map(|(src, positions)| src.cols.iter().map(move |col| (col, *positions)));
+        debug_assert_eq!(sources.clone().count(), store.cols.len());
+        for (target, (col, positions)) in store.cols.iter_mut().zip(sources) {
+            target.extend_selected(col, positions);
+        }
+        store.len = parts.first().map_or(0, |(_, positions)| positions.len());
+        store
+    }
+
     /// Value of cell (`pos`, `col`).
     pub(crate) fn value(&self, pos: usize, col: usize) -> Value {
         self.cols[col].value(pos)

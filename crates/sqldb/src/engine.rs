@@ -8,7 +8,7 @@ use crate::exec;
 use crate::expr::{self, RowCtx};
 use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
-use crate::sql::{self, SqlExpr, Stmt};
+use crate::sql::{self, SelectStmt, SqlExpr, Stmt};
 use crate::sync::{Mutex, RwLock};
 use crate::table::{Row, Table};
 use crate::txn::Transaction;
@@ -632,41 +632,12 @@ impl Engine {
         self.write(table, ask, Text::Render).map(drop)
     }
 
-    /// Run a SELECT (or `EXPLAIN [ANALYZE] SELECT`) and return its rows.
+    /// Run a SELECT (or `EXPLAIN [ANALYZE] SELECT`) and return its rows:
+    /// every table it names is pinned at its current version, then the
+    /// statement runs with no engine lock held.
     pub fn query(&self, sql_text: &str) -> Result<ResultSet, DbError> {
-        let parse_started = Instant::now();
-        let stmt = sql::parse_statement(sql_text)?;
-        obs::incr(obs::Counter::StmtParsed);
-        obs::record_duration(obs::Hist::ParseNs, parse_started.elapsed());
-        let class = stmt_class(&stmt);
-        let (sel, analyze) = match stmt {
-            Stmt::Select(sel) => (sel, None),
-            Stmt::Explain { analyze, select } => (select, Some(analyze)),
-            _ => {
-                return Err(DbError::Execution(
-                    "query() only accepts SELECT statements".into(),
-                ))
-            }
-        };
-        let _class_scope = obs::class_scope(class);
-        let mut span = obs::span("query");
-        span.annotate(|| {
-            format!(
-                "class={} from={}",
-                class.name(),
-                sel.from.as_deref().unwrap_or("-")
-            )
-        });
-        obs::incr(obs::Counter::QueriesRun);
-        let exec_started = Instant::now();
-        let cat = exec::Catalog::Live(self);
-        let result = match analyze {
-            None => exec::run_select(cat, &sel),
-            Some(analyze) => exec::run_explain(cat, &sel, analyze),
-        };
-        obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
-        obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
-        result
+        let (sel, explain) = parse_query(sql_text)?;
+        exec::read(&mut &*self, &sel, explain)
     }
 
     /// The selection step of `SELECT … FROM name [WHERE filter]` without the
@@ -694,7 +665,8 @@ impl Engine {
     /// same snapshot return identical results no matter how many writers
     /// commit in between — and hold no engine lock while they run.
     pub fn query_at(&self, snapshot: &Snapshot, sql_text: &str) -> Result<ResultSet, DbError> {
-        run_query_at(snapshot, parse_query(sql_text)?)
+        let (sel, explain) = parse_query(sql_text)?;
+        exec::read(&mut &*snapshot, &sel, explain)
     }
 
     /// [`Engine::query_reference`] at a pinned [`Snapshot`]: the oracle for
@@ -705,12 +677,7 @@ impl Engine {
         snapshot: &Snapshot,
         sql_text: &str,
     ) -> Result<ResultSet, DbError> {
-        match sql::parse_statement(sql_text)? {
-            Stmt::Select(sel) => exec::run_select_reference(exec::Catalog::At(snapshot), &sel),
-            _ => Err(DbError::Execution(
-                "query() only accepts SELECT statements".into(),
-            )),
-        }
+        query_reference(&mut &*snapshot, sql_text)
     }
 
     /// Run a SELECT through the unoptimized reference executor: full table
@@ -718,12 +685,7 @@ impl Engine {
     /// Exists as the oracle for the equivalence tests and as the baseline
     /// for the `microbench` binary — not for production use.
     pub fn query_reference(&self, sql_text: &str) -> Result<ResultSet, DbError> {
-        match sql::parse_statement(sql_text)? {
-            Stmt::Select(sel) => exec::run_select_reference(exec::Catalog::Live(self), &sel),
-            _ => Err(DbError::Execution(
-                "query() only accepts SELECT statements".into(),
-            )),
-        }
+        query_reference(&mut &*self, sql_text)
     }
 
     // ---- durability (write-ahead log) ------------------------------------
@@ -880,41 +842,39 @@ impl Engine {
     }
 }
 
-/// Parse the text of one query, with the parse telemetry of the statement
-/// entry points.
-pub(crate) fn parse_query(sql_text: &str) -> Result<Stmt, DbError> {
+/// The door every SQL-text read comes through: parse the text of one query
+/// (with the parse telemetry of the statement entry points) into the SELECT
+/// and how [`exec::read`] is to treat it — run it (`None`), `EXPLAIN` it
+/// (`Some(false)`) or `EXPLAIN ANALYZE` it (`Some(true)`).
+pub(crate) fn parse_query(sql_text: &str) -> Result<(SelectStmt, Option<bool>), DbError> {
     let parse_started = Instant::now();
     let stmt = sql::parse_statement(sql_text)?;
     obs::incr(obs::Counter::StmtParsed);
     obs::record_duration(obs::Hist::ParseNs, parse_started.elapsed());
-    Ok(stmt)
+    match stmt {
+        Stmt::Select(sel) => Ok((sel, None)),
+        Stmt::Explain { analyze, select } => Ok((select, Some(analyze))),
+        _ => Err(DbError::Execution(
+            "query() only accepts SELECT statements".into(),
+        )),
+    }
 }
 
-/// Run a parsed SELECT (or EXPLAIN) with every table resolved from
-/// `snapshot` — the body of [`Engine::query_at`], and of
-/// [`Transaction::query`] over the tables the statement names.
-pub(crate) fn run_query_at(snapshot: &Snapshot, stmt: Stmt) -> Result<ResultSet, DbError> {
-    let class = stmt_class(&stmt);
-    let (sel, analyze) = match stmt {
-        Stmt::Select(sel) => (sel, None),
-        Stmt::Explain { analyze, select } => (select, Some(analyze)),
-        _ => {
-            return Err(DbError::Execution(
-                "query_at() only accepts SELECT statements".into(),
-            ))
-        }
-    };
-    let _class_scope = obs::class_scope(class);
-    obs::incr(obs::Counter::QueriesRun);
-    let exec_started = Instant::now();
-    let cat = exec::Catalog::At(snapshot);
-    let result = match analyze {
-        None => exec::run_select(cat, &sel),
-        Some(analyze) => exec::run_explain(cat, &sel, analyze),
-    };
-    obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
-    obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
-    result
+/// The live catalog as a view: each table pinned at its current version.
+impl exec::View for &Engine {
+    fn pin(&mut self, name: &str) -> Result<Arc<Table>, DbError> {
+        self.pin_table(name)
+    }
+}
+
+/// `sql_text`, a plain SELECT, through the reference executor.
+fn query_reference(view: &mut dyn exec::View, sql_text: &str) -> Result<ResultSet, DbError> {
+    match sql::parse_statement(sql_text)? {
+        Stmt::Select(sel) => exec::run_select_reference(view, &sel),
+        _ => Err(DbError::Execution(
+            "query() only accepts SELECT statements".into(),
+        )),
+    }
 }
 
 /// What a write asks of the table it names: the body of a parsed statement,

@@ -1,145 +1,317 @@
-//! SELECT execution: compile → scan/index → join → filter →
+//! SELECT execution: resolve → (join) → plan → scan/index → filter →
 //! group/aggregate → project → distinct → order → limit.
 //!
-//! The optimized pipeline (entry: [`run_select`]):
+//! There is one way in, [`read`], and three things it works with:
 //!
-//! * **Expression compilation** — WHERE filters and projections are lowered
-//!   once per statement into [`CompiledExpr`] evaluators with pre-resolved
-//!   column indices (see [`crate::compile`]).
-//! * **One single-table pipeline** — access path → selection vector of row
-//!   positions ([`select_positions`], shared with UPDATE and DELETE) →
-//!   aggregation or projection straight off the column store; only
-//!   matching, projected rows are materialised. This extends the paper's
-//!   §4.2 in-database operator advantage from aggregation to plain
-//!   filter/project/order queries.
-//! * **Secondary-index lookups** — a `col = <const>` or `col IN (...)`
-//!   conjunct in the WHERE clause probes the table's secondary index (when
-//!   one exists); range conjuncts (`<`, `<=`, `>`, `>=`, BETWEEN-shaped
-//!   pairs) scan the *ordered* index variant. The residual filter runs
-//!   only over the candidate rows.
-//! * **Hash equi-joins** — `JOIN ... ON a.x = b.y` builds the hash table on
-//!   the smaller input, keyed by [`ValueKey`]; output order is identical to
-//!   the naive accumulated-major nested loop.
+//! * **One view** — a [`View`] resolves the names after FROM and JOIN to
+//!   pinned table versions, once, before anything runs ([`Source`]). The
+//!   live engine, a snapshot, a transaction and a single table are views.
+//! * **One relation** — what the statement reads is a table: the pinned
+//!   table, the table a join gathers from its pinned inputs by position
+//!   ([`join`]: hash equi-joins keyed by [`ValueKey`], built on the smaller
+//!   side, output in the order of the naive nested loop), or the unit
+//!   relation of a statement without FROM.
+//! * **One plan** — [`Plan::of`] decides the access path (a `col = <const>`
+//!   or `col IN (...)` conjunct probes a secondary index, range conjuncts
+//!   scan the *ordered* variant, `min`/`max` alone read an ordered index's
+//!   ends), the filter form (column-at-a-time [`VecAtom`]s, or the compiled
+//!   scalar filter of [`crate::compile`]) and the output form (fast or
+//!   general aggregation, column or expression projection). [`run`]
+//!   consumes that value — selection vector of row positions
+//!   ([`positions`], the step UPDATE and DELETE share), then aggregation or
+//!   projection straight off the column store, materialising only matching,
+//!   projected rows — and `EXPLAIN` prints it.
 //!
-//! [`run_select_reference`] keeps the unoptimized pipeline — snapshot +
-//! interpreted evaluation + nested-loop joins — as the oracle for the
-//! equivalence tests and the baseline for the `microbench` binary.
+//! [`run_select_reference`] keeps the unoptimized pipeline — tables turned
+//! into rows + interpreted evaluation + nested-loop joins — as the oracle
+//! for the equivalence tests and the baseline for the `microbench` binary.
 
 use crate::aggregate::{Accumulator, AggKind};
 use crate::column::{ColumnStore, ColumnVec, DictColumn};
 use crate::compile::{compile, CompiledExpr};
-use crate::engine::{Engine, ResultSet};
+use crate::engine::ResultSet;
 use crate::error::DbError;
 use crate::expr::{binary_values, eval, truthy, LikePattern, RowCtx};
 use crate::schema::{Column, Schema};
-use crate::snapshot::Snapshot;
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value, ValueKey};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Where a SELECT resolves table names: the live engine, each table
-/// pinned at first touch (read-committed, statement-level per-table
-/// atomicity), or a pinned [`Snapshot`], every table resolved to the
-/// version frozen at one epoch (snapshot isolation). Either way the scan
-/// itself runs over a pinned `Arc<Table>` with no engine lock held, so
-/// long analytical queries never block writers.
-#[derive(Clone, Copy)]
-pub(crate) enum Catalog<'a> {
-    /// Resolve tables from the live engine catalog.
-    Live(&'a Engine),
-    /// Resolve tables from a pinned snapshot.
-    At(&'a Snapshot),
-}
+/// Where a SELECT resolves table names: the live engine (each table pinned
+/// at first touch — read-committed, statement-level per-table atomicity), a
+/// pinned [`Snapshot`](crate::Snapshot) (every table as of one epoch), a
+/// transaction's overlay (as of BEGIN, own writes folded in), or one table
+/// somebody holds. Whatever it is, [`read`] asks it for pinned versions once,
+/// before anything runs: the scan itself holds no engine lock, so long
+/// analytical queries never block writers.
+pub(crate) trait View {
+    /// Pin the version of `name` this view resolves to.
+    fn pin(&mut self, name: &str) -> Result<Arc<Table>, DbError>;
 
-impl Catalog<'_> {
-    /// Pin the version of `name` this catalog view resolves to.
-    fn pin(&self, name: &str) -> Result<std::sync::Arc<Table>, DbError> {
-        match self {
-            Catalog::Live(engine) => engine.pin_table(name),
-            Catalog::At(snapshot) => snapshot.table(name),
-        }
+    /// The table a statement reads `from`; none when it names none.
+    fn base(&mut self, from: Option<&str>) -> Result<Option<Arc<Table>>, DbError> {
+        from.map(|name| self.pin(name)).transpose()
     }
 }
 
-/// Materialise a table's schema and rows from the catalog view.
-fn materialize(cat: Catalog<'_>, name: &str) -> Result<(Schema, Vec<Row>), DbError> {
-    let t = cat.pin(name)?;
-    Ok((t.schema.clone(), t.to_rows()))
-}
+/// One table is a view of itself: whatever the statement names after FROM —
+/// nothing, for a query's data vector — it reads this table, and there is
+/// nothing to join it with.
+impl View for Arc<Table> {
+    fn pin(&mut self, _name: &str) -> Result<Arc<Table>, DbError> {
+        Err(DbError::Execution(
+            "Table::select() only accepts single-table statements".into(),
+        ))
+    }
 
-/// Execute a SELECT against a catalog view (optimized pipeline).
-pub(crate) fn run_select(cat: Catalog<'_>, sel: &SelectStmt) -> Result<ResultSet, DbError> {
-    match &sel.from {
-        None => general_select(sel, Schema::default(), vec![Vec::new()]),
-        Some(base) if sel.joins.is_empty() => single_table_select(&*cat.pin(base)?, sel),
-        Some(base) => {
-            let (schema, rows) = join_input(cat, base, &sel.joins)?;
-            general_select(sel, schema, rows)
-        }
+    fn base(&mut self, _from: Option<&str>) -> Result<Option<Arc<Table>>, DbError> {
+        Ok(Some(Arc::clone(self)))
     }
 }
 
-/// Execute a SELECT through the reference pipeline: table snapshots,
-/// interpreted per-row evaluation, nested-loop joins. Semantically
-/// equivalent to [`run_select`]; kept as the equivalence-test oracle and
-/// microbench baseline.
-pub(crate) fn run_select_reference(
-    cat: Catalog<'_>,
+impl Table {
+    /// Run the single-table SELECT `sel` over this table — a version somebody
+    /// pinned, or a table no catalog ever held (a query's data vector) —
+    /// like a statement naming it (same executor, same `scan.*` / `plan.*`
+    /// counters, one statement of the `select` class): nothing is parsed,
+    /// `sel.from` is not looked at, and a statement with joins is refused.
+    pub fn select(self: &Arc<Self>, sel: &SelectStmt) -> Result<ResultSet, DbError> {
+        read(&mut Arc::clone(self), sel, None)
+    }
+}
+
+/// Execute a SELECT — `explain`: `None` runs it, `Some(false)` prints its
+/// plan (`EXPLAIN`), `Some(true)` runs it and prints the plan annotated with
+/// what the run found (`EXPLAIN ANALYZE`). The only executor of SELECT:
+/// every door (SQL text on the live engine, at a snapshot, in a transaction;
+/// a statement value over a table or on a cluster node) parses if it must
+/// and calls this, so this is where a read becomes one `query` span, one
+/// tick of `sql.queries_run` and one statement of its class.
+///
+/// `EXPLAIN` output is a one-column result set (column `plan`), one plan
+/// step per row, listed top-down from the last operation applied to the
+/// access path at the bottom.
+pub(crate) fn read(
+    view: &mut dyn View,
     sel: &SelectStmt,
+    explain: Option<bool>,
 ) -> Result<ResultSet, DbError> {
-    let (schema, mut rows) = match &sel.from {
-        None => (Schema::default(), vec![Vec::new()]),
-        Some(base) => {
-            if sel.joins.is_empty() {
-                materialize(cat, base)?
-            } else {
-                join_input_nested_loop(cat, base, &sel.joins)?
-            }
-        }
+    let class = match explain {
+        None => obs::StmtClass::Select,
+        Some(_) => obs::StmtClass::Explain,
     };
-
-    if let Some(w) = &sel.where_clause {
-        let mut kept = Vec::with_capacity(rows.len());
-        for r in rows {
-            let v = eval(
-                w,
-                &RowCtx {
-                    schema: &schema,
-                    row: &r,
-                },
-            )?;
-            if truthy(&v) {
-                kept.push(r);
-            }
+    let _class_scope = obs::class_scope(class);
+    let mut span = obs::span("query");
+    obs::incr(obs::Counter::QueriesRun);
+    let started = Instant::now();
+    span.annotate(|| match &sel.from {
+        Some(name) => format!("class={} from={name}", class.name()),
+        None => format!("class={}", class.name()),
+    });
+    let result = Source::resolve(view, sel).and_then(|source| {
+        if let Some(base) = source.base() {
+            span.annotate(|| format!("rows={}", base.len()));
         }
-        rows = kept;
+        match explain {
+            None => {
+                let relation = source.relation()?;
+                let plan = Plan::of(sel, &relation);
+                run(sel, &relation, plan)
+            }
+            Some(analyze) => explained(sel, &source, analyze),
+        }
+    });
+    let elapsed = started.elapsed();
+    obs::record_statement(class, elapsed.as_nanos() as u64);
+    obs::record_duration(obs::Hist::ExecNs, elapsed);
+    result
+}
+
+/// What a SELECT reads, every name resolved to the version its [`View`]
+/// pins: nothing touches the view, or any engine lock, after this.
+enum Source<'s> {
+    /// No FROM: the unit relation, one row of no columns.
+    Unit,
+    /// One table.
+    Table(Arc<Table>),
+    /// `from JOIN … ON …`, applied left to right.
+    Join {
+        from: &'s str,
+        base: Arc<Table>,
+        joined: Vec<(&'s JoinClause, Arc<Table>)>,
+    },
+}
+
+impl<'s> Source<'s> {
+    fn resolve(view: &mut dyn View, sel: &'s SelectStmt) -> Result<Source<'s>, DbError> {
+        let Some(base) = view.base(sel.from.as_deref())? else {
+            return Ok(Source::Unit);
+        };
+        let (Some(from), false) = (sel.from.as_deref(), sel.joins.is_empty()) else {
+            return Ok(Source::Table(base));
+        };
+        let pinned = |j: &'s JoinClause| Ok((j, view.pin(&j.table)?));
+        let joined = sel
+            .joins
+            .iter()
+            .map(pinned)
+            .collect::<Result<_, DbError>>()?;
+        Ok(Source::Join { from, base, joined })
     }
 
-    let (columns, out_rows) = if is_aggregation(sel) {
-        aggregate_project(sel, &schema, &rows)?
-    } else {
-        let columns = output_names(sel, &schema);
-        let mut out = Vec::with_capacity(rows.len());
-        for r in &rows {
-            let ctx = RowCtx {
-                schema: &schema,
-                row: r,
-            };
-            let mut projected = Vec::with_capacity(columns.len());
-            for item in &sel.items {
-                match item {
-                    SelectItem::Star => projected.extend(r.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => projected.push(eval(expr, &ctx)?),
-                }
-            }
-            out.push(projected);
+    /// The table named after FROM.
+    fn base(&self) -> Option<&Arc<Table>> {
+        match self {
+            Source::Unit => None,
+            Source::Table(base) | Source::Join { base, .. } => Some(base),
         }
-        (columns, out)
-    };
+    }
 
+    /// The one relation the pipeline runs over: the table as pinned, the
+    /// join gathered into a table, or the unit relation as a table.
+    fn relation(&self) -> Result<Arc<Table>, DbError> {
+        match self {
+            Source::Table(table) => Ok(Arc::clone(table)),
+            Source::Join { from, base, joined } => join(from, base, joined),
+            Source::Unit => {
+                let mut unit = Table::new(Schema::default());
+                unit.insert(Vec::new())?;
+                Ok(Arc::new(unit))
+            }
+        }
+    }
+}
+
+/// How a relation's rows become the statement's: decided once, by
+/// [`Plan::of`]; consumed by [`run`]; printed by [`explained`] — `EXPLAIN`
+/// has no second opinion.
+struct Plan {
+    /// Which rows are looked at.
+    access: AccessPlan,
+    /// How the WHERE clause is evaluated over them.
+    filter: Filter,
+    /// How the surviving rows become output rows.
+    output: Output,
+}
+
+/// How a WHERE clause is evaluated.
+enum Filter {
+    /// Column-at-a-time: the atoms cover the whole clause (none: no clause).
+    Vectorized(Vec<VecAtom>),
+    /// The compiled scalar filter, per candidate row.
+    Scalar(CompiledExpr),
+}
+
+impl Filter {
+    fn of(where_clause: Option<&SqlExpr>, table: &Table) -> Filter {
+        match compile_vec_filter(where_clause, &table.schema, table.store()) {
+            Some(atoms) => Filter::Vectorized(atoms),
+            None => {
+                let w = where_clause.expect("an absent WHERE clause always vectorizes");
+                Filter::Scalar(compile(w, &table.schema))
+            }
+        }
+    }
+}
+
+/// How selected rows become output rows.
+enum Output {
+    /// `SELECT g…, agg(col)… GROUP BY g…`: batched accumulators fed from the
+    /// typed vectors.
+    FastAggregate {
+        items: Vec<FastItem>,
+        keys: Vec<usize>,
+    },
+    /// Any other aggregation: the selected rows are materialised and grouped
+    /// ([`aggregate_project`]).
+    GeneralAggregate,
+    /// Nothing but `*` and plain columns: cells copied off the vectors.
+    Columns(Vec<ProjCol>),
+    /// Compiled expressions over each selected, materialised row.
+    Expressions(Vec<CompiledItem>),
+}
+
+impl Plan {
+    fn of(sel: &SelectStmt, table: &Table) -> Plan {
+        let schema = &table.schema;
+        let where_clause = sel.where_clause.as_ref();
+        let fast = || {
+            let keys: Vec<usize> = sel
+                .group_by
+                .iter()
+                .map(|g| schema.index_of(g))
+                .collect::<Option<_>>()?;
+            Some(Output::FastAggregate {
+                items: plan_fast(sel, schema, &keys)?,
+                keys,
+            })
+        };
+        Plan {
+            access: plan_index_ends(sel, table).unwrap_or_else(|| plan_access(where_clause, table)),
+            filter: Filter::of(where_clause, table),
+            output: if is_aggregation(sel) {
+                fast().unwrap_or(Output::GeneralAggregate)
+            } else {
+                match pure_column_projection(sel, schema) {
+                    Some(columns) => Output::Columns(columns),
+                    None => Output::Expressions(compile_items(sel, schema)),
+                }
+            },
+        }
+    }
+
+    /// How much of the statement runs column-at-a-time: all of it, the
+    /// selection only, or nothing.
+    fn vectorized(&self) -> &'static str {
+        match (&self.filter, &self.output) {
+            (Filter::Scalar(_), _) => "none",
+            (_, Output::FastAggregate { .. } | Output::Columns(_)) => "full",
+            _ => "partial",
+        }
+    }
+}
+
+/// Run `plan` over `table` (a pinned version or a relation built for the
+/// statement; no lock is held): select positions, aggregate or project
+/// straight off the column store, then DISTINCT / ORDER BY / LIMIT. Only
+/// matching, projected rows are materialised.
+fn run(sel: &SelectStmt, table: &Table, plan: Plan) -> Result<ResultSet, DbError> {
+    let (schema, store) = (&table.schema, table.store());
+    let sv = positions(table, plan.access, &plan.filter)?;
+    let row_at = |&p: &usize| store.materialize_row(p);
+    let (columns, out_rows) = match plan.output {
+        Output::FastAggregate { items, keys } => (
+            output_names(sel, schema),
+            vectorized_fast_agg(store, &sv, items, keys)?,
+        ),
+        Output::GeneralAggregate => {
+            let rows: Vec<Row> = sv.iter().map(row_at).collect();
+            aggregate_project(sel, schema, &rows)?
+        }
+        Output::Columns(columns) => {
+            let project = |&p: &usize| {
+                let mut row = Vec::with_capacity(schema.arity());
+                for c in &columns {
+                    match c {
+                        ProjCol::All => row.extend((0..schema.arity()).map(|c| store.value(p, c))),
+                        ProjCol::One(c) => row.push(store.value(p, *c)),
+                    }
+                }
+                row
+            };
+            (output_names(sel, schema), sv.iter().map(project).collect())
+        }
+        // Errors surface for selected rows only.
+        Output::Expressions(items) => {
+            let project = |p| project_row(&row_at(p), &items);
+            let rows = sv.iter().map(project).collect::<Result<_, _>>()?;
+            (output_names(sel, schema), rows)
+        }
+    };
     finalize(sel, columns, out_rows)
 }
 
@@ -151,109 +323,6 @@ fn is_aggregation(sel: &SelectStmt) -> bool {
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             SelectItem::Star => false,
         })
-}
-
-impl Table {
-    /// Run the single-table SELECT `sel` over this table — a version somebody
-    /// pinned, or a table no catalog ever held (a query's data vector). It is
-    /// the pipeline a statement naming the table goes through after its pin:
-    /// the same access planner, vectorised filter, fast-aggregate path and
-    /// `scan.*` / `plan.*` counters, and it counts as one statement of the
-    /// `select` class. Nothing is parsed, `sel.from` is not looked at, and a
-    /// statement with joins is refused.
-    pub fn select(&self, sel: &SelectStmt) -> Result<ResultSet, DbError> {
-        if !sel.joins.is_empty() {
-            return Err(DbError::Execution(
-                "Table::select() only accepts single-table statements".into(),
-            ));
-        }
-        let _stmt = crate::engine::classified(obs::StmtClass::Select);
-        let mut span = obs::span("query");
-        span.annotate(|| format!("class=select rows={}", self.len()));
-        obs::incr(obs::Counter::QueriesRun);
-        single_table_select(self, sel)
-    }
-}
-
-/// Single-table SELECT over a pinned table version (no lock is held during
-/// the scan): select positions, then aggregate or project straight off the
-/// column store.
-fn single_table_select(table: &Table, sel: &SelectStmt) -> Result<ResultSet, DbError> {
-    let (schema, store) = (&table.schema, table.store());
-    let sv = plan_positions(table, sel.where_clause.as_ref(), plan_select(sel, table))?;
-
-    if is_aggregation(sel) {
-        if let Some(key_idx) = resolve_group_keys(sel, schema) {
-            if let Some(plan) = plan_fast(sel, schema, &key_idx) {
-                let out_rows = vectorized_fast_agg(store, &sv, plan, key_idx)?;
-                return finalize(sel, output_names(sel, schema), out_rows);
-            }
-        }
-        // General aggregation (expressions over aggregates, unresolved
-        // keys, …): materialise only the selected rows, then group.
-        let rows: Vec<Row> = sv.iter().map(|&p| store.materialize_row(p)).collect();
-        let (columns, out_rows) = aggregate_project(sel, schema, &rows)?;
-        return finalize(sel, columns, out_rows);
-    }
-
-    let columns = output_names(sel, schema);
-    let mut out_rows = Vec::with_capacity(sv.len());
-    match pure_column_projection(sel, schema) {
-        Some(proj) => {
-            for &p in &sv {
-                let mut row = Vec::with_capacity(columns.len());
-                for pc in &proj {
-                    match pc {
-                        ProjCol::All => row.extend((0..schema.arity()).map(|c| store.value(p, c))),
-                        ProjCol::One(c) => row.push(store.value(p, *c)),
-                    }
-                }
-                out_rows.push(row);
-            }
-        }
-        None => {
-            // Expression projection: evaluate compiled items per selected
-            // materialized row (errors surface for selected rows only).
-            let items = compile_items(sel, schema);
-            for &p in &sv {
-                out_rows.push(project_row(&store.materialize_row(p), &items)?);
-            }
-        }
-    }
-    finalize(sel, columns, out_rows)
-}
-
-/// General pipeline over an already-materialised relation (joined input or
-/// table-less SELECT), with compiled filter and projection.
-fn general_select(
-    sel: &SelectStmt,
-    schema: Schema,
-    mut rows: Vec<Row>,
-) -> Result<ResultSet, DbError> {
-    if let Some(w) = &sel.where_clause {
-        let f = compile(w, &schema);
-        let mut kept = Vec::with_capacity(rows.len());
-        for r in rows {
-            if f.matches(&r)? {
-                kept.push(r);
-            }
-        }
-        rows = kept;
-    }
-
-    let (columns, out_rows) = if is_aggregation(sel) {
-        aggregate_project(sel, &schema, &rows)?
-    } else {
-        let items = compile_items(sel, &schema);
-        let columns = output_names(sel, &schema);
-        let mut out = Vec::with_capacity(rows.len());
-        for r in &rows {
-            out.push(project_row(r, &items)?);
-        }
-        (columns, out)
-    };
-
-    finalize(sel, columns, out_rows)
 }
 
 /// One compiled projection item.
@@ -678,46 +747,45 @@ fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option
     }
 }
 
-/// The selection step shared by SELECT, UPDATE and DELETE: the positions
-/// (ascending) of the rows of `table` that satisfy `where_clause`.
-///
-/// [`plan_access`] narrows the table to index candidates when it can. A
-/// clause that lowers to [`VecAtom`]s then runs column-at-a-time — the
-/// first atom fills the selection vector, each later atom narrows the
-/// survivors (index candidates are narrowed directly). Any other clause is
-/// evaluated by the compiled scalar filter per candidate position, so an
-/// evaluation error surfaces only for rows the access path leaves.
+/// The selection step as UPDATE, DELETE and [`Engine::scan`] take it: the
+/// positions (ascending) of the rows of `table` that satisfy `where_clause`,
+/// through the access path and the filter form a SELECT of them would plan.
 pub(crate) fn select_positions(
     table: &Table,
     where_clause: Option<&SqlExpr>,
 ) -> Result<Vec<usize>, DbError> {
-    plan_positions(table, where_clause, plan_access(where_clause, table))
+    let access = plan_access(where_clause, table);
+    positions(table, access, &Filter::of(where_clause, table))
 }
 
-/// [`select_positions`] over the candidates of an access plan already made.
-fn plan_positions(
-    table: &Table,
-    where_clause: Option<&SqlExpr>,
-    plan: AccessPlan,
-) -> Result<Vec<usize>, DbError> {
-    let candidates = plan.candidates;
+/// The positions (ascending) of the rows of `table` among `access`'s
+/// candidates that pass `filter` — the one walk over a table, and where the
+/// plan is counted (`plan.*`, `scan.*`): a plan nobody walks counts nothing.
+///
+/// A vectorized filter runs column-at-a-time — the first atom fills the
+/// selection vector, each later atom narrows the survivors (index candidates
+/// are narrowed directly). The scalar filter is evaluated per candidate
+/// position, so an evaluation error surfaces only for rows the access path
+/// leaves.
+fn positions(table: &Table, access: AccessPlan, filter: &Filter) -> Result<Vec<usize>, DbError> {
+    access.count();
+    let candidates = access.candidates;
     let store = table.store();
     let checked = candidates.as_ref().map(Vec::len);
     if checked.is_none() {
         obs::add(obs::Counter::ScanRowsVisited, store.len() as u64);
     }
-    let atoms = compile_vec_filter(where_clause, &table.schema, store);
-    obs::incr(match atoms {
-        Some(_) => obs::Counter::VectorizedScans,
-        None => obs::Counter::VectorizedFallbacks,
+    obs::incr(match filter {
+        Filter::Vectorized(_) => obs::Counter::VectorizedScans,
+        Filter::Scalar(_) => obs::Counter::VectorizedFallbacks,
     });
 
-    let sv = match (atoms, candidates) {
-        (Some(atoms), Some(mut ids)) => {
+    let sv = match (filter, candidates) {
+        (Filter::Vectorized(atoms), Some(mut ids)) => {
             ids.retain(|&p| atoms.iter().all(|a| a.test(store, p)));
             ids
         }
-        (Some(atoms), None) => match atoms.split_first() {
+        (Filter::Vectorized(atoms), None) => match atoms.split_first() {
             None => (0..store.len()).collect(),
             Some((first, rest)) => {
                 let mut sv = Vec::new();
@@ -728,9 +796,7 @@ fn plan_positions(
                 sv
             }
         },
-        (None, candidates) => {
-            let w = where_clause.expect("an absent WHERE clause always vectorizes");
-            let filter = compile(w, &table.schema);
+        (Filter::Scalar(filter), candidates) => {
             let mut sv = Vec::new();
             for p in candidates.unwrap_or_else(|| (0..store.len()).collect()) {
                 if filter.matches(&store.materialize_row(p))? {
@@ -894,49 +960,6 @@ fn pure_column_projection(sel: &SelectStmt, schema: &Schema) -> Option<Vec<ProjC
             SelectItem::Expr { .. } => None,
         })
         .collect()
-}
-
-/// How much of a single-table SELECT runs vectorized. Decided from the
-/// same facts the executor uses, so `EXPLAIN` is truthful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VecStrategy {
-    /// Selection and aggregation/projection all run column-at-a-time.
-    Full,
-    /// Selection is vectorized; aggregation or projection falls back to
-    /// row-at-a-time evaluation over the selected positions.
-    Partial,
-    /// The WHERE clause doesn't vectorize — the compiled scalar filter runs
-    /// per candidate position.
-    None,
-}
-
-impl VecStrategy {
-    fn name(self) -> &'static str {
-        match self {
-            VecStrategy::Full => "full",
-            VecStrategy::Partial => "partial",
-            VecStrategy::None => "none",
-        }
-    }
-}
-
-/// Decide the vectorization strategy from the same facts the executor
-/// uses.
-fn vectorize_strategy(schema: &Schema, store: &ColumnStore, sel: &SelectStmt) -> VecStrategy {
-    if compile_vec_filter(sel.where_clause.as_ref(), schema, store).is_none() {
-        return VecStrategy::None;
-    }
-    let full = if is_aggregation(sel) {
-        resolve_group_keys(sel, schema)
-            .is_some_and(|key_idx| plan_fast(sel, schema, &key_idx).is_some())
-    } else {
-        pure_column_projection(sel, schema).is_some()
-    };
-    if full {
-        VecStrategy::Full
-    } else {
-        VecStrategy::Partial
-    }
 }
 
 /// Output column names paired with the produced rows.
@@ -1120,22 +1143,12 @@ fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
     // Without a WHERE clause or an index there is nothing to choose from,
     // and no planning time worth two clock reads.
     let Some(w) = where_clause.filter(|_| table.has_indexes()) else {
-        return counted(AccessPlan::full_scan(table.len() as f64));
+        return AccessPlan::full_scan(table.len() as f64);
     };
     let started = Instant::now();
     let plan = plan_indexed(w, table);
     obs::record_duration(obs::Hist::PlanNs, started.elapsed());
     plan
-}
-
-/// The access plan of a single-table SELECT: [`plan_access`] for its WHERE
-/// clause, unless the whole statement is answered from the ends of ordered
-/// indexes ([`plan_index_ends`]).
-fn plan_select(sel: &SelectStmt, table: &Table) -> AccessPlan {
-    match plan_index_ends(sel, table) {
-        Some(plan) => counted(plan),
-        None => plan_access(sel.where_clause.as_ref(), table),
-    }
 }
 
 /// `SELECT min(c) | max(c), … FROM t` — nothing but `min`/`max` calls over
@@ -1183,6 +1196,7 @@ fn plan_index_ends(sel: &SelectStmt, table: &Table) -> Option<AccessPlan> {
         column,
         est_rows: candidates.len() as f64,
         candidates: Some(candidates),
+        probes: 0,
     })
 }
 
@@ -1190,7 +1204,7 @@ fn plan_index_ends(sel: &SelectStmt, table: &Table) -> Option<AccessPlan> {
 fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
     let nrows = table.len() as f64;
     if !names_resolve(w, &table.schema) {
-        return counted(AccessPlan::full_scan(nrows));
+        return AccessPlan::full_scan(nrows);
     }
     let mut conjuncts = Vec::new();
     split_conjuncts(w, &mut conjuncts);
@@ -1236,7 +1250,7 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                 if op == "=" {
                     match probe {
                         // A type-impossible equality falsifies the AND chain.
-                        Probe::Never => return counted(AccessPlan::never()),
+                        Probe::Never => return AccessPlan::never(),
                         Probe::Key(key) => consider(
                             nrows / distinct.max(1) as f64,
                             ci,
@@ -1255,7 +1269,7 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                     Probe::Never => {
                         if lit.is_null() {
                             // Any comparison against NULL is false.
-                            return counted(AccessPlan::never());
+                            return AccessPlan::never();
                         }
                         // Cross-type bound: constant over the whole column
                         // under type_rank ordering — leave it to the
@@ -1308,7 +1322,7 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                 }
                 if keys.is_empty() {
                     // No element can ever match: the IN is constant-false.
-                    return counted(AccessPlan::never());
+                    return AccessPlan::never();
                 }
                 let est = keys.len() as f64 * nrows / distinct.max(1) as f64;
                 consider(est, ci, IndexCond::In(keys), &mut best);
@@ -1322,20 +1336,20 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
     }
 
     let Some((est, ci, cond)) = best else {
-        return counted(AccessPlan::full_scan(nrows));
+        return AccessPlan::full_scan(nrows);
     };
     let kind = match &cond {
         IndexCond::Eq(_) => AccessPathKind::PointLookup,
         IndexCond::In(_) => AccessPathKind::InList,
         IndexCond::Range(..) => AccessPathKind::RangeWindow,
     };
+    let probes = match &cond {
+        IndexCond::In(keys) => keys.len() as u64,
+        IndexCond::Eq(_) | IndexCond::Range(..) => 1,
+    };
     let candidates = match cond {
-        IndexCond::Eq(key) => {
-            obs::incr(obs::Counter::IndexProbes);
-            table.index_lookup(ci, &key).map(<[usize]>::to_vec)
-        }
+        IndexCond::Eq(key) => table.index_lookup(ci, &key).map(<[usize]>::to_vec),
         IndexCond::In(keys) => {
-            obs::add(obs::Counter::IndexProbes, keys.len() as u64);
             let mut out = Some(Vec::new());
             for key in &keys {
                 out = match (out, table.index_lookup(ci, key)) {
@@ -1352,27 +1366,25 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                 acc
             })
         }
-        IndexCond::Range(lo, hi) => {
-            obs::incr(obs::Counter::IndexProbes);
-            table.range_lookup(ci, bound_ref(&lo), bound_ref(&hi))
-        }
+        IndexCond::Range(lo, hi) => table.range_lookup(ci, bound_ref(&lo), bound_ref(&hi)),
     };
-    counted(match candidates {
+    match candidates {
         Some(c) => AccessPlan {
             kind,
             column: Some(table.schema.columns[ci].name.clone()),
             est_rows: est,
             candidates: Some(c),
+            probes,
         },
         // The index disappeared between estimation and probing (should not
         // happen under the read guard) — degrade to a scan.
         None => AccessPlan::full_scan(nrows),
-    })
+    }
 }
 
 /// Which access path the planner chose for a single-table statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AccessPathKind {
+enum AccessPathKind {
     /// `col = lit` index probe.
     PointLookup,
     /// `col IN (...)` multi-probe, positions unioned.
@@ -1390,7 +1402,7 @@ pub(crate) enum AccessPathKind {
 
 impl AccessPathKind {
     /// Stable name used in EXPLAIN output.
-    pub(crate) fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             AccessPathKind::PointLookup => "point-lookup",
             AccessPathKind::InList => "in-list",
@@ -1402,19 +1414,21 @@ impl AccessPathKind {
     }
 }
 
-/// The planner's access decision for one single-table statement: the chosen
-/// path, the index column driving it (when any), the optimizer's candidate
-/// row estimate, and the candidate positions themselves (`None` = visit
-/// every row).
-pub(crate) struct AccessPlan {
+/// The planner's access decision for one relation: the chosen path, the index
+/// column driving it (when any), the optimizer's candidate row estimate, and
+/// the candidate positions themselves (`None` = visit every row). Planning
+/// counts nothing; [`AccessPlan::count`] does, for whoever walks the plan.
+struct AccessPlan {
     /// Chosen access path.
-    pub(crate) kind: AccessPathKind,
+    kind: AccessPathKind,
     /// Index column serving the probe, for index-backed paths.
-    pub(crate) column: Option<String>,
+    column: Option<String>,
     /// Estimated candidate rows (the ranking key among competing paths).
-    pub(crate) est_rows: f64,
+    est_rows: f64,
     /// Candidate row positions; `None` means scan all rows.
-    pub(crate) candidates: Option<Vec<usize>>,
+    candidates: Option<Vec<usize>>,
+    /// Index probes that produced the candidates.
+    probes: u64,
 }
 
 impl AccessPlan {
@@ -1424,6 +1438,7 @@ impl AccessPlan {
             column: None,
             est_rows: nrows,
             candidates: None,
+            probes: 0,
         }
     }
 
@@ -1433,45 +1448,42 @@ impl AccessPlan {
             column: None,
             est_rows: 0.0,
             candidates: Some(Vec::new()),
+            probes: 0,
+        }
+    }
+
+    /// Record the decision in the `plan.*` counters.
+    fn count(&self) {
+        obs::incr(match self.kind {
+            AccessPathKind::PointLookup => obs::Counter::PlanPointLookup,
+            AccessPathKind::InList => obs::Counter::PlanInList,
+            AccessPathKind::RangeWindow => obs::Counter::PlanRangeWindow,
+            AccessPathKind::IndexEnd => obs::Counter::PlanIndexEnd,
+            AccessPathKind::FullScan => obs::Counter::PlanFullScan,
+            AccessPathKind::Never => obs::Counter::PlanFalsified,
+        });
+        obs::add(obs::Counter::IndexProbes, self.probes);
+        if let Some(c) = &self.candidates {
+            obs::add(obs::Counter::IndexCandidateRows, c.len() as u64);
         }
     }
 }
 
-/// Record the planner's decision in the `plan.*` counters and pass the
-/// plan through.
-fn counted(plan: AccessPlan) -> AccessPlan {
-    obs::incr(match plan.kind {
-        AccessPathKind::PointLookup => obs::Counter::PlanPointLookup,
-        AccessPathKind::InList => obs::Counter::PlanInList,
-        AccessPathKind::RangeWindow => obs::Counter::PlanRangeWindow,
-        AccessPathKind::IndexEnd => obs::Counter::PlanIndexEnd,
-        AccessPathKind::FullScan => obs::Counter::PlanFullScan,
-        AccessPathKind::Never => obs::Counter::PlanFalsified,
-    });
-    if let Some(c) = &plan.candidates {
-        obs::add(obs::Counter::IndexCandidateRows, c.len() as u64);
-    }
-    plan
-}
-
-/// Candidate row positions for an index-assisted lookup, or `None` when no
-/// index applies. Thin view over [`plan_access`] kept for the equivalence
-/// tests.
-#[cfg(test)]
-fn plan_point_lookup(where_clause: Option<&SqlExpr>, table: &Table) -> Option<Vec<usize>> {
-    plan_access(where_clause, table).candidates
-}
-
-/// Render `EXPLAIN [ANALYZE]` for a SELECT as a one-column result set
-/// (column `plan`), one plan step per row, listed top-down from the last
-/// operation applied to the access path at the bottom. ANALYZE also runs
-/// the query, annotating the scan with the actual candidate row count and
-/// appending a trailing `Rows returned` line.
-pub(crate) fn run_explain(
-    cat: Catalog<'_>,
-    sel: &SelectStmt,
-    analyze: bool,
-) -> Result<ResultSet, DbError> {
+/// `EXPLAIN [ANALYZE]` of `sel` over `source`: plan the statement as [`read`]
+/// would, print that [`Plan`], and for ANALYZE hand the same value to [`run`]
+/// — the scan line then ends in the candidate rows the run walked, and a
+/// trailing `Rows returned` line follows. A join is planned over the relation
+/// it builds, so plain `EXPLAIN` — which builds nothing — prints a join's
+/// inputs and the steps above them, and no more.
+fn explained(sel: &SelectStmt, source: &Source<'_>, analyze: bool) -> Result<ResultSet, DbError> {
+    let planned = match source {
+        Source::Join { .. } if !analyze => None,
+        _ => {
+            let relation = source.relation()?;
+            let plan = Plan::of(sel, &relation);
+            Some((relation, plan))
+        }
+    };
     let mut lines: Vec<String> = Vec::new();
     if let Some(n) = sel.limit {
         lines.push(format!("Limit: {n}"));
@@ -1529,52 +1541,56 @@ pub(crate) fn run_explain(
             j.table, j.left_col, j.right_col
         ));
     }
-    match &sel.from {
+    // The scan: path, index column, vectorization, estimated and walked rows.
+    let scan = match source {
+        Source::Unit => None,
+        // A join reads every row of its inputs; what runs over the joined
+        // relation is the steps above.
+        Source::Join { base, .. } => {
+            let full = AccessPlan::full_scan(base.len() as f64);
+            Some((full.kind, None, None, full.est_rows, base.len()))
+        }
+        Source::Table(table) => {
+            let (_, plan) = planned.as_ref().expect("only a join is left unplanned");
+            let access = &plan.access;
+            let walked = access.candidates.as_ref().map_or(table.len(), Vec::len);
+            let column = access.column.as_deref();
+            Some((
+                access.kind,
+                column,
+                Some(plan.vectorized()),
+                access.est_rows,
+                walked,
+            ))
+        }
+    };
+    match scan {
         None => lines.push("Values: 1 row".to_string()),
-        Some(base) => {
-            let pinned = cat.pin(base)?;
-            let table: &Table = &pinned;
-            let nrows = table.len();
-            let plan = if sel.joins.is_empty() {
-                plan_select(sel, table)
-            } else {
-                // Joined queries materialise the base table; the index
-                // planner only serves single-table SELECTs.
-                AccessPlan::full_scan(nrows as f64)
-            };
-            let mut scan = format!("Scan {base} access={}", plan.kind.name());
-            if let Some(col) = &plan.column {
+        Some((kind, column, vectorized, est_rows, walked)) => {
+            let mut scan = format!(
+                "Scan {} access={}",
+                sel.from.as_deref().unwrap_or("-"),
+                kind.name()
+            );
+            if let Some(col) = column {
                 scan.push_str(&format!(" column={col}"));
             }
-            // Joined queries materialise whole rows; single-table scans
-            // report how much of the query runs column-at-a-time.
-            if sel.joins.is_empty() {
-                let strategy = vectorize_strategy(&table.schema, table.store(), sel);
-                scan.push_str(&format!(" vectorized={}", strategy.name()));
+            if let Some(how) = vectorized {
+                scan.push_str(&format!(" vectorized={how}"));
             }
-            scan.push_str(&format!(" est_rows={:.1}", plan.est_rows));
+            scan.push_str(&format!(" est_rows={est_rows:.1}"));
             if analyze {
-                let actual = plan.candidates.as_ref().map_or(nrows, Vec::len);
-                scan.push_str(&format!(" actual_rows={actual}"));
+                scan.push_str(&format!(" actual_rows={walked}"));
             }
             lines.push(scan);
         }
     }
-    if analyze {
-        let rs = run_select(cat, sel)?;
+    if let (true, Some((relation, plan))) = (analyze, planned) {
+        let rs = run(sel, &relation, plan)?;
         lines.push(format!("Rows returned: {}", rs.len()));
     }
     let rows: Vec<Row> = lines.into_iter().map(|l| vec![Value::Text(l)]).collect();
     Ok(ResultSet::new(vec!["plan".to_string()], rows))
-}
-
-/// Group-key column indices, when every GROUP BY name resolves and the
-/// query has an aggregation shape at all.
-fn resolve_group_keys(sel: &SelectStmt, schema: &Schema) -> Option<Vec<usize>> {
-    if !is_aggregation(sel) {
-        return None;
-    }
-    sel.group_by.iter().map(|g| schema.index_of(g)).collect()
 }
 
 /// DISTINCT → ORDER BY → LIMIT, shared by every execution path.
@@ -1658,103 +1674,151 @@ fn resolve_join_keys(
     Ok((ai, ni))
 }
 
-/// Build the joined input relation with hash equi-joins. The hash table is
-/// built on the smaller input; output column names are qualified
-/// (`table.column`) so both sides stay addressable. Output order is
-/// accumulated-major / joined-minor regardless of build side, matching the
-/// nested-loop reference.
-fn join_input(
-    cat: Catalog<'_>,
-    base: &str,
-    joins: &[JoinClause],
-) -> Result<(Schema, Vec<Row>), DbError> {
-    let (bs, brows) = materialize(cat, base)?;
-    let mut schema = qualify(&bs, base)?;
-    let mut rows = brows;
-
-    for j in joins {
-        let (js, jrows) = materialize(cat, &j.table)?;
-        let jschema = qualify(&js, &j.table)?;
+/// Build the joined relation with hash equi-joins, left to right: each join
+/// pairs the positions of the accumulated side with those of the joined
+/// table ([`matching_positions`]) and gathers both sides' columns at them
+/// into a new table — no input is turned into rows. Column names are
+/// qualified (`table.column`) so both sides stay addressable. Every input is
+/// read whole and counted as such.
+fn join(
+    base_name: &str,
+    base: &Arc<Table>,
+    joined: &[(&JoinClause, Arc<Table>)],
+) -> Result<Arc<Table>, DbError> {
+    obs::add(obs::Counter::ScanRowsVisited, base.len() as u64);
+    let mut schema = qualify(&base.schema, base_name)?;
+    let mut acc = Arc::clone(base);
+    for (j, table) in joined {
+        obs::add(obs::Counter::ScanRowsVisited, table.len() as u64);
+        let jschema = qualify(&table.schema, &j.table)?;
         let (ai, ni) = resolve_join_keys(&schema, &jschema, j)?;
-
-        let out = if jrows.len() <= rows.len() {
-            // Build on the joined side, probe with accumulated rows.
-            let mut built: HashMap<ValueKey, Vec<usize>> = HashMap::new();
-            for (k, r) in jrows.iter().enumerate() {
-                let key = ValueKey::of(&r[ni]);
-                if !key.is_null() {
-                    built.entry(key).or_default().push(k);
-                }
-            }
-            let mut out = Vec::new();
-            for r in &rows {
-                let key = ValueKey::of(&r[ai]);
-                if key.is_null() {
-                    continue; // NULL keys never match
-                }
-                if let Some(matches) = built.get(&key) {
-                    for &k in matches {
-                        let mut joined = r.clone();
-                        joined.extend(jrows[k].iter().cloned());
-                        out.push(joined);
-                    }
-                }
-            }
-            out
-        } else {
-            // Build on the (smaller) accumulated side; bucket matches per
-            // accumulated row, then emit in accumulated order.
-            let mut built: HashMap<ValueKey, Vec<usize>> = HashMap::new();
-            for (a, r) in rows.iter().enumerate() {
-                let key = ValueKey::of(&r[ai]);
-                if !key.is_null() {
-                    built.entry(key).or_default().push(a);
-                }
-            }
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
-            for (k, r) in jrows.iter().enumerate() {
-                let key = ValueKey::of(&r[ni]);
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(accs) = built.get(&key) {
-                    for &a in accs {
-                        buckets[a].push(k);
-                    }
-                }
-            }
-            let mut out = Vec::new();
-            for (r, bucket) in rows.iter().zip(&buckets) {
-                for &k in bucket {
-                    let mut joined = r.clone();
-                    joined.extend(jrows[k].iter().cloned());
-                    out.push(joined);
-                }
-            }
-            out
-        };
-
-        let mut cols = schema.columns;
-        cols.extend(jschema.columns);
-        schema = Schema::new(cols)?;
-        rows = out;
+        let (left, right) = matching_positions((&acc, ai), (table, ni));
+        schema.columns.extend(jschema.columns);
+        schema = Schema::new(schema.columns)?;
+        let sides = [(&*acc, &left[..]), (&**table, &right[..])];
+        acc = Arc::new(Table::gathered(schema.clone(), &sides));
     }
-    Ok((schema, rows))
+    Ok(acc)
+}
+
+/// The position pairs `(l, r)` at which column `lc` of `left` equals column
+/// `rc` of `right` under [`ValueKey`] equality (NULL keys never match), as
+/// two parallel vectors. The hash table is built on the smaller side; the
+/// order is left-major, right-minor regardless — that of the naive nested
+/// loop.
+fn matching_positions(
+    (left, lc): (&Table, usize),
+    (right, rc): (&Table, usize),
+) -> (Vec<usize>, Vec<usize>) {
+    let key = |(table, col): (&Table, usize), p: usize| {
+        Some(ValueKey::of(&table.store().value(p, col))).filter(|k| !k.is_null())
+    };
+    let build = |side: (&Table, usize)| {
+        let mut built: HashMap<ValueKey, Vec<usize>> = HashMap::new();
+        for p in 0..side.0.len() {
+            if let Some(k) = key(side, p) {
+                built.entry(k).or_default().push(p);
+            }
+        }
+        built
+    };
+    let (mut ls, mut rs) = (Vec::new(), Vec::new());
+    if right.len() <= left.len() {
+        // Build on the right, probe with the left rows in order.
+        let built = build((right, rc));
+        for l in 0..left.len() {
+            if let Some(matches) = key((left, lc), l).and_then(|k| built.get(&k)) {
+                ls.extend(std::iter::repeat_n(l, matches.len()));
+                rs.extend_from_slice(matches);
+            }
+        }
+    } else {
+        // Build on the (smaller) left; bucket the matches per left row, then
+        // emit in left order.
+        let built = build((left, lc));
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); left.len()];
+        for r in 0..right.len() {
+            if let Some(matches) = key((right, rc), r).and_then(|k| built.get(&k)) {
+                for &l in matches {
+                    buckets[l].push(r);
+                }
+            }
+        }
+        for (l, bucket) in buckets.iter().enumerate() {
+            ls.extend(std::iter::repeat_n(l, bucket.len()));
+            rs.extend_from_slice(bucket);
+        }
+    }
+    (ls, rs)
+}
+
+/// The reference executor: table snapshots turned into rows, interpreted
+/// per-row evaluation, nested-loop joins. Semantically equivalent to
+/// [`read`]; kept as the equivalence-test oracle and microbench baseline.
+pub(crate) fn run_select_reference(
+    view: &mut dyn View,
+    sel: &SelectStmt,
+) -> Result<ResultSet, DbError> {
+    let (schema, mut rows) = match Source::resolve(view, sel)? {
+        Source::Unit => (Schema::default(), vec![Vec::new()]),
+        Source::Table(table) => (table.schema.clone(), table.to_rows()),
+        Source::Join { from, base, joined } => join_nested_loop(from, &base, &joined)?,
+    };
+
+    if let Some(w) = &sel.where_clause {
+        let mut kept = Vec::with_capacity(rows.len());
+        for r in rows {
+            let v = eval(
+                w,
+                &RowCtx {
+                    schema: &schema,
+                    row: &r,
+                },
+            )?;
+            if truthy(&v) {
+                kept.push(r);
+            }
+        }
+        rows = kept;
+    }
+
+    let (columns, out_rows) = if is_aggregation(sel) {
+        aggregate_project(sel, &schema, &rows)?
+    } else {
+        let columns = output_names(sel, &schema);
+        let mut out = Vec::with_capacity(rows.len());
+        for r in &rows {
+            let ctx = RowCtx {
+                schema: &schema,
+                row: r,
+            };
+            let mut projected = Vec::with_capacity(columns.len());
+            for item in &sel.items {
+                match item {
+                    SelectItem::Star => projected.extend(r.iter().cloned()),
+                    SelectItem::Expr { expr, .. } => projected.push(eval(expr, &ctx)?),
+                }
+            }
+            out.push(projected);
+        }
+        (columns, out)
+    };
+
+    finalize(sel, columns, out_rows)
 }
 
 /// Nested-loop join used by the reference executor.
-fn join_input_nested_loop(
-    cat: Catalog<'_>,
-    base: &str,
-    joins: &[JoinClause],
+fn join_nested_loop(
+    base_name: &str,
+    base: &Table,
+    joined: &[(&JoinClause, Arc<Table>)],
 ) -> Result<(Schema, Vec<Row>), DbError> {
-    let (bs, brows) = materialize(cat, base)?;
-    let mut schema = qualify(&bs, base)?;
-    let mut rows = brows;
+    let mut schema = qualify(&base.schema, base_name)?;
+    let mut rows = base.to_rows();
 
-    for j in joins {
-        let (js, jrows) = materialize(cat, &j.table)?;
-        let jschema = qualify(&js, &j.table)?;
+    for (j, table) in joined {
+        let jrows = table.to_rows();
+        let jschema = qualify(&table.schema, &j.table)?;
         let (ai, ni) = resolve_join_keys(&schema, &jschema, j)?;
 
         let mut out = Vec::new();
@@ -1883,45 +1947,8 @@ impl FastAgg {
             .collect()
     }
 
-    fn update(&mut self, row: &Row) {
-        let gi = if self.key_idx.is_empty() {
-            0
-        } else {
-            let mut key = Vec::with_capacity(self.key_idx.len() * 9);
-            for &i in &self.key_idx {
-                encode_value_bytes(&row[i], &mut key);
-            }
-            match self.group_of.get(&key) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = self.keys.len();
-                    self.keys
-                        .push(self.key_idx.iter().map(|&i| row[i].clone()).collect());
-                    self.group_of.insert(key, gi);
-                    let fresh = self.fresh_accs();
-                    self.accs.push(fresh);
-                    gi
-                }
-            }
-        };
-        let group_accs = &mut self.accs[gi];
-        let star_value = Value::Int(1);
-        let mut a = 0;
-        for it in &self.plan {
-            if let FastItem::Agg(_, col) = it {
-                let v = match col {
-                    Some(i) => &row[*i],
-                    None => &star_value,
-                };
-                group_accs[a].update(v);
-                a += 1;
-            }
-        }
-    }
-
-    /// [`FastAgg::update`] fed from a column store: key bytes and
-    /// aggregate inputs come straight from the typed vectors, with no full
-    /// row materialization.
+    /// Feed row `pos` of a column store: key bytes and aggregate inputs come
+    /// straight from the typed vectors, with no full row materialization.
     fn update_at(&mut self, store: &ColumnStore, pos: usize) {
         let gi = if self.key_idx.is_empty() {
             0
@@ -1977,21 +2004,10 @@ impl FastAgg {
     }
 }
 
-/// Slice-based wrapper used by the general path (post-join/filter input).
-fn try_fast_aggregate(
-    sel: &SelectStmt,
-    schema: &Schema,
-    rows: &[Row],
-    key_idx: &[usize],
-) -> Option<Result<Vec<Row>, DbError>> {
-    let plan = plan_fast(sel, schema, key_idx)?;
-    let mut agg = FastAgg::new(plan, key_idx.to_vec());
-    for row in rows {
-        agg.update(row);
-    }
-    Some(agg.finish())
-}
-
+/// The general aggregation over materialised rows — any expression over
+/// aggregates and group keys: group by the GROUP BY key ([`ValueKey`]
+/// equality, groups in first-seen order), then evaluate every item per group
+/// with its aggregate calls replaced by their values.
 fn aggregate_project(
     sel: &SelectStmt,
     schema: &Schema,
@@ -2009,11 +2025,7 @@ fn aggregate_project(
         .collect();
     let key_idx = key_idx?;
 
-    if let Some(fast) = try_fast_aggregate(sel, schema, rows, &key_idx) {
-        return Ok((output_names(sel, schema), fast?));
-    }
-
-    let mut group_of: HashMap<String, usize> = HashMap::new();
+    let mut group_of: HashMap<Vec<ValueKey>, usize> = HashMap::new();
     let mut groups: Vec<Vec<&Row>> = Vec::new();
     if key_idx.is_empty() {
         // One global group — present even with zero input rows, so that
@@ -2021,11 +2033,7 @@ fn aggregate_project(
         groups.push(rows.iter().collect());
     } else {
         for r in rows {
-            let key: String = key_idx
-                .iter()
-                .map(|i| encode_value(&r[*i]))
-                .collect::<Vec<_>>()
-                .join("\u{1}");
+            let key = key_idx.iter().map(|i| ValueKey::of(&r[*i])).collect();
             let gi = *group_of.entry(key).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
@@ -2139,48 +2147,10 @@ fn output_names(sel: &SelectStmt, schema: &Schema) -> Vec<String> {
     names
 }
 
-/// Canonical encoding used for grouping in the general expression path.
-/// Numeric values encode by their f64 image so `1` and `1.0` collide,
-/// matching `Value::sql_eq` (and [`ValueKey`], the hashable equivalent).
-pub(crate) fn encode_value(v: &Value) -> String {
-    match v {
-        Value::Null => "\u{0}null".to_string(),
-        Value::Text(s) => format!("t:{s}"),
-        Value::Bool(b) => format!("b:{b}"),
-        other => {
-            let f = other.as_f64().unwrap_or(f64::NAN);
-            let f = if f == 0.0 { 0.0 } else { f }; // normalize -0.0
-            let f = if f.is_nan() { f64::NAN } else { f }; // canonical NaN
-            format!("n:{}", f.to_bits())
-        }
-    }
-}
-
-/// Allocation-light binary encoding with the same equivalence classes as
-/// [`encode_value`], used for hot grouping paths.
-fn encode_value_bytes(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Text(s) => {
-            out.push(2);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bool(b) => {
-            out.push(3);
-            out.push(u8::from(*b));
-        }
-        other => {
-            out.push(1);
-            let bits = norm_bits(other.as_f64().unwrap_or(f64::NAN));
-            out.extend_from_slice(&bits.to_le_bytes());
-        }
-    }
-}
-
-/// [`encode_value_bytes`] of one stored cell without materialising it. A
-/// TEXT cell encodes as its dictionary code: within one column, equal codes
-/// are equal strings.
+/// Append the grouping key bytes of one stored cell, with [`ValueKey`]'s
+/// equivalence classes (numbers by their normalized f64 image, so `1` and
+/// `1.0` collide), without materialising it. A TEXT cell encodes as its
+/// dictionary code: within one column, equal codes are equal strings.
 fn encode_cell_bytes(col: &ColumnVec, pos: usize, out: &mut Vec<u8>) {
     if col.nulls().is_null(pos) {
         return out.push(0);
@@ -2201,6 +2171,13 @@ fn encode_cell_bytes(col: &ColumnVec, pos: usize, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+
+    /// Candidate row positions for an index-assisted lookup, or `None` when
+    /// no index applies.
+    fn plan_point_lookup(where_clause: Option<&SqlExpr>, table: &Table) -> Option<Vec<usize>> {
+        plan_access(where_clause, table).candidates
+    }
 
     fn db() -> Engine {
         let e = Engine::new();
@@ -2484,6 +2461,44 @@ mod tests {
             .unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.rows()[0][1], Value::Int(2));
+    }
+
+    /// The general aggregation groups by key values, not by a rendering of
+    /// them a TEXT cell can imitate: two groups whose keys once rendered to
+    /// the same `U+0001`-joined string stay two — as the fast path and
+    /// DISTINCT always had it.
+    #[test]
+    fn general_aggregation_keeps_groups_apart() {
+        let e = Engine::new();
+        e.execute("CREATE TABLE g (a TEXT, b TEXT, v INTEGER)")
+            .unwrap();
+        let text = |s: &str| Value::Text(s.into());
+        e.insert_rows(
+            "g",
+            vec![
+                vec![text("x\u{1}t:y"), text("z"), Value::Int(1)],
+                vec![text("x"), text("y\u{1}t:z"), Value::Int(10)],
+            ],
+        )
+        .unwrap();
+        let sums = |q: &str| -> Vec<Value> {
+            let rs = e.query(q).unwrap();
+            assert_eq!(
+                format!("{rs:?}"),
+                format!("{:?}", e.query_reference(q).unwrap())
+            );
+            rs.rows().iter().map(|r| r[2].clone()).collect()
+        };
+        let two = vec![Value::Float(1.0), Value::Float(10.0)];
+        assert_eq!(sums("SELECT a, b, sum(v) + 0 FROM g GROUP BY a, b"), two);
+        assert_eq!(sums("SELECT a, b, sum(v) FROM g GROUP BY a, b"), two);
+        assert_eq!(e.query("SELECT DISTINCT a, b FROM g").unwrap().len(), 2);
+        // One group where the keys are equal: `1` is `1.0`, `-0.0` is `0.0`.
+        e.execute("CREATE TABLE n (k FLOAT, v INTEGER)").unwrap();
+        e.execute("INSERT INTO n VALUES (1, 1), (1.0, 2), (-0.0, 4), (0.0, 8)")
+            .unwrap();
+        let rs = e.query("SELECT k, sum(v) + 0 FROM n GROUP BY k").unwrap();
+        assert_eq!(rs.render_tsv(), "k\t(sum(v) + 0)\n1.0\t3.0\n-0.0\t12.0\n");
     }
 
     #[test]
@@ -2925,13 +2940,9 @@ mod tests {
     /// text, whatever the statement names after FROM.
     #[test]
     fn table_select_answers_what_the_statement_answers() {
-        use crate::sql::{parse_statement, Stmt};
+        use crate::test_common::select;
         let e = runs_db();
         let pinned = e.pin_table("runs").unwrap();
-        let select = |text: &str| match parse_statement(text).unwrap() {
-            Stmt::Select(sel) => sel,
-            other => panic!("not a SELECT: {other:?}"),
-        };
         let aggs = [
             "count", "sum", "avg", "min", "max", "stddev", "variance", "prod", "first", "median",
         ];

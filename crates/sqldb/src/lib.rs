@@ -87,11 +87,14 @@ pub use txn::Transaction;
 pub use value::{format_timestamp, parse_timestamp, DataType, Value, ValueKey};
 pub use wal::{FrameTap, IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
 
-/// The seeded generator of the randomized suites under `tests/`, for the
-/// unit tests that draw random cases too.
+/// The helpers of the suites under `tests/` (the seeded generator, a SELECT
+/// parsed to a value), for the unit tests too — which is why the crate goes
+/// by the name the integration tests know it under.
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 mod test_common;
+#[cfg(test)]
+extern crate self as sqldb;
 
 #[cfg(test)]
 mod tests {

@@ -802,7 +802,8 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(repl.read_node_for(1), 1, "dead replica served a read");
         }
-        assert!(cluster.fetch(2, 0, "SELECT x FROM t").is_err());
+        let sel = crate::test_common::select("SELECT x FROM t");
+        assert!(cluster.select(2, 0, "t", &sel).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,8 +10,8 @@
 //! frozen for the snapshot's lifetime.
 //!
 //! Sessions pin the whole catalog this way; a write transaction does not
-//! ([`crate::txn`] pins table by table, at first touch), and what its
-//! queries run against is a `Snapshot` of just the tables a statement names.
+//! ([`crate::txn`] pins table by table, at first touch, and is a view of its
+//! own).
 #![warn(missing_docs)]
 
 use crate::error::DbError;
@@ -64,6 +64,13 @@ impl Snapshot {
         let mut v: Vec<String> = self.tables.keys().cloned().collect();
         v.sort();
         v
+    }
+}
+
+/// A snapshot as a view: every table at the version it pinned.
+impl crate::exec::View for &Snapshot {
+    fn pin(&mut self, name: &str) -> Result<Arc<Table>, DbError> {
+        self.table(name)
     }
 }
 

@@ -189,6 +189,20 @@ impl Table {
         }
     }
 
+    /// An index-less table under `schema` whose rows are, side by side, the
+    /// rows of each part's table at that part's positions (any order, repeats
+    /// allowed; every part as many) — what a join is once it knows which rows
+    /// pair up. `schema` lists the parts' columns in order, under any names.
+    pub(crate) fn gathered(schema: Schema, parts: &[(&Table, &[usize])]) -> Table {
+        let stores: Vec<_> = parts.iter().map(|(t, at)| (&t.store, *at)).collect();
+        Table {
+            store: ColumnStore::gathered(&schema, &stores),
+            schema,
+            indexes: Vec::new(),
+            published: 0,
+        }
+    }
+
     /// The column store holding this table's rows.
     pub(crate) fn store(&self) -> &ColumnStore {
         &self.store

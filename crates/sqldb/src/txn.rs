@@ -39,13 +39,11 @@
 //! [`Transaction::execute`].
 #![warn(missing_docs)]
 
-use crate::engine::{
-    parse_query, plan, run_query_at, stmt_class, Ask, Change, Engine, ResultSet, Text,
-};
+use crate::engine::{parse_query, plan, stmt_class, Ask, Change, Engine, ResultSet, Text};
 use crate::error::DbError;
+use crate::exec;
 use crate::schema::Schema;
-use crate::snapshot::Snapshot;
-use crate::sql::{self, Stmt};
+use crate::sql;
 use crate::table::{Row, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -244,17 +242,8 @@ impl Transaction {
     /// committers. [`DbError::TxnConflict`] when one of them was published
     /// after BEGIN.
     pub fn query(&mut self, sql_text: &str) -> Result<ResultSet, DbError> {
-        let stmt = parse_query(sql_text)?;
-        let mut tables = HashMap::new();
-        if let Stmt::Select(sel) | Stmt::Explain { select: sel, .. } = &stmt {
-            let joined = sel.joins.iter().map(|j| &j.table);
-            for name in sel.from.iter().chain(joined) {
-                if let Some(version) = self.view(name)? {
-                    tables.insert(name.clone(), version);
-                }
-            }
-        }
-        run_query_at(&Snapshot::new(self.epoch, tables), stmt)
+        let (sel, explain) = parse_query(sql_text)?;
+        exec::read(self, &sel, explain)
     }
 
     /// Insert pre-built rows (the programmatic mirror of an INSERT
@@ -312,6 +301,15 @@ impl Transaction {
             ));
         }
         Ok(())
+    }
+}
+
+/// A transaction as a view: every table as of BEGIN, overlaid with the
+/// transaction's own writes — pinned at first touch, like every statement
+/// of the transaction pins.
+impl exec::View for Transaction {
+    fn pin(&mut self, name: &str) -> Result<Arc<Table>, DbError> {
+        self.view(name)?.ok_or_else(|| no_such_table(name))
     }
 }
 

@@ -57,3 +57,11 @@ impl Rng {
             .collect()
     }
 }
+
+/// The SELECT `text` parses to, for the doors that take a statement value.
+pub fn select(text: &str) -> sqldb::sql::SelectStmt {
+    match sqldb::sql::parse_statement(text).unwrap() {
+        sqldb::sql::Stmt::Select(sel) => sel,
+        other => panic!("not a SELECT: {other:?}"),
+    }
+}

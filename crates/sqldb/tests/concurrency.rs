@@ -207,9 +207,8 @@ fn cluster_nodes_used_from_many_threads() {
                 node.execute(&format!("INSERT INTO {table} VALUES (1), (2), (3)"))
                     .unwrap();
                 cluster.charge_shipment(3);
-                let rs = cluster
-                    .fetch(dst, 0, &format!("SELECT count(*) FROM {table}"))
-                    .unwrap();
+                let count = common::select(&format!("SELECT count(*) FROM {table}"));
+                let rs = cluster.select(dst, 0, &table, &count).unwrap();
                 assert_eq!(rs.rows()[0][0], Value::Int(3));
             })
         })
@@ -391,9 +390,10 @@ fn long_scan_does_not_block_imports() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let scanning = Arc::new(AtomicBool::new(false));
     let scanner = {
         let db = db.clone();
-        let stop = stop.clone();
+        let (stop, scanning) = (stop.clone(), scanning.clone());
         thread::spawn(move || {
             // Pin once; every scan below reads this frozen version.
             let snap = db.snapshot();
@@ -402,6 +402,7 @@ fn long_scan_does_not_block_imports() {
                 .unwrap();
             let mut scans = 0u64;
             while !stop.load(Ordering::Relaxed) {
+                scanning.store(true, Ordering::Relaxed);
                 let rs = db
                     .query_at(&snap, "SELECT count(*), sum(bw), stddev(bw) FROM big")
                     .unwrap();
@@ -416,6 +417,11 @@ fn long_scan_does_not_block_imports() {
     let writer = {
         let db = db.clone();
         thread::spawn(move || {
+            // Import under a reader that is scanning, not before it starts:
+            // on a busy host 50 batches can beat the scanner's first pass.
+            while !scanning.load(Ordering::Relaxed) {
+                thread::yield_now();
+            }
             let mut rng = Rng::new(0xF00D);
             for _ in 0..50 {
                 db.insert_rows("big", import_batch(&mut rng, 100)).unwrap();

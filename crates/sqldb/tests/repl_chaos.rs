@@ -22,6 +22,8 @@
 //! must survive a checkpoint — the pre-compaction barrier ships and
 //! applies them *before* compaction drops them from the log.
 
+mod common;
+
 use sqldb::cluster::{Cluster, LatencyModel};
 use sqldb::{Engine, ReplOptions, Replicator, SyncPolicy};
 use std::path::PathBuf;
@@ -200,7 +202,8 @@ fn kill_primary_mid_shipment_promotes_the_shipped_prefix() {
             "promoted replica must equal the shipped prefix, k={k}"
         );
         // The dead node serves nothing; the promoted one serves its shard.
-        assert!(cluster.fetch(1, 0, "SELECT count(*) FROM runs").is_err());
+        let count = common::select("SELECT count(*) FROM runs");
+        assert!(cluster.select(1, 0, "runs", &count).is_err());
         assert_eq!(repl.report().failovers, 1);
     }
 }

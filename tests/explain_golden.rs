@@ -238,3 +238,37 @@ fn analyze_reports_actual_candidate_rows() {
         assert_eq!(plain.len(), returned, "{sql}");
     }
 }
+
+/// [`fixture`] plus a table to join it with.
+fn joined_fixture() -> Engine {
+    let e = fixture();
+    e.execute("CREATE TABLE hosts (nodes INTEGER, rack TEXT)")
+        .unwrap();
+    e.execute("INSERT INTO hosts VALUES (1, 'r0'), (2, 'r0'), (4, 'r1'), (8, 'r1'), (16, 'r2')")
+        .unwrap();
+    e
+}
+
+const JOINED: &str = "SELECT hosts.rack, avg(runs.bw) AS mean FROM runs \
+                      JOIN hosts ON runs.nodes = hosts.nodes WHERE runs.fs <> 'nfs' \
+                      GROUP BY hosts.rack ORDER BY mean DESC LIMIT 2";
+
+/// A joined SELECT: the goldens were written by the build at commit
+/// `352842c`, whose join materialised rows and ran a pipeline of its own.
+#[test]
+fn explain_join() {
+    let e = joined_fixture();
+    check_golden(
+        "explain_join.txt",
+        &explain(&e, &format!("EXPLAIN {JOINED}")),
+    );
+    check_golden(
+        "explain_analyze_join.txt",
+        &explain(&e, &format!("EXPLAIN ANALYZE {JOINED}")),
+    );
+    let rs = e.query(JOINED).unwrap();
+    assert_eq!(
+        rs.render_tsv(),
+        "hosts.rack\tmean\nr0\t118.33333333333333\nr1\t98.57142857142857\n"
+    );
+}

@@ -19,6 +19,7 @@ use perfbase::core::query::spec::query_from_str;
 use perfbase::core::query::QueryRunner;
 use perfbase::core::xmldef;
 use perfbase::sqldb::cluster::{Cluster, LatencyModel};
+use perfbase::sqldb::sql::{parse_statement, SelectStmt, Stmt};
 use perfbase::sqldb::{Engine, ReplOptions, SyncPolicy};
 use perfbase::workloads::beffio::{simulate, BeffIoConfig, Technique};
 use std::path::PathBuf;
@@ -27,6 +28,14 @@ use std::sync::Arc;
 const EXPERIMENT: &str = include_str!("../crates/bench/data/b_eff_io_experiment.xml");
 const INPUT: &str = include_str!("../crates/bench/data/b_eff_io_input.xml");
 const FIG7_QUERY: &str = include_str!("../crates/bench/data/b_eff_io_query.xml");
+
+/// `SELECT count(*)`, for a run's data table wherever it lives.
+fn count_rows() -> SelectStmt {
+    match parse_statement("SELECT count(*)").unwrap() {
+        Stmt::Select(sel) => sel,
+        other => panic!("not a SELECT: {other:?}"),
+    }
+}
 
 struct TempDir(PathBuf);
 
@@ -299,9 +308,7 @@ fn imports_resume_on_the_promoted_node() {
     for run_id in db.run_ids().unwrap() {
         let owner = sh.owner_of(run_id);
         assert_ne!(owner, 1, "run {run_id} still routed to the dead node");
-        let rs = db
-            .query_run_data(run_id, &format!("SELECT count(*) FROM pb_rundata_{run_id}"))
-            .unwrap();
+        let rs = db.select_run_data(run_id, &count_rows()).unwrap();
         assert_eq!(format!("{}", rs.rows()[0][0]), "24", "run {run_id}");
     }
 
@@ -390,9 +397,7 @@ fn mid_import_kill_loses_no_committed_rows() {
     let p = db.fail_over(victim).unwrap();
     assert_ne!(p.promoted, victim);
     for run_id in committed {
-        let rs = db
-            .query_run_data(run_id, &format!("SELECT count(*) FROM pb_rundata_{run_id}"))
-            .unwrap();
+        let rs = db.select_run_data(run_id, &count_rows()).unwrap();
         assert_eq!(
             format!("{}", rs.rows()[0][0]),
             "24",

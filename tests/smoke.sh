@@ -5,7 +5,11 @@
 # parent-build artifact fixture, concurrent typed appends — the query-edge
 # regressions: a query writes nothing (epoch, log and catalog of every engine
 # unchanged) and two callers sharing query and element names on one database
-# do not interact — the write-path
+# do not interact — the read-path suite: every door (SQL text live, at a
+# snapshot, in a transaction; a statement value over a table, on a node) one
+# function, one `query` span, one count; EXPLAIN counts nothing and ANALYZE
+# one run; joins against the reference executor and the parent build's bytes
+# — the write-path
 # suite: the every-door model (execute, programmatic call, transaction, script
 # and replay leave the same catalog and the same log) and the parent-build
 # log/dump fixtures — the transaction
@@ -53,6 +57,10 @@ cargo test -q -p sqldb --test concurrency concurrent_typed_scans
 echo "== query edges (a query writes nothing; two callers on one database do not interact) =="
 cargo test -q -p perfbase-core --lib a_query_writes_nothing
 cargo test -q -p perfbase-core --lib concurrent_queries_on_one_database_do_not_interact
+
+echo "== read path (every door one function, EXPLAIN is the plan that ran, parent-build join corpus and goldens) =="
+cargo test -q -p sqldb --test read_path
+cargo test -q -p perfbase --test explain_golden
 
 echo "== write path (every door one outcome, parent-build log and dump fixtures) =="
 cargo test -q -p sqldb --test write_path
@@ -203,6 +211,6 @@ echo "== bench regression guard =="
 cargo run --release -p bench --bin bench_guard
 
 echo "== net Rust LOC (informational; the figure CHANGES.md reports) =="
-sh tests/loc.sh crates/sqldb/src/engine.rs crates/sqldb/src/txn.rs crates/core/src/query/exec.rs || true
+sh tests/loc.sh crates/sqldb/src/exec.rs crates/core/src/query/exec.rs || true
 
 echo "smoke: OK"

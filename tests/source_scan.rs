@@ -3,8 +3,10 @@
 //! A source element scans one table per matching run, but issues O(1) SQL
 //! statements: the `pb_runs` query. The program's own counters must say so,
 //! and must keep saying what the statement-per-run source element said about
-//! the rows it visits. This is the only test of its binary because the
-//! counters are process-wide.
+//! the rows it visits. So does a source fused with its aggregation on a
+//! sharded experiment: the partial SELECT each run's node answers is one
+//! value, built once. The counters are process-wide, so the tests of this
+//! binary take turns ([`counters`]).
 
 use perfbase::core::experiment::ExperimentDb;
 use perfbase::core::import::Importer;
@@ -13,15 +15,22 @@ use perfbase::core::query::spec::query_from_str;
 use perfbase::core::query::QueryRunner;
 use perfbase::core::xmldef;
 use perfbase::obs;
+use perfbase::sqldb::cluster::{Cluster, LatencyModel};
 use perfbase::sqldb::Engine;
 use perfbase::workloads::beffio::{simulate, BeffIoConfig, FsType, Technique};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const EXPERIMENT: &str = include_str!("../crates/bench/data/b_eff_io_experiment.xml");
 const INPUT: &str = include_str!("../crates/bench/data/b_eff_io_input.xml");
 const FIG7_QUERY: &str = include_str!("../crates/bench/data/b_eff_io_query.xml");
 /// Data sets per run of the b_eff_io campaign.
 const ROWS: u64 = 24;
+
+/// Serializes the tests: they read process-wide counters.
+fn counters() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// 3 file systems × 2 techniques × `reps` runs — the benchmark's campaign.
 fn campaign_db(reps: u32) -> ExperimentDb {
@@ -77,6 +86,7 @@ fn fig7_counts(db: &ExperimentDb) -> (u64, u64, u64) {
 
 #[test]
 fn a_source_element_costs_o1_statements_and_the_same_rows() {
+    let _turn = counters();
     let (small, large) = (campaign_db(1), campaign_db(10));
     let (parsed_6, visited_6, selects_6) = fig7_counts(&small);
     let (parsed_60, visited_60, selects_60) = fig7_counts(&large);
@@ -101,4 +111,44 @@ fn a_source_element_costs_o1_statements_and_the_same_rows() {
     // reports).
     assert_eq!(selects_6, parsed_6 + 2 + 2);
     assert_eq!(selects_60, parsed_60 + 2 * 10 + 2);
+}
+
+/// A source fused with its aggregation on a sharded experiment (aggregation
+/// pushdown) parses what the unsharded pair parses — the `pb_runs`
+/// statement — however many runs answer a partial SELECT: 3 of them or 30.
+/// It used to render and parse one statement per run.
+#[test]
+fn a_pushed_down_aggregation_parses_no_statement_per_run() {
+    let _turn = counters();
+    let spec = r#"<query name="pushed"><source id="s">
+             <parameter name="technique" value="listbased"/>
+             <parameter name="mode" value="read"/>
+             <parameter name="s_chunk" carry="true"/>
+             <value name="b_separate"/>
+           </source>
+           <operator id="a" type="avg" input="s"/>
+           <output id="o" input="a" format="csv"/></query>"#;
+    let parsed = |reps: u32| {
+        let db = campaign_db(reps);
+        let unsharded = QueryRunner::new(&db)
+            .run(query_from_str(spec).unwrap())
+            .unwrap();
+        let nodes = Cluster::with_frontend(db.engine().clone(), 4, LatencyModel::none());
+        db.attach_cluster(Arc::new(nodes)).unwrap();
+        let before = (
+            obs::get(obs::Counter::StmtParsed),
+            obs::get(obs::Counter::DagPushdownFused),
+        );
+        let out = QueryRunner::new(&db)
+            .run(query_from_str(spec).unwrap())
+            .unwrap();
+        assert_eq!(out.artifacts, unsharded.artifacts);
+        assert_eq!(obs::get(obs::Counter::DagPushdownFused) - before.1, 1);
+        let moved = out.transfer.expect("a sharded run reports its transfer");
+        assert!(moved.rows > 0, "no partial crossed a link: {moved:?}");
+        obs::get(obs::Counter::StmtParsed) - before.0
+    };
+    let (parsed_3, parsed_30) = (parsed(1), parsed(10));
+    assert_eq!(parsed_3, parsed_30);
+    assert_eq!(parsed_3, 1);
 }

@@ -4,10 +4,18 @@
 //! with aggregation pushdown on than off.
 
 use perfbase::sqldb::cluster::{Cluster, LatencyModel};
+use perfbase::sqldb::sql::{parse_statement, SelectStmt, Stmt};
 use perfbase::sqldb::Engine;
 use std::sync::Arc;
 
 /// A cluster whose node `node` holds `src (id, v)` with `rows` rows.
+fn select(text: &str) -> SelectStmt {
+    match parse_statement(text).unwrap() {
+        Stmt::Select(sel) => sel,
+        other => panic!("not a SELECT: {other:?}"),
+    }
+}
+
 fn seeded_cluster(nodes: usize, node: usize, rows: usize) -> Cluster {
     let c = Cluster::new(nodes, LatencyModel::none());
     let e = &c.node(node).engine;
@@ -58,7 +66,7 @@ fn same_node_copy_is_free() {
     assert!(placed(3).expect("placed runs report transfer").messages > 0);
 
     let c = seeded_cluster(2, 1, 5);
-    c.fetch(1, 1, "SELECT * FROM src").unwrap();
+    c.select(1, 1, "src", &select("SELECT * FROM src")).unwrap();
     c.scan(1, 1, "src", None).unwrap();
     assert_eq!(c.stats(), Default::default());
 }
@@ -84,13 +92,15 @@ fn materialize_and_fetch_accounting() {
 
     // Remote fetch charges one payload message; local fetch charges none.
     c.reset_stats();
-    let fetched = c.fetch(1, 0, "SELECT * FROM src WHERE id < 4").unwrap();
+    let fetched = c
+        .select(1, 0, "src", &select("SELECT * FROM src WHERE id < 4"))
+        .unwrap();
     assert_eq!(fetched.len(), 4);
     assert_eq!(c.stats().messages, 1);
     assert_eq!(c.stats().rows, 4);
 
     c.reset_stats();
-    c.fetch(1, 1, "SELECT * FROM src").unwrap();
+    c.select(1, 1, "src", &select("SELECT * FROM src")).unwrap();
     assert_eq!(c.stats().messages, 0);
 }
 

@@ -14,6 +14,7 @@
 //! Built on `std::sync::{Mutex, Condvar}` only.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -123,7 +124,10 @@ fn worker_loop(queue: &Queue) {
             }
         };
         match job {
-            Some(job) => job(),
+            // A job that panics takes its own response with it (the
+            // submitter sees its channel close), not the worker: the pool
+            // keeps its `threads` for the jobs queued behind.
+            Some(job) => drop(catch_unwind(AssertUnwindSafe(job))),
             None => return,
         }
     }
@@ -167,6 +171,29 @@ mod tests {
         assert_eq!(pool.submit(Box::new(|| {})), Err(Refused::QueueFull));
         assert_eq!(pool.depth(), 2);
         block_tx.send(()).unwrap();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_pool_at_full_strength() {
+        let pool = GatePool::new(2, 8);
+        for _ in 0..4 {
+            pool.submit(Box::new(|| panic!("job failed"))).unwrap();
+        }
+        // Both workers are still there: two jobs that each wait for the
+        // other to start can only finish on two threads.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = mpsc::channel();
+        for _ in 0..2 {
+            let (barrier, done_tx) = (barrier.clone(), done_tx.clone());
+            pool.submit(Box::new(move || {
+                barrier.wait();
+                done_tx.send(()).unwrap();
+            }))
+            .unwrap();
+        }
+        let wait = std::time::Duration::from_secs(10);
+        assert!(done_rx.recv_timeout(wait).is_ok() && done_rx.recv_timeout(wait).is_ok());
         pool.shutdown();
     }
 

@@ -328,10 +328,11 @@ fn pooled(
     match submitted {
         Ok(()) => {
             // Accepted jobs always run (the pool drains on shutdown), so
-            // this recv only fails if the worker panicked.
+            // this recv only fails if the job panicked: a defect in this
+            // program, not load — 500, and the worker lives on.
             let r = rx
                 .recv()
-                .unwrap_or_else(|_| Response::text(503, "worker failed\n"));
+                .unwrap_or_else(|_| Response::text(500, "internal error: the request panicked\n"));
             obs::record_duration(hist, started.elapsed());
             r
         }

@@ -17,6 +17,9 @@ fn call(
     body: &str,
 ) -> (u16, String, String) {
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    // A request nobody answers fails its test instead of hanging it.
+    let patience = std::time::Duration::from_secs(20);
+    stream.set_read_timeout(Some(patience)).unwrap();
     let mut req = format!(
         "{method} {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n",
         body.len()
@@ -475,6 +478,34 @@ fn error_codes_match_the_documentation() {
     assert_eq!(status, 400);
     let (status, _, _) = call(&handle, "POST", "/ingest", &[], "a\n1\n");
     assert_eq!(status, 400);
+
+    handle.stop();
+    handle.join();
+}
+
+/// Integer arithmetic that overflows is the statement's error, not a panic:
+/// a panic used to cost the pool the worker that ran it, and `threads` of
+/// them left every later request queued for workers that no longer existed.
+#[test]
+fn overflowing_arithmetic_answers_400_and_costs_no_worker() {
+    let (_engine, handle) = serve_sample();
+    let hostile = [
+        "SELECT 9223372036854775807 + 1",
+        "SELECT run_index * 9223372036854775807 FROM runs",
+        "SELECT (-9223372036854775807 - 1) % (run_index - 2) FROM runs",
+        "SELECT -9223372036854775807 - run_index FROM runs",
+    ];
+    for sql in hostile
+        .iter()
+        .cycle()
+        .take(ServerConfig::default().threads + 1)
+    {
+        let (status, _, body) = call(&handle, "POST", "/query", &[], sql);
+        assert_eq!(status, 400, "{sql}: {body}");
+        assert!(body.contains("integer overflow in "), "{sql}: {body}");
+    }
+    let (status, _, body) = call(&handle, "POST", "/query", &[], "SELECT count(*) FROM runs");
+    assert_eq!((status, body.as_str()), (200, "count(*)\n2\n"));
 
     handle.stop();
     handle.join();

@@ -467,8 +467,7 @@ impl Cluster {
                 opts_for(node.id),
                 ckpt_seq.max(1),
             )?;
-            node.engine
-                .recover_replay(&statements, ckpt_seq, &mut report);
+            node.engine.recover_replay(statements, &mut report);
             node.engine.attach_wal(wal);
             reports.push(Some(report));
         }

@@ -270,6 +270,10 @@ mod tests {
             "- -9223372036854775808 = 1",
             "-(-9223372036854775808) = 1",
             "a * b = 10.0",
+            "9223372036854775807 + a = 1",
+            "-9223372036854775807 - a = 1",
+            "a * 4611686018427387904 = 1",
+            "(-9223372036854775807 - 1) % (a - 5) = 0",
             "n + 1 IS NULL",
             "s IN ('nfs', 'ufs')",
             "s NOT IN ('nfs')",

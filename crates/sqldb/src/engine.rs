@@ -13,7 +13,7 @@ use crate::sync::{Mutex, RwLock};
 use crate::table::{Row, Table};
 use crate::txn::Transaction;
 use crate::value::Value;
-use crate::wal::{RecoveryReport, Wal, WalOptions};
+use crate::wal::{RecoveryReport, UnitReader, Wal, WalOptions};
 use crate::TableMemory;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -297,9 +297,8 @@ impl Engine {
     /// transaction plans earlier, against versions it pinned: `pins`, and
     /// first-writer-wins decides here whether they are still current). In
     /// this order: the conflict check; `log` — the text of the changes the
-    /// log carries, empty on replay — appended, as one marker-framed group
-    /// when it is more than one frame (one sync-policy application — the
-    /// group-commit amortization); the commit gate; every change taken out of
+    /// log carries, empty on replay — appended as one unit
+    /// ([`Wal::append_batch`]); the commit gate; every change taken out of
     /// `work` and applied — a version swapped in or removed, rows changed in
     /// place through [`cow`]; one epoch tick. An error leaves the log, the
     /// catalog and the epoch untouched, and nothing after the log append can
@@ -310,7 +309,7 @@ impl Engine {
         wal: &mut Option<Wal>,
         mut pins: Option<HashMap<String, Arc<Table>>>,
         work: &mut [(&str, Change)],
-        mut log: Vec<String>,
+        log: Vec<String>,
     ) -> Result<(), DbError> {
         if let Some(pins) = &pins {
             let tables = self.tables.read();
@@ -332,18 +331,7 @@ impl Engine {
             }
         }
         if let Some(w) = wal.as_mut() {
-            match log.len() {
-                0 => {}
-                // A single frame needs no framing: it is atomic on its own.
-                1 => {
-                    w.append(&log[0])?;
-                }
-                _ => {
-                    log.insert(0, crate::wal::TXN_BEGIN_MARKER.to_string());
-                    log.push(crate::wal::TXN_COMMIT_MARKER.to_string());
-                    w.append_batch(&log)?;
-                }
-            }
+            w.append_batch(&log)?;
         }
         let _gate = self.commit.write();
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
@@ -784,28 +772,21 @@ impl Engine {
         statements.iter().filter(|s| replay(s).is_err()).count() as u64
     }
 
-    /// Replay recovered WAL statements on top of a checkpoint dump that
-    /// recorded checkpoint sequence `ckpt_seq`: frames below it are
-    /// already reflected in the dump and are skipped, the rest replay
-    /// unlogged. Updates `report` with the skip/replay/error split.
-    pub(crate) fn recover_replay(
-        &self,
-        statements: &[String],
-        ckpt_seq: u64,
-        report: &mut RecoveryReport,
-    ) {
-        let skip = ckpt_seq
-            .saturating_sub(report.start_seq)
-            .min(statements.len() as u64) as usize;
-        report.frames_skipped = skip as u64;
-        // Transaction framing is filtered *after* the checkpoint skip: a
-        // checkpoint holds the WAL mutex across dump + compact, and commits
-        // append a transaction's frames under one WAL hold, so a checkpoint
-        // boundary can never land inside a marker pair.
-        let (to_apply, discarded) = crate::wal::filter_txn_frames(&statements[skip..]);
-        report.txn_frames_discarded = discarded;
-        report.frames_replayed = to_apply.len() as u64;
-        report.replay_errors = self.replay_unlogged(&to_apply);
+    /// Replay the frames [`Wal::open_recover_from`] kept, unit by unit
+    /// and unlogged, behind the `report.frames_skipped` of them that the
+    /// checkpoint dump already reflects (a checkpoint holds the WAL mutex
+    /// across dump + compact, and a unit's frames are appended under one
+    /// hold, so the boundary never lands inside a group). Updates `report`
+    /// with the replay/error/discard split.
+    pub(crate) fn recover_replay(&self, frames: Vec<String>, report: &mut RecoveryReport) {
+        let mut reader = UnitReader::default();
+        let frames = frames.into_iter().skip(report.frames_skipped as usize);
+        report.frames_replayed = 0;
+        for unit in frames.filter_map(|frame| reader.push(frame)) {
+            report.frames_replayed += unit.len() as u64;
+            report.replay_errors += self.replay_unlogged(&unit);
+        }
+        report.txn_frames_discarded += reader.abandon();
     }
 
     /// Open a database durably: load the last checkpoint dump from
@@ -836,7 +817,7 @@ impl Engine {
         };
         let (wal, statements, mut report) =
             Wal::open_recover_from(wal_path, opts, ckpt_seq.max(1))?;
-        engine.recover_replay(&statements, ckpt_seq, &mut report);
+        engine.recover_replay(statements, &mut report);
         engine.attach_wal(wal);
         Ok((engine, report))
     }

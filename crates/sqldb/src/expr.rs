@@ -158,15 +158,20 @@ pub(crate) fn binary_values(op: &str, lv: Value, rv: Value) -> Result<Value, DbE
             }
             // Text concatenation with '+' is deliberately unsupported.
             if let (Value::Int(a), Value::Int(b)) = (&lv, &rv) {
+                let int = |result: Option<i64>| {
+                    result.map(Value::Int).ok_or_else(|| {
+                        DbError::Execution(format!("integer overflow in {a} {op} {b}"))
+                    })
+                };
                 return match op {
-                    "+" => Ok(Value::Int(a + b)),
-                    "-" => Ok(Value::Int(a - b)),
-                    "*" => Ok(Value::Int(a * b)),
+                    "+" => int(a.checked_add(*b)),
+                    "-" => int(a.checked_sub(*b)),
+                    "*" => int(a.checked_mul(*b)),
                     "%" => {
                         if *b == 0 {
                             Err(DbError::Execution("modulo by zero".into()))
                         } else {
-                            Ok(Value::Int(a % b))
+                            int(a.checked_rem(*b))
                         }
                     }
                     _ => {
@@ -472,6 +477,29 @@ mod tests {
                 "{src}"
             );
         }
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error() {
+        for (a, op, b) in [
+            (i64::MAX, "+", 1),
+            (i64::MIN, "-", 1),
+            (i64::MAX, "*", 2),
+            (i64::MIN, "%", -1),
+        ] {
+            assert_eq!(
+                binary_values(op, Value::Int(a), Value::Int(b)),
+                Err(DbError::Execution(format!(
+                    "integer overflow in {a} {op} {b}"
+                ))),
+            );
+        }
+        let max = Value::Int(i64::MAX);
+        assert_eq!(binary_values("+", max.clone(), Value::Int(0)), Ok(max));
+        assert_eq!(
+            binary_values("%", Value::Int(i64::MIN), Value::Int(2)),
+            Ok(Value::Int(0))
+        );
     }
 
     #[test]

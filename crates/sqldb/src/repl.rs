@@ -25,11 +25,12 @@
 //!   to log into the other's). The cost: a replica's copy is
 //!   memory-resident until it is promoted and checkpointed.
 //!
-//! Multi-statement transactions ship like any other frames, but a replica
-//! buffers everything between the WAL's txn begin/commit markers and
-//! applies the group as a unit when the commit marker arrives. A group
-//! whose commit never ships (primary died mid-transaction) is discarded
-//! at promotion — replicas never surface a partial transaction.
+//! Multi-statement transactions ship like any other frames, and a replica
+//! reads what it is shipped the way recovery reads a log — through a
+//! `wal::UnitReader`, which holds a frame group until its commit marker
+//! arrives and hands it over as one unit. A group whose commit never ships
+//! (primary died mid-transaction) is abandoned at promotion — replicas
+//! never surface a partial transaction.
 //!
 //! Reads load-balance across primary and fresh replicas round-robin; a
 //! replica that has not applied every frame its primary ever appended
@@ -47,7 +48,7 @@
 use crate::cluster::Cluster;
 use crate::error::DbError;
 use crate::sync::Mutex;
-use crate::wal::{frame_crc, FrameTap, TXN_BEGIN_MARKER, TXN_COMMIT_MARKER};
+use crate::wal::{frame_crc, FrameTap, IoFailpoint, UnitReader};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -106,65 +107,15 @@ struct ReplicaState {
     node: usize,
     /// Frames shipped but not yet applied (the replica's unapplied tail).
     inbox: Mutex<Vec<Frame>>,
-    /// Frames of an in-progress transaction group: everything from the
-    /// begin marker up to (but excluding) the commit marker. Applied as a
-    /// unit when the commit marker arrives; discarded at promotion if the
-    /// commit never shipped, so a replica can never surface a partial
-    /// transaction. The begin-marker frame itself sits at index 0 and
-    /// doubles as the "group open" flag.
-    txn_buf: Mutex<Vec<Frame>>,
+    /// Reads the shipped frames as units. The group it holds open between
+    /// two shipments is a transaction this replica shows nothing of, and
+    /// `applied_seq` stays below it — the replica fails the freshness gate
+    /// until the group commits.
+    reader: Mutex<UnitReader<String>>,
     /// Highest sequence number shipped to this replica.
     shipped_seq: AtomicU64,
     /// Highest sequence number applied on this replica's engine.
     applied_seq: AtomicU64,
-}
-
-/// Outcome of feeding one shipped frame through a replica's transaction
-/// filter ([`ReplicaState::admit`]).
-enum Admit {
-    /// Apply these statement payloads now, then record `seq` as applied.
-    /// `stmts` is empty for a stray commit marker (sequence still
-    /// advances, nothing replays).
-    Apply { stmts: Vec<String>, seq: u64 },
-    /// Frame buffered into an open group, or a begin marker consumed —
-    /// nothing is applied and `applied_seq` must not advance, which keeps
-    /// the replica failing the freshness gate until the group commits.
-    Buffered,
-}
-
-impl ReplicaState {
-    /// Mirror of WAL recovery's all-or-nothing transaction filter, one
-    /// frame at a time: frames outside a marker group apply immediately;
-    /// frames between a begin and a commit marker buffer and apply as a
-    /// unit on the commit; marker frames themselves are never replayed
-    /// as SQL.
-    fn admit(&self, frame: Frame) -> Admit {
-        let mut buf = self.txn_buf.lock();
-        if frame.stmt == TXN_BEGIN_MARKER {
-            // A begin on an open group means the older group never saw
-            // its commit (cannot happen under the engine's single-writer
-            // commit protocol, but mirror recovery's behavior anyway).
-            buf.clear();
-            buf.push(frame);
-            Admit::Buffered
-        } else if frame.stmt == TXN_COMMIT_MARKER {
-            let group = std::mem::take(&mut *buf);
-            Admit::Apply {
-                // Skip the begin-marker sentinel at index 0; a stray
-                // commit (empty buf) applies nothing.
-                stmts: group.into_iter().skip(1).map(|f| f.stmt).collect(),
-                seq: frame.seq,
-            }
-        } else if buf.is_empty() {
-            Admit::Apply {
-                seq: frame.seq,
-                stmts: vec![frame.stmt],
-            }
-        } else {
-            buf.push(frame);
-            Admit::Buffered
-        }
-    }
 }
 
 /// Point-in-time replication totals, aggregated over every stream by
@@ -249,7 +200,7 @@ impl ShipStream {
                     Arc::new(ReplicaState {
                         node,
                         inbox: Mutex::new(Vec::new()),
-                        txn_buf: Mutex::new(Vec::new()),
+                        reader: Mutex::new(UnitReader::default()),
                         shipped_seq: AtomicU64::new(0),
                         applied_seq: AtomicU64::new(0),
                     })
@@ -333,39 +284,56 @@ impl ShipStream {
         }
     }
 
-    /// Apply every shipped-but-unapplied frame on the live replicas
-    /// through the unlogged replay path. Statement errors are tolerated
-    /// exactly like WAL recovery tolerates them (counted, not fatal); a
-    /// primary ships none of its own making — it logs no statement it
-    /// rejects.
+    /// Apply every shipped-but-unapplied frame on the live replicas.
     fn apply_inboxes(&self) {
         let Some(cluster) = self.cluster.upgrade() else {
             return;
         };
         for r in &self.replicas {
-            if !cluster.node_alive(r.node) {
-                continue;
-            }
-            let frames: Vec<Frame> = std::mem::take(&mut *r.inbox.lock());
-            if frames.is_empty() {
-                continue;
-            }
-            let engine = cluster.node(r.node).engine.clone();
-            for frame in frames {
-                match r.admit(frame) {
-                    Admit::Buffered => {}
-                    Admit::Apply { stmts, seq } => {
-                        let n = stmts.len() as u64;
-                        if n > 0 {
-                            engine.replay_unlogged(&stmts);
-                        }
-                        r.applied_seq.store(seq, Ordering::SeqCst);
-                        self.frames_applied.fetch_add(n, Ordering::Relaxed);
-                        obs::add(obs::Counter::ReplFramesApplied, n);
-                    }
-                }
+            if cluster.node_alive(r.node) {
+                self.apply_inbox(&cluster, r, None)
+                    .expect("only a promotion's checks can fail");
             }
         }
+    }
+
+    /// Apply `r`'s shipped-but-unapplied frames, unit by unit, through the
+    /// unlogged replay path; returns the statements applied. Statement
+    /// errors are tolerated exactly like WAL recovery tolerates them
+    /// (counted, not fatal); a primary ships none of its own making — it
+    /// logs no statement it rejects. In a promotion, `promoting` is the
+    /// replica node's failpoint: every frame passes its mid-promotion kill
+    /// point and a CRC check first.
+    fn apply_inbox(
+        &self,
+        cluster: &Cluster,
+        r: &ReplicaState,
+        promoting: Option<&IoFailpoint>,
+    ) -> Result<u64, DbError> {
+        let frames: Vec<Frame> = std::mem::take(&mut *r.inbox.lock());
+        let engine = &cluster.node(r.node).engine;
+        let mut reader = r.reader.lock();
+        let mut applied = 0;
+        for frame in frames {
+            if let Some(fp) = promoting {
+                fp.admit_promotion()?;
+                if frame_crc(frame.seq, frame.stmt.as_bytes()) != frame.crc {
+                    return Err(DbError::Io(format!(
+                        "promotion tail frame {} failed CRC re-verification",
+                        frame.seq
+                    )));
+                }
+            }
+            if let Some(unit) = reader.push(frame.stmt) {
+                engine.replay_unlogged(&unit);
+                r.applied_seq.store(frame.seq, Ordering::SeqCst);
+                let n = unit.len() as u64;
+                self.frames_applied.fetch_add(n, Ordering::Relaxed);
+                obs::add(obs::Counter::ReplFramesApplied, n);
+                applied += n;
+            }
+        }
+        Ok(applied)
     }
 
     /// Route one shard read: round-robin over the live primary and every
@@ -609,36 +577,12 @@ impl Replicator {
     ) -> Result<u64, DbError> {
         let fp = cluster.node_failpoint(cand.node).clone();
         fp.check_alive()?;
-        let frames: Vec<Frame> = std::mem::take(&mut *cand.inbox.lock());
-        let engine = cluster.node(cand.node).engine.clone();
-        let mut replayed = 0u64;
-        for frame in frames {
-            fp.admit_promotion()?;
-            if frame_crc(frame.seq, frame.stmt.as_bytes()) != frame.crc {
-                return Err(DbError::Io(format!(
-                    "promotion tail frame {} failed CRC re-verification",
-                    frame.seq
-                )));
-            }
-            match cand.admit(frame) {
-                Admit::Buffered => {}
-                Admit::Apply { stmts, seq } => {
-                    let n = stmts.len() as u64;
-                    if n > 0 {
-                        engine.replay_unlogged(&stmts);
-                    }
-                    cand.applied_seq.store(seq, Ordering::SeqCst);
-                    stream.frames_applied.fetch_add(n, Ordering::Relaxed);
-                    obs::add(obs::Counter::ReplFramesApplied, n);
-                    replayed += n;
-                }
-            }
-        }
-        // An open group left in the buffer is a transaction whose commit
+        let replayed = stream.apply_inbox(cluster, cand, Some(&fp))?;
+        // A group the reader still holds open is a transaction whose commit
         // marker never shipped before the primary died: the primary may
         // never have made it durable, so the promoted copy must not show
         // any of its effects.
-        cand.txn_buf.lock().clear();
+        cand.reader.lock().abandon();
         Ok(replayed)
     }
 

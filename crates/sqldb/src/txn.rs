@@ -610,33 +610,53 @@ mod tests {
         assert_eq!(db.wal_frames(), 2, "no markers for a 1-statement txn");
     }
 
+    /// A log whose tail is an unterminated txn group — the on-disk state a
+    /// crash between the begin marker and the commit marker leaves behind:
+    /// `t` with row 1, then a three-INSERT commit killed after its begin
+    /// marker and `kept` of its statements reached the file.
+    fn crash_mid_commit(name: &str, kept: u64) -> (std::path::PathBuf, std::path::PathBuf) {
+        use crate::wal::{SyncPolicy, WalOptions};
+        let (db, dump, wal_path) = durable_with_t(name, WalOptions::with_sync(SyncPolicy::Always));
+        db.execute("INSERT INTO t VALUES (1, 'a')").unwrap();
+        db.wal_failpoint().unwrap().arm_frame_kill(1 + kept);
+        let mut txn = db.begin_txn();
+        for a in 2..5 {
+            txn.execute(&format!("INSERT INTO t VALUES ({a}, 'b')"))
+                .unwrap();
+        }
+        assert!(txn.commit().is_err());
+        (dump, wal_path)
+    }
+
     #[test]
     fn uncommitted_tail_is_discarded_on_recovery() {
-        use crate::wal::{SyncPolicy, Wal, WalOptions};
-        let dir = std::env::temp_dir().join("perfbase_txn_wal");
-        std::fs::create_dir_all(&dir).unwrap();
-        let dump = dir.join("tail.sql");
-        let wal_path = dir.join("tail.wal");
-        std::fs::remove_file(&dump).ok();
-        std::fs::remove_file(&wal_path).ok();
-
-        // Hand-write a log whose tail is an unterminated txn group — the
-        // on-disk state a crash between the begin marker and the commit
-        // marker leaves behind.
-        let mut w = Wal::create(&wal_path, WalOptions::with_sync(SyncPolicy::Always), 1).unwrap();
-        w.append("CREATE TABLE t (a INTEGER)").unwrap();
-        w.append("INSERT INTO t VALUES (1)").unwrap();
-        w.append(crate::wal::TXN_BEGIN_MARKER).unwrap();
-        w.append("INSERT INTO t VALUES (2)").unwrap();
-        w.append("INSERT INTO t VALUES (3)").unwrap();
-        drop(w);
-
+        use crate::wal::{SyncPolicy, WalOptions};
+        let (dump, wal_path) = crash_mid_commit("tail", 2);
         let (db, report) =
             Engine::open_durable(&dump, &wal_path, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
         assert_eq!(report.txn_frames_discarded, 3, "begin marker + 2 stmts");
         assert_eq!(report.frames_replayed, 2);
         assert_eq!(report.replay_errors, 0);
         assert_eq!(db.row_count("t").unwrap(), 1, "zero partial-txn effects");
+    }
+
+    /// Recovery cuts the dead group off the file, so what is acknowledged
+    /// after the reopen is not behind it at the next one.
+    #[test]
+    fn acked_writes_behind_a_dead_group_survive_the_second_recovery() {
+        use crate::wal::{SyncPolicy, WalOptions};
+        let opts = WalOptions::with_sync(SyncPolicy::Always);
+        let (dump, wal_path) = crash_mid_commit("dead_group", 1);
+        let (db, report) = Engine::open_durable(&dump, &wal_path, opts.clone()).unwrap();
+        assert_eq!(report.txn_frames_discarded, 2, "begin marker + 1 stmt");
+        db.execute("INSERT INTO t VALUES (5, 'acked')").unwrap();
+        db.execute("INSERT INTO t VALUES (6, 'acked')").unwrap();
+        drop(db);
+        let len = std::fs::metadata(&wal_path).unwrap().len();
+        let (db, report) = Engine::open_durable(&dump, &wal_path, opts).unwrap();
+        assert_eq!((report.txn_frames_discarded, report.torn_bytes), (0, 0));
+        assert_eq!(db.row_count("t").unwrap(), 3);
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), len);
     }
 
     #[test]

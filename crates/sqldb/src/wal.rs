@@ -12,9 +12,12 @@
 //! and appended to the log *before* the engine applies it. The CRC covers
 //! the sequence number and the payload, so a frame that was torn by a
 //! crash, bit-flipped, or mis-positioned never validates. On open,
-//! recovery scans the log from the last checkpoint, replays every valid
-//! frame, and physically truncates the first torn or corrupt tail frame —
-//! a half-written statement is dropped entirely, never half-applied.
+//! recovery scans the log from the last checkpoint, reads the valid frames
+//! as *units* — a statement, or the statements of one marker-framed group:
+//! what applies together or not at all — through the one `UnitReader`,
+//! and physically truncates the file where its last whole unit ends: a
+//! half-written statement or a half-written group is dropped entirely,
+//! never half-applied, and nothing is ever appended behind one.
 //!
 //! Durability cost is tunable per [`SyncPolicy`]: `Always` fsyncs every
 //! frame, `Group` batches fsyncs inside a group-commit window (the
@@ -53,49 +56,75 @@ const FRAME_HEADER_LEN: usize = 16;
 /// under `cfg(test)` so the crate's unit tests can trip it cheaply.)
 const MAX_PAYLOAD: u32 = if cfg!(test) { 1 << 20 } else { 256 << 20 };
 
-/// Frame payload opening a multi-statement transaction's frame group.
+/// Frame payload opening the frame group of a unit of more than one
+/// statement.
 ///
 /// Collision-safe as a payload: `Engine::execute` parses SQL before
-/// logging it, and a `--…` line never parses, so only the transaction
-/// commit path can emit these exact payloads.
-pub(crate) const TXN_BEGIN_MARKER: &str = "--TXN BEGIN";
-/// Frame payload sealing a transaction's frame group; frames between the
-/// begin and commit markers replay all-or-nothing.
-pub(crate) const TXN_COMMIT_MARKER: &str = "--TXN COMMIT";
+/// logging it, and a `--…` line never parses, so only
+/// [`Wal::append_batch`] can emit these exact payloads — and only
+/// [`UnitReader`] reads them.
+const TXN_BEGIN_MARKER: &str = "--TXN BEGIN";
+/// Frame payload sealing a frame group.
+const TXN_COMMIT_MARKER: &str = "--TXN COMMIT";
 
-/// Filter a recovered statement sequence for transaction framing: frames
-/// outside any marker pair pass through, frames between a begin and a
-/// commit marker are emitted together when the commit marker is present,
-/// and an unterminated group (a crash before the commit marker reached the
-/// log) is discarded wholesale. Returns the replayable statements and the
-/// number of frames discarded (group contents plus their markers).
-pub(crate) fn filter_txn_frames(stmts: &[String]) -> (Vec<String>, u64) {
-    let mut out = Vec::with_capacity(stmts.len());
-    let mut group: Option<Vec<String>> = None;
-    let mut discarded = 0u64;
-    for s in stmts {
-        if s == TXN_BEGIN_MARKER {
-            if let Some(pending) = group.take() {
-                // A begin inside an open group means the previous group
-                // never committed; it is dead.
-                discarded += pending.len() as u64 + 1;
-            }
-            group = Some(Vec::new());
-        } else if s == TXN_COMMIT_MARKER {
-            match group.take() {
-                Some(mut pending) => out.append(&mut pending),
-                None => discarded += 1,
-            }
-        } else if let Some(pending) = group.as_mut() {
-            pending.push(s.clone());
-        } else {
-            out.push(s.clone());
+/// The one reader of a log: frames in, whole units out. A unit is what
+/// applies together or not at all — one statement, or the statements
+/// between a begin and a commit marker. Recovery, replica apply and
+/// promotion all read their frames through it; a sequence of frames ends
+/// where its last whole unit ends.
+#[derive(Debug)]
+pub(crate) struct UnitReader<F> {
+    /// The statement frames of the open group; `None` outside a group.
+    open: Option<Vec<F>>,
+    /// Frames read that no unit holds: a stray commit marker, or a group
+    /// (with its begin marker) that another begin marker cut short.
+    discarded: u64,
+}
+
+impl<F> Default for UnitReader<F> {
+    fn default() -> Self {
+        UnitReader {
+            open: None,
+            discarded: 0,
         }
     }
-    if let Some(pending) = group {
-        discarded += pending.len() as u64 + 1;
+}
+
+impl<F: AsRef<str>> UnitReader<F> {
+    /// Read the next frame; returns the unit it completes, if it completes
+    /// one. A stray commit marker completes a unit of no statements.
+    pub(crate) fn push(&mut self, frame: F) -> Option<Vec<F>> {
+        match frame.as_ref() {
+            TXN_BEGIN_MARKER => {
+                // A begin inside an open group: the older group never
+                // committed.
+                self.abandon();
+                self.open = Some(Vec::new());
+                None
+            }
+            TXN_COMMIT_MARKER => Some(self.open.take().unwrap_or_else(|| {
+                self.discarded += 1;
+                Vec::new()
+            })),
+            _ => match self.open.as_mut() {
+                Some(group) => {
+                    group.push(frame);
+                    None
+                }
+                None => Some(vec![frame]),
+            },
+        }
     }
-    (out, discarded)
+
+    /// Give up the open group — its commit marker is not coming. Returns
+    /// how many frames this reader has read into no unit, the abandoned
+    /// group's (and its begin marker) among them.
+    pub(crate) fn abandon(&mut self) -> u64 {
+        if let Some(group) = self.open.take() {
+            self.discarded += group.len() as u64 + 1;
+        }
+        self.discarded
+    }
 }
 
 /// When the log forces its buffered frames to stable storage.
@@ -442,9 +471,10 @@ pub struct RecoveryReport {
     /// identically in the original run — replay reproduces the engine state
     /// exactly.
     pub replay_errors: u64,
-    /// Frames discarded by the transaction filter: statements (and their
-    /// begin marker) belonging to a transaction whose commit marker never
-    /// reached the log. Zero partial-transaction effects survive recovery.
+    /// Frames discarded by the unit reader: statements (and their begin
+    /// marker) belonging to a transaction whose commit marker never reached
+    /// the log — cut off the file when they are its tail — and stray
+    /// markers. Zero partial-transaction effects survive recovery.
     pub txn_frames_discarded: u64,
     /// First sequence number of the current log segment (advances at every
     /// checkpoint compaction).
@@ -476,7 +506,9 @@ pub struct Wal {
     unsynced: u64,
     /// When the current group-commit window opened.
     window_open: Option<Instant>,
-    /// Total frames currently in the log segment.
+    /// Valid frames the segment has held since it started: the ones a
+    /// recovery cut off still count, so that the compaction which ends the
+    /// segment reports every frame it and that recovery took off the file.
     frames: u64,
     /// Observer the log streams frames through; see [`FrameTap`].
     tap: Option<Arc<dyn FrameTap>>,
@@ -557,10 +589,12 @@ impl Wal {
     }
 
     /// Open (or create) the log at `path`, scan and validate every frame,
-    /// truncate any torn tail, and return the log positioned for appending
-    /// plus the decoded statements in order. The caller replays the
-    /// statements into its engine *before* attaching the log, so the
-    /// replay itself is not re-logged.
+    /// cut the file where its last whole unit ends — a torn frame and an
+    /// unterminated frame group are both a torn tail — and return the log
+    /// positioned for appending plus the payloads of the frames kept, in
+    /// order, markers included. The caller replays them (as units: see
+    /// `Engine::recover_replay`) *before* attaching the log, so the replay
+    /// itself is not re-logged.
     pub fn open_recover(
         path: &Path,
         opts: WalOptions,
@@ -633,14 +667,24 @@ impl Wal {
         }
         let start_seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
 
-        // Scan frames until the tail stops validating.
+        // Scan frames until the tail stops validating, reading them as
+        // units from `floor` on (a checkpoint never lands inside a group of
+        // a log that was not poisoned, and what lies below `floor` is in the
+        // dump whatever it was).
         let mut statements = Vec::new();
         let mut pos = HEADER_LEN as usize;
         let mut seq = start_seq;
+        let mut reader = UnitReader::default();
+        // Where the last whole unit ends: offset, the sequence number after
+        // it, frames up to it.
+        let mut whole = (pos, seq, 0);
         while let Some((payload, next)) = read_frame(&bytes, pos, seq) {
-            statements.push(payload);
+            statements.push(payload.to_string());
             pos = next;
             seq += 1;
+            if seq <= floor || reader.push(payload).is_some() {
+                whole = (pos, seq, statements.len());
+            }
         }
         if seq < floor {
             return Err(DbError::Io(format!(
@@ -650,23 +694,29 @@ impl Wal {
                 path.display()
             )));
         }
-        let valid_len = pos as u64;
-        let torn = file_len.saturating_sub(valid_len);
-        if torn > 0 {
-            file.set_len(valid_len)
+        // The log ends where its last whole unit ends: behind it is a torn
+        // frame, an unterminated group, or both, and a frame appended behind
+        // either would be lost with it at the next open.
+        let (end, seq, kept) = whole;
+        let valid = statements.len() as u64;
+        statements.truncate(kept);
+        if file_len > end as u64 {
+            file.set_len(end as u64)
                 .map_err(|e| io_err(path, "truncate", &e))?;
             file.sync_all().map_err(|e| io_err(path, "sync", &e))?;
         }
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err(path, "seek", &e))?;
 
-        let frames = statements.len() as u64;
+        let kept = kept as u64;
         let report = RecoveryReport {
-            frames_replayed: frames,
-            torn_bytes: torn,
+            frames_replayed: kept,
+            frames_skipped: floor.saturating_sub(start_seq).min(kept),
+            torn_bytes: file_len.saturating_sub(pos as u64),
+            replay_errors: 0,
+            txn_frames_discarded: valid - kept,
             start_seq,
             next_seq: seq,
-            ..RecoveryReport::default()
         };
         let wal = Wal {
             file,
@@ -677,7 +727,7 @@ impl Wal {
             start_seq,
             unsynced: 0,
             window_open: None,
-            frames,
+            frames: valid,
             tap: None,
             poisoned: false,
         };
@@ -700,24 +750,35 @@ impl Wal {
         Ok(seq)
     }
 
-    /// Append a group of statements as consecutive frames, applying the
-    /// sync policy once for the whole group — the group-commit
-    /// amortization a transaction commit relies on (one fsync for the
-    /// group instead of one per statement under [`SyncPolicy::Always`]).
-    /// Returns the sequence number of the first frame.
+    /// Append one unit — statements that apply together or not at all;
+    /// returns the sequence number of its first frame. One statement is one
+    /// frame ([`Wal::append`]: atomic on its own); more are framed here as a
+    /// group — begin marker, the statements, commit marker — with the sync
+    /// policy applied once for the whole group: the group-commit
+    /// amortization a transaction commit relies on (one fsync for the group
+    /// instead of one per statement under [`SyncPolicy::Always`]).
     ///
     /// Every payload is checked against the frame limit before the first
     /// frame is written, so a rejected group leaves no trace. If an append
     /// fails after part of the group reached the file, the log is poisoned
-    /// (every later append errors): callers frame groups with the
-    /// transaction markers, recovery discards the unterminated group *and
-    /// everything after it*, so nothing may be acked behind it.
+    /// (every later append errors): recovery cuts the unterminated group
+    /// off, and a frame written behind it would go with it, so nothing may
+    /// be acked behind it.
     pub fn append_batch(&mut self, stmts: &[String]) -> Result<u64, DbError> {
-        stmts.iter().try_for_each(|s| check_payload(s))?;
+        match stmts {
+            [] => return Ok(self.next_seq),
+            [one] => return self.append(one),
+            _ => stmts.iter().try_for_each(|s| check_payload(s))?,
+        }
         let first = self.next_seq;
-        for stmt in stmts {
+        let statements = stmts.iter().map(String::as_str);
+        for frame in [TXN_BEGIN_MARKER]
+            .into_iter()
+            .chain(statements)
+            .chain([TXN_COMMIT_MARKER])
+        {
             let t_append = Instant::now();
-            let appended = self.append_frame(stmt);
+            let appended = self.append_frame(frame);
             if appended.is_err() && self.next_seq != first {
                 self.poisoned = true;
             }
@@ -871,7 +932,8 @@ impl Wal {
         self.next_seq
     }
 
-    /// Frames currently in the log segment.
+    /// Valid frames the segment has held since it started — the frames in
+    /// the file, and any unterminated group the last recovery cut off it.
     pub fn frames(&self) -> u64 {
         self.frames
     }
@@ -909,7 +971,7 @@ impl Drop for Wal {
 
 /// Validate and decode the frame at `pos`; `None` on any torn/corrupt/
 /// out-of-sequence frame (recovery truncates there).
-fn read_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> Option<(String, usize)> {
+fn read_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> Option<(&str, usize)> {
     let header_end = pos.checked_add(FRAME_HEADER_LEN)?;
     if header_end > bytes.len() {
         return None;
@@ -931,8 +993,7 @@ fn read_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> Option<(String, usiz
     if frame_crc(seq, payload) != crc {
         return None;
     }
-    let text = String::from_utf8(payload.to_vec()).ok()?;
-    Some((text, end))
+    Some((std::str::from_utf8(payload).ok()?, end))
 }
 
 /// Refuse a statement no frame can hold.
@@ -1033,11 +1094,22 @@ mod tests {
         assert_eq!(wal.next_seq(), 11);
     }
 
+    fn s(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// What a frame sequence reads to: the statements of its whole units,
+    /// and how many frames are in none.
+    fn read_units(frames: &[String]) -> (Vec<String>, u64) {
+        let mut reader = UnitReader::default();
+        let units = frames.iter().filter_map(|f| reader.push(f.clone()));
+        (units.flatten().collect(), reader.abandon())
+    }
+
     #[test]
-    fn filter_txn_frames_all_or_nothing() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    fn unit_reader_all_or_nothing() {
         // Committed group: contents pass, markers drop.
-        let (out, discarded) = filter_txn_frames(&s(&[
+        let (out, discarded) = read_units(&s(&[
             "A",
             TXN_BEGIN_MARKER,
             "B",
@@ -1048,16 +1120,16 @@ mod tests {
         assert_eq!(out, s(&["A", "B", "C", "D"]));
         assert_eq!(discarded, 0);
         // Unterminated tail: group discarded wholesale.
-        let (out, discarded) = filter_txn_frames(&s(&["A", TXN_BEGIN_MARKER, "B", "C"]));
+        let (out, discarded) = read_units(&s(&["A", TXN_BEGIN_MARKER, "B", "C"]));
         assert_eq!(out, s(&["A"]));
         assert_eq!(discarded, 3);
         // Stray commit marker (e.g. begin marker lost to a checkpoint
         // boundary can't happen, but be robust): dropped, not replayed.
-        let (out, discarded) = filter_txn_frames(&s(&[TXN_COMMIT_MARKER, "A"]));
+        let (out, discarded) = read_units(&s(&[TXN_COMMIT_MARKER, "A"]));
         assert_eq!(out, s(&["A"]));
         assert_eq!(discarded, 1);
         // Begin inside an open group kills the older group.
-        let (out, discarded) = filter_txn_frames(&s(&[
+        let (out, discarded) = read_units(&s(&[
             TXN_BEGIN_MARKER,
             "A",
             TXN_BEGIN_MARKER,
@@ -1076,20 +1148,19 @@ mod tests {
         let stmts: Vec<String> = (0..5).map(|i| format!("B{i}")).collect();
         let first = wal.append_batch(&stmts).unwrap();
         assert_eq!(first, 2);
-        assert_eq!(wal.frames(), 6);
-        assert_eq!(wal.next_seq(), 7);
+        // The five statements and the two markers that make them one unit.
+        assert_eq!(wal.frames(), 6 + 2);
+        assert_eq!(wal.next_seq(), 7 + 2);
+        // One statement is one frame, no statement is none.
+        assert_eq!(wal.append_batch(&s(&["C"])).unwrap(), 9);
+        assert_eq!(wal.append_batch(&[]).unwrap(), 10);
+        assert_eq!(wal.frames(), 9);
         drop(wal);
         let (_, recovered, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
-        assert_eq!(recovered.len(), 6);
+        assert_eq!(report.frames_replayed, 9);
+        let (recovered, discarded) = read_units(&recovered);
+        assert_eq!((recovered.len(), discarded), (6 + 1, 0));
         assert_eq!(recovered[1], "B0");
-        assert_eq!(report.frames_replayed, 6);
-    }
-
-    fn framed(stmts: &[&str]) -> Vec<String> {
-        let mut group = vec![TXN_BEGIN_MARKER.to_string()];
-        group.extend(stmts.iter().map(|s| s.to_string()));
-        group.push(TXN_COMMIT_MARKER.to_string());
-        group
     }
 
     #[test]
@@ -1099,7 +1170,7 @@ mod tests {
         wal.append("A").unwrap();
         let len_before = std::fs::metadata(&path).unwrap().len();
         let big = "y".repeat(MAX_PAYLOAD as usize + 1);
-        let e = wal.append_batch(&framed(&["small", &big])).unwrap_err();
+        let e = wal.append_batch(&s(&["small", &big])).unwrap_err();
         assert!(e.to_string().contains("exceeds WAL frame limit"), "{e}");
         // Rejected ⇒ absent: not one byte of the group reached the file.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
@@ -1108,10 +1179,7 @@ mod tests {
         wal.append("acked").unwrap();
         drop(wal);
         let (_, stmts, _) = Wal::open_recover(&path, WalOptions::default()).unwrap();
-        assert_eq!(
-            filter_txn_frames(&stmts),
-            (vec!["A".into(), "acked".into()], 0)
-        );
+        assert_eq!(read_units(&stmts), (vec!["A".into(), "acked".into()], 0));
     }
 
     #[test]
@@ -1125,15 +1193,17 @@ mod tests {
         };
         let mut wal = Wal::create(&path, opts, 1).unwrap();
         wal.append("A").unwrap();
-        assert!(wal.append_batch(&framed(&["one", "two"])).is_err());
+        assert!(wal.append_batch(&s(&["one", "two"])).is_err());
         assert!(!fp.is_crashed(), "the process survives this error");
         // Nothing may be acked behind the unterminated group.
         assert!(wal.append("later").is_err());
-        assert!(wal.append_batch(&framed(&["x", "y"])).is_err());
+        assert!(wal.append_batch(&s(&["x", "y"])).is_err());
         drop(wal);
         let (mut wal, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
         assert!(report.torn_bytes > 0, "half of frame 'two' was on disk");
-        assert_eq!(filter_txn_frames(&stmts), (vec!["A".into()], 2));
+        // The unterminated group went with the torn frame behind it.
+        assert_eq!((stmts, report.txn_frames_discarded), (s(&["A"]), 2));
+        assert_eq!(wal.next_seq(), 2);
         // Reopening clears the poison.
         wal.append("after reopen").unwrap();
     }
@@ -1156,12 +1226,15 @@ mod tests {
         wal.append("A").unwrap();
         // Begin marker (seq 2) and "one" (seq 3) are whole frames in the
         // file when the tap fails the group.
-        assert!(wal.append_batch(&framed(&["one", "two"])).is_err());
+        assert!(wal.append_batch(&s(&["one", "two"])).is_err());
         assert!(wal.append("later").is_err());
         drop(wal);
         let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
         assert_eq!(report.torn_bytes, 0);
-        assert_eq!(filter_txn_frames(&stmts), (vec!["A".into()], 2));
+        assert_eq!((stmts, report.txn_frames_discarded), (s(&["A"]), 2));
+        // The cut is on the file: a second open finds nothing to discard.
+        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        assert_eq!((stmts, report.txn_frames_discarded), (s(&["A"]), 0));
     }
 
     #[test]

@@ -307,7 +307,20 @@ fn an_import_killed_at_any_frame_is_all_or_nothing() {
         );
         drop(db);
 
+        // Second round: an autocommit frame acknowledged after the reopen is
+        // not behind the killed group at the next one.
         let (db, _) = ExperimentDb::open_durable(Path::new(&path), WalOptions::default()).unwrap();
+        db.record_import("by-hand", "by-hand.txt", 0).unwrap();
+        drop(db);
+        let (db, _) = ExperimentDb::open_durable(Path::new(&path), WalOptions::default()).unwrap();
+        assert!(
+            db.is_imported("by-hand").unwrap(),
+            "kill after {kill_after}"
+        );
+        db.engine()
+            .execute("DELETE FROM pb_imports WHERE hash = 'by-hand'")
+            .unwrap();
+
         let ids = whole_runs(&db);
         let stored = acked.iter().filter(|a| **a).count();
         assert_eq!(ids.len(), stored, "acked ⇒ recovered, unacked ⇒ absent");

@@ -15,8 +15,10 @@
 # log/dump fixtures — the transaction
 # suites: the as-of-BEGIN isolation model, the import count guard, concurrent
 # `add_run` — the WAL crash-consistency suites (an import and a delete killed
-# at every frame, a dump restored without its log), and the replication
-# chaos/failover suites), the
+# at every frame, a dump restored without its log), the log-reader suite (a
+# seeded crash-and-reopen model: acknowledged ⇒ recovered over any number of
+# reopens, the file ends at its last whole unit; logs the parent build wrote),
+# and the replication chaos/failover suites), the
 # stand-alone benchmark package's build and tests (so a refactor that breaks
 # the API it is pinned to fails here, not in the benchmark driver), a
 # replicated CLI query diffed against the unsharded run, a
@@ -73,6 +75,10 @@ cargo test -q -p perfbase --test concurrent_import
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash
 cargo test -q -p perfbase --test crash_recovery
+
+echo "== log reader (one unit reader: crash-and-reopen model, parent-written logs; overflow is a 400, a panic costs no worker) =="
+cargo test -q -p sqldb --test log_units
+cargo test -q -p pbserver --test http_api
 
 echo "== replication (log shipping, chaos kills, failover equivalence) =="
 cargo test -q -p sqldb --test repl_chaos
@@ -212,5 +218,6 @@ cargo run --release -p bench --bin bench_guard
 
 echo "== net Rust LOC (informational; the figure CHANGES.md reports) =="
 sh tests/loc.sh crates/sqldb/src/exec.rs crates/core/src/query/exec.rs || true
+sh tests/loc.sh crates/sqldb/src/wal.rs crates/sqldb/src/repl.rs crates/sqldb/src/engine.rs || true
 
 echo "smoke: OK"

@@ -670,6 +670,64 @@ fn bench_txn_begin_scaling() -> BenchResult {
     }
 }
 
+/// What a reader's pin costs a writer (ISSUE 25): a 250-row `insert_rows`
+/// into an index-less 100 000-row table while a reader pins it
+/// (`optimized_ns`) against the same append with no pin (`baseline_ns`), so
+/// the reported "speedup" is the second over the first — 1.0 when a pin
+/// costs nothing. While a pinned version was copied whole it was ~0.015
+/// (the copy cost ~65 unpinned appends); now a pinned append copies at most
+/// the partial last chunk of each column.
+fn bench_pinned_append() -> BenchResult {
+    const START: usize = 100_000;
+    const BATCH: usize = 250;
+    let row = |i: usize| {
+        vec![
+            Value::Int(i as i64),
+            Value::Int((i % 10) as i64),
+            Value::Text(["nfs", "pvfs", "ufs"][i % 3].to_string()),
+            Value::Float(i as f64 / 8.0),
+        ]
+    };
+    let table = || {
+        let e = Engine::new();
+        e.execute("CREATE TABLE samples (id INTEGER NOT NULL, grp INTEGER, fs TEXT, val FLOAT)")
+            .expect("create");
+        e.insert_rows("samples", (0..START).map(row).collect())
+            .expect("insert");
+        e
+    };
+    // Interleaved, on two tables that grow alike.
+    let (pinned, free) = (table(), table());
+    let (mut pinned_ns, mut free_ns) = (Vec::new(), Vec::new());
+    for trial in 0..=TRIALS {
+        let first = START + trial * BATCH;
+        for (e, pin, samples) in [
+            (&pinned, true, &mut pinned_ns),
+            (&free, false, &mut free_ns),
+        ] {
+            let batch: Vec<_> = (first..first + BATCH).map(row).collect();
+            let reader = pin.then(|| e.pin_table("samples").expect("pin"));
+            let t0 = Instant::now();
+            e.insert_rows("samples", batch).expect("append");
+            let ns = t0.elapsed().as_nanos() as u64;
+            drop(reader);
+            // The first trial warms up.
+            if trial > 0 {
+                samples.push(ns);
+            }
+        }
+    }
+    let median = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    BenchResult {
+        name: "pinned_append",
+        optimized_ns: median(pinned_ns),
+        baseline_ns: median(free_ns),
+    }
+}
+
 /// Telemetry overhead: the same point select with the `obs` counters
 /// recording vs globally disabled. Every recording call degrades to one
 /// relaxed atomic load when disabled, so the delta is the full cost of the
@@ -1003,6 +1061,16 @@ fn main() {
         txn_scaling.speedup()
     );
 
+    let pinned_append = bench_pinned_append();
+    assert!(
+        pinned_append.speedup() >= 0.1,
+        "an append beside a reader's pin must cost at most 10x an unpinned one \
+         ({} ns vs {} ns, ratio {:.3})",
+        pinned_append.optimized_ns,
+        pinned_append.baseline_ns,
+        pinned_append.speedup()
+    );
+
     let wal = bench_wal();
     assert!(
         wal.group_cost_ns() <= WAL_GROUP_ALLOWANCE_NS,
@@ -1041,6 +1109,7 @@ fn main() {
         mutation,
         txn,
         txn_scaling,
+        pinned_append,
         repl_reads,
         failover,
     ]);

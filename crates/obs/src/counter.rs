@@ -94,6 +94,10 @@ counters! {
     /// Copy-on-write table clones forced because a pinned snapshot still
     /// referenced the version a writer wanted to mutate.
     MvccCowClones => "mvcc.cow_clones",
+    /// Bytes a write copied because another version shared what it wrote:
+    /// the version's chunk lists and indexes, the column chunks it changed,
+    /// a dictionary it grew.
+    MvccCowBytes => "mvcc.cow_bytes",
     /// Current commit epoch (gauge; bumped once per applied mutation).
     MvccEpoch => "mvcc.epoch",
     /// HTTP requests accepted by the server front end.

@@ -1,58 +1,211 @@
-//! Table storage: per-column typed vectors, dictionary-encoded strings and
-//! null bitmaps.
+//! Table storage: per-column typed cells in shared chunks,
+//! dictionary-encoded strings and null bitmaps.
 //!
 //! A [`ColumnStore`] is the one storage of a [`crate::Table`]: its rows,
-//! decomposed into one typed vector per schema column:
+//! decomposed into one typed column per schema column:
 //!
-//! * `INTEGER`/`TIMESTAMP` → `Vec<i64>`, `FLOAT` → `Vec<f64>`,
-//!   `BOOLEAN` → `Vec<bool>`;
-//! * `TEXT` → dictionary encoding: a `Vec<u32>` of codes into an
-//!   insertion-ordered string dictionary (low-cardinality run metadata like
-//!   filesystem names collapses to a handful of entries);
+//! * `INTEGER`/`TIMESTAMP` → `i64` cells, `FLOAT` → `f64`, `BOOLEAN` →
+//!   `bool`;
+//! * `TEXT` → dictionary encoding: `u32` codes into an insertion-ordered
+//!   string dictionary (low-cardinality run metadata like filesystem names
+//!   collapses to a handful of entries);
 //! * NULLs → a bitmap per column (bit set = NULL); the data slot of a NULL
 //!   cell holds the type's default and must never be interpreted.
+//!
+//! Every column and every bitmap is [`Chunked`]: chunks of `CHUNK_ROWS`
+//! rows, the full ones `Arc`-shared, the last, partial one (the tail) each
+//! version's own; a dictionary sits behind one `Arc`. Cloning a store —
+//! what a write does to a table version a reader has pinned — therefore
+//! bumps one reference count per full chunk and copies the tails (fewer
+//! than `CHUNK_ROWS` cells per column), and the write then copies only what
+//! else it changes ([`own`]; both counted in `mvcc.cow_bytes`): an append
+//! nothing more, an UPDATE the full chunks holding the positions it writes,
+//! an insert of a string the dictionary lacks the dictionary. DELETE
+//! rebuilds the columns.
 //!
 //! Invariants relied on by the execution paths in `exec`:
 //!
 //! * **Variant purity** — every non-NULL cell of a column is exactly the
 //!   declared type's [`Value`] variant. [`Value::coerce`] enforces this on
-//!   every insert/update path, so typed vectors need no per-cell tags.
+//!   every insert/update path, so typed cells need no per-cell tags.
 //! * **Dictionary codes are dense and stable** — `codes[i] < dict.len()`
 //!   always; entries are append-only, so deletes and updates may leave
 //!   unreferenced (dead) entries behind but never invalidate a stored code.
-//! * **Positions are row numbers** — position `p` in every column vector and
+//! * **Positions are row numbers** — position `p` in every column and
 //!   bitmap refers to the same logical row, and stays valid until the next
 //!   mutation of the table.
+//! * **Chunks are full but the last** — chunk `k` of a column holds
+//!   positions `[k·CHUNK_ROWS, (k+1)·CHUNK_ROWS)`, and chunk `k` of its
+//!   bitmap the null bits of the same rows, so a chunk is the unit of
+//!   sharing for cells and bits alike. A table of fewer rows — a 24-row run
+//!   table — is a tail and nothing else, read through the same code.
 
 use crate::schema::Schema;
-use crate::value::{DataType, Value};
+use crate::value::{DataType, Num, Value};
 use std::collections::HashMap;
+use std::ops::Index;
+use std::sync::Arc;
 
-/// One bit per row; a set bit marks the cell NULL.
+/// Rows per chunk: a multiple of 64, so a chunk's null bits are whole words.
+const CHUNK_ROWS: usize = 4096;
+
+/// Null-bitmap words per chunk.
+const CHUNK_WORDS: usize = CHUNK_ROWS / 64;
+
+/// `shared`, made private first if another table version holds it too —
+/// the copy a write beside a pinned reader pays, counted in
+/// `mvcc.cow_bytes` as `bytes` of what was copied.
+fn own<T: Clone>(shared: &mut Arc<T>, bytes: impl FnOnce(&T) -> usize) -> &mut T {
+    if Arc::get_mut(shared).is_none() {
+        obs::add(obs::Counter::MvccCowBytes, bytes(shared) as u64);
+    }
+    Arc::make_mut(shared)
+}
+
+/// A column of cells in chunks of `N`: the full chunks `Arc`-shared between
+/// the table versions that hold them, the last, partial one (`tail`, fewer
+/// than `N` cells) each version's own. A clone bumps a reference count per
+/// full chunk and copies the tail.
+#[derive(Debug, Clone)]
+pub(crate) struct Chunked<T, const N: usize = CHUNK_ROWS> {
+    full: Vec<Arc<Vec<T>>>,
+    tail: Vec<T>,
+}
+
+impl<T, const N: usize> Default for Chunked<T, N> {
+    fn default() -> Self {
+        Chunked {
+            full: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone, const N: usize> Chunked<T, N> {
+    /// Number of cells.
+    fn len(&self) -> usize {
+        self.full.len() * N + self.tail.len()
+    }
+
+    /// Chunk `k`.
+    #[inline]
+    fn chunk(&self, k: usize) -> &[T] {
+        match self.full.get(k) {
+            Some(chunk) => chunk,
+            None => &self.tail,
+        }
+    }
+
+    /// Every chunk, with the position of its first cell.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = (usize, &[T])> {
+        let chunks = self.full.iter().map(|c| c.as_slice());
+        let chunks = chunks.chain(std::iter::once(self.tail.as_slice()));
+        chunks.enumerate().map(|(k, chunk)| (k * N, chunk))
+    }
+
+    /// The cells at `positions`, in their order. A position inside the
+    /// chunk of the one before it is read without looking its chunk up, so
+    /// an ascending selection finds each chunk once.
+    pub(crate) fn gather<'a>(&'a self, positions: &'a [usize]) -> impl Iterator<Item = &'a T> {
+        let mut at: (usize, &[T]) = (0, &[]);
+        positions.iter().map(move |&p| {
+            if p.wrapping_sub(at.0) >= at.1.len() {
+                at = (p / N * N, self.chunk(p / N));
+            }
+            &at.1[p - at.0]
+        })
+    }
+
+    /// Append `cells` to the tail, which becomes a shared full chunk each
+    /// time it reaches `N` cells. Its capacity grows by doubling, up to `N`.
+    fn extend(&mut self, cells: impl IntoIterator<Item = T>) {
+        let mut cells = cells.into_iter();
+        loop {
+            let (had, room) = (self.tail.len(), N - self.tail.len());
+            let want = cells.size_hint().0.clamp(1, room);
+            if self.tail.capacity() - had < want {
+                let grow = (had + want).max(2 * had).min(N);
+                self.tail.reserve_exact(grow - had);
+            }
+            self.tail.extend(cells.by_ref().take(room));
+            if self.tail.len() < N {
+                return;
+            }
+            self.full.push(Arc::new(std::mem::take(&mut self.tail)));
+        }
+    }
+
+    /// The cell at `i`, its chunk made private first.
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        match self.full.get_mut(i / N) {
+            Some(chunk) => &mut own(chunk, |c| c.len() * size_of::<T>())[i % N],
+            None => &mut self.tail[i % N],
+        }
+    }
+
+    /// The cells whose `keep` flag is true, in new chunks.
+    fn retained(&self, keep: &[bool]) -> Self {
+        let cells = self.chunks().flat_map(|(_, chunk)| chunk);
+        let kept = cells.zip(keep).filter(|(_, k)| **k);
+        kept.map(|(cell, _)| cell.clone()).collect()
+    }
+
+    /// Heap bytes of the cells.
+    fn heap_bytes(&self) -> usize {
+        let full: usize = self.full.iter().map(|c| c.capacity()).sum();
+        (full + self.tail.capacity()) * size_of::<T>()
+    }
+
+    /// Bytes a clone copies rather than shares: the list of full chunks and
+    /// the tail.
+    fn clone_bytes(&self) -> usize {
+        self.full.len() * size_of::<Arc<Vec<T>>>() + self.tail.len() * size_of::<T>()
+    }
+}
+
+impl<T: Clone, const N: usize> FromIterator<T> for Chunked<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(cells: I) -> Self {
+        let mut out = Chunked::default();
+        out.extend(cells);
+        out
+    }
+}
+
+impl<T: Clone, const N: usize> Index<usize> for Chunked<T, N> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        &self.chunk(i / N)[i % N]
+    }
+}
+
+/// One bit per row; a set bit marks the cell NULL. The words are chunked
+/// like the cells: chunk `k` holds the bits of the column's chunk `k`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NullBitmap {
-    words: Vec<u64>,
+    words: Chunked<u64, CHUNK_WORDS>,
     len: usize,
     nulls: usize,
 }
 
 impl NullBitmap {
-    fn push(&mut self, is_null: bool) {
-        let (w, b) = (self.len / 64, self.len % 64);
-        if w == self.words.len() {
-            self.words.push(0);
+    /// Append one bit per entry of `bits` (true = NULL).
+    fn extend(&mut self, bits: impl ExactSizeIterator<Item = bool>) {
+        let first = self.len;
+        self.extend_valid(bits.len());
+        for (i, null) in bits.enumerate() {
+            if null {
+                self.set(first + i, true);
+            }
         }
-        if is_null {
-            self.words[w] |= 1 << b;
-            self.nulls += 1;
-        }
-        self.len += 1;
     }
 
     /// Append `n` non-NULL rows.
     fn extend_valid(&mut self, n: usize) {
         self.len += n;
-        self.words.resize(self.len.div_ceil(64), 0);
+        let words = self.len.div_ceil(64) - self.words.len();
+        self.words.extend(std::iter::repeat_n(0, words));
     }
 
     /// Append the bits of `src` at `positions`.
@@ -60,7 +213,7 @@ impl NullBitmap {
         if src.nulls == 0 {
             self.extend_valid(positions.len());
         } else {
-            positions.iter().for_each(|&p| self.push(src.is_null(p)));
+            self.extend(positions.iter().map(|&p| src.is_null(p)));
         }
     }
 
@@ -77,11 +230,10 @@ impl NullBitmap {
     }
 
     fn set(&mut self, i: usize, null: bool) {
-        let was = self.is_null(i);
-        if was == null {
+        if self.is_null(i) == null {
             return;
         }
-        self.words[i / 64] ^= 1 << (i % 64);
+        *self.words.get_mut(i / 64) ^= 1 << (i % 64);
         if null {
             self.nulls += 1;
         } else {
@@ -91,64 +243,60 @@ impl NullBitmap {
 
     /// Keep only rows whose `keep` flag is true, preserving order.
     fn retain(&mut self, keep: &[bool]) {
+        let kept: Vec<usize> = (0..self.len).filter(|&i| keep[i]).collect();
         let mut out = NullBitmap::default();
-        for (i, k) in keep.iter().enumerate() {
-            if *k {
-                out.push(self.is_null(i));
-            }
-        }
+        out.extend_selected(self, &kept);
         *self = out;
     }
+}
 
-    fn heap_bytes(&self) -> usize {
-        self.words.capacity() * 8
+/// A TEXT column's strings in code order, and the code of each.
+#[derive(Debug, Clone, Default)]
+struct Dict {
+    strings: Vec<String>,
+    lookup: HashMap<String, u32>,
+}
+
+impl Dict {
+    /// Heap bytes: each string header and payload, once in the vector and
+    /// once as a lookup key, and the lookup's slots.
+    fn bytes(&self) -> usize {
+        let strings: usize = self.strings.iter().map(|s| 2 * (24 + s.capacity())).sum();
+        strings + self.lookup.capacity() * (24 + 4)
     }
+}
+
+/// The code of `s` in `dict`, interned if new — the dictionary made private
+/// first if another version shares it.
+fn intern(dict: &mut Arc<Dict>, s: &str) -> u32 {
+    if let Some(c) = dict.lookup.get(s) {
+        return *c;
+    }
+    let dict = own(dict, Dict::bytes);
+    let c = u32::try_from(dict.strings.len()).expect("dictionary overflow");
+    dict.strings.push(s.to_string());
+    dict.lookup.insert(s.to_string(), c);
+    c
 }
 
 /// Dictionary-encoded TEXT column: `codes[i]` indexes into `dict`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DictColumn {
-    pub(crate) codes: Vec<u32>,
+    pub(crate) codes: Chunked<u32>,
     pub(crate) nulls: NullBitmap,
-    dict: Vec<String>,
-    lookup: HashMap<String, u32>,
+    dict: Arc<Dict>,
 }
 
 impl DictColumn {
     /// All dictionary entries in code order (may include dead entries after
     /// deletes).
     pub(crate) fn dict(&self) -> &[String] {
-        &self.dict
+        &self.dict.strings
     }
 
     /// Code of `s` if it has ever been stored in this column.
     pub(crate) fn code_of(&self, s: &str) -> Option<u32> {
-        self.lookup.get(s).copied()
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(c) = self.lookup.get(s) {
-            return *c;
-        }
-        let c = u32::try_from(self.dict.len()).expect("dictionary overflow");
-        self.dict.push(s.to_string());
-        self.lookup.insert(s.to_string(), c);
-        c
-    }
-
-    fn push(&mut self, v: &Value) {
-        match v {
-            Value::Null => {
-                self.codes.push(0);
-                self.nulls.push(true);
-            }
-            Value::Text(s) => {
-                let c = self.intern(s);
-                self.codes.push(c);
-                self.nulls.push(false);
-            }
-            other => panic!("TEXT column got non-text value {other:?}"),
-        }
+        self.dict.lookup.get(s).copied()
     }
 
     /// Append the cells of `src` at `positions`. The two dictionaries differ,
@@ -157,52 +305,58 @@ impl DictColumn {
     /// `src` that no selected row references never enter this dictionary.
     fn extend_selected(&mut self, src: &DictColumn, positions: &[usize]) {
         const UNMAPPED: u32 = u32::MAX;
-        let mut remap = vec![UNMAPPED; src.dict.len()];
-        self.codes.reserve(positions.len());
-        for &p in positions {
-            let code = if src.nulls.is_null(p) {
-                0
-            } else {
-                let from = src.codes[p] as usize;
-                if remap[from] == UNMAPPED {
-                    remap[from] = self.intern(&src.dict[from]);
-                }
-                remap[from]
-            };
-            self.codes.push(code);
-        }
+        let mut remap = vec![UNMAPPED; src.dict().len()];
+        let dict = &mut self.dict;
+        let cells = positions.iter().zip(src.codes.gather(positions));
+        self.codes.extend(cells.map(|(&p, &code)| {
+            if src.nulls.is_null(p) {
+                return 0;
+            }
+            let from = code as usize;
+            if remap[from] == UNMAPPED {
+                remap[from] = intern(dict, &src.dict()[from]);
+            }
+            remap[from]
+        }));
         self.nulls.extend_selected(&src.nulls, positions);
     }
 }
 
-/// One typed column vector plus its null bitmap.
+/// One typed column plus its null bitmap.
 #[derive(Debug, Clone)]
 pub(crate) enum ColumnVec {
-    Int { data: Vec<i64>, nulls: NullBitmap },
-    Float { data: Vec<f64>, nulls: NullBitmap },
-    Bool { data: Vec<bool>, nulls: NullBitmap },
-    Timestamp { data: Vec<i64>, nulls: NullBitmap },
+    Int {
+        data: Chunked<i64>,
+        nulls: NullBitmap,
+    },
+    Float {
+        data: Chunked<f64>,
+        nulls: NullBitmap,
+    },
+    Bool {
+        data: Chunked<bool>,
+        nulls: NullBitmap,
+    },
+    Timestamp {
+        data: Chunked<i64>,
+        nulls: NullBitmap,
+    },
     Text(DictColumn),
 }
 
 impl ColumnVec {
     fn new(dtype: DataType) -> ColumnVec {
+        let (data, nulls) = (Chunked::default(), NullBitmap::default());
         match dtype {
-            DataType::Int => ColumnVec::Int {
-                data: Vec::new(),
-                nulls: NullBitmap::default(),
-            },
+            DataType::Int => ColumnVec::Int { data, nulls },
+            DataType::Timestamp => ColumnVec::Timestamp { data, nulls },
             DataType::Float => ColumnVec::Float {
-                data: Vec::new(),
-                nulls: NullBitmap::default(),
+                data: Chunked::default(),
+                nulls,
             },
             DataType::Bool => ColumnVec::Bool {
-                data: Vec::new(),
-                nulls: NullBitmap::default(),
-            },
-            DataType::Timestamp => ColumnVec::Timestamp {
-                data: Vec::new(),
-                nulls: NullBitmap::default(),
+                data: Chunked::default(),
+                nulls,
             },
             DataType::Text => ColumnVec::Text(DictColumn::default()),
         }
@@ -219,89 +373,82 @@ impl ColumnVec {
         }
     }
 
-    /// Numeric image of row `i` under the engine's `as_f64` coercion.
-    /// Caller must have checked `!is_null(i)`; meaningless for TEXT.
+    /// The number in row `i` (BOOLEAN as 0/1). Caller must have checked
+    /// `!is_null(i)`; a TEXT column has none.
     #[inline]
-    pub(crate) fn f64_at(&self, i: usize) -> f64 {
+    pub(crate) fn num_at(&self, i: usize) -> Num {
         match self {
-            ColumnVec::Int { data, .. } | ColumnVec::Timestamp { data, .. } => data[i] as f64,
-            ColumnVec::Float { data, .. } => data[i],
-            ColumnVec::Bool { data, .. } => f64::from(data[i]),
-            ColumnVec::Text(_) => f64::NAN,
+            ColumnVec::Int { data, .. } | ColumnVec::Timestamp { data, .. } => Num::Int(data[i]),
+            ColumnVec::Float { data, .. } => Num::Float(data[i]),
+            ColumnVec::Bool { data, .. } => Num::Int(i64::from(data[i])),
+            ColumnVec::Text(_) => unreachable!("a TEXT cell is not a number"),
         }
     }
 
-    fn push(&mut self, v: &Value) {
+    /// Append already-coerced values: each NULL or exactly the column
+    /// type's variant (`Table` checks every value on the way in).
+    fn extend_values<'a>(&mut self, values: impl ExactSizeIterator<Item = &'a Value> + Clone) {
+        fn cells<'a, T: Clone + Default>(
+            (data, nulls): (&mut Chunked<T>, &mut NullBitmap),
+            values: impl ExactSizeIterator<Item = &'a Value> + Clone,
+            cell: impl Fn(&Value) -> Option<T>,
+        ) {
+            nulls.extend(values.clone().map(Value::is_null));
+            data.extend(values.map(|v| match v {
+                Value::Null => T::default(),
+                v => cell(v).unwrap_or_else(|| panic!("column got a value of another type: {v:?}")),
+            }));
+        }
         match self {
-            ColumnVec::Int { data, nulls } => match v {
-                Value::Null => {
-                    data.push(0);
-                    nulls.push(true);
-                }
-                Value::Int(i) => {
-                    data.push(*i);
-                    nulls.push(false);
-                }
-                other => panic!("INTEGER column got {other:?}"),
-            },
-            ColumnVec::Float { data, nulls } => match v {
-                Value::Null => {
-                    data.push(0.0);
-                    nulls.push(true);
-                }
-                Value::Float(f) => {
-                    data.push(*f);
-                    nulls.push(false);
-                }
-                other => panic!("FLOAT column got {other:?}"),
-            },
-            ColumnVec::Bool { data, nulls } => match v {
-                Value::Null => {
-                    data.push(false);
-                    nulls.push(true);
-                }
-                Value::Bool(b) => {
-                    data.push(*b);
-                    nulls.push(false);
-                }
-                other => panic!("BOOLEAN column got {other:?}"),
-            },
-            ColumnVec::Timestamp { data, nulls } => match v {
-                Value::Null => {
-                    data.push(0);
-                    nulls.push(true);
-                }
-                Value::Timestamp(t) => {
-                    data.push(*t);
-                    nulls.push(false);
-                }
-                other => panic!("TIMESTAMP column got {other:?}"),
-            },
-            ColumnVec::Text(d) => d.push(v),
+            ColumnVec::Int { data, nulls } => cells((data, nulls), values, |v| match v {
+                Value::Int(i) => Some(*i),
+                _ => None,
+            }),
+            ColumnVec::Float { data, nulls } => cells((data, nulls), values, |v| match v {
+                Value::Float(f) => Some(*f),
+                _ => None,
+            }),
+            ColumnVec::Bool { data, nulls } => cells((data, nulls), values, |v| match v {
+                Value::Bool(b) => Some(*b),
+                _ => None,
+            }),
+            ColumnVec::Timestamp { data, nulls } => cells((data, nulls), values, |v| match v {
+                Value::Timestamp(t) => Some(*t),
+                _ => None,
+            }),
+            ColumnVec::Text(d) => {
+                d.nulls.extend(values.clone().map(Value::is_null));
+                let dict = &mut d.dict;
+                d.codes.extend(values.map(|v| match v {
+                    Value::Null => 0,
+                    Value::Text(s) => intern(dict, s),
+                    other => panic!("TEXT column got non-text value {other:?}"),
+                }));
+            }
         }
     }
 
     /// Append the cells of `src` — a column of the same type — at
-    /// `positions`, vector to vector.
+    /// `positions`, column to column.
     fn extend_selected(&mut self, src: &ColumnVec, positions: &[usize]) {
-        fn gather<T: Copy>(
-            (data, nulls): (&mut Vec<T>, &mut NullBitmap),
-            (src, src_nulls): (&[T], &NullBitmap),
+        fn copy<T: Clone>(
+            (data, nulls): (&mut Chunked<T>, &mut NullBitmap),
+            (src, src_nulls): (&Chunked<T>, &NullBitmap),
             positions: &[usize],
         ) {
-            data.extend(positions.iter().map(|&p| src[p]));
+            data.extend(src.gather(positions).cloned());
             nulls.extend_selected(src_nulls, positions);
         }
         match (self, src) {
             (ColumnVec::Int { data, nulls }, ColumnVec::Int { data: s, nulls: sn })
             | (ColumnVec::Timestamp { data, nulls }, ColumnVec::Timestamp { data: s, nulls: sn }) => {
-                gather((data, nulls), (s, sn), positions)
+                copy((data, nulls), (s, sn), positions)
             }
             (ColumnVec::Float { data, nulls }, ColumnVec::Float { data: s, nulls: sn }) => {
-                gather((data, nulls), (s, sn), positions)
+                copy((data, nulls), (s, sn), positions)
             }
             (ColumnVec::Bool { data, nulls }, ColumnVec::Bool { data: s, nulls: sn }) => {
-                gather((data, nulls), (s, sn), positions)
+                copy((data, nulls), (s, sn), positions)
             }
             (ColumnVec::Text(d), ColumnVec::Text(s)) => d.extend_selected(s, positions),
             (dst, src) => panic!("column of another type appended: {src:?} to {dst:?}"),
@@ -309,81 +456,77 @@ impl ColumnVec {
     }
 
     /// Append `n` copies of the already-coerced `v` (same contract as
-    /// [`ColumnVec::push`]): TEXT is interned once, not once per row.
+    /// [`ColumnVec::extend_values`]): TEXT is interned once, not once per
+    /// row.
     fn extend_repeated(&mut self, v: &Value, n: usize) {
         match (self, v) {
-            (col, Value::Null) => (0..n).for_each(|_| col.push(&Value::Null)),
-            (ColumnVec::Int { data, nulls }, Value::Int(x))
-            | (ColumnVec::Timestamp { data, nulls }, Value::Timestamp(x)) => {
-                data.resize(data.len() + n, *x);
-                nulls.extend_valid(n);
-            }
-            (ColumnVec::Float { data, nulls }, Value::Float(x)) => {
-                data.resize(data.len() + n, *x);
-                nulls.extend_valid(n);
-            }
-            (ColumnVec::Bool { data, nulls }, Value::Bool(x)) => {
-                data.resize(data.len() + n, *x);
-                nulls.extend_valid(n);
-            }
             (ColumnVec::Text(d), Value::Text(s)) => {
-                let code = d.intern(s);
-                d.codes.resize(d.codes.len() + n, code);
+                let code = intern(&mut d.dict, s);
+                d.codes.extend(std::iter::repeat_n(code, n));
                 d.nulls.extend_valid(n);
             }
-            (_, other) => panic!("column got a value of another type: {other:?}"),
+            (col, v) => col.extend_values(std::iter::repeat_n(v, n)),
         }
     }
 
     /// Reconstruct the [`Value`] of row `i` — exactly the variant that was
     /// stored (coercion already ran on the way in).
     pub(crate) fn value(&self, i: usize) -> Value {
+        if self.nulls().is_null(i) {
+            return Value::Null;
+        }
         match self {
-            ColumnVec::Int { data, nulls } => {
-                if nulls.is_null(i) {
+            ColumnVec::Int { data, .. } => Value::Int(data[i]),
+            ColumnVec::Float { data, .. } => Value::Float(data[i]),
+            ColumnVec::Bool { data, .. } => Value::Bool(data[i]),
+            ColumnVec::Timestamp { data, .. } => Value::Timestamp(data[i]),
+            ColumnVec::Text(d) => Value::Text(d.dict()[d.codes[i] as usize].clone()),
+        }
+    }
+
+    /// `f(k, value)` for the value at each `positions[k]`, in order, each
+    /// chunk looked up once per run of positions inside it
+    /// ([`Chunked::gather`]).
+    pub(crate) fn for_each_at(&self, positions: &[usize], mut f: impl FnMut(usize, Value)) {
+        fn typed<T: Copy>(
+            (data, nulls): (&Chunked<T>, &NullBitmap),
+            positions: &[usize],
+            wrap: impl Fn(T) -> Value,
+            f: &mut impl FnMut(usize, Value),
+        ) {
+            let cells = positions.iter().zip(data.gather(positions));
+            for (k, (&p, &x)) in cells.enumerate() {
+                let v = if nulls.is_null(p) {
                     Value::Null
                 } else {
-                    Value::Int(data[i])
-                }
+                    wrap(x)
+                };
+                f(k, v);
             }
+        }
+        match self {
+            ColumnVec::Int { data, nulls } => typed((data, nulls), positions, Value::Int, &mut f),
             ColumnVec::Float { data, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Float(data[i])
-                }
+                typed((data, nulls), positions, Value::Float, &mut f)
             }
-            ColumnVec::Bool { data, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Bool(data[i])
-                }
-            }
+            ColumnVec::Bool { data, nulls } => typed((data, nulls), positions, Value::Bool, &mut f),
             ColumnVec::Timestamp { data, nulls } => {
-                if nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Timestamp(data[i])
-                }
+                typed((data, nulls), positions, Value::Timestamp, &mut f)
             }
             ColumnVec::Text(d) => {
-                if d.nulls.is_null(i) {
-                    Value::Null
-                } else {
-                    Value::Text(d.dict[d.codes[i] as usize].clone())
-                }
+                let text = |c: u32| Value::Text(d.dict()[c as usize].clone());
+                typed((&d.codes, &d.nulls), positions, text, &mut f)
             }
         }
     }
 
     /// Overwrite row `i` with the already-coerced `v` (same contract as
-    /// [`ColumnVec::push`]).
+    /// [`ColumnVec::extend_values`]).
     fn set(&mut self, i: usize, v: Value) {
         match (self, v) {
             (ColumnVec::Text(d), Value::Null) => d.nulls.set(i, true),
             (ColumnVec::Text(d), Value::Text(s)) => {
-                d.codes[i] = d.intern(&s);
+                *d.codes.get_mut(i) = intern(&mut d.dict, &s);
                 d.nulls.set(i, false);
             }
             (
@@ -395,15 +538,15 @@ impl ColumnVec {
             ) => nulls.set(i, true),
             (ColumnVec::Int { data, nulls }, Value::Int(x))
             | (ColumnVec::Timestamp { data, nulls }, Value::Timestamp(x)) => {
-                data[i] = x;
+                *data.get_mut(i) = x;
                 nulls.set(i, false);
             }
             (ColumnVec::Float { data, nulls }, Value::Float(x)) => {
-                data[i] = x;
+                *data.get_mut(i) = x;
                 nulls.set(i, false);
             }
             (ColumnVec::Bool { data, nulls }, Value::Bool(x)) => {
-                data[i] = x;
+                *data.get_mut(i) = x;
                 nulls.set(i, false);
             }
             (_, other) => panic!("column got a value of another type: {other:?}"),
@@ -411,40 +554,43 @@ impl ColumnVec {
     }
 
     fn retain(&mut self, keep: &[bool]) {
-        let mut i = 0;
-        let mut pred = move |_: &_| {
-            let k = keep[i];
-            i += 1;
-            k
-        };
         match self {
             ColumnVec::Int { data, nulls } | ColumnVec::Timestamp { data, nulls } => {
-                data.retain(|v| pred(&(*v as f64)));
+                *data = data.retained(keep);
                 nulls.retain(keep);
             }
             ColumnVec::Float { data, nulls } => {
-                data.retain(|v| pred(v));
+                *data = data.retained(keep);
                 nulls.retain(keep);
             }
             ColumnVec::Bool { data, nulls } => {
-                data.retain(|v| pred(&f64::from(*v)));
+                *data = data.retained(keep);
                 nulls.retain(keep);
             }
             ColumnVec::Text(d) => {
-                d.codes.retain(|c| pred(&(*c as f64)));
+                d.codes = d.codes.retained(keep);
                 d.nulls.retain(keep);
             }
         }
     }
 
-    fn data_bytes(&self) -> usize {
+    /// Heap bytes of the cells and null words, and the bytes a clone copies
+    /// rather than shares: the lists of full chunks and the tails.
+    fn bytes(&self) -> (usize, usize) {
+        fn of<T: Clone>(data: &Chunked<T>, nulls: &NullBitmap) -> (usize, usize) {
+            let words = &nulls.words;
+            (
+                data.heap_bytes() + words.heap_bytes(),
+                data.clone_bytes() + words.clone_bytes(),
+            )
+        }
         match self {
             ColumnVec::Int { data, nulls } | ColumnVec::Timestamp { data, nulls } => {
-                data.capacity() * 8 + nulls.heap_bytes()
+                of(data, nulls)
             }
-            ColumnVec::Float { data, nulls } => data.capacity() * 8 + nulls.heap_bytes(),
-            ColumnVec::Bool { data, nulls } => data.capacity() + nulls.heap_bytes(),
-            ColumnVec::Text(d) => d.codes.capacity() * 4 + d.nulls.heap_bytes(),
+            ColumnVec::Float { data, nulls } => of(data, nulls),
+            ColumnVec::Bool { data, nulls } => of(data, nulls),
+            ColumnVec::Text(d) => of(&d.codes, &d.nulls),
         }
     }
 }
@@ -454,8 +600,8 @@ impl ColumnVec {
 pub struct TableMemory {
     /// Row count.
     pub rows: usize,
-    /// Heap bytes of the table: typed vectors, code vectors, null bitmaps
-    /// and dictionaries.
+    /// Heap bytes of the table: typed cells, code cells, null bitmaps and
+    /// dictionaries.
     pub bytes: usize,
     /// The part of `bytes` held by dictionary strings and their lookup maps.
     pub dict_bytes: usize,
@@ -498,18 +644,17 @@ impl ColumnStore {
         self.len
     }
 
-    /// The typed vector of column `i`.
+    /// The typed column `i`.
     pub(crate) fn col(&self, i: usize) -> &ColumnVec {
         &self.cols[i]
     }
 
-    /// Append one already-validated (coerced) row.
-    pub(crate) fn push_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.cols.len());
-        for (c, v) in self.cols.iter_mut().zip(row) {
-            c.push(v);
+    /// Append already-validated (coerced) rows, column by column.
+    pub(crate) fn append_rows(&mut self, rows: &[Vec<Value>]) {
+        for (i, col) in self.cols.iter_mut().enumerate() {
+            col.extend_values(rows.iter().map(|row| &row[i]));
         }
-        self.len += 1;
+        self.len += rows.len();
     }
 
     /// Append `positions.len()` rows: column `i` takes what `cells[i]` names
@@ -533,7 +678,7 @@ impl ColumnStore {
 
     /// A store under `schema` holding, side by side, the columns of each
     /// part's store at that part's positions — every part as many positions,
-    /// the parts' column types in `schema`'s order. Typed vectors are copied
+    /// the parts' column types in `schema`'s order. Typed cells are copied
     /// by position (TEXT through a code remap); no row is built.
     pub(crate) fn gathered(schema: &Schema, parts: &[(&ColumnStore, &[usize])]) -> ColumnStore {
         let mut store = ColumnStore::new(schema);
@@ -578,6 +723,12 @@ impl ColumnStore {
         self.len = keep.iter().filter(|k| **k).count();
     }
 
+    /// Bytes a clone of this store copies rather than shares: the lists of
+    /// full chunks and the tails of its columns and bitmaps.
+    pub(crate) fn clone_bytes(&self) -> usize {
+        self.cols.iter().map(|c| c.bytes().1).sum()
+    }
+
     /// Memory accounting over every column.
     pub(crate) fn memory(&self) -> TableMemory {
         let mut m = TableMemory {
@@ -585,15 +736,10 @@ impl ColumnStore {
             ..TableMemory::default()
         };
         for c in &self.cols {
-            m.bytes += c.data_bytes();
+            m.bytes += c.bytes().0;
             if let ColumnVec::Text(d) = c {
-                m.dict_entries += d.dict.len();
-                for s in &d.dict {
-                    // String header + payload, once in the dict vec and once
-                    // as a lookup key.
-                    m.dict_bytes += 2 * (24 + s.capacity());
-                }
-                m.dict_bytes += d.lookup.capacity() * (24 + 4);
+                m.dict_entries += d.dict().len();
+                m.dict_bytes += d.dict.bytes();
             }
         }
         m.bytes += m.dict_bytes;
@@ -627,19 +773,21 @@ mod tests {
         ]
     }
 
+    fn store_of(rows: &[Vec<Value>]) -> ColumnStore {
+        let mut st = ColumnStore::new(&schema());
+        st.append_rows(rows);
+        st
+    }
+
     #[test]
     fn roundtrips_rows_byte_identically() {
-        let s = schema();
-        let mut st = ColumnStore::new(&s);
         let rows = vec![
             row(1, Some("ufs"), Some(1.5)),
             row(2, None, None),
             row(3, Some("nfs"), Some(-0.0)),
             row(4, Some("ufs"), Some(f64::NAN)),
         ];
-        for r in &rows {
-            st.push_row(r);
-        }
+        let st = store_of(&rows);
         assert_eq!(st.len(), 4);
         let back = st.to_rows();
         for (a, b) in rows.iter().zip(&back) {
@@ -659,11 +807,10 @@ mod tests {
 
     #[test]
     fn dictionary_interns_and_reuses_codes() {
-        let s = schema();
-        let mut st = ColumnStore::new(&s);
-        for i in 0..100 {
-            st.push_row(&row(i, Some(if i % 2 == 0 { "ufs" } else { "nfs" }), None));
-        }
+        let rows: Vec<_> = (0..100)
+            .map(|i| row(i, Some(if i % 2 == 0 { "ufs" } else { "nfs" }), None))
+            .collect();
+        let st = store_of(&rows);
         let ColumnVec::Text(d) = st.col(1) else {
             panic!("not a dict column");
         };
@@ -676,15 +823,10 @@ mod tests {
 
     #[test]
     fn retain_keeps_order_and_null_bits() {
-        let s = schema();
-        let mut st = ColumnStore::new(&s);
-        for i in 0..10 {
-            st.push_row(&row(
-                i,
-                if i % 3 == 0 { None } else { Some("x") },
-                Some(i as f64),
-            ));
-        }
+        let rows: Vec<_> = (0..10)
+            .map(|i| row(i, if i % 3 == 0 { None } else { Some("x") }, Some(i as f64)))
+            .collect();
+        let mut st = store_of(&rows);
         let keep: Vec<bool> = (0..10).map(|i| i % 2 == 1).collect();
         st.retain(&keep);
         assert_eq!(st.len(), 5);
@@ -697,10 +839,10 @@ mod tests {
 
     #[test]
     fn set_row_updates_cells_and_interns_new_text() {
-        let s = schema();
-        let mut st = ColumnStore::new(&s);
-        st.push_row(&row(1, Some("ufs"), Some(1.0)));
-        st.push_row(&row(2, Some("nfs"), Some(2.0)));
+        let mut st = store_of(&[
+            row(1, Some("ufs"), Some(1.0)),
+            row(2, Some("nfs"), Some(2.0)),
+        ]);
         st.set(0, 1, Value::Text("pvfs".into()));
         st.set(0, 2, Value::Null);
         assert_eq!(st.value(0, 1), Value::Text("pvfs".into()));
@@ -714,14 +856,209 @@ mod tests {
 
     #[test]
     fn memory_accounts_dictionary() {
-        let s = schema();
-        let mut st = ColumnStore::new(&s);
-        for i in 0..50 {
-            st.push_row(&row(i, Some("ufs"), Some(0.0)));
-        }
-        let m = st.memory();
+        let rows: Vec<_> = (0..50).map(|i| row(i, Some("ufs"), Some(0.0))).collect();
+        let m = store_of(&rows).memory();
         assert_eq!(m.rows, 50);
         assert_eq!(m.dict_entries, 1);
         assert!(m.dict_bytes > 0 && m.bytes > m.dict_bytes);
+    }
+
+    // ---- chunk edges ------------------------------------------------------
+
+    /// Rows `0..n`: NULL text every 5th row, NULL float every 7th, so NULL
+    /// bits sit on both sides of every chunk and word boundary.
+    fn edge_rows(n: usize) -> Vec<Vec<Value>> {
+        (0..n as i64)
+            .map(|i| {
+                let fs = (i % 5 != 0).then(|| ["a", "b", "c"][i as usize % 3]);
+                row(i, fs, (i % 7 != 0).then_some(i as f64))
+            })
+            .collect()
+    }
+
+    /// Sizes on either side of one and two chunk boundaries.
+    const EDGES: [usize; 7] = [
+        1,
+        CHUNK_ROWS - 1,
+        CHUNK_ROWS,
+        CHUNK_ROWS + 1,
+        2 * CHUNK_ROWS - 1,
+        2 * CHUNK_ROWS,
+        2 * CHUNK_ROWS + 7,
+    ];
+
+    /// Every column and bitmap is full chunks and a shorter tail.
+    fn assert_chunk_shape(st: &ColumnStore) {
+        fn shape<T: Clone, const N: usize>(c: &Chunked<T, N>, len: usize) {
+            assert_eq!(c.len(), len);
+            assert!(c.full.iter().all(|chunk| chunk.len() == N));
+            assert!(c.tail.len() < N && c.tail.capacity() <= N);
+        }
+        for col in &st.cols {
+            let nulls = match col {
+                ColumnVec::Int { data, nulls } | ColumnVec::Timestamp { data, nulls } => {
+                    shape(data, st.len());
+                    nulls
+                }
+                ColumnVec::Float { data, nulls } => {
+                    shape(data, st.len());
+                    nulls
+                }
+                ColumnVec::Bool { data, nulls } => {
+                    shape(data, st.len());
+                    nulls
+                }
+                ColumnVec::Text(d) => {
+                    shape(&d.codes, st.len());
+                    &d.nulls
+                }
+            };
+            shape(&nulls.words, st.len().div_ceil(64));
+        }
+    }
+
+    /// Which full chunks `a` and `b` share.
+    fn shared<T, const N: usize>(a: &Chunked<T, N>, b: &Chunked<T, N>) -> Vec<bool> {
+        let pairs = a.full.iter().zip(&b.full);
+        pairs.map(|(a, b)| Arc::ptr_eq(a, b)).collect()
+    }
+
+    #[test]
+    fn appends_across_chunk_edges_keep_cells_and_null_bits() {
+        for first in EDGES {
+            for second in [1, 250, CHUNK_ROWS + 1] {
+                let rows = edge_rows(first + second);
+                let mut st = store_of(&rows[..first]);
+                let pinned = st.clone();
+                st.append_rows(&rows[first..]);
+                assert_chunk_shape(&st);
+                assert_eq!(st.to_rows(), rows, "{first} + {second}");
+                assert_eq!(pinned.to_rows(), rows[..first], "the clone moved");
+                let nulls = rows.iter().filter(|r| r[2].is_null()).count();
+                assert_eq!(st.col(2).nulls().null_count(), nulls);
+            }
+        }
+    }
+
+    #[test]
+    fn set_across_chunk_edges_copies_only_the_chunks_it_writes() {
+        let rows = edge_rows(2 * CHUNK_ROWS + 7);
+        let st = store_of(&rows);
+        // Rows whose FLOAT cell is not NULL yet.
+        for at in [1, CHUNK_ROWS - 2, CHUNK_ROWS, 2 * CHUNK_ROWS + 6] {
+            let mut copy = st.clone();
+            copy.set(at, 1, Value::Text("new".into()));
+            copy.set(at, 2, Value::Null);
+            copy.set(at, 3, Value::Null);
+            let mut want = rows.clone();
+            want[at][1] = Value::Text("new".into());
+            want[at][2] = Value::Null;
+            want[at][3] = Value::Null;
+            assert_eq!(copy.to_rows(), want, "set at {at}");
+            assert_eq!(st.to_rows(), rows, "the original moved");
+            // Only the written chunk of the codes and of the FLOAT column's
+            // null words stopped being shared (the tail is the clone's
+            // own); the FLOAT cells did not change.
+            let only = |k: usize| (0..2).map(|c| c != k).collect::<Vec<_>>();
+            let (ColumnVec::Text(d), ColumnVec::Text(o)) = (copy.col(1), st.col(1)) else {
+                panic!()
+            };
+            assert_eq!(shared(&d.codes, &o.codes), only(at / CHUNK_ROWS), "{at}");
+            let (
+                ColumnVec::Float { data, nulls },
+                ColumnVec::Float {
+                    data: od,
+                    nulls: on,
+                },
+            ) = (copy.col(2), st.col(2))
+            else {
+                panic!()
+            };
+            assert_eq!(shared(&nulls.words, &on.words), only(at / CHUNK_ROWS));
+            assert_eq!(shared(data, od), [true; 2]);
+        }
+    }
+
+    #[test]
+    fn retain_across_chunk_edges_rebuilds_full_chunks() {
+        let rows = edge_rows(2 * CHUNK_ROWS + 7);
+        for cut in [0..1, CHUNK_ROWS - 1..CHUNK_ROWS + 1, 100..CHUNK_ROWS + 200] {
+            let mut st = store_of(&rows);
+            let keep: Vec<bool> = (0..rows.len()).map(|i| !cut.contains(&i)).collect();
+            st.retain(&keep);
+            assert_chunk_shape(&st);
+            let want: Vec<_> = rows
+                .iter()
+                .zip(&keep)
+                .filter(|(_, k)| **k)
+                .map(|(r, _)| r.clone())
+                .collect();
+            assert_eq!(st.to_rows(), want, "cut {cut:?}");
+        }
+    }
+
+    #[test]
+    fn extend_selected_and_repeated_across_chunk_edges() {
+        let rows = edge_rows(2 * CHUNK_ROWS + 7);
+        let src = store_of(&rows);
+        // Descending positions across every boundary, and an ascending run.
+        let positions: Vec<usize> = (0..rows.len())
+            .rev()
+            .step_by(3)
+            .chain(CHUNK_ROWS - 2..CHUNK_ROWS + 2)
+            .collect();
+        for prefix in [0, CHUNK_ROWS - 1] {
+            let mut st = store_of(&rows[..prefix]);
+            let text = Value::Text("const".into());
+            let cells = [
+                Cell::Column(0),
+                Cell::Constant(&text),
+                Cell::Column(2),
+                Cell::Constant(&Value::Null),
+                Cell::Column(4),
+            ];
+            st.append_selected(&src, &positions, &cells);
+            assert_chunk_shape(&st);
+            let mut want = rows[..prefix].to_vec();
+            want.extend(positions.iter().map(|&p| {
+                let r = &rows[p];
+                vec![
+                    r[0].clone(),
+                    text.clone(),
+                    r[2].clone(),
+                    Value::Null,
+                    r[4].clone(),
+                ]
+            }));
+            assert_eq!(st.to_rows(), want, "prefix {prefix}");
+            // The gathered TEXT column remaps codes into its own dictionary.
+            let gathered = ColumnStore::gathered(&schema(), &[(&src, &positions)]);
+            let want: Vec<_> = positions.iter().map(|&p| rows[p].clone()).collect();
+            assert_eq!(gathered.to_rows(), want);
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_full_chunks_and_copies_a_dictionary_only_to_grow_it() {
+        let rows = edge_rows(2 * CHUNK_ROWS + 7);
+        let mut st = store_of(&rows);
+        let pinned = st.clone();
+        st.append_rows(&edge_rows(3));
+        let (ColumnVec::Text(d), ColumnVec::Text(p)) = (st.col(1), pinned.col(1)) else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(&d.dict, &p.dict), "no new string, no copy");
+        assert_eq!(shared(&d.codes, &p.codes), [true, true]);
+        assert_eq!(
+            st.clone_bytes(),
+            pinned.clone_bytes() + 3 * (8 + 4 + 8 + 1 + 8)
+        );
+        st.append_rows(&[row(9, Some("fresh"), None)]);
+        let ColumnVec::Text(d) = st.col(1) else {
+            panic!()
+        };
+        assert!(!Arc::ptr_eq(&d.dict, &p.dict));
+        assert_eq!(p.code_of("fresh"), None);
+        assert_eq!(pinned.to_rows(), rows);
     }
 }

@@ -224,13 +224,14 @@ pub(crate) fn natural_cmp(a: &str, b: &str) -> std::cmp::Ordering {
 
 /// Copy-on-write access to a table version. Mutates in place while no
 /// snapshot pins the current `Arc<Table>`; otherwise clones the table once
-/// — column store, dictionaries and indexes all travel with the clone —
-/// and mutates the new version, leaving every pinned reader's view frozen.
-/// Either way the version the slot holds afterwards is stamped with
-/// `epoch`, the epoch of the commit mutating it.
+/// — a reference count per column chunk, the indexes whole — and mutates
+/// the new version, which copies only the chunks the write touches, leaving
+/// every pinned reader's view frozen. Either way the version the slot holds
+/// afterwards is stamped with `epoch`, the epoch of the commit mutating it.
 fn cow(slot: &mut Arc<Table>, epoch: u64) -> &mut Table {
     if Arc::strong_count(slot) > 1 {
         obs::incr(obs::Counter::MvccCowClones);
+        obs::add(obs::Counter::MvccCowBytes, slot.clone_bytes() as u64);
     }
     let table = Arc::make_mut(slot);
     table.published = epoch;

@@ -27,7 +27,7 @@
 //! for the equivalence tests and the baseline for the `microbench` binary.
 
 use crate::aggregate::{Accumulator, AggKind};
-use crate::column::{ColumnStore, ColumnVec, DictColumn};
+use crate::column::{Chunked, ColumnStore, ColumnVec};
 use crate::compile::{compile, CompiledExpr};
 use crate::engine::ResultSet;
 use crate::error::DbError;
@@ -35,7 +35,7 @@ use crate::expr::{binary_values, eval, truthy, LikePattern, RowCtx};
 use crate::schema::{Column, Schema};
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
-use crate::value::{DataType, Value, ValueKey};
+use crate::value::{DataType, Num, Value, ValueKey};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -364,31 +364,14 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
 // predicates compare u32 codes against a precomputed per-entry truth table
 // instead of strings. Aggregation then runs batched over the selected
 // positions ([`vectorized_fast_agg`]), grouping single TEXT keys directly
-// by dictionary code.
+// by dictionary code. Whole-column loops walk the chunks of a column
+// ([`Chunked::chunks`], [`Chunked::gather`]); a single cell is read by
+// position.
 //
 // The path is deliberately sequential: it reuses [`Accumulator`] in row
 // order, so results are byte-identical to the reference executor (same
 // Welford update order, same first-seen group order, same tie-breaking) —
 // the property the equivalence corpus asserts.
-
-/// Engine-exact comparison of two f64 images — the numeric arm of
-/// `Value::total_cmp` (NaN sorts last, two NaNs are equal).
-#[inline]
-fn num_cmp(x: f64, y: f64) -> std::cmp::Ordering {
-    match x.partial_cmp(&y) {
-        Some(o) => o,
-        None => x.is_nan().cmp(&y.is_nan()),
-    }
-}
-
-/// Normalized f64 bits with [`ValueKey`]'s equivalence classes
-/// (`-0.0` → `0.0`, canonical NaN).
-#[inline]
-fn norm_bits(f: f64) -> u64 {
-    let f = if f == 0.0 { 0.0 } else { f };
-    let f = if f.is_nan() { f64::NAN } else { f };
-    f.to_bits()
-}
 
 /// Comparison operator of a vectorizable conjunct.
 #[derive(Debug, Clone, Copy)]
@@ -432,8 +415,8 @@ impl CmpOp {
 /// cell are false for every operator.
 #[derive(Debug)]
 enum VecAtom {
-    /// `col <op> lit` where both sides compare through their f64 image.
-    NumCmp { col: usize, op: CmpOp, rhs: f64 },
+    /// `col <op> lit` where both sides are numbers (`Value::total_cmp`).
+    NumCmp { col: usize, op: CmpOp, rhs: Num },
     /// Payload-independent comparison (NULL literal, or a cross-type
     /// compare decided by type rank): NULL cells are false, every non-NULL
     /// cell yields `result`.
@@ -447,12 +430,12 @@ enum VecAtom {
         pass: Vec<bool>,
         null_pass: bool,
     },
-    /// `col [NOT] IN (lits)` over a non-TEXT column: membership in a
-    /// normalized f64-bits set (elements that can never equal a numeric
+    /// `col [NOT] IN (lits)` over a non-TEXT column: membership in a set of
+    /// numeric keys ([`Num::key`]; elements that can never equal a numeric
     /// cell are dropped at compile time).
     NumIn {
         col: usize,
-        set: HashSet<u64>,
+        set: HashSet<ValueKey>,
         negated: bool,
     },
     /// `col IS [NOT] NULL`.
@@ -466,7 +449,7 @@ impl VecAtom {
         match self {
             VecAtom::NumCmp { col, op, rhs } => {
                 let c = store.col(*col);
-                !c.nulls().is_null(pos) && op.holds(num_cmp(c.f64_at(pos), *rhs))
+                !c.nulls().is_null(pos) && op.holds(c.num_at(pos).total_cmp(*rhs))
             }
             VecAtom::ConstCmp { col, result } => *result && !store.col(*col).nulls().is_null(pos),
             VecAtom::DictPass {
@@ -485,7 +468,7 @@ impl VecAtom {
             }
             VecAtom::NumIn { col, set, negated } => {
                 let c = store.col(*col);
-                !c.nulls().is_null(pos) && (set.contains(&norm_bits(c.f64_at(pos))) != *negated)
+                !c.nulls().is_null(pos) && (set.contains(&c.num_at(pos).key()) != *negated)
             }
             VecAtom::IsNull { col, negated } => store.col(*col).nulls().is_null(pos) != *negated,
         }
@@ -508,20 +491,25 @@ impl VecAtom {
         }
         out.reserve(store.len());
         match self {
-            VecAtom::NumCmp { col, op, rhs } => match store.col(*col) {
-                ColumnVec::Int { data, nulls } => {
-                    for (pos, &x) in data.iter().enumerate() {
-                        if !nulls.is_null(pos) && op.holds(num_cmp(x as f64, *rhs)) {
-                            out.push(pos);
-                        }
-                    }
+            // The literal's kind is matched once here, not once per cell.
+            &VecAtom::NumCmp { col, op, rhs } => match (store.col(col), rhs) {
+                (ColumnVec::Int { data, nulls }, Num::Int(y)) => {
+                    fill_where(data, out, |p, &x| op.holds(x.cmp(&y)) && !nulls.is_null(p))
                 }
-                ColumnVec::Float { data, nulls } => {
-                    for (pos, &x) in data.iter().enumerate() {
-                        if !nulls.is_null(pos) && op.holds(num_cmp(x, *rhs)) {
-                            out.push(pos);
-                        }
-                    }
+                (ColumnVec::Int { data, nulls }, Num::Float(y)) => {
+                    fill_where(data, out, |p, &x| {
+                        op.holds(Num::Int(x).total_cmp(Num::Float(y))) && !nulls.is_null(p)
+                    })
+                }
+                (ColumnVec::Float { data, nulls }, Num::Int(y)) => {
+                    fill_where(data, out, |p, &x| {
+                        op.holds(Num::Float(x).total_cmp(Num::Int(y))) && !nulls.is_null(p)
+                    })
+                }
+                (ColumnVec::Float { data, nulls }, Num::Float(y)) => {
+                    fill_where(data, out, |p, &x| {
+                        op.holds(Num::Float(x).total_cmp(Num::Float(y))) && !nulls.is_null(p)
+                    })
                 }
                 _ => self.fill_generic(store, out),
             },
@@ -533,16 +521,13 @@ impl VecAtom {
                 let ColumnVec::Text(d) = store.col(*col) else {
                     unreachable!("DictPass compiled for a non-TEXT column");
                 };
-                for (pos, &c) in d.codes.iter().enumerate() {
-                    let ok = if d.nulls.is_null(pos) {
+                fill_where(&d.codes, out, |pos, &c| {
+                    if d.nulls.is_null(pos) {
                         *null_pass
                     } else {
                         pass[c as usize]
-                    };
-                    if ok {
-                        out.push(pos);
                     }
-                }
+                });
             }
             _ => self.fill_generic(store, out),
         }
@@ -552,6 +537,23 @@ impl VecAtom {
         for pos in 0..store.len() {
             if self.test(store, pos) {
                 out.push(pos);
+            }
+        }
+    }
+}
+
+/// Append to `out` the position of every cell of `data` that `passes`,
+/// walking the column chunk by chunk.
+#[inline]
+fn fill_where<T: Clone>(
+    data: &Chunked<T>,
+    out: &mut Vec<usize>,
+    passes: impl Fn(usize, &T) -> bool,
+) {
+    for (base, chunk) in data.chunks() {
+        for (i, x) in chunk.iter().enumerate() {
+            if passes(base + i, x) {
+                out.push(base + i);
             }
         }
     }
@@ -644,13 +646,13 @@ fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option
                     result: false,
                 });
             }
-            match lit.as_f64() {
-                // Non-TEXT cells all carry an f64 image, so the engine
-                // compares them numerically (`total_cmp`).
-                Some(f) => Some(VecAtom::NumCmp {
+            match Num::of(lit) {
+                // Non-TEXT cells are all numbers, so the engine compares
+                // them numerically (`total_cmp`).
+                Some(rhs) => Some(VecAtom::NumCmp {
                     col: ci,
                     op: CmpOp::of(op)?,
-                    rhs: f,
+                    rhs,
                 }),
                 // Non-numeric literal (TEXT) vs a numeric column: type-rank
                 // ordering makes the result constant over non-NULL cells.
@@ -695,17 +697,13 @@ fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option
                     null_pass: false,
                 });
             }
-            let mut set = HashSet::with_capacity(lits.len());
-            for l in &lits {
-                if !l.is_null() {
-                    if let Some(f) = l.as_f64() {
-                        set.insert(norm_bits(f));
-                    }
-                }
-            }
             Some(VecAtom::NumIn {
                 col: ci,
-                set,
+                set: lits
+                    .iter()
+                    .filter_map(|l| Num::of(l))
+                    .map(Num::key)
+                    .collect(),
                 negated: *negated,
             })
         }
@@ -813,129 +811,134 @@ fn positions(table: &Table, access: AccessPlan, filter: &Filter) -> Result<Vec<u
     Ok(sv)
 }
 
-/// Batched fast-path aggregation over selected positions. Single TEXT
-/// group keys resolve groups by dictionary code (no hashing, no string
-/// clones on the hot path); other key shapes reuse [`FastAgg`]'s
-/// byte-encoded grouping fed straight from the typed vectors.
+/// Batched aggregation over selected positions, a column at a time: pass 1
+/// resolves every selected row to a dense group index once
+/// ([`group_rows`]), pass 2 feeds each aggregate's accumulators from one
+/// column, walking its chunks. Group order is first-seen row order and every
+/// accumulator sees its values in row order — the reference executor's
+/// group order and Welford update order.
 fn vectorized_fast_agg(
     store: &ColumnStore,
     sv: &[usize],
     plan: Vec<FastItem>,
     key_idx: Vec<usize>,
 ) -> Result<Vec<Row>, DbError> {
-    if let [ki] = key_idx[..] {
-        if let ColumnVec::Text(d) = store.col(ki) {
-            return dict_grouped_agg(store, sv, &plan, d);
-        }
-    }
-    let mut agg = FastAgg::new(plan, key_idx);
-    for &p in sv {
-        agg.update_at(store, p);
-    }
-    agg.finish()
-}
-
-/// GROUP BY over dictionary codes: group identity is the u32 code (plus
-/// one NULL slot), resolved through a direct code → group table. Group
-/// order is first-seen row order and accumulator updates run in row
-/// order — identical to [`FastAgg`].
-fn dict_grouped_agg(
-    store: &ColumnStore,
-    sv: &[usize],
-    plan: &[FastItem],
-    d: &DictColumn,
-) -> Result<Vec<Row>, DbError> {
-    const NONE: u32 = u32::MAX;
-    let mut code_group = vec![NONE; d.dict().len()];
-    let mut null_group = NONE;
-    let mut keys: Vec<Value> = Vec::new();
-    // Pass 1: resolve every selected row to a dense group index once, so
-    // the aggregation passes below touch one column at a time.
-    let mut gidx: Vec<u32> = Vec::with_capacity(sv.len());
-    for &p in sv {
-        let gi = if d.nulls.is_null(p) {
-            if null_group == NONE {
-                null_group = keys.len() as u32;
-                keys.push(Value::Null);
-            }
-            null_group
-        } else {
-            let c = d.codes[p] as usize;
-            if code_group[c] == NONE {
-                code_group[c] = keys.len() as u32;
-                keys.push(Value::Text(d.dict()[c].clone()));
-            }
-            code_group[c]
-        };
-        gidx.push(gi);
-    }
-    // Pass 2, per aggregate item: the column-type match is hoisted out of
-    // the row loop, and each (group, item) accumulator still sees its
-    // values in row order — identical results to the row-at-a-time path.
+    let (keys, gidx) = group_rows(store, sv, &key_idx);
     let mut acc_cols: Vec<Vec<Accumulator>> = Vec::new();
-    for it in plan {
+    for it in &plan {
         let FastItem::Agg(kind, col) = it else {
             continue;
         };
         let mut accs: Vec<Accumulator> = keys.iter().map(|_| Accumulator::new(*kind)).collect();
-        let mut feed = |vals: &mut dyn Iterator<Item = Value>| {
-            for (v, &g) in vals.zip(&gidx) {
-                accs[g as usize].update(&v);
-            }
+        let mut feed = |k: usize, v: Value| {
+            let g = gidx.as_ref().map_or(0, |gidx| gidx[k] as usize);
+            accs[g].update(&v);
         };
         match col {
-            None => feed(&mut sv.iter().map(|_| Value::Int(1))),
-            Some(i) => match store.col(*i) {
-                ColumnVec::Int { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Int(data[p])
-                    }
-                })),
-                ColumnVec::Float { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Float(data[p])
-                    }
-                })),
-                ColumnVec::Bool { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Bool(data[p])
-                    }
-                })),
-                ColumnVec::Timestamp { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Timestamp(data[p])
-                    }
-                })),
-                ColumnVec::Text(_) => feed(&mut sv.iter().map(|&p| store.value(p, *i))),
-            },
+            Some(i) => store.col(*i).for_each_at(sv, feed),
+            None => (0..sv.len()).for_each(|k| feed(k, Value::Int(1))),
         }
         acc_cols.push(accs);
     }
     let mut out = Vec::with_capacity(keys.len());
     for (g, key) in keys.iter().enumerate() {
-        let mut row = Vec::with_capacity(plan.len());
-        let mut a = 0;
-        for it in plan {
-            match it {
-                // The single group key, wherever the projection places it.
-                FastItem::Key(_) => row.push(key.clone()),
-                FastItem::Agg(..) => {
-                    row.push(acc_cols[a][g].finish().map_err(DbError::Type)?);
-                    a += 1;
-                }
+        let mut accs = acc_cols.iter();
+        let row = plan.iter().map(|it| match it {
+            // A group key, wherever the projection places it.
+            FastItem::Key(k) => Ok(key[*k].clone()),
+            FastItem::Agg(..) => {
+                let accs = accs.next().expect("one accumulator column per aggregate");
+                accs[g].finish().map_err(DbError::Type)
             }
-        }
-        out.push(row);
+        });
+        out.push(row.collect::<Result<Row, DbError>>()?);
     }
     Ok(out)
+}
+
+/// The group of every selected row, and each group's key values, groups in
+/// first-seen order. A single TEXT key groups by dictionary code (plus one
+/// NULL slot) through a direct code → group table — no hashing, no string
+/// clones; any other key by its cells' key bytes ([`encode_cell`]). Without
+/// a key there is one group, present even for no rows, and every row is in
+/// it (`None`).
+fn group_rows(
+    store: &ColumnStore,
+    sv: &[usize],
+    key_idx: &[usize],
+) -> (Vec<Row>, Option<Vec<u32>>) {
+    if key_idx.is_empty() {
+        return (vec![Vec::new()], None);
+    }
+    let mut keys: Vec<Row> = Vec::new();
+    let mut gidx = Vec::with_capacity(sv.len());
+    if let ([ki], ColumnVec::Text(d)) = (key_idx, store.col(key_idx[0])) {
+        const NONE: u32 = u32::MAX;
+        let null_slot = d.dict().len();
+        let mut group_of = vec![NONE; null_slot + 1];
+        for (&p, &c) in sv.iter().zip(d.codes.gather(sv)) {
+            let slot = if d.nulls.is_null(p) {
+                null_slot
+            } else {
+                c as usize
+            };
+            if group_of[slot] == NONE {
+                group_of[slot] = keys.len() as u32;
+                keys.push(vec![store.value(p, *ki)]);
+            }
+            gidx.push(group_of[slot]);
+        }
+    } else {
+        // One key buffer, reused: a row's bytes are copied only when they
+        // start a group.
+        let mut key = Vec::with_capacity(key_idx.len() * 9);
+        let mut group_of: HashMap<Vec<u8>, u32> = HashMap::new();
+        for &p in sv {
+            key.clear();
+            for &i in key_idx {
+                encode_cell(store.col(i), p, &mut key);
+            }
+            let g = match group_of.get(&key) {
+                Some(&g) => g,
+                None => {
+                    let g = keys.len() as u32;
+                    keys.push(key_idx.iter().map(|&i| store.value(p, i)).collect());
+                    group_of.insert(key.clone(), g);
+                    g
+                }
+            };
+            gidx.push(g);
+        }
+    }
+    (keys, Some(gidx))
+}
+
+/// Append the grouping key bytes of `col`'s cell at `pos`, with
+/// [`ValueKey`]'s equivalence classes, without materialising it: a number as
+/// its key ([`Num::key`], so `1` and `1.0` collide), a TEXT cell as its
+/// dictionary code (within one column, equal codes are equal strings).
+fn encode_cell(col: &ColumnVec, pos: usize, out: &mut Vec<u8>) {
+    if col.nulls().is_null(pos) {
+        return out.push(0);
+    }
+    match col {
+        ColumnVec::Text(d) => {
+            out.push(2);
+            out.extend_from_slice(&d.codes[pos].to_le_bytes());
+        }
+        ColumnVec::Bool { data, .. } => out.extend_from_slice(&[3, u8::from(data[pos])]),
+        _ => match col.num_at(pos).key() {
+            ValueKey::Int(i) => {
+                out.push(1);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            ValueKey::Num(bits) => {
+                out.push(4);
+                out.extend_from_slice(&bits.to_le_bytes());
+            }
+            other => unreachable!("a number keys as a number, not {other:?}"),
+        },
+    }
 }
 
 /// One projection slot of a pure-column projection.
@@ -987,7 +990,7 @@ enum IndexCond {
 
 /// Translate an equality literal into the key class stored for a column of
 /// `dtype`, replicating `Value::sql_eq` across types: numeric columns
-/// compare by f64 image (so `TRUE` probes a numeric column as `1`), BOOLEAN
+/// compare as numbers (so `TRUE` probes a numeric column as `1`), BOOLEAN
 /// columns accept `0`/`1` numerics, TEXT only matches text, and NULL
 /// matches nothing.
 fn probe_key(dtype: DataType, lit: &Value) -> Probe {
@@ -995,14 +998,9 @@ fn probe_key(dtype: DataType, lit: &Value) -> Probe {
         return Probe::Never;
     }
     match dtype {
-        DataType::Int | DataType::Float | DataType::Timestamp => match lit.as_f64() {
-            Some(f) => {
-                let f = if f == 0.0 { 0.0 } else { f };
-                let f = if f.is_nan() { f64::NAN } else { f }; // canonical NaN
-                Probe::Key(ValueKey::Num(f.to_bits()))
-            }
-            None => Probe::Never,
-        },
+        DataType::Int | DataType::Float | DataType::Timestamp => {
+            Num::of(lit).map_or(Probe::Never, |n| Probe::Key(n.key()))
+        }
         DataType::Bool => match lit {
             Value::Bool(b) => Probe::Key(ValueKey::Bool(*b)),
             Value::Text(_) => Probe::Never,
@@ -1907,103 +1905,6 @@ fn plan_fast(sel: &SelectStmt, schema: &Schema, key_idx: &[usize]) -> Option<Vec
     Some(plan)
 }
 
-/// Streaming state for the single-pass aggregation: one scan, one
-/// accumulator set per group, byte-encoded keys. This is what makes
-/// in-database aggregation beat row-at-a-time processing in the frontend
-/// (paper §4.2).
-struct FastAgg {
-    plan: Vec<FastItem>,
-    key_idx: Vec<usize>,
-    group_of: HashMap<Vec<u8>, usize>,
-    keys: Vec<Vec<Value>>,
-    accs: Vec<Vec<Accumulator>>,
-}
-
-impl FastAgg {
-    fn new(plan: Vec<FastItem>, key_idx: Vec<usize>) -> Self {
-        let mut agg = FastAgg {
-            plan,
-            key_idx,
-            group_of: HashMap::new(),
-            keys: Vec::new(),
-            accs: Vec::new(),
-        };
-        if agg.key_idx.is_empty() {
-            // One global group, present even for zero input rows.
-            agg.keys.push(Vec::new());
-            let fresh = agg.fresh_accs();
-            agg.accs.push(fresh);
-        }
-        agg
-    }
-
-    fn fresh_accs(&self) -> Vec<Accumulator> {
-        self.plan
-            .iter()
-            .filter_map(|it| match it {
-                FastItem::Agg(kind, _) => Some(Accumulator::new(*kind)),
-                FastItem::Key(_) => None,
-            })
-            .collect()
-    }
-
-    /// Feed row `pos` of a column store: key bytes and aggregate inputs come
-    /// straight from the typed vectors, with no full row materialization.
-    fn update_at(&mut self, store: &ColumnStore, pos: usize) {
-        let gi = if self.key_idx.is_empty() {
-            0
-        } else {
-            let mut key = Vec::with_capacity(self.key_idx.len() * 9);
-            for &i in &self.key_idx {
-                encode_cell_bytes(store.col(i), pos, &mut key);
-            }
-            match self.group_of.get(&key) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = self.keys.len();
-                    self.keys
-                        .push(self.key_idx.iter().map(|&i| store.value(pos, i)).collect());
-                    self.group_of.insert(key, gi);
-                    let fresh = self.fresh_accs();
-                    self.accs.push(fresh);
-                    gi
-                }
-            }
-        };
-        let group_accs = &mut self.accs[gi];
-        let mut a = 0;
-        for it in &self.plan {
-            if let FastItem::Agg(_, col) = it {
-                let v = match col {
-                    Some(i) => store.value(pos, *i),
-                    None => Value::Int(1),
-                };
-                group_accs[a].update(&v);
-                a += 1;
-            }
-        }
-    }
-
-    fn finish(self) -> Result<Vec<Row>, DbError> {
-        let mut out = Vec::with_capacity(self.keys.len());
-        for (key, group_accs) in self.keys.iter().zip(&self.accs) {
-            let mut row = Vec::with_capacity(self.plan.len());
-            let mut a = 0;
-            for it in &self.plan {
-                match it {
-                    FastItem::Key(k) => row.push(key[*k].clone()),
-                    FastItem::Agg(..) => {
-                        row.push(group_accs[a].finish().map_err(DbError::Type)?);
-                        a += 1;
-                    }
-                }
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-}
-
 /// The general aggregation over materialised rows — any expression over
 /// aggregates and group keys: group by the GROUP BY key ([`ValueKey`]
 /// equality, groups in first-seen order), then evaluate every item per group
@@ -2145,27 +2046,6 @@ fn output_names(sel: &SelectStmt, schema: &Schema) -> Vec<String> {
         }
     }
     names
-}
-
-/// Append the grouping key bytes of one stored cell, with [`ValueKey`]'s
-/// equivalence classes (numbers by their normalized f64 image, so `1` and
-/// `1.0` collide), without materialising it. A TEXT cell encodes as its
-/// dictionary code: within one column, equal codes are equal strings.
-fn encode_cell_bytes(col: &ColumnVec, pos: usize, out: &mut Vec<u8>) {
-    if col.nulls().is_null(pos) {
-        return out.push(0);
-    }
-    match col {
-        ColumnVec::Text(d) => {
-            out.push(2);
-            out.extend_from_slice(&d.codes[pos].to_le_bytes());
-        }
-        ColumnVec::Bool { data, .. } => out.extend_from_slice(&[3, u8::from(data[pos])]),
-        _ => {
-            out.push(1);
-            out.extend_from_slice(&norm_bits(col.f64_at(pos)).to_le_bytes());
-        }
-    }
 }
 
 #[cfg(test)]

@@ -66,6 +66,16 @@ impl IndexStore {
         }
     }
 
+    /// Heap bytes, estimated: an entry per key, a word per position.
+    fn bytes(&self) -> usize {
+        let lists: Box<dyn Iterator<Item = &Vec<usize>>> = match self {
+            IndexStore::Hash(m) => Box::new(m.values()),
+            IndexStore::Ordered(m) => Box::new(m.values()),
+        };
+        let entry = size_of::<(ValueKey, Vec<usize>)>();
+        lists.map(|v| entry + v.len() * size_of::<usize>()).sum()
+    }
+
     fn push(&mut self, key: ValueKey, pos: usize) {
         match self {
             IndexStore::Hash(m) => m.entry(key).or_default().push(pos),
@@ -356,10 +366,9 @@ impl Table {
     /// Positions (ascending) of the rows holding the smallest (`largest`
     /// false) or largest key of the *ordered* index over `column`; empty when
     /// the index holds no key (NULLs are not indexed), `None` without an
-    /// ordered index. Keys are coarser than values (`-0.0` and `0.0`, integers
-    /// beyond 2^53), so the caller still compares the rows it gets — but
-    /// key order never contradicts value order, so the extreme value is
-    /// among them.
+    /// ordered index. Keys are coarser than values (`-0.0` and `0.0`), so the
+    /// caller still compares the rows it gets — but key order never
+    /// contradicts value order, so the extreme value is among them.
     pub fn index_end_positions(&self, column: usize, largest: bool) -> Option<&[usize]> {
         let ix = self.indexes.iter().find(|ix| ix.column == column)?;
         let IndexStore::Ordered(map) = &ix.store else {
@@ -416,22 +425,10 @@ impl Table {
         Ok(row)
     }
 
-    /// Append an already-validated row and index it.
-    fn append_row(&mut self, row: Row) {
-        let pos = self.len();
-        for ix in &mut self.indexes {
-            let key = ValueKey::of(&row[ix.column]);
-            if !key.is_null() {
-                ix.store.push(key, pos);
-            }
-        }
-        self.store.push_row(&row);
-    }
-
     /// Validate, coerce and append one row.
     pub fn insert(&mut self, row: Row) -> Result<(), DbError> {
         let out = self.check_row(row)?;
-        self.append_row(out);
+        self.append_validated(vec![out]);
         Ok(())
     }
 
@@ -461,11 +458,17 @@ impl Table {
     /// batch when the statement runs and append it only at commit, after the
     /// log has the group.
     pub(crate) fn append_validated(&mut self, rows: Vec<Row>) -> usize {
-        let n = rows.len();
-        for r in rows {
-            self.append_row(r);
+        let first = self.len();
+        for ix in &mut self.indexes {
+            for (pos, row) in (first..).zip(&rows) {
+                let key = ValueKey::of(&row[ix.column]);
+                if !key.is_null() {
+                    ix.store.push(key, pos);
+                }
+            }
         }
-        n
+        self.store.append_rows(&rows);
+        rows.len()
     }
 
     /// Append one row per entry of `positions` (positions of `src`, any
@@ -637,6 +640,14 @@ impl Table {
     /// Memory accounting for this table.
     pub fn memory_footprint(&self) -> TableMemory {
         self.store.memory()
+    }
+
+    /// Bytes a clone of this version copies rather than shares: the lists of
+    /// full chunks and the tails of its columns, and its indexes whole
+    /// (`mvcc.cow_bytes`).
+    pub(crate) fn clone_bytes(&self) -> usize {
+        let indexes: usize = self.indexes.iter().map(|ix| ix.store.bytes()).sum();
+        self.store.clone_bytes() + indexes
     }
 }
 

@@ -161,6 +161,7 @@ impl Transaction {
             let base = self.shape(name)?.cloned();
             let mut table = base.ok_or_else(|| no_such_table(name))?;
             obs::incr(obs::Counter::MvccCowClones);
+            obs::add(obs::Counter::MvccCowBytes, table.clone_bytes() as u64);
             if let Some(buffered @ Change::Append(_)) = self.work.remove(name) {
                 buffered.apply_to(Arc::make_mut(&mut table));
             }

@@ -165,11 +165,8 @@ impl Value {
     }
 
     /// Total ordering used by ORDER BY, GROUP BY and the ordered index:
-    /// NULL sorts first, numbers compare numerically across Int/Float, text
-    /// lexicographically. NaN compares equal to itself and greater than
-    /// every other number (IEEE-total-order style, NaN last) — the fallback
-    /// must not collapse to `Equal`, which would make the comparator
-    /// non-transitive (NaN==1, NaN==2, 1<2) and corrupt sorts.
+    /// NULL sorts first, numbers compare exactly across Int/Float (`Num`),
+    /// text lexicographically.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -178,13 +175,8 @@ impl Value {
             (_, Null) => Ordering::Greater,
             (Text(a), Text(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => match x.partial_cmp(&y) {
-                    Some(o) => o,
-                    // partial_cmp is None iff at least one side is NaN:
-                    // the NaN side sorts last, two NaNs are equal.
-                    None => x.is_nan().cmp(&y.is_nan()),
-                },
+            (a, b) => match (Num::of(a), Num::of(b)) {
+                (Some(x), Some(y)) => x.total_cmp(y),
                 // Heterogeneous non-numeric: order by type discriminant.
                 _ => type_rank(a).cmp(&type_rank(b)),
             },
@@ -200,12 +192,83 @@ impl Value {
     }
 }
 
+/// 2^63, exactly: every float in `[-2^63, 2^63)` truncates into an `i64`.
+const I64_SPAN: f64 = 9_223_372_036_854_775_808.0;
+
+/// A number as the engine compares it: INTEGER and TIMESTAMP cells (and
+/// BOOLEAN as 0/1) as their `i64`, FLOAT cells as their `f64`. Numbers
+/// compare exactly — two integers as integers, an integer and a float by
+/// their exact values — so integers beyond 2^53 never collapse onto a
+/// shared f64 image.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Num {
+    Int(i64),
+    Float(f64),
+}
+
+impl Num {
+    /// The number `v` is, if any (TEXT and NULL are not).
+    #[inline]
+    pub(crate) fn of(v: &Value) -> Option<Num> {
+        match v {
+            Value::Int(i) | Value::Timestamp(i) => Some(Num::Int(*i)),
+            Value::Bool(b) => Some(Num::Int(i64::from(*b))),
+            Value::Float(f) => Some(Num::Float(*f)),
+            _ => None,
+        }
+    }
+
+    /// Exact numeric order. NaN compares equal to itself and greater than
+    /// every other number (NaN last) — it must not collapse to `Equal`,
+    /// which would make the comparator non-transitive (NaN==1, NaN==2, 1<2)
+    /// and corrupt sorts — and `-0.0` equals `0.0`.
+    #[inline]
+    pub(crate) fn total_cmp(self, other: Num) -> Ordering {
+        match (self, other) {
+            (Num::Int(a), Num::Int(b)) => a.cmp(&b),
+            (Num::Float(a), Num::Float(b)) => a
+                .partial_cmp(&b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+            (Num::Int(a), Num::Float(b)) => int_float_cmp(a, b),
+            (Num::Float(a), Num::Int(b)) => int_float_cmp(b, a).reverse(),
+        }
+    }
+
+    /// The hash key: an integer, or a float equal to one, is
+    /// [`ValueKey::Int`] (so `1` and `1.0` share a key); any other float is
+    /// its bits, `-0.0` and every NaN payload normalized.
+    #[inline]
+    pub(crate) fn key(self) -> ValueKey {
+        match self {
+            Num::Int(i) => ValueKey::Int(i),
+            Num::Float(f) if f.fract() == 0.0 && (-I64_SPAN..I64_SPAN).contains(&f) => {
+                ValueKey::Int(f as i64)
+            }
+            Num::Float(f) => ValueKey::Num(if f.is_nan() { f64::NAN } else { f }.to_bits()),
+        }
+    }
+}
+
+/// `i` against `f`, exactly (NaN above every number).
+#[inline]
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    if f.is_nan() || f >= I64_SPAN {
+        return Ordering::Less;
+    }
+    if f < -I64_SPAN {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64))
+        .then_with(|| whole.partial_cmp(&f).expect("f is not NaN"))
+}
+
 /// Hashable key with the same equivalence classes as grouping, DISTINCT and
-/// equi-joins: numeric values (Int, Float, Bool-as-number is *not* included —
-/// see below, Timestamp) collapse onto their f64 image so `1` and `1.0`
-/// produce the same key, `-0.0` normalizes to `0.0`, text and bool keep their
-/// own identity, and NULL is its own variant (callers that implement SQL `=`
-/// must treat [`ValueKey::Null`] as matching nothing).
+/// equi-joins: numbers (Int, Float, Timestamp; Bool is *not* included — see
+/// below) are equal keys exactly when they are equal numbers (`Num::key`),
+/// so `1` and `1.0` produce the same key and `-0.0` that of `0.0`; text and
+/// bool keep their own identity, and NULL is its own variant (callers that
+/// implement SQL `=` must treat [`ValueKey::Null`] as matching nothing).
 ///
 /// This is the `HashMap` key for hash joins, secondary indexes, GROUP BY and
 /// DISTINCT. It deliberately mirrors the engine's canonical string/byte
@@ -215,7 +278,9 @@ impl Value {
 pub enum ValueKey {
     /// NULL (never equal to anything under SQL `=`).
     Null,
-    /// Normalized f64 bit pattern of a numeric value.
+    /// An integer, or a float equal to one.
+    Int(i64),
+    /// Normalized f64 bit pattern of any other float.
     Num(u64),
     /// Text identity.
     Text(String),
@@ -230,14 +295,7 @@ impl ValueKey {
             Value::Null => ValueKey::Null,
             Value::Text(s) => ValueKey::Text(s.clone()),
             Value::Bool(b) => ValueKey::Bool(*b),
-            other => {
-                let f = other.as_f64().unwrap_or(f64::NAN);
-                let f = if f == 0.0 { 0.0 } else { f }; // normalize -0.0
-                                                        // Collapse every NaN payload onto the canonical quiet NaN so
-                                                        // all NaNs land in one equivalence class (and one index key).
-                let f = if f.is_nan() { f64::NAN } else { f };
-                ValueKey::Num(f.to_bits())
-            }
+            other => Num::of(other).expect("a number").key(),
         }
     }
 
@@ -264,9 +322,11 @@ fn num_order_key(bits: u64) -> u64 {
 }
 
 /// Total order over keys, used by the ordered (BTreeMap) index variant.
-/// Within one typed column only a single class ever occurs (plus Null), so
-/// the cross-class ordering just needs to be *some* stable total order;
-/// Null sorts first to mirror [`Value::total_cmp`].
+/// Numeric keys order as their numbers (`Num::total_cmp`) — a FLOAT
+/// column holds both kinds. Otherwise within one typed column only a single
+/// class ever occurs (plus Null), so the cross-class ordering just needs to
+/// be *some* stable total order; Null sorts first to mirror
+/// [`Value::total_cmp`].
 impl Ord for ValueKey {
     fn cmp(&self, other: &ValueKey) -> Ordering {
         use ValueKey::*;
@@ -274,9 +334,12 @@ impl Ord for ValueKey {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
+            (Int(a), Int(b)) => a.cmp(b),
             (Num(a), Num(b)) => num_order_key(*a).cmp(&num_order_key(*b)),
-            (Num(_), _) => Ordering::Less,
-            (_, Num(_)) => Ordering::Greater,
+            (Int(a), Num(b)) => int_float_cmp(*a, f64::from_bits(*b)),
+            (Num(a), Int(b)) => int_float_cmp(*b, f64::from_bits(*a)).reverse(),
+            (Int(_) | Num(_), _) => Ordering::Less,
+            (_, Int(_) | Num(_)) => Ordering::Greater,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Bool(_), _) => Ordering::Less,
             (_, Bool(_)) => Ordering::Greater,
@@ -312,7 +375,7 @@ impl PartialEq for Value {
             (Text(a), Text(b)) => a == b,
             (Bool(a), Bool(b)) => a == b,
             (Timestamp(a), Timestamp(b)) => a == b,
-            (Int(a), Float(b)) | (Float(b), Int(a)) => *a as f64 == *b,
+            (Int(a), Float(b)) | (Float(b), Int(a)) => int_float_cmp(*a, *b).is_eq(),
             _ => false,
         }
     }
@@ -523,6 +586,40 @@ mod tests {
             ValueKey::of(&Value::Float(-f64::NAN))
         );
         assert!(ValueKey::Null < ValueKey::of(&Value::Int(i64::MIN)));
+    }
+
+    #[test]
+    fn numbers_compare_and_key_exactly_beyond_2_pow_53() {
+        use std::cmp::Ordering::*;
+        let p = 1i64 << 53;
+        let (a, b) = (Value::Int(p), Value::Int(p + 1));
+        assert_eq!(a.total_cmp(&b), Less);
+        assert!(!a.sql_eq(&b) && a != b);
+        assert_ne!(ValueKey::of(&a), ValueKey::of(&b));
+        // `p + 1` has no f64; `p as f64` is `p` exactly.
+        assert_eq!(b.total_cmp(&Value::Float(p as f64)), Greater);
+        assert_eq!(a.total_cmp(&Value::Float(p as f64)), Equal);
+        assert_eq!(ValueKey::of(&a), ValueKey::of(&Value::Float(p as f64)));
+        assert_ne!(b, Value::Float(p as f64));
+        let max = Value::Int(i64::MAX);
+        assert_eq!(max.total_cmp(&Value::Float(9.223372036854776e18)), Less);
+        assert_eq!(
+            Value::Int(i64::MIN).total_cmp(&Value::Float(-9.223372036854776e18)),
+            Equal
+        );
+        assert_eq!(Value::Int(-3).total_cmp(&Value::Float(-2.5)), Less);
+        assert_eq!(Value::Int(-2).total_cmp(&Value::Float(-2.5)), Greater);
+        assert_eq!(
+            Value::Int(0).total_cmp(&Value::Float(f64::NEG_INFINITY)),
+            Greater
+        );
+        // An ordered index over a FLOAT column mixes both key kinds.
+        let keys: Vec<ValueKey> = [-2.5, -2.0, -0.0, 0.5, 1.0, 1.5, 1e300, f64::NAN]
+            .iter()
+            .map(|f| ValueKey::of(&Value::Float(*f)))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        assert!(ValueKey::of(&Value::Int(i64::MAX)) < ValueKey::of(&Value::Float(1e300)));
     }
 
     #[test]

@@ -19,6 +19,32 @@ fn load(values: &[(i64, f64, bool)]) -> Engine {
     db
 }
 
+/// Integers around ±2^53, where an f64 stops holding every integer.
+const NEAR_2_POW_53: [i64; 6] = [
+    (1 << 53) - 1,
+    1 << 53,
+    (1 << 53) + 1,
+    -(1 << 53) - 1,
+    -(1 << 53),
+    -(1 << 53) + 1,
+];
+
+/// Uniform in `[lo, hi)`, or one time in eight one of `edges`.
+fn int_or_edge(rng: &mut Rng, lo: i64, hi: i64, edges: &[i64]) -> i64 {
+    if rng.below(8) == 0 {
+        edges[rng.below(edges.len() as u64) as usize]
+    } else {
+        rng.int(lo, hi)
+    }
+}
+
+/// [`NEAR_2_POW_53`] and the `i64` extremes.
+fn edges() -> Vec<i64> {
+    let mut all = NEAR_2_POW_53.to_vec();
+    all.extend([i64::MIN, i64::MAX]);
+    all
+}
+
 fn random_rows(
     rng: &mut Rng,
     max_k: i64,
@@ -27,8 +53,12 @@ fn random_rows(
     max: usize,
 ) -> Vec<(i64, f64, bool)> {
     let n = min + rng.below((max - min) as u64 + 1) as usize;
+    let edges = edges();
     (0..n)
-        .map(|_| (rng.int(0, max_k), rng.float(-span, span), rng.bool()))
+        .map(|_| {
+            let k = int_or_edge(rng, 0, max_k, &edges);
+            (k, rng.float(-span, span), rng.bool())
+        })
         .collect()
 }
 
@@ -234,7 +264,7 @@ fn index_maintenance_matches_full_scan() {
         };
 
         fn mk_row(rng: &mut Rng) -> Vec<Value> {
-            let k = Value::Int(rng.int(0, 12));
+            let k = Value::Int(int_or_edge(rng, 0, 12, &edges()));
             let v = match rng.below(12) {
                 0 => Value::Null,
                 1 => Value::Float(f64::NAN),
@@ -393,7 +423,7 @@ fn planned_queries_match_unindexed_copy() {
             .unwrap();
         indexed.execute("CREATE INDEX ix_s ON t (s)").unwrap();
         for _ in 0..rng.below(120) + 20 {
-            let k = rng.int(0, 25);
+            let k = int_or_edge(&mut rng, 0, 25, &edges());
             let v = rng.float(-10.0, 10.0);
             let s = rng.string_from(b"abcd", 1);
             let stmt = format!("INSERT INTO t VALUES ({k}, {v:?}, '{s}')");
@@ -457,10 +487,11 @@ fn sql_update_delete_match_row_model() {
         db.execute("CREATE INDEX ix_s ON t (s)").unwrap();
         let mut model: Vec<Vec<Value>> = (0..60 + rng.below(120))
             .map(|_| {
+                // `k + 1` must not overflow: no i64::MAX.
                 let k = if rng.below(12) == 0 {
                     Value::Null
                 } else {
-                    Value::Int(rng.int(0, 12))
+                    Value::Int(int_or_edge(&mut rng, 0, 12, &NEAR_2_POW_53))
                 };
                 let v = match rng.below(12) {
                     0 => Value::Null,
@@ -595,10 +626,12 @@ fn columnar_copy_matches_row_store() {
         let n = 40 + rng.below(260);
         let data: Vec<Vec<Value>> = (0..n)
             .map(|_| {
+                // `k + 1` must not overflow: no i64::MAX.
                 let k = if rng.below(12) == 0 {
                     Value::Null
                 } else {
-                    Value::Int(rng.int(-5, 20))
+                    let edges = [&NEAR_2_POW_53[..], &[i64::MIN]].concat();
+                    Value::Int(int_or_edge(&mut rng, -5, 20, &edges))
                 };
                 let v = match rng.below(12) {
                     0 => Value::Null,
@@ -663,6 +696,117 @@ fn columnar_copy_matches_row_store() {
         ))
         .unwrap();
         check("mutated");
+    }
+}
+
+/// INTEGER values beyond 2^53 compare, group, deduplicate and index as
+/// themselves, not as their f64 image — on the live engine without an
+/// index, with a hash and with an ordered one, and through the reference
+/// executor.
+#[test]
+fn integers_beyond_2_pow_53_compare_group_and_deduplicate_exactly() {
+    let (p, q) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+    let cases = [
+        (
+            "SELECT count(*) FROM t WHERE a = 9007199254740993",
+            vec![vec![Value::Int(1)]],
+        ),
+        (
+            "SELECT count(*) FROM t WHERE a > 9007199254740992",
+            vec![vec![Value::Int(1)]],
+        ),
+        (
+            "SELECT count(*) FROM t WHERE a IN (9007199254740993, 7)",
+            vec![vec![Value::Int(1)]],
+        ),
+        // 2^53 is a float; 2^53 + 1 is not.
+        (
+            "SELECT count(*) FROM t WHERE a = 9007199254740992.0",
+            vec![vec![Value::Int(1)]],
+        ),
+        (
+            "SELECT a, sum(b) FROM t GROUP BY a ORDER BY a",
+            vec![
+                vec![p.clone(), Value::Float(5.0)],
+                vec![q.clone(), Value::Float(6.0)],
+            ],
+        ),
+        (
+            "SELECT DISTINCT a FROM t ORDER BY a",
+            vec![vec![p.clone()], vec![q.clone()]],
+        ),
+    ];
+    for index in [
+        "",
+        "CREATE INDEX ix_a ON t (a)",
+        "CREATE ORDERED INDEX ix_a ON t (a)",
+    ] {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (9007199254740993, 6), (9007199254740992, 5)")
+            .unwrap();
+        if !index.is_empty() {
+            db.execute(index).unwrap();
+        }
+        for (sql, want) in &cases {
+            assert_eq!(db.query(sql).unwrap().rows(), want, "{index}: {sql}");
+            assert_eq!(
+                db.query_reference(sql).unwrap().rows(),
+                want,
+                "reference: {sql}"
+            );
+        }
+    }
+}
+
+/// ORDER BY sorts integers around ±2^53 and the `i64` extremes exactly, in
+/// both directions, with and without an ordered index; `min`/`max` off the
+/// index ends agree.
+#[test]
+fn order_by_is_exact_around_2_pow_53_and_the_i64_extremes() {
+    let mut values = edges();
+    values.extend([0, i64::MAX - 1, i64::MIN + 1]);
+    let mut sorted = values.clone();
+    sorted.sort_unstable();
+    let column =
+        |rows: &[Vec<Value>]| -> Vec<i64> { rows.iter().map(|r| r[0].as_i64().unwrap()).collect() };
+    for index in ["", "CREATE ORDERED INDEX ix_a ON t (a)"] {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        // Descending, so that a sort treating neighbours as equal keeps
+        // them in the wrong order.
+        let rows = sorted.iter().rev().map(|&a| vec![Value::Int(a)]).collect();
+        db.insert_rows("t", rows).unwrap();
+        if !index.is_empty() {
+            db.execute(index).unwrap();
+        }
+        for (sql, want) in [
+            ("SELECT a FROM t ORDER BY a", sorted.clone()),
+            (
+                "SELECT a FROM t ORDER BY a DESC",
+                sorted.iter().rev().copied().collect(),
+            ),
+            (
+                "SELECT a FROM t WHERE a >= 9007199254740993 ORDER BY a",
+                vec![(1 << 53) + 1, i64::MAX - 1, i64::MAX],
+            ),
+        ] {
+            assert_eq!(
+                column(db.query(sql).unwrap().rows()),
+                want,
+                "{index}: {sql}"
+            );
+            assert_eq!(
+                column(db.query_reference(sql).unwrap().rows()),
+                want,
+                "reference: {sql}"
+            );
+        }
+        let ends = db.query("SELECT min(a), max(a) FROM t").unwrap();
+        assert_eq!(
+            ends.rows()[0],
+            vec![Value::Int(i64::MIN), Value::Int(i64::MAX)]
+        );
     }
 }
 

@@ -24,7 +24,9 @@
 # replicated CLI query diffed against the unsharded run, a
 # warning-free documentation build, an HTTP server round trip
 # (`perfbase serve` answering ingest and query over a real socket, diffed
-# against the CLI), and the sqldb microbenchmarks plus the 256-connection
+# against the CLI), the table-version suite (a seeded pin/write model over
+# chunk boundaries, the copy bound of a pinned append, the parent build's
+# dump and log), and the sqldb microbenchmarks plus the 256-connection
 # server stress harness (both write into BENCH_sqldb.json at the repo
 # root, gated by bench_guard).
 # Must pass with no network access beyond loopback and no external crates.
@@ -71,6 +73,9 @@ echo "== transactions (as-of-BEGIN isolation model, cost in counts, concurrent a
 cargo test -q -p sqldb --test txn_isolation
 cargo test -q -p perfbase --test import_cost_guard
 cargo test -q -p perfbase --test concurrent_import
+
+echo "== versions (pinned versions never move; a pinned append copies one chunk per column; parent-written dump and log) =="
+cargo test -q -p sqldb --test versions
 
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash
@@ -219,5 +224,6 @@ cargo run --release -p bench --bin bench_guard
 echo "== net Rust LOC (informational; the figure CHANGES.md reports) =="
 sh tests/loc.sh crates/sqldb/src/exec.rs crates/core/src/query/exec.rs || true
 sh tests/loc.sh crates/sqldb/src/wal.rs crates/sqldb/src/repl.rs crates/sqldb/src/engine.rs || true
+sh tests/loc.sh crates/sqldb/src/column.rs crates/sqldb/src/exec.rs crates/sqldb/src/table.rs || true
 
 echo "smoke: OK"

@@ -1,5 +1,6 @@
-//! sqldb hot-path microbenchmarks: optimized pipeline vs the reference
-//! executor (snapshot + interpreted evaluation + nested-loop joins), plus a
+//! sqldb hot-path microbenchmarks: optimized pipeline vs the oracle of the
+//! equivalence suites (tables as rows + interpreted evaluation + nested-loop
+//! joins, `crates/sqldb/tests/common/oracle.rs`), plus a
 //! sharded-aggregation benchmark comparing pushdown against frontend
 //! materialization on a simulated LAN cluster.
 //!
@@ -8,6 +9,9 @@
 //! `BENCH_sqldb.json` into the current directory.
 //!
 //! Run with: `cargo run --release -p bench --bin microbench`
+
+#[path = "../../../sqldb/tests/common/oracle.rs"]
+mod oracle;
 
 use perfbase_core::experiment::{ExperimentDb, ExperimentDef, Meta, VarKind, Variable};
 use perfbase_core::query::spec::query_from_str;
@@ -106,21 +110,21 @@ impl BenchResult {
     }
 }
 
-/// Compare `engine.query` (optimized) against `engine.query_reference`
-/// (snapshot baseline) on the same statement, asserting equal results.
+/// Compare `engine.query` (optimized) against `oracle::query` (the
+/// baseline) on the same statement, asserting equal results.
 fn bench_pair(e: &Engine, name: &'static str, sql: &str) -> BenchResult {
     bench_pair_reps(e, name, sql, REPS)
 }
 
 fn bench_pair_reps(e: &Engine, name: &'static str, sql: &str, reps: usize) -> BenchResult {
     let a = e.query(sql).expect("optimized query");
-    let b = e.query_reference(sql).expect("reference query");
+    let b = oracle::query(e, sql).expect("reference query");
     assert_eq!(a, b, "pipelines disagree on {sql}");
     let optimized_ns = median_ns_reps(reps, || {
         e.query(sql).expect("optimized query");
     });
     let baseline_ns = median_ns_reps(reps, || {
-        e.query_reference(sql).expect("reference query");
+        oracle::query(e, sql).expect("reference query");
     });
     BenchResult {
         name,

@@ -5,7 +5,8 @@
 //! output files driven by XML *input descriptions*, everything is stored in
 //! an SQL database, and XML *query specifications* wire
 //! `source → operator → combiner → output` elements into a dataflow graph
-//! whose elements communicate through temporary database tables.
+//! whose elements hand each other data vectors — tables held by value, where
+//! the paper's elements pass temporary database tables.
 //!
 //! Module map (paper section in parentheses):
 //!

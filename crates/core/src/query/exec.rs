@@ -2438,21 +2438,15 @@ pub(crate) mod tests {
     }
 
     /// Everything a write to `engine` would move: commit epoch, log length,
-    /// catalog, TEMP set.
-    pub(crate) fn written(engine: &Engine) -> (u64, u64, Vec<String>, Vec<String>) {
-        (
-            engine.epoch(),
-            engine.wal_frames(),
-            engine.table_names(),
-            engine.temp_table_names(),
-        )
+    /// catalog.
+    pub(crate) fn written(engine: &Engine) -> (u64, u64, Vec<String>) {
+        (engine.epoch(), engine.wal_frames(), engine.table_names())
     }
 
     /// A query writes nothing — succeeding or failing in its second wave
     /// (`diff` over two multi-row vectors that share no parameter), inline,
-    /// threaded, placed or sharded: epoch, log, catalog and TEMP set of the
-    /// experiment's engine and of every node are what they were, and a TEMP
-    /// table somebody else made is still there.
+    /// threaded, placed or sharded: epoch, log and catalog of the
+    /// experiment's engine and of every node are what they were.
     #[test]
     fn a_query_writes_nothing() {
         let bad = r#"<query name="leak">
@@ -2471,9 +2465,6 @@ pub(crate) mod tests {
                 .attach_wal(sqldb::Wal::create(&log, opts, 1).unwrap());
             db.engine()
                 .execute("CREATE TABLE logged (x INTEGER)")
-                .unwrap();
-            db.engine()
-                .execute("CREATE TEMP TABLE mine (x INTEGER)")
                 .unwrap();
             let placement = Cluster::new(3, LatencyModel::none());
             let sharding = db.sharding();
@@ -2499,7 +2490,6 @@ pub(crate) mod tests {
                     assert_eq!(after, before, "sharded={sharded} mode {mode}");
                 }
             }
-            assert!(db.engine().has_table("mine"));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -12,10 +12,10 @@
 //!
 //! Elements hand each other **data vectors**: a table of typed columns
 //! ([`DataVector::table`], shared by `Arc`) plus column metadata. The paper's
-//! elements pass temp-table *names* (§4.2) because they are processes
-//! talking to a database server; here elements and engine share an address
-//! space, so the edge is the table itself and a query writes nothing to any
-//! catalog — aggregation still runs in the database's executor
+//! elements pass the names of PostgreSQL temporary tables (§4.2) because
+//! they are processes talking to a database server; here elements and engine
+//! share an address space, so the edge is the table itself and a query writes
+//! nothing to any catalog — aggregation still runs in the database's executor
 //! (`sqldb::Table::select`). [`exec`] holds the one runner: sequential by
 //! default, optionally with the ready elements of each wave on threads
 //! and/or placed across the nodes of a simulated database cluster (Fig. 3);

@@ -1,20 +1,17 @@
 //! Expression compilation: one-time lowering of [`SqlExpr`] trees into
-//! evaluators with pre-resolved column indices.
+//! evaluators with pre-resolved column indices — the engine's one scalar
+//! evaluator (WHERE, projections, aggregate arguments and items, UPDATE
+//! values, INSERT constants).
 //!
-//! The interpreted evaluator in [`crate::expr`] resolves every column
-//! reference with [`Schema::index_of`] on every row — a string scan over the
-//! column list. For scans over thousands of rows that resolution dominates.
-//! [`CompiledExpr`] does the name resolution exactly once per statement and
-//! then evaluates directly against a `&[Value]` row slice.
-//!
-//! Semantics are identical to the interpreter by construction: the
-//! value-level operator logic ([`crate::expr::binary_values`],
-//! [`crate::expr::scalar_fn`], [`crate::expr::truthy`],
-//! the LIKE matcher) is shared, and lazily-detected errors stay
-//! lazy — an unknown column or function inside a short-circuited `AND`/`OR`
-//! branch errors only if that branch is actually evaluated, just like the
-//! interpreter.
+//! Names are resolved with [`Schema::index_of`] once per statement; a
+//! [`CompiledExpr`] then evaluates directly against a `&[Value]` row slice.
+//! The value-level operator logic ([`crate::expr::binary_values`],
+//! [`crate::expr::scalar_fn`], [`crate::expr::truthy`], the LIKE matcher)
+//! lives in [`crate::expr`], and errors stay lazy — an unknown column or
+//! function inside a short-circuited `AND`/`OR` branch errors only if that
+//! branch is actually evaluated.
 
+use crate::aggregate::AggKind;
 use crate::error::DbError;
 use crate::expr::{binary_values, negate, scalar_fn, truthy, LikePattern};
 use crate::schema::Schema;
@@ -29,8 +26,8 @@ pub(crate) enum CompiledExpr {
     Lit(Value),
     /// Column reference resolved to a row index.
     Col(usize),
-    /// Column reference that did not resolve; errors when evaluated
-    /// (matching the interpreter's lazy `NoSuchColumn`).
+    /// Column reference that did not resolve; errors (`NoSuchColumn`) when
+    /// evaluated.
     BadCol(String),
     /// Arithmetic negation.
     Neg(Box<CompiledExpr>),
@@ -43,7 +40,7 @@ pub(crate) enum CompiledExpr {
     /// Non-logical binary operator (comparison / arithmetic).
     Binary(&'static str, Box<CompiledExpr>, Box<CompiledExpr>),
     /// Scalar function call. Aggregates and unknown functions error when
-    /// evaluated, like the interpreter.
+    /// evaluated.
     Func {
         /// Lower-cased function name.
         name: String,
@@ -82,41 +79,54 @@ pub(crate) enum CompiledExpr {
 /// Lower `expr` against `schema`. Never fails: unresolved names become
 /// [`CompiledExpr::BadCol`], which errors only if evaluated.
 pub(crate) fn compile(expr: &SqlExpr, schema: &Schema) -> CompiledExpr {
+    compile_reading(expr, schema, &mut |_, _| None)
+}
+
+/// [`compile`], except that each outermost aggregate call — `kind` over
+/// `call`, its arguments not looked into — reads the column `aggregate`
+/// answers for it: the aggregate's value, placed after the row's own
+/// columns by whoever computed it.
+pub(crate) fn compile_reading(
+    expr: &SqlExpr,
+    schema: &Schema,
+    aggregate: &mut dyn FnMut(AggKind, &SqlExpr) -> Option<usize>,
+) -> CompiledExpr {
+    let mut lower = |e: &SqlExpr| Box::new(compile_reading(e, schema, aggregate));
     match expr {
         SqlExpr::Lit(v) => CompiledExpr::Lit(v.clone()),
         SqlExpr::Col(name) => match schema.index_of(name) {
             Some(i) => CompiledExpr::Col(i),
             None => CompiledExpr::BadCol(name.clone()),
         },
-        SqlExpr::Unary(UnOp::Neg, x) => CompiledExpr::Neg(Box::new(compile(x, schema))),
-        SqlExpr::Unary(UnOp::Not, x) => CompiledExpr::Not(Box::new(compile(x, schema))),
-        SqlExpr::Binary("AND", l, r) => {
-            CompiledExpr::And(Box::new(compile(l, schema)), Box::new(compile(r, schema)))
+        SqlExpr::Unary(UnOp::Neg, x) => CompiledExpr::Neg(lower(x)),
+        SqlExpr::Unary(UnOp::Not, x) => CompiledExpr::Not(lower(x)),
+        SqlExpr::Binary("AND", l, r) => CompiledExpr::And(lower(l), lower(r)),
+        SqlExpr::Binary("OR", l, r) => CompiledExpr::Or(lower(l), lower(r)),
+        SqlExpr::Binary(op, l, r) => CompiledExpr::Binary(op, lower(l), lower(r)),
+        SqlExpr::Func { name, args, .. } => {
+            let kind = AggKind::from_name(name);
+            match kind.and_then(|kind| aggregate(kind, expr)) {
+                Some(column) => CompiledExpr::Col(column),
+                None => CompiledExpr::Func {
+                    name: name.clone(),
+                    args: (args.iter())
+                        .map(|a| compile_reading(a, schema, aggregate))
+                        .collect(),
+                    is_aggregate: kind.is_some(),
+                },
+            }
         }
-        SqlExpr::Binary("OR", l, r) => {
-            CompiledExpr::Or(Box::new(compile(l, schema)), Box::new(compile(r, schema)))
-        }
-        SqlExpr::Binary(op, l, r) => CompiledExpr::Binary(
-            op,
-            Box::new(compile(l, schema)),
-            Box::new(compile(r, schema)),
-        ),
-        SqlExpr::Func { name, args, .. } => CompiledExpr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| compile(a, schema)).collect(),
-            is_aggregate: crate::aggregate::AggKind::from_name(name).is_some(),
-        },
         SqlExpr::InList {
             expr,
             list,
             negated,
         } => CompiledExpr::InList {
-            expr: Box::new(compile(expr, schema)),
-            list: list.iter().map(|e| compile(e, schema)).collect(),
+            expr: lower(expr),
+            list: list.iter().map(|e| *lower(e)).collect(),
             negated: *negated,
         },
         SqlExpr::IsNull { expr, negated } => CompiledExpr::IsNull {
-            expr: Box::new(compile(expr, schema)),
+            expr: lower(expr),
             negated: *negated,
         },
         SqlExpr::Like {
@@ -124,7 +134,7 @@ pub(crate) fn compile(expr: &SqlExpr, schema: &Schema) -> CompiledExpr {
             pattern,
             negated,
         } => CompiledExpr::Like {
-            expr: Box::new(compile(expr, schema)),
+            expr: lower(expr),
             pattern: LikePattern::parse(pattern),
             negated: *negated,
         },
@@ -217,9 +227,9 @@ impl CompiledExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{eval as interp, RowCtx};
     use crate::schema::Column;
     use crate::sql::{parse_statement, Stmt};
+    use crate::test_common::oracle;
     use crate::value::DataType;
 
     fn schema() -> Schema {
@@ -248,8 +258,8 @@ mod tests {
         ]
     }
 
-    /// Compiled and interpreted evaluation agree (values and errors) on a
-    /// catalogue of expression shapes.
+    /// Compiled evaluation and the oracle's interpreter agree (values and
+    /// errors) on a catalogue of expression shapes.
     #[test]
     fn agrees_with_interpreter() {
         let schema = schema();
@@ -294,13 +304,7 @@ mod tests {
         ] {
             let e = where_expr(src);
             let compiled = compile(&e, &schema).eval(&r);
-            let interpreted = interp(
-                &e,
-                &RowCtx {
-                    schema: &schema,
-                    row: &r,
-                },
-            );
+            let interpreted = oracle::eval(&e, &schema.names(), &r);
             match (&compiled, &interpreted) {
                 (Ok(c), Ok(i)) => assert_eq!(c, i, "{src}"),
                 (Err(c), Err(i)) => assert_eq!(c, i, "{src}"),
@@ -309,8 +313,8 @@ mod tests {
         }
     }
 
-    /// Errors on a short-circuited branch stay lazy, exactly like the
-    /// interpreter: the unknown column is never reached.
+    /// Errors on a short-circuited branch stay lazy: the unknown column is
+    /// never reached.
     #[test]
     fn short_circuit_keeps_errors_lazy() {
         let schema = schema();

@@ -4,7 +4,7 @@
 //! Our embedded substitute persists by dumping the whole catalog as an SQL
 //! script (CREATE TABLE + INSERT) and replaying it on load: human-readable,
 //! trivially diffable, and it exercises the same SQL front-end as every
-//! other access path. TEMP tables are never dumped.
+//! other access path.
 
 use crate::column::ColumnVec;
 use crate::engine::{Engine, Text};
@@ -20,7 +20,7 @@ use std::io::Write as _;
 const DUMP_BATCH: usize = 64;
 
 impl Engine {
-    /// Serialize every non-TEMP table as an SQL script.
+    /// Serialize every table as an SQL script.
     pub fn dump_sql(&self) -> String {
         self.dump_with_seq(None)
     }
@@ -29,15 +29,11 @@ impl Engine {
     /// column store, with the checkpoint stamp (if any) as the second
     /// header line.
     fn dump_with_seq(&self, ckpt_seq: Option<u64>) -> String {
-        let temps = self.temp_table_names();
         let mut out = String::from("-- perfbase embedded database dump\n");
         if let Some(seq) = ckpt_seq {
             let _ = writeln!(out, "{CKPT_SEQ_MARKER}{seq}");
         }
         for name in self.table_names() {
-            if temps.contains(&name) {
-                continue;
-            }
             let table = self.pin_table(&name).expect("table listed");
             write_create_table(&mut out, &name, &table.schema, false);
             out.push_str(";\n");
@@ -260,7 +256,6 @@ mod tests {
              (3, 'it''s;tricky', -0.5, TRUE, 100)",
         )
         .unwrap();
-        e.execute("CREATE TEMP TABLE scratch (x INTEGER)").unwrap();
         e
     }
 
@@ -276,10 +271,21 @@ mod tests {
         assert_eq!(dump, e2.dump_sql());
     }
 
+    /// There are no TEMP tables to dump: one is refused by name, and a
+    /// dump line asking for one fails the whole load.
     #[test]
     fn temp_tables_not_dumped() {
-        let dump = sample().dump_sql();
-        assert!(!dump.contains("scratch"));
+        let e = sample();
+        let before = e.dump_sql();
+        let temp = "CREATE TEMP TABLE scratch (x INTEGER)";
+        for refused in [e.execute(temp), e.execute_script(temp)] {
+            let err = refused.unwrap_err();
+            assert!(err.to_string().contains("TEMP"), "{err}");
+        }
+        assert_eq!(e.dump_sql(), before);
+        let script = format!("{before}{temp};\n");
+        let err = Engine::from_sql_dump(&script).unwrap_err();
+        assert!(err.to_string().contains("TEMP"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::compile::compile;
 use crate::dump;
 use crate::error::DbError;
 use crate::exec;
-use crate::expr::{self, RowCtx};
 use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
 use crate::sql::{self, SelectStmt, SqlExpr, Stmt};
@@ -15,7 +14,7 @@ use crate::txn::Transaction;
 use crate::value::Value;
 use crate::wal::{RecoveryReport, UnitReader, Wal, WalOptions};
 use crate::TableMemory;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,8 +67,9 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Construct from parts (used by the executor).
-    pub(crate) fn new(columns: Vec<String>, rows: Vec<Row>) -> Self {
+    /// Construct from parts: output column names and one row per output
+    /// row, each with one value per column.
+    pub fn new(columns: Vec<String>, rows: Vec<Row>) -> Self {
         ResultSet { columns, rows }
     }
 
@@ -153,24 +153,21 @@ impl ResultSet {
 #[derive(Debug, Default)]
 pub struct Engine {
     tables: RwLock<HashMap<String, Arc<RwLock<Arc<Table>>>>>,
-    temps: Mutex<HashSet<String>>,
     /// The writer lock, and inside it the optional write-ahead log. Every
     /// mutation holds it from planning to the epoch tick, whether or not a
     /// log is attached: a change is planned against the very version it is
     /// applied to, and log order is apply order (lock order is always
-    /// wal → commit → tables/temps → slot, so this cannot deadlock).
+    /// wal → commit → tables → slot, so this cannot deadlock).
     wal: Mutex<Option<Wal>>,
     /// MVCC commit gate: exclusive while a publish applies its changes and
     /// ticks the epoch, shared while a snapshot pins the catalog.
     commit: RwLock<()>,
     /// Monotonic commit epoch; ticked once per publish.
     epoch: AtomicU64,
-    /// The commit epoch that last removed a persistent table from the
-    /// catalog. With the stamp on every published [`Table`] version this is
-    /// what lets a transaction pin lazily: a name that is absent, with no
-    /// removal since the transaction's BEGIN, was absent at BEGIN too. TEMP
-    /// tables do not count — a transaction refuses them, so the removal of
-    /// one is never what an absent name conflicts with.
+    /// The commit epoch that last removed a table from the catalog. With the
+    /// stamp on every published [`Table`] version this is what lets a
+    /// transaction pin lazily: a name that is absent, with no removal since
+    /// the transaction's BEGIN, was absent at BEGIN too.
     last_removal: AtomicU64,
 }
 
@@ -246,28 +243,26 @@ impl Engine {
 
     /// Create a table programmatically.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<(), DbError> {
-        self.create_table_opts(name, schema, false, false)
+        self.create_table_opts(name, schema, false)
     }
 
-    /// Create a table with TEMP / IF NOT EXISTS options.
+    /// Create a table, or with `if_not_exists` leave one of that name be.
     pub fn create_table_opts(
         &self,
         name: &str,
         schema: Schema,
-        temp: bool,
         if_not_exists: bool,
     ) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
         let ask = Ask::CreateTable {
             schema,
-            temp,
             if_not_exists,
         };
         self.write(name, ask, Text::Render).map(drop)
     }
 
-    /// Drop a table. Dropping a TEMP or nonexistent table is never logged:
-    /// neither has any durable effect.
+    /// Drop a table. Dropping a nonexistent table (`if_exists`) is never
+    /// logged: it has no durable effect.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
         self.write(name, Ask::DropTable { if_exists }, Text::Render)
@@ -279,13 +274,11 @@ impl Engine {
     fn write(&self, name: &str, ask: Ask, text: Text<'_>) -> Result<usize, DbError> {
         let mut wal = self.wal.lock();
         let text = if wal.is_some() { text } else { Text::Unwanted };
-        // Whether the table is TEMP decides what is logged, nothing else.
-        let view_is_temp = !matches!(text, Text::Unwanted) && self.is_temp(name);
         let slot = self.tables.read().get(name).cloned();
         let (change, text) = {
             let view = slot.as_ref().map(|slot| slot.read());
             let view = view.as_deref().map(|version| &**version);
-            plan(name, ask, view, view_is_temp, text)?
+            plan(name, ask, view, text)?
         };
         let rows = change.rows();
         let log = text.into_iter().collect();
@@ -339,14 +332,11 @@ impl Engine {
         for (name, change) in work {
             match std::mem::replace(change, Change::Nothing { logged: false }) {
                 Change::Nothing { .. } => {}
-                Change::Version { mut table, temp } => {
+                Change::Version(mut table) => {
                     // The version is the publisher's alone: the stamp copies
                     // nothing.
                     Arc::make_mut(&mut table).published = epoch;
                     let mut tables = self.tables.write();
-                    if temp {
-                        self.temps.lock().insert(name.to_string());
-                    }
                     match tables.get(*name) {
                         Some(slot) => *slot.write() = table,
                         None => {
@@ -355,8 +345,7 @@ impl Engine {
                     }
                 }
                 Change::Drop => {
-                    let removed = self.tables.write().remove(*name).is_some();
-                    if removed && !self.temps.lock().remove(*name) {
+                    if self.tables.write().remove(*name).is_some() {
                         self.last_removal.store(epoch, Ordering::Release);
                     }
                 }
@@ -497,11 +486,6 @@ impl Engine {
         self.write(name, Ask::InsertRows(rows), Text::Render)
     }
 
-    /// Is `name` a TEMP table?
-    pub(crate) fn is_temp(&self, name: &str) -> bool {
-        self.temps.lock().contains(name)
-    }
-
     /// Snapshot a table's schema and rows (materialised from the pinned
     /// current version; no lock is held during the copy).
     pub fn read_snapshot(&self, name: &str) -> Result<(Schema, Vec<Row>), DbError> {
@@ -517,13 +501,6 @@ impl Engine {
     /// All table names (sorted).
     pub fn table_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Names of TEMP tables (sorted).
-    pub fn temp_table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.temps.lock().iter().cloned().collect();
         v.sort();
         v
     }
@@ -564,9 +541,9 @@ impl Engine {
     }
 
     /// Execute a non-SELECT statement; returns the number of affected rows
-    /// (0 for DDL). With a WAL attached, an accepted statement on a non-TEMP
-    /// table is logged (raw SQL text) before it is applied; a rejected one
-    /// leaves no frame, no effect and no epoch tick.
+    /// (0 for DDL). With a WAL attached, an accepted statement is logged (raw
+    /// SQL text) before it is applied; a rejected one leaves no frame, no
+    /// effect and no epoch tick.
     pub fn execute(&self, sql_text: &str) -> Result<usize, DbError> {
         let parse_started = Instant::now();
         let stmt = sql::parse_statement(sql_text)?;
@@ -658,30 +635,11 @@ impl Engine {
         exec::read(&mut &*snapshot, &sel, explain)
     }
 
-    /// [`Engine::query_reference`] at a pinned [`Snapshot`]: the oracle for
-    /// the snapshot-isolation equivalence tests (optimized and reference
-    /// execution of the same statement at the same epoch must agree).
-    pub fn query_reference_at(
-        &self,
-        snapshot: &Snapshot,
-        sql_text: &str,
-    ) -> Result<ResultSet, DbError> {
-        query_reference(&mut &*snapshot, sql_text)
-    }
-
-    /// Run a SELECT through the unoptimized reference executor: full table
-    /// snapshots, interpreted expression evaluation and nested-loop joins.
-    /// Exists as the oracle for the equivalence tests and as the baseline
-    /// for the `microbench` binary — not for production use.
-    pub fn query_reference(&self, sql_text: &str) -> Result<ResultSet, DbError> {
-        query_reference(&mut &*self, sql_text)
-    }
-
     // ---- durability (write-ahead log) ------------------------------------
 
     /// Attach a write-ahead log; returns any previously attached log.
-    /// Every subsequent mutating statement on a non-TEMP table is appended
-    /// to the log before it is applied.
+    /// Every subsequent accepted mutation the log carries is appended to it
+    /// before it is applied.
     pub fn attach_wal(&self, wal: Wal) -> Option<Wal> {
         self.wal.lock().replace(wal)
     }
@@ -849,25 +807,11 @@ impl exec::View for &Engine {
     }
 }
 
-/// `sql_text`, a plain SELECT, through the reference executor.
-fn query_reference(view: &mut dyn exec::View, sql_text: &str) -> Result<ResultSet, DbError> {
-    match sql::parse_statement(sql_text)? {
-        Stmt::Select(sel) => exec::run_select_reference(view, &sel),
-        _ => Err(DbError::Execution(
-            "query() only accepts SELECT statements".into(),
-        )),
-    }
-}
-
 /// What a write asks of the table it names: the body of a parsed statement,
 /// or the arguments of a programmatic call.
 pub(crate) enum Ask {
-    /// `CREATE [TEMP] TABLE [IF NOT EXISTS]`.
-    CreateTable {
-        schema: Schema,
-        temp: bool,
-        if_not_exists: bool,
-    },
+    /// `CREATE TABLE [IF NOT EXISTS]`.
+    CreateTable { schema: Schema, if_not_exists: bool },
     /// `DROP TABLE [IF EXISTS]`.
     DropTable { if_exists: bool },
     /// `INSERT … [(columns)] VALUES rows`.
@@ -899,7 +843,6 @@ impl Ask {
         Ok(match stmt {
             Stmt::CreateTable {
                 name,
-                temp,
                 if_not_exists,
                 columns,
             } => {
@@ -911,7 +854,6 @@ impl Ask {
                 let schema = Schema::new(columns.collect())?;
                 let ask = Ask::CreateTable {
                     schema,
-                    temp,
                     if_not_exists,
                 };
                 (name, ask)
@@ -979,7 +921,7 @@ pub(crate) enum Text<'a> {
 pub(crate) enum Change {
     /// Make this version current: a created or installed table, a
     /// transaction's private copy.
-    Version { table: Arc<Table>, temp: bool },
+    Version(Arc<Table>),
     /// Remove the table.
     Drop,
     /// Append these rows ([`Table::validate_rows`] returned them).
@@ -1042,27 +984,23 @@ impl Change {
 }
 
 /// Plan one write — the only place statement semantics live. `view` is the
-/// version of table `name` the write sees (`None`: no such table) and
-/// `view_is_temp` whether that is a TEMP table. Answers the [`Change`] and the text the log
-/// carries for it, or the error: everything that can reject the write does
-/// so here, before anything is logged or changed. The text is `None` for a
-/// TEMP table, for the no-ops the log skips and when none is wanted.
+/// version of table `name` the write sees (`None`: no such table). Answers
+/// the [`Change`] and the text the log carries for it, or the error:
+/// everything that can reject the write does so here, before anything is
+/// logged or changed. The text is `None` for the no-ops the log skips and
+/// when none is wanted.
 pub(crate) fn plan(
     name: &str,
     ask: Ask,
     view: Option<&Table>,
-    view_is_temp: bool,
     text: Text<'_>,
 ) -> Result<(Change, Option<String>), DbError> {
-    let creates_temp = matches!(ask, Ask::CreateTable { temp: true, .. });
-    let temp = view_is_temp || creates_temp;
-    let render = matches!(text, Text::Render) && !temp;
+    let render = matches!(text, Text::Render);
     let mut rendered = None;
     let table = || view.ok_or_else(|| DbError::NoSuchTable(name.to_string()));
     let change = match ask {
         Ask::CreateTable {
             schema,
-            temp,
             if_not_exists,
         } => {
             if render {
@@ -1070,10 +1008,7 @@ pub(crate) fn plan(
                 dump::write_create_table(out, name, &schema, if_not_exists);
             }
             match view {
-                None => Change::Version {
-                    table: Arc::new(Table::new(schema)),
-                    temp,
-                },
+                None => Change::Version(Arc::new(Table::new(schema))),
                 Some(_) if if_not_exists => Change::Nothing { logged: true },
                 Some(_) => return Err(DbError::TableExists(name.to_string())),
             }
@@ -1091,7 +1026,7 @@ pub(crate) fn plan(
         },
         Ask::Insert { columns, rows } => {
             let rows = insert_rows_of(&table()?.schema, columns, rows)?;
-            return plan(name, Ask::InsertRows(rows), view, view_is_temp, text);
+            return plan(name, Ask::InsertRows(rows), view, text);
         }
         Ask::InsertRows(rows) => {
             let rows = table()?.validate_rows(rows)?;
@@ -1147,7 +1082,7 @@ pub(crate) fn plan(
         },
     };
     // The one decision of what the log carries.
-    let logged = !temp && !matches!(change, Change::Nothing { logged: false });
+    let logged = !matches!(change, Change::Nothing { logged: false });
     let text = match text {
         Text::Source(sql) if logged => Some(sql.to_string()),
         Text::Render if logged => rendered,
@@ -1164,20 +1099,14 @@ pub(crate) fn insert_rows_of(
     columns: Option<Vec<String>>,
     rows: Vec<Vec<sql::SqlExpr>>,
 ) -> Result<Vec<Row>, DbError> {
-    let empty_schema = Schema::default();
-    let empty_row: Vec<Value> = Vec::new();
-    let const_ctx = RowCtx {
-        schema: &empty_schema,
-        row: &empty_row,
-    };
-
     let mut full_rows = Vec::with_capacity(rows.len());
     for row_exprs in rows {
+        // A constant that is not a literal is compiled against no columns.
         let values: Result<Vec<Value>, DbError> = row_exprs
             .into_iter()
             .map(|e| match e {
                 sql::SqlExpr::Lit(v) => Ok(v),
-                e => expr::eval(&e, &const_ctx),
+                e => compile(&e, &Schema::default()).eval(&[]),
             })
             .collect();
         let values = values?;
@@ -1307,6 +1236,45 @@ mod tests {
         );
     }
 
+    /// An INSERT constant that is not a literal is compiled against no
+    /// columns and evaluated once: what the compiled evaluator answers, its
+    /// errors included, and a rejected row leaves the table as it was.
+    #[test]
+    fn insert_constants_are_compiled_against_no_columns() {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (a INTEGER, b TEXT, c FLOAT)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO t VALUES (1 + 2 * 3, upper('x') , -(-2.5)), (abs(-4), NULL, 7 / 2)",
+        )
+        .unwrap();
+        let rs = db.query("SELECT a, b, c FROM t").unwrap();
+        assert_eq!(
+            rs.rows(),
+            [
+                vec![Value::Int(7), Value::Text("X".into()), Value::Float(2.5)],
+                vec![Value::Int(4), Value::Null, Value::Float(3.5)],
+            ]
+        );
+        for (values, error) in [
+            ("(a, 'x', 1.0)", DbError::NoSuchColumn("a".into())),
+            (
+                "(9223372036854775807 + 1, 'x', 1.0)",
+                DbError::Execution("integer overflow in 9223372036854775807 + 1".into()),
+            ),
+            (
+                "(1, 'x', max(2))",
+                DbError::Execution(
+                    "aggregate function max() is not allowed in this context".into(),
+                ),
+            ),
+        ] {
+            let stmt = format!("INSERT INTO t VALUES (5, 'y', 0.0), {values}");
+            assert_eq!(db.execute(&stmt), Err(error), "{stmt}");
+        }
+        assert_eq!(db.row_count("t").unwrap(), 2);
+    }
+
     #[test]
     fn insert_rejects_unknown_column() {
         let db = Engine::new();
@@ -1346,89 +1314,6 @@ mod tests {
         assert_eq!(rs.column("a").unwrap(), vec![Value::Int(1), Value::Int(2)]);
         assert!(rs.get(5, "b").is_none());
         assert!(rs.column("zzz").is_none());
-    }
-
-    fn vector_schema() -> Schema {
-        Schema::new(vec![
-            Column::new("fs", DataType::Text),
-            Column::new("bw", DataType::Float),
-        ])
-        .unwrap()
-    }
-
-    fn vector_rows() -> Vec<Row> {
-        vec![
-            vec![Value::Text("ufs".into()), Value::Float(1.5)],
-            vec![Value::Null, Value::Float(2.5)],
-            vec![Value::Text("nfs".into()), Value::Null],
-        ]
-    }
-
-    /// A TEMP table made through the SQL door is the table
-    /// `create_table_opts` + `insert_rows` build: same rows to SQL, TEMP,
-    /// absent from the log and the dump, gone with its DROP.
-    #[test]
-    fn installed_temp_table_is_an_ordinary_temp_table() {
-        use crate::wal::SyncPolicy;
-        let dir = std::env::temp_dir().join("perfbase_engine_wal");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (dump, wal) = (dir.join("install.sql"), dir.join("install.wal"));
-        std::fs::remove_file(&dump).ok();
-        std::fs::remove_file(&wal).ok();
-        let (db, _) =
-            Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
-        db.execute("CREATE TABLE kept (a INTEGER)").unwrap();
-        let frames = db.wal_frames();
-
-        db.create_table_opts("by_rows", vector_schema(), true, false)
-            .unwrap();
-        db.insert_rows("by_rows", vector_rows()).unwrap();
-        let epoch = db.epoch();
-        db.execute("CREATE TEMP TABLE installed (fs TEXT, bw FLOAT)")
-            .unwrap();
-        assert_eq!(db.epoch(), epoch + 1, "one commit");
-        db.execute("INSERT INTO installed VALUES ('ufs', 1.5), (NULL, 2.5), ('nfs', NULL)")
-            .unwrap();
-
-        let q = |t: &str| {
-            db.query(&format!(
-                "SELECT fs, count(*), max(bw) FROM {t} GROUP BY fs ORDER BY fs"
-            ))
-            .unwrap()
-        };
-        assert_eq!(q("installed"), q("by_rows"));
-        assert_eq!(
-            db.read_snapshot("installed").unwrap(),
-            db.read_snapshot("by_rows").unwrap()
-        );
-        assert_eq!(db.temp_table_names(), ["by_rows", "installed"]);
-        // It takes writes like any table, and none of it reaches the log.
-        db.execute("INSERT INTO installed VALUES ('pvfs', 9.0)")
-            .unwrap();
-        assert_eq!(db.row_count("installed").unwrap(), 4);
-        assert_eq!(db.wal_frames(), frames);
-        assert!(!db.dump_sql().contains("installed"));
-
-        // A TEMP table never shadows or replaces a table of its name.
-        for taken in ["installed", "kept"] {
-            assert!(matches!(
-                db.execute(&format!("CREATE TEMP TABLE {taken} (fs TEXT, bw FLOAT)")),
-                Err(DbError::TableExists(_))
-            ));
-        }
-        assert_eq!(db.read_snapshot("kept").unwrap().0.names(), ["a"]);
-
-        for temp in db.temp_table_names() {
-            db.drop_table(&temp, false).unwrap();
-        }
-        assert!(db.temp_table_names().is_empty());
-        assert_eq!(db.table_names(), ["kept"]);
-        assert_eq!(db.wal_frames(), frames);
-        drop(db);
-        let (db2, report) =
-            Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
-        assert_eq!(report.replay_errors, 0);
-        assert_eq!(db2.table_names(), ["kept"]);
     }
 
     /// `scan` is the selection step of the SELECT with the same WHERE
@@ -1506,9 +1391,6 @@ mod tests {
             .unwrap();
         db.create_index("ix_p_id", "p", "id").unwrap();
         db.drop_table("p", false).unwrap();
-        // TEMP tables are never logged.
-        db.execute("CREATE TEMP TABLE scratch (x INTEGER)").unwrap();
-        db.execute("INSERT INTO scratch VALUES (1)").unwrap();
         let frames = db.wal_frames();
         db.wal_sync().unwrap();
         let expected = db.query("SELECT a, b FROM t ORDER BY a").unwrap();
@@ -1524,7 +1406,6 @@ mod tests {
             expected
         );
         assert!(!db2.has_table("p"), "dropped table must stay dropped");
-        assert!(!db2.has_table("scratch"), "temp tables are not durable");
         assert!(db2
             .table("t")
             .unwrap()

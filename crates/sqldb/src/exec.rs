@@ -15,29 +15,29 @@
 //!   or `col IN (...)` conjunct probes a secondary index, range conjuncts
 //!   scan the *ordered* variant, `min`/`max` alone read an ordered index's
 //!   ends), the filter form (column-at-a-time [`VecAtom`]s, or the compiled
-//!   scalar filter of [`crate::compile`]) and the output form (fast or
-//!   general aggregation, column or expression projection). [`run`]
-//!   consumes that value — selection vector of row positions
-//!   ([`positions`], the step UPDATE and DELETE share), then aggregation or
-//!   projection straight off the column store, materialising only matching,
-//!   projected rows — and `EXPLAIN` prints it.
+//!   scalar filter of [`crate::compile`]) and the output form (the one
+//!   [`Aggregation`], column or expression projection). [`run`] consumes
+//!   that value — selection vector of row positions ([`positions`], the
+//!   step UPDATE and DELETE share), then aggregation or projection straight
+//!   off the column store, materialising only matching, projected rows —
+//!   and `EXPLAIN` prints it.
 //!
-//! [`run_select_reference`] keeps the unoptimized pipeline — tables turned
-//! into rows + interpreted evaluation + nested-loop joins — as the oracle
-//! for the equivalence tests and the baseline for the `microbench` binary.
+//! The oracle the equivalence suites compare this module against — tables
+//! turned into rows, an interpreter, nested-loop joins — lives with those
+//! suites (`tests/common/oracle.rs`) and shares no code with it.
 
 use crate::aggregate::{Accumulator, AggKind};
 use crate::column::{Chunked, ColumnStore, ColumnVec};
-use crate::compile::{compile, CompiledExpr};
+use crate::compile::{compile, compile_reading, CompiledExpr};
 use crate::engine::ResultSet;
 use crate::error::DbError;
-use crate::expr::{binary_values, eval, truthy, LikePattern, RowCtx};
+use crate::expr::{binary_values, truthy, LikePattern};
 use crate::schema::{Column, Schema};
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Num, Value, ValueKey};
 use std::collections::{HashMap, HashSet};
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -220,15 +220,8 @@ impl Filter {
 
 /// How selected rows become output rows.
 enum Output {
-    /// `SELECT g…, agg(col)… GROUP BY g…`: batched accumulators fed from the
-    /// typed vectors.
-    FastAggregate {
-        items: Vec<FastItem>,
-        keys: Vec<usize>,
-    },
-    /// Any other aggregation: the selected rows are materialised and grouped
-    /// ([`aggregate_project`]).
-    GeneralAggregate,
+    /// An aggregate call or GROUP BY.
+    Aggregate(Aggregation),
     /// Nothing but `*` and plain columns: cells copied off the vectors.
     Columns(Vec<ProjCol>),
     /// Compiled expressions over each selected, materialised row.
@@ -239,22 +232,11 @@ impl Plan {
     fn of(sel: &SelectStmt, table: &Table) -> Plan {
         let schema = &table.schema;
         let where_clause = sel.where_clause.as_ref();
-        let fast = || {
-            let keys: Vec<usize> = sel
-                .group_by
-                .iter()
-                .map(|g| schema.index_of(g))
-                .collect::<Option<_>>()?;
-            Some(Output::FastAggregate {
-                items: plan_fast(sel, schema, &keys)?,
-                keys,
-            })
-        };
         Plan {
             access: plan_index_ends(sel, table).unwrap_or_else(|| plan_access(where_clause, table)),
             filter: Filter::of(where_clause, table),
             output: if is_aggregation(sel) {
-                fast().unwrap_or(Output::GeneralAggregate)
+                Output::Aggregate(Aggregation::of(sel, schema))
             } else {
                 match pure_column_projection(sel, schema) {
                     Some(columns) => Output::Columns(columns),
@@ -269,7 +251,8 @@ impl Plan {
     fn vectorized(&self) -> &'static str {
         match (&self.filter, &self.output) {
             (Filter::Scalar(_), _) => "none",
-            (_, Output::FastAggregate { .. } | Output::Columns(_)) => "full",
+            (_, Output::Columns(_)) => "full",
+            (_, Output::Aggregate(aggregation)) if aggregation.columnar => "full",
             _ => "partial",
         }
     }
@@ -284,14 +267,7 @@ fn run(sel: &SelectStmt, table: &Table, plan: Plan) -> Result<ResultSet, DbError
     let sv = positions(table, plan.access, &plan.filter)?;
     let row_at = |&p: &usize| store.materialize_row(p);
     let (columns, out_rows) = match plan.output {
-        Output::FastAggregate { items, keys } => (
-            output_names(sel, schema),
-            vectorized_fast_agg(store, &sv, items, keys)?,
-        ),
-        Output::GeneralAggregate => {
-            let rows: Vec<Row> = sv.iter().map(row_at).collect();
-            aggregate_project(sel, schema, &rows)?
-        }
+        Output::Aggregate(aggregation) => (output_names(sel, schema), aggregation.run(table, &sv)?),
         Output::Columns(columns) => {
             let project = |&p: &usize| {
                 let mut row = Vec::with_capacity(schema.arity());
@@ -363,15 +339,16 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
 // vector at a time into a selection vector of row positions; dictionary
 // predicates compare u32 codes against a precomputed per-entry truth table
 // instead of strings. Aggregation then runs batched over the selected
-// positions ([`vectorized_fast_agg`]), grouping single TEXT keys directly
-// by dictionary code. Whole-column loops walk the chunks of a column
+// positions ([`Aggregation::run`]), grouping single TEXT keys directly by
+// dictionary code. Whole-column loops walk the chunks of a column
 // ([`Chunked::chunks`], [`Chunked::gather`]); a single cell is read by
 // position.
 //
-// The path is deliberately sequential: it reuses [`Accumulator`] in row
-// order, so results are byte-identical to the reference executor (same
-// Welford update order, same first-seen group order, same tie-breaking) —
-// the property the equivalence corpus asserts.
+// The path is deliberately sequential: it feeds [`Accumulator`]s in row
+// order, so results are byte-identical to a naive row-at-a-time evaluation
+// (same Welford update order, same first-seen group order, same
+// tie-breaking) — the property the equivalence corpus asserts against the
+// oracle.
 
 /// Comparison operator of a vectorizable conjunct.
 #[derive(Debug, Clone, Copy)]
@@ -811,68 +788,206 @@ fn positions(table: &Table, access: AccessPlan, filter: &Filter) -> Result<Vec<u
     Ok(sv)
 }
 
-/// Batched aggregation over selected positions, a column at a time: pass 1
-/// resolves every selected row to a dense group index once
-/// ([`group_rows`]), pass 2 feeds each aggregate's accumulators from one
-/// column, walking its chunks. Group order is first-seen row order and every
-/// accumulator sees its values in row order — the reference executor's
-/// group order and Welford update order.
-fn vectorized_fast_agg(
-    store: &ColumnStore,
-    sv: &[usize],
-    plan: Vec<FastItem>,
-    key_idx: Vec<usize>,
-) -> Result<Vec<Row>, DbError> {
-    let (keys, gidx) = group_rows(store, sv, &key_idx);
-    let mut acc_cols: Vec<Vec<Accumulator>> = Vec::new();
-    for it in &plan {
-        let FastItem::Agg(kind, col) = it else {
-            continue;
-        };
-        let mut accs: Vec<Accumulator> = keys.iter().map(|_| Accumulator::new(*kind)).collect();
-        let mut feed = |k: usize, v: Value| {
-            let g = gidx.as_ref().map_or(0, |gidx| gidx[k] as usize);
-            accs[g].update(&v);
-        };
-        match col {
-            Some(i) => store.col(*i).for_each_at(sv, feed),
-            None => (0..sv.len()).for_each(|k| feed(k, Value::Int(1))),
-        }
-        acc_cols.push(accs);
-    }
-    let mut out = Vec::with_capacity(keys.len());
-    for (g, key) in keys.iter().enumerate() {
-        let mut accs = acc_cols.iter();
-        let row = plan.iter().map(|it| match it {
-            // A group key, wherever the projection places it.
-            FastItem::Key(k) => Ok(key[*k].clone()),
-            FastItem::Agg(..) => {
-                let accs = accs.next().expect("one accumulator column per aggregate");
-                accs[g].finish().map_err(DbError::Type)
-            }
-        });
-        out.push(row.collect::<Result<Row, DbError>>()?);
-    }
-    Ok(out)
+/// The one aggregation, planned once per statement: the selected rows are
+/// grouped by the GROUP BY columns ([`group_rows`]); every outermost
+/// aggregate call of the select list is a [`Slot`], with one
+/// [`Accumulator`] per group fed in row order; and every item is compiled
+/// once against the relation's columns followed by one column per slot, and
+/// evaluated once per group — over the group's first row (NULLs for the
+/// global group of no rows) followed by its slot values.
+struct Aggregation {
+    /// The GROUP BY columns, or the first name that does not resolve.
+    keys: Result<Vec<usize>, String>,
+    /// The aggregate calls of the select list, in order.
+    slots: Vec<Slot>,
+    /// Each select item, and the slots that are its aggregate calls.
+    items: Vec<(CompiledItem, Range<usize>)>,
+    /// `SELECT g…, agg(col)… GROUP BY g…`: every item a group key, or an
+    /// aggregate fed straight off a column or once per row — the statement
+    /// runs column-at-a-time (`EXPLAIN`'s `vectorized=full`).
+    columnar: bool,
 }
 
-/// The group of every selected row, and each group's key values, groups in
-/// first-seen order. A single TEXT key groups by dictionary code (plus one
-/// NULL slot) through a direct code → group table — no hashing, no string
-/// clones; any other key by its cells' key bytes ([`encode_cell`]). Without
-/// a key there is one group, present even for no rows, and every row is in
-/// it (`None`).
+/// One aggregate call of the select list.
+struct Slot {
+    kind: AggKind,
+    input: SlotInput,
+}
+
+/// What a slot's accumulators are fed, selected row by selected row.
+enum SlotInput {
+    /// The cells of a column, read off its vector.
+    Column(usize),
+    /// `Int(1)`: `agg(*)`, and `count(<non-NULL literal>)`.
+    Row,
+    /// The argument, compiled, over the materialised row.
+    Expr(CompiledExpr),
+    /// Not one argument: the error the slot raises where it is reached.
+    Invalid(DbError),
+}
+
+impl Slot {
+    fn of(kind: AggKind, call: &SqlExpr, schema: &Schema) -> Slot {
+        let SqlExpr::Func { name, args, star } = call else {
+            unreachable!("an aggregate is a call, not {call:?}")
+        };
+        let input = match args.as_slice() {
+            _ if *star => SlotInput::Row,
+            [SqlExpr::Lit(l)] if kind == AggKind::Count && !l.is_null() => SlotInput::Row,
+            [arg] => match arg {
+                SqlExpr::Col(name) => schema.index_of(name).map(SlotInput::Column),
+                _ => None,
+            }
+            .unwrap_or_else(|| SlotInput::Expr(compile(arg, schema))),
+            _ => SlotInput::Invalid(DbError::Type(format!(
+                "aggregate {name}() expects exactly one argument"
+            ))),
+        };
+        Slot { kind, input }
+    }
+}
+
+impl Aggregation {
+    fn of(sel: &SelectStmt, schema: &Schema) -> Aggregation {
+        let keys: Result<Vec<usize>, String> = sel
+            .group_by
+            .iter()
+            .map(|g| schema.index_of(g).ok_or_else(|| g.clone()))
+            .collect();
+        let arity = schema.arity();
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut items = Vec::with_capacity(sel.items.len());
+        for item in &sel.items {
+            let first = slots.len();
+            let item = match item {
+                SelectItem::Star => CompiledItem::Star,
+                SelectItem::Expr { expr, .. } => {
+                    CompiledItem::Expr(compile_reading(expr, schema, &mut |kind, call| {
+                        slots.push(Slot::of(kind, call, schema));
+                        Some(arity + slots.len() - 1)
+                    }))
+                }
+            };
+            items.push((item, first..slots.len()));
+        }
+        let columnar = keys.as_ref().is_ok_and(|keys| {
+            items.iter().all(|(item, _)| match item {
+                CompiledItem::Expr(CompiledExpr::Col(i)) if *i < arity => keys.contains(i),
+                CompiledItem::Expr(CompiledExpr::Col(i)) => {
+                    matches!(
+                        slots[i - arity].input,
+                        SlotInput::Column(_) | SlotInput::Row
+                    )
+                }
+                _ => false,
+            })
+        });
+        Aggregation {
+            keys,
+            slots,
+            items,
+            columnar,
+        }
+    }
+
+    /// The output rows of the groups of the rows of `table` at `sv`. Pass 1
+    /// resolves every selected row to its group once ([`group_rows`]), pass
+    /// 2 feeds each slot's accumulators — off one column, walking its
+    /// chunks, when it can — and pass 3 evaluates the items group by group.
+    /// An error surfaces where evaluating group after group, item after
+    /// item, each aggregate over its group's rows, would first meet it.
+    fn run(&self, table: &Table, sv: &[usize]) -> Result<Vec<Row>, DbError> {
+        let store = table.store();
+        let keys = self
+            .keys
+            .as_ref()
+            .map_err(|name| DbError::NoSuchColumn(name.clone()))?;
+        let (firsts, gidx) = group_rows(store, sv, keys);
+        let group = |k: usize| gidx.as_ref().map_or(0, |gidx| gidx[k] as usize);
+        let expr_input = |slot: &Slot| matches!(slot.input, SlotInput::Expr(_));
+        let rows: Vec<Row> = match self.slots.iter().any(expr_input) {
+            true => sv.iter().map(|&p| store.materialize_row(p)).collect(),
+            false => Vec::new(),
+        };
+        // Per slot: an accumulator per group, and the first error in the
+        // earliest group that has one (rows of later groups are skipped).
+        let fed: Vec<_> = self
+            .slots
+            .iter()
+            .map(|slot| {
+                let mut accs: Vec<Accumulator> =
+                    firsts.iter().map(|_| Accumulator::new(slot.kind)).collect();
+                let mut failed: Option<(usize, DbError)> = None;
+                match &slot.input {
+                    SlotInput::Column(c) => store
+                        .col(*c)
+                        .for_each_at(sv, |k, v| accs[group(k)].update(&v)),
+                    SlotInput::Row => {
+                        (0..sv.len()).for_each(|k| accs[group(k)].update(&Value::Int(1)))
+                    }
+                    SlotInput::Expr(arg) => {
+                        for (k, row) in rows.iter().enumerate() {
+                            let g = group(k);
+                            if failed.as_ref().is_some_and(|(at, _)| g >= *at) {
+                                continue;
+                            }
+                            match arg.eval(row) {
+                                Ok(v) => accs[g].update(&v),
+                                Err(e) => failed = Some((g, e)),
+                            }
+                        }
+                    }
+                    SlotInput::Invalid(e) => failed = Some((0, e.clone())),
+                }
+                (accs, failed)
+            })
+            .collect();
+        let arity = table.schema.arity();
+        let mut out = Vec::with_capacity(firsts.len());
+        for (g, first) in firsts.iter().enumerate() {
+            // The group's first row, then its slot values, item by item.
+            let mut row = match first {
+                Some(p) => store.materialize_row(*p),
+                None => vec![Value::Null; arity],
+            };
+            row.resize(arity + fed.len(), Value::Null);
+            let mut projected = Vec::with_capacity(self.items.len());
+            for (item, slots) in &self.items {
+                for s in slots.clone() {
+                    let (accs, failed) = &fed[s];
+                    if let Some((_, e)) = failed.as_ref().filter(|(at, _)| *at == g) {
+                        return Err(e.clone());
+                    }
+                    row[arity + s] = accs[g].finish().map_err(DbError::Type)?;
+                }
+                match item {
+                    CompiledItem::Star => projected.extend(row[..arity].iter().cloned()),
+                    CompiledItem::Expr(e) => projected.push(e.eval(&row)?),
+                }
+            }
+            out.push(projected);
+        }
+        Ok(out)
+    }
+}
+
+/// The group of every selected row, and the position of each group's first
+/// row, groups in first-seen order. A single TEXT key groups by dictionary
+/// code (plus one NULL slot) through a direct code → group table — no
+/// hashing, no string clones; any other key by its cells' key bytes
+/// ([`encode_cell`]). Without a key there is one group, present even for no
+/// rows (and then without a first row), and every row is in it (`None`).
 fn group_rows(
     store: &ColumnStore,
     sv: &[usize],
     key_idx: &[usize],
-) -> (Vec<Row>, Option<Vec<u32>>) {
+) -> (Vec<Option<usize>>, Option<Vec<u32>>) {
     if key_idx.is_empty() {
-        return (vec![Vec::new()], None);
+        return (vec![sv.first().copied()], None);
     }
-    let mut keys: Vec<Row> = Vec::new();
+    let mut firsts: Vec<Option<usize>> = Vec::new();
     let mut gidx = Vec::with_capacity(sv.len());
-    if let ([ki], ColumnVec::Text(d)) = (key_idx, store.col(key_idx[0])) {
+    if let ([_], ColumnVec::Text(d)) = (key_idx, store.col(key_idx[0])) {
         const NONE: u32 = u32::MAX;
         let null_slot = d.dict().len();
         let mut group_of = vec![NONE; null_slot + 1];
@@ -883,8 +998,8 @@ fn group_rows(
                 c as usize
             };
             if group_of[slot] == NONE {
-                group_of[slot] = keys.len() as u32;
-                keys.push(vec![store.value(p, *ki)]);
+                group_of[slot] = firsts.len() as u32;
+                firsts.push(Some(p));
             }
             gidx.push(group_of[slot]);
         }
@@ -901,8 +1016,8 @@ fn group_rows(
             let g = match group_of.get(&key) {
                 Some(&g) => g,
                 None => {
-                    let g = keys.len() as u32;
-                    keys.push(key_idx.iter().map(|&i| store.value(p, i)).collect());
+                    let g = firsts.len() as u32;
+                    firsts.push(Some(p));
                     group_of.insert(key.clone(), g);
                     g
                 }
@@ -910,7 +1025,7 @@ fn group_rows(
             gidx.push(g);
         }
     }
-    (keys, Some(gidx))
+    (firsts, Some(gidx))
 }
 
 /// Append the grouping key bytes of `col`'s cell at `pos`, with
@@ -964,9 +1079,6 @@ fn pure_column_projection(sel: &SelectStmt, schema: &Schema) -> Option<Vec<ProjC
         })
         .collect()
 }
-
-/// Output column names paired with the produced rows.
-type NamedRows = (Vec<String>, Vec<Row>);
 
 /// Index probe outcome for a `col <op> <const>` conjunct.
 enum Probe {
@@ -1750,97 +1862,6 @@ fn matching_positions(
     (ls, rs)
 }
 
-/// The reference executor: table snapshots turned into rows, interpreted
-/// per-row evaluation, nested-loop joins. Semantically equivalent to
-/// [`read`]; kept as the equivalence-test oracle and microbench baseline.
-pub(crate) fn run_select_reference(
-    view: &mut dyn View,
-    sel: &SelectStmt,
-) -> Result<ResultSet, DbError> {
-    let (schema, mut rows) = match Source::resolve(view, sel)? {
-        Source::Unit => (Schema::default(), vec![Vec::new()]),
-        Source::Table(table) => (table.schema.clone(), table.to_rows()),
-        Source::Join { from, base, joined } => join_nested_loop(from, &base, &joined)?,
-    };
-
-    if let Some(w) = &sel.where_clause {
-        let mut kept = Vec::with_capacity(rows.len());
-        for r in rows {
-            let v = eval(
-                w,
-                &RowCtx {
-                    schema: &schema,
-                    row: &r,
-                },
-            )?;
-            if truthy(&v) {
-                kept.push(r);
-            }
-        }
-        rows = kept;
-    }
-
-    let (columns, out_rows) = if is_aggregation(sel) {
-        aggregate_project(sel, &schema, &rows)?
-    } else {
-        let columns = output_names(sel, &schema);
-        let mut out = Vec::with_capacity(rows.len());
-        for r in &rows {
-            let ctx = RowCtx {
-                schema: &schema,
-                row: r,
-            };
-            let mut projected = Vec::with_capacity(columns.len());
-            for item in &sel.items {
-                match item {
-                    SelectItem::Star => projected.extend(r.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => projected.push(eval(expr, &ctx)?),
-                }
-            }
-            out.push(projected);
-        }
-        (columns, out)
-    };
-
-    finalize(sel, columns, out_rows)
-}
-
-/// Nested-loop join used by the reference executor.
-fn join_nested_loop(
-    base_name: &str,
-    base: &Table,
-    joined: &[(&JoinClause, Arc<Table>)],
-) -> Result<(Schema, Vec<Row>), DbError> {
-    let mut schema = qualify(&base.schema, base_name)?;
-    let mut rows = base.to_rows();
-
-    for (j, table) in joined {
-        let jrows = table.to_rows();
-        let jschema = qualify(&table.schema, &j.table)?;
-        let (ai, ni) = resolve_join_keys(&schema, &jschema, j)?;
-
-        let mut out = Vec::new();
-        for r in &rows {
-            if r[ai].is_null() {
-                continue;
-            }
-            for jr in &jrows {
-                if !jr[ni].is_null() && r[ai].sql_eq(&jr[ni]) {
-                    let mut joined = r.clone();
-                    joined.extend(jr.iter().cloned());
-                    out.push(joined);
-                }
-            }
-        }
-
-        let mut cols = schema.columns;
-        cols.extend(jschema.columns);
-        schema = Schema::new(cols)?;
-        rows = out;
-    }
-    Ok((schema, rows))
-}
-
 fn qualify(schema: &Schema, table: &str) -> Result<Schema, DbError> {
     Schema::new(
         schema
@@ -1853,185 +1874,6 @@ fn qualify(schema: &Schema, table: &str) -> Result<Schema, DbError> {
             })
             .collect(),
     )
-}
-
-/// Plan of a fast-path aggregation item.
-#[derive(Debug, Clone)]
-enum FastItem {
-    /// Pass through group-key slot `k`.
-    Key(usize),
-    /// Accumulate `agg(column i)`; `None` column means `count(*)`.
-    Agg(AggKind, Option<usize>),
-}
-
-/// Build the fast-path plan for the common `SELECT g…, agg(col)… GROUP BY
-/// g…` shape. Returns `None` when any item needs the general expression
-/// path.
-fn plan_fast(sel: &SelectStmt, schema: &Schema, key_idx: &[usize]) -> Option<Vec<FastItem>> {
-    let mut plan = Vec::with_capacity(sel.items.len());
-    for item in &sel.items {
-        let expr = match item {
-            SelectItem::Expr { expr, .. } => expr,
-            SelectItem::Star => return None,
-        };
-        match expr {
-            SqlExpr::Col(name) => {
-                let i = schema.index_of(name)?;
-                let k = key_idx.iter().position(|&ki| ki == i)?;
-                plan.push(FastItem::Key(k));
-            }
-            SqlExpr::Func { name, args, star } => {
-                let kind = AggKind::from_name(name)?;
-                if *star {
-                    plan.push(FastItem::Agg(kind, None));
-                } else {
-                    match args.as_slice() {
-                        [SqlExpr::Col(col)] => {
-                            let i = schema.index_of(col)?;
-                            plan.push(FastItem::Agg(kind, Some(i)));
-                        }
-                        // count(<non-null literal>) counts rows; other
-                        // aggregates over literals take the general path.
-                        [SqlExpr::Lit(l)] if kind == AggKind::Count && !l.is_null() => {
-                            plan.push(FastItem::Agg(kind, None))
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            _ => return None,
-        }
-    }
-    Some(plan)
-}
-
-/// The general aggregation over materialised rows — any expression over
-/// aggregates and group keys: group by the GROUP BY key ([`ValueKey`]
-/// equality, groups in first-seen order), then evaluate every item per group
-/// with its aggregate calls replaced by their values.
-fn aggregate_project(
-    sel: &SelectStmt,
-    schema: &Schema,
-    rows: &[Row],
-) -> Result<NamedRows, DbError> {
-    // Group rows by the GROUP BY key.
-    let key_idx: Result<Vec<usize>, DbError> = sel
-        .group_by
-        .iter()
-        .map(|g| {
-            schema
-                .index_of(g)
-                .ok_or_else(|| DbError::NoSuchColumn(g.clone()))
-        })
-        .collect();
-    let key_idx = key_idx?;
-
-    let mut group_of: HashMap<Vec<ValueKey>, usize> = HashMap::new();
-    let mut groups: Vec<Vec<&Row>> = Vec::new();
-    if key_idx.is_empty() {
-        // One global group — present even with zero input rows, so that
-        // `SELECT count(*) FROM empty` yields 0.
-        groups.push(rows.iter().collect());
-    } else {
-        for r in rows {
-            let key = key_idx.iter().map(|i| ValueKey::of(&r[*i])).collect();
-            let gi = *group_of.entry(key).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(r);
-        }
-    }
-
-    let columns = output_names(sel, schema);
-    let null_row: Row = vec![Value::Null; schema.arity()];
-    let mut out = Vec::with_capacity(groups.len());
-    for g in &groups {
-        let rep: &Row = g.first().copied().unwrap_or(&null_row);
-        let ctx = RowCtx { schema, row: rep };
-        let mut projected = Vec::with_capacity(columns.len());
-        for item in &sel.items {
-            match item {
-                SelectItem::Star => projected.extend(rep.iter().cloned()),
-                SelectItem::Expr { expr, .. } => {
-                    let substituted = substitute_aggregates(expr, schema, g)?;
-                    projected.push(eval(&substituted, &ctx)?);
-                }
-            }
-        }
-        out.push(projected);
-    }
-    Ok((columns, out))
-}
-
-/// Replace every aggregate call in `expr` with the literal aggregate value
-/// computed over `group`, leaving a plain row expression behind.
-fn substitute_aggregates(
-    expr: &SqlExpr,
-    schema: &Schema,
-    group: &[&Row],
-) -> Result<SqlExpr, DbError> {
-    Ok(match expr {
-        SqlExpr::Func { name, args, star } => {
-            if let Some(kind) = AggKind::from_name(name) {
-                if args.len() != 1 {
-                    return Err(DbError::Type(format!(
-                        "aggregate {name}() expects exactly one argument"
-                    )));
-                }
-                let mut acc = Accumulator::new(kind);
-                for r in group {
-                    let v = eval(&args[0], &RowCtx { schema, row: r })?;
-                    acc.update(&v);
-                }
-                SqlExpr::Lit(acc.finish().map_err(DbError::Type)?)
-            } else {
-                let new_args: Result<Vec<SqlExpr>, DbError> = args
-                    .iter()
-                    .map(|a| substitute_aggregates(a, schema, group))
-                    .collect();
-                SqlExpr::Func {
-                    name: name.clone(),
-                    args: new_args?,
-                    star: *star,
-                }
-            }
-        }
-        SqlExpr::Unary(op, x) => {
-            SqlExpr::Unary(*op, Box::new(substitute_aggregates(x, schema, group)?))
-        }
-        SqlExpr::Binary(op, l, r) => SqlExpr::Binary(
-            op,
-            Box::new(substitute_aggregates(l, schema, group)?),
-            Box::new(substitute_aggregates(r, schema, group)?),
-        ),
-        SqlExpr::InList {
-            expr,
-            list,
-            negated,
-        } => SqlExpr::InList {
-            expr: Box::new(substitute_aggregates(expr, schema, group)?),
-            list: list
-                .iter()
-                .map(|e| substitute_aggregates(e, schema, group))
-                .collect::<Result<_, _>>()?,
-            negated: *negated,
-        },
-        SqlExpr::IsNull { expr, negated } => SqlExpr::IsNull {
-            expr: Box::new(substitute_aggregates(expr, schema, group)?),
-            negated: *negated,
-        },
-        SqlExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => SqlExpr::Like {
-            expr: Box::new(substitute_aggregates(expr, schema, group)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        other => other.clone(),
-    })
 }
 
 fn output_names(sel: &SelectStmt, schema: &Schema) -> Vec<String> {
@@ -2052,6 +1894,7 @@ fn output_names(sel: &SelectStmt, schema: &Schema) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::test_common::oracle;
 
     /// Candidate row positions for an index-assisted lookup, or `None` when
     /// no index applies.
@@ -2170,7 +2013,7 @@ mod tests {
     }
 
     /// `min`/`max` answered from the ends of an ordered index are what the
-    /// reference executor computes from every row — where index keys are
+    /// oracle computes from every row — where index keys are
     /// coarser than values (`-0.0`/`0.0`, integers past 2^53), with NaN,
     /// NULLs, duplicates, an empty table, and after updates and deletes.
     #[test]
@@ -2194,7 +2037,7 @@ mod tests {
                 let plan = e.query(&format!("EXPLAIN {q}")).unwrap();
                 let plan = format!("{:?}", plan.rows());
                 assert!(plan.contains("access=index-end"), "{q}: {plan}");
-                let (fast, reference) = (e.query(q).unwrap(), e.query_reference(q).unwrap());
+                let (fast, reference) = (e.query(q).unwrap(), oracle::query(e, q).unwrap());
                 // Debug tells -0.0 from 0.0 and equates NaN with itself.
                 assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{q}");
             }
@@ -2247,7 +2090,7 @@ mod tests {
         ] {
             let plan = format!("{:?}", e.query(&format!("EXPLAIN {q}")).unwrap().rows());
             assert!(!plan.contains("access=index-end"), "{q}: {plan}");
-            let (fast, reference) = (e.query(q).unwrap(), e.query_reference(q).unwrap());
+            let (fast, reference) = (e.query(q).unwrap(), oracle::query(&e, q).unwrap());
             assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{q}");
         }
     }
@@ -2324,9 +2167,11 @@ mod tests {
                 (1, "x2".into())
             ]
         );
-        let reference = e
-            .query_reference("SELECT small.k, big.tag FROM small JOIN big ON small.k = big.k")
-            .unwrap();
+        let reference = oracle::query(
+            &e,
+            "SELECT small.k, big.tag FROM small JOIN big ON small.k = big.k",
+        )
+        .unwrap();
         assert_eq!(rs, reference);
     }
 
@@ -2365,7 +2210,7 @@ mod tests {
             let rs = e.query(q).unwrap();
             assert_eq!(
                 format!("{rs:?}"),
-                format!("{:?}", e.query_reference(q).unwrap())
+                format!("{:?}", oracle::query(&e, q).unwrap())
             );
             rs.rows().iter().map(|r| r[2].clone()).collect()
         };
@@ -2581,9 +2426,11 @@ mod tests {
         let rs = e
             .query("SELECT id FROM r WHERE id IN (3, 1, 99, 200) ORDER BY id")
             .unwrap();
-        let reference = e
-            .query_reference("SELECT id FROM r WHERE id IN (3, 1, 99, 200) ORDER BY id")
-            .unwrap();
+        let reference = oracle::query(
+            &e,
+            "SELECT id FROM r WHERE id IN (3, 1, 99, 200) ORDER BY id",
+        )
+        .unwrap();
         assert_eq!(rs, reference);
         assert_eq!(rs.len(), 3);
     }
@@ -2661,9 +2508,9 @@ mod tests {
         // IN with fewer estimated rows beats the range.
         let c = plan_on(&e, "r", "SELECT * FROM r WHERE id IN (1, 2) AND id < 50").unwrap();
         assert_eq!(c, vec![1, 2]);
-        // Range query agrees with the reference end to end.
+        // Range query agrees with the oracle end to end.
         let q = "SELECT id, v FROM r WHERE id >= 10 AND id < 20 AND v > 5.4 ORDER BY id";
-        assert_eq!(e.query(q).unwrap(), e.query_reference(q).unwrap());
+        assert_eq!(e.query(q).unwrap(), oracle::query(&e, q).unwrap());
     }
 
     #[test]
@@ -2679,7 +2526,7 @@ mod tests {
     }
 
     /// 200 rows over every column type, with NULLs in `fs` and `bw`; the
-    /// vectorized path is checked against the reference executor on it.
+    /// vectorized path is checked against the oracle on it.
     fn runs_db() -> Engine {
         let e = Engine::new();
         e.execute("CREATE TABLE runs (id INTEGER, fs TEXT, bw FLOAT, ok BOOLEAN, at TIMESTAMP)")
@@ -2742,7 +2589,7 @@ mod tests {
         let e = runs_db();
         for q in VEC_CORPUS {
             let a = e.query(q).unwrap();
-            let b = e.query_reference(q).unwrap();
+            let b = oracle::query(&e, q).unwrap();
             assert_eq!(a.column_names(), b.column_names(), "columns differ: {q}");
             assert_eq!(a.rows(), b.rows(), "rows differ: {q}");
         }
@@ -2762,7 +2609,7 @@ mod tests {
             "SELECT id FROM runs WHERE id < 30 AND (fs = 'ufs' OR bw > 50.0)",
         ] {
             let a = e.query(q).unwrap();
-            let b = e.query_reference(q).unwrap();
+            let b = oracle::query(&e, q).unwrap();
             assert_eq!(a.rows(), b.rows(), "rows differ: {q}");
         }
     }
@@ -2811,7 +2658,7 @@ mod tests {
         let q = "SELECT fs, count(*) FROM runs GROUP BY fs";
         assert_eq!(
             e.query(q).unwrap().rows(),
-            e.query_reference(q).unwrap().rows()
+            oracle::query(&e, q).unwrap().rows()
         );
     }
 

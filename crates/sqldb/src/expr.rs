@@ -1,17 +1,12 @@
-//! Row-level evaluation of SQL expressions.
+//! The scalar primitives of SQL evaluation: truthiness, negation, the
+//! comparison and arithmetic operators, the scalar functions and LIKE, each
+//! over values already evaluated. The engine's one evaluator of expressions
+//! (compiled once per statement) is built on them; they are public so that a
+//! second, independent evaluator — the test oracle — can share exactly these
+//! and nothing else.
 
 use crate::error::DbError;
-use crate::schema::Schema;
-use crate::sql::{SqlExpr, UnOp};
 use crate::value::Value;
-
-/// Evaluation context: one row plus its schema.
-pub struct RowCtx<'a> {
-    /// Schema of the row.
-    pub schema: &'a Schema,
-    /// The row values.
-    pub row: &'a [Value],
-}
 
 /// Truthiness for WHERE: NULL and zero are false.
 pub fn truthy(v: &Value) -> bool {
@@ -25,100 +20,9 @@ pub fn truthy(v: &Value) -> bool {
     }
 }
 
-/// Evaluate `expr` against one row. Aggregate calls are rejected here — the
-/// grouping stage in `exec` must have replaced them already.
-pub fn eval(expr: &SqlExpr, ctx: &RowCtx<'_>) -> Result<Value, DbError> {
-    match expr {
-        SqlExpr::Lit(v) => Ok(v.clone()),
-        SqlExpr::Col(name) => {
-            let i = ctx
-                .schema
-                .index_of(name)
-                .ok_or_else(|| DbError::NoSuchColumn(name.clone()))?;
-            Ok(ctx.row[i].clone())
-        }
-        SqlExpr::Unary(UnOp::Neg, x) => negate(eval(x, ctx)?),
-        SqlExpr::Unary(UnOp::Not, x) => {
-            let v = eval(x, ctx)?;
-            Ok(Value::Bool(!truthy(&v)))
-        }
-        SqlExpr::Binary(op, l, r) => binary(op, l, r, ctx),
-        SqlExpr::Func { name, args, .. } => {
-            if crate::aggregate::AggKind::from_name(name).is_some() {
-                return Err(DbError::Execution(format!(
-                    "aggregate function {name}() is not allowed in this context"
-                )));
-            }
-            let vals: Result<Vec<Value>, DbError> = args.iter().map(|a| eval(a, ctx)).collect();
-            scalar_fn(name, &vals?)
-        }
-        SqlExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, ctx)?;
-            if v.is_null() {
-                return Ok(Value::Bool(false));
-            }
-            let mut found = false;
-            for item in list {
-                let w = eval(item, ctx)?;
-                if v.sql_eq(&w) {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Bool(found != *negated))
-        }
-        SqlExpr::IsNull { expr, negated } => {
-            let v = eval(expr, ctx)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        SqlExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(expr, ctx)?;
-            let matched = match &v {
-                Value::Text(s) => like_match(s, pattern),
-                Value::Null => false,
-                other => like_match(&other.to_string(), pattern),
-            };
-            Ok(Value::Bool(matched != *negated))
-        }
-    }
-}
-
-fn binary(op: &str, l: &SqlExpr, r: &SqlExpr, ctx: &RowCtx<'_>) -> Result<Value, DbError> {
-    // Logic operators (NULL treated as false; no three-valued logic).
-    if op == "AND" {
-        let lv = eval(l, ctx)?;
-        if !truthy(&lv) {
-            return Ok(Value::Bool(false));
-        }
-        let rv = eval(r, ctx)?;
-        return Ok(Value::Bool(truthy(&rv)));
-    }
-    if op == "OR" {
-        let lv = eval(l, ctx)?;
-        if truthy(&lv) {
-            return Ok(Value::Bool(true));
-        }
-        let rv = eval(r, ctx)?;
-        return Ok(Value::Bool(truthy(&rv)));
-    }
-
-    let lv = eval(l, ctx)?;
-    let rv = eval(r, ctx)?;
-    binary_values(op, lv, rv)
-}
-
-/// Unary minus, shared with the compiled evaluator. `i64::MIN` is a literal
-/// (`- -9223372036854775808`) and has no negation: that is an error, not a
-/// wrap-around.
-pub(crate) fn negate(v: Value) -> Result<Value, DbError> {
+/// Unary minus. `i64::MIN` is a literal (`- -9223372036854775808`) and has
+/// no negation: that is an error, not a wrap-around.
+pub fn negate(v: Value) -> Result<Value, DbError> {
     match v {
         Value::Null => Ok(Value::Null),
         Value::Int(i) => i
@@ -130,10 +34,9 @@ pub(crate) fn negate(v: Value) -> Result<Value, DbError> {
     }
 }
 
-/// Apply a non-logical binary operator to two already-evaluated operands.
-/// Shared by the interpreted evaluator above and the compiled evaluator in
-/// [`crate::compile`], so both have identical semantics by construction.
-pub(crate) fn binary_values(op: &str, lv: Value, rv: Value) -> Result<Value, DbError> {
+/// Apply a non-logical binary operator (a comparison or arithmetic; `AND`
+/// and `OR` short-circuit in the evaluator) to two evaluated operands.
+pub fn binary_values(op: &str, lv: Value, rv: Value) -> Result<Value, DbError> {
     match op {
         "=" => Ok(Value::Bool(lv.sql_eq(&rv))),
         "<>" => Ok(Value::Bool(
@@ -223,8 +126,7 @@ pub(crate) fn is_known_scalar(name: &str) -> bool {
 }
 
 /// Scalar (non-aggregate) SQL function dispatch over evaluated arguments.
-/// Shared by the interpreted and compiled evaluators.
-pub(crate) fn scalar_fn(name: &str, args: &[Value]) -> Result<Value, DbError> {
+pub fn scalar_fn(name: &str, args: &[Value]) -> Result<Value, DbError> {
     let one_num = |args: &[Value]| -> Result<Option<f64>, DbError> {
         if args.len() != 1 {
             return Err(DbError::Type(format!("{name}() expects one argument")));
@@ -307,13 +209,13 @@ enum LikeTok {
 /// greedy wildcard algorithm — worst case O(|s|·|pattern|), never the
 /// exponential backtracking of the naive recursion.
 #[derive(Debug, Clone)]
-pub(crate) struct LikePattern {
+pub struct LikePattern {
     toks: Vec<LikeTok>,
 }
 
 impl LikePattern {
     /// Parse `pattern` (infallible: a trailing lone `\` is a literal).
-    pub(crate) fn parse(pattern: &str) -> LikePattern {
+    pub fn parse(pattern: &str) -> LikePattern {
         let mut toks = Vec::new();
         let mut chars = pattern.chars();
         while let Some(c) = chars.next() {
@@ -332,7 +234,7 @@ impl LikePattern {
     }
 
     /// Does `s` match the pattern?
-    pub(crate) fn matches(&self, s: &str) -> bool {
+    pub fn matches(&self, s: &str) -> bool {
         let sc: Vec<char> = s.chars().collect();
         // Greedy two-pointer scan: on a mismatch, fall back to the most
         // recent `%` and let it absorb one more character. Each fallback
@@ -384,9 +286,9 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
-    use crate::sql::parse_statement;
-    use crate::sql::Stmt;
+    use crate::compile::compile;
+    use crate::schema::{Column, Schema};
+    use crate::sql::{parse_statement, SqlExpr, Stmt};
     use crate::value::DataType;
 
     fn ctx_schema() -> Schema {
@@ -405,15 +307,7 @@ mod tests {
             Stmt::Select(s) => s.where_clause.unwrap(),
             other => panic!("{other:?}"),
         };
-        let schema = ctx_schema();
-        eval(
-            &e,
-            &RowCtx {
-                schema: &schema,
-                row,
-            },
-        )
-        .unwrap()
+        compile(&e, &ctx_schema()).eval(row).unwrap()
     }
 
     fn row() -> Vec<Value> {
@@ -464,13 +358,8 @@ mod tests {
             let Stmt::Select(sel) = stmt else {
                 panic!("{stmt:?}")
             };
-            let schema = ctx_schema();
-            let ctx = RowCtx {
-                schema: &schema,
-                row: &row(),
-            };
             assert_eq!(
-                eval(&sel.where_clause.unwrap(), &ctx),
+                compile(&sel.where_clause.unwrap(), &ctx_schema()).eval(&row()),
                 Err(DbError::Execution(
                     "integer overflow negating -9223372036854775808".into()
                 )),
@@ -585,56 +474,30 @@ mod tests {
 
     #[test]
     fn unknown_column_errors() {
-        let schema = ctx_schema();
         let e = SqlExpr::Col("zzz".into());
-        let r = row();
         assert!(matches!(
-            eval(
-                &e,
-                &RowCtx {
-                    schema: &schema,
-                    row: &r
-                }
-            ),
+            compile(&e, &ctx_schema()).eval(&row()),
             Err(DbError::NoSuchColumn(_))
         ));
     }
 
     #[test]
     fn aggregate_rejected_in_row_context() {
-        let schema = ctx_schema();
         let e = SqlExpr::Func {
             name: "avg".into(),
             args: vec![SqlExpr::Col("a".into())],
             star: false,
         };
-        let r = row();
-        assert!(eval(
-            &e,
-            &RowCtx {
-                schema: &schema,
-                row: &r
-            }
-        )
-        .is_err());
+        assert!(compile(&e, &ctx_schema()).eval(&row()).is_err());
     }
 
     #[test]
     fn division_by_zero() {
-        let schema = ctx_schema();
         let e = parse_statement("SELECT a FROM t WHERE a / 0 = 1").unwrap();
         let w = match e {
             Stmt::Select(s) => s.where_clause.unwrap(),
             other => panic!("{other:?}"),
         };
-        let r = row();
-        assert!(eval(
-            &w,
-            &RowCtx {
-                schema: &schema,
-                row: &r
-            }
-        )
-        .is_err());
+        assert!(compile(&w, &ctx_schema()).eval(&row()).is_err());
     }
 }

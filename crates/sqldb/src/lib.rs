@@ -3,8 +3,8 @@
 //! perfbase stores all persistent data in an SQL database; the original used
 //! a PostgreSQL server (paper §4.2). This crate is the in-process substitute:
 //! it provides typed tables, an SQL text front-end (lexer → parser →
-//! planner → executor), grouping and aggregation, temporary tables, and a
-//! simulated multi-node [`cluster`] used to reproduce the paper's query
+//! planner → executor), grouping and aggregation, and a simulated
+//! multi-node [`cluster`] used to reproduce the paper's query
 //! parallelisation experiment (Fig. 3).
 //!
 //! Design decisions mirror what perfbase actually needs:
@@ -65,7 +65,7 @@ mod dump;
 mod engine;
 mod error;
 mod exec;
-mod expr;
+pub mod expr;
 pub mod repl;
 mod schema;
 mod snapshot;
@@ -88,8 +88,8 @@ pub use value::{format_timestamp, parse_timestamp, DataType, Value, ValueKey};
 pub use wal::{FrameTap, IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
 
 /// The helpers of the suites under `tests/` (the seeded generator, a SELECT
-/// parsed to a value), for the unit tests too — which is why the crate goes
-/// by the name the integration tests know it under.
+/// parsed to a value, the oracle executor), for the unit tests too — which is
+/// why the crate goes by the name the integration tests know it under.
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 mod test_common;
@@ -181,20 +181,5 @@ mod tests {
         assert_eq!(n, 3);
         let rs = db.query("SELECT count(run) FROM bw").unwrap();
         assert_eq!(rs.rows()[0][0], Value::Int(3));
-    }
-
-    #[test]
-    fn temp_tables_listed_separately() {
-        let db = Engine::new();
-        db.execute("CREATE TABLE perm (x INTEGER)").unwrap();
-        db.execute("CREATE TEMP TABLE tmp1 (x INTEGER)").unwrap();
-        assert!(db.table_names().contains(&"perm".to_string()));
-        assert!(db.table_names().contains(&"tmp1".to_string()));
-        assert!(db.temp_table_names().contains(&"tmp1".to_string()));
-        assert!(!db.temp_table_names().contains(&"perm".to_string()));
-        db.execute("DROP TABLE tmp1").unwrap();
-        assert!(!db.table_names().contains(&"tmp1".to_string()));
-        assert!(db.temp_table_names().is_empty());
-        assert!(db.table_names().contains(&"perm".to_string()));
     }
 }

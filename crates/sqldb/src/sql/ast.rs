@@ -6,14 +6,12 @@ use std::fmt;
 /// A complete statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
-    /// `CREATE [TEMP] TABLE [IF NOT EXISTS] name (cols)` — a trailing
+    /// `CREATE TABLE [IF NOT EXISTS] name (cols)` — a trailing
     /// `USING COLUMNAR` (written by older dumps and logs, when the layout
     /// was a per-table choice) parses and means nothing.
     CreateTable {
         /// Table name.
         name: String,
-        /// TEMP table (never logged, dumped or shipped to replicas).
-        temp: bool,
         /// Swallow the "already exists" error.
         if_not_exists: bool,
         /// Column definitions.

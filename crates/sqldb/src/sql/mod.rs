@@ -1,7 +1,7 @@
 //! SQL text front-end: lexer, AST and parser.
 //!
 //! The dialect is the subset perfbase needs (see crate docs): CREATE
-//! \[TEMP\] TABLE, DROP TABLE, INSERT, SELECT (WHERE / JOIN ON equality /
+//! TABLE, DROP TABLE, INSERT, SELECT (WHERE / JOIN ON equality /
 //! GROUP BY / ORDER BY / LIMIT / DISTINCT), UPDATE and DELETE.
 
 mod ast;

@@ -33,10 +33,7 @@
 //! any epoch see all of the transaction or none of it. Dropping a
 //! [`Transaction`] without committing discards the workspace (rollback).
 //!
-//! Restrictions: TEMP tables cannot be created or touched inside a
-//! transaction (their lifecycle is per-connection, not transactional), and
-//! SELECT goes through [`Transaction::query`], not
-//! [`Transaction::execute`].
+//! SELECT goes through [`Transaction::query`], not [`Transaction::execute`].
 #![warn(missing_docs)]
 
 use crate::engine::{parse_query, plan, stmt_class, Ask, Change, Engine, ResultSet, Text};
@@ -138,7 +135,7 @@ impl Transaction {
             }
         }
         Ok(match self.work.get(name) {
-            Some(Change::Version { table, .. }) => Some(table),
+            Some(Change::Version(table)) => Some(table),
             Some(Change::Drop) => None,
             _ => self.pins.get(name),
         })
@@ -157,7 +154,7 @@ impl Transaction {
     /// The private, mutable version of `name`, copied from the pinned one
     /// (with the buffered rows) unless the workspace has it already.
     fn private(&mut self, name: &str) -> Result<&mut Table, DbError> {
-        if !matches!(self.work.get(name), Some(Change::Version { .. })) {
+        if !matches!(self.work.get(name), Some(Change::Version(_))) {
             let base = self.shape(name)?.cloned();
             let mut table = base.ok_or_else(|| no_such_table(name))?;
             obs::incr(obs::Counter::MvccCowClones);
@@ -165,11 +162,10 @@ impl Transaction {
             if let Some(buffered @ Change::Append(_)) = self.work.remove(name) {
                 buffered.apply_to(Arc::make_mut(&mut table));
             }
-            let copy = Change::Version { table, temp: false };
-            self.work.insert(name.to_string(), copy);
+            self.work.insert(name.to_string(), Change::Version(table));
         }
         match self.work.get_mut(name) {
-            Some(Change::Version { table, .. }) => Ok(Arc::make_mut(table)),
+            Some(Change::Version(table)) => Ok(Arc::make_mut(table)),
             _ => unreachable!("a private version was just made"),
         }
     }
@@ -186,16 +182,11 @@ impl Transaction {
         class: obs::StmtClass,
     ) -> Result<usize, DbError> {
         self.check_open()?;
-        if self.engine.is_temp(name) || matches!(ask, Ask::CreateTable { temp: true, .. }) {
-            return Err(DbError::Execution(format!(
-                "TEMP table {name} cannot be created or touched inside a transaction"
-            )));
-        }
         let view = match ask {
             Ask::Update { .. } | Ask::Delete { .. } => self.view(name)?,
             _ => self.shape(name)?.cloned(),
         };
-        let (change, text) = plan(name, ask, view.as_deref(), false, text)?;
+        let (change, text) = plan(name, ask, view.as_deref(), text)?;
         // The private copy is made from a sole owner.
         drop(view);
         let rows = change.rows();
@@ -212,10 +203,10 @@ impl Transaction {
                 }
             }
             (Change::Append(rows), Some(Change::Append(buffered))) => buffered.extend(rows),
-            (rows @ Change::Append(_), Some(Change::Version { table, .. })) => {
+            (rows @ Change::Append(_), Some(Change::Version(table))) => {
                 rows.apply_to(Arc::make_mut(table))
             }
-            (change @ (Change::Version { .. } | Change::Drop | Change::Append(_)), _) => {
+            (change @ (Change::Version(_) | Change::Drop | Change::Append(_)), _) => {
                 self.work.insert(name.to_string(), change);
             }
             (rows_or_index, _) => rows_or_index.apply_to(self.private(name)?),
@@ -259,7 +250,6 @@ impl Transaction {
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
         let ask = Ask::CreateTable {
             schema,
-            temp: false,
             if_not_exists: false,
         };
         self.write(name, ask, Text::Render, obs::StmtClass::Ddl)
@@ -454,15 +444,23 @@ mod tests {
         assert_eq!(count(&db, "SELECT count(*) FROM t"), 3);
     }
 
+    /// There are no TEMP tables, in a transaction or out of it: the
+    /// statement is refused by name and buffers nothing.
     #[test]
     fn temp_tables_are_rejected() {
         let db = engine_with_t();
-        db.execute("CREATE TEMP TABLE scratch (x INTEGER)").unwrap();
+        assert!(db.execute("CREATE TEMP TABLE scratch (x INTEGER)").is_err());
         let mut txn = db.begin_txn();
-        assert!(txn.execute("CREATE TEMP TABLE tt (x INTEGER)").is_err());
+        for word in ["TEMP", "TEMPORARY"] {
+            let e = txn
+                .execute(&format!("CREATE {word} TABLE tt (x INTEGER)"))
+                .unwrap_err();
+            assert!(e.to_string().contains(word), "{e}");
+        }
         assert!(txn.execute("INSERT INTO scratch VALUES (1)").is_err());
-        assert!(txn.execute("DROP TABLE scratch").is_err());
-        drop(txn);
+        assert_eq!(txn.statements_buffered(), 0);
+        txn.commit().unwrap();
+        assert!(!db.has_table("scratch") && !db.has_table("tt"));
     }
 
     #[test]

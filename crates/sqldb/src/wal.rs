@@ -59,10 +59,9 @@ const MAX_PAYLOAD: u32 = if cfg!(test) { 1 << 20 } else { 256 << 20 };
 /// Frame payload opening the frame group of a unit of more than one
 /// statement.
 ///
-/// Collision-safe as a payload: `Engine::execute` parses SQL before
-/// logging it, and a `--…` line never parses, so only
-/// [`Wal::append_batch`] can emit these exact payloads — and only
-/// [`UnitReader`] reads them.
+/// Collision-safe as a payload: [`Wal::append`] and [`Wal::append_batch`]
+/// refuse a statement equal to either marker, so only `append_batch`'s own
+/// framing emits these exact payloads — and only [`UnitReader`] reads them.
 const TXN_BEGIN_MARKER: &str = "--TXN BEGIN";
 /// Frame payload sealing a frame group.
 const TXN_COMMIT_MARKER: &str = "--TXN COMMIT";
@@ -996,12 +995,18 @@ fn read_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> Option<(&str, usize)
     Some((std::str::from_utf8(payload).ok()?, end))
 }
 
-/// Refuse a statement no frame can hold.
+/// Refuse a statement no frame can hold, and a payload the [`UnitReader`]
+/// would take for a marker: only [`Wal::append_batch`] writes those.
 fn check_payload(stmt: &str) -> Result<(), DbError> {
     if stmt.len() as u64 > MAX_PAYLOAD as u64 {
         return Err(DbError::Io(format!(
             "statement of {} bytes exceeds WAL frame limit",
             stmt.len()
+        )));
+    }
+    if stmt == TXN_BEGIN_MARKER || stmt == TXN_COMMIT_MARKER {
+        return Err(DbError::Io(format!(
+            "{stmt:?} is a frame group marker, not a statement"
         )));
     }
     Ok(())
@@ -1176,6 +1181,28 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
         assert_eq!((wal.frames(), wal.next_seq()), (1, 2));
         // The log stays usable, and what it acks afterwards is recovered.
+        wal.append("acked").unwrap();
+        drop(wal);
+        let (_, stmts, _) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        assert_eq!(read_units(&stmts), (vec!["A".into(), "acked".into()], 0));
+    }
+
+    /// A marker is not a statement: appended alone or inside a batch it is
+    /// refused before a byte is written, and the log stays usable.
+    #[test]
+    fn a_marker_payload_is_refused_at_every_append() {
+        let path = tmp("marker.wal");
+        let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
+        wal.append("A").unwrap();
+        let len_before = std::fs::metadata(&path).unwrap().len();
+        for marker in [TXN_BEGIN_MARKER, TXN_COMMIT_MARKER] {
+            let e = wal.append(marker).unwrap_err();
+            assert!(e.to_string().contains("marker"), "{e}");
+            assert!(wal.append_batch(&s(&[marker])).is_err());
+            assert!(wal.append_batch(&s(&["one", marker, "two"])).is_err());
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
+            assert_eq!((wal.frames(), wal.next_seq()), (1, 2));
+        }
         wal.append("acked").unwrap();
         drop(wal);
         let (_, stmts, _) = Wal::open_recover(&path, WalOptions::default()).unwrap();

@@ -65,3 +65,5 @@ pub fn select(text: &str) -> sqldb::sql::SelectStmt {
         other => panic!("not a SELECT: {other:?}"),
     }
 }
+
+pub mod oracle;

@@ -1,12 +1,12 @@
 //! Concurrency stress tests: the engine must support the perfbase access
 //! pattern — many concurrent readers over shared run tables while each
-//! query element writes only its own temp table (paper §4.2/§4.3) — and,
+//! writer writes only its own table (paper §4.2/§4.3) — and,
 //! since the MVCC work, serve snapshot-isolated analysts concurrently with
 //! live imports.
 
 mod common;
 
-use common::Rng;
+use common::{oracle, Rng};
 use sqldb::cluster::{Cluster, LatencyModel};
 use sqldb::{Engine, Snapshot, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,14 +44,14 @@ fn concurrent_readers_see_consistent_counts() {
 }
 
 #[test]
-fn writers_on_distinct_temp_tables_do_not_interfere() {
+fn writers_on_distinct_tables_do_not_interfere() {
     let db = Arc::new(Engine::new());
     let handles: Vec<_> = (0..8)
         .map(|k| {
             let db = db.clone();
             thread::spawn(move || {
                 let table = format!("scratch_{k}");
-                db.execute(&format!("CREATE TEMP TABLE {table} (x INTEGER)"))
+                db.execute(&format!("CREATE TABLE {table} (x INTEGER)"))
                     .unwrap();
                 for i in 0..200 {
                     db.execute(&format!("INSERT INTO {table} VALUES ({i})"))
@@ -65,7 +65,7 @@ fn writers_on_distinct_temp_tables_do_not_interfere() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(db.temp_table_names().len(), 8);
+    assert_eq!(db.table_names().len(), 8);
 }
 
 /// The source elements of a parallel wave: every thread scans the same run
@@ -349,7 +349,7 @@ fn snapshot_readers_match_serial_execution_under_concurrent_writers() {
                     for sql in &snapshot_corpus()[..6] {
                         assert_eq!(
                             db.query_at(&snap, sql).unwrap(),
-                            db.query_reference_at(&snap, sql).unwrap(),
+                            oracle::query(&snap, sql).unwrap(),
                             "reader {r} round {round}: executor mismatch on {sql}"
                         );
                     }

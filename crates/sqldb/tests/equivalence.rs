@@ -1,16 +1,16 @@
 //! Equivalence between the optimized pipeline (`Engine::query`: compiled
-//! expressions, streaming scans, index point lookups, hash joins, parallel
-//! segments) and the reference pipeline (`Engine::query_reference`:
-//! snapshots, interpreted evaluation, nested-loop joins).
+//! expressions, column-at-a-time scans, index lookups, hash joins, one
+//! grouping) and the oracle (`common::oracle`: tables as rows, interpreted
+//! evaluation, nested-loop joins, groups as lists of rows), which shares no
+//! executor code with it.
 //!
 //! Both must return byte-identical result sets — same rows, same order —
-//! for every query the engine accepts. Tables stay below the parallel-scan
-//! threshold except in the dedicated large-table tests, so comparisons are
-//! exact (parallel float aggregation may differ in the last ulp).
+//! for every query the engine accepts, and the same error for every query
+//! it refuses.
 
 mod common;
 
-use common::Rng;
+use common::{oracle, Rng};
 use sqldb::{Engine, ResultSet, Value};
 
 const FS_NAMES: [&str; 4] = ["ufs", "nfs", "pvfs", "unknown"];
@@ -78,7 +78,7 @@ fn random_engine(rng: &mut Rng, rows: usize, ix: Ix) -> Engine {
 
 fn assert_equivalent(e: &Engine, sql: &str) {
     let optimized: Result<ResultSet, _> = e.query(sql);
-    let reference: Result<ResultSet, _> = e.query_reference(sql);
+    let reference: Result<ResultSet, _> = oracle::query(e, sql);
     match (optimized, reference) {
         (Ok(a), Ok(b)) => assert_eq!(a, b, "result mismatch on: {sql}"),
         (Err(a), Err(b)) => assert_eq!(a, b, "error mismatch on: {sql}"),
@@ -306,7 +306,7 @@ fn large_table_parallel_float_aggregates_within_tolerance() {
     let e = random_engine(&mut rng, 10_000, Ix::None);
     let sql = "SELECT fs, avg(bw), sum(bw), stddev(bw) FROM runs GROUP BY fs ORDER BY fs";
     let a = e.query(sql).unwrap();
-    let b = e.query_reference(sql).unwrap();
+    let b = oracle::query(&e, sql).unwrap();
     assert_eq!(a.len(), b.len());
     for (ra, rb) in a.rows().iter().zip(b.rows()) {
         assert_eq!(ra[0], rb[0]);
@@ -319,5 +319,150 @@ fn large_table_parallel_float_aggregates_within_tolerance() {
                 _ => assert_eq!(va, vb, "{sql}"),
             }
         }
+    }
+}
+
+/// Key values where grouping is easy to get wrong: NULL, `0.0`/`-0.0`,
+/// `1`/`1.0`, NaN, integers either side of 2^53, and text the dictionary
+/// first sees in a later batch.
+fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
+    const BIG: i64 = 1 << 53;
+    let floats = [
+        Value::Null,
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Float(f64::NAN),
+        Value::Int(BIG + 1),
+        Value::Int(-BIG - 1),
+    ];
+    let ints = [
+        Value::Null,
+        Value::Int(0),
+        Value::Float(1.0),
+        Value::Int(1),
+        Value::Int(BIG - 1),
+        Value::Int(BIG),
+        Value::Int(BIG + 1),
+        Value::Int(-BIG - 1),
+        Value::Int(-BIG + 1),
+    ];
+    let text = match rng.below(4) {
+        0 => Value::Null,
+        1 => Value::Text(format!("new{batch}_{}", rng.below(3))),
+        _ => Value::Text(["ufs", "nfs", "", "it's"][rng.below(4) as usize].into()),
+    };
+    let v = match rng.below(10) {
+        0 => Value::Null,
+        1 => Value::Float(f64::NAN),
+        _ => Value::Float(rng.int(-4, 40) as f64 / 4.0),
+    };
+    vec![
+        floats[rng.below(floats.len() as u64) as usize].clone(),
+        ints[rng.below(ints.len() as u64) as usize].clone(),
+        text,
+        v,
+    ]
+}
+
+/// One grouping for every aggregating statement: over the same keys, the
+/// column-at-a-time shape (`k, sum(v)`) and shapes that compute on
+/// aggregates or evaluate arguments (`k, sum(v) + 0, max(v * 2)`, `*`) give
+/// the oracle's answer — the same groups in the same first-seen order,
+/// Debug-exact — and the same error where there is one.
+#[test]
+fn one_grouping_for_fast_and_general_aggregation() {
+    let mut rng = Rng::new(0x6_0001);
+    let e = Engine::new();
+    e.execute("CREATE TABLE g (k FLOAT, i INTEGER, s TEXT, v FLOAT)")
+        .unwrap();
+    let debug = |r: &Result<ResultSet, sqldb::DbError>| format!("{r:?}");
+    let vectorized = |q: &str| {
+        let plan = e.query(&format!("EXPLAIN {q}")).unwrap();
+        let plan = format!("{:?}", plan.rows());
+        ["full", "partial", "none"]
+            .into_iter()
+            .find(|how| plan.contains(&format!("vectorized={how}")))
+    };
+    for batch in 0..6 {
+        let rows = (0..rng.below(30)).map(|_| key_row(&mut rng, batch));
+        e.insert_rows("g", rows.collect()).unwrap();
+        for keys in ["", "k", "i", "s", "k, s", "i, k", "s, i, k"] {
+            let (select, group) = match keys {
+                "" => (String::new(), String::new()),
+                keys => (format!("{keys}, "), format!(" GROUP BY {keys}")),
+            };
+            let fast = format!("SELECT {select}sum(v), count(*), min(v) FROM g{group}");
+            let general = format!("SELECT {select}sum(v) + 0, max(v * 2), count(s) FROM g{group}");
+            for q in [&fast, &general] {
+                let (got, want) = (e.query(q), oracle::query(&e, q));
+                assert_eq!(debug(&got), debug(&want), "batch {batch}: {q}");
+            }
+            // Both shapes see the same groups, in the same order.
+            let width = keys.split(", ").filter(|k| !k.is_empty()).count();
+            let groups = |q: &str| {
+                let rows = e.query(q).unwrap().into_rows();
+                let keys = rows.into_iter().map(|r| r[..width].to_vec());
+                format!("{:?}", keys.collect::<Vec<_>>())
+            };
+            assert_eq!(groups(&fast), groups(&general), "batch {batch}: {keys}");
+            assert_eq!(vectorized(&fast), Some("full"), "{fast}");
+            assert_eq!(vectorized(&general), Some("partial"), "{general}");
+            for q in [
+                format!(
+                    "SELECT *{} FROM g{group}",
+                    if keys.is_empty() { ", count(*)" } else { "" }
+                ),
+                format!("SELECT count(*), {select}first(s) AS f FROM g{group}"),
+                format!("SELECT {select}sum(v) FROM g WHERE v > 8.0{group}"),
+                format!("SELECT {select}avg(v) FROM g WHERE v > 8.0{group} ORDER BY 1 LIMIT 3"),
+                format!("SELECT {select}count(1), count(NULL), sum(2) FROM g{group}"),
+                // Errors: non-numeric input, arity, nested aggregates, an
+                // unknown column — and none where no group is evaluated.
+                format!("SELECT {select}sum(s) FROM g{group}"),
+                format!("SELECT {select}sum(v, v) FROM g{group}"),
+                format!("SELECT {select}sum(max(v)) FROM g{group}"),
+                format!("SELECT {select}zzz, count(*) FROM g{group}"),
+                format!("SELECT {select}sum(1 / (v - 2.0)), max(sqrt(v - 5.0)) FROM g{group}"),
+                format!("SELECT {select}max(sqrt(v - 5.0)) + sum(1 / (v - 2.0)) FROM g{group}"),
+                format!("SELECT {select}zzz FROM g WHERE v > 1e9{group}"),
+                format!("SELECT {select}sum(zzz) FROM g WHERE v > 1e9{group}"),
+            ] {
+                let (got, want) = (e.query(&q), oracle::query(&e, &q));
+                assert_eq!(debug(&got), debug(&want), "batch {batch}: {q}");
+            }
+        }
+    }
+}
+
+/// The oracle shares no executor code: all it takes from `sqldb` is the
+/// parser, values, the scalar primitives, `Accumulator` and the tables it
+/// reads — so a bug in the executor has no copy on the other side of the
+/// comparison.
+#[test]
+fn the_oracle_shares_no_executor_code() {
+    let source = include_str!("common/oracle.rs");
+    let allowed = [
+        "use sqldb::aggregate::{Accumulator, AggKind};",
+        "use sqldb::expr::{binary_values, like_match, negate, scalar_fn, truthy};",
+        "use sqldb::sql::{self, SelectItem, SelectStmt, SqlExpr, Stmt, UnOp};",
+        "use sqldb::{DbError, Engine, ResultSet, Snapshot, Table, Value, ValueKey};",
+    ];
+    let uses: Vec<&str> = source
+        .lines()
+        .filter(|l| l.starts_with("use sqldb"))
+        .collect();
+    assert_eq!(uses, allowed);
+    // Nor does it call the engine's executor through a public door.
+    for word in [
+        "crate::",
+        "exec::",
+        "compile",
+        ".select(",
+        ".query(",
+        ".query_at(",
+    ] {
+        assert!(!source.contains(word), "{word}");
     }
 }

@@ -5,7 +5,7 @@ mod common;
 
 use std::ops::Bound;
 
-use common::Rng;
+use common::{oracle, Rng};
 use sqldb::{Column, DataType, Engine, Schema, Table, Value, ValueKey};
 
 fn load(values: &[(i64, f64, bool)]) -> Engine {
@@ -682,7 +682,7 @@ fn columnar_copy_matches_row_store() {
                     let rs = rs.unwrap_or_else(|e| panic!("{tag}: {q}: {e:?}"));
                     format!("{:?}", rs.rows())
                 };
-                let want = render(db.query_reference(q));
+                let want = render(oracle::query(&db, q));
                 assert_eq!(render(db.query(q)), want, "{tag}: {q}");
                 assert_eq!(render(restored.query(q)), want, "{tag} restored: {q}");
             }
@@ -751,7 +751,7 @@ fn integers_beyond_2_pow_53_compare_group_and_deduplicate_exactly() {
         for (sql, want) in &cases {
             assert_eq!(db.query(sql).unwrap().rows(), want, "{index}: {sql}");
             assert_eq!(
-                db.query_reference(sql).unwrap().rows(),
+                oracle::query(&db, sql).unwrap().rows(),
                 want,
                 "reference: {sql}"
             );
@@ -797,7 +797,7 @@ fn order_by_is_exact_around_2_pow_53_and_the_i64_extremes() {
                 "{index}: {sql}"
             );
             assert_eq!(
-                column(db.query_reference(sql).unwrap().rows()),
+                column(oracle::query(&db, sql).unwrap().rows()),
                 want,
                 "reference: {sql}"
             );

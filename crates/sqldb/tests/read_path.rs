@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{select, Rng};
+use common::{oracle, select, Rng};
 use sqldb::cluster::{Cluster, LatencyModel};
 use sqldb::{Engine, ResultSet, Value};
 use std::path::PathBuf;
@@ -104,7 +104,7 @@ fn every_door_runs_the_statement_once_and_traces_it_once() {
             Box::new(|| cluster.select(1, 0, "runs", &sel).unwrap()),
         ),
     ];
-    let expected = e.query_reference(text).unwrap();
+    let expected = oracle::query(&*e, text).unwrap();
     assert_eq!(expected.len(), 3);
     let traces = obs::TraceCollector::new();
     obs::set_sink(Some(traces.clone()));
@@ -347,7 +347,7 @@ fn join_corpus(rng: &mut Rng) -> Vec<String> {
 /// What both executors answer for `sql`, after checking they agree row for
 /// row (`Debug` tells `-0.0` from `0.0`); the rendering the fixture holds.
 fn answered(e: &Engine, sql: &str) -> String {
-    let (optimized, reference) = (e.query(sql), e.query_reference(sql));
+    let (optimized, reference) = (e.query(sql), oracle::query(e, sql));
     assert_eq!(
         format!("{optimized:?}"),
         format!("{reference:?}"),

@@ -100,18 +100,15 @@ fn a_table_dropped_recreated_or_created_after_begin_conflicts() {
     assert!(is_conflict(count(&mut txn, "t")));
     drop(txn);
 
-    // Created (by statement, programmatically, as a TEMP table, by another
-    // transaction's commit).
-    let creates: [fn(&Arc<Engine>); 4] = [
+    // Created (by statement, programmatically, by another transaction's
+    // commit).
+    let creates: [fn(&Arc<Engine>); 3] = [
         |db| {
             db.execute("CREATE TABLE u (a INTEGER)").unwrap();
         },
         |db| {
             let schema = db.pin_table("t").unwrap().schema.clone();
             db.create_table("u", schema).unwrap();
-        },
-        |db| {
-            db.execute("CREATE TEMP TABLE u (a INTEGER)").unwrap();
         },
         |db| {
             let mut other = db.begin_txn();
@@ -124,8 +121,7 @@ fn a_table_dropped_recreated_or_created_after_begin_conflicts() {
         let mut txn = db.begin_txn();
         create(&db);
         assert!(is_conflict(count(&mut txn, "u")));
-        // (A conflict, or the refusal to touch a TEMP table.)
-        assert!(txn.execute("CREATE TABLE u (a INTEGER)").is_err());
+        assert!(is_conflict(txn.execute("CREATE TABLE u (a INTEGER)")));
         assert_eq!(txn.statements_buffered(), 0);
     }
 
@@ -219,33 +215,6 @@ fn a_statement_without_effect_still_joins_the_conflict_check() {
         assert_eq!(txn.statements_buffered(), 1, "{statement}");
         db.execute(meanwhile).unwrap();
         txn.commit().unwrap();
-    }
-}
-
-/// A transaction refuses TEMP tables, so the removal of one — dropped by
-/// name, programmatically or by statement — is never the removal an absent
-/// name has to fear.
-#[test]
-fn a_temp_table_removed_after_begin_conflicts_with_nothing() {
-    let removals: [fn(&Engine); 2] = [
-        |db| db.drop_table("scratch", false).unwrap(),
-        |db| {
-            db.execute("DROP TABLE scratch").unwrap();
-        },
-    ];
-    for remove in removals {
-        let db = engine_with(&["t"]);
-        let mut txn = db.begin_txn();
-        // Another handle's scratch table comes and goes.
-        db.execute("CREATE TEMP TABLE scratch (a INTEGER)").unwrap();
-        remove(&db);
-        assert!(matches!(
-            count(&mut txn, "fresh"),
-            Err(DbError::NoSuchTable(_))
-        ));
-        txn.execute("CREATE TABLE fresh (a INTEGER)").unwrap();
-        txn.commit().unwrap();
-        assert!(db.has_table("fresh"));
     }
 }
 

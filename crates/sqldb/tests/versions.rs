@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::Rng;
+use common::{oracle, Rng};
 use sqldb::{Engine, Snapshot, SyncPolicy, Table, Transaction, Value, WalOptions};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
@@ -272,7 +272,7 @@ impl Model {
         for q in MODEL_QUERIES {
             assert_eq!(
                 self.db.query(q).unwrap(),
-                self.db.query_reference(q).unwrap(),
+                oracle::query(&*self.db, q).unwrap(),
                 "seed {seed} step {step}: {q}"
             );
         }

@@ -51,12 +51,6 @@ fn frames(path: &Path) -> Vec<String> {
 
 const TABLES: [&str; 3] = ["t0", "t1", "s0"];
 
-/// Tables named `s…` are TEMP, the others persistent: a transaction refuses
-/// TEMP tables, so the two kinds never share a name.
-fn is_temp(table: &str) -> bool {
-    table.starts_with('s')
-}
-
 fn schema(wide: bool) -> Schema {
     let mut columns = vec![
         Column::not_null("id", DataType::Int),
@@ -175,17 +169,6 @@ impl Op {
         }
     }
 
-    fn table(&self) -> &'static str {
-        match self {
-            Op::Create { table, .. }
-            | Op::Drop { table, .. }
-            | Op::Insert { table, .. }
-            | Op::Update { table, .. }
-            | Op::Delete { table, .. }
-            | Op::Index { table, .. } => table,
-        }
-    }
-
     fn sql(&self) -> String {
         match self {
             Op::Create {
@@ -193,8 +176,7 @@ impl Op {
                 if_not_exists,
                 wide,
             } => format!(
-                "CREATE {}TABLE {}{table} (id INTEGER NOT NULL, v FLOAT{})",
-                if is_temp(table) { "TEMP " } else { "" },
+                "CREATE TABLE {}{table} (id INTEGER NOT NULL, v FLOAT{})",
                 if *if_not_exists { "IF NOT EXISTS " } else { "" },
                 if *wide { ", s TEXT" } else { "" },
             ),
@@ -246,7 +228,7 @@ impl Op {
                 if_not_exists,
                 wide,
             } => db
-                .create_table_opts(table, schema(*wide), is_temp(table), *if_not_exists)
+                .create_table_opts(table, schema(*wide), *if_not_exists)
                 .ok()
                 .map(|()| 0),
             Op::Drop { table, if_exists } => db.drop_table(table, *if_exists).ok().map(|()| 0),
@@ -323,7 +305,7 @@ fn every_door_leaves_the_same_catalog_and_the_same_log() {
                     accepted += 1;
                     assert_eq!(db.epoch(), epoch + 1, "case {case} {op:?}");
                     assert!(db.wal_frames() <= logged + 1);
-                    if db.wal_frames() == logged && !is_temp(op.table()) {
+                    if db.wal_frames() == logged {
                         skipped += 1;
                     }
                 }
@@ -341,7 +323,6 @@ fn every_door_leaves_the_same_catalog_and_the_same_log() {
         }
         db.wal_sync().unwrap();
         let reached = db.dump_sql();
-        let temps = db.temp_table_names();
         drop(db);
         let log_a = frames(&dir_a.join("db.wal"));
 
@@ -353,24 +334,20 @@ fn every_door_leaves_the_same_catalog_and_the_same_log() {
             assert_eq!(db.epoch(), epoch + u64::from(want.is_some()));
         }
         assert_eq!(db.dump_sql(), reached, "case {case}: calls");
-        assert_eq!(db.temp_table_names(), temps);
 
-        // (c) One transaction, then COMMIT (TEMP statements beside it: a
-        // transaction refuses them, and they are none of its business).
+        // (c) One transaction, then COMMIT.
         for calls in [false, true] {
             let dir_c = sub(if calls { "txn_calls" } else { "txn" });
             let (db, _) = open(&dir_c);
             let mut txn = db.begin_txn();
             for (op, want) in ops.iter().zip(&verdicts) {
                 let epoch = db.epoch();
-                let got = match (is_temp(op.table()), calls) {
-                    (true, _) => db.execute(&op.sql()).ok(),
-                    (false, false) => txn.execute(&op.sql()).ok(),
-                    (false, true) => op.call_in(&mut txn),
+                let got = match calls {
+                    false => txn.execute(&op.sql()).ok(),
+                    true => op.call_in(&mut txn),
                 };
                 assert_eq!(&got, want, "case {case} txn {op:?}");
-                let ticks = u64::from(is_temp(op.table()) && want.is_some());
-                assert_eq!(db.epoch(), epoch + ticks);
+                assert_eq!(db.epoch(), epoch);
             }
             assert_eq!(db.wal_frames(), 0, "nothing is logged before COMMIT");
             let epoch = db.epoch();
@@ -447,6 +424,58 @@ fn a_script_run_with_a_log_attached_is_logged() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// There is one kind of table. `CREATE TEMP TABLE` is refused by name at
+/// every door a statement comes through — `execute`, `execute_script`, a
+/// transaction, a dump line, a replayed frame — and leaves no frame, no
+/// epoch tick and no table behind.
+#[test]
+fn temp_is_refused_at_every_door_and_leaves_no_trace() {
+    let dir = scratch("temp");
+    let (db, _) = open(&dir);
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    let before = (db.wal_frames(), db.epoch(), db.dump_sql());
+    let named = |e: sqldb::DbError, word: &str| {
+        let e = e.to_string();
+        assert!(
+            e.contains(&format!("{word} tables are not supported")),
+            "{e}"
+        );
+    };
+    for word in ["TEMP", "TEMPORARY", "temp"] {
+        let stmt = format!("CREATE {word} TABLE scratch (x INTEGER)");
+        let word = word.to_ascii_uppercase();
+        named(db.execute(&stmt).unwrap_err(), &word);
+        let script = format!("INSERT INTO t VALUES (1); {stmt}");
+        named(db.execute_script(&script).unwrap_err(), &word);
+        let mut txn = db.begin_txn();
+        named(txn.execute(&stmt).unwrap_err(), &word);
+        assert_eq!(txn.statements_buffered(), 0);
+        txn.commit().unwrap();
+        assert_eq!(
+            (db.wal_frames(), db.epoch(), db.dump_sql()),
+            before,
+            "{stmt}"
+        );
+        let dump = format!("{}{stmt};\n", before.2);
+        named(Engine::from_sql_dump(&dump).unwrap_err(), &word);
+    }
+    drop(db);
+    // A frame no build ever wrote: it fails on replay, and nothing else.
+    let (mut log, ..) = Wal::open_recover(&dir.join("db.wal"), opts()).unwrap();
+    log.append("CREATE TEMP TABLE scratch (x INTEGER)").unwrap();
+    log.sync().unwrap();
+    drop(log);
+    let (db, report) = open(&dir);
+    assert_eq!((report.frames_replayed, report.replay_errors), (2, 1));
+    assert_eq!(
+        db.wal_frames(),
+        before.0 + 1,
+        "only the frame written above"
+    );
+    assert_eq!((db.epoch(), db.dump_sql()), (before.1, before.2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---- the parent's bytes -----------------------------------------------------
 
 /// Statements a correct engine refuses: NULL in a NOT NULL column, a table
@@ -494,9 +523,6 @@ fn build(dir: &Path, doomed: bool) -> Built {
         "CREATE ORDERED INDEX ix_up ON t (a)", // an upgrade
         "CREATE INDEX IF NOT EXISTS ix_t_a ON t (b)", // name taken: carried
         "DROP TABLE IF EXISTS nope",           // no table: skipped
-        "CREATE TEMP TABLE scratch (x INTEGER)", // TEMP: never logged
-        "INSERT INTO scratch VALUES (1)",
-        "DROP TABLE scratch",
     ] {
         db.execute(stmt).unwrap();
     }

@@ -374,6 +374,24 @@ fn sql_script_errors_are_located_in_the_script() {
     assert!(out.ends_with("1\n"), "{out}");
 }
 
+/// `perfbase sql` is a door like any other: `CREATE TEMP TABLE` is refused
+/// by name, and the database file stays as it was.
+#[test]
+fn sql_refuses_temp_tables() {
+    let dir = TempDir::new("sqltemp");
+    let dbfile = setup_campaign(&dir);
+    let before = std::fs::read(&dbfile).unwrap();
+    for word in ["TEMP", "TEMPORARY"] {
+        let stmt = format!("CREATE {word} TABLE scratch (x INTEGER)");
+        let e = cli(&["sql", "--db", &dbfile, &stmt]).unwrap_err();
+        assert!(
+            e.contains(&format!("{word} tables are not supported")),
+            "{e}"
+        );
+    }
+    assert_eq!(std::fs::read(&dbfile).unwrap(), before);
+}
+
 #[test]
 fn update_command_evolves_definition() {
     let dir = TempDir::new("update");

@@ -5,12 +5,24 @@
 # to the end of the file. A `#[cfg(test)]` on anything else (a helper among
 # the code) hides nothing; on a `mod name;` it hides that line. Prints one
 # line per crate, a total, and one line per file named as an argument (path
-# relative to the repo). Informational — it never fails a build.
+# relative to the repo). A named file outside crates/*/src — a test helper
+# such as crates/sqldb/tests/common/oracle.rs — is counted by the same rule
+# and printed on its own line, but added to no crate and not to the total.
+# Informational — it never fails a build.
 #
 #   tests/loc.sh [crates/sqldb/src/table.rs ...]
 cd "$(dirname "$0")/.." || exit 1
-find crates/*/src -name '*.rs' | sort | xargs awk -v want=" $* " '
+outside=""
+for f in "$@"; do
+    case "$f" in
+        crates/*/src/*) ;;
+        *) outside="$outside $f" ;;
+    esac
+done
+{ find crates/*/src -name '*.rs' | sort; for f in $outside; do echo "$f"; done; } |
+    xargs awk -v want=" $* " -v outside="$outside " '
     function count(n) {
+        if (index(outside, " " FILENAME " ")) { file[FILENAME] += n; return }
         split(FILENAME, part, "/")
         crate[part[2]] += n
         total += n

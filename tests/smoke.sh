@@ -8,7 +8,7 @@
 # do not interact — the read-path suite: every door (SQL text live, at a
 # snapshot, in a transaction; a statement value over a table, on a node) one
 # function, one `query` span, one count; EXPLAIN counts nothing and ANALYZE
-# one run; joins against the reference executor and the parent build's bytes
+# one run; joins against the oracle and the parent build's bytes
 # — the write-path
 # suite: the every-door model (execute, programmatic call, transaction, script
 # and replay leave the same catalog and the same log) and the parent-build
@@ -222,8 +222,7 @@ echo "== bench regression guard =="
 cargo run --release -p bench --bin bench_guard
 
 echo "== net Rust LOC (informational; the figure CHANGES.md reports) =="
-sh tests/loc.sh crates/sqldb/src/exec.rs crates/core/src/query/exec.rs || true
-sh tests/loc.sh crates/sqldb/src/wal.rs crates/sqldb/src/repl.rs crates/sqldb/src/engine.rs || true
-sh tests/loc.sh crates/sqldb/src/column.rs crates/sqldb/src/exec.rs crates/sqldb/src/table.rs || true
+sh tests/loc.sh crates/sqldb/src/exec.rs crates/sqldb/src/engine.rs crates/sqldb/src/expr.rs \
+    crates/sqldb/src/compile.rs crates/sqldb/tests/common/oracle.rs || true
 
 echo "smoke: OK"

@@ -137,7 +137,8 @@ fn bench_pair_reps(e: &Engine, name: &'static str, sql: &str, reps: usize) -> Be
 /// on the same 100k-row table (ISSUE 6 acceptance bar: >= 10x). The filter
 /// and aggregation queries mirror the row-table `filtered_agg` /
 /// `filter_project` benches; `columnar_scan` adds a pure-column projection
-/// that stays entirely on the vectorized path (`vectorized=full`).
+/// that stays entirely on the vectorized path (`vectorized=full`), and
+/// `grouped_scan` a grouped aggregation over every row.
 fn bench_columnar() -> Vec<BenchResult> {
     let e = build_engine_sized(COL_ROWS);
 
@@ -173,6 +174,14 @@ fn bench_columnar() -> Vec<BenchResult> {
             &e,
             "columnar_scan",
             "SELECT run_index, fs, bw FROM runs WHERE fs = 'ufs' AND bw > 900.0",
+            2,
+        ),
+        // The statement of `benchmark/`'s `serve_mixed` scan: every row,
+        // no selection, so the aggregation kernel is all that runs.
+        bench_pair_reps(
+            &e,
+            "grouped_scan",
+            "SELECT fs, count(*), avg(bw) FROM runs GROUP BY fs ORDER BY fs",
             2,
         ),
     ]

@@ -10,8 +10,21 @@
 //!
 //! NULL values are skipped, matching SQL semantics. `stddev`/`variance` use
 //! the sample (n−1) definition, matching PostgreSQL's `stddev`.
+//!
+//! An [`Accumulator`] keeps only the state its kind finishes from: `count`
+//! its count, `sum` a sum, `prod` a product, `avg` Welford's running mean,
+//! `stddev`/`variance` that mean and Welford's sum of squared deviations
+//! (stable on long runs of near-equal bandwidth samples), `min`/`max`/`first`
+//! one value, `median` every input. An input is folded by one function,
+//! `Accumulator::fold`, which takes a borrowed cell (`value::ValueRef`): the
+//! executor feeds it straight off a column's chunks — a number as a number,
+//! TEXT as its dictionary string — and [`Accumulator::update`] is the door
+//! for a [`Value`] somebody already holds (an aggregate over an expression,
+//! the pushdown merge in `core`, the test oracle). Every recurrence runs in
+//! input order, so a group fed its rows in row order gets the bits a naive
+//! row-at-a-time evaluation gets.
 
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,78 +88,105 @@ impl AggKind {
 }
 
 /// Streaming accumulator for one aggregate over one group.
-///
-/// Mean/variance use Welford's online algorithm for numerical stability on
-/// long runs of near-equal bandwidth samples.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     kind: AggKind,
+    /// Non-NULL inputs folded.
     count: u64,
-    mean: f64,
-    m2: f64,
-    sum: f64,
-    prod: f64,
-    best: Option<Value>,
-    first: Option<Value>,
-    buffered: Vec<f64>,
+    state: State,
+    /// A TEXT input reached a numeric kind: [`Accumulator::finish`] fails.
     non_numeric: bool,
+}
+
+/// What an [`Accumulator`] keeps beside its count: what its kind finishes
+/// from, and nothing else.
+#[derive(Debug, Clone)]
+enum State {
+    /// `count`: the count is all.
+    Count,
+    /// `sum`: the running sum.
+    Sum(f64),
+    /// `prod`: the running product.
+    Prod(f64),
+    /// `avg`: Welford's running mean.
+    Mean(f64),
+    /// `stddev`, `variance`: Welford's running mean and sum of squared
+    /// deviations from it.
+    Moments { mean: f64, m2: f64 },
+    /// `min`, `max`, `first`: the input kept so far.
+    Kept(Option<Value>),
+    /// `median`: every input.
+    Inputs(Vec<f64>),
 }
 
 impl Accumulator {
     /// Fresh accumulator for `kind`.
     pub fn new(kind: AggKind) -> Self {
+        let state = match kind {
+            AggKind::Count => State::Count,
+            AggKind::Sum => State::Sum(0.0),
+            AggKind::Prod => State::Prod(1.0),
+            AggKind::Avg => State::Mean(0.0),
+            AggKind::StdDev | AggKind::Variance => State::Moments { mean: 0.0, m2: 0.0 },
+            AggKind::Min | AggKind::Max | AggKind::First => State::Kept(None),
+            AggKind::Median => State::Inputs(Vec::new()),
+        };
         Accumulator {
             kind,
             count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            sum: 0.0,
-            prod: 1.0,
-            best: None,
-            first: None,
-            buffered: Vec::new(),
+            state,
             non_numeric: false,
         }
     }
 
-    /// Feed one value (NULLs are skipped).
+    /// Feed one value (NULLs are skipped) through the one fold every input
+    /// takes, the executor's typed feed included.
     pub fn update(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
+        if let Some(x) = ValueRef::of(v) {
+            self.fold(x);
         }
+    }
+
+    /// Fold one non-NULL input into the state of this kind. A number is
+    /// read as an `f64` by the arithmetic kinds and compared exactly
+    /// ([`ValueRef::total_cmp`]) by `min`/`max`; a kept input is copied
+    /// only when it becomes the one kept.
+    #[inline]
+    pub(crate) fn fold(&mut self, x: ValueRef<'_>) {
         self.count += 1;
-        // Only `first()` ever reads this; skipping the check for the other
-        // kinds keeps a branch and a potential clone off the hot loop.
-        if self.kind == AggKind::First && self.first.is_none() {
-            self.first = Some(v.clone());
-        }
-        match self.kind {
-            AggKind::Min => {
-                if self.best.as_ref().is_none_or(|b| v.total_cmp(b).is_lt()) {
-                    self.best = Some(v.clone());
+        let n = self.count as f64;
+        match (&mut self.state, x.num()) {
+            (State::Count, _) => {}
+            (State::Kept(kept), _) => {
+                let keep = match (self.kind, kept.as_ref().and_then(ValueRef::of)) {
+                    (_, None) => true,
+                    (AggKind::Min, Some(k)) => x.total_cmp(k).is_lt(),
+                    (AggKind::Max, Some(k)) => x.total_cmp(k).is_gt(),
+                    _ => false,
+                };
+                if keep {
+                    *kept = Some(x.to_value());
                 }
             }
-            AggKind::Max => {
-                if self.best.as_ref().is_none_or(|b| v.total_cmp(b).is_gt()) {
-                    self.best = Some(v.clone());
-                }
+            (_, None) => self.non_numeric = true,
+            (State::Sum(sum), Some(x)) => *sum += x.as_f64(),
+            (State::Prod(prod), Some(x)) => *prod *= x.as_f64(),
+            (State::Mean(mean), Some(x)) => *mean += (x.as_f64() - *mean) / n,
+            (State::Moments { mean, m2 }, Some(x)) => {
+                let x = x.as_f64();
+                let delta = x - *mean;
+                *mean += delta / n;
+                *m2 += delta * (x - *mean);
             }
-            AggKind::Count | AggKind::First => {}
-            AggKind::Median => match v.as_f64() {
-                Some(x) => self.buffered.push(x),
-                None => self.non_numeric = true,
-            },
-            _ => match v.as_f64() {
-                Some(x) => {
-                    self.sum += x;
-                    self.prod *= x;
-                    let delta = x - self.mean;
-                    self.mean += delta / self.count as f64;
-                    self.m2 += delta * (x - self.mean);
-                }
-                None => self.non_numeric = true,
-            },
+            (State::Inputs(xs), Some(x)) => xs.push(x.as_f64()),
         }
+    }
+
+    /// Fold `n` non-NULL inputs into a `count`, which keeps nothing of them:
+    /// `count(*)` counted per group off the group index.
+    pub(crate) fn add_count(&mut self, n: u64) {
+        debug_assert!(matches!(self.state, State::Count), "{:?}", self.kind);
+        self.count += n;
     }
 
     /// Produce the aggregate result. Empty input yields NULL (except `count`,
@@ -165,34 +205,23 @@ impl Accumulator {
                 _ => Value::Null,
             });
         }
-        Ok(match self.kind {
-            AggKind::Count => Value::Int(self.count as i64),
-            AggKind::Sum => Value::Float(self.sum),
-            AggKind::Avg => Value::Float(self.mean),
-            AggKind::Min | AggKind::Max => self.best.clone().unwrap_or(Value::Null),
-            AggKind::StdDev => {
-                if self.count < 2 {
-                    Value::Null
-                } else {
-                    Value::Float((self.m2 / (self.count as f64 - 1.0)).sqrt())
-                }
+        Ok(match &self.state {
+            State::Count => Value::Int(self.count as i64),
+            State::Sum(x) | State::Prod(x) | State::Mean(x) => Value::Float(*x),
+            State::Moments { .. } if self.count < 2 => Value::Null,
+            State::Moments { m2, .. } => {
+                let variance = m2 / (self.count as f64 - 1.0);
+                Value::Float(match self.kind {
+                    AggKind::StdDev => variance.sqrt(),
+                    _ => variance,
+                })
             }
-            AggKind::Variance => {
-                if self.count < 2 {
-                    Value::Null
-                } else {
-                    Value::Float(self.m2 / (self.count as f64 - 1.0))
-                }
-            }
-            AggKind::Prod => Value::Float(self.prod),
-            AggKind::First => self.first.clone().unwrap_or(Value::Null),
-            AggKind::Median => {
-                let mut xs = self.buffered.clone();
+            State::Kept(kept) => kept.clone().unwrap_or(Value::Null),
+            State::Inputs(xs) => {
+                let mut xs = xs.clone();
                 xs.sort_by(f64::total_cmp);
                 let n = xs.len();
-                if n == 0 {
-                    Value::Null
-                } else if n % 2 == 1 {
+                if n % 2 == 1 {
                     Value::Float(xs[n / 2])
                 } else {
                     Value::Float((xs[n / 2 - 1] + xs[n / 2]) / 2.0)
@@ -217,6 +246,19 @@ mod tests {
     fn floats(xs: &[f64]) -> Vec<Value> {
         xs.iter().map(|x| Value::Float(*x)).collect()
     }
+
+    const KINDS: [AggKind; 10] = [
+        AggKind::Count,
+        AggKind::Sum,
+        AggKind::Avg,
+        AggKind::Min,
+        AggKind::Max,
+        AggKind::StdDev,
+        AggKind::Variance,
+        AggKind::Prod,
+        AggKind::First,
+        AggKind::Median,
+    ];
 
     #[test]
     fn basic_stats() {
@@ -313,5 +355,67 @@ mod tests {
         assert_eq!(AggKind::from_name("AVG"), Some(AggKind::Avg));
         assert_eq!(AggKind::from_name("stddev_samp"), Some(AggKind::StdDev));
         assert_eq!(AggKind::from_name("abs"), None);
+    }
+
+    /// Each kind updates only the state it finishes from: after three
+    /// inputs, its state is its kind's variant, holding what it folded.
+    #[test]
+    fn each_kind_keeps_only_what_it_finishes_from() {
+        for kind in KINDS {
+            let mut a = Accumulator::new(kind);
+            for v in floats(&[2.0, -1.5, 7.0]) {
+                a.update(&v);
+            }
+            let keeps = match (kind, &a.state) {
+                (AggKind::Count, State::Count) => true,
+                (AggKind::Sum, State::Sum(sum)) => *sum == 7.5,
+                (AggKind::Prod, State::Prod(prod)) => *prod == -21.0,
+                (AggKind::Avg, State::Mean(mean)) => *mean == 2.5,
+                (AggKind::StdDev | AggKind::Variance, State::Moments { mean, .. }) => *mean == 2.5,
+                (AggKind::Min, State::Kept(Some(Value::Float(x)))) => *x == -1.5,
+                (AggKind::Max, State::Kept(Some(Value::Float(x)))) => *x == 7.0,
+                (AggKind::First, State::Kept(Some(Value::Float(x)))) => *x == 2.0,
+                (AggKind::Median, State::Inputs(xs)) => xs == &[2.0, -1.5, 7.0],
+                _ => false,
+            };
+            assert!(keeps, "{kind:?}: {:?}", a.state);
+        }
+    }
+
+    /// `update(&Value)` and the typed feed are one fold: a `count` fed
+    /// `add_count` finishes like one fed each row, and exact comparison
+    /// keeps integers beyond 2^53 apart that an `f64` would merge.
+    #[test]
+    fn the_value_door_and_the_typed_feed_are_one_fold() {
+        let big = 1i64 << 53;
+        let cells = [
+            ValueRef::Int(big + 1),
+            ValueRef::Int(big),
+            ValueRef::Timestamp(3),
+            ValueRef::Bool(true),
+            ValueRef::Float(-0.0),
+            ValueRef::Float(f64::NAN),
+            ValueRef::Text("x"),
+        ];
+        for kind in KINDS {
+            for len in 0..=cells.len() {
+                let (mut typed, mut valued) = (Accumulator::new(kind), Accumulator::new(kind));
+                for x in &cells[..len] {
+                    typed.fold(*x);
+                    valued.update(&x.to_value());
+                }
+                let (a, b) = (typed.finish(), valued.finish());
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{kind:?} over {len}");
+            }
+        }
+        let mut counted = Accumulator::new(AggKind::Count);
+        counted.add_count(3);
+        assert_eq!(
+            counted.finish(),
+            Ok(agg(AggKind::Count, &floats(&[1.0; 3])))
+        );
+        let ints = [Value::Int(big + 1), Value::Int(big), Value::Int(big + 1)];
+        assert_eq!(agg(AggKind::Min, &ints), Value::Int(big));
+        assert_eq!(agg(AggKind::Max, &ints[1..]), Value::Int(big + 1));
     }
 }

@@ -41,7 +41,7 @@
 //!   table — is a tail and nothing else, read through the same code.
 
 use crate::schema::Schema;
-use crate::value::{DataType, Num, Value};
+use crate::value::{DataType, Num, Value, ValueRef};
 use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::Arc;
@@ -484,37 +484,44 @@ impl ColumnVec {
         }
     }
 
-    /// `f(k, value)` for the value at each `positions[k]`, in order, each
-    /// chunk looked up once per run of positions inside it
-    /// ([`Chunked::gather`]).
-    pub(crate) fn for_each_at(&self, positions: &[usize], mut f: impl FnMut(usize, Value)) {
-        fn typed<T: Copy>(
+    /// `f(k, cell)` for each `positions[k]` whose cell is not NULL, in
+    /// order, the cell borrowed where it is stored — a number as a number,
+    /// TEXT as its dictionary string: no [`Value`] is built. Each chunk is
+    /// looked up once per run of positions inside it ([`Chunked::gather`]).
+    pub(crate) fn for_each_cell_at<'a>(
+        &'a self,
+        positions: &[usize],
+        mut f: impl FnMut(usize, ValueRef<'a>),
+    ) {
+        fn typed<'a, T: Copy>(
             (data, nulls): (&Chunked<T>, &NullBitmap),
             positions: &[usize],
-            wrap: impl Fn(T) -> Value,
-            f: &mut impl FnMut(usize, Value),
+            cell: impl Fn(T) -> ValueRef<'a>,
+            f: &mut impl FnMut(usize, ValueRef<'a>),
         ) {
             let cells = positions.iter().zip(data.gather(positions));
             for (k, (&p, &x)) in cells.enumerate() {
-                let v = if nulls.is_null(p) {
-                    Value::Null
-                } else {
-                    wrap(x)
-                };
-                f(k, v);
+                if !nulls.is_null(p) {
+                    f(k, cell(x));
+                }
             }
         }
         match self {
-            ColumnVec::Int { data, nulls } => typed((data, nulls), positions, Value::Int, &mut f),
-            ColumnVec::Float { data, nulls } => {
-                typed((data, nulls), positions, Value::Float, &mut f)
+            ColumnVec::Int { data, nulls } => {
+                typed((data, nulls), positions, ValueRef::Int, &mut f)
             }
-            ColumnVec::Bool { data, nulls } => typed((data, nulls), positions, Value::Bool, &mut f),
+            ColumnVec::Float { data, nulls } => {
+                typed((data, nulls), positions, ValueRef::Float, &mut f)
+            }
+            ColumnVec::Bool { data, nulls } => {
+                typed((data, nulls), positions, ValueRef::Bool, &mut f)
+            }
             ColumnVec::Timestamp { data, nulls } => {
-                typed((data, nulls), positions, Value::Timestamp, &mut f)
+                typed((data, nulls), positions, ValueRef::Timestamp, &mut f)
             }
             ColumnVec::Text(d) => {
-                let text = |c: u32| Value::Text(d.dict()[c as usize].clone());
+                let dict = d.dict();
+                let text = |c: u32| ValueRef::Text(&dict[c as usize]);
                 typed((&d.codes, &d.nulls), positions, text, &mut f)
             }
         }

@@ -35,7 +35,7 @@ use crate::expr::{binary_values, truthy, LikePattern};
 use crate::schema::{Column, Schema};
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
-use crate::value::{DataType, Num, Value, ValueKey};
+use crate::value::{DataType, Num, Value, ValueKey, ValueRef};
 use std::collections::{HashMap, HashSet};
 use std::ops::{Bound, Range};
 use std::sync::Arc;
@@ -816,9 +816,11 @@ struct Slot {
 
 /// What a slot's accumulators are fed, selected row by selected row.
 enum SlotInput {
-    /// The cells of a column, read off its vector.
+    /// The non-NULL cells of a column, read off its chunks as numbers or
+    /// dictionary strings ([`ColumnVec::for_each_cell_at`]).
     Column(usize),
-    /// `Int(1)`: `agg(*)`, and `count(<non-NULL literal>)`.
+    /// `Int(1)`: `agg(*)`, and `count(<non-NULL literal>)`. A `count` of
+    /// it counts each group's rows off the group index instead.
     Row,
     /// The argument, compiled, over the materialised row.
     Expr(CompiledExpr),
@@ -893,7 +895,8 @@ impl Aggregation {
     /// The output rows of the groups of the rows of `table` at `sv`. Pass 1
     /// resolves every selected row to its group once ([`group_rows`]), pass
     /// 2 feeds each slot's accumulators — off one column, walking its
-    /// chunks, when it can — and pass 3 evaluates the items group by group.
+    /// chunks, when it can; a count of rows off the group index — and pass
+    /// 3 evaluates the items group by group.
     /// An error surfaces where evaluating group after group, item after
     /// item, each aggregate over its group's rows, would first meet it.
     fn run(&self, table: &Table, sv: &[usize]) -> Result<Vec<Row>, DbError> {
@@ -921,9 +924,13 @@ impl Aggregation {
                 match &slot.input {
                     SlotInput::Column(c) => store
                         .col(*c)
-                        .for_each_at(sv, |k, v| accs[group(k)].update(&v)),
+                        .for_each_cell_at(sv, |k, x| accs[group(k)].fold(x)),
+                    SlotInput::Row if slot.kind == AggKind::Count => match &gidx {
+                        Some(gidx) => gidx.iter().for_each(|&g| accs[g as usize].add_count(1)),
+                        None => accs[0].add_count(sv.len() as u64),
+                    },
                     SlotInput::Row => {
-                        (0..sv.len()).for_each(|k| accs[group(k)].update(&Value::Int(1)))
+                        (0..sv.len()).for_each(|k| accs[group(k)].fold(ValueRef::Int(1)))
                     }
                     SlotInput::Expr(arg) => {
                         for (k, row) in rows.iter().enumerate() {
@@ -1242,9 +1249,8 @@ fn tighter_upper(a: Bound<ValueKey>, b: Bound<ValueKey>) -> Bound<ValueKey> {
 /// whose literal can never match the column type is dropped (an empty
 /// remaining probe set falsifies the whole AND chain); a range bound
 /// against NULL falsifies the chain (every comparison with NULL is false),
-/// while a cross-type range bound merely skips that conjunct — under
-/// `type_rank` ordering it is constant-true or constant-false for the
-/// whole column, which the residual filter handles.
+/// while a cross-type range bound merely skips that conjunct, which the
+/// residual filter then evaluates.
 ///
 /// Candidates come back in row order and are always a superset of the
 /// matching rows; [`select_positions`] still applies the full WHERE over
@@ -1381,9 +1387,8 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                             // Any comparison against NULL is false.
                             return AccessPlan::never();
                         }
-                        // Cross-type bound: constant over the whole column
-                        // under type_rank ordering — leave it to the
-                        // residual filter.
+                        // Cross-type bound: leave it to the residual
+                        // filter.
                         continue;
                     }
                 };

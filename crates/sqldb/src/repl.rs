@@ -17,7 +17,9 @@
 //!   commit is durable on the primary its replicas have applied it.
 //! * **Compaction barrier** — `pre_compact` ships and applies pending
 //!   frames *before* checkpoint compaction drops them from the log, so a
-//!   frame can never be compacted away before every live replica has it.
+//!   frame can never be compacted away before every live replica has it;
+//!   a group still open there (an append failed part-way through it) is
+//!   abandoned, as the compaction ends it on the primary.
 //! * **Unlogged apply** — replicas apply shipped statements through
 //!   [`crate::Engine`]'s unlogged replay, never through their own logged execute
 //!   path. Two primaries shipping to each other under their own WAL
@@ -431,6 +433,14 @@ impl FrameTap for ShipStream {
         obs::incr(obs::Counter::ReplCompactBarriers);
         self.ship()?;
         self.apply_inboxes();
+        // The primary writes a group under one hold of its log, so a group
+        // still open here is one an append failed part-way through: it
+        // never commits, and the compaction clears the poison that kept
+        // the primary from acking behind it. Left open, it would swallow
+        // the writes acked after the checkpoint.
+        for r in &self.replicas {
+            r.reader.lock().abandon();
+        }
         Ok(())
     }
 }
@@ -792,6 +802,59 @@ mod tests {
         assert_eq!(p.promoted, 2);
         assert_eq!(p.frames_replayed, 0, "partial group must not replay");
         assert_eq!(cluster.node(2).engine.row_count("t").unwrap(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An append fails part-way through a group after its begin marker and
+    /// first statement shipped; a checkpoint clears the primary's poison.
+    /// The replica gives the group up at the compaction barrier, so the
+    /// write the primary acks after the checkpoint survives a failover.
+    #[test]
+    fn a_checkpoint_ends_a_failed_group_on_the_replicas() {
+        let dir = std::env::temp_dir().join("perfbase_repl_unit_poison_ckpt");
+        std::fs::remove_dir_all(&dir).ok();
+        let cluster = Arc::new(Cluster::new(4, LatencyModel::none()));
+        // Node 1's log takes the CREATE, the first INSERT, the begin marker
+        // and the group's first INSERT; the group's second INSERT fails
+        // half-written.
+        let failing = Arc::new(IoFailpoint::append_error_after(4));
+        cluster
+            .attach_wal_dir_with(&dir, |i| match i {
+                1 => crate::wal::WalOptions {
+                    sync: SyncPolicy::Off,
+                    failpoint: failing.clone(),
+                },
+                _ => cluster.node_wal_options(i, SyncPolicy::Off),
+            })
+            .unwrap();
+        let repl = Replicator::attach(
+            &cluster,
+            ReplOptions {
+                replicas: 1,
+                lag_budget: 1, // ship every frame immediately
+            },
+        );
+        let primary = cluster.node(1).engine.clone();
+        primary.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        primary.execute("INSERT INTO t VALUES (1)").unwrap();
+        let mut txn = primary.begin_txn();
+        txn.execute("INSERT INTO t VALUES (2)").unwrap();
+        txn.execute("INSERT INTO t VALUES (3)").unwrap();
+        assert!(txn.commit().is_err(), "the append error fails the commit");
+        assert!(primary.execute("INSERT INTO t VALUES (9)").is_err());
+        cluster.checkpoint_wals(&dir).unwrap();
+        primary.execute("INSERT INTO t VALUES (4)").unwrap();
+        primary.wal_sync().unwrap();
+
+        cluster.kill_node(1);
+        let p = repl.promote(&cluster, 1).unwrap();
+        assert_eq!(p.promoted, 2);
+        let rs = cluster
+            .node(2)
+            .engine
+            .query("SELECT x FROM t ORDER BY x")
+            .unwrap();
+        assert_eq!(rs.rows(), [[Value::Int(1)], [Value::Int(4)]]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

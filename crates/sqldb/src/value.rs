@@ -166,20 +166,13 @@ impl Value {
 
     /// Total ordering used by ORDER BY, GROUP BY and the ordered index:
     /// NULL sorts first, numbers compare exactly across Int/Float (`Num`),
-    /// text lexicographically.
+    /// text lexicographically, every number before every text.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Text(a), Text(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (a, b) => match (Num::of(a), Num::of(b)) {
-                (Some(x), Some(y)) => x.total_cmp(y),
-                // Heterogeneous non-numeric: order by type discriminant.
-                _ => type_rank(a).cmp(&type_rank(b)),
-            },
+        match (ValueRef::of(self), ValueRef::of(other)) {
+            (None, None) => Ordering::Equal,
+            (None, _) => Ordering::Less,
+            (_, None) => Ordering::Greater,
+            (Some(a), Some(b)) => a.total_cmp(b),
         }
     }
 
@@ -210,12 +203,7 @@ impl Num {
     /// The number `v` is, if any (TEXT and NULL are not).
     #[inline]
     pub(crate) fn of(v: &Value) -> Option<Num> {
-        match v {
-            Value::Int(i) | Value::Timestamp(i) => Some(Num::Int(*i)),
-            Value::Bool(b) => Some(Num::Int(i64::from(*b))),
-            Value::Float(f) => Some(Num::Float(*f)),
-            _ => None,
-        }
+        ValueRef::of(v)?.num()
     }
 
     /// Exact numeric order. NaN compares equal to itself and greater than
@@ -245,6 +233,80 @@ impl Num {
                 ValueKey::Int(f as i64)
             }
             Num::Float(f) => ValueKey::Num(if f.is_nan() { f64::NAN } else { f }.to_bits()),
+        }
+    }
+
+    /// The number as an `f64` (what [`Value::as_f64`] makes of it).
+    #[inline]
+    pub(crate) fn as_f64(self) -> f64 {
+        match self {
+            Num::Int(i) => i as f64,
+            Num::Float(f) => f,
+        }
+    }
+}
+
+/// A non-NULL value borrowed where it is stored — a number as a number, TEXT
+/// as its string — so that reading a cell builds no [`Value`]; one is made
+/// ([`ValueRef::to_value`]) only where a cell is kept.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Timestamp(i64),
+    Text(&'a str),
+}
+
+impl<'a> ValueRef<'a> {
+    /// `v`, borrowed; `None` for NULL.
+    #[inline]
+    pub(crate) fn of(v: &'a Value) -> Option<ValueRef<'a>> {
+        Some(match v {
+            Value::Null => return None,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Timestamp(t) => ValueRef::Timestamp(*t),
+            Value::Text(s) => ValueRef::Text(s),
+        })
+    }
+
+    /// The number this is (BOOLEAN as 0/1); `None` for TEXT.
+    #[inline]
+    pub(crate) fn num(self) -> Option<Num> {
+        match self {
+            ValueRef::Int(i) | ValueRef::Timestamp(i) => Some(Num::Int(i)),
+            ValueRef::Bool(b) => Some(Num::Int(i64::from(b))),
+            ValueRef::Float(f) => Some(Num::Float(f)),
+            ValueRef::Text(_) => None,
+        }
+    }
+
+    /// The owned value.
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Timestamp(t) => Value::Timestamp(t),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
+        }
+    }
+
+    /// The engine's order of values: numbers (BOOLEAN as 0/1) exactly by
+    /// [`Num::total_cmp`], text lexicographically, and every number before
+    /// every text.
+    #[inline]
+    pub(crate) fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        match (self, other) {
+            (ValueRef::Text(a), ValueRef::Text(b)) => a.cmp(b),
+            (ValueRef::Text(_), _) => Ordering::Greater,
+            (_, ValueRef::Text(_)) => Ordering::Less,
+            (a, b) => match (a.num(), b.num()) {
+                (Some(x), Some(y)) => x.total_cmp(y),
+                _ => unreachable!("a value that is not TEXT is a number"),
+            },
         }
     }
 }
@@ -351,17 +413,6 @@ impl Ord for ValueKey {
 impl PartialOrd for ValueKey {
     fn partial_cmp(&self, other: &ValueKey) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-fn type_rank(v: &Value) -> u8 {
-    match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) => 2,
-        Value::Float(_) => 3,
-        Value::Timestamp(_) => 4,
-        Value::Text(_) => 5,
     }
 }
 

@@ -554,7 +554,9 @@ pub trait FrameTap: Send + Sync {
 
     /// The log is about to drop every frame in the segment (checkpoint
     /// compaction). Returning an error aborts the compaction and keeps
-    /// the frames in the log.
+    /// the frames in the log. A group open at this point is one an append
+    /// failed part-way through: it never commits, and the compaction
+    /// clears the poison, so a tap that reads frames as units ends it here.
     fn pre_compact(&self) -> Result<(), DbError> {
         Ok(())
     }
@@ -760,9 +762,9 @@ impl Wal {
     /// Every payload is checked against the frame limit before the first
     /// frame is written, so a rejected group leaves no trace. If an append
     /// fails after part of the group reached the file, the log is poisoned
-    /// (every later append errors): recovery cuts the unterminated group
-    /// off, and a frame written behind it would go with it, so nothing may
-    /// be acked behind it.
+    /// (every later append errors until [`Wal::compact`] or a reopen):
+    /// recovery cuts the unterminated group off, and a frame written behind
+    /// it would go with it, so nothing may be acked behind it.
     pub fn append_batch(&mut self, stmts: &[String]) -> Result<u64, DbError> {
         match stmts {
             [] => return Ok(self.next_seq),
@@ -797,7 +799,7 @@ impl Wal {
         fp.check_alive()?;
         if self.poisoned {
             return Err(DbError::Io(format!(
-                "{}: an earlier append failed part-way; reopen the log to recover",
+                "{}: an earlier append failed part-way; checkpoint or reopen the log to recover",
                 self.path.display()
             )));
         }
@@ -901,6 +903,10 @@ impl Wal {
     /// crash here leaves dump *and* log both holding every frame —
     /// recovery must skip the already-checkpointed frames (it knows them
     /// by the checkpoint sequence recorded in the dump header).
+    ///
+    /// A poisoned log takes appends again once compacted: the dump holds
+    /// exactly the acknowledged state, the unterminated group is gone with
+    /// the segment, and the tap has ended it ([`FrameTap::pre_compact`]).
     pub fn compact(&mut self) -> Result<u64, DbError> {
         let fp = self.opts.failpoint.clone();
         fp.check_alive()?;
@@ -920,6 +926,10 @@ impl Wal {
             .seek(SeekFrom::Start(0))
             .map_err(|e| io_err(&self.path, "seek", &e))?;
         write_header(&mut self.file, &self.path, self.start_seq)?;
+        // The unterminated group a failed append left went with the
+        // segment, and the checkpoint dump holds exactly the acknowledged
+        // state: appends may resume.
+        self.poisoned = false;
         self.frames = 0;
         self.unsynced = 0;
         self.window_open = None;
@@ -1233,6 +1243,43 @@ mod tests {
         assert_eq!(wal.next_seq(), 2);
         // Reopening clears the poison.
         wal.append("after reopen").unwrap();
+    }
+
+    /// A checkpoint clears the poison too: its dump holds exactly the
+    /// acknowledged state and the unterminated group goes with the segment,
+    /// so the next write is accepted and a reopen finds exactly the
+    /// acknowledged rows.
+    #[test]
+    fn a_checkpoint_clears_the_poison() {
+        use crate::{Engine, Value};
+        let (dump, log) = (tmp("poison_ckpt.sql"), tmp("poison_ckpt.wal"));
+        std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&log).ok();
+        // CREATE, the first INSERT, the begin marker and the group's first
+        // INSERT reach the log; its second INSERT fails half-written.
+        let opts = WalOptions {
+            sync: SyncPolicy::Off,
+            failpoint: Arc::new(IoFailpoint::append_error_after(4)),
+        };
+        let db = Arc::new(Engine::open_durable(&dump, &log, opts).unwrap().0);
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1)").unwrap();
+        let mut txn = db.begin_txn();
+        txn.execute("INSERT INTO t VALUES (2)").unwrap();
+        txn.execute("INSERT INTO t VALUES (3)").unwrap();
+        assert!(txn.commit().is_err());
+        assert!(db.execute("INSERT INTO t VALUES (4)").is_err(), "poisoned");
+        db.checkpoint(&dump).unwrap();
+        db.execute("INSERT INTO t VALUES (5)").unwrap();
+        drop(db);
+        let (db, report) =
+            Engine::open_durable(&dump, &log, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
+        assert_eq!(
+            (report.frames_replayed, report.txn_frames_discarded),
+            (1, 0)
+        );
+        let rows = db.query("SELECT a FROM t ORDER BY a").unwrap();
+        assert_eq!(rows.rows(), [[Value::Int(1)], [Value::Int(5)]]);
     }
 
     #[test]

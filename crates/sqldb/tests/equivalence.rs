@@ -358,12 +358,45 @@ fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
         1 => Value::Float(f64::NAN),
         _ => Value::Float(rng.int(-4, 40) as f64 / 4.0),
     };
+    let b = match rng.below(3) {
+        0 => Value::Null,
+        n => Value::Bool(n == 1),
+    };
+    let stamps = [
+        Value::Null,
+        Value::Int(0),
+        Value::Int(BIG),
+        Value::Int(BIG + 1),
+    ];
+    let t = match rng.below(6) {
+        n @ 0..=3 => stamps[n as usize].clone(),
+        _ => Value::Int(rng.int(-86_400, 86_400)),
+    };
     vec![
         floats[rng.below(floats.len() as u64) as usize].clone(),
         ints[rng.below(ints.len() as u64) as usize].clone(),
         text,
         v,
+        b,
+        t,
     ]
+}
+
+/// Every aggregate kind over one argument: a column of each type, `*`,
+/// and the results Debug-exact against the oracle, errors included.
+fn every_kind_over(args: &[&str], select: &str, group: &str) -> Vec<String> {
+    const KINDS: [&str; 10] = [
+        "count", "sum", "avg", "min", "max", "stddev", "variance", "prod", "first", "median",
+    ];
+    let mut out = Vec::new();
+    for kind in KINDS {
+        for arg in args {
+            out.push(format!("SELECT {select}{kind}({arg}) FROM g{group}"));
+        }
+        let calls: Vec<String> = args.iter().map(|arg| format!("{kind}({arg})")).collect();
+        out.push(format!("SELECT {select}{} FROM g{group}", calls.join(", ")));
+    }
+    out
 }
 
 /// One grouping for every aggregating statement: over the same keys, the
@@ -375,7 +408,7 @@ fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
 fn one_grouping_for_fast_and_general_aggregation() {
     let mut rng = Rng::new(0x6_0001);
     let e = Engine::new();
-    e.execute("CREATE TABLE g (k FLOAT, i INTEGER, s TEXT, v FLOAT)")
+    e.execute("CREATE TABLE g (k FLOAT, i INTEGER, s TEXT, v FLOAT, b BOOLEAN, t TIMESTAMP)")
         .unwrap();
     let debug = |r: &Result<ResultSet, sqldb::DbError>| format!("{r:?}");
     let vectorized = |q: &str| {
@@ -388,7 +421,9 @@ fn one_grouping_for_fast_and_general_aggregation() {
     for batch in 0..6 {
         let rows = (0..rng.below(30)).map(|_| key_row(&mut rng, batch));
         e.insert_rows("g", rows.collect()).unwrap();
-        for keys in ["", "k", "i", "s", "k, s", "i, k", "s, i, k"] {
+        for keys in [
+            "", "k", "i", "s", "b", "t", "k, s", "i, k", "s, i, k", "t, b",
+        ] {
             let (select, group) = match keys {
                 "" => (String::new(), String::new()),
                 keys => (format!("{keys}, "), format!(" GROUP BY {keys}")),
@@ -428,12 +463,38 @@ fn one_grouping_for_fast_and_general_aggregation() {
                 format!("SELECT {select}max(sqrt(v - 5.0)) + sum(1 / (v - 2.0)) FROM g{group}"),
                 format!("SELECT {select}zzz FROM g WHERE v > 1e9{group}"),
                 format!("SELECT {select}sum(zzz) FROM g WHERE v > 1e9{group}"),
-            ] {
+            ]
+            .into_iter()
+            .chain(every_kind_over(
+                &["k", "i", "s", "v", "b", "t", "*"],
+                &select,
+                &group,
+            )) {
                 let (got, want) = (e.query(&q), oracle::query(&e, &q));
                 assert_eq!(debug(&got), debug(&want), "batch {batch}: {q}");
             }
         }
     }
+
+    // Two integers beyond 2^53 that round to one f64: `min` and `max` tell
+    // them apart in either order of arrival (compared as f64, `lo`'s min
+    // and `hi`'s max would be the tie's first, the wrong one).
+    const BIG: i64 = 1 << 53;
+    let e = Engine::new();
+    e.execute("CREATE TABLE g (k TEXT, i INTEGER, t TIMESTAMP)")
+        .unwrap();
+    let rows = [("lo", BIG + 1), ("lo", BIG), ("hi", BIG), ("hi", BIG + 1)];
+    let rows = rows.map(|(k, i)| vec![Value::Text(k.into()), Value::Int(i), Value::Int(i)]);
+    e.insert_rows("g", rows.to_vec()).unwrap();
+    let q = "SELECT k, min(i), max(i), min(t), max(t) FROM g GROUP BY k";
+    let (got, want) = (e.query(q), oracle::query(&e, q));
+    assert_eq!(debug(&got), debug(&want), "{q}");
+    let exact = |k: &str| {
+        let (lo, hi) = (Value::Int(BIG), Value::Int(BIG + 1));
+        let (tlo, thi) = (Value::Timestamp(BIG), Value::Timestamp(BIG + 1));
+        vec![Value::Text(k.into()), lo, hi, tlo, thi]
+    };
+    assert_eq!(got.unwrap().into_rows(), [exact("lo"), exact("hi")]);
 }
 
 /// The oracle shares no executor code: all it takes from `sqldb` is the

@@ -137,8 +137,9 @@ fn bench_pair_reps(e: &Engine, name: &'static str, sql: &str, reps: usize) -> Be
 /// on the same 100k-row table (ISSUE 6 acceptance bar: >= 10x). The filter
 /// and aggregation queries mirror the row-table `filtered_agg` /
 /// `filter_project` benches; `columnar_scan` adds a pure-column projection
-/// that stays entirely on the vectorized path (`vectorized=full`), and
-/// `grouped_scan` a grouped aggregation over every row.
+/// that stays entirely on the vectorized path (`vectorized=full`),
+/// `grouped_scan` a grouped aggregation over every row, and `grouped_keys`
+/// the same over two key columns.
 fn bench_columnar() -> Vec<BenchResult> {
     let e = build_engine_sized(COL_ROWS);
 
@@ -182,6 +183,14 @@ fn bench_columnar() -> Vec<BenchResult> {
             &e,
             "grouped_scan",
             "SELECT fs, count(*), avg(bw) FROM runs GROUP BY fs ORDER BY fs",
+            2,
+        ),
+        // Two keys, a TEXT and an INTEGER column, and no ORDER BY: the
+        // groups come back in first-seen order, compared with the oracle's.
+        bench_pair_reps(
+            &e,
+            "grouped_keys",
+            "SELECT fs, nodes, count(*), avg(bw) FROM runs GROUP BY fs, nodes",
             2,
         ),
     ]

@@ -54,21 +54,36 @@ pub struct ExperimentDb {
 /// [`ExperimentDb::delete_run`] is run before its
 /// [`DbError::TxnConflict`] is the caller's: a conflict there means a second
 /// handle on the same engine committed in between, and the next attempt
-/// starts from what it left. One of two handles writing flat out loses a
-/// round about every other time, so the bound is far above any run of
-/// losses that happens (2⁻⁶⁴), and an attempt is well under a millisecond.
+/// starts from what it left. Losses are not independent: a handle whose
+/// writers commit back to back begins its next transaction the moment the
+/// last one commits, before a loser that retries at once can begin, so the
+/// loser loses again — one in 75 runs of two handles writing flat out lost 64
+/// rounds in a row. A loser therefore backs off ([`back_off`]): the 64
+/// attempts span some 50 ms, longer than any such run of commits lasts.
 const WRITE_ATTEMPTS: usize = 64;
 
 /// Run `attempt` until it ends in something other than a transaction
-/// conflict, [`WRITE_ATTEMPTS`] times at most.
+/// conflict, [`WRITE_ATTEMPTS`] times at most, backing off after each
+/// conflict.
 fn retrying<T>(mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
-    for _ in 1..WRITE_ATTEMPTS {
+    for lost in 0..WRITE_ATTEMPTS - 1 {
         match attempt() {
-            Err(Error::Db(DbError::TxnConflict(_))) => {}
+            Err(Error::Db(DbError::TxnConflict(_))) => back_off(lost),
             done => return done,
         }
     }
     attempt()
+}
+
+/// The pause after the conflict that followed `lost` others in a row: the
+/// processor handed on at once, then a sleep doubling from 2 µs up to 1 ms,
+/// so that the winner's writers run out of work or pause, and the loser
+/// gets a turn.
+fn back_off(lost: usize) {
+    match lost {
+        0 => std::thread::yield_now(),
+        n => std::thread::sleep(std::time::Duration::from_micros(1 << n.min(10))),
+    }
 }
 
 /// One row of `pb_runs`, decoded.

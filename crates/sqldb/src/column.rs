@@ -106,7 +106,10 @@ impl<T: Clone, const N: usize> Chunked<T, N> {
     /// The cells at `positions`, in their order. A position inside the
     /// chunk of the one before it is read without looking its chunk up, so
     /// an ascending selection finds each chunk once.
-    pub(crate) fn gather<'a>(&'a self, positions: &'a [usize]) -> impl Iterator<Item = &'a T> {
+    pub(crate) fn gather<'a>(
+        &'a self,
+        positions: &'a [usize],
+    ) -> impl ExactSizeIterator<Item = &'a T> {
         let mut at: (usize, &[T]) = (0, &[]);
         positions.iter().map(move |&p| {
             if p.wrapping_sub(at.0) >= at.1.len() {

@@ -27,7 +27,7 @@
 //! suites (`tests/common/oracle.rs`) and shares no code with it.
 
 use crate::aggregate::{Accumulator, AggKind};
-use crate::column::{Chunked, ColumnStore, ColumnVec};
+use crate::column::{Chunked, ColumnStore, ColumnVec, NullBitmap};
 use crate::compile::{compile, compile_reading, CompiledExpr};
 use crate::engine::ResultSet;
 use crate::error::DbError;
@@ -36,7 +36,9 @@ use crate::schema::{Column, Schema};
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Num, Value, ValueKey, ValueRef};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::ops::{Bound, Range};
 use std::sync::Arc;
 use std::time::Instant;
@@ -979,87 +981,160 @@ impl Aggregation {
 }
 
 /// The group of every selected row, and the position of each group's first
-/// row, groups in first-seen order. A single TEXT key groups by dictionary
-/// code (plus one NULL slot) through a direct code → group table — no
-/// hashing, no string clones; any other key by its cells' key bytes
-/// ([`encode_cell`]). Without a key there is one group, present even for no
-/// rows (and then without a first row), and every row is in it (`None`).
+/// row: one grouping for every key shape. Each key column becomes a dense
+/// code per row ([`key_codes`]), a cell grouped by its [`ValueKey`] class
+/// without being materialised; the codes fold column by column into group
+/// ids — the groups so far times the next column's code count, plus its
+/// code, renumbered ([`first_seen`]). Groups are numbered in the order their
+/// first row is selected, whatever the key. Without a key there is one
+/// group, present even for no rows (and then without a first row), and
+/// every row is in it (`None`).
 fn group_rows(
     store: &ColumnStore,
     sv: &[usize],
     key_idx: &[usize],
 ) -> (Vec<Option<usize>>, Option<Vec<u32>>) {
-    if key_idx.is_empty() {
+    let Some((&first, rest)) = key_idx.split_first() else {
         return (vec![sv.first().copied()], None);
-    }
-    let mut firsts: Vec<Option<usize>> = Vec::new();
-    let mut gidx = Vec::with_capacity(sv.len());
-    if let ([_], ColumnVec::Text(d)) = (key_idx, store.col(key_idx[0])) {
-        const NONE: u32 = u32::MAX;
-        let null_slot = d.dict().len();
-        let mut group_of = vec![NONE; null_slot + 1];
-        for (&p, &c) in sv.iter().zip(d.codes.gather(sv)) {
-            let slot = if d.nulls.is_null(p) {
-                null_slot
-            } else {
-                c as usize
-            };
-            if group_of[slot] == NONE {
-                group_of[slot] = firsts.len() as u32;
-                firsts.push(Some(p));
-            }
-            gidx.push(group_of[slot]);
-        }
-    } else {
-        // One key buffer, reused: a row's bytes are copied only when they
-        // start a group.
-        let mut key = Vec::with_capacity(key_idx.len() * 9);
-        let mut group_of: HashMap<Vec<u8>, u32> = HashMap::new();
-        for &p in sv {
-            key.clear();
-            for &i in key_idx {
-                encode_cell(store.col(i), p, &mut key);
-            }
-            let g = match group_of.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = firsts.len() as u32;
-                    firsts.push(Some(p));
-                    group_of.insert(key.clone(), g);
-                    g
-                }
-            };
-            gidx.push(g);
-        }
+    };
+    let (mut firsts, mut gidx) = key_codes(store.col(first), sv);
+    for &i in rest {
+        let (code_firsts, codes) = key_codes(store.col(i), sv);
+        let count = code_firsts.len() as u64;
+        let keys = sv.iter().zip(gidx.iter().zip(&codes));
+        let keys = keys.map(|(&p, (&g, &c))| (p, Some(u64::from(g) * count + u64::from(c))));
+        (firsts, gidx) = first_seen(keys, firsts.len() as u64 * count);
     }
     (firsts, Some(gidx))
 }
 
-/// Append the grouping key bytes of `col`'s cell at `pos`, with
-/// [`ValueKey`]'s equivalence classes, without materialising it: a number as
-/// its key ([`Num::key`], so `1` and `1.0` collide), a TEXT cell as its
-/// dictionary code (within one column, equal codes are equal strings).
-fn encode_cell(col: &ColumnVec, pos: usize, out: &mut Vec<u8>) {
-    if col.nulls().is_null(pos) {
-        return out.push(0);
+/// The code of each selected row in the key column `col`, dense and in
+/// first-seen order, and the first row of each code ([`first_seen`]). The
+/// key a cell is numbered by: a TEXT cell's dictionary code (within one
+/// column, equal codes are equal strings); an INTEGER or TIMESTAMP cell's
+/// offset from the smallest selected cell, so a narrow range takes a direct
+/// table; a BOOLEAN cell's 0 or 1; a FLOAT cell's bits with `-0.0` as `0.0`
+/// and every NaN as one — within a FLOAT column exactly the classes of
+/// [`Num::key`]. NULL is a code of its own.
+fn key_codes(col: &ColumnVec, sv: &[usize]) -> (Vec<Option<usize>>, Vec<u32>) {
+    fn keyed<T: Copy>(
+        (data, nulls): (&Chunked<T>, &NullBitmap),
+        sv: &[usize],
+        key: impl Fn(T) -> u64,
+        bound: u64,
+    ) -> (Vec<Option<usize>>, Vec<u32>) {
+        let cells = sv.iter().zip(data.gather(sv));
+        let keys = cells.map(|(&p, &x)| (p, (!nulls.is_null(p)).then(|| key(x))));
+        first_seen(keys, bound)
     }
     match col {
-        ColumnVec::Text(d) => {
-            out.push(2);
-            out.extend_from_slice(&d.codes[pos].to_le_bytes());
+        ColumnVec::Text(d) => keyed((&d.codes, &d.nulls), sv, u64::from, d.dict().len() as u64),
+        ColumnVec::Bool { data, nulls } => keyed((data, nulls), sv, u64::from, 2),
+        ColumnVec::Int { data, nulls } | ColumnVec::Timestamp { data, nulls } => {
+            let cells = sv.iter().zip(data.gather(sv));
+            let cells = cells.filter(|(&p, _)| !nulls.is_null(p)).map(|(_, &x)| x);
+            let (lo, hi) = cells.fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x)));
+            let bound = if lo <= hi { hi.abs_diff(lo) } else { 0 }.saturating_add(1);
+            keyed((data, nulls), sv, |x| x.wrapping_sub(lo) as u64, bound)
         }
-        ColumnVec::Bool { data, .. } => out.extend_from_slice(&[3, u8::from(data[pos])]),
-        _ => match col.num_at(pos).key() {
-            ValueKey::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            ValueKey::Num(bits) => {
-                out.push(4);
-                out.extend_from_slice(&bits.to_le_bytes());
-            }
-            other => unreachable!("a number keys as a number, not {other:?}"),
-        },
+        ColumnVec::Float { data, nulls } => {
+            let class = |f: f64| match f {
+                _ if f == 0.0 => 0,
+                _ if f.is_nan() => f64::NAN.to_bits(),
+                _ => f.to_bits(),
+            };
+            keyed((data, nulls), sv, class, u64::MAX)
+        }
+    }
+}
+
+/// Group ids for `keys` — each a selected row's position and its key, `None`
+/// for NULL — numbered in the order they first appear, and the first row of
+/// each, in one pass: through a direct table (NULL in the slot after the
+/// last key) when every key is below `bound` and that is at most four slots
+/// a row (1 024 at least), through a map otherwise.
+fn first_seen(
+    keys: impl ExactSizeIterator<Item = (usize, Option<u64>)>,
+    bound: u64,
+) -> (Vec<Option<usize>>, Vec<u32>) {
+    const NEW: u32 = u32::MAX;
+    /// `slot(ids, key)` is where `ids` keeps the key's id.
+    fn number<S>(
+        keys: impl Iterator<Item = (usize, Option<u64>)>,
+        mut ids: S,
+        slot: impl Fn(&mut S, Option<u64>) -> &mut u32,
+    ) -> (Vec<Option<usize>>, Vec<u32>) {
+        let mut firsts = Vec::new();
+        // Collected, not pushed: the number of keys is known, so the ids are
+        // written without a capacity check per row.
+        let gidx = keys
+            .map(|(p, key)| {
+                let id = slot(&mut ids, key);
+                if *id == NEW {
+                    *id = firsts.len() as u32;
+                    firsts.push(Some(p));
+                }
+                *id
+            })
+            .collect();
+        (firsts, gidx)
+    }
+    if bound <= 4 * (keys.len() as u64).max(256) {
+        let null = bound as usize;
+        let table = vec![NEW; null + 1];
+        number(keys, table, |table, key| {
+            &mut table[key.map_or(null, |k| k as usize)]
+        })
+    } else {
+        let map = HashMap::with_hasher(KeyHasher::seeded());
+        number(keys, (map, NEW), |(map, null), key| match key {
+            Some(k) => map.entry(k).or_insert(NEW),
+            None => null,
+        })
+    }
+}
+
+/// The hasher of [`first_seen`]'s map: one folded multiply — the key xored
+/// with one word, times another, the 128-bit product's halves xored — which
+/// reaches both the low bits a table indexes by and the high bits it tags
+/// with. Both words are drawn per map from `RandomState`, so a set of cell
+/// values chosen in advance does not collide in every map, as it would under
+/// fixed constants. A key costs a few ns, where SipHash costs ~15.
+#[derive(Clone, Copy)]
+struct KeyHasher {
+    words: [u64; 2],
+    hash: u64,
+}
+
+impl KeyHasher {
+    fn seeded() -> KeyHasher {
+        let random = RandomState::new();
+        let words = [random.hash_one(0), random.hash_one(1) | 1];
+        KeyHasher { words, hash: 0 }
+    }
+}
+
+impl BuildHasher for KeyHasher {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        *self
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a group key is a u64")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key ^ self.words[0]) * u128::from(self.words[1]);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 

@@ -322,9 +322,12 @@ fn large_table_parallel_float_aggregates_within_tolerance() {
     }
 }
 
-/// Key values where grouping is easy to get wrong: NULL, `0.0`/`-0.0`,
-/// `1`/`1.0`, NaN, integers either side of 2^53, and text the dictionary
-/// first sees in a later batch.
+/// Key values where grouping is easy to get wrong: NULL in every column,
+/// `0.0`/`-0.0`, `1`/`1.0`, NaN of either sign, integral and non-integral
+/// floats and one beyond the `i64` range, integers either side of 2^53 and at
+/// the `i64` extremes (a range no direct table spans), a narrow range of
+/// small integers with negatives (`n`, one that a direct table spans), and
+/// text the dictionary first sees in a later batch.
 fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
     const BIG: i64 = 1 << 53;
     let floats = [
@@ -334,6 +337,11 @@ fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
         Value::Int(1),
         Value::Float(1.0),
         Value::Float(f64::NAN),
+        Value::Float(-f64::NAN),
+        Value::Float(0.5),
+        Value::Float(-2.25),
+        Value::Float(f64::INFINITY),
+        Value::Float(9.3e18),
         Value::Int(BIG + 1),
         Value::Int(-BIG - 1),
     ];
@@ -342,11 +350,14 @@ fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
         Value::Int(0),
         Value::Float(1.0),
         Value::Int(1),
+        Value::Int(-7),
         Value::Int(BIG - 1),
         Value::Int(BIG),
         Value::Int(BIG + 1),
         Value::Int(-BIG - 1),
         Value::Int(-BIG + 1),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
     ];
     let text = match rng.below(4) {
         0 => Value::Null,
@@ -367,10 +378,17 @@ fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
         Value::Int(0),
         Value::Int(BIG),
         Value::Int(BIG + 1),
+        Value::Int(-BIG - 1),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
     ];
-    let t = match rng.below(6) {
-        n @ 0..=3 => stamps[n as usize].clone(),
+    let t = match rng.below(10) {
+        n @ 0..=6 => stamps[n as usize].clone(),
         _ => Value::Int(rng.int(-86_400, 86_400)),
+    };
+    let n = match rng.below(8) {
+        0 => Value::Null,
+        _ => Value::Int(rng.int(-3, 4)),
     };
     vec![
         floats[rng.below(floats.len() as u64) as usize].clone(),
@@ -379,6 +397,7 @@ fn key_row(rng: &mut Rng, batch: usize) -> Vec<Value> {
         v,
         b,
         t,
+        n,
     ]
 }
 
@@ -403,13 +422,18 @@ fn every_kind_over(args: &[&str], select: &str, group: &str) -> Vec<String> {
 /// column-at-a-time shape (`k, sum(v)`) and shapes that compute on
 /// aggregates or evaluate arguments (`k, sum(v) + 0, max(v * 2)`, `*`) give
 /// the oracle's answer — the same groups in the same first-seen order,
-/// Debug-exact — and the same error where there is one.
+/// Debug-exact — and the same error where there is one. The key sets reach
+/// every way a key column is coded (TEXT, a narrow and a wide integer range,
+/// FLOAT, BOOLEAN, NULL in each) and both ways codes combine: 3 and 4 keys
+/// whose code product outgrows a direct table over the later batches.
 #[test]
 fn one_grouping_for_fast_and_general_aggregation() {
     let mut rng = Rng::new(0x6_0001);
     let e = Engine::new();
-    e.execute("CREATE TABLE g (k FLOAT, i INTEGER, s TEXT, v FLOAT, b BOOLEAN, t TIMESTAMP)")
-        .unwrap();
+    e.execute(
+        "CREATE TABLE g (k FLOAT, i INTEGER, s TEXT, v FLOAT, b BOOLEAN, t TIMESTAMP, n INTEGER)",
+    )
+    .unwrap();
     let debug = |r: &Result<ResultSet, sqldb::DbError>| format!("{r:?}");
     let vectorized = |q: &str| {
         let plan = e.query(&format!("EXPLAIN {q}")).unwrap();
@@ -422,7 +446,21 @@ fn one_grouping_for_fast_and_general_aggregation() {
         let rows = (0..rng.below(30)).map(|_| key_row(&mut rng, batch));
         e.insert_rows("g", rows.collect()).unwrap();
         for keys in [
-            "", "k", "i", "s", "b", "t", "k, s", "i, k", "s, i, k", "t, b",
+            "",
+            "k",
+            "i",
+            "s",
+            "b",
+            "t",
+            "n",
+            "k, s",
+            "i, k",
+            "n, s",
+            "s, i, k",
+            "t, b",
+            "t, i, v",
+            "k, n, t, i",
+            "v, t, s, k",
         ] {
             let (select, group) = match keys {
                 "" => (String::new(), String::new()),
@@ -466,7 +504,7 @@ fn one_grouping_for_fast_and_general_aggregation() {
             ]
             .into_iter()
             .chain(every_kind_over(
-                &["k", "i", "s", "v", "b", "t", "*"],
+                &["k", "i", "s", "v", "b", "t", "n", "*"],
                 &select,
                 &group,
             )) {

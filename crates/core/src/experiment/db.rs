@@ -376,21 +376,55 @@ impl ExperimentDb {
         (node != 0).then_some((sh, node))
     }
 
-    /// The selection step of [`ExperimentDb::select_run_data`] alone: select
-    /// the data sets of `run_id` that satisfy `filter` *where the run's table
-    /// lives* and return the pinned table with the selected positions, for
-    /// the caller to copy cells from. Routing (owner or fresh replica), the
-    /// dead-node check and the link charge are those of `select_run_data`.
-    pub fn scan_run_data(
+    /// The selection step of [`ExperimentDb::select_run_data`] alone, for
+    /// many runs: select the data sets of each of `run_ids` that satisfy
+    /// `filter` *where the run's table lives*, and call `each(k, table,
+    /// positions)` for `run_ids[k]`, in order, for the caller to copy cells
+    /// from. Consecutive runs the frontend serves are one batch of
+    /// [`Engine::scan`] (one catalog hold, the filter compiled once); each
+    /// run on a remote node is one [`Cluster::scan`] ask, with the routing
+    /// (owner or fresh replica), dead-node check and link charge of
+    /// `select_run_data`. An error ends the scan and comes with the position
+    /// `k` of its run.
+    ///
+    /// [`Cluster::scan`]: sqldb::cluster::Cluster::scan
+    pub fn scan_runs(
         &self,
-        run_id: i64,
+        run_ids: &[i64],
         filter: Option<&SqlExpr>,
-    ) -> std::result::Result<(Arc<Table>, Vec<usize>), DbError> {
-        let table = rundata_table(run_id);
-        match self.remote_reader(run_id) {
-            Some((sh, node)) => sh.cluster().scan(node, 0, &table, filter),
-            None => self.engine.scan(&table, filter),
+        mut each: impl FnMut(usize, &Table, &[usize]) -> std::result::Result<(), DbError>,
+    ) -> std::result::Result<(), (usize, DbError)> {
+        let names: Vec<String> = run_ids.iter().map(|&id| rundata_table(id)).collect();
+        let sharding = self.sharding();
+        let mut from = 0;
+        while from < names.len() {
+            // The runs up to the next remote one, `to`, are the frontend's.
+            let (mut to, mut remote) = (from, None);
+            while to < names.len() {
+                remote = sharding
+                    .as_ref()
+                    .map(|sh| (sh, sh.read_node_of(run_ids[to])))
+                    .filter(|&(_, node)| node != 0);
+                if remote.is_some() {
+                    break;
+                }
+                to += 1;
+            }
+            self.engine
+                .scan(&names[from..to], filter, |k, table, positions| {
+                    each(from + k, table, positions)
+                })
+                .map_err(|(k, e)| (from + k, e))?;
+            if let Some((sh, node)) = remote {
+                let (table, positions) = sh
+                    .cluster()
+                    .scan(node, 0, &names[to], filter)
+                    .map_err(|e| (to, e))?;
+                each(to, &table, &positions).map_err(|e| (to, e))?;
+            }
+            from = to + 1;
         }
+        Ok(())
     }
 
     fn persist_shard_map(&self, map: &ShardMap) -> Result<()> {

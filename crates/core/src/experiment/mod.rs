@@ -135,19 +135,25 @@ impl Variable {
                 tok.parse::<i64>()
                     .map(Value::Int)
                     .or_else(|_| {
-                        // Allow float-shaped integers like "4.0" or "1e3".
+                        // Allow float-shaped integers like "4.0" or "1e3",
+                        // if they fit: `as` would saturate out of range.
+                        const LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2^63
                         tok.parse::<f64>()
                             .ok()
-                            .filter(|f| f.fract() == 0.0)
+                            .filter(|f| f.fract() == 0.0 && (-LIMIT..LIMIT).contains(f))
                             .map(|f| Value::Int(f as i64))
                             .ok_or(())
                     })
                     .map_err(|_| bad("integer"))
             }
+            // A token too large for a double parses to ±inf, which no
+            // filter can name: refused like any other unparsable token.
             DataType::Float => leading_number_token(raw)
                 .parse::<f64>()
+                .ok()
+                .filter(|f| f.is_finite())
                 .map(Value::Float)
-                .map_err(|_| bad("float")),
+                .ok_or_else(|| bad("float")),
             DataType::Text => Ok(Value::Text(raw.to_string())),
             DataType::Bool => match raw.to_ascii_lowercase().as_str() {
                 "true" | "yes" | "on" | "1" | "t" => Ok(Value::Bool(true)),
@@ -419,12 +425,32 @@ mod tests {
         assert_eq!(v.parse_content("1e3").unwrap(), Value::Float(1000.0));
         assert_eq!(v.parse_content("").unwrap(), Value::Null);
         assert!(v.parse_content("n/a").is_err());
+        assert_eq!(v.parse_content("1.7e308").unwrap(), Value::Float(1.7e308));
+        for big in ["1e400", "-1e400"] {
+            let e = v.parse_content(big).unwrap_err().to_string();
+            assert!(e.contains(&format!("cannot parse '{big}' as float")), "{e}");
+        }
 
         let i = Variable::new("n", VarKind::Parameter, DataType::Int);
         assert_eq!(i.parse_content("256 MBytes").unwrap(), Value::Int(256));
         assert_eq!(i.parse_content("1,048,576").unwrap(), Value::Int(1_048_576));
         assert_eq!(i.parse_content("4.0").unwrap(), Value::Int(4));
         assert!(i.parse_content("4.5").is_err());
+        assert_eq!(
+            i.parse_content("-9.223372036854775808e18").unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert_eq!(
+            i.parse_content("9e18").unwrap(),
+            Value::Int(9_000_000_000_000_000_000)
+        );
+        for big in ["1e19", "-1e19", "9.223372036854775808e18", "1e400"] {
+            let e = i.parse_content(big).unwrap_err().to_string();
+            assert!(
+                e.contains(&format!("cannot parse '{big}' as integer")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -51,10 +51,11 @@ use std::time::{Duration, Instant};
 /// Wall-clock cost of one executed element — the measurement the paper's
 /// §4.3 rests on when it finds source elements at only ~10 % of query time.
 /// That is the paper's figure (Python operators on a PostgreSQL server);
-/// here, with one table per run and operators in SQL, source elements are
-/// 0.49 of the element time of the benchmark's query set over 1200 runs
-/// (`core.query.source_share`; 0.89 while they sent a statement per run) and
-/// 0.2 over 12 runs (EXPERIMENTS.md C13).
+/// here, with one table per run and operators on typed columns, source
+/// elements are 0.74 of the element time of the benchmark's query set over
+/// 1200 runs (`core.query.source_share`; 0.77 while each run table was
+/// scanned on its own, 0.89 while they sent a statement per run) and 0.22
+/// over 12 runs (EXPERIMENTS.md C23).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElementTiming {
     /// Element id.
@@ -610,19 +611,23 @@ impl Drop for ScanAccount {
 /// matching the parameter and run restrictions from the experiment database
 /// `db`. Returns the vector and the number of runs that matched.
 ///
-/// One typed scan, no statement per run: each matching run's table is pinned
-/// where it lives, the data-set restriction selects positions in it
-/// ([`ExperimentDb::scan_run_data`]), and the selected cells are appended
-/// column-wise to the vector's table — data columns vector to vector,
-/// run-level (`pb_runs`) values as repeated constants. The table's column
-/// types come from the experiment definition, which every run table follows
-/// ([`ExperimentDb::update_definition`] rebuilds them), so an empty vector
-/// is typed too.
+/// One typed scan of all matching runs, in `run_id` order, and no statement
+/// per run: the run tables are pinned where they live and the data-set
+/// restriction selects positions in each ([`ExperimentDb::scan_runs`]) —
+/// the runs the frontend serves as one batch, under one catalog hold and
+/// with the restriction compiled once for all run tables that bind it alike.
+/// The selected cells are appended column-wise to the vector's table — data
+/// columns vector to vector, run-level (`pb_runs`) values as repeated
+/// constants — with each output column resolved once and looked up by name
+/// again only where a run table holds another column at that position. The
+/// table's column types come from the experiment definition, which every run
+/// table follows ([`ExperimentDb::update_definition`] rebuilds them), so an
+/// empty vector is typed too. An error names its run.
 ///
-/// On a sharded experiment each run is scanned on its owning node (or a
-/// fresh replica) and the selected rows travel to the frontend (charged) —
-/// the fallback materialization path for everything the aggregation pushdown
-/// cannot handle.
+/// On a sharded experiment each run on another node is one scan there (on
+/// its owning node or a fresh replica), and the selected rows travel to the
+/// frontend (charged) — the fallback materialization path for everything
+/// the aggregation pushdown cannot handle.
 pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVector, usize)> {
     let def = db.definition();
     let plan = plan_source(&def, spec)?;
@@ -660,49 +665,60 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
         .collect();
     // Only run-level columns: a tuple is the pb_runs row behind its run_id.
     let run_level_only = once_idx.iter().all(Option::is_some);
-    let sharded = db.sharding().is_some();
-    let mut scans = ScanAccount {
-        started: Instant::now(),
-        tables: 0,
-    };
-    for run_row in runs.rows() {
-        let run_id = run_row[0].as_i64().expect("run_id is INTEGER");
-        if run_level_only && filter.is_none() {
-            // Nothing to ask of the data sets: one tuple per run.
+    if run_level_only && filter.is_none() {
+        // Nothing to ask of the data sets: one tuple per run.
+        for run_row in runs.rows() {
             out.insert(run_row[1..].to_vec())?;
-            continue;
         }
+    } else {
+        let run_ids: Vec<i64> = runs
+            .rows()
+            .iter()
+            .map(|run_row| run_row[0].as_i64().expect("run_id is INTEGER"))
+            .collect();
         // One shard fragment materialised on the frontend per run — the
         // fallback path the aggregation pushdown avoids.
-        if sharded {
-            obs::incr(obs::Counter::DagShardsMaterialized);
+        if db.sharding().is_some() {
+            obs::add(obs::Counter::DagShardsMaterialized, run_ids.len() as u64);
         }
-        scans.tables += 1;
-        let in_run = |e: DbError| Error::Query(format!("run {run_id}: {e}"));
-        let (data, positions) = db.scan_run_data(run_id, filter.as_ref()).map_err(in_run)?;
-        if run_level_only {
-            // The run's tuple, once, iff a data set passes the restriction.
-            if !positions.is_empty() {
-                out.insert(run_row[1..].to_vec())?;
+        let _scans = ScanAccount {
+            started: Instant::now(),
+            tables: run_ids.len() as u64,
+        };
+        // Per output column, where the last run table held it: a run table
+        // follows the definition, so a name is looked up again only when
+        // the column at that position is another.
+        let mut at: Vec<usize> = vec![0; out_cols.len()];
+        let mut cells: Vec<Cell<'_>> = Vec::with_capacity(out_cols.len());
+        db.scan_runs(&run_ids, filter.as_ref(), |k, data, positions| {
+            let run_row = &runs.rows()[k];
+            if run_level_only {
+                // The run's tuple, once, iff a data set passes the restriction.
+                if !positions.is_empty() {
+                    out.insert(run_row[1..].to_vec())?;
+                }
+                return Ok(());
             }
-            continue;
-        }
-        let cells: Vec<Cell<'_>> = out_cols
-            .iter()
-            .zip(&once_idx)
-            .map(|(name, once)| match once {
-                Some(i) => Ok(Cell::Constant(&run_row[*i])),
-                None => data
-                    .schema
-                    .index_of(name)
-                    .map(Cell::Column)
-                    .ok_or_else(|| in_run(DbError::NoSuchColumn(name.clone()))),
-            })
-            .collect::<Result<_>>()?;
-        out.append_selected(&data, &positions, &cells)
-            .map_err(in_run)?;
+            cells.clear();
+            for ((name, once), at) in out_cols.iter().zip(&once_idx).zip(&mut at) {
+                cells.push(match once {
+                    Some(i) => Cell::Constant(&run_row[*i]),
+                    None => {
+                        let cols = &data.schema.columns;
+                        if cols.get(*at).is_none_or(|c| c.name != *name) {
+                            *at = data
+                                .schema
+                                .index_of(name)
+                                .ok_or_else(|| DbError::NoSuchColumn(name.clone()))?;
+                        }
+                        Cell::Column(*at)
+                    }
+                });
+            }
+            out.append_selected(data, positions, &cells)
+        })
+        .map_err(|(k, e)| Error::Query(format!("run {}: {e}", run_ids[k])))?;
     }
-    drop(scans);
 
     // 3. The vector, with labels from the definition.
     let labels = source_labels(&def, &out_cols);
@@ -2230,9 +2246,22 @@ pub(crate) mod tests {
                         .collect()
                 };
                 let once = content(&mut rng, true);
-                let sets: Vec<Content> = (0..rng.below(4))
-                    .map(|_| content(&mut rng, false))
-                    .collect();
+                let sets: Vec<Content> = match (runs.last(), rng.below(4)) {
+                    // The previous run's data sets: in the same order its
+                    // run table has the same TEXT dictionary (a compiled
+                    // filter is reused, codes are copied as they are); in
+                    // another order, or with one set more, another one (the
+                    // filter is compiled again, codes are remapped).
+                    (Some(prev), 0) => prev.3.clone(),
+                    (Some(prev), 1) => prev.3.iter().rev().cloned().collect(),
+                    (Some(prev), 2) => {
+                        let more = content(&mut rng, false);
+                        prev.3.iter().cloned().chain([more]).collect()
+                    }
+                    _ => (0..rng.below(4))
+                        .map(|_| content(&mut rng, false))
+                        .collect(),
+                };
                 let created = 1000 + 10 * r as i64;
                 let id = db.add_run(&once, &sets, created).unwrap();
                 runs.push((id, created, once, sets));

@@ -64,6 +64,11 @@ counters! {
     /// Single-table selections whose WHERE clause didn't vectorize (the
     /// compiled scalar filter ran per candidate row).
     VectorizedFallbacks => "scan.vectorized_fallback",
+    /// WHERE clauses compiled against a table by a selection step outside a
+    /// SELECT (`Engine::scan`, UPDATE, DELETE). A batch of tables scanned
+    /// with one filter compiles it once, and again only for a table that
+    /// binds it differently.
+    ScanFilterBinds => "scan.filter_binds",
     /// Frames appended to the write-ahead log.
     WalAppends => "wal.appends",
     /// Payload bytes appended to the write-ahead log.

@@ -550,10 +550,10 @@ impl Cluster {
     }
 
     /// The selection step of [`Cluster::select`] alone: select the rows of
-    /// `table` on node `src` that satisfy `filter` ([`Engine::scan`]) and
-    /// hand the pinned table and the positions to the caller's node `dst`.
-    /// The selected rows are charged exactly as `select` charges the rows of
-    /// its result.
+    /// `table` on node `src` that satisfy `filter` ([`Engine::scan`] of a
+    /// batch of one) and hand the pinned table and the positions to the
+    /// caller's node `dst`. The selected rows are charged exactly as `select`
+    /// charges the rows of its result.
     pub fn scan(
         &self,
         src: usize,
@@ -561,8 +561,18 @@ impl Cluster {
         table: &str,
         filter: Option<&SqlExpr>,
     ) -> Result<(Arc<Table>, Vec<usize>), DbError> {
+        let scan = |engine: &Engine| {
+            let mut found = None;
+            engine
+                .scan(&[table], filter, |_, pinned, positions| {
+                    found = Some((pinned.clone(), positions.to_vec()));
+                    Ok(())
+                })
+                .map_err(|(_, e)| e)?;
+            Ok(found.expect("a batch of one table is one call"))
+        };
         let selected = |(_, positions): &(Arc<Table>, Vec<usize>)| positions.len();
-        self.ask(src, dst, |engine| engine.scan(table, filter), selected)
+        self.ask(src, dst, scan, selected)
     }
 }
 

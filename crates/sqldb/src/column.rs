@@ -302,25 +302,33 @@ impl DictColumn {
         self.dict.lookup.get(s).copied()
     }
 
-    /// Append the cells of `src` at `positions`. The two dictionaries differ,
-    /// so codes travel through a remap table filled as `src` codes are first
-    /// met: a string is interned once per call, in row order, and entries of
-    /// `src` that no selected row references never enter this dictionary.
+    /// Append the cells of `src` at `positions`. When `src`'s dictionary is
+    /// a prefix of this one, every string of `src` already sits at its own
+    /// code here: codes are copied as they are (a NULL cell's as 0), and the
+    /// dictionary does not change. Otherwise codes travel through a remap
+    /// table filled as `src` codes are first met: a string is interned once
+    /// per call, in row order, and entries of `src` that no selected row
+    /// references never enter this dictionary. Both give the same codes.
     fn extend_selected(&mut self, src: &DictColumn, positions: &[usize]) {
-        const UNMAPPED: u32 = u32::MAX;
-        let mut remap = vec![UNMAPPED; src.dict().len()];
-        let dict = &mut self.dict;
         let cells = positions.iter().zip(src.codes.gather(positions));
-        self.codes.extend(cells.map(|(&p, &code)| {
-            if src.nulls.is_null(p) {
-                return 0;
-            }
-            let from = code as usize;
-            if remap[from] == UNMAPPED {
-                remap[from] = intern(dict, &src.dict()[from]);
-            }
-            remap[from]
-        }));
+        // A cell's code, or `None` when it is NULL.
+        let cells = cells.map(|(&p, &code)| (!src.nulls.is_null(p)).then_some(code));
+        if self.dict().starts_with(src.dict()) {
+            self.codes.extend(cells.map(|code| code.unwrap_or(0)));
+        } else {
+            const UNMAPPED: u32 = u32::MAX;
+            let mut remap = vec![UNMAPPED; src.dict().len()];
+            let dict = &mut self.dict;
+            self.codes.extend(cells.map(|code| {
+                let Some(from) = code.map(|c| c as usize) else {
+                    return 0;
+                };
+                if remap[from] == UNMAPPED {
+                    remap[from] = intern(dict, &src.dict()[from]);
+                }
+                remap[from]
+            }));
+        }
         self.nulls.extend_selected(&src.nulls, positions);
     }
 }

@@ -607,22 +607,44 @@ impl Engine {
     }
 
     /// The selection step of `SELECT … FROM name [WHERE filter]` without the
-    /// statement around it: pin the current version of `name` and return it
-    /// with the positions (ascending) of its rows that satisfy `filter`. It is
-    /// the same step — access planner, vectorised filter, errors and `scan.*` /
-    /// `plan.*` counters; nothing is parsed and no row is built, so the caller
-    /// reads the cells it wants straight off the pinned table
-    /// ([`Table::append_selected`]). Like the other programmatic reads it is no
-    /// statement of its own: a caller that scans in place of statements
-    /// accounts for them ([`obs::record_statements`]).
-    pub fn scan(
+    /// statement around it, for a batch of tables: pin the current version
+    /// of every table in `names`, under one hold of the catalog, then call
+    /// `each(k, table, positions)` for `names[k]` in order, with the positions
+    /// (ascending) of its rows that satisfy `filter`. Per table it is the
+    /// step a SELECT takes — access planner, vectorised filter, errors, and
+    /// the `scan.*` / `plan.*` totals — but `filter` is compiled once for
+    /// all tables that bind it alike (`scan.filter_binds`), and nothing is
+    /// parsed and no row is built: the caller reads the cells it wants
+    /// straight off the pinned table ([`Table::append_selected`]). An error
+    /// — a missing table, the selection's, or one `each` returns — ends the
+    /// batch and comes with the position `k` of its table. Like the other
+    /// programmatic reads it is no statement of its own: a caller that scans
+    /// in place of statements accounts for them
+    /// ([`obs::record_statements`]).
+    pub fn scan<S: AsRef<str>>(
         &self,
-        name: &str,
+        names: &[S],
         filter: Option<&SqlExpr>,
-    ) -> Result<(Arc<Table>, Vec<usize>), DbError> {
-        let table = self.pin_table(name)?;
-        let positions = exec::select_positions(&table, filter)?;
-        Ok((table, positions))
+        mut each: impl FnMut(usize, &Arc<Table>, &[usize]) -> Result<(), DbError>,
+    ) -> Result<(), (usize, DbError)> {
+        let pinned = {
+            let tables = self.tables.read();
+            let pin = |(k, name): (usize, &S)| {
+                let name = name.as_ref();
+                match tables.get(name) {
+                    Some(slot) => Ok(slot.read().clone()),
+                    None => Err((k, DbError::NoSuchTable(name.to_string()))),
+                }
+            };
+            names
+                .iter()
+                .enumerate()
+                .map(pin)
+                .collect::<Result<Vec<_>, _>>()?
+        };
+        exec::select_positions(&pinned, filter, |k, positions| {
+            each(k, &pinned[k], positions)
+        })
     }
 
     /// Run a SELECT (or `EXPLAIN [ANALYZE] SELECT`) against a pinned
@@ -1048,7 +1070,7 @@ pub(crate) fn plan(
             }
         }
         Ask::Delete { where_clause } => {
-            let positions = exec::select_positions(table()?, where_clause.as_ref())?;
+            let positions = selected(table()?, where_clause.as_ref())?;
             if positions.is_empty() {
                 Change::Nothing { logged: true }
             } else {
@@ -1147,6 +1169,18 @@ pub(crate) struct UpdatePlan {
     values: Vec<Row>,
 }
 
+/// The positions of the rows of `table` that UPDATE or DELETE `… WHERE
+/// where_clause` selects: a batch of one table.
+fn selected(table: &Table, where_clause: Option<&sql::SqlExpr>) -> Result<Vec<usize>, DbError> {
+    let mut positions = Vec::new();
+    exec::select_positions(&[table], where_clause, |_, selected| {
+        positions.extend_from_slice(selected);
+        Ok(())
+    })
+    .map_err(|(_, e)| e)?;
+    Ok(positions)
+}
+
 /// Plan an UPDATE: the rows come from the same selection step as a SELECT's,
 /// every SET value is evaluated against the pre-update row and validated
 /// against its column.
@@ -1165,7 +1199,7 @@ fn plan_update(
         cols.push(i);
         exprs.push(compile(e, &table.schema));
     }
-    let positions = exec::select_positions(table, where_clause.as_ref())?;
+    let positions = selected(table, where_clause.as_ref())?;
     let mut values = Vec::with_capacity(positions.len());
     for &p in &positions {
         let row = table.row(p);
@@ -1317,18 +1351,59 @@ mod tests {
     }
 
     /// `scan` is the selection step of the SELECT with the same WHERE
-    /// clause: same rows whatever the access path, same error.
+    /// clause, for each table of a batch: same rows whatever the access path
+    /// or the order of a table's dictionary, same error, and an error names
+    /// the position of its table in the batch.
     #[test]
     fn scan_selects_what_the_select_selects() {
         let db = Engine::new();
-        db.execute("CREATE TABLE t (id INTEGER, fs TEXT, bw FLOAT)")
+        let rows = [
+            "(1, 'ufs', 1.0)",
+            "(2, 'nfs', NULL)",
+            "(3, 'ufs', 3.0)",
+            "(4, NULL, 4.0)",
+            "(5, 'it''s', 5.0)",
+        ];
+        // `t` is indexed, `u` has `t`'s dictionary, `v` the same strings in
+        // another order, `w` one string more: the filter binds `t`, is
+        // reused for `u` and bound again for `v` and `w`.
+        let mut reversed = rows;
+        reversed.reverse();
+        let extra = ["(6, 'xfs', 6.0)"]
+            .iter()
+            .chain(&rows)
+            .copied()
+            .collect::<Vec<_>>();
+        for (name, rows) in [
+            ("t", &rows[..]),
+            ("u", &rows),
+            ("v", &reversed),
+            ("w", &extra),
+        ] {
+            db.execute(&format!(
+                "CREATE TABLE {name} (id INTEGER, fs TEXT, bw FLOAT)"
+            ))
             .unwrap();
-        db.execute(
-            "INSERT INTO t VALUES (1, 'ufs', 1.0), (2, 'nfs', NULL), (3, 'ufs', 3.0), \
-             (4, NULL, 4.0), (5, 'it''s', 5.0)",
-        )
-        .unwrap();
+            db.execute(&format!("INSERT INTO {name} VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
         db.execute("CREATE ORDERED INDEX ix ON t (id)").unwrap();
+        let batch = ["t", "u", "v", "w"];
+        let ids_of = |filter: Option<&SqlExpr>| {
+            let mut ids: Vec<Vec<Value>> = Vec::new();
+            db.scan(&batch, filter, |k, pinned, positions| {
+                assert_eq!(k, ids.len());
+                ids.push(
+                    positions
+                        .iter()
+                        .map(|&p| pinned.row(p)[0].clone())
+                        .collect(),
+                );
+                Ok(())
+            })
+            .unwrap();
+            ids
+        };
         for cond in [
             "fs = 'ufs'",
             "fs <> 'ufs' AND bw >= 4.0",
@@ -1339,29 +1414,49 @@ mod tests {
             "fs = 3",
         ] {
             let filter = sql::parse_expr(cond).unwrap();
-            let (pinned, positions) = db.scan("t", Some(&filter)).unwrap();
-            let ids: Vec<Value> = positions
+            let want: Vec<Vec<Value>> = batch
                 .iter()
-                .map(|&p| pinned.row(p)[0].clone())
+                .map(|name| {
+                    let rs = db.query(&format!("SELECT id FROM {name} WHERE {cond}"));
+                    rs.unwrap().column("id").unwrap()
+                })
                 .collect();
-            let rs = db.query(&format!("SELECT id FROM t WHERE {cond}")).unwrap();
-            assert_eq!(Some(ids), rs.column("id"), "{cond}");
+            assert_eq!(ids_of(Some(&filter)), want, "{cond}");
         }
-        let (pinned, all) = db.scan("t", None).unwrap();
-        assert_eq!(all, [0, 1, 2, 3, 4]);
+        let all = ids_of(None);
+        assert_eq!(all[0], all[1]);
+        assert_eq!(all[3].len(), 6);
+
+        let mut pins = Vec::new();
+        db.scan(&["t"], None, |_, pinned, positions| {
+            assert_eq!(positions, [0, 1, 2, 3, 4]);
+            pins.push(pinned.clone());
+            Ok(())
+        })
+        .unwrap();
         // The pin is a version: later writes do not reach it.
         db.execute("DELETE FROM t WHERE id = 1").unwrap();
-        assert_eq!(pinned.len(), 5);
+        assert_eq!(pins[0].len(), 5);
 
         let unknown = sql::parse_expr("lat > 1").unwrap();
         assert_eq!(
-            db.scan("t", Some(&unknown)).unwrap_err(),
-            db.query("SELECT id FROM t WHERE lat > 1").unwrap_err()
+            db.scan(&batch, Some(&unknown), |_, _, _| Ok(()))
+                .unwrap_err(),
+            (0, db.query("SELECT id FROM t WHERE lat > 1").unwrap_err())
         );
-        assert!(matches!(
-            db.scan("nope", None),
-            Err(DbError::NoSuchTable(_))
-        ));
+        let mut called = 0;
+        let missing = db.scan(&["t", "u", "nope", "v"], None, |_, _, _| {
+            called += 1;
+            Ok(())
+        });
+        assert_eq!(missing, Err((2, DbError::NoSuchTable("nope".into()))));
+        assert_eq!(called, 0, "a batch with a missing table scans nothing");
+        // An error of `each` ends the batch at its table.
+        let stop = db.scan(&batch, None, |k, _, _| match k {
+            1 => Err(DbError::Execution("stop".into())),
+            _ => Ok(()),
+        });
+        assert_eq!(stop, Err((1, DbError::Execution("stop".into()))));
     }
 
     #[test]

@@ -36,6 +36,7 @@ use crate::schema::{Column, Schema};
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Num, Value, ValueKey, ValueRef};
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -266,7 +267,14 @@ impl Plan {
 /// matching, projected rows are materialised.
 fn run(sel: &SelectStmt, table: &Table, plan: Plan) -> Result<ResultSet, DbError> {
     let (schema, store) = (&table.schema, table.store());
-    let sv = positions(table, plan.access, &plan.filter)?;
+    let mut sv = Vec::new();
+    positions(
+        table,
+        plan.access,
+        &plan.filter,
+        &mut ScanCounts::default(),
+        &mut sv,
+    )?;
     let row_at = |&p: &usize| store.materialize_row(p);
     let (columns, out_rows) = match plan.output {
         Output::Aggregate(aggregation) => (output_names(sel, schema), aggregation.run(table, &sv)?),
@@ -724,70 +732,190 @@ fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option
     }
 }
 
-/// The selection step as UPDATE, DELETE and [`Engine::scan`] take it: the
-/// positions (ascending) of the rows of `table` that satisfy `where_clause`,
+/// The selection step as UPDATE, DELETE and [`Engine::scan`] take it, over a
+/// batch of tables: `each(k, positions)`, in order, with the positions
+/// (ascending) of the rows of `tables[k]` that satisfy `where_clause`,
 /// through the access path and the filter form a SELECT of them would plan.
-pub(crate) fn select_positions(
-    table: &Table,
+///
+/// The clause is compiled against the first table, and again only for a
+/// table that binds it differently ([`Binding::fits`]); a table with indexes
+/// is planned on its own, as a SELECT of it is. One positions buffer serves
+/// the batch, and the `plan.full_scan` and `scan.*` counts of its walks are
+/// added once, with the totals a walk per statement adds. An error — of the
+/// selection or of `each` — ends the batch and carries the position of its
+/// table.
+///
+/// [`Engine::scan`]: crate::Engine::scan
+pub(crate) fn select_positions<T: Borrow<Table>>(
+    tables: &[T],
     where_clause: Option<&SqlExpr>,
-) -> Result<Vec<usize>, DbError> {
-    let access = plan_access(where_clause, table);
-    positions(table, access, &Filter::of(where_clause, table))
+    mut each: impl FnMut(usize, &[usize]) -> Result<(), DbError>,
+) -> Result<(), (usize, DbError)> {
+    let mut counts = ScanCounts::default();
+    let mut binding: Option<Binding<'_>> = None;
+    let mut sv = Vec::new();
+    for (k, table) in tables.iter().enumerate() {
+        let table = table.borrow();
+        if !binding.as_ref().is_some_and(|b| b.fits(table)) {
+            binding = Some(Binding::of(where_clause, table));
+        }
+        let filter = &binding.as_ref().expect("bound above").filter;
+        let access = plan_access(where_clause, table);
+        positions(table, access, filter, &mut counts, &mut sv)
+            .and_then(|()| each(k, &sv))
+            .map_err(|e| (k, e))?;
+    }
+    Ok(())
 }
 
-/// The positions (ascending) of the rows of `table` among `access`'s
-/// candidates that pass `filter` — the one walk over a table, and where the
-/// plan is counted (`plan.*`, `scan.*`): a plan nobody walks counts nothing.
+/// A WHERE clause compiled against one table of a batch, and what of that
+/// table the compiled form depends on.
+struct Binding<'t> {
+    table: &'t Table,
+    filter: Filter,
+    /// Of a vectorized filter: each column the clause names, by the name it
+    /// is written with, and its position in `table`.
+    reads: Vec<(&'t str, usize)>,
+}
+
+impl<'t> Binding<'t> {
+    /// `where_clause` compiled against `table` (counted in
+    /// `scan.filter_binds`).
+    fn of(where_clause: Option<&'t SqlExpr>, table: &'t Table) -> Binding<'t> {
+        obs::incr(obs::Counter::ScanFilterBinds);
+        let filter = Filter::of(where_clause, table);
+        let mut reads = Vec::new();
+        if let (Filter::Vectorized(_), Some(w)) = (&filter, where_clause) {
+            column_names(w, &mut |name| {
+                let at = table.schema.index_of(name);
+                reads.push((name, at.expect("a vectorized clause resolves")));
+            });
+        }
+        Binding {
+            table,
+            filter,
+            reads,
+        }
+    }
+
+    /// Would `where_clause` compile against `table` to this very filter? A
+    /// scalar filter reads columns by position wherever the clause names
+    /// them: it fits a table of an equal schema. A vectorized one depends
+    /// only on the columns its atoms read: it fits a table where each name
+    /// resolves to the same position, with the same type and, for TEXT, the
+    /// same dictionary strings in the same order — the truth tables are per
+    /// dictionary code. Only those columns are compared, not the schemas.
+    fn fits(&self, table: &Table) -> bool {
+        match self.filter {
+            Filter::Scalar(_) => table.schema == self.table.schema,
+            Filter::Vectorized(_) => self.reads.iter().all(|&(name, c)| {
+                table.schema.columns.get(c).is_some_and(|col| {
+                    col.name == name && col.dtype == self.table.schema.columns[c].dtype
+                }) && match (table.store().col(c), self.table.store().col(c)) {
+                    (ColumnVec::Text(a), ColumnVec::Text(b)) => a.dict() == b.dict(),
+                    _ => true,
+                }
+            }),
+        }
+    }
+}
+
+/// `f(name)` for every column reference in `e`, in order.
+fn column_names<'e>(e: &'e SqlExpr, f: &mut impl FnMut(&'e str)) {
+    match e {
+        SqlExpr::Lit(_) => {}
+        SqlExpr::Col(name) => f(name),
+        SqlExpr::Unary(_, x) | SqlExpr::IsNull { expr: x, .. } | SqlExpr::Like { expr: x, .. } => {
+            column_names(x, f)
+        }
+        SqlExpr::Binary(_, l, r) => {
+            column_names(l, f);
+            column_names(r, f);
+        }
+        SqlExpr::Func { args, .. } => args.iter().for_each(|a| column_names(a, f)),
+        SqlExpr::InList { expr, list, .. } => {
+            column_names(expr, f);
+            list.iter().for_each(|e| column_names(e, f));
+        }
+    }
+}
+
+/// The `plan.full_scan` and `scan.*` counts of a batch of walks
+/// ([`positions`]), added to the counters once, when the batch drops them.
+#[derive(Default)]
+struct ScanCounts {
+    full_scans: u64,
+    rows_visited: u64,
+    vectorized: u64,
+    fallbacks: u64,
+}
+
+impl Drop for ScanCounts {
+    fn drop(&mut self) {
+        obs::add(obs::Counter::PlanFullScan, self.full_scans);
+        obs::add(obs::Counter::ScanRowsVisited, self.rows_visited);
+        obs::add(obs::Counter::VectorizedScans, self.vectorized);
+        obs::add(obs::Counter::VectorizedFallbacks, self.fallbacks);
+    }
+}
+
+/// Fill `sv` with the positions (ascending) of the rows of `table` among
+/// `access`'s candidates that pass `filter` — the one walk over a table, and
+/// where the plan is counted (`plan.*`, `scan.*`, the batch's into
+/// `counts`): a plan nobody walks counts nothing.
 ///
 /// A vectorized filter runs column-at-a-time — the first atom fills the
 /// selection vector, each later atom narrows the survivors (index candidates
 /// are narrowed directly). The scalar filter is evaluated per candidate
 /// position, so an evaluation error surfaces only for rows the access path
 /// leaves.
-fn positions(table: &Table, access: AccessPlan, filter: &Filter) -> Result<Vec<usize>, DbError> {
-    access.count();
+fn positions(
+    table: &Table,
+    access: AccessPlan,
+    filter: &Filter,
+    counts: &mut ScanCounts,
+    sv: &mut Vec<usize>,
+) -> Result<(), DbError> {
+    access.count(counts);
     let candidates = access.candidates;
     let store = table.store();
     let checked = candidates.as_ref().map(Vec::len);
     if checked.is_none() {
-        obs::add(obs::Counter::ScanRowsVisited, store.len() as u64);
+        counts.rows_visited += store.len() as u64;
     }
-    obs::incr(match filter {
-        Filter::Vectorized(_) => obs::Counter::VectorizedScans,
-        Filter::Scalar(_) => obs::Counter::VectorizedFallbacks,
-    });
+    match filter {
+        Filter::Vectorized(_) => counts.vectorized += 1,
+        Filter::Scalar(_) => counts.fallbacks += 1,
+    }
 
-    let sv = match (filter, candidates) {
-        (Filter::Vectorized(atoms), Some(mut ids)) => {
-            ids.retain(|&p| atoms.iter().all(|a| a.test(store, p)));
-            ids
+    sv.clear();
+    match (filter, candidates) {
+        (Filter::Vectorized(atoms), Some(ids)) => {
+            let pass = |p: &usize| atoms.iter().all(|a| a.test(store, *p));
+            sv.extend(ids.into_iter().filter(pass));
         }
         (Filter::Vectorized(atoms), None) => match atoms.split_first() {
-            None => (0..store.len()).collect(),
+            None => sv.extend(0..store.len()),
             Some((first, rest)) => {
-                let mut sv = Vec::new();
-                first.fill(store, &mut sv);
+                first.fill(store, sv);
                 for a in rest {
                     sv.retain(|&p| a.test(store, p));
                 }
-                sv
             }
         },
         (Filter::Scalar(filter), candidates) => {
-            let mut sv = Vec::new();
             for p in candidates.unwrap_or_else(|| (0..store.len()).collect()) {
                 if filter.matches(&store.materialize_row(p))? {
                     sv.push(p);
                 }
             }
-            sv
         }
-    };
+    }
     if let Some(n) = checked {
         obs::add(obs::Counter::ResidualChecks, n as u64);
         obs::add(obs::Counter::ResidualDrops, (n - sv.len()) as u64);
     }
-    Ok(sv)
+    Ok(())
 }
 
 /// The one aggregation, planned once per statement: the selected rows are
@@ -1642,14 +1770,18 @@ impl AccessPlan {
         }
     }
 
-    /// Record the decision in the `plan.*` counters.
-    fn count(&self) {
+    /// Record the decision in the `plan.*` counters (a full scan in the
+    /// batch's `counts`).
+    fn count(&self, counts: &mut ScanCounts) {
         obs::incr(match self.kind {
             AccessPathKind::PointLookup => obs::Counter::PlanPointLookup,
             AccessPathKind::InList => obs::Counter::PlanInList,
             AccessPathKind::RangeWindow => obs::Counter::PlanRangeWindow,
             AccessPathKind::IndexEnd => obs::Counter::PlanIndexEnd,
-            AccessPathKind::FullScan => obs::Counter::PlanFullScan,
+            AccessPathKind::FullScan => {
+                counts.full_scans += 1;
+                return;
+            }
             AccessPathKind::Never => obs::Counter::PlanFalsified,
         });
         obs::add(obs::Counter::IndexProbes, self.probes);

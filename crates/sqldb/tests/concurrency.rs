@@ -106,12 +106,13 @@ fn concurrent_typed_scans_share_pinned_tables() {
         .unwrap();
         let filter = parse_expr(&format!("mode = '{mode}' AND chunk >= 4 AND bw < 5000")).unwrap();
         let mut out = Table::new(schema);
-        for run in 0..RUNS {
-            let (pinned, positions) = db.scan(&format!("run_{run}"), Some(&filter)).unwrap();
-            let run = Value::Int(run);
+        let names: Vec<String> = (0..RUNS).map(|run| format!("run_{run}")).collect();
+        db.scan(&names, Some(&filter), |run, pinned, positions| {
+            let run = Value::Int(run as i64);
             let cells = [Cell::Constant(&run), Cell::Column(0), Cell::Column(2)];
-            out.append_selected(&pinned, &positions, &cells).unwrap();
-        }
+            out.append_selected(pinned, positions, &cells)
+        })
+        .unwrap();
         out
     };
     let want: Vec<Vec<Vec<Value>>> = ["write", "rewrite", "read"]

@@ -152,3 +152,40 @@ fn a_pushed_down_aggregation_parses_no_statement_per_run() {
     assert_eq!(parsed_3, parsed_30);
     assert_eq!(parsed_3, 1);
 }
+
+/// A source of the benchmark's `sweep` shape — `fs` restricts the runs,
+/// `mode = 'write'` each run's data sets — scans its runs as one batch: the
+/// data-set restriction is compiled once (`scan.filter_binds`), not once per
+/// run table, since every run table binds it alike.
+#[test]
+fn a_sweep_source_compiles_its_filter_once() {
+    let _turn = counters();
+    let spec = r#"<query name="sweep1"><source id="s">
+             <parameter name="fs" value="ufs"/>
+             <parameter name="mode" value="write"/>
+             <parameter name="s_chunk" carry="true"/>
+             <value name="b_separate"/>
+           </source>
+           <output id="o" input="s" format="csv"/></query>"#;
+    for reps in [1, 10] {
+        let db = campaign_db(reps);
+        let select = || {
+            let all = obs::class_snapshot();
+            all.into_iter()
+                .find(|c| c.class == "select")
+                .map_or(0, |c| c.statements)
+        };
+        let before = (obs::get(obs::Counter::ScanFilterBinds), select());
+        let out = QueryRunner::new(&db)
+            .run(query_from_str(spec).unwrap())
+            .unwrap();
+        assert_eq!(out.artifacts.len(), 1);
+        // The `pb_runs` statement and one per scanned `ufs` run table.
+        assert_eq!(select() - before.1, 1 + 2 * u64::from(reps));
+        assert_eq!(
+            obs::get(obs::Counter::ScanFilterBinds) - before.0,
+            1,
+            "{reps} reps"
+        );
+    }
+}

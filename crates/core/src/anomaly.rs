@@ -20,9 +20,8 @@
 use crate::error::{Error, Result};
 use crate::experiment::ExperimentDb;
 use crate::query::spec::SourceSpec;
-use crate::query::{exec, DataVector};
+use crate::query::{exec, DataVector, KeyIds};
 use sqldb::Value;
-use std::collections::HashMap;
 
 /// One screening bucket: the parameter combination plus its samples.
 type Bucket = (Vec<(String, Value)>, Vec<f64>);
@@ -166,51 +165,45 @@ pub fn screen_experiment(
     screen_vector(&vector, config)
 }
 
-/// Screen a vector.
+/// Screen a vector. Its rows are bucketed by their parameter combination
+/// under the query operators' key identity (`KeyIds`), so two
+/// combinations are one exactly when GROUP BY would make them one.
 pub fn screen_vector(vector: &DataVector, config: &AnomalyConfig) -> Result<AnomalyReport> {
-    let (cols, rows) = (vector.table.schema.names(), vector.table.to_rows());
+    let table = &vector.table;
     let pidx: Vec<usize> = vector
         .params
         .iter()
         .map(|p| {
-            cols.iter()
-                .position(|c| c == p)
+            table
+                .schema
+                .index_of(p)
                 .ok_or_else(|| Error::Query(format!("vector lost parameter column '{p}'")))
         })
         .collect::<Result<_>>()?;
     let vcol = vector
         .values
         .first()
-        .and_then(|v| cols.iter().position(|c| c == v))
+        .and_then(|v| table.schema.index_of(v))
         .ok_or_else(|| Error::Query("vector has no value column".into()))?;
 
-    // Bucket samples per combination.
-    let mut buckets: HashMap<String, Bucket> = HashMap::new();
-    for row in &rows {
-        let Some(x) = row[vcol].as_f64() else {
+    // Bucket samples per combination, buckets in first-seen order.
+    let mut ids = KeyIds::default();
+    let mut buckets: Vec<Bucket> = Vec::new();
+    for pos in 0..table.len() {
+        let Some(x) = table.value(pos, vcol).as_f64() else {
             continue;
         };
-        let key: String = pidx
-            .iter()
-            .map(|&i| format!("{}", row[i]))
-            .collect::<Vec<_>>()
-            .join("\u{1}");
-        let entry = buckets.entry(key).or_insert_with(|| {
-            (
-                vector
-                    .params
-                    .iter()
-                    .zip(&pidx)
-                    .map(|(p, &i)| (p.clone(), row[i].clone()))
-                    .collect(),
-                Vec::new(),
-            )
-        });
-        entry.1.push(x);
+        let cells: Vec<Value> = pidx.iter().map(|&i| table.value(pos, i)).collect();
+        let id = ids.id(&cells);
+        if id == buckets.len() {
+            let combination = vector.params.iter().cloned().zip(cells).collect();
+            buckets.push((combination, Vec::new()));
+        }
+        buckets[id].1.push(x);
     }
 
     let mut report = AnomalyReport::default();
-    let mut ordered: Vec<&Bucket> = buckets.values().collect();
+    let mut ordered: Vec<&Bucket> = buckets.iter().collect();
     ordered.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
 
     for (combination, samples) in ordered {
@@ -425,6 +418,56 @@ mod tests {
         let report = screen_experiment(&db, &source(), &strict).unwrap();
         assert!(!report.deviations.is_empty());
         assert!(!report.unstable.is_empty());
+    }
+
+    /// Combinations are bucketed by their values, as GROUP BY groups them,
+    /// not by a rendering a TEXT parameter can imitate: the text `NULL` is
+    /// not NULL, `("x\u{1}y", "z")` is not `("x", "y\u{1}z")`, and `-0.0` is
+    /// `0.0`.
+    #[test]
+    fn combinations_are_values_not_renderings() {
+        use crate::query::exec::tests::vector_of;
+        let text = |s: &str| Value::Text(s.into());
+        let combinations = [
+            [Value::Null, text("z")],
+            [text("NULL"), text("z")],
+            [text("x"), text("y\u{1}z")],
+            [text("x\u{1}y"), text("z")],
+        ];
+        // Two samples 10 % apart: unstable at any positive spread.
+        let rows = combinations
+            .iter()
+            .flat_map(|c| [1.0, 1.1].map(|x| [c[0].clone(), c[1].clone(), Value::Float(x)].into()))
+            .collect();
+        let columns = [
+            ("a", DataType::Text),
+            ("b", DataType::Text),
+            ("bw", DataType::Float),
+        ];
+        let config = AnomalyConfig {
+            max_rel_stddev: 0.0,
+            min_samples: 2,
+            ..AnomalyConfig::default()
+        };
+        let report = screen_vector(&vector_of(&columns, 2, rows), &config).unwrap();
+        let got: Vec<(Vec<Value>, usize)> = report
+            .unstable
+            .iter()
+            .map(|u| {
+                (
+                    u.combination.iter().map(|(_, v)| v.clone()).collect(),
+                    u.samples,
+                )
+            })
+            .collect();
+        let want: Vec<(Vec<Value>, usize)> = combinations.iter().map(|c| (c.to_vec(), 2)).collect();
+        assert_eq!(got, want);
+
+        let zeros = [(-0.0, 1.0), (0.0, 1.1)].map(|(k, x)| vec![Value::Float(k), Value::Float(x)]);
+        let columns = [("k", DataType::Float), ("bw", DataType::Float)];
+        let report = screen_vector(&vector_of(&columns, 1, zeros.into()), &config).unwrap();
+        let samples: Vec<usize> = report.unstable.iter().map(|u| u.samples).collect();
+        assert_eq!((report.undersampled, samples), (0, vec![2]));
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! the vector ([`Table::select`]). Source elements read the run tables as
 //! one typed column scan, not one statement per run (`run_source`).
 //!
+//! Every other element reads its inputs' tables at the positions it needs,
+//! and one rule types what it builds (DESIGN.md §4l): a vector's column
+//! types come from its inputs and its operator, never from its cells, so an
+//! empty vector is typed too. Rows are paired or grouped in `core` —
+//! element-wise alignment, the combiner, the pushdown merge — under one key
+//! identity (`KeyIds`), the engine's GROUP BY identity with NULL matching
+//! NULL; a combiner gathers its result from both inputs' typed columns.
+//!
 //! Operator mode selection is automatic (paper §3.3.2):
 //!
 //! * input vector stems from a **source** element → *data-set aggregation*:
@@ -36,14 +44,14 @@
 //! unsharded run returns.
 
 use super::spec::{CombinerSpec, ElementKind, OpKind, OutputSpec, QuerySpec, SourceSpec};
-use super::{DataVector, QueryDag};
+use super::{DataVector, KeyIds, QueryDag};
 use crate::error::{Error, Result};
 use crate::experiment::{ExperimentDb, ExperimentDef, Occurrence};
 use crate::output;
 use sqldb::aggregate::{Accumulator, AggKind};
 use sqldb::cluster::{Cluster, TransferStats};
 use sqldb::sql::{parse_expr, SelectItem, SelectStmt, SqlExpr};
-use sqldb::{Cell, Column, DbError, Schema, Table, Value, ValueKey};
+use sqldb::{Cell, Column, DataType, DbError, Schema, Table, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -773,7 +781,8 @@ impl Partial {
 /// each run's owning node computes partial aggregates over its local
 /// `pb_rundata_<id>` shard, only the partials cross the simulated link, and
 /// the frontend merges them into exactly the vector the unsharded
-/// `source + aggregate` pair would produce (same columns, labels and rows).
+/// `source + aggregate` pair would produce (same columns, types, labels and
+/// rows).
 fn run_pushdown_aggregate(
     db: &ExperimentDb,
     agg: AggKind,
@@ -859,9 +868,8 @@ fn run_pushdown_aggregate(
         key_vals: Vec<Value>,
         parts: Vec<Partial>,
     }
-    let mut group_of: HashMap<Vec<ValueKey>, usize> = HashMap::new();
+    let mut ids = KeyIds::default();
     let mut groups: Vec<Group> = Vec::new();
-    let every_param: Vec<usize> = (0..params.len()).collect();
     for run_row in runs.rows() {
         let run_id = run_row[0].as_i64().expect("run_id is INTEGER");
         let partials = db.select_run_data(run_id, &partial)?;
@@ -871,19 +879,17 @@ fn run_pushdown_aggregate(
                 // GROUP BY): the unsharded source contributes no rows.
                 continue;
             }
-            // Key and key values: once-carries from the run row, then the
-            // group columns of the partial row — the params order.
+            // Key values: once-carries from the run row, then the group
+            // columns of the partial row — the params order.
             let mut key_vals: Vec<Value> = run_row[1..].to_vec();
             key_vals.extend(prow[..plan.multi_carry.len()].iter().cloned());
-            let gi = *group_of
-                .entry(key_of(&key_vals, &every_param))
-                .or_insert_with(|| {
-                    groups.push(Group {
-                        key_vals,
-                        parts: values.iter().map(|_| Partial::new(agg)).collect(),
-                    });
-                    groups.len() - 1
+            let gi = ids.id(&key_vals);
+            if gi == groups.len() {
+                groups.push(Group {
+                    key_vals,
+                    parts: values.iter().map(|_| Partial::new(agg)).collect(),
                 });
+            }
             for (part, &(c0, c1)) in groups[gi].parts.iter_mut().zip(&value_cols) {
                 match part {
                     Partial::Count(n) => *n += prow[c0].as_i64().unwrap_or(0),
@@ -916,46 +922,64 @@ fn run_pushdown_aggregate(
         out_rows.push(empty?);
     }
 
-    // 4. The vector, with the labels the unsharded source → aggregate pair
-    //    would carry.
-    let out_cols: Vec<String> = if grouped {
-        params.iter().chain(&values).cloned().collect()
-    } else {
-        values.clone()
-    };
+    // 4. The vector, with the types and labels the unsharded source →
+    //    aggregate pair would carry.
+    let keys: &[String] = if grouped { &params } else { &[] };
+    let columns = aggregate_columns(agg, keys, &values, |c| {
+        def.variable(c).expect("plan_source resolved it").datatype
+    });
+    let out_cols: Vec<String> = keys.iter().chain(&values).cloned().collect();
     let mut labels = source_labels(&def, &out_cols);
     for c in &values {
         let base = labels.get(c).cloned().unwrap_or_else(|| c.clone());
         labels.insert(c.clone(), format!("{}({base})", agg.name()));
     }
     Ok(DataVector {
-        table: vector_table(&out_cols, out_rows)?,
-        params: if grouped { params } else { Vec::new() },
+        table: typed_table(columns, out_rows)?,
+        params: keys.to_vec(),
         values,
         labels,
     })
 }
 
-/// The table of a vector holding `rows` under `columns`; a column's type is
-/// that of its first non-NULL cell (FLOAT when it has none).
-fn vector_table(columns: &[String], rows: Vec<Vec<Value>>) -> Result<Arc<Table>> {
-    use sqldb::DataType;
-    let mut cols = Vec::with_capacity(columns.len());
-    for (i, name) in columns.iter().enumerate() {
-        let dtype = rows
-            .iter()
-            .find_map(|r| r.get(i).and_then(Value::data_type))
-            .unwrap_or(DataType::Float);
-        cols.push(Column::new(name, dtype));
-    }
-    let mut out = Table::new(Schema::new(cols)?);
-    out.insert_all(rows)?;
-    Ok(Arc::new(out))
+/// The columns of `values` aggregated by `agg`, grouped by `keys`, whose
+/// input types `dtype` gives — the typing rule of derived vectors
+/// (DESIGN.md §4l) for aggregates: a key keeps its type, `count` counts,
+/// `min`/`max`/`first` keep one of the inputs, every other aggregate
+/// computes a FLOAT.
+fn aggregate_columns(
+    agg: AggKind,
+    keys: &[String],
+    values: &[String],
+    dtype: impl Fn(&str) -> DataType,
+) -> Vec<Column> {
+    let value_type = |c: &str| match agg {
+        AggKind::Count => DataType::Int,
+        AggKind::Min | AggKind::Max | AggKind::First => dtype(c),
+        _ => DataType::Float,
+    };
+    let keys = keys.iter().map(|c| Column::new(c, dtype(c)));
+    keys.chain(values.iter().map(|c| Column::new(c, value_type(c))))
+        .collect()
 }
 
-/// A vector's column names and rows.
-fn read_vector(v: &DataVector) -> (Vec<String>, Vec<Vec<Value>>) {
-    (v.table.schema.names(), v.table.to_rows())
+/// A vector's table: `columns`, typed by the rule of DESIGN.md §4l, holding
+/// `rows`.
+fn typed_table(columns: Vec<Column>, rows: Vec<Vec<Value>>) -> Result<Arc<Table>> {
+    let mut table = Table::new(Schema::new(columns)?);
+    table.insert_all(rows)?;
+    Ok(Arc::new(table))
+}
+
+/// Positions of the columns `names` in `table`, which has them all.
+fn columns_of(table: &Table, names: &[String]) -> Vec<usize> {
+    let at = |name: &String| table.schema.index_of(name).expect("vector columns");
+    names.iter().map(at).collect()
+}
+
+/// The type of the column `name` of `table`, which has it.
+fn type_of(table: &Table, name: &str) -> DataType {
+    table.schema.column(name).expect("vector columns").dtype
 }
 
 /// Execute an operator element.
@@ -969,55 +993,48 @@ fn run_operator(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result<DataVector>
 
 /// Single-input operator: data-set aggregation (source input), full
 /// reduction (non-source input), or row-wise transform (eval/scale/offset).
+/// A transform keeps the vector's columns and their types, except that a
+/// numeric value column `scale` or `offset` maps becomes FLOAT (a TEXT one
+/// passes unchanged) and `eval` adds a FLOAT column.
 fn run_operator_single(op: &OpKind, v: &DataVector, from_source: bool) -> Result<DataVector> {
     if let Some(agg) = op.aggregate() {
         return aggregate(agg, v, from_source && !v.params.is_empty());
     }
-    // Row-wise transforms keep the vector shape.
-    let (cols, rows) = read_vector(v);
-    let value_idx: Vec<usize> = v
-        .values
-        .iter()
-        .map(|name| cols.iter().position(|c| c == name).expect("vector columns"))
-        .collect();
-    let mut out_rows = rows;
-    let mut out_values = v.values.clone();
+    let mut rows = v.table.to_rows();
+    let mut columns = v.table.schema.columns.clone();
+    let mut values = v.values.clone();
+    let mut labels = v.labels.clone();
+    let map = |f: &dyn Fn(f64) -> f64, rows: &mut Vec<Vec<Value>>, columns: &mut [Column]| {
+        for i in columns_of(&v.table, &v.values) {
+            if columns[i].dtype == DataType::Text {
+                continue;
+            }
+            columns[i].dtype = DataType::Float;
+            for row in rows.iter_mut() {
+                if let Some(x) = row[i].as_f64() {
+                    row[i] = Value::Float(f(x));
+                }
+            }
+        }
+    };
     match op {
-        OpKind::Scale(f) => {
-            for row in &mut out_rows {
-                for &i in &value_idx {
-                    if let Some(x) = row[i].as_f64() {
-                        row[i] = Value::Float(x * f);
-                    }
-                }
-            }
-        }
-        OpKind::Offset(b) => {
-            for row in &mut out_rows {
-                for &i in &value_idx {
-                    if let Some(x) = row[i].as_f64() {
-                        row[i] = Value::Float(x + b);
-                    }
-                }
-            }
-        }
+        OpKind::Scale(f) => map(&|x| x * f, &mut rows, &mut columns),
+        OpKind::Offset(b) => map(&|x| x + b, &mut rows, &mut columns),
         OpKind::Eval(expr) => {
             // New value column computed from any numeric columns.
-            let mut rows2 = Vec::with_capacity(out_rows.len());
-            for row in &out_rows {
+            for row in &mut rows {
                 let mut ctx = exprcalc::Context::new();
-                for (c, val) in cols.iter().zip(row.iter()) {
+                for (c, val) in columns.iter().zip(row.iter()) {
                     if let Some(x) = val.as_f64() {
-                        ctx.set(c, x);
+                        ctx.set(&c.name, x);
                     }
                 }
                 let y = expr.eval(&ctx).map_err(crate::error::Error::from)?;
-                let mut r = row.clone();
-                r.push(Value::Float(y));
-                rows2.push(r);
+                row.push(Value::Float(y));
             }
-            out_rows = rows2;
-            out_values.push("eval".to_string());
+            columns.push(Column::new("eval", DataType::Float));
+            values.push("eval".to_string());
+            labels.insert("eval".into(), expr.source().to_string());
         }
         other => {
             return Err(Error::Query(format!(
@@ -1026,18 +1043,10 @@ fn run_operator_single(op: &OpKind, v: &DataVector, from_source: bool) -> Result
             )))
         }
     }
-    let mut out_cols = cols;
-    if out_values.len() > v.values.len() {
-        out_cols.push("eval".to_string());
-    }
-    let mut labels = v.labels.clone();
-    if let OpKind::Eval(expr) = op {
-        labels.insert("eval".into(), expr.source().to_string());
-    }
     Ok(DataVector {
-        table: vector_table(&out_cols, out_rows)?,
+        table: typed_table(columns, rows)?,
         params: v.params.clone(),
-        values: out_values,
+        values,
         labels,
     })
 }
@@ -1047,7 +1056,7 @@ fn run_operator_single(op: &OpKind, v: &DataVector, from_source: bool) -> Result
 /// tuples that share all parameters (data-set aggregation, `GROUP BY` every
 /// parameter); otherwise over the whole vector, down to one element (mode 2
 /// of §3.3.2). The statement is built as a value, not as text: column names
-/// are never parsed.
+/// are never parsed. Its rows go into a table typed by [`aggregate_columns`].
 fn aggregate(agg: AggKind, v: &DataVector, grouped: bool) -> Result<DataVector> {
     let keys: &[String] = if grouped { &v.params } else { &[] };
     let key = |c: &String| SelectItem::Expr {
@@ -1076,7 +1085,7 @@ fn aggregate(agg: AggKind, v: &DataVector, grouped: bool) -> Result<DataVector> 
         order_by: Vec::new(),
         limit: None,
     })?;
-    let cols: Vec<String> = rs.column_names().to_vec();
+    let columns = aggregate_columns(agg, keys, &v.values, |c| type_of(&v.table, c));
     let mut labels = if grouped {
         v.labels.clone()
     } else {
@@ -1086,7 +1095,7 @@ fn aggregate(agg: AggKind, v: &DataVector, grouped: bool) -> Result<DataVector> 
         labels.insert(c.clone(), format!("{}({})", agg.name(), v.label(c)));
     }
     Ok(DataVector {
-        table: vector_table(&cols, rs.into_rows())?,
+        table: typed_table(columns, rs.into_rows())?,
         params: keys.to_vec(),
         values: v.values.clone(),
         labels,
@@ -1094,45 +1103,30 @@ fn aggregate(agg: AggKind, v: &DataVector, grouped: bool) -> Result<DataVector> 
 }
 
 /// Element-wise operation across ≥2 vectors aligned on common parameters
-/// (mode 3 of §3.3.2).
+/// (mode 3 of §3.3.2). The result has the driver's rows in the driver's
+/// order — a key the driver holds twice once, where it first appears, with
+/// the values of its last row — under the common parameters (the driver's
+/// types) and one FLOAT column.
 fn run_operator_elementwise(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result<DataVector> {
-    // Load every input up front so broadcast eligibility is known before
-    // the alignment key is chosen.
-    let loaded: Vec<(Vec<String>, Vec<Vec<Value>>)> =
-        inputs.iter().map(|(_, v, _)| read_vector(v)).collect();
+    let vectors: Vec<&DataVector> = inputs.iter().map(|(_, v, _)| *v).collect();
 
     // Broadcast rule: a vector with no parameters and a single tuple is
     // applied against every key (e.g. comparing a sweep to one global
     // reference number).
-    let broadcast: Vec<Option<Vec<Value>>> = inputs
+    let broadcast: Vec<bool> = vectors
         .iter()
-        .zip(&loaded)
-        .map(|((_, v, _), (cols, rows))| {
-            if v.params.is_empty() && rows.len() == 1 {
-                let vidx: Vec<usize> = v
-                    .values
-                    .iter()
-                    .filter_map(|name| cols.iter().position(|c| c == name))
-                    .collect();
-                Some(vidx.iter().map(|&i| rows[0][i].clone()).collect())
-            } else {
-                None
-            }
-        })
+        .map(|v| v.params.is_empty() && v.table.len() == 1)
         .collect();
 
     // Alignment key: parameters common to every NON-broadcast input (the
     // broadcast inputs join every key by definition).
-    let aligned: Vec<usize> = (0..inputs.len())
-        .filter(|&k| broadcast[k].is_none())
-        .collect();
+    let aligned: Vec<usize> = (0..inputs.len()).filter(|&k| !broadcast[k]).collect();
     let common: Vec<String> = match aligned.first() {
         None => Vec::new(), // all inputs broadcast: one global tuple
-        Some(&k0) => inputs[k0]
-            .1
+        Some(&k0) => vectors[k0]
             .params
             .iter()
-            .filter(|p| aligned.iter().all(|&k| inputs[k].1.params.contains(p)))
+            .filter(|p| aligned.iter().all(|&k| vectors[k].params.contains(p)))
             .cloned()
             .collect(),
     };
@@ -1141,84 +1135,73 @@ fn run_operator_elementwise(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result
     // element-wise; silently matching arbitrary rows would fabricate data.
     if common.is_empty() {
         for &k in &aligned {
-            if loaded[k].1.len() > 1 {
+            if vectors[k].table.len() > 1 {
                 return Err(Error::Query(format!(
                     "cannot align vectors element-wise: input {} ('{}') has {} rows but \
                      the inputs share no parameters (aggregate it first)",
                     k + 1,
                     inputs[k].0,
-                    loaded[k].1.len()
+                    vectors[k].table.len()
                 )));
             }
         }
     }
 
-    // Key every non-broadcast input by its common-parameter tuple.
-    // key → (parameter tuple, value tuple)
-    type KeyedVector = HashMap<Vec<ValueKey>, (Vec<Value>, Vec<Value>)>;
-    let mut keyed: Vec<KeyedVector> = Vec::new();
-    for ((_, v, _), (cols, rows)) in inputs.iter().zip(&loaded) {
-        let pidx: Vec<usize> = common
-            .iter()
-            .filter_map(|p| cols.iter().position(|c| c == p))
-            .collect();
-        let vidx: Vec<usize> = v
-            .values
-            .iter()
-            .filter_map(|name| cols.iter().position(|c| c == name))
-            .collect();
-        let mut map = HashMap::new();
-        for row in rows {
-            let key = key_of(row, &pidx);
-            let pvals: Vec<Value> = pidx.iter().map(|&i| row[i].clone()).collect();
-            let vvals: Vec<Value> = vidx.iter().map(|&i| row[i].clone()).collect();
-            // Duplicate keys: last one wins (operators normally follow an
-            // aggregation step, which makes keys unique).
-            map.insert(key, (pvals, vvals));
+    // Per non-broadcast input, the position of each key's last row (keys
+    // are normally unique: operators follow an aggregation step). The
+    // driver — the first non-broadcast input, or input 0 when everything
+    // broadcasts — is keyed first, so its keys are ids 0.. in the order of
+    // their first rows.
+    let mut ids = KeyIds::default();
+    let mut last: Vec<Vec<Option<usize>>> = vec![Vec::new(); inputs.len()];
+    for &k in &aligned {
+        let table = &vectors[k].table;
+        let rows = ids.rows(table, &columns_of(table, &common));
+        last[k] = vec![None; ids.len()];
+        for (pos, id) in rows.into_iter().enumerate() {
+            last[k][id] = Some(pos);
         }
-        keyed.push(map);
     }
-
-    // The driver supplies the keys (and parameter tuples): the first
-    // non-broadcast input, or input 0 when everything broadcasts.
     let driver = aligned.first().copied().unwrap_or(0);
-    let first = inputs[0].1;
-
-    let out_value_name = match op {
-        OpKind::Eval(_) => "eval".to_string(),
-        other => other.name().to_string(),
+    let keys = aligned.first().map_or(1, |&d| last[d].len());
+    let at = |k: usize, id: usize| {
+        if broadcast[k] {
+            Some(0)
+        } else {
+            last[k].get(id).copied().flatten()
+        }
     };
-    let mut out_rows = Vec::new();
-    'keys: for (key, (pvals, driver_vals)) in &keyed[driver] {
-        // Gather the aligned first value of every input.
+    let value_cols: Vec<Vec<usize>> = vectors
+        .iter()
+        .map(|v| columns_of(&v.table, &v.values))
+        .collect();
+    let param_cols = columns_of(&vectors[driver].table, &common);
+
+    let mut out_rows = Vec::with_capacity(keys);
+    'keys: for id in 0..keys {
+        // The first value of every input at this key.
         let mut operands: Vec<f64> = Vec::with_capacity(inputs.len());
-        let mut named: exprcalc::Context = exprcalc::Context::new();
-        for (slot, ((_, v, _), map)) in inputs.iter().zip(&keyed).enumerate() {
-            let vals = if slot == driver {
-                driver_vals.clone()
-            } else if let Some(b) = &broadcast[slot] {
-                b.clone()
-            } else {
-                match map.get(key) {
-                    Some((_, vals)) => vals.clone(),
-                    None => continue 'keys, // inner-join semantics
-                }
+        let mut named = exprcalc::Context::new();
+        for (slot, v) in vectors.iter().enumerate() {
+            let Some(pos) = at(slot, id) else {
+                continue 'keys; // inner-join semantics
             };
-            let x = vals
+            let x = value_cols[slot]
                 .first()
-                .and_then(Value::as_f64)
+                .and_then(|&c| v.table.value(pos, c).as_f64())
                 .ok_or_else(|| Error::Query("element-wise operator needs numeric values".into()))?;
             operands.push(x);
+            if !matches!(op, OpKind::Eval(_)) {
+                continue;
+            }
             // For eval: expose every value column, suffixed by position when
             // names collide across inputs.
-            for (name, val) in v.values.iter().zip(&vals) {
-                if let Some(f) = val.as_f64() {
-                    let unique = inputs
+            for (name, &c) in v.values.iter().zip(&value_cols[slot]) {
+                if let Some(f) = v.table.value(pos, c).as_f64() {
+                    let unique = vectors
                         .iter()
                         .enumerate()
-                        .filter(|(k, (_, w, _))| *k != slot && w.values.contains(name))
-                        .count()
-                        == 0;
+                        .all(|(k, w)| k == slot || !w.values.contains(name));
                     if unique {
                         named.set(name, f);
                     }
@@ -1226,23 +1209,33 @@ fn run_operator_elementwise(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result
                 }
             }
         }
+        let pos = at(driver, id).expect("the driver holds every key");
+        let mut row: Vec<Value> = param_cols
+            .iter()
+            .map(|&c| vectors[driver].table.value(pos, c))
+            .collect();
         // Parameters are numeric context too (chunk sizes etc.).
-        for (p, val) in common.iter().zip(pvals) {
+        for (p, val) in common.iter().zip(&row) {
             if let Some(f) = val.as_f64() {
                 named.set(p, f);
             }
         }
-
-        let y = apply_elementwise(op, &operands, &named)?;
-        let mut row = pvals.clone();
-        row.push(Value::Float(y));
+        row.push(Value::Float(apply_elementwise(op, &operands, &named)?));
         out_rows.push(row);
     }
 
-    let mut out_cols = common.clone();
-    out_cols.push(out_value_name.clone());
-    let table = vector_table(&out_cols, out_rows)?;
+    let out_value_name = match op {
+        OpKind::Eval(_) => "eval".to_string(),
+        other => other.name().to_string(),
+    };
+    let mut columns: Vec<Column> = common
+        .iter()
+        .map(|p| Column::new(p, type_of(&vectors[driver].table, p)))
+        .collect();
+    columns.push(Column::new(&out_value_name, DataType::Float));
+    let table = typed_table(columns, out_rows)?;
 
+    let first = vectors[0];
     let mut labels: HashMap<String, String> = HashMap::new();
     for p in &common {
         labels.insert(p.clone(), first.label(p));
@@ -1252,9 +1245,9 @@ fn run_operator_elementwise(op: &OpKind, inputs: &[OperatorInput<'_>]) -> Result
         .first()
         .map(|c| first.label(c))
         .unwrap_or_default();
-    let rname = inputs
+    let rname = vectors
         .get(1)
-        .and_then(|(_, v, _)| v.values.first().map(|c| v.label(c)))
+        .and_then(|v| v.values.first().map(|c| v.label(c)))
         .unwrap_or_default();
     let label = match op {
         OpKind::Diff => format!("{lname} - {rname}"),
@@ -1316,15 +1309,12 @@ fn apply_elementwise(op: &OpKind, xs: &[f64], named: &exprcalc::Context) -> Resu
     }
 }
 
-/// Alignment key of `row` over its columns `idx`: the engine's own grouping
-/// identity (`1` is `1.0`, `-0.0` is `0.0`), with NULL aligning with NULL.
-fn key_of(row: &[Value], idx: &[usize]) -> Vec<ValueKey> {
-    idx.iter().map(|&i| ValueKey::of(&row[i])).collect()
-}
-
 /// Execute a combiner element (paper §3.3.3): align two vectors on their
 /// shared parameters; all result values of both pass through, duplicate
-/// parameters are removed, colliding value names are suffixed.
+/// parameters are removed, colliding value names are suffixed. Every left
+/// row pairs with each right row of its key, in left-major order, and the
+/// result is gathered from both tables at those positions: every column
+/// keeps its input's type.
 fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> Result<DataVector> {
     let common: Vec<String> = left
         .params
@@ -1333,18 +1323,18 @@ fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> R
         .cloned()
         .collect();
 
-    let (lcols, lrows) = read_vector(left);
-    let (rcols, rrows) = read_vector(right);
-
-    let idx = |cols: &[String], name: &str| cols.iter().position(|c| c == name);
-    let lkey: Vec<usize> = common
-        .iter()
-        .map(|p| idx(&lcols, p).expect("common"))
-        .collect();
-    let rkey: Vec<usize> = common
-        .iter()
-        .map(|p| idx(&rcols, p).expect("common"))
-        .collect();
+    let mut ids = KeyIds::default();
+    let lkeys = ids.rows(&left.table, &columns_of(&left.table, &common));
+    let rkeys = ids.rows(&right.table, &columns_of(&right.table, &common));
+    let mut matches: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
+    for (r, id) in rkeys.into_iter().enumerate() {
+        matches[id].push(r);
+    }
+    let (mut lpos, mut rpos) = (Vec::new(), Vec::new());
+    for (l, id) in lkeys.into_iter().enumerate() {
+        lpos.extend(std::iter::repeat_n(l, matches[id].len()));
+        rpos.extend_from_slice(&matches[id]);
+    }
 
     // Rename colliding value columns.
     let rename = |name: &str, from_left: bool| -> String {
@@ -1365,61 +1355,30 @@ fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> R
     };
 
     // Output layout: common params, left-only params, right-only params,
-    // left values, right values.
+    // left values, right values — each (side, input column, output name).
+    let only = |v: &DataVector| -> Vec<String> {
+        let only = v.params.iter().filter(|p| !common.contains(p));
+        only.cloned().collect()
+    };
+    let (lonly, ronly) = (only(left), only(right));
     let mut out_params = common.clone();
-    let lonly: Vec<String> = left
-        .params
-        .iter()
-        .filter(|p| !common.contains(p))
-        .cloned()
-        .collect();
-    let ronly: Vec<String> = right
-        .params
-        .iter()
-        .filter(|p| !common.contains(p))
-        .cloned()
-        .collect();
     out_params.extend(lonly.iter().cloned());
     out_params.extend(ronly.iter().cloned());
     let lvals_out: Vec<String> = left.values.iter().map(|v| rename(v, true)).collect();
     let rvals_out: Vec<String> = right.values.iter().map(|v| rename(v, false)).collect();
-    let mut out_cols = out_params.clone();
-    out_cols.extend(lvals_out.iter().cloned());
-    out_cols.extend(rvals_out.iter().cloned());
-
-    // Hash-join right side by common key.
-    let mut rmap: HashMap<Vec<ValueKey>, Vec<&Vec<Value>>> = HashMap::new();
-    for row in &rrows {
-        rmap.entry(key_of(row, &rkey)).or_default().push(row);
+    let layout = (common.iter().chain(&lonly).map(|p| (0, p, p)))
+        .chain(ronly.iter().map(|p| (1, p, p)))
+        .chain(left.values.iter().zip(&lvals_out).map(|(v, o)| (0, v, o)))
+        .chain(right.values.iter().zip(&rvals_out).map(|(v, o)| (1, v, o)));
+    let (mut schema, mut columns) = (Vec::new(), Vec::new());
+    for (side, name, out) in layout {
+        let input = [left, right][side];
+        let c = input.table.schema.index_of(name).expect("vector columns");
+        schema.push(Column::new(out, input.table.schema.columns[c].dtype));
+        columns.push((side, c));
     }
-
-    let mut out_rows = Vec::new();
-    for lrow in &lrows {
-        let Some(matches) = rmap.get(&key_of(lrow, &lkey)) else {
-            continue;
-        };
-        for rrow in matches {
-            let mut row: Vec<Value> = Vec::with_capacity(out_cols.len());
-            for p in &common {
-                row.push(lrow[idx(&lcols, p).expect("common")].clone());
-            }
-            for p in &lonly {
-                row.push(lrow[idx(&lcols, p).expect("lonly")].clone());
-            }
-            for p in &ronly {
-                row.push(rrow[idx(&rcols, p).expect("ronly")].clone());
-            }
-            for v in &left.values {
-                row.push(lrow[idx(&lcols, v).expect("lval")].clone());
-            }
-            for v in &right.values {
-                row.push(rrow[idx(&rcols, v).expect("rval")].clone());
-            }
-            out_rows.push(row);
-        }
-    }
-
-    let table = vector_table(&out_cols, out_rows)?;
+    let parts = [(&*left.table, &lpos[..]), (&*right.table, &rpos[..])];
+    let table = Table::gathered(Schema::new(schema)?, &parts, &columns);
 
     let mut labels = HashMap::new();
     for p in &out_params {
@@ -1445,7 +1404,7 @@ fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> R
     let mut out_values = lvals_out;
     out_values.extend(rvals_out);
     Ok(DataVector {
-        table,
+        table: Arc::new(table),
         params: out_params,
         values: out_values,
         labels,
@@ -1457,7 +1416,7 @@ fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> R
 fn run_output(spec: &OutputSpec, inputs: &[&DataVector]) -> Result<String> {
     let mut parts = Vec::with_capacity(inputs.len());
     for v in inputs {
-        let (cols, mut rows) = read_vector(v);
+        let (cols, mut rows) = (v.table.schema.names(), v.table.to_rows());
         // Deterministic presentation: sort by parameter columns.
         let pidx: Vec<usize> = v
             .params
@@ -1883,56 +1842,182 @@ pub(crate) mod tests {
         assert_eq!(csv.lines().count(), 2);
     }
 
+    /// A vector of `rows` under `columns`, the first `params` of them its
+    /// parameters and the others its values.
+    pub(crate) fn vector_of(
+        columns: &[(&str, DataType)],
+        params: usize,
+        rows: Vec<Vec<Value>>,
+    ) -> DataVector {
+        let names: Vec<String> = columns.iter().map(|(n, _)| n.to_string()).collect();
+        let typed = columns.iter().map(|(n, t)| Column::new(n, *t)).collect();
+        DataVector {
+            table: typed_table(typed, rows).unwrap(),
+            params: names[..params].to_vec(),
+            values: names[params..].to_vec(),
+            labels: HashMap::new(),
+        }
+    }
+
     /// Alignment goes by the engine's key identity, not by a rendering of
     /// the cells a TEXT parameter can imitate: tuples whose keys once
     /// rendered to one `U+0001`-joined string stay apart, and `-0.0` meets
     /// `0.0` as it does in GROUP BY.
     #[test]
     fn alignment_keys_are_values_not_renderings() {
-        let vector = |params: &[&str], value: &str, rows: Vec<Vec<Value>>| {
-            let cols: Vec<String> = params
-                .iter()
-                .chain([&value])
-                .map(|c| c.to_string())
-                .collect();
-            DataVector {
-                table: vector_table(&cols, rows).unwrap(),
-                params: params.iter().map(|p| p.to_string()).collect(),
-                values: vec![value.to_string()],
-                labels: HashMap::new(),
-            }
-        };
+        use DataType::{Float, Text};
         let text = |s: &str| Value::Text(s.into());
-        let left = vector(
-            &["a", "b"],
-            "l",
+        let left = vector_of(
+            &[("a", Text), ("b", Text), ("l", Float)],
+            2,
             vec![
                 vec![text("x\u{1}t:y"), text("z"), Value::Float(1.0)],
                 vec![text("x"), text("y\u{1}t:z"), Value::Float(2.0)],
             ],
         );
-        let right = vector(
-            &["a", "b"],
-            "r",
+        let right = vector_of(
+            &[("a", Text), ("b", Text), ("r", Float)],
+            2,
             vec![vec![text("x"), text("y\u{1}t:z"), Value::Float(20.0)]],
         );
         let joined = run_combiner(&CombinerSpec::default(), &left, &right).unwrap();
-        let (_, rows) = read_vector(&joined);
+        let rows = joined.table.to_rows();
         assert_eq!(rows.len(), 1, "{rows:?}");
         assert_eq!(rows[0][2..], [Value::Float(2.0), Value::Float(20.0)]);
 
-        let zero = vector(
-            &["k"],
-            "l",
+        let zero = vector_of(
+            &[("k", Float), ("l", Float)],
+            1,
             vec![vec![Value::Float(-0.0), Value::Float(1.0)]],
         );
-        let plus = vector(
-            &["k"],
-            "r",
+        let plus = vector_of(
+            &[("k", Float), ("r", Float)],
+            1,
             vec![vec![Value::Float(0.0), Value::Float(2.0)]],
         );
         let joined = run_combiner(&CombinerSpec::default(), &zero, &plus).unwrap();
-        assert_eq!(read_vector(&joined).1.len(), 1);
+        assert_eq!(joined.table.len(), 1);
+    }
+
+    /// An element-wise result has the driver's rows in the driver's order,
+    /// run after run: a key the driver holds twice comes once, where it
+    /// first appears, with the values of its last row.
+    #[test]
+    fn elementwise_rows_follow_the_driver() {
+        let mut def = ExperimentDef::new(Meta::default(), "u");
+        def.add_variable(Variable::new("technique", VarKind::Parameter, DataType::Text).once())
+            .unwrap();
+        def.add_variable(Variable::new("chunk", VarKind::Parameter, DataType::Int))
+            .unwrap();
+        def.add_variable(Variable::new("bw", VarKind::ResultValue, DataType::Float))
+            .unwrap();
+        let db = ExperimentDb::create(Arc::new(Engine::new()), def).unwrap();
+        let chunks = [700i64, 100, 1200, 300, 900, 200, 1100, 400, 500];
+        for technique in ["old", "new"] {
+            let once: HashMap<String, Value> =
+                [("technique".to_string(), Value::Text(technique.into()))].into();
+            let sets: Vec<HashMap<String, Value>> = chunks
+                .iter()
+                .map(|&chunk| {
+                    let bw = Value::Float(chunk as f64 / 10.0);
+                    [
+                        ("chunk".to_string(), Value::Int(chunk)),
+                        ("bw".to_string(), bw),
+                    ]
+                    .into()
+                })
+                .collect();
+            db.add_run(&once, &sets, 1000).unwrap();
+        }
+        let want: Vec<Value> = chunks.iter().map(|&c| Value::Int(c)).collect();
+        for _ in 0..2 {
+            let out = QueryRunner::new(&db)
+                .run(query_from_str(FIG7ISH).unwrap())
+                .unwrap();
+            let chunks = |id: &str| -> Vec<Value> {
+                let rows = out.vectors[id].table.to_rows();
+                rows.into_iter().map(|r| r[0].clone()).collect()
+            };
+            assert_eq!(chunks("max_new"), want);
+            assert_eq!(chunks("rel"), want);
+        }
+
+        let driver = vector_of(
+            &[("k", DataType::Int), ("x", DataType::Float)],
+            1,
+            [(3, 10.0), (1, 20.0), (3, 30.0), (2, 40.0)]
+                .map(|(k, x)| vec![Value::Int(k), Value::Float(x)])
+                .into(),
+        );
+        let other = vector_of(
+            &[("k", DataType::Int), ("y", DataType::Float)],
+            1,
+            (1..=3)
+                .map(|k| vec![Value::Int(k), Value::Float(1.0)])
+                .collect(),
+        );
+        let inputs = [("d", &driver, false), ("o", &other, false)];
+        let diff = run_operator_elementwise(&OpKind::Diff, &inputs).unwrap();
+        let rows: Vec<Vec<Value>> = [(3, 29.0), (1, 19.0), (2, 39.0)]
+            .map(|(k, x)| vec![Value::Int(k), Value::Float(x)])
+            .into();
+        assert_eq!(diff.table.to_rows(), rows);
+    }
+
+    /// A derived vector's column types come from its inputs and its
+    /// operator, never from its cells: the same on a selection that matches
+    /// nothing as on one that matches.
+    #[test]
+    fn derived_vectors_are_typed_by_the_operator() {
+        use DataType::{Float, Int, Text};
+        let db = seeded_db();
+        for technique in ["old", "none such"] {
+            let spec = format!(
+                r#"<query name="typed">
+                  <source id="s"><parameter name="technique" value="{technique}" carry="true"/>
+                    <parameter name="chunk" carry="true"/><value name="bw"/></source>
+                  <source id="n"><parameter name="technique" value="{technique}" carry="true"/>
+                    <value name="chunk"/></source>
+                  <source id="t"><parameter name="technique" value="{technique}"/>
+                    <parameter name="chunk" carry="true"/><value name="technique"/></source>
+                  <operator id="count" type="count" input="n"/>
+                  <operator id="max" type="max" input="n"/>
+                  <operator id="avg" type="avg" input="n"/>
+                  <operator id="scale" type="scale" input="max" arg="2"/>
+                  <operator id="offset" type="offset" input="t" arg="1"/>
+                  <operator id="m" type="max" input="s"/>
+                  <operator id="a" type="avg" input="s"/>
+                  <operator id="eval" type="eval" input="m" arg="bw * 2"/>
+                  <operator id="min" type="min" input="max"/>
+                  <operator id="counted" type="count" input="max"/>
+                  <operator id="diff" type="diff" input="m,a"/>
+                  <combiner id="both" input="max,avg"/>
+                </query>"#
+            );
+            let out = QueryRunner::new(&db)
+                .run(query_from_str(&spec).unwrap())
+                .unwrap();
+            for (id, want) in [
+                ("s", &[Text, Int, Float][..]),
+                ("n", &[Text, Int]),
+                ("t", &[Int, Text]),
+                ("count", &[Text, Int]),
+                ("max", &[Text, Int]),
+                ("avg", &[Text, Float]),
+                ("scale", &[Text, Float]),
+                ("offset", &[Int, Text]),
+                ("m", &[Text, Int, Float]),
+                ("eval", &[Text, Int, Float, Float]),
+                ("min", &[Int]),
+                ("counted", &[Int]),
+                ("diff", &[Text, Int, Float]),
+                ("both", &[Text, Int, Float]),
+            ] {
+                let v = &out.vectors[id];
+                let types: Vec<DataType> = v.table.schema.columns.iter().map(|c| c.dtype).collect();
+                assert_eq!(types, want, "{technique}: {id}");
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub use spec::{
     OutputSpec, PlotStyle, QuerySpec, RunFilter, SourceSpec,
 };
 
+use sqldb::{Table, Value, ValueKey};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,5 +59,45 @@ impl DataVector {
             .get(column)
             .cloned()
             .unwrap_or_else(|| column.to_string())
+    }
+}
+
+/// The one key identity of `core` (DESIGN.md §4l): a key is a tuple of cells
+/// under the engine's grouping identity ([`ValueKey`]: `1` is `1.0`, `-0.0`
+/// is `0.0`, text is its string), with NULL equal to NULL, and each distinct
+/// key gets the next id the first time it is seen. Element-wise alignment,
+/// the combiner, the pushdown merge and the anomaly screen key their rows
+/// through it.
+#[derive(Debug, Default)]
+pub(crate) struct KeyIds(HashMap<Vec<ValueKey>, usize>);
+
+impl KeyIds {
+    /// The id of `key`.
+    fn intern(&mut self, key: Vec<ValueKey>) -> usize {
+        let next = self.0.len();
+        *self.0.entry(key).or_insert(next)
+    }
+
+    /// The id of the key `cells`.
+    pub(crate) fn id(&mut self, cells: &[Value]) -> usize {
+        self.intern(cells.iter().map(ValueKey::of).collect())
+    }
+
+    /// The id of each row of `table`, keyed by its columns `cols`.
+    pub(crate) fn rows(&mut self, table: &Table, cols: &[usize]) -> Vec<usize> {
+        (0..table.len())
+            .map(|p| {
+                self.intern(
+                    cols.iter()
+                        .map(|&c| ValueKey::of(&table.value(p, c)))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Number of distinct keys seen: every id is below it.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
 }

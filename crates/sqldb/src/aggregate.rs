@@ -20,7 +20,8 @@
 //! executor feeds it straight off a column's chunks — a number as a number,
 //! TEXT as its dictionary string — and [`Accumulator::update`] is the door
 //! for a [`Value`] somebody already holds (an aggregate over an expression,
-//! the pushdown merge in `core`, the test oracle). Every recurrence runs in
+//! `core`'s merge of the per-node partials of a pushed-down `sum`, `min` or
+//! `max`, the test oracle). Every recurrence runs in
 //! input order, so a group fed its rows in row order gets the bits a naive
 //! row-at-a-time evaluation gets.
 

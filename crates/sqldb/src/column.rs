@@ -694,18 +694,21 @@ impl ColumnStore {
         self.len += positions.len();
     }
 
-    /// A store under `schema` holding, side by side, the columns of each
-    /// part's store at that part's positions — every part as many positions,
-    /// the parts' column types in `schema`'s order. Typed cells are copied
-    /// by position (TEXT through a code remap); no row is built.
-    pub(crate) fn gathered(schema: &Schema, parts: &[(&ColumnStore, &[usize])]) -> ColumnStore {
+    /// A store under `schema` whose column `k` is column `columns[k].1` of
+    /// part `columns[k].0`'s store at that part's positions — every part as
+    /// many positions, the parts' column types in `schema`'s order. Typed
+    /// cells are copied by position (TEXT through a code remap); no row is
+    /// built.
+    pub(crate) fn gathered(
+        schema: &Schema,
+        parts: &[(&ColumnStore, &[usize])],
+        columns: &[(usize, usize)],
+    ) -> ColumnStore {
         let mut store = ColumnStore::new(schema);
-        let sources = parts
-            .iter()
-            .flat_map(|(src, positions)| src.cols.iter().map(move |col| (col, *positions)));
-        debug_assert_eq!(sources.clone().count(), store.cols.len());
-        for (target, (col, positions)) in store.cols.iter_mut().zip(sources) {
-            target.extend_selected(col, positions);
+        debug_assert_eq!(columns.len(), store.cols.len());
+        for (target, &(part, col)) in store.cols.iter_mut().zip(columns) {
+            let (src, positions) = parts[part];
+            target.extend_selected(&src.cols[col], positions);
         }
         store.len = parts.first().map_or(0, |(_, positions)| positions.len());
         store
@@ -1050,7 +1053,8 @@ mod tests {
             }));
             assert_eq!(st.to_rows(), want, "prefix {prefix}");
             // The gathered TEXT column remaps codes into its own dictionary.
-            let gathered = ColumnStore::gathered(&schema(), &[(&src, &positions)]);
+            let every: Vec<(usize, usize)> = (0..5).map(|c| (0, c)).collect();
+            let gathered = ColumnStore::gathered(&schema(), &[(&src, &positions)], &every);
             let want: Vec<_> = positions.iter().map(|&p| rows[p].clone()).collect();
             assert_eq!(gathered.to_rows(), want);
         }

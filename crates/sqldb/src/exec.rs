@@ -2015,10 +2015,14 @@ fn join(
         let jschema = qualify(&table.schema, &j.table)?;
         let (ai, ni) = resolve_join_keys(&schema, &jschema, j)?;
         let (left, right) = matching_positions((&acc, ai), (table, ni));
+        let columns: Vec<(usize, usize)> = (0..acc.schema.columns.len())
+            .map(|c| (0, c))
+            .chain((0..table.schema.columns.len()).map(|c| (1, c)))
+            .collect();
         schema.columns.extend(jschema.columns);
         schema = Schema::new(schema.columns)?;
         let sides = [(&*acc, &left[..]), (&**table, &right[..])];
-        acc = Arc::new(Table::gathered(schema.clone(), &sides));
+        acc = Arc::new(Table::gathered(schema.clone(), &sides, &columns));
     }
     Ok(acc)
 }

@@ -199,14 +199,20 @@ impl Table {
         }
     }
 
-    /// An index-less table under `schema` whose rows are, side by side, the
-    /// rows of each part's table at that part's positions (any order, repeats
-    /// allowed; every part as many) — what a join is once it knows which rows
-    /// pair up. `schema` lists the parts' columns in order, under any names.
-    pub(crate) fn gathered(schema: Schema, parts: &[(&Table, &[usize])]) -> Table {
+    /// An index-less table under `schema` whose column `k` is column
+    /// `columns[k].1` of part `columns[k].0`'s table, read at that part's
+    /// positions (any order, repeats allowed; every part as many) — what a
+    /// join or a combiner is once it knows which rows pair up. `schema` names
+    /// the columns as it likes; their types are the parts'. Typed cells are
+    /// copied by position; no row is built.
+    pub fn gathered(
+        schema: Schema,
+        parts: &[(&Table, &[usize])],
+        columns: &[(usize, usize)],
+    ) -> Table {
         let stores: Vec<_> = parts.iter().map(|(t, at)| (&t.store, *at)).collect();
         Table {
-            store: ColumnStore::gathered(&schema, &stores),
+            store: ColumnStore::gathered(&schema, &stores, columns),
             schema,
             indexes: Vec::new(),
             published: 0,
@@ -236,6 +242,11 @@ impl Table {
     /// Materialize the row at `pos`.
     pub fn row(&self, pos: usize) -> Row {
         self.store.materialize_row(pos)
+    }
+
+    /// The cell at row `pos` of column `col`.
+    pub fn value(&self, pos: usize, col: usize) -> Value {
+        self.store.value(pos, col)
     }
 
     /// Create an index named `name` over `column` (`ordered` selects the

@@ -673,11 +673,11 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
         .collect();
     // Only run-level columns: a tuple is the pb_runs row behind its run_id.
     let run_level_only = once_idx.iter().all(Option::is_some);
+    // Those tuples, appended as one batch.
+    let mut tuples = Vec::new();
     if run_level_only && filter.is_none() {
         // Nothing to ask of the data sets: one tuple per run.
-        for run_row in runs.rows() {
-            out.insert(run_row[1..].to_vec())?;
-        }
+        tuples.extend(runs.rows().iter().map(|run_row| run_row[1..].to_vec()));
     } else {
         let run_ids: Vec<i64> = runs
             .rows()
@@ -703,7 +703,7 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
             if run_level_only {
                 // The run's tuple, once, iff a data set passes the restriction.
                 if !positions.is_empty() {
-                    out.insert(run_row[1..].to_vec())?;
+                    tuples.push(run_row[1..].to_vec());
                 }
                 return Ok(());
             }
@@ -727,6 +727,7 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
         })
         .map_err(|(k, e)| Error::Query(format!("run {}: {e}", run_ids[k])))?;
     }
+    out.insert_all(tuples)?;
 
     // 3. The vector, with labels from the definition.
     let labels = source_labels(&def, &out_cols);

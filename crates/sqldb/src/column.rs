@@ -138,6 +138,25 @@ impl<T: Clone, const N: usize> Chunked<T, N> {
         }
     }
 
+    /// Append one cell, as [`Chunked::extend`] does.
+    #[inline]
+    fn push(&mut self, cell: T) {
+        let had = self.tail.len();
+        if had == self.tail.capacity() {
+            self.tail.reserve_exact((had + 1).max(2 * had).min(N) - had);
+        }
+        self.tail.push(cell);
+        if had + 1 == N {
+            self.full.push(Arc::new(std::mem::take(&mut self.tail)));
+        }
+    }
+
+    /// Make room in the tail for `n` more cells (as many as it can hold).
+    fn reserve(&mut self, n: usize) {
+        let had = self.tail.len();
+        self.tail.reserve_exact(n.min(N - had));
+    }
+
     /// The cell at `i`, its chunk made private first.
     fn get_mut(&mut self, i: usize) -> &mut T {
         match self.full.get_mut(i / N) {
@@ -204,6 +223,18 @@ impl NullBitmap {
         }
     }
 
+    /// Append one bit.
+    #[inline]
+    fn push(&mut self, null: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if null {
+            self.set(self.len - 1, true);
+        }
+    }
+
     /// Append `n` non-NULL rows.
     fn extend_valid(&mut self, n: usize) {
         self.len += n;
@@ -211,12 +242,12 @@ impl NullBitmap {
         self.words.extend(std::iter::repeat_n(0, words));
     }
 
-    /// Append the bits of `src` at `positions`.
-    fn extend_selected(&mut self, src: &NullBitmap, positions: &[usize]) {
-        if src.nulls == 0 {
-            self.extend_valid(positions.len());
-        } else {
-            self.extend(positions.iter().map(|&p| src.is_null(p)));
+    /// Append the bits of `src` at `positions` (`None`: every bit).
+    fn extend_selected(&mut self, src: &NullBitmap, positions: Option<&[usize]>) {
+        match positions {
+            _ if src.nulls == 0 => self.extend_valid(positions.map_or(src.len, <[usize]>::len)),
+            Some(positions) => self.extend(positions.iter().map(|&p| src.is_null(p))),
+            None => self.extend((0..src.len).map(|p| src.is_null(p))),
         }
     }
 
@@ -248,7 +279,7 @@ impl NullBitmap {
     fn retain(&mut self, keep: &[bool]) {
         let kept: Vec<usize> = (0..self.len).filter(|&i| keep[i]).collect();
         let mut out = NullBitmap::default();
-        out.extend_selected(self, &kept);
+        out.extend_selected(self, Some(&kept));
         *self = out;
     }
 }
@@ -329,7 +360,7 @@ impl DictColumn {
                 remap[from]
             }));
         }
-        self.nulls.extend_selected(&src.nulls, positions);
+        self.nulls.extend_selected(&src.nulls, Some(positions));
     }
 }
 
@@ -396,58 +427,79 @@ impl ColumnVec {
         }
     }
 
-    /// Append already-coerced values: each NULL or exactly the column
-    /// type's variant (`Table` checks every value on the way in).
-    fn extend_values<'a>(&mut self, values: impl ExactSizeIterator<Item = &'a Value> + Clone) {
-        fn cells<'a, T: Clone + Default>(
-            (data, nulls): (&mut Chunked<T>, &mut NullBitmap),
-            values: impl ExactSizeIterator<Item = &'a Value> + Clone,
-            cell: impl Fn(&Value) -> Option<T>,
-        ) {
-            nulls.extend(values.clone().map(Value::is_null));
-            data.extend(values.map(|v| match v {
-                Value::Null => T::default(),
-                v => cell(v).unwrap_or_else(|| panic!("column got a value of another type: {v:?}")),
-            }));
+    /// Append `cell` when it is exactly this column's type's variant (TEXT
+    /// interned); `false`, and nothing appended, when it is not.
+    #[inline]
+    fn push(&mut self, cell: ValueRef<'_>) -> bool {
+        match (self, cell) {
+            (ColumnVec::Int { data, nulls }, ValueRef::Int(x))
+            | (ColumnVec::Timestamp { data, nulls }, ValueRef::Timestamp(x)) => {
+                data.push(x);
+                nulls.push(false);
+            }
+            (ColumnVec::Float { data, nulls }, ValueRef::Float(x)) => {
+                data.push(x);
+                nulls.push(false);
+            }
+            (ColumnVec::Bool { data, nulls }, ValueRef::Bool(x)) => {
+                data.push(x);
+                nulls.push(false);
+            }
+            (ColumnVec::Text(d), ValueRef::Text(s)) => {
+                d.codes.push(intern(&mut d.dict, s));
+                d.nulls.push(false);
+            }
+            _ => return false,
         }
+        true
+    }
+
+    /// Append a NULL cell.
+    fn push_null(&mut self) {
         match self {
-            ColumnVec::Int { data, nulls } => cells((data, nulls), values, |v| match v {
-                Value::Int(i) => Some(*i),
-                _ => None,
-            }),
-            ColumnVec::Float { data, nulls } => cells((data, nulls), values, |v| match v {
-                Value::Float(f) => Some(*f),
-                _ => None,
-            }),
-            ColumnVec::Bool { data, nulls } => cells((data, nulls), values, |v| match v {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }),
-            ColumnVec::Timestamp { data, nulls } => cells((data, nulls), values, |v| match v {
-                Value::Timestamp(t) => Some(*t),
-                _ => None,
-            }),
+            ColumnVec::Int { data, nulls } | ColumnVec::Timestamp { data, nulls } => {
+                data.push(0);
+                nulls.push(true);
+            }
+            ColumnVec::Float { data, nulls } => {
+                data.push(0.0);
+                nulls.push(true);
+            }
+            ColumnVec::Bool { data, nulls } => {
+                data.push(false);
+                nulls.push(true);
+            }
             ColumnVec::Text(d) => {
-                d.nulls.extend(values.clone().map(Value::is_null));
-                let dict = &mut d.dict;
-                d.codes.extend(values.map(|v| match v {
-                    Value::Null => 0,
-                    Value::Text(s) => intern(dict, s),
-                    other => panic!("TEXT column got non-text value {other:?}"),
-                }));
+                d.codes.push(0);
+                d.nulls.push(true);
             }
         }
     }
 
+    /// Make room for `n` more cells.
+    fn reserve(&mut self, n: usize) {
+        match self {
+            ColumnVec::Int { data, .. } | ColumnVec::Timestamp { data, .. } => data.reserve(n),
+            ColumnVec::Float { data, .. } => data.reserve(n),
+            ColumnVec::Bool { data, .. } => data.reserve(n),
+            ColumnVec::Text(d) => d.codes.reserve(n),
+        }
+    }
+
     /// Append the cells of `src` — a column of the same type — at
-    /// `positions`, column to column.
-    fn extend_selected(&mut self, src: &ColumnVec, positions: &[usize]) {
+    /// `positions` (`None`: every cell, chunk by chunk), column to column.
+    fn extend_selected(&mut self, src: &ColumnVec, positions: Option<&[usize]>) {
         fn copy<T: Clone>(
             (data, nulls): (&mut Chunked<T>, &mut NullBitmap),
             (src, src_nulls): (&Chunked<T>, &NullBitmap),
-            positions: &[usize],
+            positions: Option<&[usize]>,
         ) {
-            data.extend(src.gather(positions).cloned());
+            match positions {
+                Some(positions) => data.extend(src.gather(positions).cloned()),
+                None => src
+                    .chunks()
+                    .for_each(|(_, chunk)| data.extend(chunk.iter().cloned())),
+            }
             nulls.extend_selected(src_nulls, positions);
         }
         match (self, src) {
@@ -461,22 +513,34 @@ impl ColumnVec {
             (ColumnVec::Bool { data, nulls }, ColumnVec::Bool { data: s, nulls: sn }) => {
                 copy((data, nulls), (s, sn), positions)
             }
-            (ColumnVec::Text(d), ColumnVec::Text(s)) => d.extend_selected(s, positions),
+            (ColumnVec::Text(d), ColumnVec::Text(s)) => match positions {
+                Some(positions) => d.extend_selected(s, positions),
+                None => d.extend_selected(s, &(0..s.codes.len()).collect::<Vec<_>>()),
+            },
             (dst, src) => panic!("column of another type appended: {src:?} to {dst:?}"),
         }
     }
 
-    /// Append `n` copies of the already-coerced `v` (same contract as
-    /// [`ColumnVec::extend_values`]): TEXT is interned once, not once per
-    /// row.
+    /// Append `n` copies of `v`, NULL or exactly the column type's variant:
+    /// TEXT is interned once, not once per row.
     fn extend_repeated(&mut self, v: &Value, n: usize) {
+        fn fill<T: Clone>(data: &mut Chunked<T>, nulls: &mut NullBitmap, x: T, n: usize) {
+            data.extend(std::iter::repeat_n(x, n));
+            nulls.extend_valid(n);
+        }
         match (self, v) {
+            (col, Value::Null) => (0..n).for_each(|_| col.push_null()),
+            (ColumnVec::Int { data, nulls }, Value::Int(x))
+            | (ColumnVec::Timestamp { data, nulls }, Value::Timestamp(x)) => {
+                fill(data, nulls, *x, n)
+            }
+            (ColumnVec::Float { data, nulls }, Value::Float(x)) => fill(data, nulls, *x, n),
+            (ColumnVec::Bool { data, nulls }, Value::Bool(x)) => fill(data, nulls, *x, n),
             (ColumnVec::Text(d), Value::Text(s)) => {
                 let code = intern(&mut d.dict, s);
-                d.codes.extend(std::iter::repeat_n(code, n));
-                d.nulls.extend_valid(n);
+                fill(&mut d.codes, &mut d.nulls, code, n);
             }
-            (col, v) => col.extend_values(std::iter::repeat_n(v, n)),
+            (_, other) => panic!("column got a value of another type: {other:?}"),
         }
     }
 
@@ -538,8 +602,8 @@ impl ColumnVec {
         }
     }
 
-    /// Overwrite row `i` with the already-coerced `v` (same contract as
-    /// [`ColumnVec::extend_values`]).
+    /// Overwrite row `i` with `v`, NULL or exactly the column type's
+    /// variant.
     fn set(&mut self, i: usize, v: Value) {
         match (self, v) {
             (ColumnVec::Text(d), Value::Null) => d.nulls.set(i, true),
@@ -662,17 +726,57 @@ impl ColumnStore {
         self.len
     }
 
+    /// Number of columns.
+    pub(crate) fn arity(&self) -> usize {
+        self.cols.len()
+    }
+
     /// The typed column `i`.
     pub(crate) fn col(&self, i: usize) -> &ColumnVec {
         &self.cols[i]
     }
 
-    /// Append already-validated (coerced) rows, column by column.
-    pub(crate) fn append_rows(&mut self, rows: &[Vec<Value>]) {
-        for (i, col) in self.cols.iter_mut().enumerate() {
-            col.extend_values(rows.iter().map(|row| &row[i]));
+    /// An empty store under `schema` with room for `rows` rows.
+    pub(crate) fn with_capacity(schema: &Schema, rows: usize) -> ColumnStore {
+        let mut store = ColumnStore::new(schema);
+        for col in &mut store.cols {
+            col.reserve(rows);
         }
-        self.len += rows.len();
+        store
+    }
+
+    /// Append `cell` to column `i` of the row being built, when it is exactly
+    /// the column type's variant (`None` is NULL); `false`, and nothing
+    /// appended, when it is not. [`ColumnStore::end_row`] counts the row
+    /// once every column has its cell.
+    #[inline]
+    pub(crate) fn push(&mut self, i: usize, cell: Option<ValueRef<'_>>) -> bool {
+        match cell {
+            Some(cell) => self.cols[i].push(cell),
+            None => {
+                self.cols[i].push_null();
+                true
+            }
+        }
+    }
+
+    /// Count the row whose cells were pushed.
+    pub(crate) fn end_row(&mut self) {
+        self.len += 1;
+    }
+
+    /// Append the rows of `batch`, a store under the same schema, column by
+    /// column (TEXT through a code remap unless the dictionaries agree). An
+    /// empty store takes the batch's columns as they are.
+    pub(crate) fn append(&mut self, batch: ColumnStore) {
+        if self.len == 0 {
+            *self = batch;
+            return;
+        }
+        for (col, src) in self.cols.iter_mut().zip(&batch.cols) {
+            col.extend_selected(src, None);
+        }
+        self.len += batch.len;
     }
 
     /// Append `positions.len()` rows: column `i` takes what `cells[i]` names
@@ -687,7 +791,7 @@ impl ColumnStore {
         debug_assert_eq!(cells.len(), self.cols.len());
         for (col, cell) in self.cols.iter_mut().zip(cells) {
             match cell {
-                Cell::Column(i) => col.extend_selected(&src.cols[*i], positions),
+                Cell::Column(i) => col.extend_selected(&src.cols[*i], Some(positions)),
                 Cell::Constant(v) => col.extend_repeated(v, positions.len()),
             }
         }
@@ -708,7 +812,7 @@ impl ColumnStore {
         debug_assert_eq!(columns.len(), store.cols.len());
         for (target, &(part, col)) in store.cols.iter_mut().zip(columns) {
             let (src, positions) = parts[part];
-            target.extend_selected(&src.cols[col], positions);
+            target.extend_selected(&src.cols[col], Some(positions));
         }
         store.len = parts.first().map_or(0, |(_, positions)| positions.len());
         store
@@ -794,9 +898,15 @@ mod tests {
         ]
     }
 
+    /// A batch of `rows`, every cell already its column's variant.
     fn store_of(rows: &[Vec<Value>]) -> ColumnStore {
-        let mut st = ColumnStore::new(&schema());
-        st.append_rows(rows);
+        let mut st = ColumnStore::with_capacity(&schema(), rows.len());
+        for row in rows {
+            for (i, v) in row.iter().enumerate() {
+                assert!(st.push(i, ValueRef::of(v)), "{v:?}");
+            }
+            st.end_row();
+        }
         st
     }
 
@@ -951,7 +1061,7 @@ mod tests {
                 let rows = edge_rows(first + second);
                 let mut st = store_of(&rows[..first]);
                 let pinned = st.clone();
-                st.append_rows(&rows[first..]);
+                st.append(store_of(&rows[first..]));
                 assert_chunk_shape(&st);
                 assert_eq!(st.to_rows(), rows, "{first} + {second}");
                 assert_eq!(pinned.to_rows(), rows[..first], "the clone moved");
@@ -1065,7 +1175,7 @@ mod tests {
         let rows = edge_rows(2 * CHUNK_ROWS + 7);
         let mut st = store_of(&rows);
         let pinned = st.clone();
-        st.append_rows(&edge_rows(3));
+        st.append(store_of(&edge_rows(3)));
         let (ColumnVec::Text(d), ColumnVec::Text(p)) = (st.col(1), pinned.col(1)) else {
             panic!()
         };
@@ -1075,7 +1185,7 @@ mod tests {
             st.clone_bytes(),
             pinned.clone_bytes() + 3 * (8 + 4 + 8 + 1 + 8)
         );
-        st.append_rows(&[row(9, Some("fresh"), None)]);
+        st.append(store_of(&[row(9, Some("fresh"), None)]));
         let ColumnVec::Text(d) = st.col(1) else {
             panic!()
         };

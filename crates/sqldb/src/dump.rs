@@ -6,15 +6,15 @@
 //! trivially diffable, and it exercises the same SQL front-end as every
 //! other access path.
 
-use crate::column::ColumnVec;
+use crate::column::{ColumnStore, ColumnVec};
 use crate::engine::{Engine, Text};
 use crate::error::DbError;
 use crate::schema::Schema;
 use crate::sql;
-use crate::table::Row;
 use crate::value::Value;
 use std::fmt::Write as _;
 use std::io::Write as _;
+use std::ops::Range;
 
 /// Rows per dumped `INSERT` statement.
 const DUMP_BATCH: usize = 64;
@@ -40,18 +40,7 @@ impl Engine {
             let store = table.store();
             for from in (0..store.len()).step_by(DUMP_BATCH) {
                 let rows = from..store.len().min(from + DUMP_BATCH);
-                write_tuples(
-                    &mut out,
-                    &name,
-                    rows,
-                    table.schema.arity(),
-                    |out, r, c| match store.col(c) {
-                        ColumnVec::Text(d) if !d.nulls.is_null(r) => {
-                            write_text(out, &d.dict()[d.codes[r] as usize])
-                        }
-                        col => write_literal(out, &col.value(r)),
-                    },
-                );
+                write_rows(&mut out, &name, store, rows);
                 out.push_str(";\n");
             }
             for (ix_name, column, ordered) in table.index_columns() {
@@ -164,33 +153,26 @@ pub(crate) fn write_create_table(
     out.push(')');
 }
 
-/// Append a multi-row `INSERT` statement (no trailing `;`).
-pub(crate) fn write_insert(out: &mut String, name: &str, rows: &[Row]) {
-    let arity = rows.first().map_or(0, Vec::len);
-    write_tuples(out, name, 0..rows.len(), arity, |out, r, c| {
-        write_literal(out, &rows[r][c])
-    });
-}
-
-/// `INSERT INTO name VALUES (…), (…)` over `rows`, `cell(out, row, column)`
-/// appending each literal.
-fn write_tuples(
-    out: &mut String,
-    name: &str,
-    rows: std::ops::Range<usize>,
-    arity: usize,
-    cell: impl Fn(&mut String, usize, usize),
-) {
+/// Append `INSERT INTO name VALUES (…), (…)` over rows `rows` of `store` —
+/// a table's, or the batch of one INSERT — text cells from the dictionary
+/// entry, no row built (no trailing `;`). The one INSERT writer: the dump and
+/// every rendered log frame.
+pub(crate) fn write_rows(out: &mut String, name: &str, store: &ColumnStore, rows: Range<usize>) {
     out.push_str("INSERT INTO ");
     out.push_str(name);
     out.push_str(" VALUES ");
     for r in rows.clone() {
         out.push_str(if r == rows.start { "(" } else { ", (" });
-        for c in 0..arity {
+        for c in 0..store.arity() {
             if c > 0 {
                 out.push_str(", ");
             }
-            cell(out, r, c);
+            match store.col(c) {
+                ColumnVec::Text(d) if !d.nulls.is_null(r) => {
+                    write_text(out, &d.dict()[d.codes[r] as usize])
+                }
+                col => write_literal(out, &col.value(r)),
+            }
         }
         out.push(')');
     }
@@ -240,6 +222,7 @@ fn write_text(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{batch_of_rows, Row};
     use crate::test_common::Rng;
     use crate::{Column, DataType};
 
@@ -545,19 +528,19 @@ mod tests {
             // (compared through `Debug`, which tells -0.0 from 0.0 and
             // equates NaN with itself).
             let mut text = String::new();
-            write_insert(&mut text, "edges", &rows);
+            let written = batch_of_rows(&schema(), &rows).unwrap();
+            write_rows(&mut text, "edges", &written, 0..rows.len());
             assert!(!text.contains('\n'), "{text:?}");
             let Ok(sql::Stmt::Insert {
-                columns,
-                rows: cells,
-                ..
+                columns, values, ..
             }) = sql::parse_statement(&text)
             else {
                 panic!("{text}");
             };
             let mut table = crate::Table::new(schema());
-            let read = crate::engine::insert_rows_of(&table.schema, columns, cells).unwrap();
-            table.insert_all(read).unwrap();
+            let read =
+                crate::engine::insert_batch(&table.schema, columns.as_deref(), &values).unwrap();
+            table.append(read);
             assert_eq!(format!("{:?}", table.to_rows()), format!("{rows:?}"));
             e.insert_rows("edges", rows).unwrap();
         }

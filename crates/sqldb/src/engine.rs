@@ -1,17 +1,18 @@
 //! The engine: catalog of tables plus the SQL entry points.
 #![warn(missing_docs)]
 
+use crate::column::ColumnStore;
 use crate::compile::compile;
 use crate::dump;
 use crate::error::DbError;
 use crate::exec;
 use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
-use crate::sql::{self, SelectStmt, SqlExpr, Stmt};
+use crate::sql::{self, SelectStmt, SqlExpr, Stmt, ValueCell};
 use crate::sync::{Mutex, RwLock};
-use crate::table::{Row, Table};
+use crate::table::{batch_of_rows, BatchBuilder, Row, Table};
 use crate::txn::Transaction;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use crate::wal::{RecoveryReport, UnitReader, Wal, WalOptions};
 use crate::TableMemory;
 use std::collections::HashMap;
@@ -836,10 +837,10 @@ pub(crate) enum Ask {
     CreateTable { schema: Schema, if_not_exists: bool },
     /// `DROP TABLE [IF EXISTS]`.
     DropTable { if_exists: bool },
-    /// `INSERT … [(columns)] VALUES rows`.
+    /// `INSERT … [(columns)] VALUES values`.
     Insert {
         columns: Option<Vec<String>>,
-        rows: Vec<Vec<SqlExpr>>,
+        values: sql::Values,
     },
     /// [`Engine::insert_rows`]: full rows, not yet coerced.
     InsertRows(Vec<Row>),
@@ -884,8 +885,8 @@ impl Ask {
             Stmt::Insert {
                 table,
                 columns,
-                rows,
-            } => (table, Ask::Insert { columns, rows }),
+                values,
+            } => (table, Ask::Insert { columns, values }),
             Stmt::Update {
                 table,
                 sets,
@@ -946,8 +947,9 @@ pub(crate) enum Change {
     Version(Arc<Table>),
     /// Remove the table.
     Drop,
-    /// Append these rows ([`Table::validate_rows`] returned them).
-    Append(Vec<Row>),
+    /// Append this batch, built under the table's schema
+    /// ([`BatchBuilder`]).
+    Append(ColumnStore),
     /// Overwrite cells.
     Update(UpdatePlan),
     /// Remove the rows at these positions.
@@ -973,7 +975,7 @@ impl Change {
     /// The statement's count of affected rows.
     pub(crate) fn rows(&self) -> usize {
         match self {
-            Change::Append(rows) => rows.len(),
+            Change::Append(batch) => batch.len(),
             Change::Update(plan) => plan.positions.len(),
             Change::Delete(positions) => positions.len(),
             _ => 0,
@@ -984,8 +986,8 @@ impl Change {
     /// planned against, or a copy of it.
     pub(crate) fn apply_to(self, table: &mut Table) {
         match self {
-            Change::Append(rows) => {
-                table.append_validated(rows);
+            Change::Append(batch) => {
+                table.append(batch);
             }
             Change::Update(plan) => {
                 table.write_positions(&plan.positions, &plan.cols, plan.values);
@@ -1020,6 +1022,16 @@ pub(crate) fn plan(
     let render = matches!(text, Text::Render);
     let mut rendered = None;
     let table = || view.ok_or_else(|| DbError::NoSuchTable(name.to_string()));
+    // An INSERT's batch; its text, rendered, by the writer of the dump.
+    let mut appended = |batch: ColumnStore| {
+        if batch.len() == 0 {
+            return Change::Nothing { logged: false };
+        }
+        if render {
+            dump::write_rows(rendered.insert(String::new()), name, &batch, 0..batch.len());
+        }
+        Change::Append(batch)
+    };
     let change = match ask {
         Ask::CreateTable {
             schema,
@@ -1046,21 +1058,10 @@ pub(crate) fn plan(
             None if if_exists => Change::Nothing { logged: false },
             None => return Err(DbError::NoSuchTable(name.to_string())),
         },
-        Ask::Insert { columns, rows } => {
-            let rows = insert_rows_of(&table()?.schema, columns, rows)?;
-            return plan(name, Ask::InsertRows(rows), view, text);
+        Ask::Insert { columns, values } => {
+            appended(insert_batch(&table()?.schema, columns.as_deref(), &values)?)
         }
-        Ask::InsertRows(rows) => {
-            let rows = table()?.validate_rows(rows)?;
-            if rows.is_empty() {
-                Change::Nothing { logged: false }
-            } else {
-                if render {
-                    dump::write_insert(rendered.insert(String::new()), name, &rows);
-                }
-                Change::Append(rows)
-            }
-        }
+        Ask::InsertRows(rows) => appended(batch_of_rows(&table()?.schema, &rows)?),
         Ask::Update { sets, where_clause } => {
             let plan = plan_update(table()?, sets, where_clause)?;
             if plan.positions.is_empty() {
@@ -1113,48 +1114,77 @@ pub(crate) fn plan(
     Ok((change, text))
 }
 
-/// The full rows (one value per column of `schema`, not yet coerced) an
-/// `INSERT … [(columns)] VALUES rows` statement stores. Every row is
-/// materialized before any is applied: a multi-row INSERT is atomic.
-pub(crate) fn insert_rows_of(
+/// The batch `INSERT … [(columns)] VALUES values` appends to a table under
+/// `schema`: every row is built before any is applied, so a multi-row INSERT
+/// is atomic. Errors come in the order of the rows-then-batch check this
+/// replaced: first, row by row, a row's constant expressions, then the
+/// length of the column list against the row, then its names (each once);
+/// then, row by row, the [`BatchBuilder`]'s arity, NOT NULL and coercion.
+pub(crate) fn insert_batch(
     schema: &Schema,
-    columns: Option<Vec<String>>,
-    rows: Vec<Vec<sql::SqlExpr>>,
-) -> Result<Vec<Row>, DbError> {
-    let mut full_rows = Vec::with_capacity(rows.len());
-    for row_exprs in rows {
-        // A constant that is not a literal is compiled against no columns.
-        let values: Result<Vec<Value>, DbError> = row_exprs
-            .into_iter()
-            .map(|e| match e {
-                sql::SqlExpr::Lit(v) => Ok(v),
-                e => compile(&e, &Schema::default()).eval(&[]),
-            })
-            .collect();
-        let values = values?;
-        let full_row = match &columns {
-            None => values,
-            Some(cols) => {
-                if cols.len() != values.len() {
-                    return Err(DbError::Type(format!(
-                        "INSERT column list has {} names but {} values",
-                        cols.len(),
-                        values.len()
-                    )));
+    columns: Option<&[String]>,
+    values: &sql::Values,
+) -> Result<ColumnStore, DbError> {
+    // With a column list: per column of `schema`, the position in a row of
+    // the cell it takes (`None`: it is NULL).
+    let mut source = Vec::new();
+    // The value of each constant expression.
+    let mut consts = Vec::with_capacity(values.exprs().len());
+    if columns.is_some() || !values.exprs().is_empty() {
+        for row in values.rows() {
+            for cell in row {
+                if let ValueCell::Expr(k) = *cell {
+                    // A constant is compiled against no columns.
+                    consts.push(compile(&values.exprs()[k], &Schema::default()).eval(&[])?);
                 }
-                let mut full = vec![Value::Null; schema.arity()];
-                for (c, v) in cols.iter().zip(values) {
-                    let i = schema
-                        .index_of(c)
-                        .ok_or_else(|| DbError::NoSuchColumn(c.clone()))?;
-                    full[i] = v;
-                }
-                full
             }
-        };
-        full_rows.push(full_row);
+            let Some(columns) = columns else { continue };
+            if columns.len() != row.len() {
+                return Err(DbError::Type(format!(
+                    "INSERT column list has {} names but {} values",
+                    columns.len(),
+                    row.len()
+                )));
+            }
+            if source.is_empty() {
+                source = listed_columns(schema, columns)?;
+            }
+        }
     }
-    Ok(full_rows)
+    // A cell, borrowed (`None`: NULL).
+    let cell = |cell: &ValueCell| match *cell {
+        ValueCell::Null => None,
+        ValueCell::Bool(b) => Some(ValueRef::Bool(b)),
+        ValueCell::Int(x) => Some(ValueRef::Int(x)),
+        ValueCell::Float(x) => Some(ValueRef::Float(x)),
+        ValueCell::Text { start, end } => Some(ValueRef::Text(values.text(start, end))),
+        ValueCell::Expr(k) => ValueRef::of(&consts[k]),
+    };
+    let mut batch = BatchBuilder::new(schema, values.len());
+    for row in values.rows() {
+        match columns {
+            None => batch.push_row(row.iter().map(cell))?,
+            Some(_) => batch.push_row(source.iter().map(|at| at.and_then(|k| cell(&row[k]))))?,
+        }
+    }
+    Ok(batch.finish())
+}
+
+/// Per column of `schema`, the position in `columns` (an INSERT's column
+/// list) of its name; an unknown name, or one named twice, is an error.
+fn listed_columns(schema: &Schema, columns: &[String]) -> Result<Vec<Option<usize>>, DbError> {
+    let mut source = vec![None; schema.arity()];
+    for (k, name) in columns.iter().enumerate() {
+        let i = schema
+            .index_of(name)
+            .ok_or_else(|| DbError::NoSuchColumn(name.clone()))?;
+        if source[i].replace(k).is_some() {
+            return Err(DbError::Execution(format!(
+                "column '{name}' is named twice in the INSERT column list"
+            )));
+        }
+    }
+    Ok(source)
 }
 
 /// What an `UPDATE … SET … [WHERE …]` changes in the table version it was
@@ -1685,6 +1715,65 @@ mod tests {
             Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
         assert_eq!(report.replay_errors, 0);
         assert_eq!(db2.row_count("t").unwrap(), 2);
+    }
+
+    #[test]
+    fn a_column_named_twice_is_refused_before_the_log() {
+        use crate::wal::SyncPolicy;
+        let dir = std::env::temp_dir().join(format!("perfbase_engine_dup_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (dump, wal) = (dir.join("dup.sql"), dir.join("dup.wal"));
+        std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&wal).ok();
+        let (db, _) =
+            Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
+        let db = Arc::new(db);
+        db.execute("CREATE TABLE t (a INTEGER, b FLOAT)").unwrap();
+        let (frames, epoch) = (db.wal_frames(), db.epoch());
+        for text in [
+            "INSERT INTO t (a, a, b) VALUES (1, 2, 3.0)",
+            "INSERT INTO t (b, a, b) VALUES (1.0, 2, 3.0)",
+        ] {
+            let err = db.execute(text).unwrap_err().to_string();
+            assert!(err.contains("column '"), "{err}");
+            assert!(err.contains("named twice"), "{err}");
+            let mut txn = db.begin_txn();
+            assert!(txn.execute(text).is_err());
+            txn.commit().unwrap();
+        }
+        assert_eq!(db.wal_frames(), frames, "a refused INSERT logged a frame");
+        assert_eq!(db.epoch(), epoch, "a refused INSERT ticked the epoch");
+        assert_eq!(db.row_count("t").unwrap(), 0);
+        // A column named once each, in any order, is fine.
+        db.execute("INSERT INTO t (b, a) VALUES (3.0, 1)").unwrap();
+        assert_eq!(
+            db.read_snapshot("t").unwrap().1,
+            [vec![Value::Int(1), Value::Float(3.0)]]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn integers_out_of_range_and_overflowing_floats_are_refused() {
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (a INTEGER, f FLOAT, s TEXT, n INTEGER)")
+            .unwrap();
+        for (text, err) in [
+            ("INSERT INTO t (a) VALUES (1e19)", " to INTEGER"),
+            ("INSERT INTO t (a) VALUES (-1e19)", " to INTEGER"),
+            ("INSERT INTO t (a) VALUES (9.3e18)", " to INTEGER"),
+            (
+                "INSERT INTO t VALUES (1, 1e400, 'a', 1)",
+                "bad numeric literal '1e400'",
+            ),
+        ] {
+            let got = db.execute(text).unwrap_err().to_string();
+            assert!(got.contains(err), "{text}: {got}");
+        }
+        assert_eq!(db.row_count("t").unwrap(), 0);
+        db.execute("INSERT INTO t (a) VALUES (-9223372036854775808.0)")
+            .unwrap();
+        assert_eq!(db.read_snapshot("t").unwrap().1[0][0], Value::Int(i64::MIN));
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub enum Stmt {
         table: String,
         /// Optional explicit column list.
         columns: Option<Vec<String>>,
-        /// Row value expressions (must be constant).
-        rows: Vec<Vec<SqlExpr>>,
+        /// The rows, flat.
+        values: Values,
     },
     /// A SELECT query.
     Select(SelectStmt),
@@ -84,6 +84,117 @@ pub enum Stmt {
         /// Sorted (range-capable) index variant.
         ordered: bool,
     },
+}
+
+/// The rows of an `INSERT … VALUES`, flat: one compact `ValueCell` per
+/// value in row-major order, the text of every string literal in one buffer,
+/// and the constant expressions that are not one literal in a side list. Rows
+/// are `arity` cells long; where each row ends is kept only once a row of
+/// another length (a ragged row, which the INSERT reports) has been read.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Values {
+    cells: Vec<ValueCell>,
+    /// Cells of the first row.
+    arity: usize,
+    rows: usize,
+    /// Where each row ends in `cells`; empty while every row is `arity` long.
+    ends: Vec<usize>,
+    text: String,
+    exprs: Vec<SqlExpr>,
+}
+
+/// One value of an INSERT: a literal, or a constant expression.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ValueCell {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    /// A string literal: bytes `start..end` of [`Values`]'s text.
+    Text {
+        start: usize,
+        end: usize,
+    },
+    /// The constant expression at this index of [`Values`]'s side list.
+    Expr(usize),
+}
+
+impl Values {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The cells of row `r`.
+    pub(crate) fn row(&self, r: usize) -> &[ValueCell] {
+        if self.ends.is_empty() {
+            &self.cells[r * self.arity..(r + 1) * self.arity]
+        } else {
+            let start = if r == 0 { 0 } else { self.ends[r - 1] };
+            &self.cells[start..self.ends[r]]
+        }
+    }
+
+    /// Every row, in order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[ValueCell]> {
+        (0..self.rows).map(|r| self.row(r))
+    }
+
+    /// The text of a [`ValueCell::Text`] cell.
+    pub(crate) fn text(&self, start: usize, end: usize) -> &str {
+        &self.text[start..end]
+    }
+
+    /// The constant expressions, in the order their cells appear.
+    pub(crate) fn exprs(&self) -> &[SqlExpr] {
+        &self.exprs
+    }
+
+    /// Append a cell to the row being read.
+    pub(crate) fn push(&mut self, cell: ValueCell) {
+        self.cells.push(cell);
+    }
+
+    /// The cell of string literal `s`, its text copied to the buffer.
+    pub(crate) fn text_cell(&mut self, s: &str) -> ValueCell {
+        let start = self.text.len();
+        self.text.push_str(s);
+        ValueCell::Text {
+            start,
+            end: self.text.len(),
+        }
+    }
+
+    /// Append a constant expression's cell to the row being read.
+    pub(crate) fn push_expr(&mut self, e: SqlExpr) {
+        self.cells.push(ValueCell::Expr(self.exprs.len()));
+        self.exprs.push(e);
+    }
+
+    /// End the row being read. After the first row, room is made for the
+    /// cells of `rows_to_come` more rows like it.
+    pub(crate) fn end_row(&mut self, rows_to_come: usize) {
+        let start = match self.ends.last() {
+            Some(&end) => end,
+            None => self.rows * self.arity,
+        };
+        let len = self.cells.len() - start;
+        if self.rows == 0 {
+            self.arity = len;
+            self.cells.reserve(len * rows_to_come);
+        } else if len != self.arity || !self.ends.is_empty() {
+            if self.ends.is_empty() {
+                self.ends = (1..=self.rows).map(|r| r * self.arity).collect();
+            }
+            self.ends.push(self.cells.len());
+        }
+        self.rows += 1;
+    }
 }
 
 /// Column definition inside CREATE TABLE.
@@ -295,6 +406,45 @@ mod tests {
         assert_eq!(e.to_string(), "avg(bw)");
         let b = SqlExpr::Binary("*", Box::new(e), Box::new(SqlExpr::Lit(Value::Int(2))));
         assert_eq!(b.to_string(), "(avg(bw) * 2)");
+    }
+
+    fn values(src: &str) -> Values {
+        match crate::sql::parse_statement(src).unwrap() {
+            Stmt::Insert { values, .. } => values,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn values_are_flat_and_keep_row_ends_only_when_ragged() {
+        let v = values("INSERT INTO t VALUES (1, 'it''s'), (-2, E'a\\nb'), (NULL, '')");
+        assert_eq!((v.len(), v.arity, v.ends.len()), (3, 2, 0));
+        assert_eq!(v.text, "it'sa\nb");
+        assert_eq!(
+            v.rows().map(<[ValueCell]>::to_vec).collect::<Vec<_>>(),
+            [
+                vec![ValueCell::Int(1), ValueCell::Text { start: 0, end: 4 }],
+                vec![ValueCell::Int(-2), ValueCell::Text { start: 4, end: 7 }],
+                vec![ValueCell::Null, ValueCell::Text { start: 7, end: 7 }],
+            ]
+        );
+        // A ragged row keeps every row's end, the ones before it included.
+        let v = values("INSERT INTO t VALUES (1, 2), (3, 4), (5), (6, 7, 8), (9, 10)");
+        let lengths: Vec<usize> = v.rows().map(<[ValueCell]>::len).collect();
+        assert_eq!(lengths, [2, 2, 1, 3, 2]);
+        assert_eq!(v.ends, [2, 4, 5, 8, 10]);
+        // A cell that is not one literal is a constant expression.
+        let v = values("INSERT INTO t VALUES (1 + 2, -(3), TRUE, 2.5)");
+        assert_eq!(v.exprs().len(), 2);
+        assert_eq!(
+            v.row(0),
+            [
+                ValueCell::Expr(0),
+                ValueCell::Expr(1),
+                ValueCell::Bool(true),
+                ValueCell::Float(2.5)
+            ]
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub(super) enum Token<'a> {
     /// Integer literal: its magnitude. A sign is the parser's unary minus,
     /// which is what lets `-9223372036854775808` be read.
     Int(u64),
-    /// Float literal.
+    /// Float literal: always finite.
     Float(f64),
     /// String literal, quotes removed; owned only when `''` or an `E'…'`
     /// backslash escape had to be rewritten.
@@ -153,20 +153,36 @@ impl<'a> Lexer<'a> {
 
     /// Digits, at most one `.`, and an exponent only when a digit or sign
     /// follows the `e` — so `1e` is the integer `1` and then the word `e`.
+    /// The digits are summed as they are scanned: an integer is that sum, and
+    /// so is a float's value when the sum is below 2^53 and at most 22 digits
+    /// follow the dot — one division of two exact numbers, so the value is
+    /// the correctly rounded one `str::parse` gives. Any other float is
+    /// parsed.
     fn number(&mut self, start: usize) -> Result<Token<'a>, DbError> {
-        let mut is_float = false;
+        // Powers of ten an f64 holds exactly.
+        const POW10: [f64; 23] = [
+            1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+            1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+        ];
+        // The digits as one integer (`None` once it overflows), and how many
+        // of them follow the dot (`None` before one).
+        let mut sum = Some(0u64);
+        let mut fraction: Option<usize> = None;
+        let mut exponent = false;
         while let Some(d) = self.byte(self.pos) {
             if d.is_ascii_digit() {
+                sum = sum.and_then(|s| s.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+                fraction = fraction.map(|f| f + 1);
                 self.pos += 1;
-            } else if d == b'.' && !is_float {
-                is_float = true;
+            } else if d == b'.' && fraction.is_none() {
+                fraction = Some(0);
                 self.pos += 1;
             } else if (d == b'e' || d == b'E')
                 && self
                     .byte(self.pos + 1)
                     .is_some_and(|n| n.is_ascii_digit() || n == b'+' || n == b'-')
             {
-                is_float = true;
+                exponent = true;
                 self.pos += 2;
                 while self.byte(self.pos).is_some_and(|n| n.is_ascii_digit()) {
                     self.pos += 1;
@@ -177,10 +193,18 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = &self.src[start..self.pos];
-        let tok = if is_float {
-            text.parse().ok().map(Token::Float)
-        } else {
-            text.parse().ok().map(Token::Int)
+        let tok = match (sum, fraction, exponent) {
+            (Some(sum), None, false) => Some(Token::Int(sum)),
+            (Some(sum), Some(f), false) if sum < 1 << 53 && f < POW10.len() => {
+                Some(Token::Float(sum as f64 / POW10[f]))
+            }
+            (_, None, false) => None,
+            // A literal too large for an f64 is refused, not read as ±inf.
+            _ => text
+                .parse()
+                .ok()
+                .filter(|f: &f64| f.is_finite())
+                .map(Token::Float),
         };
         tok.ok_or_else(|| error_at(self.src, start, &format!("bad numeric literal '{text}'")))
     }
@@ -345,6 +369,66 @@ mod tests {
     }
 
     #[test]
+    fn a_float_literal_that_overflows_is_refused() {
+        for text in ["1e400", "1.5e309", "2e308", "0.001e312"] {
+            let err = lex(text).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("bad numeric literal '{text}'")),
+                "{err}"
+            );
+        }
+        // The largest and smallest finite magnitudes still read, as does an
+        // underflow to zero.
+        let t = lex("1.7976931348623157e308 5e-324 1e-400").unwrap();
+        assert_eq!(
+            t,
+            [
+                Token::Float(f64::MAX),
+                Token::Float(5e-324),
+                Token::Float(0.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn summed_floats_are_the_parsed_ones() {
+        let mut rng = Rng::new(0xf10a7);
+        for _ in 0..20_000 {
+            let digits = |rng: &mut Rng, n: u64| -> String {
+                (0..rng.below(n))
+                    .map(|_| char::from(b'0' + rng.below(10) as u8))
+                    .collect()
+            };
+            let text = format!("{}.{}", digits(&mut rng, 18), digits(&mut rng, 26));
+            if text == "." {
+                continue;
+            }
+            let want: f64 = text.parse().unwrap();
+            assert_eq!(lex(&text).unwrap(), [Token::Float(want)], "{text}");
+            let Token::Float(got) = lex(&text).unwrap()[0] else {
+                unreachable!()
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+        // The edges of the sum: 2^53 - 1 and 2^53 digits, 22 and 23 after the
+        // dot, and a sum past u64.
+        for text in [
+            "9007199254740991.5",
+            "9007199254740992.5",
+            "0.1234567890123456789012",
+            "0.12345678901234567890123",
+            "184467440737095516160.5",
+            "0.0000000000000000000001",
+        ] {
+            let want: f64 = text.parse().unwrap();
+            let Token::Float(got) = lex(text).unwrap()[0] else {
+                panic!("{text}")
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
     fn errors_carry_line_and_column() {
         let at = |src: &str| lex(src).unwrap_err().to_string();
         assert!(
@@ -355,7 +439,8 @@ mod tests {
     }
 
     /// The lexer this one replaced — `Vec<char>` and a `String` per token —
-    /// kept as the oracle, changed only to read integers as magnitudes.
+    /// kept as the oracle, changed only to read integers as magnitudes and to
+    /// refuse a float literal that overflows.
     #[derive(Debug)]
     #[allow(dead_code)] // fields are compared through `Debug`
     enum Old {
@@ -407,7 +492,8 @@ mod tests {
                 }
                 let s: String = chars[start..i].iter().collect();
                 if is_float {
-                    toks.push(Old::Float(s.parse().map_err(|_| ())?));
+                    let f: f64 = s.parse().map_err(|_| ())?;
+                    toks.push(Old::Float(if f.is_finite() { f } else { return Err(()) }));
                 } else {
                     toks.push(Old::Int(s.parse().map_err(|_| ())?));
                 }

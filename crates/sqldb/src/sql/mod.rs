@@ -8,7 +8,10 @@ mod ast;
 mod lexer;
 mod parser;
 
-pub use ast::{ColumnDef, JoinClause, OrderKey, SelectItem, SelectStmt, SqlExpr, Stmt, UnOp};
+pub(crate) use ast::ValueCell;
+pub use ast::{
+    ColumnDef, JoinClause, OrderKey, SelectItem, SelectStmt, SqlExpr, Stmt, UnOp, Values,
+};
 pub(crate) use parser::statements;
 pub use parser::{is_reserved, parse_expr, parse_script, parse_statement, split_script};
 

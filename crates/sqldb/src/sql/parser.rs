@@ -361,24 +361,24 @@ impl<'a> P<'a> {
             None
         };
         self.expect_kw("VALUES")?;
-        let mut rows = Vec::new();
-        // Rows of one statement are equally long: size each like the last.
-        let mut arity = 0;
+        let mut values = Values::default();
         loop {
+            let row_start = self.pos;
             self.expect_sym("(")?;
-            let mut row = Vec::with_capacity(arity);
             loop {
-                row.push(match self.literal_cell() {
-                    Some(lit) => lit,
-                    None => self.expr()?,
-                });
+                if !self.literal_cell(&mut values) {
+                    let e = self.expr()?;
+                    values.push_expr(e);
+                }
                 if !self.eat_sym(",") {
                     break;
                 }
             }
             self.expect_sym(")")?;
-            arity = row.len();
-            rows.push(row);
+            // Rows of one statement are alike: as many to come as the tokens
+            // left hold rows of this one's tokens and its `,`.
+            let row_tokens = self.pos - row_start + 1;
+            values.end_row((self.toks.len() - self.pos) / row_tokens);
             if !self.eat_sym(",") {
                 break;
             }
@@ -386,7 +386,7 @@ impl<'a> P<'a> {
         Ok(Stmt::Insert {
             table,
             columns,
-            rows,
+            values,
         })
     }
 
@@ -749,17 +749,27 @@ impl<'a> P<'a> {
 
     /// A cell that is one literal token, optionally signed, directly
     /// followed by `,` or `)` — every cell of a dumped or logged INSERT —
-    /// read without the expression descent; [`P::expr`] builds the same
-    /// `Lit`.
-    fn literal_cell(&mut self) -> Option<SqlExpr> {
+    /// appended to `values` as it is, without the expression descent
+    /// ([`P::expr`] reads the same value). `false` for any other cell.
+    fn literal_cell(&mut self, values: &mut Values) -> bool {
         let neg = matches!(self.peek(), Some(Token::Sym("-")));
         let at = self.pos + usize::from(neg);
-        if !matches!(self.toks.get(at + 1)?.1, Token::Sym("," | ")")) {
-            return None;
+        if !matches!(self.toks.get(at + 1), Some((_, Token::Sym("," | ")")))) {
+            return false;
         }
-        let v = literal(&self.toks[at].1, neg)?;
+        let cell = match (&self.toks[at].1, neg) {
+            (Token::Str(s), false) => values.text_cell(s),
+            (tok, _) => match literal(tok, neg) {
+                Some(Value::Null) => ValueCell::Null,
+                Some(Value::Bool(b)) => ValueCell::Bool(b),
+                Some(Value::Int(i)) => ValueCell::Int(i),
+                Some(Value::Float(f)) => ValueCell::Float(f),
+                _ => return false,
+            },
+        };
+        values.push(cell);
         self.pos = at + 1;
-        Some(SqlExpr::Lit(v))
+        true
     }
 }
 
@@ -935,10 +945,24 @@ mod tests {
         assert!(msg("SELECT 'it''s' 'x'").contains("found ''x'' (line 1, column 16)"));
     }
 
+    /// The first row of `values`, each cell as the expression it stands for.
+    fn first_row(values: &Values) -> Vec<SqlExpr> {
+        let lit = |v| SqlExpr::Lit(v);
+        let cells = values.row(0).iter().map(|cell| match *cell {
+            ValueCell::Null => lit(Value::Null),
+            ValueCell::Bool(b) => lit(Value::Bool(b)),
+            ValueCell::Int(i) => lit(Value::Int(i)),
+            ValueCell::Float(f) => lit(Value::Float(f)),
+            ValueCell::Text { start, end } => lit(Value::Text(values.text(start, end).into())),
+            ValueCell::Expr(k) => values.exprs()[k].clone(),
+        });
+        cells.collect()
+    }
+
     #[test]
     fn integer_literals_span_the_whole_i64_range() {
         let lits = |src: &str| match parse_statement(src).unwrap() {
-            Stmt::Insert { mut rows, .. } => rows.remove(0),
+            Stmt::Insert { values, .. } => first_row(&values),
             other => panic!("{other:?}"),
         };
         let int = |v| SqlExpr::Lit(Value::Int(v));
@@ -1131,11 +1155,18 @@ mod tests {
             Stmt::Insert {
                 table,
                 columns,
-                rows,
+                values,
             } => {
                 assert_eq!(table, "t");
                 assert_eq!(columns.unwrap(), vec!["a", "b"]);
-                assert_eq!(rows.len(), 2);
+                assert_eq!(values.len(), 2);
+                assert_eq!(
+                    first_row(&values),
+                    [
+                        SqlExpr::Lit(Value::Int(1)),
+                        SqlExpr::Lit(Value::Text("x".into()))
+                    ]
+                );
             }
             other => panic!("{other:?}"),
         }

@@ -10,7 +10,7 @@
 use crate::column::{Cell, ColumnStore, TableMemory};
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
-use crate::value::{Value, ValueKey};
+use crate::value::{Value, ValueKey, ValueRef};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -161,11 +161,81 @@ impl Index {
 /// column type's variant — the purity the typed vectors rely on.
 fn check_cell(col: &Column, v: &mut Value) -> Result<(), DbError> {
     if v.is_null() && !col.nullable {
-        return Err(DbError::Type(format!("column '{}' is NOT NULL", col.name)));
+        return Err(not_null(col));
     }
     let coerced = std::mem::replace(v, Value::Null).coerce(col.dtype);
     *v = coerced.map_err(DbError::Type)?;
     Ok(())
+}
+
+/// The error of a NULL in NOT NULL column `col`.
+fn not_null(col: &Column) -> DbError {
+    DbError::Type(format!("column '{}' is NOT NULL", col.name))
+}
+
+/// The rows one INSERT appends, checked against a schema as they come — a
+/// row's arity, then its cells in column order: NOT NULL, then
+/// [`Value::coerce`]'s rule — and stored cell by cell in the typed columns
+/// of a new store ([`Table::append`]). A cell that is its column's variant
+/// already is stored as it is, TEXT interned; only another is made a
+/// [`Value`] and coerced. The first error ends the batch, so errors come in
+/// row-major order.
+pub(crate) struct BatchBuilder<'a> {
+    schema: &'a Schema,
+    store: ColumnStore,
+}
+
+impl<'a> BatchBuilder<'a> {
+    /// An empty batch under `schema`, with room for `rows` rows.
+    pub(crate) fn new(schema: &'a Schema, rows: usize) -> Self {
+        BatchBuilder {
+            schema,
+            store: ColumnStore::with_capacity(schema, rows),
+        }
+    }
+
+    /// Append a row of `cells` (`None`: NULL): one per column, each checked
+    /// and stored in column order.
+    #[inline]
+    pub(crate) fn push_row<'c>(
+        &mut self,
+        cells: impl ExactSizeIterator<Item = Option<ValueRef<'c>>>,
+    ) -> Result<(), DbError> {
+        if cells.len() != self.schema.arity() {
+            return Err(DbError::Type(format!(
+                "insert arity mismatch: expected {} values, got {}",
+                self.schema.arity(),
+                cells.len()
+            )));
+        }
+        for ((i, col), cell) in self.schema.columns.iter().enumerate().zip(cells) {
+            if cell.is_none() && !col.nullable {
+                return Err(not_null(col));
+            }
+            if !self.store.push(i, cell) {
+                let v = cell.expect("a NULL cell is stored").to_value();
+                let v = v.coerce(col.dtype).map_err(DbError::Type)?;
+                let stored = self.store.push(i, ValueRef::of(&v));
+                debug_assert!(stored, "{v:?} is a {} cell", col.dtype);
+            }
+        }
+        self.store.end_row();
+        Ok(())
+    }
+
+    /// The batch.
+    pub(crate) fn finish(self) -> ColumnStore {
+        self.store
+    }
+}
+
+/// `rows` as a batch under `schema` ([`BatchBuilder`]).
+pub(crate) fn batch_of_rows(schema: &Schema, rows: &[Row]) -> Result<ColumnStore, DbError> {
+    let mut batch = BatchBuilder::new(schema, rows.len());
+    for row in rows {
+        batch.push_row(row.iter().map(ValueRef::of))?;
+    }
+    Ok(batch.finish())
 }
 
 /// An in-memory table: a schema, the column store holding its rows, and
@@ -418,68 +488,41 @@ impl Table {
             .collect()
     }
 
-    /// Validate and coerce one row against the schema without mutating
-    /// anything — the first half of [`Table::insert`], split out so a
-    /// multi-row insert can validate the whole batch before applying any
-    /// of it.
-    fn check_row(&self, mut row: Row) -> Result<Row, DbError> {
-        if row.len() != self.schema.arity() {
-            return Err(DbError::Type(format!(
-                "insert arity mismatch: expected {} values, got {}",
-                self.schema.arity(),
-                row.len()
-            )));
-        }
-        for (v, col) in row.iter_mut().zip(&self.schema.columns) {
-            check_cell(col, v)?;
-        }
-        Ok(row)
-    }
-
-    /// Validate, coerce and append one row.
+    /// Append one row, checked and coerced as [`Table::insert_all`] checks
+    /// a batch.
     pub fn insert(&mut self, row: Row) -> Result<(), DbError> {
-        let out = self.check_row(row)?;
-        self.append_validated(vec![out]);
-        Ok(())
+        self.insert_all(vec![row]).map(drop)
     }
 
-    /// Validate and coerce a whole batch against the schema without
-    /// appending anything. This is the check half of [`Table::insert_all`],
-    /// exposed for callers that must establish "the batch will succeed"
-    /// *before* a side effect — the engine plans every INSERT here before the
-    /// log sees it, so a rejected batch never leaves a frame behind.
-    pub fn validate_rows(&self, rows: Vec<Row>) -> Result<Vec<Row>, DbError> {
-        let mut checked = Vec::with_capacity(rows.len());
-        for r in rows {
-            checked.push(self.check_row(r)?);
-        }
-        Ok(checked)
-    }
-
-    /// Append many rows atomically: every row is validated and coerced
-    /// before any row is applied, so a mid-batch type error leaves the
-    /// table and its indexes exactly as they were.
+    /// Append many rows atomically: the whole batch is built under the schema
+    /// (`batch_of_rows`) before any of it is appended, so an error anywhere
+    /// leaves the table and its indexes exactly as they were.
     pub fn insert_all(&mut self, rows: Vec<Row>) -> Result<usize, DbError> {
-        let checked = self.validate_rows(rows)?;
-        Ok(self.append_validated(checked))
+        let batch = batch_of_rows(&self.schema, &rows)?;
+        Ok(self.append(batch))
     }
 
-    /// Append rows [`Table::validate_rows`] returned for this schema; returns
-    /// how many. It cannot fail — which is what lets a transaction validate a
-    /// batch when the statement runs and append it only at commit, after the
-    /// log has the group.
-    pub(crate) fn append_validated(&mut self, rows: Vec<Row>) -> usize {
-        let first = self.len();
+    /// Append a batch built under this table's schema ([`BatchBuilder`]);
+    /// returns how many rows. It cannot fail — which is what lets a
+    /// transaction build a batch when the statement runs and append it only
+    /// at commit, after the log has the group.
+    pub(crate) fn append(&mut self, batch: ColumnStore) -> usize {
+        let (first, rows) = (self.len(), batch.len());
+        self.store.append(batch);
+        self.index_from(first);
+        rows
+    }
+
+    /// Enter the rows from position `first` on into every index.
+    fn index_from(&mut self, first: usize) {
         for ix in &mut self.indexes {
-            for (pos, row) in (first..).zip(&rows) {
-                let key = ValueKey::of(&row[ix.column]);
+            for pos in first..self.store.len() {
+                let key = ValueKey::of(&self.store.value(pos, ix.column));
                 if !key.is_null() {
                     ix.store.push(key, pos);
                 }
             }
         }
-        self.store.append_rows(&rows);
-        rows.len()
     }
 
     /// Append one row per entry of `positions` (positions of `src`, any
@@ -529,14 +572,7 @@ impl Table {
         }
         let first = self.len();
         self.store.append_selected(&src.store, positions, cells);
-        for ix in &mut self.indexes {
-            for pos in first..self.store.len() {
-                let key = ValueKey::of(&self.store.value(pos, ix.column));
-                if !key.is_null() {
-                    ix.store.push(key, pos);
-                }
-            }
-        }
+        self.index_from(first);
         Ok(())
     }
 

@@ -13,10 +13,11 @@
 //!
 //! The workspace copies a table only for a statement that changes rows in
 //! place. Rows a transaction merely *appends* (`INSERT`,
-//! [`Transaction::insert_rows`]) are validated against the pinned version
-//! and buffered; a later `UPDATE`, `DELETE`, `CREATE INDEX` or `SELECT` on
-//! that table folds them into a private copy first, and an `UPDATE` or
-//! `DELETE` that selects no row copies nothing.
+//! [`Transaction::insert_rows`]) are built into a column batch under the
+//! pinned version's schema and buffered, the batches of one table merged
+//! into one; a later `UPDATE`, `DELETE`, `CREATE INDEX` or `SELECT` on that
+//! table folds them into a private copy first, and an `UPDATE` or `DELETE`
+//! that selects no row copies nothing.
 //!
 //! Each statement is planned by the engine's one planning function against
 //! the transaction's view, and the change folded into the workspace; a
@@ -60,7 +61,7 @@ pub struct Transaction {
     /// The workspace: per touched table the net change COMMIT publishes — a
     /// private [`Change::Version`] (created here, or copied from the pinned
     /// one for a statement that changes rows in place), [`Change::Drop`],
-    /// the rows of [`Change::Append`], or [`Change::Nothing`] for a table
+    /// the batch of [`Change::Append`], or [`Change::Nothing`] for a table
     /// only statements without effect ran against. Every entry joins the
     /// first-writer-wins check.
     work: HashMap<String, Change>,
@@ -202,9 +203,9 @@ impl Transaction {
                     self.work.insert(name.to_string(), nothing);
                 }
             }
-            (Change::Append(rows), Some(Change::Append(buffered))) => buffered.extend(rows),
-            (rows @ Change::Append(_), Some(Change::Version(table))) => {
-                rows.apply_to(Arc::make_mut(table))
+            (Change::Append(batch), Some(Change::Append(buffered))) => buffered.append(batch),
+            (batch @ Change::Append(_), Some(Change::Version(table))) => {
+                batch.apply_to(Arc::make_mut(table))
             }
             (change @ (Change::Version(_) | Change::Drop | Change::Append(_)), _) => {
                 self.work.insert(name.to_string(), change);

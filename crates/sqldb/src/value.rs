@@ -127,7 +127,10 @@ impl Value {
         match ty {
             DataType::Int => match &self {
                 Value::Int(_) => Ok(self),
-                Value::Float(f) if f.fract() == 0.0 => Ok(Value::Int(*f as i64)),
+                // Whole and inside `[-2^63, 2^63)`: the cast is exact.
+                Value::Float(f) if f.fract() == 0.0 && (-I64_SPAN..I64_SPAN).contains(f) => {
+                    Ok(Value::Int(*f as i64))
+                }
                 Value::Bool(b) => Ok(Value::Int(i64::from(*b))),
                 Value::Text(s) => s.trim().parse().map(Value::Int).or_else(|_| err(&self)),
                 _ => err(&self),
@@ -542,6 +545,28 @@ mod tests {
         }
         assert_eq!(DataType::from_sql_name("varchar"), Some(DataType::Text));
         assert_eq!(DataType::from_sql_name("nope"), None);
+    }
+
+    #[test]
+    fn a_whole_float_outside_the_i64_range_is_no_integer() {
+        for f in [1e19, -1e19, 9.3e18, I64_SPAN, -I64_SPAN * 2.0, f64::MAX] {
+            let err = Value::Float(f).coerce(DataType::Int).unwrap_err();
+            assert!(
+                err.starts_with("cannot coerce ") && err.ends_with(" to INTEGER"),
+                "{f}: {err}"
+            );
+        }
+        for (f, i) in [
+            (-I64_SPAN, i64::MIN),
+            (-9_223_372_036_854_775_808.0, i64::MIN),
+            (9_223_372_036_854_774_784.0, i64::MAX - 1023),
+            (-0.0, 0),
+        ] {
+            assert_eq!(
+                Value::Float(f).coerce(DataType::Int).unwrap(),
+                Value::Int(i)
+            );
+        }
     }
 
     #[test]

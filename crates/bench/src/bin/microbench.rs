@@ -750,6 +750,73 @@ fn bench_pinned_append() -> BenchResult {
     }
 }
 
+/// Dump rendering: `Engine::dump_sql` of one FLOAT column (`optimized_ns`)
+/// against the same bytes with every float printed by `{:?}`
+/// (`baseline_ns`), over `ROWS` cells. `dump_render_short` holds short
+/// decimals — the cells a measurement file yields, which the writer prints
+/// by its own rule — and `dump_render_long` floats of 17 digits such as
+/// `i / 3`, where the rule fails and the writer falls back to `{:?}`, so its
+/// ratio is the cost of the failed tries.
+fn bench_dump_render() -> [BenchResult; 2] {
+    let mut rng = Rng(7);
+    let short: Vec<f64> = (0..ROWS)
+        .map(|_| rng.below(1_000_000) as f64 / 1000.0)
+        .collect();
+    let long: Vec<f64> = (1..=ROWS).map(|i| i as f64 / 3.0).collect();
+    let render = |name: &'static str, cells: Vec<f64>| {
+        let e = Engine::new();
+        e.execute("CREATE TABLE t (v FLOAT)").expect("create");
+        let rows = cells.iter().map(|&v| vec![Value::Float(v)]).collect();
+        e.insert_rows("t", rows).expect("insert");
+        // The dump's layout, each float through `{:?}`.
+        let debug_render = || {
+            let mut out =
+                String::from("-- perfbase embedded database dump\nCREATE TABLE t (v FLOAT);\n");
+            for batch in cells.chunks(64) {
+                out.push_str("INSERT INTO t VALUES ");
+                for (k, v) in batch.iter().enumerate() {
+                    let _ = write!(out, "{}({v:?})", if k == 0 { "" } else { ", " });
+                }
+                out.push_str(";\n");
+            }
+            out
+        };
+        assert_eq!(
+            e.dump_sql(),
+            debug_render(),
+            "{name}: the dump is not `{{:?}}`'s"
+        );
+        // Interleaved trials, so that drift on a shared host hits both.
+        let (mut optimized, mut baseline) = (Vec::new(), Vec::new());
+        for trial in 0..=TRIALS {
+            let t0 = Instant::now();
+            std::hint::black_box(e.dump_sql());
+            let dump_ns = t0.elapsed().as_nanos() as u64;
+            let t0 = Instant::now();
+            std::hint::black_box(debug_render());
+            let debug_ns = t0.elapsed().as_nanos() as u64;
+            // The first trial warms up.
+            if trial > 0 {
+                optimized.push(dump_ns);
+                baseline.push(debug_ns);
+            }
+        }
+        let median = |mut v: Vec<u64>| {
+            v.sort_unstable();
+            v[v.len() / 2]
+        };
+        BenchResult {
+            name,
+            optimized_ns: median(optimized),
+            baseline_ns: median(baseline),
+        }
+    };
+    [
+        render("dump_render_short", short),
+        render("dump_render_long", long),
+    ]
+}
+
 /// Telemetry overhead: the same point select with the `obs` counters
 /// recording vs globally disabled. Every recording call degrades to one
 /// relaxed atomic load when disabled, so the delta is the full cost of the
@@ -1093,6 +1160,19 @@ fn main() {
         pinned_append.speedup()
     );
 
+    let [render_short, render_long] = bench_dump_render();
+    assert!(
+        render_short.speedup() >= 1.5,
+        "the dump writer must print short decimals >=1.5x faster than `{{:?}}` (got {:.2}x)",
+        render_short.speedup()
+    );
+    assert!(
+        render_long.speedup() >= 0.9,
+        "the dump writer must print 17-digit floats at most 10% slower than `{{:?}}` \
+         (got {:.2}x)",
+        render_long.speedup()
+    );
+
     let wal = bench_wal();
     assert!(
         wal.group_cost_ns() <= WAL_GROUP_ALLOWANCE_NS,
@@ -1132,6 +1212,8 @@ fn main() {
         txn,
         txn_scaling,
         pinned_append,
+        render_short,
+        render_long,
         repl_reads,
         failover,
     ]);

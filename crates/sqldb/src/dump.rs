@@ -11,7 +11,7 @@ use crate::engine::{Engine, Text};
 use crate::error::DbError;
 use crate::schema::Schema;
 use crate::sql;
-use crate::value::Value;
+use crate::wal::{sync_parent_dir, Durable, IoFailpoint};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::ops::Range;
@@ -77,22 +77,26 @@ impl Engine {
     }
 
     /// Persist to a file, atomically: the dump is written to a sibling tmp
-    /// file, fsynced, then renamed into place — a crash mid-save leaves the
-    /// previous dump intact (the WAL checkpoint path depends on this).
+    /// file, fsynced, renamed into place, and the directory fsynced — a
+    /// crash mid-save leaves the previous dump intact, and once this returns
+    /// the new one is durable under its name (the WAL checkpoint path
+    /// depends on both).
     pub fn save_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.save_to_file_with_seq(path, None)
+        self.save_to_file_with_seq(path, None, &IoFailpoint::none())
     }
 
     /// [`Engine::save_to_file`], optionally stamping the WAL checkpoint
-    /// sequence into the dump header. A dump written with `Some(seq)`
-    /// declares "every log frame with a sequence number below `seq` is
-    /// already reflected here" — recovery uses it to skip those frames
-    /// when a crash lands between the dump rename and the log compaction,
-    /// which would otherwise double-apply every one of them.
+    /// sequence into the dump header, each durability step noted on `fp`. A
+    /// dump written with `Some(seq)` declares "every log frame with a
+    /// sequence number below `seq` is already reflected here" — recovery
+    /// uses it to skip those frames when a crash lands between the dump
+    /// rename and the log compaction, which would otherwise double-apply
+    /// every one of them.
     pub(crate) fn save_to_file_with_seq(
         &self,
         path: &std::path::Path,
         ckpt_seq: Option<u64>,
+        fp: &IoFailpoint,
     ) -> std::io::Result<()> {
         let mut tmp_name = path.as_os_str().to_owned();
         tmp_name.push(".tmp");
@@ -100,8 +104,13 @@ impl Engine {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(self.dump_with_seq(ckpt_seq).as_bytes())?;
         f.sync_all()?;
+        fp.record(Durable::DumpSynced);
         drop(f);
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        fp.record(Durable::DumpRenamed);
+        // Until the directory is synced, a power loss can bring the old
+        // name back — after a checkpoint has emptied the log.
+        sync_parent_dir(path, fp)
     }
 
     /// Load from a file written by [`Engine::save_to_file`].
@@ -154,9 +163,9 @@ pub(crate) fn write_create_table(
 }
 
 /// Append `INSERT INTO name VALUES (…), (…)` over rows `rows` of `store` —
-/// a table's, or the batch of one INSERT — text cells from the dictionary
-/// entry, no row built (no trailing `;`). The one INSERT writer: the dump and
-/// every rendered log frame.
+/// a table's, or the batch of one INSERT — each cell read from its typed
+/// column, no row or [`crate::Value`] built (no trailing `;`). The one INSERT
+/// writer: the dump and every rendered log frame.
 pub(crate) fn write_rows(out: &mut String, name: &str, store: &ColumnStore, rows: Range<usize>) {
     out.push_str("INSERT INTO ");
     out.push_str(name);
@@ -167,31 +176,115 @@ pub(crate) fn write_rows(out: &mut String, name: &str, store: &ColumnStore, rows
             if c > 0 {
                 out.push_str(", ");
             }
-            match store.col(c) {
-                ColumnVec::Text(d) if !d.nulls.is_null(r) => {
-                    write_text(out, &d.dict()[d.codes[r] as usize])
-                }
-                col => write_literal(out, &col.value(r)),
-            }
+            write_cell(out, store.col(c), r);
         }
         out.push(')');
     }
 }
 
-/// Append the literal form that parses back to the identical value
-/// (timestamps stay integers and non-finite floats quoted text, both
+/// Append cell `r` of `col` as the literal that parses back to the identical
+/// cell (timestamps stay integers and non-finite floats quoted text, both
 /// re-coerced by the column type on insert).
-pub(crate) fn write_literal(out: &mut String, v: &Value) {
-    // Writing to a `String` cannot fail.
-    let _ = match v {
-        Value::Null => out.write_str("NULL"),
-        Value::Bool(b) => out.write_str(if *b { "TRUE" } else { "FALSE" }),
-        Value::Text(s) => return write_text(out, s),
-        Value::Int(i) | Value::Timestamp(i) => write!(out, "{i}"),
-        Value::Float(f) if f.is_finite() => write!(out, "{f:?}"),
-        // `inf`, `-inf`, `NaN`: no numeric literal, but the text coerces back.
-        Value::Float(f) => write!(out, "'{f}'"),
-    };
+fn write_cell(out: &mut String, col: &ColumnVec, r: usize) {
+    if col.nulls().is_null(r) {
+        return out.push_str("NULL");
+    }
+    match col {
+        ColumnVec::Int { data, .. } | ColumnVec::Timestamp { data, .. } => write_int(out, data[r]),
+        ColumnVec::Float { data, .. } => write_float(out, data[r]),
+        ColumnVec::Bool { data, .. } => out.push_str(if data[r] { "TRUE" } else { "FALSE" }),
+        ColumnVec::Text(d) => write_text(out, &d.dict()[d.codes[r] as usize]),
+    }
+}
+
+/// Append `i` in decimal.
+fn write_int(out: &mut String, i: i64) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_decimal(out, i.unsigned_abs(), 0);
+}
+
+/// Append what `{f:?}` prints. A float `{:?}` writes without an exponent —
+/// 1e-4 ≤ |f| < 1e16 — is printed from the smallest `d ≤ 17` at which
+/// `m = round(|f|·10^d)` is below 2^50 and `m / 10^d` reads back as `|f|`:
+/// `m` with `d` decimals, `.0` when `d` is 0. That one division is how the
+/// lexer reads the literal, and below 2^50 the scaled float is off by less
+/// than a quarter, so no other `m` reads back at that `d`: the first `d`
+/// found gives the shortest digits that read back, which is what `{:?}`
+/// prints. Zero, a float needing more digits or another notation, and the
+/// non-finite ones go through `{:?}` (`inf`, `-inf` and `NaN` quoted: no
+/// numeric literal, but the text coerces back).
+fn write_float(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        let _ = write!(out, "'{f}'");
+        return;
+    }
+    match shortest_decimal(f.abs()) {
+        Some((m, d)) => {
+            if f < 0.0 {
+                out.push('-');
+            }
+            write_decimal(out, m, d);
+            if d == 0 {
+                out.push_str(".0");
+            }
+        }
+        None => {
+            let _ = write!(out, "{f:?}");
+        }
+    }
+}
+
+/// The `(m, d)` of [`write_float`]'s rule for a positive `x`, or `None` when
+/// `{:?}` decides.
+fn shortest_decimal(x: f64) -> Option<(u64, usize)> {
+    // Powers of ten an f64 holds exactly.
+    const POW10: [f64; 18] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17,
+    ];
+    const LIMIT: i64 = 1 << 50;
+    // 2^-50: a read-back `m` is within |f|·10^d·2^-52 of the scaled float.
+    const SLACK: f64 = 1.0 / LIMIT as f64;
+    if !(1e-4..1e16).contains(&x) {
+        return None;
+    }
+    for (d, &p) in POW10.iter().enumerate() {
+        let scaled = x * p;
+        // Exact below 2^50, where a float's spacing is at most 1/8; `i64`,
+        // not `u64`, because it converts to and from `f64` in one step.
+        let m = (scaled + 0.5) as i64;
+        if m >= LIMIT {
+            return None;
+        }
+        let near = (scaled - m as f64).abs() <= scaled * SLACK;
+        if near && m as f64 / p == x {
+            return Some((m as u64, d));
+        }
+    }
+    None
+}
+
+/// Append `m` in decimal, its last `decimals` digits behind a point (with a
+/// zero in front of the point, and zeros behind it, as needed).
+fn write_decimal(out: &mut String, mut m: u64, decimals: usize) {
+    // 20 digits of a `u64`, or 17 decimals, a point and a zero.
+    let mut buf = [0u8; 21];
+    let mut at = buf.len();
+    for k in 0.. {
+        if k == decimals && k > 0 {
+            at -= 1;
+            buf[at] = b'.';
+        }
+        at -= 1;
+        buf[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 && k >= decimals {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Append `s` as a string literal. Text holding control characters becomes
@@ -224,7 +317,7 @@ mod tests {
     use super::*;
     use crate::table::{batch_of_rows, Row};
     use crate::test_common::Rng;
-    use crate::{Column, DataType};
+    use crate::{Column, DataType, Value};
 
     fn sample() -> Engine {
         let e = Engine::new();
@@ -295,6 +388,110 @@ mod tests {
         let e2 = Engine::load_from_file(&path).unwrap();
         assert_eq!(e2.row_count("runs").unwrap(), 3);
         std::fs::remove_file(path).ok();
+    }
+
+    /// A checkpoint publishes its dump durably before it empties the log:
+    /// the directory is synced between the rename and the compaction, and a
+    /// new log's directory before any frame goes into it.
+    #[test]
+    fn checkpoint_syncs_the_directory_between_rename_and_compaction() {
+        use crate::wal::{Durable, IoFailpoint, SyncPolicy, WalOptions};
+        use std::sync::Arc;
+        let dir = std::env::temp_dir().join("perfbase_dump_dirsync");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let fp = Arc::new(IoFailpoint::recording());
+        let opts = WalOptions {
+            sync: SyncPolicy::Off,
+            failpoint: fp.clone(),
+        };
+        let (e, _) = Engine::open_durable(&dir.join("db.sql"), &dir.join("db.wal"), opts).unwrap();
+        let created = vec![Durable::LogCreated, Durable::DirSynced(dir.clone())];
+        assert_eq!(fp.steps(), created);
+        e.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        e.execute("INSERT INTO t VALUES (1)").unwrap();
+        assert_eq!(fp.steps(), created);
+        assert_eq!(e.checkpoint(&dir.join("db.sql")).unwrap(), 2);
+        let checkpointed = [
+            Durable::DumpSynced,
+            Durable::DumpRenamed,
+            Durable::DirSynced(dir.clone()),
+            Durable::LogCompacted,
+        ];
+        assert_eq!(fp.steps()[created.len()..], checkpointed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The text `write_float` gives `f`.
+    fn float_text(f: f64) -> String {
+        let mut out = String::new();
+        write_float(&mut out, f);
+        out
+    }
+
+    /// The writer prints every number as `{:?}` (and `Display` for
+    /// integers) does: the floats its rule prints — short decimals — beside
+    /// those it leaves to `{:?}`, on both sides of every edge of the rule.
+    #[test]
+    fn numbers_print_what_debug_prints() {
+        let check = |f: f64| {
+            for f in [f, -f] {
+                let want = match f.is_finite() {
+                    true => format!("{f:?}"),
+                    false => format!("'{f}'"),
+                };
+                assert_eq!(float_text(f), want, "bits {:#x}", f.to_bits());
+            }
+        };
+        let mut rng = Rng::new(0xf10a7);
+        // Random bit patterns, subnormals, and 17-digit floats across the
+        // rule's range.
+        for _ in 0..40_000 {
+            check(f64::from_bits(rng.next_u64()));
+            check(f64::from_bits(rng.next_u64() >> 12));
+            check(10f64.powf(rng.float(-5.0, 17.0)));
+        }
+        // Decimals of 1 to 17 digits with 0 to 22 of them decimals.
+        for digits in 1..=17u32 {
+            for decimals in 0..=22 {
+                for _ in 0..40 {
+                    let m = rng.below(10u64.pow(digits) - 10u64.pow(digits - 1))
+                        + 10u64.pow(digits - 1);
+                    let text = format!("{m}e-{decimals}");
+                    check(text.parse().unwrap());
+                }
+            }
+        }
+        // The neighbours of every edge of the rule, and the extremes.
+        let edges = [1e-4, 1e16, (1u64 << 50) as f64, (1u64 << 53) as f64, 1.0];
+        for edge in edges {
+            for k in -300..=300 {
+                check(f64::from_bits(edge.to_bits().wrapping_add_signed(k)));
+            }
+        }
+        let extremes = [
+            0.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+            0.1,
+            214.516,
+            1e15,
+            9007199254740993.0,
+        ];
+        extremes.into_iter().for_each(check);
+        let int = |i: i64| {
+            let mut out = String::new();
+            write_int(&mut out, i);
+            assert_eq!(out, i.to_string());
+        };
+        [i64::MIN, i64::MIN + 1, i64::MAX, 0, -1, 1, 9, 10, -10]
+            .into_iter()
+            .for_each(int);
+        (0..20_000).for_each(|_| int(rng.next_u64() as i64 >> rng.below(64)));
     }
 
     #[test]

@@ -733,7 +733,7 @@ impl Engine {
                 // dump claiming to supersede them is published.
                 w.sync()?;
                 let ckpt_seq = w.next_seq();
-                self.save_to_file_with_seq(dump_path, Some(ckpt_seq))
+                self.save_to_file_with_seq(dump_path, Some(ckpt_seq), w.failpoint())
                     .map_err(|e| DbError::Io(format!("checkpoint {}: {e}", dump_path.display())))?;
                 w.compact()
             }

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 use crate::error::DbError;
+use crate::sync::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -205,6 +206,24 @@ pub struct IoFailpoint {
     promote_crash: AtomicBool,
     /// Tripped: the simulated process is dead.
     crashed: AtomicBool,
+    /// The durability steps taken so far, when recording
+    /// ([`IoFailpoint::recording`]).
+    steps: Mutex<Option<Vec<Durable>>>,
+}
+
+/// A step that makes a write durable, as a recording failpoint lists them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Durable {
+    /// A dump's temporary file was fsynced.
+    DumpSynced,
+    /// A dump was renamed into place.
+    DumpRenamed,
+    /// A new log's header was written and fsynced.
+    LogCreated,
+    /// The directory was fsynced, so the names in it are durable.
+    DirSynced(PathBuf),
+    /// The log was compacted to its header.
+    LogCompacted,
 }
 
 impl Default for IoFailpoint {
@@ -226,6 +245,29 @@ impl IoFailpoint {
             compact_crash: AtomicBool::new(false),
             promote_crash: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
+            steps: Mutex::new(None),
+        }
+    }
+
+    /// A failpoint that never fires and lists every durability step taken
+    /// through it ([`IoFailpoint::steps`]).
+    #[cfg(test)]
+    pub(crate) fn recording() -> Self {
+        let fp = IoFailpoint::none();
+        *fp.steps.lock() = Some(Vec::new());
+        fp
+    }
+
+    /// The durability steps a recording failpoint saw, in order.
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> Vec<Durable> {
+        self.steps.lock().clone().unwrap_or_default()
+    }
+
+    /// Note one durability step (kept only when recording).
+    pub(crate) fn record(&self, step: Durable) {
+        if let Some(steps) = self.steps.lock().as_mut() {
+            steps.push(step);
         }
     }
 
@@ -574,6 +616,10 @@ impl Wal {
             .open(path)
             .map_err(|e| io_err(path, "create", &e))?;
         write_header(&mut file, path, start_seq)?;
+        opts.failpoint.record(Durable::LogCreated);
+        // The log's name must be durable before a frame in it is acked.
+        sync_parent_dir(path, &opts.failpoint)
+            .map_err(|e| io_err(path, "sync directory of", &e))?;
         Ok(Wal {
             file,
             path: path.to_path_buf(),
@@ -926,6 +972,7 @@ impl Wal {
             .seek(SeekFrom::Start(0))
             .map_err(|e| io_err(&self.path, "seek", &e))?;
         write_header(&mut self.file, &self.path, self.start_seq)?;
+        fp.record(Durable::LogCompacted);
         // The unterminated group a failed append left went with the
         // segment, and the checkpoint dump holds exactly the acknowledged
         // state: appends may resume.
@@ -1038,6 +1085,22 @@ fn io_err(path: &Path, op: &str, e: &std::io::Error) -> DbError {
     DbError::Io(format!("{op} {}: {e}", path.display()))
 }
 
+/// fsync the directory holding `path`: a file created or renamed there is
+/// durable under its name only then — an fsync of the file itself does not
+/// reach the directory entry.
+pub(crate) fn sync_parent_dir(path: &Path, fp: &IoFailpoint) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    // A directory opens as a file for fsync on unix only.
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    fp.record(Durable::DirSynced(dir.to_path_buf()));
+    Ok(())
+}
+
 /// CRC32 (IEEE 802.3 polynomial, reflected) over the frame's sequence
 /// number followed by its payload.
 pub fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
@@ -1046,11 +1109,12 @@ pub fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
     !crc
 }
 
-/// IEEE CRC-32 lookup table (reflected polynomial), built at compile time.
-/// Byte-at-a-time lookups keep the per-frame checksum off the append hot
-/// path — the bit-at-a-time loop showed up in the `wal_append` microbench.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 lookup tables (reflected polynomial), built at compile time,
+/// for slicing-by-8: `CRC32_TABLES[0]` is the byte-at-a-time table, and
+/// `CRC32_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table lookups advance the CRC by eight bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -1060,15 +1124,41 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// Advance `crc` over `bytes`, eight bytes per step and the rest one at a
+/// time — the same CRC as a byte-at-a-time table walk.
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let t = &CRC32_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -1088,6 +1178,30 @@ mod tests {
         // CRC32("123456789") == 0xCBF43926 for the IEEE polynomial.
         let crc = !crc32_update(0xFFFF_FFFF, b"123456789");
         assert_eq!(crc, 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_byte_at_a_time_walk() {
+        let bytewise = |mut crc: u32, bytes: &[u8]| {
+            for &b in bytes {
+                crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+            crc
+        };
+        let mut rng = crate::test_common::Rng::new(0xc7c);
+        let buf: Vec<u8> = (0..80).map(|_| rng.next_u64() as u8).collect();
+        for start in [0, 1, 3, 7, 8, 13] {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                for crc in [0xFFFF_FFFF, 0, rng.next_u64() as u32] {
+                    assert_eq!(
+                        crc32_update(crc, bytes),
+                        bytewise(crc, bytes),
+                        "{start} {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

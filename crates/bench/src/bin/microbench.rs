@@ -138,8 +138,10 @@ fn bench_pair_reps(e: &Engine, name: &'static str, sql: &str, reps: usize) -> Be
 /// and aggregation queries mirror the row-table `filtered_agg` /
 /// `filter_project` benches; `columnar_scan` adds a pure-column projection
 /// that stays entirely on the vectorized path (`vectorized=full`),
-/// `grouped_scan` a grouped aggregation over every row, and `grouped_keys`
-/// the same over two key columns.
+/// `grouped_scan` a grouped aggregation over every row, `grouped_keys`
+/// the same over two key columns, `grouped_minmax` grouped `min`/`max`
+/// over a FLOAT and an INTEGER column, and `scan_sum` one group's `sum` and
+/// `count` over every row.
 fn bench_columnar() -> Vec<BenchResult> {
     let e = build_engine_sized(COL_ROWS);
 
@@ -193,6 +195,16 @@ fn bench_columnar() -> Vec<BenchResult> {
             "SELECT fs, nodes, count(*), avg(bw) FROM runs GROUP BY fs, nodes",
             2,
         ),
+        // `min`/`max` keep a cell in its column's own type, FLOAT and
+        // INTEGER, per group.
+        bench_pair_reps(
+            &e,
+            "grouped_minmax",
+            "SELECT fs, min(bw), max(bw), max(run_index) FROM runs GROUP BY fs",
+            2,
+        ),
+        // One group: each fold's state stays in a local across a chunk.
+        bench_pair_reps(&e, "scan_sum", "SELECT sum(bw), count(bw) FROM runs", 2),
     ]
 }
 

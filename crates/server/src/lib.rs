@@ -277,7 +277,15 @@ fn route(inner: &Arc<Inner>, req: Request) -> Response {
     let epoch = inner.engine.epoch();
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => timed(obs::Hist::HttpOtherNs, started, {
-            Response::ok("ok\n").with_header("X-Epoch", epoch.to_string())
+            let health = match inner.engine.wal_poisoned() {
+                false => Response::ok("ok\n"),
+                true => Response::text(
+                    503,
+                    "log poisoned: an append failed part-way; writes are refused until a \
+                     checkpoint\n",
+                ),
+            };
+            health.with_header("X-Epoch", epoch.to_string())
         }),
         ("GET", "/epoch") => timed(obs::Hist::HttpOtherNs, started, {
             Response::ok(format!("{epoch}\n")).with_header("X-Epoch", epoch.to_string())

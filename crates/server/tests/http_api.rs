@@ -3,7 +3,7 @@
 //! session-pinned repeatable reads, and clean shutdown.
 
 use pbserver::{Server, ServerConfig, ServerHandle};
-use sqldb::Engine;
+use sqldb::{Engine, IoFailpoint, SyncPolicy, WalOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -119,6 +119,62 @@ fn health_epoch_query_and_stats_roundtrip() {
 
     handle.stop();
     handle.join();
+}
+
+/// A log is poisoned when an append fails part-way: every write is refused
+/// until a checkpoint. `/health` answers 503 naming that state for as long
+/// as it lasts, and `ok` again once a checkpoint clears it.
+#[test]
+fn health_reports_a_poisoned_log_until_a_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("pbserver_health_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (dump, log) = (dir.join("exp.sql"), dir.join("exp.sql.wal"));
+    // The CREATE and the first INSERT reach the log; the next append fails
+    // with half its frame written.
+    let opts = WalOptions {
+        sync: SyncPolicy::Off,
+        failpoint: Arc::new(IoFailpoint::append_error_after(2)),
+    };
+    let engine = Arc::new(Engine::open_durable(&dump, &log, opts).unwrap().0);
+    engine
+        .execute("CREATE TABLE runs (run_index INTEGER, fs TEXT)")
+        .unwrap();
+    engine
+        .execute("INSERT INTO runs VALUES (1, 'ufs')")
+        .unwrap();
+    let handle = Server::start(engine.clone(), ServerConfig::default()).unwrap();
+    let ingest = || {
+        call(
+            &handle,
+            "POST",
+            "/ingest?table=runs",
+            &[],
+            "run_index\tfs\n2\tnfs\n",
+        )
+    };
+    assert_eq!(call(&handle, "GET", "/health", &[], "").2, "ok\n");
+
+    let (status, _, body) = ingest();
+    assert_eq!(status, 400, "body: {body}");
+    let (status, head, body) = call(&handle, "GET", "/health", &[], "");
+    assert_eq!(status, 503);
+    assert!(body.starts_with("log poisoned:"), "body: {body}");
+    assert_eq!(
+        header_value(&head, "X-Epoch").unwrap(),
+        engine.epoch().to_string()
+    );
+    assert_eq!(ingest().0, 400, "a poisoned log refuses every write");
+    assert_eq!(call(&handle, "GET", "/health", &[], "").0, 503);
+
+    engine.checkpoint(&dump).unwrap();
+    assert_eq!(call(&handle, "GET", "/health", &[], "").2, "ok\n");
+    let (status, _, body) = ingest();
+    assert_eq!(status, 200, "body: {body}");
+    assert_eq!(engine.row_count("runs").unwrap(), 2);
+
+    handle.stop();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -15,17 +15,24 @@
 //! its count, `sum` a sum, `prod` a product, `avg` Welford's running mean,
 //! `stddev`/`variance` that mean and Welford's sum of squared deviations
 //! (stable on long runs of near-equal bandwidth samples), `min`/`max`/`first`
-//! one value, `median` every input. An input is folded by one function,
-//! `Accumulator::fold`, which takes a borrowed cell (`value::ValueRef`): the
-//! executor feeds it straight off a column's chunks — a number as a number,
-//! TEXT as its dictionary string — and [`Accumulator::update`] is the door
-//! for a [`Value`] somebody already holds (an aggregate over an expression,
-//! `core`'s merge of the per-node partials of a pushed-down `sum`, `min` or
-//! `max`, the test oracle). Every recurrence runs in
-//! input order, so a group fed its rows in row order gets the bits a naive
-//! row-at-a-time evaluation gets.
+//! one value, `median` every input. It is fed one [`Value`] at a time by
+//! [`Accumulator::update`]: an aggregate over an expression, `core`'s merge
+//! of the per-node partials of a pushed-down `sum`, `min` or `max`, the test
+//! oracle.
+//!
+//! An aggregate over a column is folded by `Grouped::fold_column` instead:
+//! one loop per kind and column type, chosen once, walks the selected cells
+//! a run of one chunk at a time (`Chunked::runs_at`) into flat per-group
+//! state arrays — the count and an `f64` (sum, product, mean) or two
+//! (Welford's mean and `m2`), the kept cell in the column's own type (a TEXT
+//! cell as its dictionary code), or a `Vec<f64>` for `median` — and each
+//! group's state becomes an [`Accumulator`] only to finish. Both folds run
+//! every recurrence in row order with the same arithmetic, so a group gets
+//! the bits a naive row-at-a-time evaluation gets.
 
-use crate::value::{Value, ValueRef};
+use crate::column::{Chunked, ColumnVec, NullBitmap};
+use crate::value::{Num, Value, ValueRef};
+use std::cmp::Ordering;
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,20 +147,14 @@ impl Accumulator {
         }
     }
 
-    /// Feed one value (NULLs are skipped) through the one fold every input
-    /// takes, the executor's typed feed included.
+    /// Feed one value (NULLs are skipped). A number is read as an `f64` by
+    /// the arithmetic kinds and compared exactly (`ValueRef::total_cmp`)
+    /// by `min`/`max`; a kept input is copied only when it becomes the one
+    /// kept.
     pub fn update(&mut self, v: &Value) {
-        if let Some(x) = ValueRef::of(v) {
-            self.fold(x);
-        }
-    }
-
-    /// Fold one non-NULL input into the state of this kind. A number is
-    /// read as an `f64` by the arithmetic kinds and compared exactly
-    /// ([`ValueRef::total_cmp`]) by `min`/`max`; a kept input is copied
-    /// only when it becomes the one kept.
-    #[inline]
-    pub(crate) fn fold(&mut self, x: ValueRef<'_>) {
+        let Some(x) = ValueRef::of(v) else {
+            return;
+        };
         self.count += 1;
         let n = self.count as f64;
         match (&mut self.state, x.num()) {
@@ -166,7 +167,7 @@ impl Accumulator {
                     _ => false,
                 };
                 if keep {
-                    *kept = Some(x.to_value());
+                    *kept = Some(v.clone());
                 }
             }
             (_, None) => self.non_numeric = true,
@@ -181,13 +182,6 @@ impl Accumulator {
             }
             (State::Inputs(xs), Some(x)) => xs.push(x.as_f64()),
         }
-    }
-
-    /// Fold `n` non-NULL inputs into a `count`, which keeps nothing of them:
-    /// `count(*)` counted per group off the group index.
-    pub(crate) fn add_count(&mut self, n: u64) {
-        debug_assert!(matches!(self.state, State::Count), "{:?}", self.kind);
-        self.count += n;
     }
 
     /// Produce the aggregate result. Empty input yields NULL (except `count`,
@@ -230,6 +224,205 @@ impl Accumulator {
             }
         })
     }
+}
+
+/// The selected rows an aggregation folds: their positions, in row order,
+/// the number of groups, and each row's group (`None`: one group, every row
+/// in it).
+#[derive(Clone, Copy)]
+pub(crate) struct Grouped<'a> {
+    pub(crate) positions: &'a [usize],
+    pub(crate) groups: usize,
+    pub(crate) gidx: Option<&'a [u32]>,
+}
+
+impl Grouped<'_> {
+    /// `count(*)`: each group's rows, counted off the group index.
+    pub(crate) fn count_rows(self) -> Vec<Accumulator> {
+        let mut counts = vec![(0, ()); self.groups];
+        match self.gidx {
+            Some(gidx) => gidx.iter().for_each(|&g| counts[g as usize].0 += 1),
+            None => counts[0].0 = self.positions.len() as u64,
+        }
+        finished(AggKind::Count, counts, |()| State::Count)
+    }
+
+    /// One `kind` per group over the non-NULL cells of `col` at the selected
+    /// positions: one loop for the kind and the column's type. A number is
+    /// read as an `f64` by the arithmetic kinds and compared exactly within
+    /// its type by `min`/`max` (a FLOAT by [`Num::total_cmp`], a TEXT code by
+    /// its string); TEXT into an arithmetic kind is counted, and fails at
+    /// [`Accumulator::finish`].
+    pub(crate) fn fold_column(self, kind: AggKind, col: &ColumnVec) -> Vec<Accumulator> {
+        match col {
+            ColumnVec::Int { data, nulls } => {
+                self.fold_typed(kind, (data, nulls), |x| x as f64, i64::cmp, Value::Int)
+            }
+            ColumnVec::Timestamp { data, nulls } => self.fold_typed(
+                kind,
+                (data, nulls),
+                |x| x as f64,
+                i64::cmp,
+                Value::Timestamp,
+            ),
+            ColumnVec::Float { data, nulls } => {
+                let cmp = |a: &f64, b: &f64| Num::Float(*a).total_cmp(Num::Float(*b));
+                self.fold_typed(kind, (data, nulls), |x| x, cmp, Value::Float)
+            }
+            ColumnVec::Bool { data, nulls } => {
+                self.fold_typed(kind, (data, nulls), f64::from, bool::cmp, Value::Bool)
+            }
+            ColumnVec::Text(d) => {
+                let cells = (&d.codes, &d.nulls);
+                if let AggKind::Count | AggKind::Min | AggKind::Max | AggKind::First = kind {
+                    let dict = d.dict();
+                    let cmp = |&a: &u32, &b: &u32| match a == b {
+                        true => Ordering::Equal,
+                        false => dict[a as usize].cmp(&dict[b as usize]),
+                    };
+                    return self.kept(kind, cells, cmp, |c| Value::Text(dict[c as usize].clone()));
+                }
+                let counts = self.fold(cells, (), |(), _, _| {});
+                let accs = finished(kind, counts, |()| Accumulator::new(kind).state);
+                let text = |acc: Accumulator| Accumulator {
+                    non_numeric: acc.count > 0,
+                    ..acc
+                };
+                accs.into_iter().map(text).collect()
+            }
+        }
+    }
+
+    /// [`Grouped::fold_column`] over a column of numbers `T`: `num` is what
+    /// the arithmetic kinds fold, `cmp` and `value` what `min`, `max` and
+    /// `first` keep.
+    fn fold_typed<T: Copy + Default>(
+        self,
+        kind: AggKind,
+        cells: (&Chunked<T>, &NullBitmap),
+        num: impl Fn(T) -> f64,
+        cmp: impl Fn(&T, &T) -> Ordering,
+        value: impl Fn(T) -> Value,
+    ) -> Vec<Accumulator> {
+        match kind {
+            AggKind::Count | AggKind::Min | AggKind::Max | AggKind::First => {
+                self.kept(kind, cells, cmp, value)
+            }
+            AggKind::Sum => {
+                let sums = self.fold(cells, 0.0, |sum, _, x| *sum += num(x));
+                finished(kind, sums, State::Sum)
+            }
+            AggKind::Prod => {
+                let prods = self.fold(cells, 1.0, |prod, _, x| *prod *= num(x));
+                finished(kind, prods, State::Prod)
+            }
+            AggKind::Avg => {
+                let means = self.fold(cells, 0.0, |mean, n, x| {
+                    *mean += (num(x) - *mean) / n as f64;
+                });
+                finished(kind, means, State::Mean)
+            }
+            AggKind::StdDev | AggKind::Variance => {
+                let moments = self.fold(cells, (0.0, 0.0), |(mean, m2), n, x| {
+                    let x = num(x);
+                    let delta = x - *mean;
+                    *mean += delta / n as f64;
+                    *m2 += delta * (x - *mean);
+                });
+                finished(kind, moments, |(mean, m2)| State::Moments { mean, m2 })
+            }
+            AggKind::Median => {
+                let inputs = self.fold(cells, Vec::new(), |xs, _, x| xs.push(num(x)));
+                finished(kind, inputs, State::Inputs)
+            }
+        }
+    }
+
+    /// `count`, `min`, `max` or `first` over a column of `T`: each group's
+    /// count and the cell it keeps, in the column's own type — the first,
+    /// or the first of the least (`min`) or greatest (`max`) by `cmp`.
+    fn kept<T: Copy + Default>(
+        self,
+        kind: AggKind,
+        cells: (&Chunked<T>, &NullBitmap),
+        cmp: impl Fn(&T, &T) -> Ordering,
+        value: impl Fn(T) -> Value,
+    ) -> Vec<Accumulator> {
+        let states = match kind {
+            AggKind::Min => self.fold(cells, T::default(), |kept, n, x| {
+                if n == 1 || cmp(&x, kept).is_lt() {
+                    *kept = x;
+                }
+            }),
+            AggKind::Max => self.fold(cells, T::default(), |kept, n, x| {
+                if n == 1 || cmp(&x, kept).is_gt() {
+                    *kept = x;
+                }
+            }),
+            _ => self.fold(cells, T::default(), |kept, n, x| {
+                if n == 1 {
+                    *kept = x;
+                }
+            }),
+        };
+        finished(kind, states, |x| match kind {
+            AggKind::Count => State::Count,
+            _ => State::Kept(Some(value(x))),
+        })
+    }
+
+    /// Each group's count and state, from `init`, after `step(state, n, x)`
+    /// took each non-NULL selected cell `x` of the group in row order, `n`
+    /// the group's count with it. The cells come a run at a time
+    /// ([`Chunked::runs_at`]); with one group, its state is held in a local
+    /// across each run.
+    #[inline]
+    fn fold<T: Copy, S: Clone + Default>(
+        self,
+        (data, nulls): (&Chunked<T>, &NullBitmap),
+        init: S,
+        step: impl Fn(&mut S, u64, T),
+    ) -> Vec<(u64, S)> {
+        let mut states = vec![(0, init); self.groups];
+        let step = |(n, state): &mut (u64, S), x: T| {
+            *n += 1;
+            step(state, *n, x);
+        };
+        match self.gidx {
+            None => {
+                let state = &mut states[0];
+                data.runs_at(nulls, self.positions, |_, run| {
+                    let mut local = std::mem::take(state);
+                    run.iter().for_each(|&x| step(&mut local, x));
+                    *state = local;
+                });
+            }
+            Some(gidx) => data.runs_at(nulls, self.positions, |k, run| {
+                for (&x, &g) in run.iter().zip(&gidx[k..k + run.len()]) {
+                    step(&mut states[g as usize], x);
+                }
+            }),
+        }
+        states
+    }
+}
+
+/// Each group's accumulator: a fresh one for a group that took no input;
+/// otherwise its count, and the [`State`] `state` makes of its fold state.
+fn finished<S>(
+    kind: AggKind,
+    states: Vec<(u64, S)>,
+    state: impl Fn(S) -> State,
+) -> Vec<Accumulator> {
+    let acc = |(count, s)| match count {
+        0 => Accumulator::new(kind),
+        _ => Accumulator {
+            count,
+            state: state(s),
+            ..Accumulator::new(kind)
+        },
+    };
+    states.into_iter().map(acc).collect()
 }
 
 #[cfg(test)]
@@ -383,38 +576,94 @@ mod tests {
         }
     }
 
-    /// `update(&Value)` and the typed feed are one fold: a `count` fed
-    /// `add_count` finishes like one fed each row, and exact comparison
-    /// keeps integers beyond 2^53 apart that an `f64` would merge.
+    /// The column kernels fold what `update` folds: every kind over every
+    /// column type, over every row, two selections with gaps, one that
+    /// descends across a chunk edge and none, in one group and in three.
+    /// Exact comparison keeps integers beyond 2^53 apart that an `f64`
+    /// would merge, and a tie keeps the first of `0.0` and `-0.0`.
     #[test]
-    fn the_value_door_and_the_typed_feed_are_one_fold() {
+    fn the_column_kernels_fold_what_update_folds() {
+        use crate::column::ColumnStore;
+        use crate::schema::{Column, Schema};
+        use crate::value::DataType;
         let big = 1i64 << 53;
-        let cells = [
-            ValueRef::Int(big + 1),
-            ValueRef::Int(big),
-            ValueRef::Timestamp(3),
-            ValueRef::Bool(true),
-            ValueRef::Float(-0.0),
-            ValueRef::Float(f64::NAN),
-            ValueRef::Text("x"),
+        let pick = |r: usize, xs: &[Value]| xs[r % xs.len()].clone();
+        let numbers = [big + 1, big, -big - 1, 0, i64::MAX, 7];
+        let (ints, stamps) = (numbers.map(Value::Int), numbers.map(Value::Timestamp));
+        let floats = [
+            0.0,
+            -0.0,
+            1.5,
+            f64::NAN,
+            0.1,
+            -2.25,
+            1e300,
+            f64::NEG_INFINITY,
         ];
-        for kind in KINDS {
-            for len in 0..=cells.len() {
-                let (mut typed, mut valued) = (Accumulator::new(kind), Accumulator::new(kind));
-                for x in &cells[..len] {
-                    typed.fold(*x);
-                    valued.update(&x.to_value());
+        let floats = floats.map(Value::Float);
+        let texts = ["b", "", "a", "zz", "B"].map(|s| Value::Text(s.into()));
+        let null_or = |r: usize, every: usize, v: Value| match r.is_multiple_of(every) {
+            true => Value::Null,
+            false => v,
+        };
+        let rows: Vec<Vec<Value>> = (0..4096 + 40)
+            .map(|r| {
+                vec![
+                    null_or(r, 5, pick(r, &ints)),
+                    null_or(r, 7, pick(r, &floats)),
+                    null_or(r, 3, Value::Bool(r % 4 < 2)),
+                    null_or(r, 11, pick(r, &stamps)),
+                    null_or(r, 6, pick(r, &texts)),
+                ]
+            })
+            .collect();
+        let types = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Bool,
+            DataType::Timestamp,
+        ];
+        let columns = types.into_iter().chain([DataType::Text]).enumerate();
+        let schema = columns
+            .map(|(c, t)| Column::new(&format!("c{c}"), t))
+            .collect();
+        let mut store = ColumnStore::with_capacity(&Schema::new(schema).unwrap(), rows.len());
+        for row in &rows {
+            for (c, v) in row.iter().enumerate() {
+                assert!(store.push(c, ValueRef::of(v)), "{v:?}");
+            }
+            store.end_row();
+        }
+        let selections: [Vec<usize>; 5] = [
+            (0..rows.len()).collect(),
+            // FLOAT cells 0.0, -0.0 and 1.5 only: `min` ties at zero.
+            (0..rows.len()).filter(|p| p % 8 < 3).collect(),
+            (0..rows.len()).filter(|p| p % 3 != 1).collect(),
+            (4000..4120).rev().collect(),
+            Vec::new(),
+        ];
+        for positions in &selections {
+            let groups: Vec<u32> = positions.iter().map(|p| (p % 7 % 3) as u32).collect();
+            for gidx in [None, Some(groups.as_slice())] {
+                let grouped = Grouped {
+                    positions,
+                    groups: if gidx.is_some() { 3 } else { 1 },
+                    gidx,
+                };
+                for (c, kind) in (0..5).flat_map(|c| KINDS.map(|kind| (c, kind))) {
+                    let folded = grouped.fold_column(kind, store.col(c));
+                    let mut updated = vec![Accumulator::new(kind); grouped.groups];
+                    for (k, &p) in positions.iter().enumerate() {
+                        updated[gidx.map_or(0, |g| g[k] as usize)].update(&rows[p][c]);
+                    }
+                    let finished = |accs: &[Accumulator]| {
+                        let all: Vec<_> = accs.iter().map(Accumulator::finish).collect();
+                        format!("{all:?}")
+                    };
+                    assert_eq!(finished(&folded), finished(&updated), "{kind:?} over c{c}");
                 }
-                let (a, b) = (typed.finish(), valued.finish());
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{kind:?} over {len}");
             }
         }
-        let mut counted = Accumulator::new(AggKind::Count);
-        counted.add_count(3);
-        assert_eq!(
-            counted.finish(),
-            Ok(agg(AggKind::Count, &floats(&[1.0; 3])))
-        );
         let ints = [Value::Int(big + 1), Value::Int(big), Value::Int(big + 1)];
         assert_eq!(agg(AggKind::Min, &ints), Value::Int(big));
         assert_eq!(agg(AggKind::Max, &ints[1..]), Value::Int(big + 1));

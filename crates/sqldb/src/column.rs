@@ -119,6 +119,43 @@ impl<T: Clone, const N: usize> Chunked<T, N> {
         })
     }
 
+    /// The cells at `positions` that `nulls` does not mark, a run at a time:
+    /// `f(k, cells)` for each longest stretch `positions[k..k + cells.len()]`
+    /// of consecutive non-NULL positions inside one chunk, `cells` their
+    /// cells as one slice, in the order of `positions`. A selection of every
+    /// row of a column without NULLs is one run per chunk; positions need
+    /// not ascend.
+    #[inline]
+    pub(crate) fn runs_at(
+        &self,
+        nulls: &NullBitmap,
+        positions: &[usize],
+        mut f: impl FnMut(usize, &[T]),
+    ) {
+        let mut k = 0;
+        while let Some(&p) = positions.get(k) {
+            let (chunk, at) = (self.chunk(p / N), p % N);
+            let most = (chunk.len() - at).min(positions.len() - k);
+            let next = positions[k + 1..k + most].iter().zip(p + 1..);
+            let len = 1 + next.take_while(|(&q, r)| q == *r).count();
+            let cells = &chunk[at..at + len];
+            if nulls.nulls == 0 {
+                f(k, cells);
+            } else {
+                let mut from = 0;
+                for i in 0..=len {
+                    if i == len || nulls.is_null(p + i) {
+                        if from < i {
+                            f(k + from, &cells[from..i]);
+                        }
+                        from = i + 1;
+                    }
+                }
+            }
+            k += len;
+        }
+    }
+
     /// Append `cells` to the tail, which becomes a shared full chunk each
     /// time it reaches `N` cells. Its capacity grows by doubling, up to `N`.
     fn extend(&mut self, cells: impl IntoIterator<Item = T>) {
@@ -556,49 +593,6 @@ impl ColumnVec {
             ColumnVec::Bool { data, .. } => Value::Bool(data[i]),
             ColumnVec::Timestamp { data, .. } => Value::Timestamp(data[i]),
             ColumnVec::Text(d) => Value::Text(d.dict()[d.codes[i] as usize].clone()),
-        }
-    }
-
-    /// `f(k, cell)` for each `positions[k]` whose cell is not NULL, in
-    /// order, the cell borrowed where it is stored — a number as a number,
-    /// TEXT as its dictionary string: no [`Value`] is built. Each chunk is
-    /// looked up once per run of positions inside it ([`Chunked::gather`]).
-    pub(crate) fn for_each_cell_at<'a>(
-        &'a self,
-        positions: &[usize],
-        mut f: impl FnMut(usize, ValueRef<'a>),
-    ) {
-        fn typed<'a, T: Copy>(
-            (data, nulls): (&Chunked<T>, &NullBitmap),
-            positions: &[usize],
-            cell: impl Fn(T) -> ValueRef<'a>,
-            f: &mut impl FnMut(usize, ValueRef<'a>),
-        ) {
-            let cells = positions.iter().zip(data.gather(positions));
-            for (k, (&p, &x)) in cells.enumerate() {
-                if !nulls.is_null(p) {
-                    f(k, cell(x));
-                }
-            }
-        }
-        match self {
-            ColumnVec::Int { data, nulls } => {
-                typed((data, nulls), positions, ValueRef::Int, &mut f)
-            }
-            ColumnVec::Float { data, nulls } => {
-                typed((data, nulls), positions, ValueRef::Float, &mut f)
-            }
-            ColumnVec::Bool { data, nulls } => {
-                typed((data, nulls), positions, ValueRef::Bool, &mut f)
-            }
-            ColumnVec::Timestamp { data, nulls } => {
-                typed((data, nulls), positions, ValueRef::Timestamp, &mut f)
-            }
-            ColumnVec::Text(d) => {
-                let dict = d.dict();
-                let text = |c: u32| ValueRef::Text(&dict[c as usize]);
-                typed((&d.codes, &d.nulls), positions, text, &mut f)
-            }
         }
     }
 

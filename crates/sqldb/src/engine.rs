@@ -17,7 +17,7 @@ use crate::wal::{RecoveryReport, UnitReader, Wal, WalOptions};
 use crate::TableMemory;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -170,6 +170,10 @@ pub struct Engine {
     /// transaction pin lazily: a name that is absent, with no removal since
     /// the transaction's BEGIN, was absent at BEGIN too.
     last_removal: AtomicU64,
+    /// Whether the attached log is poisoned ([`Wal::is_poisoned`]), copied
+    /// under the log mutex wherever that can change, so that it is read
+    /// without waiting behind an append's fsync.
+    log_poisoned: AtomicBool,
 }
 
 /// Natural string ordering: digit runs compare numerically (after
@@ -326,7 +330,9 @@ impl Engine {
             }
         }
         if let Some(w) = wal.as_mut() {
-            w.append_batch(&log)?;
+            let appended = w.append_batch(&log);
+            self.log_poisoned.store(w.is_poisoned(), Ordering::Relaxed);
+            appended?;
         }
         let _gate = self.commit.write();
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
@@ -664,17 +670,28 @@ impl Engine {
     /// Every subsequent accepted mutation the log carries is appended to it
     /// before it is applied.
     pub fn attach_wal(&self, wal: Wal) -> Option<Wal> {
-        self.wal.lock().replace(wal)
+        let mut attached = self.wal.lock();
+        self.log_poisoned
+            .store(wal.is_poisoned(), Ordering::Relaxed);
+        attached.replace(wal)
     }
 
     /// Detach and return the write-ahead log, if any (pending frames are
     /// synced first on a best-effort basis).
     pub fn detach_wal(&self) -> Option<Wal> {
         let mut wal = self.wal.lock().take();
+        self.log_poisoned.store(false, Ordering::Relaxed);
         if let Some(w) = wal.as_mut() {
             let _ = w.sync();
         }
         wal
+    }
+
+    /// Is the attached log poisoned — did an append fail part-way, so that
+    /// every write is refused until a checkpoint? Read without the log
+    /// mutex: a health probe never waits behind an append's fsync.
+    pub fn wal_poisoned(&self) -> bool {
+        self.log_poisoned.load(Ordering::Relaxed)
     }
 
     /// Is a write-ahead log attached?
@@ -735,7 +752,9 @@ impl Engine {
                 let ckpt_seq = w.next_seq();
                 self.save_to_file_with_seq(dump_path, Some(ckpt_seq), w.failpoint())
                     .map_err(|e| DbError::Io(format!("checkpoint {}: {e}", dump_path.display())))?;
-                w.compact()
+                let compacted = w.compact();
+                self.log_poisoned.store(w.is_poisoned(), Ordering::Relaxed);
+                compacted
             }
             None => {
                 self.save_to_file(dump_path)

@@ -26,7 +26,7 @@
 //! turned into rows, an interpreter, nested-loop joins — lives with those
 //! suites (`tests/common/oracle.rs`) and shares no code with it.
 
-use crate::aggregate::{Accumulator, AggKind};
+use crate::aggregate::{Accumulator, AggKind, Grouped};
 use crate::column::{Chunked, ColumnStore, ColumnVec, NullBitmap};
 use crate::compile::{compile, compile_reading, CompiledExpr};
 use crate::engine::ResultSet;
@@ -35,7 +35,7 @@ use crate::expr::{binary_values, truthy, LikePattern};
 use crate::schema::{Column, Schema};
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
-use crate::value::{DataType, Num, Value, ValueKey, ValueRef};
+use crate::value::{DataType, Num, Value, ValueKey};
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -349,13 +349,14 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
 // vector at a time into a selection vector of row positions; dictionary
 // predicates compare u32 codes against a precomputed per-entry truth table
 // instead of strings. Aggregation then runs batched over the selected
-// positions ([`Aggregation::run`]), grouping single TEXT keys directly by
-// dictionary code. Whole-column loops walk the chunks of a column
+// positions ([`Aggregation::run`]), grouping on dense column codes and
+// folding each column slot a run of one chunk's cells at a time
+// ([`Chunked::runs_at`]). Whole-column loops walk the chunks of a column
 // ([`Chunked::chunks`], [`Chunked::gather`]); a single cell is read by
 // position.
 //
-// The path is deliberately sequential: it feeds [`Accumulator`]s in row
-// order, so results are byte-identical to a naive row-at-a-time evaluation
+// The path is deliberately sequential: it folds every group in row order,
+// so results are byte-identical to a naive row-at-a-time evaluation
 // (same Welford update order, same first-seen group order, same
 // tie-breaking) — the property the equivalence corpus asserts against the
 // oracle.
@@ -946,8 +947,8 @@ struct Slot {
 
 /// What a slot's accumulators are fed, selected row by selected row.
 enum SlotInput {
-    /// The non-NULL cells of a column, read off its chunks as numbers or
-    /// dictionary strings ([`ColumnVec::for_each_cell_at`]).
+    /// The non-NULL cells of a column, folded in one typed loop per kind
+    /// and column type ([`Grouped::fold_column`]).
     Column(usize),
     /// `Int(1)`: `agg(*)`, and `count(<non-NULL literal>)`. A `count` of
     /// it counts each group's rows off the group index instead.
@@ -1024,9 +1025,10 @@ impl Aggregation {
 
     /// The output rows of the groups of the rows of `table` at `sv`. Pass 1
     /// resolves every selected row to its group once ([`group_rows`]), pass
-    /// 2 feeds each slot's accumulators — off one column, walking its
-    /// chunks, when it can; a count of rows off the group index — and pass
-    /// 3 evaluates the items group by group.
+    /// 2 folds each slot — a column in one typed loop for its kind and the
+    /// column's type ([`Grouped::fold_column`]), a count of rows off the
+    /// group index, anything else into an [`Accumulator`] per group, row by
+    /// row — and pass 3 evaluates the items group by group.
     /// An error surfaces where evaluating group after group, item after
     /// item, each aggregate over its group's rows, would first meet it.
     fn run(&self, table: &Table, sv: &[usize]) -> Result<Vec<Row>, DbError> {
@@ -1036,6 +1038,11 @@ impl Aggregation {
             .as_ref()
             .map_err(|name| DbError::NoSuchColumn(name.clone()))?;
         let (firsts, gidx) = group_rows(store, sv, keys);
+        let grouped = Grouped {
+            positions: sv,
+            groups: firsts.len(),
+            gidx: gidx.as_deref(),
+        };
         let group = |k: usize| gidx.as_ref().map_or(0, |gidx| gidx[k] as usize);
         let expr_input = |slot: &Slot| matches!(slot.input, SlotInput::Expr(_));
         let rows: Vec<Row> = match self.slots.iter().any(expr_input) {
@@ -1048,21 +1055,18 @@ impl Aggregation {
             .slots
             .iter()
             .map(|slot| {
-                let mut accs: Vec<Accumulator> =
-                    firsts.iter().map(|_| Accumulator::new(slot.kind)).collect();
+                let fresh = || vec![Accumulator::new(slot.kind); firsts.len()];
                 let mut failed: Option<(usize, DbError)> = None;
-                match &slot.input {
-                    SlotInput::Column(c) => store
-                        .col(*c)
-                        .for_each_cell_at(sv, |k, x| accs[group(k)].fold(x)),
-                    SlotInput::Row if slot.kind == AggKind::Count => match &gidx {
-                        Some(gidx) => gidx.iter().for_each(|&g| accs[g as usize].add_count(1)),
-                        None => accs[0].add_count(sv.len() as u64),
-                    },
+                let accs: Vec<Accumulator> = match &slot.input {
+                    SlotInput::Column(c) => grouped.fold_column(slot.kind, store.col(*c)),
+                    SlotInput::Row if slot.kind == AggKind::Count => grouped.count_rows(),
                     SlotInput::Row => {
-                        (0..sv.len()).for_each(|k| accs[group(k)].fold(ValueRef::Int(1)))
+                        let mut accs = fresh();
+                        (0..sv.len()).for_each(|k| accs[group(k)].update(&Value::Int(1)));
+                        accs
                     }
                     SlotInput::Expr(arg) => {
+                        let mut accs = fresh();
                         for (k, row) in rows.iter().enumerate() {
                             let g = group(k);
                             if failed.as_ref().is_some_and(|(at, _)| g >= *at) {
@@ -1073,9 +1077,13 @@ impl Aggregation {
                                 Err(e) => failed = Some((g, e)),
                             }
                         }
+                        accs
                     }
-                    SlotInput::Invalid(e) => failed = Some((0, e.clone())),
-                }
+                    SlotInput::Invalid(e) => {
+                        failed = Some((0, e.clone()));
+                        fresh()
+                    }
+                };
                 (accs, failed)
             })
             .collect();

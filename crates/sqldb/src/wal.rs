@@ -983,6 +983,12 @@ impl Wal {
         Ok(dropped)
     }
 
+    /// Did an append fail part-way, so that every later one is refused
+    /// until [`Wal::compact`] or a reopen?
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned
+    }
+
     /// Sequence number the next frame will carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
@@ -1381,9 +1387,12 @@ mod tests {
         let mut txn = db.begin_txn();
         txn.execute("INSERT INTO t VALUES (2)").unwrap();
         txn.execute("INSERT INTO t VALUES (3)").unwrap();
+        assert!(!db.wal_poisoned());
         assert!(txn.commit().is_err());
+        assert!(db.wal_poisoned());
         assert!(db.execute("INSERT INTO t VALUES (4)").is_err(), "poisoned");
         db.checkpoint(&dump).unwrap();
+        assert!(!db.wal_poisoned());
         db.execute("INSERT INTO t VALUES (5)").unwrap();
         drop(db);
         let (db, report) =

@@ -17,6 +17,7 @@ pub use shard::Sharding;
 use crate::error::{Error, Result};
 use crate::units::Unit;
 use sqldb::{parse_timestamp, DataType, Value};
+use std::borrow::Cow;
 
 /// Is a variable an input parameter or a result value?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,19 +170,26 @@ impl Variable {
 }
 
 /// The leading numeric token of `raw`: strips trailing unit text
-/// ("2.000 MBytes" → "2.000") and thousands separators ("1,048,576").
-fn leading_number_token(raw: &str) -> String {
-    let cleaned: String = raw.chars().filter(|c| *c != ',').collect();
-    let mut end = 0;
-    for (i, c) in cleaned.char_indices() {
-        if c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E' {
-            end = i + c.len_utf8();
-        } else {
-            break;
-        }
+/// ("2.000 MBytes" → "2.000") and thousands separators ("1,048,576"). The
+/// token is borrowed from `raw` unless a separator has to be dropped.
+fn leading_number_token(raw: &str) -> Cow<'_, str> {
+    let numeric = |c: char| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E');
+    let end = raw
+        .find(|c: char| !numeric(c) && c != ',')
+        .unwrap_or(raw.len());
+    let tok = &raw[..end];
+    if tok.contains(',') {
+        let mut cleaned: String = tok.chars().filter(|c| *c != ',').collect();
+        cleaned.truncate(without_dangling_exponent(&cleaned).len());
+        Cow::Owned(cleaned)
+    } else {
+        Cow::Borrowed(without_dangling_exponent(tok))
     }
-    // Trailing 'e'/'E' without exponent digits belongs to unit text ("2 E").
-    let mut tok = &cleaned[..end];
+}
+
+/// `tok` without a trailing 'e'/'E', sign or '.' that starts no exponent or
+/// fraction: it belongs to unit text ("2 E").
+fn without_dangling_exponent(mut tok: &str) -> &str {
     while tok.ends_with(['e', 'E', '+', '-', '.']) && !tok.is_empty() {
         let last_is_exp_start = tok.ends_with(['e', 'E']);
         let body = &tok[..tok.len() - 1];
@@ -193,7 +201,7 @@ fn leading_number_token(raw: &str) -> String {
         }
         break;
     }
-    tok.to_string()
+    tok
 }
 
 /// Parse a ctime-style date as produced by `b_eff_io`:

@@ -3,7 +3,7 @@
 
 use super::{Direction, InputDescription, Location, Pattern, TabularSpec};
 use crate::error::{Error, Result};
-use crate::experiment::{ExperimentDef, Occurrence};
+use crate::experiment::{ExperimentDef, Occurrence, Variable};
 use exprcalc::Context;
 use sqldb::Value;
 use std::collections::HashMap;
@@ -65,13 +65,10 @@ fn split_runs<'t>(desc: &InputDescription, content: &'t str) -> Vec<&'t str> {
         None => return vec![content],
     };
     let mut starts = Vec::new();
-    let mut from = 0;
-    while let Some((s, e, _)) = sep.find_at(content, from) {
+    let mut from = Some(0);
+    while let Some((s, e, _)) = from.and_then(|f| sep.find_at(content, f)) {
         starts.push(s);
-        from = if e > s { e } else { e + 1 };
-        if from > content.len() {
-            break;
-        }
+        from = resume_after(content, s, e);
     }
     if starts.is_empty() {
         return vec![content];
@@ -109,7 +106,7 @@ fn extract_one(
                 occurrence,
             } => {
                 if let Some(raw) = named_content(text, pattern, *direction, *occurrence) {
-                    store_once(def, &mut run, variable, &raw)?;
+                    store_once(def, &mut run, variable, raw)?;
                 }
             }
             Location::Fixed {
@@ -158,38 +155,46 @@ fn extract_one(
 
 /// Content of a named location: the captured group when the pattern has
 /// one, otherwise the neighbouring token on the matched line.
-fn named_content(
-    text: &str,
+fn named_content<'t>(
+    text: &'t str,
     pattern: &Pattern,
     direction: Direction,
     occurrence: usize,
-) -> Option<String> {
+) -> Option<&'t str> {
     let mut from = 0;
     let mut hit = None;
     for _ in 0..occurrence.max(1) {
         let (s, e, g) = pattern.find_at(text, from)?;
-        hit = Some((s, e, g.map(str::to_string)));
-        from = if e > s { e } else { e + 1 };
-        if from > text.len() {
-            break;
+        hit = Some((s, e, g));
+        match resume_after(text, s, e) {
+            Some(next) => from = next,
+            None => break,
         }
     }
     let (s, e, g) = hit?;
-    if let Some(g) = g {
-        return Some(g);
+    if g.is_some() {
+        return g;
     }
     match direction {
         Direction::After => {
             let line_end = text[e..].find('\n').map(|i| e + i).unwrap_or(text.len());
-            let rest = &text[e..line_end];
-            first_token(rest).map(str::to_string)
+            first_token(&text[e..line_end])
         }
         Direction::Before => {
             let line_start = text[..s].rfind('\n').map(|i| i + 1).unwrap_or(0);
-            let before = &text[line_start..s];
-            before.split_whitespace().next_back().map(str::to_string)
+            text[line_start..s].split_whitespace().next_back()
         }
     }
+}
+
+/// Where the search for the next match resumes after the match `s..e`: at
+/// its end, or one whole character further when it is empty; `None` when an
+/// empty match ends the text.
+fn resume_after(text: &str, s: usize, e: usize) -> Option<usize> {
+    if e > s {
+        return Some(e);
+    }
+    text[e..].chars().next().map(|c| e + c.len_utf8())
 }
 
 /// First whitespace-separated token, tolerating leading separators like
@@ -229,6 +234,14 @@ fn extract_table(
         Some(i) => i,
         None => return Ok(()), // table absent: variables stay without content
     };
+    // Each column's variable, looked up once for the whole table. An unknown
+    // one is only an error when a row gets to its column.
+    let vars: Vec<Option<&Variable>> = spec
+        .columns
+        .iter()
+        .map(|col| def.variable(&col.variable))
+        .collect();
+    let mut tokens = Vec::new();
     let body_start = start_line + 1 + spec.offset;
     for line in lines.iter().skip(body_start) {
         if let Some(end) = &spec.end {
@@ -236,7 +249,7 @@ fn extract_table(
                 break;
             }
         }
-        match parse_table_row(def, spec, line) {
+        match parse_table_row(spec, &vars, line, &mut tokens) {
             Ok(Some(ds)) => run.datasets.push(ds),
             Ok(None) | Err(_) if spec.skip_mismatch => continue,
             Ok(None) => break,
@@ -247,21 +260,25 @@ fn extract_table(
 }
 
 /// One table body line → one data set, or `None` when the line does not fit
-/// the column layout.
-fn parse_table_row(
-    def: &ExperimentDef,
+/// the column layout. Columns are taken in order: at each, an unknown
+/// variable is an error, then a missing or unparsable token ends the row —
+/// so a row that ends at an earlier column never reports a later column's
+/// unknown variable. `tokens` is scratch space kept across a table's lines.
+fn parse_table_row<'t>(
     spec: &TabularSpec,
-    line: &str,
+    vars: &[Option<&Variable>],
+    line: &'t str,
+    tokens: &mut Vec<&'t str>,
 ) -> Result<Option<HashMap<String, Value>>> {
     if line.trim().is_empty() {
         return Ok(None);
     }
-    let tokens: Vec<&str> = line.split_whitespace().collect();
+    tokens.clear();
+    tokens.extend(line.split_whitespace());
     let mut ds = HashMap::with_capacity(spec.columns.len());
-    for col in &spec.columns {
-        let var = def
-            .variable(&col.variable)
-            .ok_or_else(|| Error::Extraction(format!("unknown variable '{}'", col.variable)))?;
+    for (col, var) in spec.columns.iter().zip(vars) {
+        let var =
+            var.ok_or_else(|| Error::Extraction(format!("unknown variable '{}'", col.variable)))?;
         let raw = match tokens.get(col.index.saturating_sub(1)) {
             Some(t) => *t,
             None => return Ok(None),
@@ -606,6 +623,37 @@ done
         }));
         let runs = extract_runs(&d, &def(), "f", text).unwrap();
         assert_eq!(runs[0].datasets.len(), 2);
+    }
+
+    fn second_after(pattern: Pattern, text: &str) -> ExtractedRun {
+        let d = InputDescription::new().with_location(Location::Named {
+            variable: "hostname".into(),
+            pattern,
+            direction: Direction::After,
+            occurrence: 2,
+        });
+        extract_runs(&d, &def(), "f", text).unwrap().remove(0)
+    }
+
+    #[test]
+    fn empty_match_before_a_multibyte_character_steps_over_it() {
+        // The second (empty) match of `x*` is behind the 'é', not inside it.
+        let run = second_after(Pattern::Regexp(Regex::new("x*").unwrap()), "é abc");
+        assert_eq!(run.once["hostname"], Value::Text("abc".into()));
+        let run = second_after(Pattern::Literal(String::new()), "é abc");
+        assert_eq!(run.once["hostname"], Value::Text("abc".into()));
+        // At the end of the text there is no next match to step to.
+        let run = second_after(Pattern::Literal(String::new()), "ü");
+        assert!(run.once.is_empty());
+    }
+
+    #[test]
+    fn empty_run_separator_match_steps_over_multibyte_characters() {
+        let d =
+            InputDescription::new().with_run_separator(Pattern::Regexp(Regex::new("y*").unwrap()));
+        // Empty matches at 0, 2 and 4: three runs, the last one empty.
+        assert_eq!(extract_runs(&d, &def(), "f", "éé").unwrap().len(), 3);
+        assert_eq!(extract_runs(&d, &def(), "f", "ab").unwrap().len(), 3);
     }
 
     #[test]

@@ -43,6 +43,11 @@ pub struct Program {
     pub num_slots: usize,
     /// Case-insensitive matching flag.
     pub case_insensitive: bool,
+    /// Text every match starts with: the straight run of `Char`
+    /// instructions from pc 0, `Save`s skipped. Empty when the program
+    /// branches or tests a class first, and when matching is
+    /// case-insensitive.
+    pub(crate) prefix: String,
 }
 
 /// Compile `ast` into a [`Program`].
@@ -54,11 +59,29 @@ pub fn compile(ast: &Ast, case_insensitive: bool) -> Program {
     c.node(ast);
     c.push(Inst::Save(1));
     c.push(Inst::MatchEnd);
+    let prefix = start_of_match(&c.insts, case_insensitive);
     Program {
         insts: c.insts,
         num_slots: 2 * (groups + 1),
         case_insensitive,
+        prefix,
     }
+}
+
+/// What every match must start with. A thread started at pc 0 runs the
+/// leading `Save`, `AssertStart` and `Char` instructions one after another,
+/// since each of them only ever goes on to `pc + 1`; the walk stops at the
+/// first instruction that does anything else.
+fn start_of_match(insts: &[Inst], case_insensitive: bool) -> String {
+    let mut prefix = String::new();
+    for inst in insts {
+        match inst {
+            Inst::Save(_) | Inst::AssertStart => {}
+            Inst::Char(c) if !case_insensitive => prefix.push(*c),
+            _ => break,
+        }
+    }
+    prefix
 }
 
 struct Compiler {
@@ -258,6 +281,21 @@ mod tests {
             .filter(|i| matches!(i, Inst::Save(_)))
             .count();
         assert_eq!(saves, 8);
+    }
+
+    #[test]
+    fn prefix_is_the_leading_literal_run() {
+        let p = prog("(Date) of: (.+)");
+        assert_eq!(p.prefix, "Date of: ");
+        assert_eq!(prog("ab*c").prefix, "a");
+        assert_eq!(prog("^ab").prefix, "ab");
+        assert_eq!(prog("a^b").prefix, "ab");
+        // A branch or a class first: every start position stays open.
+        assert_eq!(prog("ab|cd").prefix, "");
+        assert_eq!(prog("a?b").prefix, "");
+        assert_eq!(prog(r"\d+x").prefix, "");
+        let ci = compile(&parse("abc").unwrap(), true);
+        assert_eq!(ci.prefix, "");
     }
 
     #[test]

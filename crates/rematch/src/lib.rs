@@ -501,6 +501,17 @@ mod tests {
     }
 
     #[test]
+    fn nesting_limit_covers_compile_and_match() {
+        let deep = |n: usize| format!("{}a{}", "(?:(".repeat(n / 2), "))*".repeat(n / 2));
+        let re = Regex::new(&deep(parser::MAX_NESTING)).unwrap();
+        assert_eq!(re.find("xaaa").map(|m| m.as_str()), Some(""));
+        assert_eq!(re.capture_count(), parser::MAX_NESTING / 2 + 1);
+        let err = Regex::new(&deep(parser::MAX_NESTING + 2)).unwrap_err();
+        assert!(err.to_string().starts_with("regex error at 500: "), "{err}");
+        assert!(Regex::new(&deep(100_000)).is_err());
+    }
+
+    #[test]
     fn capture_count_reported() {
         let re = Regex::new(r"(a)(?:b)(c(d))").unwrap();
         assert_eq!(re.capture_count(), 4); // groups 0,1,2,3

@@ -11,10 +11,18 @@ pub struct ParseError {
     pub position: usize,
 }
 
+/// Deepest nesting of groups a pattern may have (the `regex` crate's
+/// default). The parser, [`crate::compile::compile`], [`Ast::capture_groups`]
+/// and the `Ast`'s drop all recurse once per level, so the limit bounds
+/// their stack instead of letting a deep pattern overflow it.
+pub(crate) const MAX_NESTING: usize = 250;
+
 struct Parser<'p> {
     chars: Vec<char>,
     pos: usize,
     next_group: u32,
+    /// Groups open at `pos`.
+    depth: usize,
     pattern: &'p str,
 }
 
@@ -24,6 +32,7 @@ pub fn parse(pattern: &str) -> Result<Ast, ParseError> {
         chars: pattern.chars().collect(),
         pos: 0,
         next_group: 1,
+        depth: 0,
         pattern,
     };
     let ast = p.alternate()?;
@@ -206,6 +215,9 @@ impl<'p> Parser<'p> {
 
     fn group(&mut self) -> Result<Ast, ParseError> {
         debug_assert_eq!(self.peek(), Some('('));
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("groups nest deeper than {MAX_NESTING}")));
+        }
         self.bump();
         let index = if self.peek() == Some('?') {
             // Only (?:...) is supported of the (?...) family.
@@ -219,7 +231,9 @@ impl<'p> Parser<'p> {
             self.next_group += 1;
             Some(i)
         };
+        self.depth += 1;
         let inner = self.alternate()?;
+        self.depth -= 1;
         if !self.eat(')') {
             return Err(self.err("missing ')'"));
         }
@@ -454,6 +468,21 @@ mod tests {
         assert!(parse("[z-a]").is_err());
         assert!(parse("a{5,2}").is_err());
         assert!(parse("(?<name>a)").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}a{}", "(".repeat(depth), ")*".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_refused_past_the_limit() {
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.position, MAX_NESTING);
+        assert!(err.message.contains("nest"), "{}", err.message);
+        // Deep enough to overflow the stack of a recursive descent.
+        let err = parse(&nested(100_000)).unwrap_err();
+        assert_eq!(err.position, MAX_NESTING);
     }
 
     #[test]

@@ -28,11 +28,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of elements a document may have, the document element
+/// counting as 1 (libxml2's long-standing default). Parsing, validation,
+/// serialization and the tree's drop all recurse once per level, so the
+/// limit bounds their stack instead of letting a deep file overflow it.
+pub(crate) const MAX_DEPTH: usize = 256;
+
 /// Parse an XML document from `src`.
 pub fn parse(src: &str) -> Result<Document, ParseError> {
     let mut p = P {
         chars: src.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     p.skip_misc()?;
     let dtd = p.maybe_doctype()?;
@@ -48,6 +55,8 @@ pub fn parse(src: &str) -> Result<Document, ParseError> {
 struct P {
     chars: Vec<char>,
     pos: usize,
+    /// Elements open at `pos`.
+    depth: usize,
 }
 
 impl P {
@@ -174,6 +183,17 @@ impl P {
     }
 
     fn element(&mut self) -> Result<Element, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("elements nest deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let el = self.element_content();
+        self.depth -= 1;
+        el
+    }
+
+    /// An element from its start tag to its close tag.
+    fn element_content(&mut self) -> Result<Element, ParseError> {
         self.expect_str("<")?;
         let name = self.name()?;
         let mut el = Element::new(&name);
@@ -339,6 +359,18 @@ mod tests {
     fn whitespace_only_text_dropped_at_element_start() {
         let doc = parse("<a>\n  <b/>\n</a>").unwrap();
         assert_eq!(doc.root.elements().count(), 1);
+    }
+
+    #[test]
+    fn nesting_is_refused_past_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.line, err.column), (1, 3 * MAX_DEPTH + 1));
+        assert!(err.message.contains("nest"), "{}", err.message);
+        // Deep enough to overflow the stack of a recursive descent.
+        let err = parse(&nested(100_000)).unwrap_err();
+        assert_eq!((err.line, err.column), (1, 3 * MAX_DEPTH + 1));
     }
 
     #[test]

@@ -503,20 +503,20 @@ fn c2() {
         assert_eq!(rs.len(), 64);
 
         // The "Python-script" analog: ship every row to the frontend and
-        // aggregate there (same math, but through the generic row pipeline).
+        // aggregate there, as a script would — a running sum and count per
+        // group, the mean at the end.
         let t = Instant::now();
         let all = db.query("SELECT grp, v FROM m").unwrap();
-        let mut acc: std::collections::HashMap<i64, sqldb::aggregate::Accumulator> =
-            std::collections::HashMap::new();
+        let mut acc: std::collections::HashMap<i64, (f64, u64)> = std::collections::HashMap::new();
         for row in all.rows() {
             let g = row[0].as_i64().unwrap();
-            acc.entry(g)
-                .or_insert_with(|| {
-                    sqldb::aggregate::Accumulator::new(sqldb::aggregate::AggKind::Avg)
-                })
-                .update(&row[1]);
+            let (sum, count) = acc.entry(g).or_default();
+            if let Some(v) = row[1].as_f64() {
+                *sum += v;
+                *count += 1;
+            }
         }
-        let frontend: Vec<sqldb::Value> = acc.values().map(|a| a.finish().unwrap()).collect();
+        let frontend: Vec<f64> = acc.values().map(|&(sum, n)| sum / n as f64).collect();
         let t_script = t.elapsed();
         assert_eq!(frontend.len(), 64);
 

@@ -12,10 +12,10 @@
 //! Every other element reads its inputs' tables at the positions it needs,
 //! and one rule types what it builds (DESIGN.md §4l): a vector's column
 //! types come from its inputs and its operator, never from its cells, so an
-//! empty vector is typed too. Rows are paired or grouped in `core` —
-//! element-wise alignment, the combiner, the pushdown merge — under one key
-//! identity (`KeyIds`), the engine's GROUP BY identity with NULL matching
-//! NULL; a combiner gathers its result from both inputs' typed columns.
+//! empty vector is typed too. Rows are paired in `core` — element-wise
+//! alignment, the combiner — under one key identity (`KeyIds`), the engine's
+//! GROUP BY identity with NULL matching NULL; a combiner gathers its result
+//! from both inputs' typed columns.
 //!
 //! Operator mode selection is automatic (paper §3.3.2):
 //!
@@ -34,7 +34,8 @@
 //! pairs into **aggregation pushdown**: every owning node computes partial
 //! aggregates (`count`/`sum`/`min`/`max`, with `avg` decomposed into
 //! `sum` + `count`) over its local shard, and only the reduced partials
-//! cross the simulated link before being merged on the frontend. Sources
+//! cross the simulated link before the frontend merges them by the engine's
+//! aggregation, one [`Table::select`] over a table of the partials. Sources
 //! that cannot be pushed down (non-decomposable operators like `median`,
 //! multiple consumers, run-level values) **fall back** to the ordinary
 //! source element, which scans each run where it lives and brings the
@@ -48,7 +49,7 @@ use super::{DataVector, KeyIds, QueryDag};
 use crate::error::{Error, Result};
 use crate::experiment::{ExperimentDb, ExperimentDef, Occurrence};
 use crate::output;
-use sqldb::aggregate::{Accumulator, AggKind};
+use sqldb::aggregate::AggKind;
 use sqldb::cluster::{Cluster, TransferStats};
 use sqldb::sql::{parse_expr, SelectItem, SelectStmt, SqlExpr};
 use sqldb::{Cell, Column, DataType, DbError, Schema, Table, Value};
@@ -742,48 +743,13 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
     ))
 }
 
-/// Per-value partial-aggregate state while merging pushed-down results on
-/// the frontend (the AVG → SUM/COUNT decomposition lives here).
-enum Partial {
-    /// `count`: partial counts sum up as integers.
-    Count(i64),
-    /// `avg`: merged as Σsum / Σcount of the per-node partials.
-    Avg { sum: f64, cnt: i64 },
-    /// `sum`/`min`/`max`: partials re-fed into the engine's own
-    /// [`Accumulator`] (sum of sums, min of mins, max of maxes).
-    Acc(Accumulator),
-}
-
-impl Partial {
-    fn new(agg: AggKind) -> Partial {
-        match agg {
-            AggKind::Count => Partial::Count(0),
-            AggKind::Avg => Partial::Avg { sum: 0.0, cnt: 0 },
-            other => Partial::Acc(Accumulator::new(other)),
-        }
-    }
-
-    fn finish(self) -> Result<Value> {
-        Ok(match self {
-            Partial::Count(n) => Value::Int(n),
-            Partial::Avg { sum, cnt } => {
-                if cnt > 0 {
-                    Value::Float(sum / cnt as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            Partial::Acc(a) => a.finish().map_err(Error::Query)?,
-        })
-    }
-}
-
 /// Execute a fused *source → aggregation* pair with pushdown (module docs):
 /// each run's owning node computes partial aggregates over its local
 /// `pb_rundata_<id>` shard, only the partials cross the simulated link, and
 /// the frontend merges them into exactly the vector the unsharded
 /// `source + aggregate` pair would produce (same columns, types, labels and
-/// rows).
+/// rows) — with the engine's aggregation too: one [`Table::select`] over a
+/// table of every run's partials.
 fn run_pushdown_aggregate(
     db: &ExperimentDb,
     agg: AggKind,
@@ -792,12 +758,16 @@ fn run_pushdown_aggregate(
     let def = db.definition();
     let plan = plan_source(&def, spec)?;
     debug_assert!(plan.once_values.is_empty() && !plan.multi_values.is_empty());
+    let dtype = |c: &str| def.variable(c).expect("plan_source resolved it").datatype;
 
     // 1. Matching runs from the frontend's run index.
     // Selects run_id + once_carry (no once values by eligibility).
     let (_, sql) = plan.runs_query();
     let runs = db.engine().query(&sql)?;
 
+    // Same mode selection as run_operator_single: parameters present →
+    // data-set aggregation (GROUP BY all parameters); none → reduce the
+    // whole vector into a single element.
     let params: Vec<String> = plan
         .once_carry
         .iter()
@@ -805,27 +775,25 @@ fn run_pushdown_aggregate(
         .cloned()
         .collect();
     let values: Vec<String> = plan.multi_values.clone();
-    // Same mode selection as run_operator_single: parameters present →
-    // data-set aggregation (GROUP BY all parameters); none → reduce the
-    // whole vector into a single element.
-    let grouped = !params.is_empty();
 
-    // 2. The partial-aggregate SELECT, built once as a value (nothing is
-    //    rendered or parsed per run): group columns, a row counter (so runs
-    //    contributing nothing are skipped), then per value either the
-    //    aggregate itself or — for avg — its SUM/COUNT decomposition; the
-    //    data-set restriction is the expression `run_source` parses once.
-    let col = |c: &String| SqlExpr::Col(c.clone());
+    // 2. Two statements, built once as values (nothing is rendered or
+    //    parsed). The partial SELECT, run on each run's shard: its group
+    //    columns, a row counter (so runs contributing nothing are skipped),
+    //    then per value the aggregate itself or — for avg — its SUM/COUNT
+    //    decomposition; the data-set restriction is the expression
+    //    `run_source` parses once. The merge SELECT, over the table of the
+    //    partials, each row prefixed with its run's once-carries: grouped by
+    //    every parameter, per value the sum of the counts (0 over no
+    //    partial), the sum of the sums, the min of the mins, the max of the
+    //    maxes, or Σsum / Σcount for avg.
+    let col = |c: &str| SqlExpr::Col(c.to_string());
     let item = |expr: SqlExpr, alias: Option<String>| SelectItem::Expr { expr, alias };
-    let call = |kind: AggKind, v: &String, alias: &str| {
-        let expr = SqlExpr::Func {
-            name: kind.name().to_string(),
-            args: vec![col(v)],
-            star: false,
-        };
-        item(expr, Some(format!("pb_{alias}_{v}")))
+    let call = |kind: AggKind, arg: SqlExpr| SqlExpr::Func {
+        name: kind.name().to_string(),
+        args: vec![arg],
+        star: false,
     };
-    let mut items: Vec<SelectItem> = plan
+    let mut partial_items: Vec<SelectItem> = plan
         .multi_carry
         .iter()
         .map(|c| item(col(c), None))
@@ -835,133 +803,114 @@ fn run_pushdown_aggregate(
         args: vec![SqlExpr::Lit(Value::Int(1))],
         star: true,
     };
-    items.push(item(count_rows, Some("pb_rows".to_string())));
-    let pb_rows_idx = plan.multi_carry.len();
-    let mut value_cols: Vec<(usize, Option<usize>)> = Vec::with_capacity(values.len());
+    partial_items.push(item(count_rows, Some("pb_rows".to_string())));
+    let mut columns: Vec<Column> = params.iter().map(|c| Column::new(c, dtype(c))).collect();
+    columns.push(Column::new("pb_rows", DataType::Int));
+    let mut merge_items: Vec<SelectItem> = params.iter().map(|c| item(col(c), None)).collect();
     for v in &values {
-        match agg {
+        let mut partial = |kind: AggKind, alias: &str| {
+            let name = format!("pb_{alias}_{v}");
+            partial_items.push(item(call(kind, col(v)), Some(name.clone())));
+            columns.push(Column::new(&name, aggregate_type(kind, dtype(v))));
+            col(&name)
+        };
+        let merged = match agg {
             AggKind::Avg => {
-                value_cols.push((items.len(), Some(items.len() + 1)));
-                items.push(call(AggKind::Sum, v, "sum"));
-                items.push(call(AggKind::Count, v, "cnt"));
+                let (sum, cnt) = (partial(AggKind::Sum, "sum"), partial(AggKind::Count, "cnt"));
+                let (sum, cnt) = (call(AggKind::Sum, sum), call(AggKind::Sum, cnt));
+                SqlExpr::Binary("/", Box::new(sum), Box::new(cnt))
             }
-            other => {
-                value_cols.push((items.len(), None));
-                items.push(call(other, v, "agg"));
-            }
-        }
+            AggKind::Count => SqlExpr::Func {
+                name: "coalesce".to_string(),
+                args: vec![
+                    call(AggKind::Sum, partial(agg, "agg")),
+                    SqlExpr::Lit(Value::Int(0)),
+                ],
+                star: false,
+            },
+            _ => call(agg, partial(agg, "agg")),
+        };
+        merge_items.push(item(merged, None));
     }
-    let partial = SelectStmt {
+    let select = |items, where_clause, group_by| SelectStmt {
         distinct: false,
         items,
         from: None,
         joins: Vec::new(),
-        where_clause: plan.multi_filter()?,
-        group_by: plan.multi_carry.clone(),
+        where_clause,
+        group_by,
         order_by: Vec::new(),
         limit: None,
     };
+    let partial = select(
+        partial_items,
+        plan.multi_filter()?,
+        plan.multi_carry.clone(),
+    );
+    // A run none of whose data sets matched (only possible without a GROUP
+    // BY) counts 0 rows: the unsharded source has no rows from it.
+    let matched = SqlExpr::Binary(
+        "<>",
+        Box::new(col("pb_rows")),
+        Box::new(SqlExpr::Lit(Value::Int(0))),
+    );
+    let merge = select(merge_items, Some(matched), params.clone());
 
     // 3. The partial query on each run's shard, executed where it lives;
-    //    merge partials on the frontend keyed by the full parameter tuple,
-    //    groups in first-seen order.
-    struct Group {
-        key_vals: Vec<Value>,
-        parts: Vec<Partial>,
-    }
-    let mut ids = KeyIds::default();
-    let mut groups: Vec<Group> = Vec::new();
+    //    the partials merged on the frontend, groups in first-seen order.
+    let mut partials = Vec::new();
     for run_row in runs.rows() {
         let run_id = run_row[0].as_i64().expect("run_id is INTEGER");
-        let partials = db.select_run_data(run_id, &partial)?;
-        for prow in partials.rows() {
-            if prow[pb_rows_idx].as_i64() == Some(0) {
-                // No data sets matched in this run (only possible without a
-                // GROUP BY): the unsharded source contributes no rows.
-                continue;
-            }
-            // Key values: once-carries from the run row, then the group
-            // columns of the partial row — the params order.
-            let mut key_vals: Vec<Value> = run_row[1..].to_vec();
-            key_vals.extend(prow[..plan.multi_carry.len()].iter().cloned());
-            let gi = ids.id(&key_vals);
-            if gi == groups.len() {
-                groups.push(Group {
-                    key_vals,
-                    parts: values.iter().map(|_| Partial::new(agg)).collect(),
-                });
-            }
-            for (part, &(c0, c1)) in groups[gi].parts.iter_mut().zip(&value_cols) {
-                match part {
-                    Partial::Count(n) => *n += prow[c0].as_i64().unwrap_or(0),
-                    Partial::Avg { sum, cnt } => {
-                        if let Some(s) = prow[c0].as_f64() {
-                            *sum += s;
-                        }
-                        *cnt += prow[c1.expect("avg has a count column")]
-                            .as_i64()
-                            .unwrap_or(0);
-                    }
-                    Partial::Acc(a) => a.update(&prow[c0]),
-                }
-            }
-        }
+        let rows = db.select_run_data(run_id, &partial)?.into_rows();
+        partials.extend(rows.into_iter().map(|prow| [&run_row[1..], &prow].concat()));
     }
-
-    let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(groups.len());
-    for g in groups {
-        let mut row = g.key_vals;
-        for part in g.parts {
-            row.push(part.finish()?);
-        }
-        out_rows.push(row);
-    }
-    if !grouped && out_rows.is_empty() {
-        // Full reduction over an empty vector still yields one row, like
-        // `SELECT agg(c) FROM t` does: NULL, or 0 for count.
-        let empty: Result<Vec<Value>> = values.iter().map(|_| Partial::new(agg).finish()).collect();
-        out_rows.push(empty?);
-    }
+    let merged = typed_table(columns, partials)?.select(&merge)?;
 
     // 4. The vector, with the types and labels the unsharded source →
     //    aggregate pair would carry.
-    let keys: &[String] = if grouped { &params } else { &[] };
-    let columns = aggregate_columns(agg, keys, &values, |c| {
-        def.variable(c).expect("plan_source resolved it").datatype
-    });
-    let out_cols: Vec<String> = keys.iter().chain(&values).cloned().collect();
-    let mut labels = source_labels(&def, &out_cols);
+    let columns = aggregate_columns(agg, &params, &values, dtype);
+    let mut labels = source_labels(
+        &def,
+        &params.iter().chain(&values).cloned().collect::<Vec<_>>(),
+    );
     for c in &values {
         let base = labels.get(c).cloned().unwrap_or_else(|| c.clone());
         labels.insert(c.clone(), format!("{}({base})", agg.name()));
     }
     Ok(DataVector {
-        table: typed_table(columns, out_rows)?,
-        params: keys.to_vec(),
+        table: typed_table(columns, merged.into_rows())?,
+        params,
         values,
         labels,
     })
 }
 
-/// The columns of `values` aggregated by `agg`, grouped by `keys`, whose
-/// input types `dtype` gives — the typing rule of derived vectors
-/// (DESIGN.md §4l) for aggregates: a key keeps its type, `count` counts,
+/// The type of `agg` over an input of type `input` — the typing rule of
+/// derived vectors (DESIGN.md §4l) for aggregates: `count` counts,
 /// `min`/`max`/`first` keep one of the inputs, every other aggregate
 /// computes a FLOAT.
+fn aggregate_type(agg: AggKind, input: DataType) -> DataType {
+    match agg {
+        AggKind::Count => DataType::Int,
+        AggKind::Min | AggKind::Max | AggKind::First => input,
+        _ => DataType::Float,
+    }
+}
+
+/// The columns of `values` aggregated by `agg`, grouped by `keys`, whose
+/// input types `dtype` gives: a key keeps its type, a value takes
+/// [`aggregate_type`].
 fn aggregate_columns(
     agg: AggKind,
     keys: &[String],
     values: &[String],
     dtype: impl Fn(&str) -> DataType,
 ) -> Vec<Column> {
-    let value_type = |c: &str| match agg {
-        AggKind::Count => DataType::Int,
-        AggKind::Min | AggKind::Max | AggKind::First => dtype(c),
-        _ => DataType::Float,
-    };
     let keys = keys.iter().map(|c| Column::new(c, dtype(c)));
-    keys.chain(values.iter().map(|c| Column::new(c, value_type(c))))
-        .collect()
+    let values = values
+        .iter()
+        .map(|c| Column::new(c, aggregate_type(agg, dtype(c))));
+    keys.chain(values).collect()
 }
 
 /// A vector's table: `columns`, typed by the rule of DESIGN.md §4l, holding

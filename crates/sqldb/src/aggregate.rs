@@ -11,26 +11,22 @@
 //! NULL values are skipped, matching SQL semantics. `stddev`/`variance` use
 //! the sample (n−1) definition, matching PostgreSQL's `stddev`.
 //!
-//! An [`Accumulator`] keeps only the state its kind finishes from: `count`
-//! its count, `sum` a sum, `prod` a product, `avg` Welford's running mean,
-//! `stddev`/`variance` that mean and Welford's sum of squared deviations
-//! (stable on long runs of near-equal bandwidth samples), `min`/`max`/`first`
-//! one value, `median` every input. It is fed one [`Value`] at a time by
-//! [`Accumulator::update`]: an aggregate over an expression, `core`'s merge
-//! of the per-node partials of a pushed-down `sum`, `min` or `max`, the test
-//! oracle.
-//!
-//! An aggregate over a column is folded by `Grouped::fold_column` instead:
-//! one loop per kind and column type, chosen once, walks the selected cells
-//! a run of one chunk at a time (`Chunked::runs_at`) into flat per-group
-//! state arrays — the count and an `f64` (sum, product, mean) or two
-//! (Welford's mean and `m2`), the kept cell in the column's own type (a TEXT
-//! cell as its dictionary code), or a `Vec<f64>` for `median` — and each
-//! group's state becomes an [`Accumulator`] only to finish. Both folds run
-//! every recurrence in row order with the same arithmetic, so a group gets
-//! the bits a naive row-at-a-time evaluation gets.
+//! Every aggregate is folded by one set of kernels, `Grouped`: one loop
+//! per kind and cell type, chosen once, walks the selected cells into flat
+//! per-group state arrays — the count and an `f64` (sum, product, mean) or
+//! two (Welford's mean and `m2`, stable on long runs of near-equal bandwidth
+//! samples), the kept cell in its own type (a column's TEXT cell as its
+//! dictionary code), or a `Vec<f64>` for `median` — and finishes each
+//! group's state into its answer. The cells come from one of two sources: a
+//! typed column, a run of one chunk at a time (`Grouped::fold_column`), or
+//! one value per selected row — an expression argument evaluated row by row,
+//! or `Int(1)` per row for `agg(*)` (`Grouped::fold_values`). Every
+//! recurrence runs in row order, so a group gets the bits a naive
+//! row-at-a-time evaluation gets: the test oracle's own fold, which shares
+//! no code with these kernels.
 
 use crate::column::{Chunked, ColumnVec, NullBitmap};
+use crate::error::DbError;
 use crate::value::{Num, Value, ValueRef};
 use std::cmp::Ordering;
 
@@ -93,138 +89,20 @@ impl AggKind {
             AggKind::Median => "median",
         }
     }
-}
 
-/// Streaming accumulator for one aggregate over one group.
-#[derive(Debug, Clone)]
-pub struct Accumulator {
-    kind: AggKind,
-    /// Non-NULL inputs folded.
-    count: u64,
-    state: State,
-    /// A TEXT input reached a numeric kind: [`Accumulator::finish`] fails.
-    non_numeric: bool,
-}
-
-/// What an [`Accumulator`] keeps beside its count: what its kind finishes
-/// from, and nothing else.
-#[derive(Debug, Clone)]
-enum State {
-    /// `count`: the count is all.
-    Count,
-    /// `sum`: the running sum.
-    Sum(f64),
-    /// `prod`: the running product.
-    Prod(f64),
-    /// `avg`: Welford's running mean.
-    Mean(f64),
-    /// `stddev`, `variance`: Welford's running mean and sum of squared
-    /// deviations from it.
-    Moments { mean: f64, m2: f64 },
-    /// `min`, `max`, `first`: the input kept so far.
-    Kept(Option<Value>),
-    /// `median`: every input.
-    Inputs(Vec<f64>),
-}
-
-impl Accumulator {
-    /// Fresh accumulator for `kind`.
-    pub fn new(kind: AggKind) -> Self {
-        let state = match kind {
-            AggKind::Count => State::Count,
-            AggKind::Sum => State::Sum(0.0),
-            AggKind::Prod => State::Prod(1.0),
-            AggKind::Avg => State::Mean(0.0),
-            AggKind::StdDev | AggKind::Variance => State::Moments { mean: 0.0, m2: 0.0 },
-            AggKind::Min | AggKind::Max | AggKind::First => State::Kept(None),
-            AggKind::Median => State::Inputs(Vec::new()),
-        };
-        Accumulator {
-            kind,
-            count: 0,
-            state,
-            non_numeric: false,
-        }
-    }
-
-    /// Feed one value (NULLs are skipped). A number is read as an `f64` by
-    /// the arithmetic kinds and compared exactly (`ValueRef::total_cmp`)
-    /// by `min`/`max`; a kept input is copied only when it becomes the one
-    /// kept.
-    pub fn update(&mut self, v: &Value) {
-        let Some(x) = ValueRef::of(v) else {
-            return;
-        };
-        self.count += 1;
-        let n = self.count as f64;
-        match (&mut self.state, x.num()) {
-            (State::Count, _) => {}
-            (State::Kept(kept), _) => {
-                let keep = match (self.kind, kept.as_ref().and_then(ValueRef::of)) {
-                    (_, None) => true,
-                    (AggKind::Min, Some(k)) => x.total_cmp(k).is_lt(),
-                    (AggKind::Max, Some(k)) => x.total_cmp(k).is_gt(),
-                    _ => false,
-                };
-                if keep {
-                    *kept = Some(v.clone());
-                }
-            }
-            (_, None) => self.non_numeric = true,
-            (State::Sum(sum), Some(x)) => *sum += x.as_f64(),
-            (State::Prod(prod), Some(x)) => *prod *= x.as_f64(),
-            (State::Mean(mean), Some(x)) => *mean += (x.as_f64() - *mean) / n,
-            (State::Moments { mean, m2 }, Some(x)) => {
-                let x = x.as_f64();
-                let delta = x - *mean;
-                *mean += delta / n;
-                *m2 += delta * (x - *mean);
-            }
-            (State::Inputs(xs), Some(x)) => xs.push(x.as_f64()),
-        }
-    }
-
-    /// Produce the aggregate result. Empty input yields NULL (except `count`,
-    /// which yields 0); non-numeric input to a numeric aggregate yields an
-    /// error message.
-    pub fn finish(&self) -> Result<Value, String> {
-        if self.non_numeric {
-            return Err(format!(
-                "aggregate {}() applied to non-numeric value",
-                self.kind.name()
-            ));
-        }
-        if self.count == 0 {
-            return Ok(match self.kind {
-                AggKind::Count => Value::Int(0),
-                _ => Value::Null,
-            });
-        }
-        Ok(match &self.state {
-            State::Count => Value::Int(self.count as i64),
-            State::Sum(x) | State::Prod(x) | State::Mean(x) => Value::Float(*x),
-            State::Moments { .. } if self.count < 2 => Value::Null,
-            State::Moments { m2, .. } => {
-                let variance = m2 / (self.count as f64 - 1.0);
-                Value::Float(match self.kind {
-                    AggKind::StdDev => variance.sqrt(),
-                    _ => variance,
-                })
-            }
-            State::Kept(kept) => kept.clone().unwrap_or(Value::Null),
-            State::Inputs(xs) => {
-                let mut xs = xs.clone();
-                xs.sort_by(f64::total_cmp);
-                let n = xs.len();
-                if n % 2 == 1 {
-                    Value::Float(xs[n / 2])
-                } else {
-                    Value::Float((xs[n / 2 - 1] + xs[n / 2]) / 2.0)
-                }
-            }
-        })
+    /// Whether the kind computes with numbers: all but `count`, `min`, `max`
+    /// and `first`, which count or keep inputs of any type.
+    fn arithmetic(self) -> bool {
+        !matches!(
+            self,
+            AggKind::Count | AggKind::Min | AggKind::Max | AggKind::First
+        )
     }
 }
+
+/// Each group's answer to one aggregate, in group order: its value, or the
+/// error the group raises.
+pub(crate) type Answers = Vec<Result<Value, DbError>>;
 
 /// The selected rows an aggregation folds: their positions, in row order,
 /// the number of groups, and each row's group (`None`: one group, every row
@@ -236,24 +114,54 @@ pub(crate) struct Grouped<'a> {
     pub(crate) gidx: Option<&'a [u32]>,
 }
 
-impl Grouped<'_> {
-    /// `count(*)`: each group's rows, counted off the group index.
-    pub(crate) fn count_rows(self) -> Vec<Accumulator> {
-        let mut counts = vec![(0, ()); self.groups];
-        match self.gidx {
-            Some(gidx) => gidx.iter().for_each(|&g| counts[g as usize].0 += 1),
-            None => counts[0].0 = self.positions.len() as u64,
+/// Where a fold's cells come from: the non-NULL cells at the selected
+/// positions, a run at a time — `f(k, cells)` for cells at
+/// `positions[k..k + cells.len()]`, in the order of the positions.
+trait Cells<T>: Copy {
+    fn runs(self, positions: &[usize], f: impl FnMut(usize, &[T]));
+}
+
+/// A typed column: its runs of one chunk ([`Chunked::runs_at`]).
+impl<T: Copy> Cells<T> for (&Chunked<T>, &NullBitmap) {
+    #[inline]
+    fn runs(self, positions: &[usize], f: impl FnMut(usize, &[T])) {
+        self.0.runs_at(self.1, positions, f);
+    }
+}
+
+/// One value per selected row, in order: each non-NULL one a run of its own.
+impl<'a> Cells<ValueRef<'a>> for &'a [Value] {
+    fn runs(self, _: &[usize], mut f: impl FnMut(usize, &[ValueRef<'a>])) {
+        for (k, v) in self.iter().enumerate() {
+            if let Some(x) = ValueRef::of(v) {
+                f(k, &[x]);
+            }
         }
-        finished(AggKind::Count, counts, |()| State::Count)
+    }
+}
+
+impl Grouped<'_> {
+    /// The group of the `k`-th selected row.
+    fn group(self, k: usize) -> usize {
+        self.gidx.map_or(0, |gidx| gidx[k] as usize)
+    }
+
+    /// `count(*)`: each group's rows, counted off the group index.
+    pub(crate) fn count_rows(self) -> Answers {
+        let mut counts = vec![0; self.groups];
+        match self.gidx {
+            Some(gidx) => gidx.iter().for_each(|&g| counts[g as usize] += 1),
+            None => counts[0] = self.positions.len() as i64,
+        }
+        counts.into_iter().map(|n| Ok(Value::Int(n))).collect()
     }
 
     /// One `kind` per group over the non-NULL cells of `col` at the selected
     /// positions: one loop for the kind and the column's type. A number is
     /// read as an `f64` by the arithmetic kinds and compared exactly within
     /// its type by `min`/`max` (a FLOAT by [`Num::total_cmp`], a TEXT code by
-    /// its string); TEXT into an arithmetic kind is counted, and fails at
-    /// [`Accumulator::finish`].
-    pub(crate) fn fold_column(self, kind: AggKind, col: &ColumnVec) -> Vec<Accumulator> {
+    /// its string); TEXT into an arithmetic kind is counted, and fails.
+    pub(crate) fn fold_column(self, kind: AggKind, col: &ColumnVec) -> Answers {
         match col {
             ColumnVec::Int { data, nulls } => {
                 self.fold_typed(kind, (data, nulls), |x| x as f64, i64::cmp, Value::Int)
@@ -274,7 +182,7 @@ impl Grouped<'_> {
             }
             ColumnVec::Text(d) => {
                 let cells = (&d.codes, &d.nulls);
-                if let AggKind::Count | AggKind::Min | AggKind::Max | AggKind::First = kind {
+                if !kind.arithmetic() {
                     let dict = d.dict();
                     let cmp = |&a: &u32, &b: &u32| match a == b {
                         true => Ordering::Equal,
@@ -283,44 +191,65 @@ impl Grouped<'_> {
                     return self.kept(kind, cells, cmp, |c| Value::Text(dict[c as usize].clone()));
                 }
                 let counts = self.fold(cells, (), |(), _, _| {});
-                let accs = finished(kind, counts, |()| Accumulator::new(kind).state);
-                let text = |acc: Accumulator| Accumulator {
-                    non_numeric: acc.count > 0,
-                    ..acc
+                let text = |(n, ())| match n {
+                    0 => Ok(Value::Null),
+                    _ => Err(non_numeric(kind)),
                 };
-                accs.into_iter().map(text).collect()
+                counts.into_iter().map(text).collect()
             }
         }
     }
 
-    /// [`Grouped::fold_column`] over a column of numbers `T`: `num` is what
-    /// the arithmetic kinds fold, `cmp` and `value` what `min`, `max` and
-    /// `first` keep.
+    /// One `kind` per group over `values`, one per selected row — an
+    /// argument evaluated row by row — folded like a column's cells: NULLs
+    /// skipped, a number read as an `f64` by the arithmetic kinds and
+    /// ordered by `min`/`max` with every other value ([`ValueRef::total_cmp`]),
+    /// a kept value as it came; a group that feeds TEXT to an arithmetic
+    /// kind fails.
+    pub(crate) fn fold_values(self, kind: AggKind, values: &[Value]) -> Answers {
+        let num = |x: ValueRef| x.num().map_or(0.0, Num::as_f64);
+        let cmp = |a: &ValueRef, b: &ValueRef| a.total_cmp(*b);
+        let mut answers = self.fold_typed(kind, values, num, cmp, ValueRef::to_value);
+        if kind.arithmetic() {
+            for (k, v) in values.iter().enumerate() {
+                if let Value::Text(_) = v {
+                    answers[self.group(k)] = Err(non_numeric(kind));
+                }
+            }
+        }
+        answers
+    }
+
+    /// [`Grouped::fold_column`] over cells `T`: `num` is what the arithmetic
+    /// kinds fold, `cmp` and `value` what `min`, `max` and `first` keep.
+    /// `avg` keeps Welford's running mean, `stddev`/`variance` that mean and
+    /// Welford's sum of squared deviations from it (stable on long runs of
+    /// near-equal samples), `median` every input.
     fn fold_typed<T: Copy + Default>(
         self,
         kind: AggKind,
-        cells: (&Chunked<T>, &NullBitmap),
+        cells: impl Cells<T>,
         num: impl Fn(T) -> f64,
         cmp: impl Fn(&T, &T) -> Ordering,
         value: impl Fn(T) -> Value,
-    ) -> Vec<Accumulator> {
+    ) -> Answers {
         match kind {
             AggKind::Count | AggKind::Min | AggKind::Max | AggKind::First => {
                 self.kept(kind, cells, cmp, value)
             }
             AggKind::Sum => {
                 let sums = self.fold(cells, 0.0, |sum, _, x| *sum += num(x));
-                finished(kind, sums, State::Sum)
+                finished(kind, sums, |_, sum| Value::Float(sum))
             }
             AggKind::Prod => {
                 let prods = self.fold(cells, 1.0, |prod, _, x| *prod *= num(x));
-                finished(kind, prods, State::Prod)
+                finished(kind, prods, |_, prod| Value::Float(prod))
             }
             AggKind::Avg => {
                 let means = self.fold(cells, 0.0, |mean, n, x| {
                     *mean += (num(x) - *mean) / n as f64;
                 });
-                finished(kind, means, State::Mean)
+                finished(kind, means, |_, mean| Value::Float(mean))
             }
             AggKind::StdDev | AggKind::Variance => {
                 let moments = self.fold(cells, (0.0, 0.0), |(mean, m2), n, x| {
@@ -329,25 +258,39 @@ impl Grouped<'_> {
                     *mean += delta / n as f64;
                     *m2 += delta * (x - *mean);
                 });
-                finished(kind, moments, |(mean, m2)| State::Moments { mean, m2 })
+                finished(kind, moments, |n, (_, m2)| {
+                    let variance = m2 / (n as f64 - 1.0);
+                    match (n, kind) {
+                        (1, _) => Value::Null,
+                        (_, AggKind::StdDev) => Value::Float(variance.sqrt()),
+                        _ => Value::Float(variance),
+                    }
+                })
             }
             AggKind::Median => {
                 let inputs = self.fold(cells, Vec::new(), |xs, _, x| xs.push(num(x)));
-                finished(kind, inputs, State::Inputs)
+                finished(kind, inputs, |n, mut xs| {
+                    xs.sort_by(f64::total_cmp);
+                    let n = n as usize;
+                    Value::Float(match n % 2 {
+                        1 => xs[n / 2],
+                        _ => (xs[n / 2 - 1] + xs[n / 2]) / 2.0,
+                    })
+                })
             }
         }
     }
 
-    /// `count`, `min`, `max` or `first` over a column of `T`: each group's
-    /// count and the cell it keeps, in the column's own type — the first,
-    /// or the first of the least (`min`) or greatest (`max`) by `cmp`.
+    /// `count`, `min`, `max` or `first` over cells `T`: each group's count
+    /// and the cell it keeps, in the cells' own type — the first, or the
+    /// first of the least (`min`) or greatest (`max`) by `cmp`.
     fn kept<T: Copy + Default>(
         self,
         kind: AggKind,
-        cells: (&Chunked<T>, &NullBitmap),
+        cells: impl Cells<T>,
         cmp: impl Fn(&T, &T) -> Ordering,
         value: impl Fn(T) -> Value,
-    ) -> Vec<Accumulator> {
+    ) -> Answers {
         let states = match kind {
             AggKind::Min => self.fold(cells, T::default(), |kept, n, x| {
                 if n == 1 || cmp(&x, kept).is_lt() {
@@ -365,21 +308,21 @@ impl Grouped<'_> {
                 }
             }),
         };
-        finished(kind, states, |x| match kind {
-            AggKind::Count => State::Count,
-            _ => State::Kept(Some(value(x))),
+        finished(kind, states, |n, x| match kind {
+            AggKind::Count => Value::Int(n as i64),
+            _ => value(x),
         })
     }
 
     /// Each group's count and state, from `init`, after `step(state, n, x)`
     /// took each non-NULL selected cell `x` of the group in row order, `n`
     /// the group's count with it. The cells come a run at a time
-    /// ([`Chunked::runs_at`]); with one group, its state is held in a local
+    /// ([`Cells::runs`]); with one group, its state is held in a local
     /// across each run.
     #[inline]
     fn fold<T: Copy, S: Clone + Default>(
         self,
-        (data, nulls): (&Chunked<T>, &NullBitmap),
+        cells: impl Cells<T>,
         init: S,
         step: impl Fn(&mut S, u64, T),
     ) -> Vec<(u64, S)> {
@@ -391,13 +334,13 @@ impl Grouped<'_> {
         match self.gidx {
             None => {
                 let state = &mut states[0];
-                data.runs_at(nulls, self.positions, |_, run| {
+                cells.runs(self.positions, |_, run| {
                     let mut local = std::mem::take(state);
                     run.iter().for_each(|&x| step(&mut local, x));
                     *state = local;
                 });
             }
-            Some(gidx) => data.runs_at(nulls, self.positions, |k, run| {
+            Some(gidx) => cells.runs(self.positions, |k, run| {
                 for (&x, &g) in run.iter().zip(&gidx[k..k + run.len()]) {
                     step(&mut states[g as usize], x);
                 }
@@ -407,34 +350,41 @@ impl Grouped<'_> {
     }
 }
 
-/// Each group's accumulator: a fresh one for a group that took no input;
-/// otherwise its count, and the [`State`] `state` makes of its fold state.
-fn finished<S>(
-    kind: AggKind,
-    states: Vec<(u64, S)>,
-    state: impl Fn(S) -> State,
-) -> Vec<Accumulator> {
-    let acc = |(count, s)| match count {
-        0 => Accumulator::new(kind),
-        _ => Accumulator {
-            count,
-            state: state(s),
-            ..Accumulator::new(kind)
-        },
+/// Each group's answer from its count and fold state: NULL for a group that
+/// took no input (`count`: 0), otherwise what `finish` makes of them.
+fn finished<S>(kind: AggKind, states: Vec<(u64, S)>, finish: impl Fn(u64, S) -> Value) -> Answers {
+    let answer = |(n, s)| match n {
+        0 if kind != AggKind::Count => Ok(Value::Null),
+        n => Ok(finish(n, s)),
     };
-    states.into_iter().map(acc).collect()
+    states.into_iter().map(answer).collect()
+}
+
+/// The error of an arithmetic aggregate fed TEXT.
+fn non_numeric(kind: AggKind) -> DbError {
+    DbError::Type(format!(
+        "aggregate {}() applied to non-numeric value",
+        kind.name()
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `kind` over `vals`, one group, through the value source.
+    fn fold(kind: AggKind, vals: &[Value]) -> Result<Value, DbError> {
+        let positions: Vec<usize> = (0..vals.len()).collect();
+        let grouped = Grouped {
+            positions: &positions,
+            groups: 1,
+            gidx: None,
+        };
+        grouped.fold_values(kind, vals).remove(0)
+    }
+
     fn agg(kind: AggKind, vals: &[Value]) -> Value {
-        let mut a = Accumulator::new(kind);
-        for v in vals {
-            a.update(v);
-        }
-        a.finish().unwrap()
+        fold(kind, vals).unwrap()
     }
 
     fn floats(xs: &[f64]) -> Vec<Value> {
@@ -509,9 +459,9 @@ mod tests {
 
     #[test]
     fn numeric_agg_on_text_errors() {
-        let mut a = Accumulator::new(AggKind::Sum);
-        a.update(&Value::Text("x".into()));
-        assert!(a.finish().is_err());
+        let vals = [Value::Int(1), Value::Text("x".into()), Value::Null];
+        assert!(fold(AggKind::Sum, &vals).is_err());
+        assert_eq!(agg(AggKind::Max, &vals), Value::Text("x".into()));
     }
 
     #[test]
@@ -551,38 +501,14 @@ mod tests {
         assert_eq!(AggKind::from_name("abs"), None);
     }
 
-    /// Each kind updates only the state it finishes from: after three
-    /// inputs, its state is its kind's variant, holding what it folded.
+    /// The typed-column source and the value source fold the same cells to
+    /// the same bits: every kind over every column type, over every row,
+    /// two selections with gaps, one that descends across a chunk edge and
+    /// none, in one group and in three. Exact comparison keeps integers
+    /// beyond 2^53 apart that an `f64` would merge, and a tie keeps the
+    /// first of `0.0` and `-0.0`.
     #[test]
-    fn each_kind_keeps_only_what_it_finishes_from() {
-        for kind in KINDS {
-            let mut a = Accumulator::new(kind);
-            for v in floats(&[2.0, -1.5, 7.0]) {
-                a.update(&v);
-            }
-            let keeps = match (kind, &a.state) {
-                (AggKind::Count, State::Count) => true,
-                (AggKind::Sum, State::Sum(sum)) => *sum == 7.5,
-                (AggKind::Prod, State::Prod(prod)) => *prod == -21.0,
-                (AggKind::Avg, State::Mean(mean)) => *mean == 2.5,
-                (AggKind::StdDev | AggKind::Variance, State::Moments { mean, .. }) => *mean == 2.5,
-                (AggKind::Min, State::Kept(Some(Value::Float(x)))) => *x == -1.5,
-                (AggKind::Max, State::Kept(Some(Value::Float(x)))) => *x == 7.0,
-                (AggKind::First, State::Kept(Some(Value::Float(x)))) => *x == 2.0,
-                (AggKind::Median, State::Inputs(xs)) => xs == &[2.0, -1.5, 7.0],
-                _ => false,
-            };
-            assert!(keeps, "{kind:?}: {:?}", a.state);
-        }
-    }
-
-    /// The column kernels fold what `update` folds: every kind over every
-    /// column type, over every row, two selections with gaps, one that
-    /// descends across a chunk edge and none, in one group and in three.
-    /// Exact comparison keeps integers beyond 2^53 apart that an `f64`
-    /// would merge, and a tie keeps the first of `0.0` and `-0.0`.
-    #[test]
-    fn the_column_kernels_fold_what_update_folds() {
+    fn the_column_and_value_sources_fold_the_same_cells_to_the_same_bits() {
         use crate::column::ColumnStore;
         use crate::schema::{Column, Schema};
         use crate::value::DataType;
@@ -651,16 +577,15 @@ mod tests {
                     gidx,
                 };
                 for (c, kind) in (0..5).flat_map(|c| KINDS.map(|kind| (c, kind))) {
-                    let folded = grouped.fold_column(kind, store.col(c));
-                    let mut updated = vec![Accumulator::new(kind); grouped.groups];
-                    for (k, &p) in positions.iter().enumerate() {
-                        updated[gidx.map_or(0, |g| g[k] as usize)].update(&rows[p][c]);
-                    }
-                    let finished = |accs: &[Accumulator]| {
-                        let all: Vec<_> = accs.iter().map(Accumulator::finish).collect();
-                        format!("{all:?}")
-                    };
-                    assert_eq!(finished(&folded), finished(&updated), "{kind:?} over c{c}");
+                    let column = grouped.fold_column(kind, store.col(c));
+                    let values: Vec<Value> =
+                        positions.iter().map(|&p| rows[p][c].clone()).collect();
+                    let values = grouped.fold_values(kind, &values);
+                    assert_eq!(
+                        format!("{column:?}"),
+                        format!("{values:?}"),
+                        "{kind:?} over c{c}"
+                    );
                 }
             }
         }

@@ -26,7 +26,7 @@
 //! turned into rows, an interpreter, nested-loop joins — lives with those
 //! suites (`tests/common/oracle.rs`) and shares no code with it.
 
-use crate::aggregate::{Accumulator, AggKind, Grouped};
+use crate::aggregate::{AggKind, Answers, Grouped};
 use crate::column::{Chunked, ColumnStore, ColumnVec, NullBitmap};
 use crate::compile::{compile, compile_reading, CompiledExpr};
 use crate::engine::ResultSet;
@@ -921,8 +921,8 @@ fn positions(
 
 /// The one aggregation, planned once per statement: the selected rows are
 /// grouped by the GROUP BY columns ([`group_rows`]); every outermost
-/// aggregate call of the select list is a [`Slot`], with one
-/// [`Accumulator`] per group fed in row order; and every item is compiled
+/// aggregate call of the select list is a [`Slot`], folded per group in row
+/// order by the one set of kernels ([`Grouped`]); and every item is compiled
 /// once against the relation's columns followed by one column per slot, and
 /// evaluated once per group — over the group's first row (NULLs for the
 /// global group of no rows) followed by its slot values.
@@ -945,15 +945,17 @@ struct Slot {
     input: SlotInput,
 }
 
-/// What a slot's accumulators are fed, selected row by selected row.
+/// What a slot folds, selected row by selected row.
 enum SlotInput {
     /// The non-NULL cells of a column, folded in one typed loop per kind
     /// and column type ([`Grouped::fold_column`]).
     Column(usize),
-    /// `Int(1)`: `agg(*)`, and `count(<non-NULL literal>)`. A `count` of
-    /// it counts each group's rows off the group index instead.
+    /// `Int(1)`: `agg(*)`, and `count(<non-NULL literal>)`, folded as values
+    /// ([`Grouped::fold_values`]). A `count` of it counts each group's rows
+    /// off the group index instead.
     Row,
-    /// The argument, compiled, over the materialised row.
+    /// The argument, compiled, evaluated once per selected row over the
+    /// materialised row, its values folded ([`Grouped::fold_values`]).
     Expr(CompiledExpr),
     /// Not one argument: the error the slot raises where it is reached.
     Invalid(DbError),
@@ -1027,8 +1029,9 @@ impl Aggregation {
     /// resolves every selected row to its group once ([`group_rows`]), pass
     /// 2 folds each slot — a column in one typed loop for its kind and the
     /// column's type ([`Grouped::fold_column`]), a count of rows off the
-    /// group index, anything else into an [`Accumulator`] per group, row by
-    /// row — and pass 3 evaluates the items group by group.
+    /// group index, anything else as one value per row through the same
+    /// loops ([`Grouped::fold_values`]) — and pass 3 evaluates the items
+    /// group by group.
     /// An error surfaces where evaluating group after group, item after
     /// item, each aggregate over its group's rows, would first meet it.
     fn run(&self, table: &Table, sv: &[usize]) -> Result<Vec<Row>, DbError> {
@@ -1049,42 +1052,40 @@ impl Aggregation {
             true => sv.iter().map(|&p| store.materialize_row(p)).collect(),
             false => Vec::new(),
         };
-        // Per slot: an accumulator per group, and the first error in the
-        // earliest group that has one (rows of later groups are skipped).
-        let fed: Vec<_> = self
+        // Per slot, each group's answer; an argument's first error in the
+        // earliest group that has one is that group's answer (rows of later
+        // groups are not evaluated).
+        let fed: Vec<Answers> = self
             .slots
             .iter()
-            .map(|slot| {
-                let fresh = || vec![Accumulator::new(slot.kind); firsts.len()];
-                let mut failed: Option<(usize, DbError)> = None;
-                let accs: Vec<Accumulator> = match &slot.input {
-                    SlotInput::Column(c) => grouped.fold_column(slot.kind, store.col(*c)),
-                    SlotInput::Row if slot.kind == AggKind::Count => grouped.count_rows(),
-                    SlotInput::Row => {
-                        let mut accs = fresh();
-                        (0..sv.len()).for_each(|k| accs[group(k)].update(&Value::Int(1)));
-                        accs
-                    }
-                    SlotInput::Expr(arg) => {
-                        let mut accs = fresh();
-                        for (k, row) in rows.iter().enumerate() {
-                            let g = group(k);
-                            if failed.as_ref().is_some_and(|(at, _)| g >= *at) {
-                                continue;
-                            }
-                            match arg.eval(row) {
-                                Ok(v) => accs[g].update(&v),
-                                Err(e) => failed = Some((g, e)),
-                            }
+            .map(|slot| match &slot.input {
+                SlotInput::Column(c) => grouped.fold_column(slot.kind, store.col(*c)),
+                SlotInput::Row if slot.kind == AggKind::Count => grouped.count_rows(),
+                SlotInput::Row => grouped.fold_values(slot.kind, &vec![Value::Int(1); sv.len()]),
+                SlotInput::Expr(arg) => {
+                    let mut failed: Option<(usize, DbError)> = None;
+                    let mut eval = |k: usize, row: &Row| {
+                        let g = group(k);
+                        if failed.as_ref().is_some_and(|(at, _)| g >= *at) {
+                            return Value::Null;
                         }
-                        accs
+                        arg.eval(row).unwrap_or_else(|e| {
+                            failed = Some((g, e));
+                            Value::Null
+                        })
+                    };
+                    let values: Vec<Value> = rows
+                        .iter()
+                        .enumerate()
+                        .map(|(k, row)| eval(k, row))
+                        .collect();
+                    let mut answers = grouped.fold_values(slot.kind, &values);
+                    if let Some((g, e)) = failed {
+                        answers[g] = Err(e);
                     }
-                    SlotInput::Invalid(e) => {
-                        failed = Some((0, e.clone()));
-                        fresh()
-                    }
-                };
-                (accs, failed)
+                    answers
+                }
+                SlotInput::Invalid(e) => vec![Err(e.clone()); firsts.len()],
             })
             .collect();
         let arity = table.schema.arity();
@@ -1099,11 +1100,7 @@ impl Aggregation {
             let mut projected = Vec::with_capacity(self.items.len());
             for (item, slots) in &self.items {
                 for s in slots.clone() {
-                    let (accs, failed) = &fed[s];
-                    if let Some((_, e)) = failed.as_ref().filter(|(at, _)| *at == g) {
-                        return Err(e.clone());
-                    }
-                    row[arity + s] = accs[g].finish().map_err(DbError::Type)?;
+                    row[arity + s] = fed[s][g].clone()?;
                 }
                 match item {
                     CompiledItem::Star => projected.extend(row[..arity].iter().cloned()),

@@ -314,6 +314,13 @@ impl<'a> ValueRef<'a> {
     }
 }
 
+/// The cell the aggregate kernels' kept state starts from, never read.
+impl Default for ValueRef<'_> {
+    fn default() -> Self {
+        ValueRef::Int(0)
+    }
+}
+
 /// `i` against `f`, exactly (NaN above every number).
 #[inline]
 fn int_float_cmp(i: i64, f: f64) -> Ordering {

@@ -1,11 +1,12 @@
 //! Aggregate answers pinned to the bytes an earlier build wrote.
 //!
-//! The engine folds a column slot in typed kernels of its own, one loop per
-//! aggregate kind and column type; the oracle of the equivalence suites
-//! folds through `Accumulator::update`, one `Value` at a time. Those suites
+//! The engine folds every aggregate in typed kernels of its own, one loop
+//! per aggregate kind and cell type, over a column's cells or over one value
+//! per selected row (an expression argument, `agg(*)`); the oracle of the
+//! equivalence suites folds with its own row-at-a-time code. Those suites
 //! therefore compare two separate implementations of every recurrence, and
-//! these fixtures pin both to the answers of builds that predate the
-//! kernels.
+//! these fixtures pin the engine to the answers of builds that predate the
+//! kernels and their value source.
 //!
 //! `fixtures/aggregates/` was written by the build at commit `3252529` (the
 //! last that fed every aggregate one `Value` per cell through one fold for
@@ -22,6 +23,12 @@
 //! [`aggregates_over_many_chunks_answer_what_the_parent_build_answered`]:
 //! the answers to [`CHUNKED_STATEMENTS`] over the 2·4096+7 rows [`chunked`]
 //! builds, where NULL runs and the hard numbers sit across chunk edges.
+//!
+//! `fixtures/aggregate_exprs/expected.txt` was written the same way by the
+//! build at commit `a1f6417` (the last that folded expression arguments and
+//! `agg(*)` through `Accumulator::update`), running
+//! [`expression_aggregates_over_many_chunks_answer_what_the_parent_build_answered`]:
+//! the answers to [`EXPR_STATEMENTS`] over the same rows.
 
 use sqldb::{Engine, Value};
 use std::path::PathBuf;
@@ -391,6 +398,126 @@ fn aggregates_over_many_chunks_answer_what_the_parent_build_answered() {
         .collect();
     assert_eq!(
         statements, CHUNKED_STATEMENTS,
+        "the fixture lists other statements"
+    );
+    assert_answers(&e, &statements, &expected);
+}
+
+/// Every kind over an expression argument of every result type — INTEGER
+/// (`i * 1`, `length(s)`), FLOAT (`f * 2`, `f * 1` with its signed zeros),
+/// BOOLEAN (`coalesce(b)`, `f > 0`), TEXT (`upper(s)`) and mixed types
+/// (`coalesce(s, i)`) — with 0, 1 and 2 keys, with and without WHERE, the
+/// `agg(*)` and literal forms, and the error order: an evaluation error and
+/// a non-numeric aggregate in different groups (the earliest group's error
+/// wins) and in one group (the earlier item's wins).
+const EXPR_STATEMENTS: &[&str] = &[
+    "SELECT count(i * 1), sum(i * 1), avg(i * 1), min(i * 1), max(i * 1), stddev(i * 1), \
+     variance(i * 1), prod(i * 1), first(i * 1), median(i * 1) FROM c",
+    "SELECT count(f * 2), sum(f * 2), avg(f * 2), min(f * 2), max(f * 2), stddev(f * 2), \
+     variance(f * 2), prod(f * 2), first(f * 2), median(f * 2) FROM c",
+    "SELECT count(coalesce(b)), sum(coalesce(b)), avg(coalesce(b)), min(coalesce(b)), \
+     max(coalesce(b)), stddev(coalesce(b)), variance(coalesce(b)), prod(coalesce(b)), \
+     first(coalesce(b)), median(coalesce(b)) FROM c",
+    "SELECT count(f > 0), sum(f > 0), avg(f > 0), min(f > 0), max(f > 0), stddev(f > 0), \
+     variance(f > 0), prod(f > 0), first(f > 0), median(f > 0) FROM c",
+    "SELECT count(coalesce(t)), sum(coalesce(t)), avg(coalesce(t)), min(coalesce(t)), \
+     max(coalesce(t)), stddev(coalesce(t)), variance(coalesce(t)), prod(coalesce(t)), \
+     first(coalesce(t)), median(coalesce(t)) FROM c",
+    "SELECT count(length(s)), sum(length(s)), avg(length(s)), min(length(s)), max(length(s)), \
+     median(length(s)) FROM c",
+    "SELECT count(upper(s)), min(upper(s)), max(upper(s)), first(upper(s)) FROM c",
+    "SELECT sum(upper(s)) FROM c",
+    "SELECT avg(upper(s)) FROM c",
+    "SELECT stddev(upper(s)) FROM c",
+    "SELECT variance(lower(s)) FROM c",
+    "SELECT prod(upper(s)) FROM c",
+    "SELECT median(upper(s)) FROM c",
+    "SELECT sum(upper(s)), avg(upper(s)), median(upper(s)), stddev(upper(s)), \
+     variance(upper(s)), prod(upper(s)), count(upper(s)), min(upper(s)), first(upper(s)) \
+     FROM c WHERE r >= 8180",
+    "SELECT count(coalesce(s, i)), min(coalesce(s, i)), max(coalesce(s, i)), \
+     first(coalesce(s, i)) FROM c",
+    "SELECT sum(coalesce(s, i)) FROM c",
+    "SELECT min(coalesce(f, i)), max(coalesce(f, i)), sum(coalesce(f, i)), \
+     avg(coalesce(i, f)), median(coalesce(f, r)), first(coalesce(f, i)) FROM c",
+    "SELECT count(f * 1), min(f * 1), max(f * 1), first(f * 1) FROM c WHERE f >= 0.0",
+    "SELECT count(f * 1), min(f * 1), max(f * 1), first(f * 1) FROM c WHERE f <= 0.0",
+    "SELECT count(i % 1000), sum(f * 2), avg(f * 2), stddev(f * 2), min(upper(s)), \
+     max(coalesce(t)), median(i % 1000) FROM c WHERE g = 1",
+    "SELECT count(f * 2), sum(f * 2), avg(f * 2), min(i * 1), max(i * 1), stddev(f * 2), \
+     variance(i * 1), prod(coalesce(b)), first(upper(s)), median(f * 2) FROM c WHERE r < 0",
+    "SELECT k, count(i * 1), sum(i * 1), avg(i * 1), min(i * 1), max(i * 1), stddev(i * 1), \
+     variance(i * 1), prod(i * 1), first(i * 1), median(i * 1) FROM c GROUP BY k",
+    "SELECT k, count(f * 2), sum(f * 2), avg(f * 2), min(f * 2), max(f * 2), stddev(f * 2), \
+     variance(f * 2), prod(f * 2), first(f * 2), median(f * 2) FROM c GROUP BY k",
+    "SELECT g, count(coalesce(b)), sum(coalesce(b)), avg(coalesce(b)), min(coalesce(b)), \
+     max(coalesce(b)), stddev(coalesce(b)), variance(coalesce(b)), prod(coalesce(b)), \
+     first(coalesce(b)), median(coalesce(b)) FROM c GROUP BY g",
+    "SELECT b, count(coalesce(t)), sum(coalesce(t)), avg(coalesce(t)), min(coalesce(t)), \
+     max(coalesce(t)), stddev(coalesce(t)), first(coalesce(t)), median(coalesce(t)) \
+     FROM c GROUP BY b",
+    "SELECT k, count(upper(s)), min(upper(s)), max(upper(s)), first(lower(s)) FROM c GROUP BY k",
+    "SELECT k, avg(upper(s)) FROM c GROUP BY k",
+    "SELECT k, median(upper(s)), sum(upper(s)) FROM c WHERE r >= 8150 GROUP BY k",
+    "SELECT g, count(coalesce(s, i)), min(coalesce(s, i)), max(coalesce(s, i)), \
+     first(coalesce(s, i)) FROM c GROUP BY g",
+    "SELECT k, count(f * 1), min(f * 1), max(f * 1), first(f * 1) FROM c WHERE f >= 0.0 \
+     GROUP BY k",
+    "SELECT k, count(f * 1), min(f * 1), max(f * 1), first(f * 1) FROM c WHERE f <= 0.0 \
+     GROUP BY k",
+    "SELECT k, sum(f * 2), avg(i % 1000), stddev(f * 2), min(f > 0), max(upper(s)), \
+     median(length(s)) FROM c WHERE i % 5 <> 0 GROUP BY k",
+    "SELECT k, count(f * 2), avg(f * 2), variance(f * 2), min(i * 1), max(i * 1), \
+     min(upper(s)), max(upper(s)), median(coalesce(t)) FROM c WHERE r >= 4000 AND r < 4200 \
+     GROUP BY k",
+    "SELECT k, count(f * 2), sum(f * 2), min(upper(s)) FROM c WHERE r < 0 GROUP BY k",
+    "SELECT k, g, count(f * 2), sum(f * 2), avg(f * 2), min(f * 2), max(f * 2), stddev(f * 2), \
+     variance(f * 2), prod(f * 2), first(f * 2), median(f * 2) FROM c GROUP BY k, g",
+    "SELECT g, b, count(i % 1000), sum(i % 1000), avg(i % 1000), min(i % 1000), \
+     max(i % 1000), variance(i % 1000), first(i % 1000), median(i % 1000) FROM c GROUP BY g, b",
+    "SELECT k, g, count(upper(s)), min(upper(s)), max(lower(s)), first(upper(s)) FROM c \
+     WHERE r >= 4000 GROUP BY k, g",
+    "SELECT k, b, count(f > 0), sum(f > 0), avg(coalesce(b)), min(coalesce(t)), \
+     max(coalesce(t)), prod(f > 0), first(coalesce(b)) FROM c WHERE g = 2 GROUP BY k, b",
+    "SELECT count(*), sum(*), avg(*), min(*), max(*), prod(*), first(*), median(*), \
+     stddev(*), variance(*) FROM c",
+    "SELECT count(*), sum(*), avg(*), min(*), max(*), prod(*), first(*), median(*), \
+     stddev(*), variance(*) FROM c WHERE r < 0",
+    "SELECT k, count(*), sum(*), avg(*), min(*), max(*), prod(*), first(*), median(*), \
+     stddev(*), variance(*) FROM c GROUP BY k",
+    "SELECT b, count(*), sum(*), max(*), variance(*) FROM c WHERE r >= 8150 GROUP BY b",
+    "SELECT k, g, count(*), sum(*), avg(*), min(*), first(*), stddev(*) FROM c WHERE g = 1 \
+     GROUP BY k, g",
+    "SELECT g, count(1), count('x'), count(NULL), sum(2), avg(2.5), min('z'), max(TRUE), \
+     prod(1), median(3), first('x') FROM c GROUP BY g",
+    "SELECT k, sum(i, f) FROM c GROUP BY k",
+    "SELECT k, sum(i, f) FROM c WHERE r < 0 GROUP BY k",
+    "SELECT g, max(i * 2), sum(upper(s)) FROM c GROUP BY g",
+    "SELECT g, sum(upper(s)), max(i * 2) FROM c WHERE r % 23 = 9 OR r >= 8180 OR r = 5006 \
+     GROUP BY g",
+    "SELECT max(i * 2), sum(upper(s)) FROM c",
+    "SELECT sum(upper(s)), max(i * 2) FROM c",
+    "SELECT g, max(i * 2) FROM c WHERE r >= 8180 GROUP BY g",
+    "SELECT k, min(i * 2), count(*) FROM c WHERE r >= 8189 GROUP BY k",
+    "SELECT k, sum(i * 100000000000000) FROM c GROUP BY k",
+];
+
+#[test]
+fn expression_aggregates_over_many_chunks_answer_what_the_parent_build_answered() {
+    let e = chunked();
+    let path = fixture("aggregate_exprs/expected.txt");
+    if std::env::var("BLESS").is_ok() {
+        std::fs::create_dir_all(fixture("aggregate_exprs")).unwrap();
+        std::fs::write(&path, answers(&e, EXPR_STATEMENTS)).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(path).unwrap();
+    let statements: Vec<&str> = expected
+        .lines()
+        .filter_map(|l| l.strip_prefix("-- "))
+        .collect();
+    assert_eq!(
+        statements, EXPR_STATEMENTS,
         "the fixture lists other statements"
     );
     assert_answers(&e, &statements, &expected);

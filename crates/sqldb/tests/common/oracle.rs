@@ -5,15 +5,16 @@
 //! errors alike, and `microbench` times the engine against it.
 //!
 //! It shares with `sqldb` the SQL parser, values and value keys, the scalar
-//! primitives of `sqldb::expr` and `sqldb::aggregate::Accumulator` — and
-//! none of the engine's executor: a bug there has no second copy here to
-//! hide behind.
+//! primitives of `sqldb::expr` and the names of the aggregates
+//! (`sqldb::aggregate::AggKind`) — and none of the engine's executor, its
+//! aggregate kernels included: every aggregate is folded here row by row
+//! ([`fold`]), so a bug there has no second copy here to hide behind.
 
 // Included by several test binaries and by `microbench`; not every one uses
 // every function.
 #![allow(dead_code)]
 
-use sqldb::aggregate::{Accumulator, AggKind};
+use sqldb::aggregate::AggKind;
 use sqldb::expr::{binary_values, like_match, negate, scalar_fn, truthy};
 use sqldb::sql::{self, SelectItem, SelectStmt, SqlExpr, Stmt, UnOp};
 use sqldb::{DbError, Engine, ResultSet, Snapshot, Table, Value, ValueKey};
@@ -267,11 +268,8 @@ fn substitute(expr: &SqlExpr, names: &[String], group: &[&Row]) -> Result<SqlExp
                         "aggregate {name}() expects exactly one argument"
                     )));
                 };
-                let mut acc = Accumulator::new(kind);
-                for row in group {
-                    acc.update(&eval(arg, names, row)?);
-                }
-                SqlExpr::Lit(acc.finish().map_err(DbError::Type)?)
+                let values = group.iter().map(|row| eval(arg, names, row));
+                SqlExpr::Lit(fold(kind, values.collect::<Result<_, _>>()?)?)
             }
             None => SqlExpr::Func {
                 name: name.clone(),
@@ -304,6 +302,72 @@ fn substitute(expr: &SqlExpr, names: &[String], group: &[&Row]) -> Result<SqlExp
             negated: *negated,
         },
         SqlExpr::Lit(_) | SqlExpr::Col(_) => expr.clone(),
+    })
+}
+
+/// The aggregate `kind` of a group's `values`, one row at a time. NULLs are
+/// skipped. `count` counts what is left, `first` keeps the first, `min` and
+/// `max` the first of the least and of the greatest (`Value::total_cmp`);
+/// every other kind reads each value as an `f64` and fails on TEXT. With no
+/// value left, `count` is 0 and every other kind NULL. `sum` adds from 0,
+/// `prod` multiplies from 1; `avg` is Welford's running mean,
+/// `variance` (NULL below two values) and `stddev` its sample variance
+/// from the running sum of squared deviations; `median` the middle value of
+/// the sorted inputs, or the mean of the middle two.
+fn fold(kind: AggKind, mut values: Vec<Value>) -> Result<Value, DbError> {
+    values.retain(|v| !v.is_null());
+    let n = values.len();
+    let mut xs = match kind {
+        AggKind::Count | AggKind::Min | AggKind::Max | AggKind::First => Vec::new(),
+        _ => values
+            .iter()
+            .map(|v| {
+                v.as_f64().ok_or_else(|| {
+                    DbError::Type(format!(
+                        "aggregate {}() applied to non-numeric value",
+                        kind.name()
+                    ))
+                })
+            })
+            .collect::<Result<Vec<f64>, _>>()?,
+    };
+    let Some(first) = values.first() else {
+        return Ok(match kind {
+            AggKind::Count => Value::Int(0),
+            _ => Value::Null,
+        });
+    };
+    let keep = |wanted: Ordering| {
+        let pick = |kept: &Value, v: &Value| v.total_cmp(kept) == wanted;
+        values
+            .iter()
+            .fold(first, |kept, v| if pick(kept, v) { v } else { kept })
+    };
+    let (mut mean, mut m2) = (0.0, 0.0);
+    for (i, &x) in xs.iter().enumerate() {
+        let delta = x - mean;
+        mean += delta / (i + 1) as f64;
+        m2 += delta * (x - mean);
+    }
+    let variance = m2 / (n as f64 - 1.0);
+    Ok(match kind {
+        AggKind::Count => Value::Int(n as i64),
+        AggKind::First => first.clone(),
+        AggKind::Min => keep(Ordering::Less).clone(),
+        AggKind::Max => keep(Ordering::Greater).clone(),
+        AggKind::Sum => Value::Float(xs.iter().fold(0.0, |sum, x| sum + x)),
+        AggKind::Prod => Value::Float(xs.iter().fold(1.0, |prod, x| prod * x)),
+        AggKind::Avg => Value::Float(mean),
+        AggKind::Variance | AggKind::StdDev if n < 2 => Value::Null,
+        AggKind::Variance => Value::Float(variance),
+        AggKind::StdDev => Value::Float(variance.sqrt()),
+        AggKind::Median => {
+            xs.sort_by(f64::total_cmp);
+            match n % 2 {
+                1 => Value::Float(xs[n / 2]),
+                _ => Value::Float((xs[n / 2 - 1] + xs[n / 2]) / 2.0),
+            }
+        }
     })
 }
 

@@ -178,6 +178,40 @@ fn equivalence_specs() -> Vec<(&'static str, String)> {
                 .to_string(),
         ),
         ("fig7", FIG7_QUERY.to_string()),
+        // The edges of the pushdown merge. A full reduction over a source
+        // that matches no run: one row, 0 for count and NULL otherwise.
+        (
+            "empty_reductions",
+            ["count", "sum", "min", "max", "avg"]
+                .map(|op| {
+                    format!(
+                        r#"<source id="s_{op}">
+                             <parameter name="fs" value="unknown"/>
+                             <value name="b_separate"/>
+                           </source>
+                           <operator id="{op}" type="{op}" input="s_{op}"/>
+                           <output id="o_{op}" input="{op}" format="csv"/>"#
+                    )
+                })
+                .iter()
+                .fold(r#"<query name="empty_reductions">"#.to_string(), |q, e| {
+                    q + e
+                })
+                + "</query>",
+        ),
+        // A run-level carry beside a data-set restriction that some runs
+        // match nothing of: their partial counts 0 rows and adds no group.
+        (
+            "sparse_runs",
+            r#"<query name="sparse_runs"><source id="s">
+                 <parameter name="technique" carry="true"/>
+                 <parameter name="b_separate" op="gt" value="1200"/>
+                 <value name="b_separate"/>
+               </source>
+               <operator id="a" type="avg" input="s"/>
+               <output id="o" input="a" format="csv"/></query>"#
+                .to_string(),
+        ),
     ]
 }
 
@@ -215,26 +249,28 @@ fn every_mode_of_the_one_runner_agrees() {
     // (name, threads, elements placed over N worker nodes, run data sharded
     // over N nodes (0 = no cluster), pushdown, interconnect traffic summed
     // over the corpus as (messages, rows) — measured at the commit before
-    // the two runners were merged).
+    // the two runners were merged, plus the `empty_reductions` and
+    // `sparse_runs` specs as measured at the commit before the pushdown
+    // merge became a `Table::select`).
     let modes = [
         ("inline", false, 0, 0, true, (0, 0)),
         ("threads", true, 0, 0, true, (0, 0)),
         ("placed/1", true, 1, 0, true, (0, 0)),
-        ("placed/2", true, 2, 0, true, (37, 1805)),
-        ("placed/4", true, 4, 0, true, (48, 2173)),
+        ("placed/2", true, 2, 0, true, (49, 1813)),
+        ("placed/4", true, 4, 0, true, (60, 2181)),
         ("sharded/1", false, 0, 1, true, (0, 0)),
-        ("sharded/2", false, 0, 2, true, (31, 568)),
-        ("sharded/4", false, 0, 4, true, (48, 867)),
+        ("sharded/2", false, 0, 2, true, (33, 570)),
+        ("sharded/4", false, 0, 4, true, (51, 870)),
         ("sharded/1 fetch", false, 0, 1, false, (0, 0)),
-        ("sharded/2 fetch", false, 0, 2, false, (31, 724)),
-        ("sharded/4 fetch", false, 0, 4, false, (48, 1122)),
+        ("sharded/2 fetch", false, 0, 2, false, (33, 725)),
+        ("sharded/4 fetch", false, 0, 4, false, (51, 1123)),
         // Combinations the merge makes reachable. The knobs are orthogonal:
         // traffic equals the single-knob counterpart's, and the sum of both
         // when a placement and a sharding cluster are charged.
-        ("placed/2 inline", false, 2, 0, true, (37, 1805)),
-        ("sharded/4 threads", true, 0, 4, true, (48, 867)),
+        ("placed/2 inline", false, 2, 0, true, (49, 1813)),
+        ("sharded/4 threads", true, 0, 4, true, (51, 870)),
         // = placed/2 + sharded/2 fetch
-        ("placed/2 on sharded/2", true, 2, 2, false, (68, 2529)),
+        ("placed/2 on sharded/2", true, 2, 2, false, (82, 2538)),
     ];
 
     let mut want: Vec<(String, Vec<String>)> = Vec::new();
@@ -353,14 +389,16 @@ fn corpus_artifacts(threads: bool, shards: usize) -> String {
 /// Same answers as the statement-per-run source element. The fixture was
 /// written by the build at commit `3dfd9e8` — the last whose source element
 /// sent one SELECT per run and assembled the vector row by row — by running
-/// `corpus_artifacts(false, 0)` there and saving what it returns. The typed
-/// scan must reproduce it byte for byte, unsharded and over remote shards.
+/// `corpus_artifacts(false, 0)` there and saving what it returns; the
+/// artifacts of `empty_reductions` and `sparse_runs` were added the same
+/// way, by that build over the corpus that holds them. The typed scan must
+/// reproduce it byte for byte, unsharded and over remote shards.
 #[test]
 fn source_scan_matches_the_statement_per_run_build() {
     let want = include_str!("fixtures/source_scan/artifacts.txt");
     let headers = want.lines().filter(|l| l.starts_with("== ")).count();
     assert_eq!(
-        headers, 28,
+        headers, 34,
         "the fixture holds every artifact of the corpus"
     );
     for (threads, shards) in [(false, 0), (true, 0), (false, 4)] {

@@ -612,18 +612,20 @@ fn close_session(inner: &Inner, req: &Request) -> Response {
 
 /// Parse a TSV ingest body against a table schema (`table` only names the
 /// error messages). The header names a subset of the table's columns (any
-/// order); unnamed columns become NULL.
+/// order, each at most once); unnamed columns become NULL.
 fn parse_tsv_rows(schema: &Schema, table: &str, body: &str) -> Result<Vec<Vec<Value>>, String> {
     let mut lines = body.lines();
     let header = lines.next().ok_or("empty body (need a TSV header line)")?;
-    let cols: Vec<usize> = header
-        .split('\t')
-        .map(|name| {
-            schema
-                .index_of(name.trim())
-                .ok_or_else(|| format!("no column '{}' in table '{table}'", name.trim()))
-        })
-        .collect::<Result<_, _>>()?;
+    let mut cols: Vec<usize> = Vec::new();
+    for name in header.split('\t').map(str::trim) {
+        let ci = schema
+            .index_of(name)
+            .ok_or_else(|| format!("no column '{name}' in table '{table}'"))?;
+        if cols.contains(&ci) {
+            return Err(format!("column '{name}' is named twice in the header"));
+        }
+        cols.push(ci);
+    }
     let mut rows = Vec::new();
     for (lineno, line) in lines.enumerate() {
         if line.is_empty() {

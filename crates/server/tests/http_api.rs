@@ -460,6 +460,67 @@ fn bad_ingest_batch_has_zero_effects() {
 }
 
 #[test]
+fn a_tsv_header_naming_a_column_twice_is_refused() {
+    // `/ingest` used to map both fields of `a\ta` onto one column, the last
+    // silently winning; `INSERT INTO t (a, a)` is refused. Now the batch is
+    // too, on both branches, with nothing inserted, buffered or logged.
+    let dir = std::env::temp_dir().join(format!("pbserver_twice_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let opts = WalOptions {
+        sync: SyncPolicy::Off,
+        failpoint: Arc::new(IoFailpoint::none()),
+    };
+    let (dump, log) = (dir.join("exp.sql"), dir.join("exp.sql.wal"));
+    let engine = Arc::new(Engine::open_durable(&dump, &log, opts).unwrap().0);
+    engine
+        .execute("CREATE TABLE runs (run_index INTEGER, fs TEXT, bw FLOAT)")
+        .unwrap();
+    engine
+        .execute("INSERT INTO runs VALUES (1, 'ufs', 214.5)")
+        .unwrap();
+    let handle = Server::start(engine.clone(), ServerConfig::default()).unwrap();
+    let (epoch, frames) = (engine.epoch(), engine.wal_frames());
+
+    let (status, _, body) = call(
+        &handle,
+        "POST",
+        "/ingest?table=runs",
+        &[],
+        "run_index\tfs\trun_index\n5\tnfs\t6\n",
+    );
+    assert_eq!(status, 400, "body: {body}");
+    assert!(
+        body.contains("column 'run_index' is named twice"),
+        "body: {body}"
+    );
+    assert_eq!(engine.row_count("runs").unwrap(), 1);
+    assert_eq!((engine.epoch(), engine.wal_frames()), (epoch, frames));
+
+    let (_, _, body) = call(&handle, "POST", "/session", &[], "");
+    let id = body.trim().to_string();
+    let sess: &[(&str, &str)] = &[("X-Session", &id)];
+    call(&handle, "POST", "/begin", sess, "");
+    let (status, _, body) = call(
+        &handle,
+        "POST",
+        "/ingest?table=runs",
+        sess,
+        "fs\tbw\t fs\nnfs\t1.0\tpvfs\n",
+    );
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("column 'fs' is named twice"), "body: {body}");
+    let (_, _, own) = call(&handle, "POST", "/query", sess, "SELECT count(*) FROM runs");
+    assert_eq!(own, "count(*)\n1\n", "the refused batch was buffered");
+    assert_eq!(call(&handle, "POST", "/commit", sess, "").0, 200);
+    assert_eq!(engine.row_count("runs").unwrap(), 1);
+    assert_eq!((engine.epoch(), engine.wal_frames()), (epoch, frames));
+
+    handle.stop();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn idle_sessions_expire_and_roll_back() {
     let engine = Arc::new(Engine::new());
     engine.execute("CREATE TABLE t (a INTEGER)").unwrap();

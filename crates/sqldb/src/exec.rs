@@ -13,9 +13,10 @@
 //!   relation of a statement without FROM.
 //! * **One plan** — [`Plan::of`] decides the access path (a `col = <const>`
 //!   or `col IN (...)` conjunct probes a secondary index, range conjuncts
-//!   scan the *ordered* variant, `min`/`max` alone read an ordered index's
+//!   scan one declared *ordered*, `min`/`max` alone read an ordered index's
 //!   ends), the filter form (column-at-a-time [`VecAtom`]s, or the compiled
-//!   scalar filter of [`crate::compile`]) and the output form (the one
+//!   scalar filter of [`crate::compile`]) — both from one reading of the
+//!   WHERE conjuncts ([`Conjunct`]) — and the output form (the one
 //!   [`Aggregation`], column or expression projection). [`run`] consumes
 //!   that value — selection vector of row positions ([`positions`], the
 //!   step UPDATE and DELETE share), then aggregation or projection straight
@@ -27,16 +28,17 @@
 //! suites (`tests/common/oracle.rs`) and shares no code with it.
 
 use crate::aggregate::{AggKind, Answers, Grouped};
-use crate::column::{Chunked, ColumnStore, ColumnVec, NullBitmap};
+use crate::column::{Chunked, ColumnStore, ColumnVec, DictColumn, NullBitmap};
 use crate::compile::{compile, compile_reading, CompiledExpr};
 use crate::engine::ResultSet;
 use crate::error::DbError;
-use crate::expr::{binary_values, truthy, LikePattern};
+use crate::expr::LikePattern;
 use crate::schema::{Column, Schema};
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
-use crate::value::{DataType, Num, Value, ValueKey};
+use crate::value::{DataType, Num, Value, ValueKey, ValueRef};
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -210,8 +212,11 @@ enum Filter {
 }
 
 impl Filter {
-    fn of(where_clause: Option<&SqlExpr>, table: &Table) -> Filter {
-        match compile_vec_filter(where_clause, &table.schema, table.store()) {
+    /// `where_clause`, read as `conjuncts`, over `table`: vectorized when
+    /// every conjunct is ([`VecAtom::of`]), the compiled scalar filter
+    /// otherwise.
+    fn of(where_clause: Option<&SqlExpr>, conjuncts: &[Conjunct<'_>], table: &Table) -> Filter {
+        match conjuncts.iter().map(|c| VecAtom::of(c, table)).collect() {
             Some(atoms) => Filter::Vectorized(atoms),
             None => {
                 let w = where_clause.expect("an absent WHERE clause always vectorizes");
@@ -237,7 +242,7 @@ impl Plan {
         let where_clause = sel.where_clause.as_ref();
         Plan {
             access: plan_index_ends(sel, table).unwrap_or_else(|| plan_access(where_clause, table)),
-            filter: Filter::of(where_clause, table),
+            filter: Filter::of(where_clause, &Conjunct::read_all(where_clause), table),
             output: if is_aggregation(sel) {
                 Output::Aggregate(Aggregation::of(sel, schema))
             } else {
@@ -345,10 +350,13 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
 // Vectorized execution over the column store
 // ---------------------------------------------------------------------------
 //
-// The WHERE clause is lowered into [`VecAtom`]s that evaluate one column
-// vector at a time into a selection vector of row positions; dictionary
-// predicates compare u32 codes against a precomputed per-entry truth table
-// instead of strings. Aggregation then runs batched over the selected
+// Each top-level conjunct of the WHERE clause is read once ([`Conjunct`]),
+// and each literal typed against its column by one rule ([`Operand`]); the
+// access planner takes the same reading. A clause whose conjuncts are all
+// simple is lowered into [`VecAtom`]s that evaluate one column vector at a
+// time into a selection vector of row positions; dictionary predicates
+// compare u32 codes against a precomputed per-entry truth table instead of
+// strings. Aggregation then runs batched over the selected
 // positions ([`Aggregation::run`]), grouping on dense column codes and
 // folding each column slot a run of one chunk's cells at a time
 // ([`Chunked::runs_at`]). Whole-column loops walk the chunks of a column
@@ -361,8 +369,8 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
 // tie-breaking) — the property the equivalence corpus asserts against the
 // oracle.
 
-/// Comparison operator of a vectorizable conjunct.
-#[derive(Debug, Clone, Copy)]
+/// Comparison operator of a simple conjunct.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum CmpOp {
     Eq,
     Ne,
@@ -385,8 +393,20 @@ impl CmpOp {
         })
     }
 
+    /// The operator with its operands swapped: `lit op col` holds exactly
+    /// when `col op.flipped() lit` does.
+    fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            same => same,
+        }
+    }
+
     #[inline]
-    fn holds(self, ord: std::cmp::Ordering) -> bool {
+    fn holds(self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord.is_eq(),
             CmpOp::Ne => ord.is_ne(),
@@ -530,6 +550,20 @@ impl VecAtom {
     }
 }
 
+/// One truth value per entry of `d`'s dictionary: is it one of `texts`
+/// (looked up, not compared), flipped when `negated`.
+fn members<'s>(
+    d: &DictColumn,
+    texts: impl IntoIterator<Item = &'s str>,
+    negated: bool,
+) -> Vec<bool> {
+    let mut pass = vec![negated; d.dict().len()];
+    for c in texts.into_iter().filter_map(|s| d.code_of(s)) {
+        pass[c as usize] = !negated;
+    }
+    pass
+}
+
 /// Append to `out` the position of every cell of `data` that `passes`,
 /// walking the column chunk by chunk.
 #[inline]
@@ -547,189 +581,235 @@ fn fill_where<T: Clone>(
     }
 }
 
-/// A non-NULL representative of `dtype`, for compile-time evaluation of
-/// payload-independent (type-rank) comparisons.
-fn representative(dtype: DataType) -> Value {
-    match dtype {
-        DataType::Int => Value::Int(0),
-        DataType::Float => Value::Float(0.0),
-        DataType::Bool => Value::Bool(false),
-        DataType::Timestamp => Value::Timestamp(0),
-        DataType::Text => Value::Text(String::new()),
+/// One top-level WHERE conjunct, read once by [`Conjunct::read`] for the
+/// access planner ([`plan_indexed`]), the vectorised filter ([`VecAtom::of`])
+/// and the batch binding ([`Binding`]). Columns are kept by the name they are
+/// written with: one reading serves every table of a batch.
+enum Conjunct<'e> {
+    /// `col op lit`, the operator flipped when the literal is written first.
+    Cmp {
+        col: &'e str,
+        op: CmpOp,
+        lit: &'e Value,
+    },
+    /// `col [NOT] IN (lits)`, every element a literal.
+    In {
+        col: &'e str,
+        lits: Vec<&'e Value>,
+        negated: bool,
+    },
+    /// `col IS [NOT] NULL`.
+    IsNull { col: &'e str, negated: bool },
+    /// `col [NOT] LIKE pattern`.
+    Like {
+        col: &'e str,
+        pattern: &'e str,
+        negated: bool,
+    },
+    /// Any other shape: only the scalar filter evaluates it.
+    Other,
+}
+
+impl<'e> Conjunct<'e> {
+    /// The top-level AND conjuncts of `where_clause`, each read once; none
+    /// without a clause.
+    fn read_all(where_clause: Option<&'e SqlExpr>) -> Vec<Conjunct<'e>> {
+        let mut exprs = Vec::new();
+        if let Some(w) = where_clause {
+            split_conjuncts(w, &mut exprs);
+        }
+        exprs.into_iter().map(Conjunct::read).collect()
+    }
+
+    fn read(e: &'e SqlExpr) -> Conjunct<'e> {
+        match e {
+            SqlExpr::Binary(op, l, r) => match (CmpOp::of(op), &**l, &**r) {
+                (Some(op), SqlExpr::Col(col), SqlExpr::Lit(lit)) => Conjunct::Cmp { col, op, lit },
+                (Some(op), SqlExpr::Lit(lit), SqlExpr::Col(col)) => Conjunct::Cmp {
+                    col,
+                    op: op.flipped(),
+                    lit,
+                },
+                _ => Conjunct::Other,
+            },
+            SqlExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let lit = |e: &'e SqlExpr| match e {
+                    SqlExpr::Lit(v) => Some(v),
+                    _ => None,
+                };
+                match (&**expr, list.iter().map(lit).collect()) {
+                    (SqlExpr::Col(col), Some(lits)) => Conjunct::In {
+                        col,
+                        lits,
+                        negated: *negated,
+                    },
+                    _ => Conjunct::Other,
+                }
+            }
+            SqlExpr::IsNull { expr, negated } => match &**expr {
+                SqlExpr::Col(col) => Conjunct::IsNull {
+                    col,
+                    negated: *negated,
+                },
+                _ => Conjunct::Other,
+            },
+            SqlExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => match &**expr {
+                SqlExpr::Col(col) => Conjunct::Like {
+                    col,
+                    pattern,
+                    negated: *negated,
+                },
+                _ => Conjunct::Other,
+            },
+            _ => Conjunct::Other,
+        }
+    }
+
+    /// The column a simple conjunct tests, as written.
+    fn column(&self) -> Option<&'e str> {
+        match *self {
+            Conjunct::Cmp { col, .. }
+            | Conjunct::In { col, .. }
+            | Conjunct::IsNull { col, .. }
+            | Conjunct::Like { col, .. } => Some(col),
+            Conjunct::Other => None,
+        }
     }
 }
 
-/// Lower a WHERE clause into vectorized conjuncts. `None` means some
-/// conjunct doesn't vectorize and the caller must evaluate the compiled
-/// scalar filter instead; when `Some`, the atoms cover the entire clause
-/// (no residual filter).
-fn compile_vec_filter(
-    where_clause: Option<&SqlExpr>,
-    schema: &Schema,
-    store: &ColumnStore,
-) -> Option<Vec<VecAtom>> {
-    let Some(w) = where_clause else {
-        return Some(Vec::new());
-    };
-    let mut conjuncts = Vec::new();
-    split_conjuncts(w, &mut conjuncts);
-    conjuncts
-        .iter()
-        .map(|c| compile_vec_atom(c, schema, store))
-        .collect()
+/// What a WHERE literal is to the cells of a column, as the scalar evaluator
+/// compares the two ([`Operand::of`]).
+enum Operand<'v> {
+    /// NULL: no comparison with it holds.
+    Null,
+    /// A number against a column of numbers, BOOLEAN (cell or literal) as
+    /// 0/1: compared by value.
+    Num(Num),
+    /// Text against a TEXT column: compared as strings.
+    Text(&'v str),
+    /// Text against numbers or a number against TEXT: every non-NULL cell
+    /// compares to it as this, text ranking above every number.
+    Ranked(Ordering),
 }
 
-fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option<VecAtom> {
-    match e {
-        SqlExpr::Binary(op, l, r) if CmpOp::of(op).is_some() => {
-            // Normalize to `col <op> lit`, flipping when the literal is on
-            // the left (same as the access planner).
-            let (name, lit, op) = match (&**l, &**r) {
-                (SqlExpr::Col(n), SqlExpr::Lit(v)) => (n, v, *op),
-                (SqlExpr::Lit(v), SqlExpr::Col(n)) => (
-                    n,
-                    v,
-                    match *op {
-                        "<" => ">",
-                        "<=" => ">=",
-                        ">" => "<",
-                        ">=" => "<=",
-                        other => other,
-                    },
-                ),
-                _ => return None,
-            };
-            let ci = schema.index_of(name)?;
-            if let ColumnVec::Text(d) = store.col(ci) {
-                // Equality against a string probes the dictionary lookup
-                // directly; other shapes compute a truth table per entry
-                // through the scalar evaluator — exact for every literal
-                // type.
-                let pass = if let ("=", Value::Text(s)) = (op, lit) {
-                    let mut pass = vec![false; d.dict().len()];
-                    if let Some(c) = d.code_of(s) {
-                        pass[c as usize] = true;
+impl<'v> Operand<'v> {
+    /// What `lit` is to the cells of a column of `dtype`.
+    fn of(dtype: DataType, lit: &'v Value) -> Operand<'v> {
+        match (ValueRef::of(lit), dtype) {
+            (None, _) => Operand::Null,
+            (Some(ValueRef::Text(s)), DataType::Text) => Operand::Text(s),
+            (Some(ValueRef::Text(_)), _) => Operand::Ranked(Ordering::Less),
+            (Some(_), DataType::Text) => Operand::Ranked(Ordering::Greater),
+            (Some(v), _) => Operand::Num(v.num().expect("a value that is not TEXT is a number")),
+        }
+    }
+
+    /// The index key of the cells of a column of `dtype` that equal this
+    /// literal, `None` when no cell can: BOOLEAN cells are keyed as booleans,
+    /// so only the numbers 0 and 1 equal one.
+    fn key(&self, dtype: DataType) -> Option<ValueKey> {
+        match *self {
+            Operand::Null | Operand::Ranked(_) => None,
+            Operand::Text(s) => Some(ValueKey::Text(s.to_string())),
+            Operand::Num(n) => match (dtype, n.key()) {
+                (DataType::Bool, ValueKey::Int(i @ (0 | 1))) => Some(ValueKey::Bool(i == 1)),
+                (DataType::Bool, _) => None,
+                (_, key) => Some(key),
+            },
+        }
+    }
+}
+
+impl VecAtom {
+    /// The conjunct `c`, column-at-a-time over `table`; `None` when it does
+    /// not vectorize (another shape, a column that does not resolve, LIKE
+    /// over a column that is not TEXT), which leaves the clause to the
+    /// compiled scalar filter.
+    fn of(c: &Conjunct<'_>, table: &Table) -> Option<VecAtom> {
+        let col = table.schema.index_of(c.column()?)?;
+        let dtype = table.schema.columns[col].dtype;
+        let dict = match table.store().col(col) {
+            ColumnVec::Text(d) => Some(d),
+            _ => None,
+        };
+        Some(match c {
+            Conjunct::Cmp { op, lit, .. } => match Operand::of(dtype, lit) {
+                Operand::Null => VecAtom::ConstCmp { col, result: false },
+                Operand::Ranked(ord) => VecAtom::ConstCmp {
+                    col,
+                    result: op.holds(ord),
+                },
+                Operand::Num(rhs) => VecAtom::NumCmp { col, op: *op, rhs },
+                Operand::Text(s) => {
+                    let d = dict.expect("a text operand is of a TEXT column");
+                    let pass = match op {
+                        CmpOp::Eq => members(d, [s], false),
+                        _ => d
+                            .dict()
+                            .iter()
+                            .map(|e| op.holds(e.as_str().cmp(s)))
+                            .collect(),
+                    };
+                    VecAtom::DictPass {
+                        col,
+                        pass,
+                        null_pass: false,
                     }
-                    pass
-                } else {
-                    d.dict()
-                        .iter()
-                        .map(|s| {
-                            binary_values(op, Value::Text(s.clone()), lit.clone())
-                                .ok()
-                                .map(|v| truthy(&v))
-                        })
-                        .collect::<Option<Vec<bool>>>()?
-                };
-                return Some(VecAtom::DictPass {
-                    col: ci,
-                    pass,
-                    null_pass: false,
-                });
-            }
-            if lit.is_null() {
-                // Every comparison against NULL is false.
-                return Some(VecAtom::ConstCmp {
-                    col: ci,
-                    result: false,
-                });
-            }
-            match Num::of(lit) {
-                // Non-TEXT cells are all numbers, so the engine compares
-                // them numerically (`total_cmp`).
-                Some(rhs) => Some(VecAtom::NumCmp {
-                    col: ci,
-                    op: CmpOp::of(op)?,
-                    rhs,
-                }),
-                // Non-numeric literal (TEXT) vs a numeric column: type-rank
-                // ordering makes the result constant over non-NULL cells.
-                None => {
-                    let rep = representative(schema.columns[ci].dtype);
-                    let v = binary_values(op, rep, lit.clone()).ok()?;
-                    Some(VecAtom::ConstCmp {
-                        col: ci,
-                        result: truthy(&v),
-                    })
+                }
+            },
+            Conjunct::In { lits, negated, .. } => {
+                let operands = lits.iter().map(|l| Operand::of(dtype, l));
+                match dict {
+                    Some(d) => {
+                        let texts = operands.filter_map(|o| match o {
+                            Operand::Text(s) => Some(s),
+                            _ => None,
+                        });
+                        VecAtom::DictPass {
+                            col,
+                            pass: members(d, texts, *negated),
+                            null_pass: false,
+                        }
+                    }
+                    // Elements that can never equal a number are dropped.
+                    None => VecAtom::NumIn {
+                        col,
+                        set: operands
+                            .filter_map(|o| match o {
+                                Operand::Num(n) => Some(n.key()),
+                                _ => None,
+                            })
+                            .collect(),
+                        negated: *negated,
+                    },
                 }
             }
-        }
-        SqlExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let SqlExpr::Col(name) = &**expr else {
-                return None;
-            };
-            let ci = schema.index_of(name)?;
-            let lits = list
-                .iter()
-                .map(|e| match e {
-                    SqlExpr::Lit(v) => Some(v),
-                    _ => None,
-                })
-                .collect::<Option<Vec<&Value>>>()?;
-            if let ColumnVec::Text(d) = store.col(ci) {
-                let pass = d
-                    .dict()
-                    .iter()
-                    .map(|s| {
-                        let cell = Value::Text(s.clone());
-                        lits.iter().any(|l| cell.sql_eq(l)) != *negated
-                    })
-                    .collect();
-                return Some(VecAtom::DictPass {
-                    col: ci,
-                    pass,
-                    null_pass: false,
-                });
+            Conjunct::IsNull { negated, .. } => VecAtom::IsNull {
+                col,
+                negated: *negated,
+            },
+            Conjunct::Like {
+                pattern, negated, ..
+            } => {
+                let pat = LikePattern::parse(pattern);
+                let pass = dict?.dict().iter().map(|s| pat.matches(s) != *negated);
+                // LIKE on NULL evaluates the match as false, so NOT LIKE passes.
+                VecAtom::DictPass {
+                    col,
+                    pass: pass.collect(),
+                    null_pass: *negated,
+                }
             }
-            Some(VecAtom::NumIn {
-                col: ci,
-                set: lits
-                    .iter()
-                    .filter_map(|l| Num::of(l))
-                    .map(Num::key)
-                    .collect(),
-                negated: *negated,
-            })
-        }
-        SqlExpr::IsNull { expr, negated } => {
-            let SqlExpr::Col(name) = &**expr else {
-                return None;
-            };
-            Some(VecAtom::IsNull {
-                col: schema.index_of(name)?,
-                negated: *negated,
-            })
-        }
-        SqlExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let SqlExpr::Col(name) = &**expr else {
-                return None;
-            };
-            let ci = schema.index_of(name)?;
-            let ColumnVec::Text(d) = store.col(ci) else {
-                return None;
-            };
-            let pat = LikePattern::parse(pattern);
-            let pass = d
-                .dict()
-                .iter()
-                .map(|s| pat.matches(s) != *negated)
-                .collect();
-            // LIKE on NULL evaluates the match as false, so NOT LIKE passes.
-            Some(VecAtom::DictPass {
-                col: ci,
-                pass,
-                null_pass: *negated,
-            })
-        }
-        _ => None,
+            Conjunct::Other => return None,
+        })
     }
 }
 
@@ -738,13 +818,13 @@ fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option
 /// (ascending) of the rows of `tables[k]` that satisfy `where_clause`,
 /// through the access path and the filter form a SELECT of them would plan.
 ///
-/// The clause is compiled against the first table, and again only for a
-/// table that binds it differently ([`Binding::fits`]); a table with indexes
-/// is planned on its own, as a SELECT of it is. One positions buffer serves
-/// the batch, and the `plan.full_scan` and `scan.*` counts of its walks are
-/// added once, with the totals a walk per statement adds. An error — of the
-/// selection or of `each` — ends the batch and carries the position of its
-/// table.
+/// The clause is read once for the batch ([`Conjunct::read_all`]) and
+/// compiled against the first table, and again only for a table that binds
+/// it differently ([`Binding::fits`]); a table with indexes is planned on its
+/// own, as a SELECT of it is. One positions buffer serves the batch, and the
+/// `plan.full_scan` and `scan.*` counts of its walks are added once, with the
+/// totals a walk per statement adds. An error — of the selection or of
+/// `each` — ends the batch and carries the position of its table.
 ///
 /// [`Engine::scan`]: crate::Engine::scan
 pub(crate) fn select_positions<T: Borrow<Table>>(
@@ -753,12 +833,13 @@ pub(crate) fn select_positions<T: Borrow<Table>>(
     mut each: impl FnMut(usize, &[usize]) -> Result<(), DbError>,
 ) -> Result<(), (usize, DbError)> {
     let mut counts = ScanCounts::default();
+    let conjuncts = Conjunct::read_all(where_clause);
     let mut binding: Option<Binding<'_>> = None;
     let mut sv = Vec::new();
     for (k, table) in tables.iter().enumerate() {
         let table = table.borrow();
         if !binding.as_ref().is_some_and(|b| b.fits(table)) {
-            binding = Some(Binding::of(where_clause, table));
+            binding = Some(Binding::of(where_clause, &conjuncts, table));
         }
         let filter = &binding.as_ref().expect("bound above").filter;
         let access = plan_access(where_clause, table);
@@ -780,17 +861,21 @@ struct Binding<'t> {
 }
 
 impl<'t> Binding<'t> {
-    /// `where_clause` compiled against `table` (counted in
-    /// `scan.filter_binds`).
-    fn of(where_clause: Option<&'t SqlExpr>, table: &'t Table) -> Binding<'t> {
+    /// `where_clause`, read as `conjuncts`, compiled against `table`
+    /// (counted in `scan.filter_binds`).
+    fn of(
+        where_clause: Option<&SqlExpr>,
+        conjuncts: &[Conjunct<'t>],
+        table: &'t Table,
+    ) -> Binding<'t> {
         obs::incr(obs::Counter::ScanFilterBinds);
-        let filter = Filter::of(where_clause, table);
+        let filter = Filter::of(where_clause, conjuncts, table);
         let mut reads = Vec::new();
-        if let (Filter::Vectorized(_), Some(w)) = (&filter, where_clause) {
-            column_names(w, &mut |name| {
+        if let Filter::Vectorized(_) = filter {
+            for name in conjuncts.iter().filter_map(Conjunct::column) {
                 let at = table.schema.index_of(name);
                 reads.push((name, at.expect("a vectorized clause resolves")));
-            });
+            }
         }
         Binding {
             table,
@@ -817,26 +902,6 @@ impl<'t> Binding<'t> {
                     _ => true,
                 }
             }),
-        }
-    }
-}
-
-/// `f(name)` for every column reference in `e`, in order.
-fn column_names<'e>(e: &'e SqlExpr, f: &mut impl FnMut(&'e str)) {
-    match e {
-        SqlExpr::Lit(_) => {}
-        SqlExpr::Col(name) => f(name),
-        SqlExpr::Unary(_, x) | SqlExpr::IsNull { expr: x, .. } | SqlExpr::Like { expr: x, .. } => {
-            column_names(x, f)
-        }
-        SqlExpr::Binary(_, l, r) => {
-            column_names(l, f);
-            column_names(r, f);
-        }
-        SqlExpr::Func { args, .. } => args.iter().for_each(|a| column_names(a, f)),
-        SqlExpr::InList { expr, list, .. } => {
-            column_names(expr, f);
-            list.iter().for_each(|e| column_names(e, f));
         }
     }
 }
@@ -1295,14 +1360,6 @@ fn pure_column_projection(sel: &SelectStmt, schema: &Schema) -> Option<Vec<ProjC
         .collect()
 }
 
-/// Index probe outcome for a `col <op> <const>` conjunct.
-enum Probe {
-    /// Probe the index with this key.
-    Key(ValueKey),
-    /// The comparison can never be true (NULL or cross-type mismatch).
-    Never,
-}
-
 /// One index-servable access condition extracted from the WHERE clause.
 enum IndexCond {
     /// `col = lit` — single key probe (hash or ordered index).
@@ -1313,42 +1370,6 @@ enum IndexCond {
     /// Merged range conjuncts (`<`, `<=`, `>`, `>=`, BETWEEN-shaped pairs)
     /// over one column — ordered index only.
     Range(Bound<ValueKey>, Bound<ValueKey>),
-}
-
-/// Translate an equality literal into the key class stored for a column of
-/// `dtype`, replicating `Value::sql_eq` across types: numeric columns
-/// compare as numbers (so `TRUE` probes a numeric column as `1`), BOOLEAN
-/// columns accept `0`/`1` numerics, TEXT only matches text, and NULL
-/// matches nothing.
-fn probe_key(dtype: DataType, lit: &Value) -> Probe {
-    if lit.is_null() {
-        return Probe::Never;
-    }
-    match dtype {
-        DataType::Int | DataType::Float | DataType::Timestamp => {
-            Num::of(lit).map_or(Probe::Never, |n| Probe::Key(n.key()))
-        }
-        DataType::Bool => match lit {
-            Value::Bool(b) => Probe::Key(ValueKey::Bool(*b)),
-            Value::Text(_) => Probe::Never,
-            other => match other.as_f64() {
-                Some(f) => {
-                    if f == 1.0 {
-                        Probe::Key(ValueKey::Bool(true))
-                    } else if f == 0.0 {
-                        Probe::Key(ValueKey::Bool(false))
-                    } else {
-                        Probe::Never
-                    }
-                }
-                None => Probe::Never,
-            },
-        },
-        DataType::Text => match lit {
-            Value::Text(s) => Probe::Key(ValueKey::Text(s.clone())),
-            _ => Probe::Never,
-        },
-    }
 }
 
 /// Split a WHERE clause into its top-level AND conjuncts.
@@ -1382,62 +1403,21 @@ fn names_resolve(e: &SqlExpr, schema: &Schema) -> bool {
     }
 }
 
-/// Borrowing view of an owned bound (`Bound::as_ref` is not yet stable).
-fn bound_ref(b: &Bound<ValueKey>) -> Bound<&ValueKey> {
-    match b {
-        Bound::Included(k) => Bound::Included(k),
-        Bound::Excluded(k) => Bound::Excluded(k),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-/// The tighter of two lower bounds (greater key wins; on a tie, Excluded).
-fn tighter_lower(a: Bound<ValueKey>, b: Bound<ValueKey>) -> Bound<ValueKey> {
-    let (ka, ea) = match &a {
-        Bound::Unbounded => return b,
-        Bound::Included(k) => (k, false),
-        Bound::Excluded(k) => (k, true),
+/// The tighter of two bounds on one side of a window — the greater key of
+/// two `lower` bounds, the smaller of two upper ones; on a tie, Excluded.
+fn tighter(a: Bound<ValueKey>, b: Bound<ValueKey>, lower: bool) -> Bound<ValueKey> {
+    let (Bound::Included(ka) | Bound::Excluded(ka)) = &a else {
+        return b;
     };
-    let (kb, _) = match &b {
-        Bound::Unbounded => return a,
-        Bound::Included(k) => (k, false),
-        Bound::Excluded(k) => (k, true),
+    let (Bound::Included(kb) | Bound::Excluded(kb)) = &b else {
+        return a;
     };
-    match ka.cmp(kb) {
-        std::cmp::Ordering::Greater => a,
-        std::cmp::Ordering::Less => b,
-        std::cmp::Ordering::Equal => {
-            if ea {
-                a
-            } else {
-                b
-            }
-        }
-    }
-}
-
-/// The tighter of two upper bounds (smaller key wins; on a tie, Excluded).
-fn tighter_upper(a: Bound<ValueKey>, b: Bound<ValueKey>) -> Bound<ValueKey> {
-    let (ka, ea) = match &a {
-        Bound::Unbounded => return b,
-        Bound::Included(k) => (k, false),
-        Bound::Excluded(k) => (k, true),
-    };
-    let (kb, _) = match &b {
-        Bound::Unbounded => return a,
-        Bound::Included(k) => (k, false),
-        Bound::Excluded(k) => (k, true),
-    };
-    match ka.cmp(kb) {
-        std::cmp::Ordering::Less => a,
-        std::cmp::Ordering::Greater => b,
-        std::cmp::Ordering::Equal => {
-            if ea {
-                a
-            } else {
-                b
-            }
-        }
+    let inward = if lower { ka.cmp(kb) } else { kb.cmp(ka) };
+    match inward {
+        Ordering::Greater => a,
+        Ordering::Less => b,
+        Ordering::Equal if matches!(a, Bound::Excluded(_)) => a,
+        Ordering::Equal => b,
     }
 }
 
@@ -1530,9 +1510,6 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
     if !names_resolve(w, &table.schema) {
         return AccessPlan::full_scan(nrows);
     }
-    let mut conjuncts = Vec::new();
-    split_conjuncts(w, &mut conjuncts);
-
     let mut best: Option<(f64, usize, IndexCond)> = None; // (est, col, cond)
     let consider =
         |est: f64, ci: usize, cond: IndexCond, best: &mut Option<(f64, usize, IndexCond)>| {
@@ -1544,103 +1521,29 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
     // as one merged condition each.
     let mut ranges: Vec<(usize, Bound<ValueKey>, Bound<ValueKey>)> = Vec::new();
 
-    for c in conjuncts {
+    for c in Conjunct::read_all(Some(w)) {
+        let (Conjunct::Cmp { col, .. } | Conjunct::In { col, .. }) = c else {
+            continue;
+        };
+        let Some(ci) = table.schema.index_of(col) else {
+            continue;
+        };
+        let Some(distinct) = table.index_distinct_keys(ci) else {
+            continue;
+        };
+        let dtype = table.schema.columns[ci].dtype;
         match c {
-            SqlExpr::Binary(op, l, r) if matches!(*op, "=" | "<" | "<=" | ">" | ">=") => {
-                // Normalize to `col <op> lit`, flipping the operator when
-                // the literal is on the left.
-                let (name, lit, op) = match (&**l, &**r) {
-                    (SqlExpr::Col(n), SqlExpr::Lit(v)) => (n, v, *op),
-                    (SqlExpr::Lit(v), SqlExpr::Col(n)) => (
-                        n,
-                        v,
-                        match *op {
-                            "<" => ">",
-                            "<=" => ">=",
-                            ">" => "<",
-                            ">=" => "<=",
-                            other => other,
-                        },
-                    ),
-                    _ => continue,
-                };
-                let Some(ci) = table.schema.index_of(name) else {
-                    continue;
-                };
-                let Some(distinct) = table.index_distinct_keys(ci) else {
-                    continue;
-                };
-                let probe = probe_key(table.schema.columns[ci].dtype, lit);
-                if op == "=" {
-                    match probe {
-                        // A type-impossible equality falsifies the AND chain.
-                        Probe::Never => return AccessPlan::never(),
-                        Probe::Key(key) => consider(
-                            nrows / distinct.max(1) as f64,
-                            ci,
-                            IndexCond::Eq(key),
-                            &mut best,
-                        ),
-                    }
-                    continue;
-                }
-                // Range conjunct: ordered indexes only.
-                if !table.has_ordered_index_on(ci) {
-                    continue;
-                }
-                let key = match probe {
-                    Probe::Key(key) => key,
-                    Probe::Never => {
-                        if lit.is_null() {
-                            // Any comparison against NULL is false.
-                            return AccessPlan::never();
-                        }
-                        // Cross-type bound: leave it to the residual
-                        // filter.
-                        continue;
-                    }
-                };
-                let (lo, hi) = match op {
-                    "<" => (Bound::Unbounded, Bound::Excluded(key)),
-                    "<=" => (Bound::Unbounded, Bound::Included(key)),
-                    ">" => (Bound::Excluded(key), Bound::Unbounded),
-                    _ => (Bound::Included(key), Bound::Unbounded),
-                };
-                match ranges.iter_mut().find(|(c, _, _)| *c == ci) {
-                    Some((_, cur_lo, cur_hi)) => {
-                        *cur_lo = tighter_lower(std::mem::replace(cur_lo, Bound::Unbounded), lo);
-                        *cur_hi = tighter_upper(std::mem::replace(cur_hi, Bound::Unbounded), hi);
-                    }
-                    None => ranges.push((ci, lo, hi)),
-                }
-            }
-            SqlExpr::InList {
-                expr,
-                list,
+            Conjunct::In {
+                lits,
                 negated: false,
+                ..
             } => {
-                let SqlExpr::Col(name) = &**expr else {
-                    continue;
-                };
-                let Some(ci) = table.schema.index_of(name) else {
-                    continue;
-                };
-                let Some(distinct) = table.index_distinct_keys(ci) else {
-                    continue;
-                };
-                if !list.iter().all(|e| matches!(e, SqlExpr::Lit(_))) {
-                    continue;
-                }
-                let dtype = table.schema.columns[ci].dtype;
-                let mut keys: Vec<ValueKey> = Vec::with_capacity(list.len());
-                for e in list {
-                    let SqlExpr::Lit(lit) = e else { unreachable!() };
-                    // Elements that can never match are dropped (NULL
-                    // elements make `IN` yield NULL, never true).
-                    if let Probe::Key(key) = probe_key(dtype, lit) {
-                        if !keys.contains(&key) {
-                            keys.push(key);
-                        }
+                // Elements that can never match are dropped (NULL elements
+                // make `IN` yield NULL, never true).
+                let mut keys: Vec<ValueKey> = Vec::with_capacity(lits.len());
+                for key in lits.iter().filter_map(|l| Operand::of(dtype, l).key(dtype)) {
+                    if !keys.contains(&key) {
+                        keys.push(key);
                     }
                 }
                 if keys.is_empty() {
@@ -1650,7 +1553,45 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                 let est = keys.len() as f64 * nrows / distinct.max(1) as f64;
                 consider(est, ci, IndexCond::In(keys), &mut best);
             }
-            _ => continue,
+            Conjunct::Cmp {
+                op: CmpOp::Eq, lit, ..
+            } => match Operand::of(dtype, lit).key(dtype) {
+                // A type-impossible equality falsifies the AND chain.
+                None => return AccessPlan::never(),
+                Some(key) => consider(
+                    nrows / distinct.max(1) as f64,
+                    ci,
+                    IndexCond::Eq(key),
+                    &mut best,
+                ),
+            },
+            // Range conjuncts: ordered indexes only.
+            Conjunct::Cmp { op, lit, .. } if op != CmpOp::Ne && table.has_ordered_index_on(ci) => {
+                let operand = Operand::of(dtype, lit);
+                let key = match (operand.key(dtype), operand) {
+                    (Some(key), _) => key,
+                    // Any comparison against NULL is false.
+                    (None, Operand::Null) => return AccessPlan::never(),
+                    // Cross-type bound: leave it to the residual filter.
+                    (None, _) => continue,
+                };
+                let at = match ranges.iter().position(|r| r.0 == ci) {
+                    Some(at) => at,
+                    None => {
+                        ranges.push((ci, Bound::Unbounded, Bound::Unbounded));
+                        ranges.len() - 1
+                    }
+                };
+                let lower = matches!(op, CmpOp::Gt | CmpOp::Ge);
+                let bound = match op {
+                    CmpOp::Le | CmpOp::Ge => Bound::Included(key),
+                    _ => Bound::Excluded(key),
+                };
+                let (_, lo, hi) = &mut ranges[at];
+                let side = if lower { lo } else { hi };
+                *side = tighter(std::mem::replace(side, Bound::Unbounded), bound, lower);
+            }
+            _ => {}
         }
     }
 
@@ -1689,7 +1630,7 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                 acc
             })
         }
-        IndexCond::Range(lo, hi) => table.range_lookup(ci, bound_ref(&lo), bound_ref(&hi)),
+        IndexCond::Range(lo, hi) => table.range_lookup(ci, lo.as_ref(), hi.as_ref()),
     };
     match candidates {
         Some(c) => AccessPlan {

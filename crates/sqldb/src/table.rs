@@ -1,144 +1,33 @@
-//! In-memory table storage with optional secondary indexes (hash or
-//! ordered).
+//! In-memory table storage with optional secondary indexes.
 //!
 //! Every [`Table`] stores its rows one way: a [`ColumnStore`] (typed vectors,
 //! dictionary-encoded strings, null bitmaps — see [`crate::column`]). Rows
 //! are addressed by position; the executor reads cells and whole rows
 //! through `Table::store`, and mutations take the positions a selection
 //! step produced ([`Table::update_positions`], [`Table::delete_positions`]).
+//! A secondary index is one ordered map from key to positions; the kind its
+//! statement declared says which lookups it serves.
 
 use crate::column::{Cell, ColumnStore, TableMemory};
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
 use crate::value::{Value, ValueKey, ValueRef};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// A row is a vector of values, one per schema column.
 pub type Row = Vec<Value>;
 
-/// Backing store of one secondary index: equality key → row positions.
-///
-/// `Hash` serves point probes in O(1); `Ordered` keeps keys sorted under
-/// [`ValueKey`]'s total order so it additionally serves range scans. Both
-/// keep each position vector sorted ascending (insertion appends the
-/// largest position; incremental maintenance preserves relative order), so
+/// A secondary index over one column: its keys in [`ValueKey`]'s total
+/// order, each with the positions of the rows that hold it, ascending
+/// (appends add the largest position; maintenance keeps relative order), so
 /// index results come back in row-storage order like a scan would.
-#[derive(Debug, Clone)]
-enum IndexStore {
-    Hash(HashMap<ValueKey, Vec<usize>>),
-    Ordered(BTreeMap<ValueKey, Vec<usize>>),
-}
-
-impl IndexStore {
-    /// Build from per-row keys in position order.
-    fn build(ordered: bool, keys: impl Iterator<Item = ValueKey>) -> Self {
-        if ordered {
-            let mut map: BTreeMap<ValueKey, Vec<usize>> = BTreeMap::new();
-            for (i, key) in keys.enumerate() {
-                if !key.is_null() {
-                    map.entry(key).or_default().push(i);
-                }
-            }
-            IndexStore::Ordered(map)
-        } else {
-            let mut map: HashMap<ValueKey, Vec<usize>> = HashMap::new();
-            for (i, key) in keys.enumerate() {
-                if !key.is_null() {
-                    map.entry(key).or_default().push(i);
-                }
-            }
-            IndexStore::Hash(map)
-        }
-    }
-
-    fn get(&self, key: &ValueKey) -> Option<&Vec<usize>> {
-        match self {
-            IndexStore::Hash(m) => m.get(key),
-            IndexStore::Ordered(m) => m.get(key),
-        }
-    }
-
-    fn distinct_keys(&self) -> usize {
-        match self {
-            IndexStore::Hash(m) => m.len(),
-            IndexStore::Ordered(m) => m.len(),
-        }
-    }
-
-    /// Heap bytes, estimated: an entry per key, a word per position.
-    fn bytes(&self) -> usize {
-        let lists: Box<dyn Iterator<Item = &Vec<usize>>> = match self {
-            IndexStore::Hash(m) => Box::new(m.values()),
-            IndexStore::Ordered(m) => Box::new(m.values()),
-        };
-        let entry = size_of::<(ValueKey, Vec<usize>)>();
-        lists.map(|v| entry + v.len() * size_of::<usize>()).sum()
-    }
-
-    fn push(&mut self, key: ValueKey, pos: usize) {
-        match self {
-            IndexStore::Hash(m) => m.entry(key).or_default().push(pos),
-            IndexStore::Ordered(m) => m.entry(key).or_default().push(pos),
-        }
-    }
-
-    /// Apply the delete remap table: position `p` survives as `new_of[p]`,
-    /// or vanished when `new_of[p] == usize::MAX`. Relative order of the
-    /// survivors is unchanged, so sorted position vectors stay sorted.
-    fn remap_positions(&mut self, new_of: &[usize]) {
-        let fix = |v: &mut Vec<usize>| {
-            v.retain_mut(|p| {
-                let n = new_of[*p];
-                *p = n;
-                n != usize::MAX
-            });
-            !v.is_empty()
-        };
-        match self {
-            IndexStore::Hash(m) => m.retain(|_, v| fix(v)),
-            IndexStore::Ordered(m) => m.retain(|_, v| fix(v)),
-        }
-    }
-
-    /// Move one row position from `old` to `new` after an in-place update
-    /// rewrote the indexed column. NULL keys are never stored.
-    fn move_position(&mut self, old: &ValueKey, new: ValueKey, pos: usize) {
-        if !old.is_null() {
-            let emptied = match self {
-                IndexStore::Hash(m) => m.get_mut(old),
-                IndexStore::Ordered(m) => m.get_mut(old),
-            }
-            .map(|v| {
-                if let Ok(i) = v.binary_search(&pos) {
-                    v.remove(i);
-                }
-                v.is_empty()
-            });
-            if emptied == Some(true) {
-                match self {
-                    IndexStore::Hash(m) => {
-                        m.remove(old);
-                    }
-                    IndexStore::Ordered(m) => {
-                        m.remove(old);
-                    }
-                }
-            }
-        }
-        if !new.is_null() {
-            let v = match self {
-                IndexStore::Hash(m) => m.entry(new).or_default(),
-                IndexStore::Ordered(m) => m.entry(new).or_default(),
-            };
-            if let Err(i) = v.binary_search(&pos) {
-                v.insert(i, pos);
-            }
-        }
-    }
-}
-
-/// A secondary index over one column.
+///
+/// Every index answers key and IN probes. Only one declared `ordered`
+/// (`CREATE ORDERED INDEX`) also answers range windows and index ends: the
+/// declared kind, not the map, decides which plans an index serves, so a
+/// `CREATE INDEX` never serves a range and an ordered request over it only
+/// changes the kind.
 ///
 /// NULL keys are not indexed — SQL `=` never matches NULL, and every SQL
 /// comparison against NULL is false, so neither a point probe nor a range
@@ -147,12 +36,59 @@ impl IndexStore {
 struct Index {
     name: String,
     column: usize,
-    store: IndexStore,
+    ordered: bool,
+    keys: BTreeMap<ValueKey, Vec<usize>>,
 }
 
 impl Index {
-    fn is_ordered(&self) -> bool {
-        matches!(self.store, IndexStore::Ordered(_))
+    /// Enter the rows of `store` from position `first` on.
+    fn enter(&mut self, store: &ColumnStore, first: usize) {
+        for pos in first..store.len() {
+            let key = ValueKey::of(&store.value(pos, self.column));
+            if !key.is_null() {
+                self.keys.entry(key).or_default().push(pos);
+            }
+        }
+    }
+
+    /// Heap bytes, estimated: an entry per key, a word per position.
+    fn bytes(&self) -> usize {
+        let entry = size_of::<(ValueKey, Vec<usize>)>();
+        let lists = self.keys.values();
+        lists.map(|v| entry + v.len() * size_of::<usize>()).sum()
+    }
+
+    /// Apply the delete remap table: position `p` survives as `new_of[p]`,
+    /// or vanished when `new_of[p] == usize::MAX`. Relative order of the
+    /// survivors is unchanged, so sorted position vectors stay sorted.
+    fn remap_positions(&mut self, new_of: &[usize]) {
+        self.keys.retain(|_, v| {
+            v.retain_mut(|p| {
+                let n = new_of[*p];
+                *p = n;
+                n != usize::MAX
+            });
+            !v.is_empty()
+        });
+    }
+
+    /// Move one row position from `old` to `new` after an in-place update
+    /// rewrote the indexed column. NULL keys are never stored.
+    fn move_position(&mut self, old: &ValueKey, new: ValueKey, pos: usize) {
+        if let Some(v) = self.keys.get_mut(old) {
+            if let Ok(i) = v.binary_search(&pos) {
+                v.remove(i);
+            }
+            if v.is_empty() {
+                self.keys.remove(old);
+            }
+        }
+        if !new.is_null() {
+            let v = self.keys.entry(new).or_default();
+            if let Err(i) = v.binary_search(&pos) {
+                v.insert(i, pos);
+            }
+        }
     }
 }
 
@@ -319,13 +255,13 @@ impl Table {
         self.store.value(pos, col)
     }
 
-    /// Create an index named `name` over `column` (`ordered` selects the
-    /// sorted variant that additionally serves range scans). At most one
-    /// index exists per column: a second index on an already-indexed column
-    /// is a no-op, except that an *ordered* request upgrades an existing
-    /// hash index in place (keeping its name — the hash index served a
-    /// strict subset of the lookups). A duplicate index *name* on a
-    /// different column is an error.
+    /// Create an index named `name` over `column` (`ordered` declares the
+    /// kind that additionally serves range windows and index ends). At most
+    /// one index exists per column: a second index on an already-indexed
+    /// column is a no-op, except that an *ordered* request over a declared
+    /// hash index makes it ordered (keeping its name and its map — the hash
+    /// kind served a strict subset of the lookups). A duplicate index *name*
+    /// on a different column is an error.
     pub fn create_index(&mut self, name: &str, column: &str, ordered: bool) -> Result<(), DbError> {
         if let Some(ci) = self.plan_index(name, column, ordered)? {
             self.apply_index(name, ci, ordered);
@@ -347,7 +283,7 @@ impl Table {
             .index_of(column)
             .ok_or_else(|| DbError::NoSuchColumn(column.to_string()))?;
         if let Some(ix) = self.indexes.iter().find(|ix| ix.column == ci) {
-            return Ok((ordered && !ix.is_ordered()).then_some(ci));
+            return Ok((ordered && !ix.ordered).then_some(ci));
         }
         if self.indexes.iter().any(|ix| ix.name == name) {
             return Err(DbError::Execution(format!("index '{name}' already exists")));
@@ -355,27 +291,23 @@ impl Table {
         Ok(Some(ci))
     }
 
-    /// Build the index [`Table::plan_index`] answered `Some(ci)` for: a new
-    /// one, or the ordered store in place of the column's hash index. It
-    /// cannot fail.
+    /// Make the index [`Table::plan_index`] answered `Some(ci)` for: build a
+    /// new one, or declare the column's hash index ordered — its keys are
+    /// in order already. It cannot fail.
     pub(crate) fn apply_index(&mut self, name: &str, ci: usize, ordered: bool) {
-        let store = Self::build_index_store(&self.store, ordered, ci);
         match self.indexes.iter_mut().find(|ix| ix.column == ci) {
-            Some(ix) => ix.store = store,
-            None => self.indexes.push(Index {
-                name: name.to_string(),
-                column: ci,
-                store,
-            }),
+            Some(ix) => ix.ordered = ordered,
+            None => {
+                let mut ix = Index {
+                    name: name.to_string(),
+                    column: ci,
+                    ordered,
+                    keys: BTreeMap::new(),
+                };
+                ix.enter(&self.store, 0);
+                self.indexes.push(ix);
+            }
         }
-    }
-
-    /// Build one index store over column `ci`.
-    fn build_index_store(store: &ColumnStore, ordered: bool, ci: usize) -> IndexStore {
-        IndexStore::build(
-            ordered,
-            (0..store.len()).map(|p| ValueKey::of(&store.value(p, ci))),
-        )
     }
 
     /// Does the table have any index? Without one there is no access path
@@ -391,20 +323,22 @@ impl Table {
 
     /// Is there an *ordered* index over `column` (by position)?
     pub fn has_ordered_index_on(&self, column: usize) -> bool {
+        self.ordered_index(column).is_some()
+    }
+
+    /// The *ordered* index over `column`, if there is one.
+    fn ordered_index(&self, column: usize) -> Option<&Index> {
         self.indexes
             .iter()
-            .any(|ix| ix.column == column && ix.is_ordered())
+            .find(|ix| ix.column == column && ix.ordered)
     }
 
     /// Indexed positions of rows whose `column` equals `key`, or `None` when
     /// no index covers that column. NULL keys return an empty slice — SQL
-    /// `=` never matches NULL.
+    /// `=` never matches NULL, and NULL is never indexed.
     pub fn index_lookup(&self, column: usize, key: &ValueKey) -> Option<&[usize]> {
         let ix = self.indexes.iter().find(|ix| ix.column == column)?;
-        if key.is_null() {
-            return Some(&[]);
-        }
-        Some(ix.store.get(key).map(Vec::as_slice).unwrap_or(&[]))
+        Some(ix.keys.get(key).map_or(&[], Vec::as_slice))
     }
 
     /// Positions (ascending) of rows whose `column` key falls within the
@@ -417,10 +351,7 @@ impl Table {
         lower: Bound<&ValueKey>,
         upper: Bound<&ValueKey>,
     ) -> Option<Vec<usize>> {
-        let ix = self.indexes.iter().find(|ix| ix.column == column)?;
-        let IndexStore::Ordered(map) = &ix.store else {
-            return None;
-        };
+        let map = &self.ordered_index(column)?.keys;
         if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
             (&lower, &upper)
         {
@@ -451,10 +382,7 @@ impl Table {
     /// caller still compares the rows it gets — but key order never
     /// contradicts value order, so the extreme value is among them.
     pub fn index_end_positions(&self, column: usize, largest: bool) -> Option<&[usize]> {
-        let ix = self.indexes.iter().find(|ix| ix.column == column)?;
-        let IndexStore::Ordered(map) = &ix.store else {
-            return None;
-        };
+        let map = &self.ordered_index(column)?.keys;
         let end = if largest {
             map.last_key_value()
         } else {
@@ -470,7 +398,7 @@ impl Table {
         self.indexes
             .iter()
             .find(|ix| ix.column == column)
-            .map(|ix| ix.store.distinct_keys())
+            .map(|ix| ix.keys.len())
     }
 
     /// `(index name, column name, ordered)` for every index, in creation
@@ -482,7 +410,7 @@ impl Table {
                 (
                     ix.name.clone(),
                     self.schema.columns[ix.column].name.clone(),
-                    ix.is_ordered(),
+                    ix.ordered,
                 )
             })
             .collect()
@@ -516,12 +444,7 @@ impl Table {
     /// Enter the rows from position `first` on into every index.
     fn index_from(&mut self, first: usize) {
         for ix in &mut self.indexes {
-            for pos in first..self.store.len() {
-                let key = ValueKey::of(&self.store.value(pos, ix.column));
-                if !key.is_null() {
-                    ix.store.push(key, pos);
-                }
-            }
+            ix.enter(&self.store, first);
         }
     }
 
@@ -602,7 +525,7 @@ impl Table {
         }
         self.store.retain(&keep);
         for ix in &mut self.indexes {
-            ix.store.remap_positions(&new_of);
+            ix.remap_positions(&new_of);
         }
         keep.len() - next
     }
@@ -665,7 +588,7 @@ impl Table {
                     let old = ValueKey::of(&self.store.value(pos, ci));
                     let new = ValueKey::of(&v);
                     if new != old {
-                        ix.store.move_position(&old, new, pos);
+                        ix.move_position(&old, new, pos);
                     }
                 }
                 self.store.set(pos, ci, v);
@@ -680,7 +603,8 @@ impl Table {
     /// maintenance against it) and as a recovery hammer.
     pub fn rebuild_indexes(&mut self) {
         for ix in &mut self.indexes {
-            ix.store = Self::build_index_store(&self.store, ix.is_ordered(), ix.column);
+            ix.keys.clear();
+            ix.enter(&self.store, 0);
         }
     }
 
@@ -693,7 +617,7 @@ impl Table {
     /// full chunks and the tails of its columns, and its indexes whole
     /// (`mvcc.cow_bytes`).
     pub(crate) fn clone_bytes(&self) -> usize {
-        let indexes: usize = self.indexes.iter().map(|ix| ix.store.bytes()).sum();
+        let indexes: usize = self.indexes.iter().map(Index::bytes).sum();
         self.store.clone_bytes() + indexes
     }
 }

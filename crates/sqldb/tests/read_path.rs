@@ -13,6 +13,11 @@
 //! commit `352842c` (the last with a row-wise join and a second pipeline
 //! behind it) by running this file's `join_corpus_*` test there with
 //! `BLESS=1`.
+//!
+//! A third part pins the access layer — index planner, vectorised filter,
+//! batch binding — over every WHERE shape, with no index and with either
+//! kind on every column, against `fixtures/read_path/where_shapes.txt`,
+//! written the same way by the build at commit `32a8d7e`.
 
 mod common;
 
@@ -394,4 +399,393 @@ fn join_corpus_matches_the_reference_executor_and_the_parent_build() {
             expected.lines().nth(at)
         );
     }
+}
+
+// ---- WHERE shapes: the access layer and the parent build's bytes ----------
+
+/// The table the WHERE-shape corpus reads, `w`: 2·4096+7 rows, `r` the row
+/// number, then INTEGER, FLOAT, BOOLEAN, TIMESTAMP and TEXT columns. NULL
+/// runs cross the first chunk edge in every column, NaN, ±inf and ±0.0 sit
+/// around it in `f`, ±2^53±1 and the `i64` extremes around the second in `i`
+/// and `t`, and `s` holds the empty string, non-ASCII text, a timestamp
+/// string and text that reads as a number. `index` follows the CREATE of
+/// every index: "" (none), "INDEX" or "ORDERED INDEX", one over each column.
+fn shapes_db(index: &str) -> Engine {
+    const ROWS: usize = 2 * 4096 + 7;
+    const BIG: i64 = 1 << 53;
+    let texts = [
+        "m",
+        "zz",
+        "a",
+        "",
+        "ünï",
+        "2004-11-23 18:30:30",
+        "B",
+        "1",
+        "TRUE",
+    ];
+    let e = Engine::new();
+    e.execute("CREATE TABLE w (r INTEGER, i INTEGER, f FLOAT, b BOOLEAN, t TIMESTAMP, s TEXT)")
+        .unwrap();
+    let rows = (0..ROWS)
+        .map(|r| {
+            let i = match r {
+                4090..=4100 => Value::Null,
+                8189 => Value::Int(BIG - 1),
+                8190 => Value::Int(BIG),
+                8191 => Value::Int(BIG + 1),
+                8192 => Value::Int(-BIG - 1),
+                8193 => Value::Int(-BIG + 1),
+                8194 => Value::Int(i64::MAX),
+                8195 => Value::Int(i64::MIN),
+                _ if r % 17 == 5 => Value::Null,
+                _ => Value::Int((r * 37 % 23) as i64 - 11),
+            };
+            let f = match r {
+                100 | 4096 => Value::Float(0.0),
+                4095 | 5000 => Value::Float(-0.0),
+                4093 | 4098 => Value::Float(f64::NAN),
+                4094 => Value::Float(f64::INFINITY),
+                4097 => Value::Float(f64::NEG_INFINITY),
+                8190 => Value::Float(BIG as f64),
+                8191 => Value::Float(-BIG as f64),
+                4099..=4104 => Value::Null,
+                _ if r % 19 == 3 => Value::Null,
+                _ => Value::Float((r * 13 % 41) as f64 / 2.0 - 10.0),
+            };
+            let b = match r {
+                4080..=4111 => Value::Null,
+                _ if r % 7 == 2 => Value::Null,
+                _ => Value::Bool(r % 3 == 0),
+            };
+            let t = match r {
+                4085..=4100 => Value::Null,
+                8190 => Value::Timestamp(BIG + 1),
+                8191 => Value::Timestamp(-BIG - 1),
+                8192 => Value::Timestamp(BIG - 1),
+                8194 => Value::Timestamp(i64::MAX),
+                _ if r % 31 == 1 => Value::Timestamp(1),
+                _ if r % 29 == 0 => Value::Timestamp(1_101_234_630),
+                _ => Value::Timestamp(1_100_000_000 + (r * 97 % 1000) as i64),
+            };
+            let s = match r {
+                4091..=4101 | 8180.. => Value::Null,
+                _ if r % 23 == 9 => Value::Null,
+                _ => Value::Text(texts[(r * 7 + 3) % texts.len()].into()),
+            };
+            vec![Value::Int(r as i64), i, f, b, t, s]
+        })
+        .collect();
+    e.insert_rows("w", rows).unwrap();
+    if !index.is_empty() {
+        for c in ["r", "i", "f", "b", "t", "s"] {
+            e.execute(&format!("CREATE {index} ix_{c} ON w ({c})"))
+                .unwrap();
+        }
+    }
+    e
+}
+
+/// The statements of the WHERE-shape corpus: every comparison operator with
+/// the literal on either side, against an integer, a float, `TRUE`, a text
+/// (one a timestamp string) and NULL, over every typed column; numbers at
+/// 2^53 and the `i64` ends, NaN and signed zeros; `[NOT] IN` lists with NULL
+/// and cross-type elements and lists nothing can match; `IS [NOT] NULL`,
+/// `[NOT] LIKE`; BETWEEN-shaped pairs, inverted and contradictory windows and
+/// cross-type bounds; indexed conjuncts that compete; clauses only the scalar
+/// filter evaluates; and `min`/`max` alone.
+fn where_shapes() -> Vec<String> {
+    let cols = ["i", "f", "b", "t", "s"];
+    let lits = ["1", "-2.5", "TRUE", "'m'", "'2004-11-23 18:30:30'", "NULL"];
+    let mut out = Vec::new();
+    for c in cols {
+        for op in ["=", "<>", "<", "<=", ">", ">="] {
+            for l in lits {
+                out.push(format!("SELECT r FROM w WHERE {c} {op} {l}"));
+                out.push(format!("SELECT r FROM w WHERE {l} {op} {c}"));
+            }
+        }
+    }
+    for c in cols {
+        out.extend([
+            format!("SELECT r FROM w WHERE {c} IN (1, NULL, 'm', -2.5, TRUE)"),
+            format!("SELECT r FROM w WHERE {c} NOT IN (1, NULL, 'm', -2.5, TRUE)"),
+            format!("SELECT r FROM w WHERE {c} IN ('2004-11-23 18:30:30', 0, 1.0, 1)"),
+            format!("SELECT r FROM w WHERE {c} IS NULL"),
+            format!("SELECT r FROM w WHERE {c} IS NOT NULL"),
+            format!("SELECT r FROM w WHERE {c} LIKE 'm%'"),
+            format!("SELECT r FROM w WHERE {c} NOT LIKE '%'"),
+        ]);
+    }
+    let fixed = [
+        // Numbers at 2^53 and the i64 ends, NaN and the signed zeros.
+        "SELECT r FROM w WHERE i = 9007199254740993",
+        "SELECT r FROM w WHERE i = 9007199254740992.0",
+        "SELECT r FROM w WHERE i > 9007199254740992",
+        "SELECT r FROM w WHERE 9007199254740992.0 <= i",
+        "SELECT r FROM w WHERE i < -9007199254740992",
+        "SELECT r FROM w WHERE i = 9223372036854775807",
+        "SELECT r FROM w WHERE i <= -9223372036854775808",
+        "SELECT r FROM w WHERE i > 9223372036854775806",
+        "SELECT r FROM w WHERE i IN (9007199254740993, 9223372036854775807, -9223372036854775808)",
+        "SELECT r FROM w WHERE t = 9007199254740993",
+        "SELECT r FROM w WHERE t <= -9007199254740993",
+        "SELECT r FROM w WHERE t >= 9007199254740991 AND t < 9223372036854775807",
+        "SELECT r FROM w WHERE f = 9007199254740992",
+        "SELECT r FROM w WHERE f >= 9007199254740993",
+        "SELECT r FROM w WHERE f < -9007199254740991",
+        "SELECT r FROM w WHERE f > 1000",
+        "SELECT r FROM w WHERE f = 0",
+        "SELECT r FROM w WHERE f = -0.0",
+        "SELECT r FROM w WHERE 0.0 = f",
+        "SELECT r FROM w WHERE f <> -0.0",
+        "SELECT r FROM w WHERE f >= 0 AND f <= -0.0",
+        "SELECT r FROM w WHERE f IN (-0.0, 2.5, 9007199254740992)",
+        "SELECT r FROM w WHERE b = 0",
+        "SELECT r FROM w WHERE b = 1.0",
+        "SELECT r FROM w WHERE b = 0.5",
+        "SELECT r FROM w WHERE b IN (0, 2, 'TRUE')",
+        "SELECT r FROM w WHERE b < 1",
+        "SELECT r FROM w WHERE t = '2004-11-23 18:30:30'",
+        "SELECT r FROM w WHERE t = 1101234630",
+        "SELECT r FROM w WHERE s = 1",
+        "SELECT r FROM w WHERE s = ''",
+        "SELECT r FROM w WHERE s = 'ünï'",
+        "SELECT r FROM w WHERE s > 'zz'",
+        "SELECT r FROM w WHERE r = 4096",
+        // IN lists nothing can match.
+        "SELECT r FROM w WHERE i IN ('x', 0.5, NULL)",
+        "SELECT r FROM w WHERE b IN (2, 'm', NULL)",
+        "SELECT r FROM w WHERE s IN (1, -2.5, NULL)",
+        "SELECT r FROM w WHERE t IN ('2004-11-23 18:30:30')",
+        "SELECT r FROM w WHERE f IN (NULL)",
+        "SELECT r FROM w WHERE i NOT IN ('x', 0.5, NULL)",
+        "SELECT r FROM w WHERE i IN (1, 1.0, 1) AND r < 500",
+        // LIKE patterns.
+        "SELECT r FROM w WHERE s LIKE '%'",
+        "SELECT r FROM w WHERE s LIKE '_'",
+        "SELECT r FROM w WHERE s LIKE ''",
+        "SELECT r FROM w WHERE s LIKE 'ü%'",
+        "SELECT r FROM w WHERE s LIKE '2004%'",
+        "SELECT r FROM w WHERE s NOT LIKE 'a%'",
+        // BETWEEN-shaped pairs, either side.
+        "SELECT r FROM w WHERE i >= -3 AND i <= 3",
+        "SELECT r FROM w WHERE -3 <= i AND 3 >= i",
+        "SELECT r FROM w WHERE i > -3 AND i < 3",
+        "SELECT r FROM w WHERE f >= -2.5 AND f < 1",
+        "SELECT r FROM w WHERE f > -0.0 AND f <= 100",
+        "SELECT r FROM w WHERE t >= 1100000000 AND t < 1100000500",
+        "SELECT r FROM w WHERE s >= 'a' AND s < 'n'",
+        "SELECT r FROM w WHERE s > '' AND 'zz' >= s",
+        "SELECT r FROM w WHERE b >= FALSE AND b < TRUE",
+        "SELECT r FROM w WHERE r >= 4090 AND r < 4100",
+        "SELECT r FROM w WHERE i > -5 AND i > -2 AND i < 4 AND i <= 3",
+        "SELECT r FROM w WHERE i >= 1 AND i > 1",
+        "SELECT r FROM w WHERE i <= 1 AND i < 1",
+        // Inverted and contradictory windows.
+        "SELECT r FROM w WHERE i > 3 AND i < -3",
+        "SELECT r FROM w WHERE s > 'n' AND s < 'a'",
+        "SELECT r FROM w WHERE r >= 5000 AND r < 4000",
+        "SELECT r FROM w WHERE i > 2 AND i < 2",
+        "SELECT r FROM w WHERE i >= 2 AND i < 2",
+        "SELECT r FROM w WHERE i > 2 AND i <= 2",
+        "SELECT r FROM w WHERE i >= 2 AND i <= 2",
+        "SELECT r FROM w WHERE i = 2 AND i = 3",
+        "SELECT r FROM w WHERE r > 10 AND r < 11",
+        // Cross-type and NULL bounds.
+        "SELECT r FROM w WHERE i > 'a' AND i < 3",
+        "SELECT r FROM w WHERE s < 5 AND s >= 'a'",
+        "SELECT r FROM w WHERE i >= NULL AND i < 3",
+        "SELECT r FROM w WHERE b > 0.5 AND b <= 1",
+        "SELECT r FROM w WHERE t < '2004-11-23 18:30:30' AND t > 1100000990",
+        // Indexed conjuncts that compete.
+        "SELECT r FROM w WHERE i = 1 AND s = 'm'",
+        "SELECT r FROM w WHERE s = 'm' AND i = 1",
+        "SELECT r FROM w WHERE i IN (1, 2, 3) AND f = -2.5",
+        "SELECT r FROM w WHERE r < 100 AND i = 1",
+        "SELECT r FROM w WHERE b = TRUE AND r = 7",
+        "SELECT r FROM w WHERE i = 1 AND r >= 4000 AND r < 4200",
+        "SELECT r FROM w WHERE s IN ('a', 'm') AND t > 1100000900",
+        "SELECT r FROM w WHERE f = -2.5 AND f = 1",
+        "SELECT r FROM w WHERE i = 'x' AND r < 5",
+        "SELECT r FROM w WHERE t >= 1100000000 AND i IN (0, 1) AND s <> 'm'",
+        "SELECT r FROM w WHERE i = 1 AND i IS NOT NULL AND s LIKE '%'",
+        // Clauses only the scalar filter evaluates, and names that fail.
+        "SELECT r FROM w WHERE i = 1 OR s = 'm'",
+        "SELECT r FROM w WHERE i + 0 = 1 AND r < 100",
+        "SELECT r FROM w WHERE NOT (i = 1) AND r < 50",
+        "SELECT r FROM w WHERE i = r AND i = 1",
+        "SELECT r FROM w WHERE i IN (1, r) AND r < 200",
+        "SELECT r FROM w WHERE abs(i) = 1 AND r < 300",
+        "SELECT r FROM w WHERE nope = 1",
+        "SELECT r FROM w WHERE i = 1 AND nope = 2",
+        "SELECT r FROM w WHERE nope IN (1, 2) AND i = 1",
+        // min and max alone, and not alone.
+        "SELECT min(i), max(i) FROM w",
+        "SELECT min(f) FROM w",
+        "SELECT max(f) FROM w",
+        "SELECT min(b), max(b) FROM w",
+        "SELECT min(t), max(t) FROM w",
+        "SELECT min(s), max(s) FROM w",
+        "SELECT max(r), min(i), max(s) FROM w",
+        "SELECT min(i) FROM w WHERE r < 10",
+        "SELECT max(i), count(*) FROM w",
+        "SELECT max(i + 0) FROM w",
+    ];
+    out.extend(fixed.iter().map(|s| s.to_string()));
+    out
+}
+
+/// One answer on one line: a small result set in full (`Debug`, which tells
+/// `-0.0` from `0.0`), a larger one as its row count and the FNV-1a hash of
+/// its rows; an error as its text.
+fn digest(answer: Result<ResultSet, sqldb::DbError>) -> String {
+    match answer {
+        Err(err) => format!("error: {err}"),
+        Ok(rs) if rs.len() <= 4 => format!("{:?} {:?}", rs.column_names(), rs.rows()),
+        Ok(rs) => {
+            let text = format!("{:?}", rs.rows());
+            let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            format!("{} rows fnv {hash:016x}", rs.len())
+        }
+    }
+}
+
+/// `sql`'s answer and its `EXPLAIN ANALYZE` text over `e`, on one line.
+fn shaped(e: &Engine, sql: &str) -> String {
+    let plan = match e.query(&format!("EXPLAIN ANALYZE {sql}")) {
+        Ok(rs) => {
+            let lines: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
+            lines.join(" | ")
+        }
+        Err(err) => format!("error: {err}"),
+    };
+    format!("{} || {plan}", digest(e.query(sql)))
+}
+
+/// The positions per table [`Engine::scan`] selects over `p`, `q`, `p` —
+/// two tables of one schema whose TEXT dictionaries hold the same strings in
+/// other orders, and `q` one more — and how many times the filter was
+/// compiled (`scan.filter_binds`), for clauses that read TEXT, that read no
+/// TEXT, that only the scalar filter evaluates, and that fail.
+fn scanned(e: &Engine, index: &str) -> Vec<String> {
+    e.execute("CREATE TABLE p (i INTEGER, s TEXT)").unwrap();
+    e.execute("CREATE TABLE q (i INTEGER, s TEXT)").unwrap();
+    let p = ["a", "b", "c", "a", "b", "c", "a"];
+    let q = ["c", "b", "a", "x", "c", "a", "b"];
+    for (name, words) in [("p", p), ("q", q)] {
+        let rows = (0..21)
+            .map(|k| match k % 8 {
+                7 => vec![Value::Null, Value::Null],
+                _ => vec![Value::Int(k % 5), Value::Text(words[k as usize % 7].into())],
+            })
+            .collect();
+        e.insert_rows(name, rows).unwrap();
+        if !index.is_empty() {
+            for c in ["i", "s"] {
+                e.execute(&format!("CREATE {index} {name}_{c} ON {name} ({c})"))
+                    .unwrap();
+            }
+        }
+    }
+    let filters = [
+        None,
+        Some("s = 'b'"),
+        Some("s IN ('a', 'c', 1)"),
+        Some("s LIKE 'a%'"),
+        Some("'b' < s"),
+        Some("i > 2 AND s <> 'a'"),
+        Some("i >= 2"),
+        Some("i IN (1, 3) AND i < 3"),
+        Some("i = 1 OR s = 'a'"),
+        Some("s IS NULL"),
+        Some("nope = 1"),
+    ];
+    let mut out = Vec::new();
+    for filter in filters {
+        let sel = filter.map(|f| select(&format!("SELECT * FROM p WHERE {f}")));
+        let clause = sel.as_ref().and_then(|s| s.where_clause.as_ref());
+        let mut got = Vec::new();
+        let binds = counter("scan.filter_binds");
+        let result = e.scan(&["p", "q", "p"], clause, |k, _, positions| {
+            got.push(format!("{k}:{positions:?}"));
+            Ok(())
+        });
+        let binds = counter("scan.filter_binds") - binds;
+        let error = result.err().map(|(k, err)| format!(" error at {k}: {err}"));
+        out.push(format!(
+            "scan {}: {} binds {binds}{}",
+            filter.unwrap_or("-"),
+            got.join(" "),
+            error.unwrap_or_default()
+        ));
+    }
+    out
+}
+
+/// (e) Every WHERE shape answers, plans and counts as the build before the
+/// access layer kept one reading of each conjunct and one kind of index map:
+/// `fixtures/read_path/where_shapes.txt` was written by the build at commit
+/// `32a8d7e` by running this test there with `BLESS=1`. For each statement
+/// of [`where_shapes`] it holds one line per index variant — no index, a
+/// `CREATE INDEX` and a `CREATE ORDERED INDEX` on every column — with the
+/// answer and the `EXPLAIN ANALYZE` text; then, per variant, an UPDATE and a
+/// DELETE with their counts, the table they leave and statements over it,
+/// and the positions [`Engine::scan`] selects over two tables ([`scanned`]).
+#[test]
+fn where_shapes_answer_and_plan_as_the_parent_build() {
+    let _held = telemetry();
+    let variants = [
+        ("none", ""),
+        ("hash", "INDEX"),
+        ("ordered", "ORDERED INDEX"),
+    ];
+    let engines: Vec<Engine> = variants.iter().map(|(_, ix)| shapes_db(ix)).collect();
+    let mut text = String::new();
+    for sql in where_shapes() {
+        text.push_str(&format!("-- {sql}\n"));
+        for ((name, _), e) in variants.iter().zip(&engines) {
+            text.push_str(&format!("{name}: {}\n", shaped(e, &sql)));
+        }
+    }
+    let after = [
+        "SELECT * FROM w",
+        "SELECT r FROM w WHERE i = 7",
+        "SELECT r FROM w WHERE s = 'moved'",
+        "SELECT r FROM w WHERE i > 5 AND i <= 7",
+        "SELECT r FROM w WHERE i IN (7, 1) AND s <> 'a'",
+        "SELECT r FROM w WHERE f < -5.0",
+        "SELECT min(i), max(i) FROM w",
+        "SELECT min(s), max(s) FROM w",
+    ];
+    for ((name, index), e) in variants.iter().zip(&engines) {
+        text.push_str(&format!("== {name}\n"));
+        for sql in [
+            "UPDATE w SET i = 7, s = 'moved' WHERE i >= 0 AND i < 3",
+            "DELETE FROM w WHERE f < -5.0 AND b = TRUE",
+        ] {
+            let n = e.execute(sql).map_err(|err| err.to_string());
+            text.push_str(&format!("{sql}: {n:?}\n"));
+        }
+        for sql in after {
+            text.push_str(&format!("{sql}: {}\n", shaped(e, sql)));
+        }
+        for line in scanned(e, index) {
+            text.push_str(&format!("{line}\n"));
+        }
+    }
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/read_path/where_shapes.txt");
+    if std::env::var("BLESS").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &text).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap();
+    for (n, (got, want)) in text.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(got, want, "{} line {}", path.display(), n + 1);
+    }
+    assert_eq!(text, expected);
 }

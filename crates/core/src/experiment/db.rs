@@ -690,6 +690,12 @@ impl ExperimentDb {
             .rows()
             .first()
             .ok_or_else(|| Error::Query(format!("no run with id {run_id}")))?;
+        self.summary_of(row)
+    }
+
+    /// Summary of the run whose `pb_runs` row, all columns, is `row`.
+    pub(crate) fn summary_of(&self, row: &[Value]) -> Result<RunSummary> {
+        let run_id = row[0].as_i64().expect("run_id is INTEGER");
         let def = self.def.read();
         let mut once_values = Vec::new();
         for (i, v) in def.variables_with(Occurrence::Once).enumerate() {

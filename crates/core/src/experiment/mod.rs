@@ -10,7 +10,6 @@
 mod db;
 pub mod shard;
 
-pub(crate) use db::rundata_table as rundata_table_name;
 pub use db::{ExperimentDb, RunSummary};
 pub use shard::Sharding;
 

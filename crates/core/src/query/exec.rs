@@ -868,21 +868,8 @@ fn run_pushdown_aggregate(
 
     // 4. The vector, with the types and labels the unsharded source →
     //    aggregate pair would carry.
-    let columns = aggregate_columns(agg, &params, &values, dtype);
-    let mut labels = source_labels(
-        &def,
-        &params.iter().chain(&values).cloned().collect::<Vec<_>>(),
-    );
-    for c in &values {
-        let base = labels.get(c).cloned().unwrap_or_else(|| c.clone());
-        labels.insert(c.clone(), format!("{}({base})", agg.name()));
-    }
-    Ok(DataVector {
-        table: typed_table(columns, merged.into_rows())?,
-        params,
-        values,
-        labels,
-    })
+    let labels = source_labels(&def, &[params.as_slice(), &values].concat());
+    reduced_vector(agg, params, values, &labels, dtype, merged.into_rows())
 }
 
 /// The type of `agg` over an input of type `input` — the typing rule of
@@ -897,20 +884,35 @@ fn aggregate_type(agg: AggKind, input: DataType) -> DataType {
     }
 }
 
-/// The columns of `values` aggregated by `agg`, grouped by `keys`, whose
-/// input types `dtype` gives: a key keeps its type, a value takes
-/// [`aggregate_type`].
-fn aggregate_columns(
+/// The vector of `rows`, the columns `values` aggregated by `agg` and
+/// grouped by `keys`, whose input types `dtype` and input `labels` give: a
+/// key keeps its type and label, a value takes [`aggregate_type`] and the
+/// label `agg(label)`.
+fn reduced_vector(
     agg: AggKind,
-    keys: &[String],
-    values: &[String],
+    keys: Vec<String>,
+    values: Vec<String>,
+    labels: &HashMap<String, String>,
     dtype: impl Fn(&str) -> DataType,
-) -> Vec<Column> {
-    let keys = keys.iter().map(|c| Column::new(c, dtype(c)));
-    let values = values
+    rows: Vec<Vec<Value>>,
+) -> Result<DataVector> {
+    let columns = keys.iter().map(|c| Column::new(c, dtype(c))).chain(
+        values
+            .iter()
+            .map(|c| Column::new(c, aggregate_type(agg, dtype(c)))),
+    );
+    let reduced = |c: &String| format!("{}({})", agg.name(), labels.get(c).unwrap_or(c));
+    let labels = keys
         .iter()
-        .map(|c| Column::new(c, aggregate_type(agg, dtype(c))));
-    keys.chain(values).collect()
+        .filter_map(|c| Some((c.clone(), labels.get(c)?.clone())))
+        .chain(values.iter().map(|c| (c.clone(), reduced(c))))
+        .collect();
+    Ok(DataVector {
+        table: typed_table(columns.collect(), rows)?,
+        params: keys,
+        values,
+        labels,
+    })
 }
 
 /// A vector's table: `columns`, typed by the rule of DESIGN.md §4l, holding
@@ -1006,7 +1008,7 @@ fn run_operator_single(op: &OpKind, v: &DataVector, from_source: bool) -> Result
 /// tuples that share all parameters (data-set aggregation, `GROUP BY` every
 /// parameter); otherwise over the whole vector, down to one element (mode 2
 /// of §3.3.2). The statement is built as a value, not as text: column names
-/// are never parsed. Its rows go into a table typed by [`aggregate_columns`].
+/// are never parsed. Its rows become a [`reduced_vector`].
 fn aggregate(agg: AggKind, v: &DataVector, grouped: bool) -> Result<DataVector> {
     let keys: &[String] = if grouped { &v.params } else { &[] };
     let key = |c: &String| SelectItem::Expr {
@@ -1035,21 +1037,9 @@ fn aggregate(agg: AggKind, v: &DataVector, grouped: bool) -> Result<DataVector> 
         order_by: Vec::new(),
         limit: None,
     })?;
-    let columns = aggregate_columns(agg, keys, &v.values, |c| type_of(&v.table, c));
-    let mut labels = if grouped {
-        v.labels.clone()
-    } else {
-        HashMap::new()
-    };
-    for c in &v.values {
-        labels.insert(c.clone(), format!("{}({})", agg.name(), v.label(c)));
-    }
-    Ok(DataVector {
-        table: typed_table(columns, rs.into_rows())?,
-        params: keys.to_vec(),
-        values: v.values.clone(),
-        labels,
-    })
+    let dtype = |c: &str| type_of(&v.table, c);
+    let (keys, values) = (keys.to_vec(), v.values.clone());
+    reduced_vector(agg, keys, values, &v.labels, dtype, rs.into_rows())
 }
 
 /// Element-wise operation across ≥2 vectors aligned on common parameters

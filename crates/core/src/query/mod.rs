@@ -66,8 +66,9 @@ impl DataVector {
 /// under the engine's grouping identity ([`ValueKey`]: `1` is `1.0`, `-0.0`
 /// is `0.0`, text is its string), with NULL equal to NULL, and each distinct
 /// key gets the next id the first time it is seen. Element-wise alignment,
-/// the combiner and the anomaly screen key their rows through it (the
-/// pushdown merge groups in the engine, by the same identity).
+/// the combiner, the anomaly screen and status retrieval's distinct contents
+/// and sweep holes key their rows through it (the pushdown merge groups in
+/// the engine, by the same identity).
 #[derive(Debug, Default)]
 pub(crate) struct KeyIds(HashMap<Vec<ValueKey>, usize>);
 

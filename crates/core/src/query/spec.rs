@@ -129,7 +129,7 @@ impl RunFilter {
 }
 
 /// A source element (paper §3.3.1).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SourceSpec {
     /// Parameter restrictions.
     pub filters: Vec<Filter>,

@@ -1,11 +1,13 @@
 //! Experiment status retrieval (paper §3.4): list runs by criteria, show
-//! variable content, and find holes in a parameter sweep.
+//! variable content, and find holes in a parameter sweep. Runs are read the
+//! way a query's source element reads them (`query::exec::run_source`), and
+//! rows are keyed the way its operators key them (`query::KeyIds`).
 
 use crate::error::{Error, Result};
 use crate::experiment::{ExperimentDb, Occurrence, RunSummary, Variable};
-use crate::query::exec::sql_literal;
+use crate::query::exec::{run_source, sql_literal};
+use crate::query::{DataVector, KeyIds, SourceSpec};
 use sqldb::Value;
-use std::collections::BTreeMap;
 
 /// Criteria for listing runs.
 #[derive(Debug, Clone, Default)]
@@ -19,7 +21,9 @@ pub struct RunCriteria {
     pub until: Option<i64>,
 }
 
-/// List runs matching `criteria`.
+/// List the runs matching `criteria`, in `run_id` order: one read of
+/// `pb_runs`, each row decoded as [`ExperimentDb::run_summary`] decodes its
+/// run.
 pub fn list_runs(db: &ExperimentDb, criteria: &RunCriteria) -> Result<Vec<RunSummary>> {
     let def = db.definition();
     let mut clauses = Vec::new();
@@ -43,47 +47,50 @@ pub fn list_runs(db: &ExperimentDb, criteria: &RunCriteria) -> Result<Vec<RunSum
     if let Some(u) = criteria.until {
         clauses.push(format!("created <= {u}"));
     }
-    let mut sql = "SELECT run_id FROM pb_runs".to_string();
+    let mut sql = "SELECT * FROM pb_runs".to_string();
     if !clauses.is_empty() {
         sql.push_str(&format!(" WHERE {}", clauses.join(" AND ")));
     }
     sql.push_str(" ORDER BY run_id");
     let rs = db.engine().query(&sql)?;
-    rs.rows()
-        .iter()
-        .filter_map(|r| r[0].as_i64())
-        .map(|id| db.run_summary(id))
-        .collect()
+    rs.rows().iter().map(|row| db.summary_of(row)).collect()
 }
 
-/// The distinct contents a once-parameter has taken across all runs.
-pub fn observed_values(db: &ExperimentDb, parameter: &str) -> Result<Vec<Value>> {
+/// What one run source carrying `parameters` (each once) returns: per run
+/// for run-level parameters, read off `pb_runs`; per data set once a
+/// data-set parameter is among them, read from each run's table where it
+/// lives.
+fn carried(db: &ExperimentDb, parameters: &[&str]) -> Result<DataVector> {
     let def = db.definition();
-    let var = def
-        .variable(parameter)
-        .ok_or_else(|| Error::Query(format!("unknown parameter '{parameter}'")))?;
-    match var.occurrence {
-        Occurrence::Once => {
-            let rs = db.engine().query(&format!(
-                "SELECT DISTINCT {parameter} FROM pb_runs ORDER BY {parameter}"
-            ))?;
-            Ok(rs.rows().iter().map(|r| r[0].clone()).collect())
-        }
-        Occurrence::Multiple => {
-            // Union over every run's data table.
-            let mut seen: BTreeMap<String, Value> = BTreeMap::new();
-            for id in db.run_ids()? {
-                let rs = db.engine().query(&format!(
-                    "SELECT DISTINCT {parameter} FROM {}",
-                    crate::experiment::rundata_table_name(id)
-                ))?;
-                for r in rs.rows() {
-                    seen.insert(format!("{}", r[0]), r[0].clone());
-                }
-            }
-            Ok(seen.into_values().collect())
+    let mut carry: Vec<String> = Vec::new();
+    for &p in parameters {
+        def.variable(p)
+            .ok_or_else(|| Error::Query(format!("unknown parameter '{p}'")))?;
+        if !carry.iter().any(|c| c == p) {
+            carry.push(p.to_string());
         }
     }
+    let spec = SourceSpec {
+        carry,
+        ..SourceSpec::default()
+    };
+    Ok(run_source(db, &spec)?.0)
+}
+
+/// The distinct contents `parameter` has taken across all runs, as
+/// `SELECT DISTINCT … ORDER BY` answers them: the cells of one run source
+/// carrying it, deduplicated first-seen by the key identity of `core`
+/// (`query::KeyIds`) and sorted by [`Value::total_cmp`].
+pub fn observed_values(db: &ExperimentDb, parameter: &str) -> Result<Vec<Value>> {
+    let table = carried(db, &[parameter])?.table;
+    let mut values = Vec::new();
+    for (p, id) in KeyIds::default().rows(&table, &[0]).into_iter().enumerate() {
+        if id == values.len() {
+            values.push(table.value(p, 0));
+        }
+    }
+    values.sort_by(Value::total_cmp);
+    Ok(values)
 }
 
 /// A hole in a parameter sweep: a combination of parameter contents with no
@@ -94,10 +101,12 @@ pub struct SweepHole {
     pub combination: Vec<(String, Value)>,
 }
 
-/// Find combinations of the given once-parameters that have **no** run —
+/// Find combinations of the contents of `parameters` that **no** run has —
 /// "this allows to determine which parameter settings might still be
 /// missing for a parameter sweep" (§3.4). The candidate grid is the cross
-/// product of the values each parameter was observed with.
+/// product of each parameter's [`observed_values`]. The combinations the
+/// runs have are the rows of one run source carrying every parameter, keyed
+/// by `query::KeyIds`: a grid point is a hole when its key was not seen.
 pub fn missing_sweep_points(db: &ExperimentDb, parameters: &[&str]) -> Result<Vec<SweepHole>> {
     if parameters.is_empty() {
         return Ok(Vec::new());
@@ -110,33 +119,26 @@ pub fn missing_sweep_points(db: &ExperimentDb, parameters: &[&str]) -> Result<Ve
         }
         axes.push(vals);
     }
+    let runs = carried(db, parameters)?.table;
+    let at = |p: &&str| runs.schema.index_of(p).expect("carried");
+    let mut seen = KeyIds::default();
+    seen.rows(&runs, &parameters.iter().map(at).collect::<Vec<_>>());
+    let measured = seen.len();
 
     let mut holes = Vec::new();
     let mut index = vec![0usize; parameters.len()];
     'grid: loop {
-        let combination: Vec<(String, Value)> = parameters
+        let cells: Vec<Value> = axes
             .iter()
             .zip(&index)
-            .zip(&axes)
-            .map(|((p, &i), axis)| (p.to_string(), axis[i].clone()))
+            .map(|(a, &i)| a[i].clone())
             .collect();
-
-        let clauses: Vec<String> = combination
-            .iter()
-            .map(|(p, v)| {
-                if v.is_null() {
-                    format!("{p} IS NULL")
-                } else {
-                    format!("{p} = {}", sql_literal(v))
-                }
-            })
-            .collect();
-        let rs = db.engine().query(&format!(
-            "SELECT count(*) FROM pb_runs WHERE {}",
-            clauses.join(" AND ")
-        ))?;
-        if rs.rows()[0][0].as_i64() == Some(0) {
-            holes.push(SweepHole { combination });
+        // A key seen first here is a combination no run has.
+        if seen.id(&cells) >= measured {
+            let names = parameters.iter().map(|p| p.to_string());
+            holes.push(SweepHole {
+                combination: names.zip(cells).collect(),
+            });
         }
 
         // Advance the mixed-radix counter.

@@ -21,7 +21,9 @@
 //!   additionally keeps R replica copies of each shard, serves reads from
 //!   fresh replicas round-robin, and prints a `== replication ==` report
 //! * `info --db file` / `ls --db file [--param name=value] [--since/--until]`
-//! * `missing --db file param…` — sweep-hole detection
+//!   (a time `ls` cannot parse is refused, as `input --at` refuses one)
+//! * `missing --db file param…` — sweep-hole detection over run-level and
+//!   data-set parameters alike
 //! * `delete --db file --run N --user U`
 //! * `show --db file --run N` — display a run's variable contents (§3.4)
 //! * `check --kind experiment|input|query file` — validate a control file
@@ -685,12 +687,13 @@ fn cmd_ls(argv: Vec<String>) -> Result<String, String> {
             .parameter_equals
             .push((name.to_string(), value.to_string()));
     }
-    if let Some(s) = a.get("since") {
-        criteria.since = sqldb::parse_timestamp(s);
-    }
-    if let Some(u) = a.get("until") {
-        criteria.until = sqldb::parse_timestamp(u);
-    }
+    let time = |opt: &str| {
+        a.get(opt)
+            .map(|t| sqldb::parse_timestamp(t).ok_or_else(|| format!("bad --{opt} time '{t}'")))
+            .transpose()
+    };
+    criteria.since = time("since")?;
+    criteria.until = time("until")?;
     let runs = status::list_runs(&db, &criteria).map_err(err)?;
     let mut out = format!("{} run(s)\n", runs.len());
     for r in runs {

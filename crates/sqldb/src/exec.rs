@@ -240,9 +240,11 @@ impl Plan {
     fn of(sel: &SelectStmt, table: &Table) -> Plan {
         let schema = &table.schema;
         let where_clause = sel.where_clause.as_ref();
+        let conjuncts = Conjunct::read_all(where_clause);
         Plan {
-            access: plan_index_ends(sel, table).unwrap_or_else(|| plan_access(where_clause, table)),
-            filter: Filter::of(where_clause, &Conjunct::read_all(where_clause), table),
+            access: plan_index_ends(sel, table)
+                .unwrap_or_else(|| plan_access(where_clause, &conjuncts, table)),
+            filter: Filter::of(where_clause, &conjuncts, table),
             output: if is_aggregation(sel) {
                 Output::Aggregate(Aggregation::of(sel, schema))
             } else {
@@ -842,7 +844,7 @@ pub(crate) fn select_positions<T: Borrow<Table>>(
             binding = Some(Binding::of(where_clause, &conjuncts, table));
         }
         let filter = &binding.as_ref().expect("bound above").filter;
-        let access = plan_access(where_clause, table);
+        let access = plan_access(where_clause, &conjuncts, table);
         positions(table, access, filter, &mut counts, &mut sv)
             .and_then(|()| each(k, &sv))
             .map_err(|e| (k, e))?;
@@ -1443,14 +1445,18 @@ fn tighter(a: Bound<ValueKey>, b: Bound<ValueKey>, lower: bool) -> Bound<ValueKe
 /// Candidates come back in row order and are always a superset of the
 /// matching rows; [`select_positions`] still applies the full WHERE over
 /// them.
-fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
+fn plan_access(
+    where_clause: Option<&SqlExpr>,
+    conjuncts: &[Conjunct<'_>],
+    table: &Table,
+) -> AccessPlan {
     // Without a WHERE clause or an index there is nothing to choose from,
     // and no planning time worth two clock reads.
     let Some(w) = where_clause.filter(|_| table.has_indexes()) else {
         return AccessPlan::full_scan(table.len() as f64);
     };
     let started = Instant::now();
-    let plan = plan_indexed(w, table);
+    let plan = plan_indexed(w, conjuncts, table);
     obs::record_duration(obs::Hist::PlanNs, started.elapsed());
     plan
 }
@@ -1504,8 +1510,9 @@ fn plan_index_ends(sel: &SelectStmt, table: &Table) -> Option<AccessPlan> {
     })
 }
 
-/// [`plan_access`] for a WHERE clause `w` over a table that has an index.
-fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
+/// [`plan_access`] for a WHERE clause `w`, read as `conjuncts`, over a
+/// table that has an index.
+fn plan_indexed(w: &SqlExpr, conjuncts: &[Conjunct<'_>], table: &Table) -> AccessPlan {
     let nrows = table.len() as f64;
     if !names_resolve(w, &table.schema) {
         return AccessPlan::full_scan(nrows);
@@ -1521,7 +1528,7 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
     // as one merged condition each.
     let mut ranges: Vec<(usize, Bound<ValueKey>, Bound<ValueKey>)> = Vec::new();
 
-    for c in Conjunct::read_all(Some(w)) {
+    for c in conjuncts {
         let (Conjunct::Cmp { col, .. } | Conjunct::In { col, .. }) = c else {
             continue;
         };
@@ -1566,7 +1573,7 @@ fn plan_indexed(w: &SqlExpr, table: &Table) -> AccessPlan {
                 ),
             },
             // Range conjuncts: ordered indexes only.
-            Conjunct::Cmp { op, lit, .. } if op != CmpOp::Ne && table.has_ordered_index_on(ci) => {
+            Conjunct::Cmp { op, lit, .. } if *op != CmpOp::Ne && table.has_ordered_index_on(ci) => {
                 let operand = Operand::of(dtype, lit);
                 let key = match (operand.key(dtype), operand) {
                     (Some(key), _) => key,
@@ -2061,7 +2068,7 @@ mod tests {
     /// Candidate row positions for an index-assisted lookup, or `None` when
     /// no index applies.
     fn plan_point_lookup(where_clause: Option<&SqlExpr>, table: &Table) -> Option<Vec<usize>> {
-        plan_access(where_clause, table).candidates
+        plan_access(where_clause, &Conjunct::read_all(where_clause), table).candidates
     }
 
     fn db() -> Engine {

@@ -2,7 +2,7 @@
 //! query/info/ls/missing → delete, against real files in a temp directory.
 
 use perfbase::cli::run;
-use perfbase::workloads::beffio::{simulate, BeffIoConfig, Technique};
+use perfbase::workloads::beffio::{simulate, BeffIoConfig, FsType, Technique};
 use std::path::PathBuf;
 
 struct TempDir(PathBuf);
@@ -412,6 +412,16 @@ fn update_command_evolves_definition() {
 }
 
 #[test]
+fn ls_refuses_a_time_it_cannot_parse() {
+    let dir = TempDir::new("lstime");
+    let dbfile = setup_campaign(&dir);
+    let err = cli(&["ls", "--db", &dbfile, "--since", "yesterday"]).unwrap_err();
+    assert!(err.contains("bad --since time 'yesterday'"), "{err}");
+    let err = cli(&["ls", "--db", &dbfile, "--until", "soon"]).unwrap_err();
+    assert!(err.contains("bad --until time 'soon'"), "{err}");
+}
+
+#[test]
 fn show_displays_run_content() {
     let dir = TempDir::new("show");
     let dbfile = setup_campaign(&dir);
@@ -498,4 +508,73 @@ fn helpful_errors() {
     );
     let help = cli(&["help"]).unwrap();
     assert!(help.contains("usage:"));
+}
+
+/// The status commands (`info`, `ls`, `show`, `missing`) print what the
+/// build at commit `1bc70e5` printed: `fixtures/status/expected.txt` was
+/// written there by running this test with `BLESS=1`. The campaign adds two
+/// `nfs` runs of one technique, imported an hour later, to the four `ufs`
+/// runs of [`setup_campaign`], so `missing` has a hole and a `--since`/
+/// `--until` window splits the runs.
+#[test]
+fn status_commands_print_what_the_parent_build_printed() {
+    let dir = TempDir::new("status");
+    let dbfile = setup_campaign(&dir);
+    let input = dir.path("input.xml");
+    let mut argv: Vec<String> = [
+        "input", "--db", &dbfile, "--desc", &input, "--user", "demo", "--at",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    argv.push("2004-11-23 19:30:30".into());
+    for rep in 1..=2u32 {
+        let run = simulate(BeffIoConfig {
+            fs: FsType::Nfs,
+            technique: Technique::ListBased,
+            run_index: rep,
+            seed: 40 + u64::from(rep),
+            ..BeffIoConfig::default()
+        });
+        argv.push(dir.write(&run.filename(), &run.render()));
+    }
+    assert!(run(argv).unwrap().contains("imported 2 run(s)"));
+
+    let calls: &[&[&str]] = &[
+        &["info"],
+        &["ls"],
+        &["ls", "--param", "technique=listless"],
+        &["ls", "--param", "fs=nfs", "--param", "technique=listbased"],
+        &["ls", "--since", "2004-11-23 19:00:00"],
+        &["ls", "--until", "2004-11-23 19:00:00"],
+        &[
+            "ls",
+            "--since",
+            "2004-11-23 18:30:30",
+            "--until",
+            "2004-11-23 19:30:30",
+        ],
+        &["show", "--run", "5", "--user", "demo"],
+        &["missing", "technique", "fs"],
+        &["missing", "fs"],
+    ];
+    let mut got = String::new();
+    for call in calls {
+        let mut argv = vec![call[0], "--db", &dbfile];
+        argv.extend(&call[1..]);
+        let out = cli(&argv).unwrap_or_else(|e| format!("error: {e}\n"));
+        got.push_str(&format!("$ {}\n{out}\n", call.join(" ")));
+    }
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/status/expected.txt");
+    if std::env::var("BLESS").is_ok() {
+        std::fs::create_dir_all(fixture.parent().unwrap()).unwrap();
+        std::fs::write(&fixture, &got).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&fixture).unwrap();
+    for (g, w) in got.lines().zip(expected.lines()) {
+        assert_eq!(g, w);
+    }
+    assert_eq!(got, expected);
 }

@@ -13,7 +13,8 @@ use sqldb::Value;
 #[derive(Debug, Clone, Default)]
 pub struct RunCriteria {
     /// Only runs whose once-parameter equals this content,
-    /// e.g. `("fs", "ufs")`.
+    /// e.g. `("fs", "ufs")`; an empty content, e.g. `("n", "")`, asks for
+    /// the runs that have none.
     pub parameter_equals: Vec<(String, String)>,
     /// Only runs imported at or after this time.
     pub since: Option<i64>,
@@ -36,10 +37,11 @@ pub fn list_runs(db: &ExperimentDb, criteria: &RunCriteria) -> Result<Vec<RunSum
                 "'{name}' is a data-set variable; list criteria use run-constant parameters"
             )));
         }
-        clauses.push(format!(
-            "{name} = {}",
-            sql_literal(&var.parse_content(raw)?)
-        ));
+        // An empty content parses to NULL, which `=` matches nowhere.
+        clauses.push(match var.parse_content(raw)? {
+            Value::Null => format!("{name} IS NULL"),
+            content => format!("{name} = {}", sql_literal(&content)),
+        });
     }
     if let Some(s) = criteria.since {
         clauses.push(format!("created >= {s}"));

@@ -21,9 +21,11 @@
 //!   additionally keeps R replica copies of each shard, serves reads from
 //!   fresh replicas round-robin, and prints a `== replication ==` report
 //! * `info --db file` / `ls --db file [--param name=value] [--since/--until]`
-//!   (a time `ls` cannot parse is refused, as `input --at` refuses one)
+//!   (a time `ls` cannot parse is refused, as `input --at` refuses one;
+//!   `--param name=` lists the runs without a content for `name`)
 //! * `missing --db file param…` — sweep-hole detection over run-level and
-//!   data-set parameters alike
+//!   data-set parameters alike (`ls` and `missing` print a TEXT content
+//!   reading `NULL` as `'NULL'`, apart from a missing one)
 //! * `delete --db file --run N --user U`
 //! * `show --db file --run N` — display a run's variable contents (§3.4)
 //! * `check --kind experiment|input|query file` — validate a control file
@@ -75,7 +77,7 @@ use perfbase_core::query::QueryRunner;
 use perfbase_core::status::{self, RunCriteria};
 use perfbase_core::xmldef;
 use sqldb::cluster::{Cluster, LatencyModel};
-use sqldb::{Engine, IoFailpoint, RecoveryReport, ReplOptions, SyncPolicy, WalOptions};
+use sqldb::{Engine, IoFailpoint, RecoveryReport, ReplOptions, SyncPolicy, Value, WalOptions};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -700,7 +702,7 @@ fn cmd_ls(argv: Vec<String>) -> Result<String, String> {
         let params: Vec<String> = r
             .once_values
             .iter()
-            .map(|(n, v)| format!("{n}={v}"))
+            .map(|(n, v)| format!("{n}={}", listed(v)))
             .collect();
         out.push_str(&format!(
             "run {:>4}  imported {}  datasets {:>5}  {}\n",
@@ -729,11 +731,20 @@ fn cmd_missing(argv: Vec<String>) -> Result<String, String> {
         let combo: Vec<String> = h
             .combination
             .iter()
-            .map(|(p, v)| format!("{p}={v}"))
+            .map(|(p, v)| format!("{p}={}", listed(v)))
             .collect();
         out.push_str(&format!("  {}\n", combo.join(" ")));
     }
     Ok(out)
+}
+
+/// A content as `ls` and `missing` print it: as it displays, but for a TEXT
+/// content reading `NULL`, quoted so as not to read like a NULL one.
+fn listed(v: &Value) -> String {
+    match v {
+        Value::Text(s) if s == "NULL" => "'NULL'".to_string(),
+        v => v.to_string(),
+    }
 }
 
 fn cmd_delete(argv: Vec<String>) -> Result<String, String> {

@@ -11,44 +11,92 @@ use crate::engine::{Engine, Text};
 use crate::error::DbError;
 use crate::schema::Schema;
 use crate::sql;
+use crate::table::Table;
 use crate::wal::{sync_parent_dir, Durable, IoFailpoint};
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Rows per dumped `INSERT` statement.
 const DUMP_BATCH: usize = 64;
 
-impl Engine {
-    /// Serialize every table as an SQL script.
-    pub fn dump_sql(&self) -> String {
-        self.dump_with_seq(None)
-    }
+/// Statements per message from a load's parser to the thread applying them:
+/// a message per statement would cost a thread wake-up per statement.
+const LOAD_BATCH: usize = 64;
 
-    /// [`Engine::dump_sql`] into one buffer, straight from each table's
-    /// column store, with the checkpoint stamp (if any) as the second
-    /// header line.
-    fn dump_with_seq(&self, ckpt_seq: Option<u64>) -> String {
-        let mut out = String::from("-- perfbase embedded database dump\n");
-        if let Some(seq) = ckpt_seq {
-            let _ = writeln!(out, "{CKPT_SEQ_MARKER}{seq}");
-        }
+/// Messages a load's parser may run ahead of the thread applying them.
+const LOAD_WINDOW: usize = 4;
+
+/// Bytes of the first half a save renders before it writes them out: only
+/// the second half is held whole.
+const FLUSH_BYTES: usize = 64 << 10;
+
+impl Engine {
+    /// Serialize every table as an SQL script, on the calling thread: the
+    /// script is returned whole, so a second thread would save no memory,
+    /// and its start and the join of the halves would eat what it saves in
+    /// time on a small catalog (`microbench`'s writer floors time this call
+    /// on one table).
+    pub fn dump_sql(&self) -> String {
+        let mut out = dump_header(None);
         for name in self.table_names() {
-            let table = self.pin_table(&name).expect("table listed");
-            write_create_table(&mut out, &name, &table.schema, false);
-            out.push_str(";\n");
-            let store = table.store();
-            for from in (0..store.len()).step_by(DUMP_BATCH) {
-                let rows = from..store.len().min(from + DUMP_BATCH);
-                write_rows(&mut out, &name, store, rows);
-                out.push_str(";\n");
-            }
-            for (ix_name, column, ordered) in table.index_columns() {
-                let kind = if ordered { "ORDERED " } else { "" };
-                let _ = writeln!(out, "CREATE {kind}INDEX {ix_name} ON {name} ({column});");
-            }
+            write_table(
+                &mut out,
+                &name,
+                &self.pin_table(&name).expect("table listed"),
+            );
         }
         out
+    }
+
+    /// Write what [`Engine::dump_sql`] returns to `out`, with the checkpoint
+    /// stamp (if any) as the second header line, in two contiguous halves
+    /// of the table list balanced by rows: a scoped worker renders the
+    /// header and the first half and writes them out every [`FLUSH_BYTES`],
+    /// while the caller renders the second half into a buffer of its own,
+    /// which it writes once the worker is done. The one buffer held whole is the caller's:
+    /// with a malloc arena per thread, memory the caller freed (a load's
+    /// script) can take it, while a new thread's arena would keep what it
+    /// grew to. Each table is rendered straight from its column store; the
+    /// two halves, one after the other, are the bytes one thread would write.
+    fn write_dump<W: std::io::Write + Send>(
+        &self,
+        out: &mut W,
+        ckpt_seq: Option<u64>,
+    ) -> std::io::Result<()> {
+        let tables: Vec<(String, Arc<Table>)> = self
+            .table_names()
+            .into_iter()
+            .map(|name| {
+                let table = self.pin_table(&name).expect("table listed");
+                (name, table)
+            })
+            .collect();
+        let (first, second) = tables.split_at(balanced_cut(&tables));
+        std::thread::scope(|s| {
+            let worker = std::thread::Builder::new()
+                .name("dump-render".into())
+                .spawn_scoped(s, move || {
+                    let mut head = dump_header(ckpt_seq);
+                    for (name, table) in first {
+                        write_table(&mut head, name, table);
+                        if head.len() >= FLUSH_BYTES {
+                            out.write_all(head.as_bytes())?;
+                            head.clear();
+                        }
+                    }
+                    out.write_all(head.as_bytes())?;
+                    Ok(out)
+                })?;
+            let mut tail = String::new();
+            for (name, table) in second {
+                write_table(&mut tail, name, table);
+            }
+            let out: std::io::Result<&mut W> = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            out?.write_all(tail.as_bytes())
+        })
     }
 
     /// Execute a whole `;`-separated SQL script, each statement as
@@ -64,15 +112,47 @@ impl Engine {
         Ok(affected)
     }
 
-    /// Rebuild an engine from a dump produced by [`Engine::dump_sql`]. Each
-    /// statement executes as soon as it is parsed — neither the tokens nor
-    /// the statements of the whole script are ever held — and the engine is
-    /// dropped on the first error, so nothing partial is observable.
+    /// Rebuild an engine from a dump produced by [`Engine::dump_sql`]. A
+    /// scoped worker parses the script and hands the statements over in
+    /// batches of 64 through a channel holding four batches, while the
+    /// caller applies them in order — so neither the tokens nor the
+    /// statements of the whole script are ever held, only that bounded
+    /// window. The first error, a parse error the worker sends or a
+    /// statement the caller fails to apply, ends the load: it is returned as
+    /// the statement-at-a-time load would return it, the engine is dropped,
+    /// so nothing partial is observable, and the worker stops at its next
+    /// send.
     pub fn from_sql_dump(script: &str) -> Result<Engine, DbError> {
         let e = Engine::new();
-        for stmt in sql::statements(script) {
-            e.run_parsed(stmt?.0, Text::Unwanted)?;
-        }
+        std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::sync_channel(LOAD_WINDOW);
+            std::thread::Builder::new()
+                .name("dump-parse".into())
+                .spawn_scoped(s, move || {
+                    let mut batch = Vec::with_capacity(LOAD_BATCH);
+                    for stmt in sql::statements(script) {
+                        let failed = stmt.is_err();
+                        batch.push(stmt.map(|(stmt, _)| stmt));
+                        if failed || batch.len() == LOAD_BATCH {
+                            let full =
+                                std::mem::replace(&mut batch, Vec::with_capacity(LOAD_BATCH));
+                            if tx.send(full).is_err() || failed {
+                                return;
+                            }
+                        }
+                    }
+                    if !batch.is_empty() {
+                        let _ = tx.send(batch);
+                    }
+                })
+                .map_err(|e| DbError::Execution(format!("cannot start the dump parser: {e}")))?;
+            for batch in rx {
+                for stmt in batch {
+                    e.run_parsed(stmt?, Text::Unwanted)?;
+                }
+            }
+            Ok(())
+        })?;
         Ok(e)
     }
 
@@ -102,7 +182,7 @@ impl Engine {
         tmp_name.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp_name);
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(self.dump_with_seq(ckpt_seq).as_bytes())?;
+        self.write_dump(&mut f, ckpt_seq)?;
         f.sync_all()?;
         fp.record(Durable::DumpSynced);
         drop(f);
@@ -118,6 +198,49 @@ impl Engine {
         let script = std::fs::read_to_string(path)
             .map_err(|e| DbError::Execution(format!("cannot read {}: {e}", path.display())))?;
         Engine::from_sql_dump(&script)
+    }
+}
+
+/// A dump's header comment, with the checkpoint stamp (if any) as its
+/// second line.
+fn dump_header(ckpt_seq: Option<u64>) -> String {
+    let mut out = String::from("-- perfbase embedded database dump\n");
+    if let Some(seq) = ckpt_seq {
+        let _ = writeln!(out, "{CKPT_SEQ_MARKER}{seq}");
+    }
+    out
+}
+
+/// Where [`Engine::write_dump`] cuts `tables`: the first half ends with the
+/// table at which it reaches half of all rows, a table counting its rows and
+/// one for its `CREATE`.
+fn balanced_cut(tables: &[(String, Arc<Table>)]) -> usize {
+    let weight = |t: &Arc<Table>| t.len() + 1;
+    let total: usize = tables.iter().map(|(_, t)| weight(t)).sum();
+    let mut seen = 0;
+    tables
+        .iter()
+        .position(|(_, t)| {
+            seen += weight(t);
+            2 * seen >= total
+        })
+        .map_or(0, |last| last + 1)
+}
+
+/// Append the `CREATE TABLE` of table `name`, its `INSERT`s of
+/// [`DUMP_BATCH`] rows and its `CREATE INDEX`es: its part of a dump.
+fn write_table(out: &mut String, name: &str, table: &Table) {
+    write_create_table(out, name, &table.schema, false);
+    out.push_str(";\n");
+    let store = table.store();
+    for from in (0..store.len()).step_by(DUMP_BATCH) {
+        let rows = from..store.len().min(from + DUMP_BATCH);
+        write_rows(out, name, store, rows);
+        out.push_str(";\n");
+    }
+    for (ix_name, column, ordered) in table.index_columns() {
+        let kind = if ordered { "ORDERED " } else { "" };
+        let _ = writeln!(out, "CREATE {kind}INDEX {ix_name} ON {name} ({column});");
     }
 }
 
@@ -773,6 +896,188 @@ mod tests {
                 Err(DbError::Parse(_))
             ));
         }
+    }
+
+    /// The load before it took two threads: each statement applied on the
+    /// calling thread as soon as it is parsed.
+    fn load_one_at_a_time(script: &str) -> Result<Engine, DbError> {
+        let e = Engine::new();
+        for stmt in sql::statements(script) {
+            e.run_parsed(stmt?.0, Text::Unwanted)?;
+        }
+        Ok(e)
+    }
+
+    /// The dump before it took two threads: one buffer, table after table.
+    fn dump_one_thread(e: &Engine, ckpt_seq: Option<u64>) -> String {
+        let mut out = String::from("-- perfbase embedded database dump\n");
+        if let Some(seq) = ckpt_seq {
+            let _ = writeln!(out, "{CKPT_SEQ_MARKER}{seq}");
+        }
+        for name in e.table_names() {
+            let table = e.pin_table(&name).unwrap();
+            write_create_table(&mut out, &name, &table.schema, false);
+            out.push_str(";\n");
+            let store = table.store();
+            for from in (0..store.len()).step_by(DUMP_BATCH) {
+                write_rows(
+                    &mut out,
+                    &name,
+                    store,
+                    from..store.len().min(from + DUMP_BATCH),
+                );
+                out.push_str(";\n");
+            }
+            for (ix_name, column, ordered) in table.index_columns() {
+                let kind = if ordered { "ORDERED " } else { "" };
+                let _ = writeln!(out, "CREATE {kind}INDEX {ix_name} ON {name} ({column});");
+            }
+        }
+        out
+    }
+
+    /// The two-thread load of `script` leaves what the one-thread load
+    /// leaves: the same catalog, byte for byte, or the same error, with the
+    /// same text, line and column.
+    fn assert_load_parity(script: &str) {
+        let got = Engine::from_sql_dump(script).map(|e| dump_one_thread(&e, None));
+        let want = load_one_at_a_time(script).map(|e| dump_one_thread(&e, None));
+        assert_eq!(got, want, "{}", &script[..script.len().min(300)]);
+    }
+
+    #[test]
+    fn load_parity_on_the_corpus() {
+        for script in sql::corpus::scripts() {
+            assert_load_parity(&script);
+        }
+    }
+
+    /// Every prefix of a campaign dump that ends a statement: a load that
+    /// ends inside the first batch, on a batch boundary and past it.
+    #[test]
+    fn load_parity_at_every_statement_end() {
+        let dump = sql::corpus::campaign_dump(60);
+        let ends: Vec<usize> = dump.match_indices(";\n").map(|(i, _)| i + 2).collect();
+        assert!(ends.len() > LOAD_BATCH, "{} statements", ends.len());
+        assert_load_parity(&dump[..dump.find('\n').unwrap() + 1]);
+        for end in ends {
+            assert_load_parity(&dump[..end]);
+        }
+    }
+
+    /// The campaign dump with statement `k` (its line `k + 2`) replaced by
+    /// `stmt`, or with `stmt` put in before it.
+    fn with_statement(dump: &str, k: usize, stmt: &str, replace: bool) -> String {
+        let mut lines: Vec<&str> = dump.lines().collect();
+        lines.splice(k + 1..k + 1 + usize::from(replace), [stmt]);
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn load_parity_on_a_parse_error_first_middle_and_last() {
+        let dump = sql::corpus::campaign_dump(60);
+        let n = dump.lines().count() - 1;
+        for k in [0, n / 2, n - 1] {
+            let script = with_statement(&dump, k, "CREATE TABLE broken (a INTEGER, b BLOB);", true);
+            assert_load_parity(&script);
+            let err = Engine::from_sql_dump(&script).err().unwrap().to_string();
+            assert!(err.contains(&format!("(line {}, column", k + 2)), "{err}");
+        }
+    }
+
+    #[test]
+    fn load_parity_on_an_apply_error() {
+        let dump = sql::corpus::campaign_dump(60);
+        let n = dump.lines().count() - 1;
+        let duplicate = dump
+            .lines()
+            .find(|l| l.starts_with("CREATE TABLE"))
+            .unwrap();
+        for k in [0, n / 2, n - 1] {
+            for stmt in ["INSERT INTO nope VALUES (1);", duplicate] {
+                let script = with_statement(&dump, k, stmt, false);
+                assert_load_parity(&script);
+                assert!(Engine::from_sql_dump(&script).is_err(), "{stmt} at {k}");
+            }
+        }
+        // An apply error ends the load before a later parse error is read.
+        let script = with_statement(&dump, n / 2, "INSERT INTO nope VALUES (1);", false);
+        let script = format!("{script}SELEKT 1;\n");
+        assert_load_parity(&script);
+        assert_eq!(
+            Engine::from_sql_dump(&script).err(),
+            Some(DbError::NoSuchTable("nope".into()))
+        );
+    }
+
+    /// Catalogs of 0, 1, 2 and 3 tables — one of more rows than the first
+    /// half is rendered in before it is written out, one empty, one indexed
+    /// — and the 60-run campaign.
+    fn catalogs() -> Vec<Engine> {
+        let tables = [
+            "CREATE TABLE a (t TIMESTAMP NOT NULL, ok BOOLEAN)",
+            "CREATE TABLE b (f FLOAT)",
+            "CREATE TABLE c (x INTEGER, s TEXT); \
+             INSERT INTO c VALUES (1, 'one'), (2, NULL); CREATE ORDERED INDEX ix_c ON c (x)",
+        ];
+        let mut out = Vec::new();
+        for n in 0..=tables.len() {
+            let e = Engine::new();
+            for script in &tables[..n] {
+                e.execute_script(script).unwrap();
+            }
+            if n > 0 {
+                let rows = (0..10_000).map(|i| vec![Value::Timestamp(i), Value::Bool(i % 3 == 0)]);
+                e.insert_rows("a", rows.collect()).unwrap();
+                assert!(dump_one_thread(&e, None).len() > 2 * FLUSH_BYTES);
+            }
+            out.push(e);
+        }
+        out.push(load_one_at_a_time(&sql::corpus::campaign_dump(60)).unwrap());
+        out
+    }
+
+    #[test]
+    fn save_parity_with_and_without_a_checkpoint_stamp() {
+        let dir = std::env::temp_dir().join(format!("perfbase_dump_halves_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.sql");
+        for e in catalogs() {
+            let want = dump_one_thread(&e, None);
+            assert_eq!(e.dump_sql(), want);
+            for seq in [None, Some(7)] {
+                let want = dump_one_thread(&e, seq);
+                let mut out = Vec::new();
+                e.write_dump(&mut out, seq).unwrap();
+                assert_eq!(String::from_utf8(out).unwrap(), want);
+                e.save_to_file_with_seq(&path, seq, &IoFailpoint::none())
+                    .unwrap();
+                assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The cut balances rows: each half of the campaign holds a third to
+    /// two thirds of the dump.
+    #[test]
+    fn save_parity_halves_are_balanced_by_rows() {
+        let e = catalogs().pop().unwrap();
+        let tables: Vec<(String, Arc<Table>)> = e
+            .table_names()
+            .into_iter()
+            .map(|name| (name.clone(), e.pin_table(&name).unwrap()))
+            .collect();
+        let (first, second) = tables.split_at(balanced_cut(&tables));
+        let [mut head, mut tail] = [String::new(), String::new()];
+        first
+            .iter()
+            .for_each(|(name, t)| write_table(&mut head, name, t));
+        second
+            .iter()
+            .for_each(|(name, t)| write_table(&mut tail, name, t));
+        let share = head.len() as f64 / (head.len() + tail.len()) as f64;
+        assert!((1.0 / 3.0..2.0 / 3.0).contains(&share), "{share}");
     }
 
     #[test]

@@ -578,3 +578,85 @@ fn status_commands_print_what_the_parent_build_printed() {
     }
     assert_eq!(got, expected);
 }
+
+/// An experiment with run-level `n` (INTEGER) and `s` (TEXT), each read
+/// from a `name = content` line, and data sets of `step` and `t`; one run
+/// per file of `files`, imported in order.
+fn setup_nulls(dir: &TempDir, files: &[&str]) -> String {
+    let def = dir.write(
+        "nulls.xml",
+        r#"<experiment>
+  <name>nulls</name>
+  <user access="admin">demo</user>
+  <parameter occurence="once"><name>n</name><datatype>integer</datatype></parameter>
+  <parameter occurence="once"><name>s</name><datatype>string</datatype></parameter>
+  <parameter><name>step</name><datatype>integer</datatype></parameter>
+  <result><name>t</name><datatype>float</datatype></result>
+</experiment>"#,
+    );
+    let desc = dir.write(
+        "nulls_input.xml",
+        r#"<input>
+  <named><variable>n</variable><match>n =</match></named>
+  <named><variable>s</variable><match>s =</match></named>
+  <tabular>
+    <start match="== data =="/>
+    <column index="1"><variable>step</variable></column>
+    <column index="2"><variable>t</variable></column>
+  </tabular>
+</input>"#,
+    );
+    let dbfile = dir.path("nulls.pbdb");
+    cli(&["setup", "--def", &def, "--db", &dbfile, "--user", "demo"]).unwrap();
+    for (i, content) in files.iter().enumerate() {
+        let file = dir.write(&format!("run{i}.txt"), content);
+        let out = cli(&[
+            "input", "--db", &dbfile, "--desc", &desc, "--user", "demo", &file,
+        ]);
+        assert!(out.unwrap().contains("imported 1 run(s)"));
+    }
+    dbfile
+}
+
+#[test]
+fn ls_lists_the_runs_without_a_content_by_an_empty_param() {
+    let dir = TempDir::new("lsnull");
+    let dbfile = setup_nulls(
+        &dir,
+        &[
+            "n = 4\ns = a\n== data ==\n1 0.5\n",
+            "s = b\n== data ==\n1 0.25\n",
+        ],
+    );
+    let out = cli(&["ls", "--db", &dbfile, "--param", "n="]).unwrap();
+    assert!(out.starts_with("1 run(s)\n"), "{out}");
+    assert!(out.contains("run    2 ") && out.contains("n=NULL"), "{out}");
+    let out = cli(&["ls", "--db", &dbfile, "--param", "n=4"]).unwrap();
+    assert!(
+        out.starts_with("1 run(s)\n") && out.contains("run    1 "),
+        "{out}"
+    );
+}
+
+#[test]
+fn ls_and_missing_tell_the_text_null_from_a_missing_content() {
+    let dir = TempDir::new("textnull");
+    let dbfile = setup_nulls(
+        &dir,
+        &[
+            "n = 1\ns = NULL\n== data ==\n1 0.5\n",
+            "n = 2\n== data ==\n1 0.25\n",
+            "n = 3\ns = abc\n== data ==\n1 0.75\n2 0.125\n",
+        ],
+    );
+    let out = cli(&["ls", "--db", &dbfile]).unwrap();
+    let runs: Vec<&str> = out.lines().skip(1).collect();
+    assert_eq!(runs.len(), 3, "{out}");
+    assert!(runs[0].ends_with("n=1 s='NULL'"), "{out}");
+    assert!(runs[1].ends_with("n=2 s=NULL"), "{out}");
+    assert!(runs[2].ends_with("n=3 s=abc"), "{out}");
+    let out = cli(&["missing", "--db", &dbfile, "s", "step"]).unwrap();
+    assert!(out.starts_with("2 missing combination(s):\n"), "{out}");
+    assert!(out.contains("  s=NULL step=2\n"), "{out}");
+    assert!(out.contains("  s='NULL' step=2\n"), "{out}");
+}

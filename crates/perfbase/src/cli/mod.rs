@@ -12,7 +12,7 @@
 //!   write-ahead log (`file.wal`) before it is applied, so a crash in the
 //!   middle of an import loses at most the unsynced tail
 //! * `checkpoint --db file` — replay any leftover write-ahead log into the
-//!   database, rewrite the SQL dump atomically and compact the log
+//!   database, rewrite the database file atomically and compact the log
 //! * `query --db file --spec query.xml [--user U] [--parallel] [--nodes N]
 //!   [--replicas R] [--latency none|lan|fast] [--no-pushdown] [--timings]`
 //!   — without `--parallel`, `--nodes N` shards the run data across an
@@ -29,7 +29,7 @@
 //! * `delete --db file --run N --user U`
 //! * `show --db file --run N` — display a run's variable contents (§3.4)
 //! * `check --kind experiment|input|query file` — validate a control file
-//! * `dump --db file` — print the SQL dump
+//! * `dump --db file` — print the database as an SQL script
 //! * `suspect --db file --value V --group p1,p2` — anomaly screening (§6)
 //! * `stats [--db file] [--reset] [--export-experiment --out dir]` — print
 //!   the process-wide engine telemetry; with `--db`, also one line per
@@ -60,6 +60,10 @@
 //! accept `--stats-export dir`, running the `--export-experiment` export
 //! after the work completes — the way to capture a real workload's
 //! metrics from the command line.
+//!
+//! The `--db` file is a typed checkpoint (`sqldb`'s column arrays), which
+//! every command that writes rewrites whole; any SQL-text dump, such as
+//! `dump` prints, loads in its place.
 //!
 //! Every command returns its textual output, making the frontend fully
 //! testable without process spawning.
@@ -123,8 +127,13 @@ fn open_db(path: &str) -> Result<ExperimentDb, String> {
     ExperimentDb::open(Arc::new(engine)).map_err(err)
 }
 
+/// Write the database file: a typed checkpoint (`perfbase dump` prints the
+/// SQL text).
 fn save_db(db: &ExperimentDb, path: &str) -> Result<(), String> {
-    db.engine().save_to_file(Path::new(path)).map_err(err)
+    db.engine()
+        .checkpoint(Path::new(path))
+        .map(drop)
+        .map_err(err)
 }
 
 /// Build [`WalOptions`] from `--sync` and the fault-injection flag

@@ -453,14 +453,11 @@ impl Cluster {
             let dump_path = self.node_dump_path(dir, node.id);
             let mut ckpt_seq = 0;
             if dump_path.exists() && node.engine.table_names().is_empty() {
-                let script = std::fs::read_to_string(&dump_path)
-                    .map_err(|e| DbError::Io(format!("read {}: {e}", dump_path.display())))?;
-                // The dump's recorded checkpoint sequence tells recovery
-                // which log frames it already reflects (a crash between
-                // the dump rename and the compaction leaves them in the
-                // log too — they must not be double-applied).
-                ckpt_seq = crate::dump::read_checkpoint_seq(&script).unwrap_or(0);
-                node.engine.execute_script(&script)?;
+                // The file's checkpoint stamp tells recovery which log
+                // frames it already reflects (a crash between the rename
+                // and the compaction leaves them in the log too — they must
+                // not be double-applied).
+                ckpt_seq = node.engine.restore(&dump_path)?.unwrap_or(0);
             }
             let (wal, statements, mut report) = Wal::open_recover_from(
                 &self.node_wal_path(dir, node.id),

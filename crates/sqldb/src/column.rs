@@ -249,6 +249,25 @@ pub(crate) struct NullBitmap {
 }
 
 impl NullBitmap {
+    /// The bitmap of `len` rows whose words are `words`, `⌈len/64⌉` of them
+    /// with no bit set past row `len`.
+    pub(crate) fn from_words(words: impl IntoIterator<Item = u64>, len: usize) -> NullBitmap {
+        let words: Chunked<u64, CHUNK_WORDS> = words.into_iter().collect();
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        let nulls = words
+            .chunks()
+            .flat_map(|(_, c)| c)
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        NullBitmap { words, len, nulls }
+    }
+
+    /// The words, `⌈len/64⌉` of them: row `i` is bit `i % 64` of word
+    /// `i / 64`, and no bit past the last row is set.
+    pub(crate) fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.chunks().flat_map(|(_, c)| c.iter().copied())
+    }
+
     /// Append one bit per entry of `bits` (true = NULL).
     fn extend(&mut self, bits: impl ExactSizeIterator<Item = bool>) {
         let first = self.len;
@@ -359,6 +378,32 @@ pub(crate) struct DictColumn {
 }
 
 impl DictColumn {
+    /// The column of `codes` into `strings`, NULL where `nulls` says; the
+    /// position of a string that repeats an earlier one is the error.
+    pub(crate) fn new(
+        codes: Chunked<u32>,
+        nulls: NullBitmap,
+        strings: Vec<String>,
+    ) -> Result<Self, usize> {
+        let mut lookup = HashMap::with_capacity(strings.len());
+        for (code, s) in (0..).zip(&strings) {
+            if lookup.insert(s.clone(), code).is_some() {
+                return Err(code as usize);
+            }
+        }
+        let dict = Arc::new(Dict { strings, lookup });
+        Ok(DictColumn { codes, nulls, dict })
+    }
+
+    /// This column with only the strings its rows reference in its
+    /// dictionary, in the order rows first use them, and code 0 under every
+    /// NULL: what the column holds, whatever was interned and deleted.
+    pub(crate) fn compacted(&self) -> DictColumn {
+        let mut out = DictColumn::default();
+        out.extend_selected(self, &(0..self.codes.len()).collect::<Vec<_>>());
+        out
+    }
+
     /// All dictionary entries in code order (may include dead entries after
     /// deletes).
     pub(crate) fn dict(&self) -> &[String] {
@@ -713,6 +758,12 @@ impl ColumnStore {
                 .collect(),
             len: 0,
         }
+    }
+
+    /// The store of `len` rows whose columns are `cols`, each `len` cells
+    /// long.
+    pub(crate) fn from_columns(cols: Vec<ColumnVec>, len: usize) -> ColumnStore {
+        ColumnStore { cols, len }
     }
 
     /// Number of rows.

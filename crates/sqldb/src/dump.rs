@@ -1,102 +1,46 @@
-//! SQL dump / restore — the persistence layer of the embedded engine.
+//! SQL dump / restore, and the one loader of a database file.
 //!
 //! The original perfbase delegated persistence to the PostgreSQL server.
-//! Our embedded substitute persists by dumping the whole catalog as an SQL
-//! script (CREATE TABLE + INSERT) and replaying it on load: human-readable,
-//! trivially diffable, and it exercises the same SQL front-end as every
-//! other access path.
+//! Our embedded substitute persists by checkpoint: the typed column arrays
+//! of [`crate::checkpoint`]. The whole catalog as an SQL script (CREATE
+//! TABLE + INSERT) stays the export — human-readable, trivially diffable —
+//! and every such script, whoever wrote it, loads as a database file too.
 
+use crate::checkpoint;
 use crate::column::{ColumnStore, ColumnVec};
 use crate::engine::{Engine, Text};
 use crate::error::DbError;
 use crate::schema::Schema;
 use crate::sql;
-use crate::table::Table;
 use crate::wal::{sync_parent_dir, Durable, IoFailpoint};
 use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write as _};
 use std::ops::Range;
-use std::sync::Arc;
+use std::path::Path;
 
 /// Rows per dumped `INSERT` statement.
 const DUMP_BATCH: usize = 64;
 
-/// Statements per message from a load's parser to the thread applying them:
-/// a message per statement would cost a thread wake-up per statement.
-const LOAD_BATCH: usize = 64;
-
-/// Messages a load's parser may run ahead of the thread applying them.
-const LOAD_WINDOW: usize = 4;
-
-/// Bytes of the first half a save renders before it writes them out: only
-/// the second half is held whole.
-const FLUSH_BYTES: usize = 64 << 10;
-
 impl Engine {
-    /// Serialize every table as an SQL script, on the calling thread: the
-    /// script is returned whole, so a second thread would save no memory,
-    /// and its start and the join of the halves would eat what it saves in
-    /// time on a small catalog (`microbench`'s writer floors time this call
-    /// on one table).
+    /// Serialize every table as an SQL script.
     pub fn dump_sql(&self) -> String {
-        let mut out = dump_header(None);
+        let mut out = String::from("-- perfbase embedded database dump\n");
         for name in self.table_names() {
-            write_table(
-                &mut out,
-                &name,
-                &self.pin_table(&name).expect("table listed"),
-            );
+            let table = self.pin_table(&name).expect("table listed");
+            write_create_table(&mut out, &name, &table.schema, false);
+            out.push_str(";\n");
+            let store = table.store();
+            for from in (0..store.len()).step_by(DUMP_BATCH) {
+                let rows = from..store.len().min(from + DUMP_BATCH);
+                write_rows(&mut out, &name, store, rows);
+                out.push_str(";\n");
+            }
+            for (ix_name, column, ordered) in table.index_columns() {
+                let kind = if ordered { "ORDERED " } else { "" };
+                let _ = writeln!(out, "CREATE {kind}INDEX {ix_name} ON {name} ({column});");
+            }
         }
         out
-    }
-
-    /// Write what [`Engine::dump_sql`] returns to `out`, with the checkpoint
-    /// stamp (if any) as the second header line, in two contiguous halves
-    /// of the table list balanced by rows: a scoped worker renders the
-    /// header and the first half and writes them out every [`FLUSH_BYTES`],
-    /// while the caller renders the second half into a buffer of its own,
-    /// which it writes once the worker is done. The one buffer held whole is the caller's:
-    /// with a malloc arena per thread, memory the caller freed (a load's
-    /// script) can take it, while a new thread's arena would keep what it
-    /// grew to. Each table is rendered straight from its column store; the
-    /// two halves, one after the other, are the bytes one thread would write.
-    fn write_dump<W: std::io::Write + Send>(
-        &self,
-        out: &mut W,
-        ckpt_seq: Option<u64>,
-    ) -> std::io::Result<()> {
-        let tables: Vec<(String, Arc<Table>)> = self
-            .table_names()
-            .into_iter()
-            .map(|name| {
-                let table = self.pin_table(&name).expect("table listed");
-                (name, table)
-            })
-            .collect();
-        let (first, second) = tables.split_at(balanced_cut(&tables));
-        std::thread::scope(|s| {
-            let worker = std::thread::Builder::new()
-                .name("dump-render".into())
-                .spawn_scoped(s, move || {
-                    let mut head = dump_header(ckpt_seq);
-                    for (name, table) in first {
-                        write_table(&mut head, name, table);
-                        if head.len() >= FLUSH_BYTES {
-                            out.write_all(head.as_bytes())?;
-                            head.clear();
-                        }
-                    }
-                    out.write_all(head.as_bytes())?;
-                    Ok(out)
-                })?;
-            let mut tail = String::new();
-            for (name, table) in second {
-                write_table(&mut tail, name, table);
-            }
-            let out: std::io::Result<&mut W> = worker
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            out?.write_all(tail.as_bytes())
-        })
     }
 
     /// Execute a whole `;`-separated SQL script, each statement as
@@ -112,147 +56,115 @@ impl Engine {
         Ok(affected)
     }
 
-    /// Rebuild an engine from a dump produced by [`Engine::dump_sql`]. A
-    /// scoped worker parses the script and hands the statements over in
-    /// batches of 64 through a channel holding four batches, while the
-    /// caller applies them in order — so neither the tokens nor the
-    /// statements of the whole script are ever held, only that bounded
-    /// window. The first error, a parse error the worker sends or a
-    /// statement the caller fails to apply, ends the load: it is returned as
-    /// the statement-at-a-time load would return it, the engine is dropped,
-    /// so nothing partial is observable, and the worker stops at its next
-    /// send.
+    /// Rebuild an engine from a dump produced by [`Engine::dump_sql`] (or
+    /// any script of the statements it holds).
     pub fn from_sql_dump(script: &str) -> Result<Engine, DbError> {
         let e = Engine::new();
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::sync_channel(LOAD_WINDOW);
-            std::thread::Builder::new()
-                .name("dump-parse".into())
-                .spawn_scoped(s, move || {
-                    let mut batch = Vec::with_capacity(LOAD_BATCH);
-                    for stmt in sql::statements(script) {
-                        let failed = stmt.is_err();
-                        batch.push(stmt.map(|(stmt, _)| stmt));
-                        if failed || batch.len() == LOAD_BATCH {
-                            let full =
-                                std::mem::replace(&mut batch, Vec::with_capacity(LOAD_BATCH));
-                            if tx.send(full).is_err() || failed {
-                                return;
-                            }
-                        }
-                    }
-                    if !batch.is_empty() {
-                        let _ = tx.send(batch);
-                    }
-                })
-                .map_err(|e| DbError::Execution(format!("cannot start the dump parser: {e}")))?;
-            for batch in rx {
-                for stmt in batch {
-                    e.run_parsed(stmt?, Text::Unwanted)?;
-                }
-            }
-            Ok(())
-        })?;
+        e.apply_dump(script)?;
         Ok(e)
     }
 
-    /// Persist to a file, atomically: the dump is written to a sibling tmp
-    /// file, fsynced, renamed into place, and the directory fsynced — a
-    /// crash mid-save leaves the previous dump intact, and once this returns
-    /// the new one is durable under its name (the WAL checkpoint path
-    /// depends on both).
-    pub fn save_to_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.save_to_file_with_seq(path, None, &IoFailpoint::none())
+    /// Apply `script`, unlogged: each statement executes as soon as it is
+    /// parsed — neither the tokens nor the statements of the whole script
+    /// are ever held — and the first error ends it.
+    fn apply_dump(&self, script: &str) -> Result<(), DbError> {
+        for stmt in sql::statements(script) {
+            self.run_parsed(stmt?.0, Text::Unwanted)?;
+        }
+        Ok(())
     }
 
-    /// [`Engine::save_to_file`], optionally stamping the WAL checkpoint
-    /// sequence into the dump header, each durability step noted on `fp`. A
-    /// dump written with `Some(seq)` declares "every log frame with a
-    /// sequence number below `seq` is already reflected here" — recovery
-    /// uses it to skip those frames when a crash lands between the dump
-    /// rename and the log compaction, which would otherwise double-apply
-    /// every one of them.
-    pub(crate) fn save_to_file_with_seq(
-        &self,
-        path: &std::path::Path,
-        ckpt_seq: Option<u64>,
-        fp: &IoFailpoint,
-    ) -> std::io::Result<()> {
-        let mut tmp_name = path.as_os_str().to_owned();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-        let mut f = std::fs::File::create(&tmp)?;
-        self.write_dump(&mut f, ckpt_seq)?;
+    /// Persist [`Engine::dump_sql`] to a file, atomically: written to a
+    /// sibling tmp file, fsynced, renamed into place, the directory fsynced.
+    /// The database file a checkpoint writes is typed
+    /// ([`Engine::checkpoint`]); this is the SQL export, which loads as one
+    /// all the same.
+    pub fn save_to_file(&self, path: &Path) -> std::io::Result<()> {
+        let fp = IoFailpoint::none();
+        save_atomically(path, &fp, |out| out.write_all(self.dump_sql().as_bytes()))
+    }
+
+    /// Load a database file: a typed checkpoint, or any SQL-text dump.
+    pub fn load_from_file(path: &Path) -> Result<Engine, DbError> {
+        Engine::load_checkpoint(path).map(|(e, _)| e)
+    }
+
+    /// [`Engine::load_from_file`], with the checkpoint stamp the file
+    /// carries, if any.
+    pub fn load_checkpoint(path: &Path) -> Result<(Engine, Option<u64>), DbError> {
+        let e = Engine::new();
+        let stamp = e.restore(path)?;
+        Ok((e, stamp))
+    }
+
+    /// The one loader: put the catalog of the database file at `path` into
+    /// this engine, unlogged, and return its checkpoint stamp. A typed
+    /// checkpoint is validated whole, then its tables go in as one publish;
+    /// anything else is read as an SQL-text dump, statement by statement.
+    pub(crate) fn restore(&self, path: &Path) -> Result<Option<u64>, DbError> {
+        let cannot = |e: &dyn std::fmt::Display| {
+            DbError::Execution(format!("cannot read {}: {e}", path.display()))
+        };
+        let file = std::fs::File::open(path).map_err(|e| cannot(&e))?;
+        let len = file.metadata().map_err(|e| cannot(&e))?.len() as usize;
+        let mut src = BufReader::with_capacity(64 << 10, file);
+        if checkpoint::is_typed(src.fill_buf().map_err(|e| cannot(&e))?) {
+            let (stamp, tables) = checkpoint::read(src, len).map_err(|e| cannot(&e))?;
+            self.install(tables)?;
+            return Ok(stamp);
+        }
+        let mut script = String::with_capacity(len);
+        src.read_to_string(&mut script).map_err(|e| cannot(&e))?;
+        self.apply_dump(&script)?;
+        Ok(read_checkpoint_seq(&script))
+    }
+}
+
+/// Write a database file to `path`, atomically: `write` fills a sibling tmp
+/// file through one buffered writer, which is fsynced, renamed into place,
+/// and the directory fsynced — a crash mid-save leaves the previous file
+/// intact, and once this returns the new one is durable under its name (the
+/// WAL checkpoint path depends on both). Each step is noted on `fp`. A
+/// failure before the rename removes the tmp file.
+pub(crate) fn save_atomically(
+    path: &Path,
+    fp: &IoFailpoint,
+    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let renamed = (|| {
+        let mut out = BufWriter::new(std::fs::File::create(&tmp)?);
+        write(&mut out)?;
+        let f = out
+            .into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?;
         f.sync_all()?;
         fp.record(Durable::DumpSynced);
         drop(f);
-        std::fs::rename(&tmp, path)?;
-        fp.record(Durable::DumpRenamed);
-        // Until the directory is synced, a power loss can bring the old
-        // name back — after a checkpoint has emptied the log.
-        sync_parent_dir(path, fp)
+        std::fs::rename(&tmp, path)
+    })();
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-
-    /// Load from a file written by [`Engine::save_to_file`].
-    pub fn load_from_file(path: &std::path::Path) -> Result<Engine, DbError> {
-        let script = std::fs::read_to_string(path)
-            .map_err(|e| DbError::Execution(format!("cannot read {}: {e}", path.display())))?;
-        Engine::from_sql_dump(&script)
-    }
+    renamed?;
+    fp.record(Durable::DumpRenamed);
+    // Until the directory is synced, a power loss can bring the old name
+    // back — after a checkpoint has emptied the log.
+    sync_parent_dir(path, fp)
 }
 
-/// A dump's header comment, with the checkpoint stamp (if any) as its
-/// second line.
-fn dump_header(ckpt_seq: Option<u64>) -> String {
-    let mut out = String::from("-- perfbase embedded database dump\n");
-    if let Some(seq) = ckpt_seq {
-        let _ = writeln!(out, "{CKPT_SEQ_MARKER}{seq}");
-    }
-    out
-}
-
-/// Where [`Engine::write_dump`] cuts `tables`: the first half ends with the
-/// table at which it reaches half of all rows, a table counting its rows and
-/// one for its `CREATE`.
-fn balanced_cut(tables: &[(String, Arc<Table>)]) -> usize {
-    let weight = |t: &Arc<Table>| t.len() + 1;
-    let total: usize = tables.iter().map(|(_, t)| weight(t)).sum();
-    let mut seen = 0;
-    tables
-        .iter()
-        .position(|(_, t)| {
-            seen += weight(t);
-            2 * seen >= total
-        })
-        .map_or(0, |last| last + 1)
-}
-
-/// Append the `CREATE TABLE` of table `name`, its `INSERT`s of
-/// [`DUMP_BATCH`] rows and its `CREATE INDEX`es: its part of a dump.
-fn write_table(out: &mut String, name: &str, table: &Table) {
-    write_create_table(out, name, &table.schema, false);
-    out.push_str(";\n");
-    let store = table.store();
-    for from in (0..store.len()).step_by(DUMP_BATCH) {
-        let rows = from..store.len().min(from + DUMP_BATCH);
-        write_rows(out, name, store, rows);
-        out.push_str(";\n");
-    }
-    for (ix_name, column, ordered) in table.index_columns() {
-        let kind = if ordered { "ORDERED " } else { "" };
-        let _ = writeln!(out, "CREATE {kind}INDEX {ix_name} ON {name} ({column});");
-    }
-}
-
-/// Header comment a checkpoint stamps into the dump: the sequence number
-/// the WAL's *next* frame will carry at checkpoint time. Frames below it
-/// are reflected in the dump and must not be replayed on recovery.
-pub(crate) const CKPT_SEQ_MARKER: &str = "-- wal-checkpoint-seq: ";
+/// Header comment a checkpoint stamped into an SQL-text dump, before
+/// checkpoints were typed: the sequence number the WAL's *next* frame would
+/// carry at checkpoint time. Frames below it are reflected in the dump and
+/// must not be replayed on recovery.
+const CKPT_SEQ_MARKER: &str = "-- wal-checkpoint-seq: ";
 
 /// The checkpoint sequence recorded in a dump script, if any. Only the
 /// leading comment lines are scanned — the marker can never be confused
 /// with data.
-pub(crate) fn read_checkpoint_seq(script: &str) -> Option<u64> {
+fn read_checkpoint_seq(script: &str) -> Option<u64> {
     script
         .lines()
         .take_while(|l| l.starts_with("--"))
@@ -636,6 +548,7 @@ mod tests {
         e.execute("CREATE ORDERED INDEX ix_runs_bw ON runs (bw)")
             .unwrap();
         e.execute("CREATE INDEX ix_runs_id ON runs (id)").unwrap();
+        checkpoint::tests::assert_round_trip(&e);
         let dump = e.dump_sql();
         assert!(dump.contains("CREATE ORDERED INDEX ix_runs_bw ON runs (bw);"));
         assert!(dump.contains("CREATE INDEX ix_runs_id ON runs (id);"));
@@ -872,6 +785,8 @@ mod tests {
             format!("{:?}", e.read_snapshot("edges").unwrap().1)
         );
         assert_eq!(e2.dump_sql(), script);
+        // So is its typed checkpoint.
+        checkpoint::tests::assert_round_trip(&e);
     }
 
     #[test]
@@ -898,51 +813,32 @@ mod tests {
         }
     }
 
-    /// The load before it took two threads: each statement applied on the
-    /// calling thread as soon as it is parsed.
-    fn load_one_at_a_time(script: &str) -> Result<Engine, DbError> {
-        let e = Engine::new();
-        for stmt in sql::statements(script) {
-            e.run_parsed(stmt?.0, Text::Unwanted)?;
-        }
-        Ok(e)
-    }
-
-    /// The dump before it took two threads: one buffer, table after table.
-    fn dump_one_thread(e: &Engine, ckpt_seq: Option<u64>) -> String {
-        let mut out = String::from("-- perfbase embedded database dump\n");
-        if let Some(seq) = ckpt_seq {
-            let _ = writeln!(out, "{CKPT_SEQ_MARKER}{seq}");
-        }
-        for name in e.table_names() {
-            let table = e.pin_table(&name).unwrap();
-            write_create_table(&mut out, &name, &table.schema, false);
-            out.push_str(";\n");
-            let store = table.store();
-            for from in (0..store.len()).step_by(DUMP_BATCH) {
-                write_rows(
-                    &mut out,
-                    &name,
-                    store,
-                    from..store.len().min(from + DUMP_BATCH),
-                );
-                out.push_str(";\n");
-            }
-            for (ix_name, column, ordered) in table.index_columns() {
-                let kind = if ordered { "ORDERED " } else { "" };
-                let _ = writeln!(out, "CREATE {kind}INDEX {ix_name} ON {name} ({column});");
-            }
-        }
-        out
-    }
-
-    /// The two-thread load of `script` leaves what the one-thread load
-    /// leaves: the same catalog, byte for byte, or the same error, with the
-    /// same text, line and column.
+    /// The load of `script` as a database file is [`Engine::from_sql_dump`]'s,
+    /// catalog or error (text, line and column alike), and a catalog it
+    /// loads makes a typed checkpoint that loads back to it.
     fn assert_load_parity(script: &str) {
-        let got = Engine::from_sql_dump(script).map(|e| dump_one_thread(&e, None));
-        let want = load_one_at_a_time(script).map(|e| dump_one_thread(&e, None));
-        assert_eq!(got, want, "{}", &script[..script.len().min(300)]);
+        static LOADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = LOADS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = scratch(&format!("parity_{n}"));
+        let path = dir.join("db.sql");
+        std::fs::write(&path, script).unwrap();
+        let from_file = Engine::load_from_file(&path).map(|e| e.dump_sql());
+        let loaded = Engine::from_sql_dump(script);
+        let want = loaded.as_ref().map(Engine::dump_sql).map_err(Clone::clone);
+        assert_eq!(from_file, want, "{}", &script[..script.len().min(300)]);
+        if let Ok(e) = loaded {
+            checkpoint::tests::assert_round_trip(&e);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A directory of this test process's own, made empty.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("perfbase_dump_{name}_{pid}"));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -952,13 +848,12 @@ mod tests {
         }
     }
 
-    /// Every prefix of a campaign dump that ends a statement: a load that
-    /// ends inside the first batch, on a batch boundary and past it.
+    /// Every prefix of a campaign dump that ends a statement.
     #[test]
     fn load_parity_at_every_statement_end() {
         let dump = sql::corpus::campaign_dump(60);
         let ends: Vec<usize> = dump.match_indices(";\n").map(|(i, _)| i + 2).collect();
-        assert!(ends.len() > LOAD_BATCH, "{} statements", ends.len());
+        assert!(ends.len() > 64, "{} statements", ends.len());
         assert_load_parity(&dump[..dump.find('\n').unwrap() + 1]);
         for end in ends {
             assert_load_parity(&dump[..end]);
@@ -1010,74 +905,45 @@ mod tests {
         );
     }
 
-    /// Catalogs of 0, 1, 2 and 3 tables — one of more rows than the first
-    /// half is rendered in before it is written out, one empty, one indexed
-    /// — and the 60-run campaign.
-    fn catalogs() -> Vec<Engine> {
-        let tables = [
-            "CREATE TABLE a (t TIMESTAMP NOT NULL, ok BOOLEAN)",
-            "CREATE TABLE b (f FLOAT)",
-            "CREATE TABLE c (x INTEGER, s TEXT); \
-             INSERT INTO c VALUES (1, 'one'), (2, NULL); CREATE ORDERED INDEX ix_c ON c (x)",
-        ];
-        let mut out = Vec::new();
-        for n in 0..=tables.len() {
-            let e = Engine::new();
-            for script in &tables[..n] {
-                e.execute_script(script).unwrap();
-            }
-            if n > 0 {
-                let rows = (0..10_000).map(|i| vec![Value::Timestamp(i), Value::Bool(i % 3 == 0)]);
-                e.insert_rows("a", rows.collect()).unwrap();
-                assert!(dump_one_thread(&e, None).len() > 2 * FLUSH_BYTES);
-            }
-            out.push(e);
-        }
-        out.push(load_one_at_a_time(&sql::corpus::campaign_dump(60)).unwrap());
-        out
-    }
-
+    /// The text save writes [`Engine::dump_sql`] byte for byte; a
+    /// checkpoint, with a log (stamped) or without one, writes a typed file
+    /// that loads back to the same catalog and the same stamp.
     #[test]
     fn save_parity_with_and_without_a_checkpoint_stamp() {
-        let dir = std::env::temp_dir().join(format!("perfbase_dump_halves_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        use crate::wal::{SyncPolicy, WalOptions};
+        let dir = scratch("save_parity");
         let path = dir.join("db.sql");
-        for e in catalogs() {
-            let want = dump_one_thread(&e, None);
-            assert_eq!(e.dump_sql(), want);
-            for seq in [None, Some(7)] {
-                let want = dump_one_thread(&e, seq);
-                let mut out = Vec::new();
-                e.write_dump(&mut out, seq).unwrap();
-                assert_eq!(String::from_utf8(out).unwrap(), want);
-                e.save_to_file_with_seq(&path, seq, &IoFailpoint::none())
-                    .unwrap();
-                assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
-            }
+        for e in checkpoint::tests::catalogs() {
+            e.save_to_file(&path).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), e.dump_sql());
+            assert_eq!(e.checkpoint(&path).unwrap(), 0);
+            let (back, stamp) = Engine::load_checkpoint(&path).unwrap();
+            assert_eq!((back.dump_sql(), stamp), (e.dump_sql(), None));
         }
+        let opts = WalOptions::with_sync(SyncPolicy::Off);
+        let (e, _) = Engine::open_durable(&path, &dir.join("db.wal"), opts).unwrap();
+        e.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        e.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        assert_eq!(e.checkpoint(&path).unwrap(), 2);
+        let (back, stamp) = Engine::load_checkpoint(&path).unwrap();
+        assert_eq!((back.dump_sql(), stamp), (e.dump_sql(), Some(3)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The cut balances rows: each half of the campaign holds a third to
-    /// two thirds of the dump.
+    /// A save that fails before its rename leaves no `<path>.tmp` behind:
+    /// here the rename fails, `path` being a directory.
     #[test]
-    fn save_parity_halves_are_balanced_by_rows() {
-        let e = catalogs().pop().unwrap();
-        let tables: Vec<(String, Arc<Table>)> = e
-            .table_names()
-            .into_iter()
-            .map(|name| (name.clone(), e.pin_table(&name).unwrap()))
-            .collect();
-        let (first, second) = tables.split_at(balanced_cut(&tables));
-        let [mut head, mut tail] = [String::new(), String::new()];
-        first
-            .iter()
-            .for_each(|(name, t)| write_table(&mut head, name, t));
-        second
-            .iter()
-            .for_each(|(name, t)| write_table(&mut tail, name, t));
-        let share = head.len() as f64 / (head.len() + tail.len()) as f64;
-        assert!((1.0 / 3.0..2.0 / 3.0).contains(&share), "{share}");
+    fn a_failed_save_removes_its_tmp_file() {
+        let dir = scratch("failed_save");
+        let path = dir.join("db.sql");
+        std::fs::create_dir(&path).unwrap();
+        let e = checkpoint::tests::catalogs().pop().unwrap();
+        let err = e.save_to_file(&path).unwrap_err();
+        assert!(!dir.join("db.sql.tmp").exists(), "text save: {err}");
+        let err = e.checkpoint(&path).unwrap_err();
+        assert!(!dir.join("db.sql.tmp").exists(), "checkpoint: {err}");
+        assert!(path.is_dir());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

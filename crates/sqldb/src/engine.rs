@@ -13,7 +13,7 @@ use crate::sync::{Mutex, RwLock};
 use crate::table::{batch_of_rows, BatchBuilder, Row, Table};
 use crate::txn::Transaction;
 use crate::value::{Value, ValueRef};
-use crate::wal::{RecoveryReport, UnitReader, Wal, WalOptions};
+use crate::wal::{IoFailpoint, RecoveryReport, UnitReader, Wal, WalOptions};
 use crate::TableMemory;
 use std::collections::HashMap;
 use std::path::Path;
@@ -485,6 +485,15 @@ impl Engine {
         Ok(())
     }
 
+    /// Put `tables` into the catalog, unlogged, as one publish of a version
+    /// per table: how a typed checkpoint is loaded.
+    pub(crate) fn install(&self, tables: crate::checkpoint::Tables) -> Result<(), DbError> {
+        let (names, versions): (Vec<String>, Vec<Table>) = tables.into_iter().unzip();
+        let versions = versions.into_iter().map(|t| Change::Version(Arc::new(t)));
+        let mut work: Vec<_> = names.iter().map(String::as_str).zip(versions).collect();
+        self.publish(&mut self.wal.lock(), None, &mut work, Vec::new())
+    }
+
     /// Insert rows programmatically. The whole batch is validated against
     /// the table's schema before anything is logged or applied: a bad row
     /// anywhere means zero effects and no frame.
@@ -731,37 +740,33 @@ impl Engine {
         self.wal.lock().as_ref().map(|w| w.failpoint().clone())
     }
 
-    /// Checkpoint: atomically write the SQL dump to `dump_path`, then
-    /// compact the log (every logged frame is now reflected in the dump).
-    /// The log mutex is held throughout, so no statement can slip between
-    /// the dump and the compaction. Returns the number of frames dropped.
+    /// Checkpoint: atomically write the typed checkpoint (each table's
+    /// column arrays) to `dump_path`, then compact the log (every logged frame is
+    /// now reflected in the file). The log mutex is held throughout, so no
+    /// statement can slip between the write and the compaction. Returns the
+    /// number of frames dropped. Without a log it writes the file alone.
     ///
-    /// The dump is stamped with the log's next sequence number, which is
+    /// The file is stamped with the log's next sequence number, which is
     /// what makes the rename→compact window crash-safe: if the process
-    /// dies after the new dump is in place but before the log is
+    /// dies after the new file is in place but before the log is
     /// compacted, both files hold every frame — recovery reads the stamp
-    /// and skips the frames the dump already reflects instead of
+    /// and skips the frames the file already reflects instead of
     /// double-applying them.
     pub fn checkpoint(&self, dump_path: &Path) -> Result<u64, DbError> {
+        let failed = |e| DbError::Io(format!("checkpoint {}: {e}", dump_path.display()));
+        let save =
+            |stamp, fp| dump::save_atomically(dump_path, fp, |out| self.write_typed(out, stamp));
         let mut wal = self.wal.lock();
-        match wal.as_mut() {
-            Some(w) => {
-                // Every frame the stamp covers must be durable before the
-                // dump claiming to supersede them is published.
-                w.sync()?;
-                let ckpt_seq = w.next_seq();
-                self.save_to_file_with_seq(dump_path, Some(ckpt_seq), w.failpoint())
-                    .map_err(|e| DbError::Io(format!("checkpoint {}: {e}", dump_path.display())))?;
-                let compacted = w.compact();
-                self.log_poisoned.store(w.is_poisoned(), Ordering::Relaxed);
-                compacted
-            }
-            None => {
-                self.save_to_file(dump_path)
-                    .map_err(|e| DbError::Io(format!("checkpoint {}: {e}", dump_path.display())))?;
-                Ok(0)
-            }
-        }
+        let Some(w) = wal.as_mut() else {
+            return save(None, &IoFailpoint::none()).map(|()| 0).map_err(failed);
+        };
+        // Every frame the stamp covers must be durable before the file
+        // claiming to supersede them is published.
+        w.sync()?;
+        save(Some(w.next_seq()), w.failpoint()).map_err(failed)?;
+        let compacted = w.compact();
+        self.log_poisoned.store(w.is_poisoned(), Ordering::Relaxed);
+        compacted
     }
 
     /// Replay recovered WAL statements without re-logging them; returns
@@ -807,14 +812,10 @@ impl Engine {
         wal_path: &Path,
         opts: WalOptions,
     ) -> Result<(Engine, RecoveryReport), DbError> {
-        let (engine, ckpt_seq) = if dump_path.exists() {
-            let script = std::fs::read_to_string(dump_path).map_err(|e| {
-                DbError::Execution(format!("cannot read {}: {e}", dump_path.display()))
-            })?;
-            let seq = dump::read_checkpoint_seq(&script).unwrap_or(0);
-            (Engine::from_sql_dump(&script)?, seq)
-        } else {
-            (Engine::new(), 0)
+        let engine = Engine::new();
+        let ckpt_seq = match dump_path.exists() {
+            true => engine.restore(dump_path)?.unwrap_or(0),
+            false => 0,
         };
         let (wal, statements, mut report) =
             Wal::open_recover_from(wal_path, opts, ckpt_seq.max(1))?;

@@ -58,6 +58,7 @@
 //! ```
 
 pub mod aggregate;
+mod checkpoint;
 pub mod cluster;
 mod column;
 mod compile;

@@ -1,0 +1,103 @@
+//! A typed checkpoint's reader sizes nothing from a count before it has
+//! checked the count against the bytes left. A counting global allocator
+//! (std only) records the largest block one load asks for; with every 4- and
+//! 8-byte field of a small checkpoint overwritten by a huge or a merely too
+//! large count, no load may ask for more than a small multiple of the file.
+//!
+//! Blocks are recorded per thread: the test harness allocates on threads of
+//! its own while a test runs.
+
+use sqldb::{Engine, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Largest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the slot is gone while a thread is being torn down.
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Largest = Largest;
+
+/// The largest block loading `path` asked for, and whether it loaded.
+fn largest_block(path: &std::path::Path) -> (usize, bool) {
+    LARGEST.with(|l| l.set(0));
+    let loaded = Engine::load_from_file(path).is_ok();
+    (LARGEST.with(Cell::get), loaded)
+}
+
+#[test]
+fn no_count_sizes_an_allocation_before_it_is_checked() {
+    let dir = std::env::temp_dir().join(format!("perfbase_ckpt_alloc_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.ckpt");
+    let e = Engine::new();
+    e.execute_script(
+        "CREATE TABLE a (i INTEGER NOT NULL, f FLOAT, s TEXT, b BOOLEAN, t TIMESTAMP); \
+         INSERT INTO a VALUES (1, 1.5, 'x', TRUE, 10), (2, NULL, NULL, NULL, NULL), \
+         (3, 2.5, 'y', FALSE, 20); \
+         CREATE ORDERED INDEX ix_i ON a (i); CREATE INDEX ix_s ON a (s); \
+         CREATE TABLE b (s TEXT)",
+    )
+    .unwrap();
+    let rows = (0..70).map(|i| vec![Value::Text(format!("w{}", i % 7))]);
+    e.insert_rows("b", rows.collect()).unwrap();
+    e.checkpoint(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let (whole, loaded) = largest_block(&path);
+    assert!(loaded);
+    let bound = (16 * bytes.len()).max(64 << 10);
+    assert!(
+        whole <= bound,
+        "{whole} bytes in one block for the intact file"
+    );
+
+    let mut refused = 0;
+    for at in 0..bytes.len() {
+        for width in [4, 8] {
+            if at + width > bytes.len() {
+                continue;
+            }
+            let huge = vec![0xff; width];
+            let too_large = (1u64 << (3 * width)).to_le_bytes()[..width].to_vec();
+            for value in [huge, too_large] {
+                let mut mutated = bytes.clone();
+                mutated[at..at + width].copy_from_slice(&value);
+                std::fs::write(&path, &mutated).unwrap();
+                let (largest, loaded) = largest_block(&path);
+                assert!(
+                    largest <= bound,
+                    "{largest} bytes in one block with {value:02x?} at byte {at}"
+                );
+                refused += usize::from(!loaded);
+            }
+        }
+    }
+    assert!(
+        refused > bytes.len(),
+        "only {refused} mutated files refused"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

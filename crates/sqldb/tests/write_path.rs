@@ -11,7 +11,10 @@
 //! `accepted.wal` the log tail of `build(dir, false)`, `doomed.wal` the tail
 //! of `build(dir, true)` — that build logged a statement before it knew
 //! whether it would apply, so its log holds six frames that fail on every
-//! replay — and `expected.sql` the `dump_sql()` both runs ended in.
+//! replay — and `expected.sql` the `dump_sql()` both runs ended in. Since
+//! checkpoints are typed, the checkpoint [`build`] writes is pinned against
+//! `fixtures/checkpoint/db.ckpt`, written by the first build that wrote
+//! typed checkpoints, and read back to `db.sql`'s catalog and stamp.
 
 mod common;
 
@@ -487,8 +490,8 @@ const DOOMED: [&str; 3] = [
 ];
 
 struct Built {
-    /// The checkpoint dump on disk.
-    checkpoint: String,
+    /// The checkpoint on disk.
+    checkpoint: Vec<u8>,
     /// The log tail after it.
     wal: Vec<u8>,
     /// `dump_sql()` after the last write.
@@ -581,7 +584,7 @@ fn build(dir: &Path, doomed: bool) -> Built {
 
     db.wal_sync().unwrap();
     Built {
-        checkpoint: std::fs::read_to_string(&dump).unwrap(),
+        checkpoint: std::fs::read(&dump).unwrap(),
         wal: std::fs::read(&wal).unwrap(),
         reached: db.dump_sql(),
     }
@@ -594,17 +597,26 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 /// The frames of accepted statements, and the dumps, are the parent's byte
-/// for byte — and refused statements add nothing to either.
+/// for byte — and refused statements add nothing to either. The checkpoint
+/// holds what the parent's `db.sql` held, catalog and stamp, and its typed
+/// bytes are pinned.
 #[test]
 fn accepted_statements_are_logged_and_dumped_as_the_parent_did() {
+    let typed = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint/db.ckpt");
     for doomed in [false, true] {
         let dir = scratch(if doomed { "build_doomed" } else { "build" });
         let built = build(&dir, doomed);
         let expect = |name: &str| std::fs::read(fixture(name)).unwrap();
+        let (loaded, stamp) = Engine::load_checkpoint(&dir.join("db.sql")).unwrap();
+        let stamped = format!("\n-- wal-checkpoint-seq: {}\n", stamp.unwrap());
         assert_eq!(
-            built.checkpoint.as_bytes(),
+            loaded.dump_sql().replacen('\n', &stamped, 1).as_bytes(),
             expect("db.sql"),
             "doomed={doomed}"
+        );
+        assert!(
+            built.checkpoint == std::fs::read(&typed).unwrap(),
+            "doomed={doomed}: checkpoint bytes differ"
         );
         assert_eq!(
             built.reached.as_bytes(),

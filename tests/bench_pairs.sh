@@ -1,0 +1,120 @@
+#!/bin/sh
+# Paired comparison of two commits, workload by workload: this tree (the
+# change, uncommitted edits included) against <rev> (the parent). Checks
+# <rev> out in a temporary local clone — self-contained, unlike a git
+# worktree, which registers itself in this repository's .git and outlives
+# a run that is killed — builds the benchmark package of
+# both once (offline: its only dependencies are path crates), then runs
+# [pairs] pairs of each workload untraced at BENCHMARK.json's run_seconds,
+# the parent first in odd pairs and the change first in even ones. Every
+# run's metrics_<w>.tsv, result_<w>.json and output are kept under a
+# directory printed at the end. Per workload and end-to-end metric it
+# prints both medians, the parent's IQR, the change's wins k/N, the ratio
+# change/parent and the verdict against the metric's BENCHMARK.json bound.
+# The clone is removed on exit. Informational: it always exits 0 once
+# the runs are done.
+#
+#   tests/bench_pairs.sh <rev> [pairs] [workload...]   (10 pairs; every workload)
+set -eu
+cd "$(dirname "$0")/.."
+[ $# -ge 1 ] || { echo "usage: $0 <rev> [pairs] [workload...]" >&2; exit 2; }
+rev=$(git rev-parse --verify --short "$1^{commit}")
+shift
+pairs=10
+case "${1:-}" in [0-9]*) pairs=$1; shift ;; esac
+workloads=${*:-$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json)}
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+here=$(pwd)
+tree=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_tree.XXXXXX")
+out=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_runs.XXXXXX")
+trap 'rm -rf "$tree"' EXIT
+git clone --quiet --no-checkout "$here" "$tree"
+git -C "$tree" checkout --quiet --detach "$rev"
+
+build() {
+    cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
+}
+echo "building the benchmark at $rev and in this tree" >&2
+build "$tree"
+build "$here"
+
+# run <side> <dir> <workload> <pair>
+run() {
+    dest="$out/$3/$1/$4"
+    mkdir -p "$dest"
+    (cd "$2" && benchmark/target/release/pbbench --workload "$3" --seed 1 \
+        --seconds "$seconds" --trace 0 --out "$dest") > "$dest/log" 2>&1 ||
+        echo "$3 $1 pair $4: a check failed" >&2
+    tail -n 1 "$dest/log" > "$dest/result_line.json"
+}
+
+for w in $workloads; do
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        echo "$w: pair $i of $pairs" >&2
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$tree" "$w" "$i"
+            run change "$here" "$w" "$i"
+        else
+            run change "$here" "$w" "$i"
+            run parent "$tree" "$w" "$i"
+        fi
+        i=$((i + 1))
+    done
+done
+
+echo "parent $rev, change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty), $pairs pair(s) of ${seconds} s, runs in $out"
+for w in $workloads; do
+    for side in parent change; do
+        i=1
+        while [ "$i" -le "$pairs" ]; do
+            awk -F'\t' -v side="$side" -v pair="$i" \
+                '{ print side "\t" pair "\t" $2 "\t" $3 "\t" $5 "\t" $6 }' \
+                "$out/$w/$side/$i/metrics_$w.tsv"
+            failed=$(sed -n 's/.*"failed": *\([0-9]*\).*/\1/p' "$out/$w/$side/$i/result_line.json")
+            printf '%s\t%s\tfailed\t%s\tlower\t0\n' "$side" "$i" "${failed:--1}"
+            i=$((i + 1))
+        done
+    done | awk -F'\t' -v w="$w" '
+        function sort(a, n,   i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        # The q-quantile of a sorted a[1..n], interpolated.
+        function quantile(a, n, q,   h, lo) {
+            h = 1 + (n - 1) * q; lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+        }
+        {
+            if (!($3 in better)) order[++metrics] = $3
+            better[$3] = $5; bound[$3] = $6
+            v[$3, $1, $2] = $4; n[$3, $1]++
+            if ($2 > pairs) pairs = $2
+        }
+        END {
+            printf "%s\n  %-14s %12s %12s %12s %7s %7s  %s\n", w, "metric", "parent", "change", "parent IQR", "wins", "ratio", "verdict"
+            for (m = 1; m <= metrics; m++) {
+                k = order[m]
+                np = 0; nc = 0; wins = 0
+                for (i = 1; i <= pairs; i++) {
+                    if ((k, "parent", i) in v) p[++np] = v[k, "parent", i]
+                    if ((k, "change", i) in v) c[++nc] = v[k, "change", i]
+                    if (((k, "parent", i) in v) && ((k, "change", i) in v)) {
+                        d = v[k, "change", i] - v[k, "parent", i]
+                        if ((better[k] == "lower" && d < 0) || (better[k] == "higher" && d > 0)) wins++
+                    }
+                }
+                sort(p, np); sort(c, nc)
+                mp = quantile(p, np, 0.5); mc = quantile(c, nc, 0.5)
+                iqr = quantile(p, np, 0.75) - quantile(p, np, 0.25)
+                ratio = mp == 0 ? (mc == 0 ? 1 : 0) : mc / mp
+                if (k == "failed")
+                    verdict = (c[nc] > p[np]) ? "MORE FAILED" : "ok"
+                else if (better[k] == "lower")
+                    verdict = (mc > mp * (1 + bound[k])) ? "WORSE than the bound" : "ok"
+                else
+                    verdict = (mc < mp * (1 - bound[k])) ? "WORSE than the bound" : "ok"
+                printf "  %-14s %12.6g %12.6g %12.6g %4d/%-2d %7.3f  %s\n", k, mp, mc, iqr, wins, np, ratio, verdict
+            }
+        }'
+done

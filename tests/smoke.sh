@@ -12,9 +12,11 @@
 # — the write-path
 # suite: the every-door model (execute, programmatic call, transaction, script
 # and replay leave the same catalog and the same log) and the parent-build
-# log/dump fixtures — the dump on two threads (a load and a save give the
-# bytes, or the error with its line and column, of a one-thread reference)
-# — the transaction suites: the as-of-BEGIN isolation model, the import count guard, concurrent
+# log/dump fixtures — the typed checkpoint (round trip, text parity, stamp,
+# hostile input: a typed file loads back to its catalog and stamp, a text
+# file loads as `from_sql_dump` does, every truncation, byte flip and
+# oversized count is an error naming its byte offset, a failed save leaves
+# no tmp file) — the transaction suites: the as-of-BEGIN isolation model, the import count guard, concurrent
 # `add_run` — the WAL crash-consistency suites (an import and a delete killed
 # at every frame, a dump restored without its log), the log-reader suite (a
 # seeded crash-and-reopen model: acknowledged ⇒ recovered over any number of
@@ -78,9 +80,11 @@ cargo test -q -p perfbase --test concurrent_import
 echo "== versions (pinned versions never move; a pinned append copies one chunk per column; parent-written dump and log) =="
 cargo test -q -p sqldb --test versions
 
-echo "== dump on two threads (load/save parity, error parity) =="
+echo "== typed checkpoint (round trip, text parity, stamp, hostile input) =="
+cargo test -q -p sqldb --lib checkpoint::tests
 cargo test -q -p sqldb --lib dump::tests::load_parity
 cargo test -q -p sqldb --lib dump::tests::save_parity
+cargo test -q -p sqldb --lib dump::tests::a_failed_save_removes_its_tmp_file
 cargo test -q -p sqldb --lib dump::tests::checkpoint_syncs_the_directory_between_rename_and_compaction
 
 echo "== crash consistency (WAL kill points + kill-during-import) =="

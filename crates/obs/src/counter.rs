@@ -75,6 +75,10 @@ counters! {
     WalAppendBytes => "wal.append_bytes",
     /// fsync calls issued by the write-ahead log.
     WalFsyncs => "wal.fsyncs",
+    /// SQL statements a log replay parsed: the `Sql` records, which a
+    /// version-2 log holds only for statements other than CREATE TABLE and
+    /// INSERT.
+    WalReplayParsed => "wal.replay_statements_parsed",
     /// Node-to-node shipments (header + payload message pairs).
     ClusterShipments => "cluster.shipments",
     /// Simulated interconnect messages charged.
@@ -123,6 +127,9 @@ counters! {
     ReplFramesShipped => "repl.frames_shipped",
     /// Shipped frames applied on a replica through the replay path.
     ReplFramesApplied => "repl.frames_applied",
+    /// Shipped statements that failed on a replica: it no longer matches
+    /// its primary.
+    ReplApplyErrors => "repl.apply_errors",
     /// Frames buffered on primaries awaiting shipment (gauge; the
     /// instantaneous ship lag, refreshed on every append and ship).
     ReplShipLag => "repl.ship_lag",

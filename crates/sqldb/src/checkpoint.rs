@@ -21,21 +21,22 @@
 //! | · indexes, in creation order               | `u32`                       |
 //! | · per index: name, column, ordered (0/1)   | string, string, `u8`        |
 //!
-//! Types are numbered as in [`TYPES`]. The bytes are a function of the
-//! catalog: a NULL cell holds its type's default (0, 0.0, FALSE, code 0),
-//! and a dictionary holds only the strings rows reference, in the order rows
-//! first use them. The first byte, 0x89, starts no UTF-8 text, so no SQL
+//! The schema and the columns are in the column codec's encoding
+//! ([`crate::codec`]), which an INSERT record of the log shares. The bytes
+//! are a function of the catalog: a NULL cell holds its type's default (0,
+//! 0.0, FALSE, code 0), and a dictionary holds only the strings rows
+//! reference, in the order rows first use them. The first byte, 0x89, starts no UTF-8 text, so no SQL
 //! dump reads as a checkpoint nor a checkpoint as SQL.
 //!
 //! The reader checks every count against the bytes left before it sizes
 //! anything from it, and every error names the byte offset it found.
 
-use crate::column::{Chunked, ColumnStore, ColumnVec, DictColumn, NullBitmap};
+use crate::codec::{read_column, read_schema, write_column, write_count, write_schema, write_str};
+use crate::codec::{Origin, Reader, Source, Stream};
+use crate::column::ColumnStore;
 use crate::engine::Engine;
 use crate::error::DbError;
-use crate::schema::{Column, Schema};
 use crate::table::Table;
-use crate::value::DataType::{self, Bool, Float, Int, Text, Timestamp};
 use std::io::{self, Read, Write};
 
 /// What a typed checkpoint starts with.
@@ -43,9 +44,6 @@ const MAGIC: [u8; 8] = *b"\x89PBCKPT\n";
 
 /// The one format version this build writes and reads.
 const VERSION: u32 = 1;
-
-/// Column types by their number in the file.
-const TYPES: [DataType; 5] = [Int, Float, Text, Bool, Timestamp];
 
 /// Tables by name, as a checkpoint holds them.
 pub(crate) type Tables = Vec<(String, Table)>;
@@ -67,15 +65,10 @@ impl Engine {
         for name in names {
             let table = self.pin_table(&name).expect("table listed");
             write_str(out, &name)?;
-            write_count(out, table.schema.arity())?;
-            for c in &table.schema.columns {
-                write_str(out, &c.name)?;
-                let dtype = TYPES.iter().position(|t| *t == c.dtype).expect("a type") as u8;
-                out.write_all(&[dtype, u8::from(!c.nullable)])?;
-            }
+            write_schema(out, &table.schema)?;
             let store = table.store();
             out.write_all(&(store.len() as u64).to_le_bytes())?;
-            (0..store.arity()).try_for_each(|c| write_column(out, store.col(c)))?;
+            (0..store.arity()).try_for_each(|c| write_column(out, store.col(c), true))?;
             let indexes = table.index_columns();
             write_count(out, indexes.len())?;
             for (ix_name, column, ordered) in indexes {
@@ -88,73 +81,18 @@ impl Engine {
     }
 }
 
-/// Write `n` as a `u32`.
-fn write_count(out: &mut impl Write, n: usize) -> io::Result<()> {
-    let n = u32::try_from(n).map_err(|_| io::Error::other(format!("{n} items in one count")))?;
-    out.write_all(&n.to_le_bytes())
-}
-
-/// Write `s` as its length and its bytes.
-fn write_str(out: &mut impl Write, s: &str) -> io::Result<()> {
-    write_count(out, s.len())?;
-    out.write_all(s.as_bytes())
-}
-
-/// Write a column's cells, a NULL cell as `default`.
-fn write_cells<T: Copy, const W: usize>(
-    out: &mut impl Write,
-    data: &Chunked<T>,
-    nulls: &NullBitmap,
-    default: T,
-    bytes: impl Fn(T) -> [u8; W],
-) -> io::Result<()> {
-    for (first, chunk) in data.chunks() {
-        for (i, &x) in chunk.iter().enumerate() {
-            let x = if nulls.is_null(first + i) { default } else { x };
-            out.write_all(&bytes(x))?;
-        }
-    }
-    Ok(())
-}
-
-/// Write one column: its null bitmap, then its cells.
-fn write_column(out: &mut impl Write, col: &ColumnVec) -> io::Result<()> {
-    let nulls = col.nulls();
-    nulls
-        .words()
-        .try_for_each(|word| out.write_all(&word.to_le_bytes()))?;
-    match col {
-        ColumnVec::Int { data, .. } | ColumnVec::Timestamp { data, .. } => {
-            write_cells(out, data, nulls, 0, i64::to_le_bytes)
-        }
-        ColumnVec::Float { data, .. } => write_cells(out, data, nulls, 0.0, |f| f.to_le_bytes()),
-        ColumnVec::Bool { data, .. } => write_cells(out, data, nulls, false, |b| [u8::from(b)]),
-        ColumnVec::Text(d) => {
-            let d = d.compacted();
-            write_count(out, d.dict().len())?;
-            d.dict().iter().try_for_each(|s| write_str(out, s))?;
-            write_cells(out, &d.codes, nulls, 0, u32::to_le_bytes)
-        }
-    }
-}
-
 /// Read a typed checkpoint of `len` bytes from `src`, a piece at a time:
 /// its stamp and its tables, in name order, their indexes built. Any error
 /// leaves nothing behind.
 pub(crate) fn read(src: impl Read, len: usize) -> Result<(Option<u64>, Tables), DbError> {
-    let mut r = Reader {
-        src,
-        at: 0,
-        left: len,
-        buf: Vec::new(),
-    };
+    let mut r = Reader::new(Stream::new(src), len, 0, Origin::Checkpoint);
     if r.take(1, MAGIC.len(), "magic")? != MAGIC {
-        return Err(corrupt(0, "not a typed checkpoint"));
+        return Err(r.fail(0, "not a typed checkpoint"));
     }
     let version = r.num(4, "format version")?;
     if version != u64::from(VERSION) {
         let why = format!("format version {version} is not one this build reads ({VERSION})");
-        return Err(corrupt(MAGIC.len(), why));
+        return Err(r.fail(MAGIC.len(), why));
     }
     let stamp = r.num(8, "checkpoint stamp")?;
     let mut tables: Tables = Vec::new();
@@ -162,35 +100,22 @@ pub(crate) fn read(src: impl Read, len: usize) -> Result<(Option<u64>, Tables), 
         let at = r.at;
         let name = r.str("table name")?;
         if tables.last().is_some_and(|(last, _)| *last >= name) {
-            return Err(corrupt(at, format!("table {name} is out of name order")));
+            return Err(r.fail(at, format!("table {name} is out of name order")));
         }
         tables.push((name, read_table(&mut r)?));
     }
     if r.left != 0 {
-        return Err(corrupt(r.at, "bytes after the last table"));
+        return Err(r.fail(r.at, "bytes after the last table"));
     }
     Ok(((stamp != 0).then_some(stamp), tables))
 }
 
 /// Read one table after its name.
-fn read_table(r: &mut Reader<impl Read>) -> Result<Table, DbError> {
-    let at = r.at;
-    let mut columns = Vec::new();
-    for _ in 0..r.num(4, "column count")? {
-        let (name, at) = (r.str("column name")?, r.at);
-        let dtype = TYPES.get(r.num(1, "column type")? as usize);
-        let dtype = *dtype.ok_or_else(|| corrupt(at, "unknown column type"))?;
-        let nullable = !r.flag("NOT NULL flag")?;
-        columns.push(Column {
-            name,
-            dtype,
-            nullable,
-        });
-    }
-    let schema = Schema::new(columns).map_err(|e| corrupt(at, e))?;
+fn read_table(r: &mut Reader<impl Source>) -> Result<Table, DbError> {
+    let schema = read_schema(r)?;
     let at = r.at;
     let rows = r.num(8, "row count")?;
-    let rows = usize::try_from(rows).map_err(|_| corrupt(at, format!("{rows} rows")))?;
+    let rows = usize::try_from(rows).map_err(|_| r.fail(at, format!("{rows} rows")))?;
     let cols = schema.columns.iter().map(|c| read_column(r, c, rows));
     let store = ColumnStore::from_columns(cols.collect::<Result<_, _>>()?, rows);
     let mut table = Table::new(schema);
@@ -201,143 +126,20 @@ fn read_table(r: &mut Reader<impl Read>) -> Result<Table, DbError> {
         let ordered = r.flag("index kind")?;
         match table.plan_index(&name, &column, ordered) {
             Ok(Some(ci)) if !table.has_index_on(ci) => table.apply_index(&name, ci, ordered),
-            Ok(_) => return Err(corrupt(at, format!("a second index on column {column}"))),
-            Err(e) => return Err(corrupt(at, e)),
+            Ok(_) => return Err(r.fail(at, format!("a second index on column {column}"))),
+            Err(e) => return Err(r.fail(at, e)),
         }
     }
     Ok(table)
 }
 
-/// Read the null bitmap and the `rows` cells of column `col`.
-fn read_column(r: &mut Reader<impl Read>, col: &Column, rows: usize) -> Result<ColumnVec, DbError> {
-    let at = r.at;
-    let words = r.take(rows.div_ceil(64), 8, "null bitmap")?;
-    let nulls = NullBitmap::from_words(words.chunks_exact(8).map(le), rows);
-    let last = words.len().checked_sub(8).map_or(0, |k| le(&words[k..]));
-    if !rows.is_multiple_of(64) && last >> (rows % 64) != 0 {
-        return Err(corrupt(r.at - 8, "a NULL bit past the last row"));
-    }
-    if !col.nullable && nulls.null_count() > 0 {
-        return Err(corrupt(at, format!("NULL in NOT NULL column {}", col.name)));
-    }
-    let at = r.at;
-    let raw = match col.dtype {
-        Text => &[][..],
-        Bool => r.take(rows, 1, "BOOLEAN cells")?,
-        _ => r.take(rows, 8, "cells")?,
-    };
-    Ok(match col.dtype {
-        Int => ColumnVec::Int {
-            data: cells(raw, i64::from_le_bytes),
-            nulls,
-        },
-        Timestamp => ColumnVec::Timestamp {
-            data: cells(raw, i64::from_le_bytes),
-            nulls,
-        },
-        Float => ColumnVec::Float {
-            data: cells(raw, f64::from_le_bytes),
-            nulls,
-        },
-        Bool => {
-            if let Some(i) = raw.iter().position(|&b| b > 1) {
-                return Err(corrupt(at + i, "a BOOLEAN cell neither 0 nor 1"));
-            }
-            let data = raw.iter().map(|&b| b == 1).collect();
-            ColumnVec::Bool { data, nulls }
-        }
-        Text => {
-            let mut strings = Vec::new();
-            for _ in 0..r.num(4, "dictionary size")? {
-                strings.push(r.str("dictionary entry")?);
-            }
-            let codes_at = r.at;
-            let codes = r.take(rows, 4, "TEXT codes")?;
-            // A NULL cell's code is 0, any other's inside the dictionary.
-            let bad = codes.chunks_exact(4).enumerate().position(|(i, code)| {
-                le(code) as usize >= if nulls.is_null(i) { 1 } else { strings.len() }
-            });
-            if let Some(i) = bad {
-                return Err(corrupt(codes_at + 4 * i, "a TEXT code out of range"));
-            }
-            let column = DictColumn::new(cells(codes, u32::from_le_bytes), nulls, strings);
-            ColumnVec::Text(column.map_err(|k| corrupt(at, format!("entry {k} repeats")))?)
-        }
-    })
-}
-
-/// `bytes` read as cells of `W` bytes each.
-fn cells<T: Clone, const W: usize>(bytes: &[u8], cell: impl Fn([u8; W]) -> T) -> Chunked<T> {
-    let each = bytes.chunks_exact(W);
-    each.map(|b| cell(b.try_into().expect("W bytes"))).collect()
-}
-
-/// The little-endian number `bytes` hold: at most 8 of them.
-fn le(bytes: &[u8]) -> u64 {
-    bytes.iter().rev().fold(0, |n, &b| n << 8 | u64::from(b))
-}
-
-/// The error of a checkpoint found wrong at byte `at`.
-fn corrupt(at: usize, why: impl std::fmt::Display) -> DbError {
-    DbError::Execution(format!("typed checkpoint, byte {at}: {why}"))
-}
-
-/// A cursor over a checkpoint's bytes: `left` of them still to come from
-/// `src`, the last piece taken held in `buf`.
-struct Reader<R> {
-    src: R,
-    at: usize,
-    left: usize,
-    buf: Vec<u8>,
-}
-
-impl<R: Read> Reader<R> {
-    /// The next `n` items of `width` bytes each, when there are that many.
-    fn take(&mut self, n: usize, width: usize, what: &str) -> Result<&[u8], DbError> {
-        let at = self.at;
-        let bytes = n.checked_mul(width).filter(|&bytes| bytes <= self.left);
-        let Some(bytes) = bytes else {
-            let left = self.left;
-            return Err(corrupt(
-                at,
-                format!("{what}: {n} × {width} bytes, {left} left"),
-            ));
-        };
-        self.buf.resize(bytes, 0);
-        self.src
-            .read_exact(&mut self.buf)
-            .map_err(|e| corrupt(at, e))?;
-        (self.at, self.left) = (at + bytes, self.left - bytes);
-        Ok(&self.buf)
-    }
-
-    /// The next number, `width` bytes little-endian.
-    fn num(&mut self, width: usize, what: &str) -> Result<u64, DbError> {
-        self.take(1, width, what).map(le)
-    }
-
-    /// A byte that is 0 or 1.
-    fn flag(&mut self, what: &str) -> Result<bool, DbError> {
-        match self.num(1, what)? {
-            b @ (0 | 1) => Ok(b == 1),
-            b => Err(corrupt(self.at - 1, format!("{what}: {b}"))),
-        }
-    }
-
-    /// A string: its length, then as many bytes of UTF-8.
-    fn str(&mut self, what: &str) -> Result<String, DbError> {
-        let n = self.num(4, what)? as usize;
-        let at = self.at;
-        let bytes = self.take(n, 1, what)?.to_vec();
-        String::from_utf8(bytes)
-            .map_err(|e| corrupt(at + e.utf8_error().valid_up_to(), "not UTF-8"))
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::codec::{le, TYPES};
+    use crate::column::ColumnVec;
     use crate::test_common::Rng;
+    use crate::value::DataType;
     use crate::Value;
 
     /// The typed checkpoint of `e`, stamped `stamp`.

@@ -29,7 +29,7 @@ use crate::error::DbError;
 use crate::sql::{SelectStmt, SqlExpr};
 use crate::sync::Mutex;
 use crate::table::Table;
-use crate::wal::{IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
+use crate::wal::{IoFailpoint, RecoveryReport, SyncPolicy, WalOptions};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -459,13 +459,10 @@ impl Cluster {
                 // not be double-applied).
                 ckpt_seq = node.engine.restore(&dump_path)?.unwrap_or(0);
             }
-            let (wal, statements, mut report) = Wal::open_recover_from(
-                &self.node_wal_path(dir, node.id),
-                opts_for(node.id),
-                ckpt_seq.max(1),
-            )?;
-            node.engine.recover_replay(statements, &mut report);
-            node.engine.attach_wal(wal);
+            let wal_path = self.node_wal_path(dir, node.id);
+            let report = node
+                .engine
+                .recover(&dump_path, &wal_path, opts_for(node.id), ckpt_seq)?;
             reports.push(Some(report));
         }
         Ok(reports)
@@ -750,7 +747,7 @@ mod tests {
 
     #[test]
     fn attach_wal_dir_skips_nodes_with_wal() {
-        use crate::wal::SyncPolicy;
+        use crate::wal::{SyncPolicy, Wal};
         let dir = std::env::temp_dir().join("perfbase_cluster_wal_skip");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();

@@ -1,0 +1,344 @@
+//! The column codec: a table's rows as typed column arrays in bytes, the one
+//! encoding both the typed checkpoint ([`crate::checkpoint`]) and an INSERT
+//! record of the log ([`crate::record`]) carry.
+//!
+//! Every integer is little-endian; a string is its `u32` byte length and its
+//! UTF-8 bytes. A column of `rows` cells is its null bitmap (bit set =
+//! NULL, `⌈rows/64⌉ × u64`), then its cells: INTEGER and TIMESTAMP as
+//! `i64`, FLOAT as its `u64` bits, BOOLEAN as one byte 0/1, TEXT as the
+//! dictionary size (`u32`), its entries (strings) and one `u32` code per
+//! row. A NULL cell holds its type's default (0, 0.0, FALSE, code 0), and a
+//! dictionary holds only the strings rows reference, in the order rows first
+//! use them. Types are numbered as in [`TYPES`].
+//!
+//! The [`Reader`] checks every count against the bytes left before it sizes
+//! anything from it, and every error names the byte offset it found.
+
+use crate::column::{Chunked, ColumnVec, DictColumn, NullBitmap};
+use crate::error::DbError;
+use crate::schema::{Column, Schema};
+use crate::value::DataType::{self, Bool, Float, Int, Text, Timestamp};
+use std::io::{self, Read, Write};
+
+/// Column types by their number in the bytes.
+pub(crate) const TYPES: [DataType; 5] = [Int, Float, Text, Bool, Timestamp];
+
+/// The number of `dtype` in [`TYPES`].
+pub(crate) fn type_number(dtype: DataType) -> u8 {
+    TYPES.iter().position(|t| *t == dtype).expect("a type") as u8
+}
+
+/// Write `n` as a `u32`.
+pub(crate) fn write_count(out: &mut impl Write, n: usize) -> io::Result<()> {
+    let n = u32::try_from(n).map_err(|_| io::Error::other(format!("{n} items in one count")))?;
+    out.write_all(&n.to_le_bytes())
+}
+
+/// Write `s` as its length and its bytes.
+pub(crate) fn write_str(out: &mut impl Write, s: &str) -> io::Result<()> {
+    write_count(out, s.len())?;
+    out.write_all(s.as_bytes())
+}
+
+/// Write `schema`: its column count, then per column its name, its type and
+/// NOT NULL (0/1).
+pub(crate) fn write_schema(out: &mut impl Write, schema: &Schema) -> io::Result<()> {
+    write_count(out, schema.arity())?;
+    for c in &schema.columns {
+        write_str(out, &c.name)?;
+        out.write_all(&[type_number(c.dtype), u8::from(!c.nullable)])?;
+    }
+    Ok(())
+}
+
+/// Read what [`write_schema`] wrote.
+pub(crate) fn read_schema(r: &mut Reader<impl Source>) -> Result<Schema, DbError> {
+    let at = r.at;
+    let mut columns = Vec::new();
+    for _ in 0..r.num(4, "column count")? {
+        let name = r.str("column name")?;
+        let dtype = r.dtype()?;
+        let nullable = !r.flag("NOT NULL flag")?;
+        columns.push(Column {
+            name,
+            dtype,
+            nullable,
+        });
+    }
+    // Grown by what was read, never sized by the count: kept exact.
+    columns.shrink_to_fit();
+    Schema::new(columns).map_err(|e| r.fail(at, e))
+}
+
+/// Write a column's cells, a NULL cell as `default`.
+fn write_cells<T: Copy, const W: usize>(
+    out: &mut impl Write,
+    data: &Chunked<T>,
+    nulls: &NullBitmap,
+    default: T,
+    bytes: impl Fn(T) -> [u8; W],
+) -> io::Result<()> {
+    for (first, chunk) in data.chunks() {
+        for (i, &x) in chunk.iter().enumerate() {
+            let null = nulls.is_null(first + i);
+            out.write_all(&bytes(if null { default } else { x }))?;
+        }
+    }
+    Ok(())
+}
+
+/// Write one column: its null bitmap, then its cells. A TEXT column whose
+/// dictionary may hold strings no row references is `compact`ed first; the
+/// batch of one INSERT holds none.
+pub(crate) fn write_column(out: &mut impl Write, col: &ColumnVec, compact: bool) -> io::Result<()> {
+    let nulls = col.nulls();
+    nulls
+        .words()
+        .try_for_each(|word| out.write_all(&word.to_le_bytes()))?;
+    match col {
+        ColumnVec::Int { data, .. } | ColumnVec::Timestamp { data, .. } => {
+            write_cells(out, data, nulls, 0, i64::to_le_bytes)
+        }
+        ColumnVec::Float { data, .. } => write_cells(out, data, nulls, 0.0, |f| f.to_le_bytes()),
+        ColumnVec::Bool { data, .. } => write_cells(out, data, nulls, false, |b| [u8::from(b)]),
+        ColumnVec::Text(d) => {
+            let compacted;
+            let d = if compact {
+                compacted = d.compacted();
+                &compacted
+            } else {
+                d
+            };
+            write_count(out, d.dict().len())?;
+            d.dict().iter().try_for_each(|s| write_str(out, s))?;
+            write_cells(out, &d.codes, nulls, 0, u32::to_le_bytes)
+        }
+    }
+}
+
+/// Read the null bitmap and the `rows` cells of column `col`.
+pub(crate) fn read_column(
+    r: &mut Reader<impl Source>,
+    col: &Column,
+    rows: usize,
+) -> Result<ColumnVec, DbError> {
+    let at = r.at;
+    let words = r.take(rows.div_ceil(64), 8, "null bitmap")?;
+    let nulls = NullBitmap::from_words(words.chunks_exact(8).map(le), rows);
+    let last = words.len().checked_sub(8).map_or(0, |k| le(&words[k..]));
+    if !rows.is_multiple_of(64) && last >> (rows % 64) != 0 {
+        return Err(r.fail(r.at - 8, "a NULL bit past the last row"));
+    }
+    if !col.nullable && nulls.null_count() > 0 {
+        return Err(r.fail(at, format!("NULL in NOT NULL column {}", col.name)));
+    }
+    let at = r.at;
+    let raw = match col.dtype {
+        Text => &[][..],
+        Bool => r.take(rows, 1, "BOOLEAN cells")?,
+        _ => r.take(rows, 8, "cells")?,
+    };
+    Ok(match col.dtype {
+        Int => ColumnVec::Int {
+            data: cells(raw, i64::from_le_bytes),
+            nulls,
+        },
+        Timestamp => ColumnVec::Timestamp {
+            data: cells(raw, i64::from_le_bytes),
+            nulls,
+        },
+        Float => ColumnVec::Float {
+            data: cells(raw, f64::from_le_bytes),
+            nulls,
+        },
+        Bool => {
+            if let Some(i) = raw.iter().position(|&b| b > 1) {
+                return Err(r.fail(at + i, "a BOOLEAN cell neither 0 nor 1"));
+            }
+            let data = Chunked::from_vec(raw.iter().map(|&b| b == 1).collect());
+            ColumnVec::Bool { data, nulls }
+        }
+        Text => {
+            let mut strings = Vec::new();
+            for _ in 0..r.num(4, "dictionary size")? {
+                strings.push(r.str("dictionary entry")?);
+            }
+            strings.shrink_to_fit();
+            let codes_at = r.at;
+            let codes = r.take(rows, 4, "TEXT codes")?;
+            // A NULL cell's code is 0, any other's inside the dictionary.
+            let bad = codes.chunks_exact(4).enumerate().position(|(i, code)| {
+                le(code) as usize >= if nulls.is_null(i) { 1 } else { strings.len() }
+            });
+            if let Some(i) = bad {
+                return Err(r.fail(codes_at + 4 * i, "a TEXT code out of range"));
+            }
+            let column = DictColumn::new(cells(codes, u32::from_le_bytes), nulls, strings);
+            ColumnVec::Text(column.map_err(|k| r.fail(at, format!("entry {k} repeats")))?)
+        }
+    })
+}
+
+impl<'a> Reader<&'a [u8]> {
+    /// [`Reader::take`] of bytes in memory: the bytes where they are.
+    pub(crate) fn take_ref(
+        &mut self,
+        n: usize,
+        width: usize,
+        what: &str,
+    ) -> Result<&'a [u8], DbError> {
+        let src = self.src;
+        self.take(n, width, what)?;
+        Ok(&src[..src.len() - self.src.len()])
+    }
+
+    /// [`Reader::str`] of bytes in memory, borrowed.
+    pub(crate) fn str_ref(&mut self, what: &str) -> Result<&'a str, DbError> {
+        let n = self.num(4, what)? as usize;
+        let at = self.at;
+        let bytes = self.take_ref(n, 1, what)?;
+        std::str::from_utf8(bytes).map_err(|e| self.fail(at + e.valid_up_to(), "not UTF-8"))
+    }
+}
+
+/// The error of the bytes `origin` names, found wrong at byte `at`.
+pub(crate) fn fail(origin: Origin, at: usize, why: impl std::fmt::Display) -> DbError {
+    match origin {
+        Origin::Checkpoint => DbError::Execution(format!("typed checkpoint, byte {at}: {why}")),
+        Origin::Frame(seq) => DbError::Execution(format!("WAL frame {seq}, byte {at}: {why}")),
+    }
+}
+
+/// `bytes` read as cells of `W` bytes each.
+fn cells<T: Clone, const W: usize>(bytes: &[u8], cell: impl Fn([u8; W]) -> T) -> Chunked<T> {
+    let each = bytes.chunks_exact(W);
+    Chunked::from_vec(each.map(|b| cell(b.try_into().expect("W bytes"))).collect())
+}
+
+/// The little-endian number `bytes` hold: at most 8 of them.
+pub(crate) fn le(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |n, &b| n << 8 | u64::from(b))
+}
+
+/// Where a [`Reader`] takes its bytes from.
+pub(crate) trait Source {
+    /// The next `n` bytes; the reader has checked that there are as many.
+    fn next(&mut self, n: usize) -> io::Result<&[u8]>;
+}
+
+/// A stream, read a piece at a time into a buffer: a checkpoint file.
+pub(crate) struct Stream<R> {
+    src: R,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> Stream<R> {
+    pub(crate) fn new(src: R) -> Self {
+        Stream {
+            src,
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl<R: Read> Source for Stream<R> {
+    fn next(&mut self, n: usize) -> io::Result<&[u8]> {
+        self.buf.resize(n, 0);
+        self.src.read_exact(&mut self.buf)?;
+        Ok(&self.buf)
+    }
+}
+
+/// Bytes in memory, handed out where they are: a record of the log.
+impl Source for &[u8] {
+    fn next(&mut self, n: usize) -> io::Result<&[u8]> {
+        let Some((piece, rest)) = self.split_at_checked(n) else {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        };
+        *self = rest;
+        Ok(piece)
+    }
+}
+
+/// A cursor over encoded bytes: `left` of them still to come from `src`.
+/// `at` counts from where the bytes start in their file; `origin` names
+/// the file (and the frame) in every error.
+pub(crate) struct Reader<S> {
+    src: S,
+    pub(crate) at: usize,
+    pub(crate) left: usize,
+    origin: Origin,
+}
+
+/// What a [`Reader`] reads.
+#[derive(Clone, Copy)]
+pub(crate) enum Origin {
+    /// A typed checkpoint.
+    Checkpoint,
+    /// The record of the log frame with this sequence number.
+    Frame(u64),
+}
+
+impl<S: Source> Reader<S> {
+    /// A reader of the `len` bytes `src` holds, the first of them at byte
+    /// `at` of what `origin` names.
+    pub(crate) fn new(src: S, len: usize, at: usize, origin: Origin) -> Self {
+        Reader {
+            src,
+            at,
+            left: len,
+            origin,
+        }
+    }
+
+    /// The error of bytes found wrong at byte `at`.
+    pub(crate) fn fail(&self, at: usize, why: impl std::fmt::Display) -> DbError {
+        fail(self.origin, at, why)
+    }
+
+    /// The next `n` items of `width` bytes each, when there are that many.
+    pub(crate) fn take(&mut self, n: usize, width: usize, what: &str) -> Result<&[u8], DbError> {
+        let at = self.at;
+        let bytes = n.checked_mul(width).filter(|&bytes| bytes <= self.left);
+        let Some(bytes) = bytes else {
+            let left = self.left;
+            return Err(self.fail(at, format!("{what}: {n} × {width} bytes, {left} left")));
+        };
+        (self.at, self.left) = (at + bytes, self.left - bytes);
+        match self.src.next(bytes) {
+            Ok(piece) => Ok(piece),
+            Err(e) => Err(fail(self.origin, at, e)),
+        }
+    }
+
+    /// The next number, `width` bytes little-endian.
+    pub(crate) fn num(&mut self, width: usize, what: &str) -> Result<u64, DbError> {
+        self.take(1, width, what).map(le)
+    }
+
+    /// A byte that is 0 or 1.
+    pub(crate) fn flag(&mut self, what: &str) -> Result<bool, DbError> {
+        match self.num(1, what)? {
+            b @ (0 | 1) => Ok(b == 1),
+            b => Err(self.fail(self.at - 1, format!("{what}: {b}"))),
+        }
+    }
+
+    /// A string: its length, then as many bytes of UTF-8.
+    pub(crate) fn str(&mut self, what: &str) -> Result<String, DbError> {
+        let n = self.num(4, what)? as usize;
+        let at = self.at;
+        let bytes = self.take(n, 1, what)?.to_vec();
+        String::from_utf8(bytes)
+            .map_err(|e| self.fail(at + e.utf8_error().valid_up_to(), "not UTF-8"))
+    }
+
+    /// A column type, by its number.
+    pub(crate) fn dtype(&mut self) -> Result<DataType, DbError> {
+        let at = self.at;
+        let dtype = TYPES.get(self.num(1, "column type")? as usize);
+        dtype
+            .copied()
+            .ok_or_else(|| self.fail(at, "unknown column type"))
+    }
+}

@@ -222,6 +222,19 @@ impl<T: Clone, const N: usize> Chunked<T, N> {
     }
 }
 
+impl<T: Clone, const N: usize> Chunked<T, N> {
+    /// `cells`, chunked: a vector shorter than a chunk is the tail as it is.
+    pub(crate) fn from_vec(cells: Vec<T>) -> Self {
+        match cells.len() < N {
+            true => Chunked {
+                full: Vec::new(),
+                tail: cells,
+            },
+            false => cells.into_iter().collect(),
+        }
+    }
+}
+
 impl<T: Clone, const N: usize> FromIterator<T> for Chunked<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(cells: I) -> Self {
         let mut out = Chunked::default();
@@ -252,7 +265,7 @@ impl NullBitmap {
     /// The bitmap of `len` rows whose words are `words`, `⌈len/64⌉` of them
     /// with no bit set past row `len`.
     pub(crate) fn from_words(words: impl IntoIterator<Item = u64>, len: usize) -> NullBitmap {
-        let words: Chunked<u64, CHUNK_WORDS> = words.into_iter().collect();
+        let words = Chunked::<u64, CHUNK_WORDS>::from_vec(words.into_iter().collect());
         debug_assert_eq!(words.len(), len.div_ceil(64));
         let nulls = words
             .chunks()
@@ -483,6 +496,17 @@ impl ColumnVec {
                 nulls,
             },
             DataType::Text => ColumnVec::Text(DictColumn::default()),
+        }
+    }
+
+    /// The type of this column.
+    pub(crate) fn dtype(&self) -> DataType {
+        match self {
+            ColumnVec::Int { .. } => DataType::Int,
+            ColumnVec::Float { .. } => DataType::Float,
+            ColumnVec::Bool { .. } => DataType::Bool,
+            ColumnVec::Timestamp { .. } => DataType::Timestamp,
+            ColumnVec::Text(_) => DataType::Text,
         }
     }
 

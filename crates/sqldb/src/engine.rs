@@ -1,11 +1,13 @@
 //! The engine: catalog of tables plus the SQL entry points.
 #![warn(missing_docs)]
 
+use crate::codec::{self, Origin};
 use crate::column::ColumnStore;
 use crate::compile::compile;
 use crate::dump;
 use crate::error::DbError;
 use crate::exec;
+use crate::record::{self, FrameRef, Record};
 use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
 use crate::sql::{self, SelectStmt, SqlExpr, Stmt, ValueCell};
@@ -13,7 +15,7 @@ use crate::sync::{Mutex, RwLock};
 use crate::table::{batch_of_rows, BatchBuilder, Row, Table};
 use crate::txn::Transaction;
 use crate::value::{Value, ValueRef};
-use crate::wal::{IoFailpoint, RecoveryReport, UnitReader, Wal, WalOptions};
+use crate::wal::{IoFailpoint, RecoveryReport, Wal, WalOptions};
 use crate::TableMemory;
 use std::collections::HashMap;
 use std::path::Path;
@@ -280,13 +282,13 @@ impl Engine {
         let mut wal = self.wal.lock();
         let text = if wal.is_some() { text } else { Text::Unwanted };
         let slot = self.tables.read().get(name).cloned();
-        let (change, text) = {
+        let (change, record) = {
             let view = slot.as_ref().map(|slot| slot.read());
             let view = view.as_deref().map(|version| &**version);
             plan(name, ask, view, text)?
         };
         let rows = change.rows();
-        let log = text.into_iter().collect();
+        let log = record.into_iter().collect();
         self.publish(&mut wal, None, &mut [(name, change)], log)?;
         Ok(rows)
     }
@@ -295,8 +297,8 @@ impl Engine {
     /// lock, held by the caller since before `work` was planned (a
     /// transaction plans earlier, against versions it pinned: `pins`, and
     /// first-writer-wins decides here whether they are still current). In
-    /// this order: the conflict check; `log` — the text of the changes the
-    /// log carries, empty on replay — appended as one unit
+    /// this order: the conflict check; `log` — the records of the changes
+    /// the log carries, empty on replay — appended as one unit
     /// ([`Wal::append_batch`]); the commit gate; every change taken out of
     /// `work` and applied — a version swapped in or removed, rows changed in
     /// place through [`cow`]; one epoch tick. An error leaves the log, the
@@ -308,7 +310,7 @@ impl Engine {
         wal: &mut Option<Wal>,
         mut pins: Option<HashMap<String, Arc<Table>>>,
         work: &mut [(&str, Change)],
-        log: Vec<String>,
+        log: Vec<Vec<u8>>,
     ) -> Result<(), DbError> {
         if let Some(pins) = &pins {
             let tables = self.tables.read();
@@ -473,7 +475,7 @@ impl Engine {
         &self,
         pins: HashMap<String, Arc<Table>>,
         work: HashMap<String, Change>,
-        log: Vec<String>,
+        log: Vec<Vec<u8>>,
     ) -> Result<(), DbError> {
         if !work.is_empty() || !log.is_empty() {
             let (names, changes): (Vec<String>, Vec<Change>) = work.into_iter().unzip();
@@ -557,9 +559,9 @@ impl Engine {
     }
 
     /// Execute a non-SELECT statement; returns the number of affected rows
-    /// (0 for DDL). With a WAL attached, an accepted statement is logged (raw
-    /// SQL text) before it is applied; a rejected one leaves no frame, no
-    /// effect and no epoch tick.
+    /// (0 for DDL). With a WAL attached, an accepted statement is logged (as
+    /// the record `plan` makes of it) before it is applied; a rejected one
+    /// leaves no frame, no effect and no epoch tick.
     pub fn execute(&self, sql_text: &str) -> Result<usize, DbError> {
         let parse_started = Instant::now();
         let stmt = sql::parse_statement(sql_text)?;
@@ -769,30 +771,79 @@ impl Engine {
         compacted
     }
 
-    /// Replay recovered WAL statements without re-logging them; returns
-    /// how many failed (a log written before rejected statements stopped
-    /// being logged holds frames that fail on every replay, as they failed
-    /// in the original run).
-    pub(crate) fn replay_unlogged(&self, statements: &[String]) -> u64 {
-        let replay = |text: &String| self.run_parsed(sql::parse_statement(text)?, Text::Unwanted);
-        statements.iter().filter(|s| replay(s).is_err()).count() as u64
+    /// Replay one unit of log frames — records — without logging them
+    /// again; returns how many failed. A frame fails when its record does
+    /// not decode, when an `Insert`'s batch does not fit the live table, or
+    /// when its statement fails: a log written before rejected statements
+    /// stopped being logged holds frames that fail on every replay, as they
+    /// failed in the original run. Recovery, replica apply and promotion all
+    /// replay through here.
+    pub(crate) fn replay_unlogged(&self, unit: &[FrameRef<'_>]) -> u64 {
+        unit.iter().filter(|f| self.replay(**f).is_err()).count() as u64
     }
 
-    /// Replay the frames [`Wal::open_recover_from`] kept, unit by unit
-    /// and unlogged, behind the `report.frames_skipped` of them that the
-    /// checkpoint dump already reflects (a checkpoint holds the WAL mutex
-    /// across dump + compact, and a unit's frames are appended under one
-    /// hold, so the boundary never lands inside a group). Updates `report`
-    /// with the replay/error/discard split.
-    pub(crate) fn recover_replay(&self, frames: Vec<String>, report: &mut RecoveryReport) {
-        let mut reader = UnitReader::default();
-        let frames = frames.into_iter().skip(report.frames_skipped as usize);
-        report.frames_replayed = 0;
-        for unit in frames.filter_map(|frame| reader.push(frame)) {
-            report.frames_replayed += unit.len() as u64;
-            report.replay_errors += self.replay_unlogged(&unit);
+    /// Replay one record: an `Insert`'s batch is published as it is, after
+    /// the check [`fits`] makes; every other record goes through [`plan`].
+    fn replay(&self, frame: FrameRef<'_>) -> Result<(), DbError> {
+        match record::decode(frame)? {
+            Record::Insert { name, batch } => {
+                let mut wal = self.wal.lock();
+                fits(&self.pin_table(name)?.schema, &batch)
+                    .map_err(|why| codec::fail(Origin::Frame(frame.seq), frame.at, why))?;
+                let work = &mut [(name, Change::Append(batch))];
+                self.publish(&mut wal, None, work, Vec::new())
+            }
+            Record::CreateTable {
+                name,
+                schema,
+                if_not_exists,
+            } => {
+                let ask = Ask::CreateTable {
+                    schema,
+                    if_not_exists,
+                };
+                self.write(name, ask, Text::Unwanted).map(drop)
+            }
+            Record::Sql(text) => {
+                obs::incr(obs::Counter::WalReplayParsed);
+                self.run_parsed(sql::parse_statement(text)?, Text::Unwanted)
+                    .map(drop)
+            }
+            // The unit reader keeps the markers out of every unit.
+            Record::Begin | Record::Commit => Ok(()),
         }
-        report.txn_frames_discarded += reader.abandon();
+    }
+
+    /// Recover this engine — restored from the checkpoint at `dump_path`,
+    /// stamped `ckpt_seq`, or empty — from the log at `wal_path` and attach
+    /// the log: the one recovery of [`Engine::open_durable`] and
+    /// [`crate::cluster::Cluster::attach_wal_dir_with`]. The log is replayed
+    /// as it is read, unit by unit and unlogged, behind the frames below
+    /// the stamp, which the checkpoint already reflects (a checkpoint holds
+    /// the WAL mutex across dump + compact, and a unit's frames are appended
+    /// under one hold, so the boundary never lands inside a group). A
+    /// version-1 log that held frames is converted here, once: a checkpoint
+    /// right after its replay writes the typed file and leaves a version-2
+    /// log.
+    pub(crate) fn recover(
+        &self,
+        dump_path: &Path,
+        wal_path: &Path,
+        opts: WalOptions,
+        ckpt_seq: u64,
+    ) -> Result<RecoveryReport, DbError> {
+        let mut errors = 0;
+        let (wal, mut report) =
+            Wal::open_recover_with(wal_path, opts, ckpt_seq.max(1), |_, unit| {
+                errors += self.replay_unlogged(unit)
+            })?;
+        report.replay_errors = errors;
+        let convert = wal.holds_text_frames();
+        self.attach_wal(wal);
+        if convert {
+            self.checkpoint(dump_path)?;
+        }
+        Ok(report)
     }
 
     /// Open a database durably: load the last checkpoint dump from
@@ -806,7 +857,9 @@ impl Engine {
     /// replayed — see [`Engine::checkpoint`]. Statements that fail on
     /// replay (an older build logged a statement before it knew whether it
     /// would apply) are counted, not fatal — they failed identically in the
-    /// original run, so the recovered state still matches.
+    /// original run, so the recovered state still matches. A version-1 log
+    /// (SQL text frames, which builds before the typed log record wrote)
+    /// that holds frames is checkpointed right after its replay.
     pub fn open_durable(
         dump_path: &Path,
         wal_path: &Path,
@@ -817,11 +870,31 @@ impl Engine {
             true => engine.restore(dump_path)?.unwrap_or(0),
             false => 0,
         };
-        let (wal, statements, mut report) =
-            Wal::open_recover_from(wal_path, opts, ckpt_seq.max(1))?;
-        engine.recover_replay(statements, &mut report);
-        engine.attach_wal(wal);
+        let report = engine.recover(dump_path, wal_path, opts, ckpt_seq)?;
         Ok((engine, report))
+    }
+}
+
+/// Does a logged batch fit a table under `schema`: columns of the same
+/// types in the same order, and no NULL in a NOT NULL column? (Its TEXT
+/// codes were checked when it was decoded.)
+fn fits(schema: &Schema, batch: &ColumnStore) -> Result<(), String> {
+    let types = (0..batch.arity()).map(|k| batch.col(k).dtype());
+    if !schema.columns.iter().map(|c| c.dtype).eq(types.clone()) {
+        return Err(format!(
+            "a batch of column types {:?} for a table of {:?}",
+            types.collect::<Vec<_>>(),
+            schema.columns.iter().map(|c| c.dtype).collect::<Vec<_>>()
+        ));
+    }
+    let null = (0..batch.arity())
+        .find(|&k| !schema.columns[k].nullable && batch.col(k).nulls().null_count() > 0);
+    match null {
+        Some(k) => Err(format!(
+            "NULL in NOT NULL column {}",
+            schema.columns[k].name
+        )),
+        None => Ok(()),
     }
 }
 
@@ -947,7 +1020,8 @@ impl Ask {
     }
 }
 
-/// Where the log text of a write comes from.
+/// Whether a write's record is wanted, and where the text of a statement
+/// the log carries as SQL comes from.
 #[derive(Clone, Copy)]
 pub(crate) enum Text<'a> {
     /// The statement as its author wrote it.
@@ -1029,26 +1103,27 @@ impl Change {
 
 /// Plan one write — the only place statement semantics live. `view` is the
 /// version of table `name` the write sees (`None`: no such table). Answers
-/// the [`Change`] and the text the log carries for it, or the error:
+/// the [`Change`] and the record the log carries for it, or the error:
 /// everything that can reject the write does so here, before anything is
-/// logged or changed. The text is `None` for the no-ops the log skips and
-/// when none is wanted.
+/// logged or changed. An INSERT's record is the batch it appends, a CREATE
+/// TABLE's its schema, every other statement's its SQL text. The record is
+/// `None` for the no-ops the log skips and when none is wanted.
 pub(crate) fn plan(
     name: &str,
     ask: Ask,
     view: Option<&Table>,
     text: Text<'_>,
-) -> Result<(Change, Option<String>), DbError> {
-    let render = matches!(text, Text::Render);
-    let mut rendered = None;
+) -> Result<(Change, Option<Vec<u8>>), DbError> {
+    let wanted = !matches!(text, Text::Unwanted);
+    let mut record = None;
     let table = || view.ok_or_else(|| DbError::NoSuchTable(name.to_string()));
-    // An INSERT's batch; its text, rendered, by the writer of the dump.
+    // An INSERT's batch, and its record.
     let mut appended = |batch: ColumnStore| {
         if batch.len() == 0 {
             return Change::Nothing { logged: false };
         }
-        if render {
-            dump::write_rows(rendered.insert(String::new()), name, &batch, 0..batch.len());
+        if wanted {
+            record = Some(record::insert_record(name, &batch));
         }
         Change::Append(batch)
     };
@@ -1057,9 +1132,8 @@ pub(crate) fn plan(
             schema,
             if_not_exists,
         } => {
-            if render {
-                let out = rendered.insert(String::new());
-                dump::write_create_table(out, name, &schema, if_not_exists);
+            if wanted {
+                record = Some(record::create_table_record(name, &schema, if_not_exists));
             }
             match view {
                 None => Change::Version(Arc::new(Table::new(schema))),
@@ -1069,10 +1143,10 @@ pub(crate) fn plan(
         }
         Ask::DropTable { if_exists } => match view {
             Some(_) => {
-                if render {
+                record = sql_record(text, || {
                     let if_exists = if if_exists { "IF EXISTS " } else { "" };
-                    rendered = Some(format!("DROP TABLE {if_exists}{name}"));
-                }
+                    format!("DROP TABLE {if_exists}{name}")
+                });
                 Change::Drop
             }
             None if if_exists => Change::Nothing { logged: false },
@@ -1084,6 +1158,7 @@ pub(crate) fn plan(
         Ask::InsertRows(rows) => appended(batch_of_rows(&table()?.schema, &rows)?),
         Ask::Update { sets, where_clause } => {
             let plan = plan_update(table()?, sets, where_clause)?;
+            record = source_record(text);
             if plan.positions.is_empty() {
                 Change::Nothing { logged: true }
             } else {
@@ -1092,6 +1167,7 @@ pub(crate) fn plan(
         }
         Ask::Delete { where_clause } => {
             let positions = selected(table()?, where_clause.as_ref())?;
+            record = source_record(text);
             if positions.is_empty() {
                 Change::Nothing { logged: true }
             } else {
@@ -1106,32 +1182,45 @@ pub(crate) fn plan(
         } => match table()?.plan_index(&index, &column, ordered) {
             Ok(None) => Change::Nothing { logged: false },
             Ok(Some(at)) => {
-                if render {
-                    // With IF NOT EXISTS, so that a replay over a checkpoint
-                    // that already holds the index stays a no-op.
+                // Rendered with IF NOT EXISTS, so that a replay over a
+                // checkpoint that already holds the index stays a no-op.
+                record = sql_record(text, || {
                     let kind = if ordered { "ORDERED " } else { "" };
-                    rendered = Some(format!(
-                        "CREATE {kind}INDEX IF NOT EXISTS {index} ON {name} ({column})"
-                    ));
-                }
+                    format!("CREATE {kind}INDEX IF NOT EXISTS {index} ON {name} ({column})")
+                });
                 Change::Index {
                     name: index,
                     column: at,
                     ordered,
                 }
             }
-            Err(DbError::Execution(_)) if if_not_exists => Change::Nothing { logged: true },
+            Err(DbError::Execution(_)) if if_not_exists => {
+                record = source_record(text);
+                Change::Nothing { logged: true }
+            }
             Err(e) => return Err(e),
         },
     };
     // The one decision of what the log carries.
     let logged = !matches!(change, Change::Nothing { logged: false });
-    let text = match text {
-        Text::Source(sql) if logged => Some(sql.to_string()),
-        Text::Render if logged => rendered,
+    Ok((change, record.filter(|_| logged)))
+}
+
+/// The `Sql` record of a write the log carries as text: its source, or for
+/// a programmatic call the text `render` gives; `None` when none is wanted.
+fn sql_record(text: Text<'_>, render: impl FnOnce() -> String) -> Option<Vec<u8>> {
+    match text {
+        Text::Render => Some(record::sql_record(&render())),
+        _ => source_record(text),
+    }
+}
+
+/// The `Sql` record of a write only SQL text asks for: its source.
+fn source_record(text: Text<'_>) -> Option<Vec<u8>> {
+    match text {
+        Text::Source(sql) => Some(record::sql_record(sql)),
         _ => None,
-    };
-    Ok((change, text))
+    }
 }
 
 /// The batch `INSERT … [(columns)] VALUES values` appends to a table under

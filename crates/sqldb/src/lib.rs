@@ -60,6 +60,7 @@
 pub mod aggregate;
 mod checkpoint;
 pub mod cluster;
+mod codec;
 mod column;
 mod compile;
 mod dump;
@@ -67,6 +68,7 @@ mod engine;
 mod error;
 mod exec;
 pub mod expr;
+mod record;
 pub mod repl;
 mod schema;
 mod snapshot;
@@ -80,13 +82,14 @@ pub mod wal;
 pub use column::{Cell, TableMemory};
 pub use engine::{Engine, ResultSet};
 pub use error::DbError;
+pub use record::sql_record;
 pub use repl::{Promotion, ReplOptions, ReplReport, Replicator};
 pub use schema::{Column, Schema};
 pub use snapshot::Snapshot;
 pub use table::Table;
 pub use txn::Transaction;
 pub use value::{format_timestamp, parse_timestamp, DataType, Value, ValueKey};
-pub use wal::{FrameTap, IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
+pub use wal::{FrameTap, Frames, IoFailpoint, RecoveryReport, SyncPolicy, Wal, WalOptions};
 
 /// The helpers of the suites under `tests/` (the seeded generator, a SELECT
 /// parsed to a value, the oracle executor), for the unit tests too — which is

@@ -49,6 +49,7 @@
 
 use crate::cluster::Cluster;
 use crate::error::DbError;
+use crate::record::FrameRef;
 use crate::sync::Mutex;
 use crate::wal::{frame_crc, FrameTap, IoFailpoint, UnitReader};
 use std::collections::HashMap;
@@ -94,12 +95,12 @@ pub fn replica_nodes(primary: usize, nodes: usize, replicas: usize) -> Vec<usize
 }
 
 /// One in-flight replication frame: the WAL frame's sequence number, its
-/// stored CRC (re-verified on every hop), and the statement payload.
+/// stored CRC (re-verified on every hop), and its payload — the record.
 #[derive(Debug, Clone)]
 struct Frame {
     seq: u64,
     crc: u32,
-    stmt: String,
+    record: Vec<u8>,
 }
 
 /// Per-replica shipping state, owned by the primary's [`ShipStream`].
@@ -113,7 +114,7 @@ struct ReplicaState {
     /// two shipments is a transaction this replica shows nothing of, and
     /// `applied_seq` stays below it — the replica fails the freshness gate
     /// until the group commits.
-    reader: Mutex<UnitReader<String>>,
+    reader: Mutex<UnitReader<Frame>>,
     /// Highest sequence number shipped to this replica.
     shipped_seq: AtomicU64,
     /// Highest sequence number applied on this replica's engine.
@@ -130,6 +131,10 @@ pub struct ReplReport {
     /// Shipped frames applied on replica engines (including promotion
     /// tail replays).
     pub frames_applied: u64,
+    /// Shipped statements that failed on a replica — counted, not fatal. A
+    /// primary ships only what it applied, so each one is a replica that no
+    /// longer matches its primary.
+    pub apply_errors: u64,
     /// Shard reads routed to a replica.
     pub replica_reads: u64,
     /// Shard reads served by the primary.
@@ -167,6 +172,7 @@ pub struct ShipStream {
     // Report totals (always on, unlike obs counters).
     frames_shipped: AtomicU64,
     frames_applied: AtomicU64,
+    apply_errors: AtomicU64,
     replica_reads: AtomicU64,
     primary_reads: AtomicU64,
     stale_fallbacks: AtomicU64,
@@ -212,6 +218,7 @@ impl ShipStream {
             degraded: AtomicBool::new(false),
             frames_shipped: AtomicU64::new(0),
             frames_applied: AtomicU64::new(0),
+            apply_errors: AtomicU64::new(0),
             replica_reads: AtomicU64::new(0),
             primary_reads: AtomicU64::new(0),
             stale_fallbacks: AtomicU64::new(0),
@@ -250,7 +257,7 @@ impl ShipStream {
                 killed = Some(e);
                 break;
             }
-            if frame_crc(frame.seq, frame.stmt.as_bytes()) != frame.crc {
+            if frame_crc(frame.seq, &frame.record) != frame.crc {
                 killed = Some(DbError::Io(format!(
                     "replication frame {} failed CRC re-verification",
                     frame.seq
@@ -301,9 +308,10 @@ impl ShipStream {
 
     /// Apply `r`'s shipped-but-unapplied frames, unit by unit, through the
     /// unlogged replay path; returns the statements applied. Statement
-    /// errors are tolerated exactly like WAL recovery tolerates them
-    /// (counted, not fatal); a primary ships none of its own making — it
-    /// logs no statement it rejects. In a promotion, `promoting` is the
+    /// errors are tolerated exactly like WAL recovery tolerates them —
+    /// counted in `apply_errors`, not fatal; a primary ships none of its own
+    /// making — it logs no statement it rejects — so each one is a replica
+    /// that no longer matches its primary. In a promotion, `promoting` is the
     /// replica node's failpoint: every frame passes its mid-promotion kill
     /// point and a CRC check first.
     fn apply_inbox(
@@ -319,16 +327,26 @@ impl ShipStream {
         for frame in frames {
             if let Some(fp) = promoting {
                 fp.admit_promotion()?;
-                if frame_crc(frame.seq, frame.stmt.as_bytes()) != frame.crc {
+                if frame_crc(frame.seq, &frame.record) != frame.crc {
                     return Err(DbError::Io(format!(
                         "promotion tail frame {} failed CRC re-verification",
                         frame.seq
                     )));
                 }
             }
-            if let Some(unit) = reader.push(frame.stmt) {
-                engine.replay_unlogged(&unit);
-                r.applied_seq.store(frame.seq, Ordering::SeqCst);
+            let seq = frame.seq;
+            if let Some(unit) = reader.push(frame.record.first().copied(), frame) {
+                // A shipped frame has no place in a file: its byte offsets
+                // count from the start of its record.
+                let records = unit.iter().map(|f| FrameRef {
+                    seq: f.seq,
+                    at: 0,
+                    payload: &f.record,
+                });
+                let errors = engine.replay_unlogged(&records.collect::<Vec<_>>());
+                self.apply_errors.fetch_add(errors, Ordering::Relaxed);
+                obs::add(obs::Counter::ReplApplyErrors, errors);
+                r.applied_seq.store(seq, Ordering::SeqCst);
                 let n = unit.len() as u64;
                 self.frames_applied.fetch_add(n, Ordering::Relaxed);
                 obs::add(obs::Counter::ReplFramesApplied, n);
@@ -404,14 +422,14 @@ impl ShipStream {
 }
 
 impl FrameTap for ShipStream {
-    fn on_frame(&self, seq: u64, crc: u32, stmt: &str) -> Result<(), DbError> {
+    fn on_frame(&self, seq: u64, crc: u32, record: &[u8]) -> Result<(), DbError> {
         self.last_seq.store(seq, Ordering::SeqCst);
         let lag = {
             let mut pending = self.pending.lock();
             pending.push(Frame {
                 seq,
                 crc,
-                stmt: stmt.to_string(),
+                record: record.to_vec(),
             });
             pending.len()
         };
@@ -605,6 +623,7 @@ impl Replicator {
         for stream in self.streams.values() {
             rep.frames_shipped += stream.frames_shipped.load(Ordering::Relaxed);
             rep.frames_applied += stream.frames_applied.load(Ordering::Relaxed);
+            rep.apply_errors += stream.apply_errors.load(Ordering::Relaxed);
             rep.replica_reads += stream.replica_reads.load(Ordering::Relaxed);
             rep.primary_reads += stream.primary_reads.load(Ordering::Relaxed);
             rep.stale_fallbacks += stream.stale_fallbacks.load(Ordering::Relaxed);
@@ -708,6 +727,30 @@ mod tests {
         primary.wal_sync().unwrap();
         let (_, shipped) = cluster.node(2).engine.read_snapshot("t").unwrap();
         assert_eq!(shipped, rows);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A replica that no longer matches its primary — a table dropped on
+    /// it behind the stream's back — fails the shipped write it cannot
+    /// apply: the report counts it, and `applied_seq` still moves past it.
+    #[test]
+    fn a_shipped_write_the_replica_cannot_apply_is_counted() {
+        let dir = std::env::temp_dir().join("perfbase_repl_unit_apply_errors");
+        let cluster = wal_cluster(&dir, 4);
+        let repl = Replicator::attach(&cluster, ReplOptions::default());
+        let primary = &cluster.node(1).engine;
+        primary.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        primary.wal_sync().unwrap();
+        assert_eq!(repl.report().apply_errors, 0);
+        let counted = obs::get(obs::Counter::ReplApplyErrors);
+        cluster.node(2).engine.drop_table("t", false).unwrap();
+        primary.execute("INSERT INTO t VALUES (1)").unwrap();
+        primary.wal_sync().unwrap();
+        assert_eq!(repl.report().apply_errors, 1);
+        assert!(obs::get(obs::Counter::ReplApplyErrors) > counted);
+        let (shipped, applied) = repl.stream(1).unwrap().replica_progress(2).unwrap();
+        assert_eq!(shipped, applied, "applied_seq moves past the failed frame");
+        repl.detach(&cluster);
         std::fs::remove_dir_all(&dir).ok();
     }
 

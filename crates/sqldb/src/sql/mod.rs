@@ -119,7 +119,7 @@ pub(crate) mod corpus {
         drop(log);
         std::fs::remove_file(&wal).ok();
         assert_eq!(frames.len(), 14, "fixture frames");
-        out.extend(frames);
+        out.extend(frames.statements());
         out.push(campaign_dump(60));
         out
     }

@@ -65,9 +65,9 @@ pub struct Transaction {
     /// only statements without effect ran against. Every entry joins the
     /// first-writer-wins check.
     work: HashMap<String, Change>,
-    /// The texts of the accepted statements the log carries, in execution
+    /// The records of the accepted statements the log carries, in execution
     /// order — the transaction's WAL frame group.
-    log: Vec<String>,
+    log: Vec<Vec<u8>>,
     /// Telemetry class of the last statement in `log`. The commit's log
     /// traffic is accounted to it, as an autocommit writer's is to the
     /// statement whose append pays the fsync.
@@ -173,7 +173,7 @@ impl Transaction {
 
     /// One write against the workspace: planned by the engine's [`plan`]
     /// against this transaction's view of `name`, then folded into the net
-    /// change COMMIT publishes, its text (if the log carries it) buffered.
+    /// change COMMIT publishes, its record (if the log carries it) buffered.
     /// A rejected write leaves no trace.
     fn write(
         &mut self,
@@ -187,13 +187,13 @@ impl Transaction {
             Ask::Update { .. } | Ask::Delete { .. } => self.view(name)?,
             _ => self.shape(name)?.cloned(),
         };
-        let (change, text) = plan(name, ask, view.as_deref(), text)?;
+        let (change, record) = plan(name, ask, view.as_deref(), text)?;
         // The private copy is made from a sole owner.
         drop(view);
         let rows = change.rows();
-        if let Some(text) = text {
+        if let Some(record) = record {
             self.class = class;
-            self.log.push(text);
+            self.log.push(record);
         }
         match (change, self.work.get_mut(name)) {
             // What the log carries ran against one version of the table:
@@ -240,14 +240,15 @@ impl Transaction {
     }
 
     /// Insert pre-built rows (the programmatic mirror of an INSERT
-    /// statement; logged as rendered SQL, like [`Engine::insert_rows`]).
+    /// statement; logged as the batch it appends, like
+    /// [`Engine::insert_rows`]).
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize, DbError> {
         let ask = Ask::InsertRows(rows);
         self.write(name, ask, Text::Render, obs::StmtClass::Insert)
     }
 
-    /// Create a table (programmatic mirror of `CREATE TABLE`; logged as
-    /// rendered SQL, like [`Engine::create_table`]).
+    /// Create a table (programmatic mirror of `CREATE TABLE`; logged as its
+    /// schema, like [`Engine::create_table`]).
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
         let ask = Ask::CreateTable {
             schema,

@@ -9,7 +9,14 @@
 //! [ len: u32 LE | seq: u64 LE | crc32: u32 LE | payload (len bytes) ]
 //! ```
 //!
-//! and appended to the log *before* the engine applies it. The CRC covers
+//! and appended to the log *before* the engine applies it. A payload is a
+//! *record* (see `record.rs`): a tag byte and its body — the typed batch an
+//! INSERT appends, a typed CREATE TABLE, the SQL text of any other statement,
+//! or a group marker. That is the format of header version 2; a version-1
+//! log, whose payloads are SQL text, is still read, its text frames taken as
+//! the records they stand for, but never appended to: the durable open that
+//! finds one holding frames checkpoints right after the replay, and the
+//! compaction leaves a version-2 log. The CRC covers
 //! the sequence number and the payload, so a frame that was torn by a
 //! crash, bit-flipped, or mis-positioned never validates. On open,
 //! recovery scans the log from the last checkpoint, reads the valid frames
@@ -36,6 +43,7 @@
 #![warn(missing_docs)]
 
 use crate::error::DbError;
+use crate::record::{self, FrameRef};
 use crate::sync::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -46,8 +54,10 @@ use std::time::{Duration, Instant};
 
 /// Magic bytes opening every WAL file.
 const MAGIC: &[u8; 4] = b"PBWL";
-/// On-disk format version.
-const VERSION: u32 = 1;
+/// The format version this build writes: every payload a record.
+const VERSION: u32 = 2;
+/// The format version whose payloads are SQL text: read, never appended to.
+const TEXT_VERSION: u32 = 1;
 /// Header: magic (4) + version (4) + start_seq (8).
 const HEADER_LEN: u64 = 16;
 /// Frame header: len (4) + seq (8) + crc (4).
@@ -56,16 +66,6 @@ const FRAME_HEADER_LEN: usize = 16;
 /// as a corrupt length field rather than attempting the allocation. (1 MiB
 /// under `cfg(test)` so the crate's unit tests can trip it cheaply.)
 const MAX_PAYLOAD: u32 = if cfg!(test) { 1 << 20 } else { 256 << 20 };
-
-/// Frame payload opening the frame group of a unit of more than one
-/// statement.
-///
-/// Collision-safe as a payload: [`Wal::append`] and [`Wal::append_batch`]
-/// refuse a statement equal to either marker, so only `append_batch`'s own
-/// framing emits these exact payloads — and only [`UnitReader`] reads them.
-const TXN_BEGIN_MARKER: &str = "--TXN BEGIN";
-/// Frame payload sealing a frame group.
-const TXN_COMMIT_MARKER: &str = "--TXN COMMIT";
 
 /// The one reader of a log: frames in, whole units out. A unit is what
 /// applies together or not at all — one statement, or the statements
@@ -90,19 +90,21 @@ impl<F> Default for UnitReader<F> {
     }
 }
 
-impl<F: AsRef<str>> UnitReader<F> {
-    /// Read the next frame; returns the unit it completes, if it completes
-    /// one. A stray commit marker completes a unit of no statements.
-    pub(crate) fn push(&mut self, frame: F) -> Option<Vec<F>> {
-        match frame.as_ref() {
-            TXN_BEGIN_MARKER => {
+impl<F> UnitReader<F> {
+    /// Read the next frame, whose record opens with the tag byte `tag`
+    /// (`None`: an empty record); returns the unit it completes, if it
+    /// completes one. A stray commit marker completes a unit of no
+    /// statements.
+    pub(crate) fn push(&mut self, tag: Option<u8>, frame: F) -> Option<Vec<F>> {
+        match tag {
+            Some(record::BEGIN) => {
                 // A begin inside an open group: the older group never
                 // committed.
                 self.abandon();
                 self.open = Some(Vec::new());
                 None
             }
-            TXN_COMMIT_MARKER => Some(self.open.take().unwrap_or_else(|| {
+            Some(record::COMMIT) => Some(self.open.take().unwrap_or_else(|| {
                 self.discarded += 1;
                 Vec::new()
             })),
@@ -557,6 +559,72 @@ pub struct Wal {
     /// (a torn frame, or an unterminated frame group): every later append
     /// is refused, so nothing is acked into a tail recovery discards.
     poisoned: bool,
+    /// The file is a version-1 log holding frames: it takes no append until
+    /// a compaction rewrites it as a version-2 log.
+    text_frames: bool,
+}
+
+/// The frames recovery kept, in order, markers included: each frame's
+/// sequence number, where its payload starts in the log file, and its
+/// record (a version-1 frame's text as the record it stands for).
+#[derive(Debug, Default)]
+pub struct Frames {
+    /// The bytes the records are in: the log file itself, or for a
+    /// version-1 log the records its text frames stand for.
+    bytes: Vec<u8>,
+    /// Per frame: sequence number, file offset of its payload, and where its
+    /// record is in `bytes`.
+    spans: Vec<(u64, usize, std::ops::Range<usize>)>,
+}
+
+impl Frames {
+    /// How many frames there are.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Are there none?
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The `k`th frame.
+    fn get(&self, k: usize) -> FrameRef<'_> {
+        let (seq, at, range) = &self.spans[k];
+        FrameRef {
+            seq: *seq,
+            at: *at,
+            payload: &self.bytes[range.clone()],
+        }
+    }
+
+    /// The frames, in order.
+    fn iter(&self) -> impl Iterator<Item = FrameRef<'_>> {
+        (0..self.len()).map(|k| self.get(k))
+    }
+
+    /// Add a frame behind the last; returns its position.
+    fn push(&mut self, frame: FrameRef<'_>) -> usize {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(frame.payload);
+        self.spans.push((frame.seq, frame.at, at..self.bytes.len()));
+        self.spans.len() - 1
+    }
+
+    /// Drop every frame.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+    }
+
+    /// Each frame as the SQL text it stands for: a statement, an INSERT's
+    /// rows as the dump writes them, a marker as `--TXN BEGIN` or `--TXN
+    /// COMMIT`, a record that does not decode as `-- ` and its error. For
+    /// reading a log by hand — the tests' view of what was logged, and a
+    /// log's inspection from outside the engine — not for replaying one.
+    pub fn statements(&self) -> Vec<String> {
+        self.iter().map(record::to_sql).collect()
+    }
 }
 
 impl std::fmt::Debug for Wal {
@@ -583,10 +651,10 @@ impl std::fmt::Debug for Wal {
 /// are dropped from the segment — the tap's last chance to ship them.
 /// Errors from any hook abort the surrounding operation.
 pub trait FrameTap: Send + Sync {
-    /// A frame reached the log file. `crc` is the frame's stored
-    /// `frame_crc(seq, payload)`, so a shipping tap can forward and
-    /// re-verify it without re-hashing.
-    fn on_frame(&self, seq: u64, crc: u32, stmt: &str) -> Result<(), DbError>;
+    /// A frame reached the log file. `record` is its payload and `crc` the
+    /// frame's stored `frame_crc(seq, record)`, so a shipping tap can
+    /// forward and re-verify it without re-hashing.
+    fn on_frame(&self, seq: u64, crc: u32, record: &[u8]) -> Result<(), DbError>;
 
     /// The written tail was just fsynced — every frame passed to
     /// [`FrameTap::on_frame`] so far is durable on the primary.
@@ -632,38 +700,66 @@ impl Wal {
             frames: 0,
             tap: None,
             poisoned: false,
+            text_frames: false,
         })
     }
 
     /// Open (or create) the log at `path`, scan and validate every frame,
     /// cut the file where its last whole unit ends — a torn frame and an
     /// unterminated frame group are both a torn tail — and return the log
-    /// positioned for appending plus the payloads of the frames kept, in
-    /// order, markers included. The caller replays them (as units: see
-    /// `Engine::recover_replay`) *before* attaching the log, so the replay
-    /// itself is not re-logged.
+    /// positioned for appending plus the frames kept, in order, markers
+    /// included. Nothing is replayed: this is the log without a checkpoint
+    /// (the durable open replays it as it reads it, see `Engine::recover`),
+    /// and its report's `frames_replayed` counts every frame kept. A
+    /// version-1 log that holds frames takes no append until
+    /// [`Wal::compact`]; one that holds none is rewritten as a version-2 log
+    /// here.
     pub fn open_recover(
         path: &Path,
         opts: WalOptions,
-    ) -> Result<(Wal, Vec<String>, RecoveryReport), DbError> {
-        Wal::open_recover_from(path, opts, 1)
+    ) -> Result<(Wal, Frames, RecoveryReport), DbError> {
+        let mut frames = Frames::default();
+        let (wal, mut report) = Wal::open_recover_with(path, opts, 1, |read, _| {
+            for frame in read.iter() {
+                frames.push(frame);
+            }
+        })?;
+        report.frames_replayed = frames.len() as u64;
+        Ok((wal, frames, report))
     }
 
-    /// [`Wal::open_recover`] for the log that continues a checkpoint dump
-    /// whose recorded checkpoint sequence is `floor` (1 without a dump):
-    /// every frame below `floor` is in the dump already, so the next frame
-    /// this log takes must not be numbered below it — recovery would skip it
-    /// as checkpointed, and an acknowledged write would be gone after the
-    /// next open. A log *created* here (no file, or a header torn by a crash
-    /// in `create`) therefore starts at `floor` — the dump was restored
-    /// without its log — and an existing log that ends below `floor` belongs
-    /// to some other dump and is refused, with both numbers, before anything
-    /// in it is touched.
-    pub fn open_recover_from(
+    /// The scan of [`Wal::open_recover`] for the log that continues a
+    /// checkpoint whose recorded sequence is `floor` (1 without one). It
+    /// reads the file a window at a time, never the whole of it, a
+    /// version-1 frame as the record it stands for, and reads the frames
+    /// from `floor` on as units through one [`UnitReader`]: each time a unit
+    /// closes it calls `each(read, unit)` with every frame read since the
+    /// last one closed (markers included, and the frames of a group that
+    /// never committed) and the unit's statement frames among them. The
+    /// frames below `floor` are in the checkpoint already, whatever they
+    /// are: the reader never sees them (a checkpoint never lands inside a
+    /// group of a log that was not poisoned, and a poisoned log's dead group
+    /// lies wholly below the floor of the checkpoint that cleared the
+    /// poison), and nothing is handed on of them.
+    ///
+    /// The next frame this log takes must not be numbered below `floor` —
+    /// recovery would skip it as checkpointed, and an acknowledged write
+    /// would be gone after the next open. A log *created* here (no file, or
+    /// a header torn by a crash in `create`) therefore starts at `floor` —
+    /// the checkpoint was restored without its log — and an existing log
+    /// that ends below `floor` belongs to some other checkpoint and is
+    /// refused, with both numbers, before anything in it is touched.
+    ///
+    /// The report counts, as a replay does: `frames_replayed`, the
+    /// statement frames of the units handed on; `frames_skipped`, the frames
+    /// below `floor`; `txn_frames_discarded`, every frame cut with the tail
+    /// plus every frame from `floor` on that the reader put in no unit.
+    pub(crate) fn open_recover_with(
         path: &Path,
         opts: WalOptions,
         floor: u64,
-    ) -> Result<(Wal, Vec<String>, RecoveryReport), DbError> {
+        mut each: impl FnMut(&Frames, &[FrameRef<'_>]),
+    ) -> Result<(Wal, RecoveryReport), DbError> {
         if !path.exists() {
             let wal = Wal::create(path, opts, floor)?;
             let report = RecoveryReport {
@@ -671,7 +767,7 @@ impl Wal {
                 next_seq: floor,
                 ..RecoveryReport::default()
             };
-            return Ok((wal, Vec::new(), report));
+            return Ok((wal, report));
         }
         let mut file = OpenOptions::new()
             .read(true)
@@ -680,16 +776,16 @@ impl Wal {
             .map_err(|e| io_err(path, "open", &e))?;
         let file_len = file.metadata().map_err(|e| io_err(path, "stat", &e))?.len();
         let readable = opts.failpoint.clamp_read(file_len);
-
-        let mut bytes = vec![0u8; readable as usize];
-        file.read_exact(&mut bytes)
-            .map_err(|e| io_err(path, "read", &e))?;
+        let mut window = Window::new((&file).take(readable), readable as usize);
+        let read_err = |e| io_err(path, "read", &e);
 
         // Header: malformed/foreign files are refused rather than silently
         // truncated to nothing — a wrong path should be loud.
-        if bytes.len() < HEADER_LEN as usize {
+        let header = window.peek(HEADER_LEN as usize).map_err(read_err)?;
+        if header.len() < HEADER_LEN as usize {
             // A torn header can only come from a crash during create();
             // rebuild an empty segment.
+            drop(window);
             let wal = Wal::create(path, opts, floor)?;
             let report = RecoveryReport {
                 torn_bytes: readable,
@@ -697,42 +793,71 @@ impl Wal {
                 next_seq: floor,
                 ..RecoveryReport::default()
             };
-            return Ok((wal, Vec::new(), report));
+            return Ok((wal, report));
         }
-        if &bytes[0..4] != MAGIC {
+        if &header[0..4] != MAGIC {
             return Err(DbError::Io(format!(
                 "{} is not a perfbase WAL (bad magic)",
                 path.display()
             )));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
+        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        if version != VERSION && version != TEXT_VERSION {
             return Err(DbError::Io(format!(
                 "{}: unsupported WAL version {version}",
                 path.display()
             )));
         }
-        let start_seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+        let start_seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        window.consume(HEADER_LEN as usize);
 
-        // Scan frames until the tail stops validating, reading them as
-        // units from `floor` on (a checkpoint never lands inside a group of
-        // a log that was not poisoned, and what lies below `floor` is in the
-        // dump whatever it was).
-        let mut statements = Vec::new();
-        let mut pos = HEADER_LEN as usize;
+        // Scan frames until the tail stops validating.
         let mut seq = start_seq;
         let mut reader = UnitReader::default();
+        // The frames read since the last unit closed: a group waiting for
+        // its commit marker.
+        let mut read = Frames::default();
+        // A version-1 frame's text, as the record it stands for.
+        let mut record = Vec::new();
+        // Frames read, and the statement frames of the units handed on.
+        let (mut valid, mut replayed) = (0, 0);
         // Where the last whole unit ends: offset, the sequence number after
-        // it, frames up to it.
-        let mut whole = (pos, seq, 0);
-        while let Some((payload, next)) = read_frame(&bytes, pos, seq) {
-            statements.push(payload.to_string());
-            pos = next;
+        // it, frames up to it, and the frames the reader put in no unit up
+        // to it.
+        let mut whole = (window.pos, seq, 0, 0);
+        while let Some(len) = window.frame(seq, version).map_err(read_err)? {
+            let at = window.pos + FRAME_HEADER_LEN;
+            let mut payload = &window.front(len)[FRAME_HEADER_LEN..];
+            if version == TEXT_VERSION {
+                record.clear();
+                let text = std::str::from_utf8(payload).expect("checked by Window::frame");
+                record::from_text(text, &mut record);
+                payload = &record;
+            }
+            let unit = (seq >= floor).then(|| {
+                let k = read.push(FrameRef { seq, at, payload });
+                reader.push(payload.first().copied(), k)
+            });
+            window.consume(len);
             seq += 1;
-            if seq <= floor || reader.push(payload).is_some() {
-                whole = (pos, seq, statements.len());
+            valid += 1;
+            match unit {
+                // Below `floor`: in the checkpoint already.
+                None => whole = (window.pos, seq, valid, whole.3),
+                Some(None) => {}
+                Some(Some(unit)) => {
+                    let unit: Vec<FrameRef> = unit.into_iter().map(|k| read.get(k)).collect();
+                    each(&read, &unit);
+                    replayed += unit.len() as u64;
+                    read.clear();
+                    // No group is open once a unit closes: `abandon` only
+                    // reads the count.
+                    whole = (window.pos, seq, valid, reader.abandon());
+                }
             }
         }
+        let pos = window.pos;
+        drop(window);
         if seq < floor {
             return Err(DbError::Io(format!(
                 "{}: the log ends at sequence {seq}, below checkpoint sequence {floor} of the \
@@ -744,10 +869,14 @@ impl Wal {
         // The log ends where its last whole unit ends: behind it is a torn
         // frame, an unterminated group, or both, and a frame appended behind
         // either would be lost with it at the next open.
-        let (end, seq, kept) = whole;
-        let valid = statements.len() as u64;
-        statements.truncate(kept);
-        if file_len > end as u64 {
+        let (end, seq, kept, discarded) = whole;
+        if kept == 0 && version == TEXT_VERSION {
+            // Nothing in it to read: a version-2 log from here on.
+            file.set_len(0).map_err(|e| io_err(path, "truncate", &e))?;
+            file.seek(SeekFrom::Start(0))
+                .map_err(|e| io_err(path, "seek", &e))?;
+            write_header(&mut file, path, start_seq)?;
+        } else if file_len > end as u64 {
             file.set_len(end as u64)
                 .map_err(|e| io_err(path, "truncate", &e))?;
             file.sync_all().map_err(|e| io_err(path, "sync", &e))?;
@@ -755,13 +884,12 @@ impl Wal {
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err(path, "seek", &e))?;
 
-        let kept = kept as u64;
         let report = RecoveryReport {
-            frames_replayed: kept,
+            frames_replayed: replayed,
             frames_skipped: floor.saturating_sub(start_seq).min(kept),
             torn_bytes: file_len.saturating_sub(pos as u64),
             replay_errors: 0,
-            txn_frames_discarded: valid - kept,
+            txn_frames_discarded: valid - kept + discarded,
             start_seq,
             next_seq: seq,
         };
@@ -777,18 +905,26 @@ impl Wal {
             frames: valid,
             tap: None,
             poisoned: false,
+            text_frames: version == TEXT_VERSION && kept > 0,
         };
-        Ok((wal, statements, report))
+        Ok((wal, report))
     }
 
-    /// Append one statement as a frame; returns its sequence number. The
-    /// frame is written to the log file (and synced as the policy
-    /// dictates) before this returns — the caller applies the statement to
-    /// the engine only afterwards.
-    pub fn append(&mut self, stmt: &str) -> Result<u64, DbError> {
+    /// Does this log hold version-1 (text) frames? It takes no append until
+    /// [`Wal::compact`] rewrites it.
+    pub(crate) fn holds_text_frames(&self) -> bool {
+        self.text_frames
+    }
+
+    /// Append one statement's record (see [`crate::sql_record`] for one of SQL
+    /// text) as a frame; returns its sequence number. The frame is written
+    /// to the log file (and synced as the policy dictates) before this
+    /// returns — the caller applies the statement to the engine only
+    /// afterwards.
+    pub fn append(&mut self, record: &[u8]) -> Result<u64, DbError> {
         let t_append = Instant::now();
-        check_payload(stmt)?;
-        let (seq, frame_len) = self.append_frame(stmt)?;
+        check_payload(record)?;
+        let (seq, frame_len) = self.append_frame(record)?;
         self.maybe_sync()?;
         self.opts.failpoint.clone().admit_frame();
         // Timed inclusive of any policy-driven inline fsync, so the append
@@ -805,24 +941,25 @@ impl Wal {
     /// amortization a transaction commit relies on (one fsync for the group
     /// instead of one per statement under [`SyncPolicy::Always`]).
     ///
-    /// Every payload is checked against the frame limit before the first
-    /// frame is written, so a rejected group leaves no trace. If an append
+    /// Every record is checked — a statement's, within the frame limit —
+    /// before the first frame is written, so a rejected group leaves no
+    /// trace. If an append
     /// fails after part of the group reached the file, the log is poisoned
     /// (every later append errors until [`Wal::compact`] or a reopen):
     /// recovery cuts the unterminated group off, and a frame written behind
     /// it would go with it, so nothing may be acked behind it.
-    pub fn append_batch(&mut self, stmts: &[String]) -> Result<u64, DbError> {
-        match stmts {
+    pub fn append_batch(&mut self, records: &[Vec<u8>]) -> Result<u64, DbError> {
+        match records {
             [] => return Ok(self.next_seq),
             [one] => return self.append(one),
-            _ => stmts.iter().try_for_each(|s| check_payload(s))?,
+            _ => records.iter().try_for_each(|r| check_payload(r))?,
         }
         let first = self.next_seq;
-        let statements = stmts.iter().map(String::as_str);
-        for frame in [TXN_BEGIN_MARKER]
+        let statements = records.iter().map(Vec::as_slice);
+        for frame in [&[record::BEGIN][..]]
             .into_iter()
             .chain(statements)
-            .chain([TXN_COMMIT_MARKER])
+            .chain([&[record::COMMIT][..]])
         {
             let t_append = Instant::now();
             let appended = self.append_frame(frame);
@@ -839,8 +976,8 @@ impl Wal {
 
     /// Write one frame to the file (no sync-policy application): the
     /// shared body of [`Wal::append`] and [`Wal::append_batch`], which
-    /// have already checked the payload against the frame limit.
-    fn append_frame(&mut self, stmt: &str) -> Result<(u64, u64), DbError> {
+    /// have already checked the payload.
+    fn append_frame(&mut self, payload: &[u8]) -> Result<(u64, u64), DbError> {
         let fp = self.opts.failpoint.clone();
         fp.check_alive()?;
         if self.poisoned {
@@ -849,7 +986,12 @@ impl Wal {
                 self.path.display()
             )));
         }
-        let payload = stmt.as_bytes();
+        if self.text_frames {
+            return Err(DbError::Io(format!(
+                "{}: a version-1 log takes no append; checkpoint to rewrite it",
+                self.path.display()
+            )));
+        }
         let seq = self.next_seq;
         let crc = frame_crc(seq, payload);
         // Encode the frame into the reused scratch buffer — no per-append
@@ -895,7 +1037,7 @@ impl Wal {
         // frame in the log and the statement unapplied — the same state a
         // crash leaves, which recovery already handles.
         if let Some(tap) = self.tap.clone() {
-            tap.on_frame(seq, crc, stmt)?;
+            tap.on_frame(seq, crc, payload)?;
         }
         Ok((seq, frame_len as u64))
     }
@@ -975,8 +1117,9 @@ impl Wal {
         fp.record(Durable::LogCompacted);
         // The unterminated group a failed append left went with the
         // segment, and the checkpoint dump holds exactly the acknowledged
-        // state: appends may resume.
+        // state: appends may resume — a version-1 log's too, rewritten.
         self.poisoned = false;
+        self.text_frames = false;
         self.frames = 0;
         self.unsynced = 0;
         self.window_open = None;
@@ -1031,45 +1174,114 @@ impl Drop for Wal {
     }
 }
 
-/// Validate and decode the frame at `pos`; `None` on any torn/corrupt/
-/// out-of-sequence frame (recovery truncates there).
-fn read_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> Option<(&str, usize)> {
-    let header_end = pos.checked_add(FRAME_HEADER_LEN)?;
-    if header_end > bytes.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().ok()?);
-    if len > MAX_PAYLOAD {
-        return None;
-    }
-    let seq = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().ok()?);
-    let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().ok()?);
-    let end = header_end.checked_add(len as usize)?;
-    if end > bytes.len() {
-        return None;
-    }
-    if seq != expect_seq {
-        return None;
-    }
-    let payload = &bytes[header_end..end];
-    if frame_crc(seq, payload) != crc {
-        return None;
-    }
-    Some((std::str::from_utf8(payload).ok()?, end))
+/// Bytes the log scan reads at a time (more when one frame is larger).
+const WINDOW: usize = 64 << 10;
+
+/// A log file read a window at a time: the frame at the front is handed out
+/// where it lies in the buffer, which grows to hold the largest frame.
+struct Window<R> {
+    src: R,
+    /// Bytes of the file not yet in the buffer.
+    left: usize,
+    buf: Vec<u8>,
+    /// The bytes read and not consumed: `buf[start..end]`.
+    start: usize,
+    end: usize,
+    /// The offset in the file of `buf[start]`.
+    pos: usize,
 }
 
-/// Refuse a statement no frame can hold, and a payload the [`UnitReader`]
-/// would take for a marker: only [`Wal::append_batch`] writes those.
-fn check_payload(stmt: &str) -> Result<(), DbError> {
-    if stmt.len() as u64 > MAX_PAYLOAD as u64 {
+impl<R: Read> Window<R> {
+    /// A window over the `len` bytes `src` holds.
+    fn new(src: R, len: usize) -> Self {
+        Window {
+            src,
+            left: len,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            pos: 0,
+        }
+    }
+
+    /// The next `n` bytes, not consumed; fewer at the end of the file.
+    fn peek(&mut self, n: usize) -> std::io::Result<&[u8]> {
+        if self.end - self.start < n && self.left > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            let want = (self.end + self.left).min(n.max(WINDOW));
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            while self.end < want {
+                match self.src.read(&mut self.buf[self.end..want]) {
+                    Ok(0) => break,
+                    Ok(got) => (self.end, self.left) = (self.end + got, self.left - got),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        Ok(&self.buf[self.start..self.end.min(self.start + n)])
+    }
+
+    /// The `n` bytes at the front, which [`Window::peek`] has read.
+    fn front(&self, n: usize) -> &[u8] {
+        &self.buf[self.start..self.start + n]
+    }
+
+    /// Drop the `n` bytes at the front.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        self.pos += n;
+    }
+
+    /// Validate the frame at the front, which should carry `expect_seq`, of
+    /// a log of format `version`, and read it into the window; returns its
+    /// length, header and payload. `None` on any torn/corrupt/out-of-sequence
+    /// frame (recovery truncates there), and on a payload whose text is not
+    /// UTF-8 — every payload of a version-1 log, the body of an `Sql` record
+    /// of a version-2 one.
+    fn frame(&mut self, expect_seq: u64, version: u32) -> std::io::Result<Option<usize>> {
+        let header = self.peek(FRAME_HEADER_LEN)?;
+        if header.len() < FRAME_HEADER_LEN {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+        let seq = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+        let crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
+        let frame_len = FRAME_HEADER_LEN + len as usize;
+        // A length past the end of the file is a torn frame, not a size to
+        // grow the buffer to.
+        let there = self.end - self.start + self.left;
+        if len > MAX_PAYLOAD || frame_len > there || seq != expect_seq {
+            return Ok(None);
+        }
+        let payload = &self.peek(frame_len)?[FRAME_HEADER_LEN..];
+        if payload.len() != len as usize || frame_crc(seq, payload) != crc {
+            return Ok(None);
+        }
+        let readable = match version {
+            TEXT_VERSION => std::str::from_utf8(payload).is_ok(),
+            _ => record::readable(payload),
+        };
+        Ok(readable.then_some(frame_len))
+    }
+}
+
+/// Refuse a record no frame can hold, and one that is not a statement's: a
+/// group marker only [`Wal::append_batch`] writes.
+fn check_payload(record: &[u8]) -> Result<(), DbError> {
+    if record.len() as u64 > MAX_PAYLOAD as u64 {
         return Err(DbError::Io(format!(
             "statement of {} bytes exceeds WAL frame limit",
-            stmt.len()
+            record.len()
         )));
     }
-    if stmt == TXN_BEGIN_MARKER || stmt == TXN_COMMIT_MARKER {
+    if !record::is_statement(record) {
         return Err(DbError::Io(format!(
-            "{stmt:?} is a frame group marker, not a statement"
+            "record kind {:?} is no statement: a group marker is append_batch's alone",
+            record.first()
         )));
     }
     Ok(())
@@ -1215,12 +1427,14 @@ mod tests {
         let path = tmp("roundtrip.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
         for i in 0..10 {
-            let seq = wal.append(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+            let seq = wal
+                .append(&sql(&format!("INSERT INTO t VALUES ({i})")))
+                .unwrap();
             assert_eq!(seq, 1 + i);
         }
         wal.sync().unwrap();
         drop(wal);
-        let (wal, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (wal, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(stmts.len(), 10);
         assert_eq!(stmts[3], "INSERT INTO t VALUES (3)");
         assert_eq!(report.frames_replayed, 10);
@@ -1233,13 +1447,44 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    /// What a frame sequence reads to: the statements of its whole units,
-    /// and how many frames are in none.
+    /// The records `v` stands for, read as the frames of a version-1 log
+    /// (the group markers by their old text).
+    fn recs(v: &[&str]) -> Vec<Vec<u8>> {
+        let record = |text: &&str| {
+            let mut out = Vec::new();
+            record::from_text(text, &mut out);
+            out
+        };
+        v.iter().map(record).collect()
+    }
+
+    /// A statement's record.
+    fn sql(text: &str) -> Vec<u8> {
+        record::sql_record(text)
+    }
+
+    /// Open the log at `path` with recovery, its frames as the SQL text
+    /// they stand for.
+    fn recover(path: &Path, opts: WalOptions) -> (Wal, Vec<String>, RecoveryReport) {
+        let (wal, frames, report) = Wal::open_recover(path, opts).unwrap();
+        (wal, frames.statements(), report)
+    }
+
+    /// What a frame sequence — SQL text, the markers by their old text —
+    /// reads to: the statements of its whole units, and how many frames
+    /// are in none.
     fn read_units(frames: &[String]) -> (Vec<String>, u64) {
         let mut reader = UnitReader::default();
-        let units = frames.iter().filter_map(|f| reader.push(f.clone()));
-        (units.flatten().collect(), reader.abandon())
+        let records = recs(&frames.iter().map(String::as_str).collect::<Vec<_>>());
+        let units = records
+            .into_iter()
+            .filter_map(|f| reader.push(f.first().copied(), f));
+        let text = |f: Vec<u8>| String::from_utf8(f[1..].to_vec()).unwrap();
+        (units.flatten().map(text).collect(), reader.abandon())
     }
+
+    const TXN_BEGIN_MARKER: &str = "--TXN BEGIN";
+    const TXN_COMMIT_MARKER: &str = "--TXN COMMIT";
 
     #[test]
     fn unit_reader_all_or_nothing() {
@@ -1279,19 +1524,19 @@ mod tests {
     fn append_batch_writes_consecutive_frames_with_one_sync() {
         let path = tmp("batch.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Always), 1).unwrap();
-        wal.append("A").unwrap();
-        let stmts: Vec<String> = (0..5).map(|i| format!("B{i}")).collect();
+        wal.append(&sql("A")).unwrap();
+        let stmts: Vec<Vec<u8>> = (0..5).map(|i| sql(&format!("B{i}"))).collect();
         let first = wal.append_batch(&stmts).unwrap();
         assert_eq!(first, 2);
         // The five statements and the two markers that make them one unit.
         assert_eq!(wal.frames(), 6 + 2);
         assert_eq!(wal.next_seq(), 7 + 2);
         // One statement is one frame, no statement is none.
-        assert_eq!(wal.append_batch(&s(&["C"])).unwrap(), 9);
+        assert_eq!(wal.append_batch(&recs(&["C"])).unwrap(), 9);
         assert_eq!(wal.append_batch(&[]).unwrap(), 10);
         assert_eq!(wal.frames(), 9);
         drop(wal);
-        let (_, recovered, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, recovered, report) = recover(&path, WalOptions::default());
         assert_eq!(report.frames_replayed, 9);
         let (recovered, discarded) = read_units(&recovered);
         assert_eq!((recovered.len(), discarded), (6 + 1, 0));
@@ -1302,18 +1547,18 @@ mod tests {
     fn oversized_statement_rejects_the_whole_batch_before_any_write() {
         let path = tmp("oversized.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
-        wal.append("A").unwrap();
+        wal.append(&sql("A")).unwrap();
         let len_before = std::fs::metadata(&path).unwrap().len();
         let big = "y".repeat(MAX_PAYLOAD as usize + 1);
-        let e = wal.append_batch(&s(&["small", &big])).unwrap_err();
+        let e = wal.append_batch(&recs(&["small", &big])).unwrap_err();
         assert!(e.to_string().contains("exceeds WAL frame limit"), "{e}");
         // Rejected ⇒ absent: not one byte of the group reached the file.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
         assert_eq!((wal.frames(), wal.next_seq()), (1, 2));
         // The log stays usable, and what it acks afterwards is recovered.
-        wal.append("acked").unwrap();
+        wal.append(&sql("acked")).unwrap();
         drop(wal);
-        let (_, stmts, _) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, _) = recover(&path, WalOptions::default());
         assert_eq!(read_units(&stmts), (vec!["A".into(), "acked".into()], 0));
     }
 
@@ -1323,19 +1568,19 @@ mod tests {
     fn a_marker_payload_is_refused_at_every_append() {
         let path = tmp("marker.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
-        wal.append("A").unwrap();
+        wal.append(&sql("A")).unwrap();
         let len_before = std::fs::metadata(&path).unwrap().len();
         for marker in [TXN_BEGIN_MARKER, TXN_COMMIT_MARKER] {
-            let e = wal.append(marker).unwrap_err();
+            let e = wal.append(&recs(&[marker])[0]).unwrap_err();
             assert!(e.to_string().contains("marker"), "{e}");
-            assert!(wal.append_batch(&s(&[marker])).is_err());
-            assert!(wal.append_batch(&s(&["one", marker, "two"])).is_err());
+            assert!(wal.append_batch(&recs(&[marker])).is_err());
+            assert!(wal.append_batch(&recs(&["one", marker, "two"])).is_err());
             assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
             assert_eq!((wal.frames(), wal.next_seq()), (1, 2));
         }
-        wal.append("acked").unwrap();
+        wal.append(&sql("acked")).unwrap();
         drop(wal);
-        let (_, stmts, _) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, _) = recover(&path, WalOptions::default());
         assert_eq!(read_units(&stmts), (vec!["A".into(), "acked".into()], 0));
     }
 
@@ -1349,20 +1594,20 @@ mod tests {
             failpoint: fp.clone(),
         };
         let mut wal = Wal::create(&path, opts, 1).unwrap();
-        wal.append("A").unwrap();
-        assert!(wal.append_batch(&s(&["one", "two"])).is_err());
+        wal.append(&sql("A")).unwrap();
+        assert!(wal.append_batch(&recs(&["one", "two"])).is_err());
         assert!(!fp.is_crashed(), "the process survives this error");
         // Nothing may be acked behind the unterminated group.
-        assert!(wal.append("later").is_err());
-        assert!(wal.append_batch(&s(&["x", "y"])).is_err());
+        assert!(wal.append(&sql("later")).is_err());
+        assert!(wal.append_batch(&recs(&["x", "y"])).is_err());
         drop(wal);
-        let (mut wal, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (mut wal, stmts, report) = recover(&path, WalOptions::default());
         assert!(report.torn_bytes > 0, "half of frame 'two' was on disk");
         // The unterminated group went with the torn frame behind it.
         assert_eq!((stmts, report.txn_frames_discarded), (s(&["A"]), 2));
         assert_eq!(wal.next_seq(), 2);
         // Reopening clears the poison.
-        wal.append("after reopen").unwrap();
+        wal.append(&sql("after reopen")).unwrap();
     }
 
     /// A checkpoint clears the poison too: its dump holds exactly the
@@ -1410,7 +1655,7 @@ mod tests {
         /// Refuses the frame with sequence number 3.
         struct FailsAtThree;
         impl FrameTap for FailsAtThree {
-            fn on_frame(&self, seq: u64, _crc: u32, _stmt: &str) -> Result<(), DbError> {
+            fn on_frame(&self, seq: u64, _crc: u32, _record: &[u8]) -> Result<(), DbError> {
                 if seq == 3 {
                     return Err(DbError::Io("tap refused the frame".into()));
                 }
@@ -1420,17 +1665,17 @@ mod tests {
         let path = tmp("poison_tap.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
         wal.set_tap(Some(Arc::new(FailsAtThree)));
-        wal.append("A").unwrap();
+        wal.append(&sql("A")).unwrap();
         // Begin marker (seq 2) and "one" (seq 3) are whole frames in the
         // file when the tap fails the group.
-        assert!(wal.append_batch(&s(&["one", "two"])).is_err());
-        assert!(wal.append("later").is_err());
+        assert!(wal.append_batch(&recs(&["one", "two"])).is_err());
+        assert!(wal.append(&sql("later")).is_err());
         drop(wal);
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(report.torn_bytes, 0);
         assert_eq!((stmts, report.txn_frames_discarded), (s(&["A"]), 2));
         // The cut is on the file: a second open finds nothing to discard.
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!((stmts, report.txn_frames_discarded), (s(&["A"]), 0));
     }
 
@@ -1442,12 +1687,12 @@ mod tests {
             failpoint: Arc::new(IoFailpoint::append_error_after(1)),
         };
         let mut wal = Wal::create(&path, opts, 1).unwrap();
-        wal.append("A").unwrap();
-        assert!(wal.append("B").is_err());
+        wal.append(&sql("A")).unwrap();
+        assert!(wal.append(&sql("B")).is_err());
         // A frame written behind B's torn half would be cut off with it.
-        assert!(wal.append("C").is_err());
+        assert!(wal.append(&sql("C")).is_err());
         drop(wal);
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(stmts, vec!["A".to_string()]);
         assert!(report.torn_bytes > 0);
     }
@@ -1456,8 +1701,8 @@ mod tests {
     fn torn_tail_is_truncated() {
         let path = tmp("torn.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
-        wal.append("CREATE TABLE t (a INTEGER)").unwrap();
-        wal.append("INSERT INTO t VALUES (1)").unwrap();
+        wal.append(&sql("CREATE TABLE t (a INTEGER)")).unwrap();
+        wal.append(&sql("INSERT INTO t VALUES (1)")).unwrap();
         wal.sync().unwrap();
         drop(wal);
         // Chop 5 bytes off the last frame.
@@ -1465,7 +1710,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 5).unwrap();
         drop(f);
-        let (wal, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (wal, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(stmts, vec!["CREATE TABLE t (a INTEGER)".to_string()]);
         assert_eq!(report.frames_replayed, 1);
         assert!(report.torn_bytes > 0);
@@ -1482,21 +1727,22 @@ mod tests {
     fn corrupt_crc_cuts_log_there() {
         let path = tmp("crc.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
-        wal.append("A1").unwrap();
-        wal.append("B2").unwrap();
-        wal.append("C3").unwrap();
+        wal.append(&sql("A1")).unwrap();
+        wal.append(&sql("B2")).unwrap();
+        wal.append(&sql("C3")).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        // Flip one payload byte of the second frame. Frames are 16+2 bytes.
+        // Flip one payload byte of the second frame. Frames are 16+3 bytes:
+        // the header, the tag and the text.
         let mut bytes = std::fs::read(&path).unwrap();
-        let second_payload = HEADER_LEN as usize + 18 + 16;
+        let second_payload = HEADER_LEN as usize + 19 + 16;
         bytes[second_payload] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(stmts, vec!["A1".to_string()]);
         // Frames 2 and 3 are gone — corruption truncates the tail.
         assert_eq!(report.frames_replayed, 1);
-        assert!(report.torn_bytes >= 18 * 2);
+        assert!(report.torn_bytes >= 19 * 2);
     }
 
     #[test]
@@ -1511,7 +1757,7 @@ mod tests {
         let mut ok = 0;
         let mut died = false;
         for i in 0..100 {
-            match wal.append(&format!("stmt {i}")) {
+            match wal.append(&sql(&format!("stmt {i}"))) {
                 Ok(_) => ok += 1,
                 Err(e) => {
                     assert!(e.to_string().contains("simulated crash"), "{e}");
@@ -1523,10 +1769,10 @@ mod tests {
         assert!(died, "failpoint never fired");
         assert!(fp.is_crashed());
         // Further appends also fail.
-        assert!(wal.append("after death").is_err());
+        assert!(wal.append(&sql("after death")).is_err());
         drop(wal);
         fp.reset();
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(stmts.len(), ok);
         assert!(report.torn_bytes > 0, "the torn frame should be on disk");
     }
@@ -1541,12 +1787,12 @@ mod tests {
         };
         let mut wal = Wal::create(&path, opts, 1).unwrap();
         for i in 0..3 {
-            wal.append(&format!("s{i}")).unwrap();
+            wal.append(&sql(&format!("s{i}"))).unwrap();
         }
-        assert!(wal.append("s3").is_err());
+        assert!(wal.append(&sql("s3")).is_err());
         drop(wal);
         fp.reset();
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(stmts.len(), 3);
         assert_eq!(report.torn_bytes, 0, "clean crash leaves no torn tail");
     }
@@ -1556,7 +1802,7 @@ mod tests {
         let path = tmp("shortread.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
         for i in 0..5 {
-            wal.append(&format!("statement number {i}")).unwrap();
+            wal.append(&sql(&format!("statement number {i}"))).unwrap();
         }
         wal.sync().unwrap();
         drop(wal);
@@ -1566,7 +1812,7 @@ mod tests {
             sync: SyncPolicy::Off,
             failpoint: fp,
         };
-        let (_, stmts, _) = Wal::open_recover(&path, opts).unwrap();
+        let (_, stmts, _) = recover(&path, opts);
         assert_eq!(
             stmts.len(),
             4,
@@ -1579,15 +1825,15 @@ mod tests {
         let path = tmp("compact.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
         for i in 0..4 {
-            wal.append(&format!("s{i}")).unwrap();
+            wal.append(&sql(&format!("s{i}"))).unwrap();
         }
         let dropped = wal.compact().unwrap();
         assert_eq!(dropped, 4);
         assert_eq!(wal.frames(), 0);
-        let seq = wal.append("after checkpoint").unwrap();
+        let seq = wal.append(&sql("after checkpoint")).unwrap();
         assert_eq!(seq, 5, "sequence numbers keep counting across checkpoints");
         drop(wal);
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!(stmts, vec!["after checkpoint".to_string()]);
         assert_eq!(report.start_seq, 5);
         assert_eq!(report.next_seq, 6);
@@ -1612,7 +1858,7 @@ mod tests {
         let mut wal = Wal::create(&path, opts, 1).unwrap();
         // A huge window: none of these appends should block on fsync.
         for i in 0..100 {
-            wal.append(&format!("s{i}")).unwrap();
+            wal.append(&sql(&format!("s{i}"))).unwrap();
         }
         assert!(wal.unsynced > 0, "frames are pending inside the window");
         wal.sync().unwrap();
@@ -1623,7 +1869,7 @@ mod tests {
     fn sync_always_leaves_nothing_pending() {
         let path = tmp("always.wal");
         let mut wal = Wal::create(&path, WalOptions::with_sync(SyncPolicy::Always), 1).unwrap();
-        wal.append("s").unwrap();
+        wal.append(&sql("s")).unwrap();
         assert_eq!(wal.unsynced, 0);
     }
 
@@ -1631,14 +1877,14 @@ mod tests {
     fn empty_or_missing_file_starts_fresh() {
         let path = tmp("fresh.wal");
         std::fs::remove_file(&path).ok();
-        let (wal, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (wal, stmts, report) = recover(&path, WalOptions::default());
         assert!(stmts.is_empty());
         assert_eq!(report.next_seq, 1);
         assert_eq!(wal.frames(), 0);
         drop(wal);
         // A torn header (crash during create) also rebuilds cleanly.
         std::fs::write(&path, b"PBW").unwrap();
-        let (_, stmts, report) = Wal::open_recover(&path, WalOptions::default()).unwrap();
+        let (_, stmts, report) = recover(&path, WalOptions::default());
         assert!(stmts.is_empty());
         assert_eq!(report.torn_bytes, 3);
     }

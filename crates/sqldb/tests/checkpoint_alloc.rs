@@ -3,11 +3,18 @@
 //! (std only) records the largest block one load asks for; with every 4- and
 //! 8-byte field of a small checkpoint overwritten by a huge or a merely too
 //! large count, no load may ask for more than a small multiple of the file.
+//! The same holds for the records of the log: with every 4- and 8-byte
+//! field of a small log so overwritten — the frame's CRC made to match
+//! again, so that the record reader is what meets the count — no reopen
+//! asks for a block over 64 KiB.
 //!
 //! Blocks are recorded per thread: the test harness allocates on threads of
 //! its own while a test runs.
 
-use sqldb::{Engine, Value};
+mod common;
+
+use common::log::{every_record_kind, frames, reseal};
+use sqldb::{Engine, SyncPolicy, Value, WalOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -99,5 +106,58 @@ fn no_count_sizes_an_allocation_before_it_is_checked() {
         refused > bytes.len(),
         "only {refused} mutated files refused"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn no_record_count_sizes_an_allocation_before_it_is_checked() {
+    let dir = std::env::temp_dir().join(format!("perfbase_log_alloc_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    drop(every_record_kind(&dir));
+    let log = std::fs::read(dir.join("db.wal")).unwrap();
+    let frames = frames(&log);
+    let (dump, wal) = (dir.join("db.sql"), dir.join("db.wal"));
+    let reopen = |bytes: &[u8]| {
+        std::fs::remove_file(&dump).ok();
+        std::fs::write(&wal, bytes).unwrap();
+        LARGEST.with(|l| l.set(0));
+        let report = Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off))
+            .unwrap()
+            .1;
+        (LARGEST.with(Cell::get), report.replay_errors)
+    };
+    let bound = 64 << 10;
+    let (whole, errors) = reopen(&log);
+    assert_eq!(errors, 0);
+    assert!(
+        whole <= bound,
+        "{whole} bytes in one block for the intact log"
+    );
+
+    let mut refused = 0;
+    for frame in &frames {
+        for at in frame.payload_at()..frame.payload_at() + frame.len {
+            for width in [4, 8] {
+                if at + width > frame.payload_at() + frame.len {
+                    continue;
+                }
+                let huge = vec![0xff; width];
+                let too_large = (1u64 << (3 * width)).to_le_bytes()[..width].to_vec();
+                for value in [huge, too_large] {
+                    let mut mutated = log.clone();
+                    mutated[at..at + width].copy_from_slice(&value);
+                    reseal(&mut mutated, *frame);
+                    let (largest, errors) = reopen(&mutated);
+                    assert!(
+                        largest <= bound,
+                        "{largest} bytes in one block with {value:02x?} at byte {at}"
+                    );
+                    refused += usize::from(errors > 0);
+                }
+            }
+        }
+    }
+    assert!(refused > log.len(), "only {refused} mutated logs refused");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -66,4 +66,5 @@ pub fn select(text: &str) -> sqldb::sql::SelectStmt {
     }
 }
 
+pub mod log;
 pub mod oracle;

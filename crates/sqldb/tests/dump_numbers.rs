@@ -122,7 +122,10 @@ fn durable(name: &str) -> (Arc<Engine>, PathBuf) {
 /// The payload of every frame of the log in `dir` after the CREATE TABLE.
 fn frames(db: Arc<Engine>, dir: &PathBuf) -> Vec<String> {
     drop(db);
-    let (_, mut frames, _) = Wal::open_recover(&dir.join("db.wal"), opts()).unwrap();
+    let mut frames = Wal::open_recover(&dir.join("db.wal"), opts())
+        .unwrap()
+        .1
+        .statements();
     std::fs::remove_dir_all(dir).ok();
     assert_eq!(frames.remove(0), CREATE);
     frames

@@ -7,7 +7,9 @@
 //! `BLESS=1`. For each case it holds, door by door, the error text of a
 //! rejected write, or the affected count, the table as `Debug` (which tells
 //! `-0.0` from `0.0` and shows NaN) and the frame text the log took for an
-//! accepted one. The SQL cases go through `execute`, `execute_script`, a
+//! accepted one — since the log holds typed records, the statement a SQL
+//! door's frame stands for, once the frame is shown to be the batch the
+//! table holds. The SQL cases go through `execute`, `execute_script`, a
 //! transaction's `execute` and COMMIT, a dump load and a WAL replay; the row
 //! cases through `insert_rows` and a transaction's `insert_rows` and COMMIT,
 //! and their rendered frame is then read back through the SQL doors.
@@ -18,7 +20,7 @@
 //! type errors of earlier rows, `i64::MIN`, `'NaN'`, `E'…'` and empty text —
 //! and pairs of errors that only a row-major check reports in this order.
 
-use sqldb::{Engine, SyncPolicy, Value, Wal, WalOptions};
+use sqldb::{sql_record, Engine, SyncPolicy, Value, Wal, WalOptions};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -369,7 +371,7 @@ fn scratch() -> PathBuf {
 fn frames_after_create(path: &Path) -> Vec<String> {
     let copy = path.with_extension("read");
     std::fs::copy(path, &copy).unwrap();
-    let mut frames = Wal::open_recover(&copy, opts()).unwrap().1;
+    let mut frames = Wal::open_recover(&copy, opts()).unwrap().1.statements();
     assert_eq!(frames.remove(0), CREATE);
     frames
 }
@@ -383,7 +385,16 @@ fn durable() -> (Arc<Engine>, PathBuf) {
 }
 
 /// What a door left: the error, or the count, the table and the frames.
-fn outcome(result: Result<usize, sqldb::DbError>, db: &Engine, dir: &Path) -> String {
+/// A door of SQL text passes its `source`: the log holds the batch the
+/// statement appended, not its text (DESIGN.md §4c), so its frames must be
+/// the table's rows as the dump writes them, and the line names the
+/// statement they stand for, which is what the parent's log held.
+fn outcome(
+    result: Result<usize, sqldb::DbError>,
+    db: &Engine,
+    dir: &Path,
+    source: Option<&str>,
+) -> String {
     let frames = frames_after_create(&dir.join("db.wal"));
     let rows = db.read_snapshot("t").unwrap().1;
     match result {
@@ -392,7 +403,19 @@ fn outcome(result: Result<usize, sqldb::DbError>, db: &Engine, dir: &Path) -> St
             assert!(rows.is_empty(), "a rejected write left {rows:?}");
             format!("error: {e}")
         }
-        Ok(n) => format!("ok {n}\n    rows {rows:?}\n    frames {frames:?}"),
+        Ok(n) => {
+            let frames = match source {
+                Some(text) => {
+                    let dump = db.dump_sql();
+                    let stored = dump.lines().filter(|l| l.starts_with("INSERT INTO t "));
+                    let stored: Vec<&str> = stored.map(|l| l.trim_end_matches(';')).collect();
+                    assert_eq!(frames, stored, "the log took the batch the table holds");
+                    vec![text.to_string()]
+                }
+                None => frames,
+            };
+            format!("ok {n}\n    rows {rows:?}\n    frames {frames:?}")
+        }
     }
 }
 
@@ -414,16 +437,22 @@ fn loaded(db: Result<Engine, sqldb::DbError>, replay_errors: Option<u64>) -> Str
 fn sql_doors(out: &mut String, insert: &str) {
     let (db, dir) = durable();
     let r = db.execute(insert);
-    writeln!(out, "  execute: {}", outcome(r, &db, &dir)).unwrap();
+    writeln!(out, "  execute: {}", outcome(r, &db, &dir, Some(insert))).unwrap();
 
     let (db, dir) = durable();
     let r = db.execute_script(&format!("{insert};"));
-    writeln!(out, "  execute_script: {}", outcome(r, &db, &dir)).unwrap();
+    let source = Some(insert);
+    writeln!(out, "  execute_script: {}", outcome(r, &db, &dir, source)).unwrap();
 
     let (db, dir) = durable();
     let mut txn = db.begin_txn();
     let r = txn.execute(insert).and_then(|n| txn.commit().map(|()| n));
-    writeln!(out, "  transaction: {}", outcome(r, &db, &dir)).unwrap();
+    writeln!(
+        out,
+        "  transaction: {}",
+        outcome(r, &db, &dir, Some(insert))
+    )
+    .unwrap();
 
     let dump = format!("{CREATE};\n{insert};\n");
     writeln!(
@@ -436,8 +465,8 @@ fn sql_doors(out: &mut String, insert: &str) {
     let dir = scratch();
     let (sql, wal) = (dir.join("db.sql"), dir.join("db.wal"));
     let mut log = Wal::create(&wal, opts(), 1).unwrap();
-    log.append(CREATE).unwrap();
-    log.append(insert).unwrap();
+    log.append(&sql_record(CREATE)).unwrap();
+    log.append(&sql_record(insert)).unwrap();
     drop(log);
     let db = Engine::open_durable(&sql, &wal, opts()).map(|(db, report)| {
         assert_eq!(report.frames_replayed, 2);
@@ -453,7 +482,7 @@ fn row_doors(out: &mut String, rows: Vec<Vec<Value>>) {
     let (db, dir) = durable();
     let r = db.insert_rows("t", rows.clone());
     let accepted = r.is_ok();
-    writeln!(out, "  insert_rows: {}", outcome(r, &db, &dir)).unwrap();
+    writeln!(out, "  insert_rows: {}", outcome(r, &db, &dir, None)).unwrap();
     let frames = frames_after_create(&dir.join("db.wal"));
 
     let (db, dir) = durable();
@@ -461,7 +490,8 @@ fn row_doors(out: &mut String, rows: Vec<Vec<Value>>) {
     let r = txn
         .insert_rows("t", rows)
         .and_then(|n| txn.commit().map(|()| n));
-    writeln!(out, "  transaction insert_rows: {}", outcome(r, &db, &dir)).unwrap();
+    let outcome = outcome(r, &db, &dir, None);
+    writeln!(out, "  transaction insert_rows: {outcome}").unwrap();
 
     if let (true, [frame]) = (accepted, frames.as_slice()) {
         writeln!(out, "  its frame, read back:").unwrap();

@@ -46,6 +46,8 @@ fn wal_len(dir: &Path) -> u64 {
 
 // ---- old logs read as before ------------------------------------------------
 
+/// Each parent-written log recovers to the parent's catalog and report, and
+/// is then converted: nothing appends to a version-1 log.
 #[test]
 fn parent_written_logs_recover_byte_identically() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/log_units");
@@ -59,9 +61,26 @@ fn parent_written_logs_recover_byte_identically() {
         assert!(db.dump_sql() == want_dump, "{name}: dump");
         let want_report = std::fs::read_to_string(fixture("report")).unwrap();
         assert_eq!(format!("{report:?}\n"), want_report, "{name}");
-        // None of the three ends in an open group: the file is not touched.
+        // A version-1 log is converted once, by a checkpoint right after
+        // its replay: the typed file holds the catalog, stamped where the
+        // log ended, and the log is a version-2 header and nothing else.
         drop(db);
-        assert!(std::fs::read(dir.join("db.wal")).unwrap() == log, "{name}");
+        let mut header = b"PBWL".to_vec();
+        header.extend_from_slice(&2u32.to_le_bytes());
+        header.extend_from_slice(&report.next_seq.to_le_bytes());
+        assert!(
+            std::fs::read(dir.join("db.wal")).unwrap() == header,
+            "{name}"
+        );
+        let (loaded, stamp) = Engine::load_checkpoint(&dir.join("db.sql")).unwrap();
+        assert_eq!(stamp, Some(report.next_seq), "{name}");
+        assert!(loaded.dump_sql() == want_dump, "{name}: checkpoint");
+        let (db, again) = open(&dir, IoFailpoint::none());
+        assert!(db.dump_sql() == want_dump, "{name}: reopened");
+        assert_eq!((again.frames_replayed, again.txn_frames_discarded), (0, 0));
+        assert_eq!((again.torn_bytes, again.next_seq), (0, report.next_seq));
+        drop(db);
+        std::fs::remove_file(dir.join("db.sql")).unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
 }

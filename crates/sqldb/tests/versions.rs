@@ -457,9 +457,25 @@ fn this_build_writes_the_parent_log_and_dump() {
     assert_eq!(answers(&db), read("expected.txt"));
     assert!(db.dump_sql() == read("db.sql"), "the dump differs");
     drop(db);
+    // The log is typed records now: the parent's `db.wal` still recovers
+    // (above), and the bytes this build writes are pinned by `records.wal`,
+    // which recovers to the same answers.
+    let log = std::fs::read(dir.join("db.wal")).unwrap();
     assert!(
-        std::fs::read(dir.join("db.wal")).unwrap() == std::fs::read(fixture("db.wal")).unwrap(),
+        log == std::fs::read(fixture("records.wal")).unwrap(),
         "the log differs"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("rebuild_records");
+    std::fs::copy(fixture("records.wal"), dir.join("db.wal")).unwrap();
+    let opts = WalOptions::with_sync(SyncPolicy::Off);
+    let (db, report) =
+        Engine::open_durable(&dir.join("db.sql"), &dir.join("db.wal"), opts).unwrap();
+    assert_eq!((report.frames_replayed, report.replay_errors), (9, 0));
+    assert_eq!(answers(&db), read("expected.txt"));
+    assert!(
+        db.dump_sql() == read("db.sql"),
+        "the recovered dump differs"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,7 +20,7 @@
 //!   each statement twice.
 
 use sqldb::cluster::{Cluster, LatencyModel};
-use sqldb::{Engine, IoFailpoint, SyncPolicy, Wal, WalOptions};
+use sqldb::{sql_record, Engine, IoFailpoint, SyncPolicy, Wal, WalOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -101,13 +101,34 @@ fn workload() -> Vec<String> {
     stmts
 }
 
+/// The frames a log takes from running `full_log` with no fault, as the
+/// SQL text they stand for: one per statement.
+fn logged(full_log: &[String]) -> Vec<String> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static N: AtomicUsize = AtomicUsize::new(0);
+    let n = N.fetch_add(1, Ordering::Relaxed);
+    let dir = TempDir::new(&format!("logged_{n}"));
+    run_until_crash(
+        &dir.path("full.wal"),
+        Arc::new(IoFailpoint::none()),
+        full_log,
+    );
+    let frames = Wal::open_recover(&dir.path("full.wal"), WalOptions::default())
+        .unwrap()
+        .1;
+    let frames = frames.statements();
+    assert_eq!(frames.len(), full_log.len(), "one frame per statement");
+    frames
+}
+
 /// Recover `wal_path` and assert the core crash-consistency property:
-/// the surviving statements are exactly `full_log[..n]` for some n, and
-/// replaying them reaches the same state as executing that prefix on a
+/// the surviving frames are exactly those of `full_log[..n]` for some n,
+/// and replaying them reaches the same state as executing that prefix on a
 /// fresh engine. Returns the recovered prefix length.
 fn recover_and_check(wal_path: &Path, full_log: &[String]) -> usize {
     let (wal, stmts, report) = Wal::open_recover(wal_path, WalOptions::default()).unwrap();
     drop(wal);
+    let stmts = stmts.statements();
     assert_eq!(stmts.len() as u64, report.frames_replayed);
     assert!(
         stmts.len() <= full_log.len(),
@@ -117,7 +138,7 @@ fn recover_and_check(wal_path: &Path, full_log: &[String]) -> usize {
     );
     assert_eq!(
         stmts[..],
-        full_log[..stmts.len()],
+        logged(full_log)[..stmts.len()],
         "recovered log must be an exact prefix of the written sequence"
     );
 
@@ -344,8 +365,9 @@ fn short_reads_during_recovery_are_torn_tails_not_errors() {
         };
         let (wal, stmts, _) = Wal::open_recover(&wal_path, opts).unwrap();
         drop(wal);
+        let stmts = stmts.statements();
         assert!(stmts.len() <= full_log.len());
-        assert_eq!(stmts[..], full_log[..stmts.len()]);
+        assert_eq!(stmts[..], logged(&full_log)[..stmts.len()]);
     }
 }
 
@@ -420,6 +442,7 @@ fn columnar_tables_survive_kill_points_and_checkpoint_kill() {
     // reports the vectorized path like for any table.
     let (wal, stmts, _) = Wal::open_recover(&master, WalOptions::default()).unwrap();
     drop(wal);
+    let stmts = stmts.statements();
     let eng = Engine::new();
     for s in &stmts {
         eng.execute(s).unwrap();
@@ -716,8 +739,12 @@ fn a_log_that_ends_below_the_dumps_checkpoint_is_refused() {
     let (dump, wal) = checkpointed(&dir);
     // The log of a younger database: two frames, sequences 1 and 2.
     let mut stale = Wal::create(&wal, WalOptions::default(), 1).unwrap();
-    stale.append("CREATE TABLE other (b INTEGER)").unwrap();
-    stale.append("INSERT INTO other VALUES (1)").unwrap();
+    stale
+        .append(&sql_record("CREATE TABLE other (b INTEGER)"))
+        .unwrap();
+    stale
+        .append(&sql_record("INSERT INTO other VALUES (1)"))
+        .unwrap();
     stale.sync().unwrap();
     drop(stale);
     let before = std::fs::read(&wal).unwrap();
@@ -738,11 +765,92 @@ fn a_log_that_ends_below_the_dumps_checkpoint_is_refused() {
         "INSERT INTO t VALUES (3)",
         "INSERT INTO t VALUES (4)",
     ] {
-        own.append(stmt).unwrap();
+        own.append(&sql_record(stmt)).unwrap();
     }
     own.sync().unwrap();
     drop(own);
     let (db, report) = Engine::open_durable(&dump, &wal, WalOptions::default()).unwrap();
     assert_eq!((report.frames_skipped, report.frames_replayed), (3, 1));
     assert_eq!(db.row_count("t").unwrap(), 4);
+}
+
+/// A poisoned log's dead group — the begin marker and the statements of a
+/// commit whose append failed part-way — lies below the floor of the
+/// checkpoint that cleared the poison. When that checkpoint is killed before
+/// its compaction, the group stays in the file, and the reopen must read it
+/// as checkpointed, not as a group still open: a statement acknowledged
+/// behind it is a unit of its own, kept in the file and in the catalog, and
+/// the next write is numbered after it.
+#[test]
+fn a_dead_group_below_the_checkpoint_holds_no_later_frame() {
+    /// Refuses the frame with sequence number 4: the group's first INSERT.
+    struct RefusesFour;
+    impl sqldb::FrameTap for RefusesFour {
+        fn on_frame(&self, seq: u64, _crc: u32, _record: &[u8]) -> Result<(), sqldb::DbError> {
+            match seq {
+                4 => Err(sqldb::DbError::Io("tap refused the frame".into())),
+                _ => Ok(()),
+            }
+        }
+    }
+    let dir = TempDir::new("dead_group");
+    let (dump, wal) = (dir.path("db.sql"), dir.path("db.wal"));
+    let opts = WalOptions {
+        sync: SyncPolicy::Always,
+        failpoint: Arc::new(IoFailpoint::crash_before_compact()),
+    };
+    let db = Arc::new(Engine::open_durable(&dump, &wal, opts).unwrap().0);
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    assert!(db.wal_set_tap(Some(Arc::new(RefusesFour))));
+    let mut txn = db.begin_txn();
+    txn.execute("INSERT INTO t VALUES (2)").unwrap();
+    txn.execute("INSERT INTO t VALUES (3)").unwrap();
+    assert!(txn.commit().is_err());
+    assert!(
+        db.wal_poisoned(),
+        "the begin marker and frame 4 are in the file"
+    );
+    assert!(db.checkpoint(&dump).is_err(), "armed kill point must fire");
+    drop(db);
+
+    let sync = || WalOptions::with_sync(SyncPolicy::Always);
+    let (db, report) = Engine::open_durable(&dump, &wal, sync()).unwrap();
+    assert_eq!(
+        (report.frames_skipped, report.next_seq),
+        (4, 5),
+        "{report:?}"
+    );
+    db.execute("INSERT INTO t VALUES (7)").unwrap();
+    drop(db);
+    let before = std::fs::read(&wal).unwrap();
+
+    let (db, report) = Engine::open_durable(&dump, &wal, sync()).unwrap();
+    let after = std::fs::read(&wal).unwrap();
+    assert!(
+        after == before,
+        "an acknowledged frame was cut: {} → {} bytes",
+        before.len(),
+        after.len()
+    );
+    assert_eq!(
+        (report.frames_replayed, report.txn_frames_discarded),
+        (1, 0),
+        "{report:?}"
+    );
+    assert_eq!(
+        report.next_seq, 6,
+        "the next write is numbered after 7's frame"
+    );
+    db.execute("INSERT INTO t VALUES (8)").unwrap();
+    drop(db);
+
+    let (db, report) = Engine::open_durable(&dump, &wal, sync()).unwrap();
+    assert_eq!(
+        (report.frames_replayed, report.next_seq),
+        (2, 7),
+        "{report:?}"
+    );
+    let rows = db.query("SELECT a FROM t ORDER BY a").unwrap();
+    assert_eq!(rows.render_tsv(), "a\n1\n7\n8\n");
 }

@@ -47,7 +47,7 @@ fn open(dir: &Path) -> (Arc<Engine>, sqldb::RecoveryReport) {
 fn frames(path: &Path) -> Vec<String> {
     let copy = path.with_extension("read");
     std::fs::copy(path, &copy).unwrap();
-    Wal::open_recover(&copy, opts()).unwrap().1
+    Wal::open_recover(&copy, opts()).unwrap().1.statements()
 }
 
 // ---- every door, one outcome ----------------------------------------------
@@ -465,7 +465,8 @@ fn temp_is_refused_at_every_door_and_leaves_no_trace() {
     drop(db);
     // A frame no build ever wrote: it fails on replay, and nothing else.
     let (mut log, ..) = Wal::open_recover(&dir.join("db.wal"), opts()).unwrap();
-    log.append("CREATE TEMP TABLE scratch (x INTEGER)").unwrap();
+    log.append(&sqldb::sql_record("CREATE TEMP TABLE scratch (x INTEGER)"))
+        .unwrap();
     log.sync().unwrap();
     drop(log);
     let (db, report) = open(&dir);
@@ -623,8 +624,10 @@ fn accepted_statements_are_logged_and_dumped_as_the_parent_did() {
             expect("expected.sql"),
             "doomed={doomed}"
         );
+        // The log is typed records now: the parent's `accepted.wal` still
+        // recovers (below), and `records.wal` pins what this build writes.
         assert!(
-            built.wal == expect("accepted.wal"),
+            built.wal == expect("records.wal"),
             "doomed={doomed}: log bytes differ"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -636,7 +639,12 @@ fn accepted_statements_are_logged_and_dumped_as_the_parent_did() {
 #[test]
 fn a_parent_written_log_with_doomed_frames_still_recovers() {
     // (log, frames replayed, of which failing): the parent's own report.
-    for (log, replayed, errors) in [("accepted.wal", 20, 0), ("doomed.wal", 26, 6)] {
+    // `records.wal` is `accepted.wal` as this build writes it.
+    for (log, replayed, errors) in [
+        ("accepted.wal", 20, 0),
+        ("doomed.wal", 26, 6),
+        ("records.wal", 20, 0),
+    ] {
         let dir = scratch(log);
         std::fs::copy(fixture("db.sql"), dir.join("db.sql")).unwrap();
         std::fs::copy(fixture(log), dir.join("db.wal")).unwrap();

@@ -14,10 +14,27 @@
 # The clone is removed on exit. Informational: it always exits 0 once
 # the runs are done.
 #
-#   tests/bench_pairs.sh <rev> [pairs] [workload...]   (10 pairs; every workload)
+# --seed <n> generates the data from seed n (default 1; seed 2 is the
+# held-out seed a claim made on seed 1 is confirmed with). --control pairs
+# <rev> with itself: both sides run <rev>'s binary, so wins should come out
+# near N/2 and every metric inside its bound — the noise floor a real pair
+# is read against.
+#
+#   tests/bench_pairs.sh [--seed <n>] [--control] <rev> [pairs] [workload...]
+#                                                  (10 pairs; every workload)
 set -eu
 cd "$(dirname "$0")/.."
-[ $# -ge 1 ] || { echo "usage: $0 <rev> [pairs] [workload...]" >&2; exit 2; }
+usage="usage: $0 [--seed <n>] [--control] <rev> [pairs] [workload...]"
+seed=1
+control=
+while :; do
+    case "${1:-}" in
+    --seed) [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }; seed=$2; shift 2 ;;
+    --control) control=1; shift ;;
+    *) break ;;
+    esac
+done
+[ $# -ge 1 ] || { echo "$usage" >&2; exit 2; }
 rev=$(git rev-parse --verify --short "$1^{commit}")
 shift
 pairs=10
@@ -34,15 +51,21 @@ git -C "$tree" checkout --quiet --detach "$rev"
 build() {
     cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
 }
-echo "building the benchmark at $rev and in this tree" >&2
 build "$tree"
-build "$here"
+if [ -n "$control" ]; then
+    echo "control: $rev against itself" >&2
+    change=$tree
+else
+    echo "building the benchmark at $rev and in this tree" >&2
+    build "$here"
+    change=$here
+fi
 
 # run <side> <dir> <workload> <pair>
 run() {
     dest="$out/$3/$1/$4"
     mkdir -p "$dest"
-    (cd "$2" && benchmark/target/release/pbbench --workload "$3" --seed 1 \
+    (cd "$2" && benchmark/target/release/pbbench --workload "$3" --seed "$seed" \
         --seconds "$seconds" --trace 0 --out "$dest") > "$dest/log" 2>&1 ||
         echo "$3 $1 pair $4: a check failed" >&2
     tail -n 1 "$dest/log" > "$dest/result_line.json"
@@ -54,16 +77,21 @@ for w in $workloads; do
         echo "$w: pair $i of $pairs" >&2
         if [ $((i % 2)) -eq 1 ]; then
             run parent "$tree" "$w" "$i"
-            run change "$here" "$w" "$i"
+            run change "$change" "$w" "$i"
         else
-            run change "$here" "$w" "$i"
+            run change "$change" "$w" "$i"
             run parent "$tree" "$w" "$i"
         fi
         i=$((i + 1))
     done
 done
 
-echo "parent $rev, change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty), $pairs pair(s) of ${seconds} s, runs in $out"
+if [ -n "$control" ]; then
+    label="$rev (control)"
+else
+    label="$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)"
+fi
+echo "parent $rev, change $label, seed $seed, $pairs pair(s) of ${seconds} s, runs in $out"
 for w in $workloads; do
     for side in parent change; do
         i=1

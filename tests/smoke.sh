@@ -16,7 +16,12 @@
 # hostile input: a typed file loads back to its catalog and stamp, a text
 # file loads as `from_sql_dump` does, every truncation, byte flip and
 # oversized count is an error naming its byte offset, a failed save leaves
-# no tmp file) — the transaction suites: the as-of-BEGIN isolation model, the import count guard, concurrent
+# no tmp file) — the typed log record (round trip, old-log parity, hostile
+# input, replica errors: a log of every record kind reopens to its catalog
+# parsing only the SQL records, every parent-written log recovers to its
+# catalog and report and is converted once, a log cut at any byte, 4 000
+# resealed byte flips and every count set to all ones are refused naming
+# frame and byte, and a write a replica cannot apply is counted) — the transaction suites: the as-of-BEGIN isolation model, the import count guard, concurrent
 # `add_run` — the WAL crash-consistency suites (an import and a delete killed
 # at every frame, a dump restored without its log), the log-reader suite (a
 # seeded crash-and-reopen model: acknowledged ⇒ recovered over any number of
@@ -86,6 +91,15 @@ cargo test -q -p sqldb --lib dump::tests::load_parity
 cargo test -q -p sqldb --lib dump::tests::save_parity
 cargo test -q -p sqldb --lib dump::tests::a_failed_save_removes_its_tmp_file
 cargo test -q -p sqldb --lib dump::tests::checkpoint_syncs_the_directory_between_rename_and_compaction
+
+echo "== typed log record (round trip, old-log parity, hostile input, replica errors) =="
+cargo test -q -p sqldb --test log_records
+cargo test -q -p sqldb --test checkpoint_alloc
+cargo test -q -p sqldb --test log_units parent_written_logs
+cargo test -q -p sqldb --test write_path parent
+cargo test -q -p sqldb --test versions parent
+cargo test -q -p perfbase --test text_compat
+cargo test -q -p sqldb --lib repl::tests::a_shipped_write_the_replica_cannot_apply_is_counted
 
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash

@@ -9,7 +9,10 @@
 //! every kind, `frames.wal` the log the same work left (the `CREATE TABLE`
 //! and `INSERT` text of every programmatic write, framed). The writer of
 //! this build must produce both byte for byte — but for the two differences
-//! [`as_written_now`] spells out — and read both as the parent did.
+//! [`as_written_now`] spells out — and read both as the parent did. Since
+//! the log holds typed records, its frames are compared as the text they
+//! stand for, and `records.wal` pins the bytes this build writes; the
+//! parent's `frames.wal` must still replay.
 
 use perfbase::core::experiment::ExperimentDb;
 use perfbase::core::import::Importer;
@@ -139,9 +142,9 @@ fn build(dir: &Path) -> (String, Vec<u8>) {
 fn statements(log: &[u8], scratch: &Path) -> Vec<String> {
     std::fs::write(scratch, log).unwrap();
     let opts = WalOptions::with_sync(SyncPolicy::Off);
-    let (_, statements, report) = Wal::open_recover(scratch, opts).unwrap();
+    let (_, frames, report) = Wal::open_recover(scratch, opts).unwrap();
     assert_eq!(report.torn_bytes, 0);
-    statements
+    frames.statements()
 }
 
 /// What this build writes differs from what `0a09b29` wrote in two places,
@@ -179,11 +182,10 @@ fn dump_and_frames_are_the_bytes_the_parent_build_wrote() {
     let written = statements(&frames, &scratch);
     let want = as_written_now(statements(&want_frames, &scratch));
     assert!(written == want, "log differs from the parent's");
-    assert_eq!(
-        frames.len(),
-        want_frames.len() + "ORDERED ".len(),
-        "framing"
-    );
+    // The log is typed records now: it reads as the parent's text, and its
+    // bytes are pinned by `records.wal`.
+    let want_records = std::fs::read(fixture("records.wal")).unwrap();
+    assert!(frames == want_records, "log bytes differ from records.wal");
 
     // Read back — the dump alone, and the log alone replayed into an empty
     // engine — the parent's bytes give the state they were written from.
@@ -195,5 +197,14 @@ fn dump_and_frames_are_the_bytes_the_parent_build_wrote() {
         Engine::open_durable(&none, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
     assert_eq!(report.replay_errors, 0);
     assert_eq!(replayed.dump_sql(), want_dump);
+    std::fs::write(&wal, &want_records).unwrap();
+    let (replayed, report) = Engine::open_durable(
+        &dir.join("none2.sql"),
+        &wal,
+        WalOptions::with_sync(SyncPolicy::Off),
+    )
+    .unwrap();
+    assert_eq!(report.replay_errors, 0);
+    assert_eq!(replayed.dump_sql(), ordered);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -31,8 +31,8 @@
 //! The reader checks every count against the bytes left before it sizes
 //! anything from it, and every error names the byte offset it found.
 
-use crate::codec::{read_column, read_schema, write_column, write_count, write_schema, write_str};
-use crate::codec::{Origin, Reader, Source, Stream};
+use crate::codec::{read_schema, walk_column, write_column, write_count, write_schema, write_str};
+use crate::codec::{Origin, Pass, Reader, Source, Stream};
 use crate::column::ColumnStore;
 use crate::engine::Engine;
 use crate::error::DbError;
@@ -95,14 +95,14 @@ pub(crate) fn read(src: impl Read, len: usize) -> Result<(Option<u64>, Tables), 
         return Err(r.fail(MAGIC.len(), why));
     }
     let stamp = r.num(8, "checkpoint stamp")?;
-    let mut tables: Tables = Vec::new();
+    let (mut tables, mut room): (Tables, _) = (Vec::new(), Vec::new());
     for _ in 0..r.num(4, "table count")? {
         let at = r.at;
         let name = r.str("table name")?;
         if tables.last().is_some_and(|(last, _)| *last >= name) {
             return Err(r.fail(at, format!("table {name} is out of name order")));
         }
-        tables.push((name, read_table(&mut r)?));
+        tables.push((name, read_table(&mut r, &mut room)?));
     }
     if r.left != 0 {
         return Err(r.fail(r.at, "bytes after the last table"));
@@ -110,14 +110,17 @@ pub(crate) fn read(src: impl Read, len: usize) -> Result<(Option<u64>, Tables), 
     Ok(((stamp != 0).then_some(stamp), tables))
 }
 
-/// Read one table after its name.
-fn read_table(r: &mut Reader<impl Source>) -> Result<Table, DbError> {
+/// Read one table after its name, each column walked into the table's
+/// empty one in one pass: an error drops the table.
+fn read_table(r: &mut Reader<impl Source>, room: &mut Vec<usize>) -> Result<Table, DbError> {
     let schema = read_schema(r)?;
     let at = r.at;
     let rows = r.num(8, "row count")?;
     let rows = usize::try_from(rows).map_err(|_| r.fail(at, format!("{rows} rows")))?;
-    let cols = schema.columns.iter().map(|c| read_column(r, c, rows));
-    let store = ColumnStore::from_columns(cols.collect::<Result<_, _>>()?, rows);
+    let mut store = ColumnStore::new(&schema);
+    store.append_columns(rows, |k, col| {
+        walk_column(r, &schema.columns[k], rows, Pass::Append(col), room)
+    })?;
     let mut table = Table::new(schema);
     table.append(store);
     for _ in 0..r.num(4, "index count")? {

@@ -14,7 +14,7 @@
 //! The [`Reader`] checks every count against the bytes left before it sizes
 //! anything from it, and every error names the byte offset it found.
 
-use crate::column::{Chunked, ColumnVec, DictColumn, NullBitmap};
+use crate::column::{Chunked, ColumnVec, NullBitmap};
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
 use crate::value::DataType::{self, Bool, Float, Int, Text, Timestamp};
@@ -116,67 +116,140 @@ pub(crate) fn write_column(out: &mut impl Write, col: &ColumnVec, compact: bool)
     }
 }
 
-/// Read the null bitmap and the `rows` cells of column `col`.
-pub(crate) fn read_column(
+/// What [`walk_column`] does with a column besides checking it.
+pub(crate) enum Pass<'p> {
+    /// Nothing: the first pass over a log record, which changes nothing and,
+    /// once `room` has grown, allocates nothing. `record` holds the bytes the
+    /// walk reads, the first of them at byte `base`: it keeps the offsets of
+    /// a dictionary's entries in `room` and finds a repeated entry among
+    /// them, and it reads a TEXT code's null bit back from its bitmap.
+    Check { record: &'p [u8], base: usize },
+    /// Append the column to `to`, a column of its type: the null bits as
+    /// words, the cells straight from their bytes, each dictionary entry
+    /// interned once by `&str`, its code in `to` kept in `room`, and the
+    /// codes mapped through `room`.
+    Append(&'p mut ColumnVec),
+}
+
+/// Walk the null bitmap and the `rows` cells of column `col`: check them —
+/// no NULL bit past the last row, no NULL in a NOT NULL column, BOOLEAN
+/// bytes 0 or 1, dictionary entries UTF-8 and none repeated, every TEXT
+/// code inside the dictionary and 0 under a NULL — and do what `pass` says.
+/// The one decoder of the column encoding: a checkpoint's tables, a log
+/// record's replay and its SQL text all go through here. An error leaves
+/// a [`Pass::Append`] target part-way, its dictionary perhaps grown. Under
+/// `Append` an entry is found repeated only when the target did not hold it
+/// before: a check pass, or an empty target, finds every repeat.
+pub(crate) fn walk_column(
     r: &mut Reader<impl Source>,
     col: &Column,
     rows: usize,
-) -> Result<ColumnVec, DbError> {
-    let at = r.at;
+    mut pass: Pass<'_>,
+    room: &mut Vec<usize>,
+) -> Result<(), DbError> {
+    let (origin, bitmap_at) = (r.origin, r.at);
     let words = r.take(rows.div_ceil(64), 8, "null bitmap")?;
-    let nulls = NullBitmap::from_words(words.chunks_exact(8).map(le), rows);
     let last = words.len().checked_sub(8).map_or(0, |k| le(&words[k..]));
     if !rows.is_multiple_of(64) && last >> (rows % 64) != 0 {
-        return Err(r.fail(r.at - 8, "a NULL bit past the last row"));
+        return Err(fail(origin, r.at - 8, "a NULL bit past the last row"));
     }
-    if !col.nullable && nulls.null_count() > 0 {
-        return Err(r.fail(at, format!("NULL in NOT NULL column {}", col.name)));
+    if !col.nullable && words.iter().any(|&b| b != 0) {
+        let why = format!("NULL in NOT NULL column {}", col.name);
+        return Err(fail(origin, bitmap_at, why));
+    }
+    if let Pass::Append(to) = &mut pass {
+        to.extend_null_words(words, rows);
     }
     let at = r.at;
-    let raw = match col.dtype {
-        Text => &[][..],
-        Bool => r.take(rows, 1, "BOOLEAN cells")?,
-        _ => r.take(rows, 8, "cells")?,
-    };
-    Ok(match col.dtype {
-        Int => ColumnVec::Int {
-            data: cells(raw, i64::from_le_bytes),
-            nulls,
-        },
-        Timestamp => ColumnVec::Timestamp {
-            data: cells(raw, i64::from_le_bytes),
-            nulls,
-        },
-        Float => ColumnVec::Float {
-            data: cells(raw, f64::from_le_bytes),
-            nulls,
-        },
+    match col.dtype {
+        Int | Float | Timestamp => {
+            let cells = r.take(rows, 8, "cells")?;
+            if let Pass::Append(to) = pass {
+                to.extend_cells(cells);
+            }
+        }
         Bool => {
-            if let Some(i) = raw.iter().position(|&b| b > 1) {
-                return Err(r.fail(at + i, "a BOOLEAN cell neither 0 nor 1"));
+            let cells = r.take(rows, 1, "BOOLEAN cells")?;
+            if let Some(i) = cells.iter().position(|&b| b > 1) {
+                return Err(fail(origin, at + i, "a BOOLEAN cell neither 0 nor 1"));
             }
-            let data = Chunked::from_vec(raw.iter().map(|&b| b == 1).collect());
-            ColumnVec::Bool { data, nulls }
+            if let Pass::Append(to) = pass {
+                to.extend_cells(cells);
+            }
         }
-        Text => {
-            let mut strings = Vec::new();
-            for _ in 0..r.num(4, "dictionary size")? {
-                strings.push(r.str("dictionary entry")?);
+        Text => match pass {
+            Pass::Check { record, base } => {
+                let entries = entries(r, room)?;
+                if let Some(at) = repeated(record, base, room) {
+                    return Err(fail(origin, at, "a repeated dictionary entry"));
+                }
+                codes(r, rows, entries, |i| {
+                    record[bitmap_at - base + i / 8] >> (i % 8) & 1 == 1
+                })?;
             }
-            strings.shrink_to_fit();
-            let codes_at = r.at;
-            let codes = r.take(rows, 4, "TEXT codes")?;
-            // A NULL cell's code is 0, any other's inside the dictionary.
-            let bad = codes.chunks_exact(4).enumerate().position(|(i, code)| {
-                le(code) as usize >= if nulls.is_null(i) { 1 } else { strings.len() }
-            });
-            if let Some(i) = bad {
-                return Err(r.fail(codes_at + 4 * i, "a TEXT code out of range"));
+            Pass::Append(ColumnVec::Text(to)) => {
+                let before = to.dict().len();
+                room.clear();
+                for _ in 0..r.num(4, "dictionary size")? {
+                    let (at, had) = (r.at, to.dict().len());
+                    let code = to.intern(r.text("dictionary entry")?) as usize;
+                    if (before..had).contains(&code) {
+                        return Err(fail(origin, at, "a repeated dictionary entry"));
+                    }
+                    room.push(code);
+                }
+                let first = to.codes.len();
+                let codes = codes(r, rows, room.len(), |i| to.nulls.is_null(first + i))?;
+                to.extend_codes(codes, room);
             }
-            let column = DictColumn::new(cells(codes, u32::from_le_bytes), nulls, strings);
-            ColumnVec::Text(column.map_err(|k| r.fail(at, format!("entry {k} repeats")))?)
-        }
-    })
+            Pass::Append(to) => unreachable!("TEXT walked into {:?}", to.dtype()),
+        },
+    }
+    Ok(())
+}
+
+/// Read a dictionary without keeping it: its entries checked UTF-8, the
+/// offset of each kept in `room`; returns how many there are.
+fn entries(r: &mut Reader<impl Source>, room: &mut Vec<usize>) -> Result<usize, DbError> {
+    room.clear();
+    for _ in 0..r.num(4, "dictionary size")? {
+        room.push(r.at);
+        r.text("dictionary entry")?;
+    }
+    Ok(room.len())
+}
+
+/// The offset of an entry that repeats one before it, among the entries of
+/// `record` (its first byte at byte `base`) whose offsets `room` holds —
+/// sorted by their bytes on the way.
+fn repeated(record: &[u8], base: usize, room: &mut [usize]) -> Option<usize> {
+    let entry = |at: usize| {
+        let at = at - base;
+        &record[at + 4..at + 4 + le(&record[at..at + 4]) as usize]
+    };
+    room.sort_unstable_by(|&a, &b| entry(a).cmp(entry(b)));
+    let pair = room.windows(2).find(|w| entry(w[0]) == entry(w[1]));
+    pair.map(|w| w[0].max(w[1]))
+}
+
+/// The `rows` TEXT codes of a dictionary of `entries`, each inside it, and
+/// 0 where `null(i)` says row `i` is NULL.
+fn codes(
+    r: &mut Reader<impl Source>,
+    rows: usize,
+    entries: usize,
+    null: impl Fn(usize) -> bool,
+) -> Result<&[u8], DbError> {
+    let (origin, at) = (r.origin, r.at);
+    let codes = r.take(rows, 4, "TEXT codes")?;
+    let bad = codes
+        .chunks_exact(4)
+        .enumerate()
+        .position(|(i, code)| le(code) as usize >= if null(i) { 1 } else { entries });
+    match bad {
+        Some(i) => Err(fail(origin, at + 4 * i, "a TEXT code out of range")),
+        None => Ok(codes),
+    }
 }
 
 impl<'a> Reader<&'a [u8]> {
@@ -207,12 +280,6 @@ pub(crate) fn fail(origin: Origin, at: usize, why: impl std::fmt::Display) -> Db
         Origin::Checkpoint => DbError::Execution(format!("typed checkpoint, byte {at}: {why}")),
         Origin::Frame(seq) => DbError::Execution(format!("WAL frame {seq}, byte {at}: {why}")),
     }
-}
-
-/// `bytes` read as cells of `W` bytes each.
-fn cells<T: Clone, const W: usize>(bytes: &[u8], cell: impl Fn([u8; W]) -> T) -> Chunked<T> {
-    let each = bytes.chunks_exact(W);
-    Chunked::from_vec(each.map(|b| cell(b.try_into().expect("W bytes"))).collect())
 }
 
 /// The little-endian number `bytes` hold: at most 8 of them.
@@ -263,6 +330,7 @@ impl Source for &[u8] {
 /// A cursor over encoded bytes: `left` of them still to come from `src`.
 /// `at` counts from where the bytes start in their file; `origin` names
 /// the file (and the frame) in every error.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Reader<S> {
     src: S,
     pub(crate) at: usize,
@@ -271,7 +339,7 @@ pub(crate) struct Reader<S> {
 }
 
 /// What a [`Reader`] reads.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Origin {
     /// A typed checkpoint.
     Checkpoint,
@@ -326,11 +394,15 @@ impl<S: Source> Reader<S> {
 
     /// A string: its length, then as many bytes of UTF-8.
     pub(crate) fn str(&mut self, what: &str) -> Result<String, DbError> {
+        self.text(what).map(str::to_owned)
+    }
+
+    /// [`Reader::str`], borrowed where the reader holds it.
+    pub(crate) fn text(&mut self, what: &str) -> Result<&str, DbError> {
         let n = self.num(4, what)? as usize;
-        let at = self.at;
-        let bytes = self.take(n, 1, what)?.to_vec();
-        String::from_utf8(bytes)
-            .map_err(|e| self.fail(at + e.utf8_error().valid_up_to(), "not UTF-8"))
+        let (origin, at) = (self.origin, self.at);
+        let bytes = self.take(n, 1, what)?;
+        std::str::from_utf8(bytes).map_err(|e| fail(origin, at + e.valid_up_to(), "not UTF-8"))
     }
 
     /// A column type, by its number.

@@ -83,7 +83,7 @@ impl<T, const N: usize> Default for Chunked<T, N> {
 
 impl<T: Clone, const N: usize> Chunked<T, N> {
     /// Number of cells.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.full.len() * N + self.tail.len()
     }
 
@@ -222,19 +222,6 @@ impl<T: Clone, const N: usize> Chunked<T, N> {
     }
 }
 
-impl<T: Clone, const N: usize> Chunked<T, N> {
-    /// `cells`, chunked: a vector shorter than a chunk is the tail as it is.
-    pub(crate) fn from_vec(cells: Vec<T>) -> Self {
-        match cells.len() < N {
-            true => Chunked {
-                full: Vec::new(),
-                tail: cells,
-            },
-            false => cells.into_iter().collect(),
-        }
-    }
-}
-
 impl<T: Clone, const N: usize> FromIterator<T> for Chunked<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(cells: I) -> Self {
         let mut out = Chunked::default();
@@ -262,19 +249,6 @@ pub(crate) struct NullBitmap {
 }
 
 impl NullBitmap {
-    /// The bitmap of `len` rows whose words are `words`, `⌈len/64⌉` of them
-    /// with no bit set past row `len`.
-    pub(crate) fn from_words(words: impl IntoIterator<Item = u64>, len: usize) -> NullBitmap {
-        let words = Chunked::<u64, CHUNK_WORDS>::from_vec(words.into_iter().collect());
-        debug_assert_eq!(words.len(), len.div_ceil(64));
-        let nulls = words
-            .chunks()
-            .flat_map(|(_, c)| c)
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        NullBitmap { words, len, nulls }
-    }
-
     /// The words, `⌈len/64⌉` of them: row `i` is bit `i % 64` of word
     /// `i / 64`, and no bit past the last row is set.
     pub(crate) fn words(&self) -> impl Iterator<Item = u64> + '_ {
@@ -309,6 +283,25 @@ impl NullBitmap {
         self.len += n;
         let words = self.len.div_ceil(64) - self.words.len();
         self.words.extend(std::iter::repeat_n(0, words));
+    }
+
+    /// Append `rows` bits given as the column codec writes them: `⌈rows/64⌉`
+    /// little-endian words, no bit set past the last row. A word of no NULL
+    /// costs nothing past [`NullBitmap::extend_valid`]; any other is OR-ed
+    /// in whole, shifted into place when the bitmap does not end on a word.
+    fn extend_words(&mut self, words: &[u8], rows: usize) {
+        let (first, shift) = (self.len / 64, self.len % 64);
+        self.extend_valid(rows);
+        let words = words
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        for (k, w) in words.enumerate().filter(|&(_, w)| w != 0) {
+            self.nulls += w.count_ones() as usize;
+            *self.words.get_mut(first + k) |= w << shift;
+            if shift > 0 && w >> (64 - shift) != 0 {
+                *self.words.get_mut(first + k + 1) |= w >> (64 - shift);
+            }
+        }
     }
 
     /// Append the bits of `src` at `positions` (`None`: every bit).
@@ -391,29 +384,12 @@ pub(crate) struct DictColumn {
 }
 
 impl DictColumn {
-    /// The column of `codes` into `strings`, NULL where `nulls` says; the
-    /// position of a string that repeats an earlier one is the error.
-    pub(crate) fn new(
-        codes: Chunked<u32>,
-        nulls: NullBitmap,
-        strings: Vec<String>,
-    ) -> Result<Self, usize> {
-        let mut lookup = HashMap::with_capacity(strings.len());
-        for (code, s) in (0..).zip(&strings) {
-            if lookup.insert(s.clone(), code).is_some() {
-                return Err(code as usize);
-            }
-        }
-        let dict = Arc::new(Dict { strings, lookup });
-        Ok(DictColumn { codes, nulls, dict })
-    }
-
     /// This column with only the strings its rows reference in its
     /// dictionary, in the order rows first use them, and code 0 under every
     /// NULL: what the column holds, whatever was interned and deleted.
     pub(crate) fn compacted(&self) -> DictColumn {
         let mut out = DictColumn::default();
-        out.extend_selected(self, &(0..self.codes.len()).collect::<Vec<_>>());
+        out.extend_selected(self, None);
         out
     }
 
@@ -428,17 +404,55 @@ impl DictColumn {
         self.dict.lookup.get(s).copied()
     }
 
-    /// Append the cells of `src` at `positions`. When `src`'s dictionary is
-    /// a prefix of this one, every string of `src` already sits at its own
-    /// code here: codes are copied as they are (a NULL cell's as 0), and the
-    /// dictionary does not change. Otherwise codes travel through a remap
-    /// table filled as `src` codes are first met: a string is interned once
-    /// per call, in row order, and entries of `src` that no selected row
-    /// references never enter this dictionary. Both give the same codes.
-    fn extend_selected(&mut self, src: &DictColumn, positions: &[usize]) {
-        let cells = positions.iter().zip(src.codes.gather(positions));
+    /// The code of `s`, interned if new.
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
+        intern(&mut self.dict, s)
+    }
+
+    /// Append one cell per code of `codes` — `u32`s, little-endian, as the
+    /// column codec writes them — code `c` as `remap[c]`, and code 0 under
+    /// each NULL bit: the cells' null bits are appended already.
+    pub(crate) fn extend_codes(&mut self, codes: &[u8], remap: &[usize]) {
+        let (first, nulls) = (self.codes.len(), &self.nulls);
+        let codes = codes.chunks_exact(4).enumerate().map(|(i, code)| {
+            let code = u32::from_le_bytes(code.try_into().expect("4 bytes")) as usize;
+            if nulls.is_null(first + i) {
+                0
+            } else {
+                remap[code] as u32
+            }
+        });
+        self.codes.extend(codes);
+    }
+
+    /// Append the cells of `src` at `positions` (`None`: every cell, no
+    /// positions built).
+    fn extend_selected(&mut self, src: &DictColumn, positions: Option<&[usize]>) {
         // A cell's code, or `None` when it is NULL.
-        let cells = cells.map(|(&p, &code)| (!src.nulls.is_null(p)).then_some(code));
+        let cell = |p: usize, code: u32| (!src.nulls.is_null(p)).then_some(code);
+        match positions {
+            Some(positions) => {
+                let cells = positions.iter().zip(src.codes.gather(positions));
+                self.extend_cells(src, cells.map(|(&p, &code)| cell(p, code)));
+            }
+            None => self.extend_cells(src, (0..src.codes.len()).map(|p| cell(p, src.codes[p]))),
+        }
+        self.nulls.extend_selected(&src.nulls, positions);
+    }
+
+    /// Append `cells`, codes into `src`'s dictionary (`None`: NULL). When
+    /// `src`'s dictionary is a prefix of this one, every string of `src`
+    /// already sits at its own code here: codes are copied as they are (a
+    /// NULL cell's as 0), and the dictionary does not change. Otherwise codes
+    /// travel through a remap table filled as `src` codes are first met: a
+    /// string is interned once per call, in row order, and entries of `src`
+    /// that no cell references never enter this dictionary. Both give the
+    /// same codes.
+    fn extend_cells(
+        &mut self,
+        src: &DictColumn,
+        cells: impl ExactSizeIterator<Item = Option<u32>>,
+    ) {
         if self.dict().starts_with(src.dict()) {
             self.codes.extend(cells.map(|code| code.unwrap_or(0)));
         } else {
@@ -455,7 +469,6 @@ impl DictColumn {
                 remap[from]
             }));
         }
-        self.nulls.extend_selected(&src.nulls, Some(positions));
     }
 }
 
@@ -619,11 +632,46 @@ impl ColumnVec {
             (ColumnVec::Bool { data, nulls }, ColumnVec::Bool { data: s, nulls: sn }) => {
                 copy((data, nulls), (s, sn), positions)
             }
-            (ColumnVec::Text(d), ColumnVec::Text(s)) => match positions {
-                Some(positions) => d.extend_selected(s, positions),
-                None => d.extend_selected(s, &(0..s.codes.len()).collect::<Vec<_>>()),
-            },
+            (ColumnVec::Text(d), ColumnVec::Text(s)) => d.extend_selected(s, positions),
             (dst, src) => panic!("column of another type appended: {src:?} to {dst:?}"),
+        }
+    }
+
+    /// Append `rows` null bits as the column codec writes them
+    /// ([`NullBitmap::extend_words`]).
+    pub(crate) fn extend_null_words(&mut self, words: &[u8], rows: usize) {
+        match self {
+            ColumnVec::Int { nulls, .. }
+            | ColumnVec::Float { nulls, .. }
+            | ColumnVec::Bool { nulls, .. }
+            | ColumnVec::Timestamp { nulls, .. } => nulls.extend_words(words, rows),
+            ColumnVec::Text(d) => d.nulls.extend_words(words, rows),
+        }
+    }
+
+    /// Append the cells of a number or BOOLEAN column as the column codec
+    /// writes them: 8 bytes little-endian each (FLOAT as its bits), a
+    /// BOOLEAN as one byte, 1 for TRUE. A TEXT column's cells are codes
+    /// ([`DictColumn::extend_codes`]).
+    pub(crate) fn extend_cells(&mut self, bytes: &[u8]) {
+        fn fill<T: Clone, const W: usize>(
+            data: &mut Chunked<T>,
+            bytes: &[u8],
+            cell: impl Fn([u8; W]) -> T,
+        ) {
+            data.extend(
+                bytes
+                    .chunks_exact(W)
+                    .map(|b| cell(b.try_into().expect("W bytes"))),
+            );
+        }
+        match self {
+            ColumnVec::Int { data, .. } | ColumnVec::Timestamp { data, .. } => {
+                fill(data, bytes, i64::from_le_bytes)
+            }
+            ColumnVec::Float { data, .. } => fill(data, bytes, f64::from_le_bytes),
+            ColumnVec::Bool { data, .. } => fill(data, bytes, |[b]: [u8; 1]| b == 1),
+            ColumnVec::Text(_) => unreachable!("the cells of a TEXT column are codes"),
         }
     }
 
@@ -784,12 +832,6 @@ impl ColumnStore {
         }
     }
 
-    /// The store of `len` rows whose columns are `cols`, each `len` cells
-    /// long.
-    pub(crate) fn from_columns(cols: Vec<ColumnVec>, len: usize) -> ColumnStore {
-        ColumnStore { cols, len }
-    }
-
     /// Number of rows.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -846,6 +888,21 @@ impl ColumnStore {
             col.extend_selected(src, None);
         }
         self.len += batch.len;
+    }
+
+    /// Append `rows` rows a column at a time: `f(k, column)` appends `rows`
+    /// cells to column `k`. An error stops it there, the columns part-way:
+    /// for a store that is then dropped.
+    pub(crate) fn append_columns<E>(
+        &mut self,
+        rows: usize,
+        mut f: impl FnMut(usize, &mut ColumnVec) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for (k, col) in self.cols.iter_mut().enumerate() {
+            f(k, col)?;
+        }
+        self.len += rows;
+        Ok(())
     }
 
     /// Append `positions.len()` rows: column `i` takes what `cells[i]` names

@@ -1,13 +1,12 @@
 //! The engine: catalog of tables plus the SQL entry points.
 #![warn(missing_docs)]
 
-use crate::codec::{self, Origin};
 use crate::column::ColumnStore;
 use crate::compile::compile;
 use crate::dump;
 use crate::error::DbError;
 use crate::exec;
-use crate::record::{self, FrameRef, Record};
+use crate::record::{self, FrameRef, Insert, Record};
 use crate::schema::{Column, Schema};
 use crate::snapshot::Snapshot;
 use crate::sql::{self, SelectStmt, SqlExpr, Stmt, ValueCell};
@@ -773,24 +772,32 @@ impl Engine {
 
     /// Replay one unit of log frames — records — without logging them
     /// again; returns how many failed. A frame fails when its record does
-    /// not decode, when an `Insert`'s batch does not fit the live table, or
+    /// not decode, when an `Insert`'s columns do not fit the live table, or
     /// when its statement fails: a log written before rejected statements
     /// stopped being logged holds frames that fail on every replay, as they
     /// failed in the original run. Recovery, replica apply and promotion all
-    /// replay through here.
-    pub(crate) fn replay_unlogged(&self, unit: &[FrameRef<'_>]) -> u64 {
-        unit.iter().filter(|f| self.replay(**f).is_err()).count() as u64
+    /// replay through here, each with one `room` for every unit it replays
+    /// ([`Insert::check`]).
+    pub(crate) fn replay_unlogged<'f>(
+        &self,
+        unit: impl IntoIterator<Item = FrameRef<'f>>,
+        room: &mut Vec<usize>,
+    ) -> u64 {
+        let failed = unit.into_iter().filter(|&f| self.replay(f, room).is_err());
+        failed.count() as u64
     }
 
-    /// Replay one record: an `Insert`'s batch is published as it is, after
-    /// the check [`fits`] makes; every other record goes through [`plan`].
-    fn replay(&self, frame: FrameRef<'_>) -> Result<(), DbError> {
+    /// Replay one record. An `Insert` goes into the live table in two passes
+    /// over the frame's bytes, under the writer lock: a check against the
+    /// table's schema that changes nothing, then, published like any append,
+    /// its cells appended straight from the bytes — a refused record leaves
+    /// no trace. Every other record goes through [`plan`].
+    fn replay(&self, frame: FrameRef<'_>, room: &mut Vec<usize>) -> Result<(), DbError> {
         match record::decode(frame)? {
-            Record::Insert { name, batch } => {
+            Record::Insert(insert) => {
                 let mut wal = self.wal.lock();
-                fits(&self.pin_table(name)?.schema, &batch)
-                    .map_err(|why| codec::fail(Origin::Frame(frame.seq), frame.at, why))?;
-                let work = &mut [(name, Change::Append(batch))];
+                insert.check(&self.pin_table(insert.name)?.schema, room)?;
+                let work = &mut [(insert.name, Change::Replay(&insert, room))];
                 self.publish(&mut wal, None, work, Vec::new())
             }
             Record::CreateTable {
@@ -832,10 +839,10 @@ impl Engine {
         opts: WalOptions,
         ckpt_seq: u64,
     ) -> Result<RecoveryReport, DbError> {
-        let mut errors = 0;
+        let (mut errors, mut room) = (0, Vec::new());
         let (wal, mut report) =
-            Wal::open_recover_with(wal_path, opts, ckpt_seq.max(1), |_, unit| {
-                errors += self.replay_unlogged(unit)
+            Wal::open_recover_with(wal_path, opts, ckpt_seq.max(1), |read, unit| {
+                errors += self.replay_unlogged(unit.iter().map(|&k| read.get(k)), &mut room)
             })?;
         report.replay_errors = errors;
         let convert = wal.holds_text_frames();
@@ -872,29 +879,6 @@ impl Engine {
         };
         let report = engine.recover(dump_path, wal_path, opts, ckpt_seq)?;
         Ok((engine, report))
-    }
-}
-
-/// Does a logged batch fit a table under `schema`: columns of the same
-/// types in the same order, and no NULL in a NOT NULL column? (Its TEXT
-/// codes were checked when it was decoded.)
-fn fits(schema: &Schema, batch: &ColumnStore) -> Result<(), String> {
-    let types = (0..batch.arity()).map(|k| batch.col(k).dtype());
-    if !schema.columns.iter().map(|c| c.dtype).eq(types.clone()) {
-        return Err(format!(
-            "a batch of column types {:?} for a table of {:?}",
-            types.collect::<Vec<_>>(),
-            schema.columns.iter().map(|c| c.dtype).collect::<Vec<_>>()
-        ));
-    }
-    let null = (0..batch.arity())
-        .find(|&k| !schema.columns[k].nullable && batch.col(k).nulls().null_count() > 0);
-    match null {
-        Some(k) => Err(format!(
-            "NULL in NOT NULL column {}",
-            schema.columns[k].name
-        )),
-        None => Ok(()),
     }
 }
 
@@ -1035,7 +1019,7 @@ pub(crate) enum Text<'a> {
 
 /// What an accepted write changes, validated against the version in view:
 /// applying it cannot fail.
-pub(crate) enum Change {
+pub(crate) enum Change<'r> {
     /// Make this version current: a created or installed table, a
     /// transaction's private copy.
     Version(Arc<Table>),
@@ -1044,6 +1028,9 @@ pub(crate) enum Change {
     /// Append this batch, built under the table's schema
     /// ([`BatchBuilder`]).
     Append(ColumnStore),
+    /// Append the rows of a log record [`Insert::check`] accepted against
+    /// the table's schema, through this room.
+    Replay(&'r Insert<'r>, &'r mut Vec<usize>),
     /// Overwrite cells.
     Update(UpdatePlan),
     /// Remove the rows at these positions.
@@ -1065,11 +1052,12 @@ pub(crate) enum Change {
     Nothing { logged: bool },
 }
 
-impl Change {
+impl Change<'_> {
     /// The statement's count of affected rows.
     pub(crate) fn rows(&self) -> usize {
         match self {
             Change::Append(batch) => batch.len(),
+            Change::Replay(insert, _) => insert.rows,
             Change::Update(plan) => plan.positions.len(),
             Change::Delete(positions) => positions.len(),
             _ => 0,
@@ -1083,6 +1071,7 @@ impl Change {
             Change::Append(batch) => {
                 table.append(batch);
             }
+            Change::Replay(insert, room) => table.append_record(insert, room),
             Change::Update(plan) => {
                 table.write_positions(&plan.positions, &plan.cols, plan.values);
             }
@@ -1113,7 +1102,7 @@ pub(crate) fn plan(
     ask: Ask,
     view: Option<&Table>,
     text: Text<'_>,
-) -> Result<(Change, Option<Vec<u8>>), DbError> {
+) -> Result<(Change<'static>, Option<Vec<u8>>), DbError> {
     let wanted = !matches!(text, Text::Unwanted);
     let mut record = None;
     let table = || view.ok_or_else(|| DbError::NoSuchTable(name.to_string()));

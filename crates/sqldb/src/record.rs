@@ -14,21 +14,25 @@
 //! Strings, the schema, types and columns are in the column codec's
 //! encoding ([`crate::codec`]), the one the typed checkpoint uses: an
 //! `Insert` is the batch the INSERT built, and replaying it appends that
-//! batch without a parser. Every other statement — UPDATE and DELETE, whose
-//! effect depends on the rows they run against, DROP TABLE and CREATE
-//! INDEX — is `Sql` text. A version-1 log's frames are text: a marker
-//! payload reads as `Begin` or `Commit`, any other as `Sql`.
+//! batch without a parser — straight from the frame's bytes into the live
+//! table, after a pass that checks them against its schema
+//! ([`Insert::check`], [`Insert::append_to`]). Every other statement —
+//! UPDATE and DELETE, whose effect depends on the rows they run against,
+//! DROP TABLE and CREATE INDEX — is `Sql` text. A version-1 log's frames
+//! are text: a marker payload reads as `Begin` or `Commit`, any other as
+//! `Sql`.
 //!
 //! The decoder is total: every count is checked against the bytes left
 //! before anything is sized from it, and every error names the frame's
 //! sequence number and the byte offset in the log where it went wrong.
 
-use crate::codec::{fail, type_number, Origin, Reader, TYPES};
-use crate::codec::{read_column, read_schema, write_column, write_schema, write_str};
+use crate::codec::{fail, type_number, walk_column, Origin, Pass, Reader, TYPES};
+use crate::codec::{read_schema, write_column, write_schema, write_str};
 use crate::column::ColumnStore;
 use crate::dump;
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
+use crate::value::DataType;
 
 /// Opens the frame group of a unit of more than one statement.
 pub(crate) const BEGIN: u8 = 1;
@@ -65,9 +69,79 @@ pub(crate) enum Record<'a> {
         schema: Schema,
         if_not_exists: bool,
     },
-    /// The rows one INSERT appends to table `name`, each NULL bit as
-    /// written.
-    Insert { name: &'a str, batch: ColumnStore },
+    /// The rows one INSERT appends.
+    Insert(Insert<'a>),
+}
+
+/// An `Insert` record as [`decode`] reads it: its table's name, its column
+/// types and its row count checked, its columns still the frame's bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Insert<'a> {
+    /// The table the rows go to.
+    pub(crate) name: &'a str,
+    /// The column types by their number, each one known.
+    types: &'a [u8],
+    /// How many rows, one or more.
+    pub(crate) rows: usize,
+    /// A reader at the first column's null bitmap.
+    cols: Reader<&'a [u8]>,
+    /// The frame the record is.
+    frame: FrameRef<'a>,
+}
+
+impl Insert<'_> {
+    /// The column types.
+    fn types(&self) -> impl Iterator<Item = DataType> + Clone + '_ {
+        self.types.iter().map(|&t| TYPES[usize::from(t)])
+    }
+
+    /// The first pass of a replay: check the columns against `schema`, the
+    /// live table's — the same types in the same order, then each column as
+    /// [`walk_column`] checks it — and that no byte follows the last. It
+    /// changes nothing and, once `room` has grown, allocates nothing; what
+    /// it accepts, [`Insert::append_to`] appends without an error.
+    pub(crate) fn check(&self, schema: &Schema, room: &mut Vec<usize>) -> Result<(), DbError> {
+        let types = self.types();
+        if !schema.columns.iter().map(|c| c.dtype).eq(types.clone()) {
+            let why = format!(
+                "a batch of column types {:?} for a table of {:?}",
+                types.collect::<Vec<_>>(),
+                schema.columns.iter().map(|c| c.dtype).collect::<Vec<_>>()
+            );
+            return Err(fail(Origin::Frame(self.frame.seq), self.frame.at, why));
+        }
+        let (mut r, record, base) = (self.cols, &self.frame.payload[1..], self.frame.at + 1);
+        for col in &schema.columns {
+            walk_column(&mut r, col, self.rows, Pass::Check { record, base }, room)?;
+        }
+        end(&r)
+    }
+
+    /// Append the rows to `store`, a store under `schema`, column by column
+    /// as [`walk_column`] appends them. Checked by [`Insert::check`] against
+    /// `schema`, it cannot fail; otherwise an error leaves `store` part-way,
+    /// for a store that is then dropped.
+    pub(crate) fn append_to(
+        &self,
+        schema: &Schema,
+        store: &mut ColumnStore,
+        room: &mut Vec<usize>,
+    ) -> Result<(), DbError> {
+        let mut r = self.cols;
+        store.append_columns(self.rows, |k, col| {
+            let pass = Pass::Append(col);
+            walk_column(&mut r, &schema.columns[k], self.rows, pass, room)
+        })?;
+        end(&r)
+    }
+}
+
+/// Refuse bytes after the last column.
+fn end(r: &Reader<&[u8]>) -> Result<(), DbError> {
+    match r.left {
+        0 => Ok(()),
+        _ => Err(r.fail(r.at, "bytes after the record")),
+    }
 }
 
 /// The record of a statement as SQL text.
@@ -171,12 +245,14 @@ pub(crate) fn decode(frame: FrameRef<'_>) -> Result<Record<'_>, DbError> {
                 .ok()
                 .filter(|&rows| rows > 0 && types.len() <= r.left / 9)
                 .ok_or_else(|| r.fail(rows_at, format!("{rows} rows of {count} columns")))?;
-            let column = |&t: &u8| read_column(&mut r, &Column::new("", TYPES[t as usize]), rows);
-            let cols = types.iter().map(column).collect::<Result<Vec<_>, _>>()?;
-            Record::Insert {
+            // The columns are read against the table they go to.
+            return Ok(Record::Insert(Insert {
                 name,
-                batch: ColumnStore::from_columns(cols, rows),
-            }
+                types,
+                rows,
+                cols: r,
+                frame,
+            }));
         }
         tag => {
             return Err(fail(
@@ -206,8 +282,15 @@ pub(crate) fn to_sql(frame: FrameRef<'_>) -> String {
             schema,
             if_not_exists,
         }) => dump::write_create_table(&mut out, name, &schema, if_not_exists),
-        Ok(Record::Insert { name, batch }) => {
-            dump::write_rows(&mut out, name, &batch, 0..batch.len())
+        Ok(Record::Insert(insert)) => {
+            let schema = Schema {
+                columns: insert.types().map(|t| Column::new("", t)).collect(),
+            };
+            let mut batch = ColumnStore::new(&schema);
+            match insert.append_to(&schema, &mut batch, &mut Vec::new()) {
+                Ok(()) => dump::write_rows(&mut out, insert.name, &batch, 0..batch.len()),
+                Err(e) => out = format!("-- {e}"),
+            }
         }
         Err(e) => out = format!("-- {e}"),
     }

@@ -323,7 +323,7 @@ impl ShipStream {
         let frames: Vec<Frame> = std::mem::take(&mut *r.inbox.lock());
         let engine = &cluster.node(r.node).engine;
         let mut reader = r.reader.lock();
-        let mut applied = 0;
+        let (mut applied, mut room) = (0, Vec::new());
         for frame in frames {
             if let Some(fp) = promoting {
                 fp.admit_promotion()?;
@@ -343,7 +343,7 @@ impl ShipStream {
                     at: 0,
                     payload: &f.record,
                 });
-                let errors = engine.replay_unlogged(&records.collect::<Vec<_>>());
+                let errors = engine.replay_unlogged(records, &mut room);
                 self.apply_errors.fetch_add(errors, Ordering::Relaxed);
                 obs::add(obs::Counter::ReplApplyErrors, errors);
                 r.applied_seq.store(seq, Ordering::SeqCst);
@@ -750,6 +750,48 @@ mod tests {
         assert!(obs::get(obs::Counter::ReplApplyErrors) > counted);
         let (shipped, applied) = repl.stream(1).unwrap().replica_progress(2).unwrap();
         assert_eq!(shipped, applied, "applied_seq moves past the failed frame");
+        repl.detach(&cluster);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A replica applies a shipped INSERT in place beside a reader that
+    /// pins the table: the append goes to a copy of the pinned version —
+    /// its tail chunks, and its dictionary for the new strings — and the
+    /// reader's snapshot reads what it read before, cell for cell.
+    #[test]
+    fn a_replica_apply_beside_a_pinned_reader_leaves_its_snapshot_alone() {
+        let dir = std::env::temp_dir().join("perfbase_repl_unit_pinned_apply");
+        let cluster = wal_cluster(&dir, 4);
+        let repl = Replicator::attach(&cluster, ReplOptions::default());
+        let primary = &cluster.node(1).engine;
+        primary
+            .execute("CREATE TABLE t (x INTEGER NOT NULL, s TEXT, f FLOAT)")
+            .unwrap();
+        primary
+            .execute("INSERT INTO t VALUES (1, 'ufs', 0.5), (2, NULL, NULL), (3, 'nfs', 1.5)")
+            .unwrap();
+        primary.wal_sync().unwrap();
+        let replica = &cluster.node(2).engine;
+        let snap = replica.snapshot();
+        let pinned = |snap: &crate::Snapshot| snap.table("t").unwrap().store().to_rows();
+        let before = pinned(&snap);
+        assert_eq!(before.len(), 3);
+        let clones = obs::get(obs::Counter::MvccCowClones);
+        let rows = (4..70).map(|i| {
+            let s = ["ufs", "pvfs", "xfs"][i as usize % 3];
+            vec![Value::Int(i), Value::Text(s.into()), Value::Null]
+        });
+        primary.insert_rows("t", rows.collect()).unwrap();
+        primary.wal_sync().unwrap();
+        assert_eq!(repl.report().apply_errors, 0);
+        assert!(
+            obs::get(obs::Counter::MvccCowClones) > clones,
+            "no copy made"
+        );
+        assert_eq!(replica.row_count("t").unwrap(), 69);
+        assert_eq!(pinned(&snap), before, "the pinned version changed");
+        assert_eq!(snap.row_count("t").unwrap(), 3);
+        assert_eq!(replica.dump_sql(), primary.dump_sql());
         repl.detach(&cluster);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -115,7 +115,7 @@ pub(crate) mod corpus {
         )
         .unwrap();
         let (log, frames, _) =
-            Wal::open_recover(&wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
+            Wal::open_recover(&wal, WalOptions::with_sync(SyncPolicy::Off), 1).unwrap();
         drop(log);
         std::fs::remove_file(&wal).ok();
         assert_eq!(frames.len(), 14, "fixture frames");

@@ -10,6 +10,7 @@
 
 use crate::column::{Cell, ColumnStore, TableMemory};
 use crate::error::DbError;
+use crate::record::Insert;
 use crate::schema::{Column, Schema};
 use crate::value::{Value, ValueKey, ValueRef};
 use std::collections::BTreeMap;
@@ -439,6 +440,15 @@ impl Table {
         self.store.append(batch);
         self.index_from(first);
         rows
+    }
+
+    /// Append the rows of a log record [`Insert::check`] accepted against
+    /// this table's schema, straight from its bytes; `room` as the check's.
+    pub(crate) fn append_record(&mut self, insert: &Insert<'_>, room: &mut Vec<usize>) {
+        let first = self.len();
+        let appended = insert.append_to(&self.schema, &mut self.store, room);
+        appended.expect("checked against this schema");
+        self.index_from(first);
     }
 
     /// Enter the rows from position `first` on into every index.

@@ -64,7 +64,7 @@ pub struct Transaction {
     /// the batch of [`Change::Append`], or [`Change::Nothing`] for a table
     /// only statements without effect ran against. Every entry joins the
     /// first-writer-wins check.
-    work: HashMap<String, Change>,
+    work: HashMap<String, Change<'static>>,
     /// The records of the accepted statements the log carries, in execution
     /// order — the transaction's WAL frame group.
     log: Vec<Vec<u8>>,

@@ -74,8 +74,13 @@ const MAX_PAYLOAD: u32 = if cfg!(test) { 1 << 20 } else { 256 << 20 };
 /// where its last whole unit ends.
 #[derive(Debug)]
 pub(crate) struct UnitReader<F> {
-    /// The statement frames of the open group; `None` outside a group.
-    open: Option<Vec<F>>,
+    /// The statement frames of the open group, or of the unit the last
+    /// frame completed; one vector, reused from unit to unit.
+    frames: Vec<F>,
+    /// Is a group open?
+    open: bool,
+    /// Did the last frame complete a unit? Its frames go at the next one.
+    done: bool,
     /// Frames read that no unit holds: a stray commit marker, or a group
     /// (with its begin marker) that another begin marker cut short.
     discarded: u64,
@@ -84,7 +89,9 @@ pub(crate) struct UnitReader<F> {
 impl<F> Default for UnitReader<F> {
     fn default() -> Self {
         UnitReader {
-            open: None,
+            frames: Vec::new(),
+            open: false,
+            done: false,
             discarded: 0,
         }
     }
@@ -95,35 +102,38 @@ impl<F> UnitReader<F> {
     /// (`None`: an empty record); returns the unit it completes, if it
     /// completes one. A stray commit marker completes a unit of no
     /// statements.
-    pub(crate) fn push(&mut self, tag: Option<u8>, frame: F) -> Option<Vec<F>> {
+    pub(crate) fn push(&mut self, tag: Option<u8>, frame: F) -> Option<&[F]> {
+        if std::mem::take(&mut self.done) {
+            self.frames.clear();
+        }
         match tag {
             Some(record::BEGIN) => {
                 // A begin inside an open group: the older group never
                 // committed.
                 self.abandon();
-                self.open = Some(Vec::new());
-                None
+                self.open = true;
+                return None;
             }
-            Some(record::COMMIT) => Some(self.open.take().unwrap_or_else(|| {
-                self.discarded += 1;
-                Vec::new()
-            })),
-            _ => match self.open.as_mut() {
-                Some(group) => {
-                    group.push(frame);
-                    None
+            Some(record::COMMIT) if !std::mem::take(&mut self.open) => self.discarded += 1,
+            Some(record::COMMIT) => {}
+            _ => {
+                self.frames.push(frame);
+                if self.open {
+                    return None;
                 }
-                None => Some(vec![frame]),
-            },
+            }
         }
+        self.done = true;
+        Some(&self.frames)
     }
 
     /// Give up the open group — its commit marker is not coming. Returns
     /// how many frames this reader has read into no unit, the abandoned
     /// group's (and its begin marker) among them.
     pub(crate) fn abandon(&mut self) -> u64 {
-        if let Some(group) = self.open.take() {
-            self.discarded += group.len() as u64 + 1;
+        if std::mem::take(&mut self.open) {
+            self.discarded += self.frames.len() as u64 + 1;
+            self.frames.clear();
         }
         self.discarded
     }
@@ -589,7 +599,7 @@ impl Frames {
     }
 
     /// The `k`th frame.
-    fn get(&self, k: usize) -> FrameRef<'_> {
+    pub(crate) fn get(&self, k: usize) -> FrameRef<'_> {
         let (seq, at, range) = &self.spans[k];
         FrameRef {
             seq: *seq,
@@ -708,18 +718,22 @@ impl Wal {
     /// cut the file where its last whole unit ends — a torn frame and an
     /// unterminated frame group are both a torn tail — and return the log
     /// positioned for appending plus the frames kept, in order, markers
-    /// included. Nothing is replayed: this is the log without a checkpoint
-    /// (the durable open replays it as it reads it, see `Engine::recover`),
-    /// and its report's `frames_replayed` counts every frame kept. A
-    /// version-1 log that holds frames takes no append until
-    /// [`Wal::compact`]; one that holds none is rewritten as a version-2 log
-    /// here.
+    /// included. `floor` is the sequence number its checkpoint records
+    /// ([`crate::Engine::load_checkpoint`]; 1 without one): the frames below
+    /// it are in the checkpoint, whatever they are, and are returned as they
+    /// are, never read as a group that holds later frames. Nothing is
+    /// replayed: this is the log read by hand (the durable open replays it
+    /// as it reads it, see `Engine::recover`), and its report's
+    /// `frames_replayed` counts every frame kept. A version-1 log that
+    /// holds frames takes no append until [`Wal::compact`]; one that holds
+    /// none is rewritten as a version-2 log here.
     pub fn open_recover(
         path: &Path,
         opts: WalOptions,
+        floor: u64,
     ) -> Result<(Wal, Frames, RecoveryReport), DbError> {
         let mut frames = Frames::default();
-        let (wal, mut report) = Wal::open_recover_with(path, opts, 1, |read, _| {
+        let (wal, mut report) = Wal::open_recover_with(path, opts, floor, |read, _| {
             for frame in read.iter() {
                 frames.push(frame);
             }
@@ -735,12 +749,13 @@ impl Wal {
     /// from `floor` on as units through one [`UnitReader`]: each time a unit
     /// closes it calls `each(read, unit)` with every frame read since the
     /// last one closed (markers included, and the frames of a group that
-    /// never committed) and the unit's statement frames among them. The
-    /// frames below `floor` are in the checkpoint already, whatever they
-    /// are: the reader never sees them (a checkpoint never lands inside a
-    /// group of a log that was not poisoned, and a poisoned log's dead group
-    /// lies wholly below the floor of the checkpoint that cleared the
-    /// poison), and nothing is handed on of them.
+    /// never committed) and the positions in `read` of the unit's statement
+    /// frames. The frames below `floor` are in the checkpoint already,
+    /// whatever they are: the reader never sees them (a checkpoint never
+    /// lands inside a group of a log that was not poisoned, and a poisoned
+    /// log's dead group lies wholly below the floor of the checkpoint that
+    /// cleared the poison), and each is handed on alone, as a unit of no
+    /// statements.
     ///
     /// The next frame this log takes must not be numbered below `floor` —
     /// recovery would skip it as checkpointed, and an acknowledged write
@@ -758,7 +773,7 @@ impl Wal {
         path: &Path,
         opts: WalOptions,
         floor: u64,
-        mut each: impl FnMut(&Frames, &[FrameRef<'_>]),
+        mut each: impl FnMut(&Frames, &[usize]),
     ) -> Result<(Wal, RecoveryReport), DbError> {
         if !path.exists() {
             let wal = Wal::create(path, opts, floor)?;
@@ -834,27 +849,23 @@ impl Wal {
                 record::from_text(text, &mut record);
                 payload = &record;
             }
-            let unit = (seq >= floor).then(|| {
-                let k = read.push(FrameRef { seq, at, payload });
-                reader.push(payload.first().copied(), k)
-            });
+            let k = read.push(FrameRef { seq, at, payload });
+            let unit = match seq >= floor {
+                true => reader.push(payload.first().copied(), k),
+                // In the checkpoint already.
+                false => Some(&[][..]),
+            };
+            if let Some(unit) = unit {
+                each(&read, unit);
+                replayed += unit.len() as u64;
+                read.clear();
+                // No group is open once a unit closes: `abandon` only reads
+                // the count.
+                whole = (window.pos + len, seq + 1, valid + 1, reader.abandon());
+            }
             window.consume(len);
             seq += 1;
             valid += 1;
-            match unit {
-                // Below `floor`: in the checkpoint already.
-                None => whole = (window.pos, seq, valid, whole.3),
-                Some(None) => {}
-                Some(Some(unit)) => {
-                    let unit: Vec<FrameRef> = unit.into_iter().map(|k| read.get(k)).collect();
-                    each(&read, &unit);
-                    replayed += unit.len() as u64;
-                    read.clear();
-                    // No group is open once a unit closes: `abandon` only
-                    // reads the count.
-                    whole = (window.pos, seq, valid, reader.abandon());
-                }
-            }
         }
         let pos = window.pos;
         drop(window);
@@ -1466,7 +1477,7 @@ mod tests {
     /// Open the log at `path` with recovery, its frames as the SQL text
     /// they stand for.
     fn recover(path: &Path, opts: WalOptions) -> (Wal, Vec<String>, RecoveryReport) {
-        let (wal, frames, report) = Wal::open_recover(path, opts).unwrap();
+        let (wal, frames, report) = Wal::open_recover(path, opts, 1).unwrap();
         (wal, frames.statements(), report)
     }
 
@@ -1476,11 +1487,14 @@ mod tests {
     fn read_units(frames: &[String]) -> (Vec<String>, u64) {
         let mut reader = UnitReader::default();
         let records = recs(&frames.iter().map(String::as_str).collect::<Vec<_>>());
-        let units = records
-            .into_iter()
-            .filter_map(|f| reader.push(f.first().copied(), f));
-        let text = |f: Vec<u8>| String::from_utf8(f[1..].to_vec()).unwrap();
-        (units.flatten().map(text).collect(), reader.abandon())
+        let text = |f: &Vec<u8>| String::from_utf8(f[1..].to_vec()).unwrap();
+        let mut out = Vec::new();
+        for f in records {
+            if let Some(unit) = reader.push(f.first().copied(), f) {
+                out.extend(unit.iter().map(text));
+            }
+        }
+        (out, reader.abandon())
     }
 
     const TXN_BEGIN_MARKER: &str = "--TXN BEGIN";
@@ -1847,7 +1861,7 @@ mod tests {
             b"-- perfbase embedded database dump\nCREATE TABLE x;",
         )
         .unwrap();
-        let err = Wal::open_recover(&path, WalOptions::default()).unwrap_err();
+        let err = Wal::open_recover(&path, WalOptions::default(), 1).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
     }
 

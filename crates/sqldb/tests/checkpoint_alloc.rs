@@ -8,6 +8,12 @@
 //! again, so that the record reader is what meets the count — no reopen
 //! asks for a block over 64 KiB.
 //!
+//! The same allocator counts blocks: replaying a log INSERT appends it
+//! straight from the frame's bytes, so a reopen that replays 1 000 one-row
+//! records into a table holding rows makes fewer than 64 allocations more
+//! than the same reopen of an empty log — the tables' columns growing, not a
+//! batch built and freed per record.
+//!
 //! Blocks are recorded per thread: the test harness allocates on threads of
 //! its own while a test runs.
 
@@ -22,11 +28,13 @@ struct Largest;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static COUNT: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     // `try_with`: the slot is gone while a thread is being torn down.
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    let _ = COUNT.try_with(|c| c.set(c.get() + 1));
 }
 
 unsafe impl GlobalAlloc for Largest {
@@ -159,5 +167,51 @@ fn no_record_count_sizes_an_allocation_before_it_is_checked() {
         }
     }
     assert!(refused > log.len(), "only {refused} mutated logs refused");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn replaying_one_row_inserts_allocates_nothing_per_record() {
+    let dir = std::env::temp_dir().join(format!("perfbase_replay_alloc_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ckpt, wal) = (dir.join("db.ckpt"), dir.join("db.wal"));
+    let opts = || WalOptions::with_sync(SyncPolicy::Off);
+    let db = Engine::open_durable(&ckpt, &wal, opts()).unwrap().0;
+    db.execute("CREATE TABLE t (i INTEGER NOT NULL, s TEXT, f FLOAT)")
+        .unwrap();
+    let words = ["ufs", "nfs", "pvfs"];
+    let row = |i: i64| {
+        let s = Value::Text(words[i as usize % 3].to_string());
+        vec![Value::Int(i), s, Value::Float(i as f64 / 2.0)]
+    };
+    db.insert_rows("t", (0..100).map(row).collect()).unwrap();
+    db.checkpoint(&ckpt).unwrap();
+    let empty = std::fs::read(&wal).unwrap();
+    for i in 100..1_100 {
+        db.insert_rows("t", vec![row(i)]).unwrap();
+    }
+    db.wal_sync().unwrap();
+    drop(db);
+    let full = std::fs::read(&wal).unwrap();
+
+    // The allocations of a reopen of `log` on this thread, and its rows.
+    let reopen = |log: &[u8]| {
+        std::fs::write(&wal, log).unwrap();
+        COUNT.with(|c| c.set(0));
+        let (db, report) = Engine::open_durable(&ckpt, &wal, opts()).unwrap();
+        let made = COUNT.with(Cell::get);
+        assert_eq!(report.replay_errors, 0);
+        (made, db.row_count("t").unwrap())
+    };
+    let (base, rows) = reopen(&empty);
+    assert_eq!(rows, 100);
+    let (replayed, rows) = reopen(&full);
+    assert_eq!(rows, 1_100);
+    assert!(
+        replayed - base < 64,
+        "1 000 one-row records replayed with {} allocations ({base} for an empty log)",
+        replayed - base
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

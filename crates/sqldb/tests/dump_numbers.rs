@@ -122,7 +122,7 @@ fn durable(name: &str) -> (Arc<Engine>, PathBuf) {
 /// The payload of every frame of the log in `dir` after the CREATE TABLE.
 fn frames(db: Arc<Engine>, dir: &PathBuf) -> Vec<String> {
     drop(db);
-    let mut frames = Wal::open_recover(&dir.join("db.wal"), opts())
+    let mut frames = Wal::open_recover(&dir.join("db.wal"), opts(), 1)
         .unwrap()
         .1
         .statements();

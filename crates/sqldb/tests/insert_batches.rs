@@ -371,7 +371,7 @@ fn scratch() -> PathBuf {
 fn frames_after_create(path: &Path) -> Vec<String> {
     let copy = path.with_extension("read");
     std::fs::copy(path, &copy).unwrap();
-    let mut frames = Wal::open_recover(&copy, opts()).unwrap().1.statements();
+    let mut frames = Wal::open_recover(&copy, opts(), 1).unwrap().1.statements();
     assert_eq!(frames.remove(0), CREATE);
     frames
 }

@@ -57,7 +57,7 @@ fn reopen(dir: &Path, log: &[u8]) -> (Engine, sqldb::RecoveryReport) {
 fn statements(dir: &Path, log: &[u8]) -> Vec<String> {
     let copy = dir.join("read.wal");
     std::fs::write(&copy, log).unwrap();
-    Wal::open_recover(&copy, opts()).unwrap().1.statements()
+    Wal::open_recover(&copy, opts(), 1).unwrap().1.statements()
 }
 
 /// The sequence number and byte offset a refused record's error names.

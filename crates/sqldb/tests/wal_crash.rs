@@ -113,7 +113,7 @@ fn logged(full_log: &[String]) -> Vec<String> {
         Arc::new(IoFailpoint::none()),
         full_log,
     );
-    let frames = Wal::open_recover(&dir.path("full.wal"), WalOptions::default())
+    let frames = Wal::open_recover(&dir.path("full.wal"), WalOptions::default(), 1)
         .unwrap()
         .1;
     let frames = frames.statements();
@@ -126,7 +126,7 @@ fn logged(full_log: &[String]) -> Vec<String> {
 /// and replaying them reaches the same state as executing that prefix on a
 /// fresh engine. Returns the recovered prefix length.
 fn recover_and_check(wal_path: &Path, full_log: &[String]) -> usize {
-    let (wal, stmts, report) = Wal::open_recover(wal_path, WalOptions::default()).unwrap();
+    let (wal, stmts, report) = Wal::open_recover(wal_path, WalOptions::default(), 1).unwrap();
     drop(wal);
     let stmts = stmts.statements();
     assert_eq!(stmts.len() as u64, report.frames_replayed);
@@ -363,7 +363,7 @@ fn short_reads_during_recovery_are_torn_tails_not_errors() {
             sync: SyncPolicy::Always,
             failpoint: Arc::new(IoFailpoint::short_read_after(budget)),
         };
-        let (wal, stmts, _) = Wal::open_recover(&wal_path, opts).unwrap();
+        let (wal, stmts, _) = Wal::open_recover(&wal_path, opts, 1).unwrap();
         drop(wal);
         let stmts = stmts.statements();
         assert!(stmts.len() <= full_log.len());
@@ -440,7 +440,7 @@ fn columnar_tables_survive_kill_points_and_checkpoint_kill() {
 
     // The clause is read, never written: the dump drops it, and EXPLAIN
     // reports the vectorized path like for any table.
-    let (wal, stmts, _) = Wal::open_recover(&master, WalOptions::default()).unwrap();
+    let (wal, stmts, _) = Wal::open_recover(&master, WalOptions::default(), 1).unwrap();
     drop(wal);
     let stmts = stmts.statements();
     let eng = Engine::new();
@@ -853,4 +853,71 @@ fn a_dead_group_below_the_checkpoint_holds_no_later_frame() {
     );
     let rows = db.query("SELECT a FROM t ORDER BY a").unwrap();
     assert_eq!(rows.render_tsv(), "a\n1\n7\n8\n");
+}
+
+/// Read by hand with its checkpoint's floor, the log that
+/// `a_dead_group_below_the_checkpoint_holds_no_later_frame` leaves keeps
+/// every frame: the dead group below the floor is returned as it is, not
+/// read as a group that swallows the acknowledged statements behind it,
+/// and the file is not cut.
+#[test]
+fn a_log_read_with_its_checkpoints_floor_keeps_the_frames_behind_a_dead_group() {
+    /// Refuses the frame with sequence number 4: the group's first INSERT.
+    struct RefusesFour;
+    impl sqldb::FrameTap for RefusesFour {
+        fn on_frame(&self, seq: u64, _crc: u32, _record: &[u8]) -> Result<(), sqldb::DbError> {
+            match seq {
+                4 => Err(sqldb::DbError::Io("tap refused the frame".into())),
+                _ => Ok(()),
+            }
+        }
+    }
+    let dir = TempDir::new("dead_group_by_hand");
+    let (dump, wal) = (dir.path("db.sql"), dir.path("db.wal"));
+    let opts = WalOptions {
+        sync: SyncPolicy::Always,
+        failpoint: Arc::new(IoFailpoint::crash_before_compact()),
+    };
+    let db = Arc::new(Engine::open_durable(&dump, &wal, opts).unwrap().0);
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    assert!(db.wal_set_tap(Some(Arc::new(RefusesFour))));
+    let mut txn = db.begin_txn();
+    txn.execute("INSERT INTO t VALUES (2)").unwrap();
+    txn.execute("INSERT INTO t VALUES (3)").unwrap();
+    assert!(txn.commit().is_err());
+    assert!(db.checkpoint(&dump).is_err(), "armed kill point must fire");
+    drop(db);
+    let sync = || WalOptions::with_sync(SyncPolicy::Always);
+    for value in [7, 8] {
+        let db = Engine::open_durable(&dump, &wal, sync()).unwrap().0;
+        db.execute(&format!("INSERT INTO t VALUES ({value})"))
+            .unwrap();
+    }
+
+    let copy = dir.path("copy.wal");
+    std::fs::copy(&wal, &copy).unwrap();
+    let before = std::fs::metadata(&copy).unwrap().len();
+    assert_eq!(before, 271, "the log of six frames");
+    let (_, stamp) = Engine::load_checkpoint(&dump).unwrap();
+    assert_eq!(stamp, Some(5));
+    let (log, frames, report) = Wal::open_recover(&copy, sync(), stamp.unwrap_or(1)).unwrap();
+    drop(log);
+    assert_eq!(
+        frames.statements(),
+        [
+            "CREATE TABLE t (a INTEGER)",
+            "INSERT INTO t VALUES (1)",
+            "--TXN BEGIN",
+            "INSERT INTO t VALUES (2)",
+            "INSERT INTO t VALUES (7)",
+            "INSERT INTO t VALUES (8)",
+        ]
+    );
+    assert_eq!(
+        (report.frames_skipped, report.txn_frames_discarded),
+        (4, 0),
+        "{report:?}"
+    );
+    assert_eq!(std::fs::metadata(&copy).unwrap().len(), before, "cut");
 }

@@ -47,7 +47,7 @@ fn open(dir: &Path) -> (Arc<Engine>, sqldb::RecoveryReport) {
 fn frames(path: &Path) -> Vec<String> {
     let copy = path.with_extension("read");
     std::fs::copy(path, &copy).unwrap();
-    Wal::open_recover(&copy, opts()).unwrap().1.statements()
+    Wal::open_recover(&copy, opts(), 1).unwrap().1.statements()
 }
 
 // ---- every door, one outcome ----------------------------------------------
@@ -464,7 +464,7 @@ fn temp_is_refused_at_every_door_and_leaves_no_trace() {
     }
     drop(db);
     // A frame no build ever wrote: it fails on replay, and nothing else.
-    let (mut log, ..) = Wal::open_recover(&dir.join("db.wal"), opts()).unwrap();
+    let (mut log, ..) = Wal::open_recover(&dir.join("db.wal"), opts(), 1).unwrap();
     log.append(&sqldb::sql_record("CREATE TEMP TABLE scratch (x INTEGER)"))
         .unwrap();
     log.sync().unwrap();

@@ -21,7 +21,11 @@
 # parsing only the SQL records, every parent-written log recovers to its
 # catalog and report and is converted once, a log cut at any byte, 4 000
 # resealed byte flips and every count set to all ones are refused naming
-# frame and byte, and a write a replica cannot apply is counted) — the transaction suites: the as-of-BEGIN isolation model, the import count guard, concurrent
+# frame and byte, and a write a replica cannot apply is counted; the replay
+# straight from the frame: replayed batches leave what insert_rows leaves, a
+# record refused in its last column leaves no trace, 1 000 one-row records
+# replay with fewer than 64 allocations, a replica apply leaves a pinned
+# snapshot alone, a log read with its checkpoint's floor keeps every frame) — the transaction suites: the as-of-BEGIN isolation model, the import count guard, concurrent
 # `add_run` — the WAL crash-consistency suites (an import and a delete killed
 # at every frame, a dump restored without its log), the log-reader suite (a
 # seeded crash-and-reopen model: acknowledged ⇒ recovered over any number of
@@ -92,14 +96,17 @@ cargo test -q -p sqldb --lib dump::tests::save_parity
 cargo test -q -p sqldb --lib dump::tests::a_failed_save_removes_its_tmp_file
 cargo test -q -p sqldb --lib dump::tests::checkpoint_syncs_the_directory_between_rename_and_compaction
 
-echo "== typed log record (round trip, old-log parity, hostile input, replica errors) =="
+echo "== typed log record (round trip, old-log parity, hostile input, replica errors, replay from the frame) =="
 cargo test -q -p sqldb --test log_records
+cargo test -q -p sqldb --test log_replay
 cargo test -q -p sqldb --test checkpoint_alloc
 cargo test -q -p sqldb --test log_units parent_written_logs
 cargo test -q -p sqldb --test write_path parent
 cargo test -q -p sqldb --test versions parent
 cargo test -q -p perfbase --test text_compat
 cargo test -q -p sqldb --lib repl::tests::a_shipped_write_the_replica_cannot_apply_is_counted
+cargo test -q -p sqldb --lib repl::tests::a_replica_apply_beside_a_pinned_reader_leaves_its_snapshot_alone
+cargo test -q -p sqldb --test wal_crash a_log_read_with_its_checkpoints_floor_keeps_the_frames_behind_a_dead_group
 
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash

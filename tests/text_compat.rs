@@ -142,7 +142,7 @@ fn build(dir: &Path) -> (String, Vec<u8>) {
 fn statements(log: &[u8], scratch: &Path) -> Vec<String> {
     std::fs::write(scratch, log).unwrap();
     let opts = WalOptions::with_sync(SyncPolicy::Off);
-    let (_, frames, report) = Wal::open_recover(scratch, opts).unwrap();
+    let (_, frames, report) = Wal::open_recover(scratch, opts, 1).unwrap();
     assert_eq!(report.torn_bytes, 0);
     frames.statements()
 }

@@ -864,7 +864,7 @@ fn evolved_rows(
     def: &ExperimentDef,
 ) -> Result<Option<Vec<Vec<Value>>>> {
     let table = engine.pin_table(name)?;
-    if table.schema == *schema {
+    if *table.schema == *schema {
         return Ok(None);
     }
     let from: Vec<Option<usize>> = schema

@@ -14,9 +14,11 @@
 //!   neither, the request has no body.
 //!
 //! Exit status: 0 for 2xx responses, 1 for any other status, 2 for usage
-//! or transport errors.
+//! or transport errors and for output that cannot be written. Output cut
+//! off by a reader that stopped reading (`pbhttp … | head`) is no error:
+//! the status is the response's.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -82,11 +84,20 @@ fn run() -> Result<ExitCode, String> {
             std::thread::sleep(retry_after(&head));
             continue;
         }
-        if include_headers {
-            println!("{head}");
-            println!();
+        let mut out = if include_headers {
+            format!("{head}\n\n")
+        } else {
+            String::new()
+        };
+        out.push_str(&resp_body);
+        let mut stdout = std::io::stdout().lock();
+        match stdout
+            .write_all(out.as_bytes())
+            .and_then(|()| stdout.flush())
+        {
+            Err(e) if e.kind() != ErrorKind::BrokenPipe => return Err(format!("stdout: {e}")),
+            _ => {}
         }
-        print!("{resp_body}");
         return Ok(if (200..300).contains(&status) {
             ExitCode::SUCCESS
         } else {

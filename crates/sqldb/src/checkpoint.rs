@@ -33,11 +33,11 @@
 
 use crate::codec::{read_schema, walk_column, write_column, write_count, write_schema, write_str};
 use crate::codec::{Origin, Pass, Reader, Source, Stream};
-use crate::column::ColumnStore;
 use crate::engine::Engine;
 use crate::error::DbError;
 use crate::table::Table;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// What a typed checkpoint starts with.
 const MAGIC: [u8; 8] = *b"\x89PBCKPT\n";
@@ -84,7 +84,7 @@ impl Engine {
 /// Read a typed checkpoint of `len` bytes from `src`, a piece at a time:
 /// its stamp and its tables, in name order, their indexes built. Any error
 /// leaves nothing behind.
-pub(crate) fn read(src: impl Read, len: usize) -> Result<(Option<u64>, Tables), DbError> {
+pub(crate) fn read(src: impl BufRead, len: usize) -> Result<(Option<u64>, Tables), DbError> {
     let mut r = Reader::new(Stream::new(src), len, 0, Origin::Checkpoint);
     if r.take(1, MAGIC.len(), "magic")? != MAGIC {
         return Err(r.fail(0, "not a typed checkpoint"));
@@ -102,7 +102,8 @@ pub(crate) fn read(src: impl Read, len: usize) -> Result<(Option<u64>, Tables), 
         if tables.last().is_some_and(|(last, _)| *last >= name) {
             return Err(r.fail(at, format!("table {name} is out of name order")));
         }
-        tables.push((name, read_table(&mut r, &mut room)?));
+        let table = read_table(&mut r, tables.last().map(|(_, t)| t), &mut room)?;
+        tables.push((name, table));
     }
     if r.left != 0 {
         return Err(r.fail(r.at, "bytes after the last table"));
@@ -111,18 +112,24 @@ pub(crate) fn read(src: impl Read, len: usize) -> Result<(Option<u64>, Tables), 
 }
 
 /// Read one table after its name, each column walked into the table's
-/// empty one in one pass: an error drops the table.
-fn read_table(r: &mut Reader<impl Source>, room: &mut Vec<usize>) -> Result<Table, DbError> {
-    let schema = read_schema(r)?;
+/// empty one in one pass: an error drops the table. A table of `prev`'s
+/// schema shares it, and each TEXT column whose dictionary is `prev`'s,
+/// entry for entry, shares that too.
+fn read_table(
+    r: &mut Reader<impl Source>,
+    prev: Option<&Table>,
+    room: &mut Vec<usize>,
+) -> Result<Table, DbError> {
+    let schema = read_schema(r, prev.map(|t| &t.schema))?;
+    let like = prev.filter(|t| Arc::ptr_eq(&t.schema, &schema));
     let at = r.at;
     let rows = r.num(8, "row count")?;
     let rows = usize::try_from(rows).map_err(|_| r.fail(at, format!("{rows} rows")))?;
-    let mut store = ColumnStore::new(&schema);
-    store.append_columns(rows, |k, col| {
-        walk_column(r, &schema.columns[k], rows, Pass::Append(col), room)
-    })?;
     let mut table = Table::new(schema);
-    table.append(store);
+    table.append_columns(rows, |k, def, col| {
+        let pass = Pass::Append(col, like.map(|t| t.store().col(k)));
+        walk_column(r, def, rows, pass, room)
+    })?;
     for _ in 0..r.num(4, "index count")? {
         let at = r.at;
         let (name, column) = (r.str("index name")?, r.str("index column")?);
@@ -364,5 +371,148 @@ pub(crate) mod tests {
             let err = read(&huge[..], huge.len()).expect_err("a count past the end");
             assert_names_an_offset(&huge, err, &format!("count at {at}"));
         }
+    }
+
+    /// Tables `r1`, `r2` and `r3` of one shape, each with a `mode` column
+    /// whose rows first use `write`, then `rewrite`, then `read`, as run
+    /// tables of one experiment are; `r1` with a NULL.
+    fn same_shape() -> Engine {
+        let e = Engine::new();
+        for (t, bw) in [("r1", "NULL"), ("r2", "2.5"), ("r3", "3.5")] {
+            e.execute_script(&format!(
+                "CREATE TABLE {t} (pos INTEGER, mode TEXT, bw FLOAT); \
+                 INSERT INTO {t} VALUES (1, 'write', {bw}), (2, 'rewrite', 1.0), \
+                 (3, 'read', 1.0), (4, 'write', 1.0)"
+            ))
+            .unwrap();
+        }
+        e
+    }
+
+    /// Do tables `a` and `b` of `e` share their schema, and their
+    /// dictionary of column `k`?
+    fn shared(e: &Engine, a: &str, b: &str, k: usize) -> (bool, bool) {
+        let (a, b) = (e.pin_table(a).unwrap(), e.pin_table(b).unwrap());
+        let dict = match (a.store().col(k), b.store().col(k)) {
+            (ColumnVec::Text(x), ColumnVec::Text(y)) => x.shares_dict(y),
+            _ => false,
+        };
+        (Arc::ptr_eq(&a.schema, &b.schema), dict)
+    }
+
+    #[test]
+    fn same_shape_tables_share_their_schema_and_dictionary() {
+        let e = same_shape();
+        assert_eq!(shared(&e, "r1", "r2", 1), (false, false));
+        assert_round_trip(&e);
+        let (back, _) = load(&typed(&e, None)).unwrap();
+        assert_eq!(shared(&back, "r1", "r2", 1), (true, true));
+        assert_eq!(shared(&back, "r2", "r3", 1), (true, true));
+        assert_eq!(back.dump_sql(), e.dump_sql());
+    }
+
+    /// The dictionary of every TEXT column of every table of `e`.
+    fn dictionaries(e: &Engine) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        for name in e.table_names() {
+            let t = e.pin_table(&name).unwrap();
+            for k in 0..t.schema.arity() {
+                if let ColumnVec::Text(d) = t.store().col(k) {
+                    out.push(d.dict().to_vec());
+                }
+            }
+        }
+        out
+    }
+
+    /// Each table differs from the one before it in name order in one
+    /// thing: the dictionary's order, a dictionary that is a prefix of the
+    /// one before or extends it, a column's name, type or NOT NULL flag, the
+    /// column count. Nothing of the two is shared that differs, and the
+    /// catalog is the one the SQL dump loads to.
+    #[test]
+    fn nothing_is_shared_when_a_column_or_the_entries_differ() {
+        let e = Engine::new();
+        let tables = [
+            ("t1", "x INTEGER, m TEXT NOT NULL", "'p', 'q'"),
+            ("t2", "x INTEGER, m TEXT NOT NULL", "'q', 'p'"),
+            ("t3", "x INTEGER, m TEXT NOT NULL", "'q'"),
+            ("t4", "x INTEGER, m TEXT NOT NULL", "'q', 'p', 'r'"),
+            ("t5", "y INTEGER, m TEXT NOT NULL", "'q', 'p', 'r'"),
+            ("t6", "y FLOAT, m TEXT NOT NULL", "'q', 'p', 'r'"),
+            ("t7", "y FLOAT, m TEXT", "'q', 'p', 'r'"),
+            ("t8", "y FLOAT, m TEXT, z INTEGER", "'q', 'p', 'r'"),
+        ];
+        for (t, columns, entries) in tables {
+            let extra = if columns.contains(" z ") { ", 0" } else { "" };
+            let rows: Vec<String> = entries
+                .split(", ")
+                .map(|s| format!("(1, {s}{extra})"))
+                .collect();
+            e.execute_script(&format!(
+                "CREATE TABLE {t} ({columns}); INSERT INTO {t} VALUES {}",
+                rows.join(", ")
+            ))
+            .unwrap();
+        }
+        assert_round_trip(&e);
+        let (back, _) = load(&typed(&e, None)).unwrap();
+        let expect = [(true, false), (true, false), (true, false)];
+        for (k, want) in expect.into_iter().enumerate() {
+            let (a, b) = (tables[k].0, tables[k + 1].0);
+            assert_eq!(shared(&back, a, b, 1), want, "{a} and {b}");
+        }
+        for w in tables[3..].windows(2) {
+            assert_eq!(
+                shared(&back, w[0].0, w[1].0, 1),
+                (false, false),
+                "{}",
+                w[1].0
+            );
+        }
+        let reloaded = Engine::from_sql_dump(&e.dump_sql()).unwrap();
+        assert_eq!(back.dump_sql(), reloaded.dump_sql());
+        assert_eq!(dictionaries(&back), dictionaries(&reloaded));
+    }
+
+    /// A dictionary that starts like the one of the table before it and
+    /// then repeats one of its own entries is refused as any repeat is, at
+    /// the repeated entry's offset.
+    #[test]
+    fn a_repeat_after_a_shared_prefix_is_refused_at_its_offset() {
+        for (second, repeat) in [("'p', 'z'", 1), ("'p', 'q', 'z'", 2)] {
+            let e = Engine::new();
+            e.execute_script(&format!(
+                "CREATE TABLE a (m TEXT); INSERT INTO a VALUES ('p'), ('q'); \
+                 CREATE TABLE b (m TEXT); INSERT INTO b VALUES ({})",
+                second.replace(", ", "), (")
+            ))
+            .unwrap();
+            let mut bytes = typed(&e, None);
+            // `z`, the last entry, becomes a repeat of entry `repeat - 1`.
+            let entry = [&1u32.to_le_bytes()[..], b"z"].concat();
+            let at = bytes.windows(5).rposition(|w| w == entry).unwrap();
+            bytes[at + 4] = [b'p', b'q'][repeat - 1];
+            let err = read(&bytes[..], bytes.len()).err().unwrap().to_string();
+            let want = format!("byte {at}: a repeated dictionary entry");
+            assert!(err.contains(&want), "{second}: {err}");
+        }
+    }
+
+    /// A string interned into one loaded table makes its dictionary its
+    /// own: the tables it shared the dictionary with keep theirs as it was.
+    #[test]
+    fn an_intern_into_a_loaded_table_leaves_its_neighbours_alone() {
+        let (back, _) = load(&typed(&same_shape(), None)).unwrap();
+        back.execute("INSERT INTO r2 VALUES (5, 'fresh', 1.0)")
+            .unwrap();
+        back.execute("UPDATE r3 SET mode = 'other' WHERE pos = 1")
+            .unwrap();
+        assert_eq!(shared(&back, "r1", "r2", 1), (true, false));
+        assert_eq!(shared(&back, "r2", "r3", 1), (true, false));
+        let dicts = dictionaries(&back);
+        assert_eq!(dicts[0], ["write", "rewrite", "read"]);
+        assert_eq!(dicts[1], ["write", "rewrite", "read", "fresh"]);
+        assert_eq!(dicts[2], ["write", "rewrite", "read", "other"]);
     }
 }

@@ -18,7 +18,9 @@ use crate::column::{Chunked, ColumnVec, NullBitmap};
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
 use crate::value::DataType::{self, Bool, Float, Int, Text, Timestamp};
-use std::io::{self, Read, Write};
+use std::borrow::Cow;
+use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// Column types by their number in the bytes.
 pub(crate) const TYPES: [DataType; 5] = [Int, Float, Text, Bool, Timestamp];
@@ -51,23 +53,51 @@ pub(crate) fn write_schema(out: &mut impl Write, schema: &Schema) -> io::Result<
     Ok(())
 }
 
-/// Read what [`write_schema`] wrote.
-pub(crate) fn read_schema(r: &mut Reader<impl Source>) -> Result<Schema, DbError> {
+/// Read what [`write_schema`] wrote. A schema equal to `like`, column for
+/// column, is `like` itself: names are compared where the reader holds them,
+/// and only a schema that differs is built.
+pub(crate) fn read_schema(
+    r: &mut Reader<impl Source>,
+    like: Option<&Arc<Schema>>,
+) -> Result<Arc<Schema>, DbError> {
     let at = r.at;
-    let mut columns = Vec::new();
-    for _ in 0..r.num(4, "column count")? {
-        let name = r.str("column name")?;
-        let dtype = r.dtype()?;
-        let nullable = !r.flag("NOT NULL flag")?;
+    let count = r.num(4, "column count")?;
+    let like = like.filter(|s| s.arity() as u64 == count);
+    // The first `same` columns are `like`'s; `columns` holds them all once
+    // one differs.
+    let (mut same, mut columns) = (0, Vec::new());
+    for k in 0..count as usize {
+        let had = like.map(|s| &s.columns[k]);
+        let name = r.text("column name")?;
+        let name: Cow<'_, str> = match had {
+            Some(c) if c.name == name => Cow::Borrowed(&c.name),
+            _ => Cow::Owned(name.to_owned()),
+        };
+        let (dtype, nullable) = (r.dtype()?, !r.flag("NOT NULL flag")?);
+        let alike = had.is_some_and(|c| (c.dtype, c.nullable) == (dtype, nullable));
+        if same == k && alike && matches!(name, Cow::Borrowed(_)) {
+            same += 1;
+            continue;
+        }
+        if let Some(s) = like.filter(|_| columns.is_empty()) {
+            columns.extend_from_slice(&s.columns[..same]);
+        }
         columns.push(Column {
-            name,
+            name: name.into_owned(),
             dtype,
             nullable,
         });
     }
-    // Grown by what was read, never sized by the count: kept exact.
-    columns.shrink_to_fit();
-    Schema::new(columns).map_err(|e| r.fail(at, e))
+    match like {
+        Some(s) if same == s.arity() => Ok(Arc::clone(s)),
+        _ => {
+            // Grown by what was read, never sized by the count: kept exact.
+            columns.shrink_to_fit();
+            Schema::new(columns)
+                .map(Arc::new)
+                .map_err(|e| r.fail(at, e))
+        }
+    }
 }
 
 /// Write a column's cells, a NULL cell as `default`.
@@ -87,9 +117,10 @@ fn write_cells<T: Copy, const W: usize>(
     Ok(())
 }
 
-/// Write one column: its null bitmap, then its cells. A TEXT column whose
-/// dictionary may hold strings no row references is `compact`ed first; the
-/// batch of one INSERT holds none.
+/// Write one column: its null bitmap, then its cells. With `compact`, a TEXT
+/// column whose dictionary holds a string no row references, or holds them
+/// out of the order rows first use them, is written compacted; the batch of
+/// one INSERT is compact already.
 pub(crate) fn write_column(out: &mut impl Write, col: &ColumnVec, compact: bool) -> io::Result<()> {
     let nulls = col.nulls();
     nulls
@@ -103,7 +134,7 @@ pub(crate) fn write_column(out: &mut impl Write, col: &ColumnVec, compact: bool)
         ColumnVec::Bool { data, .. } => write_cells(out, data, nulls, false, |b| [u8::from(b)]),
         ColumnVec::Text(d) => {
             let compacted;
-            let d = if compact {
+            let d = if compact && !d.is_compact() {
                 compacted = d.compacted();
                 &compacted
             } else {
@@ -124,11 +155,14 @@ pub(crate) enum Pass<'p> {
     /// a dictionary's entries in `room` and finds a repeated entry among
     /// them, and it reads a TEXT code's null bit back from its bitmap.
     Check { record: &'p [u8], base: usize },
-    /// Append the column to `to`, a column of its type: the null bits as
-    /// words, the cells straight from their bytes, each dictionary entry
-    /// interned once by `&str`, its code in `to` kept in `room`, and the
-    /// codes mapped through `room`.
-    Append(&'p mut ColumnVec),
+    /// Append the column to the first, a column of its type: the null bits
+    /// as words, the cells straight from their bytes, each dictionary entry
+    /// interned once by `&str`, its code in the target kept in `room`, and
+    /// the codes mapped through `room`. The second is the same column of the
+    /// table read before, when the two share a schema: an empty TEXT target
+    /// whose entries are that column's, in order, takes its dictionary
+    /// itself, and interns nothing.
+    Append(&'p mut ColumnVec, Option<&'p ColumnVec>),
 }
 
 /// Walk the null bitmap and the `rows` cells of column `col`: check them —
@@ -157,14 +191,14 @@ pub(crate) fn walk_column(
         let why = format!("NULL in NOT NULL column {}", col.name);
         return Err(fail(origin, bitmap_at, why));
     }
-    if let Pass::Append(to) = &mut pass {
+    if let Pass::Append(to, _) = &mut pass {
         to.extend_null_words(words, rows);
     }
     let at = r.at;
     match col.dtype {
         Int | Float | Timestamp => {
             let cells = r.take(rows, 8, "cells")?;
-            if let Pass::Append(to) = pass {
+            if let Pass::Append(to, _) = pass {
                 to.extend_cells(cells);
             }
         }
@@ -173,7 +207,7 @@ pub(crate) fn walk_column(
             if let Some(i) = cells.iter().position(|&b| b > 1) {
                 return Err(fail(origin, at + i, "a BOOLEAN cell neither 0 nor 1"));
             }
-            if let Pass::Append(to) = pass {
+            if let Pass::Append(to, _) = pass {
                 to.extend_cells(cells);
             }
         }
@@ -187,22 +221,43 @@ pub(crate) fn walk_column(
                     record[bitmap_at - base + i / 8] >> (i % 8) & 1 == 1
                 })?;
             }
-            Pass::Append(ColumnVec::Text(to)) => {
+            Pass::Append(ColumnVec::Text(to), like) => {
                 let before = to.dict().len();
+                // While the entries are those of `like`, in order, each is
+                // only counted: entry `k` is code `k` either way.
+                let mut like = match like {
+                    Some(ColumnVec::Text(like)) if to.codes.len() == 0 && before == 0 => Some(like),
+                    _ => None,
+                };
                 room.clear();
                 for _ in 0..r.num(4, "dictionary size")? {
-                    let (at, had) = (r.at, to.dict().len());
-                    let code = to.intern(r.text("dictionary entry")?) as usize;
+                    let at = r.at;
+                    let entry = r.text("dictionary entry")?;
+                    if let Some(d) = like {
+                        if d.dict().get(room.len()).is_some_and(|s| s == entry) {
+                            room.push(room.len());
+                            continue;
+                        }
+                        to.intern_all(&d.dict()[..room.len()]);
+                        like = None;
+                    }
+                    let had = to.dict().len();
+                    let code = to.intern(entry) as usize;
                     if (before..had).contains(&code) {
                         return Err(fail(origin, at, "a repeated dictionary entry"));
                     }
                     room.push(code);
                 }
+                match like {
+                    Some(d) if d.dict().len() == room.len() => to.share_dict(d),
+                    Some(d) => to.intern_all(&d.dict()[..room.len()]),
+                    None => {}
+                }
                 let first = to.codes.len();
                 let codes = codes(r, rows, room.len(), |i| to.nulls.is_null(first + i))?;
                 to.extend_codes(codes, room);
             }
-            Pass::Append(to) => unreachable!("TEXT walked into {:?}", to.dtype()),
+            Pass::Append(to, _) => unreachable!("TEXT walked into {:?}", to.dtype()),
         },
     }
     Ok(())
@@ -293,23 +348,35 @@ pub(crate) trait Source {
     fn next(&mut self, n: usize) -> io::Result<&[u8]>;
 }
 
-/// A stream, read a piece at a time into a buffer: a checkpoint file.
+/// A buffered stream, read a piece at a time: a checkpoint file. A piece
+/// the stream's buffer holds whole is lent from there; only one that
+/// straddles a refill is copied, into a buffer of its own.
 pub(crate) struct Stream<R> {
     src: R,
+    /// Bytes of the stream's buffer lent by the last piece, consumed before
+    /// the next.
+    lent: usize,
     buf: Vec<u8>,
 }
 
-impl<R: Read> Stream<R> {
+impl<R: BufRead> Stream<R> {
     pub(crate) fn new(src: R) -> Self {
         Stream {
             src,
+            lent: 0,
             buf: Vec::new(),
         }
     }
 }
 
-impl<R: Read> Source for Stream<R> {
+impl<R: BufRead> Source for Stream<R> {
     fn next(&mut self, n: usize) -> io::Result<&[u8]> {
+        self.src.consume(std::mem::take(&mut self.lent));
+        if self.src.fill_buf()?.len() >= n {
+            self.lent = n;
+            // The same bytes again: a buffer that holds some reads nothing.
+            return Ok(&self.src.fill_buf()?[..n]);
+        }
         self.buf.resize(n, 0);
         self.src.read_exact(&mut self.buf)?;
         Ok(&self.buf)

@@ -240,7 +240,9 @@ impl<T: Clone, const N: usize> Index<usize> for Chunked<T, N> {
 }
 
 /// One bit per row; a set bit marks the cell NULL. The words are chunked
-/// like the cells: chunk `k` holds the bits of the column's chunk `k`.
+/// like the cells: chunk `k` holds the bits of the column's chunk `k`. A
+/// bitmap holds no words until its first NULL, and `⌈len/64⌉` from then on
+/// (no words ⇒ no NULL): a column that never held a NULL costs no bitmap.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NullBitmap {
     words: Chunked<u64, CHUNK_WORDS>,
@@ -250,9 +252,22 @@ pub(crate) struct NullBitmap {
 
 impl NullBitmap {
     /// The words, `⌈len/64⌉` of them: row `i` is bit `i % 64` of word
-    /// `i / 64`, and no bit past the last row is set.
+    /// `i / 64`, and no bit past the last row is set. A bitmap that holds no
+    /// words yields zeros.
     pub(crate) fn words(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.chunks().flat_map(|(_, c)| c.iter().copied())
+        let held = self.words.chunks().flat_map(|(_, c)| c.iter().copied());
+        held.chain(std::iter::repeat_n(
+            0,
+            self.len.div_ceil(64) - self.words.len(),
+        ))
+    }
+
+    /// Hold the words of a bitmap that held none: `⌈len/64⌉` zeros.
+    fn hold_words(&mut self) {
+        if self.words.len() == 0 {
+            self.words
+                .extend(std::iter::repeat_n(0, self.len.div_ceil(64)));
+        }
     }
 
     /// Append one bit per entry of `bits` (true = NULL).
@@ -269,7 +284,7 @@ impl NullBitmap {
     /// Append one bit.
     #[inline]
     fn push(&mut self, null: bool) {
-        if self.len.is_multiple_of(64) {
+        if self.len.is_multiple_of(64) && self.words.len() > 0 {
             self.words.push(0);
         }
         self.len += 1;
@@ -278,11 +293,13 @@ impl NullBitmap {
         }
     }
 
-    /// Append `n` non-NULL rows.
+    /// Append `n` non-NULL rows: zero words, when the bitmap holds words.
     fn extend_valid(&mut self, n: usize) {
         self.len += n;
-        let words = self.len.div_ceil(64) - self.words.len();
-        self.words.extend(std::iter::repeat_n(0, words));
+        if self.words.len() > 0 {
+            let words = self.len.div_ceil(64) - self.words.len();
+            self.words.extend(std::iter::repeat_n(0, words));
+        }
     }
 
     /// Append `rows` bits given as the column codec writes them: `⌈rows/64⌉`
@@ -296,6 +313,7 @@ impl NullBitmap {
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
         for (k, w) in words.enumerate().filter(|&(_, w)| w != 0) {
+            self.hold_words();
             self.nulls += w.count_ones() as usize;
             *self.words.get_mut(first + k) |= w << shift;
             if shift > 0 && w >> (64 - shift) != 0 {
@@ -329,6 +347,7 @@ impl NullBitmap {
         if self.is_null(i) == null {
             return;
         }
+        self.hold_words();
         *self.words.get_mut(i / 64) ^= 1 << (i % 64);
         if null {
             self.nulls += 1;
@@ -391,6 +410,44 @@ impl DictColumn {
         let mut out = DictColumn::default();
         out.extend_selected(self, None);
         out
+    }
+
+    /// Does the dictionary hold only the strings rows reference, in the
+    /// order rows first use them — what [`DictColumn::compacted`] holds? One
+    /// pass over the codes, nothing built.
+    pub(crate) fn is_compact(&self) -> bool {
+        let mut used = 0;
+        for (first, chunk) in self.codes.chunks() {
+            for (i, &code) in chunk.iter().enumerate() {
+                if self.nulls.is_null(first + i) {
+                    continue;
+                }
+                if code > used {
+                    return false;
+                }
+                used += u32::from(code == used);
+            }
+        }
+        used as usize == self.dict().len()
+    }
+
+    /// Intern `entries`, in order.
+    pub(crate) fn intern_all(&mut self, entries: &[String]) {
+        for s in entries {
+            intern(&mut self.dict, s);
+        }
+    }
+
+    /// Take `like`'s dictionary itself, shared: for an empty column whose
+    /// entries are `like`'s, in order.
+    pub(crate) fn share_dict(&mut self, like: &DictColumn) {
+        self.dict = Arc::clone(&like.dict);
+    }
+
+    /// Is this column's dictionary `other`'s, shared?
+    #[cfg(test)]
+    pub(crate) fn shares_dict(&self, other: &DictColumn) -> bool {
+        Arc::ptr_eq(&self.dict, &other.dict)
     }
 
     /// All dictionary entries in code order (may include dead entries after
@@ -1144,7 +1201,8 @@ mod tests {
         2 * CHUNK_ROWS + 7,
     ];
 
-    /// Every column and bitmap is full chunks and a shorter tail.
+    /// Every column and bitmap is full chunks and a shorter tail; a bitmap
+    /// holds no words, or one per 64 rows, and no words only without NULLs.
     fn assert_chunk_shape(st: &ColumnStore) {
         fn shape<T: Clone, const N: usize>(c: &Chunked<T, N>, len: usize) {
             assert_eq!(c.len(), len);
@@ -1170,7 +1228,11 @@ mod tests {
                     &d.nulls
                 }
             };
-            shape(&nulls.words, st.len().div_ceil(64));
+            if nulls.words.len() == 0 {
+                assert_eq!(nulls.null_count(), 0);
+            } else {
+                shape(&nulls.words, st.len().div_ceil(64));
+            }
         }
     }
 
@@ -1318,5 +1380,79 @@ mod tests {
         assert!(!Arc::ptr_eq(&d.dict, &p.dict));
         assert_eq!(p.code_of("fresh"), None);
         assert_eq!(pinned.to_rows(), rows);
+    }
+
+    /// The null words of a column whose NULL rows are `nulls`, eagerly
+    /// built: one per 64 rows.
+    fn eager_words(rows: usize, nulls: &[usize]) -> Vec<u64> {
+        let mut words = vec![0; rows.div_ceil(64)];
+        for &i in nulls {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        words
+    }
+
+    /// A bitmap holds its words from its first NULL on, however that NULL
+    /// arrives — by `set`, by `extend_words` mid-word, by a push past a
+    /// chunk edge — and after a NULL set back to a value: in every case its
+    /// words and its rows are those of a bitmap built eagerly.
+    #[test]
+    fn a_bitmap_without_words_reads_as_one_with_them() {
+        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
+        // A store of the rows 0..n, none NULL.
+        let of = |n: i64| {
+            let mut st = ColumnStore::new(&schema);
+            for i in 0..n {
+                assert!(st.push(0, Some(ValueRef::Int(i))));
+                st.end_row();
+            }
+            st
+        };
+        let check = |st: &ColumnStore, nulls: &[usize], what: &str| {
+            assert_chunk_shape(st);
+            let bitmap = st.col(0).nulls();
+            let words: Vec<u64> = bitmap.words().collect();
+            assert_eq!(words, eager_words(st.len(), nulls), "{what}");
+            assert_eq!(bitmap.null_count(), nulls.len(), "{what}");
+            let rows = st.to_rows();
+            let null_rows: Vec<usize> = (0..rows.len()).filter(|&i| rows[i][0].is_null()).collect();
+            assert_eq!(null_rows, nulls, "{what}");
+        };
+
+        let mut st = of(100);
+        check(&st, &[], "no NULL");
+        assert_eq!(st.col(0).nulls().words.len(), 0, "words without a NULL");
+        st.set(70, 0, Value::Null);
+        check(&st, &[70], "by set");
+
+        // 10 rows, then 64 whose bits 3 and 60 are set: rows 13 and 70.
+        let mut st = of(10);
+        let word = (1u64 << 3 | 1 << 60).to_le_bytes();
+        let cells: Vec<u8> = (0..64i64).flat_map(i64::to_le_bytes).collect();
+        let appended = st.append_columns(64, |_, col| {
+            col.extend_null_words(&word, 64);
+            col.extend_cells(&cells);
+            Ok::<_, ()>(())
+        });
+        appended.unwrap();
+        check(&st, &[13, 70], "by extend_words mid-word");
+
+        let edge = CHUNK_ROWS as i64 + 5;
+        let mut st = of(edge);
+        assert!(st.push(0, None));
+        st.end_row();
+        check(&st, &[CHUNK_ROWS + 5], "past a chunk edge");
+        let mut st = of(edge);
+        let pinned = st.clone();
+        st.set(10, 0, Value::Null);
+        check(&st, &[10], "in a shared full chunk");
+        check(&pinned, &[], "its clone");
+
+        let mut st = of(100);
+        st.set(5, 0, Value::Null);
+        st.set(5, 0, Value::Int(5));
+        check(&st, &[], "NULL and back");
+        st.set(99, 0, Value::Null);
+        check(&st, &[99], "NULL again");
     }
 }

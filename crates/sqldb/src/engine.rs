@@ -248,7 +248,7 @@ impl Engine {
     }
 
     /// Create a table programmatically.
-    pub fn create_table(&self, name: &str, schema: Schema) -> Result<(), DbError> {
+    pub fn create_table(&self, name: &str, schema: impl Into<Arc<Schema>>) -> Result<(), DbError> {
         self.create_table_opts(name, schema, false)
     }
 
@@ -256,12 +256,12 @@ impl Engine {
     pub fn create_table_opts(
         &self,
         name: &str,
-        schema: Schema,
+        schema: impl Into<Arc<Schema>>,
         if_not_exists: bool,
     ) -> Result<(), DbError> {
         let _stmt = classified(obs::StmtClass::Ddl);
         let ask = Ask::CreateTable {
-            schema,
+            schema: schema.into(),
             if_not_exists,
         };
         self.write(name, ask, Text::Render).map(drop)
@@ -507,7 +507,7 @@ impl Engine {
     /// current version; no lock is held during the copy).
     pub fn read_snapshot(&self, name: &str) -> Result<(Schema, Vec<Row>), DbError> {
         let t = self.pin_table(name)?;
-        Ok((t.schema.clone(), t.to_rows()))
+        Ok((Schema::clone(&t.schema), t.to_rows()))
     }
 
     /// Row count of a table.
@@ -911,7 +911,10 @@ impl exec::View for &Engine {
 /// or the arguments of a programmatic call.
 pub(crate) enum Ask {
     /// `CREATE TABLE [IF NOT EXISTS]`.
-    CreateTable { schema: Schema, if_not_exists: bool },
+    CreateTable {
+        schema: Arc<Schema>,
+        if_not_exists: bool,
+    },
     /// `DROP TABLE [IF EXISTS]`.
     DropTable { if_exists: bool },
     /// `INSERT … [(columns)] VALUES values`.
@@ -953,7 +956,7 @@ impl Ask {
                 });
                 let schema = Schema::new(columns.collect())?;
                 let ask = Ask::CreateTable {
-                    schema,
+                    schema: Arc::new(schema),
                     if_not_exists,
                 };
                 (name, ask)

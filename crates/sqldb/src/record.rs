@@ -33,6 +33,7 @@ use crate::dump;
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
 use crate::value::DataType;
+use std::sync::Arc;
 
 /// Opens the frame group of a unit of more than one statement.
 pub(crate) const BEGIN: u8 = 1;
@@ -66,7 +67,7 @@ pub(crate) enum Record<'a> {
     /// `CREATE TABLE [IF NOT EXISTS] name (schema)`.
     CreateTable {
         name: &'a str,
-        schema: Schema,
+        schema: Arc<Schema>,
         if_not_exists: bool,
     },
     /// The rows one INSERT appends.
@@ -129,7 +130,7 @@ impl Insert<'_> {
     ) -> Result<(), DbError> {
         let mut r = self.cols;
         store.append_columns(self.rows, |k, col| {
-            let pass = Pass::Append(col);
+            let pass = Pass::Append(col, None);
             walk_column(&mut r, &schema.columns[k], self.rows, pass, room)
         })?;
         end(&r)
@@ -221,7 +222,7 @@ pub(crate) fn decode(frame: FrameRef<'_>) -> Result<Record<'_>, DbError> {
         CREATE_TABLE => {
             let name = r.str_ref("table name")?;
             let if_not_exists = r.flag("IF NOT EXISTS flag")?;
-            let schema = read_schema(&mut r)?;
+            let schema = read_schema(&mut r, None)?;
             Record::CreateTable {
                 name,
                 schema,

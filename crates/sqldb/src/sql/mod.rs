@@ -19,8 +19,8 @@ pub use parser::{is_reserved, parse_expr, parse_script, parse_statement, split_s
 /// replacement front end is compared on against the lexer it replaced.
 #[cfg(test)]
 pub(crate) mod corpus {
-    use crate::test_common::Rng;
-    use crate::{Engine, SyncPolicy, Value, Wal, WalOptions};
+    pub(crate) use crate::test_common::campaign_dump;
+    use crate::{SyncPolicy, Wal, WalOptions};
 
     /// Every SQL string of the lexer, parser and dump unit tests (valid or
     /// not), and the inputs of the bugs this front end was written against.
@@ -139,50 +139,5 @@ pub(crate) mod corpus {
         ]
         .map(str::to_string)
         .to_vec()
-    }
-
-    /// A dump shaped like an experiment's: an indexed run table and one
-    /// 24-row data table per run.
-    pub(crate) fn campaign_dump(runs: i64) -> String {
-        let mut rng = Rng::new(14);
-        let e = Engine::new();
-        e.execute(
-            "CREATE TABLE pb_runs (run_id INTEGER NOT NULL, fs TEXT, at TIMESTAMP, ok BOOLEAN)",
-        )
-        .unwrap();
-        e.execute("CREATE INDEX ix_run ON pb_runs (run_id)")
-            .unwrap();
-        for run in 1..=runs {
-            let fs = ["ufs", "nfs", "pvfs", "it's"][rng.below(4) as usize];
-            e.insert_rows(
-                "pb_runs",
-                vec![vec![
-                    Value::Int(run),
-                    Value::Text(fs.into()),
-                    Value::Timestamp(1_101_234_630 + run),
-                    Value::Bool(rng.bool()),
-                ]],
-            )
-            .unwrap();
-            e.execute(&format!(
-                "CREATE TABLE pb_rundata_{run} (pos INTEGER, mode TEXT, bw FLOAT, note TEXT)"
-            ))
-            .unwrap();
-            let rows = (0..24).map(|pos| {
-                vec![
-                    Value::Int(pos),
-                    Value::Text(["read", "write", "rewrite"][rng.below(3) as usize].into()),
-                    Value::Float(rng.float(-1.0, 900.0)),
-                    if rng.below(8) == 0 {
-                        Value::Text(format!("line {pos}\nof run {run}"))
-                    } else {
-                        Value::Null
-                    },
-                ]
-            });
-            e.insert_rows(&format!("pb_rundata_{run}"), rows.collect())
-                .unwrap();
-        }
-        e.dump_sql()
     }
 }

@@ -8,13 +8,14 @@
 //! A secondary index is one ordered map from key to positions; the kind its
 //! statement declared says which lookups it serves.
 
-use crate::column::{Cell, ColumnStore, TableMemory};
+use crate::column::{Cell, ColumnStore, ColumnVec, TableMemory};
 use crate::error::DbError;
 use crate::record::Insert;
 use crate::schema::{Column, Schema};
 use crate::value::{Value, ValueKey, ValueRef};
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A row is a vector of values, one per schema column.
 pub type Row = Vec<Value>;
@@ -182,8 +183,9 @@ pub(crate) fn batch_of_rows(schema: &Schema, rows: &[Row]) -> Result<ColumnStore
 /// table itself is a plain data structure.
 #[derive(Debug, Clone)]
 pub struct Table {
-    /// Column definitions.
-    pub schema: Schema,
+    /// Column definitions, shared by every version of the table and by the
+    /// tables a checkpoint load finds of the same shape.
+    pub schema: Arc<Schema>,
     store: ColumnStore,
     indexes: Vec<Index>,
     /// The commit epoch that published this version in an engine catalog
@@ -196,7 +198,8 @@ pub struct Table {
 
 impl Table {
     /// Empty table with the given schema.
-    pub fn new(schema: Schema) -> Self {
+    pub fn new(schema: impl Into<Arc<Schema>>) -> Self {
+        let schema = schema.into();
         let store = ColumnStore::new(&schema);
         Table {
             schema,
@@ -213,10 +216,11 @@ impl Table {
     /// the columns as it likes; their types are the parts'. Typed cells are
     /// copied by position; no row is built.
     pub fn gathered(
-        schema: Schema,
+        schema: impl Into<Arc<Schema>>,
         parts: &[(&Table, &[usize])],
         columns: &[(usize, usize)],
     ) -> Table {
+        let schema = schema.into();
         let stores: Vec<_> = parts.iter().map(|(t, at)| (&t.store, *at)).collect();
         Table {
             store: ColumnStore::gathered(&schema, &stores, columns),
@@ -440,6 +444,21 @@ impl Table {
         self.store.append(batch);
         self.index_from(first);
         rows
+    }
+
+    /// Append `rows` rows a column at a time: `f(k, definition, column)`
+    /// appends `rows` cells to column `k`. An error stops it there, the
+    /// columns part-way: for a table that is then dropped.
+    pub(crate) fn append_columns<E>(
+        &mut self,
+        rows: usize,
+        mut f: impl FnMut(usize, &Column, &mut ColumnVec) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (first, schema) = (self.len(), &self.schema);
+        self.store
+            .append_columns(rows, |k, col| f(k, &schema.columns[k], col))?;
+        self.index_from(first);
+        Ok(())
     }
 
     /// Append the rows of a log record [`Insert::check`] accepted against

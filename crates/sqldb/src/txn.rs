@@ -121,7 +121,7 @@ impl Transaction {
     /// dropped) earlier in the transaction resolve correctly.
     pub fn table_schema(&mut self, name: &str) -> Result<crate::Schema, DbError> {
         self.shape(name)?
-            .map(|t| t.schema.clone())
+            .map(|t| Schema::clone(&t.schema))
             .ok_or_else(|| no_such_table(name))
     }
 
@@ -249,9 +249,13 @@ impl Transaction {
 
     /// Create a table (programmatic mirror of `CREATE TABLE`; logged as its
     /// schema, like [`Engine::create_table`]).
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
+    pub fn create_table(
+        &mut self,
+        name: &str,
+        schema: impl Into<Arc<Schema>>,
+    ) -> Result<(), DbError> {
         let ask = Ask::CreateTable {
-            schema,
+            schema: schema.into(),
             if_not_exists: false,
         };
         self.write(name, ask, Text::Render, obs::StmtClass::Ddl)

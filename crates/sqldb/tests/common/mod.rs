@@ -58,6 +58,50 @@ impl Rng {
     }
 }
 
+/// A dump shaped like an experiment's: an indexed run table and one
+/// 24-row data table per run.
+pub fn campaign_dump(runs: i64) -> String {
+    use sqldb::{Engine, Value};
+    let mut rng = Rng::new(14);
+    let e = Engine::new();
+    e.execute("CREATE TABLE pb_runs (run_id INTEGER NOT NULL, fs TEXT, at TIMESTAMP, ok BOOLEAN)")
+        .unwrap();
+    e.execute("CREATE INDEX ix_run ON pb_runs (run_id)")
+        .unwrap();
+    for run in 1..=runs {
+        let fs = ["ufs", "nfs", "pvfs", "it's"][rng.below(4) as usize];
+        e.insert_rows(
+            "pb_runs",
+            vec![vec![
+                Value::Int(run),
+                Value::Text(fs.into()),
+                Value::Timestamp(1_101_234_630 + run),
+                Value::Bool(rng.bool()),
+            ]],
+        )
+        .unwrap();
+        e.execute(&format!(
+            "CREATE TABLE pb_rundata_{run} (pos INTEGER, mode TEXT, bw FLOAT, note TEXT)"
+        ))
+        .unwrap();
+        let rows = (0..24).map(|pos| {
+            vec![
+                Value::Int(pos),
+                Value::Text(["read", "write", "rewrite"][rng.below(3) as usize].into()),
+                Value::Float(rng.float(-1.0, 900.0)),
+                if rng.below(8) == 0 {
+                    Value::Text(format!("line {pos}\nof run {run}"))
+                } else {
+                    Value::Null
+                },
+            ]
+        });
+        e.insert_rows(&format!("pb_rundata_{run}"), rows.collect())
+            .unwrap();
+    }
+    e.dump_sql()
+}
+
 /// The SELECT `text` parses to, for the doors that take a statement value.
 pub fn select(text: &str) -> sqldb::sql::SelectStmt {
     match sqldb::sql::parse_statement(text).unwrap() {

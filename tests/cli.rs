@@ -354,6 +354,33 @@ fn dump_is_replayable_sql() {
     assert_eq!(engine.row_count("pb_runs").unwrap(), 4);
 }
 
+/// `perfbase dump … | head`: a reader that stops reading ends the output,
+/// and the process exits 0 without a message, not with a panic. The dump
+/// is larger than a pipe holds, so the write meets the closed pipe however
+/// the two processes are scheduled.
+#[test]
+fn dump_into_a_closed_pipe_exits_quietly() {
+    let dir = TempDir::new("pipe");
+    let dbfile = setup_campaign(&dir);
+    let rows: Vec<String> = (0..2_000).map(|i| format!("({i}, '{:060}')", i)).collect();
+    let script = format!(
+        "CREATE TABLE filler (i INTEGER, s TEXT); INSERT INTO filler VALUES {}",
+        rows.join(", ")
+    );
+    cli(&["sql", "--db", &dbfile, &script]).unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_perfbase"))
+        .args(["dump", "--db", &dbfile])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!((out.status.code(), stderr.as_ref()), (Some(0), ""));
+}
+
 #[test]
 fn sql_script_errors_are_located_in_the_script() {
     let dir = TempDir::new("sqlpos");

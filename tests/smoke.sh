@@ -13,10 +13,18 @@
 # suite: the every-door model (execute, programmatic call, transaction, script
 # and replay leave the same catalog and the same log) and the parent-build
 # log/dump fixtures — the typed checkpoint (round trip, text parity, stamp,
-# hostile input: a typed file loads back to its catalog and stamp, a text
-# file loads as `from_sql_dump` does, every truncation, byte flip and
+# hostile input, sharing: a typed file loads back to its catalog and stamp, a
+# text file loads as `from_sql_dump` does, every truncation, byte flip and
 # oversized count is an error naming its byte offset, a failed save leaves
-# no tmp file) — the typed log record (round trip, old-log parity, hostile
+# no tmp file; tables of one shape read in a row share their schema and
+# equal dictionaries and nothing else, a repeat after a shared prefix is
+# refused at its offset, an intern leaves the neighbours alone
+# (`checkpoint::tests`), a 60-run campaign loads with fewer than 30
+# allocations a table (`checkpoint_alloc::a_typed_load_allocates_per_column_not_per_name`),
+# a bitmap without words reads as one with them
+# (`column::tests::a_bitmap_without_words_reads_as_one_with_them`), and
+# `perfbase dump` into a closed pipe exits 0 without a panic
+# (`cli::dump_into_a_closed_pipe_exits_quietly`)) — the typed log record (round trip, old-log parity, hostile
 # input, replica errors: a log of every record kind reopens to its catalog
 # parsing only the SQL records, every parent-written log recovers to its
 # catalog and report and is converted once, a log cut at any byte, 4 000
@@ -89,8 +97,11 @@ cargo test -q -p perfbase --test concurrent_import
 echo "== versions (pinned versions never move; a pinned append copies one chunk per column; parent-written dump and log) =="
 cargo test -q -p sqldb --test versions
 
-echo "== typed checkpoint (round trip, text parity, stamp, hostile input) =="
+echo "== typed checkpoint (round trip, text parity, stamp, hostile input, sharing) =="
 cargo test -q -p sqldb --lib checkpoint::tests
+cargo test -q -p sqldb --test checkpoint_alloc a_typed_load_allocates_per_column_not_per_name
+cargo test -q -p sqldb --lib column::tests::a_bitmap_without_words_reads_as_one_with_them
+cargo test -q -p perfbase --test cli dump_into_a_closed_pipe_exits_quietly
 cargo test -q -p sqldb --lib dump::tests::load_parity
 cargo test -q -p sqldb --lib dump::tests::save_parity
 cargo test -q -p sqldb --lib dump::tests::a_failed_save_removes_its_tmp_file

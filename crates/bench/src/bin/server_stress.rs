@@ -363,8 +363,8 @@ fn main() {
     );
 
     // ---- serve the same engine ------------------------------------------
-    // At least 4 workers even on a single-core box: the liveness phase
-    // needs a free worker for the writer while scans occupy others.
+    // At least 4 places at the gate even on a single-core box: the liveness
+    // phase needs a free place for the writer while scans hold others.
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -381,7 +381,10 @@ fn main() {
     )
     .expect("start server");
     let addr = handle.addr();
-    println!("serving on {addr} with {threads} worker(s), {connections} client connection(s)");
+    println!(
+        "serving on {addr} with {threads} request(s) at once at the gate, \
+         {connections} client connection(s)"
+    );
 
     // ---- main spike: `connections` concurrent mixed clients --------------
     let sink = Arc::new(LatencySink::default());

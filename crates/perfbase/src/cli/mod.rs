@@ -39,7 +39,9 @@
 //!   run file) so they can be imported and queried through perfbase itself
 //! * `serve --db file [--addr A] [--threads N] [--max-sessions N]
 //!   [--queue N] [--session-ttl SECS] [--wal --sync P]` — serve the
-//!   database over HTTP for concurrent analysts (see `docs/HTTP_API.md`);
+//!   database over HTTP for concurrent analysts (see `docs/HTTP_API.md`):
+//!   at most `--threads` requests run at once and at most `--queue` more
+//!   wait at the admission gate;
 //!   prints `listening on ADDR` immediately and blocks until a client
 //!   posts `/shutdown`, then saves (or checkpoints) the database;
 //!   `--session-ttl` expires idle sessions (rolling back their open

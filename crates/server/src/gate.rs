@@ -1,134 +1,98 @@
-//! Admission control: a fixed worker pool draining a bounded job queue.
+//! Admission control: one FIFO gate in front of the engine.
 //!
-//! Connection handler threads are cheap I/O pumps; the statements they
-//! parse are *executed* here, by `threads` worker threads popping a queue
-//! of at most `queue` waiting jobs. That bounds the engine's concurrency
-//! (at most `threads` statements run at once) and bounds memory under
-//! overload (at most `queue` parsed requests wait). When the queue is
-//! full the submission fails immediately and the caller answers **503**
-//! — load is shed at the door instead of piling up behind a lock. The
-//! policy is deliberately FIFO: queries and imports share one queue, so
-//! a flood of analytical reads cannot starve writers (and vice versa) —
-//! the stress harness asserts exactly this.
+//! A connection thread parses its request, then *executes* it itself once
+//! [`Gate::enter`] admits it. At most `threads` requests run at once; up to
+//! `queue` more park in arrival order, and the next one is refused at once
+//! — the caller answers **503**, so load is shed at the door instead of
+//! piling up behind a lock. The policy is deliberately FIFO: queries and
+//! imports share one line, so a flood of analytical reads cannot starve
+//! writers (and vice versa) — the stress harness asserts exactly this.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` only.
+//! Built on `std::sync::Mutex` and thread parking only.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 
-/// A unit of work: computes a response and delivers it through whatever
-/// channel the submitter captured.
-type Job = Box<dyn FnOnce() + Send>;
-
-struct Queue {
-    jobs: Mutex<VecDeque<Job>>,
-    /// Signalled when a job is pushed or shutdown begins.
-    ready: Condvar,
-    capacity: usize,
-    shutdown: AtomicBool,
+struct State {
+    /// Requests holding a place (running, or admitted and about to run).
+    running: usize,
+    /// Parked waiters, longest first.
+    waiting: VecDeque<Thread>,
+    /// Waiters admitted so far; a waiter's ticket is its place in that count.
+    admitted: u64,
 }
 
-/// The worker pool. Dropping it without [`GatePool::shutdown`] leaks the
-/// workers; the server always shuts it down explicitly.
-pub struct GatePool {
-    queue: Arc<Queue>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+/// The admission gate: `threads` places and a line of at most `queue`.
+pub struct Gate {
+    state: Mutex<State>,
+    threads: usize,
+    queue: usize,
 }
 
-/// Why a submission was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Refused {
-    /// The bounded queue is at capacity — shed load (503).
-    QueueFull,
-    /// The pool is shutting down (503).
-    ShuttingDown,
-}
+/// A place at the gate; dropping it admits the longest waiter.
+pub struct Permit<'a>(&'a Gate);
 
-impl GatePool {
-    /// Start `threads` workers over a queue of at most `queue_cap`
-    /// waiting jobs.
-    pub fn new(threads: usize, queue_cap: usize) -> GatePool {
-        let queue = Arc::new(Queue {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            capacity: queue_cap.max(1),
-            shutdown: AtomicBool::new(false),
-        });
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let queue = queue.clone();
-                std::thread::Builder::new()
-                    .name(format!("pbserver-worker-{i}"))
-                    .spawn(move || worker_loop(&queue))
-                    .expect("spawn worker")
-            })
-            .collect();
-        GatePool {
-            queue,
-            workers: Mutex::new(workers),
+impl Gate {
+    /// A gate with `threads` places and room for `queue` waiters.
+    pub fn new(threads: usize, queue: usize) -> Gate {
+        Gate {
+            state: Mutex::new(State {
+                running: 0,
+                waiting: VecDeque::new(),
+                admitted: 0,
+            }),
+            threads: threads.max(1),
+            queue: queue.max(1),
         }
     }
 
-    /// Enqueue a job, or refuse it if the queue is full or the pool is
-    /// stopping. On success the job is guaranteed to run (workers drain
-    /// the queue before exiting).
-    pub fn submit(&self, job: Job) -> Result<(), Refused> {
-        if self.queue.shutdown.load(Ordering::Acquire) {
-            return Err(Refused::ShuttingDown);
+    /// Take a place, parking behind earlier waiters while all are held;
+    /// `None` at once when `queue` requests already wait.
+    pub fn enter(&self) -> Option<Permit<'_>> {
+        let mut state = self.lock();
+        if state.running < self.threads {
+            state.running += 1;
+            return Some(Permit(self));
         }
-        {
-            let mut jobs = self.queue.jobs.lock().unwrap();
-            if jobs.len() >= self.queue.capacity {
-                return Err(Refused::QueueFull);
-            }
-            jobs.push_back(job);
-            obs::set(obs::Counter::HttpQueueDepth, jobs.len() as u64);
+        if state.waiting.len() >= self.queue {
+            return None;
         }
-        self.queue.ready.notify_one();
-        Ok(())
+        let ticket = state.admitted + state.waiting.len() as u64;
+        state.waiting.push_back(std::thread::current());
+        obs::set(obs::Counter::HttpQueueDepth, state.waiting.len() as u64);
+        // A leaving permit hands its place over (`running` stays) and
+        // counts this waiter admitted; a spurious wake-up parks again.
+        while state.admitted <= ticket {
+            drop(state);
+            std::thread::park();
+            state = self.lock();
+        }
+        Some(Permit(self))
     }
 
-    /// Current queue depth (for `/stats`).
+    /// Requests waiting for a place (for `/stats`).
     pub fn depth(&self) -> usize {
-        self.queue.jobs.lock().unwrap().len()
+        self.lock().waiting.len()
     }
 
-    /// Stop accepting jobs, drain the queue, and join every worker.
-    /// Idempotent: a second call is a no-op.
-    pub fn shutdown(&self) {
-        self.queue.shutdown.store(true, Ordering::Release);
-        self.queue.ready.notify_all();
-        let workers: Vec<JoinHandle<()>> = self.workers.lock().unwrap().drain(..).collect();
-        for w in workers {
-            let _ = w.join();
-        }
+    /// The state, whole even after a panic elsewhere: no critical section
+    /// can panic part-way (`obs::set` is one atomic store).
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-fn worker_loop(queue: &Queue) {
-    loop {
-        let job = {
-            let mut jobs = queue.jobs.lock().unwrap();
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    obs::set(obs::Counter::HttpQueueDepth, jobs.len() as u64);
-                    break Some(job);
-                }
-                if queue.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                jobs = queue.ready.wait(jobs).unwrap();
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        match state.waiting.pop_front() {
+            Some(next) => {
+                state.admitted += 1;
+                obs::set(obs::Counter::HttpQueueDepth, state.waiting.len() as u64);
+                next.unpark();
             }
-        };
-        match job {
-            // A job that panics takes its own response with it (the
-            // submitter sees its channel close), not the worker: the pool
-            // keeps its `threads` for the jobs queued behind.
-            Some(job) => drop(catch_unwind(AssertUnwindSafe(job))),
-            None => return,
+            None => state.running -= 1,
         }
     }
 }
@@ -136,72 +100,100 @@ fn worker_loop(queue: &Queue) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc;
+    use std::sync::{Arc, Barrier};
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn jobs_run_and_drain_on_shutdown() {
-        let pool = GatePool::new(4, 64);
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..50 {
-            let done = done.clone();
-            pool.submit(Box::new(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            }))
-            .unwrap();
+    /// Wait until `done()` holds; a gate that never lets go fails the test
+    /// instead of hanging it.
+    fn await_true(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
         }
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::SeqCst), 50);
+    }
+
+    fn await_depth(gate: &Gate, n: usize) {
+        await_true("waiters never parked", || gate.depth() >= n);
     }
 
     #[test]
-    fn full_queue_refuses_instead_of_blocking() {
-        // One worker, blocked; capacity 2 → the 4th submission must fail.
-        let pool = GatePool::new(1, 2);
-        let (block_tx, block_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        pool.submit(Box::new(move || {
-            started_tx.send(()).unwrap();
-            block_rx.recv().unwrap();
-        }))
-        .unwrap();
-        started_rx.recv().unwrap(); // worker is now busy
-        pool.submit(Box::new(|| {})).unwrap();
-        pool.submit(Box::new(|| {})).unwrap();
-        assert_eq!(pool.submit(Box::new(|| {})), Err(Refused::QueueFull));
-        assert_eq!(pool.depth(), 2);
-        block_tx.send(()).unwrap();
-        pool.shutdown();
+    fn waiters_are_admitted_in_arrival_order() {
+        let gate = Arc::new(Gate::new(1, 8));
+        let held = gate.enter().unwrap();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let waiters: Vec<_> = (0..3)
+            .map(|i| {
+                let (entering, order) = (gate.clone(), order.clone());
+                let waiter = std::thread::spawn(move || {
+                    let _permit = entering.enter().unwrap();
+                    order.lock().unwrap().push(i);
+                });
+                // The next waiter arrives only once this one is in line.
+                await_depth(&gate, i + 1);
+                waiter
+            })
+            .collect();
+        drop(held);
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
+        assert_eq!(gate.depth(), 0);
     }
 
     #[test]
-    fn a_panicking_job_leaves_the_pool_at_full_strength() {
-        let pool = GatePool::new(2, 8);
-        for _ in 0..4 {
-            pool.submit(Box::new(|| panic!("job failed"))).unwrap();
+    fn a_full_queue_refuses_without_blocking() {
+        let gate = Arc::new(Gate::new(1, 2));
+        let held = gate.enter().unwrap();
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let gate = gate.clone();
+                std::thread::spawn(move || drop(gate.enter().unwrap()))
+            })
+            .collect();
+        await_depth(&gate, 2);
+        let started = Instant::now();
+        assert!(gate.enter().is_none());
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(gate.depth(), 2);
+        drop(held);
+        for w in waiters {
+            w.join().unwrap();
         }
-        // Both workers are still there: two jobs that each wait for the
-        // other to start can only finish on two threads.
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (done_tx, done_rx) = mpsc::channel();
-        for _ in 0..2 {
-            let (barrier, done_tx) = (barrier.clone(), done_tx.clone());
-            pool.submit(Box::new(move || {
-                barrier.wait();
-                done_tx.send(()).unwrap();
-            }))
-            .unwrap();
-        }
-        let wait = std::time::Duration::from_secs(10);
-        assert!(done_rx.recv_timeout(wait).is_ok() && done_rx.recv_timeout(wait).is_ok());
-        pool.shutdown();
     }
 
     #[test]
-    fn shutdown_refuses_new_jobs() {
-        let pool = GatePool::new(1, 4);
-        pool.queue.shutdown.store(true, Ordering::Release);
-        assert_eq!(pool.submit(Box::new(|| {})), Err(Refused::ShuttingDown));
-        pool.shutdown();
+    fn a_panicking_request_gives_its_place_back() {
+        let gate = Arc::new(Gate::new(2, 8));
+        // Each request panics while it holds its place; the unwinding drops
+        // the permit. A place the panic kept would park the third for good.
+        let panicked: Vec<_> = (0..4)
+            .map(|_| {
+                let gate = gate.clone();
+                std::thread::spawn(move || {
+                    let _permit = gate.enter().unwrap();
+                    panic!("request failed")
+                })
+            })
+            .collect();
+        await_true("a panic kept its place", || {
+            panicked.iter().all(|r| r.is_finished())
+        });
+        // Both places are free again: two requests that each wait for the
+        // other to start can only finish when both are admitted at once.
+        let barrier = Arc::new(Barrier::new(2));
+        let requests: Vec<_> = (0..2)
+            .map(|_| {
+                let (gate, barrier) = (gate.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    let _permit = gate.enter().unwrap();
+                    barrier.wait();
+                })
+            })
+            .collect();
+        await_true("a place was lost", || {
+            requests.iter().all(|r| r.is_finished())
+        });
     }
 }

@@ -20,6 +20,10 @@ pub const MAX_BODY: usize = 64 << 20;
 /// Upper bound on one header line; longer lines are a protocol error.
 const MAX_LINE: usize = 64 << 10;
 
+/// Upper bound on the header lines of one request; more are a protocol
+/// error, so a client cannot grow the header map without bound.
+const MAX_HEADERS: usize = 100;
+
 /// A parsed HTTP request.
 #[derive(Debug)]
 pub struct Request {
@@ -100,7 +104,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
     };
 
     let mut headers = HashMap::new();
-    loop {
+    for lines in 0.. {
         let line = match read_line(reader) {
             Ok(Some(l)) => l,
             Ok(None) => return ReadOutcome::Bad("eof in headers".into()),
@@ -108,6 +112,9 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
         };
         if line.is_empty() {
             break;
+        }
+        if lines == MAX_HEADERS {
+            return ReadOutcome::Bad(format!("more than {MAX_HEADERS} header lines"));
         }
         if let Some((k, v)) = line.split_once(':') {
             headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());

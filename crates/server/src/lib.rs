@@ -12,11 +12,12 @@
 //!
 //! * **Connections** ([`http`]) — one lightweight handler thread per
 //!   client, capped at `max_sessions` (excess connections get an immediate
-//!   503 and are closed). Handlers parse requests and write responses;
-//!   they do no engine work.
-//! * **Admission** ([`gate`]) — a fixed pool of `threads` workers drains a
-//!   bounded queue of parsed statements. A full queue answers 503 at the
-//!   door, so overload sheds load instead of accumulating it.
+//!   503 and are closed). A handler parses a request, runs it and writes
+//!   the response, all on its own thread.
+//! * **Admission** ([`gate`]) — before engine work a handler waits at one
+//!   FIFO gate: at most `threads` requests run at once and at most `queue`
+//!   wait. A full line answers 503 at the door, so overload sheds load
+//!   instead of accumulating it.
 //! * **Sessions** ([`session`]) — `POST /session` pins an MVCC snapshot;
 //!   queries carrying `X-Session` run at that frozen epoch (repeatable
 //!   reads) while imports keep committing. A session can open an explicit
@@ -34,14 +35,15 @@ pub mod gate;
 pub mod http;
 pub mod session;
 
-use gate::{GatePool, Refused};
+use gate::Gate;
 use http::{ReadOutcome, Request, Response};
 use session::{Session, SessionTable};
 use sqldb::{DataType, DbError, Engine, Schema, Value};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,11 +56,11 @@ const POLL_INTERVAL: Duration = Duration::from_millis(250);
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7381` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads executing statements (the admission pool).
+    /// Requests that execute at once (places at the admission gate).
     pub threads: usize,
     /// Cap on concurrent client connections *and* on registered sessions.
     pub max_sessions: usize,
-    /// Bounded admission queue: statements waiting for a worker.
+    /// Requests that may wait at the gate for a place; one more answers 503.
     pub queue: usize,
     /// Expire sessions idle longer than this (open transactions roll
     /// back). `None` (the default) disables the sweep.
@@ -81,7 +83,7 @@ impl Default for ServerConfig {
 struct Inner {
     engine: Arc<Engine>,
     sessions: SessionTable,
-    pool: GatePool,
+    gate: Gate,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
     max_conns: usize,
@@ -101,16 +103,16 @@ pub struct ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Bind `config.addr`, spawn the accept loop and the worker pool, and
-    /// return immediately. The engine stays fully usable in-process while
-    /// being served.
+    /// Bind `config.addr`, spawn the accept loop (and the session sweep
+    /// when a TTL is set), and return immediately. The engine stays fully
+    /// usable in-process while being served.
     pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             engine,
             sessions: SessionTable::new(config.max_sessions),
-            pool: GatePool::new(config.threads, config.queue),
+            gate: Gate::new(config.threads, config.queue),
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
             max_conns: config.max_sessions.max(1),
@@ -163,8 +165,8 @@ impl ServerHandle {
         self.inner.shutdown.load(Ordering::Acquire)
     }
 
-    /// Wait for the accept loop, every connection handler, and the worker
-    /// pool to finish. Call after [`ServerHandle::stop`] (or to park until
+    /// Wait for the accept loop, every connection handler, and the session
+    /// sweep to finish. Call after [`ServerHandle::stop`] (or to park until
     /// a client shuts the server down).
     pub fn join(mut self) {
         if let Some(t) = self.accept_thread.take() {
@@ -230,7 +232,6 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     for h in handlers {
         let _ = h.join();
     }
-    inner.pool.shutdown();
 }
 
 fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
@@ -257,7 +258,7 @@ fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) {
             ReadOutcome::Request(req) => {
                 obs::incr(obs::Counter::HttpRequests);
                 let keep = req.keep_alive() && !is_shutdown_request(&req);
-                let response = route(inner, req);
+                let response = route(inner, &req);
                 if response.write(&mut writer, keep).is_err() || !keep {
                     return;
                 }
@@ -270,12 +271,13 @@ fn is_shutdown_request(req: &Request) -> bool {
     req.path == "/shutdown"
 }
 
-/// Dispatch one request. Cheap endpoints run inline on the connection
-/// thread; engine work goes through the admission pool.
-fn route(inner: &Arc<Inner>, req: Request) -> Response {
+/// Dispatch one request on the connection thread, inside one `request`
+/// span. Cheap endpoints run at once; engine work waits at the gate.
+fn route(inner: &Inner, req: &Request) -> Response {
+    let mut span = obs::span("request");
     let started = Instant::now();
     let epoch = inner.engine.epoch();
-    match (req.method.as_str(), req.path.as_str()) {
+    let response = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => timed(obs::Hist::HttpOtherNs, started, {
             let health = match inner.engine.wal_poisoned() {
                 false => Response::ok("ok\n"),
@@ -293,24 +295,26 @@ fn route(inner: &Arc<Inner>, req: Request) -> Response {
         ("POST", "/session") => timed(obs::Hist::HttpOtherNs, started, open_session(inner)),
         ("GET", "/session") => timed(obs::Hist::HttpOtherNs, started, list_sessions(inner)),
         ("POST", "/session/close") | ("DELETE", "/session") => {
-            timed(obs::Hist::HttpOtherNs, started, close_session(inner, &req))
+            timed(obs::Hist::HttpOtherNs, started, close_session(inner, req))
         }
         ("POST", "/shutdown") => timed(obs::Hist::HttpOtherNs, started, {
             inner.begin_shutdown();
             Response::ok("shutting down\n")
         }),
-        ("POST", "/begin") => pooled(inner, req, started, obs::Hist::HttpOtherNs, run_begin),
-        ("POST", "/commit") => pooled(inner, req, started, obs::Hist::HttpOtherNs, run_commit),
-        ("POST", "/rollback") => pooled(inner, req, started, obs::Hist::HttpOtherNs, run_rollback),
-        ("POST", "/query") => pooled(inner, req, started, obs::Hist::HttpQueryNs, run_query),
-        ("POST", "/ingest") => pooled(inner, req, started, obs::Hist::HttpIngestNs, run_ingest),
-        ("GET", "/stats") => pooled(inner, req, started, obs::Hist::HttpStatsNs, run_stats),
+        ("POST", "/begin") => gated(inner, req, started, obs::Hist::HttpOtherNs, run_begin),
+        ("POST", "/commit") => gated(inner, req, started, obs::Hist::HttpOtherNs, run_commit),
+        ("POST", "/rollback") => gated(inner, req, started, obs::Hist::HttpOtherNs, run_rollback),
+        ("POST", "/query") => gated(inner, req, started, obs::Hist::HttpQueryNs, run_query),
+        ("POST", "/ingest") => gated(inner, req, started, obs::Hist::HttpIngestNs, run_ingest),
+        ("GET", "/stats") => gated(inner, req, started, obs::Hist::HttpStatsNs, run_stats),
         ("GET", "/query") | ("GET", "/ingest") => Response::text(405, "use POST\n"),
         _ => Response::text(
             404,
             format!("no such endpoint: {} {}\n", req.method, req.path),
         ),
-    }
+    };
+    span.annotate(|| format!("{} {} {}", req.method, req.path, response.status));
+    response
 }
 
 fn timed(h: obs::Hist, started: Instant, r: Response) -> Response {
@@ -318,44 +322,30 @@ fn timed(h: obs::Hist, started: Instant, r: Response) -> Response {
     r
 }
 
-/// Run `f(inner, req)` on the admission pool and wait for its response.
-/// The recorded latency includes the queue wait — that's the number an
-/// analyst experiences.
-fn pooled(
-    inner: &Arc<Inner>,
-    req: Request,
+/// Run `f(inner, req)` once the gate admits it. The recorded latency
+/// includes the wait at the gate — that's the number an analyst
+/// experiences.
+fn gated(
+    inner: &Inner,
+    req: &Request,
     started: Instant,
     hist: obs::Hist,
     f: fn(&Inner, &Request) -> Response,
 ) -> Response {
-    let (tx, rx) = mpsc::channel();
-    let job_inner = inner.clone();
-    let submitted = inner.pool.submit(Box::new(move || {
-        let _ = tx.send(f(&job_inner, &req));
-    }));
-    match submitted {
-        Ok(()) => {
-            // Accepted jobs always run (the pool drains on shutdown), so
-            // this recv only fails if the job panicked: a defect in this
-            // program, not load — 500, and the worker lives on.
-            let r = rx
-                .recv()
-                .unwrap_or_else(|_| Response::text(500, "internal error: the request panicked\n"));
-            obs::record_duration(hist, started.elapsed());
-            r
-        }
-        Err(refused) => {
-            obs::incr(obs::Counter::HttpRejectedOverload);
-            let msg = match refused {
-                Refused::QueueFull => "admission queue full, retry later\n",
-                Refused::ShuttingDown => "server is shutting down\n",
-            };
-            Response::text(503, msg).with_header("Retry-After", "1")
-        }
-    }
+    let Some(_permit) = inner.gate.enter() else {
+        obs::incr(obs::Counter::HttpRejectedOverload);
+        return Response::text(503, "admission queue full, retry later\n")
+            .with_header("Retry-After", "1");
+    };
+    // A panic is a defect in this program, not load: it answers 500, and
+    // dropping the permit gives its place to the next waiter.
+    let r = catch_unwind(AssertUnwindSafe(|| f(inner, req)))
+        .unwrap_or_else(|_| Response::text(500, "internal error: the request panicked\n"));
+    obs::record_duration(hist, started.elapsed());
+    r
 }
 
-// ---- endpoint bodies (run on pool workers) -------------------------------
+// ---- endpoint bodies (run behind the gate) -------------------------------
 
 /// `POST /query` — body is one SELECT or `EXPLAIN [ANALYZE] SELECT`.
 /// With `X-Session: <id>` the statement runs at that session's pinned
@@ -563,7 +553,7 @@ fn run_stats(inner: &Inner, _req: &Request) -> Response {
     ));
     out.push_str(&format!(
         "admission_queue_depth            {:>12}\n",
-        inner.pool.depth()
+        inner.gate.depth()
     ));
     out.push_str(&format!(
         "sessions                         {:>12}\n",
@@ -676,11 +666,6 @@ fn parse_value(dtype: DataType, s: &str) -> Result<Value, String> {
         DataType::Text => Ok(Value::Text(s.to_string())),
     }
 }
-
-// Re-exported so the stress harness and tests can exercise overload paths
-// without going through a socket.
-#[doc(hidden)]
-pub use gate::Refused as AdmissionRefused;
 
 #[cfg(test)]
 mod tests {

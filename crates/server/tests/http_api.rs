@@ -600,9 +600,9 @@ fn error_codes_match_the_documentation() {
     handle.join();
 }
 
-/// Integer arithmetic that overflows is the statement's error, not a panic:
-/// a panic used to cost the pool the worker that ran it, and `threads` of
-/// them left every later request queued for workers that no longer existed.
+/// Integer arithmetic that overflows is the statement's error, not a panic,
+/// and costs no place at the gate: after `threads + 1` of them the next
+/// request is still admitted and answered.
 #[test]
 fn overflowing_arithmetic_answers_400_and_costs_no_worker() {
     let (_engine, handle) = serve_sample();
@@ -621,6 +621,40 @@ fn overflowing_arithmetic_answers_400_and_costs_no_worker() {
         assert_eq!(status, 400, "{sql}: {body}");
         assert!(body.contains("integer overflow in "), "{sql}: {body}");
     }
+    let (status, _, body) = call(&handle, "POST", "/query", &[], "SELECT count(*) FROM runs");
+    assert_eq!((status, body.as_str()), (200, "count(*)\n2\n"));
+
+    handle.stop();
+    handle.join();
+}
+
+/// A request with more header lines than the server keeps is refused with
+/// 400, and the server goes on answering.
+#[test]
+fn more_than_100_header_lines_answer_400() {
+    let (_engine, handle) = serve_sample();
+    // The status answering a GET /health with `n` header lines. The server
+    // may close with part of the request unread, so a reset after the
+    // answer is no error here.
+    let status_with = |n: usize| -> u16 {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let patience = std::time::Duration::from_secs(20);
+        stream.set_read_timeout(Some(patience)).unwrap();
+        let mut req = String::from("GET /health HTTP/1.1\r\nConnection: close\r\n");
+        for i in 1..n {
+            req.push_str(&format!("X-Filler-{i}: x\r\n"));
+        }
+        req.push_str("\r\n");
+        stream.write_all(req.as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let raw = String::from_utf8_lossy(&raw);
+        let status = raw.split_whitespace().nth(1).expect("a status line");
+        status.parse().unwrap()
+    };
+    assert_eq!(status_with(100), 200);
+    assert_eq!(status_with(101), 400);
+    assert_eq!(status_with(1000), 400);
     let (status, _, body) = call(&handle, "POST", "/query", &[], "SELECT count(*) FROM runs");
     assert_eq!((status, body.as_str()), (200, "count(*)\n2\n"));
 

@@ -686,17 +686,6 @@ impl Engine {
         attached.replace(wal)
     }
 
-    /// Detach and return the write-ahead log, if any (pending frames are
-    /// synced first on a best-effort basis).
-    pub fn detach_wal(&self) -> Option<Wal> {
-        let mut wal = self.wal.lock().take();
-        self.log_poisoned.store(false, Ordering::Relaxed);
-        if let Some(w) = wal.as_mut() {
-            let _ = w.sync();
-        }
-        wal
-    }
-
     /// Is the attached log poisoned — did an append fail part-way, so that
     /// every write is refused until a checkpoint? Read without the log
     /// mutex: a health probe never waits behind an append's fsync.

@@ -123,9 +123,14 @@ echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash
 cargo test -q -p perfbase --test crash_recovery
 
-echo "== log reader (one unit reader: crash-and-reopen model, parent-written logs; overflow is a 400, a panic costs no worker) =="
+echo "== log reader (one unit reader: crash-and-reopen model, parent-written logs; overflow is a 400 and costs no place at the gate) =="
 cargo test -q -p sqldb --test log_units
 cargo test -q -p pbserver --test http_api
+
+echo "== server: admission gate (FIFO, full line refuses, a panic frees its place), header cap, request span =="
+cargo test -q -p pbserver --lib gate::tests
+cargo test -q -p pbserver --test http_api more_than_100_header_lines_answer_400
+cargo test -q -p pbserver --test request_span
 
 echo "== replication (log shipping, chaos kills, failover equivalence) =="
 cargo test -q -p sqldb --test repl_chaos

@@ -829,6 +829,40 @@ fn bench_dump_render() -> [BenchResult; 2] {
     ]
 }
 
+/// The per-op cost of two cases, `a` and `b`, each the minimum over
+/// interleaved trials: every trial runs both, alternating which goes first
+/// so that drift within a trial biases neither, and the first trial only
+/// warms up. Noise on a shared host only ever adds, so the minimum is the
+/// estimate with the least of it, and both sides see the same host. While
+/// `passes(a, b)` says the estimate misses its bar after [`TRIALS`]
+/// trials, sampling goes on, up to three times as many: a burst of noise
+/// cannot fail a bar, and a real slowdown, which raises every trial's
+/// time, still does.
+fn min_interleaved(
+    mut a: impl FnMut() -> u64,
+    mut b: impl FnMut() -> u64,
+    passes: impl Fn(u64, u64) -> bool,
+) -> (u64, u64) {
+    let (mut best_a, mut best_b) = (u64::MAX, u64::MAX);
+    let mut trial = 0usize;
+    loop {
+        let (ta, tb) = if trial.is_multiple_of(2) {
+            let ta = a();
+            (ta, b())
+        } else {
+            let tb = b();
+            (a(), tb)
+        };
+        if trial > 0 {
+            (best_a, best_b) = (best_a.min(ta), best_b.min(tb));
+        }
+        trial += 1;
+        if trial > TRIALS && (passes(best_a, best_b) || trial > 3 * TRIALS) {
+            return (best_a, best_b);
+        }
+    }
+}
+
 /// Telemetry overhead: the same point select with the `obs` counters
 /// recording vs globally disabled. Every recording call degrades to one
 /// relaxed atomic load when disabled, so the delta is the full cost of the
@@ -860,35 +894,11 @@ fn bench_telemetry_overhead(e: &Engine) -> TelemetryBench {
         obs::set_stats_enabled(true);
         ns
     };
-    // Interleave the two cases within each trial so host noise hits both
-    // equally, and take each case's *minimum* — scheduler and cache noise
-    // is strictly additive, so the min is the lowest-variance estimator of
-    // the true per-op cost and keeps a ~4% effect measurable. Alternate
-    // which case runs first so drift within a trial cannot bias one side,
-    // and if the estimate still sits above the 1.05x acceptance bar after
-    // the base trials, keep sampling (the min only ever improves) up to a
-    // hard cap so a noise burst cannot fail the bar spuriously.
-    let mut enabled_ns = u64::MAX;
-    let mut disabled_ns = u64::MAX;
-    let mut trial = 0usize;
-    loop {
-        let (on, off) = if trial.is_multiple_of(2) {
-            let on = run_case(true);
-            (on, run_case(false))
-        } else {
-            let off = run_case(false);
-            (run_case(true), off)
-        };
-        if trial > 0 {
-            enabled_ns = enabled_ns.min(on);
-            disabled_ns = disabled_ns.min(off);
-        }
-        trial += 1;
-        let above_bar = enabled_ns as f64 > disabled_ns as f64 * 1.05;
-        if trial > TRIALS && (!above_bar || trial > 3 * TRIALS) {
-            break;
-        }
-    }
+    let (enabled_ns, disabled_ns) = min_interleaved(
+        || run_case(true),
+        || run_case(false),
+        |on, off| on as f64 <= off as f64 * 1.05,
+    );
     TelemetryBench {
         enabled_ns,
         disabled_ns,
@@ -918,7 +928,18 @@ struct ReplReadBench {
     replicated_ns: u64,
 }
 
-fn replicated_read_ns(replicas: usize) -> (u64, usize) {
+/// One side of the replica-read comparison: the experiment, its cluster
+/// and the runs a backend node owns.
+struct ReplReads {
+    db: ExperimentDb,
+    cluster: Arc<Cluster>,
+    remote: Vec<i64>,
+}
+
+/// Pinned-read + update pairs per backend-owned run in one sweep.
+const REPL_PAIRS: usize = 16;
+
+fn replicated_reads(replicas: usize) -> ReplReads {
     const RUNS: i64 = 6;
     const DATASETS: usize = 2000;
     const NODES: usize = 4;
@@ -976,48 +997,53 @@ fn replicated_read_ns(replicas: usize) -> (u64, usize) {
         .collect();
     assert!(!remote.is_empty(), "no run landed on a backend node");
 
-    // One sweep = PAIRS pinned-read + update pairs per backend-owned run,
-    // single-threaded so the measurement is free of scheduler noise (the
-    // bench host may have a single CPU). The snapshot stays pinned across
-    // the update, so an owner-routed read forces the update to clone the
-    // run-data table while a replica-routed read leaves it in place.
-    const PAIRS: usize = 16;
-    let sweep = || {
-        for id in &remote {
+    ReplReads {
+        db,
+        cluster,
+        remote,
+    }
+}
+
+impl ReplReads {
+    /// The time of one sweep, per operation: [`REPL_PAIRS`] pinned-read +
+    /// update pairs per backend-owned run, single-threaded so the
+    /// measurement is free of scheduler noise (the bench host may have a
+    /// single CPU). The snapshot stays pinned across the update, so an
+    /// owner-routed read forces the update to clone the run-data table
+    /// while a replica-routed read leaves it in place.
+    fn sweep_ns(&self) -> u64 {
+        let sh = self.db.sharding().expect("sharding");
+        let t0 = Instant::now();
+        for id in &self.remote {
             let owner_eng = sh.engine_of(*id).clone();
             let read_sql = format!("SELECT avg(bw) FROM pb_rundata_{id}");
             let write_sql = format!("UPDATE pb_rundata_{id} SET bw = bw");
-            for _ in 0..PAIRS {
+            for _ in 0..REPL_PAIRS {
                 let node = sh.read_node_of(*id);
-                let eng = &cluster.node(node).engine;
+                let eng = &self.cluster.node(node).engine;
                 let snap = eng.snapshot();
                 eng.query_at(&snap, &read_sql).expect("read");
                 owner_eng.execute(&write_sql).expect("write");
                 drop(snap);
             }
         }
-    };
-    // Min of a handful of trials: the work is deterministic, so the min
-    // strips the additive scheduler noise (see `bench_wal`).
-    let mut best = u64::MAX;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        sweep();
-        best = best.min(t0.elapsed().as_nanos() as u64);
+        t0.elapsed().as_nanos() as u64 / (self.remote.len() * REPL_PAIRS * 2) as u64
     }
-    if replicas > 0 {
-        let repl = sh.replicator().expect("replicator");
-        assert!(
-            repl.report().replica_reads > 0,
-            "replica routing must serve a share of the reads"
-        );
-    }
-    (best / (remote.len() * PAIRS * 2) as u64, remote.len())
 }
 
 fn bench_replication_mixed_reads() -> (BenchResult, ReplReadBench) {
-    let (primary_only_ns, _) = replicated_read_ns(0);
-    let (replicated_ns, runs) = replicated_read_ns(1);
+    let (primary_only, replicated) = (replicated_reads(0), replicated_reads(1));
+    let (replicated_ns, primary_only_ns) = min_interleaved(
+        || replicated.sweep_ns(),
+        || primary_only.sweep_ns(),
+        |replicated, primary_only| primary_only as f64 >= replicated as f64 * 0.9,
+    );
+    let sh = replicated.db.sharding().expect("sharding");
+    let repl = sh.replicator().expect("replicator");
+    assert!(
+        repl.report().replica_reads > 0,
+        "replica routing must serve a share of the reads"
+    );
     (
         BenchResult {
             name: "replication_mixed_reads",
@@ -1026,7 +1052,7 @@ fn bench_replication_mixed_reads() -> (BenchResult, ReplReadBench) {
         },
         ReplReadBench {
             nodes: 4,
-            runs,
+            runs: replicated.remote.len(),
             primary_only_ns,
             replicated_ns,
         },

@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run --release -p bench --bin repro -- all
 //! cargo run --release -p bench --bin repro -- fig8 c1
+//! cargo run --release -p bench --bin repro -- c35    # not part of `all`
 //! ```
 //!
 //! Artifacts (the Fig. 4 output file, the Fig. 8 gnuplot chart, …) are
@@ -19,9 +20,9 @@ use perfbase_core::query::spec::query_from_str;
 use perfbase_core::query::QueryRunner;
 use sqldb::cluster::{Cluster, LatencyModel};
 use sqldb::Engine;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
-use workloads::beffio::{simulate, BeffIoConfig};
+use workloads::beffio::{simulate, BeffIoConfig, FsType, Technique};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,7 +59,10 @@ fn main() {
             "c1" => c1(),
             "c2" => c2(),
             "shard" => shard(),
-            other => eprintln!("unknown experiment '{other}' (fig1..fig8, c1, c2, shard, all)"),
+            "c35" => c35(&out_dir),
+            other => {
+                eprintln!("unknown experiment '{other}' (fig1..fig8, c1, c2, shard, c35, all)")
+            }
         }
     }
 }
@@ -596,4 +600,162 @@ fn shard() {
          paper Fig. 3: \"the data is being processed where it is located\" — only\n\
          reduced partial aggregates cross the simulated interconnect."
     );
+}
+
+/// C35 — the database file's tail (DESIGN.md §4i) over whole rewrite
+/// cycles. The `cli_session` benchmark's shape — the b_eff_io experiment,
+/// 1 200 runs preloaded, then cycles of an `input` of 4 new runs and a
+/// Fig. 7 `query`, each a whole `perfbase` call — but 100 cycles on one
+/// file, so that its tail grows to its share of the image and the image is
+/// rewritten. After each input the same catalog is also checkpointed to a
+/// second file with no tail, and the query and the load are timed on both
+/// files, interleaved (the minimum of 3 queries and of 5 loads a file): the
+/// difference is what the tail costs a reader, on a host whose speed moves
+/// far more than that between cycles. Then the differences by the tail's
+/// length, and the input's mean over each whole cycle of appends and the
+/// rewrite that ends it.
+fn c35(out_dir: &Path) {
+    const CYCLES: usize = 100;
+    banner("C35 — the database file's tail: input and query across rewrite cycles");
+    let dir = out_dir.join("c35");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("files")).expect("create c35 directory");
+    let arg = |p: &Path| p.display().to_string();
+    let (def, desc, spec) = (dir.join("e.xml"), dir.join("i.xml"), dir.join("q.xml"));
+    std::fs::write(&def, EXPERIMENT_XML).unwrap();
+    std::fs::write(&desc, INPUT_XML).unwrap();
+    std::fs::write(&spec, bench::QUERY_XML).unwrap();
+    // Six runs a repetition, one per file system and technique, as the
+    // benchmark's campaign has them.
+    let mut files = Vec::new();
+    for rep in 1..=200 + (CYCLES as u32 * 4).div_ceil(6) {
+        for (slot, fs) in [FsType::Ufs, FsType::Nfs, FsType::Pvfs]
+            .into_iter()
+            .enumerate()
+        {
+            for technique in [Technique::ListBased, Technique::ListLess] {
+                let seed = u64::from(rep) * 6 + slot as u64 * 2 + technique.file_tag().len() as u64;
+                let run = simulate(BeffIoConfig {
+                    fs,
+                    technique,
+                    run_index: rep,
+                    seed,
+                    ..BeffIoConfig::default()
+                });
+                let path = dir.join("files").join(run.filename());
+                std::fs::write(&path, run.render()).unwrap();
+                files.push(arg(&path));
+            }
+        }
+    }
+    let (db, fresh) = (dir.join("db"), dir.join("fresh"));
+    let cli = |argv: Vec<String>| perfbase::cli::run(argv).expect("perfbase call succeeds");
+    let args = |words: &[&str], more: &[String]| {
+        let words = words.iter().map(|w| w.to_string());
+        words.chain(more.iter().cloned()).collect::<Vec<_>>()
+    };
+    let (db_arg, desc_arg, spec_arg) = (arg(&db), arg(&desc), arg(&spec));
+    let input = [
+        "input", "--db", &db_arg, "--desc", &desc_arg, "--user", "demo",
+    ];
+    let query = |file: &Path| {
+        let file = arg(file);
+        args(
+            &[
+                "query", "--db", &file, "--spec", &spec_arg, "--user", "demo",
+            ],
+            &[],
+        )
+    };
+    cli(args(&["setup", "--def", &arg(&def), "--db", &db_arg], &[]));
+    cli(args(&input, &files[..1200]));
+    let len = |p: &Path| std::fs::metadata(p).unwrap().len();
+    println!("image of 1 200 runs: {} bytes\n", len(&db));
+    println!(
+        "{:>5} {:>5} {:>8} {:>7} {:>7} {:>8} {:>8} {:>7} {:>7}",
+        "cycle", "units", "input", "rewrote", "bytes", "query", "fresh", "load", "fresh"
+    );
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    // The minimum of `reps` timings of `a` and of `b`, interleaved.
+    let min_pair = |reps: usize, a: &dyn Fn(), b: &dyn Fn()| {
+        let (mut ta, mut tb) = (f64::MAX, f64::MAX);
+        for _ in 0..reps {
+            let t = Instant::now();
+            a();
+            ta = ta.min(ms(t));
+            let t = Instant::now();
+            b();
+            tb = tb.min(ms(t));
+        }
+        (ta, tb)
+    };
+    let load = |file: &Path| drop(Engine::load_from_file(file).unwrap());
+    // Per cycle: the units the tail holds, input ms, whether the input
+    // rewrote the image, and the query's and the load's extra ms over the
+    // file without a tail.
+    let mut rows: Vec<(usize, f64, bool, f64, f64)> = Vec::new();
+    let mut units = 0;
+    for (cycle, four) in files[1200..].chunks_exact(4).take(CYCLES).enumerate() {
+        let before = len(&db);
+        let t = Instant::now();
+        cli(args(&input, four));
+        let input_ms = ms(t);
+        let after = len(&db);
+        // A rewrite drops the tail, which is longer than the image grows.
+        let rewrote = after < before;
+        units = if rewrote { 0 } else { units + 1 };
+        Engine::load_from_file(&db)
+            .unwrap()
+            .checkpoint(&fresh)
+            .unwrap();
+        let (q, qf) = min_pair(3, &|| drop(cli(query(&db))), &|| drop(cli(query(&fresh))));
+        let (l, lf) = min_pair(5, &|| load(&db), &|| load(&fresh));
+        println!(
+            "{cycle:>5} {units:>5} {input_ms:>8.2} {:>7} {:>7} {q:>8.2} {qf:>8.2} {l:>7.2} {lf:>7.2}",
+            if rewrote { "yes" } else { "" },
+            after as i64 - before as i64
+        );
+        rows.push((units, input_ms, rewrote, q - qf, l - lf));
+    }
+    println!("\nextra ms over the same catalog without a tail (median), by the tail's units:");
+    for (lo, hi) in [(0, 0), (1, 5), (6, 15), (16, 25), (26, usize::MAX)] {
+        let at: Vec<_> = rows.iter().filter(|r| (lo..=hi).contains(&r.0)).collect();
+        if !at.is_empty() {
+            let q = median(at.iter().map(|r| r.3).collect());
+            let l = median(at.iter().map(|r| r.4).collect());
+            let hi = if hi == usize::MAX {
+                "…".into()
+            } else {
+                hi.to_string()
+            };
+            println!(
+                "  {lo:>2}–{hi:<2} units, {:>2} cycles: query {q:+.3}, load {l:+.3}",
+                at.len()
+            );
+        }
+    }
+    let appends: Vec<f64> = rows.iter().filter(|r| !r.2).map(|r| r.1).collect();
+    let rewrites: Vec<f64> = rows.iter().filter(|r| r.2).map(|r| r.1).collect();
+    println!(
+        "input ms, appends: median {:.2} over {}",
+        median(appends.clone()),
+        appends.len()
+    );
+    println!("input ms, rewrites: {rewrites:.2?}");
+    // The preload rewrote the image too: a cycle of appends starts there.
+    let mut start = 0;
+    for end in (0..rows.len()).filter(|&k| rows[k].2) {
+        let period = &rows[start..=end];
+        start = end + 1;
+        let mean = period.iter().map(|r| r.1).sum::<f64>() / period.len() as f64;
+        let q = period.iter().map(|r| r.3).sum::<f64>() / period.len() as f64;
+        println!(
+            "whole cycle of {} inputs ending in a rewrite: input mean {mean:.2} ms, query's extra mean {q:+.3} ms",
+            period.len()
+        );
+    }
 }

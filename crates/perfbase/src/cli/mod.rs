@@ -8,9 +8,11 @@
 //! * `update --def exp.xml --db file --user U` — evolve the definition
 //! * `input --db file --desc input.xml [--user U] [--force] [--policy P]
 //!   [--fixed var=value] [--merge] [--wal] [--sync always|group|off]
-//!   files…` — import runs; with `--wal` every statement is written to a
-//!   write-ahead log (`file.wal`) before it is applied, so a crash in the
-//!   middle of an import loses at most the unsynced tail
+//!   files…` — import runs, appended to the database file as one unit;
+//!   with `--wal` every statement is written to a write-ahead log
+//!   (`file.wal`) before it is applied, so a crash in the middle of an
+//!   import loses at most the unsynced tail, and the import ends in a
+//!   checkpoint
 //! * `checkpoint --db file` — replay any leftover write-ahead log into the
 //!   database, rewrite the database file atomically and compact the log
 //! * `query --db file --spec query.xml [--user U] [--parallel] [--nodes N]
@@ -63,9 +65,12 @@
 //! after the work completes — the way to capture a real workload's
 //! metrics from the command line.
 //!
-//! The `--db` file is a typed checkpoint (`sqldb`'s column arrays), which
-//! every command that writes rewrites whole; any SQL-text dump, such as
-//! `dump` prints, loads in its place.
+//! The `--db` file is a typed checkpoint (`sqldb`'s column arrays)
+//! followed by a tail of log units: every command that writes appends its
+//! writes to the tail as one unit, and rewrites the checkpoint only when
+//! the tail would outgrow a twelfth of it. Any SQL-text dump, such as
+//! `dump` prints, loads in its place, and the first write rewrites it as a
+//! checkpoint.
 //!
 //! Every command returns its textual output, making the frontend fully
 //! testable without process spawning.
@@ -116,7 +121,10 @@ pub fn run(argv: Vec<String>) -> Result<String, String> {
 
 fn usage() -> String {
     "usage: perfbase <setup|update|input|checkpoint|query|info|ls|show|missing|delete|check|dump|suspect|stats|serve|sql> [options]\n\
-     run `perfbase help` for details"
+     run `perfbase help` for details\n\
+     a command that writes (input, update, delete, sql, serve) appends its writes to the --db\n\
+     file as one unit, or rewrites the checkpoint once the appended units would outgrow a\n\
+     twelfth of it; `input --wal` logs to <db>.wal and checkpoints when it is done"
         .to_string()
 }
 
@@ -124,18 +132,18 @@ fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
 }
 
+/// Open the database file at `path`. The engine holds the writes a command
+/// makes for [`save_db`]; a command that reads makes none.
 fn open_db(path: &str) -> Result<ExperimentDb, String> {
-    let engine = Engine::load_from_file(Path::new(path)).map_err(err)?;
+    let engine = Engine::open_file(Path::new(path)).map_err(err)?;
     ExperimentDb::open(Arc::new(engine)).map_err(err)
 }
 
-/// Write the database file: a typed checkpoint (`perfbase dump` prints the
-/// SQL text).
-fn save_db(db: &ExperimentDb, path: &str) -> Result<(), String> {
-    db.engine()
-        .checkpoint(Path::new(path))
-        .map(drop)
-        .map_err(err)
+/// Save the command's writes to the database file it was opened from
+/// ([`open_db`]): appended as one unit, or the checkpoint rewritten
+/// (`perfbase dump` prints the SQL text).
+fn save_db(db: &ExperimentDb) -> Result<(), String> {
+    db.engine().save_file().map(drop).map_err(err)
 }
 
 /// Build [`WalOptions`] from `--sync` and the fault-injection flag
@@ -239,7 +247,7 @@ fn cmd_setup(argv: Vec<String>) -> Result<String, String> {
     let name = def.meta.name.clone();
     let vars = def.variables.len();
     let db = ExperimentDb::create(Arc::new(Engine::new()), def).map_err(err)?;
-    save_db(&db, db_path)?;
+    db.checkpoint(Path::new(db_path)).map_err(err)?;
     Ok(format!(
         "created experiment '{name}' with {vars} variables in {db_path}"
     ))
@@ -285,7 +293,7 @@ fn cmd_update(argv: Vec<String>) -> Result<String, String> {
         Ok(())
     })
     .map_err(err)?;
-    save_db(&db, db_path)?;
+    save_db(&db)?;
     Ok(format!(
         "updated definition: {added} variable(s) added, {removed} removed"
     ))
@@ -429,11 +437,12 @@ fn cmd_input(argv: Vec<String>) -> Result<String, String> {
     };
 
     if db.engine().has_wal() {
-        // The log already holds every statement durably; fold it into the
-        // dump and compact so the next open starts from a clean checkpoint.
+        // The log already holds every statement durably; fold it (and the
+        // file's tail) into the checkpoint and compact the log, so that the
+        // next open starts from a clean checkpoint.
         db.checkpoint(Path::new(db_path)).map_err(err)?;
     } else {
-        save_db(&db, db_path)?;
+        save_db(&db)?;
     }
     let mut out = String::new();
     if let Some(line) = recovery.as_ref().and_then(recovery_summary) {
@@ -777,7 +786,7 @@ fn cmd_delete(argv: Vec<String>) -> Result<String, String> {
         .parse()
         .map_err(|_| "bad --run id".to_string())?;
     db.delete_run(run).map_err(err)?;
-    save_db(&db, db_path)?;
+    save_db(&db)?;
     Ok(format!("deleted run {run}"))
 }
 

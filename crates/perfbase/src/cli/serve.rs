@@ -5,8 +5,8 @@
 //! the engine to the [`pbserver`] front end, prints a `listening on ADDR`
 //! line immediately (scripts parse it to learn the bound port when
 //! `--addr` uses port 0), and blocks until a client posts `/shutdown`. On
-//! clean shutdown the database is saved (or checkpointed, with `--wal`)
-//! before the command returns.
+//! clean shutdown the sessions' writes are saved to the database file (or
+//! checkpointed, with `--wal`) before the command returns.
 //!
 //! `sql` exists so shell scripts can diff server responses against the
 //! CLI: both render results through the same `ResultSet::render_tsv`, so
@@ -102,7 +102,7 @@ pub fn cmd_serve(argv: Vec<String>) -> Result<String, String> {
     if db.engine().has_wal() {
         db.checkpoint(Path::new(db_path)).map_err(err)?;
     } else {
-        save_db(&db, db_path)?;
+        save_db(&db)?;
     }
     Ok(format!("server stopped; {db_path} saved"))
 }
@@ -115,7 +115,7 @@ pub fn cmd_serve(argv: Vec<String>) -> Result<String, String> {
 /// `BEGIN`/`COMMIT`/`ROLLBACK` statements control the boundaries (`BEGIN`
 /// is a no-op since a transaction is already open; a trailing open
 /// transaction commits implicitly — end with `ROLLBACK` to discard). The
-/// database file is rewritten only if something committed.
+/// database file is written only if something committed.
 pub fn cmd_sql(argv: Vec<String>) -> Result<String, String> {
     use sqldb::sql::{parse_script, parse_statement, split_script, Stmt};
     let a = Args::parse(argv, &with(&[])).map_err(err)?;
@@ -168,7 +168,7 @@ pub fn cmd_sql(argv: Vec<String>) -> Result<String, String> {
         committed = true;
     }
     if committed {
-        save_db(&db, db_path)?;
+        save_db(&db)?;
     }
     Ok(out)
 }

@@ -81,10 +81,29 @@ impl Engine {
     }
 }
 
-/// Read a typed checkpoint of `len` bytes from `src`, a piece at a time:
-/// its stamp and its tables, in name order, their indexes built. Any error
-/// leaves nothing behind.
+/// Read a typed checkpoint of `len` bytes from `src` that holds nothing
+/// behind its image.
+#[cfg(test)]
 pub(crate) fn read(src: impl BufRead, len: usize) -> Result<(Option<u64>, Tables), DbError> {
+    let (stamp, tables, end) = read_image(src, len)?;
+    if end != len {
+        return Err(crate::codec::fail(
+            Origin::Checkpoint,
+            end,
+            "bytes after the last table",
+        ));
+    }
+    Ok((stamp, tables))
+}
+
+/// Read the image of a typed checkpoint at the front of the `len` bytes of
+/// `src`, a piece at a time: its stamp, its tables, in name order, their
+/// indexes built, and where it ends — behind its last table, where the
+/// file's tail begins (DESIGN.md §4i). Any error leaves nothing behind.
+pub(crate) fn read_image(
+    src: impl BufRead,
+    len: usize,
+) -> Result<(Option<u64>, Tables, usize), DbError> {
     let mut r = Reader::new(Stream::new(src), len, 0, Origin::Checkpoint);
     if r.take(1, MAGIC.len(), "magic")? != MAGIC {
         return Err(r.fail(0, "not a typed checkpoint"));
@@ -105,10 +124,7 @@ pub(crate) fn read(src: impl BufRead, len: usize) -> Result<(Option<u64>, Tables
         let table = read_table(&mut r, tables.last().map(|(_, t)| t), &mut room)?;
         tables.push((name, table));
     }
-    if r.left != 0 {
-        return Err(r.fail(r.at, "bytes after the last table"));
-    }
-    Ok(((stamp != 0).then_some(stamp), tables))
+    Ok(((stamp != 0).then_some(stamp), tables, r.at))
 }
 
 /// Read one table after its name, each column walked into the table's

@@ -457,7 +457,7 @@ impl Cluster {
                 // frames it already reflects (a crash between the rename
                 // and the compaction leaves them in the log too — they must
                 // not be double-applied).
-                ckpt_seq = node.engine.restore(&dump_path)?.unwrap_or(0);
+                ckpt_seq = node.engine.restore(&dump_path)?.stamp.unwrap_or(0);
             }
             let wal_path = self.node_wal_path(dir, node.id);
             let report = node

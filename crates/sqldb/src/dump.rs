@@ -1,10 +1,13 @@
-//! SQL dump / restore, and the one loader of a database file.
+//! SQL dump / restore, and the one loader and the one saver of a database
+//! file.
 //!
 //! The original perfbase delegated persistence to the PostgreSQL server.
 //! Our embedded substitute persists by checkpoint: the typed column arrays
-//! of [`crate::checkpoint`]. The whole catalog as an SQL script (CREATE
-//! TABLE + INSERT) stays the export — human-readable, trivially diffable —
-//! and every such script, whoever wrote it, loads as a database file too.
+//! of [`crate::checkpoint`], followed by a tail of log units that each
+//! command which writes appends to (DESIGN.md §4i). The whole catalog as an
+//! SQL script (CREATE TABLE + INSERT) stays the export — human-readable,
+//! trivially diffable — and every such script, whoever wrote it, loads as a
+//! database file too.
 
 use crate::checkpoint;
 use crate::column::{ColumnStore, ColumnVec};
@@ -12,14 +15,180 @@ use crate::engine::{Engine, Text};
 use crate::error::DbError;
 use crate::schema::Schema;
 use crate::sql;
-use crate::wal::{sync_parent_dir, Durable, IoFailpoint};
+use crate::wal::{self, sync_parent_dir, Durable, IoFailpoint};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write as _};
+use std::fs::{File, Metadata};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write as _};
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Rows per dumped `INSERT` statement.
 const DUMP_BATCH: usize = 64;
+
+/// The share of the checkpoint image a database file's tail may grow to:
+/// a save whose unit would take the tail past a twelfth of the image
+/// rewrites the image instead. A twelfth is where, with one read per write,
+/// the tail's replay on every load and the rewrite spread over the saves
+/// between two rewrites cost least together (DESIGN.md §4i, EXPERIMENTS.md
+/// C35).
+const TAIL_SHARE: u64 = 12;
+
+/// Frame bytes a unit takes beside its records: the tail's header, and a
+/// begin and a commit marker, each a frame header and a tag byte.
+const UNIT_OVERHEAD: u64 = 16 + 2 * 17;
+
+/// What a load found at the end of a database file: what a save checks the
+/// file against and appends behind.
+#[derive(Debug)]
+pub(crate) struct FileEnd {
+    /// The file's length and identity when it was read.
+    len: u64,
+    id: (u64, u64),
+    /// Where the checkpoint image ends; `None` for an SQL-text file, which
+    /// takes no tail.
+    image: Option<u64>,
+    /// Where the tail's last whole unit ends (the image's end without a
+    /// tail), and the sequence number of its next frame.
+    end: u64,
+    seq: u64,
+    /// The image's checkpoint stamp.
+    pub(crate) stamp: Option<u64>,
+}
+
+/// The identity of the file `meta` describes: a file renamed over the path
+/// since is another one, whatever its length.
+fn file_id(meta: &Metadata) -> (u64, u64) {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        (meta.dev(), meta.ino())
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = meta;
+        (0, 0)
+    }
+}
+
+/// A database file as a command loaded it, and the records of the writes
+/// accepted since ([`Engine::open_file`]), held for [`Engine::save_file`].
+#[derive(Debug)]
+pub(crate) struct Held {
+    path: PathBuf,
+    file: FileEnd,
+    /// The records, in the order their writes were applied.
+    records: Vec<Vec<u8>>,
+    /// The bytes the tail would hold with them appended as one unit; `None`
+    /// once that is past the tail's share of the image, or for an SQL-text
+    /// file: the save rewrites the image, and no record is kept.
+    tail: Option<u64>,
+    /// Did an accepted write change the catalog since the load or the last
+    /// save?
+    changed: bool,
+    fp: Arc<IoFailpoint>,
+}
+
+impl Held {
+    pub(crate) fn new(path: &Path, file: FileEnd) -> Held {
+        let mut held = Held {
+            path: path.to_path_buf(),
+            file,
+            records: Vec::new(),
+            tail: None,
+            changed: false,
+            fp: Arc::new(IoFailpoint::none()),
+        };
+        held.saved();
+        held
+    }
+
+    /// Start over from what the file holds now: no write is held.
+    fn saved(&mut self) {
+        self.records.clear();
+        self.changed = false;
+        self.tail = (self.file.image).map(|image| self.file.end - image + UNIT_OVERHEAD);
+    }
+
+    /// Are records still kept? Once the save is to rewrite the image, a
+    /// write need not make one.
+    pub(crate) fn keeps_records(&self) -> bool {
+        self.tail.is_some()
+    }
+
+    /// Hold the records of one accepted write, which `changes` the catalog
+    /// or not, unless the tail would outgrow its share of the image with
+    /// them.
+    pub(crate) fn hold(&mut self, records: Vec<Vec<u8>>, changes: bool) {
+        self.changed |= changes;
+        let (Some(tail), Some(image)) = (self.tail.as_mut(), self.file.image) else {
+            return;
+        };
+        *tail += records.iter().map(|r| 16 + r.len() as u64).sum::<u64>();
+        if *tail > image / TAIL_SHARE {
+            self.tail = None;
+            self.records = Vec::new();
+        } else {
+            self.records.extend(records);
+        }
+    }
+
+    /// Start over from the image just written whole to the file, stamped
+    /// `stamp`: no tail, no write held.
+    pub(crate) fn rewritten(&mut self, stamp: Option<u64>) -> Result<(), DbError> {
+        let meta = std::fs::metadata(&self.path);
+        let meta = meta.map_err(|e| DbError::Io(format!("save {}: {e}", self.path.display())))?;
+        self.file = FileEnd {
+            len: meta.len(),
+            id: file_id(&meta),
+            image: Some(meta.len()),
+            end: meta.len(),
+            seq: 1,
+            stamp,
+        };
+        self.saved();
+        Ok(())
+    }
+
+    /// Was the engine loaded from the file at `path`?
+    pub(crate) fn loaded_from(&self, path: &Path) -> bool {
+        self.path == path
+    }
+
+    /// Open the file to save to, locked against every other save, if it is
+    /// the file, as long as it was, that this command loaded; otherwise
+    /// refuse, with nothing written.
+    pub(crate) fn reopen(&self) -> Result<File, DbError> {
+        let io = |e: std::io::Error| DbError::Io(format!("save {}: {e}", self.path.display()));
+        let file = File::options().read(true).write(true).open(&self.path);
+        let file = file.map_err(io)?;
+        file.lock().map_err(io)?;
+        let (now, named) = (file.metadata().map_err(io)?, std::fs::metadata(&self.path));
+        let same = named.is_ok_and(|named| file_id(&named) == file_id(&now));
+        if !same || file_id(&now) != self.file.id || now.len() != self.file.len {
+            return Err(DbError::Io(format!(
+                "{} changed since this command loaded it ({} bytes then, {} now): another \
+                 command wrote it; nothing was written",
+                self.path.display(),
+                self.file.len,
+                now.len()
+            )));
+        }
+        Ok(file)
+    }
+}
+
+/// What [`Engine::save_file`] did to the database file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Saved {
+    /// Nothing: no write was accepted since the load or the last save.
+    Unchanged,
+    /// Appended the writes to the tail as one unit of this many bytes.
+    Appended(u64),
+    /// Rewrote the checkpoint image, leaving no tail: the unit would have
+    /// taken the tail past its share of the image, or the file was SQL text.
+    Rewritten,
+}
 
 impl Engine {
     /// Serialize every table as an SQL script.
@@ -93,30 +262,111 @@ impl Engine {
     /// carries, if any.
     pub fn load_checkpoint(path: &Path) -> Result<(Engine, Option<u64>), DbError> {
         let e = Engine::new();
-        let stamp = e.restore(path)?;
+        let stamp = e.restore(path)?.stamp;
         Ok((e, stamp))
     }
 
+    /// [`Engine::load_from_file`], holding the record of every write
+    /// accepted from here on for [`Engine::save_file`], which saves them to
+    /// the file as one unit: how a command that writes opens the database.
+    pub fn open_file(path: &Path) -> Result<Engine, DbError> {
+        let e = Engine::new();
+        let file = e.restore(path)?;
+        e.log.lock().held = Some(Held::new(path, file));
+        Ok(e)
+    }
+
+    /// Save the writes accepted since [`Engine::open_file`] (or the last
+    /// save) to the database file (DESIGN.md §4i). They are appended to
+    /// the file's tail as one unit, with one write and one fdatasync —
+    /// unless the tail would outgrow its share of the image with them, or
+    /// the file is SQL text: then the image is rewritten whole, as
+    /// [`Engine::checkpoint`] writes it, stamped as it was. Nothing
+    /// accepted, nothing written. Refused, with nothing written, when the
+    /// file is no longer the one, as long as it was, that the load read.
+    pub fn save_file(&self) -> Result<Saved, DbError> {
+        let mut log = self.log.lock();
+        let held = log
+            .held
+            .as_mut()
+            .ok_or_else(|| DbError::Execution("no database file was opened to save to".into()))?;
+        if !held.changed {
+            return Ok(Saved::Unchanged);
+        }
+        let file = held.reopen()?;
+        if let (Some(_), Some(image)) = (held.tail, held.file.image) {
+            let at = (image, held.file.end, held.file.seq);
+            let (end, seq) = wal::append_tail(&file, &held.path, at, &held.records, &held.fp)?;
+            let appended = end - held.file.end;
+            (held.file.len, held.file.end, held.file.seq) = (end, end, seq);
+            held.saved();
+            return Ok(Saved::Appended(appended));
+        }
+        let stamp = held.file.stamp;
+        let write = |out: &mut BufWriter<File>| self.write_typed(out, stamp);
+        let failed = |e| DbError::Io(format!("save {}: {e}", held.path.display()));
+        save_atomically(&held.path, &held.fp, write).map_err(failed)?;
+        drop(file);
+        held.rewritten(stamp)?;
+        Ok(Saved::Rewritten)
+    }
+
     /// The one loader: put the catalog of the database file at `path` into
-    /// this engine, unlogged, and return its checkpoint stamp. A typed
-    /// checkpoint is validated whole, then its tables go in as one publish;
-    /// anything else is read as an SQL-text dump, statement by statement.
-    pub(crate) fn restore(&self, path: &Path) -> Result<Option<u64>, DbError> {
+    /// this engine, unlogged, and return what it found at the file's end,
+    /// its checkpoint stamp among it. A typed checkpoint's image is
+    /// validated whole, then its tables go in as one publish, and then each
+    /// whole unit of the tail behind it is replayed, as a log's are; anything
+    /// else is read as an SQL-text dump, statement by statement.
+    pub(crate) fn restore(&self, path: &Path) -> Result<FileEnd, DbError> {
         let cannot = |e: &dyn std::fmt::Display| {
             DbError::Execution(format!("cannot read {}: {e}", path.display()))
         };
-        let file = std::fs::File::open(path).map_err(|e| cannot(&e))?;
-        let len = file.metadata().map_err(|e| cannot(&e))?.len() as usize;
+        let file = File::open(path).map_err(|e| cannot(&e))?;
+        let meta = file.metadata().map_err(|e| cannot(&e))?;
+        let len = meta.len() as usize;
+        let mut found = FileEnd {
+            len: meta.len(),
+            id: file_id(&meta),
+            image: None,
+            end: meta.len(),
+            seq: 1,
+            stamp: None,
+        };
         let mut src = BufReader::with_capacity(64 << 10, file);
         if checkpoint::is_typed(src.fill_buf().map_err(|e| cannot(&e))?) {
-            let (stamp, tables) = checkpoint::read(src, len).map_err(|e| cannot(&e))?;
+            let (stamp, tables, image) =
+                checkpoint::read_image(&mut src, len).map_err(|e| cannot(&e))?;
             self.install(tables)?;
-            return Ok(stamp);
+            (found.image, found.end, found.stamp) = (Some(image as u64), image as u64, stamp);
+            if image < len {
+                src.seek(SeekFrom::Start(image as u64))
+                    .map_err(|e| cannot(&e))?;
+                let (mut room, mut failed) = (Vec::new(), None);
+                let tail = wal::read_tail(&mut src, image, len - image, |read, unit| {
+                    let frames = unit.iter().map(|&k| read.get(k));
+                    if failed.is_none() && self.replay_unlogged(frames, &mut room) > 0 {
+                        failed = unit.first().map(|&k| read.get(k)).map(|f| (f.seq, f.at));
+                    }
+                });
+                (found.end, found.seq) = tail.map_err(|e| cannot(&e))?;
+                // Each unit was accepted against exactly the state it replays
+                // onto: one that fails is corruption, and a load that went on
+                // without it would let the next save seal the loss in.
+                if let Some((seq, at)) = failed {
+                    return Err(cannot(&format_args!(
+                        "the tail's unit of frame {seq} (byte {}) does not replay onto what \
+                         precedes it",
+                        at - wal::FRAME_HEADER_LEN
+                    )));
+                }
+            }
+            return Ok(found);
         }
         let mut script = String::with_capacity(len);
         src.read_to_string(&mut script).map_err(|e| cannot(&e))?;
         self.apply_dump(&script)?;
-        Ok(read_checkpoint_seq(&script))
+        found.stamp = read_checkpoint_seq(&script);
+        Ok(found)
     }
 }
 
@@ -943,6 +1193,35 @@ mod tests {
         let err = e.checkpoint(&path).unwrap_err();
         assert!(!dir.join("db.sql.tmp").exists(), "checkpoint: {err}");
         assert!(path.is_dir());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A tail append whose write or fdatasync fails answers an error and
+    /// cuts the file back to where the unit began: the load finds the file
+    /// as it was, and the next save appends there.
+    #[test]
+    fn a_failed_tail_append_cuts_the_file_back() {
+        let dir = scratch("failed_append");
+        let path = dir.join("db.ckpt");
+        let e = checkpoint::tests::catalogs().pop().unwrap();
+        e.checkpoint(&path).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        for fp in [
+            IoFailpoint::append_error_after(0),
+            IoFailpoint::fsync_error_after(0),
+        ] {
+            let e = Engine::open_file(&path).unwrap();
+            e.log.lock().held.as_mut().unwrap().fp = Arc::new(fp);
+            e.execute_script("CREATE TABLE fresh (x INTEGER); INSERT INTO fresh VALUES (1)")
+                .unwrap();
+            assert!(e.save_file().is_err());
+            assert!(std::fs::read(&path).unwrap() == image);
+            assert!(!Engine::load_from_file(&path).unwrap().has_table("fresh"));
+        }
+        let e = Engine::open_file(&path).unwrap();
+        e.execute("CREATE TABLE fresh (x INTEGER)").unwrap();
+        assert!(matches!(e.save_file().unwrap(), Saved::Appended(_)));
+        assert!(Engine::load_from_file(&path).unwrap().has_table("fresh"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,7 +3,7 @@
 
 use crate::column::ColumnStore;
 use crate::compile::compile;
-use crate::dump;
+use crate::dump::{self, Held};
 use crate::error::DbError;
 use crate::exec;
 use crate::record::{self, FrameRef, Insert, Record};
@@ -155,12 +155,12 @@ impl ResultSet {
 #[derive(Debug, Default)]
 pub struct Engine {
     tables: RwLock<HashMap<String, Arc<RwLock<Arc<Table>>>>>,
-    /// The writer lock, and inside it the optional write-ahead log. Every
-    /// mutation holds it from planning to the epoch tick, whether or not a
-    /// log is attached: a change is planned against the very version it is
-    /// applied to, and log order is apply order (lock order is always
-    /// wal → commit → tables → slot, so this cannot deadlock).
-    wal: Mutex<Option<Wal>>,
+    /// The writer lock, and inside it where accepted writes are logged.
+    /// Every mutation holds it from planning to the epoch tick, whether or
+    /// not a log is attached: a change is planned against the very version
+    /// it is applied to, and log order is apply order (lock order is always
+    /// log → commit → tables → slot, so this cannot deadlock).
+    pub(crate) log: Mutex<Log>,
     /// MVCC commit gate: exclusive while a publish applies its changes and
     /// ticks the epoch, shared while a snapshot pins the catalog.
     commit: RwLock<()>,
@@ -175,6 +175,25 @@ pub struct Engine {
     /// under the log mutex wherever that can change, so that it is read
     /// without waiting behind an append's fsync.
     log_poisoned: AtomicBool,
+}
+
+/// What the writer lock guards: where the records of accepted writes go.
+#[derive(Debug, Default)]
+pub(crate) struct Log {
+    /// The write-ahead log, when one is attached.
+    wal: Option<Wal>,
+    /// The database file the engine was loaded from ([`Engine::open_file`],
+    /// [`Engine::open_durable`]), as the load found it — what a save or a
+    /// checkpoint to it checks it against — and, without a log, the writes
+    /// held for it.
+    pub(crate) held: Option<Held>,
+}
+
+impl Log {
+    /// Does a write make the record of itself?
+    fn wants_records(&self) -> bool {
+        self.wal.is_some() || self.held.as_ref().is_some_and(Held::keeps_records)
+    }
 }
 
 /// Natural string ordering: digit runs compare numerically (after
@@ -278,8 +297,12 @@ impl Engine {
     /// An autocommit write: one change, planned against the live version of
     /// the table it names and published, under one hold of the writer lock.
     fn write(&self, name: &str, ask: Ask, text: Text<'_>) -> Result<usize, DbError> {
-        let mut wal = self.wal.lock();
-        let text = if wal.is_some() { text } else { Text::Unwanted };
+        let mut log = self.log.lock();
+        let text = if log.wants_records() {
+            text
+        } else {
+            Text::Unwanted
+        };
         let slot = self.tables.read().get(name).cloned();
         let (change, record) = {
             let view = slot.as_ref().map(|slot| slot.read());
@@ -287,18 +310,19 @@ impl Engine {
             plan(name, ask, view, text)?
         };
         let rows = change.rows();
-        let log = record.into_iter().collect();
-        self.publish(&mut wal, None, &mut [(name, change)], log)?;
+        let records = record.into_iter().collect();
+        self.publish(&mut log, None, &mut [(name, change)], records)?;
         Ok(rows)
     }
 
-    /// The one way anything in the catalog changes. `wal` is the writer
+    /// The one way anything in the catalog changes. `log` is the writer
     /// lock, held by the caller since before `work` was planned (a
     /// transaction plans earlier, against versions it pinned: `pins`, and
     /// first-writer-wins decides here whether they are still current). In
-    /// this order: the conflict check; `log` — the records of the changes
-    /// the log carries, empty on replay — appended as one unit
-    /// ([`Wal::append_batch`]); the commit gate; every change taken out of
+    /// this order: the conflict check; `records` — the records of the
+    /// changes the log carries, empty on replay — appended as one unit
+    /// ([`Wal::append_batch`]), or held for the database file
+    /// ([`Held::hold`]); the commit gate; every change taken out of
     /// `work` and applied — a version swapped in or removed, rows changed in
     /// place through [`cow`]; one epoch tick. An error leaves the log, the
     /// catalog and the epoch untouched, and nothing after the log append can
@@ -306,10 +330,10 @@ impl Engine {
     /// lands on.
     fn publish(
         &self,
-        wal: &mut Option<Wal>,
+        log: &mut Log,
         mut pins: Option<HashMap<String, Arc<Table>>>,
         work: &mut [(&str, Change)],
-        log: Vec<Vec<u8>>,
+        records: Vec<Vec<u8>>,
     ) -> Result<(), DbError> {
         if let Some(pins) = &pins {
             let tables = self.tables.read();
@@ -330,10 +354,15 @@ impl Engine {
                 }
             }
         }
-        if let Some(w) = wal.as_mut() {
-            let appended = w.append_batch(&log);
+        if let Some(w) = log.wal.as_mut() {
+            let appended = w.append_batch(&records);
             self.log_poisoned.store(w.is_poisoned(), Ordering::Relaxed);
             appended?;
+        } else if let Some(held) = log.held.as_mut() {
+            let changes = work
+                .iter()
+                .any(|(_, c)| !matches!(c, Change::Nothing { .. }));
+            held.hold(records, changes);
         }
         let _gate = self.commit.write();
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
@@ -479,8 +508,7 @@ impl Engine {
         if !work.is_empty() || !log.is_empty() {
             let (names, changes): (Vec<String>, Vec<Change>) = work.into_iter().unzip();
             let mut work: Vec<_> = names.iter().map(String::as_str).zip(changes).collect();
-            let mut wal = self.wal.lock();
-            self.publish(&mut wal, Some(pins), &mut work, log)?;
+            self.publish(&mut self.log.lock(), Some(pins), &mut work, log)?;
         }
         obs::incr(obs::Counter::TxnCommits);
         Ok(())
@@ -492,7 +520,7 @@ impl Engine {
         let (names, versions): (Vec<String>, Vec<Table>) = tables.into_iter().unzip();
         let versions = versions.into_iter().map(|t| Change::Version(Arc::new(t)));
         let mut work: Vec<_> = names.iter().map(String::as_str).zip(versions).collect();
-        self.publish(&mut self.wal.lock(), None, &mut work, Vec::new())
+        self.publish(&mut self.log.lock(), None, &mut work, Vec::new())
     }
 
     /// Insert rows programmatically. The whole batch is validated against
@@ -680,10 +708,10 @@ impl Engine {
     /// Every subsequent accepted mutation the log carries is appended to it
     /// before it is applied.
     pub fn attach_wal(&self, wal: Wal) -> Option<Wal> {
-        let mut attached = self.wal.lock();
+        let mut log = self.log.lock();
         self.log_poisoned
             .store(wal.is_poisoned(), Ordering::Relaxed);
-        attached.replace(wal)
+        log.wal.replace(wal)
     }
 
     /// Is the attached log poisoned — did an append fail part-way, so that
@@ -695,13 +723,13 @@ impl Engine {
 
     /// Is a write-ahead log attached?
     pub fn has_wal(&self) -> bool {
-        self.wal.lock().is_some()
+        self.log.lock().wal.is_some()
     }
 
     /// Force every logged frame to stable storage (closes the group-commit
     /// window). No-op without a WAL.
     pub fn wal_sync(&self) -> Result<(), DbError> {
-        match self.wal.lock().as_mut() {
+        match self.log.lock().wal.as_mut() {
             Some(w) => w.sync(),
             None => Ok(()),
         }
@@ -709,14 +737,14 @@ impl Engine {
 
     /// Frames currently in the attached log segment (0 without a WAL).
     pub fn wal_frames(&self) -> u64 {
-        self.wal.lock().as_ref().map_or(0, |w| w.frames())
+        self.log.lock().wal.as_ref().map_or(0, |w| w.frames())
     }
 
     /// Install (or clear) a [`crate::wal::FrameTap`] on the attached log — the hook
     /// replication uses to ship committed frames. Returns `false` (and
     /// does nothing) when no WAL is attached.
     pub fn wal_set_tap(&self, tap: Option<Arc<dyn crate::wal::FrameTap>>) -> bool {
-        match self.wal.lock().as_mut() {
+        match self.log.lock().wal.as_mut() {
             Some(w) => {
                 w.set_tap(tap);
                 true
@@ -727,7 +755,7 @@ impl Engine {
 
     /// The attached log's fault-injection hook, if a WAL is attached.
     pub fn wal_failpoint(&self) -> Option<Arc<crate::wal::IoFailpoint>> {
-        self.wal.lock().as_ref().map(|w| w.failpoint().clone())
+        self.log.lock().wal.as_ref().map(|w| w.failpoint().clone())
     }
 
     /// Checkpoint: atomically write the typed checkpoint (each table's
@@ -742,20 +770,40 @@ impl Engine {
     /// compacted, both files hold every frame — recovery reads the stamp
     /// and skips the frames the file already reflects instead of
     /// double-applying them.
+    ///
+    /// The file the engine was loaded from is rewritten only while it is
+    /// the one, as long as it was, that the load read, under the lock a save
+    /// takes ([`Engine::save_file`]): otherwise the checkpoint is refused,
+    /// with nothing written, and the log kept.
     pub fn checkpoint(&self, dump_path: &Path) -> Result<u64, DbError> {
         let failed = |e| DbError::Io(format!("checkpoint {}: {e}", dump_path.display()));
-        let save =
-            |stamp, fp| dump::save_atomically(dump_path, fp, |out| self.write_typed(out, stamp));
-        let mut wal = self.wal.lock();
-        let Some(w) = wal.as_mut() else {
-            return save(None, &IoFailpoint::none()).map(|()| 0).map_err(failed);
+        let mut log = self.log.lock();
+        let Log { wal, held } = &mut *log;
+        let loaded = held.as_mut().filter(|held| held.loaded_from(dump_path));
+        let locked = loaded.as_deref().map(Held::reopen).transpose()?;
+        let (stamp, fp) = match wal.as_mut() {
+            Some(w) => {
+                // Every frame the stamp covers must be durable before the
+                // file claiming to supersede them is published.
+                w.sync()?;
+                (Some(w.next_seq()), w.failpoint().clone())
+            }
+            None => (None, Arc::new(IoFailpoint::none())),
         };
-        // Every frame the stamp covers must be durable before the file
-        // claiming to supersede them is published.
-        w.sync()?;
-        save(Some(w.next_seq()), w.failpoint()).map_err(failed)?;
-        let compacted = w.compact();
-        self.log_poisoned.store(w.is_poisoned(), Ordering::Relaxed);
+        let write = |out: &mut _| self.write_typed(out, stamp);
+        dump::save_atomically(dump_path, &fp, write).map_err(failed)?;
+        drop(locked);
+        let compacted = match wal.as_mut() {
+            Some(w) => {
+                let compacted = w.compact();
+                self.log_poisoned.store(w.is_poisoned(), Ordering::Relaxed);
+                compacted
+            }
+            None => Ok(0),
+        };
+        if let Some(held) = loaded {
+            held.rewritten(stamp)?;
+        }
         compacted
     }
 
@@ -784,10 +832,10 @@ impl Engine {
     fn replay(&self, frame: FrameRef<'_>, room: &mut Vec<usize>) -> Result<(), DbError> {
         match record::decode(frame)? {
             Record::Insert(insert) => {
-                let mut wal = self.wal.lock();
+                let mut log = self.log.lock();
                 insert.check(&self.pin_table(insert.name)?.schema, room)?;
                 let work = &mut [(insert.name, Change::Replay(&insert, room))];
-                self.publish(&mut wal, None, work, Vec::new())
+                self.publish(&mut log, None, work, Vec::new())
             }
             Record::CreateTable {
                 name,
@@ -863,7 +911,12 @@ impl Engine {
     ) -> Result<(Engine, RecoveryReport), DbError> {
         let engine = Engine::new();
         let ckpt_seq = match dump_path.exists() {
-            true => engine.restore(dump_path)?.unwrap_or(0),
+            true => {
+                let file = engine.restore(dump_path)?;
+                let stamp = file.stamp.unwrap_or(0);
+                engine.log.lock().held = Some(Held::new(dump_path, file));
+                stamp
+            }
             false => 0,
         };
         let report = engine.recover(dump_path, wal_path, opts, ckpt_seq)?;

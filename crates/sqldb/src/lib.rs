@@ -80,6 +80,7 @@ mod value;
 pub mod wal;
 
 pub use column::{Cell, TableMemory};
+pub use dump::Saved;
 pub use engine::{Engine, ResultSet};
 pub use error::DbError;
 pub use record::sql_record;

@@ -461,6 +461,18 @@ impl FrameTap for ShipStream {
         }
         Ok(())
     }
+
+    /// Frames the log took back were never applied — a replica applies at
+    /// a commit barrier, after the fsync that did not happen — so they go
+    /// from the pending list and from every inbox, unseen.
+    fn on_undo(&self, seq: u64) {
+        self.pending.lock().retain(|f| f.seq < seq);
+        for r in &self.replicas {
+            r.inbox.lock().retain(|f| f.seq < seq);
+            r.shipped_seq.fetch_min(seq - 1, Ordering::SeqCst);
+        }
+        self.last_seq.fetch_min(seq - 1, Ordering::SeqCst);
+    }
 }
 
 /// The outcome of one failover.
@@ -928,6 +940,58 @@ mod tests {
         assert!(txn.commit().is_err(), "the append error fails the commit");
         assert!(primary.execute("INSERT INTO t VALUES (9)").is_err());
         cluster.checkpoint_wals(&dir).unwrap();
+        primary.execute("INSERT INTO t VALUES (4)").unwrap();
+        primary.wal_sync().unwrap();
+
+        cluster.kill_node(1);
+        let p = repl.promote(&cluster, 1).unwrap();
+        assert_eq!(p.promoted, 2);
+        let rs = cluster
+            .node(2)
+            .engine
+            .query("SELECT x FROM t ORDER BY x")
+            .unwrap();
+        assert_eq!(rs.rows(), [[Value::Int(1)], [Value::Int(4)]]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A group the primary's log took back — its tap refused the commit
+    /// marker after the begin marker and its statements had shipped — is
+    /// dropped from every replica's inbox too: the autocommit write after
+    /// it is not swallowed into a dead group, and the promoted replica
+    /// holds exactly what the primary acknowledged.
+    #[test]
+    fn a_group_the_log_took_back_is_dropped_on_the_replicas() {
+        let dir = std::env::temp_dir().join("perfbase_repl_unit_undo");
+        std::fs::remove_dir_all(&dir).ok();
+        let cluster = Arc::new(Cluster::new(4, LatencyModel::none()));
+        // Node 1's log takes the CREATE, the first INSERT, the begin marker
+        // and the group's two INSERTs; the tap refuses the commit marker.
+        let refusing = Arc::new(IoFailpoint::tap_error_after(5));
+        cluster
+            .attach_wal_dir_with(&dir, |i| match i {
+                1 => crate::wal::WalOptions {
+                    sync: SyncPolicy::Off,
+                    failpoint: refusing.clone(),
+                },
+                _ => cluster.node_wal_options(i, SyncPolicy::Off),
+            })
+            .unwrap();
+        let repl = Replicator::attach(
+            &cluster,
+            ReplOptions {
+                replicas: 1,
+                lag_budget: 1, // ship every frame immediately
+            },
+        );
+        let primary = cluster.node(1).engine.clone();
+        primary.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        primary.execute("INSERT INTO t VALUES (1)").unwrap();
+        let mut txn = primary.begin_txn();
+        txn.execute("INSERT INTO t VALUES (2)").unwrap();
+        txn.execute("INSERT INTO t VALUES (3)").unwrap();
+        assert!(txn.commit().is_err(), "the tap refused the commit marker");
+        assert!(!primary.wal_poisoned(), "the log took the group back");
         primary.execute("INSERT INTO t VALUES (4)").unwrap();
         primary.wal_sync().unwrap();
 

@@ -61,7 +61,7 @@ const TEXT_VERSION: u32 = 1;
 /// Header: magic (4) + version (4) + start_seq (8).
 const HEADER_LEN: u64 = 16;
 /// Frame header: len (4) + seq (8) + crc (4).
-const FRAME_HEADER_LEN: usize = 16;
+pub(crate) const FRAME_HEADER_LEN: usize = 16;
 /// Upper bound on a single frame payload — recovery treats anything larger
 /// as a corrupt length field rather than attempting the allocation. (1 MiB
 /// under `cfg(test)` so the crate's unit tests can trip it cheaply.)
@@ -211,6 +211,12 @@ pub struct IoFailpoint {
     /// Complete frames until one append *errors without killing the
     /// process* (a failing device, not a crash); `u64::MAX` = never.
     append_error_in: AtomicU64,
+    /// Fsyncs until one fails without killing the process; `u64::MAX` =
+    /// never.
+    fsync_error_in: AtomicU64,
+    /// Frames until the tap refuses one without killing the process;
+    /// `u64::MAX` = never.
+    tap_error_in: AtomicU64,
     /// Die inside checkpoint, after the dump rename but before the log is
     /// compacted — the window where dump and log both hold every frame.
     compact_crash: AtomicBool,
@@ -254,6 +260,8 @@ impl IoFailpoint {
             read_budget: AtomicU64::new(u64::MAX),
             ship_budget: AtomicU64::new(u64::MAX),
             append_error_in: AtomicU64::new(u64::MAX),
+            fsync_error_in: AtomicU64::new(u64::MAX),
+            tap_error_in: AtomicU64::new(u64::MAX),
             compact_crash: AtomicBool::new(false),
             promote_crash: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
@@ -308,6 +316,23 @@ impl IoFailpoint {
     pub fn append_error_after(frames: u64) -> Self {
         let fp = IoFailpoint::none();
         fp.append_error_in.store(frames, Ordering::SeqCst);
+        fp
+    }
+
+    /// An fsync error the process survives: after `syncs` more fsyncs of
+    /// the log, the next one fails — once.
+    pub fn fsync_error_after(syncs: u64) -> Self {
+        let fp = IoFailpoint::none();
+        fp.fsync_error_in.store(syncs, Ordering::SeqCst);
+        fp
+    }
+
+    /// A tap error the process survives: after `frames` more frames, the
+    /// next one reaches the file whole and is then refused, once, as a
+    /// [`FrameTap`] that failed to take it would refuse it.
+    pub fn tap_error_after(frames: u64) -> Self {
+        let fp = IoFailpoint::none();
+        fp.tap_error_in.store(frames, Ordering::SeqCst);
         fp
     }
 
@@ -394,6 +419,8 @@ impl IoFailpoint {
         self.read_budget.store(u64::MAX, Ordering::SeqCst);
         self.ship_budget.store(u64::MAX, Ordering::SeqCst);
         self.append_error_in.store(u64::MAX, Ordering::SeqCst);
+        self.fsync_error_in.store(u64::MAX, Ordering::SeqCst);
+        self.tap_error_in.store(u64::MAX, Ordering::SeqCst);
         self.compact_crash.store(false, Ordering::SeqCst);
         self.promote_crash.store(false, Ordering::SeqCst);
         self.crashed.store(false, Ordering::SeqCst);
@@ -457,17 +484,17 @@ impl IoFailpoint {
     /// Is this frame write the one [`IoFailpoint::append_error_after`]
     /// fails? Counts down otherwise.
     fn admit_append_error(&self) -> bool {
-        match self.append_error_in.load(Ordering::SeqCst) {
-            u64::MAX => false,
-            0 => {
-                self.append_error_in.store(u64::MAX, Ordering::SeqCst);
-                true
-            }
-            n => {
-                self.append_error_in.store(n - 1, Ordering::SeqCst);
-                false
-            }
-        }
+        once_after(&self.append_error_in)
+    }
+
+    /// Is this fsync the one [`IoFailpoint::fsync_error_after`] fails?
+    fn admit_fsync_error(&self) -> bool {
+        once_after(&self.fsync_error_in)
+    }
+
+    /// Is this frame the one [`IoFailpoint::tap_error_after`] refuses?
+    fn admit_tap_error(&self) -> bool {
+        once_after(&self.tap_error_in)
     }
 
     /// Account one complete frame; trips the crash flag when the frame
@@ -503,6 +530,21 @@ impl IoFailpoint {
             len
         } else {
             len.min(budget)
+        }
+    }
+}
+
+/// Count `budget` down; `true` once, when it was at 0 (`u64::MAX`: never).
+fn once_after(budget: &AtomicU64) -> bool {
+    match budget.load(Ordering::SeqCst) {
+        u64::MAX => false,
+        0 => {
+            budget.store(u64::MAX, Ordering::SeqCst);
+            true
+        }
+        n => {
+            budget.store(n - 1, Ordering::SeqCst);
+            false
         }
     }
 }
@@ -548,6 +590,8 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     opts: WalOptions,
+    /// Where the file ends: the offset the next frame is written at.
+    end: u64,
     /// Scratch buffer the next frame is encoded into (reused across
     /// appends so the hot path never allocates).
     buf: Vec<u8>,
@@ -680,6 +724,22 @@ pub trait FrameTap: Send + Sync {
     fn pre_compact(&self) -> Result<(), DbError> {
         Ok(())
     }
+
+    /// The frames from sequence number `seq` on were taken back off the
+    /// log (`Wal::undo`): the append they belong to answered an error, and
+    /// they will never commit. The next frame is numbered `seq` again.
+    fn on_undo(&self, seq: u64) {
+        let _ = seq;
+    }
+}
+
+/// Where a unit began: what [`Wal::undo`] restores.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    end: u64,
+    seq: u64,
+    frames: u64,
+    unsynced: u64,
 }
 
 impl Wal {
@@ -702,6 +762,7 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             opts,
+            end: HEADER_LEN,
             buf: Vec::new(),
             next_seq: start_seq,
             start_seq,
@@ -773,7 +834,7 @@ impl Wal {
         path: &Path,
         opts: WalOptions,
         floor: u64,
-        mut each: impl FnMut(&Frames, &[usize]),
+        each: impl FnMut(&Frames, &[usize]),
     ) -> Result<(Wal, RecoveryReport), DbError> {
         if !path.exists() {
             let wal = Wal::create(path, opts, floor)?;
@@ -825,49 +886,14 @@ impl Wal {
         }
         let start_seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
         window.consume(HEADER_LEN as usize);
-
-        // Scan frames until the tail stops validating.
-        let mut seq = start_seq;
-        let mut reader = UnitReader::default();
-        // The frames read since the last unit closed: a group waiting for
-        // its commit marker.
-        let mut read = Frames::default();
-        // A version-1 frame's text, as the record it stands for.
-        let mut record = Vec::new();
-        // Frames read, and the statement frames of the units handed on.
-        let (mut valid, mut replayed) = (0, 0);
-        // Where the last whole unit ends: offset, the sequence number after
-        // it, frames up to it, and the frames the reader put in no unit up
-        // to it.
-        let mut whole = (window.pos, seq, 0, 0);
-        while let Some(len) = window.frame(seq, version).map_err(read_err)? {
-            let at = window.pos + FRAME_HEADER_LEN;
-            let mut payload = &window.front(len)[FRAME_HEADER_LEN..];
-            if version == TEXT_VERSION {
-                record.clear();
-                let text = std::str::from_utf8(payload).expect("checked by Window::frame");
-                record::from_text(text, &mut record);
-                payload = &record;
-            }
-            let k = read.push(FrameRef { seq, at, payload });
-            let unit = match seq >= floor {
-                true => reader.push(payload.first().copied(), k),
-                // In the checkpoint already.
-                false => Some(&[][..]),
-            };
-            if let Some(unit) = unit {
-                each(&read, unit);
-                replayed += unit.len() as u64;
-                read.clear();
-                // No group is open once a unit closes: `abandon` only reads
-                // the count.
-                whole = (window.pos + len, seq + 1, valid + 1, reader.abandon());
-            }
-            window.consume(len);
-            seq += 1;
-            valid += 1;
-        }
-        let pos = window.pos;
+        let scan = scan(&mut window, start_seq, floor, version, each).map_err(read_err)?;
+        let Scan {
+            pos,
+            seq,
+            valid,
+            replayed,
+            ..
+        } = scan;
         drop(window);
         if seq < floor {
             return Err(DbError::Io(format!(
@@ -880,7 +906,7 @@ impl Wal {
         // The log ends where its last whole unit ends: behind it is a torn
         // frame, an unterminated group, or both, and a frame appended behind
         // either would be lost with it at the next open.
-        let (end, seq, kept, discarded) = whole;
+        let (end, seq, kept, discarded) = scan.whole;
         if kept == 0 && version == TEXT_VERSION {
             // Nothing in it to read: a version-2 log from here on.
             file.set_len(0).map_err(|e| io_err(path, "truncate", &e))?;
@@ -892,8 +918,6 @@ impl Wal {
                 .map_err(|e| io_err(path, "truncate", &e))?;
             file.sync_all().map_err(|e| io_err(path, "sync", &e))?;
         }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err(path, "seek", &e))?;
 
         let report = RecoveryReport {
             frames_replayed: replayed,
@@ -904,10 +928,14 @@ impl Wal {
             start_seq,
             next_seq: seq,
         };
+        let end = file
+            .seek(SeekFrom::End(0))
+            .map_err(|e| io_err(path, "seek", &e))?;
         let wal = Wal {
             file,
             path: path.to_path_buf(),
             opts,
+            end,
             buf: Vec::new(),
             next_seq: seq,
             start_seq,
@@ -931,12 +959,17 @@ impl Wal {
     /// text) as a frame; returns its sequence number. The frame is written
     /// to the log file (and synced as the policy dictates) before this
     /// returns — the caller applies the statement to the engine only
-    /// afterwards.
+    /// afterwards. An error after the frame reached the file whole — the
+    /// tap refused it, or the fsync failed — takes it back: the file is cut
+    /// to where the frame began, and no recovery finds it.
     pub fn append(&mut self, record: &[u8]) -> Result<u64, DbError> {
         let t_append = Instant::now();
         check_payload(record)?;
-        let (seq, frame_len) = self.append_frame(record)?;
-        self.maybe_sync()?;
+        let mark = self.mark();
+        let (seq, crc, frame_len) = self.append_frame(record)?;
+        let tapped = self.tap_frame(seq, crc, record);
+        tapped.map_err(|e| self.undo(mark, e))?;
+        self.sync_unit(mark)?;
         self.opts.failpoint.clone().admit_frame();
         // Timed inclusive of any policy-driven inline fsync, so the append
         // histogram reflects the latency a statement actually paid.
@@ -954,17 +987,20 @@ impl Wal {
     ///
     /// Every record is checked — a statement's, within the frame limit —
     /// before the first frame is written, so a rejected group leaves no
-    /// trace. If an append
-    /// fails after part of the group reached the file, the log is poisoned
-    /// (every later append errors until [`Wal::compact`] or a reopen):
-    /// recovery cuts the unterminated group off, and a frame written behind
-    /// it would go with it, so nothing may be acked behind it.
+    /// trace. If an append fails after part of the group reached the file,
+    /// the log is poisoned (every later append errors until [`Wal::compact`]
+    /// or a reopen): recovery cuts the unterminated group off, and a frame
+    /// written behind it would go with it, so nothing may be acked behind
+    /// it. An error once the whole group is in the file — the tap refused
+    /// the commit marker, or the fsync failed — takes it back, as
+    /// [`Wal::append`] takes a frame back.
     pub fn append_batch(&mut self, records: &[Vec<u8>]) -> Result<u64, DbError> {
         match records {
             [] => return Ok(self.next_seq),
             [one] => return self.append(one),
             _ => records.iter().try_for_each(|r| check_payload(r))?,
         }
+        let mark = self.mark();
         let first = self.next_seq;
         let statements = records.iter().map(Vec::as_slice);
         for frame in [&[record::BEGIN][..]]
@@ -973,22 +1009,34 @@ impl Wal {
             .chain([&[record::COMMIT][..]])
         {
             let t_append = Instant::now();
-            let appended = self.append_frame(frame);
-            if appended.is_err() && self.next_seq != first {
-                self.poisoned = true;
-            }
-            let (_, frame_len) = appended?;
+            let appended = self
+                .append_frame(frame)
+                .and_then(|(seq, crc, len)| self.tap_frame(seq, crc, frame).map(|()| len));
+            let frame_len = match appended {
+                // The commit marker is in the file: the group is whole.
+                Err(e) if self.next_seq == first + records.len() as u64 + 2 => {
+                    return Err(self.undo(mark, e))
+                }
+                Err(e) => {
+                    if self.next_seq != first {
+                        self.poisoned = true;
+                    }
+                    return Err(e);
+                }
+                Ok(len) => len,
+            };
             self.opts.failpoint.clone().admit_frame();
             obs::wal_append(frame_len, t_append.elapsed().as_nanos() as u64);
         }
-        self.maybe_sync()?;
+        self.sync_unit(mark)?;
         Ok(first)
     }
 
-    /// Write one frame to the file (no sync-policy application): the
+    /// Write one frame to the file (no tap, no sync-policy application): the
     /// shared body of [`Wal::append`] and [`Wal::append_batch`], which
-    /// have already checked the payload.
-    fn append_frame(&mut self, payload: &[u8]) -> Result<(u64, u64), DbError> {
+    /// have already checked the payload. Returns the frame's sequence
+    /// number, its CRC and its length.
+    fn append_frame(&mut self, payload: &[u8]) -> Result<(u64, u32, u64), DbError> {
         let fp = self.opts.failpoint.clone();
         fp.check_alive()?;
         if self.poisoned {
@@ -1004,19 +1052,13 @@ impl Wal {
             )));
         }
         let seq = self.next_seq;
-        let crc = frame_crc(seq, payload);
         // Encode the frame into the reused scratch buffer — no per-append
         // allocation — then hand it to the file in one write. Frames reach
         // the file on every append; only the fsync is deferred, so a
         // process kill loses at most the not-yet-synced tail.
-        let frame_len = FRAME_HEADER_LEN + payload.len();
         self.buf.clear();
-        self.buf.reserve(frame_len);
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&seq.to_le_bytes());
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        let crc = put_frame(&mut self.buf, seq, payload);
+        let frame_len = self.buf.len();
 
         let allowed = fp.admit_write(frame_len as u64) as usize;
         let written = if fp.admit_append_error() {
@@ -1039,18 +1081,80 @@ impl Wal {
                 "simulated crash: torn write after {allowed} of {frame_len} frame bytes"
             )));
         }
+        self.end += frame_len as u64;
         self.next_seq += 1;
         self.frames += 1;
         self.unsynced += 1;
-        // The tap sees the frame after it reached the file but before any
-        // window-expiry fsync, so an `on_commit` fired by `maybe_sync`
-        // below already covers this frame. A tap error propagates with the
-        // frame in the log and the statement unapplied — the same state a
-        // crash leaves, which recovery already handles.
-        if let Some(tap) = self.tap.clone() {
-            tap.on_frame(seq, crc, payload)?;
+        Ok((seq, crc, frame_len as u64))
+    }
+
+    /// Show the frame just written to the tap. It sees the frame after it
+    /// reached the file but before any window-expiry fsync, so an
+    /// `on_commit` fired by the sync policy already covers it.
+    fn tap_frame(&self, seq: u64, crc: u32, payload: &[u8]) -> Result<(), DbError> {
+        if self.opts.failpoint.admit_tap_error() {
+            return Err(DbError::Io(format!("injected tap error at frame {seq}")));
         }
-        Ok((seq, frame_len as u64))
+        match &self.tap {
+            Some(tap) => tap.on_frame(seq, crc, payload),
+            None => Ok(()),
+        }
+    }
+
+    /// Where the next unit begins, for [`Wal::undo`].
+    fn mark(&self) -> Mark {
+        Mark {
+            end: self.end,
+            seq: self.next_seq,
+            frames: self.frames,
+            unsynced: self.unsynced,
+        }
+    }
+
+    /// Take back the unit that began at `mark`, whose frames are whole in
+    /// the file, because `e` followed: its tap refused its last frame, or
+    /// the fsync failed ([`Wal::sync_unit`]). The caller hears of an error, so no recovery may
+    /// find the unit: the file is cut back to where it began and the tap
+    /// told ([`FrameTap::on_undo`]). If the cut fails the log is poisoned
+    /// instead, and takes no append until a checkpoint, whose image lacks
+    /// the unit. A simulated crash does neither: a dead process cuts
+    /// nothing. Returns `e`.
+    fn undo(&mut self, mark: Mark, e: DbError) -> DbError {
+        if self.opts.failpoint.is_crashed() {
+            return e;
+        }
+        let cut = self.file.set_len(mark.end);
+        let cut = cut.and_then(|()| self.file.seek(SeekFrom::Start(mark.end)));
+        if cut.is_err() {
+            self.poisoned = true;
+            return e;
+        }
+        (self.end, self.next_seq) = (mark.end, mark.seq);
+        (self.frames, self.unsynced) = (mark.frames, mark.unsynced);
+        if let Some(tap) = self.tap.clone() {
+            tap.on_undo(mark.seq);
+        }
+        e
+    }
+
+    /// Apply the sync policy to the unit that began at `mark`, whose frames
+    /// are whole in the file; take it back ([`Wal::undo`]) if that fails.
+    /// When the fsync itself failed and frames of earlier units were in
+    /// its window — acknowledged, under [`SyncPolicy::Group`], before they
+    /// were synced — the log is poisoned as well: the failed fsync may have
+    /// dropped their pages, a later one that succeeds does not bring them
+    /// back, and a unit acknowledged behind such a hole would be lost with
+    /// it on recovery. The checkpoint that clears the poison writes them
+    /// from memory.
+    fn sync_unit(&mut self, mark: Mark) -> Result<(), DbError> {
+        let Err(e) = self.maybe_sync() else {
+            return Ok(());
+        };
+        // A successful fsync leaves nothing unsynced, whatever failed after.
+        if self.unsynced > 0 && mark.unsynced > 0 {
+            self.poisoned = true;
+        }
+        Err(self.undo(mark, e))
     }
 
     /// Apply the sync policy after an append.
@@ -1080,9 +1184,11 @@ impl Wal {
         if self.unsynced > 0 {
             let batch = self.unsynced;
             let t_sync = Instant::now();
-            self.file
-                .sync_data()
-                .map_err(|e| io_err(&self.path, "fsync", &e))?;
+            let synced = match self.opts.failpoint.admit_fsync_error() {
+                true => Err(std::io::Error::other("injected fsync error")),
+                false => self.file.sync_data(),
+            };
+            synced.map_err(|e| io_err(&self.path, "fsync", &e))?;
             obs::wal_fsync(batch, t_sync.elapsed().as_nanos() as u64);
             self.unsynced = 0;
             if let Some(tap) = self.tap.clone() {
@@ -1125,6 +1231,7 @@ impl Wal {
             .seek(SeekFrom::Start(0))
             .map_err(|e| io_err(&self.path, "seek", &e))?;
         write_header(&mut self.file, &self.path, self.start_seq)?;
+        self.end = HEADER_LEN;
         fp.record(Durable::LogCompacted);
         // The unterminated group a failed append left went with the
         // segment, and the checkpoint dump holds exactly the acknowledged
@@ -1278,6 +1385,196 @@ impl<R: Read> Window<R> {
         };
         Ok(readable.then_some(frame_len))
     }
+}
+
+/// What [`scan`] found.
+struct Scan {
+    /// Where the last whole unit ends: offset, the sequence number after
+    /// it, frames up to it, and the frames the reader put in no unit up to
+    /// it.
+    whole: (usize, u64, u64, u64),
+    /// Where the valid frames end.
+    pos: usize,
+    /// The sequence number after the last valid frame.
+    seq: u64,
+    /// Valid frames read.
+    valid: u64,
+    /// The statement frames of the units handed on.
+    replayed: u64,
+}
+
+/// Read the frames of a log segment of format `version` at the front of
+/// `window`, the first numbered `seq`, until one does not validate; the
+/// frames from `floor` on as units through one [`UnitReader`], each unit
+/// handed to `each` as [`Wal::open_recover_with`] describes. The one scan
+/// of a log file and of a database file's tail.
+fn scan<R: Read>(
+    window: &mut Window<R>,
+    mut seq: u64,
+    floor: u64,
+    version: u32,
+    mut each: impl FnMut(&Frames, &[usize]),
+) -> std::io::Result<Scan> {
+    let mut reader = UnitReader::default();
+    // The frames read since the last unit closed: a group waiting for its
+    // commit marker.
+    let mut read = Frames::default();
+    // A version-1 frame's text, as the record it stands for.
+    let mut record = Vec::new();
+    let (mut valid, mut replayed) = (0, 0);
+    let mut whole = (window.pos, seq, 0, 0);
+    while let Some(len) = window.frame(seq, version)? {
+        let at = window.pos + FRAME_HEADER_LEN;
+        let mut payload = &window.front(len)[FRAME_HEADER_LEN..];
+        if version == TEXT_VERSION {
+            record.clear();
+            let text = std::str::from_utf8(payload).expect("checked by Window::frame");
+            record::from_text(text, &mut record);
+            payload = &record;
+        }
+        let k = read.push(FrameRef { seq, at, payload });
+        let unit = match seq >= floor {
+            true => reader.push(payload.first().copied(), k),
+            // In the checkpoint already.
+            false => Some(&[][..]),
+        };
+        if let Some(unit) = unit {
+            each(&read, unit);
+            replayed += unit.len() as u64;
+            read.clear();
+            // No group is open once a unit closes: `abandon` only reads the
+            // count.
+            whole = (window.pos + len, seq + 1, valid + 1, reader.abandon());
+        }
+        window.consume(len);
+        seq += 1;
+        valid += 1;
+    }
+    let pos = window.pos;
+    Ok(Scan {
+        whole,
+        pos,
+        seq,
+        valid,
+        replayed,
+    })
+}
+
+/// The header a database file's tail opens with (DESIGN.md §4i): the
+/// header of a version-2 log whose frames are numbered from 1.
+fn tail_header() -> Vec<u8> {
+    [&MAGIC[..], &VERSION.to_le_bytes(), &1u64.to_le_bytes()].concat()
+}
+
+/// Read the tail of a database file (DESIGN.md §4i): the `len` bytes of
+/// `src`, which start at byte `at` of the file, right behind its
+/// checkpoint image. A tail is a log segment — [`tail_header`], then
+/// frames — read as a log is read: each whole unit is handed to `each` as
+/// [`Wal::open_recover_with`] hands it on. Returns where the last whole
+/// unit ends (`at` while the header is not whole) and the sequence number
+/// of the next frame. Nothing is cut here: the next append writes over
+/// what lies behind. Bytes that open neither with the header nor with a
+/// piece of it (a first append torn) are no tail: an error at byte `at`.
+pub(crate) fn read_tail(
+    src: impl Read,
+    at: usize,
+    len: usize,
+    each: impl FnMut(&Frames, &[usize]),
+) -> Result<(u64, u64), DbError> {
+    let header = tail_header();
+    let mut window = Window::new(src, len);
+    window.pos = at;
+    let read_err = |e: std::io::Error| DbError::Io(format!("read: {e}"));
+    let front = window.peek(header.len()).map_err(read_err)?;
+    if front != &header[..front.len()] {
+        return Err(crate::codec::fail(
+            crate::codec::Origin::Checkpoint,
+            at,
+            "bytes after the last table",
+        ));
+    }
+    if front.len() < header.len() {
+        return Ok((at as u64, 1));
+    }
+    window.consume(header.len());
+    let scan = scan(&mut window, 1, 1, VERSION, each).map_err(read_err)?;
+    let (end, seq, _, _) = scan.whole;
+    Ok((end as u64, seq))
+}
+
+/// Append `records` to the tail of the database file `file` (at `path`):
+/// one unit — one frame, or a begin marker, the frames and a commit marker
+/// — numbered from `seq`, behind the tail's last whole unit, which ends at
+/// `end`; the tail's header goes first when `end` is `image`, where the
+/// checkpoint image ends. One write, one fdatasync; a torn unit behind
+/// `end` is cut off first. If the write or the fdatasync fails, the file
+/// is cut back to `end`, as [`Wal::undo`] takes a unit back, so that no
+/// load finds a unit its writer was told failed; the error says so if
+/// that cut fails too. Returns where the tail ends now and the sequence
+/// number of its next frame.
+pub(crate) fn append_tail(
+    file: &File,
+    path: &Path,
+    (image, end, seq): (u64, u64, u64),
+    records: &[Vec<u8>],
+    fp: &IoFailpoint,
+) -> Result<(u64, u64), DbError> {
+    records.iter().try_for_each(|r| check_payload(r))?;
+    let mut buf = if end == image {
+        tail_header()
+    } else {
+        Vec::new()
+    };
+    let mut next = seq;
+    let mut put = |payload: &[u8]| {
+        put_frame(&mut buf, next, payload);
+        next += 1;
+    };
+    match records {
+        [one] => put(one),
+        _ => {
+            put(&[record::BEGIN]);
+            records.iter().for_each(|r| put(r));
+            put(&[record::COMMIT]);
+        }
+    }
+    let mut file = file;
+    let written = (|| {
+        file.set_len(end)?;
+        file.seek(SeekFrom::Start(end))?;
+        if fp.admit_append_error() {
+            file.write_all(&buf[..buf.len() / 2])?;
+            return Err(std::io::Error::other("injected append error"));
+        }
+        file.write_all(&buf)?;
+        match fp.admit_fsync_error() {
+            true => Err(std::io::Error::other("injected fsync error")),
+            false => file.sync_data(),
+        }
+    })();
+    match written {
+        Ok(()) => Ok((end + buf.len() as u64, next)),
+        Err(e) => match file.set_len(end) {
+            Ok(()) => Err(io_err(path, "append to", &e)),
+            Err(cut) => Err(DbError::Io(format!(
+                "append to {}: {e}; and the cut back to byte {end} failed: {cut} — the next \
+                 load may find the unit",
+                path.display()
+            ))),
+        },
+    }
+}
+
+/// Encode the frame of `payload`, numbered `seq`, behind `buf`; returns its
+/// CRC.
+fn put_frame(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) -> u32 {
+    let crc = frame_crc(seq, payload);
+    buf.reserve(FRAME_HEADER_LEN + payload.len());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.extend_from_slice(payload);
+    crc
 }
 
 /// Refuse a record no frame can hold, and one that is not a statement's: a
@@ -1691,6 +1988,25 @@ mod tests {
         // The cut is on the file: a second open finds nothing to discard.
         let (_, stmts, report) = recover(&path, WalOptions::default());
         assert_eq!((stmts, report.txn_frames_discarded), (s(&["A"]), 0));
+    }
+
+    #[test]
+    fn a_failed_fsync_over_earlier_acked_frames_poisons_the_log() {
+        let path = tmp("poison_fsync_window.wal");
+        let opts = WalOptions {
+            sync: SyncPolicy::Group(Duration::ZERO),
+            failpoint: Arc::new(IoFailpoint::fsync_error_after(0)),
+        };
+        let mut wal = Wal::create(&path, opts, 1).unwrap();
+        // A opens the window and is acknowledged unsynced; B closes it, and
+        // the fsync that covers both fails.
+        wal.append(&sql("A")).unwrap();
+        assert!(wal.append(&sql("B")).is_err());
+        assert!(wal.is_poisoned());
+        assert!(wal.append(&sql("C")).is_err(), "nothing is acked behind A");
+        drop(wal);
+        let (_, stmts, report) = recover(&path, WalOptions::default());
+        assert_eq!((stmts, report.torn_bytes), (s(&["A"]), 0));
     }
 
     #[test]

@@ -38,6 +38,12 @@
 # at every frame, a dump restored without its log), the log-reader suite (a
 # seeded crash-and-reopen model: acknowledged ⇒ recovered over any number of
 # reopens, the file ends at its last whole unit; logs the parent build wrote),
+# the file-tail suite (a command's writes appended to the database file as
+# one unit: a cut at every byte and resealed byte flips load whole units
+# only, the next append lands where a torn unit began, a stale second
+# writer is refused, a failed append cuts the file back, plain / `--wal` /
+# plain input read as three plain ones) and the failed-write suite (a
+# write whose tap or fsync failed answers an error and is not recovered),
 # and the replication chaos/failover suites), the
 # stand-alone benchmark package's build and tests (so a refactor that breaks
 # the API it is pinned to fails here, not in the benchmark driver), a
@@ -122,6 +128,14 @@ cargo test -q -p sqldb --test wal_crash a_log_read_with_its_checkpoints_floor_ke
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash
 cargo test -q -p perfbase --test crash_recovery
+
+echo "== file tail (a command's writes appended as one unit: every cut, resealed flips, torn unit, refusal, rewrite, a unit that does not replay; a failed write is not recovered) =="
+cargo test -q -p sqldb --test file_tail
+cargo test -q -p sqldb --lib dump::tests::a_failed_tail_append_cuts_the_file_back
+cargo test -q -p perfbase --test cli_tail
+cargo test -q -p sqldb --test failed_writes
+cargo test -q -p sqldb --lib repl::tests::a_group_the_log_took_back_is_dropped_on_the_replicas
+cargo test -q -p sqldb --lib wal::tests::a_failed_fsync_over_earlier_acked_frames_poisons_the_log
 
 echo "== log reader (one unit reader: crash-and-reopen model, parent-written logs; overflow is a 400 and costs no place at the gate) =="
 cargo test -q -p sqldb --test log_units

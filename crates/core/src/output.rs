@@ -7,109 +7,158 @@
 //!
 //! All labels and legends are derived from the experiment definition and
 //! the query specification (the paper is explicit that Fig. 8 was created
-//! without manual editing).
+//! without manual editing). How a vector is read for output — its row
+//! order, its parameter and value columns, their labels and a row's tick —
+//! is worked out once, in `View`; each format only writes it out.
 
-use crate::error::Result;
 use crate::query::{DataVector, OutputFormat, OutputSpec, PlotStyle};
 use sqldb::Value;
 
 /// Render one vector under `spec`.
-pub fn render(
-    spec: &OutputSpec,
-    v: &DataVector,
-    cols: &[String],
-    rows: &[Vec<Value>],
-) -> Result<String> {
-    Ok(match spec.format {
-        OutputFormat::Csv => csv(cols, rows),
-        OutputFormat::Ascii => ascii(spec, v, cols, rows),
-        OutputFormat::Gnuplot => gnuplot(spec, v, cols, rows),
-        OutputFormat::Latex => latex(spec, v, cols, rows),
-        OutputFormat::Xml => xml_table(spec, cols, rows),
-        OutputFormat::Svg => svg_chart(spec, v, cols, rows),
-        OutputFormat::Grace => grace(spec, v, cols, rows),
-    })
+pub fn render(spec: &OutputSpec, v: &DataVector) -> String {
+    let view = View::new(spec, v);
+    match spec.format {
+        OutputFormat::Csv => csv(&view),
+        OutputFormat::Ascii => ascii(&view),
+        OutputFormat::Gnuplot => gnuplot(&view),
+        OutputFormat::Latex => latex(&view),
+        OutputFormat::Xml => xml_table(&view),
+        OutputFormat::Svg => svg_chart(&view),
+        OutputFormat::Grace => grace(&view),
+    }
+}
+
+/// A vector as every format reads it.
+struct View<'a> {
+    spec: &'a OutputSpec,
+    /// Column names, in the vector's order.
+    cols: Vec<String>,
+    /// Column labels from the definition, by position.
+    labels: Vec<String>,
+    /// The rows, stably sorted by the parameter columns (deterministic
+    /// presentation).
+    rows: Vec<Vec<Value>>,
+    /// Positions of the parameter columns: the x axis, first one first.
+    params: Vec<usize>,
+    /// Positions of the value columns: one series each.
+    values: Vec<usize>,
+    /// `spec.xlabel`, else the parameter labels joined by ` / `.
+    xlabel: String,
+    /// `spec.ylabel`, else the first value's label.
+    ylabel: String,
+}
+
+impl<'a> View<'a> {
+    fn new(spec: &'a OutputSpec, v: &DataVector) -> Self {
+        let cols = v.table.schema.names();
+        let at = |names: &[String]| -> Vec<usize> {
+            names
+                .iter()
+                .filter_map(|n| cols.iter().position(|c| c == n))
+                .collect()
+        };
+        let (params, values) = (at(&v.params), at(&v.values));
+        let mut rows = v.table.to_rows();
+        rows.sort_by(|a, b| {
+            params
+                .iter()
+                .map(|&i| a[i].total_cmp(&b[i]))
+                .find(|ord| !ord.is_eq())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let labels: Vec<String> = cols.iter().map(|c| v.label(c)).collect();
+        let xlabel = spec.xlabel.clone().unwrap_or_else(|| {
+            let names: Vec<&str> = params.iter().map(|&i| labels[i].as_str()).collect();
+            names.join(" / ")
+        });
+        let ylabel = spec.ylabel.clone().unwrap_or_else(|| {
+            values
+                .first()
+                .map(|&i| labels[i].clone())
+                .unwrap_or_default()
+        });
+        View {
+            spec,
+            cols,
+            labels,
+            rows,
+            params,
+            values,
+            xlabel,
+            ylabel,
+        }
+    }
+
+    /// A row's x tick: its parameter cells, each printed by `cell`, joined
+    /// by `/`.
+    fn tick(&self, row: &[Value], cell: impl Fn(&Value) -> String) -> String {
+        let cells: Vec<String> = self.params.iter().map(|&i| cell(&row[i])).collect();
+        cells.join("/")
+    }
+
+    /// The series: each value column's position and label.
+    fn series(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.values.iter().map(|&i| (i, self.labels[i].as_str()))
+    }
+}
+
+/// `s` with every character `sub` names replaced, in one pass.
+fn escape(s: &str, sub: impl Fn(char) -> Option<&'static str>) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match sub(c) {
+            Some(r) => out.push_str(r),
+            None => out.push(c),
+        }
+    }
+    out
 }
 
 /// Grace (xmgrace) project file — §3.3.4 names Grace as a planned output
 /// format. One data set per value column; the x coordinate is the first
 /// parameter when it is numeric, else the row index with string x-tick
 /// labels encoded as comments.
-fn grace(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]) -> String {
-    let pidx: Vec<usize> = v
+fn grace(view: &View) -> String {
+    let (spec, rows) = (view.spec, &view.rows);
+    let numeric_x = view
         .params
-        .iter()
-        .filter_map(|p| cols.iter().position(|c| c == p))
-        .collect();
-    let vidx: Vec<usize> = v
-        .values
-        .iter()
-        .filter_map(|c| cols.iter().position(|x| x == c))
-        .collect();
-    let numeric_x = pidx
         .first()
         .is_some_and(|&i| rows.iter().all(|r| r[i].as_f64().is_some()));
-
-    let xlabel = spec.xlabel.clone().unwrap_or_else(|| {
-        v.params
-            .iter()
-            .map(|p| v.label(p))
-            .collect::<Vec<_>>()
-            .join(" / ")
-    });
-    let ylabel = spec
-        .ylabel
-        .clone()
-        .unwrap_or_else(|| v.values.first().map(|c| v.label(c)).unwrap_or_default());
+    let q = |s: &str| escape(s, |c| (c == '"').then_some("'"));
 
     let mut out = String::new();
     out.push_str("# Grace project file\n# generated by perfbase\n@version 50125\n");
-    out.push_str(&format!(
-        "@    title \"{}\"\n",
-        spec.title.replace('"', "'")
-    ));
-    out.push_str(&format!(
-        "@    xaxis  label \"{}\"\n",
-        xlabel.replace('"', "'")
-    ));
-    out.push_str(&format!(
-        "@    yaxis  label \"{}\"\n",
-        ylabel.replace('"', "'")
-    ));
-    match spec.style {
-        PlotStyle::Bars => out.push_str("@    g0 type bar\n"),
-        _ => out.push_str("@    g0 type XY\n"),
-    }
-    for (si, name) in v.values.iter().enumerate() {
+    out.push_str(&format!("@    title \"{}\"\n", q(&spec.title)));
+    out.push_str(&format!("@    xaxis  label \"{}\"\n", q(&view.xlabel)));
+    out.push_str(&format!("@    yaxis  label \"{}\"\n", q(&view.ylabel)));
+    let kind = if spec.style == PlotStyle::Bars {
+        "bar"
+    } else {
+        "XY"
+    };
+    out.push_str(&format!("@    g0 type {kind}\n"));
+    let symbols = matches!(spec.style, PlotStyle::Points | PlotStyle::LinesPoints);
+    for (si, (_, label)) in view.series().enumerate() {
         out.push_str(&format!(
             "@    s{si} legend \"{}\"\n@    s{si} symbol {}\n",
-            v.label(name).replace('"', "'"),
-            if spec.style == PlotStyle::Points || spec.style == PlotStyle::LinesPoints {
-                si + 1
-            } else {
-                0
-            }
+            q(label),
+            if symbols { si + 1 } else { 0 }
         ));
     }
-    for (si, &vi) in vidx.iter().enumerate() {
+    for (si, (vi, _)) in view.series().enumerate() {
         out.push_str(&format!("@target G0.S{si}\n@type xy\n"));
         for (k, row) in rows.iter().enumerate() {
-            let x = if numeric_x {
-                row[pidx[0]].as_f64().unwrap_or(k as f64)
-            } else {
-                k as f64
-            };
-            let y = row[vi].as_f64();
-            match y {
-                Some(y) => {
-                    if !numeric_x && !pidx.is_empty() {
-                        let tick: Vec<String> = pidx.iter().map(|&i| row[i].to_string()).collect();
-                        out.push_str(&format!("# x={k}: {}\n", tick.join("/")));
-                    }
-                    out.push_str(&format!("{x} {y}\n"));
+            let Some(y) = row[vi].as_f64() else { continue };
+            let x = match view.params.first() {
+                Some(&i) if numeric_x => row[i].as_f64().unwrap_or(k as f64),
+                Some(_) => {
+                    let tick = view.tick(row, Value::to_string);
+                    out.push_str(&format!("# x={k}: {tick}\n"));
+                    k as f64
                 }
-                None => continue,
-            }
+                None => k as f64,
+            };
+            out.push_str(&format!("{x} {y}\n"));
         }
         out.push_str("&\n");
     }
@@ -121,7 +170,7 @@ fn grace(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]
 /// (grouped bars or polylines), x tick labels from the parameter tuple,
 /// legend. All labels derive from the experiment definition, like the
 /// Gnuplot output.
-fn svg_chart(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]) -> String {
+fn svg_chart(view: &View) -> String {
     const W: f64 = 800.0;
     const H: f64 = 500.0;
     const ML: f64 = 70.0; // left margin (y labels)
@@ -130,45 +179,21 @@ fn svg_chart(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Val
     const MB: f64 = 90.0; // bottom (rotated x labels)
     let plot_w = W - ML - MR;
     let plot_h = H - MT - MB;
+    let (spec, rows) = (view.spec, &view.rows);
 
-    let pidx: Vec<usize> = v
-        .params
-        .iter()
-        .filter_map(|p| cols.iter().position(|c| c == p))
-        .collect();
-    let vidx: Vec<usize> = v
-        .values
-        .iter()
-        .filter_map(|c| cols.iter().position(|x| x == c))
-        .collect();
-
-    let ticks: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            pidx.iter()
-                .map(|&i| fmt_cell(&r[i]))
-                .collect::<Vec<_>>()
-                .join("/")
-        })
-        .collect();
-    let series: Vec<Vec<f64>> = vidx
-        .iter()
-        .map(|&i| {
+    let series: Vec<Vec<f64>> = view
+        .series()
+        .map(|(i, _)| {
             rows.iter()
                 .map(|r| r[i].as_f64().unwrap_or(f64::NAN))
                 .collect()
         })
         .collect();
 
-    let mut lo: f64 = 0.0;
-    let mut hi: f64 = 0.0;
-    for s in &series {
-        for &x in s {
-            if x.is_finite() {
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-        }
+    let (mut lo, mut hi) = (0.0_f64, 0.0_f64);
+    for &x in series.iter().flatten().filter(|x| x.is_finite()) {
+        lo = lo.min(x);
+        hi = hi.max(x);
     }
     if hi == lo {
         hi = lo + 1.0;
@@ -183,10 +208,13 @@ fn svg_chart(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Val
     ];
 
     let esc = |s: &str| {
-        s.replace('&', "&amp;")
-            .replace('<', "&lt;")
-            .replace('>', "&gt;")
-            .replace('"', "&quot;")
+        escape(s, |c| match c {
+            '&' => Some("&amp;"),
+            '<' => Some("&lt;"),
+            '>' => Some("&gt;"),
+            '"' => Some("&quot;"),
+            _ => None,
+        })
     };
     let mut svg = String::new();
     svg.push_str(&format!(
@@ -223,8 +251,7 @@ fn svg_chart(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Val
         ));
     }
 
-    let n = ticks.len().max(1) as f64;
-    let slot = plot_w / n;
+    let slot = plot_w / rows.len().max(1) as f64;
     match spec.style {
         PlotStyle::Bars => {
             let group_w = slot * 0.8;
@@ -276,41 +303,30 @@ fn svg_chart(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Val
     }
 
     // x tick labels, rotated.
-    for (k, t) in ticks.iter().enumerate() {
+    for (k, row) in rows.iter().enumerate() {
         let x = ML + slot * (k as f64 + 0.5);
         let y = H - MB + 14.0;
         svg.push_str(&format!(
             "<text x=\"{x:.1}\" y=\"{y:.1}\" text-anchor=\"end\" \
              transform=\"rotate(-45 {x:.1} {y:.1})\">{}</text>\n",
-            esc(t)
+            esc(&view.tick(row, fmt_cell))
         ));
     }
 
     // axis labels + legend.
-    let xlabel = spec.xlabel.clone().unwrap_or_else(|| {
-        v.params
-            .iter()
-            .map(|p| v.label(p))
-            .collect::<Vec<_>>()
-            .join(" / ")
-    });
-    let ylabel = spec
-        .ylabel
-        .clone()
-        .unwrap_or_else(|| v.values.first().map(|c| v.label(c)).unwrap_or_default());
     svg.push_str(&format!(
         "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"middle\">{}</text>\n",
         ML + plot_w / 2.0,
         H - 8.0,
-        esc(&xlabel)
+        esc(&view.xlabel)
     ));
     svg.push_str(&format!(
         "<text x=\"16\" y=\"{:.1}\" text-anchor=\"middle\" transform=\"rotate(-90 16 {:.1})\">{}</text>\n",
         MT + plot_h / 2.0,
         MT + plot_h / 2.0,
-        esc(&ylabel)
+        esc(&view.ylabel)
     ));
-    for (si, name) in v.values.iter().enumerate() {
+    for (si, (_, label)) in view.series().enumerate() {
         let color = COLORS[si % COLORS.len()];
         let y = MT + 8.0 + si as f64 * 18.0;
         svg.push_str(&format!(
@@ -320,7 +336,7 @@ fn svg_chart(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Val
             y,
             ML + 26.0,
             y + 10.0,
-            esc(&v.label(name))
+            esc(label)
         ));
     }
     svg.push_str("</svg>\n");
@@ -344,18 +360,20 @@ fn fmt_cell(v: &Value) -> String {
     }
 }
 
-fn csv(cols: &[String], rows: &[Vec<Value>]) -> String {
+/// RFC 4180: a field holding a separator, a quote or a line break is quoted,
+/// its quotes doubled.
+fn csv(view: &View) -> String {
     let quote = |s: &str| {
-        if s.contains([',', '"', '\n']) {
+        if s.contains([',', '"', '\n', '\r']) {
             format!("\"{}\"", s.replace('"', "\"\""))
         } else {
             s.to_string()
         }
     };
-    let mut out = String::new();
-    out.push_str(&cols.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
+    let header: Vec<String> = view.cols.iter().map(|c| quote(c)).collect();
+    let mut out = header.join(",");
     out.push('\n');
-    for row in rows {
+    for row in &view.rows {
         let line: Vec<String> = row.iter().map(|v| quote(&fmt_cell(v))).collect();
         out.push_str(&line.join(","));
         out.push('\n');
@@ -363,10 +381,10 @@ fn csv(cols: &[String], rows: &[Vec<Value>]) -> String {
     out
 }
 
-fn ascii(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]) -> String {
-    let headers: Vec<String> = cols.iter().map(|c| v.label(c)).collect();
-    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-    let cells: Vec<Vec<String>> = rows
+fn ascii(view: &View) -> String {
+    let mut widths: Vec<usize> = view.labels.iter().map(String::len).collect();
+    let cells: Vec<Vec<String>> = view
+        .rows
         .iter()
         .map(|r| r.iter().map(fmt_cell).collect())
         .collect();
@@ -376,8 +394,8 @@ fn ascii(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]
         }
     }
     let mut out = String::new();
-    if !spec.title.is_empty() {
-        out.push_str(&format!("# {}\n", spec.title));
+    if !view.spec.title.is_empty() {
+        out.push_str(&format!("# {}\n", view.spec.title));
     }
     let sep: String = widths
         .iter()
@@ -391,7 +409,7 @@ fn ascii(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]
             .collect::<Vec<_>>()
             .join(" | ")
     };
-    out.push_str(&fmt_row(&headers));
+    out.push_str(&fmt_row(&view.labels));
     out.push('\n');
     out.push_str(&sep);
     out.push('\n');
@@ -405,35 +423,34 @@ fn ascii(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]
 /// Gnuplot script with inline data. The first parameter column is the
 /// x-axis; additional parameter columns are folded into the x-tick label;
 /// each value column becomes one plotted series.
-fn gnuplot(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]) -> String {
-    let pidx: Vec<usize> = v
-        .params
-        .iter()
-        .filter_map(|p| cols.iter().position(|c| c == p))
-        .collect();
-    let vidx: Vec<usize> = v
-        .values
-        .iter()
-        .filter_map(|c| cols.iter().position(|x| x == c))
-        .collect();
-
-    let xlabel = spec.xlabel.clone().unwrap_or_else(|| {
-        v.params
-            .iter()
-            .map(|p| v.label(p))
-            .collect::<Vec<_>>()
-            .join(" / ")
-    });
-    let ylabel = spec
-        .ylabel
-        .clone()
-        .unwrap_or_else(|| v.values.first().map(|c| v.label(c)).unwrap_or_default());
+fn gnuplot(view: &View) -> String {
+    let spec = view.spec;
+    // A command's string: gnuplot reads `\\`, `\"`, `\n` and `\r` inside
+    // double quotes, so a trailing `\` or a line break stays inside it.
+    let string = |s: &str| {
+        escape(s, |c| match c {
+            '\\' => Some("\\\\"),
+            '"' => Some("\\\""),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            _ => None,
+        })
+    };
+    // A data line's quoted tick takes no escapes: a quote becomes `'` and a
+    // line break a space, so each row stays one line of one tick.
+    let datum = |s: &str| {
+        escape(s, |c| match c {
+            '"' => Some("'"),
+            '\n' | '\r' => Some(" "),
+            _ => None,
+        })
+    };
 
     let mut out = String::new();
     out.push_str("# generated by perfbase\n");
-    out.push_str(&format!("set title \"{}\"\n", escape_gp(&spec.title)));
-    out.push_str(&format!("set xlabel \"{}\"\n", escape_gp(&xlabel)));
-    out.push_str(&format!("set ylabel \"{}\"\n", escape_gp(&ylabel)));
+    out.push_str(&format!("set title \"{}\"\n", string(&spec.title)));
+    out.push_str(&format!("set xlabel \"{}\"\n", string(&view.xlabel)));
+    out.push_str(&format!("set ylabel \"{}\"\n", string(&view.ylabel)));
     out.push_str("set key outside top\n");
     out.push_str("set grid ytics\n");
     match spec.style {
@@ -449,68 +466,62 @@ fn gnuplot(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value
     }
 
     out.push_str("$data << EOD\n");
-    for row in rows {
-        let tick: Vec<String> = pidx.iter().map(|&i| fmt_cell(&row[i])).collect();
-        let mut line = format!("\"{}\"", tick.join("/"));
-        for &i in &vidx {
-            line.push(' ');
-            line.push_str(&fmt_cell(&row[i]));
+    for row in &view.rows {
+        out.push_str(&format!("\"{}\"", datum(&view.tick(row, fmt_cell))));
+        for (i, _) in view.series() {
+            out.push(' ');
+            out.push_str(&fmt_cell(&row[i]));
         }
-        out.push_str(&line);
         out.push('\n');
     }
     out.push_str("EOD\n");
 
-    let series: Vec<String> = v
-        .values
-        .iter()
+    let series: Vec<String> = view
+        .series()
         .enumerate()
-        .map(|(k, c)| {
+        .map(|(k, (_, label))| {
             let col = k + 2; // col 1 is the tick label
-            match spec.style {
-                PlotStyle::Bars => format!(
-                    "$data using {col}:xtic(1) title \"{}\"",
-                    escape_gp(&v.label(c))
-                ),
-                _ => format!(
-                    "$data using 0:{col}:xtic(1) title \"{}\"",
-                    escape_gp(&v.label(c))
-                ),
-            }
+            let x = if spec.style == PlotStyle::Bars {
+                ""
+            } else {
+                "0:"
+            };
+            format!("$data using {x}{col}:xtic(1) title \"{}\"", string(label))
         })
         .collect();
     out.push_str(&format!("plot {}\n", series.join(", \\\n     ")));
     out
 }
 
-fn escape_gp(s: &str) -> String {
-    s.replace('"', "\\\"")
-}
-
-fn latex(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]) -> String {
+fn latex(view: &View) -> String {
     let esc = |s: &str| {
-        s.replace('\\', "\\textbackslash{}")
-            .replace('_', "\\_")
-            .replace('%', "\\%")
-            .replace('&', "\\&")
-            .replace('#', "\\#")
+        escape(s, |c| match c {
+            '\\' => Some("\\textbackslash{}"),
+            '~' => Some("\\textasciitilde{}"),
+            '^' => Some("\\textasciicircum{}"),
+            '_' => Some("\\_"),
+            '%' => Some("\\%"),
+            '&' => Some("\\&"),
+            '#' => Some("\\#"),
+            '$' => Some("\\$"),
+            '{' => Some("\\{"),
+            '}' => Some("\\}"),
+            _ => None,
+        })
     };
+    let (spec, width) = (view.spec, view.cols.len());
     let mut out = String::new();
-    out.push_str(&format!(
-        "\\begin{{tabular}}{{{}}}\n",
-        "l".repeat(cols.len())
-    ));
+    out.push_str(&format!("\\begin{{tabular}}{{{}}}\n", "l".repeat(width)));
     out.push_str("\\hline\n");
     if !spec.title.is_empty() {
         out.push_str(&format!(
-            "\\multicolumn{{{}}}{{c}}{{{}}} \\\\\n\\hline\n",
-            cols.len(),
+            "\\multicolumn{{{width}}}{{c}}{{{}}} \\\\\n\\hline\n",
             esc(&spec.title)
         ));
     }
-    let headers: Vec<String> = cols.iter().map(|c| esc(&v.label(c))).collect();
+    let headers: Vec<String> = view.labels.iter().map(|l| esc(l)).collect();
     out.push_str(&format!("{} \\\\\n\\hline\n", headers.join(" & ")));
-    for row in rows {
+    for row in &view.rows {
         let cells: Vec<String> = row.iter().map(|c| esc(&fmt_cell(c))).collect();
         out.push_str(&format!("{} \\\\\n", cells.join(" & ")));
     }
@@ -518,20 +529,20 @@ fn latex(spec: &OutputSpec, v: &DataVector, cols: &[String], rows: &[Vec<Value>]
     out
 }
 
-fn xml_table(spec: &OutputSpec, cols: &[String], rows: &[Vec<Value>]) -> String {
+fn xml_table(view: &View) -> String {
     use xmlite::Element;
     let mut table = Element::new("table");
-    if !spec.title.is_empty() {
-        table.set_attr("title", &spec.title);
+    if !view.spec.title.is_empty() {
+        table.set_attr("title", &view.spec.title);
     }
     let mut header = Element::new("header");
-    for c in cols {
+    for c in &view.cols {
         header = header.with_child(Element::new("column").with_attr("name", c));
     }
     table = table.with_child(header);
-    for row in rows {
+    for row in &view.rows {
         let mut r = Element::new("row");
-        for (c, val) in cols.iter().zip(row) {
+        for (c, val) in view.cols.iter().zip(row) {
             r = r.with_child(
                 Element::new("cell")
                     .with_attr("column", c)
@@ -546,48 +557,77 @@ fn xml_table(spec: &OutputSpec, cols: &[String], rows: &[Vec<Value>]) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::OutputSpec;
+    use sqldb::{Column, DataType, Schema, Table};
     use std::collections::HashMap;
 
-    /// Renderers take the rows as arguments and never look at the vector's.
-    fn unread_table() -> std::sync::Arc<sqldb::Table> {
-        std::sync::Arc::new(sqldb::Table::new(sqldb::Schema::default()))
+    /// A vector over `cols` (INTEGER, FLOAT or TEXT by the first row's
+    /// cells) holding `rows`.
+    fn vector_of(
+        params: &[&str],
+        values: &[&str],
+        cols: &[&str],
+        rows: Vec<Vec<Value>>,
+    ) -> DataVector {
+        let columns = cols
+            .iter()
+            .zip(&rows[0])
+            .map(|(c, v)| {
+                let dtype = match v {
+                    Value::Int(_) => DataType::Int,
+                    Value::Float(_) => DataType::Float,
+                    _ => DataType::Text,
+                };
+                Column::new(c, dtype)
+            })
+            .collect();
+        let mut table = Table::new(Schema::new(columns).unwrap());
+        table.insert_all(rows).unwrap();
+        DataVector {
+            table: std::sync::Arc::new(table),
+            params: params.iter().map(|p| p.to_string()).collect(),
+            values: values.iter().map(|p| p.to_string()).collect(),
+            labels: HashMap::new(),
+        }
     }
 
-    fn vector() -> (DataVector, Vec<String>, Vec<Vec<Value>>) {
-        let v = DataVector {
-            table: unread_table(),
-            params: vec!["chunk".into(), "mode".into()],
-            values: vec!["bw".into()],
-            labels: HashMap::from([
-                ("chunk".to_string(), "chunk size [B]".to_string()),
-                ("bw".to_string(), "bandwidth [MB/s]".to_string()),
-            ]),
+    fn vector() -> DataVector {
+        let mut v = vector_of(
+            &["chunk", "mode"],
+            &["bw"],
+            &["chunk", "mode", "bw"],
+            vec![
+                vec![
+                    Value::Int(2048),
+                    Value::Text("read".into()),
+                    Value::Float(227.0),
+                ],
+                vec![
+                    Value::Int(1024),
+                    Value::Text("write".into()),
+                    Value::Float(59.125),
+                ],
+            ],
+        );
+        v.labels = HashMap::from([
+            ("chunk".to_string(), "chunk size [B]".to_string()),
+            ("bw".to_string(), "bandwidth [MB/s]".to_string()),
+        ]);
+        v
+    }
+
+    fn render_as(format: OutputFormat, style: PlotStyle, title: &str, v: &DataVector) -> String {
+        let spec = OutputSpec {
+            format,
+            style,
+            title: title.into(),
+            ..OutputSpec::default()
         };
-        let cols = vec!["chunk".to_string(), "mode".to_string(), "bw".to_string()];
-        let rows = vec![
-            vec![
-                Value::Int(1024),
-                Value::Text("write".into()),
-                Value::Float(59.125),
-            ],
-            vec![
-                Value::Int(2048),
-                Value::Text("read".into()),
-                Value::Float(227.0),
-            ],
-        ];
-        (v, cols, rows)
+        render(&spec, v)
     }
 
     #[test]
     fn csv_format() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Csv,
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let out = render_as(OutputFormat::Csv, PlotStyle::Bars, "", &vector());
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "chunk,mode,bw");
         assert_eq!(lines[1], "1024,write,59.125");
@@ -596,21 +636,33 @@ mod tests {
 
     #[test]
     fn csv_quoting() {
-        let cols = vec!["a".to_string()];
-        let rows = vec![vec![Value::Text("x,y \"z\"".into())]];
-        let out = csv(&cols, &rows);
+        let v = vector_of(
+            &[],
+            &["a"],
+            &["a"],
+            vec![vec![Value::Text("x,y \"z\"".into())]],
+        );
+        let out = render_as(OutputFormat::Csv, PlotStyle::Bars, "", &v);
         assert!(out.contains("\"x,y \"\"z\"\"\""));
     }
 
     #[test]
+    fn rows_are_sorted_by_parameters_stably() {
+        let row = |x: i64, tag: &str| vec![Value::Int(x), Value::Text(tag.into())];
+        let rows = vec![row(2, "a"), row(1, "b"), row(2, "c"), row(1, "d")];
+        let v = vector_of(&["x"], &["tag"], &["x", "tag"], rows);
+        let out = render_as(OutputFormat::Csv, PlotStyle::Bars, "", &v);
+        assert_eq!(out, "x,tag\n1,b\n1,d\n2,a\n2,c\n");
+    }
+
+    #[test]
     fn ascii_format_uses_labels() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Ascii,
-            title: "Bandwidths".into(),
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let out = render_as(
+            OutputFormat::Ascii,
+            PlotStyle::Bars,
+            "Bandwidths",
+            &vector(),
+        );
         assert!(out.starts_with("# Bandwidths\n"));
         assert!(out.contains("chunk size [B]"));
         assert!(out.contains("bandwidth [MB/s]"));
@@ -622,14 +674,8 @@ mod tests {
 
     #[test]
     fn gnuplot_bars_structure() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Gnuplot,
-            style: PlotStyle::Bars,
-            title: "Relative difference".into(),
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let title = "Relative difference";
+        let out = render_as(OutputFormat::Gnuplot, PlotStyle::Bars, title, &vector());
         assert!(out.contains("set title \"Relative difference\""));
         assert!(out.contains("set style data histogram"));
         assert!(out.contains("$data << EOD"));
@@ -643,26 +689,19 @@ mod tests {
 
     #[test]
     fn gnuplot_lines_use_index() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Gnuplot,
-            style: PlotStyle::Lines,
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let out = render_as(OutputFormat::Gnuplot, PlotStyle::Lines, "", &vector());
         assert!(out.contains("set style data lines"));
         assert!(out.contains("using 0:2"));
     }
 
     #[test]
     fn latex_escapes() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Latex,
-            title: "100% b_eff".into(),
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let out = render_as(
+            OutputFormat::Latex,
+            PlotStyle::Bars,
+            "100% b_eff",
+            &vector(),
+        );
         assert!(out.contains("\\begin{tabular}{lll}"));
         assert!(out.contains("100\\% b\\_eff"));
         assert!(out.contains("1024 & write & 59.125"));
@@ -671,12 +710,7 @@ mod tests {
 
     #[test]
     fn xml_table_parses_back() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Xml,
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let out = render_as(OutputFormat::Xml, PlotStyle::Bars, "", &vector());
         let doc = xmlite::parse(&out).unwrap();
         assert_eq!(doc.root.name, "table");
         assert_eq!(doc.root.children_named("row").count(), 2);
@@ -686,14 +720,13 @@ mod tests {
 
     #[test]
     fn grace_project_structure() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Grace,
-            style: PlotStyle::LinesPoints,
-            title: "bw over chunks".into(),
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let title = "bw over chunks";
+        let out = render_as(
+            OutputFormat::Grace,
+            PlotStyle::LinesPoints,
+            title,
+            &vector(),
+        );
         assert!(out.starts_with("# Grace project file"));
         assert!(out.contains("@    title \"bw over chunks\""));
         assert!(out.contains("@    s0 legend \"bandwidth [MB/s]\""));
@@ -706,37 +739,20 @@ mod tests {
 
     #[test]
     fn grace_string_x_falls_back_to_index() {
-        let v = DataVector {
-            table: unread_table(),
-            params: vec!["mode".into()],
-            values: vec!["bw".into()],
-            labels: HashMap::new(),
-        };
-        let cols = vec!["mode".to_string(), "bw".to_string()];
         let rows = vec![
             vec![Value::Text("write".into()), Value::Float(59.0)],
             vec![Value::Text("read".into()), Value::Float(227.0)],
         ];
-        let spec = OutputSpec {
-            format: OutputFormat::Grace,
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
-        assert!(out.contains("# x=0: write"));
-        assert!(out.contains("0 59"));
-        assert!(out.contains("1 227"));
+        let v = vector_of(&["mode"], &["bw"], &["mode", "bw"], rows);
+        let out = render_as(OutputFormat::Grace, PlotStyle::Bars, "", &v);
+        // Rows in presentation order: `read` sorts first.
+        assert!(out.contains("# x=0: read\n0 227\n# x=1: write\n1 59\n"));
     }
 
     #[test]
     fn svg_bars_are_wellformed_markup() {
-        let (v, cols, rows) = vector();
-        let spec = OutputSpec {
-            format: OutputFormat::Svg,
-            style: PlotStyle::Bars,
-            title: "Relative <difference> & more".into(),
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let title = "Relative <difference> & more";
+        let out = render_as(OutputFormat::Svg, PlotStyle::Bars, title, &vector());
         assert!(out.starts_with("<svg"));
         assert!(out.ends_with("</svg>\n"));
         // Title is escaped.
@@ -751,23 +767,12 @@ mod tests {
 
     #[test]
     fn svg_lines_and_negative_values() {
-        let v = DataVector {
-            table: unread_table(),
-            params: vec!["x".into()],
-            values: vec!["a".into(), "b".into()],
-            labels: HashMap::new(),
-        };
-        let cols = vec!["x".to_string(), "a".to_string(), "b".to_string()];
         let rows = vec![
             vec![Value::Int(1), Value::Float(-30.0), Value::Float(10.0)],
             vec![Value::Int(2), Value::Float(20.0), Value::Float(-5.0)],
         ];
-        let spec = OutputSpec {
-            format: OutputFormat::Svg,
-            style: PlotStyle::LinesPoints,
-            ..OutputSpec::default()
-        };
-        let out = render(&spec, &v, &cols, &rows).unwrap();
+        let v = vector_of(&["x"], &["a", "b"], &["x", "a", "b"], rows);
+        let out = render_as(OutputFormat::Svg, PlotStyle::LinesPoints, "", &v);
         assert_eq!(out.matches("<polyline").count(), 2); // two series
         assert!(out.contains("<circle")); // points
         xmlite::parse(&out).unwrap();

@@ -44,7 +44,7 @@
 //! [`QueryOutcome::transfer`], and both return exactly the rows an
 //! unsharded run returns.
 
-use super::spec::{CombinerSpec, ElementKind, OpKind, OutputSpec, QuerySpec, SourceSpec};
+use super::spec::{CombinerSpec, ElementKind, OpKind, QuerySpec, SourceSpec};
 use super::{DataVector, KeyIds, QueryDag};
 use crate::error::{Error, Result};
 use crate::experiment::{ExperimentDb, ExperimentDef, Occurrence};
@@ -402,8 +402,11 @@ impl<'a> QueryRunner<'a> {
                 Some(run_combiner(c, l, r)?)
             }
             ElementKind::Output(o) => {
-                let inputs: Vec<&DataVector> = dag.input_idx[i].iter().map(|&j| input(j)).collect();
-                let rendered = run_output(o, &inputs)?;
+                let parts: Vec<String> = dag.input_idx[i]
+                    .iter()
+                    .map(|&j| output::render(o, input(j)))
+                    .collect();
+                let rendered = parts.join("\n");
                 if let Some(path) = &o.filename {
                     std::fs::write(path, &rendered)?;
                 }
@@ -1349,32 +1352,6 @@ fn run_combiner(spec: &CombinerSpec, left: &DataVector, right: &DataVector) -> R
         values: out_values,
         labels,
     })
-}
-
-/// Execute an output element: render every input vector in the requested
-/// format (paper §3.3.4).
-fn run_output(spec: &OutputSpec, inputs: &[&DataVector]) -> Result<String> {
-    let mut parts = Vec::with_capacity(inputs.len());
-    for v in inputs {
-        let (cols, mut rows) = (v.table.schema.names(), v.table.to_rows());
-        // Deterministic presentation: sort by parameter columns.
-        let pidx: Vec<usize> = v
-            .params
-            .iter()
-            .filter_map(|p| cols.iter().position(|c| c == p))
-            .collect();
-        rows.sort_by(|a, b| {
-            for &i in &pidx {
-                let ord = a[i].total_cmp(&b[i]);
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        parts.push(output::render(spec, v, &cols, &rows)?);
-    }
-    Ok(parts.join("\n"))
 }
 
 #[cfg(test)]

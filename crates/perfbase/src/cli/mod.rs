@@ -124,7 +124,8 @@ fn usage() -> String {
      run `perfbase help` for details\n\
      a command that writes (input, update, delete, sql, serve) appends its writes to the --db\n\
      file as one unit, or rewrites the checkpoint once the appended units would outgrow a\n\
-     twelfth of it; `input --wal` logs to <db>.wal and checkpoints when it is done"
+     twelfth of it; `input --wal` logs to <db>.wal and checkpoints when it is done; while\n\
+     <db>.wal holds frames, a write without --wal refuses: run `perfbase checkpoint` first"
         .to_string()
 }
 
@@ -137,6 +138,21 @@ fn err<E: std::fmt::Display>(e: E) -> String {
 fn open_db(path: &str) -> Result<ExperimentDb, String> {
     let engine = Engine::open_file(Path::new(path)).map_err(err)?;
     ExperimentDb::open(Arc::new(engine)).map_err(err)
+}
+
+/// Refuse a write without `--wal` while `<db>.wal` holds frames past its
+/// 16-byte header: the next durable open would replay them on top of what
+/// this command wrote (DESIGN.md §4i). Called before anything is written.
+fn refuse_unfolded_log(path: &str) -> Result<(), String> {
+    let log = ExperimentDb::wal_path(Path::new(path));
+    if std::fs::metadata(&log).is_ok_and(|m| m.len() > 16) {
+        let log = log.display();
+        return Err(format!(
+            "{log} holds writes not yet in {path}; \
+             run `perfbase checkpoint --db {path}` first (nothing was written)"
+        ));
+    }
+    Ok(())
 }
 
 /// Save the command's writes to the database file it was opened from
@@ -246,6 +262,7 @@ fn cmd_setup(argv: Vec<String>) -> Result<String, String> {
     }
     let name = def.meta.name.clone();
     let vars = def.variables.len();
+    refuse_unfolded_log(db_path)?;
     let db = ExperimentDb::create(Arc::new(Engine::new()), def).map_err(err)?;
     db.checkpoint(Path::new(db_path)).map_err(err)?;
     Ok(format!(
@@ -265,6 +282,7 @@ fn cmd_update(argv: Vec<String>) -> Result<String, String> {
     let db_path = a.require("db").map_err(err)?;
     let xml = std::fs::read_to_string(a.require("def").map_err(err)?).map_err(err)?;
     let new_def = xmldef::definition_from_str(&xml).map_err(err)?;
+    refuse_unfolded_log(db_path)?;
     let db = open_db(db_path)?;
     db.check_access(&user_of(&a), AccessLevel::Admin)
         .map_err(err)?;
@@ -351,6 +369,7 @@ fn cmd_input(argv: Vec<String>) -> Result<String, String> {
         let (db, report) = open_db_durable(db_path, wal_options(&a)?)?;
         (db, Some(report))
     } else {
+        refuse_unfolded_log(db_path)?;
         (open_db(db_path)?, None)
     };
     db.check_access(&user_of(&a), AccessLevel::Input)
@@ -777,6 +796,7 @@ fn cmd_delete(argv: Vec<String>) -> Result<String, String> {
     )
     .map_err(err)?;
     let db_path = a.require("db").map_err(err)?;
+    refuse_unfolded_log(db_path)?;
     let db = open_db(db_path)?;
     db.check_access(&user_of(&a), AccessLevel::Admin)
         .map_err(err)?;

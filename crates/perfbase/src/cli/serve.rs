@@ -83,6 +83,7 @@ pub fn cmd_serve(argv: Vec<String>) -> Result<String, String> {
         let (db, report) = open_db_durable(db_path, wal_options(&a)?)?;
         (db, Some(report))
     } else {
+        super::refuse_unfolded_log(db_path)?;
         (open_db(db_path)?, None)
     };
     let handle = Server::start(db.engine().clone(), config).map_err(err)?;
@@ -168,6 +169,7 @@ pub fn cmd_sql(argv: Vec<String>) -> Result<String, String> {
         committed = true;
     }
     if committed {
+        super::refuse_unfolded_log(db_path)?;
         save_db(&db)?;
     }
     Ok(out)

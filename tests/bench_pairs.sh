@@ -18,19 +18,25 @@
 # held-out seed a claim made on seed 1 is confirmed with). --control pairs
 # <rev> with itself: both sides run <rev>'s binary, so wins should come out
 # near N/2 and every metric inside its bound — the noise floor a real pair
-# is read against.
+# is read against. --rebuild builds <rev> a second time, in a second clone,
+# and runs that build as a third side of every pair: the column "layout"
+# (its median over the first build's) is how far two builds of the same
+# source land apart — a change's ratio inside that spread says nothing
+# about the code.
 #
-#   tests/bench_pairs.sh [--seed <n>] [--control] <rev> [pairs] [workload...]
+#   tests/bench_pairs.sh [--seed <n>] [--control] [--rebuild] <rev> [pairs] [workload...]
 #                                                  (10 pairs; every workload)
 set -eu
 cd "$(dirname "$0")/.."
-usage="usage: $0 [--seed <n>] [--control] <rev> [pairs] [workload...]"
+usage="usage: $0 [--seed <n>] [--control] [--rebuild] <rev> [pairs] [workload...]"
 seed=1
 control=
+rebuild=
 while :; do
     case "${1:-}" in
     --seed) [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }; seed=$2; shift 2 ;;
     --control) control=1; shift ;;
+    --rebuild) rebuild=1; shift ;;
     *) break ;;
     esac
 done
@@ -43,15 +49,26 @@ workloads=${*:-$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.jso
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
 here=$(pwd)
 tree=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_tree.XXXXXX")
+tree2=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_tree2.XXXXXX")
 out=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_runs.XXXXXX")
-trap 'rm -rf "$tree"' EXIT
-git clone --quiet --no-checkout "$here" "$tree"
-git -C "$tree" checkout --quiet --detach "$rev"
+trap 'rm -rf "$tree" "$tree2"' EXIT
 
 build() {
     cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
 }
-build "$tree"
+# clone <dir>: <rev> checked out and its benchmark built in <dir>
+clone() {
+    git clone --quiet --no-checkout "$here" "$1"
+    git -C "$1" checkout --quiet --detach "$rev"
+    build "$1"
+}
+clone "$tree"
+sides="parent change"
+if [ -n "$rebuild" ]; then
+    echo "building $rev a second time" >&2
+    clone "$tree2"
+    sides="parent change rebuild"
+fi
 if [ -n "$control" ]; then
     echo "control: $rev against itself" >&2
     change=$tree
@@ -61,13 +78,14 @@ else
     change=$here
 fi
 
-# run <side> <dir> <workload> <pair>
+# run <side> <workload> <pair>
 run() {
-    dest="$out/$3/$1/$4"
+    case "$1" in parent) dir=$tree ;; change) dir=$change ;; *) dir=$tree2 ;; esac
+    dest="$out/$2/$1/$3"
     mkdir -p "$dest"
-    (cd "$2" && benchmark/target/release/pbbench --workload "$3" --seed "$seed" \
+    (cd "$dir" && benchmark/target/release/pbbench --workload "$2" --seed "$seed" \
         --seconds "$seconds" --trace 0 --out "$dest") > "$dest/log" 2>&1 ||
-        echo "$3 $1 pair $4: a check failed" >&2
+        echo "$2 $1 pair $3: a check failed" >&2
     tail -n 1 "$dest/log" > "$dest/result_line.json"
 }
 
@@ -75,13 +93,12 @@ for w in $workloads; do
     i=1
     while [ "$i" -le "$pairs" ]; do
         echo "$w: pair $i of $pairs" >&2
-        if [ $((i % 2)) -eq 1 ]; then
-            run parent "$tree" "$w" "$i"
-            run change "$change" "$w" "$i"
-        else
-            run change "$change" "$w" "$i"
-            run parent "$tree" "$w" "$i"
-        fi
+        # The parent first in odd pairs, last in even ones.
+        order=$sides
+        [ $((i % 2)) -eq 1 ] || order=$(echo "$sides" | awk '{ for (k = NF; k; k--) printf "%s ", $k }')
+        for side in $order; do
+            run "$side" "$w" "$i"
+        done
         i=$((i + 1))
     done
 done
@@ -93,7 +110,7 @@ else
 fi
 echo "parent $rev, change $label, seed $seed, $pairs pair(s) of ${seconds} s, runs in $out"
 for w in $workloads; do
-    for side in parent change; do
+    for side in $sides; do
         i=1
         while [ "$i" -le "$pairs" ]; do
             awk -F'\t' -v side="$side" -v pair="$i" \
@@ -120,19 +137,21 @@ for w in $workloads; do
             if ($2 > pairs) pairs = $2
         }
         END {
-            printf "%s\n  %-14s %12s %12s %12s %7s %7s  %s\n", w, "metric", "parent", "change", "parent IQR", "wins", "ratio", "verdict"
+            layout = n["failed", "rebuild"] > 0
+            printf "%s\n  %-14s %12s %12s %12s %7s %7s  %-21s%s\n", w, "metric", "parent", "change", "parent IQR", "wins", "ratio", "verdict", layout ? " layout" : ""
             for (m = 1; m <= metrics; m++) {
                 k = order[m]
-                np = 0; nc = 0; wins = 0
+                np = 0; nc = 0; nr = 0; wins = 0
                 for (i = 1; i <= pairs; i++) {
                     if ((k, "parent", i) in v) p[++np] = v[k, "parent", i]
                     if ((k, "change", i) in v) c[++nc] = v[k, "change", i]
+                    if ((k, "rebuild", i) in v) r[++nr] = v[k, "rebuild", i]
                     if (((k, "parent", i) in v) && ((k, "change", i) in v)) {
                         d = v[k, "change", i] - v[k, "parent", i]
                         if ((better[k] == "lower" && d < 0) || (better[k] == "higher" && d > 0)) wins++
                     }
                 }
-                sort(p, np); sort(c, nc)
+                sort(p, np); sort(c, nc); sort(r, nr)
                 mp = quantile(p, np, 0.5); mc = quantile(c, nc, 0.5)
                 iqr = quantile(p, np, 0.75) - quantile(p, np, 0.25)
                 ratio = mp == 0 ? (mc == 0 ? 1 : 0) : mc / mp
@@ -142,7 +161,12 @@ for w in $workloads; do
                     verdict = (mc > mp * (1 + bound[k])) ? "WORSE than the bound" : "ok"
                 else
                     verdict = (mc < mp * (1 - bound[k])) ? "WORSE than the bound" : "ok"
-                printf "  %-14s %12.6g %12.6g %12.6g %4d/%-2d %7.3f  %s\n", k, mp, mc, iqr, wins, np, ratio, verdict
+                printf "  %-14s %12.6g %12.6g %12.6g %4d/%-2d %7.3f  %-21s", k, mp, mc, iqr, wins, np, ratio, verdict
+                if (layout) {
+                    mr = quantile(r, nr, 0.5)
+                    printf " %6.3f", mp == 0 ? (mr == 0 ? 1 : 0) : mr / mp
+                }
+                printf "\n"
             }
         }'
 done

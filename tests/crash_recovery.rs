@@ -219,6 +219,65 @@ fn kill_during_import_then_checkpoint_recovers_a_consistent_db() {
     assert_eq!(run_count(&db), 4);
 }
 
+/// The run ids `table` holds, in order.
+fn run_ids(db: &str, table: &str) -> Vec<i64> {
+    let out = cli(&[
+        "sql",
+        "--db",
+        db,
+        &format!("SELECT run_id FROM {table} ORDER BY run_id"),
+    ]);
+    out.unwrap()
+        .lines()
+        .skip(1)
+        .map(|l| l.parse().unwrap())
+        .collect()
+}
+
+#[test]
+fn a_plain_write_beside_a_log_holding_frames_is_refused() {
+    let dir = TempDir::new("refuse");
+    let (db, input) = setup_campaign(&dir, "refuse");
+    let batch1 = gen_files(&dir, Technique::ListBased, 2);
+    let batch2 = gen_files(&dir, Technique::ListLess, 2);
+    import(&db, &input, &batch1, &["--wal", "--sync", "always"]).unwrap();
+    // Killed once the first run of the batch has committed in the log.
+    let crash = ["--wal", "--sync", "always", "--crash-after-frames", "7"];
+    let err = import(&db, &input, &batch2, &crash).unwrap_err();
+    assert!(err.contains("simulated crash"), "{err}");
+    let before = std::fs::read(&db).unwrap();
+
+    // Every command that writes without `--wal` refuses before it writes.
+    let err = import(&db, &input, &batch2, &[]).unwrap_err();
+    assert!(err.contains("perfbase checkpoint"), "{err}");
+    let def = dir.path("exp_refuse.xml");
+    let insert = "INSERT INTO pb_imports VALUES ('h', 'f', 99)";
+    let writes: [&[&str]; 5] = [
+        &["update", "--db", &db, "--def", &def, "--user", "demo"],
+        &["delete", "--db", &db, "--run", "1", "--user", "demo"],
+        &["sql", "--db", &db, insert],
+        &["setup", "--db", &db, "--def", &def],
+        &["serve", "--db", &db, "--addr", "127.0.0.1:0"],
+    ];
+    for argv in writes {
+        let err = cli(argv).unwrap_err();
+        assert!(err.contains("perfbase checkpoint"), "{argv:?}: {err}");
+    }
+    assert_eq!(std::fs::read(&db).unwrap(), before);
+    // Readers still read the file as it stands.
+    assert_eq!(run_count(&db), 2);
+    assert_eq!(run_ids(&db, "pb_runs"), [1, 2]);
+
+    // Folded in, the log's run is there once and the plain input imports
+    // only the file it lacks.
+    cli(&["checkpoint", "--db", &db]).unwrap();
+    let out = import(&db, &input, &batch2, &[]).unwrap();
+    assert!(out.contains("imported 1 run(s)"), "{out}");
+    assert!(out.contains("skipped 1 duplicate"), "{out}");
+    assert_eq!(run_ids(&db, "pb_runs"), [1, 2, 3, 4]);
+    assert_eq!(run_ids(&db, "pb_imports"), [1, 2, 3, 4]);
+}
+
 // ---- all or nothing, at every frame ---------------------------------------
 
 use perfbase::core::experiment::ExperimentDb;

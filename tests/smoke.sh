@@ -44,7 +44,10 @@
 # writer is refused, a failed append cuts the file back, plain / `--wal` /
 # plain input read as three plain ones) and the failed-write suite (a
 # write whose tap or fsync failed answers an error and is not recovered),
-# and the replication chaos/failover suites), the
+# and the replication chaos/failover suites), a plain write refused while
+# the database's log holds frames, the output-format fixture (every format
+# and plot style against the parent build's bytes, and the gnuplot, LaTeX
+# and CSV escaping), the
 # stand-alone benchmark package's build and tests (so a refactor that breaks
 # the API it is pinned to fails here, not in the benchmark driver), a
 # replicated CLI query diffed against the unsharded run, a
@@ -128,6 +131,13 @@ cargo test -q -p sqldb --test wal_crash a_log_read_with_its_checkpoints_floor_ke
 echo "== crash consistency (WAL kill points + kill-during-import) =="
 cargo test -q -p sqldb --test wal_crash
 cargo test -q -p perfbase --test crash_recovery
+cargo test -q -p perfbase --test crash_recovery a_plain_write_beside_a_log_holding_frames_is_refused
+
+echo "== output formats (every format x plot style against the parent build's bytes; gnuplot, LaTeX and CSV escaping) =="
+cargo test -q -p perfbase --test output_formats every_format_and_style_renders_what_the_parent_build_rendered
+cargo test -q -p perfbase --test output_formats gnuplot_strings_survive_backslash_newline_and_quotes
+cargo test -q -p perfbase --test output_formats latex_escapes_math_and_brace_characters
+cargo test -q -p perfbase --test output_formats csv_quotes_a_cell_holding_a_carriage_return
 
 echo "== file tail (a command's writes appended as one unit: every cut, resealed flips, torn unit, refusal, rewrite, a unit that does not replay; a failed write is not recovered) =="
 cargo test -q -p sqldb --test file_tail

@@ -117,14 +117,17 @@ fn escape(s: &str, sub: impl Fn(char) -> Option<&'static str>) -> String {
 /// Grace (xmgrace) project file — §3.3.4 names Grace as a planned output
 /// format. One data set per value column; the x coordinate is the first
 /// parameter when it is numeric, else the row index with string x-tick
-/// labels encoded as comments.
+/// labels encoded as comments. Every string stays on its line: a CR or an
+/// LF is written as a space, or it would end a comment or a quoted string
+/// and start a line Grace reads as a command.
 fn grace(view: &View) -> String {
     let (spec, rows) = (view.spec, &view.rows);
     let numeric_x = view
         .params
         .first()
         .is_some_and(|&i| rows.iter().all(|r| r[i].as_f64().is_some()));
-    let q = |s: &str| escape(s, |c| (c == '"').then_some("'"));
+    let one_line = |c| matches!(c, '\r' | '\n').then_some(" ");
+    let q = |s: &str| escape(s, |c| if c == '"' { Some("'") } else { one_line(c) });
 
     let mut out = String::new();
     out.push_str("# Grace project file\n# generated by perfbase\n@version 50125\n");
@@ -152,7 +155,7 @@ fn grace(view: &View) -> String {
             let x = match view.params.first() {
                 Some(&i) if numeric_x => row[i].as_f64().unwrap_or(k as f64),
                 Some(_) => {
-                    let tick = view.tick(row, Value::to_string);
+                    let tick = escape(&view.tick(row, Value::to_string), one_line);
                     out.push_str(&format!("# x={k}: {tick}\n"));
                     k as f64
                 }
@@ -394,8 +397,9 @@ fn ascii(view: &View) -> String {
         }
     }
     let mut out = String::new();
-    if !view.spec.title.is_empty() {
-        out.push_str(&format!("# {}\n", view.spec.title));
+    // Each line of the title a comment of its own.
+    for line in view.spec.title.lines() {
+        out.push_str(&format!("# {}\n", line.replace('\r', " ")));
     }
     let sep: String = widths
         .iter()

@@ -32,9 +32,10 @@
 //! anything from it, and every error names the byte offset it found.
 
 use crate::codec::{read_schema, walk_column, write_column, write_count, write_schema, write_str};
-use crate::codec::{Origin, Pass, Reader, Source, Stream};
+use crate::codec::{Origin, Pass, Reader, Seen, Source, Stream};
 use crate::engine::Engine;
 use crate::error::DbError;
+use crate::schema::Schema;
 use crate::table::Table;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -114,36 +115,68 @@ pub(crate) fn read_image(
         return Err(r.fail(MAGIC.len(), why));
     }
     let stamp = r.num(8, "checkpoint stamp")?;
-    let (mut tables, mut room): (Tables, _) = (Vec::new(), Vec::new());
+    let (mut tables, mut last, mut room): (Tables, _, _) =
+        (Vec::new(), Last::default(), Vec::new());
     for _ in 0..r.num(4, "table count")? {
         let at = r.at;
         let name = r.str("table name")?;
         if tables.last().is_some_and(|(last, _)| *last >= name) {
             return Err(r.fail(at, format!("table {name} is out of name order")));
         }
-        let table = read_table(&mut r, tables.last().map(|(_, t)| t), &mut room)?;
+        let table = read_table(&mut r, &mut last, &mut room)?;
         tables.push((name, table));
     }
     Ok(((stamp != 0).then_some(stamp), tables, r.at))
 }
 
+/// What the table read last holds that the next one most often repeats —
+/// the run tables of one experiment are of one shape: its schema with the
+/// schema's bytes, and per column the dictionary it read ([`Seen`]).
+#[derive(Default)]
+struct Last {
+    schema: Option<(Vec<u8>, Arc<Schema>)>,
+    dicts: Vec<Seen>,
+}
+
+impl Last {
+    /// The schema of the table whose bytes come next: the last one, shared,
+    /// when its bytes are the last one's — one comparison where the stream's
+    /// buffer holds them — or read, and shared all the same when equal.
+    fn schema(&mut self, r: &mut Reader<impl Source>) -> Result<Arc<Schema>, DbError> {
+        if let Some((bytes, schema)) = &self.schema {
+            if r.skip(bytes) {
+                return Ok(Arc::clone(schema));
+            }
+        }
+        let at = r.at;
+        let schema = read_schema(r)?;
+        if let Some((_, last)) = self.schema.as_ref().filter(|(_, last)| *last == schema) {
+            return Ok(Arc::clone(last));
+        }
+        let mut bytes = Vec::with_capacity(r.at - at);
+        write_schema(&mut bytes, &schema).expect("a schema read from a count");
+        self.schema = Some((bytes, Arc::clone(&schema)));
+        self.dicts = (0..schema.arity()).map(|_| Seen::default()).collect();
+        Ok(schema)
+    }
+}
+
 /// Read one table after its name, each column walked into the table's
-/// empty one in one pass: an error drops the table. A table of `prev`'s
-/// schema shares it, and each TEXT column whose dictionary is `prev`'s,
-/// entry for entry, shares that too.
+/// empty one in one pass: an error drops the table. A table of the last
+/// one's schema shares it, and each TEXT column whose dictionary is the
+/// last one's in that column shares that too.
 fn read_table(
     r: &mut Reader<impl Source>,
-    prev: Option<&Table>,
+    last: &mut Last,
     room: &mut Vec<usize>,
 ) -> Result<Table, DbError> {
-    let schema = read_schema(r, prev.map(|t| &t.schema))?;
-    let like = prev.filter(|t| Arc::ptr_eq(&t.schema, &schema));
+    let schema = last.schema(r)?;
     let at = r.at;
     let rows = r.num(8, "row count")?;
     let rows = usize::try_from(rows).map_err(|_| r.fail(at, format!("{rows} rows")))?;
     let mut table = Table::new(schema);
     table.append_columns(rows, |k, def, col| {
-        let pass = Pass::Append(col, like.map(|t| t.store().col(k)));
+        let pass = Pass::Append(col, Some(&mut last.dicts[k]));
         walk_column(r, def, rows, pass, room)
     })?;
     for _ in 0..r.num(4, "index count")? {
@@ -162,11 +195,12 @@ fn read_table(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::codec::{le, TYPES};
+    use crate::codec::{le, SKIPPED, TYPES};
     use crate::column::ColumnVec;
     use crate::test_common::Rng;
     use crate::value::DataType;
     use crate::Value;
+    use std::cell::Cell;
 
     /// The typed checkpoint of `e`, stamped `stamp`.
     fn typed(e: &Engine, stamp: Option<u64>) -> Vec<u8> {
@@ -357,47 +391,55 @@ pub(crate) mod tests {
     }
 
     /// Hostile input: every truncation, thousands of byte flips, and every
-    /// count and length field at its largest. No panic (nor an allocation
-    /// sized from an unchecked count, which would abort); every error names
-    /// a byte offset.
+    /// count and length field at its largest — of the small checkpoint, and
+    /// of one whose tables repeat the schema and the dictionary of the one
+    /// before, so that cuts and flips land in bytes a load compares rather
+    /// than reads. No panic (nor an allocation sized from an unchecked
+    /// count, which would abort); every error names a byte offset.
     #[test]
     fn hostile_checkpoints_are_refused_without_a_panic() {
-        let bytes = small();
-        let (e, stamp) = load(&bytes).unwrap();
-        assert_eq!((e.table_names().len(), stamp), (3, Some(9)));
-        for k in 0..bytes.len() {
-            let err = read(&bytes[..k], k).expect_err("a truncated checkpoint");
-            assert_names_an_offset(&bytes[..k], err, &format!("cut at {k}"));
-        }
-        let mut rng = Rng::new(0xc4ec);
-        for _ in 0..4_000 {
-            let mut flipped = bytes.clone();
-            let at = rng.below(bytes.len() as u64) as usize;
-            flipped[at] ^= 1 + rng.below(255) as u8;
-            match load(&flipped) {
-                Ok((e, _)) => drop(e.dump_sql()),
-                Err(err) => assert_names_an_offset(&flipped, err, &format!("flip at {at}")),
+        for bytes in [small(), typed(&same_shape(3), Some(9))] {
+            let (e, stamp) = load(&bytes).unwrap();
+            assert_eq!((e.table_names().len(), stamp), (3, Some(9)));
+            for k in 0..bytes.len() {
+                let err = read(&bytes[..k], k).expect_err("a truncated checkpoint");
+                assert_names_an_offset(&bytes[..k], err, &format!("cut at {k}"));
             }
-        }
-        let fields = count_fields(&bytes);
-        assert!(fields.len() > 30, "{fields:?}");
-        for (at, width) in fields {
-            let mut huge = bytes.clone();
-            huge[at..at + width].fill(0xff);
-            let err = read(&huge[..], huge.len()).expect_err("a count past the end");
-            assert_names_an_offset(&huge, err, &format!("count at {at}"));
+            let mut rng = Rng::new(0xc4ec);
+            for _ in 0..4_000 {
+                let mut flipped = bytes.clone();
+                let at = rng.below(bytes.len() as u64) as usize;
+                flipped[at] ^= 1 + rng.below(255) as u8;
+                match load(&flipped) {
+                    Ok((e, _)) => drop(e.dump_sql()),
+                    Err(err) => assert_names_an_offset(&flipped, err, &format!("flip at {at}")),
+                }
+            }
+            let fields = count_fields(&bytes);
+            assert!(fields.len() > 30, "{fields:?}");
+            for (at, width) in fields {
+                let mut huge = bytes.clone();
+                huge[at..at + width].fill(0xff);
+                let err = read(&huge[..], huge.len()).expect_err("a count past the end");
+                assert_names_an_offset(&huge, err, &format!("count at {at}"));
+            }
         }
     }
 
-    /// Tables `r1`, `r2` and `r3` of one shape, each with a `mode` column
-    /// whose rows first use `write`, then `rewrite`, then `read`, as run
-    /// tables of one experiment are; `r1` with a NULL.
-    fn same_shape() -> Engine {
+    /// Tables `r1` to `r<n>` of one shape, each with a `mode` column whose
+    /// rows first use `write`, then `rewrite`, then `read`, as run tables of
+    /// one experiment are; `r1` with a NULL.
+    fn same_shape(n: usize) -> Engine {
         let e = Engine::new();
-        for (t, bw) in [("r1", "NULL"), ("r2", "2.5"), ("r3", "3.5")] {
+        for i in 1..=n {
+            let bw = if i == 1 {
+                "NULL".into()
+            } else {
+                format!("{i}.5")
+            };
             e.execute_script(&format!(
-                "CREATE TABLE {t} (pos INTEGER, mode TEXT, bw FLOAT); \
-                 INSERT INTO {t} VALUES (1, 'write', {bw}), (2, 'rewrite', 1.0), \
+                "CREATE TABLE r{i} (pos INTEGER, mode TEXT, bw FLOAT); \
+                 INSERT INTO r{i} VALUES (1, 'write', {bw}), (2, 'rewrite', 1.0), \
                  (3, 'read', 1.0), (4, 'write', 1.0)"
             ))
             .unwrap();
@@ -416,15 +458,60 @@ pub(crate) mod tests {
         (Arc::ptr_eq(&a.schema, &b.schema), dict)
     }
 
+    /// Tables of one shape share one schema and one dictionary per column,
+    /// of a small catalog, and of one longer than the 64 KiB buffer the file
+    /// loader reads through: a schema or a dictionary that straddles a
+    /// refill is not compared in place but read, and shared all the same.
+    /// Besides 64 KiB, buffers whose first refill falls inside the second
+    /// table's schema, and inside its dictionary, make sure both straddle.
+    /// Read from memory, each table after the first steps over its schema's
+    /// and its dictionary's bytes; read through a buffer, all but those a
+    /// refill cuts.
     #[test]
     fn same_shape_tables_share_their_schema_and_dictionary() {
-        let e = same_shape();
+        let skipped = || SKIPPED.with(Cell::get);
+        let e = same_shape(3);
         assert_eq!(shared(&e, "r1", "r2", 1), (false, false));
         assert_round_trip(&e);
         let (back, _) = load(&typed(&e, None)).unwrap();
         assert_eq!(shared(&back, "r1", "r2", 1), (true, true));
         assert_eq!(shared(&back, "r2", "r3", 1), (true, true));
         assert_eq!(back.dump_sql(), e.dump_sql());
+
+        let e = same_shape(400);
+        let bytes = typed(&e, None);
+        assert!(bytes.len() > 64 << 10, "{} bytes", bytes.len());
+        let (before, repeats) = (skipped(), 2 * 399);
+        load(&bytes).unwrap();
+        assert_eq!(skipped() - before, repeats);
+        let (mut schema, mut dict) = (Vec::new(), Vec::new());
+        write_schema(&mut schema, &e.pin_table("r1").unwrap().schema).unwrap();
+        write_count(&mut dict, 3).unwrap();
+        for s in ["write", "rewrite", "read"] {
+            write_str(&mut dict, s).unwrap();
+        }
+        let count = |piece: &[u8]| bytes.windows(piece.len()).filter(|w| w == &piece).count();
+        assert_eq!((count(&schema), count(&dict)), (400, 400));
+        // Where the piece is for the second time.
+        let second = |piece: &[u8]| {
+            let at = bytes.windows(piece.len()).enumerate();
+            at.filter(|(_, w)| w == &piece).nth(1).unwrap().0
+        };
+        for cap in [64 << 10, second(&schema) + 1, second(&dict) + 1] {
+            let src = io::BufReader::with_capacity(cap, &bytes[..]);
+            let before = skipped();
+            let (_, tables) = read(src, bytes.len()).unwrap();
+            // A refill cuts at most one of them.
+            let cut = repeats - (skipped() - before);
+            assert!(cut <= bytes.len().div_ceil(cap), "{cut} cut, {cap}");
+            assert!(cap == 64 << 10 || cut > 0, "{cap}");
+            let back = Engine::new();
+            back.install(tables).unwrap();
+            for name in back.table_names() {
+                assert_eq!(shared(&back, "r1", &name, 1), (true, true), "{name}, {cap}");
+            }
+            assert_eq!(back.dump_sql(), e.dump_sql());
+        }
     }
 
     /// The dictionary of every TEXT column of every table of `e`.
@@ -519,7 +606,7 @@ pub(crate) mod tests {
     /// own: the tables it shared the dictionary with keep theirs as it was.
     #[test]
     fn an_intern_into_a_loaded_table_leaves_its_neighbours_alone() {
-        let (back, _) = load(&typed(&same_shape(), None)).unwrap();
+        let (back, _) = load(&typed(&same_shape(3), None)).unwrap();
         back.execute("INSERT INTO r2 VALUES (5, 'fresh', 1.0)")
             .unwrap();
         back.execute("UPDATE r3 SET mode = 'other' WHERE pos = 1")

@@ -14,11 +14,10 @@
 //! The [`Reader`] checks every count against the bytes left before it sizes
 //! anything from it, and every error names the byte offset it found.
 
-use crate::column::{Chunked, ColumnVec, NullBitmap};
+use crate::column::{Chunked, ColumnVec, DictColumn, NullBitmap};
 use crate::error::DbError;
 use crate::schema::{Column, Schema};
 use crate::value::DataType::{self, Bool, Float, Int, Text, Timestamp};
-use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
@@ -53,51 +52,24 @@ pub(crate) fn write_schema(out: &mut impl Write, schema: &Schema) -> io::Result<
     Ok(())
 }
 
-/// Read what [`write_schema`] wrote. A schema equal to `like`, column for
-/// column, is `like` itself: names are compared where the reader holds them,
-/// and only a schema that differs is built.
-pub(crate) fn read_schema(
-    r: &mut Reader<impl Source>,
-    like: Option<&Arc<Schema>>,
-) -> Result<Arc<Schema>, DbError> {
+/// Read what [`write_schema`] wrote.
+pub(crate) fn read_schema(r: &mut Reader<impl Source>) -> Result<Arc<Schema>, DbError> {
     let at = r.at;
-    let count = r.num(4, "column count")?;
-    let like = like.filter(|s| s.arity() as u64 == count);
-    // The first `same` columns are `like`'s; `columns` holds them all once
-    // one differs.
-    let (mut same, mut columns) = (0, Vec::new());
-    for k in 0..count as usize {
-        let had = like.map(|s| &s.columns[k]);
-        let name = r.text("column name")?;
-        let name: Cow<'_, str> = match had {
-            Some(c) if c.name == name => Cow::Borrowed(&c.name),
-            _ => Cow::Owned(name.to_owned()),
-        };
+    // Grown by what is read, never sized by the count.
+    let mut columns = Vec::new();
+    for _ in 0..r.num(4, "column count")? {
+        let name = r.str("column name")?;
         let (dtype, nullable) = (r.dtype()?, !r.flag("NOT NULL flag")?);
-        let alike = had.is_some_and(|c| (c.dtype, c.nullable) == (dtype, nullable));
-        if same == k && alike && matches!(name, Cow::Borrowed(_)) {
-            same += 1;
-            continue;
-        }
-        if let Some(s) = like.filter(|_| columns.is_empty()) {
-            columns.extend_from_slice(&s.columns[..same]);
-        }
         columns.push(Column {
-            name: name.into_owned(),
+            name,
             dtype,
             nullable,
         });
     }
-    match like {
-        Some(s) if same == s.arity() => Ok(Arc::clone(s)),
-        _ => {
-            // Grown by what was read, never sized by the count: kept exact.
-            columns.shrink_to_fit();
-            Schema::new(columns)
-                .map(Arc::new)
-                .map_err(|e| r.fail(at, e))
-        }
-    }
+    columns.shrink_to_fit();
+    Schema::new(columns)
+        .map(Arc::new)
+        .map_err(|e| r.fail(at, e))
 }
 
 /// Write a column's cells, a NULL cell as `default`.
@@ -158,11 +130,41 @@ pub(crate) enum Pass<'p> {
     /// Append the column to the first, a column of its type: the null bits
     /// as words, the cells straight from their bytes, each dictionary entry
     /// interned once by `&str`, its code in the target kept in `room`, and
-    /// the codes mapped through `room`. The second is the same column of the
-    /// table read before, when the two share a schema: an empty TEXT target
-    /// whose entries are that column's, in order, takes its dictionary
-    /// itself, and interns nothing.
-    Append(&'p mut ColumnVec, Option<&'p ColumnVec>),
+    /// the codes mapped through `room`. The second, for an empty TEXT target
+    /// a checkpoint load fills, is the dictionary the same column of the
+    /// table read before holds: see [`Seen`].
+    Append(&'p mut ColumnVec, Option<&'p mut Seen>),
+}
+
+/// The dictionary a checkpoint load read last in one column, and its bytes.
+/// The next table's dictionary in that column is most often the same: when
+/// its bytes are these, the target takes the dictionary itself, shared, and
+/// the bytes are stepped over without a parse ([`Reader::skip`]). Otherwise
+/// the dictionary is read as any is, and shared all the same when it comes
+/// out equal — bytes that straddle a refill of the file's buffer are not
+/// compared in place. Empty: nothing seen yet.
+#[derive(Debug, Default)]
+pub(crate) struct Seen {
+    bytes: Vec<u8>,
+    dict: DictColumn,
+}
+
+impl Seen {
+    /// Take the dictionary `to` has just read from `len` bytes: the one
+    /// seen, shared, when the two are equal; otherwise `to`'s is the one
+    /// seen now.
+    fn learn(&mut self, to: &mut DictColumn, len: usize) {
+        if !self.bytes.is_empty() && self.dict.dict() == to.dict() {
+            return to.share_dict(&self.dict);
+        }
+        self.bytes.clear();
+        self.bytes.reserve(len);
+        write_count(&mut self.bytes, to.dict().len()).expect("a dictionary read from a count");
+        for s in to.dict() {
+            write_str(&mut self.bytes, s).expect("into memory");
+        }
+        self.dict.share_dict(to);
+    }
 }
 
 /// Walk the null bitmap and the `rows` cells of column `col`: check them —
@@ -221,37 +223,28 @@ pub(crate) fn walk_column(
                     record[bitmap_at - base + i / 8] >> (i % 8) & 1 == 1
                 })?;
             }
-            Pass::Append(ColumnVec::Text(to), like) => {
-                let before = to.dict().len();
-                // While the entries are those of `like`, in order, each is
-                // only counted: entry `k` is code `k` either way.
-                let mut like = match like {
-                    Some(ColumnVec::Text(like)) if to.codes.len() == 0 && before == 0 => Some(like),
-                    _ => None,
-                };
+            Pass::Append(ColumnVec::Text(to), seen) => {
                 room.clear();
-                for _ in 0..r.num(4, "dictionary size")? {
-                    let at = r.at;
-                    let entry = r.text("dictionary entry")?;
-                    if let Some(d) = like {
-                        if d.dict().get(room.len()).is_some_and(|s| s == entry) {
-                            room.push(room.len());
-                            continue;
+                match seen {
+                    Some(seen) if !seen.bytes.is_empty() && r.skip(&seen.bytes) => {
+                        to.share_dict(&seen.dict);
+                        room.extend(0..to.dict().len());
+                    }
+                    seen => {
+                        let (before, dict_at) = (to.dict().len(), r.at);
+                        for _ in 0..r.num(4, "dictionary size")? {
+                            let at = r.at;
+                            let had = to.dict().len();
+                            let code = to.intern(r.text("dictionary entry")?) as usize;
+                            if (before..had).contains(&code) {
+                                return Err(fail(origin, at, "a repeated dictionary entry"));
+                            }
+                            room.push(code);
                         }
-                        to.intern_all(&d.dict()[..room.len()]);
-                        like = None;
+                        if let Some(seen) = seen {
+                            seen.learn(to, r.at - dict_at);
+                        }
                     }
-                    let had = to.dict().len();
-                    let code = to.intern(entry) as usize;
-                    if (before..had).contains(&code) {
-                        return Err(fail(origin, at, "a repeated dictionary entry"));
-                    }
-                    room.push(code);
-                }
-                match like {
-                    Some(d) if d.dict().len() == room.len() => to.share_dict(d),
-                    Some(d) => to.intern_all(&d.dict()[..room.len()]),
-                    None => {}
                 }
                 let first = to.codes.len();
                 let codes = codes(r, rows, room.len(), |i| to.nulls.is_null(first + i))?;
@@ -346,6 +339,11 @@ pub(crate) fn le(bytes: &[u8]) -> u64 {
 pub(crate) trait Source {
     /// The next `n` bytes; the reader has checked that there are as many.
     fn next(&mut self, n: usize) -> io::Result<&[u8]>;
+
+    /// The bytes that come next, as many as are at hand: perhaps fewer than
+    /// the reader will take, perhaps more than are left to it. Nothing is
+    /// taken; an error reads as no bytes, for [`Source::next`] to meet.
+    fn peek(&mut self) -> &[u8];
 }
 
 /// A buffered stream, read a piece at a time: a checkpoint file. A piece
@@ -381,6 +379,11 @@ impl<R: BufRead> Source for Stream<R> {
         self.src.read_exact(&mut self.buf)?;
         Ok(&self.buf)
     }
+
+    fn peek(&mut self) -> &[u8] {
+        self.src.consume(std::mem::take(&mut self.lent));
+        self.src.fill_buf().unwrap_or_default()
+    }
 }
 
 /// Bytes in memory, handed out where they are: a record of the log.
@@ -392,6 +395,16 @@ impl Source for &[u8] {
         *self = rest;
         Ok(piece)
     }
+
+    fn peek(&mut self) -> &[u8] {
+        self
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times [`Reader::skip`] has stepped over bytes on this thread.
+    pub(crate) static SKIPPED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A cursor over encoded bytes: `left` of them still to come from `src`.
@@ -444,6 +457,17 @@ impl<S: Source> Reader<S> {
             Ok(piece) => Ok(piece),
             Err(e) => Err(fail(self.origin, at, e)),
         }
+    }
+
+    /// Step over the next bytes when they are `bytes`, held at hand by the
+    /// source, and say whether it did. Bytes the source must read first —
+    /// `bytes` straddles a refill — are not compared: they stay to be read.
+    pub(crate) fn skip(&mut self, bytes: &[u8]) -> bool {
+        let same = bytes.len() <= self.left && self.src.peek().starts_with(bytes);
+        let skipped = same && self.take(bytes.len(), 1, "bytes seen before").is_ok();
+        #[cfg(test)]
+        SKIPPED.with(|n| n.set(n.get() + usize::from(skipped)));
+        skipped
     }
 
     /// The next number, `width` bytes little-endian.

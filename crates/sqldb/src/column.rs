@@ -41,7 +41,7 @@
 //!   table — is a tail and nothing else, read through the same code.
 
 use crate::schema::Schema;
-use crate::value::{DataType, Num, Value, ValueRef};
+use crate::value::{DataType, Num, Value, ValueKey, ValueRef};
 use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::Arc;
@@ -431,15 +431,8 @@ impl DictColumn {
         used as usize == self.dict().len()
     }
 
-    /// Intern `entries`, in order.
-    pub(crate) fn intern_all(&mut self, entries: &[String]) {
-        for s in entries {
-            intern(&mut self.dict, s);
-        }
-    }
-
-    /// Take `like`'s dictionary itself, shared: for an empty column whose
-    /// entries are `like`'s, in order.
+    /// Take `like`'s dictionary itself, shared: for a column without rows,
+    /// or one whose dictionary is `like`'s, entry for entry.
     pub(crate) fn share_dict(&mut self, like: &DictColumn) {
         self.dict = Arc::clone(&like.dict);
     }
@@ -600,6 +593,18 @@ impl ColumnVec {
             ColumnVec::Float { data, .. } => Num::Float(data[i]),
             ColumnVec::Bool { data, .. } => Num::Int(i64::from(data[i])),
             ColumnVec::Text(_) => unreachable!("a TEXT cell is not a number"),
+        }
+    }
+
+    /// The key of row `i`: [`ValueKey::of`] its value, no value built.
+    pub(crate) fn key(&self, i: usize) -> ValueKey {
+        if self.nulls().is_null(i) {
+            return ValueKey::Null;
+        }
+        match self {
+            ColumnVec::Bool { data, .. } => ValueKey::Bool(data[i]),
+            ColumnVec::Text(d) => ValueKey::Text(d.dict()[d.codes[i] as usize].clone()),
+            _ => self.num_at(i).key(),
         }
     }
 

@@ -222,7 +222,7 @@ pub(crate) fn decode(frame: FrameRef<'_>) -> Result<Record<'_>, DbError> {
         CREATE_TABLE => {
             let name = r.str_ref("table name")?;
             let if_not_exists = r.flag("IF NOT EXISTS flag")?;
-            let schema = read_schema(&mut r, None)?;
+            let schema = read_schema(&mut r)?;
             Record::CreateTable {
                 name,
                 schema,

@@ -46,7 +46,7 @@ impl Index {
     /// Enter the rows of `store` from position `first` on.
     fn enter(&mut self, store: &ColumnStore, first: usize) {
         for pos in first..store.len() {
-            let key = ValueKey::of(&store.value(pos, self.column));
+            let key = store.col(self.column).key(pos);
             if !key.is_null() {
                 self.keys.entry(key).or_default().push(pos);
             }

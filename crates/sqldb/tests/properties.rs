@@ -335,31 +335,41 @@ fn index_maintenance_matches_full_scan() {
             }
 
             assert_eq!(t.to_rows(), model, "rows after step {step}");
-            // Point probes: every live key, plus probes that should miss.
-            for col in [0usize, 1, 2] {
-                let mut keys: Vec<ValueKey> = model
-                    .iter()
-                    .map(|r| ValueKey::of(&r[col]))
-                    .filter(|k| !k.is_null())
-                    .collect();
-                keys.sort();
-                keys.dedup();
-                for key in &keys {
+            // The same indexes built again over the rows there are, as a
+            // load builds them; every probe below asks both.
+            let mut built = Table::new(t.schema.clone());
+            built.insert_all(t.to_rows()).unwrap();
+            for (name, col) in [("ix_k", "k"), ("ix_v", "v"), ("ix_s", "s")] {
+                let ordered = t.has_ordered_index_on(t.schema.index_of(col).unwrap());
+                built.create_index(name, col, ordered).unwrap();
+            }
+            for t in [&t, &built] {
+                // Point probes: every live key, plus probes that should miss.
+                for col in [0usize, 1, 2] {
+                    let mut keys: Vec<ValueKey> = model
+                        .iter()
+                        .map(|r| ValueKey::of(&r[col]))
+                        .filter(|k| !k.is_null())
+                        .collect();
+                    keys.sort();
+                    keys.dedup();
+                    for key in &keys {
+                        assert_eq!(
+                            t.index_lookup(col, key).unwrap(),
+                            scan_eq(&model, col, key).as_slice(),
+                            "col {col} key {key:?} after step {step}",
+                        );
+                    }
                     assert_eq!(
-                        t.index_lookup(col, key).unwrap(),
-                        scan_eq(&model, col, key).as_slice(),
-                        "col {col} key {key:?} after step {step}",
+                        t.index_lookup(col, &ValueKey::of(&Value::Null)).unwrap(),
+                        &[] as &[usize]
                     );
                 }
                 assert_eq!(
-                    t.index_lookup(col, &ValueKey::of(&Value::Null)).unwrap(),
+                    t.index_lookup(0, &ValueKey::of(&Value::Int(999))).unwrap(),
                     &[] as &[usize]
                 );
             }
-            assert_eq!(
-                t.index_lookup(0, &ValueKey::of(&Value::Int(999))).unwrap(),
-                &[] as &[usize]
-            );
 
             // Range probes on the ordered int index (and the float index
             // once upgraded), random bound kinds, inverted bounds included.
@@ -384,14 +394,16 @@ fn index_maintenance_matches_full_scan() {
                 };
                 let lo = mk(&mut rng, a);
                 let hi = mk(&mut rng, b);
-                let got = t
-                    .range_lookup(col, as_bound_ref(&lo), as_bound_ref(&hi))
-                    .expect("ordered index present");
-                assert_eq!(
-                    got,
-                    scan_range(&model, col, &lo, &hi),
-                    "range {lo:?}..{hi:?} step {step}"
-                );
+                for t in [&t, &built] {
+                    let got = t
+                        .range_lookup(col, as_bound_ref(&lo), as_bound_ref(&hi))
+                        .expect("ordered index present");
+                    assert_eq!(
+                        got,
+                        scan_range(&model, col, &lo, &hi),
+                        "range {lo:?}..{hi:?} step {step}"
+                    );
+                }
             }
         }
     }

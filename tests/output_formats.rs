@@ -260,3 +260,27 @@ fn csv_quotes_a_cell_holding_a_carriage_return() {
     assert!(out.contains("\n\"a\rb\",1,"), "{out:?}");
     assert!(!out.contains("\na\rb,"), "{out:?}");
 }
+
+/// A title, an axis label or a tick holding a newline stays inside the line
+/// it belongs to: no grace line starts with a command it smuggled in, and
+/// every ascii line above the header row is a comment.
+#[test]
+fn no_title_breaks_out_of_a_grace_or_ascii_file() {
+    let title = "line 1\n@    kill g0";
+    let grace = render_one(&["a\r\n@    kill g0", "b"], "grace", title);
+    assert!(grace.contains("# x=0: "), "{grace}");
+    assert!(
+        !grace.lines().any(|l| l.starts_with("@    kill")),
+        "{grace}"
+    );
+    let ascii = render_one(&["a", "b"], "ascii", title);
+    let lines: Vec<&str> = ascii.lines().collect();
+    let rule = lines
+        .iter()
+        .position(|l| l.starts_with('-') && l.chars().all(|c| c == '-' || c == '+'))
+        .unwrap_or_else(|| panic!("no rule under the header in\n{ascii}"));
+    assert_eq!(rule, 3, "{ascii}");
+    for line in &lines[..rule - 1] {
+        assert!(line.starts_with('#'), "`{line}` in\n{ascii}");
+    }
+}

@@ -17,9 +17,13 @@
 # text file loads as `from_sql_dump` does, every truncation, byte flip and
 # oversized count is an error naming its byte offset, a failed save leaves
 # no tmp file; tables of one shape read in a row share their schema and
-# equal dictionaries and nothing else, a repeat after a shared prefix is
+# equal dictionaries and nothing else — also where a schema or a dictionary
+# straddles a refill of the 64 KiB buffer, and cuts and flips land in bytes
+# a load compares rather than reads — a repeat after a shared prefix is
 # refused at its offset, an intern leaves the neighbours alone
-# (`checkpoint::tests`), a 60-run campaign loads with fewer than 30
+# (`checkpoint::tests`), an index built over the rows there are answers
+# every probe as the maintained one does
+# (`properties::index_maintenance_matches_full_scan`), a 60-run campaign loads with fewer than 30
 # allocations a table (`checkpoint_alloc::a_typed_load_allocates_per_column_not_per_name`),
 # a bitmap without words reads as one with them
 # (`column::tests::a_bitmap_without_words_reads_as_one_with_them`), and
@@ -108,6 +112,9 @@ cargo test -q -p sqldb --test versions
 
 echo "== typed checkpoint (round trip, text parity, stamp, hostile input, sharing) =="
 cargo test -q -p sqldb --lib checkpoint::tests
+cargo test -q -p sqldb --lib checkpoint::tests::hostile_checkpoints_are_refused_without_a_panic
+cargo test -q -p sqldb --lib checkpoint::tests::same_shape_tables_share_their_schema_and_dictionary
+cargo test -q -p sqldb --test properties index_maintenance_matches_full_scan
 cargo test -q -p sqldb --test checkpoint_alloc a_typed_load_allocates_per_column_not_per_name
 cargo test -q -p sqldb --lib column::tests::a_bitmap_without_words_reads_as_one_with_them
 cargo test -q -p perfbase --test cli dump_into_a_closed_pipe_exits_quietly
@@ -133,11 +140,12 @@ cargo test -q -p sqldb --test wal_crash
 cargo test -q -p perfbase --test crash_recovery
 cargo test -q -p perfbase --test crash_recovery a_plain_write_beside_a_log_holding_frames_is_refused
 
-echo "== output formats (every format x plot style against the parent build's bytes; gnuplot, LaTeX and CSV escaping) =="
+echo "== output formats (every format x plot style against the parent build's bytes; gnuplot, LaTeX and CSV escaping; no title breaks out of a grace or ascii file) =="
 cargo test -q -p perfbase --test output_formats every_format_and_style_renders_what_the_parent_build_rendered
 cargo test -q -p perfbase --test output_formats gnuplot_strings_survive_backslash_newline_and_quotes
 cargo test -q -p perfbase --test output_formats latex_escapes_math_and_brace_characters
 cargo test -q -p perfbase --test output_formats csv_quotes_a_cell_holding_a_carriage_return
+cargo test -q -p perfbase --test output_formats no_title_breaks_out_of_a_grace_or_ascii_file
 
 echo "== file tail (a command's writes appended as one unit: every cut, resealed flips, torn unit, refusal, rewrite, a unit that does not replay; a failed write is not recovered) =="
 cargo test -q -p sqldb --test file_tail

@@ -369,8 +369,7 @@ fn bench_sharded_aggregation() -> ShardBench {
         .expect("bw");
     let db = ExperimentDb::create(Arc::new(Engine::new()), def).expect("create");
 
-    // bw is constant within each (technique, chunk) group so the merged
-    // AVG (Σsum/Σcount) and the single-pass mean agree bit-for-bit.
+    // bw is constant within each (technique, chunk) group.
     for run in 0..RUNS {
         let technique = if run % 2 == 0 { "old" } else { "new" };
         let once: HashMap<String, Value> =

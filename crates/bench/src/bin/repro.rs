@@ -543,8 +543,8 @@ fn shard() {
     banner("Distributed execution — run-data sharding with aggregation pushdown");
     // 48 runs (3 file systems × 2 techniques × 8 reps), 24 data rows each;
     // the same grouped AVG runs at 1, 2 and 4 nodes with a gigabit-LAN
-    // latency model, once with pushdown and once with frontend
-    // materialization of the remote shards.
+    // latency model, once charged as pushed down (the partials) and once as
+    // frontend materialization of the remote shards (the selected rows).
     let spec = r#"<query name="shard"><source id="s">
          <parameter name="mode" carry="true"/>
          <value name="b_separate"/>

@@ -161,7 +161,7 @@ pub fn screen_experiment(
             "anomaly screening expects exactly one result value".into(),
         ));
     }
-    let (vector, _) = exec::run_source(db, source)?;
+    let (vector, _) = exec::run_source(db, source, false)?;
     screen_vector(&vector, config)
 }
 

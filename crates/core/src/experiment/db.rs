@@ -21,7 +21,7 @@ use super::{AccessLevel, ExperimentDef, Occurrence, Variable};
 use crate::error::{Error, Result};
 use crate::xmldef;
 use sqldb::cluster::{Cluster, ShardMap};
-use sqldb::sql::{SelectStmt, SqlExpr};
+use sqldb::sql::SqlExpr;
 use sqldb::sync::{Mutex, RwLock};
 use sqldb::{
     Column, DataType, DbError, Engine, Promotion, RecoveryReport, ReplOptions, Replicator,
@@ -348,50 +348,24 @@ impl ExperimentDb {
         }
     }
 
-    /// Run the statement `sel` over `run_id`'s data table *where it lives*
-    /// ([`Table::select`]: a statement value, nothing parsed, its FROM not
-    /// looked at) and return the rows to the frontend. When the owner is a
-    /// remote node this goes through [`sqldb::cluster::Cluster::select`],
-    /// charging the simulated link for every returned row — the accounting
-    /// behind the aggregation-pushdown win.
-    pub fn select_run_data(
-        &self,
-        run_id: i64,
-        sel: &SelectStmt,
-    ) -> std::result::Result<ResultSet, DbError> {
-        let table = rundata_table(run_id);
-        match self.remote_reader(run_id) {
-            Some((sh, node)) => sh.cluster().select(node, 0, &table, sel),
-            None => self.engine.pin_table(&table)?.select(sel),
-        }
-    }
-
-    /// The remote node a read of `run_id`'s data goes to, or `None` when the
-    /// frontend serves it. With replication this round-robins across the
-    /// owner and its fresh replicas (the freshness gate falls back to the
-    /// owner for replicas behind the last appended frame).
-    fn remote_reader(&self, run_id: i64) -> Option<(Arc<Sharding>, usize)> {
-        let sh = self.sharding()?;
-        let node = sh.read_node_of(run_id);
-        (node != 0).then_some((sh, node))
-    }
-
-    /// The selection step of [`ExperimentDb::select_run_data`] alone, for
-    /// many runs: select the data sets of each of `run_ids` that satisfy
-    /// `filter` *where the run's table lives*, and call `each(k, table,
-    /// positions)` for `run_ids[k]`, in order, for the caller to copy cells
-    /// from. Consecutive runs the frontend serves are one batch of
+    /// Select the data sets of each of `run_ids` that satisfy `filter`
+    /// *where the run's table lives*, and call `each(k, table, positions)`
+    /// for `run_ids[k]`, in order, for the caller to copy cells from.
+    /// Consecutive runs the frontend serves are one batch of
     /// [`Engine::scan`] (one catalog hold, the filter compiled once); each
-    /// run on a remote node is one [`Cluster::scan`] ask, with the routing
-    /// (owner or fresh replica), dead-node check and link charge of
-    /// `select_run_data`. An error ends the scan and comes with the position
-    /// `k` of its run.
+    /// run on a remote node is one [`Cluster::scan`] ask — to the owner, or
+    /// with replication round-robin to it and its fresh replicas (the
+    /// freshness gate falls back to the owner for replicas behind the last
+    /// appended frame) — whose answer is charged to the link as the rows
+    /// `carried` counts over the run's table and selection. An error ends the
+    /// scan and comes with the position `k` of its run.
     ///
     /// [`Cluster::scan`]: sqldb::cluster::Cluster::scan
     pub fn scan_runs(
         &self,
         run_ids: &[i64],
         filter: Option<&SqlExpr>,
+        carried: impl Fn(&Table, &[usize]) -> std::result::Result<usize, DbError>,
         mut each: impl FnMut(usize, &Table, &[usize]) -> std::result::Result<(), DbError>,
     ) -> std::result::Result<(), (usize, DbError)> {
         let names: Vec<String> = run_ids.iter().map(|&id| rundata_table(id)).collect();
@@ -418,7 +392,7 @@ impl ExperimentDb {
             if let Some((sh, node)) = remote {
                 let (table, positions) = sh
                     .cluster()
-                    .scan(node, 0, &names[to], filter)
+                    .scan(node, 0, &names[to], filter, &carried)
                     .map_err(|e| (to, e))?;
                 each(to, &table, &positions).map_err(|e| (to, e))?;
             }

@@ -10,10 +10,11 @@
 //! cluster grows.
 //!
 //! The query layer (`core::query::exec`) consults this context to decide
-//! where a run's data lives: pushable aggregations run *on the owning
-//! node* and ship only reduced partials over the simulated link, while
-//! everything else falls back to fetching the remote rows to the frontend
-//! (both charged to the cluster's [`TransferStats`](sqldb::cluster::TransferStats)).
+//! where a run's data lives: a source scans each run *on the node that
+//! holds it*, and the answer is charged to the cluster's
+//! [`TransferStats`](sqldb::cluster::TransferStats) as the selected rows, or
+//! as the reduced partials when the source is fused with a pushable
+//! aggregation.
 
 use sqldb::cluster::{Cluster, ShardMap};
 use sqldb::{Engine, Replicator};

@@ -30,19 +30,16 @@
 //!
 //! When the experiment database is attached to a cluster
 //! ([`ExperimentDb::attach_cluster`]), each run's data table lives on its
-//! owning node. The runner then rewrites eligible *source → aggregation*
-//! pairs into **aggregation pushdown**: every owning node computes partial
-//! aggregates (`count`/`sum`/`min`/`max`, with `avg` decomposed into
-//! `sum` + `count`) over its local shard, and only the reduced partials
-//! cross the simulated link before the frontend merges them by the engine's
-//! aggregation, one [`Table::select`] over a table of the partials. Sources
-//! that cannot be pushed down (non-decomposable operators like `median`,
-//! multiple consumers, run-level values) **fall back** to the ordinary
-//! source element, which scans each run where it lives and brings the
-//! selected rows to the frontend. Both paths charge the
-//! cluster's [`TransferStats`], reported per query in
-//! [`QueryOutcome::transfer`], and both return exactly the rows an
-//! unsharded run returns.
+//! owning node, and a source element scans each run there. Every element
+//! runs as it does unsharded, so the vectors are the unsharded ones, bit
+//! for bit; what changes is the cluster's [`TransferStats`], reported per
+//! query in [`QueryOutcome::transfer`]. **Aggregation pushdown** is a
+//! charge model: a source whose one consumer is a decomposable aggregate
+//! (`count`/`sum`/`min`/`max`/`avg`) is *fused* with it, and each of its
+//! remote runs is charged the partial aggregates an owning node would send —
+//! one row per group — instead of its selected rows, which every other
+//! source (the **fallback**: `median`, several consumers, run-level values)
+//! is charged.
 
 use super::spec::{CombinerSpec, ElementKind, OpKind, QuerySpec, SourceSpec};
 use super::{DataVector, KeyIds, QueryDag};
@@ -120,13 +117,15 @@ impl QueryOutcome {
 ///   spread round-robin over the nodes of a simulated cluster, each output
 ///   vector landing on the node that consumes it;
 /// * **data sharding + pushdown** — when the experiment is sharded across a
-///   cluster ([`ExperimentDb::attach_cluster`]) eligible aggregations run
-///   on the data-owning nodes (see the module docs);
-///   [`QueryRunner::pushdown`] can force the fallback path instead, which
-///   is useful for measuring what the pushdown saves.
+///   cluster ([`ExperimentDb::attach_cluster`]) sources scan their runs on
+///   the data-owning nodes, and a source fused with its aggregation is
+///   charged its partial aggregates (see the module docs);
+///   [`QueryRunner::pushdown`] can charge every source its rows instead,
+///   which is useful for measuring what the pushdown saves.
 ///
-/// Every combination produces the same artifacts and the same `timings`
-/// order; only wall-clock and [`QueryOutcome::transfer`] differ.
+/// Every combination produces the same vectors, bit for bit, the same
+/// artifacts and the same `timings` order; only wall-clock and
+/// [`QueryOutcome::transfer`] differ.
 pub struct QueryRunner<'a> {
     db: &'a ExperimentDb,
     pushdown: bool,
@@ -158,9 +157,9 @@ impl<'a> QueryRunner<'a> {
     }
 
     /// Enable or disable aggregation pushdown on sharded databases. With
-    /// pushdown off, every remote shard is materialised on the frontend
-    /// (the fallback path) — results are identical, only the interconnect
-    /// traffic differs.
+    /// pushdown off, every remote run is charged the rows it selects (the
+    /// fallback) — results are identical, only the interconnect traffic
+    /// differs.
     pub fn pushdown(mut self, enabled: bool) -> Self {
         self.pushdown = enabled;
         self
@@ -219,24 +218,25 @@ impl<'a> QueryRunner<'a> {
             })
     }
 
-    /// Which operator elements can fuse with their source input into a
-    /// sharded aggregation pushdown: `fused[op_idx] = Some(source_idx)`.
+    /// Which source elements fuse with their aggregation on a sharded
+    /// experiment (aggregation pushdown): `fused[i]` for source `i`.
     ///
-    /// The rewrite applies when the operator is a decomposable aggregate
-    /// (`count`/`sum`/`min`/`max`/`avg`), its only input is a source, the
+    /// A pair fuses when the operator is a decomposable aggregate
+    /// (`count`/`sum`/`min`/`max`/`avg`), its only input is the source, the
     /// source feeds nothing else, and the source's values are all
     /// multiple-occurrence (run-level values never touch the data tables,
-    /// so there is nothing to push).
-    fn plan_pushdown(&self, dag: &QueryDag, def: &ExperimentDef) -> Vec<Option<usize>> {
-        let n = dag.spec.elements.len();
-        let mut fused: Vec<Option<usize>> = vec![None; n];
+    /// so there is nothing to push). A fused pair runs as every source and
+    /// aggregate do; the fusion decides only what the link is charged for
+    /// each remote run ([`run_source`]).
+    fn plan_pushdown(&self, dag: &QueryDag, def: &ExperimentDef) -> Vec<bool> {
+        let mut fused = vec![false; dag.spec.elements.len()];
         let sharded_over_multiple_nodes =
             self.db.sharding().is_some_and(|sh| sh.cluster().len() > 1);
         if !self.pushdown || !sharded_over_multiple_nodes {
             return fused;
         }
-        for (j, slot) in fused.iter_mut().enumerate() {
-            let ElementKind::Operator(o) = &dag.spec.elements[j].kind else {
+        for (j, element) in dag.spec.elements.iter().enumerate() {
+            let ElementKind::Operator(o) = &element.kind else {
                 continue;
             };
             let Some(agg) = o.op.aggregate() else {
@@ -263,7 +263,7 @@ impl<'a> QueryRunner<'a> {
             if !plan.once_values.is_empty() || plan.multi_values.is_empty() {
                 continue;
             }
-            *slot = Some(i);
+            fused[i] = true;
         }
         fused
     }
@@ -293,7 +293,7 @@ impl<'a> QueryRunner<'a> {
     /// The one loop over DAG elements: wave by wave, each wave inline on the
     /// calling thread or on scoped threads, results stored in wave order
     /// after the join so the outcome is the same in every mode.
-    fn run_waves(&self, dag: &QueryDag, fused: &[Option<usize>]) -> Result<QueryOutcome> {
+    fn run_waves(&self, dag: &QueryDag, fused: &[bool]) -> Result<QueryOutcome> {
         let mut outcome = QueryOutcome::default();
         for wave in dag.waves() {
             let results: Result<Vec<ElementResult>> = if self.parallel && wave.len() > 1 {
@@ -349,7 +349,7 @@ impl<'a> QueryRunner<'a> {
     fn run_element(
         &self,
         dag: &QueryDag,
-        fused: &[Option<usize>],
+        fused: &[bool],
         i: usize,
         vectors: &HashMap<String, DataVector>,
     ) -> Result<ElementResult> {
@@ -364,39 +364,26 @@ impl<'a> QueryRunner<'a> {
         let mut decision = "";
         let mut runs = None;
         let vector = match &element.kind {
-            // Fused sources execute inside their consuming aggregation
-            // operator, on the data-owning nodes.
-            ElementKind::Source(_) if fused.contains(&Some(i)) => {
-                decision = " fused-into-consumer";
-                None
-            }
             ElementKind::Source(s) => {
-                let (vector, matched) = run_source(self.db, s)?;
+                if fused[i] {
+                    obs::incr(obs::Counter::DagPushdownFused);
+                    decision = " pushdown=fused";
+                }
+                let (vector, matched) = run_source(self.db, s, fused[i])?;
                 runs = Some(matched);
                 Some(vector)
             }
-            ElementKind::Operator(o) => Some(match fused[i] {
-                Some(si) => {
-                    obs::incr(obs::Counter::DagPushdownFused);
-                    decision = " pushdown=fused";
-                    let ElementKind::Source(s) = &dag.spec.elements[si].kind else {
-                        unreachable!("fusion plan only names sources")
-                    };
-                    let agg = o.op.aggregate().expect("fused operators aggregate");
-                    run_pushdown_aggregate(self.db, agg, s)?
-                }
-                None => {
-                    let inputs: Vec<OperatorInput<'_>> = dag.input_idx[i]
-                        .iter()
-                        .map(|&j| {
-                            let producer = &dag.spec.elements[j];
-                            let from_source = matches!(producer.kind, ElementKind::Source(_));
-                            (producer.id.as_str(), input(j), from_source)
-                        })
-                        .collect();
-                    run_operator(&o.op, &inputs)?
-                }
-            }),
+            ElementKind::Operator(o) => {
+                let inputs: Vec<OperatorInput<'_>> = dag.input_idx[i]
+                    .iter()
+                    .map(|&j| {
+                        let producer = &dag.spec.elements[j];
+                        let from_source = matches!(producer.kind, ElementKind::Source(_));
+                        (producer.id.as_str(), input(j), from_source)
+                    })
+                    .collect();
+                Some(run_operator(&o.op, &inputs)?)
+            }
             ElementKind::Combiner(c) => {
                 let (l, r) = (input(dag.input_idx[i][0]), input(dag.input_idx[i][1]));
                 Some(run_combiner(c, l, r)?)
@@ -416,9 +403,10 @@ impl<'a> QueryRunner<'a> {
         };
         let rows = vector.as_ref().map_or(0, |v| v.table.len());
         // Charge the simulated socket cost for shipping the output vector
-        // off-node, mirroring Fig. 3's placement rule.
+        // off-node, mirroring Fig. 3's placement rule. A fused source is
+        // reduced where its rows live: only its aggregate's vector travels.
         if let (Some(cluster), Some(_)) = (self.cluster, &vector) {
-            if self.exec_node(i) != self.out_node(dag, i) {
+            if self.exec_node(i) != self.out_node(dag, i) && !fused[i] {
                 cluster.charge_transfer(rows);
             }
         }
@@ -469,8 +457,8 @@ pub(crate) fn sql_literal(v: &Value) -> String {
 
 /// The once/multiple classification of everything a source element
 /// references: WHERE clauses split by occurrence, plus the carry and value
-/// columns split the same way. Shared by the plain source path
-/// ([`run_source`]) and the sharded aggregation pushdown.
+/// columns split the same way, for [`run_source`] and the pushdown's
+/// fusion rule.
 struct SourcePlan {
     /// Restrictions on run-level (once-occurrence) columns, incl. run filters.
     pub once_where: Vec<String>,
@@ -637,10 +625,18 @@ impl Drop for ScanAccount {
 /// empty vector is typed too. An error names its run.
 ///
 /// On a sharded experiment each run on another node is one scan there (on
-/// its owning node or a fresh replica), and the selected rows travel to the
-/// frontend (charged) — the fallback materialization path for everything
-/// the aggregation pushdown cannot handle.
-pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVector, usize)> {
+/// its owning node or a fresh replica), charged to the link as one message
+/// of what the answer carries: the selected rows, or, for a source `fused`
+/// with its aggregation (the pushdown), the partial aggregates the node
+/// reduces them to — one row per group of the source's in-run carries among
+/// the selected rows, one row when it carries none. The nodes share this
+/// process, so the vector and its aggregate are computed as unsharded; only
+/// the charge differs.
+pub(crate) fn run_source(
+    db: &ExperimentDb,
+    spec: &SourceSpec,
+    fused: bool,
+) -> Result<(DataVector, usize)> {
     let def = db.definition();
     let plan = plan_source(&def, spec)?;
 
@@ -690,9 +686,16 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
             .collect();
         // One shard fragment materialised on the frontend per run — the
         // fallback path the aggregation pushdown avoids.
-        if db.sharding().is_some() {
+        if db.sharding().is_some() && !fused {
             obs::add(obs::Counter::DagShardsMaterialized, run_ids.len() as u64);
         }
+        let carried = |data: &Table, positions: &[usize]| {
+            if fused {
+                data.groups(positions, &plan.multi_carry)
+            } else {
+                Ok(positions.len())
+            }
+        };
         let _scans = ScanAccount {
             started: Instant::now(),
             tables: run_ids.len() as u64,
@@ -702,7 +705,7 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
         // the column at that position is another.
         let mut at: Vec<usize> = vec![0; out_cols.len()];
         let mut cells: Vec<Cell<'_>> = Vec::with_capacity(out_cols.len());
-        db.scan_runs(&run_ids, filter.as_ref(), |k, data, positions| {
+        db.scan_runs(&run_ids, filter.as_ref(), carried, |k, data, positions| {
             let run_row = &runs.rows()[k];
             if run_level_only {
                 // The run's tuple, once, iff a data set passes the restriction.
@@ -744,135 +747,6 @@ pub(crate) fn run_source(db: &ExperimentDb, spec: &SourceSpec) -> Result<(DataVe
         },
         runs.len(),
     ))
-}
-
-/// Execute a fused *source → aggregation* pair with pushdown (module docs):
-/// each run's owning node computes partial aggregates over its local
-/// `pb_rundata_<id>` shard, only the partials cross the simulated link, and
-/// the frontend merges them into exactly the vector the unsharded
-/// `source + aggregate` pair would produce (same columns, types, labels and
-/// rows) — with the engine's aggregation too: one [`Table::select`] over a
-/// table of every run's partials.
-fn run_pushdown_aggregate(
-    db: &ExperimentDb,
-    agg: AggKind,
-    spec: &SourceSpec,
-) -> Result<DataVector> {
-    let def = db.definition();
-    let plan = plan_source(&def, spec)?;
-    debug_assert!(plan.once_values.is_empty() && !plan.multi_values.is_empty());
-    let dtype = |c: &str| def.variable(c).expect("plan_source resolved it").datatype;
-
-    // 1. Matching runs from the frontend's run index.
-    // Selects run_id + once_carry (no once values by eligibility).
-    let (_, sql) = plan.runs_query();
-    let runs = db.engine().query(&sql)?;
-
-    // Same mode selection as run_operator_single: parameters present →
-    // data-set aggregation (GROUP BY all parameters); none → reduce the
-    // whole vector into a single element.
-    let params: Vec<String> = plan
-        .once_carry
-        .iter()
-        .chain(&plan.multi_carry)
-        .cloned()
-        .collect();
-    let values: Vec<String> = plan.multi_values.clone();
-
-    // 2. Two statements, built once as values (nothing is rendered or
-    //    parsed). The partial SELECT, run on each run's shard: its group
-    //    columns, a row counter (so runs contributing nothing are skipped),
-    //    then per value the aggregate itself or — for avg — its SUM/COUNT
-    //    decomposition; the data-set restriction is the expression
-    //    `run_source` parses once. The merge SELECT, over the table of the
-    //    partials, each row prefixed with its run's once-carries: grouped by
-    //    every parameter, per value the sum of the counts (0 over no
-    //    partial), the sum of the sums, the min of the mins, the max of the
-    //    maxes, or Σsum / Σcount for avg.
-    let col = |c: &str| SqlExpr::Col(c.to_string());
-    let item = |expr: SqlExpr, alias: Option<String>| SelectItem::Expr { expr, alias };
-    let call = |kind: AggKind, arg: SqlExpr| SqlExpr::Func {
-        name: kind.name().to_string(),
-        args: vec![arg],
-        star: false,
-    };
-    let mut partial_items: Vec<SelectItem> = plan
-        .multi_carry
-        .iter()
-        .map(|c| item(col(c), None))
-        .collect();
-    let count_rows = SqlExpr::Func {
-        name: AggKind::Count.name().to_string(),
-        args: vec![SqlExpr::Lit(Value::Int(1))],
-        star: true,
-    };
-    partial_items.push(item(count_rows, Some("pb_rows".to_string())));
-    let mut columns: Vec<Column> = params.iter().map(|c| Column::new(c, dtype(c))).collect();
-    columns.push(Column::new("pb_rows", DataType::Int));
-    let mut merge_items: Vec<SelectItem> = params.iter().map(|c| item(col(c), None)).collect();
-    for v in &values {
-        let mut partial = |kind: AggKind, alias: &str| {
-            let name = format!("pb_{alias}_{v}");
-            partial_items.push(item(call(kind, col(v)), Some(name.clone())));
-            columns.push(Column::new(&name, aggregate_type(kind, dtype(v))));
-            col(&name)
-        };
-        let merged = match agg {
-            AggKind::Avg => {
-                let (sum, cnt) = (partial(AggKind::Sum, "sum"), partial(AggKind::Count, "cnt"));
-                let (sum, cnt) = (call(AggKind::Sum, sum), call(AggKind::Sum, cnt));
-                SqlExpr::Binary("/", Box::new(sum), Box::new(cnt))
-            }
-            AggKind::Count => SqlExpr::Func {
-                name: "coalesce".to_string(),
-                args: vec![
-                    call(AggKind::Sum, partial(agg, "agg")),
-                    SqlExpr::Lit(Value::Int(0)),
-                ],
-                star: false,
-            },
-            _ => call(agg, partial(agg, "agg")),
-        };
-        merge_items.push(item(merged, None));
-    }
-    let select = |items, where_clause, group_by| SelectStmt {
-        distinct: false,
-        items,
-        from: None,
-        joins: Vec::new(),
-        where_clause,
-        group_by,
-        order_by: Vec::new(),
-        limit: None,
-    };
-    let partial = select(
-        partial_items,
-        plan.multi_filter()?,
-        plan.multi_carry.clone(),
-    );
-    // A run none of whose data sets matched (only possible without a GROUP
-    // BY) counts 0 rows: the unsharded source has no rows from it.
-    let matched = SqlExpr::Binary(
-        "<>",
-        Box::new(col("pb_rows")),
-        Box::new(SqlExpr::Lit(Value::Int(0))),
-    );
-    let merge = select(merge_items, Some(matched), params.clone());
-
-    // 3. The partial query on each run's shard, executed where it lives;
-    //    the partials merged on the frontend, groups in first-seen order.
-    let mut partials = Vec::new();
-    for run_row in runs.rows() {
-        let run_id = run_row[0].as_i64().expect("run_id is INTEGER");
-        let rows = db.select_run_data(run_id, &partial)?.into_rows();
-        partials.extend(rows.into_iter().map(|prow| [&run_row[1..], &prow].concat()));
-    }
-    let merged = typed_table(columns, partials)?.select(&merge)?;
-
-    // 4. The vector, with the types and labels the unsharded source →
-    //    aggregate pair would carry.
-    let labels = source_labels(&def, &[params.as_slice(), &values].concat());
-    reduced_vector(agg, params, values, &labels, dtype, merged.into_rows())
 }
 
 /// The type of `agg` over an input of type `input` — the typing rule of
@@ -1998,7 +1872,7 @@ pub(crate) mod tests {
         let ElementKind::Source(s) = &spec.elements[0].kind else {
             panic!("first element is the source");
         };
-        run_source(db, s).unwrap().0.table.to_rows()
+        run_source(db, s, false).unwrap().0.table.to_rows()
     }
 
     /// A restriction on a data-set parameter holds for run-level values too:
@@ -2053,7 +1927,7 @@ pub(crate) mod tests {
         let ElementKind::Source(s) = &spec.elements[0].kind else {
             panic!("first element is the source");
         };
-        let (v, runs) = run_source(&db, s).unwrap();
+        let (v, runs) = run_source(&db, s, false).unwrap();
         assert_eq!(runs, 0);
         assert!(v.table.is_empty());
         let types: Vec<DataType> = v.table.schema.columns.iter().map(|c| c.dtype).collect();
@@ -2099,23 +1973,34 @@ pub(crate) mod tests {
 
     /// A run table that does not follow the definition (left behind by a
     /// build that evolved only `pb_runs`) is a query error that names the run
-    /// and the column — in every position a column can be used.
+    /// and the column — in every position a column can be used, and on a
+    /// remote node, where a fused aggregate's charge counts the groups of the
+    /// source's carries.
     #[test]
     fn run_table_off_the_definition_is_a_named_error() {
         let carry = r#"<parameter name="chunk" carry="true"/><value name="bw"/>"#;
         let filtered = r#"<parameter name="chunk" value="100"/><value name="technique"/>"#;
-        for (columns, source, column) in [
-            ("bw FLOAT", carry, "chunk"),
-            ("chunk INTEGER", carry, "bw"),
+        let fused = r#"<operator id="a" type="avg" input="s"/>"#;
+        for (columns, source, nodes, column) in [
+            ("bw FLOAT", carry, 0, "chunk"),
+            ("chunk INTEGER", carry, 0, "bw"),
             (
                 "chunk INTEGER, bw INTEGER",
                 carry,
+                0,
                 "'bw' is FLOAT, not INTEGER",
             ),
-            ("bw FLOAT", filtered, "chunk"),
+            ("bw FLOAT", filtered, 0, "chunk"),
+            ("bw FLOAT", carry, 4, "chunk"),
         ] {
-            let db = seeded_db();
-            let e = db.engine();
+            let (db, consumer, input) = match nodes {
+                0 => (seeded_db(), "", "s"),
+                n => (sharded_db(n), fused, "a"),
+            };
+            if let Some(sh) = db.sharding() {
+                assert_ne!(sh.map().node_of(2), Some(0), "run 2 is remote");
+            }
+            let e = db.rundata_engine(2);
             e.execute("DROP TABLE pb_rundata_2").unwrap();
             e.execute(&format!("CREATE TABLE pb_rundata_2 ({columns})"))
                 .unwrap();
@@ -2127,8 +2012,8 @@ pub(crate) mod tests {
             e.execute(&format!("INSERT INTO pb_rundata_2 VALUES {values}"))
                 .unwrap();
             let q = query_from_str(&format!(
-                r#"<query name="q"><source id="s">{source}</source>
-                   <output id="o" input="s" format="csv"/></query>"#
+                r#"<query name="q"><source id="s">{source}</source>{consumer}
+                   <output id="o" input="{input}" format="csv"/></query>"#
             ))
             .unwrap();
             let err = QueryRunner::new(&db).run(q).unwrap_err().to_string();
@@ -2387,7 +2272,7 @@ pub(crate) mod tests {
                     }
                 }
 
-                let (v, matched) = run_source(&db, &spec).unwrap();
+                let (v, matched) = run_source(&db, &spec, false).unwrap();
                 let (schema, got) = (&v.table.schema, v.table.to_rows());
                 assert_eq!(got, want, "case {case}: {spec:?}");
                 assert!(matched <= runs.len());

@@ -67,8 +67,8 @@ impl DataVector {
 /// is `0.0`, text is its string), with NULL equal to NULL, and each distinct
 /// key gets the next id the first time it is seen. Element-wise alignment,
 /// the combiner, the anomaly screen and status retrieval's distinct contents
-/// and sweep holes key their rows through it (the pushdown merge groups in
-/// the engine, by the same identity).
+/// and sweep holes key their rows through it (aggregates group in the
+/// engine, by the same identity).
 #[derive(Debug, Default)]
 pub(crate) struct KeyIds(HashMap<Vec<ValueKey>, usize>);
 

@@ -76,7 +76,7 @@ fn carried(db: &ExperimentDb, parameters: &[&str]) -> Result<DataVector> {
         carry,
         ..SourceSpec::default()
     };
-    Ok(run_source(db, &spec)?.0)
+    Ok(run_source(db, &spec, false)?.0)
 }
 
 /// The distinct contents `parameter` has taken across all runs, as

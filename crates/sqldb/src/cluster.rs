@@ -546,27 +546,31 @@ impl Cluster {
     /// The selection step of [`Cluster::select`] alone: select the rows of
     /// `table` on node `src` that satisfy `filter` ([`Engine::scan`] of a
     /// batch of one) and hand the pinned table and the positions to the
-    /// caller's node `dst`. The selected rows are charged exactly as `select`
-    /// charges the rows of its result.
+    /// caller's node `dst`. The answer is charged as one message of the rows
+    /// it carries, which `carried` counts on `src` over the pinned table and
+    /// the selection: the selected rows when they travel as they are, fewer
+    /// when `src` reduces them first.
     pub fn scan(
         &self,
         src: usize,
         dst: usize,
         table: &str,
         filter: Option<&SqlExpr>,
+        carried: impl Fn(&Table, &[usize]) -> Result<usize, DbError>,
     ) -> Result<(Arc<Table>, Vec<usize>), DbError> {
         let scan = |engine: &Engine| {
             let mut found = None;
             engine
                 .scan(&[table], filter, |_, pinned, positions| {
-                    found = Some((pinned.clone(), positions.to_vec()));
+                    let rows = carried(pinned, positions)?;
+                    found = Some((pinned.clone(), positions.to_vec(), rows));
                     Ok(())
                 })
                 .map_err(|(_, e)| e)?;
             Ok(found.expect("a batch of one table is one call"))
         };
-        let selected = |(_, positions): &(Arc<Table>, Vec<usize>)| positions.len();
-        self.ask(src, dst, scan, selected)
+        let (pinned, positions, _) = self.ask(src, dst, scan, |answer| answer.2)?;
+        Ok((pinned, positions))
     }
 }
 
@@ -643,6 +647,7 @@ mod tests {
     /// charge (one message, the selected rows), nothing for a local read.
     #[test]
     fn scan_charges_what_fetch_charges() {
+        let selected = |_: &Table, positions: &[usize]| Ok(positions.len());
         let c = Cluster::new(2, LatencyModel::none());
         let engine = &c.node(1).engine;
         engine.execute("CREATE TABLE t (x INTEGER)").unwrap();
@@ -653,18 +658,36 @@ mod tests {
             .unwrap();
         let by_fetch = c.stats();
         c.reset_stats();
-        let (pinned, positions) = c.scan(1, 0, "t", Some(&filter)).unwrap();
+        let (pinned, positions) = c.scan(1, 0, "t", Some(&filter), selected).unwrap();
         assert_eq!(c.stats(), by_fetch);
         assert_eq!((by_fetch.messages, by_fetch.rows), (1, 2));
         let rows: Vec<_> = positions.iter().map(|&p| pinned.row(p)).collect();
         assert_eq!(rows, fetched.rows());
-        c.scan(1, 1, "t", None).unwrap();
+        c.scan(1, 1, "t", None, selected).unwrap();
         assert_eq!(c.stats(), by_fetch, "a local scan is free");
         c.kill_node(1);
-        let down = c.scan(1, 0, "t", None).unwrap_err();
+        let down = c.scan(1, 0, "t", None, selected).unwrap_err();
         let refused = c.select(1, 0, "t", &select("SELECT x FROM t"));
         assert_eq!(down, refused.unwrap_err());
         assert_eq!(c.stats(), by_fetch, "a dead node answers nothing");
+    }
+
+    /// An answer reduced on its node is charged the rows it carries, and a
+    /// count that fails is the scan's error, charged nothing.
+    #[test]
+    fn scan_charges_what_its_answer_carries() {
+        let c = Cluster::new(2, LatencyModel::none());
+        let engine = &c.node(1).engine;
+        engine.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        engine.execute("INSERT INTO t VALUES (1),(1),(2)").unwrap();
+        let by = ["x".to_string()];
+        let (_, positions) = c.scan(1, 0, "t", None, |t, p| t.groups(p, &by)).unwrap();
+        assert_eq!(positions.len(), 3);
+        assert_eq!((c.stats().messages, c.stats().rows), (1, 2));
+        let nope = ["y".to_string()];
+        let err = c.scan(1, 0, "t", None, |t, p| t.groups(p, &nope));
+        assert_eq!(err.unwrap_err(), DbError::NoSuchColumn("y".into()));
+        assert_eq!((c.stats().messages, c.stats().rows), (1, 2));
     }
 
     #[test]

@@ -87,6 +87,19 @@ impl Table {
     pub fn select(self: &Arc<Self>, sel: &SelectStmt) -> Result<ResultSet, DbError> {
         read(&mut Arc::clone(self), sel, None)
     }
+
+    /// The number of groups the rows at `positions` form under the columns
+    /// `by` (`group_rows`, the grouping of `GROUP BY`): the rows a
+    /// grouped aggregate over them returns — one when `by` is empty, even
+    /// over no rows. A column the table lacks is an error naming it.
+    pub fn groups(&self, positions: &[usize], by: &[String]) -> Result<usize, DbError> {
+        let at = |c: &String| {
+            let at = self.schema.index_of(c);
+            at.ok_or_else(|| DbError::NoSuchColumn(c.clone()))
+        };
+        let keys = by.iter().map(at).collect::<Result<Vec<_>, _>>()?;
+        Ok(group_rows(self.store(), positions, &keys).0.len())
+    }
 }
 
 /// Execute a SELECT — `explain`: `None` runs it, `Some(false)` prints its

@@ -1,7 +1,11 @@
 #!/bin/sh
 # Paired comparison of two commits, workload by workload: this tree (the
-# change, uncommitted edits included) against <rev> (the parent). Checks
-# <rev> out in a temporary local clone — self-contained, unlike a git
+# change, uncommitted edits included) against <rev> (the parent). The
+# change is a snapshot of this tree taken at launch — its tracked and
+# untracked, non-ignored files, written as one git tree object — built and
+# run in a temporary directory, so an edit saved while the benchmark builds
+# or runs does not reach the measured binary; the label names that tree.
+# Checks <rev> out in a temporary local clone — self-contained, unlike a git
 # worktree, which registers itself in this repository's .git and outlives
 # a run that is killed — builds the benchmark package of
 # both once (offline: its only dependencies are path crates), then runs
@@ -50,8 +54,19 @@ seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
 here=$(pwd)
 tree=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_tree.XXXXXX")
 tree2=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_tree2.XXXXXX")
+snap=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_snap.XXXXXX")
 out=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs_runs.XXXXXX")
-trap 'rm -rf "$tree" "$tree2"' EXIT
+trap 'rm -rf "$tree" "$tree2" "$snap"' EXIT
+
+# The snapshot: this tree added to a copy of the index (the real one is not
+# touched) and written as a tree object, then unpacked into $snap.
+cp "$(git rev-parse --git-path index)" "$snap/.index"
+snapshot=$(GIT_INDEX_FILE="$snap/.index" git add -A && GIT_INDEX_FILE="$snap/.index" git write-tree)
+rm "$snap/.index"
+git archive "$snapshot" | tar -xf - -C "$snap"
+label=$(git rev-parse --short HEAD)
+[ "$snapshot" = "$(git rev-parse "HEAD^{tree}")" ] ||
+    label="$label+tree:$(git rev-parse --short "$snapshot")"
 
 build() {
     cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
@@ -73,9 +88,9 @@ if [ -n "$control" ]; then
     echo "control: $rev against itself" >&2
     change=$tree
 else
-    echo "building the benchmark at $rev and in this tree" >&2
-    build "$here"
-    change=$here
+    echo "building the benchmark at $rev and in this tree ($label)" >&2
+    build "$snap"
+    change=$snap
 fi
 
 # run <side> <workload> <pair>
@@ -103,11 +118,7 @@ for w in $workloads; do
     done
 done
 
-if [ -n "$control" ]; then
-    label="$rev (control)"
-else
-    label="$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)"
-fi
+[ -z "$control" ] || label="$rev (control)"
 echo "parent $rev, change $label, seed $seed, $pairs pair(s) of ${seconds} s, runs in $out"
 for w in $workloads; do
     for side in $sides; do

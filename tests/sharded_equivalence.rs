@@ -12,10 +12,10 @@ use perfbase::core::experiment::ExperimentDb;
 use perfbase::core::import::Importer;
 use perfbase::core::input::input_description_from_str;
 use perfbase::core::query::spec::query_from_str;
-use perfbase::core::query::QueryRunner;
+use perfbase::core::query::{QueryOutcome, QueryRunner};
 use perfbase::core::xmldef;
 use perfbase::sqldb::cluster::{Cluster, LatencyModel};
-use perfbase::sqldb::Engine;
+use perfbase::sqldb::{Engine, Value};
 use perfbase::workloads::beffio::{simulate, BeffIoConfig, FsType, Technique};
 use std::sync::Arc;
 
@@ -215,6 +215,31 @@ fn equivalence_specs() -> Vec<(&'static str, String)> {
     ]
 }
 
+/// Every vector of `out` by element id: its parameters, values and typed
+/// columns, then every cell, a FLOAT as its bits — so two runs that render
+/// the same rounded artifacts but differ in a last bit read differently.
+fn vector_bits(out: &QueryOutcome) -> String {
+    let mut ids: Vec<&String> = out.vectors.keys().collect();
+    ids.sort();
+    let mut all = String::new();
+    for id in ids {
+        let v = &out.vectors[id];
+        let columns = v.table.schema.columns.iter();
+        let types: Vec<_> = columns.map(|c| (&c.name, c.dtype)).collect();
+        all.push_str(&format!("[{id}] {:?} {:?} {types:?}\n", v.params, v.values));
+        for row in v.table.to_rows() {
+            for cell in row {
+                match cell {
+                    Value::Float(f) => all.push_str(&format!(" f{:016x}", f.to_bits())),
+                    other => all.push_str(&format!(" {other:?}")),
+                }
+            }
+            all.push('\n');
+        }
+    }
+    all
+}
+
 /// The Fig. 7 shape in miniature: two independent source → max chains
 /// joined by a binary operator — two elements per wave, so threads and
 /// placement both have something to spread.
@@ -237,8 +262,9 @@ const FIG7ISH: &str = r#"<query name="fig7ish">
   <output id="o" input="rel" format="csv"/>
 </query>"#;
 
-/// Every execution mode must produce byte-identical artifacts, the same
-/// `timings` ids in the same order, and the interconnect traffic the two
+/// Every execution mode must produce byte-identical artifacts, vectors that
+/// agree to the bit ([`vector_bits`]), the same `timings` ids in the same
+/// order, and the interconnect traffic the two
 /// separate runners produced before they were merged — and write nothing:
 /// the commit epoch and the catalog of the frontend and of every node of the
 /// placement and the sharding cluster are what they were before the run.
@@ -273,7 +299,7 @@ fn every_mode_of_the_one_runner_agrees() {
         ("placed/2 on sharded/2", true, 2, 2, false, (82, 2538)),
     ];
 
-    let mut want: Vec<(String, Vec<String>)> = Vec::new();
+    let mut want: Vec<(String, String, Vec<String>)> = Vec::new();
     for (mode, threads, placement, shards, pushdown, traffic) in modes {
         let db = campaign_db(2);
         if shards > 0 {
@@ -310,12 +336,14 @@ fn every_mode_of_the_one_runner_agrees() {
                 .iter()
                 .map(|id| format!("[{id}]\n{}\n", out.artifacts[id.as_str()]))
                 .collect();
+            let vectors = vector_bits(&out);
             let order: Vec<String> = out.timings.iter().map(|t| t.id.clone()).collect();
             if want.len() == k {
-                want.push((artifacts, order));
+                want.push((artifacts, vectors, order));
             } else {
                 assert_eq!(artifacts, want[k].0, "{name} artifacts in mode {mode}");
-                assert_eq!(order, want[k].1, "{name} timings order in mode {mode}");
+                assert_eq!(vectors, want[k].1, "{name} vectors in mode {mode}");
+                assert_eq!(order, want[k].2, "{name} timings order in mode {mode}");
             }
             assert_eq!(
                 out.transfer.is_some(),

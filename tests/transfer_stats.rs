@@ -67,7 +67,7 @@ fn same_node_copy_is_free() {
 
     let c = seeded_cluster(2, 1, 5);
     c.select(1, 1, "src", &select("SELECT * FROM src")).unwrap();
-    c.scan(1, 1, "src", None).unwrap();
+    c.scan(1, 1, "src", None, |_, rows| Ok(rows.len())).unwrap();
     assert_eq!(c.stats(), Default::default());
 }
 
